@@ -11,15 +11,15 @@ tool; matplotlib sketch at the bottom.
 from pathlib import Path
 
 from renormcert import run_pipeline, RunConfig
-from renormcert.pipeline import emit_plot_covering, write_covering_csv
+from renormcert.pipeline import certified_balls, emit_plot_covering, write_covering_csv
 from renormcert.rounding import RoundingContext
 
 out = Path("covering_out")
 result = run_pipeline(RunConfig(degree=20, precision=30, rho="1e-8",
                                 boundary_rects=64))
 ctx = RoundingContext(30)
-balls = {"G": result.balls["parameter"], "V": result.balls["V0"],
-         "W": result.balls["W0"]}
+# each approximate centre inflated by its certificate's proven radius
+balls = certified_balls(ctx, result)
 
 out.mkdir(exist_ok=True)
 for figure, subdivisions in [

@@ -21,6 +21,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import add as _iadd
+from operator import mul as _imul
 
 from .errors import (
     CompositionContractFailure,
@@ -226,44 +228,114 @@ def _bump_coeff0(ctx: RoundingContext, f: FunctionBall, value: Rectangle) -> Fun
 
 # -- multiplication ----------------------------------------------------------
 
+def _int_parts(ctx: RoundingContext, coeffs, n: int):
+    """Integer form of the coefficients up to the last nonzero one:
+    (re_mid, re_rad, im_mid, im_rad, S) at scale 10**-S, with an all-zero
+    list stored as the empty list."""
+    size = len(coeffs)
+    while size and coeffs[size - 1].re.lo == coeffs[size - 1].re.hi == 0 \
+            and coeffs[size - 1].is_real():
+        size -= 1
+    res = [c.re for c in coeffs[:size]]
+    ims = [] if all(c.is_real() for c in coeffs[:size]) else [c.im for c in coeffs[:size]]
+    s = ctx.ball_scale(n, res + ims)
+    parts = ctx.to_midrad(res, s) + ctx.to_midrad(ims, s)
+    return tuple(v if any(v) else [] for v in parts) + (s,)
+
+
+def _conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """Exact Cauchy product of two integer sequences, truncated to degree n."""
+    la, lb = len(a), len(b)
+    if la < lb:
+        a, b, la, lb = b, a, lb, la
+    if not lb:
+        return []
+    size = min(n, la + lb - 2) + 1
+    rb = b[::-1]
+    out = []
+    for k in range(size):
+        lo = k - lb + 1 if k >= lb else 0
+        hi = k + 1 if k < la else la
+        out.append(sum(map(_imul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
+    return out
+
+
+def _add_lists(a: list[int], b: list[int]) -> list[int]:
+    """Elementwise sum of two sequences, the shorter one padded with zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    return list(map(_iadd, a, b)) + a[len(b):]
+
+
+def _add_into(acc: list[int], terms: list[int], sign: int = 1):
+    for k, t in enumerate(terms):
+        acc[k] += sign * t
+
+
+def _product_radii(f_parts, g_parts, n: int) -> tuple[list[int], list[int]]:
+    """Radii of the real and imaginary coefficients of the product of two
+    integer balls, each given as (re_mid, re_rad, im_mid, im_rad).
+
+    A product of real intervals (m, r)(m', r') has radius |m| r' + r (|m'| + r');
+    the real part sums the terms of fm gm and fmi gmi, the imaginary part
+    those of fm gmi and fmi gm."""
+    fm, fr, fmi, fri = f_parts
+    gm, gr, gmi, gri = g_parts
+    fa, fai = list(map(abs, fm)), list(map(abs, fmi))
+    gmag, gmagi = _add_lists(list(map(abs, gm)), gr), _add_lists(list(map(abs, gmi)), gri)
+    re_rad, im_rad = [0] * (n + 1), [0] * (n + 1)
+    for left, to_re, to_im in ((fa, gr, gri), (fai, gri, gr),
+                               (fr, gmag, gmagi), (fri, gmagi, gmag)):
+        _add_into(re_rad, _conv(left, to_re, n))
+        _add_into(im_rad, _conv(left, to_im, n))
+    return re_rad, im_rad
+
+
+def _magnitudes(m, r, mi, ri) -> list[int]:
+    """Upper bounds |re| + |im| of the coefficients of an integer ball."""
+    return _add_lists(_add_lists(list(map(abs, m)), r), _add_lists(list(map(abs, mi)), ri))
+
+
 def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     """Product ball: Cauchy product to degree N, l1 spill above N into v_high.
 
     Polynomial-by-polynomial mass of degree > N is provably high-order and
     goes to v_high, as do polynomial-by-high products; anything touching an
-    error part lands in v_err.
+    error part lands in v_err.  The coefficient product runs exactly on the
+    integer midpoint-radius form of each factor (see ctx.ball_scale), so
+    the only roundings are the outward conversions in and out.
     """
     _check_same_space(f, g)
     n = f.truncation
-    zero = rectangle(0)
-    out = [zero] * (n + 1)
-    mf = [ctx.mag1(c) for c in f.coeffs]
-    mg = [ctx.mag1(c) for c in g.coeffs]
-    spill = _D0
-    for i, fi in enumerate(f.coeffs):
-        if mf[i] == 0:
-            continue
-        for j, gj in enumerate(g.coeffs):
-            if mg[j] == 0:
-                continue
-            k = i + j
-            if k <= n:
-                out[k] = ctx.radd(out[k], ctx.rmul(fi, gj))
-            else:
-                spill = ctx.add_up(spill, ctx.mul_up(mf[i], mg[j]))
-    pf = _D0
-    for m in mf:
-        pf = ctx.add_up(pf, m)
-    pg = _D0
-    for m in mg:
-        pg = ctx.add_up(pg, m)
-    v_high = spill
+    fm, fr, fmi, fri, sf = _int_parts(ctx, f.coeffs, n)
+    gm, gr, gmi, gri, sg = _int_parts(ctx, g.coeffs, n)
+    re_mid, im_mid = [0] * (n + 1), [0] * (n + 1)
+    _add_into(re_mid, _conv(fm, gm, n))
+    _add_into(re_mid, _conv(fmi, gmi, n), -1)
+    _add_into(im_mid, _conv(fm, gmi, n))
+    _add_into(im_mid, _conv(fmi, gm, n))
+    re_rad, im_rad = _product_radii((fm, fr, fmi, fri), (gm, gr, gmi, gri), n)
+    coeffs_re = ctx.from_midrad(re_mid, re_rad, sf + sg)
+    if any(im_mid) or any(im_rad):
+        out = tuple(map(Rectangle, coeffs_re, ctx.from_midrad(im_mid, im_rad, sf + sg)))
+    else:
+        out = tuple(Rectangle(re, IZERO) for re in coeffs_re)
+
+    mf, mg = _magnitudes(fm, fr, fmi, fri), _magnitudes(gm, gr, gmi, gri)
+    # spill: sum of mf[i] mg[j] over i + j > N, from suffix sums of mg
+    tail, suffix = 0, [0] * (len(mg) + 1)
+    for j in range(len(mg) - 1, -1, -1):
+        tail += mg[j]
+        suffix[j] = tail
+    spill = sum(m * suffix[n - i + 1] for i, m in enumerate(mf) if n - i + 1 < len(mg))
+    pf, pg = ctx.scaled_up(sum(mf), sf), ctx.scaled_up(sum(mg), sg)
+    v_high = ctx.scaled_up(spill, sf + sg)
     v_high = ctx.add_up(v_high, ctx.mul_up(pf, g.v_high))
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, pg))
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
     v_err = ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err))
     v_err = ctx.add_up(v_err, ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high)))
-    return FunctionBall(f.domain, tuple(out), v_high, v_err)
+    return FunctionBall(f.domain, out, v_high, v_err)
 
 
 # -- composition --------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Verbs:
     approx   bootstrap approximations and write checkpoints
-    certify  run the certification pipeline, write certificates
+    certify  run the certification pipeline; with an output directory it
+             writes certificates, digit files and the report (alias: report)
     digits   print certified digit strings from a certificate file
     plot     export rectangle-covering CSV data for one figure
-    report   full pipeline plus digit files (certify + digits)
 
 Flags map one-to-one onto RunConfig fields.  Only the worker count and the
 scratch directory may come from the environment (RENORMCERT_WORKERS,
@@ -83,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="bootstrap approximations and checkpoints")
     _add_config_flags(p)
 
-    p = sub.add_parser("certify", help="run the certification pipeline")
+    p = sub.add_parser("certify", aliases=["report"],
+                       help="run the certification pipeline: certificates, digits, report")
     _add_config_flags(p)
+    p.set_defaults(verb="certify")
 
     p = sub.add_parser("digits", help="print certified digits from a certificate")
     p.add_argument("certificate", help="path to a certificate_*.json file")
@@ -98,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdivisions", type=int, default=100,
                    help="graph subinterval count (fig1: boundary rectangles)")
 
-    p = sub.add_parser("report", help="full pipeline: certificates, digits, report")
-    _add_config_flags(p)
-
     return parser
 
 
@@ -113,19 +112,19 @@ def _cmd_approx(args) -> int:
     from . import approx as ax
     from .balls import STANDARD_DISC
 
-    g0_ball = pl._load_or_compute_ball(
+    g0_ball = pl._load_or_compute(
         cfg, "g0", lambda: fb.ball_from_decimals(
             STANDARD_DISC, ax.approx_fixed_point(cfg.degree, cfg.precision),
-            cfg.degree))
+            cfg.degree), *pl._BALL_FORMAT)
     g0 = [c.re.lo for c in g0_ball.coeffs]
     print(f"g0: degree {cfg.degree}, precision {cfg.precision}, G0(1) = {g0[0]}")
     for target in ("delta", "gamma"):
         if target not in cfg.targets:
             continue
-        ball = pl._load_or_compute_ball(
+        ball = pl._load_or_compute(
             cfg, target + "0", lambda k=target: fb.ball_from_decimals(
                 STANDARD_DISC, ax.approx_eigenpair(k, g0, cfg.precision)[0],
-                cfg.degree))
+                cfg.degree), *pl._BALL_FORMAT)
         print(f"{target}0 = {ball.coeffs[0].re.lo}")
     print(f"checkpoints in {cfg.checkpoint_dir}")
     return 0
@@ -171,9 +170,8 @@ def _cmd_plot(args) -> int:
         print(f"FAILED at stage {exc.stage}: {exc.__cause__}", file=sys.stderr)
         return 2
     ctx = RoundingContext(cfg.precision)
-    balls = {"G": result.balls.get("parameter") or result.balls["G0"],
-             "V": result.balls.get("V0"), "W": result.balls.get("W0")}
-    rows = pl.emit_plot_covering(ctx, args.figure, args.subdivisions, balls)
+    rows = pl.emit_plot_covering(ctx, args.figure, args.subdivisions,
+                                 pl.certified_balls(ctx, result))
     out = Path(cfg.output_dir or ".") / f"{args.figure}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     pl.write_covering_csv(out, rows)
@@ -181,17 +179,11 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    rc = _cmd_certify(args)
-    return rc
-
-
 _COMMANDS = {
     "approx": _cmd_approx,
     "certify": _cmd_certify,
     "digits": _cmd_digits,
     "plot": _cmd_plot,
-    "report": _cmd_report,
 }
 
 

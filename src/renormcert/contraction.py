@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
+from operator import mul as _imul
 
 from . import balls as fb
 from .balls import FunctionBall, ball_checksum
@@ -41,7 +42,7 @@ from .errors import (
     TailContractFailure,
 )
 from .operators import OperatorTables, SharedEvaluations, precompute_shared
-from .rounding import IONE, Interval, Rectangle, RoundingContext, as_decimal, interval
+from .rounding import IONE, IZERO, Interval, Rectangle, RoundingContext, as_decimal, interval
 
 __all__ = [
     "LinearMap",
@@ -70,10 +71,10 @@ class LinearMap:
     acting on every degree above N (and on high-order error content).
 
     Entries are exactly representable numbers, not intervals; rigour comes
-    from applying them in interval arithmetic.
+    from applying them exactly to integer midpoint-radius coefficients.
     """
 
-    __slots__ = ("matrix", "tail_scalar", "_col_sums")
+    __slots__ = ("matrix", "tail_scalar", "_col_sums", "_int_rows")
 
     def __init__(self, matrix, tail_scalar):
         self.matrix = tuple(tuple(as_decimal(x) for x in row) for row in matrix)
@@ -82,6 +83,7 @@ class LinearMap:
             raise ConfigError("linear map matrix must be square")
         self.tail_scalar = as_decimal(tail_scalar)
         self._col_sums = {}
+        self._int_rows = None
 
     @property
     def dim(self) -> int:
@@ -96,12 +98,32 @@ class LinearMap:
             self._col_sums[ctx.precision] = cached
         return cached
 
+    def int_rows(self) -> tuple[list[list[int]], int]:
+        """The matrix exactly as integers at scale 10**-e: (rows, e)."""
+        if self._int_rows is None:
+            self._int_rows = _int_matrix(self.matrix)
+        return self._int_rows
+
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and self.matrix == other.matrix
                 and self.tail_scalar == other.tail_scalar)
 
     def __reduce__(self):
         return (LinearMap, (self.matrix, self.tail_scalar))
+
+
+def _int_matrix(matrix) -> tuple[list[list[int]], int]:
+    """A matrix of exact decimals as integers at one scale 10**-e: (rows, e)."""
+    entries = [x for row in matrix for x in row if x]
+    if not all(x.is_finite() for x in entries):
+        raise ConfigError("matrix entries must be finite")
+    e = max([0] + [-x.as_tuple().exponent for x in entries])
+    ten = 10 ** e
+
+    def exact(x):
+        num, den = x.as_integer_ratio()
+        return num * ten // den
+    return [[exact(x) if x else 0 for x in row] for row in matrix], e
 
 
 def identity_map(n: int, diagonal=_D1, tail_scalar=Decimal(-1)) -> LinearMap:
@@ -125,26 +147,39 @@ def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
 def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> FunctionBall:
     """Apply the frozen map to a ball: matrix on the polynomial coefficients,
     |tail| on the high-order bound, full operator norm on the error bound
-    (error content may sit at any degree)."""
+    (error content may sit at any degree).
+
+    The matrix acts exactly on the integer midpoint-radius form of the
+    coefficients: midpoints by the integer rows, radii by their absolute
+    values."""
     n = f.truncation
     if lam.dim != n + 1:
         raise DimensionMismatch(f"map dimension {lam.dim} vs ball degree {n}")
-    coeffs = []
-    for i in range(n + 1):
-        row = lam.matrix[i]
-        acc = fb.rectangle(0)
-        for k in range(n + 1):
-            if row[k] and ctx.mag1(f.coeffs[k]) != 0:
-                acc = ctx.radd(acc, ctx.rscale(f.coeffs[k], row[k]))
-        coeffs.append(acc)
+    rows, e = lam.int_rows()
+    real = all(c.is_real() for c in f.coeffs)
+    s = ctx.ball_scale(n, [c.re for c in f.coeffs] + ([] if real else [c.im for c in f.coeffs]))
+
+    def image(xs):
+        mids, rads = ctx.to_midrad(xs, s)
+        return ctx.from_midrad([sum(map(_imul, row, mids)) for row in rows],
+                               [sum(map(_imul, map(abs, row), rads)) for row in rows], s + e)
+
+    re = image([c.re for c in f.coeffs])
+    if real:
+        coeffs = tuple(Rectangle(x, IZERO) for x in re)
+    else:
+        coeffs = tuple(map(Rectangle, re, image([c.im for c in f.coeffs])))
     v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
     v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
-    return FunctionBall(f.domain, tuple(coeffs), v_high, v_err)
+    return FunctionBall(f.domain, coeffs, v_high, v_err)
 
 
 def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     """Certify invertibility: residual bound ||I - B M|| < 1 for a midpoint
-    approximate inverse B, plus a nonzero tail scalar.  Returns the bound."""
+    approximate inverse B, plus a nonzero tail scalar.  Returns the bound.
+
+    B and M are exact decimals, so I - B M is formed exactly in integers;
+    only the final column-sum bound is rounded (upward)."""
     from .approx import mat_inv
 
     if lam.tail_scalar == 0:
@@ -154,17 +189,16 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
         approx_inv = mat_inv([list(row) for row in lam.matrix], ctx.precision)
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
-    bound = _D0
-    for j in range(n):
-        col_sum = _D0
-        for i in range(n):
-            acc = interval(1 if i == j else 0)
-            row = approx_inv[i]
-            for k in range(n):
-                if row[k] and lam.matrix[k][j]:
-                    acc = ctx.isub(acc, ctx.imul(interval(row[k]), interval(lam.matrix[k][j])))
-            col_sum = ctx.add_up(col_sum, acc.mag)
-        bound = max(bound, col_sum)
+    b_rows, b_scale = _int_matrix(approx_inv)
+    m_rows, m_scale = lam.int_rows()
+    m_cols = list(zip(*m_rows))
+    one = 10 ** (b_scale + m_scale)
+    col_sums = [0] * n
+    for i, b_row in enumerate(b_rows):
+        for j, m_col in enumerate(m_cols):
+            r = sum(map(_imul, b_row, m_col))
+            col_sums[j] += abs(one - r if i == j else r)
+    bound = ctx.scaled_up(max(col_sums), b_scale + m_scale)
     if bound >= 1:
         raise InversionUncertified(f"residual column bound {bound} >= 1")
     return bound
@@ -200,8 +234,8 @@ class Problem:
     def tail_channels(self, ctx: RoundingContext, x_ball: FunctionBall):
         raise NotImplementedError
 
-    def enclosures(self, ctx: RoundingContext, x0: FunctionBall, rho: Decimal,
-                   posterior: Decimal | None) -> dict:
+    def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal) -> dict:
+        """Certified constants for a solution within ``radius`` of x0."""
         return {}
 
 
@@ -282,8 +316,7 @@ class FixedPointProblem(Problem):
     def tail_channels(self, ctx, x_ball):
         return _dt_tail_channels(ctx, self._tables(ctx, x_ball).shared)
 
-    def enclosures(self, ctx, x0, rho, posterior):
-        radius = rho if posterior is None else min(rho, posterior)
+    def enclosures(self, ctx, x0, radius):
         a_enc = _widened(ctx, _phi(ctx, x0), radius)
         return {"a": a_enc, "alpha": ctx.idiv(IONE, a_enc)}
 
@@ -331,9 +364,9 @@ class _EigenProblem(Problem):
         mult = phi_x if self.phi_power == 1 else ctx.isqr(phi_x)
         return ctx.ineg(mult)
 
-    def enclosures(self, ctx, x0, rho, posterior):
+    def enclosures(self, ctx, x0, radius):
         name = "delta" if self.phi_power == 1 else "gamma"
-        return {name: _widened(ctx, _phi(ctx, x0), rho)}
+        return {name: _widened(ctx, _phi(ctx, x0), radius)}
 
 
 class DeltaProblem(_EigenProblem):
@@ -455,11 +488,17 @@ class Certificate:
     passed: bool
     posterior_radius: Decimal | None
     enclosures: dict
-    posterior_enclosures: dict
     lambda_residual: Decimal
     config: dict = field(default_factory=dict)
     workers: int = 1
     wall_time: float = 0.0
+
+    @property
+    def proven_radius(self) -> Decimal:
+        """Tightest radius proven to hold the solution: min(rho, posterior)."""
+        if self.posterior_radius is None:
+            return self.rho
+        return min(self.rho, self.posterior_radius)
 
     def certified_interval(self, name: str) -> Interval:
         return self.enclosures[name]
@@ -479,7 +518,6 @@ class Certificate:
             "posterior_radius": None if self.posterior_radius is None else str(self.posterior_radius),
             "lambda_residual": str(self.lambda_residual),
             "enclosures": enc(self.enclosures),
-            "posterior_enclosures": enc(self.posterior_enclosures),
             "config": self.config,
         }
 
@@ -532,9 +570,7 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
         kappa_tail=tail,
         passed=passed,
         posterior_radius=posterior,
-        enclosures=problem.enclosures(ctx, x0, rho, posterior) if passed else {},
-        posterior_enclosures=(problem.enclosures(ctx, x0, posterior, posterior)
-                              if passed and posterior is not None else {}),
+        enclosures={},
         lambda_residual=lam_residual,
         config=dict(config or {}),
         workers=workers,
@@ -544,4 +580,5 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
         raise CertificationFailed(
             f"{problem.kind}: epsilon={epsilon} not below rho(1-kappa) "
             f"with rho={rho}, kappa={kappa}", certificate=cert)
+    cert.enclosures = problem.enclosures(ctx, x0, cert.proven_radius)
     return cert

@@ -10,8 +10,9 @@ A single configured rho names the fixed-point ball radius; the eigen ball
 radii default to one decade above it (they are separately configurable).
 The movement bound of an eigen problem scales with the parameter-ball
 radius times a problem constant of order 10**3..10**4, so eigen radii sit
-above the fixed-point posterior radius by those factors; the certified
-digit count for each eigenvalue is set directly by its own radius.
+above the fixed-point posterior radius by those factors.  Every certified
+constant, and every ball handed to the plot coverings, uses the tighter of
+its ball radius and its certificate's a-posteriori radius.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .contraction import (
     LinearMap,
     certify as _certify,
 )
-from .balls import FunctionBall, STANDARD_DISC
+from .balls import STANDARD_DISC
 from .errors import (
     ConfigError,
     MissingCertificate,
@@ -50,6 +51,7 @@ __all__ = [
     "certified_digits",
     "format_digit_block",
     "emit_plot_covering",
+    "certified_balls",
     "write_covering_csv",
     "serialize_linear_map",
     "deserialize_linear_map",
@@ -155,30 +157,21 @@ def _checkpoint_path(directory: str, name: str, cfg: RunConfig) -> Path:
     return Path(directory) / f"{name}_n{cfg.degree}_p{cfg.precision}.txt"
 
 
-def _load_or_compute_ball(cfg: RunConfig, name: str, compute) -> FunctionBall:
-    if cfg.checkpoint_dir:
-        path = _checkpoint_path(cfg.checkpoint_dir, name, cfg)
-        if path.exists():
-            return fb.deserialize_ball(path.read_text())
-    ball = compute()
-    if cfg.checkpoint_dir:
-        path = _checkpoint_path(cfg.checkpoint_dir, name, cfg)
+def _load_or_compute(cfg: RunConfig, name: str, compute, serialize, deserialize):
+    """Checkpointed value: read from the checkpoint directory when present,
+    else computed and, with a checkpoint directory, written there."""
+    path = _checkpoint_path(cfg.checkpoint_dir, name, cfg) if cfg.checkpoint_dir else None
+    if path is not None and path.exists():
+        return deserialize(path.read_text())
+    value = compute()
+    if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(fb.serialize_ball(ball))
-    return ball
+        path.write_text(serialize(value))
+    return value
 
 
-def _load_or_compute_lambda(cfg: RunConfig, name: str, compute) -> LinearMap:
-    if cfg.checkpoint_dir:
-        path = _checkpoint_path(cfg.checkpoint_dir, name, cfg)
-        if path.exists():
-            return deserialize_linear_map(path.read_text())
-    lam = compute()
-    if cfg.checkpoint_dir:
-        path = _checkpoint_path(cfg.checkpoint_dir, name, cfg)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(serialize_linear_map(lam))
-    return lam
+_BALL_FORMAT = (fb.serialize_ball, fb.deserialize_ball)
+_LAMBDA_FORMAT = (serialize_linear_map, deserialize_linear_map)
 
 
 # -- digit extraction ----------------------------------------------------------
@@ -277,27 +270,28 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     result = PipelineResult(config=cfg, report=report)
     try:
         with _stage(report, timings, "approx"):
-            g0_ball = _load_or_compute_ball(
+            g0_ball = _load_or_compute(
                 cfg, "g0", lambda: fb.ball_from_decimals(
-                    domain, ax.approx_fixed_point(n, cfg.precision), n))
+                    domain, ax.approx_fixed_point(n, cfg.precision), n), *_BALL_FORMAT)
             g0 = [c.re.lo for c in g0_ball.coeffs]
-            lam_fixed = _load_or_compute_lambda(
+            lam_fixed = _load_or_compute(
                 cfg, "lambda_fixed", lambda: ax.build_lambda(
                     "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=cfg.precision),
-                    cfg.precision))
+                    cfg.precision), *_LAMBDA_FORMAT)
             report["checksums"]["g0"] = fb.ball_checksum(g0_ball)
             eigen_data = {}
             for target, kind in (("delta", "delta_eigen"), ("gamma", "gamma_eigen")):
                 if target not in cfg.targets:
                     continue
-                x0_ball = _load_or_compute_ball(
+                x0_ball = _load_or_compute(
                     cfg, target + "0", lambda k=target: fb.ball_from_decimals(
-                        domain, ax.approx_eigenpair(k, g0, cfg.precision)[0], n))
+                        domain, ax.approx_eigenpair(k, g0, cfg.precision)[0], n),
+                    *_BALL_FORMAT)
                 x0 = [c.re.lo for c in x0_ball.coeffs]
-                lam = _load_or_compute_lambda(
+                lam = _load_or_compute(
                     cfg, "lambda_" + target, lambda k=kind, v=x0: ax.build_lambda(
                         k, ax.approx_jacobian(k, g0, v, digits=cfg.precision),
-                        cfg.precision, lambda0=v[0]))
+                        cfg.precision, lambda0=v[0]), *_LAMBDA_FORMAT)
                 eigen_data[target] = (x0_ball, lam)
                 report["checksums"][target + "0"] = fb.ball_checksum(x0_ball)
             result.balls["G0"] = g0_ball
@@ -323,7 +317,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         if eigen_data:
             with _stage(report, timings, "parameter_ball"):
                 param = fb.inflate(ctx, g0_ball,
-                                   result.certificates["fixed_point"].posterior_radius)
+                                   result.certificates["fixed_point"].proven_radius)
                 tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
                 result.balls["parameter"] = param
 
@@ -413,6 +407,19 @@ def _default_range(ctx: RoundingContext, target: str) -> tuple[Decimal, Decimal]
         return ctx.sub_dn(c, r), ctx.add_up(c, r)
     edge = ctx.sqrt_dn(ctx.add_dn(c, r))
     return edge.copy_negate(), edge
+
+
+def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
+    """The balls "G", "V", "W" proven to contain the fixed point and the two
+    eigenfunctions: each centre inflated by its certificate's proven radius.
+    G is the pipeline's parameter ball when the eigen stages built one."""
+    balls = {"G": result.balls["parameter"]} if "parameter" in result.balls else {}
+    for key, centre, target in (("G", "G0", "fixed_point"), ("V", "V0", "delta"),
+                                ("W", "W0", "gamma")):
+        cert = result.certificates.get(target)
+        if cert is not None and key not in balls:
+            balls[key] = fb.inflate(ctx, result.balls[centre], cert.proven_radius)
+    return balls
 
 
 def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,

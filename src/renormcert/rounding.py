@@ -8,6 +8,13 @@ exact-then-rounded, so each computed endpoint is a faithful directed
 rounding of the exact result and every result interval encloses the exact
 mathematical one.
 
+Coefficient kernels (ball products, the frozen linear map) run on exact
+Python integers instead: :meth:`RoundingContext.to_midrad` maps intervals
+to integer midpoints and radii at one scale 10**-S per operand (set by
+:meth:`RoundingContext.ball_scale`), rounding outward; the kernel computes
+exactly; :meth:`RoundingContext.from_midrad` rounds the integer balls back
+outward to working-precision intervals.
+
 Rounding state lives entirely inside context instances: nothing here reads
 or writes the thread-local decimal context, so contexts can be confined to
 one worker each and values moved freely between workers.
@@ -18,6 +25,8 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import repeat
+from operator import sub
 
 from .errors import ConfigError, DivisionByZeroInterval, DivisionByZeroRectangle
 
@@ -153,7 +162,7 @@ class RoundingContext:
     correction), and ``_near`` rounds to nearest for midpoints only.
     """
 
-    __slots__ = ("precision", "_dn", "_up", "_near", "_exact")
+    __slots__ = ("precision", "_dn", "_up", "_near", "_exact", "_floor", "_ceil")
 
     def __init__(self, precision: int):
         if not isinstance(precision, int) or precision < 2:
@@ -163,6 +172,11 @@ class RoundingContext:
         self._up = decimal.Context(prec=precision, rounding=decimal.ROUND_CEILING)
         self._near = decimal.Context(prec=precision, rounding=decimal.ROUND_HALF_EVEN)
         self._exact = decimal.Context(prec=2 * precision + 8, rounding=decimal.ROUND_HALF_EVEN)
+        # unbounded precision: scaleb is exact and to_integral_value rounds
+        # once, down or up, to an integer
+        unbounded = dict(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        self._floor = decimal.Context(rounding=decimal.ROUND_FLOOR, **unbounded)
+        self._ceil = decimal.Context(rounding=decimal.ROUND_CEILING, **unbounded)
 
     def __repr__(self):
         return f"RoundingContext(precision={self.precision})"
@@ -248,6 +262,53 @@ class RoundingContext:
             if n:
                 b = self._dn.multiply(b, b)
         return result
+
+    # -- integer midpoint-radius form --------------------------------------
+
+    def ball_scale(self, degree: int, xs) -> int:
+        """Decimal scale S of the integer form of the intervals ``xs`` in a
+        degree-``degree`` kernel.
+
+        S puts precision + d digits on the largest endpoint, d being the digit
+        count of degree+1: a kernel sums up to degree+1 terms, each carrying
+        an input rounding of at most one unit of 10**-S, and the d extra
+        digits keep that sum below one unit in the last working digit.
+        """
+        ends = [x.lo for x in xs] + [x.hi for x in xs]
+        top = max(map(Decimal.adjusted, filter(None, ends)), default=0)
+        return self.precision + len(str(degree + 1)) - top
+
+    def to_midrad(self, xs: list[Interval], scale: int) -> tuple[list[int], list[int]]:
+        """Integer midpoints and radii, at scale 10**-``scale``, enclosing ``xs``.
+
+        The lower endpoint rounds down and the upper one up to integers
+        lo <= hi; then mid = (lo + hi) >> 1 and rad = hi - mid, so
+        [mid - rad, mid + rad] contains [lo, hi].
+        """
+        fl, ce, at = self._floor, self._ceil, repeat(scale)
+        los = map(int, map(fl.to_integral_value, map(fl.scaleb, [x.lo for x in xs], at)))
+        his = list(map(int, map(ce.to_integral_value, map(ce.scaleb, [x.hi for x in xs], at))))
+        mids = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
+        return mids, list(map(sub, his, mids))
+
+    def from_midrad(self, mids, rads, scale: int) -> list[Interval]:
+        """Working-precision intervals enclosing [mid - rad, mid + rad] * 10**-scale."""
+        return [Interval(self.scaled_dn(m - r, scale), self.scaled_up(m + r, scale))
+                if m or r else IZERO for m, r in zip(mids, rads)]
+
+    def scaled_dn(self, value: int, scale: int) -> Decimal:
+        """Lower bound of value * 10**-scale at working precision."""
+        # floor away the surplus digits in integers first, so the Decimal
+        # built from them carries no more digits than it keeps
+        cut = (value.bit_length() * 1233 >> 12) - self.precision
+        if cut > 0:
+            value //= 10 ** cut
+            scale -= cut
+        return self._dn.scaleb(Decimal(value), -scale)
+
+    def scaled_up(self, value: int, scale: int) -> Decimal:
+        """Upper bound of value * 10**-scale at working precision."""
+        return self.scaled_dn(-value, scale).copy_negate()
 
     # -- interval arithmetic ----------------------------------------------
 

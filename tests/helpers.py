@@ -141,3 +141,81 @@ def domain_points(rng: random.Random, domain, count: int) -> list[Decimal]:
     lo = domain.center - domain.radius
     hi = domain.center + domain.radius
     return [sample_point(rng, Interval(lo, hi)) for _ in range(count)]
+
+
+# -- Decimal interval reference kernels -----------------------------------------
+#
+# The coefficient loops the integer kernels replaced, kept as differential
+# oracles: every product and sum is an outward-rounded Decimal interval op.
+
+
+def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
+    """Product ball by interval Cauchy product (reference for ``balls.mul``)."""
+    n = f.truncation
+    out = [rectangle(0)] * (n + 1)
+    mf = [ctx.mag1(c) for c in f.coeffs]
+    mg = [ctx.mag1(c) for c in g.coeffs]
+    spill = Decimal(0)
+    for i, fi in enumerate(f.coeffs):
+        if mf[i] == 0:
+            continue
+        for j, gj in enumerate(g.coeffs):
+            if mg[j] == 0:
+                continue
+            k = i + j
+            if k <= n:
+                out[k] = ctx.radd(out[k], ctx.rmul(fi, gj))
+            else:
+                spill = ctx.add_up(spill, ctx.mul_up(mf[i], mg[j]))
+    pf = Decimal(0)
+    for m in mf:
+        pf = ctx.add_up(pf, m)
+    pg = Decimal(0)
+    for m in mg:
+        pg = ctx.add_up(pg, m)
+    v_high = spill
+    v_high = ctx.add_up(v_high, ctx.mul_up(pf, g.v_high))
+    v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, pg))
+    v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
+    v_err = ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err))
+    v_err = ctx.add_up(v_err, ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high)))
+    return fb.FunctionBall(f.domain, tuple(out), v_high, v_err)
+
+
+def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.FunctionBall:
+    """Frozen map applied by interval dot products (reference for ``apply_lambda``)."""
+    from renormcert.contraction import lambda_norm_upper
+
+    n = f.truncation
+    coeffs = []
+    for i in range(n + 1):
+        row = lam.matrix[i]
+        acc = rectangle(0)
+        for k in range(n + 1):
+            if row[k] and ctx.mag1(f.coeffs[k]) != 0:
+                acc = ctx.radd(acc, ctx.rscale(f.coeffs[k], row[k]))
+        coeffs.append(acc)
+    v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
+    v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
+    return fb.FunctionBall(f.domain, tuple(coeffs), v_high, v_err)
+
+
+def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
+    """Column-sum bound of I - B M by interval dot products, B the midpoint
+    approximate inverse (reference for ``verify_lambda_invertible``)."""
+    from renormcert.approx import mat_inv
+
+    n = lam.dim
+    approx_inv = mat_inv([list(row) for row in lam.matrix], ctx.precision)
+    bound = Decimal(0)
+    for j in range(n):
+        col_sum = Decimal(0)
+        for i in range(n):
+            acc = interval(1 if i == j else 0)
+            row = approx_inv[i]
+            for k in range(n):
+                if row[k] and lam.matrix[k][j]:
+                    acc = ctx.isub(acc, ctx.imul(interval(row[k]), interval(lam.matrix[k][j])))
+            col_sum = ctx.add_up(col_sum, acc.mag)
+        bound = max(bound, col_sum)
+    return bound

@@ -9,6 +9,7 @@ from helpers import (
     eval_member,
     eval_member_derivative,
     member_product,
+    rand_interval,
     rand_poly_ball,
     sample_member,
 )
@@ -19,7 +20,7 @@ from renormcert.errors import (
     IndexBeyondTruncation,
     PointOutsideDomain,
 )
-from renormcert.rounding import RoundingContext, interval, rectangle
+from renormcert.rounding import Rectangle, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -83,18 +84,39 @@ def test_mul_spill_goes_high():
     assert p2.v_high == 0 and p2.v_err == 0
 
 
-def test_mul_sampling_oracle():
-    rng = random.Random(3)
+def _interval_ball(rng, degree: int) -> fb.FunctionBall:
+    """Exact-free polynomial ball: random real interval coefficients."""
+    coeffs = [Rectangle(rand_interval(rng, 1.0), interval(0)) for _ in range(degree + 1)]
+    coeffs += [rectangle(0)] * (N - degree)
+    return fb.FunctionBall(DOM, tuple(coeffs), Decimal(0), Decimal(0))
+
+
+def _mul_sampling_misses(seed: int) -> int:
+    """Sampling oracle for mul: sampled members of point and interval balls,
+    their exact product evaluated at random points; counts the values the
+    product ball fails to enclose."""
+    rng = random.Random(seed)
+    misses = 0
     for _ in range(12):
-        f = rand_poly_ball(rng, DOM, N, 5)
-        g = rand_poly_ball(rng, DOM, N, 5)
-        p = fb.mul(ctx, f, g)
-        fm, gm = sample_member(rng, f), sample_member(rng, g)
-        hm = member_product(fm, gm, 120)
-        for z in domain_points(rng, DOM, 10):
-            val = eval_member(hm, z, DOM, 120)
-            out = fb.evaluate(ctx, p, rectangle(z))
-            assert out.re.contains(val), (z, val, out)
+        for f, g in ((rand_poly_ball(rng, DOM, N, 5), rand_poly_ball(rng, DOM, N, 5)),
+                     (_interval_ball(rng, 4), _interval_ball(rng, 4))):
+            p = fb.mul(ctx, f, g)
+            fm, gm = sample_member(rng, f), sample_member(rng, g)
+            hm = member_product(fm, gm, 120)
+            for z in domain_points(rng, DOM, 10):
+                val = eval_member(hm, z, DOM, 120)
+                misses += not fb.evaluate(ctx, p, rectangle(z)).re.contains(val)
+    return misses
+
+
+def test_mul_sampling_oracle():
+    assert _mul_sampling_misses(3) == 0
+
+
+def test_mul_sampling_oracle_negative_control(monkeypatch):
+    """A product kernel that drops the coefficient radii fails the oracle."""
+    monkeypatch.setattr(fb, "_product_radii", lambda f, g, n: ([0] * (n + 1), [0] * (n + 1)))
+    assert _mul_sampling_misses(3) > 0
 
 
 def test_norm_submultiplicative():

@@ -1,3 +1,4 @@
+import decimal
 import json
 import random
 from decimal import Decimal
@@ -11,7 +12,7 @@ from helpers import digit_match_count, rand_interval, sample_point
 from renormcert import balls as fb
 from renormcert import pipeline as pl
 from renormcert.errors import ConfigError, MissingCertificate, PipelineOrderError
-from renormcert.rounding import Interval, RoundingContext, interval
+from renormcert.rounding import Interval, RoundingContext, interval, rectangle
 
 
 def test_config_validation():
@@ -222,6 +223,7 @@ def test_cli_report_and_digits(tmp_path, capsys):
     from renormcert import cli
 
     out = tmp_path / "out"
+    assert cli.build_parser().parse_args(["report"]).verb == "certify"
     rc = cli.main(["report", "-N", "20", "-P", "30", "--rho", "1e-8", "-M", "64",
                    "-o", str(out), "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 0
@@ -243,6 +245,49 @@ def test_cli_plot(tmp_path, capsys):
                    "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 0
     assert (tmp_path / "fig2a.csv").exists()
+
+
+@pytest.mark.parametrize("figure, targets, key, centre, target", [
+    ("fig3a", "fixed_point,delta,gamma", "V", "delta0", "delta"),
+    ("fig2a", "fixed_point", "G", "g0", "fixed_point"),
+])
+def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, key, centre,
+                                       target):
+    """The plot covers members at the boundary of the certified ball, the
+    centre moved by the proven radius along e_0 and e_N, not only the centre."""
+    from helpers import eval_member
+    from renormcert import cli
+
+    seen = {}
+    emit = pl.emit_plot_covering
+
+    def spy(ctx, fig, subdivisions, balls):
+        seen.update(balls, ctx=ctx)
+        return emit(ctx, fig, subdivisions, balls)
+
+    monkeypatch.setattr(pl, "emit_plot_covering", spy)
+    out, ck = tmp_path / "out", tmp_path / "ck"
+    assert cli.main(["plot", "--figure", figure, "--subdivisions", "16", "--targets", targets,
+                     "-N", "20", "-P", "30", "-o", str(out), "--checkpoint-dir", str(ck)]) == 0
+    payload = json.loads((out / f"certificate_{target}.json").read_text())["certificate"]
+    radius = min(Decimal(payload["rho"]), Decimal(payload["posterior_radius"]))
+    center = fb.deserialize_ball((ck / f"{centre}_n20_p30.txt").read_text())
+    rows = (out / f"{figure}.csv").read_text().splitlines()[1:]
+    points = sorted({Decimal(v) for row in rows for v in row.split(",")[1:3]})
+    n = center.truncation
+    exact = decimal.Context(prec=200)
+    for k in (0, n):
+        for sign in (1, -1):
+            member = {j: c.re.lo for j, c in enumerate(center.coeffs)}
+            member[k] = exact.add(member[k], radius if sign > 0 else radius.copy_negate())
+            for x in points:
+                val = eval_member(member, x, fb.STANDARD_DISC, 60)
+                assert fb.evaluate(seen["ctx"], seen[key], rectangle(x)).re.contains(val)
+            for row in rows:
+                _, x_lo, x_hi, y_lo, y_hi = row.split(",")
+                for x in (Decimal(x_lo), Decimal(x_hi)):
+                    val = eval_member(member, x, fb.STANDARD_DISC, 60)
+                    assert Decimal(y_lo) <= val <= Decimal(y_hi)
 
 
 def test_cli_failure_exit_code(tmp_path, capsys):
