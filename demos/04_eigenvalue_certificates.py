@@ -56,4 +56,4 @@ print(f"  gamma = {text}   ({count} digits proven; "
       f"epsilon {cert_w.epsilon:.2E}, kappa {cert_w.kappa:.2E})")
 
 print("\nhigher degree and precision tighten everything: try degree 80 at 60")
-print("digits with rho 1e-40 for 45+ certified digits (about 15 s).")
+print("digits with rho 1e-40 for 45+ certified digits (about 12 s).")

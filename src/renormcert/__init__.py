@@ -48,9 +48,6 @@ from .errors import (
 from .operators import (
     OperatorTables,
     SharedEvaluations,
-    apply_DT,
-    apply_L,
-    apply_T,
     check_domain_extension,
     extend_recursive,
     precompute_shared,
@@ -72,7 +69,7 @@ __all__ = [
     "FixedPointProblem", "FunctionBall", "GammaProblem", "Interval",
     "LinearMap", "OperatorTables", "Problem", "Rectangle", "RenormcertError",
     "RoundingContext", "RunConfig", "STANDARD_DISC", "SharedEvaluations",
-    "affine_arg", "apply_DT", "apply_L", "apply_T", "apply_lambda",
+    "affine_arg", "apply_lambda",
     "ball_from_decimals", "basis_ball", "bound_epsilon", "bound_kappa_columns",
     "bound_kappa_tail", "certified_digits", "certify", "check_domain_extension",
     "const_ball", "deserialize_ball", "emit_plot_covering", "extend_recursive",

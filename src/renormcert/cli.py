@@ -29,8 +29,13 @@ from .rounding import Interval, RoundingContext
 __all__ = ["main", "build_parser"]
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("RENORMCERT_WORKERS", "1"))
+def _worker_count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"worker count {text!r} (from --workers or RENORMCERT_WORKERS) "
+            "is not an integer") from None
 
 
 def _default_scratch() -> str | None:
@@ -50,7 +55,11 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    help="noise-scaling ball radius (default 10*rho)")
     p.add_argument("--boundary-rects", "-M", type=int, default=64,
                    help="boundary covering rectangle count (default 64)")
-    p.add_argument("--workers", type=int, default=_default_workers(),
+    # a string default is converted by the type only when the flag is
+    # absent, so a bad RENORMCERT_WORKERS is a usage error of the verbs
+    # that take --workers and is ignored by the others
+    p.add_argument("--workers", type=_worker_count,
+                   default=os.environ.get("RENORMCERT_WORKERS", "1"),
                    help="worker processes for column bounds")
     p.add_argument("--targets", default="fixed_point,delta,gamma",
                    help="comma-separated subset of fixed_point,delta,gamma")

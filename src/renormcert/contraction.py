@@ -41,8 +41,8 @@ from .errors import (
     SingularJacobian,
     TailContractFailure,
 )
-from .operators import OperatorTables, SharedEvaluations, precompute_shared
-from .rounding import IONE, IZERO, Interval, Rectangle, RoundingContext, as_decimal, interval
+from .operators import ColumnImages, OperatorTables, SharedEvaluations, precompute_shared
+from .rounding import IONE, Interval, RoundingContext, as_decimal, interval
 
 __all__ = [
     "LinearMap",
@@ -144,34 +144,30 @@ def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     return max(max(lam.col_sums(ctx)), lam.tail_scalar.copy_abs())
 
 
+def _apply_rows(rows, mids: list[int], rads: list[int]) -> tuple[list[int], list[int]]:
+    """Exact image of integer midpoints and radii under a matrix given by its
+    integer rows: midpoints by the rows, radii by their absolute values."""
+    return ([sum(map(_imul, row, mids)) for row in rows],
+            [sum(map(_imul, map(abs, row), rads)) for row in rows])
+
+
 def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> FunctionBall:
     """Apply the frozen map to a ball: matrix on the polynomial coefficients,
     |tail| on the high-order bound, full operator norm on the error bound
     (error content may sit at any degree).
 
     The matrix acts exactly on the integer midpoint-radius form of the
-    coefficients: midpoints by the integer rows, radii by their absolute
-    values."""
+    coefficients; the image is rounded outward once."""
     n = f.truncation
     if lam.dim != n + 1:
         raise DimensionMismatch(f"map dimension {lam.dim} vs ball degree {n}")
     rows, e = lam.int_rows()
-    real = all(c.is_real() for c in f.coeffs)
-    s = ctx.ball_scale(n, [c.re for c in f.coeffs] + ([] if real else [c.im for c in f.coeffs]))
-
-    def image(xs):
-        mids, rads = ctx.to_midrad(xs, s)
-        return ctx.from_midrad([sum(map(_imul, row, mids)) for row in rows],
-                               [sum(map(_imul, map(abs, row), rads)) for row in rows], s + e)
-
-    re = image([c.re for c in f.coeffs])
-    if real:
-        coeffs = tuple(Rectangle(x, IZERO) for x in re)
-    else:
-        coeffs = tuple(map(Rectangle, re, image([c.im for c in f.coeffs])))
-    v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
-    v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
-    return FunctionBall(f.domain, coeffs, v_high, v_err)
+    b = fb.to_int_ball(ctx, f)
+    moved = fb.IntBall(*_apply_rows(rows, b.re_mid, b.re_rad),
+                       *_apply_rows(rows, b.im_mid, b.im_rad), b.scale + e,
+                       ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
+                       ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
+    return fb.from_int_ball(ctx, f.domain, n, moved)
 
 
 def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
@@ -210,7 +206,9 @@ class Problem:
     """A residual map F with directional-derivative machinery.
 
     Subclasses provide the residual, the per-basis-column derivative images
-    DF(x) e_k valid over a whole ball, and the ingredients of the
+    DF(x) e_k valid over a whole ball (``column_kernel``: an object whose
+    ``image(ctx, k)`` is that image as a :class:`balls.IntBall`, picklable
+    for worker processes), and the ingredients of the
     high-order tail bound: DF(x) f_H = A f_H + q f_H with the compositions
     inside A controlled by theta factors.
     """
@@ -256,33 +254,6 @@ def _dt_tail_channels(ctx: RoundingContext, shared: SharedEvaluations):
     )
 
 
-@dataclass
-class _RenormKernel:
-    """Picklable per-column engine shared by the three renormalisation kinds."""
-
-    kind: str
-    tables: OperatorTables
-    x_ball: FunctionBall
-    phi_x: Interval | None = None   # eigen kinds: phi over the x-ball
-
-    def image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        n = self.x_ball.truncation
-        e_k = fb.basis_ball(self.x_ball.domain, n, k)
-        if self.kind == "fixed_point":
-            return fb.sub(ctx, self.tables.dt_basis_image(ctx, k), e_k)
-        if self.kind == "delta_eigen":
-            out = self.tables.dt_basis_image(ctx, k)
-            if k == 0:
-                out = fb.sub(ctx, out, self.x_ball)
-            return fb.sub(ctx, out, fb.scale(ctx, self.phi_x, e_k))
-        if self.kind == "gamma_eigen":
-            out = self.tables.l_basis_image(ctx, k)
-            if k == 0:
-                out = fb.sub(ctx, out, fb.scale(ctx, ctx.iscale(self.phi_x, _D2), self.x_ball))
-            return fb.sub(ctx, out, fb.scale(ctx, ctx.isqr(self.phi_x), e_k))
-        raise ConfigError(f"unknown kernel kind {self.kind!r}")
-
-
 class FixedPointProblem(Problem):
     """F(G) = T(G) - G."""
 
@@ -304,7 +275,7 @@ class FixedPointProblem(Problem):
         return fb.sub(ctx, t_of_x, x)
 
     def column_kernel(self, ctx, x_ball):
-        return _RenormKernel("fixed_point", self._tables(ctx, x_ball), x_ball)
+        return self._tables(ctx, x_ball).dt_columns(ctx, diagonal=IONE)
 
     def directional(self, ctx, x_ball, dx):
         tables = self._tables(ctx, x_ball)
@@ -338,7 +309,7 @@ class _EigenProblem(Problem):
     def _operator_apply(self, ctx, dx):
         raise NotImplementedError
 
-    def _operator_column(self, ctx, k):
+    def _column_images(self, ctx, x_ball, phi_x) -> ColumnImages:
         raise NotImplementedError
 
     def residual(self, ctx, x):
@@ -347,7 +318,7 @@ class _EigenProblem(Problem):
         return fb.sub(ctx, self._operator_apply(ctx, x), fb.scale(ctx, mult, x))
 
     def column_kernel(self, ctx, x_ball):
-        return _RenormKernel(self.kind, self.tables, x_ball, phi_x=_phi(ctx, x_ball))
+        return self._column_images(ctx, x_ball, _phi(ctx, x_ball))
 
     def directional(self, ctx, x_ball, dx):
         phi_x = _phi(ctx, x_ball)
@@ -378,6 +349,9 @@ class DeltaProblem(_EigenProblem):
     def _operator_apply(self, ctx, dx):
         return self.tables.dt_apply(ctx, dx)
 
+    def _column_images(self, ctx, x_ball, phi_x):
+        return self.tables.dt_columns(ctx, column0=fb.negate(ctx, x_ball), diagonal=phi_x)
+
     def tail_channels(self, ctx, x_ball):
         return _dt_tail_channels(ctx, self.tables.shared)
 
@@ -390,6 +364,11 @@ class GammaProblem(_EigenProblem):
 
     def _operator_apply(self, ctx, dx):
         return self.tables.l_apply(ctx, dx)
+
+    def _column_images(self, ctx, x_ball, phi_x):
+        two_phi_x = fb.scale(ctx, ctx.iscale(phi_x, _D2), x_ball)
+        return self.tables.l_columns(ctx, column0=fb.negate(ctx, two_phi_x),
+                                     diagonal=ctx.isqr(phi_x))
 
     def tail_channels(self, ctx, x_ball):
         s = self.tables.shared
@@ -409,25 +388,37 @@ def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
     return fb.norm_upper(ctx, apply_lambda(ctx, lam, problem.residual(ctx, x0)))
 
 
-def _column_bound(ctx: RoundingContext, kernel, lam: LinearMap, k: int) -> Decimal:
+def _int_map(ctx: RoundingContext, lam: LinearMap) -> tuple:
+    """What a column bound needs of the frozen map, in integers where it acts
+    on coefficients: (rows, e, |tail scalar|, operator-norm bound)."""
+    rows, e = lam.int_rows()
+    return rows, e, lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
+
+
+def _column_bound(ctx: RoundingContext, kernel, lam_int: tuple, k: int) -> Decimal:
+    """Upper bound of ||e_k - Lam image_k||.  The frozen map acts exactly on
+    the integer image and the coefficient norm is rounded up once."""
     image = kernel.image(ctx, k)
-    moved = apply_lambda(ctx, lam, image)
-    n = kernel.x_ball.truncation
-    dphi = fb.sub(ctx, fb.basis_ball(kernel.x_ball.domain, n, k), moved)
-    return fb.norm_upper(ctx, dphi)
+    rows, e, tail_abs, lam_norm = lam_int
+    re_mid, re_rad = _apply_rows(rows, image.re_mid, image.re_rad)
+    im_mid, im_rad = _apply_rows(rows, image.im_mid, image.im_rad)
+    re_mid[k] -= 10 ** (image.scale + e)
+    total = sum(map(abs, re_mid)) + sum(re_rad) + sum(map(abs, im_mid)) + sum(im_rad)
+    bound = ctx.add_up(ctx.scaled_up(total, image.scale + e), ctx.mul_up(image.v_high, tail_abs))
+    return ctx.add_up(bound, ctx.mul_up(image.v_err, lam_norm))
 
 
 _POOL_STATE: tuple | None = None
 
 
-def _pool_init(kernel, lam, precision):
+def _pool_init(kernel, lam_int, precision):
     global _POOL_STATE
-    _POOL_STATE = (kernel, lam, RoundingContext(precision))
+    _POOL_STATE = (kernel, lam_int, RoundingContext(precision))
 
 
 def _pool_column(k: int) -> Decimal:
-    kernel, lam, ctx = _POOL_STATE
-    return _column_bound(ctx, kernel, lam, k)
+    kernel, lam_int, ctx = _POOL_STATE
+    return _column_bound(ctx, kernel, lam_int, k)
 
 
 def bound_kappa_columns(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
@@ -435,19 +426,20 @@ def bound_kappa_columns(ctx: RoundingContext, problem: Problem, x_ball: Function
     """Bounds of ||DPhi(x) e_k|| for k = 0..N, valid over the whole ball.
 
     Columns are independent; with workers > 1 they are distributed over a
-    process pool, each process holding a private rounding context, and the
-    results are merged in index order so the output does not depend on the
-    worker count.
+    process pool, each process holding a private rounding context and the
+    integer column state, and the results are merged in index order so the
+    output does not depend on the worker count.
     """
     kernel = problem.column_kernel(ctx, x_ball)
+    lam_int = _int_map(ctx, lam)
     n = x_ball.truncation
     if workers <= 1:
-        return [_column_bound(ctx, kernel, lam, k) for k in range(n + 1)]
+        return [_column_bound(ctx, kernel, lam_int, k) for k in range(n + 1)]
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, (n + 1) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(kernel, lam, ctx.precision)) as pool:
+                             initargs=(kernel, lam_int, ctx.precision)) as pool:
         return list(pool.map(_pool_column, range(n + 1), chunksize=chunk))
 
 

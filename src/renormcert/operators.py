@@ -16,10 +16,13 @@ well-defined, differentiable, and its derivative compact on the ball), and
 recursive evaluation of the certified functions outside the disc for
 plotting.
 
-Shared subexpressions (a, G(a**2 X), its square, the composed derivative
-factors) are computed once per input ball and reused by every operator
-application, including the per-basis-column images used for the
-contraction bounds.
+Every composition goes through a power table (see balls.PowerTable): the
+powers of the normalized affine argument a**2 X and of the squared argument
+Q(G(a**2 X)), held in exact integer midpoint-radius form.  The tables and
+the shared subexpressions read off them (a, G(a**2 X), its square, the
+composed derivative factors) are computed once per input ball and reused
+by T, by DT and L applied to a ball, and by the per-basis-column images of
+the contraction bounds, which stay in integers from the tabulated powers on.
 """
 
 from __future__ import annotations
@@ -37,14 +40,12 @@ from .errors import (
     DivisionByZeroRectangle,
     NormalizationSingular,
 )
-from .rounding import Interval, Rectangle, RoundingContext, interval, rectangle
+from .rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
 
 __all__ = [
     "SharedEvaluations",
     "precompute_shared",
-    "apply_T",
-    "apply_DT",
-    "apply_L",
+    "ColumnImages",
     "OperatorTables",
     "boundary_cover",
     "check_domain_extension",
@@ -60,7 +61,8 @@ _ONE_POINT = rectangle(1)
 
 @dataclass(frozen=True)
 class SharedEvaluations:
-    """Subexpression enclosures valid for every G in the input ball."""
+    """Subexpression enclosures valid for every G in the input ball, with the
+    power tables of the two composition arguments they were derived from."""
 
     source: FunctionBall
     a: Rectangle
@@ -71,8 +73,8 @@ class SharedEvaluations:
     inner: FunctionBall           # G(a**2 X)
     squared: FunctionBall         # Q(G(a**2 X))
     outer_comp: FunctionBall      # G(Q(G(a**2 X)))
-    theta_affine: Decimal
-    theta_squared: Decimal
+    table_affine: PowerTable
+    table_squared: PowerTable
     deriv_outer: FunctionBall | None = None   # G'(Q(G(a**2 X)))
     deriv_inner: FunctionBall | None = None   # G'(a**2 X)
     factor16: FunctionBall | None = None      # a**-1 G'(Q(G(a**2 X))) 2 G(a**2 X)
@@ -83,17 +85,32 @@ class SharedEvaluations:
     def domain(self) -> Disc:
         return self.source.domain
 
+    @property
+    def theta_affine(self) -> Decimal:
+        return self.table_affine.theta_bound
 
-def _named(subexpression: str):
-    def wrap(exc: CompositionContractFailure) -> CompositionContractFailure:
-        return CompositionContractFailure(
-            f"{subexpression}: {exc}", subexpression=subexpression)
-    return wrap
+    @property
+    def theta_squared(self) -> Decimal:
+        return self.table_squared.theta_bound
+
+
+def _composed(subexpression: str, compose, ctx: RoundingContext, G: FunctionBall):
+    """compose(ctx, G), with a contract failure named after the subexpression."""
+    try:
+        return compose(ctx, G)
+    except CompositionContractFailure as exc:
+        raise CompositionContractFailure(
+            f"{subexpression}: {exc}", subexpression=subexpression) from exc
 
 
 def precompute_shared(ctx: RoundingContext, G: FunctionBall,
                       with_derivatives: bool = True) -> SharedEvaluations:
-    """Evaluate every shared subexpression once for the whole ball."""
+    """Evaluate every shared subexpression once for the whole ball.
+
+    The power tables of the affine argument a**2 X and of the squared
+    argument Q(G(a**2 X)) are built first; every composition is read off
+    them.
+    """
     n = G.truncation
     domain = G.domain
     a = fb.evaluate(ctx, G, _ONE_POINT)
@@ -104,25 +121,15 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
     a2 = ctx.rsqr(a)
     a_inv2 = ctx.rsqr(a_inv)
     affine = fb.affine_arg(ctx, domain, n, a2)
-    try:
-        inner = fb.compose(ctx, G, affine)
-    except CompositionContractFailure as exc:
-        raise _named("G(a2 X)")(exc) from exc
+    table_affine = fb.power_table(ctx, affine)
+    inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
     squared = fb.mul(ctx, inner, inner)
-    try:
-        outer_comp = fb.compose(ctx, G, squared)
-    except CompositionContractFailure as exc:
-        raise _named("G(Q(G(a2 X)))")(exc) from exc
+    table_squared = fb.power_table(ctx, squared)
+    outer_comp = _composed("G(Q(G(a2 X)))", table_squared.compose, ctx, G)
     kwargs = {}
     if with_derivatives:
-        try:
-            deriv_outer = fb.compose_derivative(ctx, G, squared)
-        except CompositionContractFailure as exc:
-            raise _named("G'(Q(G(a2 X)))")(exc) from exc
-        try:
-            deriv_inner = fb.compose_derivative(ctx, G, affine)
-        except CompositionContractFailure as exc:
-            raise _named("G'(a2 X)")(exc) from exc
+        deriv_outer = _composed("G'(Q(G(a2 X)))", table_squared.compose_derivative, ctx, G)
+        deriv_inner = _composed("G'(a2 X)", table_affine.compose_derivative, ctx, G)
         factor16 = fb.scale(ctx, a_inv,
                             fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, inner)))
         two_a_x = fb.affine_arg(ctx, domain, n, ctx.rscale(a, _D2))
@@ -136,18 +143,7 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
     return SharedEvaluations(
         source=G, a=a, a2=a2, a_inv=a_inv, a_inv2=a_inv2,
         affine=affine, inner=inner, squared=squared, outer_comp=outer_comp,
-        theta_affine=fb.theta(ctx, affine), theta_squared=fb.theta(ctx, squared),
-        **kwargs)
-
-
-def apply_T(ctx: RoundingContext, G: FunctionBall | None = None,
-            shared: SharedEvaluations | None = None) -> FunctionBall:
-    """Enclosure of T(G) for every member of the ball."""
-    if shared is None:
-        if G is None:
-            raise ConfigError("apply_T needs a ball or shared evaluations")
-        shared = precompute_shared(ctx, G, with_derivatives=False)
-    return fb.scale(ctx, shared.a_inv, shared.outer_comp)
+        table_affine=table_affine, table_squared=table_squared, **kwargs)
 
 
 def _delta_a_terms(ctx: RoundingContext, shared: SharedEvaluations,
@@ -157,77 +153,103 @@ def _delta_a_terms(ctx: RoundingContext, shared: SharedEvaluations,
     return fb.add(ctx, out, fb.scale(ctx, da, shared.factor17))
 
 
-def apply_DT(ctx: RoundingContext, shared: SharedEvaluations, dG: FunctionBall,
-             simplified: bool = False) -> FunctionBall:
-    """Directional derivative of T, enclosing the action for every G in the ball.
+@dataclass(frozen=True)
+class ColumnImages:
+    """Basis-column images of one operator over a ball, in exact integer form:
 
-    ``simplified`` drops the two terms carrying the variation of a = G(1);
-    that variant is for non-rigorous spectrum estimates only and is never
-    used while certifying.
+        image_k = scalar u2**k + factor u1**k + [k = 0] column0 - diagonal e_k
+
+    with u1, u2 the normalized affine and squared arguments, whose powers
+    are read from the power tables.  Each image is formed exactly and then
+    rounded outward once, in integers (balls.int_outward).  Only integers
+    and tail bounds are held, so the state is small to ship to worker
+    processes.
     """
-    if shared.factor16 is None:
-        raise ConfigError("shared evaluations lack derivative factors")
-    t15 = fb.scale(ctx, shared.a_inv, fb.compose(ctx, dG, shared.squared))
-    t16 = fb.mul(ctx, shared.factor16, fb.compose(ctx, dG, shared.affine))
-    out = fb.add(ctx, t15, t16)
-    if simplified:
-        return out
-    da = fb.evaluate(ctx, dG, _ONE_POINT)
-    if ctx.mag1(da) != 0:
-        out = fb.add(ctx, out, _delta_a_terms(ctx, shared, da))
-    return out
 
+    table_squared: PowerTable
+    table_affine: PowerTable
+    scalar: fb.IntBall
+    factor: fb.IntBall
+    column0: fb.IntBall
+    diagonal: fb.IntBall      # -diagonal as a constant ball
 
-def apply_L(ctx: RoundingContext, shared: SharedEvaluations,
-            W: FunctionBall) -> FunctionBall:
-    """Enclosure of the noise-scaling operator applied to W, for every G."""
-    if shared.factor16_sq is None:
-        raise ConfigError("shared evaluations lack derivative factors")
-    t1 = fb.mul(ctx, shared.factor16_sq, fb.compose(ctx, W, shared.affine))
-    t2 = fb.scale(ctx, shared.a_inv2, fb.compose(ctx, W, shared.squared))
-    return fb.add(ctx, t1, t2)
+    def image(self, ctx: RoundingContext, k: int) -> fb.IntBall:
+        n = self.table_squared.truncation
+        out = fb.int_add(ctx, fb.int_mul(ctx, self.scalar, self.table_squared.power(k), n),
+                         fb.int_mul(ctx, self.factor, self.table_affine.power(k), n))
+        if k == 0:
+            out = fb.int_add(ctx, out, self.column0)
+        d = self.diagonal
+        shifted = fb.IntBall(*([0] * k + part if part else [] for part in d.parts()),
+                             d.scale, d.v_high, d.v_err)
+        return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), n)
+
+    def image_ball(self, ctx: RoundingContext, k: int) -> FunctionBall:
+        """image_k as a working-precision ball."""
+        table = self.table_squared
+        return fb.from_int_ball(ctx, table.domain, table.truncation, self.image(ctx, k))
 
 
 @dataclass(frozen=True)
 class OperatorTables:
-    """Power tables of the two composition arguments for fast column images.
+    """The derivative and the noise operator over a ball, applied through
+    the power tables of its shared evaluations.
 
     e_k composed with an argument is the k-th tabulated power, so each
-    basis-column image of the derivative (or of the noise operator) costs
-    one ball product instead of a full Horner pass.  Requires the domain
-    center at 1, where e_k(1) = 0 for k >= 1 and the normalisation
-    variation acts on column 0 only.
+    basis-column image is one integer product with a tabulated power.
+    Requires the domain center at 1, where e_k(1) = 0 for k >= 1 and the
+    normalisation variation acts on column 0 only.
     """
 
     shared: SharedEvaluations
-    table_affine: PowerTable
-    table_squared: PowerTable
 
     @classmethod
     def build(cls, ctx: RoundingContext, shared: SharedEvaluations) -> "OperatorTables":
         if shared.domain.center != 1:
             raise ConfigError("column tables assume domain center 1")
-        return cls(shared=shared,
-                   table_affine=fb.power_table(ctx, shared.affine),
-                   table_squared=fb.power_table(ctx, shared.squared))
+        if shared.factor16 is None:
+            raise ConfigError("shared evaluations lack derivative factors")
+        return cls(shared=shared)
+
+    def _columns(self, ctx, scalar, factor, column0, diagonal) -> ColumnImages:
+        s = self.shared
+        n = s.source.truncation
+        if column0 is None:
+            column0 = fb.zero_ball(s.domain, n)
+        minus_diag = Rectangle(ctx.ineg(diagonal), IZERO)
+        return ColumnImages(
+            s.table_squared, s.table_affine,
+            fb.to_int_ball(ctx, fb.const_ball(s.domain, n, scalar)),
+            fb.to_int_ball(ctx, factor),
+            fb.to_int_ball(ctx, column0),
+            fb.to_int_ball(ctx, fb.const_ball(s.domain, n, minus_diag)))
+
+    def dt_columns(self, ctx: RoundingContext, column0: FunctionBall | None = None,
+                   diagonal: Interval = IZERO) -> ColumnImages:
+        """Column images of DT(G) e_k + [k = 0] column0 - diagonal e_k."""
+        s = self.shared
+        extra = _delta_a_terms(ctx, s, _ONE_POINT)
+        if column0 is not None:
+            extra = fb.add(ctx, extra, column0)
+        return self._columns(ctx, s.a_inv, s.factor16, extra, diagonal)
+
+    def l_columns(self, ctx: RoundingContext, column0: FunctionBall | None = None,
+                  diagonal: Interval = IZERO) -> ColumnImages:
+        """Column images of L(G) e_k + [k = 0] column0 - diagonal e_k."""
+        s = self.shared
+        return self._columns(ctx, s.a_inv2, s.factor16_sq, column0, diagonal)
 
     def dt_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        s = self.shared
-        out = fb.scale(ctx, s.a_inv, self.table_squared.powers[k])
-        out = fb.add(ctx, out, fb.mul(ctx, s.factor16, self.table_affine.powers[k]))
-        if k == 0:
-            out = fb.add(ctx, out, _delta_a_terms(ctx, s, _ONE_POINT))
-        return out
+        return self.dt_columns(ctx).image_ball(ctx, k)
 
     def l_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        s = self.shared
-        out = fb.mul(ctx, s.factor16_sq, self.table_affine.powers[k])
-        return fb.add(ctx, out, fb.scale(ctx, s.a_inv2, self.table_squared.powers[k]))
+        return self.l_columns(ctx).image_ball(ctx, k)
 
     def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
+        """DT(G) dG, enclosing the action for every G in the ball."""
         s = self.shared
-        t15 = fb.scale(ctx, s.a_inv, self.table_squared.compose(ctx, dG))
-        t16 = fb.mul(ctx, s.factor16, self.table_affine.compose(ctx, dG))
+        t15 = fb.scale(ctx, s.a_inv, s.table_squared.compose(ctx, dG))
+        t16 = fb.mul(ctx, s.factor16, s.table_affine.compose(ctx, dG))
         out = fb.add(ctx, t15, t16)
         da = fb.evaluate(ctx, dG, _ONE_POINT)
         if ctx.mag1(da) != 0:
@@ -235,9 +257,10 @@ class OperatorTables:
         return out
 
     def l_apply(self, ctx: RoundingContext, W: FunctionBall) -> FunctionBall:
+        """L(G) W, enclosing the action for every G in the ball."""
         s = self.shared
-        t1 = fb.mul(ctx, s.factor16_sq, self.table_affine.compose(ctx, W))
-        t2 = fb.scale(ctx, s.a_inv2, self.table_squared.compose(ctx, W))
+        t1 = fb.mul(ctx, s.factor16_sq, s.table_affine.compose(ctx, W))
+        t2 = fb.scale(ctx, s.a_inv2, s.table_squared.compose(ctx, W))
         return fb.add(ctx, t1, t2)
 
 

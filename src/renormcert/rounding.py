@@ -308,6 +308,8 @@ class RoundingContext:
 
     def scaled_up(self, value: int, scale: int) -> Decimal:
         """Upper bound of value * 10**-scale at working precision."""
+        if not value:
+            return _D0
         return self.scaled_dn(-value, scale).copy_negate()
 
     # -- interval arithmetic ----------------------------------------------

@@ -219,3 +219,61 @@ def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
             col_sum = ctx.add_up(col_sum, acc.mag)
         bound = max(bound, col_sum)
     return bound
+
+
+def _oracle_horner(ctx: RoundingContext, coeffs, u: fb.FunctionBall) -> fb.FunctionBall:
+    """Evaluate a polynomial with rectangle coefficients at the ball u."""
+    n = u.truncation
+    acc = fb.const_ball(u.domain, n, coeffs[-1])
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = oracle_mul(ctx, acc, u)
+        bumped = (ctx.radd(acc.coeffs[0], coeffs[k]),) + acc.coeffs[1:]
+        acc = fb.FunctionBall(acc.domain, bumped, acc.v_high, acc.v_err)
+    return acc
+
+
+def _oracle_argument(ctx: RoundingContext, f: fb.FunctionBall, h: fb.FunctionBall,
+                     strict: bool):
+    from renormcert.errors import CompositionContractFailure
+
+    th = fb.theta(ctx, h)
+    if th > 1 or (strict and th >= 1):
+        raise CompositionContractFailure(
+            f"composition argument has theta = {th} (strict={strict})")
+    return th, fb.normalized_argument(ctx, h)
+
+
+def _oracle_with_error(ctx, out: fb.FunctionBall, tail: Decimal) -> fb.FunctionBall:
+    if tail > 0:
+        out = fb.FunctionBall(out.domain, out.coeffs, out.v_high, ctx.add_up(out.v_err, tail))
+    return out
+
+
+def oracle_compose(ctx: RoundingContext, f: fb.FunctionBall,
+                   h: fb.FunctionBall) -> fb.FunctionBall:
+    """f o h by Horner evaluation in Decimal ball arithmetic (reference for
+    ``balls.compose``): same contract and the same tail rule."""
+    th, u = _oracle_argument(ctx, f, h, strict=f.v_high > 0 or f.v_err > 0)
+    out = _oracle_horner(ctx, f.coeffs, u)
+    tail = f.v_err
+    if f.v_high > 0:
+        tail = ctx.add_up(tail, ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1)))
+    return _oracle_with_error(ctx, out, tail)
+
+
+def oracle_compose_derivative(ctx: RoundingContext, f: fb.FunctionBall,
+                              h: fb.FunctionBall) -> fb.FunctionBall:
+    """f' o h by Horner evaluation in Decimal ball arithmetic (reference for
+    ``balls.compose_derivative``): same contract and the same tail rule."""
+    th, u = _oracle_argument(ctx, f, h, strict=True)
+    out = _oracle_horner(ctx, fb._derivative_coeffs(ctx, f), u)
+    tail = Decimal(0)
+    if f.v_high > 0:
+        tail = ctx.mul_up(f.v_high, fb._sup_k_theta(ctx, th, f.truncation))
+    if f.v_err > 0:
+        one_minus = ctx.sub_dn(Decimal(1), th)
+        geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
+        tail = ctx.add_up(tail, ctx.mul_up(f.v_err, geo))
+    if tail > 0:
+        tail = ctx.div_up(tail, f.domain.radius)
+    return _oracle_with_error(ctx, out, tail)

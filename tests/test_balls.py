@@ -9,6 +9,8 @@ from helpers import (
     eval_member,
     eval_member_derivative,
     member_product,
+    oracle_compose,
+    rand_decimal,
     rand_interval,
     rand_poly_ball,
     sample_member,
@@ -176,19 +178,58 @@ def test_compose_contract_failure():
     fb.compose(ctx, fb.basis_ball(DOM, N, 2), ident)
 
 
-def test_compose_sampling_oracle():
-    rng = random.Random(6)
-    for _ in range(10):
-        f = rand_poly_ball(rng, DOM, N, 4)
-        s = Decimal(rng.randint(100, 350)) / Decimal(1000)
-        h = fb.affine_arg(ctx, DOM, N, s)
-        comp = fb.compose(ctx, f, h)
-        fm, hm = sample_member(rng, f), {0: s * DOM.center, 1: s * DOM.radius}
+def _interval_argument(rng, degree: int) -> fb.FunctionBall:
+    """Real argument of the given degree near the disc centre, with
+    interval coefficients of radius up to 9e-4."""
+    coeffs = []
+    for k in range(degree + 1):
+        mid = (Decimal(1) if k == 0 else Decimal(0)) + rand_decimal(rng, 0.3 / 2 ** k)
+        rad = Decimal(rng.randint(1, 9)).scaleb(-4)
+        coeffs.append(Rectangle(interval(mid - rad, mid + rad), interval(0)))
+    coeffs += [rectangle(0)] * (N - degree)
+    return fb.FunctionBall(DOM, tuple(coeffs), Decimal(0), Decimal(0))
+
+
+def _compose_sampling_misses(seed: int, derivative: bool = False) -> int:
+    """Sampling oracle for compose (or compose_derivative): sampled members
+    of f (tails included) and of exact affine and quadratic interval
+    arguments, composed exactly and evaluated at random points; counts the
+    values the composed ball fails to enclose.  f's tails are small, so they
+    do not mask the argument's radius."""
+    rng = random.Random(seed)
+    kernel, value = ((fb.compose_derivative, eval_member_derivative) if derivative
+                     else (fb.compose, eval_member))
+    misses = 0
+    for i in range(12):
+        coeffs = rand_poly_ball(rng, DOM, N, 4).coeffs
+        if i % 2:
+            # no linear term: the argument's radius reaches the result only
+            # through the powers u**k, k >= 2, that the table computes
+            coeffs = (coeffs[0], rectangle(0)) + coeffs[2:]
+            h = _interval_argument(rng, 2)
+        else:
+            s = Decimal(rng.randint(100, 350)) / Decimal(1000)
+            h = fb.affine_arg(ctx, DOM, N, s)
+        f = fb.FunctionBall(DOM, coeffs, Decimal("1e-6"), Decimal("1e-6"))
+        comp = kernel(ctx, f, h)
+        fm, hm = sample_member(rng, f), sample_member(rng, h)
         for z in domain_points(rng, DOM, 10):
-            inner = eval_member(hm, z, DOM, 120)
-            val = eval_member(fm, inner, DOM, 120)
-            out = fb.evaluate(ctx, comp, rectangle(z))
-            assert out.re.contains(val), (z, val, out)
+            val = value(fm, eval_member(hm, z, DOM, 120), DOM, 120)
+            misses += not fb.evaluate(ctx, comp, rectangle(z)).re.contains(val)
+    return misses
+
+
+def test_compose_sampling_oracle():
+    assert _compose_sampling_misses(6) == 0
+
+
+def test_compose_sampling_oracle_negative_control(monkeypatch):
+    """A power table whose steps drop the radius each power carries (the
+    outward bump of the rounding included) fails the oracle."""
+    def midpoints_only(c, b, n):
+        return fb.IntBall(b.re_mid, [], b.im_mid, [], b.scale, b.v_high, b.v_err)
+    monkeypatch.setattr(fb, "int_outward", midpoints_only)
+    assert _compose_sampling_misses(6) > 0
 
 
 def test_compose_derivative_basics():
@@ -203,19 +244,7 @@ def test_compose_derivative_basics():
 
 
 def test_compose_derivative_sampling_oracle():
-    rng = random.Random(7)
-    for _ in range(10):
-        f = rand_poly_ball(rng, DOM, N, 4)
-        s = Decimal(rng.randint(100, 350)) / Decimal(1000)
-        h = fb.affine_arg(ctx, DOM, N, s)
-        comp = fb.compose_derivative(ctx, f, h)
-        fm = sample_member(rng, f)
-        hm = {0: s * DOM.center, 1: s * DOM.radius}
-        for z in domain_points(rng, DOM, 10):
-            inner = eval_member(hm, z, DOM, 120)
-            val = eval_member_derivative(fm, inner, DOM, 120)
-            out = fb.evaluate(ctx, comp, rectangle(z))
-            assert out.re.contains(val), (z, val, out)
+    assert _compose_sampling_misses(7, derivative=True) == 0
 
 
 def test_eval_basics():
@@ -267,17 +296,18 @@ def test_serialization_roundtrip():
 
 
 def test_power_table_matches_compose():
-    # both routes are enclosures of the same composition; they must agree on
-    # every sampled member value even though their widths differ slightly
+    # the table composition and Horner evaluation in Decimal ball arithmetic
+    # enclose the same composition; they must agree on every sampled member
+    # value even though their widths differ slightly
     rng = random.Random(12)
     h = rand_poly_ball(rng, DOM, N, 3, coeff_scale=0.3)
     table = fb.power_table(ctx, h)
     f = fb.inflate(ctx, rand_poly_ball(rng, DOM, N, 5), "0.001")
     via_table = table.compose(ctx, f)
-    direct = fb.compose(ctx, f, h)
+    oracle = oracle_compose(ctx, f, h)
     for z in domain_points(rng, DOM, 20):
         a = fb.evaluate(ctx, via_table, rectangle(z))
-        b = fb.evaluate(ctx, direct, rectangle(z))
+        b = fb.evaluate(ctx, oracle, rectangle(z))
         mid = ctx.imid(b.re)
         assert a.re.lo <= mid <= a.re.hi
     for _ in range(10):

@@ -24,8 +24,8 @@ class _ToyKernel:
         self.x_ball = x_ball
 
     def image(self, c, k):
-        return fb.negate(c, fb.basis_ball(self.x_ball.domain,
-                                          self.x_ball.truncation, k))
+        return fb.to_int_ball(c, fb.negate(c, fb.basis_ball(self.x_ball.domain,
+                                                            self.x_ball.truncation, k)))
 
 
 class ToyProblem(ct.Problem):
@@ -229,10 +229,8 @@ def test_eigen_digits_use_tightest_radius(desk):
 def test_delta_interval_consistent_with_rayleigh(desk):
     """The certified interval intersects the independent coefficient-ratio
     enclosure computed from the certified eigenfunction ball."""
-    from renormcert import operators as op
-
     v_ball = fb.inflate(desk.ctx, desk.V0, desk.cert_delta.rho)
-    image = op.apply_DT(desk.ctx, desk.tables.shared, v_ball)
+    image = desk.tables.dt_apply(desk.ctx, v_ball)
     ratio = desk.ctx.idiv(fb.coefficient(desk.ctx, image, 0).re,
                           fb.coefficient(desk.ctx, v_ball, 0).re)
     cert = desk.cert_delta.enclosures["delta"]

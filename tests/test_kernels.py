@@ -1,12 +1,18 @@
 """Differential tests of the integer midpoint-radius kernels against the
 Decimal interval loops they replaced (kept in helpers as oracles).
 
-Inputs are short decimals, so the oracles compute without rounding and give
-the exact interval-arithmetic result.  A kernel result must contain it, and
-may be wider only by what midpoint-radius arithmetic allows: the product of
-the two radii per term, one unit of 10**-S per input coefficient (S being the
-operand's integer scale) times the other factor's norm, and one outward
-rounding per output endpoint.
+Inputs are short decimals, so the product and map oracles compute without
+rounding and give the exact interval-arithmetic result.  A kernel result
+must contain it, and may be wider only by what midpoint-radius arithmetic
+allows: the product of the two radii per term, one unit of 10**-S per input
+coefficient (S being the operand's integer scale) times the other factor's
+norm, and one outward rounding per output endpoint.
+
+Composition through a power table is checked against Horner evaluation in
+Decimal ball arithmetic.  There the two differ in algorithm, not only in
+rounding: a power sum carries sum_k |f_k| rad(u**k) of the argument's
+radius where Horner can cancel, so that term is allowed on top of the
+rounding terms (see _compose_slack).
 """
 
 import decimal
@@ -16,11 +22,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_apply_lambda, oracle_lambda_residual, oracle_mul
+from helpers import (
+    oracle_apply_lambda,
+    oracle_compose,
+    oracle_compose_derivative,
+    oracle_lambda_residual,
+    oracle_mul,
+)
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
-from renormcert.errors import SingularJacobian
+from renormcert.errors import CompositionContractFailure, SingularJacobian
 from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext
 
 P = 40
@@ -107,6 +119,163 @@ def test_mul_matches_decimal_oracle(n, kinds):
             a, b = getattr(new, tail), getattr(ref, tail)
             slack = inputs * (1 + norm_f + norm_g) + 4 * _ulp(Interval(b, b))
             assert b - slack <= a <= b + slack, (tail, a, b)
+
+
+def _rand_argument(rng, n: int, kind: str) -> fb.FunctionBall:
+    """Full-degree composition argument near the disc centre: coefficient k
+    is about 10**-k, so theta stays near 0.2.  Real, centred-imaginary or
+    complex with interval coefficients, or complex with point coefficients
+    ("point"); no tails."""
+    coeffs = []
+    for k in range(n + 1):
+        re = _short_interval(rng, k + 1)
+        if k == 0:
+            re = Interval(EXACT.add(re.lo, 1), EXACT.add(re.hi, 1))
+        if kind == "real":
+            im = IZERO
+        elif kind == "centred":
+            w = Decimal(rng.randint(1, 99)).scaleb(-rng.randint(9, 12))
+            im = Interval(w.copy_negate(), w)
+        else:
+            im = _short_interval(rng, k + 1)
+        if kind == "point":
+            re, im = Interval(re.lo, re.lo), Interval(im.hi, im.hi)
+        coeffs.append(Rectangle(re, im))
+    return fb.FunctionBall(DOM, tuple(coeffs), Decimal(0), Decimal(0))
+
+
+def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
+    """(argument term, rounding term) allowed on a table composition's
+    width over Horner's, for the polynomial with the given coefficients.
+
+    With m = ||mid u|| and r = ||rad u|| for the normalized argument u, a
+    midpoint-radius power u**k has radius at most (m + r)**k - m**k; the
+    argument term is sum_k |f_k| ((m + r)**k - m**k).  Each integer
+    conversion and each power step rounds by at most one unit in digit
+    precision + digits(N+1) of its operand, so power k carries at most
+    k + 2 such units of (m + r)**k: the rounding term is
+    10**(2-P) sum_k (k + 2) |f_k| (m + r)**k, a tenfold margin on that.
+    """
+    u = fb.normalized_argument(ctx, h)
+    with decimal.localcontext(EXACT):
+        m = sum((abs(p.lo + p.hi) / 2 for c in u.coeffs for p in (c.re, c.im)), Decimal(0))
+        r = sum((_rad1(c) for c in u.coeffs), Decimal(0))
+        mags = [_mag1(c) for c in coeffs]
+        argument = sum((f * ((m + r) ** k - m ** k) for k, f in enumerate(mags)), Decimal(0))
+        rounding = Decimal(10) ** (2 - P) * sum(
+            ((k + 2) * f * (m + r) ** k for k, f in enumerate(mags)), Decimal(0))
+    return argument, rounding
+
+
+@pytest.mark.parametrize("n", [1, 8, 40])
+@pytest.mark.parametrize("kind", ["real", "centred", "complex", "point"])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_compose_matches_decimal_oracle(n, kind, derivative):
+    rng = random.Random(f"compose-{n}-{kind}-{derivative}")
+    kernel, oracle = ((fb.compose_derivative, oracle_compose_derivative) if derivative
+                      else (fb.compose, oracle_compose))
+    for _ in range(1 if n == 40 else 4):
+        h = _rand_argument(rng, n, kind)
+        f = _rand_ball(rng, n, "complex" if kind == "point" else kind)
+        f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-5),
+                            Decimal(rng.randint(1, 9)).scaleb(-7))
+        new, ref = kernel(ctx, f, h), oracle(ctx, f, h)
+        coeffs = fb._derivative_coeffs(ctx, f) if derivative else f.coeffs
+        argument, rounding = _compose_slack(h, coeffs)
+        for k in range(n + 1):
+            for part in ("re", "im"):
+                a, b = getattr(new.coeffs[k], part), getattr(ref.coeffs[k], part)
+                mid = EXACT.add(b.lo, b.hi) / 2
+                assert a.lo <= mid <= a.hi, (k, part, a, b)
+                slack = EXACT.add(EXACT.add(2 * argument, rounding), 2 * _ulp(a))
+                assert _width(a) <= EXACT.add(_width(b), slack), (k, part, a, b)
+        # the argument has no error tail, so both error bounds are f's tail rule
+        assert new.v_err == ref.v_err
+        assert new.v_high >= 0
+
+
+def _endpoint_member(rng, f: fb.FunctionBall) -> list[tuple[Decimal, Decimal]]:
+    """A polynomial member of f: each coefficient at an endpoint of its
+    real and imaginary intervals, chosen at random."""
+    return [(rng.choice((c.re.lo, c.re.hi)), rng.choice((c.im.lo, c.im.hi))) for c in f.coeffs]
+
+
+def _poly_mul(a, b):
+    out = [(Decimal(0), Decimal(0))] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            r, m = out[i + j]
+            out[i + j] = (r + ar * br - ai * bi, m + ar * bi + ai * br)
+    return out
+
+
+def _exact_compose(f, h) -> list[tuple[Decimal, Decimal]]:
+    """f(h) for polynomials in the scaled basis, exactly: sum_k f_k u**k
+    with u = (h - c)/r."""
+    u = [((h[0][0] - DOM.center) / DOM.radius, h[0][1] / DOM.radius)]
+    u += [(re / DOM.radius, im / DOM.radius) for re, im in h[1:]]
+    out, power = [f[0]], [(Decimal(1), Decimal(0))]
+    for fk in f[1:]:
+        power = _poly_mul(power, u)
+        term = _poly_mul([fk], power)
+        out += [(Decimal(0), Decimal(0))] * (len(term) - len(out))
+        out = [(o[0] + t[0], o[1] + t[1]) for o, t in zip(out, term)] + out[len(term):]
+    return out
+
+
+def _membership_excess(ball: fb.FunctionBall, p) -> Decimal:
+    """How far the polynomial p is from being a member of the ball, in the
+    |re| + |im| norm the balls use: coefficient distances to the
+    rectangles plus the mass above N beyond v_high, minus v_err."""
+    n = ball.truncation
+
+    def dist(x, iv):
+        return max(iv.lo - x, x - iv.hi, Decimal(0))
+
+    near = sum((dist(re, c.re) + dist(im, c.im) for (re, im), c in zip(p, ball.coeffs)),
+               Decimal(0))
+    high = sum((abs(re) + abs(im) for re, im in p[n + 1:]), Decimal(0))
+    return near + max(Decimal(0), high - ball.v_high) - ball.v_err
+
+
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("kind", ["real", "centred", "complex", "point"])
+def test_compose_contains_endpoint_members(n, kind):
+    """Compositions of members of f and h taken at interval endpoints lie in
+    the composed ball (and derivatives in the derivative ball), exactly."""
+    rng = random.Random(f"members-{n}-{kind}")
+    with decimal.localcontext(EXACT):
+        for _ in range(6):
+            h = _rand_argument(rng, n, kind)
+            f = _rand_ball(rng, n, "complex" if kind == "point" else kind)
+            f = fb.FunctionBall(DOM, f.coeffs, Decimal(0), Decimal(0))
+            comp, dcomp = fb.compose(ctx, f, h), fb.compose_derivative(ctx, f, h)
+            for _ in range(4):
+                fm, hm = _endpoint_member(rng, f), _endpoint_member(rng, h)
+                dfm = [(k * re / DOM.radius, k * im / DOM.radius)
+                       for k, (re, im) in enumerate(fm)][1:] or [(Decimal(0), Decimal(0))]
+                assert _membership_excess(comp, _exact_compose(fm, hm)) <= 0
+                assert _membership_excess(dcomp, _exact_compose(dfm, hm)) <= 0
+
+
+def test_compose_contract_matches_oracle():
+    n = 8
+    ident = fb.affine_arg(ctx, DOM, n, 1)                  # theta == 1
+    wide = fb.affine_arg(ctx, DOM, n, 2)                   # theta > 1
+    poly = fb.basis_ball(DOM, n, 2)
+    tailed = fb.inflate(ctx, poly, "0.1")
+    for kernel, oracle in ((fb.compose, oracle_compose),
+                           (fb.compose_derivative, oracle_compose_derivative)):
+        for f, h in ((tailed, ident), (poly, wide), (tailed, wide)):
+            for fn in (kernel, oracle):
+                with pytest.raises(CompositionContractFailure):
+                    fn(ctx, f, h)
+    # a polynomial composes at theta == 1; its derivative needs theta < 1
+    new, ref = fb.compose(ctx, poly, ident), oracle_compose(ctx, poly, ident)
+    assert all(a.re.contains_interval(b.re) for a, b in zip(new.coeffs, ref.coeffs))
+    for fn in (fb.compose_derivative, oracle_compose_derivative):
+        with pytest.raises(CompositionContractFailure):
+            fn(ctx, poly, ident)
 
 
 def _rand_map(rng, n: int) -> ct.LinearMap:

@@ -8,6 +8,7 @@ import pytest
 from helpers import REF_A, domain_points, eval_member, sample_member
 from renormcert import approx as ax
 from renormcert import balls as fb
+from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert.errors import ContainmentFailure, DepthExceeded
 from renormcert.rounding import Interval, Rectangle, RoundingContext, interval, rectangle
@@ -43,57 +44,62 @@ def test_shared_a_matches_reference(desk):
 def test_apply_T_smoke_toy():
     # a tame affine input for which both composition contracts hold
     toy = fb.ball_from_decimals(DOM, ["0.6", "-1"], 8)   # 1 - 0.4 X
-    out = op.apply_T(ctx, toy)
+    out = ct.FixedPointProblem().residual(ctx, toy)      # T(toy) - toy
     assert fb.norm_upper(ctx, out).is_finite()
     # the steep classical seed makes the outer composition leave the disc;
     # that is reported as a contract failure, not silently accepted
     from renormcert.errors import CompositionContractFailure
     with pytest.raises(CompositionContractFailure):
-        op.apply_T(ctx, fb.ball_from_decimals(DOM, ["-0.5", "-3.8"], 8))
+        ct.FixedPointProblem().residual(ctx, fb.ball_from_decimals(DOM, ["-0.5", "-3.8"], 8))
 
 
 def test_apply_T_residual_small(desk):
-    r = fb.sub(ctx, op.apply_T(ctx, desk.G0), desk.G0)
+    r = ct.FixedPointProblem().residual(ctx, desk.G0)
     assert fb.norm_upper(ctx, r) < Decimal("1e-10")
 
 
 def test_apply_T_pointwise_oracle(desk):
     """Direct high-precision evaluation of the defining expression at member
-    polynomials lies inside the pointwise enclosure of the image."""
+    polynomials lies inside the pointwise enclosure of the residual T(G) - G."""
     rng = random.Random(21)
     ball = fb.inflate(ctx, desk.G0, "1e-6")
-    image = op.apply_T(ctx, ball)
+    image = ct.FixedPointProblem().residual(ctx, ball)
     for _ in range(5):
         m = sample_member(rng, ball)
         with decimal.localcontext(decimal.Context(prec=120)):
             a_m = eval_member(m, Decimal(1), DOM, 120)
             for z in domain_points(rng, DOM, 10):
                 inner = eval_member(m, a_m * a_m * z, DOM, 120)
-                value = eval_member(m, inner * inner, DOM, 120) / a_m
+                value = eval_member(m, inner * inner, DOM, 120) / a_m \
+                    - eval_member(m, z, DOM, 120)
                 out = fb.evaluate(ctx, image, rectangle(z))
                 assert out.re.contains(value), (z, value, out)
 
 
 def test_apply_DT_delta_a_terms_vanish(desk):
-    shared = desk.tables.shared
-    for k in (1, 2, 5):
-        e_k = fb.basis_ball(DOM, desk.n, k)
-        full = op.apply_DT(ctx, shared, e_k)
-        simp = op.apply_DT(ctx, shared, e_k, simplified=True)
-        for i in range(desk.n + 1):
-            assert full.coeffs[i].re == simp.coeffs[i].re
-    e_0 = fb.basis_ball(DOM, desk.n, 0)
-    full0 = op.apply_DT(ctx, shared, e_0)
-    simp0 = op.apply_DT(ctx, shared, e_0, simplified=True)
-    assert any(full0.coeffs[i].re != simp0.coeffs[i].re for i in range(desk.n + 1))
+    """The variation of a = G(1) acts on column 0 only: a column image is
+    a**-1 u2**k + factor16 u1**k alone exactly when k >= 1."""
+    tables = desk.tables
+    s = tables.shared
+
+    def power(table, k):
+        return fb.from_int_ball(ctx, DOM, desk.n, table.power(k))
+
+    for k in (0, 1, 2, 5):
+        image = tables.dt_basis_image(ctx, k)
+        simple = fb.add(ctx, fb.scale(ctx, s.a_inv, power(s.table_squared, k)),
+                        fb.mul(ctx, s.factor16, power(s.table_affine, k)))
+        agree = all(image.coeffs[i].re.contains(ctx.imid(simple.coeffs[i].re))
+                    for i in range(desk.n + 1))
+        assert agree == (k != 0), k
 
 
 def test_apply_DT_linearity(desk):
-    shared = desk.tables.shared
+    tables = desk.tables
     e1 = fb.basis_ball(DOM, desk.n, 1)
     e3 = fb.basis_ball(DOM, desk.n, 3)
-    both = op.apply_DT(ctx, shared, fb.add(ctx, e1, e3))
-    summed = fb.add(ctx, op.apply_DT(ctx, shared, e1), op.apply_DT(ctx, shared, e3))
+    both = tables.dt_apply(ctx, fb.add(ctx, e1, e3))
+    summed = fb.add(ctx, tables.dt_apply(ctx, e1), tables.dt_apply(ctx, e3))
     for k in range(desk.n + 1):
         mid = ctx.imid(both.coeffs[k].re)
         assert summed.coeffs[k].re.lo - Decimal("1e-20") <= mid \
@@ -102,9 +108,8 @@ def test_apply_DT_linearity(desk):
 
 def test_apply_DT_pointwise_oracle(desk):
     rng = random.Random(22)
-    shared = desk.tables.shared
     dG = fb.ball_from_decimals(DOM, ["0.3", "-0.2", "0.1"], desk.n)
-    image = op.apply_DT(ctx, shared, dG)
+    image = desk.tables.dt_apply(ctx, dG)
     m = {k: c.re.lo for k, c in enumerate(desk.param.coeffs)}
     dm = {0: Decimal("0.3"), 1: Decimal("-0.2"), 2: Decimal("0.1")}
     with decimal.localcontext(decimal.Context(prec=120)):
@@ -127,12 +132,12 @@ def test_apply_DT_pointwise_oracle(desk):
 
 
 def test_apply_L_basics(desk):
-    shared = desk.tables.shared
+    tables = desk.tables
     zero = fb.zero_ball(DOM, desk.n)
-    assert fb.norm_upper(ctx, op.apply_L(ctx, shared, zero)) == 0
+    assert fb.norm_upper(ctx, tables.l_apply(ctx, zero)) == 0
     w = fb.ball_from_decimals(DOM, ["1", "0.5"], desk.n)
-    one_w = op.apply_L(ctx, shared, w)
-    two_w = op.apply_L(ctx, shared, fb.scale(ctx, Decimal(2), w))
+    one_w = tables.l_apply(ctx, w)
+    two_w = tables.l_apply(ctx, fb.scale(ctx, Decimal(2), w))
     for k in range(desk.n + 1):
         mid = ctx.imid(one_w.coeffs[k].re)
         assert two_w.coeffs[k].re.lo - Decimal("1e-18") <= 2 * mid \
@@ -141,9 +146,8 @@ def test_apply_L_basics(desk):
 
 def test_apply_L_pointwise_oracle(desk):
     rng = random.Random(24)
-    shared = desk.tables.shared
     W = fb.ball_from_decimals(DOM, ["1", "-0.4", "0.2"], desk.n)
-    image = op.apply_L(ctx, shared, W)
+    image = desk.tables.l_apply(ctx, W)
     m = {k: c.re.lo for k, c in enumerate(desk.param.coeffs)}
     wm = {0: Decimal("1"), 1: Decimal("-0.4"), 2: Decimal("0.2")}
     from helpers import eval_member_derivative
@@ -164,7 +168,7 @@ def test_apply_L_pointwise_oracle(desk):
 def test_apply_L_eigen_ratio(desk):
     """phi(L W*)/phi(W*) must enclose the square of the noise constant."""
     w_ball = fb.inflate(ctx, desk.W0, "1e-7")
-    image = op.apply_L(ctx, desk.tables.shared, w_ball)
+    image = desk.tables.l_apply(ctx, w_ball)
     ratio = ctx.idiv(fb.coefficient(ctx, image, 0).re,
                      fb.coefficient(ctx, w_ball, 0).re)
     gamma_sq = ctx.isqr(desk.cert_gamma.enclosures["gamma"])

@@ -290,6 +290,25 @@ def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, k
                     assert Decimal(y_lo) <= val <= Decimal(y_hi)
 
 
+def test_cli_bad_worker_environment(tmp_path, monkeypatch, capsys):
+    """A non-integer RENORMCERT_WORKERS is a usage error (exit 2) of the verbs
+    that take --workers, not a traceback, and other verbs ignore it."""
+    from renormcert import cli
+
+    monkeypatch.setenv("RENORMCERT_WORKERS", "two")
+    cert = tmp_path / "certificate_a.json"
+    cert.write_text(json.dumps({"certificate": {"enclosures": {"a": ["-0.39954", "-0.39953"]}}}))
+    assert cli.main(["digits", "--plain", str(cert)]) == 0
+    assert "3995" in capsys.readouterr().out
+    assert cli.build_parser().parse_args(["certify", "--workers", "2"]).workers == 2
+    for verb in ("certify", "approx", "plot"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([verb, "--figure", "fig1"] if verb == "plot" else [verb])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "RENORMCERT_WORKERS" in err and "Traceback" not in err
+
+
 def test_cli_failure_exit_code(tmp_path, capsys):
     from renormcert import cli
 
