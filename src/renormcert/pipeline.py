@@ -51,6 +51,7 @@ __all__ = [
     "certified_digits",
     "format_digit_block",
     "emit_plot_covering",
+    "check_subdivisions",
     "certified_balls",
     "write_covering_csv",
     "serialize_linear_map",
@@ -422,15 +423,29 @@ def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
     return balls
 
 
+def check_subdivisions(figure: str | None, subdivisions: int) -> None:
+    """Raise ConfigError unless ``subdivisions`` suits the figure (any figure
+    when None): at least 1 graph subinterval, and for fig1 a boundary
+    rectangle count that is a multiple of 4 and at least 4."""
+    if subdivisions < 1:
+        raise ConfigError(f"subdivisions must be at least 1, got {subdivisions}")
+    if figure == "fig1" and subdivisions % 4:
+        raise ConfigError("fig1 subdivisions count boundary rectangles and must be "
+                          f"a multiple of 4, got {subdivisions}")
+
+
 def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
                        balls: dict) -> list[tuple[str, str, str, str, str]]:
     """Rows (label, x_lo, x_hi, y_lo, y_hi) covering the named figure's graphs.
 
     ``balls`` maps "G"/"V"/"W" to certified balls; fig1 uses the boundary
-    coverings of the domain-extension check instead of a graph.
+    coverings of the domain-extension check instead of a graph.  Each ball
+    and the constants of the functional equations are prepared once for
+    the whole covering (see :class:`operators.RecursiveExtension`).
     """
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; known: {sorted(FIGURES)}")
+    check_subdivisions(figure, subdivisions)
     target, x_range, depth = FIGURES[figure]
     G = balls.get("G")
     if G is None:
@@ -445,22 +460,18 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
                              str(rect.im.lo), str(rect.im.hi)))
         return rows
     key = target.upper()
-    ball = balls.get(key)
-    if ball is None:
+    if balls.get(key) is None:
         raise MissingCertificate(f"figure {figure} needs the certified {key} ball")
     if x_range is None:
         lo, hi = _default_range(ctx, target)
     else:
         lo, hi = Decimal(x_range[0]), Decimal(x_range[1])
     pts = _grid(ctx, lo, hi, subdivisions)
+    extension = op.RecursiveExtension.build(ctx, G, balls.get("V"), balls.get("W"))
     rows = []
     for j in range(subdivisions):
         x = Rectangle(Interval(pts[j], pts[j + 1]), interval(0))
-        if depth == 0 and target.isupper():
-            val = fb.evaluate(ctx, ball, x)
-        else:
-            val = op.extend_recursive(ctx, target, x, depth, G=G,
-                                      V=balls.get("V"), W=balls.get("W"))
+        val = extension.evaluate(ctx, target, x, depth)
         rows.append((target, str(pts[j]), str(pts[j + 1]),
                      str(val.re.lo), str(val.re.hi)))
     return rows

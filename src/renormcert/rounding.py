@@ -278,16 +278,23 @@ class RoundingContext:
         top = max(map(Decimal.adjusted, filter(None, ends)), default=0)
         return self.precision + len(str(degree + 1)) - top
 
+    def to_ends(self, xs: list[Interval], scale: int) -> tuple[list[int], list[int]]:
+        """Integer endpoints, at scale 10**-``scale``, enclosing ``xs``: each
+        lower endpoint rounds down and each upper one up, so both are exact
+        when the endpoint has no digit below 10**-``scale``."""
+        fl, ce, at = self._floor, self._ceil, repeat(scale)
+        los = list(map(int, map(fl.to_integral_value, map(fl.scaleb, [x.lo for x in xs], at))))
+        his = list(map(int, map(ce.to_integral_value, map(ce.scaleb, [x.hi for x in xs], at))))
+        return los, his
+
     def to_midrad(self, xs: list[Interval], scale: int) -> tuple[list[int], list[int]]:
         """Integer midpoints and radii, at scale 10**-``scale``, enclosing ``xs``.
 
-        The lower endpoint rounds down and the upper one up to integers
-        lo <= hi; then mid = (lo + hi) >> 1 and rad = hi - mid, so
-        [mid - rad, mid + rad] contains [lo, hi].
+        The endpoints round outward to integers lo <= hi (:meth:`to_ends`);
+        then mid = (lo + hi) >> 1 and rad = hi - mid, so [mid - rad, mid + rad]
+        contains [lo, hi].
         """
-        fl, ce, at = self._floor, self._ceil, repeat(scale)
-        los = map(int, map(fl.to_integral_value, map(fl.scaleb, [x.lo for x in xs], at)))
-        his = list(map(int, map(ce.to_integral_value, map(ce.scaleb, [x.hi for x in xs], at))))
+        los, his = self.to_ends(xs, scale)
         mids = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
         return mids, list(map(sub, his, mids))
 

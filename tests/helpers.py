@@ -7,6 +7,7 @@ import random
 from decimal import Decimal
 
 from renormcert import balls as fb
+from renormcert.errors import PointOutsideDomain
 from renormcert.rounding import Interval, Rectangle, RoundingContext, interval, rectangle
 
 # Published high-precision reference values for the universal constants
@@ -277,3 +278,46 @@ def oracle_compose_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     if tail > 0:
         tail = ctx.div_up(tail, f.domain.radius)
     return _oracle_with_error(ctx, out, tail)
+
+
+def _oracle_eval_argument(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
+    c, r = f.domain.center, f.domain.radius
+    dist = ctx.rabs(ctx.rsub(z, rectangle(c)))
+    if dist.hi > r:
+        raise PointOutsideDomain(f"|z - {c}| may exceed {r} (bound {dist.hi})")
+    inv = ctx.idiv(interval(1), interval(r))
+    return ctx.rscale_i(ctx.rsub(z, rectangle(c)), inv)
+
+
+def _oracle_rect_horner(ctx: RoundingContext, coeffs, u: Rectangle) -> Rectangle:
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = ctx.radd(ctx.rmul(acc, u), coeffs[k])
+    return acc
+
+
+def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
+    """f(z) by Horner in Decimal rectangle arithmetic (reference for
+    ``balls.evaluate``): the same disc test, up to its square roots, and
+    the same v_high + v_err pad."""
+    u = _oracle_eval_argument(ctx, f, z)
+    acc = _oracle_rect_horner(ctx, f.coeffs, u)
+    return fb._pad_rectangle(ctx, acc, ctx.add_up(f.v_high, f.v_err))
+
+
+def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
+                               z: Rectangle) -> Rectangle:
+    """f'(z) by Horner in Decimal rectangle arithmetic (reference for
+    ``balls.evaluate_derivative``): the same tail rule."""
+    u = _oracle_eval_argument(ctx, f, z)
+    acc = _oracle_rect_horner(ctx, fb._derivative_coeffs(ctx, f), u)
+    tail_mass = ctx.add_up(f.v_high, f.v_err)
+    if tail_mass == 0:
+        return acc
+    au = ctx.rabs(u).hi
+    if au >= 1:
+        raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
+    one_minus = ctx.sub_dn(Decimal(1), au)
+    geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
+    pad = ctx.div_up(ctx.mul_up(tail_mass, geo), f.domain.radius)
+    return fb._pad_rectangle(ctx, acc, pad)

@@ -1,3 +1,4 @@
+import decimal
 import random
 from decimal import Decimal
 
@@ -27,6 +28,7 @@ from renormcert.rounding import Rectangle, RoundingContext, interval, rectangle
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
 N = 8
+WIDE = decimal.Context(prec=60)
 
 
 def test_norm_examples():
@@ -256,6 +258,81 @@ def test_eval_basics():
     assert out.re.contains(1)
     with pytest.raises(PointOutsideDomain):
         fb.evaluate(ctx, one, rectangle("3.6"))
+
+
+def _eval_sampling_misses(seed: int, derivative: bool = False) -> int:
+    """Sampling oracle for evaluate (or evaluate_derivative): sampled members
+    of point and interval balls, some with tails, evaluated exactly at random
+    points of the disc and at points near its centre; counts the values the
+    enclosure misses.  The point balls have no constant term, and half of
+    them no linear term, so their values (or derivatives) near the centre
+    are small against the coefficients and the output rounding to working
+    precision cannot hide a step, or an argument, rounded inward."""
+    rng = random.Random(seed)
+    kernel, value = ((fb.evaluate_derivative, eval_member_derivative) if derivative
+                     else (fb.evaluate, eval_member))
+    misses = 0
+    for i in range(12):
+        if i % 2:
+            f = _interval_ball(rng, 6)
+        else:
+            f = rand_poly_ball(rng, DOM, N, 6)
+            low = 2 if i % 4 else 1
+            f = fb.FunctionBall(DOM, (rectangle(0),) * low + f.coeffs[low:], f.v_high, f.v_err)
+        if i % 3 == 2:
+            f = fb.inflate(ctx, f, "1e-6")
+        fm = sample_member(rng, f)
+        # 32 digits after the point: u = (z - c)/r needs rounding
+        near = [WIDE.add(DOM.center, Decimal(rng.randint(-10 ** 28, 10 ** 28)).scaleb(-32))
+                for _ in range(5)]
+        for z in near + domain_points(rng, DOM, 5):
+            val = value(fm, z, DOM, 120)
+            misses += not kernel(ctx, f, rectangle(z)).re.contains(val)
+    return misses
+
+
+def test_eval_sampling_oracle():
+    assert _eval_sampling_misses(10) == 0
+    assert _eval_sampling_misses(11, derivative=True) == 0
+
+
+def test_eval_sampling_oracle_negative_control(monkeypatch):
+    """Pointwise Horner that truncates toward zero, instead of flooring lower
+    and ceiling upper ends, fails the oracle."""
+    def toward_zero(lo, hi, unit):
+        return tuple(-(-x // unit) if x < 0 else x // unit for x in (lo, hi))
+    monkeypatch.setattr(fb, "_outward", toward_zero)
+    assert _eval_sampling_misses(10) > 0
+    assert _eval_sampling_misses(11, derivative=True) > 0
+
+
+def test_eval_disc_boundary():
+    """The closed disc test is exact: a point on the circle |z - c| = r is
+    accepted by evaluate, and by evaluate_derivative for a polynomial, but
+    not for a ball with tails, whose derivative bound needs |z - c| < r; a
+    point or box just outside is rejected by both."""
+    f = rand_poly_ball(random.Random(9), DOM, N, 5)
+    tailed = fb.inflate(ctx, f, "1e-6")
+    ev = fb.point_evaluator(ctx, tailed)
+    on = [rectangle("3.5"), rectangle("-1.5"), rectangle("2.5", "2"), rectangle(1, "-2.5"),
+          rectangle(interval("-1.5", "3.5"))]
+    for z in on:
+        assert ev.in_disc(ctx, z) and not ev.in_disc(ctx, z, strict=True)
+        for ball in (f, tailed):
+            assert fb.evaluate(ctx, ball, z).re.hi.is_finite()
+        assert fb.evaluate_derivative(ctx, f, z).re.hi.is_finite()
+        with pytest.raises(PointOutsideDomain):
+            fb.evaluate_derivative(ctx, tailed, z)
+    outside = [rectangle("3.50000000000000000000000000001"),
+               rectangle("-1.50000000000000000000000000001"),
+               rectangle("2.5", "2.00000000000000000000000000001"),
+               rectangle(interval("0", "3.5"), interval("0", "1e-30"))]
+    for z in outside:
+        assert not ev.in_disc(ctx, z)
+        for fn in (fb.evaluate, fb.evaluate_derivative):
+            for ball in (f, tailed):
+                with pytest.raises(PointOutsideDomain):
+                    fn(ctx, ball, z)
 
 
 def test_eval_isotonic_in_argument():

@@ -8,6 +8,10 @@ allows: the product of the two radii per term, one unit of 10**-S per input
 coefficient (S being the operand's integer scale) times the other factor's
 norm, and one outward rounding per output endpoint.
 
+Pointwise evaluation is checked against Horner in Decimal rectangle
+arithmetic: both run the same box Horner, so the integer result may be
+wider only by its roundings (see _eval_slack).
+
 Composition through a power table is checked against Horner evaluation in
 Decimal ball arithmetic.  There the two differ in algorithm, not only in
 rounding: a power sum carries sum_k |f_k| rad(u**k) of the argument's
@@ -26,13 +30,15 @@ from helpers import (
     oracle_apply_lambda,
     oracle_compose,
     oracle_compose_derivative,
+    oracle_evaluate,
+    oracle_evaluate_derivative,
     oracle_lambda_residual,
     oracle_mul,
 )
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
-from renormcert.errors import CompositionContractFailure, SingularJacobian
+from renormcert.errors import CompositionContractFailure, PointOutsideDomain, SingularJacobian
 from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext
 
 P = 40
@@ -91,7 +97,7 @@ def _unit(f: fb.FunctionBall) -> Decimal:
 
 
 def _check_part(new: Interval, ref: Interval, slack: Decimal):
-    mid = EXACT.add(ref.lo, ref.hi) / 2
+    mid = EXACT.divide(EXACT.add(ref.lo, ref.hi), 2)
     assert new.lo <= mid <= new.hi
     assert new.contains_interval(ref)
     assert _width(new) <= EXACT.add(_width(ref), slack), (new, ref, slack)
@@ -119,6 +125,90 @@ def test_mul_matches_decimal_oracle(n, kinds):
             a, b = getattr(new, tail), getattr(ref, tail)
             slack = inputs * (1 + norm_f + norm_g) + 4 * _ulp(Interval(b, b))
             assert b - slack <= a <= b + slack, (tail, a, b)
+
+
+#: points on the circle |z - 1| = 2.5, where every square root is exact
+CIRCLE = [Rectangle(Interval(Decimal(x), Decimal(x)), Interval(Decimal(y), Decimal(y)))
+          for x, y in (("3.5", "0"), ("-1.5", "0"), ("1", "2.5"), ("2.5", "2"),
+                       ("-0.5", "-2"))]
+
+
+def _rand_point_args(rng) -> list[Rectangle]:
+    """Points, real boxes and complex boxes inside the disc D(1, 2.5), the
+    point 1 and points on its circle."""
+    def near(scale):
+        return Decimal(rng.randint(-scale, scale)).scaleb(-3)
+
+    args = [Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)] + CIRCLE
+    for _ in range(3):
+        x, y, hx, hy = 1 + near(1200), near(1200), abs(near(300)), abs(near(300))
+        args.append(Rectangle(Interval(x, x), Interval(y, y)))
+        args.append(Rectangle(Interval(x - hx, x + hx), IZERO))
+        args.append(Rectangle(Interval(x - hx, x + hx), Interval(y - hy, y + hy)))
+    return args
+
+
+def _eval_slack(ball: fb.FunctionBall, coeffs, z: Rectangle) -> Decimal:
+    """Rounding slack between the integer and the Decimal box Horner, which
+    both enclose the exact one.  With M = max(1, sup|re u| + sup|im u|) and
+    S, T the coefficient and argument scales, the integer path adds to the
+    exact result 10**-S M**N for each of its 2N + 2 coefficient and step
+    roundings and 10**-T sum_k k |f_k| M**(k-1) for the argument's, on each
+    end; the Decimal path rounds each of its 4N + 2 operations by one unit
+    in digit P of a value at most sum_k |f_k| M**k."""
+    n = ball.truncation
+    with decimal.localcontext(EXACT):
+        re = max(abs(z.re.lo - DOM.center), abs(z.re.hi - DOM.center))
+        im = max(abs(z.im.lo), abs(z.im.hi))
+        m = max(Decimal(1), (re + im) / DOM.radius + Decimal(10) ** -P)
+        s = ctx.ball_scale(n, [c.re for c in ball.coeffs] + [c.im for c in ball.coeffs])
+        t = P + len(str(n + 1))
+        mags = [_mag1(c) for c in coeffs]
+        steps = (2 * n + 2) * Decimal(10) ** -s * m ** n
+        arg = Decimal(10) ** -t * sum(
+            (k * f * m ** (k - 1) for k, f in enumerate(mags) if k), Decimal(0))
+        oracle = (4 * n + 2) * Decimal(10) ** (1 - P) * sum(
+            (f * m ** k for k, f in enumerate(mags)), Decimal(0))
+        return 2 * (steps + arg + oracle)
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 40])
+@pytest.mark.parametrize("kind", ["real", "centred", "complex"])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_evaluate_matches_decimal_oracle(n, kind, derivative):
+    rng = random.Random(f"eval-{n}-{kind}-{derivative}")
+    kernel, oracle = ((fb.evaluate_derivative, oracle_evaluate_derivative) if derivative
+                      else (fb.evaluate, oracle_evaluate))
+    for _ in range(2 if n == 40 else 4):
+        f = _rand_ball(rng, n, kind)
+        f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-6),
+                            Decimal(rng.randint(1, 9)).scaleb(-8))
+        coeffs = fb._derivative_coeffs(ctx, f) if derivative else f.coeffs
+        for z in _rand_point_args(rng):
+            if derivative and z in CIRCLE:
+                # the tails' derivative bound needs |z - c| < r strictly
+                for fn in (kernel, oracle):
+                    with pytest.raises(PointOutsideDomain):
+                        fn(ctx, f, z)
+                continue
+            new, ref = kernel(ctx, f, z), oracle(ctx, f, z)
+            slack = _eval_slack(f, coeffs, z)
+            for part in ("re", "im"):
+                a, b = getattr(new, part), getattr(ref, part)
+                mid = EXACT.divide(EXACT.add(b.lo, b.hi), 2)
+                assert a.lo <= mid <= a.hi, (z, part, a, b)
+                tol = EXACT.add(slack, 2 * _ulp(a))
+                assert a.lo <= EXACT.add(b.lo, tol), (z, part, a, b)
+                assert EXACT.subtract(b.hi, tol) <= a.hi, (z, part, a, b)
+                assert _width(a) <= EXACT.add(_width(b), tol), (z, part, a, b)
+
+
+def test_evaluate_at_one_matches_oracle_exactly(desk):
+    """At the point 1 Horner reduces to f_0 plus the tail pad, which the
+    integer path adds exactly: a = G(1) is the oracle's, bit for bit."""
+    for ball in (desk.param, desk.G0, fb.inflate(ctx, desk.V0, "1e-7")):
+        one = Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)
+        assert fb.evaluate(desk.ctx, ball, one) == oracle_evaluate(desk.ctx, ball, one)
 
 
 def _rand_argument(rng, n: int, kind: str) -> fb.FunctionBall:
@@ -185,7 +275,7 @@ def test_compose_matches_decimal_oracle(n, kind, derivative):
         for k in range(n + 1):
             for part in ("re", "im"):
                 a, b = getattr(new.coeffs[k], part), getattr(ref.coeffs[k], part)
-                mid = EXACT.add(b.lo, b.hi) / 2
+                mid = EXACT.divide(EXACT.add(b.lo, b.hi), 2)
                 assert a.lo <= mid <= a.hi, (k, part, a, b)
                 slack = EXACT.add(EXACT.add(2 * argument, rounding), 2 * _ulp(a))
                 assert _width(a) <= EXACT.add(_width(b), slack), (k, part, a, b)

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import digit_match_count, rand_interval, sample_point
+from helpers import (
+    digit_match_count,
+    oracle_evaluate,
+    oracle_evaluate_derivative,
+    rand_interval,
+    sample_point,
+)
 from renormcert import balls as fb
+from renormcert import operators as op
 from renormcert import pipeline as pl
 from renormcert.errors import ConfigError, MissingCertificate, PipelineOrderError
 from renormcert.rounding import Interval, RoundingContext, interval, rectangle
@@ -193,6 +200,93 @@ def test_plot_coverings(desk):
         pl.emit_plot_covering(desk.ctx, "fig9z", 10, balls)
     with pytest.raises(MissingCertificate):
         pl.emit_plot_covering(desk.ctx, "fig3a", 10, {"G": desk.param})
+
+
+def _certified_desk_balls(desk) -> dict:
+    ctx = desk.ctx
+    return {"G": desk.param,
+            "V": fb.inflate(ctx, desk.V0, desk.cert_delta.proven_radius),
+            "W": fb.inflate(ctx, desk.W0, desk.cert_gamma.proven_radius)}
+
+
+@pytest.mark.parametrize("figure", ["fig2b", "fig2c", "fig2d", "fig3c", "fig3d", "fig4a",
+                                    "fig4b"])
+def test_plot_covering_hoisted_constants_bit_identical(desk, figure):
+    """A covering prepares the balls and a, lambda, gamma once; its rows
+    equal those of extend_recursive, which prepares them for every point."""
+    balls = _certified_desk_balls(desk)
+    rows = pl.emit_plot_covering(desk.ctx, figure, 10, balls)
+    target, _, depth = pl.FIGURES[figure]
+    for label, x_lo, x_hi, y_lo, y_hi in rows:
+        x = Interval(Decimal(x_lo), Decimal(x_hi))
+        val = op.extend_recursive(desk.ctx, target, x, depth, **balls)
+        assert (y_lo, y_hi) == (str(val.re.lo), str(val.re.hi))
+
+
+class _OracleEvaluator:
+    """A point evaluator whose values come from the Decimal Horner oracles;
+    its disc test is the integer evaluator's."""
+
+    point_evaluator = staticmethod(fb.point_evaluator)
+
+    def __init__(self, ctx, ball):
+        self.ball, self.exact = ball, self.point_evaluator(ctx, ball)
+
+    def in_disc(self, ctx, z, strict=False):
+        return self.exact.in_disc(ctx, z, strict)
+
+    def value(self, ctx, z):
+        return oracle_evaluate(ctx, self.ball, z)
+
+    def derivative(self, ctx, z):
+        return oracle_evaluate_derivative(ctx, self.ball, z)
+
+
+@pytest.mark.parametrize("figure", ["fig2c", "fig3c", "fig4a"])
+def test_recursive_covering_matches_decimal_oracle(desk, monkeypatch, figure):
+    """Each row of a recursively extended covering meets the row computed
+    through the Decimal oracles, and its midpoint and width are the
+    oracle's up to rounding: 10**(6-P) relative, for the roundings of up to
+    four levels of the functional equations."""
+    balls = _certified_desk_balls(desk)
+    rows = pl.emit_plot_covering(desk.ctx, figure, 25, balls)
+    monkeypatch.setattr(fb, "point_evaluator", _OracleEvaluator)
+    reference = pl.emit_plot_covering(desk.ctx, figure, 25, balls)
+    assert len(rows) == len(reference) == 25
+    for new, ref in zip(rows, reference):
+        assert new[:3] == ref[:3]
+        lo, hi, ref_lo, ref_hi = map(Decimal, new[3:] + ref[3:])
+        assert lo <= ref_hi and ref_lo <= hi, (new, ref)
+        slack = Decimal(10) ** (6 - desk.ctx.precision) * max(1, abs(ref_lo), abs(ref_hi))
+        assert ref_lo - slack <= (lo + hi) / 2 <= ref_hi + slack, (new, ref)
+        assert hi - lo <= ref_hi - ref_lo + slack, (new, ref)
+
+
+@pytest.mark.parametrize("figure, subdivisions", [("fig2a", 0), ("fig2a", -3), ("fig1", 10),
+                                                  ("fig1", 2), ("fig1", 0)])
+def test_plot_covering_rejects_bad_subdivisions(desk, figure, subdivisions):
+    with pytest.raises(ConfigError):
+        pl.emit_plot_covering(desk.ctx, figure, subdivisions, {"G": desk.param})
+
+
+@pytest.mark.parametrize("argv", [["--figure", "fig2a", "--subdivisions", "0"],
+                                  ["--figure", "fig2a", "--subdivisions", "-3"],
+                                  ["--figure", "fig1", "--subdivisions", "10"]])
+def test_cli_plot_rejects_bad_subdivisions(tmp_path, monkeypatch, capsys, argv):
+    """A subdivision count no figure or not this figure takes is a usage
+    error (exit 2) before the pipeline runs, and writes no CSV."""
+    from renormcert import cli
+
+    def no_pipeline(cfg):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(pl, "run_pipeline", no_pipeline)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["plot", *argv, "-o", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--subdivisions" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_plot_covering_contains_midpoints(desk):
