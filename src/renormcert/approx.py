@@ -7,7 +7,8 @@ round-to-nearest decimal arithmetic inside a local context; no rounding
 state is shared with the directed-rounding side.
 
 Polynomials are plain lists of Decimal coefficients in the scaled-monomial
-basis e_k(z) = ((z - c)/r)**k of a disc (c, r), truncated at degree N.
+basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
+truncation degree is the length of the list minus one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .balls import Disc, STANDARD_DISC
+from .balls import STANDARD_DISC
 from .errors import (
     ConfigError,
     EigenSelectionAmbiguous,
@@ -34,15 +35,14 @@ __all__ = [
     "approx_eigenpair",
     "build_lambda",
     "t_apply",
-    "dt_apply",
     "mat_inv",
-    "lu_solve",
     "poly_eval",
 ]
 
 _D0 = Decimal(0)
 _D1 = Decimal(1)
 _D2 = Decimal(2)
+_C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
 
 #: classical starting guess g(x) ~ 1 - 1.5276 x**2, written for G(X).
 _SEED_QUADRATIC = Decimal("-1.5276")
@@ -51,23 +51,27 @@ _SEED_QUADRATIC = Decimal("-1.5276")
 #: out of the bootstrap spectrum; rigor comes from the certificate.
 _DELTA_HINT = 4.669
 
+#: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
+#: residual M x - lambda**p x (0 for the fixed point, whose M is DT - I).
+_PHI_POWER = {"fixed_point": 0, "delta_eigen": 1, "gamma_eigen": 2}
+
 
 def _context(digits: int) -> decimal.Context:
     return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
 
 
-def default_seed(domain: Disc = STANDARD_DISC) -> list[Decimal]:
+def default_seed() -> list[Decimal]:
     """Affine seed for the fixed-point Newton iteration: G(X) = 1 + q(X - ...)."""
-    c, r = domain.center, domain.radius
-    return [_D1 + _SEED_QUADRATIC * c, _SEED_QUADRATIC * r]
+    return [_D1 + _SEED_QUADRATIC * _C, _SEED_QUADRATIC * _R]
 
 
 # -- dense polynomial helpers (assume a decimal context is active) -----------
 
-def _pad(f: list[Decimal], n: int) -> list[Decimal]:
-    if len(f) > n + 1:
-        return f[: n + 1]
-    return f + [_D0] * (n + 1 - len(f))
+def _pad(f: list[Decimal], length: int) -> list[Decimal]:
+    """f truncated or zero-padded to ``length`` coefficients."""
+    if len(f) > length:
+        return f[:length]
+    return f + [_D0] * (length - len(f))
 
 
 def p_add(f, g):
@@ -80,13 +84,13 @@ def p_scale(s, f):
     return [s * a for a in f]
 
 
-def p_mul(f, g, n: int):
+def p_mul(f, g):
+    """Product truncated to the degree of f."""
+    n = len(f) - 1
     out = [_D0] * (n + 1)
     for i, fi in enumerate(f):
         if not fi:
             continue
-        if i > n:
-            break
         for j, gj in enumerate(g):
             k = i + j
             if k > n:
@@ -96,135 +100,143 @@ def p_mul(f, g, n: int):
     return out
 
 
-def p_deriv(f, r: Decimal):
-    n = len(f) - 1
-    out = [Decimal(k + 1) * f[k + 1] / r for k in range(n)]
+def p_deriv(f):
+    out = [Decimal(k + 1) * f[k + 1] / _R for k in range(len(f) - 1)]
     return out + [_D0]
 
 
-def poly_eval(f, x, domain: Disc = STANDARD_DISC):
+def poly_eval(f, x):
     """Evaluate at a point by Horner in the scaled basis."""
-    u = (x - domain.center) / domain.radius
+    u = (x - _C) / _R
     acc = f[-1]
     for k in range(len(f) - 2, -1, -1):
         acc = acc * u + f[k]
     return acc
 
 
-def _normalize_arg(h, domain: Disc, n: int):
-    u = list(_pad(h, n))
-    u[0] = (u[0] - domain.center) / domain.radius
-    inv = _D1 / domain.radius
-    for k in range(1, n + 1):
+def _normalize_arg(h):
+    u = list(h)
+    u[0] = (u[0] - _C) / _R
+    inv = _D1 / _R
+    for k in range(1, len(u)):
         u[k] = u[k] * inv
     return u
 
 
-def _power_list(u, n: int):
-    powers = [_pad([_D1], n), list(u)]
-    for _ in range(2, n + 1):
-        powers.append(p_mul(powers[-1], u, n))
+def _power_list(u):
+    powers = [_pad([_D1], len(u)), list(u)]
+    for _ in range(2, len(u)):
+        powers.append(p_mul(powers[-1], u))
     return powers
 
 
-def _table_compose(f, powers, n: int):
-    out = [_D0] * (n + 1)
+def _table_compose(f, powers):
+    out = [_D0] * len(powers)
     for k, fk in enumerate(f):
         if not fk:
             continue
         pk = powers[k]
-        for i in range(n + 1):
+        for i in range(len(pk)):
             if pk[i]:
                 out[i] += fk * pk[i]
     return out
 
 
-class _MidShared:
-    """Midpoint analogue of the shared operator evaluations."""
+def _rows(cols):
+    return [list(row) for row in zip(*cols)]
 
-    def __init__(self, g, domain: Disc, n: int):
-        c, r = domain.center, domain.radius
-        self.domain, self.n = domain, n
-        g = _pad(g, n)
-        self.a = poly_eval(g, _D1, domain)
+
+class _MidShared:
+    """Midpoint analogue of the shared operator evaluations at g, from which
+    T(g) and the columns of DT(g) and L(g) are read."""
+
+    def __init__(self, g):
+        n = len(g) - 1
+        self.a = poly_eval(g, _D1)
         if not self.a:
             raise NewtonDivergence("normalisation a = G(1) vanished")
         self.a2 = self.a * self.a
         self.ainv = _D1 / self.a
         self.ainv2 = self.ainv * self.ainv
-        affine = _pad([self.a2 * c, self.a2 * r], n)
-        self.up1 = _power_list(_normalize_arg(affine, domain, n), n)
-        self.inner = _table_compose(g, self.up1, n)
-        self.squared = p_mul(self.inner, self.inner, n)
-        self.up2 = _power_list(_normalize_arg(self.squared, domain, n), n)
-        self.outer = _table_compose(g, self.up2, n)
-        gd = p_deriv(g, r)
-        self.deriv_outer = _table_compose(gd, self.up2, n)
-        self.deriv_inner = _table_compose(gd, self.up1, n)
+        affine = _pad([self.a2 * _C, self.a2 * _R], n + 1)
+        self.up1 = _power_list(_normalize_arg(affine))
+        self.inner = _table_compose(g, self.up1)
+        self.squared = p_mul(self.inner, self.inner)
+        self.up2 = _power_list(_normalize_arg(self.squared))
+        self.outer = _table_compose(g, self.up2)
+        gd = p_deriv(g)
+        self.deriv_outer = _table_compose(gd, self.up2)
+        self.deriv_inner = _table_compose(gd, self.up1)
         two_inner = p_scale(_D2 * self.ainv, self.inner)
-        self.c16 = p_mul(self.deriv_outer, two_inner, n)
-        self.c16sq = p_mul(self.c16, self.c16, n)
-        x_poly = _pad([c, r], n)
-        self.factor17 = p_mul(p_mul(self.c16, self.deriv_inner, n),
-                              p_scale(_D2 * self.a, x_poly), n)
+        self.c16 = p_mul(self.deriv_outer, two_inner)
+        self.c16sq = p_mul(self.c16, self.c16)
+        x_poly = _pad([_C, _R], n + 1)
+        self.factor17 = p_mul(p_mul(self.c16, self.deriv_inner),
+                              p_scale(_D2 * self.a, x_poly))
 
+    def t(self):
+        """T(g)."""
+        return p_scale(self.ainv, self.outer)
 
-def t_apply(g, domain: Disc = STANDARD_DISC, n: int | None = None, digits: int = 30):
-    """T(G) truncated to degree n, in round-to-nearest arithmetic."""
-    if n is None:
-        n = len(g) - 1
-    with decimal.localcontext(_context(digits)):
-        shared = _MidShared(g, domain, n)
-        return p_scale(shared.ainv, shared.outer)
-
-
-def dt_apply(g, dg, domain: Disc = STANDARD_DISC, n: int | None = None,
-             digits: int = 30, simplified: bool = False):
-    """Directional derivative of T at g in direction dg, truncated."""
-    if n is None:
-        n = len(g) - 1
-    with decimal.localcontext(_context(digits)):
-        s = _MidShared(g, domain, n)
-        dg = _pad(dg, n)
-        da = poly_eval(dg, _D1, domain)
-        out = p_scale(s.ainv, _table_compose(dg, s.up2, n))
-        out = p_add(out, p_mul(s.c16, _table_compose(dg, s.up1, n), n))
-        if da and not simplified:
-            out = p_add(out, p_scale(-s.ainv2 * da, s.outer))
-            out = p_add(out, p_scale(da, s.factor17))
-        return out
-
-
-def dt_matrix(g, domain: Disc = STANDARD_DISC, n: int | None = None, digits: int = 30):
-    """Matrix of the truncated derivative of T at g, columns DT(g) e_k."""
-    if n is None:
-        n = len(g) - 1
-    with decimal.localcontext(_context(digits)):
-        s = _MidShared(g, domain, n)
+    def dt_matrix(self):
+        """Rows of the truncated DT(g); column k is DT(g) e_k."""
         cols = []
-        for k in range(n + 1):
-            col = p_scale(s.ainv, s.up2[k])
-            col = p_add(col, p_mul(s.c16, s.up1[k], n))
+        for k in range(len(self.up1)):
+            col = p_scale(self.ainv, self.up2[k])
+            col = p_add(col, p_mul(self.c16, self.up1[k]))
             if k == 0:
                 # e_0(1) = 1: the normalisation-variation terms act
-                col = p_add(col, p_scale(-s.ainv2, s.outer))
-                col = p_add(col, s.factor17)
+                col = p_add(col, p_scale(-self.ainv2, self.outer))
+                col = p_add(col, self.factor17)
             cols.append(col)
-        return [[cols[k][i] for k in range(n + 1)] for i in range(n + 1)]
+        return _rows(cols)
 
-
-def l_matrix(g, domain: Disc = STANDARD_DISC, n: int | None = None, digits: int = 30):
-    """Matrix of the truncated noise-scaling operator at g."""
-    if n is None:
-        n = len(g) - 1
-    with decimal.localcontext(_context(digits)):
-        s = _MidShared(g, domain, n)
+    def l_matrix(self):
+        """Rows of the truncated noise-scaling operator L(g)."""
         cols = []
-        for k in range(n + 1):
-            col = p_mul(s.c16sq, s.up1[k], n)
-            col = p_add(col, p_scale(s.ainv2, s.up2[k]))
+        for k in range(len(self.up1)):
+            col = p_mul(self.c16sq, self.up1[k])
+            col = p_add(col, p_scale(self.ainv2, self.up2[k]))
             cols.append(col)
-        return [[cols[k][i] for k in range(n + 1)] for i in range(n + 1)]
+        return _rows(cols)
+
+    def fixed_point_jacobian(self):
+        """DT(g) - I, the Jacobian of the fixed-point residual T(g) - g."""
+        jac = self.dt_matrix()
+        for i in range(len(jac)):
+            jac[i][i] -= _D1
+        return jac
+
+
+def t_apply(g, digits: int = 30):
+    """T(G) truncated to the degree of g, in round-to-nearest arithmetic."""
+    with decimal.localcontext(_context(digits)):
+        return _MidShared(g).t()
+
+
+def dt_matrix(g, digits: int = 30):
+    """Matrix of the truncated derivative of T at g, columns DT(g) e_k."""
+    with decimal.localcontext(_context(digits)):
+        return _MidShared(g).dt_matrix()
+
+
+def l_matrix(g, digits: int = 30):
+    """Matrix of the truncated noise-scaling operator at g."""
+    with decimal.localcontext(_context(digits)):
+        return _MidShared(g).l_matrix()
+
+
+def _eigen_jacobian(matrix, x, phi_power: int):
+    """M - lambda**p I - p lambda**(p-1) x e_0^T with lambda = x[0]: the
+    Jacobian of x -> M x - phi(x)**p x."""
+    lam = x[0]
+    lam_p = lam ** phi_power
+    dlam = Decimal(phi_power) * lam ** (phi_power - 1)
+    jac = [row[:] for row in matrix]
+    for i in range(len(jac)):
+        jac[i][i] -= lam_p
+        jac[i][0] -= dlam * x[i]
+    return jac
 
 
 # -- dense linear algebra ------------------------------------------------------
@@ -273,12 +285,6 @@ def _lu_solve_factored(lu, perm, b):
     return x
 
 
-def lu_solve(a, b, digits: int = 30):
-    with decimal.localcontext(_context(digits)):
-        lu, perm = lu_factor(a)
-        return _lu_solve_factored(lu, perm, b)
-
-
 def mat_inv(a, digits: int = 30):
     with decimal.localcontext(_context(digits)):
         n = len(a)
@@ -288,7 +294,7 @@ def mat_inv(a, digits: int = 30):
             e = [_D0] * n
             e[k] = _D1
             cols.append(_lu_solve_factored(lu, perm, e))
-        return [[cols[k][i] for k in range(n)] for i in range(n)]
+        return _rows(cols)
 
 
 def _mat_vec(a, v):
@@ -299,25 +305,28 @@ def _sup_norm(v):
     return max((abs(x) for x in v), default=_D0)
 
 
+def _newton(x, step, tol, max_iter: int):
+    """Newton's method: x <- x - DF(x)**-1 F(x) until |F(x)| < tol(x).
+
+    ``step(x)`` returns F(x) and a callable giving DF(x), which is only
+    called when another step is needed.  Returns the first iterate whose
+    residual passes, or None after ``max_iter`` steps.
+    """
+    for _ in range(max_iter):
+        residual, jacobian = step(x)
+        if _sup_norm(residual) < tol(x):
+            return x
+        lu, perm = lu_factor(jacobian())
+        delta = _lu_solve_factored(lu, perm, [-r for r in residual])
+        x = p_add(x, delta)
+    return None
+
+
 # -- fixed point ----------------------------------------------------------------
 
-def _newton_fixed_point_stage(g, domain, n, digits, tol, max_iter=50):
-    g = _pad(g, n)
-    if abs(poly_eval(g, _D1, domain)) < Decimal("0.05"):
-        raise NewtonDivergence("seed normalisation G(1) too close to zero")
-    identity = [[_D1 if i == j else _D0 for j in range(n + 1)] for i in range(n + 1)]
-    for _ in range(max_iter):
-        shared = _MidShared(g, domain, n)
-        t_of_g = p_scale(shared.ainv, shared.outer)
-        residual = p_sub(t_of_g, g)
-        if _sup_norm(residual) < tol:
-            return g
-        jac = dt_matrix(g, domain, n, digits)
-        jac = [[jac[i][j] - identity[i][j] for j in range(n + 1)] for i in range(n + 1)]
-        lu, perm = lu_factor(jac)
-        delta = _lu_solve_factored(lu, perm, [-x for x in residual])
-        g = p_add(g, delta)
-    raise NewtonDivergence(f"no convergence below {tol} in {max_iter} iterations")
+def _fixed_point_step(g):
+    shared = _MidShared(g)
+    return p_sub(shared.t(), g), shared.fixed_point_jacobian
 
 
 def _stage_ladder(n: int) -> list[int]:
@@ -331,8 +340,7 @@ def _stage_ladder(n: int) -> list[int]:
     return stages
 
 
-def approx_fixed_point(n: int, digits: int, seed=None,
-                       domain: Disc = STANDARD_DISC) -> list[Decimal]:
+def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
     """Polynomial approximation to the fixed point, residual below 10**-(digits-6).
 
     Bootstraps deterministically: Newton from the classical quadratic-map
@@ -343,10 +351,17 @@ def approx_fixed_point(n: int, digits: int, seed=None,
     if digits < 10:
         raise ConfigError("need at least 10 digits")
     with decimal.localcontext(_context(digits)):
-        g = list(seed) if seed is not None else default_seed(domain)
+        g = list(seed) if seed is not None else default_seed()
         tol = Decimal(10) ** -(digits - 6)
+        max_iter = 50
         for stage_n in _stage_ladder(n):
-            g = _newton_fixed_point_stage(g, domain, stage_n, digits, tol)
+            g = _pad(g, stage_n + 1)
+            if abs(poly_eval(g, _D1)) < Decimal("0.05"):
+                raise NewtonDivergence("seed normalisation G(1) too close to zero")
+            g = _newton(g, _fixed_point_step, lambda _: tol, max_iter)
+            if g is None:
+                raise NewtonDivergence(
+                    f"no convergence below {tol} in {max_iter} iterations")
         return g
 
 
@@ -378,30 +393,7 @@ def _select_dominant(values):
     return top.real
 
 
-def _eigen_newton(matrix, vec, phi_power: int, digits: int, max_iter=50):
-    """Polish (x, lambda = x[0]) for M x = phi(x)**p x with phi(x) = x[0]."""
-    n = len(vec) - 1
-    tol = Decimal(10) ** -(digits - 6)
-    for _ in range(max_iter):
-        lam = vec[0]
-        lam_p = lam ** phi_power
-        mx = _mat_vec(matrix, vec)
-        residual = [mx[i] - lam_p * vec[i] for i in range(n + 1)]
-        if _sup_norm(residual) < tol * max(_D1, _sup_norm(vec)):
-            return vec
-        dlam = Decimal(phi_power) * lam ** (phi_power - 1)
-        jac = [row[:] for row in matrix]
-        for i in range(n + 1):
-            jac[i][i] -= lam_p
-            jac[i][0] -= dlam * vec[i]
-        lu, perm = lu_factor(jac)
-        delta = _lu_solve_factored(lu, perm, [-x for x in residual])
-        vec = [vec[i] + delta[i] for i in range(n + 1)]
-    raise NewtonDivergence("eigenpair polish did not converge")
-
-
-def approx_eigenpair(kind: str, g0, digits: int,
-                     domain: Disc = STANDARD_DISC) -> tuple[list[Decimal], Decimal]:
+def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal]:
     """Approximate eigenfunction and eigenvalue, normalised so coeff0 = eigenvalue.
 
     kind 'delta': eigenvalue of the derivative of T nearest the known
@@ -409,13 +401,10 @@ def approx_eigenpair(kind: str, g0, digits: int,
     kind 'gamma': square root of the dominant eigenvalue of the noise
     operator; the returned scalar is that root.
     """
-    n = len(g0) - 1
     if kind == "delta":
-        matrix = dt_matrix(g0, domain, n, digits)
-        phi_power = 1
+        matrix = dt_matrix(g0, digits)
     elif kind == "gamma":
-        matrix = l_matrix(g0, domain, n, digits)
-        phi_power = 2
+        matrix = l_matrix(g0, digits)
     else:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     mf = _to_float_matrix(matrix)
@@ -432,73 +421,64 @@ def approx_eigenpair(kind: str, g0, digits: int,
     vec_f = vectors[:, idx].real
     if abs(vec_f[0]) < 1e-12:
         raise EigenSelectionAmbiguous("eigenvector has vanishing constant coefficient")
+    phi_power = _PHI_POWER[kind + "_eigen"]
     with decimal.localcontext(_context(digits)):
         vec = [Decimal(repr(float(x))) for x in vec_f]
         scale_to = Decimal(repr(float(target))) / vec[0]
         vec = [x * scale_to for x in vec]
-        vec = _eigen_newton(matrix, vec, phi_power, digits)
+        tol = Decimal(10) ** -(digits - 6)
+
+        def step(x):
+            lam_p = x[0] ** phi_power
+            mx = _mat_vec(matrix, x)
+            residual = [mx[i] - lam_p * x[i] for i in range(len(x))]
+            return residual, lambda: _eigen_jacobian(matrix, x, phi_power)
+
+        vec = _newton(vec, step, lambda x: tol * max(_D1, _sup_norm(x)), max_iter=50)
+        if vec is None:
+            raise NewtonDivergence("eigenpair polish did not converge")
         return vec, vec[0]
 
 
 # -- jacobians and the frozen linear map -------------------------------------------
 
-def approx_jacobian(kind: str, g0, x0=None, digits: int = 30,
-                    domain: Disc = STANDARD_DISC):
+def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     """Truncated Jacobian of the residual map for the given problem kind.
 
     fixed_point: derivative of T minus identity, at g0.
     delta_eigen/gamma_eigen: operator matrix minus the eigenvalue terms,
     including the rank-one normalisation coupling, at x0.
     """
-    n = len(g0) - 1
+    if kind not in _PHI_POWER:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    if kind != "fixed_point" and x0 is None:
+        raise ConfigError("eigen jacobians need the approximate eigenfunction")
     with decimal.localcontext(_context(digits)):
+        shared = _MidShared(g0)
         if kind == "fixed_point":
-            jac = dt_matrix(g0, domain, n, digits)
-            for i in range(n + 1):
-                jac[i][i] -= _D1
-            return jac
-        if x0 is None:
-            raise ConfigError("eigen jacobians need the approximate eigenfunction")
-        x0 = _pad(list(x0), n)
-        lam = x0[0]
-        if kind == "delta_eigen":
-            jac = dt_matrix(g0, domain, n, digits)
-            dlam = _D1
-            lam_p = lam
-        elif kind == "gamma_eigen":
-            jac = l_matrix(g0, domain, n, digits)
-            dlam = _D2 * lam
-            lam_p = lam * lam
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-        for i in range(n + 1):
-            jac[i][i] -= lam_p
-            jac[i][0] -= dlam * x0[i]
-        return jac
-
-
-_TAIL_SCALARS = {"fixed_point": "minus_one", "delta_eigen": "inv", "gamma_eigen": "inv_sq"}
+            return shared.fixed_point_jacobian()
+        matrix = shared.dt_matrix() if kind == "delta_eigen" else shared.l_matrix()
+        return _eigen_jacobian(matrix, _pad(list(x0), len(g0)), _PHI_POWER[kind])
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):
     """Frozen linear map approximating the inverse Jacobian.
 
     Matrix block: rounded midpoint inverse of the truncated Jacobian.  Tail
-    scalar: -1 for the fixed point (the derivative of T decays on high
-    degrees, so the Jacobian is near minus identity there), -1/lambda0 for
-    the parameter-scaling problem and -1/lambda0**2 for the noise problem.
+    scalar: -1/lambda0**p with the kind's eigenvalue power p, so -1 for the
+    fixed point (the derivative of T decays on high degrees, so the
+    Jacobian is near minus identity there), -1/lambda0 for the
+    parameter-scaling problem and -1/lambda0**2 for the noise problem.
     """
     from .contraction import LinearMap
 
-    if kind not in _TAIL_SCALARS:
+    if kind not in _PHI_POWER:
         raise ConfigError(f"unknown problem kind {kind!r}")
+    phi_power = _PHI_POWER[kind]
+    if phi_power and lambda0 is None:
+        raise ConfigError("eigen kinds need lambda0 for the tail scalar")
     with decimal.localcontext(_context(digits)):
         inv = mat_inv(jac, digits)
-        if kind == "fixed_point":
-            tail = -_D1
-        else:
-            if lambda0 is None:
-                raise ConfigError("eigen kinds need lambda0 for the tail scalar")
-            tail = -_D1 / lambda0 if kind == "delta_eigen" else -_D1 / (lambda0 * lambda0)
+        tail = -_D1 / lambda0 ** phi_power if phi_power else -_D1
         matrix = tuple(tuple(+x for x in row) for row in inv)
         return LinearMap(matrix=matrix, tail_scalar=tail)

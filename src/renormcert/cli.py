@@ -21,7 +21,6 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from . import balls as fb
 from . import pipeline as pl
 from .errors import ConfigError, RenormcertError, StageFailure
 from .rounding import Interval, RoundingContext
@@ -133,23 +132,12 @@ def _cmd_approx(args) -> int:
     cfg = _config_from_args(args)
     if cfg.checkpoint_dir is None:
         cfg = dataclasses.replace(cfg, checkpoint_dir=cfg.output_dir or ".")
-    from . import approx as ax
-    from .balls import STANDARD_DISC
-
-    g0_ball = pl._load_or_compute(
-        cfg, "g0", lambda: fb.ball_from_decimals(
-            STANDARD_DISC, ax.approx_fixed_point(cfg.degree, cfg.precision),
-            cfg.degree), *pl._BALL_FORMAT)
-    g0 = [c.re.lo for c in g0_ball.coeffs]
-    print(f"g0: degree {cfg.degree}, precision {cfg.precision}, G0(1) = {g0[0]}")
-    for target in ("delta", "gamma"):
-        if target not in cfg.targets:
-            continue
-        ball = pl._load_or_compute(
-            cfg, target + "0", lambda k=target: fb.ball_from_decimals(
-                STANDARD_DISC, ax.approx_eigenpair(k, g0, cfg.precision)[0],
-                cfg.degree), *pl._BALL_FORMAT)
-        print(f"{target}0 = {ball.coeffs[0].re.lo}")
+    for target, (ball, _) in pl.bootstrap(cfg).items():
+        if target == "fixed_point":
+            print(f"g0: degree {cfg.degree}, precision {cfg.precision}, "
+                  f"G0(1) = {ball.coeffs[0].re.lo}")
+        else:
+            print(f"{target}0 = {ball.coeffs[0].re.lo}")
     print(f"checkpoints in {cfg.checkpoint_dir}")
     return 0
 

@@ -203,7 +203,7 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
 # -- problems ---------------------------------------------------------------------
 
 class Problem:
-    """A residual map F with directional-derivative machinery.
+    """A residual map F with the derivative bounds a certificate needs.
 
     Subclasses provide the residual, the per-basis-column derivative images
     DF(x) e_k valid over a whole ball (``column_kernel``: an object whose
@@ -220,10 +220,6 @@ class Problem:
         raise NotImplementedError
 
     def column_kernel(self, ctx: RoundingContext, x_ball: FunctionBall):
-        raise NotImplementedError
-
-    def directional(self, ctx: RoundingContext, x_ball: FunctionBall,
-                    dx: FunctionBall) -> FunctionBall:
         raise NotImplementedError
 
     def tail_phi_factor(self, ctx: RoundingContext, x_ball: FunctionBall) -> Interval:
@@ -277,10 +273,6 @@ class FixedPointProblem(Problem):
     def column_kernel(self, ctx, x_ball):
         return self._tables(ctx, x_ball).dt_columns(ctx, diagonal=IONE)
 
-    def directional(self, ctx, x_ball, dx):
-        tables = self._tables(ctx, x_ball)
-        return fb.sub(ctx, tables.dt_apply(ctx, dx), dx)
-
     def tail_phi_factor(self, ctx, x_ball):
         return interval(-1)
 
@@ -319,16 +311,6 @@ class _EigenProblem(Problem):
 
     def column_kernel(self, ctx, x_ball):
         return self._column_images(ctx, x_ball, _phi(ctx, x_ball))
-
-    def directional(self, ctx, x_ball, dx):
-        phi_x = _phi(ctx, x_ball)
-        phi_dx = _phi(ctx, dx)
-        out = self._operator_apply(ctx, dx)
-        if self.phi_power == 1:
-            out = fb.sub(ctx, out, fb.scale(ctx, phi_dx, x_ball))
-            return fb.sub(ctx, out, fb.scale(ctx, phi_x, dx))
-        out = fb.sub(ctx, out, fb.scale(ctx, ctx.imul(ctx.iscale(phi_x, _D2), phi_dx), x_ball))
-        return fb.sub(ctx, out, fb.scale(ctx, ctx.isqr(phi_x), dx))
 
     def tail_phi_factor(self, ctx, x_ball):
         phi_x = _phi(ctx, x_ball)

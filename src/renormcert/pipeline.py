@@ -48,6 +48,7 @@ __all__ = [
     "RunConfig",
     "PipelineResult",
     "run_pipeline",
+    "bootstrap",
     "certified_digits",
     "format_digit_block",
     "emit_plot_covering",
@@ -255,6 +256,39 @@ def _stage(report, timings, name):
     return _StageTimer()
 
 
+def bootstrap(cfg: RunConfig) -> dict:
+    """The approx stage: target -> (approximate zero as a ball, frozen map)
+    for the fixed point and then each requested eigen target.
+
+    Each ball and map is read from the checkpoint directory when present
+    there, and otherwise computed and, with a checkpoint directory, written
+    there.
+    """
+    n, p = cfg.degree, cfg.precision
+    g0_ball = _load_or_compute(
+        cfg, "g0", lambda: fb.ball_from_decimals(
+            STANDARD_DISC, ax.approx_fixed_point(n, p), n), *_BALL_FORMAT)
+    g0 = [c.re.lo for c in g0_ball.coeffs]
+    out = {"fixed_point": (g0_ball, _load_or_compute(
+        cfg, "lambda_fixed", lambda: ax.build_lambda(
+            "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=p), p),
+        *_LAMBDA_FORMAT))}
+    for target in ("delta", "gamma"):
+        if target not in cfg.targets:
+            continue
+        kind = target + "_eigen"
+        x0_ball = _load_or_compute(
+            cfg, target + "0", lambda: fb.ball_from_decimals(
+                STANDARD_DISC, ax.approx_eigenpair(target, g0, p)[0], n),
+            *_BALL_FORMAT)
+        x0 = [c.re.lo for c in x0_ball.coeffs]
+        out[target] = (x0_ball, _load_or_compute(
+            cfg, "lambda_" + target, lambda: ax.build_lambda(
+                kind, ax.approx_jacobian(kind, g0, x0, digits=p), p, lambda0=x0[0]),
+            *_LAMBDA_FORMAT))
+    return out
+
+
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Bootstrap, verify domain extension, certify every requested target.
 
@@ -263,38 +297,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     StageFailure.
     """
     ctx = RoundingContext(cfg.precision)
-    domain = STANDARD_DISC
-    n = cfg.degree
     report: dict = {"schema": REPORT_SCHEMA, "config": cfg.describe(),
                     "checksums": {}, "certificates": {}, "digits": {}}
     timings: dict = {}
     result = PipelineResult(config=cfg, report=report)
     try:
         with _stage(report, timings, "approx"):
-            g0_ball = _load_or_compute(
-                cfg, "g0", lambda: fb.ball_from_decimals(
-                    domain, ax.approx_fixed_point(n, cfg.precision), n), *_BALL_FORMAT)
-            g0 = [c.re.lo for c in g0_ball.coeffs]
-            lam_fixed = _load_or_compute(
-                cfg, "lambda_fixed", lambda: ax.build_lambda(
-                    "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=cfg.precision),
-                    cfg.precision), *_LAMBDA_FORMAT)
-            report["checksums"]["g0"] = fb.ball_checksum(g0_ball)
-            eigen_data = {}
-            for target, kind in (("delta", "delta_eigen"), ("gamma", "gamma_eigen")):
-                if target not in cfg.targets:
-                    continue
-                x0_ball = _load_or_compute(
-                    cfg, target + "0", lambda k=target: fb.ball_from_decimals(
-                        domain, ax.approx_eigenpair(k, g0, cfg.precision)[0], n),
-                    *_BALL_FORMAT)
-                x0 = [c.re.lo for c in x0_ball.coeffs]
-                lam = _load_or_compute(
-                    cfg, "lambda_" + target, lambda k=kind, v=x0: ax.build_lambda(
-                        k, ax.approx_jacobian(k, g0, v, digits=cfg.precision),
-                        cfg.precision, lambda0=v[0]), *_LAMBDA_FORMAT)
-                eigen_data[target] = (x0_ball, lam)
-                report["checksums"][target + "0"] = fb.ball_checksum(x0_ball)
+            approx = bootstrap(cfg)
+            for target, (ball, _) in approx.items():
+                name = "g0" if target == "fixed_point" else target + "0"
+                report["checksums"][name] = fb.ball_checksum(ball)
+            g0_ball, lam_fixed = approx.pop("fixed_point")
+            eigen_data = approx
             result.balls["G0"] = g0_ball
 
         with _stage(report, timings, "domain_extension"):

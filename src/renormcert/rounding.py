@@ -105,9 +105,6 @@ class Interval:
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
 
 def interval(lo, hi=None) -> Interval:
     """Build an interval from exactly representable endpoint(s)."""
@@ -134,9 +131,6 @@ class Rectangle:
 
     def contains(self, re_part, im_part=0) -> bool:
         return self.im.contains(im_part) and self.re.contains(re_part)
-
-    def contains_rectangle(self, other: "Rectangle") -> bool:
-        return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
 
 
 def rectangle(re, im=None) -> Rectangle:
@@ -390,9 +384,6 @@ class RoundingContext:
 
     def iwidth(self, x: Interval) -> Decimal:
         return self._up.subtract(x.hi, x.lo)
-
-    def iabs(self, x: Interval) -> Interval:
-        return Interval(x.mig, x.mag)
 
     def ipow(self, x: Interval, n: int) -> Interval:
         """Interval integer power, tight on sign-definite intervals."""

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import REF_A, REF_DELTA, REF_GAMMA, digit_match_count
 from renormcert import approx as ax
-from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert.errors import (
     ConfigError,
@@ -76,15 +75,43 @@ def test_jacobian_column_delta_a_only_in_first(desk):
     jac_dt = ax.dt_matrix(desk.g0, digits=30)
     jac_simple = []
     with decimal.localcontext(ax._context(30)):
-        s = ax._MidShared(desk.g0, fb.STANDARD_DISC, desk.n)
+        s = ax._MidShared(desk.g0)
         for k in range(desk.n + 1):
             col = ax.p_scale(s.ainv, s.up2[k])
-            col = ax.p_add(col, ax.p_mul(s.c16, s.up1[k], desk.n))
+            col = ax.p_add(col, ax.p_mul(s.c16, s.up1[k]))
             jac_simple.append(col)
     for k in range(1, desk.n + 1):
         for i in range(desk.n + 1):
             assert jac_dt[i][k] == jac_simple[k][i]
     assert any(jac_dt[i][0] != jac_simple[0][i] for i in range(desk.n + 1))
+
+
+def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
+    """Each fixed-point Newton iterate builds the midpoint shared evaluations
+    once and reads both T(g) and the Jacobian from them; the Jacobian it
+    factors is approx_jacobian("fixed_point", g) entry for entry."""
+    iterates, factored = [], []
+    shared_cls, lu_factor = ax._MidShared, ax.lu_factor
+
+    class CountingShared(shared_cls):
+        def __init__(self, g):
+            iterates.append(list(g))
+            super().__init__(g)
+
+    def recording_lu_factor(a):
+        factored.append([row[:] for row in a])
+        return lu_factor(a)
+
+    monkeypatch.setattr(ax, "_MidShared", CountingShared)
+    monkeypatch.setattr(ax, "lu_factor", recording_lu_factor)
+    g = ax.approx_fixed_point(20, 30)
+    monkeypatch.undo()
+    assert len(iterates) == 7
+    assert len(factored) == len(iterates) - 1
+    assert iterates[-1] == g
+    for g_k, jac in zip(iterates, factored):
+        ref = ax.approx_jacobian("fixed_point", g_k, digits=30)
+        assert [list(map(str, row)) for row in jac] == [list(map(str, row)) for row in ref]
 
 
 def test_finite_difference_oracle(desk):
@@ -161,20 +188,6 @@ def test_perturbed_lambda_still_certifies(desk):
     cert = ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, bumped, "1e-4")
     assert cert.passed
     assert cert.kappa < 1
-
-
-def test_lu_solve_roundtrip():
-    import random
-    rng = random.Random(5)
-    n = 12
-    a = [[Decimal(rng.randint(-50, 50)) / 10 for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        a[i][i] += 20
-    x = [Decimal(rng.randint(-100, 100)) / 10 for _ in range(n)]
-    with decimal.localcontext(ax._context(40)):
-        b = ax._mat_vec(a, x)
-    sol = ax.lu_solve(a, b, digits=40)
-    assert max(abs(sol[i] - x[i]) for i in range(n)) < Decimal("1e-30")
 
 
 def test_mat_inv_identity():

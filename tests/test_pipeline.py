@@ -331,6 +331,30 @@ def test_cli_report_and_digits(tmp_path, capsys):
     assert "619036" in text.replace(" ", "").replace("\n", "")
 
 
+def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
+    """The approx verb writes the approximate zeros and the frozen maps, and
+    a certify run on the same directory reads them instead of recomputing."""
+    from renormcert import approx as ax
+    from renormcert import cli
+
+    fresh = pl.run_pipeline(pl.RunConfig(degree=20, precision=30))
+    ck = tmp_path / "ck"
+    assert cli.main(["approx", "-N", "20", "-P", "30", "--checkpoint-dir", str(ck)]) == 0
+    names = ("g0", "delta0", "gamma0", "lambda_fixed", "lambda_delta", "lambda_gamma")
+    assert sorted(p.name for p in ck.iterdir()) == sorted(f"{x}_n20_p30.txt" for x in names)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("frozen map recomputed instead of read")
+
+    monkeypatch.setattr(ax, "build_lambda", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "-N", "20", "-P", "30", "-o", str(out),
+                     "--checkpoint-dir", str(ck)]) == 0
+    for name, cert in fresh.certificates.items():
+        data = json.loads((out / f"certificate_{name}.json").read_text())
+        assert data["certificate"] == json.loads(json.dumps(cert.to_payload()))
+
+
 def test_cli_plot(tmp_path, capsys):
     from renormcert import cli
 
