@@ -1,27 +1,42 @@
-"""Enclosures of analytic functions on a disc, with guaranteed-enclosure arithmetic.
+"""Enclosures of real-analytic functions on a disc, with guaranteed-enclosure arithmetic.
 
 A :class:`FunctionBall` represents a set of functions analytic on the open
-disc D(c, r) and continuous on its closure, written in the scaled-monomial
-basis e_k : z -> ((z - c)/r)**k with the l1 coefficient norm.  The set is
+disc D(c, r), continuous on its closure, written in the scaled-monomial
+basis e_k : z -> ((z - c)/r)**k with the l1 coefficient norm and real
+coefficients.  The center c and radius r are real, so every member
+satisfies f(conj z) = conj f(z) and is real on the real axis.  The set is
 
     f = f_P + f_H + f_E
 
 where f_P is a polynomial of degree <= N whose basis coefficients lie in
-the stored rectangles, f_H is any function supported strictly above degree
-N with ||f_H|| <= v_high, and f_E is any function with ||f_E|| <= v_err.
-Every operation returns a ball enclosing the exact image of every member.
+the stored intervals, f_H is any real-coefficient function supported
+strictly above degree N with ||f_H|| <= v_high, and f_E is any
+real-coefficient function with ||f_E|| <= v_err.  Every operation returns
+a ball enclosing the exact image of every member.  Coefficients are held
+as rectangles whose imaginary part is exactly zero; a ball with any other
+coefficient is refused when it is built.
 
-Coefficient magnitudes are accounted with |re| + |im|, an upper bound of
-the complex modulus that is exact for real coefficients and keeps the norm
-submultiplicative without square roots.
+Why real coefficients suffice.  The doubling operator T, its derivative
+DT, the noise operator L and both eigen residuals map real-coefficient
+functions to real-coefficient functions: a = G(1) is real, and sums,
+products and compositions of real series are real.  The frozen map
+Lambda of a certificate is a real matrix with a real tail scalar.  So
+Phi = id - Lambda F maps the closed real ball B(x0, rho), which is
+complete, into the real subspace, and kappa bounds DPhi restricted to
+that subspace.  The contraction argument therefore holds verbatim and
+gives a zero that is unique among the real-coefficient functions in the
+ball.  The domain-extension check is unchanged: it is a statement about
+every member at complex points.
 
 Coefficient kernels run on :class:`IntBall`, the exact integer
-midpoint-radius form of a ball.  Products convolve it exactly; composition
-goes through a :class:`PowerTable`, which holds the powers of the
-normalized argument in that form only, so composing is one exact integer
-matrix-vector product rounded outward once.  Pointwise evaluation goes
-through a :class:`PointEvaluator`, which holds a ball's coefficient
-endpoints as integers for interval Horner on integer boxes.
+midpoint-radius form of a ball's coefficients.  Products convolve it
+exactly; composition goes through a :class:`PowerTable`, which holds the
+powers of the normalized argument in that form only, so composing is one
+exact integer matrix-vector product rounded outward once.  Complex
+arithmetic is kept for pointwise work only: a :class:`PointEvaluator`
+holds a ball's coefficient endpoints as integers for interval Horner on
+integer boxes.  A member's value at a real point is real; at a non-real
+point its tails may move both parts of the value.
 """
 
 from __future__ import annotations
@@ -46,8 +61,8 @@ from .rounding import (
     Rectangle,
     RoundingContext,
     as_decimal,
+    finite_decimal,
     interval,
-    rectangle,
 )
 
 __all__ = [
@@ -124,6 +139,9 @@ class FunctionBall:
             raise ConfigError("function ball needs at least the constant coefficient")
         if self.v_high < 0 or self.v_err < 0:
             raise ConfigError("tail bounds must be nonnegative")
+        for k, c in enumerate(self.coeffs):
+            if not c.is_real():
+                raise ConfigError(f"coefficient {k} is not real: {c}")
 
     @property
     def truncation(self) -> int:
@@ -137,6 +155,23 @@ class FunctionBall:
                 f"v_high={self.v_high}, v_err={self.v_err})")
 
 
+def _real_ball(domain: Disc, coeffs, v_high: Decimal, v_err: Decimal) -> FunctionBall:
+    """The ball with the given interval coefficients."""
+    return FunctionBall(domain, tuple(Rectangle(x, IZERO) for x in coeffs), v_high, v_err)
+
+
+def _real_scalar(s) -> Interval:
+    """A real scalar as an interval: an Interval, a Rectangle with zero
+    imaginary part, or an exactly representable value."""
+    if isinstance(s, Interval):
+        return s
+    if isinstance(s, Rectangle):
+        if not s.is_real():
+            raise ConfigError(f"scalar {s} is not real")
+        return s.re
+    return interval(as_decimal(s))
+
+
 def _check_same_space(f: FunctionBall, g: FunctionBall):
     if f.domain != g.domain:
         raise DomainMismatch(f"domains differ: {f.domain} vs {g.domain}")
@@ -147,14 +182,11 @@ def _check_same_space(f: FunctionBall, g: FunctionBall):
 # -- constructors -----------------------------------------------------------
 
 def zero_ball(domain: Disc, n: int) -> FunctionBall:
-    zero = rectangle(0)
-    return FunctionBall(domain, (zero,) * (n + 1), _D0, _D0)
+    return _real_ball(domain, (IZERO,) * (n + 1), _D0, _D0)
 
 
 def const_ball(domain: Disc, n: int, value) -> FunctionBall:
-    v = value if isinstance(value, Rectangle) else rectangle(value)
-    zero = rectangle(0)
-    return FunctionBall(domain, (v,) + (zero,) * n, _D0, _D0)
+    return _real_ball(domain, (_real_scalar(value),) + (IZERO,) * n, _D0, _D0)
 
 
 def one_ball(domain: Disc, n: int) -> FunctionBall:
@@ -165,35 +197,28 @@ def basis_ball(domain: Disc, n: int, k: int) -> FunctionBall:
     """The basis element e_k as an exact ball (k <= n)."""
     if not 0 <= k <= n:
         raise IndexBeyondTruncation(f"basis index {k} not in 0..{n}")
-    coeffs = [rectangle(0)] * (n + 1)
-    coeffs[k] = rectangle(1)
-    return FunctionBall(domain, tuple(coeffs), _D0, _D0)
+    coeffs = [IZERO] * (n + 1)
+    coeffs[k] = interval(1)
+    return _real_ball(domain, coeffs, _D0, _D0)
 
 
 def ball_from_decimals(domain: Disc, values, n: int | None = None) -> FunctionBall:
     """Exact polynomial ball from a sequence of representable coefficients."""
-    coeffs = [rectangle(as_decimal(v)) for v in values]
+    coeffs = [interval(as_decimal(v)) for v in values]
     if n is not None:
         if len(coeffs) > n + 1:
             raise ConfigError("more coefficients than truncation allows")
-        coeffs += [rectangle(0)] * (n + 1 - len(coeffs))
-    return FunctionBall(domain, tuple(coeffs), _D0, _D0)
+        coeffs += [IZERO] * (n + 1 - len(coeffs))
+    return _real_ball(domain, coeffs, _D0, _D0)
 
 
 def affine_arg(ctx: RoundingContext, domain: Disc, n: int, s) -> FunctionBall:
-    """The map X -> s*X as a ball: coefficients (s*c, s*r, 0, ...)."""
-    if isinstance(s, Rectangle):
-        sr = s
-    elif isinstance(s, Interval):
-        sr = Rectangle(s, IZERO)
-    else:
-        sr = rectangle(as_decimal(s))
-    c0 = ctx.rscale(sr, domain.center)
-    c1 = ctx.rscale(sr, domain.radius)
-    coeffs = [c0, c1] + [rectangle(0)] * (n - 1)
+    """The map X -> s*X as a ball: coefficients (s*c, s*r, 0, ...), s real."""
     if n < 1:
         raise ConfigError("affine argument needs truncation degree >= 1")
-    return FunctionBall(domain, tuple(coeffs), _D0, _D0)
+    s = _real_scalar(s)
+    coeffs = [ctx.iscale(s, domain.center), ctx.iscale(s, domain.radius)] + [IZERO] * (n - 1)
+    return _real_ball(domain, coeffs, _D0, _D0)
 
 
 # -- norm and linear structure ----------------------------------------------
@@ -202,41 +227,33 @@ def norm_upper(ctx: RoundingContext, f: FunctionBall) -> Decimal:
     """Upper bound of ||g|| over every member g of the ball."""
     total = _D0
     for ck in f.coeffs:
-        total = ctx.add_up(total, ctx.mag1(ck))
+        total = ctx.add_up(total, ck.re.mag)
     total = ctx.add_up(total, f.v_high)
     return ctx.add_up(total, f.v_err)
 
 
 def add(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     _check_same_space(f, g)
-    coeffs = tuple(ctx.radd(a, b) for a, b in zip(f.coeffs, g.coeffs))
-    return FunctionBall(f.domain, coeffs,
-                        ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    return _real_ball(f.domain, (ctx.iadd(a.re, b.re) for a, b in zip(f.coeffs, g.coeffs)),
+                      ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
 
 
 def sub(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     _check_same_space(f, g)
-    coeffs = tuple(ctx.rsub(a, b) for a, b in zip(f.coeffs, g.coeffs))
-    return FunctionBall(f.domain, coeffs,
-                        ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    return _real_ball(f.domain, (ctx.isub(a.re, b.re) for a, b in zip(f.coeffs, g.coeffs)),
+                      ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
 
 
 def negate(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
-    return FunctionBall(f.domain, tuple(ctx.rneg(c) for c in f.coeffs), f.v_high, f.v_err)
+    return _real_ball(f.domain, (ctx.ineg(c.re) for c in f.coeffs), f.v_high, f.v_err)
 
 
 def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
-    """Multiply the ball by a scalar (Rectangle, Interval, or exact value)."""
-    if isinstance(s, Rectangle):
-        sr = s
-    elif isinstance(s, Interval):
-        sr = Rectangle(s, IZERO)
-    else:
-        sr = rectangle(as_decimal(s))
-    m = ctx.mag1(sr)
-    coeffs = tuple(ctx.rmul(sr, c) for c in f.coeffs)
-    return FunctionBall(f.domain, coeffs,
-                        ctx.mul_up(f.v_high, m), ctx.mul_up(f.v_err, m))
+    """Multiply the ball by a real scalar (Interval, real Rectangle, or exact value)."""
+    s = _real_scalar(s)
+    m = s.mag
+    return _real_ball(f.domain, (ctx.imul(s, c.re) for c in f.coeffs),
+                      ctx.mul_up(f.v_high, m), ctx.mul_up(f.v_err, m))
 
 
 # -- exact integer form ------------------------------------------------------
@@ -245,43 +262,33 @@ def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
 class IntBall:
     """A function ball in exact integer midpoint-radius form.
 
-    Coefficient k lies in (re_mid[k] +- re_rad[k]) + i (im_mid[k] +- im_rad[k]),
-    each times 10**-scale.  A list may stop early: missing entries are zero,
-    and real balls have empty imaginary lists.  v_high and v_err are the
-    tail bounds of :class:`FunctionBall`.  Kernels combine these exactly and
+    Coefficient k lies in mid[k] +- rad[k], times 10**-scale.  A list may
+    stop early: missing entries are zero.  v_high and v_err are the tail
+    bounds of :class:`FunctionBall`.  Kernels combine these exactly and
     round outward only where they say so.
     """
 
-    re_mid: list[int]
-    re_rad: list[int]
-    im_mid: list[int]
-    im_rad: list[int]
+    mid: list[int]
+    rad: list[int]
     scale: int
     v_high: Decimal
     v_err: Decimal
 
-    def parts(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        return self.re_mid, self.re_rad, self.im_mid, self.im_rad
 
-
-def _int_parts(ctx: RoundingContext, coeffs, n: int):
-    """Integer form of the coefficients up to the last nonzero one:
-    (re_mid, re_rad, im_mid, im_rad, S) at scale 10**-S, with an all-zero
-    list stored as the empty list."""
+def _int_parts(ctx: RoundingContext, coeffs: list[Interval], n: int):
+    """Integer form (mid, rad, S) at scale 10**-S of the intervals up to the
+    last nonzero one, with an all-zero list stored as the empty list."""
     size = len(coeffs)
-    while size and coeffs[size - 1].re.lo == coeffs[size - 1].re.hi == 0 \
-            and coeffs[size - 1].is_real():
+    while size and coeffs[size - 1].lo == coeffs[size - 1].hi == 0:
         size -= 1
-    res = [c.re for c in coeffs[:size]]
-    ims = [] if all(c.is_real() for c in coeffs[:size]) else [c.im for c in coeffs[:size]]
-    s = ctx.ball_scale(n, res + ims)
-    parts = ctx.to_midrad(res, s) + ctx.to_midrad(ims, s)
-    return tuple(v if any(v) else [] for v in parts) + (s,)
+    s = ctx.ball_scale(n, coeffs[:size])
+    return tuple(v if any(v) else [] for v in ctx.to_midrad(coeffs[:size], s)) + (s,)
 
 
 def to_int_ball(ctx: RoundingContext, f: FunctionBall) -> IntBall:
     """f in integer form at the scale ctx.ball_scale gives it, rounded outward."""
-    return IntBall(*_int_parts(ctx, f.coeffs, f.truncation), f.v_high, f.v_err)
+    return IntBall(*_int_parts(ctx, [c.re for c in f.coeffs], f.truncation),
+                   f.v_high, f.v_err)
 
 
 def _padded(xs: list[int], n: int) -> list[int]:
@@ -291,13 +298,8 @@ def _padded(xs: list[int], n: int) -> list[int]:
 
 def from_int_ball(ctx: RoundingContext, domain: Disc, n: int, b: IntBall) -> FunctionBall:
     """Degree-n working-precision ball enclosing b, each coefficient rounded outward."""
-    re = ctx.from_midrad(_padded(b.re_mid, n), _padded(b.re_rad, n), b.scale)
-    if any(b.im_mid) or any(b.im_rad):
-        im = ctx.from_midrad(_padded(b.im_mid, n), _padded(b.im_rad, n), b.scale)
-        coeffs = tuple(map(Rectangle, re, im))
-    else:
-        coeffs = tuple(Rectangle(x, IZERO) for x in re)
-    return FunctionBall(domain, coeffs, b.v_high, b.v_err)
+    return _real_ball(domain, ctx.from_midrad(_padded(b.mid, n), _padded(b.rad, n), b.scale),
+                      b.v_high, b.v_err)
 
 
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
@@ -324,33 +326,17 @@ def _add_lists(a: list[int], b: list[int]) -> list[int]:
     return list(map(_iadd, a, b)) + a[len(b):]
 
 
-def _add_into(acc: list[int], terms: list[int], sign: int = 1):
-    for k, t in enumerate(terms):
-        acc[k] += sign * t
+def _magnitudes(mid: list[int], rad: list[int]) -> list[int]:
+    """Upper bounds |mid| + rad of the coefficients of an integer ball."""
+    return _add_lists(list(map(abs, mid)), rad)
 
 
-def _product_radii(f_parts, g_parts, n: int) -> tuple[list[int], list[int]]:
-    """Radii of the real and imaginary coefficients of the product of two
-    integer balls, each given as (re_mid, re_rad, im_mid, im_rad).
-
-    A product of real intervals (m, r)(m', r') has radius |m| r' + r (|m'| + r');
-    the real part sums the terms of fm gm and fmi gmi, the imaginary part
-    those of fm gmi and fmi gm."""
-    fm, fr, fmi, fri = f_parts
-    gm, gr, gmi, gri = g_parts
-    fa, fai = list(map(abs, fm)), list(map(abs, fmi))
-    gmag, gmagi = _add_lists(list(map(abs, gm)), gr), _add_lists(list(map(abs, gmi)), gri)
-    re_rad, im_rad = [0] * (n + 1), [0] * (n + 1)
-    for left, to_re, to_im in ((fa, gr, gri), (fai, gri, gr),
-                               (fr, gmag, gmagi), (fri, gmagi, gmag)):
-        _add_into(re_rad, _conv(left, to_re, n))
-        _add_into(im_rad, _conv(left, to_im, n))
-    return re_rad, im_rad
-
-
-def _magnitudes(m, r, mi, ri) -> list[int]:
-    """Upper bounds |re| + |im| of the coefficients of an integer ball."""
-    return _add_lists(_add_lists(list(map(abs, m)), r), _add_lists(list(map(abs, mi)), ri))
+def _product_radii(fm: list[int], fr: list[int], gm: list[int], gr: list[int],
+                   n: int) -> list[int]:
+    """Radii of the product of two integer balls, from their midpoints and
+    radii: a product of intervals (m, r)(m', r') has radius
+    |m| r' + r (|m'| + r')."""
+    return _add_lists(_conv(list(map(abs, fm)), gr, n), _conv(fr, _magnitudes(gm, gr), n))
 
 
 def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
@@ -360,16 +346,9 @@ def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
     goes to v_high, as do polynomial-by-high products; anything touching an
     error part lands in v_err.  Only those tail bounds are rounded (upward).
     """
-    fm, fr, fmi, fri = f.parts()
-    gm, gr, gmi, gri = g.parts()
-    re_mid, im_mid = [0] * (n + 1), [0] * (n + 1)
-    _add_into(re_mid, _conv(fm, gm, n))
-    _add_into(re_mid, _conv(fmi, gmi, n), -1)
-    _add_into(im_mid, _conv(fm, gmi, n))
-    _add_into(im_mid, _conv(fmi, gm, n))
-    re_rad, im_rad = _product_radii(f.parts(), g.parts(), n)
-
-    mf, mg = _magnitudes(fm, fr, fmi, fri), _magnitudes(gm, gr, gmi, gri)
+    mid = _conv(f.mid, g.mid, n)
+    rad = _product_radii(f.mid, f.rad, g.mid, g.rad, n)
+    mf, mg = _magnitudes(f.mid, f.rad), _magnitudes(g.mid, g.rad)
     # spill: sum of mf[i] mg[j] over i + j > N, from suffix sums of mg
     tail, suffix = 0, [0] * (len(mg) + 1)
     for j in range(len(mg) - 1, -1, -1):
@@ -383,7 +362,7 @@ def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
     v_err = ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err))
     v_err = ctx.add_up(v_err, ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high)))
-    return IntBall(*(v if any(v) else [] for v in (re_mid, re_rad, im_mid, im_rad)),
+    return IntBall(mid if any(mid) else [], rad if any(rad) else [],
                    f.scale + g.scale, v_high, v_err)
 
 
@@ -393,7 +372,7 @@ def int_add(ctx: RoundingContext, f: IntBall, g: IntBall) -> IntBall:
     uf, ug = 10 ** (s - f.scale), 10 ** (s - g.scale)
     parts = [_add_lists(a if uf == 1 else [x * uf for x in a],
                         b if ug == 1 else [x * ug for x in b])
-             for a, b in zip(f.parts(), g.parts())]
+             for a, b in ((f.mid, g.mid), (f.rad, g.rad))]
     return IntBall(*parts, s, ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
 
 
@@ -402,22 +381,17 @@ def int_outward(ctx: RoundingContext, b: IntBall, n: int) -> IntBall:
     with the same largest coefficient, so that it keeps precision +
     digits(n+1) digits: each midpoint is floored and each radius grows by
     the remainder, then rounds up."""
-    top = max(_add_lists(list(map(abs, b.re_mid)), b.re_rad)
-              + _add_lists(list(map(abs, b.im_mid)), b.im_rad), default=0)
+    top = max(_magnitudes(b.mid, b.rad), default=0)
     if not top:
-        return IntBall([], [], [], [], 0, b.v_high, b.v_err)
+        return IntBall([], [], 0, b.v_high, b.v_err)
     cut = b.scale - (ctx.precision + len(str(n + 1)) - (len(str(top)) - 1 - b.scale))
     if cut <= 0:
         return b
     unit = 10 ** cut
-
-    def rounded(mids, rads):
-        size = max(len(mids), len(rads))
-        qr = [divmod(m, unit) for m in _padded(mids, size - 1)]
-        return ([q for q, _ in qr],
-                [-((-r - rem) // unit) for (_, rem), r in zip(qr, _padded(rads, size - 1))])
-
-    return IntBall(*rounded(b.re_mid, b.re_rad), *rounded(b.im_mid, b.im_rad),
+    size = max(len(b.mid), len(b.rad))
+    qr = [divmod(m, unit) for m in _padded(b.mid, size - 1)]
+    return IntBall([q for q, _ in qr],
+                   [-((-r - rem) // unit) for (_, rem), r in zip(qr, _padded(b.rad, size - 1))],
                    b.scale - cut, b.v_high, b.v_err)
 
 
@@ -438,35 +412,27 @@ def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
 
 def normalized_argument(ctx: RoundingContext, h: FunctionBall) -> FunctionBall:
     """The ball (h - c)/r used as composition argument."""
-    c = h.domain.center
     inv = ctx.idiv(interval(1), interval(h.domain.radius))
-    shifted = (ctx.rsub(h.coeffs[0], rectangle(c)),) + h.coeffs[1:]
-    coeffs = tuple(ctx.rscale_i(ck, inv) for ck in shifted)
-    vh = ctx.mul_up(h.v_high, inv.hi)
-    ve = ctx.mul_up(h.v_err, inv.hi)
-    return FunctionBall(h.domain, coeffs, vh, ve)
+    shifted = [ctx.isub(h.coeffs[0].re, interval(h.domain.center))] + [c.re for c in h.coeffs[1:]]
+    return _real_ball(h.domain, (ctx.imul(x, inv) for x in shifted),
+                      ctx.mul_up(h.v_high, inv.hi), ctx.mul_up(h.v_err, inv.hi))
 
 
 def theta(ctx: RoundingContext, h: FunctionBall) -> Decimal:
     """Upper bound of ||(h - c)/r||, the composition contraction factor."""
-    c = h.domain.center
-    total = ctx.mag1(ctx.rsub(h.coeffs[0], rectangle(c)))
+    total = ctx.isub(h.coeffs[0].re, interval(h.domain.center)).mag
     for ck in h.coeffs[1:]:
-        total = ctx.add_up(total, ctx.mag1(ck))
+        total = ctx.add_up(total, ck.re.mag)
     total = ctx.add_up(total, ctx.add_up(h.v_high, h.v_err))
     return ctx.div_up(total, h.domain.radius)
 
 
-def _derivative_coeffs(ctx: RoundingContext, f: FunctionBall) -> list[Rectangle]:
+def _derivative_coeffs(ctx: RoundingContext, f: FunctionBall) -> list[Interval]:
     """Coefficients of f_P' in the same basis: d/dz e_k = (k/r) e_{k-1}."""
-    r = f.domain.radius
-    out = []
-    for k in range(1, f.truncation + 1):
-        factor = ctx.idiv(interval(k), interval(r))
-        out.append(ctx.rscale_i(f.coeffs[k], factor))
-    if not out:
-        out.append(rectangle(0))
-    return out
+    r = interval(f.domain.radius)
+    out = [ctx.imul(f.coeffs[k].re, ctx.idiv(interval(k), r))
+           for k in range(1, f.truncation + 1)]
+    return out or [IZERO]
 
 
 def _sup_k_theta(ctx: RoundingContext, th: Decimal, n: int) -> Decimal:
@@ -503,11 +469,10 @@ class PowerTable:
     in exact integer midpoint-radius form, with theta(h).
 
     Row j of each matrix holds coefficient j of every power, for
-    j = 0..N + _GUARD_DEGREES; power k is at scale 10**-scales[k] (the
-    imaginary matrices are empty when the powers are real).  v_high[k]
-    bounds the mass of u**k above degree N and v_spill[k] the mass above
-    the guard degrees; v_err[k] is its error tail.  Composing f with h is
-    sum_k f_k u**k: one exact integer matrix-vector product per part,
+    j = 0..N + _GUARD_DEGREES; power k is at scale 10**-scales[k].
+    v_high[k] bounds the mass of u**k above degree N and v_spill[k] the
+    mass above the guard degrees; v_err[k] is its error tail.  Composing f
+    with h is sum_k f_k u**k: one exact integer matrix-vector product,
     rounded outward once, with the guard rows summed into v_high.  Column
     k, cut at degree N, is u**k itself, the image of e_k.
     """
@@ -515,10 +480,8 @@ class PowerTable:
     domain: Disc
     theta_bound: Decimal
     scales: tuple
-    re_mid: tuple
-    re_rad: tuple
-    im_mid: tuple
-    im_rad: tuple
+    mid: tuple
+    rad: tuple
     v_high: tuple
     v_spill: tuple
     v_err: tuple
@@ -530,9 +493,8 @@ class PowerTable:
     def power(self, k: int) -> IntBall:
         """u**k in integer form to degree N."""
         n = self.truncation
-        parts = ([row[k] for row in rows[:n + 1]]
-                 for rows in (self.re_mid, self.re_rad, self.im_mid, self.im_rad))
-        return IntBall(*(p if any(p) else [] for p in parts),
+        mid, rad = ([row[k] for row in rows[:n + 1]] for rows in (self.mid, self.rad))
+        return IntBall(mid if any(mid) else [], rad if any(rad) else [],
                        self.scales[k], self.v_high[k], self.v_err[k])
 
     def _require(self, strict: bool):
@@ -541,36 +503,24 @@ class PowerTable:
             raise CompositionContractFailure(
                 f"composition argument has theta = {th} (strict={strict})")
 
-    def _polynomial(self, ctx: RoundingContext, coeffs) -> FunctionBall:
+    def _polynomial(self, ctx: RoundingContext, coeffs: list[Interval]) -> FunctionBall:
         """Enclosure of sum_k coeffs[k] u**k over every member of the argument."""
         n = self.truncation
-        fm, fr, fmi, fri, sf = _int_parts(ctx, coeffs, n)
+        fm, fr, sf = _int_parts(ctx, coeffs, n)
         top = max(self.scales)
         units = [10 ** (top - s) for s in self.scales]
-
-        def aligned(xs):
-            return list(map(_imul, xs, units))
-
-        am, ar, ami, ari = aligned(fm), aligned(fr), aligned(fmi), aligned(fri)
-        aa, aai = list(map(abs, am)), list(map(abs, ami))
-        rm, rr, im, ir = self.re_mid, self.re_rad, self.im_mid, self.im_rad
-        rg = [list(map(_iadd, map(abs, m), r)) for m, r in zip(rm, rr)]
-        ig = [list(map(_iadd, map(abs, m), r)) for m, r in zip(im, ir)]
-        re_mid = _add_lists(_dots(am, rm), [-x for x in _dots(ami, im)])
-        im_mid = _add_lists(_dots(am, im), _dots(ami, rm))
-        re_rad, im_rad = [], []
-        for left, to_re, to_im in ((aa, rr, ir), (aai, ir, rr), (ar, rg, ig), (ari, ig, rg)):
-            re_rad = _add_lists(re_rad, _dots(left, to_re))
-            im_rad = _add_lists(im_rad, _dots(left, to_im))
-        guard = _magnitudes(re_mid[n + 1:], re_rad[n + 1:], im_mid[n + 1:], im_rad[n + 1:])
+        am, ar = list(map(_imul, fm, units)), list(map(_imul, fr, units))
+        mags = [list(map(_iadd, map(abs, m), r)) for m, r in zip(self.mid, self.rad)]
+        mid = _dots(am, self.mid)
+        rad = _add_lists(_dots(list(map(abs, am)), self.rad), _dots(ar, mags))
+        guard = _magnitudes(mid[n + 1:], rad[n + 1:])
         v_high, v_err = ctx.scaled_up(sum(guard), sf + top), _D0
-        for k, m in enumerate(_magnitudes(fm, fr, fmi, fri)):
+        for k, m in enumerate(_magnitudes(fm, fr)):
             if m and (self.v_spill[k] or self.v_err[k]):
                 mk = ctx.scaled_up(m, sf)
                 v_high = ctx.add_up(v_high, ctx.mul_up(mk, self.v_spill[k]))
                 v_err = ctx.add_up(v_err, ctx.mul_up(mk, self.v_err[k]))
-        out = IntBall(re_mid[:n + 1], re_rad[:n + 1], im_mid[:n + 1], im_rad[:n + 1],
-                      sf + top, v_high, v_err)
+        out = IntBall(mid[:n + 1], rad[:n + 1], sf + top, v_high, v_err)
         return from_int_ball(ctx, self.domain, n, out)
 
     def compose(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
@@ -583,7 +533,7 @@ class PowerTable:
         if f.domain != self.domain or f.truncation != self.truncation:
             raise DomainMismatch("composed ball and power table differ in space")
         self._require(strict=f.v_high > 0 or f.v_err > 0)
-        out = self._polynomial(ctx, f.coeffs)
+        out = self._polynomial(ctx, [c.re for c in f.coeffs])
         tail = f.v_err
         if f.v_high > 0:
             th = self.theta_bound
@@ -625,18 +575,14 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     n = h.truncation
     m = n + _GUARD_DEGREES
     u = to_int_ball(ctx, normalized_argument(ctx, h))
-    powers = [IntBall([1], [], [], [], 0, _D0, _D0), u][:n + 1]
+    powers = [IntBall([1], [], 0, _D0, _D0), u][:n + 1]
     for _ in range(2, n + 1):
         powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, m), m))
-
-    def rows(part: int) -> tuple:
-        return tuple(zip(*(_padded(p.parts()[part], m) for p in powers)))
-
-    real = not any(any(p.im_mid) or any(p.im_rad) for p in powers)
     high = tuple(ctx.add_up(p.v_high, ctx.scaled_up(
-        sum(_magnitudes(*(x[n + 1:] for x in p.parts()))), p.scale)) for p in powers)
+        sum(_magnitudes(p.mid[n + 1:], p.rad[n + 1:])), p.scale)) for p in powers)
     return PowerTable(h.domain, theta(ctx, h), tuple(p.scale for p in powers),
-                      rows(0), rows(1), () if real else rows(2), () if real else rows(3),
+                      tuple(zip(*(_padded(p.mid, m) for p in powers))),
+                      tuple(zip(*(_padded(p.rad, m) for p in powers))),
                       high, tuple(p.v_high for p in powers), tuple(p.v_err for p in powers))
 
 
@@ -691,16 +637,19 @@ def _exact_int(ctx: RoundingContext, x: Decimal, scale: int) -> tuple[int, int]:
 class PointEvaluator:
     """A ball held for pointwise evaluation in exact integer box form.
 
-    coeffs[k] is the box (re_lo, re_hi, im_lo, im_hi) of coefficient k and
-    dcoeffs[k] that of (k+1) f_{k+1} / r, the coefficients of f_P', both at
-    scale 10**-scale and rounded outward.  A point z is read at scale
+    coeffs[k] is the interval (lo, hi) of coefficient k and dcoeffs[k] that
+    of (k+1) f_{k+1} / r, the coefficients of f_P', both at scale
+    10**-scale and rounded outward.  A point z is read at scale
     10**-point_scale, where the disc's center and radius are exact
     integers; reading rounds outward and is exact for every working-precision
     endpoint above 10**-arg_scale in magnitude.  The normalized argument
     u = (z - c)/r is rounded outward to scale 10**-arg_scale, and interval
     Horner runs on boxes with exact products and one floor/ceil per step
     back to 10**-scale.  The tail pad v_high + v_err is held exactly, at
-    scale 10**-pad_scale.
+    scale 10**-pad_scale.  Every member is real on the real axis, so at a
+    real point (im z exactly 0) the value has imaginary part 0 and the pad
+    widens its real part only; at a non-real point the tails may move both
+    parts, and both are padded.
     """
 
     domain: Disc
@@ -745,11 +694,13 @@ class PointEvaluator:
 
     def _horner(self, coeffs, u):
         """Box Horner: acc <- acc u + c_k, each product rounded outward back
-        to 10**-scale; real boxes skip the imaginary products."""
+        to 10**-scale.  The coefficients are real, so at a real argument
+        the imaginary part stays 0 and its products are skipped."""
         ul, uh, vl, vh = u
         unit = 10 ** self.arg_scale
-        rl, rh, il, ih = coeffs[-1]
-        for cl, ch, dl, dh in reversed(coeffs[:-1]):
+        rl, rh = coeffs[-1]
+        il = ih = 0
+        for cl, ch in reversed(coeffs[:-1]):
             pl, ph = _imul_ends(rl, rh, ul, uh)
             if vl or vh:
                 ql, qh = _imul_ends(rl, rh, vl, vh)
@@ -757,21 +708,20 @@ class PointEvaluator:
                     sl, sh = _imul_ends(il, ih, vl, vh)
                     tl, th = _imul_ends(il, ih, ul, uh)
                     pl, ph, ql, qh = pl - sh, ph - sl, ql + tl, qh + th
-            elif il or ih:
-                ql, qh = _imul_ends(il, ih, ul, uh)
-            else:
-                ql = qh = 0
+                il, ih = _outward(ql, qh, unit)
             rl, rh = _outward(pl, ph, unit)
-            il, ih = _outward(ql, qh, unit)
-            rl, rh, il, ih = rl + cl, rh + ch, il + dl, ih + dh
+            rl, rh = rl + cl, rh + ch
         return rl, rh, il, ih
 
-    def _rectangle(self, ctx: RoundingContext, acc, pad: int, pad_scale: int) -> Rectangle:
-        """acc widened by +-pad in both parts, converted once, outward."""
+    def _rectangle(self, ctx: RoundingContext, acc, pad: int, pad_scale: int,
+                   real: bool) -> Rectangle:
+        """acc widened by +-pad, in the real part only at a real point, and
+        converted once, outward."""
         lift = 10 ** (pad_scale - self.scale)
         rl, rh, il, ih = (x * lift for x in acc)
+        ipad = 0 if real else pad
         parts = []
-        for lo, hi in ((rl - pad, rh + pad), (il - pad, ih + pad)):
+        for lo, hi in ((rl - pad, rh + pad), (il - ipad, ih + ipad)):
             parts.append(Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
                          if lo or hi else IZERO)
         return Rectangle(*parts)
@@ -779,15 +729,17 @@ class PointEvaluator:
     def value(self, ctx: RoundingContext, z: Rectangle) -> Rectangle:
         """Enclosure of f(z) over every member of f, for z in the closed disc."""
         u, _ = self._argument(ctx, z)
-        return self._rectangle(ctx, self._horner(self.coeffs, u), self.pad, self.pad_scale)
+        return self._rectangle(ctx, self._horner(self.coeffs, u), self.pad, self.pad_scale,
+                               not (u[2] or u[3]))
 
     def derivative(self, ctx: RoundingContext, z: Rectangle) -> Rectangle:
         """Enclosure of f'(z); needs |z - c| strictly below r when f has tails,
         whose derivative is bounded by (v_high + v_err) (1 - |u|)**-2 / r."""
         u, d2 = self._argument(ctx, z)
         acc = self._horner(self.dcoeffs, u)
+        real = not (u[2] or u[3])
         if self.tail_mass == 0:
-            return self._rectangle(ctx, acc, 0, self.scale)
+            return self._rectangle(ctx, acc, 0, self.scale, real)
         if d2 >= self.radius * self.radius:
             raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
         # |u| <= ceil(sqrt(d2)) / r, rounded up to 10**-arg_scale
@@ -799,7 +751,7 @@ class PointEvaluator:
         one_minus = ctx.sub_dn(_D1, au)
         geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
         pad = ctx.div_up(ctx.mul_up(self.tail_mass, geo), self.domain.radius)
-        return self._rectangle(ctx, acc, *_exact_int(ctx, pad, self.scale))
+        return self._rectangle(ctx, acc, *_exact_int(ctx, pad, self.scale), real)
 
 
 def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
@@ -812,20 +764,17 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
     """
     n = f.truncation
     c, r = f.domain.center, f.domain.radius
-    parts = [x.re for x in f.coeffs] + [x.im for x in f.coeffs]
+    parts = [x.re for x in f.coeffs]
     s = ctx.ball_scale(n, parts)
-    los, his = ctx.to_ends(parts, s)
-    coeffs = tuple(zip(los[:n + 1], his[:n + 1], los[n + 1:], his[n + 1:]))
+    coeffs = tuple(zip(*ctx.to_ends(parts, s)))
     arg_scale = ctx.precision + len(str(n + 1))
     point_scale = max(2 * arg_scale, -c.as_tuple().exponent, -r.as_tuple().exponent)
     (center, radius), _ = ctx.to_ends([Interval(c, c), Interval(r, r)], point_scale)
     # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
-    dcoeffs = []
-    for k, (rl, rh, il, ih) in enumerate(coeffs[1:], 1):
-        m = k * 10 ** point_scale
-        dcoeffs.append((*_outward(rl * m, rh * m, radius), *_outward(il * m, ih * m, radius)))
+    dcoeffs = tuple(_outward(lo * k * 10 ** point_scale, hi * k * 10 ** point_scale, radius)
+                    for k, (lo, hi) in enumerate(coeffs[1:], 1))
     tail_mass = ctx.add_up(f.v_high, f.v_err)
-    return PointEvaluator(f.domain, s, coeffs, tuple(dcoeffs) or ((0, 0, 0, 0),),
+    return PointEvaluator(f.domain, s, coeffs, dcoeffs or ((0, 0),),
                           arg_scale, point_scale,
                           center, radius, tail_mass, *_exact_int(ctx, tail_mass, s))
 
@@ -844,18 +793,15 @@ def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> 
 
 # -- coefficients ---------------------------------------------------------------
 
-def _pad_rectangle(ctx: RoundingContext, z: Rectangle, pad: Decimal) -> Rectangle:
-    if pad == 0:
-        return z
-    box = Interval(pad.copy_negate(), pad)
-    return Rectangle(ctx.iadd(z.re, box), ctx.iadd(z.im, box))
-
-
 def coefficient(ctx: RoundingContext, f: FunctionBall, k: int) -> Rectangle:
-    """Rectangle containing coefficient k of every member (error part included)."""
+    """Rectangle containing coefficient k of every member (error part
+    included); its imaginary part is 0, as every member's is."""
     if k > f.truncation or k < 0:
         raise IndexBeyondTruncation(f"coefficient {k} beyond truncation {f.truncation}")
-    return _pad_rectangle(ctx, f.coeffs[k], f.v_err)
+    c = f.coeffs[k]
+    if f.v_err == 0:
+        return c
+    return Rectangle(ctx.iadd(c.re, Interval(f.v_err.copy_negate(), f.v_err)), IZERO)
 
 
 def inflate(ctx: RoundingContext, f: FunctionBall, rho) -> FunctionBall:
@@ -887,6 +833,10 @@ def serialize_ball(f: FunctionBall) -> str:
 
 
 def deserialize_ball(text: str) -> FunctionBall:
+    """The ball written by :func:`serialize_ball`.  Text read from outside
+    is checked: a missing field, a malformed line or number, a non-finite
+    or misordered endpoint, a coefficient count that does not match the
+    truncation and a non-real coefficient each raise ConfigError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _BALL_HEADER:
         raise ConfigError("not a serialized function ball")
@@ -895,17 +845,23 @@ def deserialize_ball(text: str) -> FunctionBall:
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "coeff":
-            a, b, c, d = rest.split()
-            coeffs.append(Rectangle(Interval(Decimal(a), Decimal(b)),
-                                    Interval(Decimal(c), Decimal(d))))
+            ends = rest.split()
+            if len(ends) != 4:
+                raise ConfigError(f"coeff line needs 4 endpoints: {ln!r}")
+            a, b, c, d = (finite_decimal(x, "coeff endpoint") for x in ends)
+            coeffs.append(Rectangle(Interval(a, b), Interval(c, d)))
         else:
             fields[key] = rest
-    domain = Disc(Decimal(fields["center"]), Decimal(fields["radius"]))
-    n = int(fields["truncation"])
+    missing = [k for k in ("center", "radius", "truncation", "v_high", "v_err")
+               if k not in fields]
+    if missing:
+        raise ConfigError(f"missing field(s): {', '.join(missing)}")
+    value = {k: finite_decimal(fields[k], k) for k in ("center", "radius", "v_high", "v_err")}
+    n = finite_decimal(fields["truncation"], "truncation")
     if len(coeffs) != n + 1:
         raise ConfigError("coefficient count does not match truncation")
-    return FunctionBall(domain, tuple(coeffs),
-                        Decimal(fields["v_high"]), Decimal(fields["v_err"]))
+    return FunctionBall(Disc(value["center"], value["radius"]), tuple(coeffs),
+                        value["v_high"], value["v_err"])
 
 
 def ball_checksum(f: FunctionBall) -> str:

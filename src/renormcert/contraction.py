@@ -82,6 +82,9 @@ class LinearMap:
         if any(len(row) != n for row in self.matrix):
             raise ConfigError("linear map matrix must be square")
         self.tail_scalar = as_decimal(tail_scalar)
+        if not self.tail_scalar.is_finite() or not all(
+                x.is_finite() for row in self.matrix for x in row):
+            raise ConfigError("linear map entries must be finite")
         self._col_sums = {}
         self._int_rows = None
 
@@ -114,10 +117,7 @@ class LinearMap:
 
 def _int_matrix(matrix) -> tuple[list[list[int]], int]:
     """A matrix of exact decimals as integers at one scale 10**-e: (rows, e)."""
-    entries = [x for row in matrix for x in row if x]
-    if not all(x.is_finite() for x in entries):
-        raise ConfigError("matrix entries must be finite")
-    e = max([0] + [-x.as_tuple().exponent for x in entries])
+    e = max([0] + [-x.as_tuple().exponent for row in matrix for x in row if x])
     ten = 10 ** e
 
     def exact(x):
@@ -163,8 +163,7 @@ def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> Funct
         raise DimensionMismatch(f"map dimension {lam.dim} vs ball degree {n}")
     rows, e = lam.int_rows()
     b = fb.to_int_ball(ctx, f)
-    moved = fb.IntBall(*_apply_rows(rows, b.re_mid, b.re_rad),
-                       *_apply_rows(rows, b.im_mid, b.im_rad), b.scale + e,
+    moved = fb.IntBall(*_apply_rows(rows, b.mid, b.rad), b.scale + e,
                        ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
                        ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
     return fb.from_int_ball(ctx, f.domain, n, moved)
@@ -234,9 +233,8 @@ class Problem:
 
 
 def _phi(ctx: RoundingContext, x: FunctionBall) -> Interval:
-    """Coordinate functional: the constant basis coefficient (real part)."""
-    rect = fb.coefficient(ctx, x, 0)
-    return rect.re
+    """Coordinate functional: the constant basis coefficient."""
+    return fb.coefficient(ctx, x, 0).re
 
 
 def _widened(ctx: RoundingContext, center: Interval, radius: Decimal) -> Interval:
@@ -245,7 +243,7 @@ def _widened(ctx: RoundingContext, center: Interval, radius: Decimal) -> Interva
 
 def _dt_tail_channels(ctx: RoundingContext, shared: SharedEvaluations):
     return (
-        (ctx.mag1(shared.a_inv), shared.theta_squared),
+        (shared.a_inv.mag, shared.theta_squared),
         (fb.norm_upper(ctx, shared.factor16), shared.theta_affine),
     )
 
@@ -355,7 +353,7 @@ class GammaProblem(_EigenProblem):
     def tail_channels(self, ctx, x_ball):
         s = self.tables.shared
         return (
-            (ctx.mag1(s.a_inv2), s.theta_squared),
+            (s.a_inv2.mag, s.theta_squared),
             (fb.norm_upper(ctx, s.factor16_sq), s.theta_affine),
         )
 
@@ -382,10 +380,9 @@ def _column_bound(ctx: RoundingContext, kernel, lam_int: tuple, k: int) -> Decim
     the integer image and the coefficient norm is rounded up once."""
     image = kernel.image(ctx, k)
     rows, e, tail_abs, lam_norm = lam_int
-    re_mid, re_rad = _apply_rows(rows, image.re_mid, image.re_rad)
-    im_mid, im_rad = _apply_rows(rows, image.im_mid, image.im_rad)
-    re_mid[k] -= 10 ** (image.scale + e)
-    total = sum(map(abs, re_mid)) + sum(re_rad) + sum(map(abs, im_mid)) + sum(im_rad)
+    mid, rad = _apply_rows(rows, image.mid, image.rad)
+    mid[k] -= 10 ** (image.scale + e)
+    total = sum(map(abs, mid)) + sum(rad)
     bound = ctx.add_up(ctx.scaled_up(total, image.scale + e), ctx.mul_up(image.v_high, tail_abs))
     return ctx.add_up(bound, ctx.mul_up(image.v_err, lam_norm))
 

@@ -37,10 +37,10 @@ from .errors import (
     ConfigError,
     ContainmentFailure,
     DepthExceeded,
-    DivisionByZeroRectangle,
+    DivisionByZeroInterval,
     NormalizationSingular,
 )
-from .rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
+from .rounding import IONE, IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
 
 __all__ = [
     "SharedEvaluations",
@@ -67,10 +67,10 @@ class SharedEvaluations:
     power tables of the two composition arguments they were derived from."""
 
     source: FunctionBall
-    a: Rectangle
-    a2: Rectangle
-    a_inv: Rectangle
-    a_inv2: Rectangle
+    a: Interval
+    a2: Interval
+    a_inv: Interval
+    a_inv2: Interval
     affine: FunctionBall          # X -> a**2 X
     inner: FunctionBall           # G(a**2 X)
     squared: FunctionBall         # Q(G(a**2 X))
@@ -115,13 +115,14 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
     """
     n = G.truncation
     domain = G.domain
-    a = fb.evaluate(ctx, G, _ONE_POINT)
+    # every member is real on the real axis, so a = G(1) is real
+    a = fb.evaluate(ctx, G, _ONE_POINT).re
     try:
-        a_inv = ctx.rdiv(rectangle(1), a)
-    except DivisionByZeroRectangle as exc:
+        a_inv = ctx.idiv(IONE, a)
+    except DivisionByZeroInterval as exc:
         raise NormalizationSingular(f"a = G(1) = {a} may contain zero") from exc
-    a2 = ctx.rsqr(a)
-    a_inv2 = ctx.rsqr(a_inv)
+    a2 = ctx.isqr(a)
+    a_inv2 = ctx.isqr(a_inv)
     affine = fb.affine_arg(ctx, domain, n, a2)
     table_affine = fb.power_table(ctx, affine)
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
@@ -134,7 +135,7 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
         deriv_inner = _composed("G'(a2 X)", table_affine.compose_derivative, ctx, G)
         factor16 = fb.scale(ctx, a_inv,
                             fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, inner)))
-        two_a_x = fb.affine_arg(ctx, domain, n, ctx.rscale(a, _D2))
+        two_a_x = fb.affine_arg(ctx, domain, n, ctx.iscale(a, _D2))
         kwargs = dict(
             deriv_outer=deriv_outer,
             deriv_inner=deriv_inner,
@@ -149,8 +150,8 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
 
 
 def _delta_a_terms(ctx: RoundingContext, shared: SharedEvaluations,
-                   da: Rectangle) -> FunctionBall:
-    s = ctx.rneg(ctx.rmul(shared.a_inv2, da))
+                   da: Interval) -> FunctionBall:
+    s = ctx.ineg(ctx.imul(shared.a_inv2, da))
     out = fb.scale(ctx, s, shared.outer_comp)
     return fb.add(ctx, out, fb.scale(ctx, da, shared.factor17))
 
@@ -182,7 +183,7 @@ class ColumnImages:
         if k == 0:
             out = fb.int_add(ctx, out, self.column0)
         d = self.diagonal
-        shifted = fb.IntBall(*([0] * k + part if part else [] for part in d.parts()),
+        shifted = fb.IntBall(*([0] * k + part if part else [] for part in (d.mid, d.rad)),
                              d.scale, d.v_high, d.v_err)
         return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), n)
 
@@ -218,19 +219,18 @@ class OperatorTables:
         n = s.source.truncation
         if column0 is None:
             column0 = fb.zero_ball(s.domain, n)
-        minus_diag = Rectangle(ctx.ineg(diagonal), IZERO)
         return ColumnImages(
             s.table_squared, s.table_affine,
             fb.to_int_ball(ctx, fb.const_ball(s.domain, n, scalar)),
             fb.to_int_ball(ctx, factor),
             fb.to_int_ball(ctx, column0),
-            fb.to_int_ball(ctx, fb.const_ball(s.domain, n, minus_diag)))
+            fb.to_int_ball(ctx, fb.const_ball(s.domain, n, ctx.ineg(diagonal))))
 
     def dt_columns(self, ctx: RoundingContext, column0: FunctionBall | None = None,
                    diagonal: Interval = IZERO) -> ColumnImages:
         """Column images of DT(G) e_k + [k = 0] column0 - diagonal e_k."""
         s = self.shared
-        extra = _delta_a_terms(ctx, s, _ONE_POINT)
+        extra = _delta_a_terms(ctx, s, IONE)
         if column0 is not None:
             extra = fb.add(ctx, extra, column0)
         return self._columns(ctx, s.a_inv, s.factor16, extra, diagonal)
@@ -253,8 +253,8 @@ class OperatorTables:
         t15 = fb.scale(ctx, s.a_inv, s.table_squared.compose(ctx, dG))
         t16 = fb.mul(ctx, s.factor16, s.table_affine.compose(ctx, dG))
         out = fb.add(ctx, t15, t16)
-        da = fb.evaluate(ctx, dG, _ONE_POINT)
-        if ctx.mag1(da) != 0:
+        da = fb.evaluate(ctx, dG, _ONE_POINT).re
+        if da.mag != 0:
             out = fb.add(ctx, out, _delta_a_terms(ctx, s, da))
         return out
 

@@ -42,7 +42,7 @@ from .errors import (
     RenormcertError,
     StageFailure,
 )
-from .rounding import Interval, Rectangle, RoundingContext, interval, rectangle
+from .rounding import Interval, Rectangle, RoundingContext, finite_decimal, interval
 
 __all__ = [
     "RunConfig",
@@ -141,30 +141,57 @@ def serialize_linear_map(lam: LinearMap) -> str:
 
 
 def deserialize_linear_map(text: str) -> LinearMap:
+    """The map written by :func:`serialize_linear_map`.  A missing dim or
+    tail line, a dim that does not match the rows, a malformed or
+    non-finite number and a non-square matrix each raise ConfigError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "renormcert-lambda v1":
         raise ConfigError("not a serialized linear map")
-    tail = None
+    fields = {}
     rows = []
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key == "tail":
-            tail = Decimal(rest)
-        elif key == "row":
-            rows.append(tuple(Decimal(x) for x in rest.split()))
-    return LinearMap(tuple(rows), tail)
+        if key == "row":
+            rows.append(tuple(finite_decimal(x, "matrix entry") for x in rest.split()))
+        else:
+            fields[key] = rest
+    for key in ("dim", "tail"):
+        if key not in fields:
+            raise ConfigError(f"missing {key} line")
+    if finite_decimal(fields["dim"], "dim") != len(rows):
+        raise ConfigError(f"dim {fields['dim']} but {len(rows)} rows")
+    return LinearMap(tuple(rows), finite_decimal(fields["tail"], "tail"))
 
 
 def _checkpoint_path(directory: str, name: str, cfg: RunConfig) -> Path:
     return Path(directory) / f"{name}_n{cfg.degree}_p{cfg.precision}.txt"
 
 
-def _load_or_compute(cfg: RunConfig, name: str, compute, serialize, deserialize):
+def _check_ball(cfg: RunConfig, ball: fb.FunctionBall):
+    if ball.domain != STANDARD_DISC:
+        raise ConfigError(f"ball on {ball.domain}, the run needs {STANDARD_DISC}")
+    if ball.truncation != cfg.degree:
+        raise ConfigError(f"ball of degree {ball.truncation}, the run needs {cfg.degree}")
+
+
+def _check_map(cfg: RunConfig, lam: LinearMap):
+    if lam.dim != cfg.degree + 1:
+        raise ConfigError(f"map of dimension {lam.dim}, the run needs {cfg.degree + 1}")
+
+
+def _load_or_compute(cfg: RunConfig, name: str, compute, serialize, deserialize, check):
     """Checkpointed value: read from the checkpoint directory when present,
-    else computed and, with a checkpoint directory, written there."""
+    else computed and, with a checkpoint directory, written there.  A
+    checkpoint is outside input: one that does not parse, or does not fit
+    the run (``check``), raises ConfigError naming the file."""
     path = _checkpoint_path(cfg.checkpoint_dir, name, cfg) if cfg.checkpoint_dir else None
     if path is not None and path.exists():
-        return deserialize(path.read_text())
+        try:
+            value = deserialize(path.read_text())
+            check(cfg, value)
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint {path}: {exc}") from exc
+        return value
     value = compute()
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,8 +199,8 @@ def _load_or_compute(cfg: RunConfig, name: str, compute, serialize, deserialize)
     return value
 
 
-_BALL_FORMAT = (fb.serialize_ball, fb.deserialize_ball)
-_LAMBDA_FORMAT = (serialize_linear_map, deserialize_linear_map)
+_BALL_FORMAT = (fb.serialize_ball, fb.deserialize_ball, _check_ball)
+_LAMBDA_FORMAT = (serialize_linear_map, deserialize_linear_map, _check_map)
 
 
 # -- digit extraction ----------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "Rectangle",
     "RoundingContext",
     "as_decimal",
+    "finite_decimal",
     "interval",
     "rectangle",
     "IZERO",
@@ -62,6 +63,18 @@ def as_decimal(x) -> Decimal:
     if isinstance(x, float):
         raise TypeError("floats are not exactly representable here; pass str(x)")
     raise TypeError(f"cannot convert {type(x).__name__} to Decimal")
+
+
+def finite_decimal(text: str, what: str) -> Decimal:
+    """The finite number written in ``text``, read from outside input;
+    ConfigError naming ``what`` for anything else (NaN, infinity, junk)."""
+    try:
+        x = Decimal(text)
+    except decimal.InvalidOperation:
+        raise ConfigError(f"{what}: {text!r} is not a number") from None
+    if not x.is_finite():
+        raise ConfigError(f"{what}: {text!r} is not a finite number")
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,12 +458,6 @@ class RoundingContext:
         num_im = self.isub(self.imul(x.im, y.re), self.imul(x.re, y.im))
         return Rectangle(self.idiv(num_re, denom), self.idiv(num_im, denom))
 
-    def rscale(self, x: Rectangle, s: Decimal) -> Rectangle:
-        return Rectangle(self.iscale(x.re, s), self.iscale(x.im, s))
-
-    def rscale_i(self, x: Rectangle, s: Interval) -> Rectangle:
-        return Rectangle(self.imul(x.re, s), self.imul(x.im, s))
-
     def rabs(self, x: Rectangle) -> Interval:
         """Interval bounding |z| over the rectangle (upper bound rigorous)."""
         lo2 = self._dn.add(self._dn.multiply(x.re.mig, x.re.mig),
@@ -458,9 +465,3 @@ class RoundingContext:
         hi2 = self._up.add(self._up.multiply(x.re.mag, x.re.mag),
                            self._up.multiply(x.im.mag, x.im.mag))
         return Interval(self.sqrt_dn(lo2), self.sqrt_up(hi2))
-
-    def mag1(self, x: Rectangle) -> Decimal:
-        """Cheap coefficient-magnitude majorant |re|+|im| >= |z|, exact for real z."""
-        if x.is_real():
-            return x.re.mag
-        return self._up.add(x.re.mag, x.im.mag)

@@ -8,7 +8,7 @@ from decimal import Decimal
 
 from renormcert import balls as fb
 from renormcert.errors import PointOutsideDomain
-from renormcert.rounding import Interval, Rectangle, RoundingContext, interval, rectangle
+from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
 
 # Published high-precision reference values for the universal constants
 # (first 60 fractional/significant digits; used as prefix oracles).
@@ -148,14 +148,15 @@ def domain_points(rng: random.Random, domain, count: int) -> list[Decimal]:
 #
 # The coefficient loops the integer kernels replaced, kept as differential
 # oracles: every product and sum is an outward-rounded Decimal interval op.
+# They take real balls, as every ball is, and read the real parts.
 
 
 def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Product ball by interval Cauchy product (reference for ``balls.mul``)."""
     n = f.truncation
-    out = [rectangle(0)] * (n + 1)
-    mf = [ctx.mag1(c) for c in f.coeffs]
-    mg = [ctx.mag1(c) for c in g.coeffs]
+    out = [IZERO] * (n + 1)
+    mf = [c.re.mag for c in f.coeffs]
+    mg = [c.re.mag for c in g.coeffs]
     spill = Decimal(0)
     for i, fi in enumerate(f.coeffs):
         if mf[i] == 0:
@@ -165,7 +166,7 @@ def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> 
                 continue
             k = i + j
             if k <= n:
-                out[k] = ctx.radd(out[k], ctx.rmul(fi, gj))
+                out[k] = ctx.iadd(out[k], ctx.imul(fi.re, gj.re))
             else:
                 spill = ctx.add_up(spill, ctx.mul_up(mf[i], mg[j]))
     pf = Decimal(0)
@@ -180,7 +181,11 @@ def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> 
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
     v_err = ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err))
     v_err = ctx.add_up(v_err, ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high)))
-    return fb.FunctionBall(f.domain, tuple(out), v_high, v_err)
+    return _real_ball(f.domain, out, v_high, v_err)
+
+
+def _real_ball(domain, coeffs, v_high, v_err) -> fb.FunctionBall:
+    return fb.FunctionBall(domain, tuple(Rectangle(x, IZERO) for x in coeffs), v_high, v_err)
 
 
 def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.FunctionBall:
@@ -191,14 +196,14 @@ def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.Fun
     coeffs = []
     for i in range(n + 1):
         row = lam.matrix[i]
-        acc = rectangle(0)
+        acc = IZERO
         for k in range(n + 1):
-            if row[k] and ctx.mag1(f.coeffs[k]) != 0:
-                acc = ctx.radd(acc, ctx.rscale(f.coeffs[k], row[k]))
+            if row[k] and f.coeffs[k].re.mag != 0:
+                acc = ctx.iadd(acc, ctx.iscale(f.coeffs[k].re, row[k]))
         coeffs.append(acc)
     v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
     v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
-    return fb.FunctionBall(f.domain, tuple(coeffs), v_high, v_err)
+    return _real_ball(f.domain, coeffs, v_high, v_err)
 
 
 def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
@@ -223,13 +228,13 @@ def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
 
 
 def _oracle_horner(ctx: RoundingContext, coeffs, u: fb.FunctionBall) -> fb.FunctionBall:
-    """Evaluate a polynomial with rectangle coefficients at the ball u."""
+    """Evaluate a polynomial with interval coefficients at the ball u."""
     n = u.truncation
     acc = fb.const_ball(u.domain, n, coeffs[-1])
     for k in range(len(coeffs) - 2, -1, -1):
         acc = oracle_mul(ctx, acc, u)
-        bumped = (ctx.radd(acc.coeffs[0], coeffs[k]),) + acc.coeffs[1:]
-        acc = fb.FunctionBall(acc.domain, bumped, acc.v_high, acc.v_err)
+        bumped = [ctx.iadd(acc.coeffs[0].re, coeffs[k])] + [c.re for c in acc.coeffs[1:]]
+        acc = _real_ball(acc.domain, bumped, acc.v_high, acc.v_err)
     return acc
 
 
@@ -255,7 +260,7 @@ def oracle_compose(ctx: RoundingContext, f: fb.FunctionBall,
     """f o h by Horner evaluation in Decimal ball arithmetic (reference for
     ``balls.compose``): same contract and the same tail rule."""
     th, u = _oracle_argument(ctx, f, h, strict=f.v_high > 0 or f.v_err > 0)
-    out = _oracle_horner(ctx, f.coeffs, u)
+    out = _oracle_horner(ctx, [c.re for c in f.coeffs], u)
     tail = f.v_err
     if f.v_high > 0:
         tail = ctx.add_up(tail, ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1)))
@@ -286,14 +291,25 @@ def _oracle_eval_argument(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle
     if dist.hi > r:
         raise PointOutsideDomain(f"|z - {c}| may exceed {r} (bound {dist.hi})")
     inv = ctx.idiv(interval(1), interval(r))
-    return ctx.rscale_i(ctx.rsub(z, rectangle(c)), inv)
+    w = ctx.rsub(z, rectangle(c))
+    return Rectangle(ctx.imul(w.re, inv), ctx.imul(w.im, inv))
 
 
 def _oracle_rect_horner(ctx: RoundingContext, coeffs, u: Rectangle) -> Rectangle:
-    acc = coeffs[-1]
+    acc = Rectangle(coeffs[-1], IZERO)
     for k in range(len(coeffs) - 2, -1, -1):
-        acc = ctx.radd(ctx.rmul(acc, u), coeffs[k])
+        acc = ctx.radd(ctx.rmul(acc, u), Rectangle(coeffs[k], IZERO))
     return acc
+
+
+def _oracle_pad(ctx: RoundingContext, value: Rectangle, pad: Decimal, z: Rectangle) -> Rectangle:
+    """value widened by the tails' +-pad: in the real part only at a real
+    point z, where every member's value is real, and in both parts elsewhere."""
+    if pad == 0:
+        return value
+    box = Interval(pad.copy_negate(), pad)
+    im = value.im if z.im.lo == z.im.hi == 0 else ctx.iadd(value.im, box)
+    return Rectangle(ctx.iadd(value.re, box), im)
 
 
 def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
@@ -301,8 +317,8 @@ def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> R
     ``balls.evaluate``): the same disc test, up to its square roots, and
     the same v_high + v_err pad."""
     u = _oracle_eval_argument(ctx, f, z)
-    acc = _oracle_rect_horner(ctx, f.coeffs, u)
-    return fb._pad_rectangle(ctx, acc, ctx.add_up(f.v_high, f.v_err))
+    acc = _oracle_rect_horner(ctx, [c.re for c in f.coeffs], u)
+    return _oracle_pad(ctx, acc, ctx.add_up(f.v_high, f.v_err), z)
 
 
 def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
@@ -320,4 +336,4 @@ def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     one_minus = ctx.sub_dn(Decimal(1), au)
     geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
     pad = ctx.div_up(ctx.mul_up(tail_mass, geo), f.domain.radius)
-    return fb._pad_rectangle(ctx, acc, pad)
+    return _oracle_pad(ctx, acc, pad, z)

@@ -19,11 +19,12 @@ from helpers import (
 from renormcert import balls as fb
 from renormcert.errors import (
     CompositionContractFailure,
+    ConfigError,
     DomainMismatch,
     IndexBeyondTruncation,
     PointOutsideDomain,
 )
-from renormcert.rounding import Rectangle, RoundingContext, interval, rectangle
+from renormcert.rounding import IZERO, Rectangle, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -119,7 +120,7 @@ def test_mul_sampling_oracle():
 
 def test_mul_sampling_oracle_negative_control(monkeypatch):
     """A product kernel that drops the coefficient radii fails the oracle."""
-    monkeypatch.setattr(fb, "_product_radii", lambda f, g, n: ([0] * (n + 1), [0] * (n + 1)))
+    monkeypatch.setattr(fb, "_product_radii", lambda fm, fr, gm, gr, n: [])
     assert _mul_sampling_misses(3) > 0
 
 
@@ -229,7 +230,7 @@ def test_compose_sampling_oracle_negative_control(monkeypatch):
     """A power table whose steps drop the radius each power carries (the
     outward bump of the rounding included) fails the oracle."""
     def midpoints_only(c, b, n):
-        return fb.IntBall(b.re_mid, [], b.im_mid, [], b.scale, b.v_high, b.v_err)
+        return fb.IntBall(b.mid, [], b.scale, b.v_high, b.v_err)
     monkeypatch.setattr(fb, "int_outward", midpoints_only)
     assert _compose_sampling_misses(6) > 0
 
@@ -242,7 +243,7 @@ def test_compose_derivative_basics():
     h = fb.scale(ctx, Decimal("0.3"), ident)
     d2 = fb.compose_derivative(ctx, ident, h)
     assert d2.coeffs[0].re.contains(1)
-    assert all(ctx.mag1(c) == 0 for c in d2.coeffs[1:])
+    assert all(c.re.mag == 0 for c in d2.coeffs[1:])
 
 
 def test_compose_derivative_sampling_oracle():
@@ -394,3 +395,73 @@ def test_power_table_matches_compose():
             inner = eval_member(hm, z, DOM, 120)
             val = eval_member(fm, inner, DOM, 120)
             assert fb.evaluate(ctx, via_table, rectangle(z)).re.contains(val)
+
+
+# -- real coefficients -------------------------------------------------------------
+
+
+def test_non_real_coefficient_is_refused():
+    """Balls are real: a coefficient with a non-zero imaginary endpoint is
+    refused when a ball is built or read, and so is a non-real scalar."""
+    with pytest.raises(ConfigError):
+        fb.FunctionBall(DOM, (rectangle(1), rectangle(0, "1e-30")), Decimal(0), Decimal(0))
+    text = fb.serialize_ball(fb.basis_ball(DOM, 2, 1))
+    assert "coeff 1 1 0 0\n" in text
+    with pytest.raises(ConfigError):
+        fb.deserialize_ball(text.replace("coeff 1 1 0 0\n", "coeff 1 1 -1e-30 0\n"))
+    one = fb.one_ball(DOM, N)
+    for build in (lambda s: fb.scale(ctx, s, one), lambda s: fb.const_ball(DOM, N, s),
+                  lambda s: fb.affine_arg(ctx, DOM, N, s)):
+        build(rectangle("0.5"))
+        with pytest.raises(ConfigError):
+            build(rectangle("0.5", "1e-30"))
+
+
+def test_value_at_real_point_is_real():
+    """Every member is real on the real axis: at a real point the value and
+    the derivative of an inflated ball have imaginary part exactly 0."""
+    f = fb.inflate(ctx, rand_poly_ball(random.Random(13), DOM, N, 6), "1e-6")
+    ev = fb.point_evaluator(ctx, f)
+    for z in (rectangle(1), rectangle("-1.2"), rectangle(interval("0.5", "2")),
+              rectangle("3.4")):
+        value, slope = ev.value(ctx, z), ev.derivative(ctx, z)
+        assert value.im == IZERO and slope.im == IZERO
+        assert value.re.lo < value.re.hi
+
+
+#: radius of the inflation and the points z = 1 + 2.5 i t of the member checks
+RHO = Decimal("1e-6")
+IMAGINARY_T = ("0.6", "-0.3", "1")
+
+
+def _shifted_member_misses() -> int:
+    """Evaluates the ball f0 inflated by RHO at z = 1 + 2.5 i t, where u = i t;
+    counts the points at which the enclosure misses the exact complex
+    value of the member f0 + RHO e_1, sum_k f0_k (i t)**k + RHO i t."""
+    f0 = rand_poly_ball(random.Random(14), DOM, N, 6)
+    ev = fb.point_evaluator(ctx, fb.inflate(ctx, f0, RHO))
+    misses = 0
+    with decimal.localcontext(WIDE):
+        for text in IMAGINARY_T:
+            t = Decimal(text)
+            z = rectangle(1, DOM.radius * t)
+            re = sum((c.re.lo * (-1) ** (k // 2) * t ** k
+                      for k, c in enumerate(f0.coeffs) if k % 2 == 0), Decimal(0))
+            im = sum((c.re.lo * (-1) ** (k // 2) * t ** k
+                      for k, c in enumerate(f0.coeffs) if k % 2), RHO * t)
+            value = ev.value(ctx, z)
+            misses += not (value.re.contains(re) and value.im.contains(im))
+    return misses
+
+
+def test_inflated_ball_contains_member_at_non_real_point():
+    assert _shifted_member_misses() == 0
+
+
+def test_inflated_ball_member_negative_control(monkeypatch):
+    """An evaluator that pads only the real part at non-real points misses
+    the imaginary part RHO t that the member's tail adds there."""
+    pad = fb.PointEvaluator._rectangle
+    monkeypatch.setattr(fb.PointEvaluator, "_rectangle",
+                        lambda self, ctx, acc, p, scale, real: pad(self, ctx, acc, p, scale, True))
+    assert _shifted_member_misses() == len(IMAGINARY_T)

@@ -8,9 +8,15 @@ allows: the product of the two radii per term, one unit of 10**-S per input
 coefficient (S being the operand's integer scale) times the other factor's
 norm, and one outward rounding per output endpoint.
 
+Every ball is real.  Coefficient cases draw general real intervals
+("real"), intervals centred at 0 ("centred", the shape of an error pad,
+all radius and no midpoint) or points ("point", no radius).
+
 Pointwise evaluation is checked against Horner in Decimal rectangle
-arithmetic: both run the same box Horner, so the integer result may be
-wider only by its roundings (see _eval_slack).
+arithmetic, at real points ("real"), at boxes symmetric about the real
+axis ("centred") and at general complex points and boxes ("complex"):
+both run the same box Horner, so the integer result may be wider only by
+its roundings (see _eval_slack).
 
 Composition through a power table is checked against Horner evaluation in
 Decimal ball arithmetic.  There the two differ in algorithm, not only in
@@ -55,22 +61,24 @@ def _short_interval(rng, scale_digits: int) -> Interval:
     return Interval(EXACT.subtract(mid, rad), EXACT.add(mid, rad))
 
 
+def _centred_interval(rng) -> Interval:
+    w = Decimal(rng.randint(0, 99)).scaleb(-rng.randint(9, 12))
+    return Interval(w.copy_negate(), w)
+
+
+def _real_ball(coeffs, v_high=Decimal(0), v_err=Decimal(0)) -> fb.FunctionBall:
+    return fb.FunctionBall(DOM, tuple(Rectangle(x, IZERO) for x in coeffs), v_high, v_err)
+
+
 def _rand_ball(rng, n: int, kind: str) -> fb.FunctionBall:
-    """Random ball with short-decimal coefficients: real, complex with
-    centred imaginary parts (as inflated balls carry), or fully complex."""
-    coeffs = []
-    for _ in range(n + 1):
-        re = _short_interval(rng, rng.randint(0, 3))
-        if kind == "real":
-            im = IZERO
-        elif kind == "centred":
-            w = Decimal(rng.randint(0, 99)).scaleb(-rng.randint(9, 12))
-            im = Interval(w.copy_negate(), w)
-        else:
-            im = _short_interval(rng, rng.randint(0, 3))
-        coeffs.append(Rectangle(re, im))
+    """Random real ball with short-decimal coefficients: general intervals
+    ("real"), intervals centred at 0 ("centred") or points ("point")."""
+    coeffs = [_centred_interval(rng) if kind == "centred"
+              else _short_interval(rng, rng.randint(0, 3)) for _ in range(n + 1)]
+    if kind == "point":
+        coeffs = [Interval(x.hi, x.hi) for x in coeffs]
     tails = [Decimal(rng.randint(0, 9)).scaleb(-rng.randint(3, 9)) for _ in range(2)]
-    return fb.FunctionBall(DOM, tuple(coeffs), *tails)
+    return _real_ball(coeffs, *tails)
 
 
 def _width(x: Interval) -> Decimal:
@@ -82,18 +90,13 @@ def _ulp(x: Interval) -> Decimal:
     return Decimal(1).scaleb(top.adjusted() - P + 1) if top else Decimal(0)
 
 
-def _mag1(c: Rectangle) -> Decimal:
-    return EXACT.add(max(abs(c.re.lo), abs(c.re.hi)), max(abs(c.im.lo), abs(c.im.hi)))
-
-
-def _rad1(c: Rectangle) -> Decimal:
-    return EXACT.add(_width(c.re), _width(c.im)) / 2
+def _rad(x: Interval) -> Decimal:
+    return _width(x) / 2
 
 
 def _unit(f: fb.FunctionBall) -> Decimal:
     """One unit of the integer scale the kernels use for f."""
-    n = f.truncation
-    return Decimal(1).scaleb(-ctx.ball_scale(n, [c.re for c in f.coeffs] + [c.im for c in f.coeffs]))
+    return Decimal(1).scaleb(-ctx.ball_scale(f.truncation, [c.re for c in f.coeffs]))
 
 
 def _check_part(new: Interval, ref: Interval, slack: Decimal):
@@ -105,22 +108,21 @@ def _check_part(new: Interval, ref: Interval, slack: Decimal):
 
 @pytest.mark.parametrize("n", [0, 1, 8, 40])
 @pytest.mark.parametrize("kinds", [("real", "real"), ("centred", "real"),
-                                   ("centred", "centred"), ("complex", "centred"),
-                                   ("complex", "complex")])
+                                   ("centred", "centred"), ("real", "centred"),
+                                   ("point", "real")])
 def test_mul_matches_decimal_oracle(n, kinds):
     rng = random.Random(f"{n}-{kinds}")
     for _ in range(3 if n == 40 else 10):
         f, g = _rand_ball(rng, n, kinds[0]), _rand_ball(rng, n, kinds[1])
         new, ref = fb.mul(ctx, f, g), oracle_mul(ctx, f, g)
-        norm_f = sum((_mag1(c) for c in f.coeffs), Decimal(0))
-        norm_g = sum((_mag1(c) for c in g.coeffs), Decimal(0))
+        norm_f = sum((c.re.mag for c in f.coeffs), Decimal(0))
+        norm_g = sum((c.re.mag for c in g.coeffs), Decimal(0))
         inputs = 4 * (_unit(f) * norm_g + _unit(g) * norm_f)
         for k in range(n + 1):
-            quad = sum((_rad1(f.coeffs[i]) * _rad1(g.coeffs[k - i]) for i in range(k + 1)),
+            quad = sum((_rad(f.coeffs[i].re) * _rad(g.coeffs[k - i].re) for i in range(k + 1)),
                        Decimal(0))
-            for part in ("re", "im"):
-                a, b = getattr(new.coeffs[k], part), getattr(ref.coeffs[k], part)
-                _check_part(a, b, 2 * quad + inputs + 2 * _ulp(a))
+            a, b = new.coeffs[k].re, ref.coeffs[k].re
+            _check_part(a, b, 2 * quad + inputs + 2 * _ulp(a))
         for tail in ("v_high", "v_err"):
             a, b = getattr(new, tail), getattr(ref, tail)
             slack = inputs * (1 + norm_f + norm_g) + 4 * _ulp(Interval(b, b))
@@ -133,18 +135,26 @@ CIRCLE = [Rectangle(Interval(Decimal(x), Decimal(x)), Interval(Decimal(y), Decim
                        ("-0.5", "-2"))]
 
 
-def _rand_point_args(rng) -> list[Rectangle]:
-    """Points, real boxes and complex boxes inside the disc D(1, 2.5), the
-    point 1 and points on its circle."""
+def _rand_point_args(rng, kind: str) -> list[Rectangle]:
+    """Points and boxes inside the disc D(1, 2.5) and on its circle: real
+    ones with the point 1 ("real"), boxes symmetric about the real axis
+    ("centred"), or complex points and boxes ("complex")."""
     def near(scale):
         return Decimal(rng.randint(-scale, scale)).scaleb(-3)
 
-    args = [Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)] + CIRCLE
+    real = [z for z in CIRCLE if z.im == IZERO]
+    args = {"real": [Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)] + real,
+            "centred": [Rectangle(Interval(Decimal(1), Decimal(1)), Interval(-y, y))
+                        for y in (Decimal("0.5"), Decimal("2.4"))],
+            "complex": [z for z in CIRCLE if z.im != IZERO]}[kind]
     for _ in range(3):
         x, y, hx, hy = 1 + near(1200), near(1200), abs(near(300)), abs(near(300))
-        args.append(Rectangle(Interval(x, x), Interval(y, y)))
-        args.append(Rectangle(Interval(x - hx, x + hx), IZERO))
-        args.append(Rectangle(Interval(x - hx, x + hx), Interval(y - hy, y + hy)))
+        args += {"real": [Rectangle(Interval(x, x), IZERO),
+                          Rectangle(Interval(x - hx, x + hx), IZERO)],
+                 "centred": [Rectangle(Interval(x, x), Interval(-hy, hy)),
+                             Rectangle(Interval(x - hx, x + hx), Interval(-hy, hy))],
+                 "complex": [Rectangle(Interval(x, x), Interval(y, y)),
+                             Rectangle(Interval(x - hx, x + hx), Interval(y - hy, y + hy))]}[kind]
     return args
 
 
@@ -161,9 +171,9 @@ def _eval_slack(ball: fb.FunctionBall, coeffs, z: Rectangle) -> Decimal:
         re = max(abs(z.re.lo - DOM.center), abs(z.re.hi - DOM.center))
         im = max(abs(z.im.lo), abs(z.im.hi))
         m = max(Decimal(1), (re + im) / DOM.radius + Decimal(10) ** -P)
-        s = ctx.ball_scale(n, [c.re for c in ball.coeffs] + [c.im for c in ball.coeffs])
+        s = ctx.ball_scale(n, [c.re for c in ball.coeffs])
         t = P + len(str(n + 1))
-        mags = [_mag1(c) for c in coeffs]
+        mags = [c.mag for c in coeffs]
         steps = (2 * n + 2) * Decimal(10) ** -s * m ** n
         arg = Decimal(10) ** -t * sum(
             (k * f * m ** (k - 1) for k, f in enumerate(mags) if k), Decimal(0))
@@ -179,12 +189,12 @@ def test_evaluate_matches_decimal_oracle(n, kind, derivative):
     rng = random.Random(f"eval-{n}-{kind}-{derivative}")
     kernel, oracle = ((fb.evaluate_derivative, oracle_evaluate_derivative) if derivative
                       else (fb.evaluate, oracle_evaluate))
-    for _ in range(2 if n == 40 else 4):
-        f = _rand_ball(rng, n, kind)
+    for i in range(2 if n == 40 else 4):
+        f = _rand_ball(rng, n, ("real", "centred")[i % 2])
         f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-6),
                             Decimal(rng.randint(1, 9)).scaleb(-8))
-        coeffs = fb._derivative_coeffs(ctx, f) if derivative else f.coeffs
-        for z in _rand_point_args(rng):
+        coeffs = fb._derivative_coeffs(ctx, f) if derivative else [c.re for c in f.coeffs]
+        for z in _rand_point_args(rng, kind):
             if derivative and z in CIRCLE:
                 # the tails' derivative bound needs |z - c| < r strictly
                 for fn in (kernel, oracle):
@@ -192,6 +202,9 @@ def test_evaluate_matches_decimal_oracle(n, kind, derivative):
                         fn(ctx, f, z)
                 continue
             new, ref = kernel(ctx, f, z), oracle(ctx, f, z)
+            if kind == "real":
+                # a real-coefficient function is real on the real axis
+                assert new.im == IZERO, (z, new)
             slack = _eval_slack(f, coeffs, z)
             for part in ("re", "im"):
                 a, b = getattr(new, part), getattr(ref, part)
@@ -213,25 +226,18 @@ def test_evaluate_at_one_matches_oracle_exactly(desk):
 
 def _rand_argument(rng, n: int, kind: str) -> fb.FunctionBall:
     """Full-degree composition argument near the disc centre: coefficient k
-    is about 10**-k, so theta stays near 0.2.  Real, centred-imaginary or
-    complex with interval coefficients, or complex with point coefficients
-    ("point"); no tails."""
+    is about 10**-k, so theta stays near 0.2.  General interval
+    coefficients ("real"), intervals centred at 0 apart from the constant
+    1 ("centred"), or point coefficients ("point"); no tails."""
     coeffs = []
     for k in range(n + 1):
-        re = _short_interval(rng, k + 1)
-        if k == 0:
-            re = Interval(EXACT.add(re.lo, 1), EXACT.add(re.hi, 1))
-        if kind == "real":
-            im = IZERO
-        elif kind == "centred":
-            w = Decimal(rng.randint(1, 99)).scaleb(-rng.randint(9, 12))
-            im = Interval(w.copy_negate(), w)
-        else:
-            im = _short_interval(rng, k + 1)
+        x = _centred_interval(rng) if kind == "centred" else _short_interval(rng, k + 1)
         if kind == "point":
-            re, im = Interval(re.lo, re.lo), Interval(im.hi, im.hi)
-        coeffs.append(Rectangle(re, im))
-    return fb.FunctionBall(DOM, tuple(coeffs), Decimal(0), Decimal(0))
+            x = Interval(x.lo, x.lo)
+        if k == 0:
+            x = Interval(EXACT.add(x.lo, 1), EXACT.add(x.hi, 1))
+        coeffs.append(x)
+    return _real_ball(coeffs)
 
 
 def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
@@ -248,17 +254,18 @@ def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
     """
     u = fb.normalized_argument(ctx, h)
     with decimal.localcontext(EXACT):
-        m = sum((abs(p.lo + p.hi) / 2 for c in u.coeffs for p in (c.re, c.im)), Decimal(0))
-        r = sum((_rad1(c) for c in u.coeffs), Decimal(0))
-        mags = [_mag1(c) for c in coeffs]
-        argument = sum((f * ((m + r) ** k - m ** k) for k, f in enumerate(mags)), Decimal(0))
+        m = sum((abs(c.re.lo + c.re.hi) / 2 for c in u.coeffs), Decimal(0))
+        r = sum((_rad(c.re) for c in u.coeffs), Decimal(0))
+        mags = [c.mag for c in coeffs]
+        argument = sum((f * ((m + r) ** k - m ** k) for k, f in enumerate(mags) if k),
+                       Decimal(0))
         rounding = Decimal(10) ** (2 - P) * sum(
             ((k + 2) * f * (m + r) ** k for k, f in enumerate(mags)), Decimal(0))
     return argument, rounding
 
 
 @pytest.mark.parametrize("n", [1, 8, 40])
-@pytest.mark.parametrize("kind", ["real", "centred", "complex", "point"])
+@pytest.mark.parametrize("kind", ["real", "centred", "point"])
 @pytest.mark.parametrize("derivative", [False, True])
 def test_compose_matches_decimal_oracle(n, kind, derivative):
     rng = random.Random(f"compose-{n}-{kind}-{derivative}")
@@ -266,70 +273,63 @@ def test_compose_matches_decimal_oracle(n, kind, derivative):
                       else (fb.compose, oracle_compose))
     for _ in range(1 if n == 40 else 4):
         h = _rand_argument(rng, n, kind)
-        f = _rand_ball(rng, n, "complex" if kind == "point" else kind)
+        f = _rand_ball(rng, n, "real" if kind == "point" else kind)
         f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-5),
                             Decimal(rng.randint(1, 9)).scaleb(-7))
         new, ref = kernel(ctx, f, h), oracle(ctx, f, h)
-        coeffs = fb._derivative_coeffs(ctx, f) if derivative else f.coeffs
+        coeffs = fb._derivative_coeffs(ctx, f) if derivative else [c.re for c in f.coeffs]
         argument, rounding = _compose_slack(h, coeffs)
         for k in range(n + 1):
-            for part in ("re", "im"):
-                a, b = getattr(new.coeffs[k], part), getattr(ref.coeffs[k], part)
-                mid = EXACT.divide(EXACT.add(b.lo, b.hi), 2)
-                assert a.lo <= mid <= a.hi, (k, part, a, b)
-                slack = EXACT.add(EXACT.add(2 * argument, rounding), 2 * _ulp(a))
-                assert _width(a) <= EXACT.add(_width(b), slack), (k, part, a, b)
+            a, b = new.coeffs[k].re, ref.coeffs[k].re
+            mid = EXACT.divide(EXACT.add(b.lo, b.hi), 2)
+            assert a.lo <= mid <= a.hi, (k, a, b)
+            slack = EXACT.add(EXACT.add(2 * argument, rounding), 2 * _ulp(a))
+            assert _width(a) <= EXACT.add(_width(b), slack), (k, a, b)
         # the argument has no error tail, so both error bounds are f's tail rule
         assert new.v_err == ref.v_err
         assert new.v_high >= 0
 
 
-def _endpoint_member(rng, f: fb.FunctionBall) -> list[tuple[Decimal, Decimal]]:
+def _endpoint_member(rng, f: fb.FunctionBall) -> list[Decimal]:
     """A polynomial member of f: each coefficient at an endpoint of its
-    real and imaginary intervals, chosen at random."""
-    return [(rng.choice((c.re.lo, c.re.hi)), rng.choice((c.im.lo, c.im.hi))) for c in f.coeffs]
+    interval, chosen at random."""
+    return [rng.choice((c.re.lo, c.re.hi)) for c in f.coeffs]
 
 
 def _poly_mul(a, b):
-    out = [(Decimal(0), Decimal(0))] * (len(a) + len(b) - 1)
-    for i, (ar, ai) in enumerate(a):
-        for j, (br, bi) in enumerate(b):
-            r, m = out[i + j]
-            out[i + j] = (r + ar * br - ai * bi, m + ar * bi + ai * br)
+    out = [Decimal(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _exact_compose(f, h) -> list[tuple[Decimal, Decimal]]:
+def _exact_compose(f, h) -> list[Decimal]:
     """f(h) for polynomials in the scaled basis, exactly: sum_k f_k u**k
     with u = (h - c)/r."""
-    u = [((h[0][0] - DOM.center) / DOM.radius, h[0][1] / DOM.radius)]
-    u += [(re / DOM.radius, im / DOM.radius) for re, im in h[1:]]
-    out, power = [f[0]], [(Decimal(1), Decimal(0))]
+    u = [(h[0] - DOM.center) / DOM.radius] + [x / DOM.radius for x in h[1:]]
+    out, power = [f[0]], [Decimal(1)]
     for fk in f[1:]:
         power = _poly_mul(power, u)
         term = _poly_mul([fk], power)
-        out += [(Decimal(0), Decimal(0))] * (len(term) - len(out))
-        out = [(o[0] + t[0], o[1] + t[1]) for o, t in zip(out, term)] + out[len(term):]
+        out += [Decimal(0)] * (len(term) - len(out))
+        out = [o + t for o, t in zip(out, term)] + out[len(term):]
     return out
 
 
 def _membership_excess(ball: fb.FunctionBall, p) -> Decimal:
     """How far the polynomial p is from being a member of the ball, in the
-    |re| + |im| norm the balls use: coefficient distances to the
-    rectangles plus the mass above N beyond v_high, minus v_err."""
+    l1 norm the balls use: coefficient distances to the intervals plus the
+    mass above N beyond v_high, minus v_err."""
     n = ball.truncation
-
-    def dist(x, iv):
-        return max(iv.lo - x, x - iv.hi, Decimal(0))
-
-    near = sum((dist(re, c.re) + dist(im, c.im) for (re, im), c in zip(p, ball.coeffs)),
+    near = sum((max(c.re.lo - x, x - c.re.hi, Decimal(0)) for x, c in zip(p, ball.coeffs)),
                Decimal(0))
-    high = sum((abs(re) + abs(im) for re, im in p[n + 1:]), Decimal(0))
+    high = sum((abs(x) for x in p[n + 1:]), Decimal(0))
     return near + max(Decimal(0), high - ball.v_high) - ball.v_err
 
 
 @pytest.mark.parametrize("n", [1, 8])
-@pytest.mark.parametrize("kind", ["real", "centred", "complex", "point"])
+@pytest.mark.parametrize("kind", ["real", "centred", "point"])
 def test_compose_contains_endpoint_members(n, kind):
     """Compositions of members of f and h taken at interval endpoints lie in
     the composed ball (and derivatives in the derivative ball), exactly."""
@@ -337,13 +337,12 @@ def test_compose_contains_endpoint_members(n, kind):
     with decimal.localcontext(EXACT):
         for _ in range(6):
             h = _rand_argument(rng, n, kind)
-            f = _rand_ball(rng, n, "complex" if kind == "point" else kind)
+            f = _rand_ball(rng, n, "real" if kind == "point" else kind)
             f = fb.FunctionBall(DOM, f.coeffs, Decimal(0), Decimal(0))
             comp, dcomp = fb.compose(ctx, f, h), fb.compose_derivative(ctx, f, h)
             for _ in range(4):
                 fm, hm = _endpoint_member(rng, f), _endpoint_member(rng, h)
-                dfm = [(k * re / DOM.radius, k * im / DOM.radius)
-                       for k, (re, im) in enumerate(fm)][1:] or [(Decimal(0), Decimal(0))]
+                dfm = [k * x / DOM.radius for k, x in enumerate(fm)][1:] or [Decimal(0)]
                 assert _membership_excess(comp, _exact_compose(fm, hm)) <= 0
                 assert _membership_excess(dcomp, _exact_compose(dfm, hm)) <= 0
 
@@ -375,7 +374,7 @@ def _rand_map(rng, n: int) -> ct.LinearMap:
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 40])
-@pytest.mark.parametrize("kind", ["real", "centred", "complex"])
+@pytest.mark.parametrize("kind", ["real", "centred"])
 def test_apply_lambda_matches_decimal_oracle(n, kind):
     rng = random.Random(f"lam-{n}-{kind}")
     for _ in range(3 if n == 40 else 8):
@@ -383,9 +382,8 @@ def test_apply_lambda_matches_decimal_oracle(n, kind):
         new, ref = ct.apply_lambda(ctx, lam, f), oracle_apply_lambda(ctx, lam, f)
         for i in range(n + 1):
             row_norm = sum((abs(x) for x in lam.matrix[i]), Decimal(0))
-            for part in ("re", "im"):
-                a, b = getattr(new.coeffs[i], part), getattr(ref.coeffs[i], part)
-                _check_part(a, b, 4 * row_norm * _unit(f) + 2 * _ulp(a))
+            a, b = new.coeffs[i].re, ref.coeffs[i].re
+            _check_part(a, b, 4 * row_norm * _unit(f) + 2 * _ulp(a))
         assert (new.v_high, new.v_err) == (ref.v_high, ref.v_err)
 
 

@@ -16,9 +16,10 @@ from helpers import (
     sample_point,
 )
 from renormcert import balls as fb
+from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert import pipeline as pl
-from renormcert.errors import ConfigError, MissingCertificate, PipelineOrderError
+from renormcert.errors import ConfigError, MissingCertificate, PipelineOrderError, StageFailure
 from renormcert.rounding import Interval, RoundingContext, interval, rectangle
 
 
@@ -136,6 +137,85 @@ def test_linear_map_serialization(desk):
     back = pl.deserialize_linear_map(text)
     assert back == desk.lam_fixed
     assert pl.serialize_linear_map(back) == text
+
+
+def _drop_line(key):
+    return lambda desk, text: "".join(ln for ln in text.splitlines(True)
+                                      if not ln.startswith(key))
+
+
+def _set_line(key, value):
+    return lambda desk, text: "".join(f"{key} {value}\n" if ln.startswith(key + " ") else ln
+                                      for ln in text.splitlines(True))
+
+
+def _first_coeff(value):
+    def edit(desk, text):
+        head, _, rest = text.partition("coeff ")
+        return head + f"coeff {value}\n" + rest.partition("\n")[2]
+    return edit
+
+
+def _degree_12(desk, text):
+    return fb.serialize_ball(fb.ball_from_decimals(fb.STANDARD_DISC, desk.g0[:13], 12))
+
+
+def _other_disc(desk, text):
+    g = desk.G0
+    return fb.serialize_ball(fb.FunctionBall(fb.Disc(Decimal(0), Decimal("2.5")), g.coeffs,
+                                             g.v_high, g.v_err))
+
+
+#: corruption of the g0 checkpoint: (desk, file text) -> new file text
+BALL_CHECKPOINT_CASES = {
+    "missing_field": _drop_line("v_err"),
+    "short_coeff_line": _first_coeff("0.1 0.2 0"),
+    "nan_v_high": _set_line("v_high", "NaN"),
+    "bad_number": _set_line("center", "one"),
+    "non_real_coeff": _first_coeff("0.1 0.2 0 1e-30"),
+    "degree_12_in_n20_run": _degree_12,
+    "other_disc": _other_disc,
+}
+
+#: corruption of the lambda_fixed checkpoint: (desk, file text) -> new file text
+LAMBDA_CHECKPOINT_CASES = {
+    "dim_not_row_count": _set_line("dim", "22"),
+    "nan_tail": _set_line("tail", "NaN"),
+    "missing_tail": _drop_line("tail"),
+    "bad_number": lambda desk, text: text.replace("row ", "row 1x2 ", 1),
+    "dimension_13_in_n20_run": lambda desk, text: pl.serialize_linear_map(ct.identity_map(12)),
+}
+
+
+def _approx_failure(tmp_path, path):
+    """Run an N=20 pipeline on the checkpoints in tmp_path: it must fail the
+    approx stage with a ConfigError naming the file at path."""
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",),
+                       checkpoint_dir=str(tmp_path))
+    with pytest.raises(StageFailure) as info:
+        pl.run_pipeline(cfg)
+    assert info.value.stage == "approx"
+    assert isinstance(info.value.__cause__, ConfigError)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(BALL_CHECKPOINT_CASES))
+def test_bad_ball_checkpoint_is_refused(desk, tmp_path, case):
+    """A g0 checkpoint that does not parse, is not real, or does not fit
+    the run fails the approx stage with a ConfigError naming the file."""
+    path = tmp_path / "g0_n20_p30.txt"
+    path.write_text(BALL_CHECKPOINT_CASES[case](desk, fb.serialize_ball(desk.G0)))
+    _approx_failure(tmp_path, path)
+
+
+@pytest.mark.parametrize("case", sorted(LAMBDA_CHECKPOINT_CASES))
+def test_bad_lambda_checkpoint_is_refused(desk, tmp_path, case):
+    """A lambda checkpoint that does not parse or does not fit the run
+    fails the approx stage with a ConfigError naming the file."""
+    (tmp_path / "g0_n20_p30.txt").write_text(fb.serialize_ball(desk.G0))
+    path = tmp_path / "lambda_fixed_n20_p30.txt"
+    path.write_text(LAMBDA_CHECKPOINT_CASES[case](desk, pl.serialize_linear_map(desk.lam_fixed)))
+    _approx_failure(tmp_path, path)
 
 
 def test_run_pipeline_desk(tmp_path):
