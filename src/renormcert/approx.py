@@ -16,8 +16,6 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-import numpy as np
-
 from .balls import STANDARD_DISC
 from .errors import (
     ConfigError,
@@ -368,6 +366,8 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
 # -- eigenpairs -------------------------------------------------------------------
 
 def _to_float_matrix(m):
+    import numpy as np  # imported where used, so importing the package does not load it
+
     return np.array([[float(x) for x in row] for row in m], dtype=float)
 
 
@@ -407,8 +407,9 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
         matrix = l_matrix(g0, digits)
     else:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
-    mf = _to_float_matrix(matrix)
-    values, vectors = np.linalg.eig(mf)
+    import numpy as np
+
+    values, vectors = np.linalg.eig(_to_float_matrix(matrix))
     if kind == "delta":
         lam = _select_delta(values)
         target = lam

@@ -18,12 +18,11 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 from . import pipeline as pl
 from .errors import ConfigError, RenormcertError, StageFailure
-from .rounding import Interval, RoundingContext
+from .rounding import Interval, RoundingContext, finite_decimal
 
 __all__ = ["main", "build_parser"]
 
@@ -158,16 +157,27 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _read_enclosures(path: str) -> dict:
+    """The enclosures of a certificate file, name -> Interval.  A file that
+    cannot be read or is not a certificate raises ConfigError naming it."""
+    try:
+        data = json.loads(Path(path).read_text())
+        payload = data.get("certificate", data)
+        return {name: Interval(finite_decimal(lo, name), finite_decimal(hi, name))
+                for name, (lo, hi) in payload.get("enclosures", {}).items()}
+    except OSError as exc:
+        raise ConfigError(f"certificate {path}: {exc.strerror}") from None
+    except (ValueError, AttributeError, TypeError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"certificate {path}: not a certificate file ({exc})") from None
+
+
 def _cmd_digits(args) -> int:
-    data = json.loads(Path(args.certificate).read_text())
-    payload = data.get("certificate", data)
-    enclosures = payload.get("enclosures", {})
+    enclosures = _read_enclosures(args.certificate)
     if not enclosures:
         print("certificate has no enclosures (failed run?)", file=sys.stderr)
         return 2
     for name in sorted(enclosures):
-        lo, hi = enclosures[name]
-        text, count = pl.certified_digits(Interval(Decimal(lo), Decimal(hi)))
+        text, count = pl.certified_digits(enclosures[name])
         print(f"{name}: {count} certified digits")
         print(text if args.plain else pl.format_digit_block(text), end="")
         print()

@@ -5,16 +5,24 @@ approximating the inverse Jacobian turns F into the Newton-like operator
 
     Phi(x) = x - Lam F(x).
 
-Once Lam is certified invertible, Phi has the same zeros as F.  A
-certificate over the ball B(x0, rho) consists of
+A certificate over the ball B(x0, rho) consists of
 
     epsilon >= ||Phi(x0) - x0||     (movement of the approximate zero)
     kappa   >= ||DPhi(x)||          (for every x in the ball)
 
 with the contraction inequality epsilon < rho (1 - kappa) checked in
-directed rounding; on success the ball contains a unique zero of F and the
-certified constants follow from the coordinate functional phi(x) = x(c),
-the constant basis coefficient.
+directed rounding; on success the ball contains a unique fixed point of Phi.
+
+The same kappa < 1 proves that the fixed points of Phi are the zeros of F.
+At x = x0 it reads ||I - Lam DF(x0)|| < 1, so Lam DF(x0) is invertible by
+the Neumann series and Lam is onto.  Lam is a square matrix on degrees
+0..N and a scalar on every degree above N; onto means the matrix is
+invertible and the scalar is nonzero, so Lam is a bijection and
+Lam F(x) = 0 only where F(x) = 0 (the "Z < 1 implies A injective" step of
+van den Berg and Lessard, "Rigorous numerics in dynamics", Notices AMS 62,
+2015).  No separate invertibility proof is needed.  The certified
+constants follow from the coordinate functional phi(x) = x(c), the
+constant basis coefficient.
 
 The operator-norm bound for DPhi uses the maximum column-sum norm: columns
 0..N are bounded one basis vector at a time (embarrassingly parallel, each
@@ -174,7 +182,11 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     approximate inverse B, plus a nonzero tail scalar.  Returns the bound.
 
     B and M are exact decimals, so I - B M is formed exactly in integers;
-    only the final column-sum bound is rounded (upward)."""
+    only the final column-sum bound is rounded (upward).
+
+    :func:`certify` does not call this: its kappa < 1 already proves the
+    map invertible (see the module docstring).  It re-inverts M, an
+    O(N**3) Decimal LU, and is kept as a standalone check."""
     from .approx import mat_inv
 
     if lam.tail_scalar == 0:
@@ -459,7 +471,6 @@ class Certificate:
     passed: bool
     posterior_radius: Decimal | None
     enclosures: dict
-    lambda_residual: Decimal
     config: dict = field(default_factory=dict)
     workers: int = 1
     wall_time: float = 0.0
@@ -470,9 +481,6 @@ class Certificate:
         if self.posterior_radius is None:
             return self.rho
         return min(self.rho, self.posterior_radius)
-
-    def certified_interval(self, name: str) -> Interval:
-        return self.enclosures[name]
 
     def to_payload(self) -> dict:
         """Deterministic certificate content (no timing, no worker count)."""
@@ -487,7 +495,6 @@ class Certificate:
             "kappa_tail": str(self.kappa_tail),
             "passed": self.passed,
             "posterior_radius": None if self.posterior_radius is None else str(self.posterior_radius),
-            "lambda_residual": str(self.lambda_residual),
             "enclosures": enc(self.enclosures),
             "config": self.config,
         }
@@ -508,12 +515,15 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
             rho, workers: int = 1, config: dict | None = None) -> Certificate:
     """Run the full contraction certificate for one problem.
 
-    Requires the frozen map to be certified invertible first (done here),
-    so the Newton-like operator has the same zeros as the residual map.
-    The caller is responsible for the domain-extension verification on the
-    ball, which is what makes the operator well-defined and differentiable
-    there; the pipeline runs it before any certificate.  On success returns
-    the certificate with the certified enclosures; on a failed contraction
+    No separate invertibility proof of the frozen map runs: a passing
+    kappa < 1 bounds ||I - Lam DF(x0)|| below 1, which makes Lam a
+    bijection (module docstring), so the fixed points of the Newton-like
+    operator are the zeros of the residual map.  A singular matrix or a
+    zero tail scalar leaves kappa >= 1 and fails here.  The caller is
+    responsible for the domain-extension verification on the ball, which
+    is what makes the operator well-defined and differentiable there; the
+    pipeline runs it before any certificate.  On success returns the
+    certificate with the certified enclosures; on a failed contraction
     inequality raises CertificationFailed carrying the diagnostic
     certificate.  No retuning or retry happens here: rho and the precision
     are caller-chosen and failures are reported as data.
@@ -522,7 +532,6 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
     if rho <= 0:
         raise ConfigError("rho must be positive")
     started = time.perf_counter()
-    lam_residual = verify_lambda_invertible(ctx, lam)
     ball = fb.inflate(ctx, x0, rho)
     epsilon = bound_epsilon(ctx, problem, x0, lam)
     columns = bound_kappa_columns(ctx, problem, ball, lam, workers)
@@ -542,7 +551,6 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
         passed=passed,
         posterior_radius=posterior,
         enclosures={},
-        lambda_residual=lam_residual,
         config=dict(config or {}),
         workers=workers,
         wall_time=time.perf_counter() - started,

@@ -86,12 +86,10 @@ class RunConfig:
             raise ConfigError("boundary_rects must be >= 4 and divisible by 4")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        for name in (self.rho, self.rho_delta, self.rho_gamma):
-            if name is None:
-                continue
-            value = Decimal(name)
-            if not value.is_finite() or value <= 0:
-                raise ConfigError(f"radius {name!r} must be a positive number")
+        for name in ("rho", "rho_delta", "rho_gamma"):
+            text = getattr(self, name)
+            if text is not None and finite_decimal(text, name) <= 0:
+                raise ConfigError(f"{name}: radius {text!r} must be a positive number")
         unknown = set(self.targets) - set(_TARGETS)
         if unknown:
             raise ConfigError(f"unknown targets: {sorted(unknown)}")

@@ -161,6 +161,9 @@ def test_desk_fixed_point_certificate(desk):
 
 def test_certificate_payload_roundtrips(desk):
     payload = desk.cert_fixed.to_payload()
+    assert sorted(payload) == sorted([
+        "kind", "rho", "epsilon", "kappa", "kappa_columns_max", "kappa_tail",
+        "passed", "posterior_radius", "enclosures", "config"])
     enc = ct.Certificate.enclosure_from_payload(payload, "a")
     assert enc == desk.cert_fixed.enclosures["a"]
     assert payload["passed"] is True
@@ -257,3 +260,60 @@ def test_certificate_soundness_pointwise(desk):
                 tm = eval_member(m, inner * inner, DOM, 120) / a_m
                 out = fb.evaluate(desk.ctx, envelope, rectangle(z))
                 assert out.re.lo - Decimal("1e-12") <= tm <= out.re.hi + Decimal("1e-12")
+
+
+def test_certify_needs_no_approx_numerics(desk, monkeypatch):
+    """The certificate path calls nothing in the non-rigorous bootstrap and no
+    second invertibility proof: kappa < 1 is the proof that Lam is invertible."""
+    import inspect
+
+    from renormcert import approx as ax
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify called into the bootstrap numerics")
+
+    for name, obj in vars(ax).items():
+        if inspect.isfunction(obj) and obj.__module__ == ax.__name__:
+            monkeypatch.setattr(ax, name, refuse)
+    monkeypatch.setattr(ct, "verify_lambda_invertible", refuse)
+    for problem, x0, lam, rho, fixture_cert in (
+            (ct.FixedPointProblem(), desk.G0, desk.lam_fixed, "1e-8", desk.cert_fixed),
+            (ct.DeltaProblem(desk.ctx, desk.param, desk.tables), desk.V0, desk.lam_delta,
+             "1e-7", desk.cert_delta),
+            (ct.GammaProblem(desk.ctx, desk.param, desk.tables), desk.W0, desk.lam_gamma,
+             "1e-7", desk.cert_gamma)):
+        cert = ct.certify(desk.ctx, problem, x0, lam, rho)
+        assert cert.passed
+        assert cert.to_payload() == fixture_cert.to_payload()
+
+
+def _modified_map(lam, change):
+    rows = [list(row) for row in lam.matrix]
+    tail = lam.tail_scalar
+    if change == "row 3 zeroed":
+        rows[3] = [Decimal(0)] * len(rows)
+    elif change == "row 3 := row 5":
+        rows[3] = list(rows[5])
+    elif change == "column 7 := column 2":
+        for row in rows:
+            row[7] = row[2]
+    else:
+        tail = Decimal(0)
+    return ct.LinearMap(rows, tail)
+
+
+@pytest.mark.parametrize("change, part", [
+    ("row 3 zeroed", "kappa_columns_max"),
+    ("row 3 := row 5", "kappa_columns_max"),
+    ("column 7 := column 2", "kappa_columns_max"),
+    ("tail scalar 0", "kappa_tail"),
+])
+def test_singular_map_fails_with_kappa_at_least_one(desk, change, part):
+    """A frozen map that is not invertible cannot pass: ||I - Lam DF(x0)|| < 1
+    would make it onto, so the kappa bound of a singular map is at least 1."""
+    lam = _modified_map(desk.lam_fixed, change)
+    with pytest.raises(CertificationFailed) as info:
+        ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, lam, "1e-8")
+    cert = info.value.certificate
+    assert not cert.passed and cert.posterior_radius is None
+    assert cert.kappa >= 1 and getattr(cert, part) >= 1

@@ -1,6 +1,9 @@
 import decimal
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -38,6 +41,24 @@ def test_config_validation():
         pl.RunConfig(targets=("delta", "unknown"))
     with pytest.raises(ConfigError):
         pl.RunConfig(workers=0)
+
+
+@pytest.mark.parametrize("field", ["rho", "rho_delta", "rho_gamma"])
+@pytest.mark.parametrize("text", ["abc", "1e-x", "", "nan", "inf", "-1e-8"])
+def test_config_rejects_junk_radius(field, text):
+    """Each radius is outside input: junk, non-finite and non-positive values
+    raise ConfigError naming the field, never a decimal exception."""
+    with pytest.raises(ConfigError, match=field):
+        pl.RunConfig(**{field: text})
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--rho-delta", "--rho-gamma"])
+def test_cli_junk_radius_is_an_error(capsys, flag):
+    from renormcert import cli
+
+    assert cli.main(["certify", flag, "1e-x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1e-x" in err and "Traceback" not in err
 
 
 def test_pipeline_ordering_enforced():
@@ -409,6 +430,31 @@ def test_cli_report_and_digits(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "gamma" in text and "669036" not in text  # gamma digits, not delta
     assert "619036" in text.replace(" ", "").replace("\n", "")
+
+
+@pytest.mark.parametrize("content", [None, "{", "[1]", '{"enclosures": {"a": ["x", "1"]}}',
+                                     '{"enclosures": {"a": ["1"]}}'])
+def test_cli_digits_bad_file(tmp_path, capsys, content):
+    """A missing or malformed certificate file is an error naming the file
+    (exit 2), not a traceback."""
+    from renormcert import cli
+
+    path = tmp_path / "certificate_fixed_point.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["digits", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate ") and str(path) in err
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy serves only the eigenvalue selection; importing the CLI does not
+    load it."""
+    code = "import sys, renormcert.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
