@@ -6,6 +6,11 @@ used by the Newton-like certification operators.  Everything here runs in
 round-to-nearest decimal arithmetic inside a local context; no rounding
 state is shared with the directed-rounding side.
 
+Each eigenpair is the one whose eigenvalue lies nearest a literature hint
+s (4.669 for delta, 6.619**2 for gamma**2), found by shifted inverse
+iteration; the error shrinks by |lambda - s|/|lambda' - s| per step, where
+lambda' is the next nearest eigenvalue.
+
 Polynomials are plain lists of Decimal coefficients in the scaled-monomial
 basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
 truncation degree is the length of the list minus one.
@@ -45,9 +50,10 @@ _C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
 #: classical starting guess g(x) ~ 1 - 1.5276 x**2, written for G(X).
 _SEED_QUADRATIC = Decimal("-1.5276")
 
-#: literature hint used only to pick the parameter-scaling eigenvalue
-#: out of the bootstrap spectrum; rigor comes from the certificate.
-_DELTA_HINT = 4.669
+#: literature values of delta and gamma: the bootstrap takes the eigenvalue
+#: nearest hint**p (p = 1 for delta, 2 for gamma); rigor comes from the
+#: certificate.
+_EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
 
 #: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
 #: residual M x - lambda**p x (0 for the fixed point, whose M is DT - I).
@@ -304,7 +310,7 @@ def _sup_norm(v):
 
 
 def _newton(x, step, tol, max_iter: int):
-    """Newton's method: x <- x - DF(x)**-1 F(x) until |F(x)| < tol(x).
+    """Newton's method: x <- x - DF(x)**-1 F(x) until |F(x)| < tol.
 
     ``step(x)`` returns F(x) and a callable giving DF(x), which is only
     called when another step is needed.  Returns the first iterate whose
@@ -312,7 +318,7 @@ def _newton(x, step, tol, max_iter: int):
     """
     for _ in range(max_iter):
         residual, jacobian = step(x)
-        if _sup_norm(residual) < tol(x):
+        if _sup_norm(residual) < tol:
             return x
         lu, perm = lu_factor(jacobian())
         delta = _lu_solve_factored(lu, perm, [-r for r in residual])
@@ -356,7 +362,7 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
             g = _pad(g, stage_n + 1)
             if abs(poly_eval(g, _D1)) < Decimal("0.05"):
                 raise NewtonDivergence("seed normalisation G(1) too close to zero")
-            g = _newton(g, _fixed_point_step, lambda _: tol, max_iter)
+            g = _newton(g, _fixed_point_step, tol, max_iter)
             if g is None:
                 raise NewtonDivergence(
                     f"no convergence below {tol} in {max_iter} iterations")
@@ -365,41 +371,45 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
 
 # -- eigenpairs -------------------------------------------------------------------
 
-def _to_float_matrix(m):
-    import numpy as np  # imported where used, so importing the package does not load it
+def _inverse_iteration(matrix, shift, phi_power: int, digits: int):
+    """Eigenvector x of ``matrix`` for its eigenvalue lambda nearest ``shift``,
+    scaled so that x[0]**phi_power = lambda (phi_power 1 or 2).
 
-    return np.array([[float(x) for x in row] for row in m], dtype=float)
-
-
-def _select_delta(values):
-    candidates = [(abs(v.real - _DELTA_HINT), v) for v in values
-                  if abs(v) > 1 and abs(v.imag) < 1e-6]
-    if not candidates:
-        raise EigenSelectionAmbiguous("no real eigenvalue outside the unit disc")
-    candidates.sort(key=lambda t: t[0])
-    if len(candidates) > 1 and abs(candidates[0][0] - candidates[1][0]) < 1e-3:
-        raise EigenSelectionAmbiguous(
-            f"two candidates near the target: {candidates[0][1]}, {candidates[1][1]}")
-    return candidates[0][1].real
-
-
-def _select_dominant(values):
-    ordered = sorted(values, key=lambda v: -abs(v))
-    top = ordered[0]
-    if abs(top.imag) > 1e-6 * abs(top):
-        raise EigenSelectionAmbiguous(f"dominant eigenvalue not real: {top}")
-    if len(ordered) > 1 and abs(abs(ordered[0]) - abs(ordered[1])) < 1e-6 * abs(top):
-        raise EigenSelectionAmbiguous("dominant eigenvalue not isolated")
-    return top.real
+    From x = e_0, with M - shift I factored once: y = (M - shift I)**-1 x,
+    lambda = shift + x[0]/y[0], x = y lambda**(1/phi_power) / y[0], until
+    |M x - x[0]**phi_power x| < 10**-(digits-6) max(1, |x|), for at most
+    ``digits`` steps.  Runs in the active decimal context.
+    """
+    lu, perm = lu_factor([[m - shift if i == j else m for j, m in enumerate(row)]
+                          for i, row in enumerate(matrix)])
+    tol = Decimal(10) ** -(digits - 6)
+    x = _pad([_D1], len(matrix))
+    for _ in range(digits):
+        y = _lu_solve_factored(lu, perm, x)
+        if not y[0]:
+            raise EigenSelectionAmbiguous("eigenvector has vanishing constant coefficient")
+        lam = shift + x[0] / y[0]
+        if phi_power == 2 and lam <= 0:
+            raise EigenSelectionAmbiguous(f"eigenvalue nearest the shift {shift} not positive")
+        x = p_scale((lam if phi_power == 1 else lam.sqrt()) / y[0], y)
+        residual = p_sub(_mat_vec(matrix, x), p_scale(x[0] ** phi_power, x))
+        if _sup_norm(residual) < tol * max(_D1, _sup_norm(x)):
+            return x
+    raise EigenSelectionAmbiguous(
+        f"inverse iteration at the shift {shift} did not converge in {digits} steps")
 
 
 def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal]:
     """Approximate eigenfunction and eigenvalue, normalised so coeff0 = eigenvalue.
 
-    kind 'delta': eigenvalue of the derivative of T nearest the known
-    parameter-scaling constant among those outside the unit disc.
-    kind 'gamma': square root of the dominant eigenvalue of the noise
-    operator; the returned scalar is that root.
+    kind 'delta': the eigenvalue of the derivative of T nearest the
+    literature value 4.669 of the parameter-scaling constant.
+    kind 'gamma': the eigenvalue of the noise operator nearest 6.619**2;
+    the returned scalar is its square root.
+    Both come from shifted inverse iteration in decimal arithmetic with that
+    shift s, which converges at the rate |lambda - s|/|lambda' - s| per step,
+    lambda' being the eigenvalue next nearest s; EigenSelectionAmbiguous is
+    raised when it does not converge in ``digits`` steps.
     """
     if kind == "delta":
         matrix = dt_matrix(g0, digits)
@@ -407,37 +417,9 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
         matrix = l_matrix(g0, digits)
     else:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
-    import numpy as np
-
-    values, vectors = np.linalg.eig(_to_float_matrix(matrix))
-    if kind == "delta":
-        lam = _select_delta(values)
-        target = lam
-    else:
-        lam = _select_dominant(values)
-        if lam <= 0:
-            raise EigenSelectionAmbiguous("dominant noise eigenvalue not positive")
-        target = float(np.sqrt(lam))
-    idx = int(np.argmin(np.abs(values - lam)))
-    vec_f = vectors[:, idx].real
-    if abs(vec_f[0]) < 1e-12:
-        raise EigenSelectionAmbiguous("eigenvector has vanishing constant coefficient")
     phi_power = _PHI_POWER[kind + "_eigen"]
     with decimal.localcontext(_context(digits)):
-        vec = [Decimal(repr(float(x))) for x in vec_f]
-        scale_to = Decimal(repr(float(target))) / vec[0]
-        vec = [x * scale_to for x in vec]
-        tol = Decimal(10) ** -(digits - 6)
-
-        def step(x):
-            lam_p = x[0] ** phi_power
-            mx = _mat_vec(matrix, x)
-            residual = [mx[i] - lam_p * x[i] for i in range(len(x))]
-            return residual, lambda: _eigen_jacobian(matrix, x, phi_power)
-
-        vec = _newton(vec, step, lambda x: tol * max(_D1, _sup_norm(x)), max_iter=50)
-        if vec is None:
-            raise NewtonDivergence("eigenpair polish did not converge")
+        vec = _inverse_iteration(matrix, _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
         return vec, vec[0]
 
 

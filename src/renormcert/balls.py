@@ -147,9 +147,6 @@ class FunctionBall:
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_polynomial(self) -> bool:
-        return self.v_high == 0 and self.v_err == 0
-
     def __repr__(self):
         return (f"FunctionBall(N={self.truncation}, domain={self.domain}, "
                 f"v_high={self.v_high}, v_err={self.v_err})")

@@ -179,8 +179,9 @@ def _cmd_digits(args) -> int:
     for name in sorted(enclosures):
         text, count = pl.certified_digits(enclosures[name])
         print(f"{name}: {count} certified digits")
-        print(text if args.plain else pl.format_digit_block(text), end="")
-        print()
+        if count:
+            print(text if args.plain else pl.format_digit_block(text), end="")
+            print()
     return 0
 
 

@@ -156,10 +156,6 @@ def rectangle(re, im=None) -> Rectangle:
     return Rectangle(r, i)
 
 
-RZERO = rectangle(0)
-RONE = rectangle(1)
-
-
 class RoundingContext:
     """Directed-rounding arithmetic at a fixed decimal significand precision.
 
@@ -254,20 +250,6 @@ class RoundingContext:
             n >>= 1
             if n:
                 b = self._up.multiply(b, b)
-        return result
-
-    def pow_dn(self, base: Decimal, n: int) -> Decimal:
-        """Lower bound of base**n for base >= 0, n >= 0."""
-        if base < 0 or n < 0:
-            raise ConfigError("pow_dn needs base >= 0 and n >= 0")
-        result = _D1
-        b = base
-        while n:
-            if n & 1:
-                result = self._dn.multiply(result, b)
-            n >>= 1
-            if n:
-                b = self._dn.multiply(b, b)
         return result
 
     # -- integer midpoint-radius form --------------------------------------
@@ -397,26 +379,6 @@ class RoundingContext:
 
     def iwidth(self, x: Interval) -> Decimal:
         return self._up.subtract(x.hi, x.lo)
-
-    def ipow(self, x: Interval, n: int) -> Interval:
-        """Interval integer power, tight on sign-definite intervals."""
-        if n < 0:
-            raise ConfigError("ipow needs n >= 0")
-        if n == 0:
-            return IONE
-        if n % 2 == 0 and x.contains_zero():
-            return Interval(_D0, self.pow_up(x.mag, n))
-        if x.lo >= 0:
-            return Interval(self.pow_dn(x.lo, n), self.pow_up(x.hi, n))
-        if x.hi <= 0:
-            lo = self.pow_up(x.lo.copy_abs(), n)
-            hi = self.pow_dn(x.hi.copy_abs(), n)
-            if n % 2 == 0:
-                return Interval(hi, lo)
-            return Interval(lo.copy_negate(), hi.copy_negate())
-        # odd power straddling zero
-        return Interval(self.pow_up(x.lo.copy_abs(), n).copy_negate(),
-                        self.pow_up(x.hi, n))
 
     # -- rectangle arithmetic ---------------------------------------------
 

@@ -6,6 +6,8 @@ import decimal
 import random
 from decimal import Decimal
 
+import numpy as np
+
 from renormcert import balls as fb
 from renormcert.errors import PointOutsideDomain
 from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
@@ -32,6 +34,11 @@ def digit_match_count(text: str, reference: str) -> int:
             break
         n += 1
     return n
+
+
+def float_matrix(m) -> np.ndarray:
+    """A Decimal matrix rounded to float64, for numpy as the spectrum oracle."""
+    return np.array([[float(x) for x in row] for row in m], dtype=float)
 
 
 def rand_decimal(rng: random.Random, scale: float = 4.0) -> Decimal:

@@ -19,6 +19,7 @@ from helpers import (
     domain_points,
     eval_member,
     eval_member_derivative,
+    float_matrix,
     member_product,
     rand_poly_ball,
     sample_member,
@@ -109,7 +110,7 @@ def test_criterion_5_spectrum(desk_run):
     result, _ = desk_run
     g0 = [c.re.lo for c in result.balls["G0"].coeffs]
     m = ax.dt_matrix(g0, digits=30)
-    values = np.linalg.eigvals(ax._to_float_matrix(m))
+    values = np.linalg.eigvals(float_matrix(m))
     big = sorted((v for v in values if abs(v) > 1), key=lambda v: -abs(v))
     assert len(big) == 2
     assert abs(big[0].real - 6.264547) < 1e-3

@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from helpers import REF_A, REF_DELTA, REF_GAMMA, digit_match_count
+from helpers import REF_A, REF_DELTA, REF_GAMMA, digit_match_count, float_matrix
 from renormcert import approx as ax
 from renormcert import contraction as ct
 from renormcert.errors import (
@@ -64,11 +64,42 @@ def test_eigen_residual_invariant(desk):
 
 def test_spectrum_two_large_eigenvalues(desk):
     m = ax.dt_matrix(desk.g0, digits=30)
-    values = np.linalg.eigvals(ax._to_float_matrix(m))
+    values = np.linalg.eigvals(float_matrix(m))
     big = sorted((v for v in values if abs(v) > 1), key=lambda v: -abs(v))
     assert len(big) == 2
     assert abs(big[0].real - 6.264547) < 1e-3
     assert abs(big[1].real - 4.669201) < 1e-3
+
+
+# eigenvalues 4 and 6 with eigenvectors (1, 1) and (1, 2)
+_TOY = [[Decimal(2), Decimal(2)], [Decimal(-4), Decimal(8)]]
+
+
+@pytest.mark.parametrize("shift, vector", [("4.1", ("4", "4")), ("5.9", ("6", "12"))])
+def test_inverse_iteration_takes_eigenvalue_nearest_shift(shift, vector):
+    with decimal.localcontext(ax._context(30)):
+        x = ax._inverse_iteration(_TOY, Decimal(shift), 1, 30)
+    assert all(abs(a - Decimal(b)) < Decimal("1e-20") for a, b in zip(x, vector))
+
+
+@pytest.mark.parametrize("matrix, shift, power", [
+    pytest.param(_TOY, "5", 1, id="shift equidistant from 4 and 6"),
+    pytest.param([[-m for m in row] for row in _TOY], "-4.1", 2, id="nearest eigenvalue -4 < 0"),
+])
+def test_inverse_iteration_negative_controls(matrix, shift, power):
+    with decimal.localcontext(ax._context(30)), pytest.raises(EigenSelectionAmbiguous):
+        ax._inverse_iteration(matrix, Decimal(shift), power, 30)
+
+
+def test_eigen_selection_matches_float_spectrum(desk):
+    """delta0 is the real eigenvalue of DT outside the unit disc nearest
+    4.669, and gamma0**2 the dominant eigenvalue of L, by numpy in float64."""
+    dt = np.linalg.eigvals(float_matrix(ax.dt_matrix(desk.g0, digits=30)))
+    real_outside = [v.real for v in dt if abs(v) > 1 and abs(v.imag) < 1e-6]
+    assert abs(min(real_outside, key=lambda v: abs(v - 4.669)) - float(desk.lam0)) < 1e-9
+    spectrum = np.linalg.eigvals(float_matrix(ax.l_matrix(desk.g0, digits=30)))
+    top = max(spectrum, key=abs)
+    assert abs(top - float(desk.gam0) ** 2) < 1e-9 * abs(top)
 
 
 def test_jacobian_column_delta_a_only_in_first(desk):
@@ -145,7 +176,7 @@ def test_jacobian_kinds(desk):
     jg = ax.approx_jacobian("gamma_eigen", desk.g0, desk.w0, digits=30)
     # rank-one normalisation terms keep the eigen Jacobians well-conditioned
     for j in (jd, jg):
-        cond = np.linalg.cond(ax._to_float_matrix(j))
+        cond = np.linalg.cond(float_matrix(j))
         assert cond < 1e6
     with pytest.raises(ConfigError):
         ax.approx_jacobian("delta_eigen", desk.g0, None, digits=30)

@@ -447,14 +447,32 @@ def test_cli_digits_bad_file(tmp_path, capsys, content):
     assert err.startswith("error: certificate ") and str(path) in err
 
 
-def test_cli_import_leaves_numpy_out():
-    """numpy serves only the eigenvalue selection; importing the CLI does not
-    load it."""
-    code = "import sys, renormcert.cli; print('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])}
+@pytest.mark.parametrize("plain", [False, True])
+def test_cli_digits_without_certified_digit(tmp_path, capsys, plain):
+    """An enclosure with no certified digit prints its count and no digit
+    block, in both layouts."""
+    from renormcert import cli
+
+    path = tmp_path / "certificate_fixed_point.json"
+    path.write_text('{"enclosures": {"a": ["1", "2"]}}')
+    assert cli.main(["digits", str(path)] + ["--plain"] * plain) == 0
+    assert capsys.readouterr().out == "a: 0 certified digits\n"
+
+
+def test_cli_certify_runs_without_numpy(tmp_path):
+    """The runtime needs no numpy: a desk certify run with the import blocked
+    bootstraps and passes all three targets with their desk digit counts."""
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from renormcert import cli\n"
+            "sys.exit(cli.main(['certify', '-N', '20', '-P', '30']))")
+    env = {k: v for k, v in os.environ.items() if k != "RENORMCERT_SCRATCH"}
+    env["PYTHONPATH"] = str(Path(pl.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+                         env=env, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    counts = {line.split(":")[0]: line.split()[1] for line in out.stdout.splitlines()
+              if "certified digits" in line}
+    assert counts == {"a": "11", "alpha": "10", "delta": "7", "gamma": "8"}
 
 
 def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
