@@ -2,9 +2,11 @@
 
 Produces the approximate fixed point G0, the approximate eigenpairs for the
 parameter-scaling and noise-scaling problems, and the frozen linear maps
-used by the Newton-like certification operators.  Everything here runs in
-round-to-nearest decimal arithmetic inside a local context; no rounding
-state is shared with the directed-rounding side.
+used by the Newton-like certification operators: each the inverse of its
+Jacobian's head on degrees 0..K, K = min(N, HEAD_DEGREE), with a tail
+scalar above K.  Everything here runs in round-to-nearest decimal
+arithmetic inside a local context; no rounding state is shared with the
+directed-rounding side.
 
 Each eigenpair is the one whose eigenvalue lies nearest a literature hint
 s (4.669 for delta, 6.619**2 for gamma**2), found by shifted inverse
@@ -30,6 +32,7 @@ from .errors import (
 )
 
 __all__ = [
+    "HEAD_DEGREE",
     "default_seed",
     "approx_fixed_point",
     "dt_matrix",
@@ -54,6 +57,10 @@ _SEED_QUADRATIC = Decimal("-1.5276")
 #: nearest hint**p (p = 1 for delta, 2 for gamma); rigor comes from the
 #: certificate.
 _EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
+
+#: degree K of the frozen map's dense head: the map is a matrix on degrees
+#: 0..min(N, K) and the tail scalar above; kappa < 1 needs no more.
+HEAD_DEGREE = 20
 
 #: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
 #: residual M x - lambda**p x (0 for the fixed point, whose M is DT - I).
@@ -127,15 +134,16 @@ def _normalize_arg(h):
     return u
 
 
-def _power_list(u):
+def _power_list(u, count):
+    """u**0..u**(count-1) for count >= 2, each truncated to the length of u."""
     powers = [_pad([_D1], len(u)), list(u)]
-    for _ in range(2, len(u)):
+    for _ in range(2, count):
         powers.append(p_mul(powers[-1], u))
     return powers
 
 
 def _table_compose(f, powers):
-    out = [_D0] * len(powers)
+    out = [_D0] * len(powers[0])
     for k, fk in enumerate(f):
         if not fk:
             continue
@@ -152,21 +160,29 @@ def _rows(cols):
 
 class _MidShared:
     """Midpoint analogue of the shared operator evaluations at g, from which
-    T(g) and the columns of DT(g) and L(g) are read."""
+    T(g) and the columns of DT(g) and L(g) are read.
 
-    def __init__(self, g):
+    With ``width`` = K + 1 below N + 1, every polynomial is cut to its
+    coefficients 0..K (the power lists still hold all N + 1 powers), and
+    the matrices are the K+1 x K+1 heads of the full ones, at O(N K**2)
+    cost.  Truncated products are causal, so the head entries are those of
+    the full matrices digit for digit.
+    """
+
+    def __init__(self, g, width: int | None = None):
         n = len(g) - 1
+        self.width = width = n + 1 if width is None else width
         self.a = poly_eval(g, _D1)
         if not self.a:
             raise NewtonDivergence("normalisation a = G(1) vanished")
         self.a2 = self.a * self.a
         self.ainv = _D1 / self.a
         self.ainv2 = self.ainv * self.ainv
-        affine = _pad([self.a2 * _C, self.a2 * _R], n + 1)
-        self.up1 = _power_list(_normalize_arg(affine))
+        affine = _pad([self.a2 * _C, self.a2 * _R], width)
+        self.up1 = _power_list(_normalize_arg(affine), n + 1)
         self.inner = _table_compose(g, self.up1)
         self.squared = p_mul(self.inner, self.inner)
-        self.up2 = _power_list(_normalize_arg(self.squared))
+        self.up2 = _power_list(_normalize_arg(self.squared), n + 1)
         self.outer = _table_compose(g, self.up2)
         gd = p_deriv(g)
         self.deriv_outer = _table_compose(gd, self.up2)
@@ -174,7 +190,7 @@ class _MidShared:
         two_inner = p_scale(_D2 * self.ainv, self.inner)
         self.c16 = p_mul(self.deriv_outer, two_inner)
         self.c16sq = p_mul(self.c16, self.c16)
-        x_poly = _pad([_C, _R], n + 1)
+        x_poly = _pad([_C, _R], width)
         self.factor17 = p_mul(p_mul(self.c16, self.deriv_inner),
                               p_scale(_D2 * self.a, x_poly))
 
@@ -185,7 +201,7 @@ class _MidShared:
     def dt_matrix(self):
         """Rows of the truncated DT(g); column k is DT(g) e_k."""
         cols = []
-        for k in range(len(self.up1)):
+        for k in range(self.width):
             col = p_scale(self.ainv, self.up2[k])
             col = p_add(col, p_mul(self.c16, self.up1[k]))
             if k == 0:
@@ -198,7 +214,7 @@ class _MidShared:
     def l_matrix(self):
         """Rows of the truncated noise-scaling operator L(g)."""
         cols = []
-        for k in range(len(self.up1)):
+        for k in range(self.width):
             col = p_mul(self.c16sq, self.up1[k])
             col = p_add(col, p_scale(self.ainv2, self.up2[k]))
             cols.append(col)
@@ -426,29 +442,35 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
 # -- jacobians and the frozen linear map -------------------------------------------
 
 def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
-    """Truncated Jacobian of the residual map for the given problem kind.
+    """Head block of the truncated Jacobian of the residual map for the
+    given problem kind: rows and columns 0..K, K = min(N, HEAD_DEGREE).
 
     fixed_point: derivative of T minus identity, at g0.
     delta_eigen/gamma_eigen: operator matrix minus the eigenvalue terms,
     including the rank-one normalisation coupling, at x0.
+    The block is read off shared evaluations cut to degree K, at O(N K**2)
+    cost; its entries are those of the full (N+1) x (N+1) matrix.
     """
     if kind not in _PHI_POWER:
         raise ConfigError(f"unknown problem kind {kind!r}")
     if kind != "fixed_point" and x0 is None:
         raise ConfigError("eigen jacobians need the approximate eigenfunction")
+    width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
-        shared = _MidShared(g0)
+        shared = _MidShared(g0, width)
         if kind == "fixed_point":
             return shared.fixed_point_jacobian()
         matrix = shared.dt_matrix() if kind == "delta_eigen" else shared.l_matrix()
-        return _eigen_jacobian(matrix, _pad(list(x0), len(g0)), _PHI_POWER[kind])
+        return _eigen_jacobian(matrix, _pad(list(x0), width), _PHI_POWER[kind])
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):
     """Frozen linear map approximating the inverse Jacobian.
 
-    Matrix block: rounded midpoint inverse of the truncated Jacobian.  Tail
-    scalar: -1/lambda0**p with the kind's eigenvalue power p, so -1 for the
+    Matrix block: rounded midpoint inverse of ``jac``, the Jacobian's head
+    on degrees 0..K (any K up to N; :func:`approx_jacobian` gives
+    K = min(N, HEAD_DEGREE)).  Tail scalar, acting on every degree above
+    K: -1/lambda0**p with the kind's eigenvalue power p, so -1 for the
     fixed point (the derivative of T decays on high degrees, so the
     Jacobian is near minus identity there), -1/lambda0 for the
     parameter-scaling problem and -1/lambda0**2 for the noise problem.

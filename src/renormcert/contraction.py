@@ -16,20 +16,23 @@ directed rounding; on success the ball contains a unique fixed point of Phi.
 The same kappa < 1 proves that the fixed points of Phi are the zeros of F.
 At x = x0 it reads ||I - Lam DF(x0)|| < 1, so Lam DF(x0) is invertible by
 the Neumann series and Lam is onto.  Lam is a square matrix on degrees
-0..N and a scalar on every degree above N; onto means the matrix is
-invertible and the scalar is nonzero, so Lam is a bijection and
-Lam F(x) = 0 only where F(x) = 0 (the "Z < 1 implies A injective" step of
-van den Berg and Lessard, "Rigorous numerics in dynamics", Notices AMS 62,
-2015).  No separate invertibility proof is needed.  The certified
-constants follow from the coordinate functional phi(x) = x(c), the
-constant basis coefficient.
+0..K (its head, K <= N) and a scalar on every degree above K; onto
+means the matrix is invertible and the scalar is nonzero, so Lam is a
+bijection and Lam F(x) = 0 only where F(x) = 0 (the "Z < 1 implies A
+injective" step of van den Berg and Lessard, "Rigorous numerics in
+dynamics", Notices AMS 62, 2015).  No separate invertibility proof is
+needed.  The certified constants follow from the coordinate functional
+phi(x) = x(c), the constant basis coefficient.
 
 The operator-norm bound for DPhi uses the maximum column-sum norm: columns
-0..N are bounded one basis vector at a time (embarrassingly parallel, each
+0..K are bounded one basis vector at a time (embarrassingly parallel, each
 worker owning its private rounding context, merged in index order), and all
-higher basis directions at once through a single ball of high-order
-functions whose compositions are controlled by powers of the contraction
-factors theta of the inner arguments.
+basis directions above K at once through a single ball of functions of
+degree > K, whose compositions are controlled by powers theta**(K+1) of the
+contraction factors theta of the inner arguments.  K is independent of N
+(approx.HEAD_DEGREE): only K+1 columns are bounded one by one, and
+applying the map costs O(K**2 + N) instead of O(N**2); K = N is the
+dense map.
 """
 
 from __future__ import annotations
@@ -75,8 +78,11 @@ _D2 = Decimal(2)
 
 
 class LinearMap:
-    """Frozen linear operator: a matrix on coefficients 0..N plus a scalar
-    acting on every degree above N (and on high-order error content).
+    """Frozen linear operator in block form: a square matrix (the head) on
+    coefficients 0..K, K = dim - 1, and a scalar acting on every degree
+    above K: the polynomial coefficients K+1..N of a degree-N ball and its
+    high-order content alike.  K may be anything up to N; K = N is the
+    dense map.
 
     Entries are exactly representable numbers, not intervals; rigour comes
     from applying them exactly to integer midpoint-radius coefficients.
@@ -87,8 +93,8 @@ class LinearMap:
     def __init__(self, matrix, tail_scalar):
         self.matrix = tuple(tuple(as_decimal(x) for x in row) for row in matrix)
         n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ConfigError("linear map matrix must be square")
+        if not n or any(len(row) != n for row in self.matrix):
+            raise ConfigError("linear map matrix must be square with at least one row")
         self.tail_scalar = as_decimal(tail_scalar)
         if not self.tail_scalar.is_finite() or not all(
                 x.is_finite() for row in self.matrix for x in row):
@@ -109,10 +115,12 @@ class LinearMap:
             self._col_sums[ctx.precision] = cached
         return cached
 
-    def int_rows(self) -> tuple[list[list[int]], int]:
-        """The matrix exactly as integers at scale 10**-e: (rows, e)."""
+    def int_rows(self) -> tuple[list[list[int]], int, int]:
+        """The matrix and the tail scalar exactly as integers at one scale
+        10**-e: (rows, tail, e)."""
         if self._int_rows is None:
-            self._int_rows = _int_matrix(self.matrix)
+            rows, e = _int_matrix(self.matrix + ((self.tail_scalar,),))
+            self._int_rows = rows[:-1], rows[-1][0], e
         return self._int_rows
 
     def __eq__(self, other):
@@ -124,7 +132,7 @@ class LinearMap:
 
 
 def _int_matrix(matrix) -> tuple[list[list[int]], int]:
-    """A matrix of exact decimals as integers at one scale 10**-e: (rows, e)."""
+    """Rows of exact decimals as integers at one scale 10**-e: (rows, e)."""
     e = max([0] + [-x.as_tuple().exponent for row in matrix for x in row if x])
     ten = 10 ** e
 
@@ -152,26 +160,37 @@ def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     return max(max(lam.col_sums(ctx)), lam.tail_scalar.copy_abs())
 
 
-def _apply_rows(rows, mids: list[int], rads: list[int]) -> tuple[list[int], list[int]]:
-    """Exact image of integer midpoints and radii under a matrix given by its
-    integer rows: midpoints by the rows, radii by their absolute values."""
-    return ([sum(map(_imul, row, mids)) for row in rows],
-            [sum(map(_imul, map(abs, row), rads)) for row in rows])
+def _head_degree(lam: LinearMap, n: int) -> int:
+    """K of the map, which must fit a degree-n ball."""
+    if lam.dim > n + 1:
+        raise DimensionMismatch(f"map dimension {lam.dim} exceeds ball degree {n} + 1")
+    return lam.dim - 1
+
+
+def _apply_block(rows, tail: int, mids: list[int],
+                 rads: list[int]) -> tuple[list[int], list[int]]:
+    """Exact image of integer midpoints and radii under a block map given by
+    its integer head rows and tail scalar: the rows act on entries 0..K
+    (radii by their absolute values) and the tail on every entry above K."""
+    k1 = len(rows)
+    return ([sum(map(_imul, row, mids)) for row in rows] + [tail * m for m in mids[k1:]],
+            [sum(map(_imul, map(abs, row), rads)) for row in rows]
+            + [abs(tail) * r for r in rads[k1:]])
 
 
 def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> FunctionBall:
-    """Apply the frozen map to a ball: matrix on the polynomial coefficients,
-    |tail| on the high-order bound, full operator norm on the error bound
-    (error content may sit at any degree).
+    """Apply the frozen map to a ball: head matrix on coefficients 0..K,
+    tail scalar on coefficients K+1..N, |tail| on the high-order bound,
+    full operator norm on the error bound (error content may sit at any
+    degree).
 
-    The matrix acts exactly on the integer midpoint-radius form of the
+    The map acts exactly on the integer midpoint-radius form of the
     coefficients; the image is rounded outward once."""
     n = f.truncation
-    if lam.dim != n + 1:
-        raise DimensionMismatch(f"map dimension {lam.dim} vs ball degree {n}")
-    rows, e = lam.int_rows()
+    _head_degree(lam, n)
+    rows, tail, e = lam.int_rows()
     b = fb.to_int_ball(ctx, f)
-    moved = fb.IntBall(*_apply_rows(rows, b.mid, b.rad), b.scale + e,
+    moved = fb.IntBall(*_apply_block(rows, tail, b.mid, b.rad), b.scale + e,
                        ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
                        ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
     return fb.from_int_ball(ctx, f.domain, n, moved)
@@ -185,8 +204,8 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     only the final column-sum bound is rounded (upward).
 
     :func:`certify` does not call this: its kappa < 1 already proves the
-    map invertible (see the module docstring).  It re-inverts M, an
-    O(N**3) Decimal LU, and is kept as a standalone check."""
+    map invertible (see the module docstring).  It re-inverts the head M,
+    an O(K**3) Decimal LU, and is kept as a standalone check."""
     from .approx import mat_inv
 
     if lam.tail_scalar == 0:
@@ -197,7 +216,7 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
     b_rows, b_scale = _int_matrix(approx_inv)
-    m_rows, m_scale = lam.int_rows()
+    m_rows, _, m_scale = lam.int_rows()
     m_cols = list(zip(*m_rows))
     one = 10 ** (b_scale + m_scale)
     col_sums = [0] * n
@@ -382,17 +401,16 @@ def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
 
 def _int_map(ctx: RoundingContext, lam: LinearMap) -> tuple:
     """What a column bound needs of the frozen map, in integers where it acts
-    on coefficients: (rows, e, |tail scalar|, operator-norm bound)."""
-    rows, e = lam.int_rows()
-    return rows, e, lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
+    on coefficients: (rows, tail, e, |tail scalar|, operator-norm bound)."""
+    return *lam.int_rows(), lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
 
 
 def _column_bound(ctx: RoundingContext, kernel, lam_int: tuple, k: int) -> Decimal:
-    """Upper bound of ||e_k - Lam image_k||.  The frozen map acts exactly on
-    the integer image and the coefficient norm is rounded up once."""
+    """Upper bound of ||e_k - Lam image_k|| for k <= K.  The frozen map acts
+    exactly on the integer image and the coefficient norm is rounded up once."""
     image = kernel.image(ctx, k)
-    rows, e, tail_abs, lam_norm = lam_int
-    mid, rad = _apply_rows(rows, image.mid, image.rad)
+    rows, tail, e, tail_abs, lam_norm = lam_int
+    mid, rad = _apply_block(rows, tail, image.mid, image.rad)
     mid[k] -= 10 ** (image.scale + e)
     total = sum(map(abs, mid)) + sum(rad)
     bound = ctx.add_up(ctx.scaled_up(total, image.scale + e), ctx.mul_up(image.v_high, tail_abs))
@@ -414,47 +432,51 @@ def _pool_column(k: int) -> Decimal:
 
 def bound_kappa_columns(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
                         lam: LinearMap, workers: int = 1) -> list[Decimal]:
-    """Bounds of ||DPhi(x) e_k|| for k = 0..N, valid over the whole ball.
+    """Bounds of ||DPhi(x) e_k|| for k = 0..K, the head of the frozen map,
+    valid over the whole ball; :func:`bound_kappa_tail` covers every
+    degree above K.
 
     Columns are independent; with workers > 1 they are distributed over a
-    process pool, each process holding a private rounding context and the
-    integer column state, and the results are merged in index order so the
-    output does not depend on the worker count.
+    pool of at most K+1 processes, each holding a private rounding context
+    and the integer column state, and the results are merged in index
+    order so the output does not depend on the worker count.
     """
+    columns = range(_head_degree(lam, x_ball.truncation) + 1)
     kernel = problem.column_kernel(ctx, x_ball)
     lam_int = _int_map(ctx, lam)
-    n = x_ball.truncation
-    if workers <= 1:
-        return [_column_bound(ctx, kernel, lam_int, k) for k in range(n + 1)]
+    processes = min(workers, len(columns))
+    if processes <= 1:
+        return [_column_bound(ctx, kernel, lam_int, k) for k in columns]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, (n + 1) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+    chunk = max(1, len(columns) // (4 * processes))
+    with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init,
                              initargs=(kernel, lam_int, ctx.precision)) as pool:
-        return list(pool.map(_pool_column, range(n + 1), chunksize=chunk))
+        return list(pool.map(_pool_column, columns, chunksize=chunk))
 
 
 def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
                      lam: LinearMap) -> Decimal:
-    """Bound of ||DPhi(x) f_H|| over all high-order f_H with ||f_H|| <= 1.
+    """Bound of ||DPhi(x) f_H|| over all f_H of degree above K (the head
+    degree of the frozen map) with ||f_H|| <= 1.
 
-    With the domain centered at 1, f_H(1) = 0 and phi(f_H) = 0, so the
-    derivative acts as DF f_H = A f_H + q f_H where the compositions inside
-    A are bounded by theta**(N+1) without expanding f_H.  The frozen map
-    sends pure high-order content to tail_scalar times itself, leaving
+    With the domain centered at 1 and K >= 0, f_H(1) = 0 and phi(f_H) = 0,
+    so the derivative acts as DF f_H = A f_H + q f_H where the compositions
+    inside A are bounded by theta**(K+1) without expanding f_H.  The frozen
+    map sends content of degree above K to tail_scalar times itself, leaving
 
         ||DPhi f_H|| <= |1 - q t| + ||Lam|| ||A f_H||.
     """
     if x_ball.domain.center != 1:
         raise ConfigError("tail bound assumes domain center 1")
-    n = x_ball.truncation
+    k = _head_degree(lam, x_ball.truncation)
     q = problem.tail_phi_factor(ctx, x_ball)
     head = ctx.isub(IONE, ctx.iscale(q, lam.tail_scalar)).mag
     total = _D0
     for coeff_norm, theta in problem.tail_channels(ctx, x_ball):
         if theta >= 1:
             raise TailContractFailure(f"tail channel has theta = {theta} >= 1")
-        total = ctx.add_up(total, ctx.mul_up(coeff_norm, ctx.pow_up(theta, n + 1)))
+        total = ctx.add_up(total, ctx.mul_up(coeff_norm, ctx.pow_up(theta, k + 1)))
     return ctx.add_up(head, ctx.mul_up(lambda_norm_upper(ctx, lam), total))
 
 
@@ -468,6 +490,7 @@ class Certificate:
     kappa: Decimal
     kappa_columns_max: Decimal
     kappa_tail: Decimal
+    head_degree: int
     passed: bool
     posterior_radius: Decimal | None
     enclosures: dict
@@ -493,6 +516,7 @@ class Certificate:
             "kappa": str(self.kappa),
             "kappa_columns_max": str(self.kappa_columns_max),
             "kappa_tail": str(self.kappa_tail),
+            "head_degree": self.head_degree,
             "passed": self.passed,
             "posterior_radius": None if self.posterior_radius is None else str(self.posterior_radius),
             "enclosures": enc(self.enclosures),
@@ -513,7 +537,8 @@ class Certificate:
 
 def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: LinearMap,
             rho, workers: int = 1, config: dict | None = None) -> Certificate:
-    """Run the full contraction certificate for one problem.
+    """Run the full contraction certificate for one problem: epsilon, the
+    kappa columns 0..K of the frozen map's head and the tail bound above K.
 
     No separate invertibility proof of the frozen map runs: a passing
     kappa < 1 bounds ||I - Lam DF(x0)|| below 1, which makes Lam a
@@ -548,6 +573,7 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
         kappa=kappa,
         kappa_columns_max=col_max,
         kappa_tail=tail,
+        head_degree=lam.dim - 1,
         passed=passed,
         posterior_radius=posterior,
         enclosures={},

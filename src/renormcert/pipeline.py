@@ -173,8 +173,9 @@ def _check_ball(cfg: RunConfig, ball: fb.FunctionBall):
 
 
 def _check_map(cfg: RunConfig, lam: LinearMap):
-    if lam.dim != cfg.degree + 1:
-        raise ConfigError(f"map of dimension {lam.dim}, the run needs {cfg.degree + 1}")
+    """A map's head may have any dimension 1..N+1 (N+1: a dense map)."""
+    if lam.dim > cfg.degree + 1:
+        raise ConfigError(f"map of dimension {lam.dim}, the run needs at most {cfg.degree + 1}")
 
 
 def _load_or_compute(cfg: RunConfig, name: str, compute, serialize, deserialize, check):

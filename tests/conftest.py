@@ -10,6 +10,7 @@ from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
+from renormcert import pipeline as pl
 from renormcert.rounding import RoundingContext
 
 
@@ -50,3 +51,34 @@ def desk():
         v0=v0, lam0=lam0, V0=V0, lam_delta=lam_delta, cert_delta=cert_delta,
         w0=w0, gam0=gam0, W0=W0, lam_gamma=lam_gamma, cert_gamma=cert_gamma,
     )
+
+
+@pytest.fixture(scope="session")
+def n40():
+    """Degree-40 run (40 digits, rho 1e-20, all targets) and the frozen maps
+    of its three problems at head degrees 10 and 20.  ``setup(target, head)``
+    gives (problem, x0, ball, map): the problem, its approximate zero, the
+    ball its certificate bounds kappa over, and the map with that head."""
+    cfg = pl.RunConfig(degree=40, precision=40, rho="1e-20")
+    result = pl.run_pipeline(cfg)
+    ctx = RoundingContext(40)
+    tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, result.balls["parameter"]))
+    maps = {}
+    for head in (10, 20):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ax, "HEAD_DEGREE", head)
+            maps[head] = {t: lam for t, (_, lam) in pl.bootstrap(cfg).items()}
+    problems = {"fixed_point": (ct.FixedPointProblem(), "G0"),
+                "delta": (ct.DeltaProblem(ctx, result.balls["parameter"], tables), "V0"),
+                "gamma": (ct.GammaProblem(ctx, result.balls["parameter"], tables), "W0")}
+
+    def setup(target, head):
+        problem, centre = problems[target]
+        x0 = result.balls[centre]
+        return problem, x0, fb.inflate(ctx, x0, cfg.rho_for(target)), maps[head][target]
+
+    def decimals(name):
+        return [c.re.lo for c in result.balls[name].coeffs]
+
+    return SimpleNamespace(ctx=ctx, cfg=cfg, result=result, setup=setup,
+                           g0=decimals("G0"), v0=decimals("V0"), w0=decimals("W0"))

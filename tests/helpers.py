@@ -196,18 +196,21 @@ def _real_ball(domain, coeffs, v_high, v_err) -> fb.FunctionBall:
 
 
 def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.FunctionBall:
-    """Frozen map applied by interval dot products (reference for ``apply_lambda``)."""
+    """Frozen block map applied by interval dot products (reference for
+    ``apply_lambda``): the head rows on coefficients 0..K = lam.dim - 1 and
+    the tail scalar on every coefficient above K."""
     from renormcert.contraction import lambda_norm_upper
 
-    n = f.truncation
+    n, dim = f.truncation, lam.dim
     coeffs = []
-    for i in range(n + 1):
+    for i in range(dim):
         row = lam.matrix[i]
         acc = IZERO
-        for k in range(n + 1):
+        for k in range(dim):
             if row[k] and f.coeffs[k].re.mag != 0:
                 acc = ctx.iadd(acc, ctx.iscale(f.coeffs[k].re, row[k]))
         coeffs.append(acc)
+    coeffs += [ctx.iscale(f.coeffs[i].re, lam.tail_scalar) for i in range(dim, n + 1)]
     v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
     v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
     return _real_ball(f.domain, coeffs, v_high, v_err)

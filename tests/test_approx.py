@@ -182,6 +182,21 @@ def test_jacobian_kinds(desk):
         ax.approx_jacobian("delta_eigen", desk.g0, None, digits=30)
 
 
+def test_jacobian_head_is_head_of_full_matrix(n40):
+    """approx_jacobian gives the rows and columns 0..HEAD_DEGREE of the full
+    Jacobian, digit for digit, for every problem kind."""
+    k1 = ax.HEAD_DEGREE + 1
+    with decimal.localcontext(ax._context(40)):
+        full = ax._MidShared(n40.g0)
+        refs = {"fixed_point": (None, full.fixed_point_jacobian()),
+                "delta_eigen": (n40.v0, ax._eigen_jacobian(full.dt_matrix(), n40.v0, 1)),
+                "gamma_eigen": (n40.w0, ax._eigen_jacobian(full.l_matrix(), n40.w0, 2))}
+    for kind, (x0, ref) in refs.items():
+        head = ax.approx_jacobian(kind, n40.g0, x0, digits=40)
+        assert [list(map(str, row)) for row in head] == \
+            [list(map(str, row[:k1])) for row in ref[:k1]], kind
+
+
 def test_build_lambda_toy():
     n = 4
     jac = [[Decimal(-1) if i == j else Decimal(0) for j in range(n + 1)]

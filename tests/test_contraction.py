@@ -77,9 +77,11 @@ def test_apply_lambda_columns():
 
 
 def test_apply_lambda_dimension_mismatch():
-    lam = ct.identity_map(N)
+    """A head wider than the ball does not fit it; a narrower one does."""
+    lam = ct.identity_map(N + 2)
     with pytest.raises(DimensionMismatch):
-        ct.apply_lambda(ctx, lam, fb.one_ball(DOM, N + 2))
+        ct.apply_lambda(ctx, lam, fb.one_ball(DOM, N))
+    ct.apply_lambda(ctx, ct.identity_map(N), fb.one_ball(DOM, N + 2))
 
 
 def test_lambda_norm():
@@ -163,7 +165,8 @@ def test_certificate_payload_roundtrips(desk):
     payload = desk.cert_fixed.to_payload()
     assert sorted(payload) == sorted([
         "kind", "rho", "epsilon", "kappa", "kappa_columns_max", "kappa_tail",
-        "passed", "posterior_radius", "enclosures", "config"])
+        "head_degree", "passed", "posterior_radius", "enclosures", "config"])
+    assert payload["head_degree"] == 20
     enc = ct.Certificate.enclosure_from_payload(payload, "a")
     assert enc == desk.cert_fixed.enclosures["a"]
     assert payload["passed"] is True
@@ -176,6 +179,78 @@ def test_worker_determinism(desk):
     one = ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed, workers=1)
     two = ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed, workers=2)
     assert one == two
+
+
+def test_kappa_pool_starts_at_most_one_process_per_column(desk, monkeypatch):
+    """workers beyond the K+1 columns start no extra process, and the
+    bounds are those of one worker.  The pool is a stand-in that records its
+    size and runs the columns in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ct, "_POOL_STATE", None)
+    ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
+    problem = ct.FixedPointProblem()
+    one = ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed, workers=1)
+    for workers in (2, 21, 22, 5000):
+        assert ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed,
+                                      workers=workers) == one
+    assert sizes == [2, 21, 21, 21]
+
+
+def _dense_form(lam: ct.LinearMap, n: int) -> ct.LinearMap:
+    """The block map lam written as a dense map on degrees 0..n: its head,
+    then the tail scalar on the rest of the diagonal."""
+    k1 = lam.dim
+    rows = [list(row) + [Decimal(0)] * (n + 1 - k1) for row in lam.matrix]
+    rows += [[lam.tail_scalar if i == j else Decimal(0) for j in range(n + 1)]
+             for i in range(k1, n + 1)]
+    return ct.LinearMap(rows, lam.tail_scalar)
+
+
+@pytest.mark.parametrize("head", [10, 20])
+@pytest.mark.parametrize("target", ["fixed_point", "delta", "gamma"])
+def test_tail_bound_covers_columns_above_head(n40, target, head):
+    """Oracle for the tail argument at N = 40: the theta**(K+1) bound of
+    bound_kappa_tail bounds every column k > K, computed one by one through
+    the dense form of the same map, whose columns 0..K and epsilon are
+    those of the block map."""
+    problem, x0, ball, lam = n40.setup(target, head)
+    assert lam.dim == head + 1
+    dense = _dense_form(lam, 40)
+    columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)
+    assert columns[:head + 1] == ct.bound_kappa_columns(n40.ctx, problem, ball, lam)
+    assert max(columns[head + 1:]) <= ct.bound_kappa_tail(n40.ctx, problem, ball, lam)
+    assert (ct.bound_epsilon(n40.ctx, problem, x0, dense)
+            == ct.bound_epsilon(n40.ctx, problem, x0, lam))
+
+
+@pytest.mark.parametrize("head, target", [(10, "fixed_point"), (10, "delta"),
+                                          (10, "gamma"), (20, "fixed_point")])
+def test_tail_bound_at_full_degree_misses_columns_above_head(n40, head, target):
+    """Negative control: the tail formula with theta**(N+1) in place of
+    theta**(K+1) (what the dense form of the map gets) lies below a column
+    above K, so the factor must follow the head degree."""
+    problem, _, ball, lam = n40.setup(target, head)
+    dense = _dense_form(lam, 40)
+    columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)
+    assert ct.bound_kappa_tail(n40.ctx, problem, ball, dense) < max(columns[head + 1:])
 
 
 def test_certificate_deterministic_across_workers(desk):

@@ -373,18 +373,33 @@ def _rand_map(rng, n: int) -> ct.LinearMap:
     return ct.LinearMap(rows, Decimal(rng.choice([-7, -3, 2, 9])).scaleb(-1))
 
 
+def _check_apply_lambda(lam, f):
+    new, ref = ct.apply_lambda(ctx, lam, f), oracle_apply_lambda(ctx, lam, f)
+    for i in range(f.truncation + 1):
+        row = lam.matrix[i] if i < lam.dim else (lam.tail_scalar,)
+        row_norm = sum((abs(x) for x in row), Decimal(0))
+        a, b = new.coeffs[i].re, ref.coeffs[i].re
+        _check_part(a, b, 4 * row_norm * _unit(f) + 2 * _ulp(a))
+    assert (new.v_high, new.v_err) == (ref.v_high, ref.v_err)
+
+
 @pytest.mark.parametrize("n", [0, 1, 8, 40])
 @pytest.mark.parametrize("kind", ["real", "centred"])
 def test_apply_lambda_matches_decimal_oracle(n, kind):
     rng = random.Random(f"lam-{n}-{kind}")
     for _ in range(3 if n == 40 else 8):
-        lam, f = _rand_map(rng, n), _rand_ball(rng, n, kind)
-        new, ref = ct.apply_lambda(ctx, lam, f), oracle_apply_lambda(ctx, lam, f)
-        for i in range(n + 1):
-            row_norm = sum((abs(x) for x in lam.matrix[i]), Decimal(0))
-            a, b = new.coeffs[i].re, ref.coeffs[i].re
-            _check_part(a, b, 4 * row_norm * _unit(f) + 2 * _ulp(a))
-        assert (new.v_high, new.v_err) == (ref.v_high, ref.v_err)
+        _check_apply_lambda(_rand_map(rng, n), _rand_ball(rng, n, kind))
+
+
+@pytest.mark.parametrize("n, head", [(1, 0), (8, 3), (40, 20)])
+def test_block_apply_lambda_matches_decimal_oracle(n, head):
+    """A map whose head is smaller than the ball: rows on coefficients
+    0..head and the tail scalar, with its own digits, on those above."""
+    rng = random.Random(f"block-{n}-{head}")
+    for _ in range(3 if n == 40 else 8):
+        lam = _rand_map(rng, head)
+        lam = ct.LinearMap(lam.matrix, Decimal(rng.randint(-999, 999)).scaleb(-6))
+        _check_apply_lambda(lam, _rand_ball(rng, n, rng.choice(["real", "centred"])))
 
 
 def test_apply_lambda_reuses_integer_rows():

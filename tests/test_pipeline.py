@@ -18,6 +18,7 @@ from helpers import (
     rand_interval,
     sample_point,
 )
+from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
@@ -204,7 +205,7 @@ LAMBDA_CHECKPOINT_CASES = {
     "nan_tail": _set_line("tail", "NaN"),
     "missing_tail": _drop_line("tail"),
     "bad_number": lambda desk, text: text.replace("row ", "row 1x2 ", 1),
-    "dimension_13_in_n20_run": lambda desk, text: pl.serialize_linear_map(ct.identity_map(12)),
+    "dimension_22_in_n20_run": lambda desk, text: pl.serialize_linear_map(ct.identity_map(21)),
 }
 
 
@@ -237,6 +238,38 @@ def test_bad_lambda_checkpoint_is_refused(desk, tmp_path, case):
     path = tmp_path / "lambda_fixed_n20_p30.txt"
     path.write_text(LAMBDA_CHECKPOINT_CASES[case](desk, pl.serialize_linear_map(desk.lam_fixed)))
     _approx_failure(tmp_path, path)
+
+
+def test_lambda_checkpoint_with_smaller_head_loads(tmp_path, monkeypatch):
+    """A map whose head is smaller than the run's degree fits it: written
+    with K = 12 and read back by a run with the default head degree, it
+    gives the same certificate."""
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",),
+                       checkpoint_dir=str(tmp_path))
+    monkeypatch.setattr(ax, "HEAD_DEGREE", 12)
+    first = pl.run_pipeline(cfg).report["certificates"]["fixed_point"]
+    monkeypatch.undo()
+    assert "dim 13\n" in (tmp_path / "lambda_fixed_n20_p30.txt").read_text()
+    assert first["head_degree"] == 12 and first["passed"]
+    assert pl.run_pipeline(cfg).report["certificates"]["fixed_point"] == first
+
+
+def test_dense_lambda_checkpoint_certifies_same_digits(n40, tmp_path):
+    """A dense map (K = N), inverted from the full midpoint Jacobian, still
+    loads as a renormcert-lambda v1 checkpoint and certifies the digits the
+    K = 20 block map does at N = 40."""
+    with decimal.localcontext(ax._context(40)):
+        jac = ax._MidShared(n40.g0).fixed_point_jacobian()
+    (tmp_path / "g0_n40_p40.txt").write_text(fb.serialize_ball(n40.result.balls["G0"]))
+    (tmp_path / "lambda_fixed_n40_p40.txt").write_text(
+        pl.serialize_linear_map(ax.build_lambda("fixed_point", jac, 40)))
+    cfg = pl.RunConfig(degree=40, precision=40, rho="1e-20", targets=("fixed_point",),
+                       checkpoint_dir=str(tmp_path))
+    report = pl.run_pipeline(cfg).report
+    assert report["certificates"]["fixed_point"]["head_degree"] == 40
+    for name in ("a", "alpha"):
+        assert report["digits"][name] == n40.result.report["digits"][name]
+        assert report["digits"][name]["count"] == 24
 
 
 def test_run_pipeline_desk(tmp_path):
@@ -394,8 +427,6 @@ def test_plot_covering_contains_midpoints(desk):
     """Graph rectangles contain midpoint evaluations of the eigenfunction."""
     import decimal as _dec
 
-    from renormcert import approx as ax
-
     balls = {"G": desk.param, "V": desk.V0, "W": desk.W0}
     rows = pl.emit_plot_covering(desk.ctx, "fig3a", 25, balls)
     with _dec.localcontext(_dec.Context(prec=40)):
@@ -478,7 +509,6 @@ def test_cli_certify_runs_without_numpy(tmp_path):
 def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
     """The approx verb writes the approximate zeros and the frozen maps, and
     a certify run on the same directory reads them instead of recomputing."""
-    from renormcert import approx as ax
     from renormcert import cli
 
     fresh = pl.run_pipeline(pl.RunConfig(degree=20, precision=30))
