@@ -123,13 +123,6 @@ class LinearMap:
             self._int_rows = rows[:-1], rows[-1][0], e
         return self._int_rows
 
-    def __eq__(self, other):
-        return (isinstance(other, LinearMap) and self.matrix == other.matrix
-                and self.tail_scalar == other.tail_scalar)
-
-    def __reduce__(self):
-        return (LinearMap, (self.matrix, self.tail_scalar))
-
 
 def _int_matrix(matrix) -> tuple[list[list[int]], int]:
     """Rows of exact decimals as integers at one scale 10**-e: (rows, e)."""

@@ -31,7 +31,6 @@ from .contraction import (
     DeltaProblem,
     FixedPointProblem,
     GammaProblem,
-    LinearMap,
     certify as _certify,
 )
 from .balls import STANDARD_DISC
@@ -55,8 +54,6 @@ __all__ = [
     "check_subdivisions",
     "certified_balls",
     "write_covering_csv",
-    "serialize_linear_map",
-    "deserialize_linear_map",
     "FIGURES",
 ]
 
@@ -131,75 +128,36 @@ class PipelineResult:
 
 # -- checkpoints --------------------------------------------------------------
 
-def serialize_linear_map(lam: LinearMap) -> str:
-    lines = ["renormcert-lambda v1", f"dim {lam.dim}", f"tail {lam.tail_scalar}"]
-    for row in lam.matrix:
-        lines.append("row " + " ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_linear_map(text: str) -> LinearMap:
-    """The map written by :func:`serialize_linear_map`.  A missing dim or
-    tail line, a dim that does not match the rows, a malformed or
-    non-finite number and a non-square matrix each raise ConfigError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "renormcert-lambda v1":
-        raise ConfigError("not a serialized linear map")
-    fields = {}
-    rows = []
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        if key == "row":
-            rows.append(tuple(finite_decimal(x, "matrix entry") for x in rest.split()))
-        else:
-            fields[key] = rest
-    for key in ("dim", "tail"):
-        if key not in fields:
-            raise ConfigError(f"missing {key} line")
-    if finite_decimal(fields["dim"], "dim") != len(rows):
-        raise ConfigError(f"dim {fields['dim']} but {len(rows)} rows")
-    return LinearMap(tuple(rows), finite_decimal(fields["tail"], "tail"))
-
-
-def _checkpoint_path(directory: str, name: str, cfg: RunConfig) -> Path:
-    return Path(directory) / f"{name}_n{cfg.degree}_p{cfg.precision}.txt"
-
-
 def _check_ball(cfg: RunConfig, ball: fb.FunctionBall):
+    """A centre fits the run: a polynomial of the run's degree on the
+    standard disc with no tail mass (epsilon needs an exact centre)."""
     if ball.domain != STANDARD_DISC:
         raise ConfigError(f"ball on {ball.domain}, the run needs {STANDARD_DISC}")
     if ball.truncation != cfg.degree:
         raise ConfigError(f"ball of degree {ball.truncation}, the run needs {cfg.degree}")
+    if ball.v_high or ball.v_err:
+        raise ConfigError("ball has tail mass, the run needs an exact centre")
 
 
-def _check_map(cfg: RunConfig, lam: LinearMap):
-    """A map's head may have any dimension 1..N+1 (N+1: a dense map)."""
-    if lam.dim > cfg.degree + 1:
-        raise ConfigError(f"map of dimension {lam.dim}, the run needs at most {cfg.degree + 1}")
-
-
-def _load_or_compute(cfg: RunConfig, name: str, compute, serialize, deserialize, check):
-    """Checkpointed value: read from the checkpoint directory when present,
+def _load_or_compute(cfg: RunConfig, name: str, compute) -> fb.FunctionBall:
+    """Checkpointed centre: read from the checkpoint directory when present,
     else computed and, with a checkpoint directory, written there.  A
     checkpoint is outside input: one that does not parse, or does not fit
-    the run (``check``), raises ConfigError naming the file."""
-    path = _checkpoint_path(cfg.checkpoint_dir, name, cfg) if cfg.checkpoint_dir else None
-    if path is not None and path.exists():
+    the run, raises ConfigError naming the file."""
+    if not cfg.checkpoint_dir:
+        return compute()
+    path = Path(cfg.checkpoint_dir) / f"{name}_n{cfg.degree}_p{cfg.precision}.txt"
+    if path.exists():
         try:
-            value = deserialize(path.read_text())
-            check(cfg, value)
+            ball = fb.deserialize_ball(path.read_text())
+            _check_ball(cfg, ball)
         except ConfigError as exc:
             raise ConfigError(f"checkpoint {path}: {exc}") from exc
-        return value
-    value = compute()
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(serialize(value))
-    return value
-
-
-_BALL_FORMAT = (fb.serialize_ball, fb.deserialize_ball, _check_ball)
-_LAMBDA_FORMAT = (serialize_linear_map, deserialize_linear_map, _check_map)
+        return ball
+    ball = compute()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(fb.serialize_ball(ball))
+    return ball
 
 
 # -- digit extraction ----------------------------------------------------------
@@ -286,32 +244,26 @@ def bootstrap(cfg: RunConfig) -> dict:
     """The approx stage: target -> (approximate zero as a ball, frozen map)
     for the fixed point and then each requested eigen target.
 
-    Each ball and map is read from the checkpoint directory when present
-    there, and otherwise computed and, with a checkpoint directory, written
-    there.
+    Each approximate zero is read from the checkpoint directory when
+    present there, and otherwise computed and, with a checkpoint directory,
+    written there.  The frozen maps are always built from the zeros: the
+    contraction proves what it needs of them, so they are never read back.
     """
     n, p = cfg.degree, cfg.precision
-    g0_ball = _load_or_compute(
-        cfg, "g0", lambda: fb.ball_from_decimals(
-            STANDARD_DISC, ax.approx_fixed_point(n, p), n), *_BALL_FORMAT)
+    g0_ball = _load_or_compute(cfg, "g0", lambda: fb.ball_from_decimals(
+        STANDARD_DISC, ax.approx_fixed_point(n, p), n))
     g0 = [c.re.lo for c in g0_ball.coeffs]
-    out = {"fixed_point": (g0_ball, _load_or_compute(
-        cfg, "lambda_fixed", lambda: ax.build_lambda(
-            "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=p), p),
-        *_LAMBDA_FORMAT))}
+    out = {"fixed_point": (g0_ball, ax.build_lambda(
+        "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=p), p))}
     for target in ("delta", "gamma"):
         if target not in cfg.targets:
             continue
         kind = target + "_eigen"
-        x0_ball = _load_or_compute(
-            cfg, target + "0", lambda: fb.ball_from_decimals(
-                STANDARD_DISC, ax.approx_eigenpair(target, g0, p)[0], n),
-            *_BALL_FORMAT)
+        x0_ball = _load_or_compute(cfg, target + "0", lambda: fb.ball_from_decimals(
+            STANDARD_DISC, ax.approx_eigenpair(target, g0, p)[0], n))
         x0 = [c.re.lo for c in x0_ball.coeffs]
-        out[target] = (x0_ball, _load_or_compute(
-            cfg, "lambda_" + target, lambda: ax.build_lambda(
-                kind, ax.approx_jacobian(kind, g0, x0, digits=p), p, lambda0=x0[0]),
-            *_LAMBDA_FORMAT))
+        out[target] = (x0_ball, ax.build_lambda(
+            kind, ax.approx_jacobian(kind, g0, x0, digits=p), p, lambda0=x0[0]))
     return out
 
 

@@ -89,6 +89,15 @@ def test_lambda_norm():
     assert ct.lambda_norm_upper(ctx, lam) == 6  # column 1: |\-2| + |4|
 
 
+@pytest.mark.parametrize("matrix, tail", [([], -1), ([[1, 2]], -1), ([[1, 0], [0]], -1),
+                                          ([["NaN"]], -1), ([[1]], "Infinity")],
+                         ids=["empty", "wide", "ragged", "nan_entry", "infinite_tail"])
+def test_linear_map_refuses_malformed_matrix(matrix, tail):
+    """An empty or non-square head, or a non-finite entry, is a ConfigError."""
+    with pytest.raises(ConfigError):
+        ct.LinearMap(matrix, tail)
+
+
 def test_verify_invertible_identity():
     assert ct.verify_lambda_invertible(ctx, ct.identity_map(N)) == 0
 

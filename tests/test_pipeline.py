@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -154,13 +155,6 @@ def test_format_digit_block():
     assert block2.startswith("+4.")
 
 
-def test_linear_map_serialization(desk):
-    text = pl.serialize_linear_map(desk.lam_fixed)
-    back = pl.deserialize_linear_map(text)
-    assert back == desk.lam_fixed
-    assert pl.serialize_linear_map(back) == text
-
-
 def _drop_line(key):
     return lambda desk, text: "".join(ln for ln in text.splitlines(True)
                                       if not ln.startswith(key))
@@ -197,15 +191,7 @@ BALL_CHECKPOINT_CASES = {
     "non_real_coeff": _first_coeff("0.1 0.2 0 1e-30"),
     "degree_12_in_n20_run": _degree_12,
     "other_disc": _other_disc,
-}
-
-#: corruption of the lambda_fixed checkpoint: (desk, file text) -> new file text
-LAMBDA_CHECKPOINT_CASES = {
-    "dim_not_row_count": _set_line("dim", "22"),
-    "nan_tail": _set_line("tail", "NaN"),
-    "missing_tail": _drop_line("tail"),
-    "bad_number": lambda desk, text: text.replace("row ", "row 1x2 ", 1),
-    "dimension_22_in_n20_run": lambda desk, text: pl.serialize_linear_map(ct.identity_map(21)),
+    "tail_mass": _set_line("v_err", "1E-30"),
 }
 
 
@@ -223,53 +209,36 @@ def _approx_failure(tmp_path, path):
 
 @pytest.mark.parametrize("case", sorted(BALL_CHECKPOINT_CASES))
 def test_bad_ball_checkpoint_is_refused(desk, tmp_path, case):
-    """A g0 checkpoint that does not parse, is not real, or does not fit
-    the run fails the approx stage with a ConfigError naming the file."""
+    """A g0 checkpoint that does not parse, is not real, is not an exact
+    centre, or does not fit the run fails the approx stage with a
+    ConfigError naming the file."""
     path = tmp_path / "g0_n20_p30.txt"
     path.write_text(BALL_CHECKPOINT_CASES[case](desk, fb.serialize_ball(desk.G0)))
     _approx_failure(tmp_path, path)
 
 
-@pytest.mark.parametrize("case", sorted(LAMBDA_CHECKPOINT_CASES))
-def test_bad_lambda_checkpoint_is_refused(desk, tmp_path, case):
-    """A lambda checkpoint that does not parse or does not fit the run
-    fails the approx stage with a ConfigError naming the file."""
-    (tmp_path / "g0_n20_p30.txt").write_text(fb.serialize_ball(desk.G0))
-    path = tmp_path / "lambda_fixed_n20_p30.txt"
-    path.write_text(LAMBDA_CHECKPOINT_CASES[case](desk, pl.serialize_linear_map(desk.lam_fixed)))
-    _approx_failure(tmp_path, path)
-
-
-def test_lambda_checkpoint_with_smaller_head_loads(tmp_path, monkeypatch):
-    """A map whose head is smaller than the run's degree fits it: written
-    with K = 12 and read back by a run with the default head degree, it
-    gives the same certificate."""
-    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",),
-                       checkpoint_dir=str(tmp_path))
+def test_smaller_head_certifies(monkeypatch):
+    """A frozen map whose head is smaller than the run's degree certifies:
+    with K = 12 in an N = 20 run the fixed-point certificate passes."""
     monkeypatch.setattr(ax, "HEAD_DEGREE", 12)
-    first = pl.run_pipeline(cfg).report["certificates"]["fixed_point"]
-    monkeypatch.undo()
-    assert "dim 13\n" in (tmp_path / "lambda_fixed_n20_p30.txt").read_text()
-    assert first["head_degree"] == 12 and first["passed"]
-    assert pl.run_pipeline(cfg).report["certificates"]["fixed_point"] == first
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",))
+    cert = pl.run_pipeline(cfg).report["certificates"]["fixed_point"]
+    assert cert["head_degree"] == 12 and cert["passed"]
 
 
-def test_dense_lambda_checkpoint_certifies_same_digits(n40, tmp_path):
-    """A dense map (K = N), inverted from the full midpoint Jacobian, still
-    loads as a renormcert-lambda v1 checkpoint and certifies the digits the
-    K = 20 block map does at N = 40."""
+def test_dense_map_certifies_same_digits(n40):
+    """A dense map (K = N), inverted from the full midpoint Jacobian,
+    certifies the digits the K = 20 block map does at N = 40."""
     with decimal.localcontext(ax._context(40)):
         jac = ax._MidShared(n40.g0).fixed_point_jacobian()
-    (tmp_path / "g0_n40_p40.txt").write_text(fb.serialize_ball(n40.result.balls["G0"]))
-    (tmp_path / "lambda_fixed_n40_p40.txt").write_text(
-        pl.serialize_linear_map(ax.build_lambda("fixed_point", jac, 40)))
-    cfg = pl.RunConfig(degree=40, precision=40, rho="1e-20", targets=("fixed_point",),
-                       checkpoint_dir=str(tmp_path))
-    report = pl.run_pipeline(cfg).report
-    assert report["certificates"]["fixed_point"]["head_degree"] == 40
+    lam = ax.build_lambda("fixed_point", jac, 40)
+    assert lam.dim == 41
+    cert = ct.certify(n40.ctx, ct.FixedPointProblem(), n40.result.balls["G0"], lam,
+                      n40.cfg.rho_for("fixed_point"))
     for name in ("a", "alpha"):
-        assert report["digits"][name] == n40.result.report["digits"][name]
-        assert report["digits"][name]["count"] == 24
+        text, count = pl.certified_digits(cert.enclosures[name])
+        assert {"digits": text, "count": count} == n40.result.report["digits"][name]
+        assert count == 24
 
 
 def test_run_pipeline_desk(tmp_path):
@@ -507,26 +476,39 @@ def test_cli_certify_runs_without_numpy(tmp_path):
 
 
 def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
-    """The approx verb writes the approximate zeros and the frozen maps, and
-    a certify run on the same directory reads them instead of recomputing."""
+    """The approx verb writes the three approximate zeros and nothing else,
+    and a certify run on the same directory reads them instead of
+    recomputing them, with the certificates of a fresh run."""
     from renormcert import cli
 
     fresh = pl.run_pipeline(pl.RunConfig(degree=20, precision=30))
     ck = tmp_path / "ck"
     assert cli.main(["approx", "-N", "20", "-P", "30", "--checkpoint-dir", str(ck)]) == 0
-    names = ("g0", "delta0", "gamma0", "lambda_fixed", "lambda_delta", "lambda_gamma")
+    names = ("g0", "delta0", "gamma0")
     assert sorted(p.name for p in ck.iterdir()) == sorted(f"{x}_n20_p30.txt" for x in names)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("frozen map recomputed instead of read")
+        raise AssertionError("approximate zero recomputed instead of read")
 
-    monkeypatch.setattr(ax, "build_lambda", refuse)
+    monkeypatch.setattr(ax, "approx_fixed_point", refuse)
+    monkeypatch.setattr(ax, "approx_eigenpair", refuse)
     out = tmp_path / "out"
     assert cli.main(["certify", "-N", "20", "-P", "30", "-o", str(out),
                      "--checkpoint-dir", str(ck)]) == 0
     for name, cert in fresh.certificates.items():
         data = json.loads((out / f"certificate_{name}.json").read_text())
         assert data["certificate"] == json.loads(json.dumps(cert.to_payload()))
+
+
+def test_old_map_file_is_never_read(desk, tmp_path):
+    """A frozen-map file left in a checkpoint directory by an older run is
+    ignored: garbage there does not change the certificate."""
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",))
+    fresh = pl.run_pipeline(cfg).certificates["fixed_point"].to_payload()
+    (tmp_path / "g0_n20_p30.txt").write_text(fb.serialize_ball(desk.G0))
+    (tmp_path / "lambda_fixed_n20_p30.txt").write_text("renormcert-lambda v1\ndim x\n")
+    cfg = replace(cfg, checkpoint_dir=str(tmp_path))
+    assert pl.run_pipeline(cfg).certificates["fixed_point"].to_payload() == fresh
 
 
 def test_cli_plot(tmp_path, capsys):
