@@ -35,12 +35,9 @@ __all__ = [
     "HEAD_DEGREE",
     "default_seed",
     "approx_fixed_point",
-    "dt_matrix",
-    "l_matrix",
     "approx_jacobian",
     "approx_eigenpair",
     "build_lambda",
-    "t_apply",
     "mat_inv",
     "poly_eval",
 ]
@@ -160,7 +157,8 @@ def _rows(cols):
 
 class _MidShared:
     """Midpoint analogue of the shared operator evaluations at g, from which
-    T(g) and the columns of DT(g) and L(g) are read.
+    T(g) is read and DT(g) and L(g) are applied, with the terms of
+    ``operators.OperatorTables``; ``matrix`` stacks an apply's columns.
 
     With ``width`` = K + 1 below N + 1, every polynomial is cut to its
     coefficients 0..K (the power lists still hold all N + 1 powers), and
@@ -198,65 +196,47 @@ class _MidShared:
         """T(g)."""
         return p_scale(self.ainv, self.outer)
 
-    def dt_matrix(self):
-        """Rows of the truncated DT(g); column k is DT(g) e_k."""
+    def dt_apply(self, v):
+        """DT(g) v.  v(1) = v[0] on the standard disc; when it is nonzero
+        the variations of the normalisation a act."""
+        out = p_add(p_scale(self.ainv, _table_compose(v, self.up2)),
+                    p_mul(self.c16, _table_compose(v, self.up1)))
+        if v[0]:
+            out = p_add(out, p_scale(-self.ainv2 * v[0], self.outer))
+            out = p_add(out, p_scale(v[0], self.factor17))
+        return out
+
+    def l_apply(self, w):
+        """L(g) w, the noise-scaling operator."""
+        return p_add(p_mul(self.c16sq, _table_compose(w, self.up1)),
+                     p_scale(self.ainv2, _table_compose(w, self.up2)))
+
+    def jacobian_apply(self, kind: str, x=None):
+        """v -> DF v for the residual F of the problem kind: T(g) - g, or
+        M x - phi(x)**p x with lambda = phi(x) = x[0] and M = DT(g) or L(g),
+        whose derivative is M - lambda**p I - p lambda**(p-1) x e_0^T."""
+        if kind == "fixed_point":
+            return lambda v: p_sub(self.dt_apply(v), v)
+        operator = self.dt_apply if kind == "delta_eigen" else self.l_apply
+        power = _PHI_POWER[kind]
+        lam_p = x[0] ** power
+        dlam = Decimal(power) * x[0] ** (power - 1)
+
+        def apply(v):
+            out = p_sub(operator(v), p_scale(lam_p, v))
+            if v[0]:
+                out = p_sub(out, p_scale(dlam * v[0], x))
+            return out
+        return apply
+
+    def matrix(self, apply):
+        """Rows of the width x width matrix whose column k is apply(e_k)."""
         cols = []
         for k in range(self.width):
-            col = p_scale(self.ainv, self.up2[k])
-            col = p_add(col, p_mul(self.c16, self.up1[k]))
-            if k == 0:
-                # e_0(1) = 1: the normalisation-variation terms act
-                col = p_add(col, p_scale(-self.ainv2, self.outer))
-                col = p_add(col, self.factor17)
-            cols.append(col)
+            e = [_D0] * self.width
+            e[k] = _D1
+            cols.append(apply(e))
         return _rows(cols)
-
-    def l_matrix(self):
-        """Rows of the truncated noise-scaling operator L(g)."""
-        cols = []
-        for k in range(self.width):
-            col = p_mul(self.c16sq, self.up1[k])
-            col = p_add(col, p_scale(self.ainv2, self.up2[k]))
-            cols.append(col)
-        return _rows(cols)
-
-    def fixed_point_jacobian(self):
-        """DT(g) - I, the Jacobian of the fixed-point residual T(g) - g."""
-        jac = self.dt_matrix()
-        for i in range(len(jac)):
-            jac[i][i] -= _D1
-        return jac
-
-
-def t_apply(g, digits: int = 30):
-    """T(G) truncated to the degree of g, in round-to-nearest arithmetic."""
-    with decimal.localcontext(_context(digits)):
-        return _MidShared(g).t()
-
-
-def dt_matrix(g, digits: int = 30):
-    """Matrix of the truncated derivative of T at g, columns DT(g) e_k."""
-    with decimal.localcontext(_context(digits)):
-        return _MidShared(g).dt_matrix()
-
-
-def l_matrix(g, digits: int = 30):
-    """Matrix of the truncated noise-scaling operator at g."""
-    with decimal.localcontext(_context(digits)):
-        return _MidShared(g).l_matrix()
-
-
-def _eigen_jacobian(matrix, x, phi_power: int):
-    """M - lambda**p I - p lambda**(p-1) x e_0^T with lambda = x[0]: the
-    Jacobian of x -> M x - phi(x)**p x."""
-    lam = x[0]
-    lam_p = lam ** phi_power
-    dlam = Decimal(phi_power) * lam ** (phi_power - 1)
-    jac = [row[:] for row in matrix]
-    for i in range(len(jac)):
-        jac[i][i] -= lam_p
-        jac[i][0] -= dlam * x[i]
-    return jac
 
 
 # -- dense linear algebra ------------------------------------------------------
@@ -325,29 +305,7 @@ def _sup_norm(v):
     return max((abs(x) for x in v), default=_D0)
 
 
-def _newton(x, step, tol, max_iter: int):
-    """Newton's method: x <- x - DF(x)**-1 F(x) until |F(x)| < tol.
-
-    ``step(x)`` returns F(x) and a callable giving DF(x), which is only
-    called when another step is needed.  Returns the first iterate whose
-    residual passes, or None after ``max_iter`` steps.
-    """
-    for _ in range(max_iter):
-        residual, jacobian = step(x)
-        if _sup_norm(residual) < tol:
-            return x
-        lu, perm = lu_factor(jacobian())
-        delta = _lu_solve_factored(lu, perm, [-r for r in residual])
-        x = p_add(x, delta)
-    return None
-
-
 # -- fixed point ----------------------------------------------------------------
-
-def _fixed_point_step(g):
-    shared = _MidShared(g)
-    return p_sub(shared.t(), g), shared.fixed_point_jacobian
-
 
 def _stage_ladder(n: int) -> list[int]:
     if n <= 20:
@@ -378,8 +336,14 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
             g = _pad(g, stage_n + 1)
             if abs(poly_eval(g, _D1)) < Decimal("0.05"):
                 raise NewtonDivergence("seed normalisation G(1) too close to zero")
-            g = _newton(g, _fixed_point_step, tol, max_iter)
-            if g is None:
+            for _ in range(max_iter):
+                shared = _MidShared(g)
+                residual = p_sub(shared.t(), g)
+                if _sup_norm(residual) < tol:
+                    break
+                lu, perm = lu_factor(shared.matrix(shared.jacobian_apply("fixed_point")))
+                g = p_add(g, _lu_solve_factored(lu, perm, [-r for r in residual]))
+            else:
                 raise NewtonDivergence(
                     f"no convergence below {tol} in {max_iter} iterations")
         return g
@@ -427,14 +391,12 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     lambda' being the eigenvalue next nearest s; EigenSelectionAmbiguous is
     raised when it does not converge in ``digits`` steps.
     """
-    if kind == "delta":
-        matrix = dt_matrix(g0, digits)
-    elif kind == "gamma":
-        matrix = l_matrix(g0, digits)
-    else:
+    if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = _PHI_POWER[kind + "_eigen"]
     with decimal.localcontext(_context(digits)):
+        shared = _MidShared(g0)
+        matrix = shared.matrix(shared.dt_apply if kind == "delta" else shared.l_apply)
         vec = _inverse_iteration(matrix, _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
         return vec, vec[0]
 
@@ -458,10 +420,8 @@ def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0, width)
-        if kind == "fixed_point":
-            return shared.fixed_point_jacobian()
-        matrix = shared.dt_matrix() if kind == "delta_eigen" else shared.l_matrix()
-        return _eigen_jacobian(matrix, _pad(list(x0), width), _PHI_POWER[kind])
+        x = None if x0 is None else _pad(list(x0), width)
+        return shared.matrix(shared.jacobian_apply(kind, x))
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):

@@ -61,11 +61,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--precision", "-P", type=int, default=30,
                    help="decimal digits in the significand (default 30)")
     p.add_argument("--rho", default="1e-8",
-                   help="fixed-point ball radius as a decimal string")
-    p.add_argument("--rho-delta", default=None,
-                   help="parameter-scaling ball radius (default 10*rho)")
-    p.add_argument("--rho-gamma", default=None,
-                   help="noise-scaling ball radius (default 10*rho)")
+                   help="fixed-point ball radius as a decimal string "
+                   "(the eigen ball radii are 10*rho)")
     p.add_argument("--boundary-rects", "-M", type=int, default=64,
                    help="boundary covering rectangle count (default 64)")
     # a string default is converted by the type only when the flag is
@@ -86,8 +83,6 @@ def _config_from_args(args) -> pl.RunConfig:
         degree=args.degree,
         precision=args.precision,
         rho=args.rho,
-        rho_delta=args.rho_delta,
-        rho_gamma=args.rho_gamma,
         boundary_rects=args.boundary_rects,
         workers=args.workers,
         targets=tuple(t.strip() for t in args.targets.split(",") if t.strip()),
@@ -131,7 +126,7 @@ def _cmd_approx(args) -> int:
     cfg = _config_from_args(args)
     if cfg.checkpoint_dir is None:
         cfg = dataclasses.replace(cfg, checkpoint_dir=cfg.output_dir or ".")
-    for target, (ball, _) in pl.bootstrap(cfg).items():
+    for target, ball in pl.bootstrap(cfg).items():
         if target == "fixed_point":
             print(f"g0: degree {cfg.degree}, precision {cfg.precision}, "
                   f"G0(1) = {ball.coeffs[0].re.lo}")

@@ -7,7 +7,7 @@ epsilon/(1-kappa) (the tightest proven enclosure of the fixed point) is
 used as the parameter-ball radius for both eigen certificates.
 
 A single configured rho names the fixed-point ball radius; the eigen ball
-radii default to one decade above it (they are separately configurable).
+radii are one decade above it.
 The movement bound of an eigen problem scales with the parameter-ball
 radius times a problem constant of order 10**3..10**4, so eigen radii sit
 above the fixed-point posterior radius by those factors.  Every certified
@@ -66,8 +66,6 @@ class RunConfig:
     degree: int = 20
     precision: int = 30
     rho: str = "1e-8"
-    rho_delta: str | None = None
-    rho_gamma: str | None = None
     boundary_rects: int = 64
     workers: int = 1
     targets: tuple[str, ...] = _TARGETS
@@ -83,10 +81,8 @@ class RunConfig:
             raise ConfigError("boundary_rects must be >= 4 and divisible by 4")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        for name in ("rho", "rho_delta", "rho_gamma"):
-            text = getattr(self, name)
-            if text is not None and finite_decimal(text, name) <= 0:
-                raise ConfigError(f"{name}: radius {text!r} must be a positive number")
+        if finite_decimal(self.rho, "rho") <= 0:
+            raise ConfigError(f"rho: radius {self.rho!r} must be a positive number")
         unknown = set(self.targets) - set(_TARGETS)
         if unknown:
             raise ConfigError(f"unknown targets: {sorted(unknown)}")
@@ -100,9 +96,6 @@ class RunConfig:
     def rho_for(self, target: str) -> Decimal:
         if target == "fixed_point":
             return Decimal(self.rho)
-        override = self.rho_delta if target == "delta" else self.rho_gamma
-        if override is not None:
-            return Decimal(override)
         return Decimal(self.rho) * 10
 
     def describe(self) -> dict:
@@ -123,7 +116,6 @@ class PipelineResult:
     report: dict
     certificates: dict = field(default_factory=dict)
     balls: dict = field(default_factory=dict)
-    domain_extension: op.DomainExtensionResult | None = None
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -241,30 +233,40 @@ def _stage(report, timings, name):
 
 
 def bootstrap(cfg: RunConfig) -> dict:
-    """The approx stage: target -> (approximate zero as a ball, frozen map)
-    for the fixed point and then each requested eigen target.
+    """The approx stage: target -> approximate zero as a ball, for the
+    fixed point and then each requested eigen target.
 
     Each approximate zero is read from the checkpoint directory when
     present there, and otherwise computed and, with a checkpoint directory,
-    written there.  The frozen maps are always built from the zeros: the
-    contraction proves what it needs of them, so they are never read back.
+    written there.  No frozen map is built here: each certificate stage
+    builds its own from the zeros (see :func:`_frozen_map`).
     """
     n, p = cfg.degree, cfg.precision
     g0_ball = _load_or_compute(cfg, "g0", lambda: fb.ball_from_decimals(
         STANDARD_DISC, ax.approx_fixed_point(n, p), n))
-    g0 = [c.re.lo for c in g0_ball.coeffs]
-    out = {"fixed_point": (g0_ball, ax.build_lambda(
-        "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=p), p))}
+    out = {"fixed_point": g0_ball}
     for target in ("delta", "gamma"):
-        if target not in cfg.targets:
-            continue
-        kind = target + "_eigen"
-        x0_ball = _load_or_compute(cfg, target + "0", lambda: fb.ball_from_decimals(
-            STANDARD_DISC, ax.approx_eigenpair(target, g0, p)[0], n))
-        x0 = [c.re.lo for c in x0_ball.coeffs]
-        out[target] = (x0_ball, ax.build_lambda(
-            kind, ax.approx_jacobian(kind, g0, x0, digits=p), p, lambda0=x0[0]))
+        if target in cfg.targets:
+            out[target] = _load_or_compute(cfg, target + "0", lambda: fb.ball_from_decimals(
+                STANDARD_DISC, ax.approx_eigenpair(target, _centre(g0_ball), p)[0], n))
     return out
+
+
+def _centre(ball: fb.FunctionBall) -> list[Decimal]:
+    return [c.re.lo for c in ball.coeffs]
+
+
+def _frozen_map(cfg: RunConfig, target: str, g0_ball: fb.FunctionBall,
+                x0_ball: fb.FunctionBall | None = None):
+    """The target's frozen map Λ, built from the approximate zeros: the
+    contraction proves what it needs of it, so it is never checkpointed."""
+    p, g0 = cfg.precision, _centre(g0_ball)
+    if target == "fixed_point":
+        return ax.build_lambda(
+            "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=p), p)
+    kind, x0 = target + "_eigen", _centre(x0_ball)
+    return ax.build_lambda(kind, ax.approx_jacobian(kind, g0, x0, digits=p), p,
+                           lambda0=x0[0])
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -281,25 +283,24 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     result = PipelineResult(config=cfg, report=report)
     try:
         with _stage(report, timings, "approx"):
-            approx = bootstrap(cfg)
-            for target, (ball, _) in approx.items():
+            centres = bootstrap(cfg)
+            for target, ball in centres.items():
                 name = "g0" if target == "fixed_point" else target + "0"
                 report["checksums"][name] = fb.ball_checksum(ball)
-            g0_ball, lam_fixed = approx.pop("fixed_point")
-            eigen_data = approx
+            g0_ball = centres.pop("fixed_point")
             result.balls["G0"] = g0_ball
 
         with _stage(report, timings, "domain_extension"):
             rho_fixed = cfg.rho_for("fixed_point")
             g_ball = fb.inflate(ctx, g0_ball, rho_fixed)
-            result.domain_extension = op.check_domain_extension(
-                ctx, g_ball, cfg.boundary_rects)
+            op.check_domain_extension(ctx, g_ball, cfg.boundary_rects)
             report["domain_extension"] = {
                 "rectangles": cfg.boundary_rects, "passed": True}
 
         with _stage(report, timings, "fixed_point"):
-            cert = _certify(ctx, FixedPointProblem(), g0_ball, lam_fixed,
-                            rho_fixed, workers=cfg.workers,
+            lam = _frozen_map(cfg, "fixed_point", g0_ball)
+            cert = _certify(ctx, FixedPointProblem(), g0_ball, lam, rho_fixed,
+                            workers=cfg.workers,
                             config=_cert_config(cfg, "fixed_point",
                                                 report["checksums"]))
             result.certificates["fixed_point"] = cert
@@ -307,7 +308,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             _record_digits(report, "a", cert.enclosures["a"])
             _record_digits(report, "alpha", cert.enclosures["alpha"])
 
-        if eigen_data:
+        if centres:
             with _stage(report, timings, "parameter_ball"):
                 param = fb.inflate(ctx, g0_ball,
                                    result.certificates["fixed_point"].proven_radius)
@@ -315,10 +316,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 result.balls["parameter"] = param
 
         for target, problem_cls in (("delta", DeltaProblem), ("gamma", GammaProblem)):
-            if target not in eigen_data:
+            if target not in centres:
                 continue
             with _stage(report, timings, target):
-                x0_ball, lam = eigen_data[target]
+                x0_ball = centres[target]
+                lam = _frozen_map(cfg, target, g0_ball, x0_ball)
                 problem = problem_cls(ctx, param, tables)
                 cert = _certify(ctx, problem, x0_ball, lam, cfg.rho_for(target),
                                 workers=cfg.workers,

@@ -56,18 +56,29 @@ def desk():
 @pytest.fixture(scope="session")
 def n40():
     """Degree-40 run (40 digits, rho 1e-20, all targets) and the frozen maps
-    of its three problems at head degrees 10 and 20.  ``setup(target, head)``
-    gives (problem, x0, ball, map): the problem, its approximate zero, the
-    ball its certificate bounds kappa over, and the map with that head."""
+    of its three problems at head degrees 10 and 20, built from its centres
+    through the approx API.  ``setup(target, head)`` gives (problem, x0,
+    ball, map): the problem, its approximate zero, the ball its certificate
+    bounds kappa over, and the map with that head."""
     cfg = pl.RunConfig(degree=40, precision=40, rho="1e-20")
     result = pl.run_pipeline(cfg)
     ctx = RoundingContext(40)
     tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, result.balls["parameter"]))
+
+    def decimals(name):
+        return [c.re.lo for c in result.balls[name].coeffs]
+
+    g0, v0, w0 = decimals("G0"), decimals("V0"), decimals("W0")
     maps = {}
     for head in (10, 20):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ax, "HEAD_DEGREE", head)
-            maps[head] = {t: lam for t, (_, lam) in pl.bootstrap(cfg).items()}
+            maps[head] = {"fixed_point": ax.build_lambda(
+                "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=40), 40)}
+            for target, x0 in (("delta", v0), ("gamma", w0)):
+                kind = target + "_eigen"
+                maps[head][target] = ax.build_lambda(
+                    kind, ax.approx_jacobian(kind, g0, x0, digits=40), 40, lambda0=x0[0])
     problems = {"fixed_point": (ct.FixedPointProblem(), "G0"),
                 "delta": (ct.DeltaProblem(ctx, result.balls["parameter"], tables), "V0"),
                 "gamma": (ct.GammaProblem(ctx, result.balls["parameter"], tables), "W0")}
@@ -77,8 +88,5 @@ def n40():
         x0 = result.balls[centre]
         return problem, x0, fb.inflate(ctx, x0, cfg.rho_for(target)), maps[head][target]
 
-    def decimals(name):
-        return [c.re.lo for c in result.balls[name].coeffs]
-
     return SimpleNamespace(ctx=ctx, cfg=cfg, result=result, setup=setup,
-                           g0=decimals("G0"), v0=decimals("V0"), w0=decimals("W0"))
+                           g0=g0, v0=v0, w0=w0)

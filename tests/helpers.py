@@ -8,6 +8,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert.errors import PointOutsideDomain
 from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
@@ -39,6 +40,26 @@ def digit_match_count(text: str, reference: str) -> int:
 def float_matrix(m) -> np.ndarray:
     """A Decimal matrix rounded to float64, for numpy as the spectrum oracle."""
     return np.array([[float(x) for x in row] for row in m], dtype=float)
+
+
+def t_apply(g, digits: int = 30) -> list[Decimal]:
+    """T(G) truncated to the degree of g, in round-to-nearest arithmetic."""
+    with decimal.localcontext(ax._context(digits)):
+        return ax._MidShared(g).t()
+
+
+def dt_matrix(g, digits: int = 30) -> list[list[Decimal]]:
+    """Rows of the truncated derivative of T at g; column k is DT(g) e_k."""
+    with decimal.localcontext(ax._context(digits)):
+        shared = ax._MidShared(g)
+        return shared.matrix(shared.dt_apply)
+
+
+def l_matrix(g, digits: int = 30) -> list[list[Decimal]]:
+    """Rows of the truncated noise-scaling operator L(g)."""
+    with decimal.localcontext(ax._context(digits)):
+        shared = ax._MidShared(g)
+        return shared.matrix(shared.l_apply)
 
 
 def rand_decimal(rng: random.Random, scale: float = 4.0) -> Decimal:

@@ -17,12 +17,14 @@ from helpers import (
     REF_GAMMA,
     digit_match_count,
     domain_points,
+    dt_matrix,
     eval_member,
     eval_member_derivative,
     float_matrix,
     member_product,
     rand_poly_ball,
     sample_member,
+    t_apply,
 )
 from renormcert import approx as ax
 from renormcert import balls as fb
@@ -109,7 +111,7 @@ def test_criterion_4_domain_extension(desk_run):
 def test_criterion_5_spectrum(desk_run):
     result, _ = desk_run
     g0 = [c.re.lo for c in result.balls["G0"].coeffs]
-    m = ax.dt_matrix(g0, digits=30)
+    m = dt_matrix(g0, digits=30)
     values = np.linalg.eigvals(float_matrix(m))
     big = sorted((v for v in values if abs(v) > 1), key=lambda v: -abs(v))
     assert len(big) == 2
@@ -167,7 +169,7 @@ def test_criterion_6b_function_ball_oracles():
 def test_criterion_6c_finite_difference():
     digits = 40
     g = ax.approx_fixed_point(20, digits)
-    m = ax.dt_matrix(g, digits=digits)
+    m = dt_matrix(g, digits=digits)
     n = len(g) - 1
     worst_final = Decimal(0)
     for k in (0, 2, 7):
@@ -181,8 +183,8 @@ def test_criterion_6c_finite_difference():
                 bumped = list(g)
                 bumped[k] = bumped[k] + t
                 fd = [(x - y) / t for x, y in
-                      zip(ax.t_apply(bumped, digits=digits),
-                          ax.t_apply(g, digits=digits))]
+                      zip(t_apply(bumped, digits=digits),
+                          t_apply(g, digits=digits))]
                 err = max(abs(fd[i] - col[i]) for i in range(n + 1)) / scale
             errs.append(err)
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1)), (k, errs)

@@ -4,9 +4,20 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from helpers import REF_A, REF_DELTA, REF_GAMMA, digit_match_count, float_matrix
+from helpers import (
+    REF_A,
+    REF_DELTA,
+    REF_GAMMA,
+    digit_match_count,
+    dt_matrix,
+    float_matrix,
+    l_matrix,
+    t_apply,
+)
 from renormcert import approx as ax
+from renormcert import balls as fb
 from renormcert import contraction as ct
+from renormcert import operators as op
 from renormcert.errors import (
     ConfigError,
     EigenSelectionAmbiguous,
@@ -21,7 +32,7 @@ def test_fixed_point_value(desk):
 
 
 def test_fixed_point_residual(desk):
-    tg = ax.t_apply(desk.g0, digits=30)
+    tg = t_apply(desk.g0, digits=30)
     res = max(abs(x - y) for x, y in zip(tg, desk.g0))
     assert res < Decimal("1e-25")
 
@@ -55,7 +66,7 @@ def test_eigen_gamma(desk):
 
 def test_eigen_residual_invariant(desk):
     with decimal.localcontext(decimal.Context(prec=30)):
-        m = ax.dt_matrix(desk.g0, digits=30)
+        m = dt_matrix(desk.g0, digits=30)
         mv = ax._mat_vec(m, desk.v0)
         res = max(abs(mv[i] - desk.lam0 * desk.v0[i]) for i in range(desk.n + 1))
         sup = max(abs(x) for x in desk.v0)
@@ -63,7 +74,7 @@ def test_eigen_residual_invariant(desk):
 
 
 def test_spectrum_two_large_eigenvalues(desk):
-    m = ax.dt_matrix(desk.g0, digits=30)
+    m = dt_matrix(desk.g0, digits=30)
     values = np.linalg.eigvals(float_matrix(m))
     big = sorted((v for v in values if abs(v) > 1), key=lambda v: -abs(v))
     assert len(big) == 2
@@ -94,16 +105,16 @@ def test_inverse_iteration_negative_controls(matrix, shift, power):
 def test_eigen_selection_matches_float_spectrum(desk):
     """delta0 is the real eigenvalue of DT outside the unit disc nearest
     4.669, and gamma0**2 the dominant eigenvalue of L, by numpy in float64."""
-    dt = np.linalg.eigvals(float_matrix(ax.dt_matrix(desk.g0, digits=30)))
+    dt = np.linalg.eigvals(float_matrix(dt_matrix(desk.g0, digits=30)))
     real_outside = [v.real for v in dt if abs(v) > 1 and abs(v.imag) < 1e-6]
     assert abs(min(real_outside, key=lambda v: abs(v - 4.669)) - float(desk.lam0)) < 1e-9
-    spectrum = np.linalg.eigvals(float_matrix(ax.l_matrix(desk.g0, digits=30)))
+    spectrum = np.linalg.eigvals(float_matrix(l_matrix(desk.g0, digits=30)))
     top = max(spectrum, key=abs)
     assert abs(top - float(desk.gam0) ** 2) < 1e-9 * abs(top)
 
 
 def test_jacobian_column_delta_a_only_in_first(desk):
-    jac_dt = ax.dt_matrix(desk.g0, digits=30)
+    jac_dt = dt_matrix(desk.g0, digits=30)
     jac_simple = []
     with decimal.localcontext(ax._context(30)):
         s = ax._MidShared(desk.g0)
@@ -150,7 +161,7 @@ def test_finite_difference_oracle(desk):
     operator, at shrinking steps in round-to-nearest arithmetic."""
     digits = 40
     g = ax.approx_fixed_point(20, digits)
-    m = ax.dt_matrix(g, digits=digits)
+    m = dt_matrix(g, digits=digits)
     n = len(g) - 1
     for k in (0, 1, 4):
         col = [m[i][k] for i in range(n + 1)]
@@ -162,11 +173,68 @@ def test_finite_difference_oracle(desk):
                 bumped = list(g)
                 bumped[k] = bumped[k] + t
                 fd = [(a - b) / t for a, b in
-                      zip(ax.t_apply(bumped, digits=digits), ax.t_apply(g, digits=digits))]
+                      zip(t_apply(bumped, digits=digits), t_apply(g, digits=digits))]
                 err = max(abs(fd[i] - col[i]) for i in range(n + 1)) / scale
             errs.append(err)
         assert errs[-1] < errs[0]
         assert errs[-1] < Decimal("1e-4"), (k, errs)
+
+
+def _misses(ball, values, digits: int) -> list[int]:
+    """Degrees k at which values[k] lies outside coefficient k of the ball,
+    widened by its v_err and by 10**(4-digits) max(1, |values[k]|)."""
+    misses = []
+    with decimal.localcontext(decimal.Context(prec=3 * digits)):
+        for k, (c, x) in enumerate(zip(ball.coeffs, values)):
+            slack = ball.v_err + Decimal(10) ** (4 - digits) * max(1, abs(x))
+            if not c.re.lo - slack <= x <= c.re.hi + slack:
+                misses.append(k)
+    return misses
+
+
+def _cross_engine(run):
+    """The midpoint evaluations at g0 of a fixture run, and the ball
+    engine's at the point ball g0, with a constructor of point balls."""
+    ctx, n = run.ctx, len(run.g0) - 1
+
+    def ball(coeffs):
+        return fb.ball_from_decimals(fb.STANDARD_DISC, coeffs, n)
+
+    shared = op.precompute_shared(ctx, ball(run.g0))
+    with decimal.localcontext(ax._context(ctx.precision)):
+        mid = ax._MidShared(run.g0)
+    return mid, shared, op.OperatorTables.build(ctx, shared), ball
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_midpoint_operators_lie_in_ball_enclosures(request, scale):
+    """Cross-engine check: T(g0), DT(g0) v and L(g0) v of the Decimal
+    midpoint engine lie in the ball engine's enclosures at the point ball
+    g0, for v with v(1) = v[0] != 0, so the normalisation terms of DT act."""
+    run = request.getfixturevalue(scale)
+    ctx, digits = run.ctx, run.ctx.precision
+    mid, shared, tables, ball = _cross_engine(run)
+    names = ["T", "DT v0", "L v0", "DT w0", "L w0"]
+    with decimal.localcontext(ax._context(digits)):
+        midpoints = [mid.t()] + [apply(v) for v in (run.v0, run.w0)
+                                 for apply in (mid.dt_apply, mid.l_apply)]
+    enclosures = [fb.scale(ctx, shared.a_inv, shared.outer_comp)] + [
+        apply(ctx, ball(v)) for v in (run.v0, run.w0)
+        for apply in (tables.dt_apply, tables.l_apply)]
+    for name, values, enclosure in zip(names, midpoints, enclosures):
+        assert _misses(enclosure, values, digits) == [], name
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_midpoint_dt_without_factor17_leaves_enclosure(request, scale):
+    """Negative control for the cross-engine check: DT(g0) v with its
+    v[0] factor17 term dropped falls outside the ball enclosure."""
+    run = request.getfixturevalue(scale)
+    ctx, digits = run.ctx, run.ctx.precision
+    mid, _, tables, ball = _cross_engine(run)
+    with decimal.localcontext(ax._context(digits)):
+        dropped = ax.p_sub(mid.dt_apply(run.v0), ax.p_scale(run.v0[0], mid.factor17))
+    assert _misses(tables.dt_apply(ctx, ball(run.v0)), dropped, digits)
 
 
 def test_jacobian_kinds(desk):
@@ -188,9 +256,9 @@ def test_jacobian_head_is_head_of_full_matrix(n40):
     k1 = ax.HEAD_DEGREE + 1
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        refs = {"fixed_point": (None, full.fixed_point_jacobian()),
-                "delta_eigen": (n40.v0, ax._eigen_jacobian(full.dt_matrix(), n40.v0, 1)),
-                "gamma_eigen": (n40.w0, ax._eigen_jacobian(full.l_matrix(), n40.w0, 2))}
+        refs = {kind: (x0, full.matrix(full.jacobian_apply(kind, x0)))
+                for kind, x0 in (("fixed_point", None), ("delta_eigen", n40.v0),
+                                 ("gamma_eigen", n40.w0))}
     for kind, (x0, ref) in refs.items():
         head = ax.approx_jacobian(kind, n40.g0, x0, digits=40)
         assert [list(map(str, row)) for row in head] == \

@@ -45,16 +45,16 @@ def test_config_validation():
         pl.RunConfig(workers=0)
 
 
-@pytest.mark.parametrize("field", ["rho", "rho_delta", "rho_gamma"])
+@pytest.mark.parametrize("field", ["rho"])
 @pytest.mark.parametrize("text", ["abc", "1e-x", "", "nan", "inf", "-1e-8"])
 def test_config_rejects_junk_radius(field, text):
-    """Each radius is outside input: junk, non-finite and non-positive values
+    """The radius is outside input: junk, non-finite and non-positive values
     raise ConfigError naming the field, never a decimal exception."""
     with pytest.raises(ConfigError, match=field):
         pl.RunConfig(**{field: text})
 
 
-@pytest.mark.parametrize("flag", ["--rho", "--rho-delta", "--rho-gamma"])
+@pytest.mark.parametrize("flag", ["--rho"])
 def test_cli_junk_radius_is_an_error(capsys, flag):
     from renormcert import cli
 
@@ -75,8 +75,8 @@ def test_rho_defaults():
     cfg = pl.RunConfig(rho="1e-8")
     assert cfg.rho_for("fixed_point") == Decimal("1e-8")
     assert cfg.rho_for("delta") == Decimal("1e-7")
-    cfg2 = pl.RunConfig(rho="1e-8", rho_delta="1e-9")
-    assert cfg2.rho_for("delta") == Decimal("1e-9")
+    described = cfg.describe()
+    assert (described["rho_delta"], described["rho_gamma"]) == ("1.0E-7", "1.0E-7")
 
 
 def test_certified_digits_examples():
@@ -230,7 +230,8 @@ def test_dense_map_certifies_same_digits(n40):
     """A dense map (K = N), inverted from the full midpoint Jacobian,
     certifies the digits the K = 20 block map does at N = 40."""
     with decimal.localcontext(ax._context(40)):
-        jac = ax._MidShared(n40.g0).fixed_point_jacobian()
+        full = ax._MidShared(n40.g0)
+        jac = full.matrix(full.jacobian_apply("fixed_point"))
     lam = ax.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
     cert = ct.certify(n40.ctx, ct.FixedPointProblem(), n40.result.balls["G0"], lam,
@@ -498,6 +499,21 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
     for name, cert in fresh.certificates.items():
         data = json.loads((out / f"certificate_{name}.json").read_text())
         assert data["certificate"] == json.loads(json.dumps(cert.to_payload()))
+
+
+def test_cli_approx_builds_no_frozen_map(tmp_path, monkeypatch):
+    """The approx verb writes the three checkpoints without building a
+    frozen map: the maps belong to the certificate stages."""
+    from renormcert import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the approx verb built a frozen map")
+
+    monkeypatch.setattr(ax, "build_lambda", refuse)
+    ck = tmp_path / "ck"
+    assert cli.main(["approx", "-N", "20", "-P", "30", "--checkpoint-dir", str(ck)]) == 0
+    assert sorted(p.name for p in ck.iterdir()) == \
+        sorted(f"{x}_n20_p30.txt" for x in ("g0", "delta0", "gamma0"))
 
 
 def test_old_map_file_is_never_read(desk, tmp_path):
