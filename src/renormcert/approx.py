@@ -60,7 +60,8 @@ _EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
 HEAD_DEGREE = 20
 
 #: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
-#: residual M x - lambda**p x (0 for the fixed point, whose M is DT - I).
+#: residual M_p x - lambda**p x (0 for the fixed point, whose Jacobian is
+#: M_1 - I); M_1 is DT and M_2 is L.
 _PHI_POWER = {"fixed_point": 0, "delta_eigen": 1, "gamma_eigen": 2}
 
 
@@ -157,7 +158,8 @@ def _rows(cols):
 
 class _MidShared:
     """Midpoint analogue of the shared operator evaluations at g, from which
-    T(g) is read and DT(g) and L(g) are applied, with the terms of
+    T(g) is read and M_q(g) is applied (DT = M_1, L = M_2), with the terms
+    and field names of ``operators.SharedEvaluations`` and
     ``operators.OperatorTables``; ``matrix`` stacks an apply's columns.
 
     With ``width`` = K + 1 below N + 1, every polynomial is cut to its
@@ -174,56 +176,53 @@ class _MidShared:
         if not self.a:
             raise NewtonDivergence("normalisation a = G(1) vanished")
         self.a2 = self.a * self.a
-        self.ainv = _D1 / self.a
-        self.ainv2 = self.ainv * self.ainv
+        self.a_inv = _D1 / self.a
+        self.a_inv2 = self.a_inv * self.a_inv
         affine = _pad([self.a2 * _C, self.a2 * _R], width)
         self.up1 = _power_list(_normalize_arg(affine), n + 1)
         self.inner = _table_compose(g, self.up1)
         self.squared = p_mul(self.inner, self.inner)
         self.up2 = _power_list(_normalize_arg(self.squared), n + 1)
-        self.outer = _table_compose(g, self.up2)
+        self.outer_comp = _table_compose(g, self.up2)
         gd = p_deriv(g)
         self.deriv_outer = _table_compose(gd, self.up2)
         self.deriv_inner = _table_compose(gd, self.up1)
-        two_inner = p_scale(_D2 * self.ainv, self.inner)
-        self.c16 = p_mul(self.deriv_outer, two_inner)
-        self.c16sq = p_mul(self.c16, self.c16)
+        two_inner = p_scale(_D2 * self.a_inv, self.inner)
+        self.factor16 = p_mul(self.deriv_outer, two_inner)
+        self.factor16_sq = p_mul(self.factor16, self.factor16)
         x_poly = _pad([_C, _R], width)
-        self.factor17 = p_mul(p_mul(self.c16, self.deriv_inner),
+        self.factor17 = p_mul(p_mul(self.factor16, self.deriv_inner),
                               p_scale(_D2 * self.a, x_poly))
 
     def t(self):
         """T(g)."""
-        return p_scale(self.ainv, self.outer)
+        return p_scale(self.a_inv, self.outer_comp)
 
-    def dt_apply(self, v):
-        """DT(g) v.  v(1) = v[0] on the standard disc; when it is nonzero
-        the variations of the normalisation a act."""
-        out = p_add(p_scale(self.ainv, _table_compose(v, self.up2)),
-                    p_mul(self.c16, _table_compose(v, self.up1)))
-        if v[0]:
-            out = p_add(out, p_scale(-self.ainv2 * v[0], self.outer))
+    def apply(self, q: int, v):
+        """M_q(g) v: a**-q v(Q(g(a**2 X))) + factor16**q v(a**2 X), and for
+        q = 1 (DT) the variations of the normalisation a, which act when
+        v(1) = v[0] on the standard disc is nonzero; q = 2 is L."""
+        scalar, factor = ((self.a_inv, self.factor16) if q == 1
+                          else (self.a_inv2, self.factor16_sq))
+        out = p_add(p_scale(scalar, _table_compose(v, self.up2)),
+                    p_mul(factor, _table_compose(v, self.up1)))
+        if q == 1 and v[0]:
+            out = p_add(out, p_scale(-self.a_inv2 * v[0], self.outer_comp))
             out = p_add(out, p_scale(v[0], self.factor17))
         return out
 
-    def l_apply(self, w):
-        """L(g) w, the noise-scaling operator."""
-        return p_add(p_mul(self.c16sq, _table_compose(w, self.up1)),
-                     p_scale(self.ainv2, _table_compose(w, self.up2)))
-
     def jacobian_apply(self, kind: str, x=None):
         """v -> DF v for the residual F of the problem kind: T(g) - g, or
-        M x - phi(x)**p x with lambda = phi(x) = x[0] and M = DT(g) or L(g),
-        whose derivative is M - lambda**p I - p lambda**(p-1) x e_0^T."""
+        M_p x - phi(x)**p x with lambda = phi(x) = x[0], whose derivative is
+        M_p - lambda**p I - p lambda**(p-1) x e_0^T."""
         if kind == "fixed_point":
-            return lambda v: p_sub(self.dt_apply(v), v)
-        operator = self.dt_apply if kind == "delta_eigen" else self.l_apply
+            return lambda v: p_sub(self.apply(1, v), v)
         power = _PHI_POWER[kind]
         lam_p = x[0] ** power
         dlam = Decimal(power) * x[0] ** (power - 1)
 
         def apply(v):
-            out = p_sub(operator(v), p_scale(lam_p, v))
+            out = p_sub(self.apply(power, v), p_scale(lam_p, v))
             if v[0]:
                 out = p_sub(out, p_scale(dlam * v[0], x))
             return out
@@ -396,7 +395,7 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     phi_power = _PHI_POWER[kind + "_eigen"]
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0)
-        matrix = shared.matrix(shared.dt_apply if kind == "delta" else shared.l_apply)
+        matrix = shared.matrix(lambda v: shared.apply(phi_power, v))
         vec = _inverse_iteration(matrix, _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
         return vec, vec[0]
 

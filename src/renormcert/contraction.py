@@ -52,7 +52,7 @@ from .errors import (
     SingularJacobian,
     TailContractFailure,
 )
-from .operators import ColumnImages, OperatorTables, SharedEvaluations, precompute_shared
+from .operators import OperatorTables, precompute_shared
 from .rounding import IONE, Interval, RoundingContext, as_decimal, interval
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
 
 _D0 = Decimal(0)
 _D1 = Decimal(1)
-_D2 = Decimal(2)
 
 
 class LinearMap:
@@ -265,11 +264,13 @@ def _widened(ctx: RoundingContext, center: Interval, radius: Decimal) -> Interva
     return Interval(ctx.sub_dn(center.lo, radius), ctx.add_up(center.hi, radius))
 
 
-def _dt_tail_channels(ctx: RoundingContext, shared: SharedEvaluations):
-    return (
-        (shared.a_inv.mag, shared.theta_squared),
-        (fb.norm_upper(ctx, shared.factor16), shared.theta_affine),
-    )
+def _tail_channels(ctx: RoundingContext, tables: OperatorTables, q: int):
+    """The two composition channels of M_q: a**-q through Q(G(a**2 X)) and
+    factor16**q through a**2 X, with their theta factors."""
+    s = tables.shared
+    scalar, factor = s.coefficients(q)
+    return ((scalar.mag, s.theta_squared),
+            (fb.norm_upper(ctx, factor), s.theta_affine))
 
 
 class FixedPointProblem(Problem):
@@ -278,7 +279,7 @@ class FixedPointProblem(Problem):
     kind = "fixed_point"
 
     def __init__(self):
-        self._cache = None   # (ball, shared, tables)
+        self._cache = None   # (ball, tables)
 
     def _tables(self, ctx: RoundingContext, ball: FunctionBall) -> OperatorTables:
         if self._cache is not None and self._cache[0] is ball:
@@ -293,13 +294,13 @@ class FixedPointProblem(Problem):
         return fb.sub(ctx, t_of_x, x)
 
     def column_kernel(self, ctx, x_ball):
-        return self._tables(ctx, x_ball).dt_columns(ctx, diagonal=IONE)
+        return self._tables(ctx, x_ball).columns(ctx, 1, diagonal=IONE)
 
     def tail_phi_factor(self, ctx, x_ball):
         return interval(-1)
 
     def tail_channels(self, ctx, x_ball):
-        return _dt_tail_channels(ctx, self._tables(ctx, x_ball).shared)
+        return _tail_channels(ctx, self._tables(ctx, x_ball), 1)
 
     def enclosures(self, ctx, x0, radius):
         a_enc = _widened(ctx, _phi(ctx, x0), radius)
@@ -307,37 +308,39 @@ class FixedPointProblem(Problem):
 
 
 class _EigenProblem(Problem):
-    """Shared machinery for the two nonlinear eigenproblems, in which the
-    eigenvalue is encoded as the coordinate functional of the eigenfunction
-    and the underlying map ranges over a ball proven to contain the fixed
-    point."""
+    """The two nonlinear eigenproblems F(x) = M_p(G) x - phi(x)**p x with
+    p = ``phi_power``, in which the eigenvalue phi(x)**p is encoded through
+    the coordinate functional of the eigenfunction and G ranges over a ball
+    proven to contain the fixed point; ``tables`` hold M_p over that ball."""
 
     phi_power = 1
 
     def __init__(self, ctx: RoundingContext, parameter_ball: FunctionBall,
-                 tables: OperatorTables | None = None):
+                 tables: OperatorTables):
         self.parameter_ball = parameter_ball
-        self.tables = tables if tables is not None else OperatorTables.build(
-            ctx, precompute_shared(ctx, parameter_ball))
+        self.tables = tables
 
-    def _operator_apply(self, ctx, dx):
-        raise NotImplementedError
-
-    def _column_images(self, ctx, x_ball, phi_x) -> ColumnImages:
-        raise NotImplementedError
+    def _phi_pow(self, ctx, phi_x) -> Interval:
+        return phi_x if self.phi_power == 1 else ctx.isqr(phi_x)
 
     def residual(self, ctx, x):
-        phi_x = _phi(ctx, x)
-        mult = phi_x if self.phi_power == 1 else ctx.isqr(phi_x)
-        return fb.sub(ctx, self._operator_apply(ctx, x), fb.scale(ctx, mult, x))
+        # M_p through its named entry points, which perfbench traces by name
+        operator = self.tables.dt_apply if self.phi_power == 1 else self.tables.l_apply
+        mult = self._phi_pow(ctx, _phi(ctx, x))
+        return fb.sub(ctx, operator(ctx, x), fb.scale(ctx, mult, x))
 
     def column_kernel(self, ctx, x_ball):
-        return self._column_images(ctx, x_ball, _phi(ctx, x_ball))
+        """Columns of M_p - phi**p I - p phi**(p-1) x e_0^T over the ball."""
+        p, phi_x = self.phi_power, _phi(ctx, x_ball)
+        scaled = x_ball if p == 1 else fb.scale(ctx, ctx.iscale(phi_x, Decimal(p)), x_ball)
+        return self.tables.columns(ctx, p, column0=fb.negate(ctx, scaled),
+                                   diagonal=self._phi_pow(ctx, phi_x))
 
     def tail_phi_factor(self, ctx, x_ball):
-        phi_x = _phi(ctx, x_ball)
-        mult = phi_x if self.phi_power == 1 else ctx.isqr(phi_x)
-        return ctx.ineg(mult)
+        return ctx.ineg(self._phi_pow(ctx, _phi(ctx, x_ball)))
+
+    def tail_channels(self, ctx, x_ball):
+        return _tail_channels(ctx, self.tables, self.phi_power)
 
     def enclosures(self, ctx, x0, radius):
         name = "delta" if self.phi_power == 1 else "gamma"
@@ -350,36 +353,12 @@ class DeltaProblem(_EigenProblem):
     kind = "delta_eigen"
     phi_power = 1
 
-    def _operator_apply(self, ctx, dx):
-        return self.tables.dt_apply(ctx, dx)
-
-    def _column_images(self, ctx, x_ball, phi_x):
-        return self.tables.dt_columns(ctx, column0=fb.negate(ctx, x_ball), diagonal=phi_x)
-
-    def tail_channels(self, ctx, x_ball):
-        return _dt_tail_channels(ctx, self.tables.shared)
-
 
 class GammaProblem(_EigenProblem):
     """F(W) = L(G) W - phi(W)**2 W with G over the parameter ball."""
 
     kind = "gamma_eigen"
     phi_power = 2
-
-    def _operator_apply(self, ctx, dx):
-        return self.tables.l_apply(ctx, dx)
-
-    def _column_images(self, ctx, x_ball, phi_x):
-        two_phi_x = fb.scale(ctx, ctx.iscale(phi_x, _D2), x_ball)
-        return self.tables.l_columns(ctx, column0=fb.negate(ctx, two_phi_x),
-                                     diagonal=ctx.isqr(phi_x))
-
-    def tail_channels(self, ctx, x_ball):
-        s = self.tables.shared
-        return (
-            (s.a_inv2.mag, s.theta_squared),
-            (fb.norm_upper(ctx, s.factor16_sq), s.theta_affine),
-        )
 
 
 # -- bounds -----------------------------------------------------------------------

@@ -4,13 +4,15 @@ Implements the doubling operator for even maps written through X = x**2,
 
     T(G)(X) = a**-1 G(Q(G(Q(a) X))),   a = G(1),  Q(w) = w**2,
 
-its Frechet derivative (four terms, including the variations of the
-normalisation a), the noise-scaling operator
+its Frechet derivative DT and the noise-scaling operator L, which are one
+operator M_q for q = 1 and q = 2:
 
-    L(G) W(X) = a**-2 (G'(Q(G(a**2 X))) 2 G(a**2 X))**2 W(a**2 X)
-              + a**-2 W(Q(G(a**2 X))),
+    M_q(G) V(X) = a**-q V(Q(G(a**2 X))) + factor16**q V(a**2 X),
+    factor16 = a**-1 G'(Q(G(a**2 X))) 2 G(a**2 X),
 
-the boundary-covering verification that the inner compositions map the
+where M_1 also carries the two terms of the variation of the
+normalisation a through V(1), so DT(G) = M_1(G) and L(G) = M_2(G); the
+boundary-covering verification that the inner compositions map the
 closed domain disc strictly inside itself (which makes the operator
 well-defined, differentiable, and its derivative compact on the ball), and
 recursive evaluation of the certified functions outside the disc for
@@ -21,7 +23,7 @@ powers of the normalized affine argument a**2 X and of the squared argument
 Q(G(a**2 X)), held in exact integer midpoint-radius form.  The tables and
 the shared subexpressions read off them (a, G(a**2 X), its square, the
 composed derivative factors) are computed once per input ball and reused
-by T, by DT and L applied to a ball, and by the per-basis-column images of
+by T, by M_q applied to a ball, and by the per-basis-column images of
 the contraction bounds, which stay in integers from the tabulated powers on.
 """
 
@@ -86,6 +88,11 @@ class SharedEvaluations:
     @property
     def domain(self) -> Disc:
         return self.source.domain
+
+    def coefficients(self, q: int) -> tuple[Interval, FunctionBall]:
+        """(a**-q, factor16**q) for q = 1 or 2: the coefficients of M_q on
+        V(Q(G(a**2 X))) and on V(a**2 X)."""
+        return (self.a_inv, self.factor16) if q == 1 else (self.a_inv2, self.factor16_sq)
 
     @property
     def theta_affine(self) -> Decimal:
@@ -195,8 +202,8 @@ class ColumnImages:
 
 @dataclass(frozen=True)
 class OperatorTables:
-    """The derivative and the noise operator over a ball, applied through
-    the power tables of its shared evaluations.
+    """M_q over a ball, so the derivative DT = M_1 and the noise operator
+    L = M_2, applied through the power tables of its shared evaluations.
 
     e_k composed with an argument is the k-th tabulated power, so each
     basis-column image is one integer product with a tabulated power.
@@ -214,10 +221,16 @@ class OperatorTables:
             raise ConfigError("shared evaluations lack derivative factors")
         return cls(shared=shared)
 
-    def _columns(self, ctx, scalar, factor, column0, diagonal) -> ColumnImages:
+    def columns(self, ctx: RoundingContext, q: int, column0: FunctionBall | None = None,
+                diagonal: Interval = IZERO) -> ColumnImages:
+        """Column images of M_q(G) e_k + [k = 0] column0 - diagonal e_k."""
         s = self.shared
         n = s.source.truncation
-        if column0 is None:
+        scalar, factor = s.coefficients(q)
+        if q == 1:
+            extra = _delta_a_terms(ctx, s, IONE)
+            column0 = extra if column0 is None else fb.add(ctx, extra, column0)
+        elif column0 is None:
             column0 = fb.zero_ball(s.domain, n)
         return ColumnImages(
             s.table_squared, s.table_affine,
@@ -226,44 +239,29 @@ class OperatorTables:
             fb.to_int_ball(ctx, column0),
             fb.to_int_ball(ctx, fb.const_ball(s.domain, n, ctx.ineg(diagonal))))
 
-    def dt_columns(self, ctx: RoundingContext, column0: FunctionBall | None = None,
-                   diagonal: Interval = IZERO) -> ColumnImages:
-        """Column images of DT(G) e_k + [k = 0] column0 - diagonal e_k."""
+    def apply(self, ctx: RoundingContext, q: int, v: FunctionBall) -> FunctionBall:
+        """M_q(G) v, enclosing the action for every G in the ball."""
         s = self.shared
-        extra = _delta_a_terms(ctx, s, IONE)
-        if column0 is not None:
-            extra = fb.add(ctx, extra, column0)
-        return self._columns(ctx, s.a_inv, s.factor16, extra, diagonal)
-
-    def l_columns(self, ctx: RoundingContext, column0: FunctionBall | None = None,
-                  diagonal: Interval = IZERO) -> ColumnImages:
-        """Column images of L(G) e_k + [k = 0] column0 - diagonal e_k."""
-        s = self.shared
-        return self._columns(ctx, s.a_inv2, s.factor16_sq, column0, diagonal)
-
-    def dt_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        return self.dt_columns(ctx).image_ball(ctx, k)
-
-    def l_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        return self.l_columns(ctx).image_ball(ctx, k)
-
-    def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
-        """DT(G) dG, enclosing the action for every G in the ball."""
-        s = self.shared
-        t15 = fb.scale(ctx, s.a_inv, s.table_squared.compose(ctx, dG))
-        t16 = fb.mul(ctx, s.factor16, s.table_affine.compose(ctx, dG))
-        out = fb.add(ctx, t15, t16)
-        da = fb.evaluate(ctx, dG, _ONE_POINT).re
-        if da.mag != 0:
-            out = fb.add(ctx, out, _delta_a_terms(ctx, s, da))
+        scalar, factor = s.coefficients(q)
+        out = fb.add(ctx, fb.scale(ctx, scalar, s.table_squared.compose(ctx, v)),
+                     fb.mul(ctx, factor, s.table_affine.compose(ctx, v)))
+        if q == 1:
+            da = fb.evaluate(ctx, v, _ONE_POINT).re
+            if da.mag != 0:
+                out = fb.add(ctx, out, _delta_a_terms(ctx, s, da))
         return out
 
+    def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
+        return self.apply(ctx, 1, dG)
+
     def l_apply(self, ctx: RoundingContext, W: FunctionBall) -> FunctionBall:
-        """L(G) W, enclosing the action for every G in the ball."""
-        s = self.shared
-        t1 = fb.mul(ctx, s.factor16_sq, s.table_affine.compose(ctx, W))
-        t2 = fb.scale(ctx, s.a_inv2, s.table_squared.compose(ctx, W))
-        return fb.add(ctx, t1, t2)
+        return self.apply(ctx, 2, W)
+
+    def dt_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
+        return self.columns(ctx, 1).image_ball(ctx, k)
+
+    def l_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
+        return self.columns(ctx, 2).image_ball(ctx, k)
 
 
 # -- domain extension -----------------------------------------------------------
@@ -386,9 +384,10 @@ def _as_rectangle(x) -> Rectangle:
 class RecursiveExtension:
     """The certified balls held for pointwise evaluation, inside the disc and
     beyond it through the functional equations, with the constants of those
-    equations: a = G(1), a**-1, a**2, a**-2 and, with V, lambda = V(1) and
-    lambda**-1 (the eigenvalue phi(V)), with W, gamma**-2 for gamma = W(1).
-    Build it once for many points (a plot covering) and call
+    equations: a = G(1), a**-1, a**2, a**-2, lambda = V(1) with V, and
+    ``phi_inv`` mapping "V" and "W" to phi**-q for the eigenvalue phi**q of
+    M_q (q = 1 for V, so lambda**-1; q = 2 for W, so gamma**-2 with
+    gamma = W(1)).  Build it once for many points (a plot covering) and call
     :meth:`evaluate` per point."""
 
     G: PointEvaluator
@@ -399,24 +398,23 @@ class RecursiveExtension:
     a2: Rectangle
     a_inv2: Rectangle
     lam: Rectangle | None
-    lam_inv: Rectangle | None
-    gam2_inv: Rectangle | None
+    phi_inv: dict
 
     @classmethod
     def build(cls, ctx: RoundingContext, G: FunctionBall, V: FunctionBall | None = None,
               W: FunctionBall | None = None) -> "RecursiveExtension":
         g = fb.point_evaluator(ctx, G)
-        v = fb.point_evaluator(ctx, V) if V is not None else None
-        w = fb.point_evaluator(ctx, W) if W is not None else None
         a = g.value(ctx, _ONE_POINT)
         a_inv = ctx.rdiv(rectangle(1), a)
-        lam = lam_inv = gam2_inv = None
-        if v is not None:
-            lam = v.value(ctx, _ONE_POINT)
-            lam_inv = ctx.rdiv(rectangle(1), lam)
-        if w is not None:
-            gam2_inv = ctx.rdiv(rectangle(1), ctx.rsqr(w.value(ctx, _ONE_POINT)))
-        return cls(g, v, w, a, a_inv, ctx.rsqr(a), ctx.rsqr(a_inv), lam, lam_inv, gam2_inv)
+        evaluators, phi, phi_inv = {}, {}, {}
+        for kind, q, ball in (("V", 1, V), ("W", 2, W)):
+            if ball is not None:
+                evaluators[kind] = fb.point_evaluator(ctx, ball)
+                phi[kind] = evaluators[kind].value(ctx, _ONE_POINT)
+                phi_q = phi[kind] if q == 1 else ctx.rsqr(phi[kind])
+                phi_inv[kind] = ctx.rdiv(rectangle(1), phi_q)
+        return cls(g, evaluators.get("V"), evaluators.get("W"), a, a_inv,
+                   ctx.rsqr(a), ctx.rsqr(a_inv), phi.get("V"), phi_inv)
 
     def evaluate(self, ctx: RoundingContext, target: str, x, depth: int) -> Rectangle:
         """The named function at x, unwinding up to ``depth`` levels of the
@@ -445,20 +443,24 @@ class RecursiveExtension:
         if not g.in_disc(ctx, u2):
             raise DepthExceeded(f"{kind} at {zz}: composed argument left the disc")
         gp_u2 = g.derivative(ctx, u2)
-        chain = ctx.rmul(ctx.rmul(self.a_inv, gp_u2), ctx.rmul(_TWO_POINT, y))
+        factor16 = ctx.rmul(ctx.rmul(self.a_inv, gp_u2), ctx.rmul(_TWO_POINT, y))
+        # kind = phi**-q M_q kind: q = 1 (DT) for V, q = 2 (L) for W
+        scalar, factor = ((self.a_inv, factor16) if kind == "V"
+                          else (self.a_inv2, ctx.rsqr(factor16)))
+        t15 = ctx.rmul(scalar, self._go(ctx, kind, u2, d - 1))
+        t16 = ctx.rmul(factor, self._go(ctx, kind, arg1, d - 1))
         if kind == "V":
+            # the variation of a, with da = V(1) = lambda
             lam = self.lam
-            t14 = ctx.rneg(ctx.rmul(ctx.rmul(self.a_inv2, lam), self._go(ctx, "G", u2, d - 1)))
-            t15 = ctx.rmul(self.a_inv, self._go(ctx, "V", u2, d - 1))
-            t16 = ctx.rmul(chain, self._go(ctx, "V", arg1, d - 1))
+            t14 = ctx.rneg(ctx.rmul(ctx.rmul(self.a_inv2, lam),
+                                    self._go(ctx, "G", u2, d - 1)))
             gp_a1 = g.derivative(ctx, arg1)
-            t17 = ctx.rmul(ctx.rmul(chain, gp_a1),
+            t17 = ctx.rmul(ctx.rmul(factor16, gp_a1),
                            ctx.rmul(ctx.rmul(_TWO_POINT, zz), ctx.rmul(self.a, lam)))
             total = ctx.radd(ctx.radd(t14, t15), ctx.radd(t16, t17))
-            return ctx.rmul(self.lam_inv, total)
-        t1 = ctx.rmul(ctx.rsqr(chain), self._go(ctx, "W", arg1, d - 1))
-        t2 = ctx.rmul(self.a_inv2, self._go(ctx, "W", u2, d - 1))
-        return ctx.rmul(self.gam2_inv, ctx.radd(t1, t2))
+        else:
+            total = ctx.radd(t15, t16)
+        return ctx.rmul(self.phi_inv[kind], total)
 
 
 def extend_recursive(ctx: RoundingContext, target: str, x, depth: int, *,

@@ -52,14 +52,14 @@ def dt_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated derivative of T at g; column k is DT(g) e_k."""
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g)
-        return shared.matrix(shared.dt_apply)
+        return shared.matrix(lambda v: shared.apply(1, v))
 
 
 def l_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated noise-scaling operator L(g)."""
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g)
-        return shared.matrix(shared.l_apply)
+        return shared.matrix(lambda v: shared.apply(2, v))
 
 
 def rand_decimal(rng: random.Random, scale: float = 4.0) -> Decimal:

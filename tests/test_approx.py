@@ -119,8 +119,8 @@ def test_jacobian_column_delta_a_only_in_first(desk):
     with decimal.localcontext(ax._context(30)):
         s = ax._MidShared(desk.g0)
         for k in range(desk.n + 1):
-            col = ax.p_scale(s.ainv, s.up2[k])
-            col = ax.p_add(col, ax.p_mul(s.c16, s.up1[k]))
+            col = ax.p_scale(s.a_inv, s.up2[k])
+            col = ax.p_add(col, ax.p_mul(s.factor16, s.up1[k]))
             jac_simple.append(col)
     for k in range(1, desk.n + 1):
         for i in range(desk.n + 1):
@@ -216,11 +216,9 @@ def test_midpoint_operators_lie_in_ball_enclosures(request, scale):
     mid, shared, tables, ball = _cross_engine(run)
     names = ["T", "DT v0", "L v0", "DT w0", "L w0"]
     with decimal.localcontext(ax._context(digits)):
-        midpoints = [mid.t()] + [apply(v) for v in (run.v0, run.w0)
-                                 for apply in (mid.dt_apply, mid.l_apply)]
+        midpoints = [mid.t()] + [mid.apply(q, v) for v in (run.v0, run.w0) for q in (1, 2)]
     enclosures = [fb.scale(ctx, shared.a_inv, shared.outer_comp)] + [
-        apply(ctx, ball(v)) for v in (run.v0, run.w0)
-        for apply in (tables.dt_apply, tables.l_apply)]
+        tables.apply(ctx, q, ball(v)) for v in (run.v0, run.w0) for q in (1, 2)]
     for name, values, enclosure in zip(names, midpoints, enclosures):
         assert _misses(enclosure, values, digits) == [], name
 
@@ -233,8 +231,40 @@ def test_midpoint_dt_without_factor17_leaves_enclosure(request, scale):
     ctx, digits = run.ctx, run.ctx.precision
     mid, _, tables, ball = _cross_engine(run)
     with decimal.localcontext(ax._context(digits)):
-        dropped = ax.p_sub(mid.dt_apply(run.v0), ax.p_scale(run.v0[0], mid.factor17))
+        dropped = ax.p_sub(mid.apply(1, run.v0), ax.p_scale(run.v0[0], mid.factor17))
     assert _misses(tables.dt_apply(ctx, ball(run.v0)), dropped, digits)
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "delta_eigen", "gamma_eigen"])
+def test_column_kernels_contain_midpoint_jacobians(desk, kind):
+    """Cross-engine check of the derivative: with the problem built on the
+    point balls g0 and x0, column kernel image k contains column k of the
+    midpoint Jacobian approx_jacobian(kind, g0, x0), for every k <= K."""
+    ctx, digits = desk.ctx, desk.ctx.precision
+    _, _, tables, ball = _cross_engine(desk)
+    x0 = {"fixed_point": None, "delta_eigen": desk.v0, "gamma_eigen": desk.w0}[kind]
+    if x0 is None:
+        problem, x_ball = ct.FixedPointProblem(), ball(desk.g0)
+    else:
+        cls = ct.DeltaProblem if kind == "delta_eigen" else ct.GammaProblem
+        problem, x_ball = cls(ctx, ball(desk.g0), tables), ball(x0)
+    kernel = problem.column_kernel(ctx, x_ball)
+    jac = ax.approx_jacobian(kind, desk.g0, x0, digits=digits)
+    for k in range(len(jac)):
+        assert _misses(kernel.image_ball(ctx, k), [row[k] for row in jac], digits) == [], k
+
+
+def test_gamma_column0_without_power_factor_leaves_midpoint_jacobian(desk):
+    """Negative control for the kernel check: a gamma column 0 built with
+    -phi x in place of -2 phi x misses the midpoint Jacobian's column 0."""
+    ctx, digits = desk.ctx, desk.ctx.precision
+    _, _, tables, ball = _cross_engine(desk)
+    w_ball = ball(desk.w0)
+    phi = fb.coefficient(ctx, w_ball, 0).re
+    wrong = tables.columns(ctx, 2, column0=fb.negate(ctx, fb.scale(ctx, phi, w_ball)),
+                           diagonal=ctx.isqr(phi))
+    jac = ax.approx_jacobian("gamma_eigen", desk.g0, desk.w0, digits=digits)
+    assert _misses(wrong.image_ball(ctx, 0), [row[0] for row in jac], digits)
 
 
 def test_jacobian_kinds(desk):

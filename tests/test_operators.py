@@ -94,6 +94,33 @@ def test_apply_DT_delta_a_terms_vanish(desk):
         assert agree == (k != 0), k
 
 
+def _contains_midpoints(image, ball, n):
+    return all(image.coeffs[i].re.contains(ctx.imid(ball.coeffs[i].re)) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("q, basis_image", [(1, "dt_basis_image"), (2, "l_basis_image")])
+def test_column_images_contain_apply(desk, q, basis_image):
+    """The integer column path of M_q against its ball apply, for q = 1 (DT)
+    and q = 2 (L): basis image k contains the midpoints of M_q e_k."""
+    tables = desk.tables
+    for k in (0, 1, 2, 5):
+        image = getattr(tables, basis_image)(ctx, k)
+        applied = tables.apply(ctx, q, fb.basis_ball(DOM, desk.n, k))
+        assert _contains_midpoints(image, applied, desk.n), k
+
+
+def test_l_column_images_with_dt_coefficients_miss_apply(desk, monkeypatch):
+    """Negative control: q = 2 column images built with the q = 1
+    coefficients (a**-1 and factor16) miss L e_k."""
+    tables = desk.tables
+    applied = [tables.l_apply(ctx, fb.basis_ball(DOM, desk.n, k)) for k in (0, 1, 2, 5)]
+    coefficients = op.SharedEvaluations.coefficients
+    monkeypatch.setattr(op.SharedEvaluations, "coefficients",
+                        lambda shared, q: coefficients(shared, 1))
+    for k, l_e_k in zip((0, 1, 2, 5), applied):
+        assert not _contains_midpoints(tables.l_basis_image(ctx, k), l_e_k, desk.n), k
+
+
 def test_apply_DT_linearity(desk):
     tables = desk.tables
     e1 = fb.basis_ball(DOM, desk.n, 1)
