@@ -38,7 +38,7 @@ V0 = fb.ball_from_decimals(fb.STANDARD_DISC, v0, N)
 lam_d = ax.build_lambda("delta_eigen",
                         ax.approx_jacobian("delta_eigen", g0, v0, digits=DIGITS),
                         DIGITS, lambda0=lam0)
-cert_d = certify(ctx, DeltaProblem(ctx, param, tables), V0, lam_d, "1e-7")
+cert_d = certify(ctx, DeltaProblem(tables), V0, lam_d, "1e-7")
 text, count = certified_digits(cert_d.enclosures["delta"])
 print(f"  delta = {text}   ({count} digits proven; "
       f"epsilon {cert_d.epsilon:.2E}, kappa {cert_d.kappa:.2E})")
@@ -50,7 +50,7 @@ W0 = fb.ball_from_decimals(fb.STANDARD_DISC, w0, N)
 lam_w = ax.build_lambda("gamma_eigen",
                         ax.approx_jacobian("gamma_eigen", g0, w0, digits=DIGITS),
                         DIGITS, lambda0=gam0)
-cert_w = certify(ctx, GammaProblem(ctx, param, tables), W0, lam_w, "1e-7")
+cert_w = certify(ctx, GammaProblem(tables), W0, lam_w, "1e-7")
 text, count = certified_digits(cert_w.enclosures["gamma"])
 print(f"  gamma = {text}   ({count} digits proven; "
       f"epsilon {cert_w.epsilon:.2E}, kappa {cert_w.kappa:.2E})")

@@ -8,10 +8,22 @@ scalar above K.  Everything here runs in round-to-nearest decimal
 arithmetic inside a local context; no rounding state is shared with the
 directed-rounding side.
 
-Each eigenpair is the one whose eigenvalue lies nearest a literature hint
-s (4.669 for delta, 6.619**2 for gamma**2), found by shifted inverse
-iteration; the error shrinks by |lambda - s|/|lambda' - s| per step, where
-lambda' is the next nearest eigenvalue.
+Above degree K no matrix larger than the head is built or factored.  The
+same block map B (the LU of a Jacobian's head, a tail scalar above K)
+preconditions both iterations, with the operators applied matrix-free:
+
+* fixed point: Newton's correction delta solves (DT - I) delta = -F by
+  delta <- delta - B((DT - I) delta + F) (inexact Newton; Dembo,
+  Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982);
+* eigenpairs: shifted inverse iteration on the head of M_p finds the
+  eigenvalue nearest a literature hint s (4.669 for delta, 6.619**2 for
+  gamma**2), at the rate |lambda - s|/|lambda' - s| per step, lambda'
+  the next nearest eigenvalue; the zero-padded head eigenvector is then
+  refined by x <- x - B(M_p x - x[0]**p x), the certificate's own
+  Newton-like map.
+
+The power lists behind every composition are exact integer products
+(``balls._conv``) rounded to nearest at a fixed scale.
 
 Polynomials are plain lists of Decimal coefficients in the scaled-monomial
 basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
@@ -23,7 +35,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-from .balls import STANDARD_DISC
+from .balls import STANDARD_DISC, _conv
 from .errors import (
     ConfigError,
     EigenSelectionAmbiguous,
@@ -46,6 +58,8 @@ _D0 = Decimal(0)
 _D1 = Decimal(1)
 _D2 = Decimal(2)
 _C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
+#: unbounded precision: scaleb by it only moves the decimal point
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 #: classical starting guess g(x) ~ 1 - 1.5276 x**2, written for G(X).
 _SEED_QUADRATIC = Decimal("-1.5276")
@@ -133,10 +147,26 @@ def _normalize_arg(h):
 
 
 def _power_list(u, count):
-    """u**0..u**(count-1) for count >= 2, each truncated to the length of u."""
-    powers = [_pad([_D1], len(u)), list(u)]
+    """u**0..u**(count-1) for count >= 2, each truncated to the length of u.
+
+    u is read once, rounded to nearest at the scale 10**-(P+6) with P the
+    context precision, trailing zeros dropped (an affine u costs O(N) per
+    power).  Each power from u**2 on is the exact integer product of the
+    previous one and u, rounded to nearest at that scale, and goes back to
+    Decimal once, exactly.
+    """
+    width = len(u)
+    scale = decimal.getcontext().prec + 6
+    unit = 10 ** scale
+    half = unit >> 1
+    u_int = [round(x.scaleb(scale, _EXACT)) for x in u]
+    while u_int and not u_int[-1]:
+        u_int.pop()
+    powers = [_pad([_D1], width), list(u)]
+    power = u_int
     for _ in range(2, count):
-        powers.append(p_mul(powers[-1], u))
+        power = [(c + half) // unit for c in _conv(power, u_int, width - 1)]
+        powers.append(_pad([Decimal(c).scaleb(-scale, _EXACT) for c in power], width))
     return powers
 
 
@@ -160,13 +190,13 @@ class _MidShared:
     """Midpoint analogue of the shared operator evaluations at g, from which
     T(g) is read and M_q(g) is applied (DT = M_1, L = M_2), with the terms
     and field names of ``operators.SharedEvaluations`` and
-    ``operators.OperatorTables``; ``matrix`` stacks an apply's columns.
+    ``operators.OperatorTables``.
 
     With ``width`` = K + 1 below N + 1, every polynomial is cut to its
     coefficients 0..K (the power lists still hold all N + 1 powers), and
-    the matrices are the K+1 x K+1 heads of the full ones, at O(N K**2)
-    cost.  Truncated products are causal, so the head entries are those of
-    the full matrices digit for digit.
+    :func:`matrix` of an apply gives the K+1 x K+1 head of the full
+    matrix, at O(N K**2) cost.  Truncated products are causal, so the head
+    entries are those of the full matrix digit for digit.
     """
 
     def __init__(self, g, width: int | None = None):
@@ -228,14 +258,16 @@ class _MidShared:
             return out
         return apply
 
-    def matrix(self, apply):
-        """Rows of the width x width matrix whose column k is apply(e_k)."""
-        cols = []
-        for k in range(self.width):
-            e = [_D0] * self.width
-            e[k] = _D1
-            cols.append(apply(e))
-        return _rows(cols)
+
+def matrix(apply, width: int):
+    """Rows of the width x width head of a linear map: column k is apply(e_k)
+    for the unit vector e_k of length ``width``, cut to ``width`` entries."""
+    cols = []
+    for k in range(width):
+        e = [_D0] * width
+        e[k] = _D1
+        cols.append(apply(e)[:width])
+    return _rows(cols)
 
 
 # -- dense linear algebra ------------------------------------------------------
@@ -296,6 +328,18 @@ def mat_inv(a, digits: int = 30):
         return _rows(cols)
 
 
+def _block_map(head, tail):
+    """v -> B v for the block map B: the inverse of the square matrix
+    ``head`` (by its LU) on coefficients 0..len(head)-1, ``tail`` times the
+    identity above."""
+    lu, perm = lu_factor(head)
+    width = len(head)
+
+    def apply(v):
+        return _lu_solve_factored(lu, perm, v[:width]) + [tail * x for x in v[width:]]
+    return apply
+
+
 def _mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), _D0) for row in a]
 
@@ -317,11 +361,34 @@ def _stage_ladder(n: int) -> list[int]:
     return stages
 
 
+def _newton_correction(jac, width: int, residual, tol, max_steps: int):
+    """delta with jac(delta) = -residual, jac the fixed-point Jacobian
+    DT - I.  delta <- delta - B(jac(delta) + residual) from delta = 0, B
+    the block map on the width x width head of jac with tail -1, until a
+    step is below tol/100, for at most ``max_steps`` steps; one step when
+    the head is the whole Jacobian."""
+    block = _block_map(matrix(jac, width), -_D1)
+    delta = block([-r for r in residual])
+    if width == len(residual):
+        return delta
+    for _ in range(max_steps):
+        step = block(p_add(jac(delta), residual))
+        delta = p_sub(delta, step)
+        if _sup_norm(step) < tol / 100:
+            return delta
+    raise NewtonDivergence(
+        f"inexact Newton step at degree {len(residual) - 1}: no step below "
+        f"{tol / 100} in {max_steps} steps")
+
+
 def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
     """Polynomial approximation to the fixed point, residual below 10**-(digits-6).
 
     Bootstraps deterministically: Newton from the classical quadratic-map
     seed at degree min(n, 20), then continuation through doubling degrees.
+    Each Newton correction is solved through the block map on the head of
+    the Jacobian (:func:`_newton_correction`), which at the seed degree is
+    the whole Jacobian.
     """
     if n < 2:
         raise ConfigError("need truncation degree >= 2")
@@ -333,6 +400,7 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
         max_iter = 50
         for stage_n in _stage_ladder(n):
             g = _pad(g, stage_n + 1)
+            width = min(stage_n, HEAD_DEGREE) + 1
             if abs(poly_eval(g, _D1)) < Decimal("0.05"):
                 raise NewtonDivergence("seed normalisation G(1) too close to zero")
             for _ in range(max_iter):
@@ -340,8 +408,8 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
                 residual = p_sub(shared.t(), g)
                 if _sup_norm(residual) < tol:
                     break
-                lu, perm = lu_factor(shared.matrix(shared.jacobian_apply("fixed_point")))
-                g = p_add(g, _lu_solve_factored(lu, perm, [-r for r in residual]))
+                g = p_add(g, _newton_correction(shared.jacobian_apply("fixed_point"),
+                                                width, residual, tol, digits))
             else:
                 raise NewtonDivergence(
                     f"no convergence below {tol} in {max_iter} iterations")
@@ -350,8 +418,8 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
 
 # -- eigenpairs -------------------------------------------------------------------
 
-def _inverse_iteration(matrix, shift, phi_power: int, digits: int):
-    """Eigenvector x of ``matrix`` for its eigenvalue lambda nearest ``shift``,
+def _inverse_iteration(a, shift, phi_power: int, digits: int):
+    """Eigenvector x of the matrix ``a`` for its eigenvalue lambda nearest ``shift``,
     scaled so that x[0]**phi_power = lambda (phi_power 1 or 2).
 
     From x = e_0, with M - shift I factored once: y = (M - shift I)**-1 x,
@@ -360,9 +428,9 @@ def _inverse_iteration(matrix, shift, phi_power: int, digits: int):
     ``digits`` steps.  Runs in the active decimal context.
     """
     lu, perm = lu_factor([[m - shift if i == j else m for j, m in enumerate(row)]
-                          for i, row in enumerate(matrix)])
+                          for i, row in enumerate(a)])
     tol = Decimal(10) ** -(digits - 6)
-    x = _pad([_D1], len(matrix))
+    x = _pad([_D1], len(a))
     for _ in range(digits):
         y = _lu_solve_factored(lu, perm, x)
         if not y[0]:
@@ -371,11 +439,30 @@ def _inverse_iteration(matrix, shift, phi_power: int, digits: int):
         if phi_power == 2 and lam <= 0:
             raise EigenSelectionAmbiguous(f"eigenvalue nearest the shift {shift} not positive")
         x = p_scale((lam if phi_power == 1 else lam.sqrt()) / y[0], y)
-        residual = p_sub(_mat_vec(matrix, x), p_scale(x[0] ** phi_power, x))
+        residual = p_sub(_mat_vec(a, x), p_scale(x[0] ** phi_power, x))
         if _sup_norm(residual) < tol * max(_D1, _sup_norm(x)):
             return x
     raise EigenSelectionAmbiguous(
         f"inverse iteration at the shift {shift} did not converge in {digits} steps")
+
+
+def _refine_eigenpair(shared, head, kind: str, x, digits: int):
+    """x <- x - B(M_p x - x[0]**p x) from the padded head eigenvector x,
+    B the block map on the head Jacobian at x with tail -1/x[0]**p, until
+    the residual passes the test of :func:`_inverse_iteration`, for at most
+    ``digits`` steps."""
+    power = _PHI_POWER[kind]
+    block = _block_map(matrix(head.jacobian_apply(kind, x), head.width),
+                       -_D1 / x[0] ** power)
+    tol = Decimal(10) ** -(digits - 6)
+    for _ in range(digits):
+        residual = p_sub(shared.apply(power, x), p_scale(x[0] ** power, x))
+        if _sup_norm(residual) < tol * max(_D1, _sup_norm(x)):
+            return x
+        x = p_sub(x, block(residual))
+    raise EigenSelectionAmbiguous(
+        f"{kind} refinement above degree {head.width - 1} did not converge "
+        f"in {digits} steps")
 
 
 def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal]:
@@ -385,18 +472,24 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     literature value 4.669 of the parameter-scaling constant.
     kind 'gamma': the eigenvalue of the noise operator nearest 6.619**2;
     the returned scalar is its square root.
-    Both come from shifted inverse iteration in decimal arithmetic with that
-    shift s, which converges at the rate |lambda - s|/|lambda' - s| per step,
-    lambda' being the eigenvalue next nearest s; EigenSelectionAmbiguous is
-    raised when it does not converge in ``digits`` steps.
+    Both come from shifted inverse iteration with that shift s on the head
+    of the operator, degrees 0..K, K = min(N, HEAD_DEGREE), which converges
+    at the rate |lambda - s|/|lambda' - s| per step, lambda' being the
+    eigenvalue next nearest s.  Below N the zero-padded head eigenvector is
+    refined matrix-free (:func:`_refine_eigenpair`).  EigenSelectionAmbiguous
+    is raised when either iteration does not converge in ``digits`` steps.
     """
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = _PHI_POWER[kind + "_eigen"]
+    width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
-        shared = _MidShared(g0)
-        matrix = shared.matrix(lambda v: shared.apply(phi_power, v))
-        vec = _inverse_iteration(matrix, _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
+        head = _MidShared(g0, width)
+        vec = _inverse_iteration(matrix(lambda v: head.apply(phi_power, v), width),
+                                 _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
+        if width < len(g0):
+            vec = _refine_eigenpair(_MidShared(g0), head, kind + "_eigen",
+                                    _pad(vec, len(g0)), digits)
         return vec, vec[0]
 
 
@@ -420,7 +513,7 @@ def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0, width)
         x = None if x0 is None else _pad(list(x0), width)
-        return shared.matrix(shared.jacobian_apply(kind, x))
+        return matrix(shared.jacobian_apply(kind, x), width)
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):

@@ -236,7 +236,6 @@ class Problem:
     """
 
     kind: str = "abstract"
-    parameter_ball: FunctionBall | None = None
 
     def residual(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
         raise NotImplementedError
@@ -315,9 +314,7 @@ class _EigenProblem(Problem):
 
     phi_power = 1
 
-    def __init__(self, ctx: RoundingContext, parameter_ball: FunctionBall,
-                 tables: OperatorTables):
-        self.parameter_ball = parameter_ball
+    def __init__(self, tables: OperatorTables):
         self.tables = tables
 
     def _phi_pow(self, ctx, phi_x) -> Interval:

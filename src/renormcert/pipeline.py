@@ -321,7 +321,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             with _stage(report, timings, target):
                 x0_ball = centres[target]
                 lam = _frozen_map(cfg, target, g0_ball, x0_ball)
-                problem = problem_cls(ctx, param, tables)
+                problem = problem_cls(tables)
                 cert = _certify(ctx, problem, x0_ball, lam, cfg.rho_for(target),
                                 workers=cfg.workers,
                                 config=_cert_config(cfg, target,

@@ -33,7 +33,7 @@ def desk():
     lam_delta = ax.build_lambda(
         "delta_eigen", ax.approx_jacobian("delta_eigen", g0, v0, digits=30),
         30, lambda0=lam0)
-    cert_delta = ct.certify(ctx, ct.DeltaProblem(ctx, param, tables), V0,
+    cert_delta = ct.certify(ctx, ct.DeltaProblem(tables), V0,
                             lam_delta, "1e-7")
 
     w0, gam0 = ax.approx_eigenpair("gamma", g0, 30)
@@ -41,7 +41,7 @@ def desk():
     lam_gamma = ax.build_lambda(
         "gamma_eigen", ax.approx_jacobian("gamma_eigen", g0, w0, digits=30),
         30, lambda0=gam0)
-    cert_gamma = ct.certify(ctx, ct.GammaProblem(ctx, param, tables), W0,
+    cert_gamma = ct.certify(ctx, ct.GammaProblem(tables), W0,
                             lam_gamma, "1e-7")
 
     return SimpleNamespace(
@@ -80,8 +80,8 @@ def n40():
                 maps[head][target] = ax.build_lambda(
                     kind, ax.approx_jacobian(kind, g0, x0, digits=40), 40, lambda0=x0[0])
     problems = {"fixed_point": (ct.FixedPointProblem(), "G0"),
-                "delta": (ct.DeltaProblem(ctx, result.balls["parameter"], tables), "V0"),
-                "gamma": (ct.GammaProblem(ctx, result.balls["parameter"], tables), "W0")}
+                "delta": (ct.DeltaProblem(tables), "V0"),
+                "gamma": (ct.GammaProblem(tables), "W0")}
 
     def setup(target, head):
         problem, centre = problems[target]

@@ -52,14 +52,68 @@ def dt_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated derivative of T at g; column k is DT(g) e_k."""
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g)
-        return shared.matrix(lambda v: shared.apply(1, v))
+        return ax.matrix(lambda v: shared.apply(1, v), len(g))
 
 
 def l_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated noise-scaling operator L(g)."""
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g)
-        return shared.matrix(lambda v: shared.apply(2, v))
+        return ax.matrix(lambda v: shared.apply(2, v), len(g))
+
+
+# -- dense bootstrap oracles --------------------------------------------------
+#
+# The full-size solvers the block-preconditioned ones replaced: every step
+# builds and factors the whole (N+1) x (N+1) matrix.
+
+
+def dense_newton_step(g, digits: int):
+    """(sup |T(g) - g|, g + delta) with delta the exact Newton correction
+    for T(g) = g, from the LU of the whole Jacobian DT(g) - I."""
+    with decimal.localcontext(ax._context(digits)):
+        shared = ax._MidShared(g)
+        residual = ax.p_sub(shared.t(), g)
+        lu, perm = ax.lu_factor(ax.matrix(shared.jacobian_apply("fixed_point"), len(g)))
+        delta = ax._lu_solve_factored(lu, perm, [-r for r in residual])
+        return ax._sup_norm(residual), ax.p_add(g, delta)
+
+
+def oracle_fixed_point(n: int, digits: int) -> list[Decimal]:
+    """The fixed point by dense Newton steps through the degree ladder of
+    ``approx_fixed_point``, to the same residual test (reference for it)."""
+    tol = Decimal(10) ** -(digits - 6)
+    g = ax.default_seed()
+    for stage_n in ax._stage_ladder(n):
+        g = ax._pad(g, stage_n + 1)
+        for _ in range(50):
+            residual, stepped = dense_newton_step(g, digits)
+            if residual < tol:
+                break
+            g = stepped
+        else:
+            raise AssertionError(f"dense Newton did not converge at degree {stage_n}")
+    return g
+
+
+def oracle_eigenpair(kind: str, g0, digits: int) -> list[Decimal]:
+    """Eigenvector by shifted inverse iteration on the whole (N+1) x (N+1)
+    M_p(g0) (reference for ``approx_eigenpair``)."""
+    power = ax._PHI_POWER[kind + "_eigen"]
+    with decimal.localcontext(ax._context(digits)):
+        shared = ax._MidShared(g0)
+        full = ax.matrix(lambda v: shared.apply(power, v), len(g0))
+        return ax._inverse_iteration(full, ax._EIGEN_HINT[kind] ** power, power, digits)
+
+
+def oracle_power_list(u, count: int, digits: int) -> list[list[Decimal]]:
+    """u**0..u**(count-1), each truncated to the length of u, by Decimal
+    ``p_mul`` at twice ``digits`` (reference for ``approx._power_list``)."""
+    with decimal.localcontext(ax._context(2 * digits)):
+        powers = [ax._pad([Decimal(1)], len(u)), list(u)]
+        for _ in range(2, count):
+            powers.append(ax.p_mul(powers[-1], u))
+        return powers
 
 
 def rand_decimal(rng: random.Random, scale: float = 4.0) -> Decimal:

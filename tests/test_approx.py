@@ -12,6 +12,9 @@ from helpers import (
     dt_matrix,
     float_matrix,
     l_matrix,
+    oracle_eigenpair,
+    oracle_fixed_point,
+    oracle_power_list,
     t_apply,
 )
 from renormcert import approx as ax
@@ -114,13 +117,17 @@ def test_eigen_selection_matches_float_spectrum(desk):
 
 
 def test_jacobian_column_delta_a_only_in_first(desk):
+    """Column k >= 1 of DT is a**-1 u2**k + factor16 u1**k digit for digit,
+    with the powers (held beyond working precision) read at working
+    precision as a composition reads them; column 0 differs."""
     jac_dt = dt_matrix(desk.g0, digits=30)
     jac_simple = []
     with decimal.localcontext(ax._context(30)):
         s = ax._MidShared(desk.g0)
         for k in range(desk.n + 1):
-            col = ax.p_scale(s.a_inv, s.up2[k])
-            col = ax.p_add(col, ax.p_mul(s.factor16, s.up1[k]))
+            up2, up1 = ([+c for c in up[k]] for up in (s.up2, s.up1))
+            col = ax.p_scale(s.a_inv, up2)
+            col = ax.p_add(col, ax.p_mul(s.factor16, up1))
             jac_simple.append(col)
     for k in range(1, desk.n + 1):
         for i in range(desk.n + 1):
@@ -154,6 +161,105 @@ def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
     for g_k, jac in zip(iterates, factored):
         ref = ax.approx_jacobian("fixed_point", g_k, digits=30)
         assert [list(map(str, row)) for row in jac] == [list(map(str, row)) for row in ref]
+
+
+def _sup_diff(x, y) -> Decimal:
+    return max(abs(a - b) for a, b in zip(x, y, strict=True))
+
+
+@pytest.fixture(scope="module")
+def bootstrap40():
+    """approx_fixed_point and both approx_eigenpair kinds at N=40, P=40."""
+    g0 = ax.approx_fixed_point(40, 40)
+    return g0, {kind: ax.approx_eigenpair(kind, g0, 40)[0] for kind in ("delta", "gamma")}
+
+
+def test_fixed_point_matches_dense_newton(bootstrap40):
+    """The block-preconditioned inexact Newton steps above degree K reach
+    the zero that dense Newton on the whole Jacobian reaches."""
+    g0, _ = bootstrap40
+    assert _sup_diff(g0, oracle_fixed_point(40, 40)) < Decimal("1e-32")
+
+
+@pytest.mark.parametrize("kind", ["delta", "gamma"])
+def test_eigenpair_matches_full_inverse_iteration(bootstrap40, kind):
+    """The head eigenvector refined by the block map agrees with inverse
+    iteration on the whole (N+1) x (N+1) operator."""
+    g0, vectors = bootstrap40
+    assert _sup_diff(vectors[kind], oracle_eigenpair(kind, g0, 40)) < Decimal("1e-32")
+
+
+@pytest.mark.parametrize("target, error, match", [
+    pytest.param("fixed_point", NewtonDivergence, "Newton step at degree 40", id="fixed_point"),
+    pytest.param("delta", EigenSelectionAmbiguous, "delta_eigen refinement above degree 20",
+                 id="delta"),
+    pytest.param("gamma", EigenSelectionAmbiguous, "gamma_eigen refinement above degree 20",
+                 id="gamma"),
+])
+def test_block_map_with_wrong_tail_sign_fails_by_name(monkeypatch, bootstrap40, target,
+                                                      error, match):
+    """Negative control for the block-map iterations: with the tail scalar's
+    sign flipped (+1, +1/x[0]**p) the tail doubles each step, and the solver
+    stops at its step cap with its named error."""
+    block_map = ax._block_map
+    monkeypatch.setattr(ax, "_block_map", lambda head, tail: block_map(head, -tail))
+    with pytest.raises(error, match=match):
+        if target == "fixed_point":
+            ax.approx_fixed_point(40, 40)
+        else:
+            ax.approx_eigenpair(target, bootstrap40[0], 40)
+
+
+def test_no_lu_or_matrix_above_head_size(monkeypatch):
+    """Structural guard: at N=80 the bootstrap factors and builds no matrix
+    larger than the (K+1) x (K+1) head."""
+    sizes = []
+    lu_factor, matrix = ax.lu_factor, ax.matrix
+
+    def recording_lu_factor(a):
+        sizes.append(len(a))
+        return lu_factor(a)
+
+    def recording_matrix(apply, width):
+        sizes.append(width)
+        return matrix(apply, width)
+
+    monkeypatch.setattr(ax, "lu_factor", recording_lu_factor)
+    monkeypatch.setattr(ax, "matrix", recording_matrix)
+    g0 = ax.approx_fixed_point(80, 60)
+    for kind in ("delta", "gamma"):
+        ax.approx_eigenpair(kind, g0, 60)
+    assert sizes and max(sizes) == ax.HEAD_DEGREE + 1
+
+
+def _power_list_arguments(g, digits: int):
+    """The two normalized composition arguments of the shared evaluations
+    at g: the affine a**2 X (two nonzero coefficients) and the dense
+    squared inner composition."""
+    with decimal.localcontext(ax._context(digits)):
+        shared = ax._MidShared(g)
+        affine = ax._pad([shared.a2 * ax._C, shared.a2 * ax._R], len(g))
+        return {"affine": ax._normalize_arg(affine),
+                "dense": ax._normalize_arg(shared.squared)}
+
+
+@pytest.mark.parametrize("argument", ["affine", "dense"])
+def test_integer_power_list_matches_decimal_oracle(bootstrap40, argument):
+    """The integer power lists agree with Decimal p_mul powers at twice the
+    precision within N 10**-(P+5); built at a scale 10 digits shorter
+    (context precision P - 10) they miss (negative control)."""
+    n, digits = 40, 40
+    u = _power_list_arguments(bootstrap40[0], digits)[argument]
+    reference = oracle_power_list(u, n + 1, digits)
+
+    def error(precision):
+        with decimal.localcontext(ax._context(precision)):
+            powers = ax._power_list(u, n + 1)
+        return max(_sup_diff(p, q) for p, q in zip(powers, reference, strict=True))
+
+    bound = n * Decimal(10) ** -(digits + 5)
+    assert error(digits) < bound
+    assert error(digits - 10) > bound
 
 
 def test_finite_difference_oracle(desk):
@@ -247,7 +353,7 @@ def test_column_kernels_contain_midpoint_jacobians(desk, kind):
         problem, x_ball = ct.FixedPointProblem(), ball(desk.g0)
     else:
         cls = ct.DeltaProblem if kind == "delta_eigen" else ct.GammaProblem
-        problem, x_ball = cls(ctx, ball(desk.g0), tables), ball(x0)
+        problem, x_ball = cls(tables), ball(x0)
     kernel = problem.column_kernel(ctx, x_ball)
     jac = ax.approx_jacobian(kind, desk.g0, x0, digits=digits)
     for k in range(len(jac)):
@@ -286,7 +392,7 @@ def test_jacobian_head_is_head_of_full_matrix(n40):
     k1 = ax.HEAD_DEGREE + 1
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        refs = {kind: (x0, full.matrix(full.jacobian_apply(kind, x0)))
+        refs = {kind: (x0, ax.matrix(full.jacobian_apply(kind, x0), len(n40.g0)))
                 for kind, x0 in (("fixed_point", None), ("delta_eigen", n40.v0),
                                  ("gamma_eigen", n40.w0))}
     for kind, (x0, ref) in refs.items():

@@ -362,9 +362,9 @@ def test_certify_needs_no_approx_numerics(desk, monkeypatch):
     monkeypatch.setattr(ct, "verify_lambda_invertible", refuse)
     for problem, x0, lam, rho, fixture_cert in (
             (ct.FixedPointProblem(), desk.G0, desk.lam_fixed, "1e-8", desk.cert_fixed),
-            (ct.DeltaProblem(desk.ctx, desk.param, desk.tables), desk.V0, desk.lam_delta,
+            (ct.DeltaProblem(desk.tables), desk.V0, desk.lam_delta,
              "1e-7", desk.cert_delta),
-            (ct.GammaProblem(desk.ctx, desk.param, desk.tables), desk.W0, desk.lam_gamma,
+            (ct.GammaProblem(desk.tables), desk.W0, desk.lam_gamma,
              "1e-7", desk.cert_gamma)):
         cert = ct.certify(desk.ctx, problem, x0, lam, rho)
         assert cert.passed

@@ -231,7 +231,7 @@ def test_dense_map_certifies_same_digits(n40):
     certifies the digits the K = 20 block map does at N = 40."""
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        jac = full.matrix(full.jacobian_apply("fixed_point"))
+        jac = ax.matrix(full.jacobian_apply("fixed_point"), len(n40.g0))
     lam = ax.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
     cert = ct.certify(n40.ctx, ct.FixedPointProblem(), n40.result.balls["G0"], lam,
