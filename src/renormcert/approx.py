@@ -35,7 +35,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-from .balls import STANDARD_DISC, _conv
+from .balls import BABY_STEPS, STANDARD_DISC, _conv
 from .errors import (
     ConfigError,
     EigenSelectionAmbiguous,
@@ -70,8 +70,10 @@ _SEED_QUADRATIC = Decimal("-1.5276")
 _EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
 
 #: degree K of the frozen map's dense head: the map is a matrix on degrees
-#: 0..min(N, K) and the tail scalar above; kappa < 1 needs no more.
-HEAD_DEGREE = 20
+#: 0..min(N, K) and the tail scalar above; kappa < 1 needs no more.  It is
+#: one below the baby steps of a composition, so the column images of the
+#: head read the baby powers of a power table.
+HEAD_DEGREE = BABY_STEPS - 1
 
 #: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
 #: residual M_p x - lambda**p x (0 for the fixed point, whose Jacobian is

@@ -31,8 +31,10 @@ every member at complex points.
 Coefficient kernels run on :class:`IntBall`, the exact integer
 midpoint-radius form of a ball's coefficients.  Products convolve it
 exactly; composition goes through a :class:`PowerTable`, which holds the
-powers of the normalized argument in that form only, so composing is one
-exact integer matrix-vector product rounded outward once.  Complex
+first BABY_STEPS + 1 powers of the normalized argument in that form only,
+so composing is one exact integer matrix-vector product per block of
+coefficients and Horner in the last power (Paterson-Stockmeyer), rounded
+outward once per giant step and once at the end.  Complex
 arithmetic is kept for pointwise work only: a :class:`PointEvaluator`
 holds a ball's coefficient endpoints as integers for interval Horner on
 integer boxes.  A member's value at a real point is real; at a non-real
@@ -91,6 +93,7 @@ __all__ = [
     "coefficient",
     "inflate",
     "normalized_argument",
+    "BABY_STEPS",
     "PowerTable",
     "power_table",
     "IntBall",
@@ -453,25 +456,37 @@ def _dots(vec: list[int], rows) -> list[int]:
     return [sum(map(_imul, vec, row)) for row in rows] if vec else []
 
 
-#: degrees above the truncation that a power table carries exactly, so the
-#: high part of a composition keeps the cancellations between powers; for
-#: the fixed point at N=20 and N=80 the v_high of G(Q(G(a**2 X))) is within
-#: 0.1% of its limit at 8 (and 50 times larger at 0)
+#: degrees above the truncation that every power, every block and the
+#: Horner accumulator of a composition carry exactly, so the high part of a
+#: composition keeps the cancellations between powers; for the fixed point
+#: at N=20 and N=80 the v_high of G(Q(G(a**2 X))) is within 0.1% of its
+#: limit at 8 (and 50 times larger at 0)
 _GUARD_DEGREES = 8
+
+#: baby steps m of a composition: a power table holds u**0..u**m and runs
+#: Horner in u**m.  approx.HEAD_DEGREE is m - 1, so the baby powers are
+#: also the column images of the frozen map's head.
+BABY_STEPS = 21
 
 
 @dataclass(frozen=True)
 class PowerTable:
-    """Powers u**0..u**N of a normalized argument u = (h - c)/r, held only
-    in exact integer midpoint-radius form, with theta(h).
+    """The baby powers u**0..u**(m-1) of a normalized argument
+    u = (h - c)/r, m = min(N + 1, BABY_STEPS), and the giant step
+    U = u**m when N >= m, held only in exact integer midpoint-radius form
+    to degree D = N + _GUARD_DEGREES, with theta(h).
 
-    Row j of each matrix holds coefficient j of every power, for
-    j = 0..N + _GUARD_DEGREES; power k is at scale 10**-scales[k].
-    v_high[k] bounds the mass of u**k above degree N and v_spill[k] the
-    mass above the guard degrees; v_err[k] is its error tail.  Composing f
-    with h is sum_k f_k u**k: one exact integer matrix-vector product,
-    rounded outward once, with the guard rows summed into v_high.  Column
-    k, cut at degree N, is u**k itself, the image of e_k.
+    Row j of each matrix holds coefficient j of every baby power, for
+    j = 0..D; power k is at scale 10**-scales[k], v_spill[k] bounds its
+    mass above D and v_err[k] is its error tail.  Composing f with h is
+    Paterson-Stockmeyer evaluation (Paterson and Stockmeyer, SIAM J.
+    Comput. 2, 1973): f splits into blocks B_i = sum_{j<m} f_{im+j} u**j,
+    each one exact integer matrix-vector product, and Horner in U,
+    acc <- int_outward(acc U) + B_i, runs to degree D; the rows above N of
+    the result go to v_high and the rest is rounded outward once.  That is
+    m - 1 products to build the table and ceil((N+1)/m) - 1 per
+    composition, instead of the N - 1 of a table of every power.  Power k,
+    cut at degree N, is the image of e_k (:meth:`power`).
     """
 
     domain: Disc
@@ -479,20 +494,39 @@ class PowerTable:
     scales: tuple
     mid: tuple
     rad: tuple
-    v_high: tuple
     v_spill: tuple
     v_err: tuple
+    giant: IntBall | None
 
     @property
     def truncation(self) -> int:
-        return len(self.scales) - 1
+        return len(self.mid) - 1 - _GUARD_DEGREES
 
-    def power(self, k: int) -> IntBall:
-        """u**k in integer form to degree N."""
+    def _giant_step(self, ctx: RoundingContext, b: IntBall) -> IntBall:
+        """b U to degree D, rounded outward."""
+        d = len(self.mid) - 1
+        return int_outward(ctx, int_mul(ctx, b, self.giant, d), d)
+
+    def _full_power(self, ctx: RoundingContext, k: int) -> IntBall:
+        """u**k to degree D: a baby power, U, or u**(k-m) U formed on demand."""
+        m = len(self.scales)
+        if k < m:
+            mid, rad = ([row[k] for row in rows] for rows in (self.mid, self.rad))
+            return IntBall(mid, rad, self.scales[k], self.v_spill[k], self.v_err[k])
+        if k == m:
+            return self.giant
+        return self._giant_step(ctx, self._full_power(ctx, k - m))
+
+    def power(self, ctx: RoundingContext, k: int) -> IntBall:
+        """u**k in integer form to degree N, its mass above N in v_high."""
         n = self.truncation
-        mid, rad = ([row[k] for row in rows[:n + 1]] for rows in (self.mid, self.rad))
-        return IntBall(mid if any(mid) else [], rad if any(rad) else [],
-                       self.scales[k], self.v_high[k], self.v_err[k])
+        if not 0 <= k <= n:
+            raise IndexBeyondTruncation(f"power {k} not in 0..{n}")
+        b = self._full_power(ctx, k)
+        guard = sum(_magnitudes(b.mid[n + 1:], b.rad[n + 1:]))
+        mid, rad = b.mid[:n + 1], b.rad[:n + 1]
+        return IntBall(mid if any(mid) else [], rad if any(rad) else [], b.scale,
+                       ctx.add_up(b.v_high, ctx.scaled_up(guard, b.scale)), b.v_err)
 
     def _require(self, strict: bool):
         th = self.theta_bound
@@ -500,24 +534,46 @@ class PowerTable:
             raise CompositionContractFailure(
                 f"composition argument has theta = {th} (strict={strict})")
 
-    def _polynomial(self, ctx: RoundingContext, coeffs: list[Interval]) -> FunctionBall:
-        """Enclosure of sum_k coeffs[k] u**k over every member of the argument."""
-        n = self.truncation
-        fm, fr, sf = _int_parts(ctx, coeffs, n)
+    def _block(self, fm: list[int], fr: list[int], mags) -> tuple[list[int], list[int]]:
+        """sum_j (fm[j] +- fr[j]) u**j over the baby powers to degree D,
+        exactly, at scale 10**-(S + max(scales)) for fm, fr at 10**-S."""
         top = max(self.scales)
         units = [10 ** (top - s) for s in self.scales]
         am, ar = list(map(_imul, fm, units)), list(map(_imul, fr, units))
-        mags = [list(map(_iadd, map(abs, m), r)) for m, r in zip(self.mid, self.rad)]
-        mid = _dots(am, self.mid)
-        rad = _add_lists(_dots(list(map(abs, am)), self.rad), _dots(ar, mags))
-        guard = _magnitudes(mid[n + 1:], rad[n + 1:])
-        v_high, v_err = ctx.scaled_up(sum(guard), sf + top), _D0
+        return (_dots(am, self.mid),
+                _add_lists(_dots(list(map(abs, am)), self.rad), _dots(ar, mags)))
+
+    def _tails(self, ctx: RoundingContext, fm: list[int], fr: list[int], sf: int,
+               v_high: Decimal, v_err: Decimal) -> tuple[Decimal, Decimal]:
+        """v_high and v_err raised by the baby powers' tails, weighted by
+        |fm[j]| + fr[j] at scale 10**-sf."""
         for k, m in enumerate(_magnitudes(fm, fr)):
             if m and (self.v_spill[k] or self.v_err[k]):
                 mk = ctx.scaled_up(m, sf)
                 v_high = ctx.add_up(v_high, ctx.mul_up(mk, self.v_spill[k]))
                 v_err = ctx.add_up(v_err, ctx.mul_up(mk, self.v_err[k]))
-        out = IntBall(mid[:n + 1], rad[:n + 1], sf + top, v_high, v_err)
+        return v_high, v_err
+
+    def _polynomial(self, ctx: RoundingContext, coeffs: list[Interval]) -> FunctionBall:
+        """Enclosure of sum_k coeffs[k] u**k over every member of the argument."""
+        n = self.truncation
+        fm, fr, sf = _int_parts(ctx, coeffs, n)
+        m, scale = len(self.scales), sf + max(self.scales)
+        mags = [list(map(_iadd, map(abs, a), r)) for a, r in zip(self.mid, self.rad)]
+        upper = None     # sum_{i >= 1} B_i U**(i-1), Horner in U from the top block
+        for i in reversed(range(m, max(len(fm), len(fr)), m)):
+            bm, br = fm[i:i + m], fr[i:i + m]
+            block = IntBall(*self._block(bm, br, mags), scale,
+                            *self._tails(ctx, bm, br, sf, _D0, _D0))
+            upper = block if upper is None else int_add(ctx, self._giant_step(ctx, upper), block)
+        low = IntBall(*self._block(fm[:m], fr[:m], mags), scale, _D0, _D0)
+        if upper is not None:
+            low = int_add(ctx, self._giant_step(ctx, upper), low)
+        v_high = ctx.scaled_up(sum(_magnitudes(low.mid[n + 1:], low.rad[n + 1:])), low.scale)
+        if low.v_high:
+            v_high = ctx.add_up(v_high, low.v_high)
+        v_high, v_err = self._tails(ctx, fm[:m], fr[:m], sf, v_high, low.v_err)
+        out = IntBall(low.mid[:n + 1], low.rad[:n + 1], low.scale, v_high, v_err)
         return from_int_ball(ctx, self.domain, n, out)
 
     def compose(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
@@ -565,22 +621,24 @@ class PowerTable:
 def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     """Power table of the normalized argument of h.
 
-    u**k is the exact integer product of u**(k-1) and u to degree
-    N + _GUARD_DEGREES, rounded outward once (:func:`int_outward`) to keep
-    precision + digits(N+1) digits on its largest coefficient.
+    u**k, for k = 2..min(N, BABY_STEPS), is the exact integer product of
+    u**(k-1) and u to degree N + _GUARD_DEGREES, rounded outward once
+    (:func:`int_outward`) to keep precision + digits(N+1) digits on its
+    largest coefficient.
     """
     n = h.truncation
-    m = n + _GUARD_DEGREES
+    d = n + _GUARD_DEGREES
+    last = min(n, BABY_STEPS)
     u = to_int_ball(ctx, normalized_argument(ctx, h))
-    powers = [IntBall([1], [], 0, _D0, _D0), u][:n + 1]
-    for _ in range(2, n + 1):
-        powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, m), m))
-    high = tuple(ctx.add_up(p.v_high, ctx.scaled_up(
-        sum(_magnitudes(p.mid[n + 1:], p.rad[n + 1:])), p.scale)) for p in powers)
-    return PowerTable(h.domain, theta(ctx, h), tuple(p.scale for p in powers),
-                      tuple(zip(*(_padded(p.mid, m) for p in powers))),
-                      tuple(zip(*(_padded(p.rad, m) for p in powers))),
-                      high, tuple(p.v_high for p in powers), tuple(p.v_err for p in powers))
+    powers = [IntBall([1], [], 0, _D0, _D0), u][:last + 1]
+    for _ in range(2, last + 1):
+        powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, d), d))
+    baby = powers[:BABY_STEPS]
+    return PowerTable(h.domain, theta(ctx, h), tuple(p.scale for p in baby),
+                      tuple(zip(*(_padded(p.mid, d) for p in baby))),
+                      tuple(zip(*(_padded(p.rad, d) for p in baby))),
+                      tuple(p.v_high for p in baby), tuple(p.v_err for p in baby),
+                      powers[BABY_STEPS] if last == BABY_STEPS else None)
 
 
 def compose(ctx: RoundingContext, f: FunctionBall, h: FunctionBall) -> FunctionBall:

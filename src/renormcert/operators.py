@@ -19,12 +19,16 @@ recursive evaluation of the certified functions outside the disc for
 plotting.
 
 Every composition goes through a power table (see balls.PowerTable): the
-powers of the normalized affine argument a**2 X and of the squared argument
-Q(G(a**2 X)), held in exact integer midpoint-radius form.  The tables and
-the shared subexpressions read off them (a, G(a**2 X), its square, the
-composed derivative factors) are computed once per input ball and reused
-by T, by M_q applied to a ball, and by the per-basis-column images of
-the contraction bounds, which stay in integers from the tabulated powers on.
+baby powers u**0..u**m, m = balls.BABY_STEPS, of the normalized affine
+argument a**2 X and of the squared argument Q(G(a**2 X)), held in exact
+integer midpoint-radius form; a composition reads them block by block and
+runs Horner in u**m.  The tables and the shared subexpressions read off
+them (a, G(a**2 X), its square, the composed derivative factors) are
+computed once per input ball and reused by T, by M_q applied to a ball,
+and by the per-basis-column images of the contraction bounds, which stay
+in integers from the tabulated powers on: the head's columns 0..K,
+K = approx.HEAD_DEGREE = m - 1, are baby powers, so a column needs no
+further power product.
 """
 
 from __future__ import annotations
@@ -170,10 +174,11 @@ class ColumnImages:
         image_k = scalar u2**k + factor u1**k + [k = 0] column0 - diagonal e_k
 
     with u1, u2 the normalized affine and squared arguments, whose powers
-    are read from the power tables.  Each image is formed exactly and then
-    rounded outward once, in integers (balls.int_outward).  Only integers
-    and tail bounds are held, so the state is small to ship to worker
-    processes.
+    are read from the power tables (baby powers up to the head degree;
+    above it, a dense map's column k is formed on demand).  Each image is
+    formed exactly and then rounded outward once, in integers
+    (balls.int_outward).  Only integers and tail bounds are held, so the
+    state is small to ship to worker processes.
     """
 
     table_squared: PowerTable
@@ -185,8 +190,8 @@ class ColumnImages:
 
     def image(self, ctx: RoundingContext, k: int) -> fb.IntBall:
         n = self.table_squared.truncation
-        out = fb.int_add(ctx, fb.int_mul(ctx, self.scalar, self.table_squared.power(k), n),
-                         fb.int_mul(ctx, self.factor, self.table_affine.power(k), n))
+        out = fb.int_add(ctx, fb.int_mul(ctx, self.scalar, self.table_squared.power(ctx, k), n),
+                         fb.int_mul(ctx, self.factor, self.table_affine.power(ctx, k), n))
         if k == 0:
             out = fb.int_add(ctx, out, self.column0)
         d = self.diagonal
@@ -205,8 +210,8 @@ class OperatorTables:
     """M_q over a ball, so the derivative DT = M_1 and the noise operator
     L = M_2, applied through the power tables of its shared evaluations.
 
-    e_k composed with an argument is the k-th tabulated power, so each
-    basis-column image is one integer product with a tabulated power.
+    e_k composed with an argument is its k-th power, so each basis-column
+    image of the head is one integer product with a tabulated baby power.
     Requires the domain center at 1, where e_k(1) = 0 for k >= 1 and the
     normalisation variation acts on column 0 only.
     """

@@ -397,6 +397,30 @@ def test_power_table_matches_compose():
             assert fb.evaluate(ctx, via_table, rectangle(z)).re.contains(val)
 
 
+def test_power_above_baby_steps_matches_oracle():
+    """power(k) holds for every k <= N, not only the tabulated baby steps:
+    at N = 40, u**30 = u**9 U, formed on demand and rounded outward, meets
+    the oracle's enclosure of e_30 o h in every coefficient and encloses
+    it at sampled members."""
+    rng = random.Random(13)
+    n, k = 40, 30
+    h = fb.inflate(ctx, rand_poly_ball(rng, DOM, n, 3, coeff_scale=0.3), "1e-6")
+    table = fb.power_table(ctx, h)
+    assert len(table.scales) == fb.BABY_STEPS < k
+    power = fb.from_int_ball(ctx, DOM, n, table.power(ctx, k))
+    oracle = oracle_compose(ctx, fb.basis_ball(DOM, n, k), h)
+    for a, b in zip(power.coeffs, oracle.coeffs):
+        # both enclose the coefficient of u**30: they must meet
+        assert a.re.lo <= b.re.hi and b.re.lo <= a.re.hi, (a, b)
+    for _ in range(10):
+        hm = sample_member(rng, h)
+        for z in domain_points(rng, DOM, 5):
+            value = eval_member({k: Decimal(1)}, eval_member(hm, z, DOM, 120), DOM, 120)
+            assert fb.evaluate(ctx, power, rectangle(z)).re.contains(value)
+    with pytest.raises(IndexBeyondTruncation):
+        table.power(ctx, n + 1)
+
+
 # -- real coefficients -------------------------------------------------------------
 
 

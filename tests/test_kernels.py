@@ -25,6 +25,7 @@ radius where Horner can cancel, so that term is allowed on top of the
 rounding terms (see _compose_slack).
 """
 
+import dataclasses
 import decimal
 import random
 from decimal import Decimal
@@ -251,6 +252,9 @@ def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
     precision + digits(N+1) of its operand, so power k carries at most
     k + 2 such units of (m + r)**k: the rounding term is
     10**(2-P) sum_k (k + 2) |f_k| (m + r)**k, a tenfold margin on that.
+    Above the baby steps, term k = i b + j (b = balls.BABY_STEPS) reads
+    U = u**b i times and passes i giant-step roundings: at most
+    k + 2 + 3i <= 8 (k + 2) / 7 units, still inside the margin.
     """
     u = fb.normalized_argument(ctx, h)
     with decimal.localcontext(EXACT):
@@ -264,14 +268,15 @@ def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
     return argument, rounding
 
 
-@pytest.mark.parametrize("n", [1, 8, 40])
+@pytest.mark.parametrize("n", [1, 8, 40, 80])
 @pytest.mark.parametrize("kind", ["real", "centred", "point"])
 @pytest.mark.parametrize("derivative", [False, True])
 def test_compose_matches_decimal_oracle(n, kind, derivative):
+    """At n = 40 and 80 the composition takes 1 and 3 giant steps."""
     rng = random.Random(f"compose-{n}-{kind}-{derivative}")
     kernel, oracle = ((fb.compose_derivative, oracle_compose_derivative) if derivative
                       else (fb.compose, oracle_compose))
-    for _ in range(1 if n == 40 else 4):
+    for _ in range(1 if n >= 40 else 4):
         h = _rand_argument(rng, n, kind)
         f = _rand_ball(rng, n, "real" if kind == "point" else kind)
         f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-5),
@@ -345,6 +350,47 @@ def test_compose_contains_endpoint_members(n, kind):
                 dfm = [k * x / DOM.radius for k, x in enumerate(fm)][1:] or [Decimal(0)]
                 assert _membership_excess(comp, _exact_compose(fm, hm)) <= 0
                 assert _membership_excess(dcomp, _exact_compose(dfm, hm)) <= 0
+
+
+def _positive_quadratic(n: int) -> fb.FunctionBall:
+    """Argument h = c + r u with u = (0.3 +- 0.001)(1 + X + X**2): every
+    coefficient and every product stays positive, so interval and
+    midpoint-radius arithmetic are tight at the all-upper member, and
+    theta = 0.903 leaves a large mass above N + 8 in f o h."""
+    u = Interval(Decimal("0.299"), Decimal("0.301"))
+    with decimal.localcontext(EXACT):
+        coeffs = [Interval(DOM.center + DOM.radius * u.lo, DOM.center + DOM.radius * u.hi)]
+        coeffs += [Interval(DOM.radius * u.lo, DOM.radius * u.hi)] * 2
+    return _real_ball(coeffs + [IZERO] * (n - 2))
+
+
+def _no_spill(int_mul):
+    """int_mul whose v_high forgets the product's mass above degree n."""
+    def product(c, f, g, n):
+        whole = int_mul(c, f, g, len(f.mid) + len(g.mid))
+        return dataclasses.replace(int_mul(c, f, g, n), v_high=whole.v_high)
+    return product
+
+
+def test_giant_steps_negative_control(monkeypatch):
+    """At N = 80 a composition takes 3 giant steps.  The all-upper member
+    of f o h lies in the composed ball; giant products that drop the
+    radius of U = u**m, or drop their spill above N + 8 from v_high, miss
+    it."""
+    n = 80
+    h = _positive_quadratic(n)
+    f = _real_ball([Interval(Decimal(1), Decimal(1))] * (n + 1))
+    table = fb.power_table(ctx, h)
+    assert -(-(n + 1) // len(table.scales)) - 1 == 3
+    with decimal.localcontext(EXACT):
+        upper = _exact_compose([Decimal(1)] * (n + 1), [c.re.hi for c in h.coeffs[:3]])
+        assert _membership_excess(table.compose(ctx, f), upper) <= 0
+        giant = table.giant
+        pointed = dataclasses.replace(
+            table, giant=fb.IntBall(giant.mid, [], giant.scale, giant.v_high, giant.v_err))
+        assert _membership_excess(pointed.compose(ctx, f), upper) > 0
+        monkeypatch.setattr(fb, "int_mul", _no_spill(fb.int_mul))
+        assert _membership_excess(table.compose(ctx, f), upper) > 0
 
 
 def test_compose_contract_matches_oracle():

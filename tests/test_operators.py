@@ -76,6 +76,40 @@ def test_apply_T_pointwise_oracle(desk):
                 assert out.re.contains(value), (z, value, out)
 
 
+def test_squared_table_products_stay_sub_linear(monkeypatch):
+    """Structural guard: over precompute_shared at N = 80, the squared
+    argument's table and its two compositions take at most
+    m + 2 ceil((N+1)/m) full-length products (the baby steps u**2..u**m
+    and ceil((N+1)/m) - 1 giant steps per composition), not the N - 1 of a
+    table of every power, which the bound must stay below.  A product is
+    full-length when both factors have
+    more than m + 1 coefficients, which leaves out the affine argument's
+    table; the ball products of the shared subexpressions (balls.mul) are
+    not counted."""
+    n, m = 80, fb.BABY_STEPS
+    wide = RoundingContext(60)
+    G = fb.ball_from_decimals(DOM, ax.approx_fixed_point(n, 60), n)
+    products, inside_mul = [], []
+    int_mul, mul = fb.int_mul, fb.mul
+
+    def counted_int_mul(c, f, g, degree):
+        if not inside_mul and min(len(f.mid), len(g.mid)) > m + 1:
+            products.append(degree)
+        return int_mul(c, f, g, degree)
+
+    def uncounted_mul(c, f, g):
+        inside_mul.append(True)
+        try:
+            return mul(c, f, g)
+        finally:
+            inside_mul.pop()
+
+    monkeypatch.setattr(fb, "int_mul", counted_int_mul)
+    monkeypatch.setattr(fb, "mul", uncounted_mul)
+    op.precompute_shared(wide, G)
+    assert (m - 1) + 2 * 3 == len(products) <= m + 2 * -(-(n + 1) // m) < n - 1
+
+
 def test_apply_DT_delta_a_terms_vanish(desk):
     """The variation of a = G(1) acts on column 0 only: a column image is
     a**-1 u2**k + factor16 u1**k alone exactly when k >= 1."""
@@ -83,7 +117,7 @@ def test_apply_DT_delta_a_terms_vanish(desk):
     s = tables.shared
 
     def power(table, k):
-        return fb.from_int_ball(ctx, DOM, desk.n, table.power(k))
+        return fb.from_int_ball(ctx, DOM, desk.n, table.power(ctx, k))
 
     for k in (0, 1, 2, 5):
         image = tables.dt_basis_image(ctx, k)
