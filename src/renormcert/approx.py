@@ -76,8 +76,9 @@ _EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
 HEAD_DEGREE = BABY_STEPS - 1
 
 #: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
-#: residual M_p x - lambda**p x (0 for the fixed point, whose Jacobian is
-#: M_1 - I); M_1 is DT and M_2 is L.
+#: residual M_p x - lambda**p x, whose Jacobian is M_q - lambda**p I -
+#: p lambda**(p-1) x e_0^T with q = max(p, 1): 0 for the fixed point, whose
+#: Jacobian is M_1 - I; M_1 is DT and M_2 is L.
 _PHI_POWER = {"fixed_point": 0, "delta_eigen": 1, "gamma_eigen": 2}
 
 
@@ -196,15 +197,15 @@ class _MidShared:
 
     With ``width`` = K + 1 below N + 1, every polynomial is cut to its
     coefficients 0..K (the power lists still hold all N + 1 powers), and
-    :func:`matrix` of an apply gives the K+1 x K+1 head of the full
-    matrix, at O(N K**2) cost.  Truncated products are causal, so the head
-    entries are those of the full matrix digit for digit.
+    :meth:`head` gives the K+1 x K+1 head of the full matrix of M_q, at
+    O(N K**2) cost.  Truncated products are causal, so the head entries are
+    those of the full matrix digit for digit.
     """
 
     def __init__(self, g, width: int | None = None):
         n = len(g) - 1
         self.width = width = n + 1 if width is None else width
-        self.a = poly_eval(g, _D1)
+        self.a = g[0]   # G(1): e_k(1) = 0 for k >= 1
         if not self.a:
             raise NewtonDivergence("normalisation a = G(1) vanished")
         self.a2 = self.a * self.a
@@ -243,22 +244,9 @@ class _MidShared:
             out = p_add(out, p_scale(v[0], self.factor17))
         return out
 
-    def jacobian_apply(self, kind: str, x=None):
-        """v -> DF v for the residual F of the problem kind: T(g) - g, or
-        M_p x - phi(x)**p x with lambda = phi(x) = x[0], whose derivative is
-        M_p - lambda**p I - p lambda**(p-1) x e_0^T."""
-        if kind == "fixed_point":
-            return lambda v: p_sub(self.apply(1, v), v)
-        power = _PHI_POWER[kind]
-        lam_p = x[0] ** power
-        dlam = Decimal(power) * x[0] ** (power - 1)
-
-        def apply(v):
-            out = p_sub(self.apply(power, v), p_scale(lam_p, v))
-            if v[0]:
-                out = p_sub(out, p_scale(dlam * v[0], x))
-            return out
-        return apply
+    def head(self, q: int, width: int):
+        """Rows of the width x width head of M_q(g)."""
+        return matrix(lambda v: self.apply(q, v), width)
 
 
 def matrix(apply, width: int):
@@ -270,6 +258,25 @@ def matrix(apply, width: int):
         e[k] = _D1
         cols.append(apply(e)[:width])
     return _rows(cols)
+
+
+def jacobian_head(m_head, power: int, x=None):
+    """Rows of the head of DF = M_q - lambda**p I - p lambda**(p-1) x e_0^T,
+    p = ``power`` and lambda = x[0], from the rows ``m_head`` of the head of
+    M_q, q = max(p, 1); the fixed point is p = 0, DF = DT - I.
+
+    Each entry repeats the operations of DF applied to a unit vector e_k:
+    lambda**p e_k is subtracted from every entry of column k, off the
+    diagonal as lambda**p times 0, so the entries carry the decimal
+    exponents of the probed ones."""
+    lam_p = x[0] ** power if power else _D1
+    rows = []
+    for i, row in enumerate(m_head):
+        out = [m - lam_p * (_D1 if k == i else _D0) for k, m in enumerate(row)]
+        if power:
+            out[0] -= Decimal(power) * x[0] ** (power - 1) * x[i]
+        rows.append(out)
+    return rows
 
 
 # -- dense linear algebra ------------------------------------------------------
@@ -363,18 +370,18 @@ def _stage_ladder(n: int) -> list[int]:
     return stages
 
 
-def _newton_correction(jac, width: int, residual, tol, max_steps: int):
-    """delta with jac(delta) = -residual, jac the fixed-point Jacobian
-    DT - I.  delta <- delta - B(jac(delta) + residual) from delta = 0, B
-    the block map on the width x width head of jac with tail -1, until a
-    step is below tol/100, for at most ``max_steps`` steps; one step when
-    the head is the whole Jacobian."""
-    block = _block_map(matrix(jac, width), -_D1)
+def _newton_correction(shared, width: int, residual, tol, max_steps: int):
+    """delta with (DT - I) delta = -residual, DT = M_1 of the ``shared``
+    evaluations.  delta <- delta - B((DT - I) delta + residual) from
+    delta = 0, B the block map on the width x width head of DT - I with
+    tail -1, until a step is below tol/100, for at most ``max_steps``
+    steps; one step when the head is the whole Jacobian."""
+    block = _block_map(jacobian_head(shared.head(1, width), 0), -_D1)
     delta = block([-r for r in residual])
     if width == len(residual):
         return delta
     for _ in range(max_steps):
-        step = block(p_add(jac(delta), residual))
+        step = block(p_add(p_sub(shared.apply(1, delta), delta), residual))
         delta = p_sub(delta, step)
         if _sup_norm(step) < tol / 100:
             return delta
@@ -403,15 +410,14 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
         for stage_n in _stage_ladder(n):
             g = _pad(g, stage_n + 1)
             width = min(stage_n, HEAD_DEGREE) + 1
-            if abs(poly_eval(g, _D1)) < Decimal("0.05"):
+            if abs(g[0]) < Decimal("0.05"):
                 raise NewtonDivergence("seed normalisation G(1) too close to zero")
             for _ in range(max_iter):
                 shared = _MidShared(g)
                 residual = p_sub(shared.t(), g)
                 if _sup_norm(residual) < tol:
                     break
-                g = p_add(g, _newton_correction(shared.jacobian_apply("fixed_point"),
-                                                width, residual, tol, digits))
+                g = p_add(g, _newton_correction(shared, width, residual, tol, digits))
             else:
                 raise NewtonDivergence(
                     f"no convergence below {tol} in {max_iter} iterations")
@@ -448,14 +454,13 @@ def _inverse_iteration(a, shift, phi_power: int, digits: int):
         f"inverse iteration at the shift {shift} did not converge in {digits} steps")
 
 
-def _refine_eigenpair(shared, head, kind: str, x, digits: int):
+def _refine_eigenpair(shared, m_head, kind: str, x, digits: int):
     """x <- x - B(M_p x - x[0]**p x) from the padded head eigenvector x,
-    B the block map on the head Jacobian at x with tail -1/x[0]**p, until
-    the residual passes the test of :func:`_inverse_iteration`, for at most
-    ``digits`` steps."""
+    B the block map on the head Jacobian at x, formed from the head
+    ``m_head`` of M_p, with tail -1/x[0]**p, until the residual passes the
+    test of :func:`_inverse_iteration`, for at most ``digits`` steps."""
     power = _PHI_POWER[kind]
-    block = _block_map(matrix(head.jacobian_apply(kind, x), head.width),
-                       -_D1 / x[0] ** power)
+    block = _block_map(jacobian_head(m_head, power, x), -_D1 / x[0] ** power)
     tol = Decimal(10) ** -(digits - 6)
     for _ in range(digits):
         residual = p_sub(shared.apply(power, x), p_scale(x[0] ** power, x))
@@ -463,7 +468,7 @@ def _refine_eigenpair(shared, head, kind: str, x, digits: int):
             return x
         x = p_sub(x, block(residual))
     raise EigenSelectionAmbiguous(
-        f"{kind} refinement above degree {head.width - 1} did not converge "
+        f"{kind} refinement above degree {len(m_head) - 1} did not converge "
         f"in {digits} steps")
 
 
@@ -486,12 +491,11 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     phi_power = _PHI_POWER[kind + "_eigen"]
     width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
-        head = _MidShared(g0, width)
-        vec = _inverse_iteration(matrix(lambda v: head.apply(phi_power, v), width),
-                                 _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
+        shared = _MidShared(g0)
+        m_head = shared.head(phi_power, width)
+        vec = _inverse_iteration(m_head, _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
         if width < len(g0):
-            vec = _refine_eigenpair(_MidShared(g0), head, kind + "_eigen",
-                                    _pad(vec, len(g0)), digits)
+            vec = _refine_eigenpair(shared, m_head, kind + "_eigen", _pad(vec, len(g0)), digits)
         return vec, vec[0]
 
 
@@ -504,18 +508,20 @@ def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     fixed_point: derivative of T minus identity, at g0.
     delta_eigen/gamma_eigen: operator matrix minus the eigenvalue terms,
     including the rank-one normalisation coupling, at x0.
-    The block is read off shared evaluations cut to degree K, at O(N K**2)
-    cost; its entries are those of the full (N+1) x (N+1) matrix.
+    The head of M_q is read off shared evaluations cut to degree K, at
+    O(N K**2) cost, and turned into the block by :func:`jacobian_head`; its
+    entries are those of the full (N+1) x (N+1) matrix.
     """
     if kind not in _PHI_POWER:
         raise ConfigError(f"unknown problem kind {kind!r}")
     if kind != "fixed_point" and x0 is None:
         raise ConfigError("eigen jacobians need the approximate eigenfunction")
+    power = _PHI_POWER[kind]
     width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0, width)
         x = None if x0 is None else _pad(list(x0), width)
-        return matrix(shared.jacobian_apply(kind, x), width)
+        return jacobian_head(shared.head(max(power, 1), width), power, x)
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):

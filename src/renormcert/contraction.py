@@ -84,10 +84,13 @@ class LinearMap:
     dense map.
 
     Entries are exactly representable numbers, not intervals; rigour comes
-    from applying them exactly to integer midpoint-radius coefficients.
+    from applying them exactly to integer midpoint-radius coefficients.  At
+    construction the map is converted once to integers at one scale
+    10**-scale: the head ``rows``, the ``tail`` and ``norm``, its exact l1
+    operator norm max(largest column sum of |rows|, |tail|).
     """
 
-    __slots__ = ("matrix", "tail_scalar", "_col_sums", "_int_rows")
+    __slots__ = ("matrix", "tail_scalar", "rows", "tail", "scale", "norm")
 
     def __init__(self, matrix, tail_scalar):
         self.matrix = tuple(tuple(as_decimal(x) for x in row) for row in matrix)
@@ -98,29 +101,13 @@ class LinearMap:
         if not self.tail_scalar.is_finite() or not all(
                 x.is_finite() for row in self.matrix for x in row):
             raise ConfigError("linear map entries must be finite")
-        self._col_sums = {}
-        self._int_rows = None
+        rows, self.scale = _int_matrix(self.matrix + ((self.tail_scalar,),))
+        self.rows, self.tail = rows[:-1], rows[-1][0]
+        self.norm = max(abs(self.tail), *(sum(map(abs, col)) for col in zip(*self.rows)))
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def col_sums(self, ctx: RoundingContext) -> tuple[Decimal, ...]:
-        cached = self._col_sums.get(ctx.precision)
-        if cached is None:
-            cached = tuple(
-                _sum_up(ctx, (self.matrix[i][k].copy_abs() for i in range(self.dim)))
-                for k in range(self.dim))
-            self._col_sums[ctx.precision] = cached
-        return cached
-
-    def int_rows(self) -> tuple[list[list[int]], int, int]:
-        """The matrix and the tail scalar exactly as integers at one scale
-        10**-e: (rows, tail, e)."""
-        if self._int_rows is None:
-            rows, e = _int_matrix(self.matrix + ((self.tail_scalar,),))
-            self._int_rows = rows[:-1], rows[-1][0], e
-        return self._int_rows
 
 
 def _int_matrix(matrix) -> tuple[list[list[int]], int]:
@@ -140,16 +127,9 @@ def identity_map(n: int, diagonal=_D1, tail_scalar=Decimal(-1)) -> LinearMap:
     return LinearMap(matrix, tail_scalar)
 
 
-def _sum_up(ctx: RoundingContext, items) -> Decimal:
-    total = _D0
-    for x in items:
-        total = ctx.add_up(total, x)
-    return total
-
-
 def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
-    """Upper bound of the l1 operator norm: max column sum vs |tail|."""
-    return max(max(lam.col_sums(ctx)), lam.tail_scalar.copy_abs())
+    """Upper bound of the l1 operator norm: its exact value rounded up once."""
+    return ctx.scaled_up(lam.norm, lam.scale)
 
 
 def _head_degree(lam: LinearMap, n: int) -> int:
@@ -180,9 +160,8 @@ def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> Funct
     coefficients; the image is rounded outward once."""
     n = f.truncation
     _head_degree(lam, n)
-    rows, tail, e = lam.int_rows()
     b = fb.to_int_ball(ctx, f)
-    moved = fb.IntBall(*_apply_block(rows, tail, b.mid, b.rad), b.scale + e,
+    moved = fb.IntBall(*_apply_block(lam.rows, lam.tail, b.mid, b.rad), b.scale + lam.scale,
                        ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
                        ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
     return fb.from_int_ball(ctx, f.domain, n, moved)
@@ -208,15 +187,14 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
     b_rows, b_scale = _int_matrix(approx_inv)
-    m_rows, _, m_scale = lam.int_rows()
-    m_cols = list(zip(*m_rows))
-    one = 10 ** (b_scale + m_scale)
+    m_cols = list(zip(*lam.rows))
+    one = 10 ** (b_scale + lam.scale)
     col_sums = [0] * n
     for i, b_row in enumerate(b_rows):
         for j, m_col in enumerate(m_cols):
             r = sum(map(_imul, b_row, m_col))
             col_sums[j] += abs(one - r if i == j else r)
-    bound = ctx.scaled_up(max(col_sums), b_scale + m_scale)
+    bound = ctx.scaled_up(max(col_sums), b_scale + lam.scale)
     if bound >= 1:
         raise InversionUncertified(f"residual column bound {bound} >= 1")
     return bound
@@ -370,8 +348,8 @@ def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
 
 def _int_map(ctx: RoundingContext, lam: LinearMap) -> tuple:
     """What a column bound needs of the frozen map, in integers where it acts
-    on coefficients: (rows, tail, e, |tail scalar|, operator-norm bound)."""
-    return *lam.int_rows(), lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
+    on coefficients: (rows, tail, scale, |tail scalar|, operator-norm bound)."""
+    return lam.rows, lam.tail, lam.scale, lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
 
 
 def _column_bound(ctx: RoundingContext, kernel, lam_int: tuple, k: int) -> Decimal:
@@ -513,10 +491,14 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
     kappa < 1 bounds ||I - Lam DF(x0)|| below 1, which makes Lam a
     bijection (module docstring), so the fixed points of the Newton-like
     operator are the zeros of the residual map.  A singular matrix or a
-    zero tail scalar leaves kappa >= 1 and fails here.  The caller is
-    responsible for the domain-extension verification on the ball, which
-    is what makes the operator well-defined and differentiable there; the
-    pipeline runs it before any certificate.  On success returns the
+    zero tail scalar leaves kappa >= 1 and fails here.  The operator is
+    well-defined and differentiable on the ball because its compositions
+    are built over an inflated ball (this one for the fixed point, the
+    parameter ball of the eigen problems' tables), which has v_err > 0, so
+    both composition arguments must have theta < 1
+    (operators.precompute_shared); theta < 1 maps the closed disc into the
+    disc of radius theta r, the claim the pipeline's boundary check proves
+    a second time.  On success returns the
     certificate with the certified enclosures; on a failed contraction
     inequality raises CertificationFailed carrying the diagnostic
     certificate.  No retuning or retry happens here: rho and the precision

@@ -58,6 +58,7 @@ __all__ = [
     "DomainExtensionResult",
     "RecursiveExtension",
     "extend_recursive",
+    "grid_points",
 ]
 
 _D0 = Decimal(0)
@@ -77,14 +78,11 @@ class SharedEvaluations:
     a2: Interval
     a_inv: Interval
     a_inv2: Interval
-    affine: FunctionBall          # X -> a**2 X
     inner: FunctionBall           # G(a**2 X)
     squared: FunctionBall         # Q(G(a**2 X))
     outer_comp: FunctionBall      # G(Q(G(a**2 X)))
     table_affine: PowerTable
     table_squared: PowerTable
-    deriv_outer: FunctionBall | None = None   # G'(Q(G(a**2 X)))
-    deriv_inner: FunctionBall | None = None   # G'(a**2 X)
     factor16: FunctionBall | None = None      # a**-1 G'(Q(G(a**2 X))) 2 G(a**2 X)
     factor16_sq: FunctionBall | None = None
     factor17: FunctionBall | None = None      # factor16 * G'(a**2 X) * 2 a X
@@ -122,20 +120,21 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
 
     The power tables of the affine argument a**2 X and of the squared
     argument Q(G(a**2 X)) are built first; every composition is read off
-    them.
+    them.  The domain must be centred at 1, where a = G(1) is the constant
+    coefficient: e_k(1) = 0 for k >= 1 and the high tail vanishes at 1.
     """
     n = G.truncation
     domain = G.domain
-    # every member is real on the real axis, so a = G(1) is real
-    a = fb.evaluate(ctx, G, _ONE_POINT).re
+    if domain.center != 1:
+        raise ConfigError("shared evaluations assume domain center 1")
+    a = fb.coefficient(ctx, G, 0).re
     try:
         a_inv = ctx.idiv(IONE, a)
     except DivisionByZeroInterval as exc:
         raise NormalizationSingular(f"a = G(1) = {a} may contain zero") from exc
     a2 = ctx.isqr(a)
     a_inv2 = ctx.isqr(a_inv)
-    affine = fb.affine_arg(ctx, domain, n, a2)
-    table_affine = fb.power_table(ctx, affine)
+    table_affine = fb.power_table(ctx, fb.affine_arg(ctx, domain, n, a2))
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
     squared = fb.mul(ctx, inner, inner)
     table_squared = fb.power_table(ctx, squared)
@@ -148,15 +147,13 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
                             fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, inner)))
         two_a_x = fb.affine_arg(ctx, domain, n, ctx.iscale(a, _D2))
         kwargs = dict(
-            deriv_outer=deriv_outer,
-            deriv_inner=deriv_inner,
             factor16=factor16,
             factor16_sq=fb.mul(ctx, factor16, factor16),
             factor17=fb.mul(ctx, fb.mul(ctx, factor16, deriv_inner), two_a_x),
         )
     return SharedEvaluations(
         source=G, a=a, a2=a2, a_inv=a_inv, a_inv2=a_inv2,
-        affine=affine, inner=inner, squared=squared, outer_comp=outer_comp,
+        inner=inner, squared=squared, outer_comp=outer_comp,
         table_affine=table_affine, table_squared=table_squared, **kwargs)
 
 
@@ -212,16 +209,15 @@ class OperatorTables:
 
     e_k composed with an argument is its k-th power, so each basis-column
     image of the head is one integer product with a tabulated baby power.
-    Requires the domain center at 1, where e_k(1) = 0 for k >= 1 and the
-    normalisation variation acts on column 0 only.
+    The domain is centred at 1 (see :func:`precompute_shared`), where
+    e_k(1) = 0 for k >= 1 and the normalisation variation acts on column 0
+    only.
     """
 
     shared: SharedEvaluations
 
     @classmethod
     def build(cls, ctx: RoundingContext, shared: SharedEvaluations) -> "OperatorTables":
-        if shared.domain.center != 1:
-            raise ConfigError("column tables assume domain center 1")
         if shared.factor16 is None:
             raise ConfigError("shared evaluations lack derivative factors")
         return cls(shared=shared)
@@ -251,7 +247,7 @@ class OperatorTables:
         out = fb.add(ctx, fb.scale(ctx, scalar, s.table_squared.compose(ctx, v)),
                      fb.mul(ctx, factor, s.table_affine.compose(ctx, v)))
         if q == 1:
-            da = fb.evaluate(ctx, v, _ONE_POINT).re
+            da = fb.coefficient(ctx, v, 0).re   # v(1)
             if da.mag != 0:
                 out = fb.add(ctx, out, _delta_a_terms(ctx, s, da))
         return out
@@ -276,19 +272,16 @@ class OperatorTables:
 _ARC_SPLIT = Decimal("0.75")
 
 
-def _circle_slices(ctx: RoundingContext, q: int):
-    """q+1 grid points from -_ARC_SPLIT to _ARC_SPLIT (exact endpoints).
+def grid_points(ctx: RoundingContext, lo: Decimal, hi: Decimal, n: int) -> list[Decimal]:
+    """n+1 grid points from lo to hi (exact endpoints).
 
     Only self-consistency matters: adjacent slices share the same computed
     point, so the union covers the full range whatever the rounding."""
-    t = _ARC_SPLIT
-    neg_t = t.copy_negate()
-    step = ctx.round_nearest(ctx.div_up(ctx.mul_up(_D2, t), Decimal(q)))
-    pts = [neg_t]
-    for j in range(1, q):
-        pts.append(ctx.round_nearest(
-            ctx.add_up(neg_t, ctx.mul_up(step, Decimal(j)))))
-    pts.append(t)
+    step = ctx.round_nearest(ctx.div_up(ctx.sub_up(hi, lo), Decimal(n)))
+    pts = [lo]
+    for j in range(1, n):
+        pts.append(ctx.round_nearest(ctx.add_up(lo, ctx.mul_up(step, Decimal(j)))))
+    pts.append(hi)
     return pts
 
 
@@ -304,7 +297,7 @@ def boundary_cover(ctx: RoundingContext, domain: Disc, m: int) -> list[Rectangle
         raise ConfigError("boundary covering needs m >= 4 divisible by 4")
     q = m // 4
     c, r = domain.center, domain.radius
-    pts = _circle_slices(ctx, q)
+    pts = grid_points(ctx, _ARC_SPLIT.copy_negate(), _ARC_SPLIT, q)
     rects = []
 
     def companion_bounds(lo: Decimal, hi: Decimal) -> tuple[Decimal, Decimal]:
@@ -353,6 +346,9 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     argument then extends the boundary containment to the whole closed
     disc.  Returns the coverings for plotting, or raises ContainmentFailure
     naming the first offending rectangle and which of the two checks failed.
+    On a ball with v_err > 0, :func:`precompute_shared` already implies the
+    claim: both arguments have theta < 1, so |h(z) - c| <= theta r on the
+    closed disc.
     """
     g = fb.point_evaluator(ctx, G)
     # only a**2 is needed here, so a wide ball can still reach the checks

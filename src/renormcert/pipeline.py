@@ -387,15 +387,6 @@ FIGURES = {
 }
 
 
-def _grid(ctx: RoundingContext, lo: Decimal, hi: Decimal, n: int) -> list[Decimal]:
-    step = ctx.round_nearest(ctx.div_up(ctx.sub_up(hi, lo), Decimal(n)))
-    pts = [lo]
-    for j in range(1, n):
-        pts.append(ctx.round_nearest(ctx.add_up(lo, ctx.mul_up(step, Decimal(j)))))
-    pts.append(hi)
-    return pts
-
-
 def _default_range(ctx: RoundingContext, target: str) -> tuple[Decimal, Decimal]:
     c, r = STANDARD_DISC.center, STANDARD_DISC.radius
     if target.isupper():
@@ -460,7 +451,7 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
         lo, hi = _default_range(ctx, target)
     else:
         lo, hi = Decimal(x_range[0]), Decimal(x_range[1])
-    pts = _grid(ctx, lo, hi, subdivisions)
+    pts = op.grid_points(ctx, lo, hi, subdivisions)
     extension = op.RecursiveExtension.build(ctx, G, balls.get("V"), balls.get("W"))
     rows = []
     for j in range(subdivisions):

@@ -20,6 +20,21 @@ REF_ALPHA = "-2.50290787509589282228390287321821578638127137672714997733619"
 REF_DELTA = "4.66920160910299067185320382046620161725818557747576863274565"
 REF_GAMMA = "6.61903651081792804532380890514746660143644298809101198088905"
 
+#: degree -> certified digit counts the pipeline reaches at desk (N=20,
+#: P=30, rho 1e-8), N=40 (P=40, rho 1e-20) and N=80 (P=60, rho 1e-40),
+#: pinned as lower bounds so that no change can cost a digit unnoticed
+MIN_DIGITS = {
+    20: {"a": 11, "alpha": 10, "delta": 7, "gamma": 8},
+    40: {"a": 24, "alpha": 24, "delta": 21, "gamma": 20},
+    80: {"a": 49, "alpha": 49, "delta": 46, "gamma": 45},
+}
+
+
+def assert_min_digits(report: dict, degree: int) -> None:
+    """Every certified digit count of a pipeline report reaches its pin."""
+    counts = {name: report["digits"][name]["count"] for name in MIN_DIGITS[degree]}
+    assert all(counts[name] >= pin for name, pin in MIN_DIGITS[degree].items()), counts
+
 
 def digit_match_count(text: str, reference: str) -> int:
     """Number of leading significant digits of ``text`` matching ``reference``."""
@@ -51,15 +66,33 @@ def t_apply(g, digits: int = 30) -> list[Decimal]:
 def dt_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated derivative of T at g; column k is DT(g) e_k."""
     with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g)
-        return ax.matrix(lambda v: shared.apply(1, v), len(g))
+        return ax._MidShared(g).head(1, len(g))
 
 
 def l_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated noise-scaling operator L(g)."""
     with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g)
-        return ax.matrix(lambda v: shared.apply(2, v), len(g))
+        return ax._MidShared(g).head(2, len(g))
+
+
+def jacobian_probe(shared, kind: str, x=None):
+    """v -> DF v at the midpoint shared evaluations, for the residual F of
+    the problem kind: T(g) - g, or M_p x - phi(x)**p x with lambda =
+    phi(x) = x[0], whose derivative is M_p - lambda**p I - p lambda**(p-1)
+    x e_0^T (reference for ``approx.jacobian_head``: ``ax.matrix`` of it
+    probes the unit vectors)."""
+    if kind == "fixed_point":
+        return lambda v: ax.p_sub(shared.apply(1, v), v)
+    power = ax._PHI_POWER[kind]
+    lam_p = x[0] ** power
+    dlam = Decimal(power) * x[0] ** (power - 1)
+
+    def apply(v):
+        out = ax.p_sub(shared.apply(power, v), ax.p_scale(lam_p, v))
+        if v[0]:
+            out = ax.p_sub(out, ax.p_scale(dlam * v[0], x))
+        return out
+    return apply
 
 
 # -- dense bootstrap oracles --------------------------------------------------
@@ -74,7 +107,7 @@ def dense_newton_step(g, digits: int):
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g)
         residual = ax.p_sub(shared.t(), g)
-        lu, perm = ax.lu_factor(ax.matrix(shared.jacobian_apply("fixed_point"), len(g)))
+        lu, perm = ax.lu_factor(ax.matrix(jacobian_probe(shared, "fixed_point"), len(g)))
         delta = ax._lu_solve_factored(lu, perm, [-r for r in residual])
         return ax._sup_norm(residual), ax.p_add(g, delta)
 
@@ -101,8 +134,7 @@ def oracle_eigenpair(kind: str, g0, digits: int) -> list[Decimal]:
     M_p(g0) (reference for ``approx_eigenpair``)."""
     power = ax._PHI_POWER[kind + "_eigen"]
     with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g0)
-        full = ax.matrix(lambda v: shared.apply(power, v), len(g0))
+        full = ax._MidShared(g0).head(power, len(g0))
         return ax._inverse_iteration(full, ax._EIGEN_HINT[kind] ** power, power, digits)
 
 

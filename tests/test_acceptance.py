@@ -15,6 +15,7 @@ from helpers import (
     REF_ALPHA,
     REF_DELTA,
     REF_GAMMA,
+    assert_min_digits,
     digit_match_count,
     domain_points,
     dt_matrix,
@@ -70,6 +71,7 @@ def test_criterion_2_desk_digits(desk_run):
         assert digits[name]["count"] >= 6
     alpha_matched = digit_match_count(digits["alpha"]["digits"], REF_ALPHA)
     assert alpha_matched >= 6
+    assert_min_digits(result.report, 20)
     print(f"\nACCEPTANCE 2 PASS: desk digits a={matched['a']} delta={matched['delta']} "
           f"gamma={matched['gamma']} alpha={alpha_matched} (all >= 6)")
 
@@ -85,6 +87,7 @@ def test_criterion_3_medium_scale():
                       ("delta", REF_DELTA), ("gamma", REF_GAMMA)):
         matched[name] = digit_match_count(digits[name]["digits"], ref)
         assert matched[name] >= 30, (name, digits[name])
+    assert_min_digits(result.report, 80)
     assert elapsed < 3600, f"medium run took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 PASS: medium scale in {elapsed:.0f}s, digits "
           + " ".join(f"{k}={v}" for k, v in matched.items()) + " (all >= 30)")

@@ -11,6 +11,7 @@ from helpers import (
     digit_match_count,
     dt_matrix,
     float_matrix,
+    jacobian_probe,
     l_matrix,
     oracle_eigenpair,
     oracle_fixed_point,
@@ -392,7 +393,7 @@ def test_jacobian_head_is_head_of_full_matrix(n40):
     k1 = ax.HEAD_DEGREE + 1
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        refs = {kind: (x0, ax.matrix(full.jacobian_apply(kind, x0), len(n40.g0)))
+        refs = {kind: (x0, ax.matrix(jacobian_probe(full, kind, x0), len(n40.g0)))
                 for kind, x0 in (("fixed_point", None), ("delta_eigen", n40.v0),
                                  ("gamma_eigen", n40.w0))}
     for kind, (x0, ref) in refs.items():

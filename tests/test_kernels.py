@@ -448,13 +448,37 @@ def test_block_apply_lambda_matches_decimal_oracle(n, head):
         _check_apply_lambda(lam, _rand_ball(rng, n, rng.choice(["real", "centred"])))
 
 
-def test_apply_lambda_reuses_integer_rows():
-    lam = _rand_map(random.Random(7), 5)
-    f = _rand_ball(random.Random(8), 5, "real")
-    first = ct.apply_lambda(ctx, lam, f)
-    rows = lam.int_rows()
-    assert ct.apply_lambda(ctx, lam, f) == first
-    assert lam.int_rows() is rows
+@pytest.mark.parametrize("n", [0, 1, 8, 40])
+def test_lambda_norm_is_exact_norm_rounded_up_once(n):
+    """The integer form of a map is its entries exactly, and its norm bound
+    is the exact l1 operator norm rounded up once: within one ulp above
+    it, and no larger than column sums rounded up term by term."""
+    rng = random.Random(f"norm-{n}")
+    rounded = 0
+    for i in range(8):
+        lam = _rand_map(rng, n)
+        if i % 2:
+            # 39-digit entries at scattered scales: column sums need more than P digits
+            rows = [[Decimal(rng.randint(-10 ** 39, 10 ** 39)).scaleb(-rng.randint(30, 60))
+                     for _ in row] for row in lam.matrix]
+            lam = ct.LinearMap(rows, lam.tail_scalar)
+        unit = Fraction(1, 10 ** lam.scale)
+        assert [[x * unit for x in row] for row in lam.rows] == \
+            [[Fraction(x) for x in row] for row in lam.matrix]
+        assert lam.tail * unit == Fraction(lam.tail_scalar)
+        exact = max([abs(Fraction(lam.tail_scalar))]
+                    + [sum(abs(Fraction(x)) for x in col) for col in zip(*lam.matrix)])
+        bound = ct.lambda_norm_upper(ctx, lam)
+        assert exact <= Fraction(bound) <= exact + Fraction(_ulp(Interval(bound, bound)))
+        rounded += Fraction(bound) > exact
+        termwise = Decimal(0)
+        for col in zip(*lam.matrix):
+            total = Decimal(0)
+            for x in col:
+                total = ctx.add_up(total, x.copy_abs())
+            termwise = max(termwise, total)
+        assert bound <= max(termwise, lam.tail_scalar.copy_abs())
+    assert rounded or n == 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4])

@@ -10,7 +10,12 @@ from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
-from renormcert.errors import ContainmentFailure, DepthExceeded
+from renormcert.errors import (
+    CompositionContractFailure,
+    ContainmentFailure,
+    DepthExceeded,
+    NormalizationSingular,
+)
 from renormcert.rounding import Interval, Rectangle, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
@@ -39,6 +44,19 @@ def test_shared_a_matches_reference(desk):
     s = op.precompute_shared(ctx, desk.G0, with_derivatives=False)
     ref = Decimal(REF_A[:16])
     assert abs(ctx.imid(s.a) - ref) < Decimal("1e-13")
+
+
+def test_shared_a_is_constant_coefficient_with_high_tail(desk):
+    """a = G(1) is read as coefficient 0 plus or minus v_err, the high tail
+    vanishing at 1: on a ball with v_high > 0 it is narrower than the
+    evaluated G(1) and holds G(1) of sampled members."""
+    ball = fb.FunctionBall(DOM, desk.G0.coeffs, Decimal("1e-6"), Decimal("1e-8"))
+    a = op.precompute_shared(ctx, ball, with_derivatives=False).a
+    evaluated = fb.evaluate(ctx, ball, rectangle(1)).re
+    assert evaluated.contains_interval(a) and a.hi - a.lo < evaluated.hi - evaluated.lo
+    rng = random.Random(41)
+    for _ in range(50):
+        assert a.contains(eval_member(sample_member(rng, ball), Decimal(1), DOM, 40))
 
 
 def test_apply_T_smoke_toy():
@@ -272,6 +290,62 @@ def test_domain_extension_failure(desk):
         op.check_domain_extension(ctx, fb.inflate(ctx, desk.G0, 1), 64)
     assert info.value.equation in (1, 2)
     assert info.value.index is not None
+
+
+def _circle_points():
+    """Exact points c + r(u + iv) of the domain's boundary circle, (u, v)
+    from (3, 4)/5 and (7, 24)/25 with their sign and swap variants."""
+    points = []
+    for u, v in ((Decimal("0.6"), Decimal("0.8")), (Decimal("0.28"), Decimal("0.96"))):
+        for x, y in ((u, v), (v, u)):
+            for sx in (1, -1):
+                for sy in (1, -1):
+                    points.append(Rectangle(interval(DOM.center + DOM.radius * sx * x),
+                                            interval(DOM.radius * sy * y)))
+    return points
+
+
+def _theta_reach(rctx, ball):
+    """[(reach, theta r)] for the two composition arguments: the largest
+    |a**2 z - c| and |Q(G(a**2 z)) - c| over the circle points, upper
+    bounds, and theta r of the argument's power table, a lower bound."""
+    shared = op.precompute_shared(rctx, ball, with_derivatives=False)
+    g = fb.point_evaluator(rctx, ball)
+    a2 = Rectangle(shared.a2, interval(0))
+    centre = rectangle(DOM.center)
+    reach = [Decimal(0), Decimal(0)]
+    for z in _circle_points():
+        w1 = rctx.rmul(a2, z)
+        w2 = rctx.rsqr(g.value(rctx, w1))
+        for i, w in enumerate((w1, w2)):
+            reach[i] = max(reach[i], rctx.rabs(rctx.rsub(w, centre)).hi)
+    thetas = (shared.theta_affine, shared.theta_squared)
+    return [(r, rctx.mul_dn(theta, DOM.radius)) for r, theta in zip(reach, thetas)]
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_theta_below_one_proves_domain_extension(request, scale):
+    """theta < 1 of a power table, which precompute_shared requires of both
+    composition arguments on every ball with v_err > 0, bounds the
+    argument by theta r on the closed disc: that is the boundary check's
+    claim.  Exact circle points of the inflated centre and of the
+    parameter ball land within theta r.  The ball inflated by 1 fails both
+    routes: precompute_shared refuses it (its a may vanish) and so does the
+    boundary check."""
+    run = request.getfixturevalue(scale)
+    if scale == "desk":
+        balls = [fb.inflate(run.ctx, run.G0, "1e-8"), run.param]
+    else:
+        balls = [run.setup("fixed_point", 20)[2], run.result.balls["parameter"]]
+    for ball in balls:
+        assert ball.v_err > 0
+        assert all(reach <= bound for reach, bound in _theta_reach(run.ctx, ball))
+    if scale == "desk":
+        wide = fb.inflate(run.ctx, run.G0, 1)
+        with pytest.raises((CompositionContractFailure, NormalizationSingular)):
+            op.precompute_shared(run.ctx, wide, with_derivatives=False)
+        with pytest.raises(ContainmentFailure):
+            op.check_domain_extension(run.ctx, wide, 64)
 
 
 def test_domain_extension_images_inside(desk):

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_min_digits,
     digit_match_count,
+    jacobian_probe,
     oracle_evaluate,
     oracle_evaluate_derivative,
     rand_interval,
@@ -226,12 +228,16 @@ def test_smaller_head_certifies(monkeypatch):
     assert cert["head_degree"] == 12 and cert["passed"]
 
 
+def test_n40_certified_digit_counts(n40):
+    assert_min_digits(n40.result.report, 40)
+
+
 def test_dense_map_certifies_same_digits(n40):
     """A dense map (K = N), inverted from the full midpoint Jacobian,
     certifies the digits the K = 20 block map does at N = 40."""
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        jac = ax.matrix(full.jacobian_apply("fixed_point"), len(n40.g0))
+        jac = ax.matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
     lam = ax.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
     cert = ct.certify(n40.ctx, ct.FixedPointProblem(), n40.result.balls["G0"], lam,
