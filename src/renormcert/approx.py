@@ -22,8 +22,15 @@ preconditions both iterations, with the operators applied matrix-free:
   refined by x <- x - B(M_p x - x[0]**p x), the certificate's own
   Newton-like map.
 
-The power lists behind every composition are exact integer products
-(``balls._conv``) rounded to nearest at a fixed scale.
+The operators are evaluated by an integer midpoint engine
+(:class:`_MidShared`): every polynomial it holds is a list of integers at
+the scale 10**-(P+6), P the working precision, products are exact
+(``balls._conv``) and rounded to nearest at that scale, and each
+composition argument has a power table of the shape of
+``balls.PowerTable``, midpoints only: baby powers u**0..u**20 and the
+giant step u**21, composing by exact block dot products and Horner in the
+giant step (Paterson-Stockmeyer).  T(g) and M_q(g) v come back to Decimal
+exactly; the iterations and factorizations run in Decimal.
 
 Polynomials are plain lists of Decimal coefficients in the scaled-monomial
 basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
@@ -35,7 +42,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-from .balls import BABY_STEPS, STANDARD_DISC, _conv
+from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots
 from .errors import (
     ConfigError,
     EigenSelectionAmbiguous,
@@ -51,7 +58,6 @@ __all__ = [
     "approx_eigenpair",
     "build_lambda",
     "mat_inv",
-    "poly_eval",
 ]
 
 _D0 = Decimal(0)
@@ -110,83 +116,70 @@ def p_scale(s, f):
     return [s * a for a in f]
 
 
-def p_mul(f, g):
-    """Product truncated to the degree of f."""
-    n = len(f) - 1
-    out = [_D0] * (n + 1)
-    for i, fi in enumerate(f):
-        if not fi:
-            continue
-        for j, gj in enumerate(g):
-            k = i + j
-            if k > n:
-                break
-            if gj:
-                out[k] += fi * gj
-    return out
-
-
-def p_deriv(f):
-    out = [Decimal(k + 1) * f[k + 1] / _R for k in range(len(f) - 1)]
-    return out + [_D0]
-
-
-def poly_eval(f, x):
-    """Evaluate at a point by Horner in the scaled basis."""
-    u = (x - _C) / _R
-    acc = f[-1]
-    for k in range(len(f) - 2, -1, -1):
-        acc = acc * u + f[k]
-    return acc
-
-
-def _normalize_arg(h):
-    u = list(h)
-    u[0] = (u[0] - _C) / _R
-    inv = _D1 / _R
-    for k in range(1, len(u)):
-        u[k] = u[k] * inv
-    return u
-
-
-def _power_list(u, count):
-    """u**0..u**(count-1) for count >= 2, each truncated to the length of u.
-
-    u is read once, rounded to nearest at the scale 10**-(P+6) with P the
-    context precision, trailing zeros dropped (an affine u costs O(N) per
-    power).  Each power from u**2 on is the exact integer product of the
-    previous one and u, rounded to nearest at that scale, and goes back to
-    Decimal once, exactly.
-    """
-    width = len(u)
-    scale = decimal.getcontext().prec + 6
-    unit = 10 ** scale
-    half = unit >> 1
-    u_int = [round(x.scaleb(scale, _EXACT)) for x in u]
-    while u_int and not u_int[-1]:
-        u_int.pop()
-    powers = [_pad([_D1], width), list(u)]
-    power = u_int
-    for _ in range(2, count):
-        power = [(c + half) // unit for c in _conv(power, u_int, width - 1)]
-        powers.append(_pad([Decimal(c).scaleb(-scale, _EXACT) for c in power], width))
-    return powers
-
-
-def _table_compose(f, powers):
-    out = [_D0] * len(powers[0])
-    for k, fk in enumerate(f):
-        if not fk:
-            continue
-        pk = powers[k]
-        for i in range(len(pk)):
-            if pk[i]:
-                out[i] += fk * pk[i]
-    return out
-
-
 def _rows(cols):
     return [list(row) for row in zip(*cols)]
+
+
+# -- integer midpoint engine ------------------------------------------------------
+
+def _rounded(xs: list[int], unit: int) -> list[int]:
+    """xs / unit, each rounded to nearest (ties up), for unit a power of 10."""
+    half = unit >> 1
+    return [(x + half) // unit for x in xs]
+
+
+def _quotient(num: int, den: int) -> int:
+    """num/den rounded to nearest, ties up."""
+    if den < 0:
+        num, den = -num, -den
+    return (2 * num + den) // (2 * den)
+
+
+class _MidTable:
+    """Midpoint power table of a composition argument u, the shape of
+    ``balls.PowerTable`` without radii: the baby powers u**0..u**(b-1),
+    b = min(count, BABY_STEPS), and the giant step U = u**BABY_STEPS when
+    count > BABY_STEPS, each cut to ``width`` coefficients, for composing
+    polynomials of up to ``count`` coefficients.
+
+    Every entry is an integer at the scale 1/``unit``; row i of ``rows``
+    holds coefficient i of every baby power.  Each power from u**2 on is
+    the exact product (``balls._conv``) of the previous one and u, rounded
+    to nearest.  u is read with its trailing zeros dropped, so an affine u
+    costs O(width) per power.
+    """
+
+    def __init__(self, u: list[int], count: int, width: int, unit: int):
+        self.unit = unit
+        last = min(count - 1, BABY_STEPS)
+        while u and not u[-1]:
+            u = u[:-1]
+        powers = [[unit], u[:width]][:last + 1]
+        for _ in range(2, last + 1):
+            powers.append(_rounded(_conv(powers[-1], u, width - 1), unit))
+        self.rows = tuple(zip(*(p + [0] * (width - len(p)) for p in powers[:BABY_STEPS])))
+        self.giant = powers[BABY_STEPS] if last == BABY_STEPS else None
+
+    def power(self, k: int, width: int) -> list[int]:
+        """Baby power u**k cut to ``width`` coefficients."""
+        return [row[k] for row in self.rows[:width]]
+
+    def compose(self, f: list[int]) -> list[int]:
+        """f o u, f at the table's scale: Paterson-Stockmeyer evaluation.
+        f splits into blocks B_i = sum_{j<b} f_{ib+j} u**j, each an exact
+        dot product with the baby powers, rounded; Horner in U,
+        acc <- round(acc U) + B_i, runs from the top block."""
+        b, unit = len(self.rows[0]), self.unit
+        while f and not f[-1]:
+            f = f[:-1]
+        acc = None
+        for i in reversed(range(0, len(f), b)):
+            block = _rounded(_dots(f[i:i + b], self.rows), unit)
+            if acc is not None:
+                block = _add_lists(_rounded(_conv(acc, self.giant, len(self.rows) - 1), unit),
+                                   block)
+            acc = block
+        return acc or []
 
 
 class _MidShared:
@@ -195,69 +188,101 @@ class _MidShared:
     and field names of ``operators.SharedEvaluations`` and
     ``operators.OperatorTables``.
 
+    Integer-resident: g is read once at the scale 10**-(P+6), P the context
+    precision, and every scalar, polynomial and power table is held as
+    integers at that scale; products and compositions are exact integer
+    arithmetic rounded to nearest once per product, per block and per
+    giant step.  :meth:`t` and :meth:`apply` convert to Decimal, exactly,
+    only at their boundary.
+
     With ``width`` = K + 1 below N + 1, every polynomial is cut to its
-    coefficients 0..K (the power lists still hold all N + 1 powers), and
-    :meth:`head` gives the K+1 x K+1 head of the full matrix of M_q, at
-    O(N K**2) cost.  Truncated products are causal, so the head entries are
-    those of the full matrix digit for digit.
+    coefficients 0..K (the compositions still read all N + 1 coefficients
+    of g, through the giant step), and :meth:`head` gives the K+1 x K+1
+    head of the full matrix of M_q.  Truncated products, blocks and giant
+    steps are causal and rounded coefficient by coefficient, so the head
+    entries are those of the full matrix digit for digit.
     """
 
     def __init__(self, g, width: int | None = None):
         n = len(g) - 1
         self.width = width = n + 1 if width is None else width
-        self.a = g[0]   # G(1): e_k(1) = 0 for k >= 1
-        if not self.a:
+        self.scale = decimal.getcontext().prec + 6
+        self.unit = unit = 10 ** self.scale
+        a = self._int(g[0])   # G(1): e_k(1) = 0 for k >= 1
+        if not a:
             raise NewtonDivergence("normalisation a = G(1) vanished")
-        self.a2 = self.a * self.a
-        self.a_inv = _D1 / self.a
-        self.a_inv2 = self.a_inv * self.a_inv
-        affine = _pad([self.a2 * _C, self.a2 * _R], width)
-        self.up1 = _power_list(_normalize_arg(affine), n + 1)
-        self.inner = _table_compose(g, self.up1)
-        self.squared = p_mul(self.inner, self.inner)
-        self.up2 = _power_list(_normalize_arg(self.squared), n + 1)
-        self.outer_comp = _table_compose(g, self.up2)
-        gd = p_deriv(g)
-        self.deriv_outer = _table_compose(gd, self.up2)
-        self.deriv_inner = _table_compose(gd, self.up1)
-        two_inner = p_scale(_D2 * self.a_inv, self.inner)
-        self.factor16 = p_mul(self.deriv_outer, two_inner)
-        self.factor16_sq = p_mul(self.factor16, self.factor16)
-        x_poly = _pad([_C, _R], width)
-        self.factor17 = p_mul(p_mul(self.factor16, self.deriv_inner),
-                              p_scale(_D2 * self.a, x_poly))
+        a2 = self._scaled(a, [a])[0]
+        self.a_inv = _quotient(unit * unit, a)
+        self.a_inv2 = self._scaled(self.a_inv, [self.a_inv])[0]
+        c, r = self._int(_C), self._int(_R)
+        inv_r = _quotient(unit * unit, r)
+        g_int = [self._int(x) for x in g]
+        gd = _rounded([(k + 1) * x * inv_r for k, x in enumerate(g_int[1:])], unit)
+
+        def table(h):
+            """Power table of the normalized argument (h - c)/r."""
+            u = self._scaled(inv_r, [h[0] - c] + h[1:])
+            return _MidTable(u, n + 1, width, unit)
+
+        self.table_affine = table(self._scaled(a2, [c, r]))
+        inner = self.table_affine.compose(g_int)
+        self.table_squared = table(self._mul(inner, inner))
+        self.outer_comp = self.table_squared.compose(g_int)
+        deriv_outer = self.table_squared.compose(gd)
+        deriv_inner = self.table_affine.compose(gd)
+        self.factor16 = self._mul(deriv_outer, self._scaled(2 * self.a_inv, inner))
+        self.factor16_sq = self._mul(self.factor16, self.factor16)
+        self.factor17 = self._mul(self._mul(self.factor16, deriv_inner),
+                                  self._scaled(2 * a, [c, r]))
+
+    def _int(self, x: Decimal) -> int:
+        return round(x.scaleb(self.scale, _EXACT))
+
+    def _mul(self, f: list[int], h: list[int], width: int | None = None) -> list[int]:
+        """f h to degree width - 1, rounded."""
+        return _rounded(_conv(f, h, (width or self.width) - 1), self.unit)
+
+    def _scaled(self, s: int, f: list[int]) -> list[int]:
+        """s f, rounded."""
+        return _rounded([s * x for x in f], self.unit)
+
+    def _decimals(self, f: list[int], width: int) -> list[Decimal]:
+        """f cut or padded to ``width`` coefficients, exactly in Decimal."""
+        out = [Decimal(x).scaleb(-self.scale, _EXACT) for x in f[:width]]
+        return out + [_D0] * (width - len(out))
+
+    def _image(self, q: int, c2: list[int], c1: list[int], v0: int, width: int):
+        """M_q v to ``width`` coefficients from c2 = v(Q(g(a**2 X))),
+        c1 = v(a**2 X) and v0 = v(1)."""
+        scalar, factor = ((self.a_inv, self.factor16) if q == 1
+                          else (self.a_inv2, self.factor16_sq))
+        out = _add_lists(self._scaled(scalar, c2[:width]), self._mul(factor, c1, width))
+        if q == 1 and v0:
+            da = -self._scaled(self.a_inv2, [v0])[0]   # -a**-2 v(1)
+            out = _add_lists(out, self._scaled(da, self.outer_comp[:width]))
+            out = _add_lists(out, self._scaled(v0, self.factor17[:width]))
+        return self._decimals(out, width)
 
     def t(self):
         """T(g)."""
-        return p_scale(self.a_inv, self.outer_comp)
+        return self._decimals(self._scaled(self.a_inv, self.outer_comp), self.width)
 
     def apply(self, q: int, v):
         """M_q(g) v: a**-q v(Q(g(a**2 X))) + factor16**q v(a**2 X), and for
         q = 1 (DT) the variations of the normalisation a, which act when
         v(1) = v[0] on the standard disc is nonzero; q = 2 is L."""
-        scalar, factor = ((self.a_inv, self.factor16) if q == 1
-                          else (self.a_inv2, self.factor16_sq))
-        out = p_add(p_scale(scalar, _table_compose(v, self.up2)),
-                    p_mul(factor, _table_compose(v, self.up1)))
-        if q == 1 and v[0]:
-            out = p_add(out, p_scale(-self.a_inv2 * v[0], self.outer_comp))
-            out = p_add(out, p_scale(v[0], self.factor17))
-        return out
+        v_int = [self._int(x) for x in v]
+        return self._image(q, self.table_squared.compose(v_int),
+                           self.table_affine.compose(v_int), v_int[0], self.width)
 
     def head(self, q: int, width: int):
-        """Rows of the width x width head of M_q(g)."""
-        return matrix(lambda v: self.apply(q, v), width)
-
-
-def matrix(apply, width: int):
-    """Rows of the width x width head of a linear map: column k is apply(e_k)
-    for the unit vector e_k of length ``width``, cut to ``width`` entries."""
-    cols = []
-    for k in range(width):
-        e = [_D0] * width
-        e[k] = _D1
-        cols.append(apply(e)[:width])
-    return _rows(cols)
+        """Rows of the width x width head of M_q(g), width <= BABY_STEPS:
+        column k is the image of e_k, read off the baby powers u2**k and
+        u1**k, the compositions of e_k."""
+        return _rows([self._image(q, self.table_squared.power(k, width),
+                                  self.table_affine.power(k, width),
+                                  self.unit if k == 0 else 0, width)
+                      for k in range(width)])
 
 
 def jacobian_head(m_head, power: int, x=None):
@@ -508,9 +533,10 @@ def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     fixed_point: derivative of T minus identity, at g0.
     delta_eigen/gamma_eigen: operator matrix minus the eigenvalue terms,
     including the rank-one normalisation coupling, at x0.
-    The head of M_q is read off shared evaluations cut to degree K, at
-    O(N K**2) cost, and turned into the block by :func:`jacobian_head`; its
-    entries are those of the full (N+1) x (N+1) matrix.
+    The head of M_q is read off the baby powers of shared evaluations cut
+    to degree K, at O(N K + K**3) cost, and turned into the block by
+    :func:`jacobian_head`; its entries are those of the full (N+1) x (N+1)
+    matrix.
     """
     if kind not in _PHI_POWER:
         raise ConfigError(f"unknown problem kind {kind!r}")

@@ -57,6 +57,24 @@ def float_matrix(m) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m], dtype=float)
 
 
+def decimals(ints, scale: int, width: int | None = None) -> list[Decimal]:
+    """Integers at the scale 10**-scale as exact Decimals, zero-padded to
+    ``width`` entries."""
+    out = [Decimal(x).scaleb(-scale, ax._EXACT) for x in ints]
+    return out + [Decimal(0)] * ((width or 0) - len(out))
+
+
+def matrix(apply, width: int):
+    """Rows of the width x width head of a linear map: column k is apply(e_k)
+    for the unit vector e_k of length ``width``, cut to ``width`` entries."""
+    cols = []
+    for k in range(width):
+        e = [Decimal(0)] * width
+        e[k] = Decimal(1)
+        cols.append(apply(e)[:width])
+    return ax._rows(cols)
+
+
 def t_apply(g, digits: int = 30) -> list[Decimal]:
     """T(G) truncated to the degree of g, in round-to-nearest arithmetic."""
     with decimal.localcontext(ax._context(digits)):
@@ -66,20 +84,22 @@ def t_apply(g, digits: int = 30) -> list[Decimal]:
 def dt_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated derivative of T at g; column k is DT(g) e_k."""
     with decimal.localcontext(ax._context(digits)):
-        return ax._MidShared(g).head(1, len(g))
+        shared = ax._MidShared(g)
+        return matrix(lambda v: shared.apply(1, v), len(g))
 
 
 def l_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated noise-scaling operator L(g)."""
     with decimal.localcontext(ax._context(digits)):
-        return ax._MidShared(g).head(2, len(g))
+        shared = ax._MidShared(g)
+        return matrix(lambda v: shared.apply(2, v), len(g))
 
 
 def jacobian_probe(shared, kind: str, x=None):
     """v -> DF v at the midpoint shared evaluations, for the residual F of
     the problem kind: T(g) - g, or M_p x - phi(x)**p x with lambda =
     phi(x) = x[0], whose derivative is M_p - lambda**p I - p lambda**(p-1)
-    x e_0^T (reference for ``approx.jacobian_head``: ``ax.matrix`` of it
+    x e_0^T (reference for ``approx.jacobian_head``: ``matrix`` of it
     probes the unit vectors)."""
     if kind == "fixed_point":
         return lambda v: ax.p_sub(shared.apply(1, v), v)
@@ -95,6 +115,105 @@ def jacobian_probe(shared, kind: str, x=None):
     return apply
 
 
+def poly_eval(f, x):
+    """Evaluate a Decimal polynomial at a point by Horner in the scaled basis."""
+    u = (x - ax._C) / ax._R
+    acc = f[-1]
+    for k in range(len(f) - 2, -1, -1):
+        acc = acc * u + f[k]
+    return acc
+
+
+# -- Decimal midpoint oracle --------------------------------------------------
+#
+# The midpoint engine the integer one replaced: every product, composition
+# and scalar in round-to-nearest Decimal at the context precision, every
+# power u**0..u**N of both composition arguments built.  Run at twice the
+# working precision it is the reference the integer engine is checked
+# against.
+
+
+def p_mul(f, g):
+    """Product truncated to the degree of f."""
+    n = len(f) - 1
+    out = [Decimal(0)] * (n + 1)
+    for i, fi in enumerate(f):
+        if not fi:
+            continue
+        for j, gj in enumerate(g):
+            k = i + j
+            if k > n:
+                break
+            if gj:
+                out[k] += fi * gj
+    return out
+
+
+def _normalize_arg(h):
+    """(h - c)/r on the standard disc."""
+    return [(h[0] - ax._C) / ax._R] + [x / ax._R for x in h[1:]]
+
+
+def _table_compose(f, powers):
+    out = [Decimal(0)] * len(powers[0])
+    for fk, pk in zip(f, powers):
+        if fk:
+            out = [o + fk * p for o, p in zip(out, pk)]
+    return out
+
+
+def oracle_power_list(u, count: int, digits: int) -> list[list[Decimal]]:
+    """u**0..u**(count-1), each truncated to the length of u, by Decimal
+    ``p_mul`` at ``digits``."""
+    with decimal.localcontext(ax._context(digits)):
+        powers = [ax._pad([Decimal(1)], len(u)), list(u)]
+        for _ in range(2, count):
+            powers.append(p_mul(powers[-1], u))
+        return powers[:count]
+
+
+class DecimalShared:
+    """Decimal midpoint shared evaluations at g, in the active context,
+    with the interface of ``approx._MidShared`` (``t``, ``apply``) and the
+    M_q head probed column by column."""
+
+    def __init__(self, g):
+        n, prec = len(g) - 1, decimal.getcontext().prec
+        d2 = Decimal(2)
+        a = g[0]
+        self.a_inv = 1 / a
+        self.a_inv2 = self.a_inv * self.a_inv
+        a2 = a * a
+        self.up1 = oracle_power_list(_normalize_arg(ax._pad([a2 * ax._C, a2 * ax._R], n + 1)),
+                                     n + 1, prec)
+        self.inner = _table_compose(g, self.up1)
+        self.up2 = oracle_power_list(_normalize_arg(p_mul(self.inner, self.inner)), n + 1, prec)
+        self.outer_comp = _table_compose(g, self.up2)
+        gd = [Decimal(k + 1) * g[k + 1] / ax._R for k in range(n)] + [Decimal(0)]
+        deriv_outer = _table_compose(gd, self.up2)
+        deriv_inner = _table_compose(gd, self.up1)
+        self.factor16 = p_mul(deriv_outer, ax.p_scale(d2 * self.a_inv, self.inner))
+        self.factor16_sq = p_mul(self.factor16, self.factor16)
+        x_poly = ax._pad([ax._C, ax._R], n + 1)
+        self.factor17 = p_mul(p_mul(self.factor16, deriv_inner), ax.p_scale(d2 * a, x_poly))
+
+    def t(self):
+        return ax.p_scale(self.a_inv, self.outer_comp)
+
+    def apply(self, q: int, v):
+        scalar, factor = ((self.a_inv, self.factor16) if q == 1
+                          else (self.a_inv2, self.factor16_sq))
+        out = ax.p_add(ax.p_scale(scalar, _table_compose(v, self.up2)),
+                       p_mul(factor, _table_compose(v, self.up1)))
+        if q == 1 and v[0]:
+            out = ax.p_add(out, ax.p_scale(-self.a_inv2 * v[0], self.outer_comp))
+            out = ax.p_add(out, ax.p_scale(v[0], self.factor17))
+        return out
+
+    def head(self, q: int, width: int):
+        return matrix(lambda v: self.apply(q, ax._pad(v, len(self.outer_comp))), width)
+
+
 # -- dense bootstrap oracles --------------------------------------------------
 #
 # The full-size solvers the block-preconditioned ones replaced: every step
@@ -107,7 +226,7 @@ def dense_newton_step(g, digits: int):
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g)
         residual = ax.p_sub(shared.t(), g)
-        lu, perm = ax.lu_factor(ax.matrix(jacobian_probe(shared, "fixed_point"), len(g)))
+        lu, perm = ax.lu_factor(matrix(jacobian_probe(shared, "fixed_point"), len(g)))
         delta = ax._lu_solve_factored(lu, perm, [-r for r in residual])
         return ax._sup_norm(residual), ax.p_add(g, delta)
 
@@ -134,18 +253,9 @@ def oracle_eigenpair(kind: str, g0, digits: int) -> list[Decimal]:
     M_p(g0) (reference for ``approx_eigenpair``)."""
     power = ax._PHI_POWER[kind + "_eigen"]
     with decimal.localcontext(ax._context(digits)):
-        full = ax._MidShared(g0).head(power, len(g0))
+        shared = ax._MidShared(g0)
+        full = matrix(lambda v: shared.apply(power, v), len(g0))
         return ax._inverse_iteration(full, ax._EIGEN_HINT[kind] ** power, power, digits)
-
-
-def oracle_power_list(u, count: int, digits: int) -> list[list[Decimal]]:
-    """u**0..u**(count-1), each truncated to the length of u, by Decimal
-    ``p_mul`` at twice ``digits`` (reference for ``approx._power_list``)."""
-    with decimal.localcontext(ax._context(2 * digits)):
-        powers = [ax._pad([Decimal(1)], len(u)), list(u)]
-        for _ in range(2, count):
-            powers.append(ax.p_mul(powers[-1], u))
-        return powers
 
 
 def rand_decimal(rng: random.Random, scale: float = 4.0) -> Decimal:

@@ -8,11 +8,14 @@ from helpers import (
     REF_A,
     REF_DELTA,
     REF_GAMMA,
+    DecimalShared,
+    decimals,
     digit_match_count,
     dt_matrix,
     float_matrix,
     jacobian_probe,
     l_matrix,
+    matrix,
     oracle_eigenpair,
     oracle_fixed_point,
     oracle_power_list,
@@ -119,17 +122,17 @@ def test_eigen_selection_matches_float_spectrum(desk):
 
 def test_jacobian_column_delta_a_only_in_first(desk):
     """Column k >= 1 of DT is a**-1 u2**k + factor16 u1**k digit for digit,
-    with the powers (held beyond working precision) read at working
-    precision as a composition reads them; column 0 differs."""
+    from the baby powers u2**k, u1**k of the integer power tables, each
+    product rounded once at the engine's scale; column 0 differs."""
     jac_dt = dt_matrix(desk.g0, digits=30)
-    jac_simple = []
     with decimal.localcontext(ax._context(30)):
         s = ax._MidShared(desk.g0)
-        for k in range(desk.n + 1):
-            up2, up1 = ([+c for c in up[k]] for up in (s.up2, s.up1))
-            col = ax.p_scale(s.a_inv, up2)
-            col = ax.p_add(col, ax.p_mul(s.factor16, up1))
-            jac_simple.append(col)
+    jac_simple = []
+    for k in range(desk.n + 1):
+        up2, up1 = (table.power(k, desk.n + 1) for table in (s.table_squared, s.table_affine))
+        col = fb._add_lists(ax._rounded([s.a_inv * c for c in up2], s.unit),
+                            ax._rounded(fb._conv(s.factor16, up1, desk.n), s.unit))
+        jac_simple.append(decimals(col, s.scale))
     for k in range(1, desk.n + 1):
         for i in range(desk.n + 1):
             assert jac_dt[i][k] == jac_simple[k][i]
@@ -215,52 +218,123 @@ def test_no_lu_or_matrix_above_head_size(monkeypatch):
     """Structural guard: at N=80 the bootstrap factors and builds no matrix
     larger than the (K+1) x (K+1) head."""
     sizes = []
-    lu_factor, matrix = ax.lu_factor, ax.matrix
+    lu_factor, head = ax.lu_factor, ax._MidShared.head
 
     def recording_lu_factor(a):
         sizes.append(len(a))
         return lu_factor(a)
 
-    def recording_matrix(apply, width):
+    def recording_head(self, q, width):
         sizes.append(width)
-        return matrix(apply, width)
+        return head(self, q, width)
 
     monkeypatch.setattr(ax, "lu_factor", recording_lu_factor)
-    monkeypatch.setattr(ax, "matrix", recording_matrix)
+    monkeypatch.setattr(ax._MidShared, "head", recording_head)
     g0 = ax.approx_fixed_point(80, 60)
     for kind in ("delta", "gamma"):
         ax.approx_eigenpair(kind, g0, 60)
     assert sizes and max(sizes) == ax.HEAD_DEGREE + 1
 
 
-def _power_list_arguments(g, digits: int):
-    """The two normalized composition arguments of the shared evaluations
-    at g: the affine a**2 X (two nonzero coefficients) and the dense
-    squared inner composition."""
-    with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g)
-        affine = ax._pad([shared.a2 * ax._C, shared.a2 * ax._R], len(g))
-        return {"affine": ax._normalize_arg(affine),
-                "dense": ax._normalize_arg(shared.squared)}
+def _baby_and_giant(table, width: int) -> list[list[int]]:
+    """The baby powers and the giant step of a midpoint table, as integer lists."""
+    return [table.power(k, width) for k in range(len(table.rows[0]))] + [table.giant]
 
 
 @pytest.mark.parametrize("argument", ["affine", "dense"])
 def test_integer_power_list_matches_decimal_oracle(bootstrap40, argument):
-    """The integer power lists agree with Decimal p_mul powers at twice the
-    precision within N 10**-(P+5); built at a scale 10 digits shorter
-    (context precision P - 10) they miss (negative control)."""
+    """The baby powers u**0..u**20 and the giant step u**21 of the integer
+    tables of the affine and the dense squared argument agree with Decimal
+    p_mul powers at twice the precision within N 10**-(P+5); built at a
+    scale 10 digits shorter they miss (negative control)."""
     n, digits = 40, 40
-    u = _power_list_arguments(bootstrap40[0], digits)[argument]
-    reference = oracle_power_list(u, n + 1, digits)
+    with decimal.localcontext(ax._context(digits)):
+        shared = ax._MidShared(bootstrap40[0])
+    table = {"affine": shared.table_affine, "dense": shared.table_squared}[argument]
+    scale = shared.scale
+    u = decimals(table.power(1, n + 1), scale)
+    reference = oracle_power_list(u, fb.BABY_STEPS + 1, 2 * digits)
 
-    def error(precision):
-        with decimal.localcontext(ax._context(precision)):
-            powers = ax._power_list(u, n + 1)
-        return max(_sup_diff(p, q) for p, q in zip(powers, reference, strict=True))
+    def error(powers, power_scale):
+        return max(_sup_diff(decimals(p, power_scale, n + 1), q)
+                   for p, q in zip(powers, reference, strict=True))
 
     bound = n * Decimal(10) ** -(digits + 5)
-    assert error(digits) < bound
-    assert error(digits - 10) > bound
+    assert table.giant is not None
+    assert error(_baby_and_giant(table, n + 1), scale) < bound
+    short = scale - 10
+    u_short = [round(x.scaleb(short)) for x in u]
+    coarse = ax._MidTable(u_short, n + 1, n + 1, 10 ** short)
+    assert error(_baby_and_giant(coarse, n + 1), short) > bound
+
+
+@pytest.fixture(scope="module")
+def bootstrap80():
+    """approx_fixed_point at N=80, P=60 and its delta eigenvector."""
+    g0 = ax.approx_fixed_point(80, 60)
+    return g0, ax.approx_eigenpair("delta", g0, 60)[0]
+
+
+def _engine_and_oracle(g0, v, digits: int):
+    """t(), apply(1, v), apply(2, v) and the heads of M_1 and M_2 of the
+    integer engine (the heads from its head-only build) and of the Decimal
+    oracle at twice the precision, as (name, engine, oracle, size) with the
+    sup norm ``size`` of the input: 1 for T and for the unit vectors the
+    heads are images of, max(1, |v|) for the applies, which are linear."""
+    width = min(len(g0), ax.HEAD_DEGREE + 1)
+    out = []
+    for prec, cls in ((digits, ax._MidShared), (2 * digits, DecimalShared)):
+        with decimal.localcontext(ax._context(prec)):
+            full = cls(g0)
+            heads = ax._MidShared(g0, width) if cls is ax._MidShared else full
+            out.append([full.t(), full.apply(1, v), full.apply(2, v)]
+                       + [[x for row in heads.head(q, width) for x in row] for q in (1, 2)])
+    one = Decimal(1)
+    size = max(one, ax._sup_norm(v))
+    return list(zip(["T", "DT v", "L v", "head M_1", "head M_2"], *out,
+                    [one, size, size, one, one]))
+
+
+@pytest.mark.parametrize("scale", ["desk", "n80"])
+def test_integer_engine_matches_decimal_oracle(request, scale):
+    """Differential check of the integer midpoint engine against the Decimal
+    one at twice the precision: T(g0), DT(g0) v and L(g0) v for the dense
+    delta eigenvector v (|v| = delta), and the K+1 heads of M_1 and M_2
+    from the head-only build, each within N 10**-(P+5) times the size of
+    its input.  At N=80 every composition runs giant steps; at desk
+    (N+1 = 21 baby powers) none does."""
+    if scale == "desk":
+        run = request.getfixturevalue("desk")
+        g0, v, digits = run.g0, run.v0, 30
+    else:
+        (g0, v), digits = request.getfixturevalue("bootstrap80"), 60
+    n = len(g0) - 1
+    bound = n * Decimal(10) ** -(digits + 5)
+    with decimal.localcontext(ax._context(digits)):
+        assert (ax._MidShared(g0).table_squared.giant is None) == (n + 1 <= fb.BABY_STEPS)
+    for name, engine, oracle, size in _engine_and_oracle(g0, v, digits):
+        assert _sup_diff(engine, oracle) < bound * size, name
+
+
+def test_midpoint_build_product_count(monkeypatch, bootstrap80):
+    """Structural guard: one full build at N=80, P=60 makes
+    2(m-1) + 4(ceil((N+1)/m) - 1) + 5 = 57 exact products (m = 21): m - 1
+    per power table (u**2..u**20 and the giant step u**21), ceil(81/21) - 1
+    = 3 giant steps in each of the four compositions, and the products
+    inner**2, factor16, factor16**2 and the two of factor17.  A table of
+    every power makes 158."""
+    calls = []
+    conv = ax._conv
+
+    def counting_conv(a, b, n):
+        calls.append(n)
+        return conv(a, b, n)
+
+    monkeypatch.setattr(ax, "_conv", counting_conv)
+    with decimal.localcontext(ax._context(60)):
+        ax._MidShared(bootstrap80[0])
+    m, n = fb.BABY_STEPS, 80
+    assert len(calls) == 2 * (m - 1) + 4 * (-(-(n + 1) // m) - 1) + 5 == 57
 
 
 def test_finite_difference_oracle(desk):
@@ -315,7 +389,7 @@ def _cross_engine(run):
 
 @pytest.mark.parametrize("scale", ["desk", "n40"])
 def test_midpoint_operators_lie_in_ball_enclosures(request, scale):
-    """Cross-engine check: T(g0), DT(g0) v and L(g0) v of the Decimal
+    """Cross-engine check: T(g0), DT(g0) v and L(g0) v of the integer
     midpoint engine lie in the ball engine's enclosures at the point ball
     g0, for v with v(1) = v[0] != 0, so the normalisation terms of DT act."""
     run = request.getfixturevalue(scale)
@@ -338,7 +412,8 @@ def test_midpoint_dt_without_factor17_leaves_enclosure(request, scale):
     ctx, digits = run.ctx, run.ctx.precision
     mid, _, tables, ball = _cross_engine(run)
     with decimal.localcontext(ax._context(digits)):
-        dropped = ax.p_sub(mid.apply(1, run.v0), ax.p_scale(run.v0[0], mid.factor17))
+        factor17 = decimals(mid.factor17, mid.scale, len(run.v0))
+        dropped = ax.p_sub(mid.apply(1, run.v0), ax.p_scale(run.v0[0], factor17))
     assert _misses(tables.dt_apply(ctx, ball(run.v0)), dropped, digits)
 
 
@@ -393,7 +468,7 @@ def test_jacobian_head_is_head_of_full_matrix(n40):
     k1 = ax.HEAD_DEGREE + 1
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        refs = {kind: (x0, ax.matrix(jacobian_probe(full, kind, x0), len(n40.g0)))
+        refs = {kind: (x0, matrix(jacobian_probe(full, kind, x0), len(n40.g0)))
                 for kind, x0 in (("fixed_point", None), ("delta_eigen", n40.v0),
                                  ("gamma_eigen", n40.w0))}
     for kind, (x0, ref) in refs.items():

@@ -16,8 +16,10 @@ from helpers import (
     assert_min_digits,
     digit_match_count,
     jacobian_probe,
+    matrix,
     oracle_evaluate,
     oracle_evaluate_derivative,
+    poly_eval,
     rand_interval,
     sample_point,
 )
@@ -237,7 +239,7 @@ def test_dense_map_certifies_same_digits(n40):
     certifies the digits the K = 20 block map does at N = 40."""
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
-        jac = ax.matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
+        jac = matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
     lam = ax.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
     cert = ct.certify(n40.ctx, ct.FixedPointProblem(), n40.result.balls["G0"], lam,
@@ -408,7 +410,7 @@ def test_plot_covering_contains_midpoints(desk):
     with _dec.localcontext(_dec.Context(prec=40)):
         for _, x_lo, x_hi, y_lo, y_hi in rows:
             mid = (Decimal(x_lo) + Decimal(x_hi)) / 2
-            val = ax.poly_eval(desk.v0, mid)
+            val = poly_eval(desk.v0, mid)
             assert Decimal(y_lo) <= val <= Decimal(y_hi)
 
 
