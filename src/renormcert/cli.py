@@ -70,7 +70,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     # that take --workers and is ignored by the others
     p.add_argument("--workers", type=_worker_count,
                    default=os.environ.get("RENORMCERT_WORKERS", "1"),
-                   help="worker processes for column bounds")
+                   help="worker processes for independent stages: the delta and "
+                   "gamma bootstraps (default 1)")
     p.add_argument("--targets", default="fixed_point,delta,gamma",
                    help="comma-separated subset of fixed_point,delta,gamma")
     p.add_argument("--output", "-o", default=None, help="output directory")

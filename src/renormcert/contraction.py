@@ -25,8 +25,7 @@ needed.  The certified constants follow from the coordinate functional
 phi(x) = x(c), the constant basis coefficient.
 
 The operator-norm bound for DPhi uses the maximum column-sum norm: columns
-0..K are bounded one basis vector at a time (embarrassingly parallel, each
-worker owning its private rounding context, merged in index order), and all
+0..K are bounded one basis vector at a time, in index order, and all
 basis directions above K at once through a single ball of functions of
 degree > K, whose compositions are controlled by powers theta**(K+1) of the
 contraction factors theta of the inner arguments.  K is independent of N
@@ -43,7 +42,7 @@ from decimal import Decimal
 from operator import mul as _imul
 
 from . import balls as fb
-from .balls import FunctionBall, ball_checksum
+from .balls import FunctionBall
 from .errors import (
     CertificationFailed,
     ConfigError,
@@ -207,10 +206,9 @@ class Problem:
 
     Subclasses provide the residual, the per-basis-column derivative images
     DF(x) e_k valid over a whole ball (``column_kernel``: an object whose
-    ``image(ctx, k)`` is that image as a :class:`balls.IntBall`, picklable
-    for worker processes), and the ingredients of the
-    high-order tail bound: DF(x) f_H = A f_H + q f_H with the compositions
-    inside A controlled by theta factors.
+    ``image(ctx, k)`` is that image as a :class:`balls.IntBall`), and the
+    ingredients of the high-order tail bound: DF(x) f_H = A f_H + q f_H
+    with the compositions inside A controlled by theta factors.
     """
 
     kind: str = "abstract"
@@ -346,60 +344,25 @@ def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
     return fb.norm_upper(ctx, apply_lambda(ctx, lam, problem.residual(ctx, x0)))
 
 
-def _int_map(ctx: RoundingContext, lam: LinearMap) -> tuple:
-    """What a column bound needs of the frozen map, in integers where it acts
-    on coefficients: (rows, tail, scale, |tail scalar|, operator-norm bound)."""
-    return lam.rows, lam.tail, lam.scale, lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
-
-
-def _column_bound(ctx: RoundingContext, kernel, lam_int: tuple, k: int) -> Decimal:
-    """Upper bound of ||e_k - Lam image_k|| for k <= K.  The frozen map acts
-    exactly on the integer image and the coefficient norm is rounded up once."""
-    image = kernel.image(ctx, k)
-    rows, tail, e, tail_abs, lam_norm = lam_int
-    mid, rad = _apply_block(rows, tail, image.mid, image.rad)
-    mid[k] -= 10 ** (image.scale + e)
-    total = sum(map(abs, mid)) + sum(rad)
-    bound = ctx.add_up(ctx.scaled_up(total, image.scale + e), ctx.mul_up(image.v_high, tail_abs))
-    return ctx.add_up(bound, ctx.mul_up(image.v_err, lam_norm))
-
-
-_POOL_STATE: tuple | None = None
-
-
-def _pool_init(kernel, lam_int, precision):
-    global _POOL_STATE
-    _POOL_STATE = (kernel, lam_int, RoundingContext(precision))
-
-
-def _pool_column(k: int) -> Decimal:
-    kernel, lam_int, ctx = _POOL_STATE
-    return _column_bound(ctx, kernel, lam_int, k)
-
-
 def bound_kappa_columns(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
-                        lam: LinearMap, workers: int = 1) -> list[Decimal]:
-    """Bounds of ||DPhi(x) e_k|| for k = 0..K, the head of the frozen map,
-    valid over the whole ball; :func:`bound_kappa_tail` covers every
-    degree above K.
-
-    Columns are independent; with workers > 1 they are distributed over a
-    pool of at most K+1 processes, each holding a private rounding context
-    and the integer column state, and the results are merged in index
-    order so the output does not depend on the worker count.
+                        lam: LinearMap) -> list[Decimal]:
+    """Bounds of ||DPhi(x) e_k|| = ||e_k - Lam image_k|| for k = 0..K, the
+    head of the frozen map, valid over the whole ball, in index order;
+    :func:`bound_kappa_tail` covers every degree above K.  The frozen map
+    acts exactly on each integer image and its norm is rounded up once.
     """
-    columns = range(_head_degree(lam, x_ball.truncation) + 1)
     kernel = problem.column_kernel(ctx, x_ball)
-    lam_int = _int_map(ctx, lam)
-    processes = min(workers, len(columns))
-    if processes <= 1:
-        return [_column_bound(ctx, kernel, lam_int, k) for k in columns]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(columns) // (4 * processes))
-    with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init,
-                             initargs=(kernel, lam_int, ctx.precision)) as pool:
-        return list(pool.map(_pool_column, columns, chunksize=chunk))
+    tail_abs, lam_norm = lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
+    bounds = []
+    for k in range(_head_degree(lam, x_ball.truncation) + 1):
+        image = kernel.image(ctx, k)
+        scale = image.scale + lam.scale
+        mid, rad = _apply_block(lam.rows, lam.tail, image.mid, image.rad)
+        mid[k] -= 10 ** scale
+        bound = ctx.add_up(ctx.scaled_up(sum(map(abs, mid)) + sum(rad), scale),
+                           ctx.mul_up(image.v_high, tail_abs))
+        bounds.append(ctx.add_up(bound, ctx.mul_up(image.v_err, lam_norm)))
+    return bounds
 
 
 def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
@@ -442,7 +405,6 @@ class Certificate:
     posterior_radius: Decimal | None
     enclosures: dict
     config: dict = field(default_factory=dict)
-    workers: int = 1
     wall_time: float = 0.0
 
     @property
@@ -453,7 +415,7 @@ class Certificate:
         return min(self.rho, self.posterior_radius)
 
     def to_payload(self) -> dict:
-        """Deterministic certificate content (no timing, no worker count)."""
+        """Deterministic certificate content (no timing)."""
         def enc(d):
             return {k: [str(v.lo), str(v.hi)] for k, v in d.items()}
         return {
@@ -473,7 +435,7 @@ class Certificate:
     def to_json_dict(self) -> dict:
         return {
             "certificate": self.to_payload(),
-            "execution": {"workers": self.workers, "wall_time_s": self.wall_time},
+            "execution": {"wall_time_s": self.wall_time},
         }
 
     @staticmethod
@@ -483,7 +445,7 @@ class Certificate:
 
 
 def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: LinearMap,
-            rho, workers: int = 1, config: dict | None = None) -> Certificate:
+            rho, config: dict | None = None) -> Certificate:
     """Run the full contraction certificate for one problem: epsilon, the
     kappa columns 0..K of the frozen map's head and the tail bound above K.
 
@@ -510,7 +472,7 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
     started = time.perf_counter()
     ball = fb.inflate(ctx, x0, rho)
     epsilon = bound_epsilon(ctx, problem, x0, lam)
-    columns = bound_kappa_columns(ctx, problem, ball, lam, workers)
+    columns = bound_kappa_columns(ctx, problem, ball, lam)
     col_max = max(columns)
     tail = bound_kappa_tail(ctx, problem, ball, lam)
     kappa = max(col_max, tail)
@@ -529,7 +491,6 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
         posterior_radius=posterior,
         enclosures={},
         config=dict(config or {}),
-        workers=workers,
         wall_time=time.perf_counter() - started,
     )
     if not passed:

@@ -174,8 +174,7 @@ class ColumnImages:
     are read from the power tables (baby powers up to the head degree;
     above it, a dense map's column k is formed on demand).  Each image is
     formed exactly and then rounded outward once, in integers
-    (balls.int_outward).  Only integers and tail bounds are held, so the
-    state is small to ship to worker processes.
+    (balls.int_outward).  Only integers and tail bounds are held.
     """
 
     table_squared: PowerTable

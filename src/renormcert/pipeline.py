@@ -17,11 +17,12 @@ its ball radius and its certificate's a-posteriori radius.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import repeat
 from pathlib import Path
 
 from . import approx as ax
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 _TARGETS = ("fixed_point", "delta", "gamma")
+#: target -> name of its approximate zero in checksums and checkpoint files
+_CENTRES = {"fixed_point": "g0", "delta": "delta0", "gamma": "gamma0"}
 REPORT_SCHEMA = "renormcert-report/1"
 
 
@@ -131,25 +134,34 @@ def _check_ball(cfg: RunConfig, ball: fb.FunctionBall):
         raise ConfigError("ball has tail mass, the run needs an exact centre")
 
 
-def _load_or_compute(cfg: RunConfig, name: str, compute) -> fb.FunctionBall:
-    """Checkpointed centre: read from the checkpoint directory when present,
-    else computed and, with a checkpoint directory, written there.  A
-    checkpoint is outside input: one that does not parse, or does not fit
-    the run, raises ConfigError naming the file."""
-    if not cfg.checkpoint_dir:
-        return compute()
-    path = Path(cfg.checkpoint_dir) / f"{name}_n{cfg.degree}_p{cfg.precision}.txt"
-    if path.exists():
-        try:
-            ball = fb.deserialize_ball(path.read_text())
-            _check_ball(cfg, ball)
-        except ConfigError as exc:
-            raise ConfigError(f"checkpoint {path}: {exc}") from exc
-        return ball
-    ball = compute()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(fb.serialize_ball(ball))
+def _read_checkpoint(cfg: RunConfig, target: str) -> fb.FunctionBall | None:
+    """The target's checkpointed centre, or None without a checkpoint
+    directory or file.  A checkpoint is outside input: one that does not
+    parse, or does not fit the run, raises ConfigError naming the file."""
+    path = _checkpoint_path(cfg, target)
+    if path is None or not path.exists():
+        return None
+    try:
+        ball = fb.deserialize_ball(path.read_text())
+        _check_ball(cfg, ball)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
     return ball
+
+
+def _write_checkpoint(cfg: RunConfig, target: str, ball: fb.FunctionBall) -> fb.FunctionBall:
+    """Write the target's centre to the checkpoint directory, if there is one."""
+    path = _checkpoint_path(cfg, target)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(fb.serialize_ball(ball))
+    return ball
+
+
+def _checkpoint_path(cfg: RunConfig, target: str) -> Path | None:
+    if not cfg.checkpoint_dir:
+        return None
+    return Path(cfg.checkpoint_dir) / f"{_CENTRES[target]}_n{cfg.degree}_p{cfg.precision}.txt"
 
 
 # -- digit extraction ----------------------------------------------------------
@@ -233,23 +245,47 @@ def _stage(report, timings, name):
 
 
 def bootstrap(cfg: RunConfig) -> dict:
-    """The approx stage: target -> approximate zero as a ball, for the
-    fixed point and then each requested eigen target.
+    """The approx stage: target -> approximate zero as a ball.
 
-    Each approximate zero is read from the checkpoint directory when
-    present there, and otherwise computed and, with a checkpoint directory,
-    written there.  No frozen map is built here: each certificate stage
-    builds its own from the zeros (see :func:`_frozen_map`).
+    A zero is read from the checkpoint directory when present there, and
+    otherwise computed and, with a checkpoint directory, written there.
+    The eigen zeros need only the fixed point's, so the pending ones are
+    computed side by side (:func:`_eigen_centres`).  No frozen map is
+    built here: each certificate stage builds its own (:func:`_frozen_map`).
     """
     n, p = cfg.degree, cfg.precision
-    g0_ball = _load_or_compute(cfg, "g0", lambda: fb.ball_from_decimals(
-        STANDARD_DISC, ax.approx_fixed_point(n, p), n))
-    out = {"fixed_point": g0_ball}
-    for target in ("delta", "gamma"):
-        if target in cfg.targets:
-            out[target] = _load_or_compute(cfg, target + "0", lambda: fb.ball_from_decimals(
-                STANDARD_DISC, ax.approx_eigenpair(target, _centre(g0_ball), p)[0], n))
+    out = {target: _read_checkpoint(cfg, target) for target in _TARGETS
+           if target in cfg.targets}
+    if out["fixed_point"] is None:
+        out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", fb.ball_from_decimals(
+            STANDARD_DISC, ax.approx_fixed_point(n, p), n))
+    pending = [target for target, ball in out.items() if ball is None]
+    for target, x0 in zip(pending, _eigen_centres(cfg, pending, _centre(out["fixed_point"]))):
+        ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
+        out[target] = _write_checkpoint(cfg, target, ball)
     return out
+
+
+def _eigen_centres(cfg: RunConfig, targets: list[str], g0: list[Decimal]):
+    """Approximate eigenfunctions of ``targets`` at the fixed-point centre
+    g0, yielded in target order.  They are independent, so with two
+    workers or more and two targets or more they run in a pool of
+    min(workers, targets) processes, which receive and return exact
+    Decimal lists only: the results do not depend on the worker count."""
+    args = (targets, repeat(g0), repeat(cfg.precision))
+    processes = min(cfg.workers, len(targets))
+    if processes < 2:
+        yield from map(_eigen_centre, *args)
+    else:
+        # default start method (fork on Linux): a spawned worker imports the
+        # package afresh, 0.4 s on a 2-core Xeon VM, one eigen bootstrap at N=160
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            yield from pool.map(_eigen_centre, *args)
+
+
+def _eigen_centre(target: str, g0: list[Decimal], precision: int) -> list[Decimal]:
+    return ax.approx_eigenpair(target, g0, precision)[0]
 
 
 def _centre(ball: fb.FunctionBall) -> list[Decimal]:
@@ -285,8 +321,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         with _stage(report, timings, "approx"):
             centres = bootstrap(cfg)
             for target, ball in centres.items():
-                name = "g0" if target == "fixed_point" else target + "0"
-                report["checksums"][name] = fb.ball_checksum(ball)
+                report["checksums"][_CENTRES[target]] = fb.ball_checksum(ball)
             g0_ball = centres.pop("fixed_point")
             result.balls["G0"] = g0_ball
 
@@ -300,7 +335,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         with _stage(report, timings, "fixed_point"):
             lam = _frozen_map(cfg, "fixed_point", g0_ball)
             cert = _certify(ctx, FixedPointProblem(), g0_ball, lam, rho_fixed,
-                            workers=cfg.workers,
                             config=_cert_config(cfg, "fixed_point",
                                                 report["checksums"]))
             result.certificates["fixed_point"] = cert
@@ -323,7 +357,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 lam = _frozen_map(cfg, target, g0_ball, x0_ball)
                 problem = problem_cls(tables)
                 cert = _certify(ctx, problem, x0_ball, lam, cfg.rho_for(target),
-                                workers=cfg.workers,
                                 config=_cert_config(cfg, target,
                                                     report["checksums"]))
                 result.certificates[target] = cert
@@ -358,7 +391,10 @@ def _write_outputs(cfg: RunConfig, result: PipelineResult, partial: bool):
     out.mkdir(parents=True, exist_ok=True)
     report = dict(result.report)
     report["partial"] = partial
-    report["execution"] = {"workers": cfg.workers}
+    # peak resident set of this process plus its largest reaped child, in MB
+    peak_kb = sum(resource.getrusage(who).ru_maxrss
+                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    report["execution"] = {"workers": cfg.workers, "peak_rss_mb": round(peak_kb / 1024, 1)}
     (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
     for name, cert in result.certificates.items():
         (out / f"certificate_{name}.json").write_text(

@@ -198,20 +198,15 @@ def test_criterion_6c_finite_difference():
 
 
 def test_criterion_6d_worker_determinism(desk_run):
+    """Desk runs with 2 and 4 workers, which bootstrap delta and gamma in a
+    process pool, report what the one-worker run reports."""
     result, _ = desk_run
-    ctx = RoundingContext(30)
-    G0 = result.balls["G0"]
-    g0 = [c.re.lo for c in G0.coeffs]
-    lam = ax.build_lambda("fixed_point",
-                          ax.approx_jacobian("fixed_point", g0, digits=30), 30)
-    payloads = []
-    for workers in (1, 2, 4):
-        cert = ct.certify(ctx, ct.FixedPointProblem(), G0, lam, "1e-8",
-                          workers=workers)
-        payloads.append(cert.to_payload())
-    assert payloads[0] == payloads[1] == payloads[2]
-    print("\nACCEPTANCE 6d PASS: certificates bitwise identical for "
-          "worker counts 1, 2, 4")
+    keys = ("certificates", "digits", "checksums")
+    for workers in (2, 4):
+        report = pl.run_pipeline(pl.RunConfig(**DESK, workers=workers)).report
+        assert [report[k] for k in keys] == [result.report[k] for k in keys]
+    print("\nACCEPTANCE 6d PASS: certificates, digits and checksums bitwise "
+          "identical for worker counts 1, 2, 4")
 
 
 def test_criterion_7_negative_controls(desk_run):

@@ -182,47 +182,6 @@ def test_certificate_payload_roundtrips(desk):
     assert Decimal(payload["epsilon"]) == desk.cert_fixed.epsilon
 
 
-def test_worker_determinism(desk):
-    ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
-    problem = ct.FixedPointProblem()
-    one = ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed, workers=1)
-    two = ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed, workers=2)
-    assert one == two
-
-
-def test_kappa_pool_starts_at_most_one_process_per_column(desk, monkeypatch):
-    """workers beyond the K+1 columns start no extra process, and the
-    bounds are those of one worker.  The pool is a stand-in that records its
-    size and runs the columns in this process."""
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(ct, "_POOL_STATE", None)
-    ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
-    problem = ct.FixedPointProblem()
-    one = ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed, workers=1)
-    for workers in (2, 21, 22, 5000):
-        assert ct.bound_kappa_columns(desk.ctx, problem, ball, desk.lam_fixed,
-                                      workers=workers) == one
-    assert sizes == [2, 21, 21, 21]
-
-
 def _dense_form(lam: ct.LinearMap, n: int) -> ct.LinearMap:
     """The block map lam written as a dense map on degrees 0..n: its head,
     then the tail scalar on the rest of the diagonal."""
@@ -260,14 +219,6 @@ def test_tail_bound_at_full_degree_misses_columns_above_head(n40, head, target):
     dense = _dense_form(lam, 40)
     columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)
     assert ct.bound_kappa_tail(n40.ctx, problem, ball, dense) < max(columns[head + 1:])
-
-
-def test_certificate_deterministic_across_workers(desk):
-    c1 = ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, desk.lam_fixed,
-                    "1e-8", workers=1)
-    c3 = ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, desk.lam_fixed,
-                    "1e-8", workers=3)
-    assert c1.to_payload() == c3.to_payload()
 
 
 def test_precision_antitone(desk):

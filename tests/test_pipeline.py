@@ -1,5 +1,7 @@
+import concurrent.futures
 import decimal
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -28,7 +30,13 @@ from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert import pipeline as pl
-from renormcert.errors import ConfigError, MissingCertificate, PipelineOrderError, StageFailure
+from renormcert.errors import (
+    ConfigError,
+    EigenSelectionAmbiguous,
+    MissingCertificate,
+    PipelineOrderError,
+    StageFailure,
+)
 from renormcert.rounding import Interval, RoundingContext, interval, rectangle
 
 
@@ -266,20 +274,108 @@ def test_run_pipeline_desk(tmp_path):
     assert data["schema"] == pl.REPORT_SCHEMA
     assert not data["partial"]
     assert set(data["checksums"]) == {"g0", "delta0", "gamma0"}
+    assert data["execution"]["peak_rss_mb"] > 0
     # checkpoints reload on the second run
     res2 = pl.run_pipeline(cfg)
     assert res2.report["certificates"] == report["certificates"]
 
 
 def test_report_reproducible_across_workers(tmp_path):
-    reports = []
+    """All three targets with 1, 2 and 4 workers: equal certificates,
+    digits, checksums and checkpoint files (written by the parent)."""
+    runs = []
+    for workers in (1, 2, 4):
+        ckpt = tmp_path / f"ckpt{workers}"
+        cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", boundary_rects=64,
+                           workers=workers, checkpoint_dir=str(ckpt))
+        report = pl.run_pipeline(cfg).report
+        files = {f.name: f.read_text() for f in ckpt.iterdir()}
+        runs.append((report["certificates"], report["digits"], report["checksums"], files))
+    assert len(runs[0][3]) == 3
+    assert runs[0] == runs[1] == runs[2]
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records its size and runs the work
+    in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def _record_pool_sizes(monkeypatch) -> list:
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    return sizes
+
+
+def test_eigen_pool_starts_one_process_per_pending_target(monkeypatch):
+    """Workers beyond the two pending eigen targets start no extra process,
+    and the centres are those of one worker."""
+    sizes = _record_pool_sizes(monkeypatch)
+    serial = pl.bootstrap(pl.RunConfig())
+    assert sizes == []
+    for workers in (2, 3, 5000):
+        centres = pl.bootstrap(pl.RunConfig(workers=workers))
+        assert {t: fb.ball_checksum(b) for t, b in centres.items()} \
+            == {t: fb.ball_checksum(b) for t, b in serial.items()}
+    assert sizes == [2, 2, 2]
+
+
+def test_one_pending_target_starts_no_pool(desk, tmp_path, monkeypatch):
+    """With the delta checkpoint present only gamma is pending: it is
+    bootstrapped in this process and its checkpoint written."""
+    (tmp_path / "delta0_n20_p30.txt").write_text(fb.serialize_ball(desk.V0))
+    sizes = _record_pool_sizes(monkeypatch)
+    centres = pl.bootstrap(pl.RunConfig(workers=2, checkpoint_dir=str(tmp_path)))
+    assert sizes == []
+    assert fb.ball_checksum(centres["delta"]) == fb.ball_checksum(desk.V0)
+    assert (tmp_path / "gamma0_n20_p30.txt").exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="the patched bootstrap reaches workers only by fork")
+def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
+    """An eigen selection that fails inside a pool worker surfaces as the
+    serial run's failure: StageFailure at stage "approx" with the same cause
+    type and message, and the same partial report."""
+
+    def ambiguous(target, g0, digits):
+        raise EigenSelectionAmbiguous(f"{target}: two eigenvalues near the target")
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ax, "approx_eigenpair", ambiguous)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    outcomes = []
     for workers in (1, 2):
-        cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8",
-                           boundary_rects=64, workers=workers,
-                           targets=("fixed_point",))
-        res = pl.run_pipeline(cfg)
-        reports.append((res.report["certificates"], res.report["digits"]))
-    assert reports[0] == reports[1]
+        out = tmp_path / f"w{workers}"
+        with pytest.raises(StageFailure) as info:
+            pl.run_pipeline(pl.RunConfig(workers=workers, output_dir=str(out)))
+        cause = info.value.__cause__
+        data = json.loads((out / "report.json").read_text())
+        del data["timings"], data["execution"]
+        outcomes.append((info.value.stage, type(cause), str(cause), data))
+    assert pools == [2]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:3] == ("approx", EigenSelectionAmbiguous,
+                               "delta: two eigenvalues near the target")
+    assert outcomes[0][3]["partial"] is True
 
 
 def test_partial_report_on_failure(tmp_path):
