@@ -1,4 +1,6 @@
+import decimal
 import random
+from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 
 import pytest
@@ -182,6 +184,26 @@ def test_certificate_payload_roundtrips(desk):
     assert Decimal(payload["epsilon"]) == desk.cert_fixed.epsilon
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers carry a coarse ambient decimal context
+    (5 digits, rounding toward -inf), unlike the test process."""
+    coarse = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)
+    return ProcessPoolExecutor(max_workers=workers, initializer=decimal.setcontext,
+                               initargs=(coarse,))
+
+
+def test_worker_determinism(desk):
+    """The kappa column bounds computed in pool workers, one or two, are
+    those of this process: they read nothing of the ambient decimal context."""
+    ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
+    args = (desk.ctx, ct.FixedPointProblem(), ball, desk.lam_fixed)
+    here = ct.bound_kappa_columns(*args)
+    for workers in (1, 2):
+        with _worker_pool(workers) as pool:
+            there = list(pool.map(ct.bound_kappa_columns, *([a] * workers for a in args)))
+        assert there == [here] * workers
+
+
 def _dense_form(lam: ct.LinearMap, n: int) -> ct.LinearMap:
     """The block map lam written as a dense map on degrees 0..n: its head,
     then the tail scalar on the rest of the diagonal."""
@@ -219,6 +241,16 @@ def test_tail_bound_at_full_degree_misses_columns_above_head(n40, head, target):
     dense = _dense_form(lam, 40)
     columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)
     assert ct.bound_kappa_tail(n40.ctx, problem, ball, dense) < max(columns[head + 1:])
+
+
+def test_certificate_deterministic_across_workers(desk):
+    """A certificate computed in a pool worker has the payload of the one
+    computed in this process."""
+    with _worker_pool(1) as pool:
+        cert = pool.submit(ct.certify, desk.ctx, ct.FixedPointProblem(), desk.G0,
+                           desk.lam_fixed, "1e-8").result()
+    assert cert.passed
+    assert cert.to_payload() == desk.cert_fixed.to_payload()
 
 
 def test_precision_antitone(desk):
