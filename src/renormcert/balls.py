@@ -89,6 +89,7 @@ __all__ = [
     "evaluate",
     "evaluate_derivative",
     "PointEvaluator",
+    "PointRead",
     "point_evaluator",
     "coefficient",
     "inflate",
@@ -656,27 +657,6 @@ def compose_derivative(ctx: RoundingContext, f: FunctionBall, h: FunctionBall) -
 
 # -- pointwise evaluation -------------------------------------------------------
 
-def _imul_ends(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """Exact endpoints of the interval product [a, b] [c, d]."""
-    if a >= 0:
-        if c >= 0:
-            return a * c, b * d
-        if d <= 0:
-            return b * c, a * d
-        return b * c, b * d
-    if b <= 0:
-        if c >= 0:
-            return a * d, b * c
-        if d <= 0:
-            return b * d, a * c
-        return a * d, a * c
-    if c >= 0:
-        return a * d, b * d
-    if d <= 0:
-        return b * c, a * c
-    return min(a * d, b * c), max(a * c, b * d)
-
-
 def _outward(lo: int, hi: int, unit: int) -> tuple[int, int]:
     """[lo, hi] / unit rounded outward to integers: lo floors, hi ceils."""
     return lo // unit, -(-hi // unit)
@@ -685,7 +665,19 @@ def _outward(lo: int, hi: int, unit: int) -> tuple[int, int]:
 def _exact_int(ctx: RoundingContext, x: Decimal, scale: int) -> tuple[int, int]:
     """(m, s) with x = m * 10**-s exactly and s >= scale."""
     s = max(scale, -x.as_tuple().exponent)
-    return ctx.to_ends([Interval(x, x)], s)[1][0], s
+    return ctx.to_int_ends(Interval(x, x), s)[1], s
+
+
+class PointRead:
+    """z as read by :meth:`PointEvaluator.read`: the box z - c, re in
+    [re_lo, re_hi] and im in [im_lo, im_hi] (both 0 when z is real), and
+    d2 = sup |z - c|**2 over it."""
+
+    __slots__ = ("z", "re_lo", "re_hi", "im_lo", "im_hi", "d2")
+
+    def __init__(self, z, re_lo, re_hi, im_lo, im_hi, d2):
+        self.z, self.re_lo, self.re_hi, self.im_lo, self.im_hi, self.d2 = (
+            z, re_lo, re_hi, im_lo, im_hi, d2)
 
 
 @dataclass(frozen=True)
@@ -694,17 +686,20 @@ class PointEvaluator:
 
     coeffs[k] is the interval (lo, hi) of coefficient k and dcoeffs[k] that
     of (k+1) f_{k+1} / r, the coefficients of f_P', both at scale
-    10**-scale and rounded outward.  A point z is read at scale
-    10**-point_scale, where the disc's center and radius are exact
-    integers; reading rounds outward and is exact for every working-precision
-    endpoint above 10**-arg_scale in magnitude.  The normalized argument
-    u = (z - c)/r is rounded outward to scale 10**-arg_scale, and interval
-    Horner runs on boxes with exact products and one floor/ceil per step
-    back to 10**-scale.  The tail pad v_high + v_err is held exactly, at
-    scale 10**-pad_scale.  Every member is real on the real axis, so at a
-    real point (im z exactly 0) the value has imaginary part 0 and the pad
-    widens its real part only; at a non-real point the tails may move both
-    parts, and both are padded.
+    10**-scale and rounded outward.  A point z is read once (:meth:`read`)
+    into the box z - c at scale 10**-point_scale, where the disc's center
+    and radius are exact integers; reading rounds outward and is exact for
+    every working-precision endpoint above 10**-arg_scale in magnitude, and
+    a real point (im z exactly 0) converts its real part only.
+    :meth:`in_disc`, :meth:`value` and :meth:`derivative` share that read,
+    as does every evaluator with the same disc and point_scale.  The
+    normalized argument u = (z - c)/r is rounded outward to scale
+    10**-arg_scale, and interval Horner runs on boxes with exact products
+    and one floor/ceil per step back to 10**-scale.  The tail pad
+    v_high + v_err is held exactly, at scale 10**-pad_scale.  Every member
+    is real on the real axis: at a real point Horner runs on real boxes
+    and the pad widens the real part only; at a non-real point the tails
+    may move both parts, and both are padded.
     """
 
     domain: Disc
@@ -719,82 +714,115 @@ class PointEvaluator:
     pad: int
     pad_scale: int
 
-    def _offset(self, ctx: RoundingContext, z: Rectangle) -> tuple[int, int, int, int]:
-        """The box z - c at scale 10**-point_scale, rounded outward."""
-        (rl, il), (rh, ih) = ctx.to_ends([z.re, z.im], self.point_scale)
-        return rl - self.center, rh - self.center, il, ih
+    def read(self, ctx: RoundingContext, z: Rectangle) -> PointRead:
+        """The box z - c at scale 10**-point_scale, rounded outward, and
+        sup |z - c|**2 over it: its farthest corner."""
+        s = self.point_scale
+        rl, rh = ctx.to_int_ends(z.re, s)
+        rl, rh = rl - self.center, rh - self.center
+        re = max(-rl, rh)
+        if not (z.im.lo or z.im.hi):
+            return PointRead(z, rl, rh, 0, 0, re * re)
+        il, ih = ctx.to_int_ends(z.im, s)
+        im = max(-il, ih)
+        return PointRead(z, rl, rh, il, ih, re * re + im * im)
 
-    @staticmethod
-    def _sup2(w) -> int:
-        """sup |w|**2 over the box w: its farthest corner."""
-        re, im = max(-w[0], w[1]), max(-w[2], w[3])
-        return re * re + im * im
+    def in_disc(self, p: PointRead, strict: bool = False) -> bool:
+        """Whether the box read as p lies in the closed disc (the open one if
+        strict): the exact comparison of its d2 with r**2."""
+        r2 = self.radius * self.radius
+        return p.d2 < r2 if strict else p.d2 <= r2
 
-    def in_disc(self, ctx: RoundingContext, z: Rectangle, strict: bool = False) -> bool:
-        """Whether the box z lies in the closed disc (the open one if strict),
-        by the exact comparison sup|re(z - c)|**2 + sup|im(z - c)|**2 <= r**2."""
-        d2, r2 = self._sup2(self._offset(ctx, z)), self.radius * self.radius
-        return d2 < r2 if strict else d2 <= r2
-
-    def _argument(self, ctx: RoundingContext, z: Rectangle):
-        """(u, sup |z - c|**2) for z in the closed disc, u at scale 10**-arg_scale."""
-        w = self._offset(ctx, z)
-        d2 = self._sup2(w)
-        if d2 > self.radius * self.radius:
+    def _argument(self, p: PointRead) -> tuple[int, int, int, int]:
+        """u = (z - c)/r at scale 10**-arg_scale, rounded outward, for z read
+        as p in the closed disc."""
+        if p.d2 > self.radius * self.radius:
             raise PointOutsideDomain(f"|z - {self.domain.center}| may exceed "
-                                     f"{self.domain.radius} at {z}")
+                                     f"{self.domain.radius} at {p.z}")
         unit, r = 10 ** self.arg_scale, self.radius
-        u = (*_outward(w[0] * unit, w[1] * unit, r), *_outward(w[2] * unit, w[3] * unit, r))
-        return u, d2
+        return (*_outward(p.re_lo * unit, p.re_hi * unit, r),
+                *_outward(p.im_lo * unit, p.im_hi * unit, r))
 
-    def _horner(self, coeffs, u):
-        """Box Horner: acc <- acc u + c_k, each product rounded outward back
-        to 10**-scale.  The coefficients are real, so at a real argument
-        the imaginary part stays 0 and its products are skipped."""
+    def _horner(self, coeffs, u) -> tuple[int, int, int, int]:
+        """Box Horner: acc <- acc u + c_k, each product exact, its lower end
+        floored and its upper end ceiled back to 10**-scale.  A product
+        [a, b] [c, d] picks its ends by sign: for c >= 0, a*c or a*d and b*d
+        or b*c; mirrored for d <= 0; min/max pairs when c < 0 < d.  The
+        coefficients are real, so at a real u the imaginary part stays 0 and
+        Horner runs on the real axis, one loop per sign of u."""
         ul, uh, vl, vh = u
         unit = 10 ** self.arg_scale
         rl, rh = coeffs[-1]
-        il = ih = 0
-        for cl, ch in reversed(coeffs[:-1]):
-            pl, ph = _imul_ends(rl, rh, ul, uh)
-            if vl or vh:
-                ql, qh = _imul_ends(rl, rh, vl, vh)
-                if il or ih:
-                    sl, sh = _imul_ends(il, ih, vl, vh)
-                    tl, th = _imul_ends(il, ih, ul, uh)
-                    pl, ph, ql, qh = pl - sh, ph - sl, ql + tl, qh + th
-                il, ih = _outward(ql, qh, unit)
-            rl, rh = _outward(pl, ph, unit)
-            rl, rh = rl + cl, rh + ch
-        return rl, rh, il, ih
+        rest = coeffs[-2::-1]
+        if vl or vh:
+            il = ih = 0
+            for cl, ch in rest:
+                # (R + iI)(U + iV) = RU - IV + i(RV + IU)
+                if ul >= 0:
+                    pl, ph = rl * (ul if rl >= 0 else uh), rh * (uh if rh >= 0 else ul)
+                    tl, th = il * (ul if il >= 0 else uh), ih * (uh if ih >= 0 else ul)
+                elif uh <= 0:
+                    pl, ph = rh * (ul if rh >= 0 else uh), rl * (uh if rl >= 0 else ul)
+                    tl, th = ih * (ul if ih >= 0 else uh), il * (uh if il >= 0 else ul)
+                else:
+                    pl, ph = min(rl * uh, rh * ul), max(rl * ul, rh * uh)
+                    tl, th = min(il * uh, ih * ul), max(il * ul, ih * uh)
+                if vl >= 0:
+                    ql, qh = rl * (vl if rl >= 0 else vh), rh * (vh if rh >= 0 else vl)
+                    sl, sh = il * (vl if il >= 0 else vh), ih * (vh if ih >= 0 else vl)
+                elif vh <= 0:
+                    ql, qh = rh * (vl if rh >= 0 else vh), rl * (vh if rl >= 0 else vl)
+                    sl, sh = ih * (vl if ih >= 0 else vh), il * (vh if il >= 0 else vl)
+                else:
+                    ql, qh = min(rl * vh, rh * vl), max(rl * vl, rh * vh)
+                    sl, sh = min(il * vh, ih * vl), max(il * vl, ih * vh)
+                rl, rh = (pl - sh) // unit + cl, -((sl - ph) // unit) + ch
+                il, ih = (ql + tl) // unit, -(-(qh + th) // unit)
+            return rl, rh, il, ih
+        if ul >= 0:
+            for cl, ch in rest:
+                rl, rh = (rl * (ul if rl >= 0 else uh) // unit + cl,
+                          -(-rh * (uh if rh >= 0 else ul) // unit) + ch)
+        elif uh <= 0:
+            for cl, ch in rest:
+                rl, rh = (rh * (ul if rh >= 0 else uh) // unit + cl,
+                          -(-rl * (uh if rl >= 0 else ul) // unit) + ch)
+        else:
+            for cl, ch in rest:
+                rl, rh = (min(rl * uh, rh * ul) // unit + cl,
+                          -(-max(rl * ul, rh * uh) // unit) + ch)
+        return rl, rh, 0, 0
 
     def _rectangle(self, ctx: RoundingContext, acc, pad: int, pad_scale: int,
                    real: bool) -> Rectangle:
         """acc widened by +-pad, in the real part only at a real point, and
-        converted once, outward."""
+        converted once, outward; a part exactly 0 is not converted."""
         lift = 10 ** (pad_scale - self.scale)
-        rl, rh, il, ih = (x * lift for x in acc)
+        rl, rh, il, ih = acc
+        lo, hi = rl * lift - pad, rh * lift + pad
+        re = (Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
+              if lo or hi else IZERO)
         ipad = 0 if real else pad
-        parts = []
-        for lo, hi in ((rl - pad, rh + pad), (il - ipad, ih + ipad)):
-            parts.append(Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
-                         if lo or hi else IZERO)
-        return Rectangle(*parts)
+        lo, hi = il * lift - ipad, ih * lift + ipad
+        im = (Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
+              if lo or hi else IZERO)
+        return Rectangle(re, im)
 
-    def value(self, ctx: RoundingContext, z: Rectangle) -> Rectangle:
-        """Enclosure of f(z) over every member of f, for z in the closed disc."""
-        u, _ = self._argument(ctx, z)
-        return self._rectangle(ctx, self._horner(self.coeffs, u), self.pad, self.pad_scale,
-                               not (u[2] or u[3]))
+    def value(self, ctx: RoundingContext, p: PointRead) -> Rectangle:
+        """Enclosure of f(z) over every member of f, for the read p of a point
+        z in the closed disc."""
+        return self._rectangle(ctx, self._horner(self.coeffs, self._argument(p)), self.pad,
+                               self.pad_scale, not (p.im_lo or p.im_hi))
 
-    def derivative(self, ctx: RoundingContext, z: Rectangle) -> Rectangle:
-        """Enclosure of f'(z); needs |z - c| strictly below r when f has tails,
-        whose derivative is bounded by (v_high + v_err) (1 - |u|)**-2 / r."""
-        u, d2 = self._argument(ctx, z)
-        acc = self._horner(self.dcoeffs, u)
-        real = not (u[2] or u[3])
+    def derivative(self, ctx: RoundingContext, p: PointRead) -> Rectangle:
+        """Enclosure of f'(z) for the read p of z; needs |z - c| strictly below
+        r when f has tails, whose derivative is bounded by
+        (v_high + v_err) (1 - |u|)**-2 / r."""
+        acc = self._horner(self.dcoeffs, self._argument(p))
+        real = not (p.im_lo or p.im_hi)
         if self.tail_mass == 0:
             return self._rectangle(ctx, acc, 0, self.scale, real)
+        d2 = p.d2
         if d2 >= self.radius * self.radius:
             raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
         # |u| <= ceil(sqrt(d2)) / r, rounded up to 10**-arg_scale
@@ -837,13 +865,15 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
 def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
     """Enclosure of f(z) over every member of f, for z in the closed disc
     (see :meth:`PointEvaluator.value`)."""
-    return point_evaluator(ctx, f).value(ctx, z)
+    ev = point_evaluator(ctx, f)
+    return ev.value(ctx, ev.read(ctx, z))
 
 
 def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
     """Enclosure of f'(z); needs |z - c| strictly below r when f has tails
     (see :meth:`PointEvaluator.derivative`)."""
-    return point_evaluator(ctx, f).derivative(ctx, z)
+    ev = point_evaluator(ctx, f)
+    return ev.derivative(ctx, ev.read(ctx, z))
 
 
 # -- coefficients ---------------------------------------------------------------

@@ -343,30 +343,33 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     checks |a**2 z - c| < r and |Q(G(a**2 z)) - c| < r by the exact disc
     test of :meth:`balls.PointEvaluator.in_disc`; a maximum-modulus
     argument then extends the boundary containment to the whole closed
-    disc.  Returns the coverings for plotting, or raises ContainmentFailure
-    naming the first offending rectangle and which of the two checks failed.
+    disc.  Each argument is read once (:meth:`balls.PointEvaluator.read`):
+    the point 1 for a, then per rectangle w1 = a**2 z, whose read serves
+    its disc test and G(w1), and w2 = Q(G(w1)).  Returns the coverings for
+    plotting, or raises ContainmentFailure naming the first offending
+    rectangle and which of the two checks failed.
     On a ball with v_err > 0, :func:`precompute_shared` already implies the
     claim: both arguments have theta < 1, so |h(z) - c| <= theta r on the
     closed disc.
     """
     g = fb.point_evaluator(ctx, G)
     # only a**2 is needed here, so a wide ball can still reach the checks
-    a2 = ctx.rsqr(g.value(ctx, _ONE_POINT))
+    a2 = ctx.rsqr(g.value(ctx, g.read(ctx, _ONE_POINT)))
     boundary = boundary_cover(ctx, G.domain, m)
     gamma1, gamma2 = [], []
     for idx, z in enumerate(boundary):
-        w1 = ctx.rmul(a2, z)
-        if not g.in_disc(ctx, w1, strict=True):
+        w1 = g.read(ctx, ctx.rmul(a2, z))
+        if not g.in_disc(w1, strict=True):
             raise ContainmentFailure(
                 f"boundary rectangle {idx}: a**2 z not strictly inside the disc",
-                index=idx, equation=1, rectangle=w1)
-        gamma1.append(w1)
-        w2 = ctx.rsqr(g.value(ctx, w1))
-        if not g.in_disc(ctx, w2, strict=True):
+                index=idx, equation=1, rectangle=w1.z)
+        gamma1.append(w1.z)
+        w2 = g.read(ctx, ctx.rsqr(g.value(ctx, w1)))
+        if not g.in_disc(w2, strict=True):
             raise ContainmentFailure(
                 f"boundary rectangle {idx}: Q(G(a**2 z)) not strictly inside the disc",
-                index=idx, equation=2, rectangle=w2)
-        gamma2.append(w2)
+                index=idx, equation=2, rectangle=w2.z)
+        gamma2.append(w2.z)
     return DomainExtensionResult(True, tuple(boundary), tuple(gamma1), tuple(gamma2))
 
 
@@ -388,7 +391,13 @@ class RecursiveExtension:
     ``phi_inv`` mapping "V" and "W" to phi**-q for the eigenvalue phi**q of
     M_q (q = 1 for V, so lambda**-1; q = 2 for W, so gamma**-2 with
     gamma = W(1)).  Build it once for many points (a plot covering) and call
-    :meth:`evaluate` per point."""
+    :meth:`evaluate` per point.
+
+    Each argument is read once (:meth:`balls.PointEvaluator.read`) by G's
+    evaluator, and that read serves G's disc test and every value and
+    derivative taken there, of G, V or W alike; so V and W must share G's
+    disc and point scale.  A graph point at depth 0 is one read, and on
+    the real axis Horner runs on real boxes only."""
 
     G: PointEvaluator
     V: PointEvaluator | None
@@ -404,13 +413,17 @@ class RecursiveExtension:
     def build(cls, ctx: RoundingContext, G: FunctionBall, V: FunctionBall | None = None,
               W: FunctionBall | None = None) -> "RecursiveExtension":
         g = fb.point_evaluator(ctx, G)
-        a = g.value(ctx, _ONE_POINT)
+        one = g.read(ctx, _ONE_POINT)
+        a = g.value(ctx, one)
         a_inv = ctx.rdiv(rectangle(1), a)
         evaluators, phi, phi_inv = {}, {}, {}
         for kind, q, ball in (("V", 1, V), ("W", 2, W)):
             if ball is not None:
-                evaluators[kind] = fb.point_evaluator(ctx, ball)
-                phi[kind] = evaluators[kind].value(ctx, _ONE_POINT)
+                ev = evaluators[kind] = fb.point_evaluator(ctx, ball)
+                if (ev.domain, ev.point_scale) != (g.domain, g.point_scale):
+                    raise ConfigError(f"{kind} must share G's disc and point scale "
+                                      "(the digit count of N + 1)")
+                phi[kind] = ev.value(ctx, one)
                 phi_q = phi[kind] if q == 1 else ctx.rsqr(phi[kind])
                 phi_inv[kind] = ctx.rdiv(rectangle(1), phi_q)
         return cls(g, evaluators.get("V"), evaluators.get("W"), a, a_inv,
@@ -426,21 +439,24 @@ class RecursiveExtension:
             raise ConfigError(f"unknown extension target {target!r}")
         if getattr(self, target) is None:
             raise ConfigError(f"target {target} needs its ball")
-        return self._go(ctx, target, z, depth)
+        return self._go(ctx, target, self.G.read(ctx, z), depth)
 
-    def _go(self, ctx: RoundingContext, kind: str, zz: Rectangle, d: int) -> Rectangle:
+    def _go(self, ctx: RoundingContext, kind: str, p: fb.PointRead, d: int) -> Rectangle:
+        """The named function at the point read as p, which every branch
+        below shares; each pulled-back argument is read once here."""
         g = self.G
-        if g.in_disc(ctx, zz):
-            return getattr(self, kind).value(ctx, zz)
+        if g.in_disc(p):
+            return getattr(self, kind).value(ctx, p)
+        zz = p.z
         if d <= 0:
             raise DepthExceeded(f"{kind} at {zz}: recursion depth exhausted")
-        arg1 = ctx.rmul(self.a2, zz)
+        arg1 = g.read(ctx, ctx.rmul(self.a2, zz))
         y = self._go(ctx, "G", arg1, d - 1)
-        u2 = ctx.rsqr(y)
+        u2 = g.read(ctx, ctx.rsqr(y))
         if kind == "G":
             return ctx.rmul(self.a_inv, self._go(ctx, "G", u2, d - 1))
         # derivative values are needed at the pulled-back arguments
-        if not g.in_disc(ctx, u2):
+        if not g.in_disc(u2):
             raise DepthExceeded(f"{kind} at {zz}: composed argument left the disc")
         gp_u2 = g.derivative(ctx, u2)
         factor16 = ctx.rmul(ctx.rmul(self.a_inv, gp_u2), ctx.rmul(_TWO_POINT, y))

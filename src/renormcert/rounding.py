@@ -276,6 +276,12 @@ class RoundingContext:
         his = list(map(int, map(ce.to_integral_value, map(ce.scaleb, [x.hi for x in xs], at))))
         return los, his
 
+    def to_int_ends(self, x: Interval, scale: int) -> tuple[int, int]:
+        """:meth:`to_ends` of the one interval ``x``."""
+        fl, ce = self._floor, self._ceil
+        return (int(fl.to_integral_value(fl.scaleb(x.lo, scale))),
+                int(ce.to_integral_value(ce.scaleb(x.hi, scale))))
+
     def to_midrad(self, xs: list[Interval], scale: int) -> tuple[list[int], list[int]]:
         """Integer midpoints and radii, at scale 10**-``scale``, enclosing ``xs``.
 

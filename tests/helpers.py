@@ -564,3 +564,72 @@ def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
     pad = ctx.div_up(ctx.mul_up(tail_mass, geo), f.domain.radius)
     return _oracle_pad(ctx, acc, pad, z)
+
+
+# -- integer box Horner ------------------------------------------------------------
+
+def imul_ends(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Exact endpoints of the interval product [a, b] [c, d]."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def outward_ends(lo: int, hi: int, unit: int) -> tuple[int, int]:
+    """[lo, hi] / unit rounded outward: lo floors, hi ceils."""
+    return lo // unit, -(-hi // unit)
+
+
+def sign_class(lo: int, hi: int) -> str:
+    return "degenerate" if lo == hi else ">=0" if lo >= 0 else "<=0" if hi <= 0 else "straddles"
+
+
+def per_step_horner(coeffs, u, unit: int, outward=outward_ends, seen: set | None = None):
+    """Integer box Horner one product at a time (reference for
+    ``balls.PointEvaluator._horner``): every interval product through
+    imul_ends and every product rounded by ``outward`` back to the
+    coefficients' scale, unit being 10**arg_scale.  ``seen`` collects the
+    sign classes (of re u, or "complex", and of the accumulator's real part)
+    met at each step."""
+    ul, uh, vl, vh = u
+    rl, rh = coeffs[-1]
+    il = ih = 0
+    for cl, ch in reversed(coeffs[:-1]):
+        if seen is not None:
+            seen.add(("complex" if vl or vh else sign_class(ul, uh), sign_class(rl, rh)))
+        pl, ph = imul_ends(rl, rh, ul, uh)
+        if vl or vh:
+            ql, qh = imul_ends(rl, rh, vl, vh)
+            if il or ih:
+                sl, sh = imul_ends(il, ih, vl, vh)
+                tl, th = imul_ends(il, ih, ul, uh)
+                pl, ph, ql, qh = pl - sh, ph - sl, ql + tl, qh + th
+            il, ih = outward(ql, qh, unit)
+        rl, rh = outward(pl, ph, unit)
+        rl, rh = rl + cl, rh + ch
+    return rl, rh, il, ih
+
+
+def recorded_reads(monkeypatch) -> list:
+    """The points ``balls.PointEvaluator.read`` converts from now on, in order."""
+    reads, read = [], fb.PointEvaluator.read
+
+    def recorded(self, ctx, z):
+        reads.append(z)
+        return read(self, ctx, z)
+    monkeypatch.setattr(fb.PointEvaluator, "read", recorded)
+    return reads

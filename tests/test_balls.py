@@ -318,7 +318,8 @@ def test_eval_disc_boundary():
     on = [rectangle("3.5"), rectangle("-1.5"), rectangle("2.5", "2"), rectangle(1, "-2.5"),
           rectangle(interval("-1.5", "3.5"))]
     for z in on:
-        assert ev.in_disc(ctx, z) and not ev.in_disc(ctx, z, strict=True)
+        p = ev.read(ctx, z)
+        assert ev.in_disc(p) and not ev.in_disc(p, strict=True)
         for ball in (f, tailed):
             assert fb.evaluate(ctx, ball, z).re.hi.is_finite()
         assert fb.evaluate_derivative(ctx, f, z).re.hi.is_finite()
@@ -329,7 +330,7 @@ def test_eval_disc_boundary():
                rectangle("2.5", "2.00000000000000000000000000001"),
                rectangle(interval("0", "3.5"), interval("0", "1e-30"))]
     for z in outside:
-        assert not ev.in_disc(ctx, z)
+        assert not ev.in_disc(ev.read(ctx, z))
         for fn in (fb.evaluate, fb.evaluate_derivative):
             for ball in (f, tailed):
                 with pytest.raises(PointOutsideDomain):
@@ -448,7 +449,8 @@ def test_value_at_real_point_is_real():
     ev = fb.point_evaluator(ctx, f)
     for z in (rectangle(1), rectangle("-1.2"), rectangle(interval("0.5", "2")),
               rectangle("3.4")):
-        value, slope = ev.value(ctx, z), ev.derivative(ctx, z)
+        p = ev.read(ctx, z)
+        value, slope = ev.value(ctx, p), ev.derivative(ctx, p)
         assert value.im == IZERO and slope.im == IZERO
         assert value.re.lo < value.re.hi
 
@@ -473,7 +475,7 @@ def _shifted_member_misses() -> int:
                       for k, c in enumerate(f0.coeffs) if k % 2 == 0), Decimal(0))
             im = sum((c.re.lo * (-1) ** (k // 2) * t ** k
                       for k, c in enumerate(f0.coeffs) if k % 2), RHO * t)
-            value = ev.value(ctx, z)
+            value = ev.value(ctx, ev.read(ctx, z))
             misses += not (value.re.contains(re) and value.im.contains(im))
     return misses
 

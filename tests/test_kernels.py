@@ -16,7 +16,10 @@ Pointwise evaluation is checked against Horner in Decimal rectangle
 arithmetic, at real points ("real"), at boxes symmetric about the real
 axis ("centred") and at general complex points and boxes ("complex"):
 both run the same box Horner, so the integer result may be wider only by
-its roundings (see _eval_slack).
+its roundings (see _eval_slack).  The inlined integer box Horner must
+return exactly the integers of the per-step Horner it replaced
+(helpers.per_step_horner), one interval product and one outward rounding
+per call.
 
 Composition through a power table is checked against Horner evaluation in
 Decimal ball arithmetic.  There the two differ in algorithm, not only in
@@ -41,6 +44,7 @@ from helpers import (
     oracle_evaluate_derivative,
     oracle_lambda_residual,
     oracle_mul,
+    per_step_horner,
 )
 from renormcert import approx as ax
 from renormcert import balls as fb
@@ -223,6 +227,82 @@ def test_evaluate_at_one_matches_oracle_exactly(desk):
     for ball in (desk.param, desk.G0, fb.inflate(ctx, desk.V0, "1e-7")):
         one = Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)
         assert fb.evaluate(desk.ctx, ball, one) == oracle_evaluate(desk.ctx, ball, one)
+
+
+#: kinds of the argument box u in the box Horner differential test: the
+#: sign classes of helpers.sign_class for a real u, and "complex"
+U_KINDS = (">=0", "<=0", "straddles", "degenerate", "complex")
+
+
+def _rand_u_box(rng, unit: int, kind: str) -> tuple[int, int, int, int]:
+    """A normalized argument box (ul, uh, vl, vh) at scale 1/unit, its ends
+    at most unit in size; widths and distances from 0 are log-uniform, so
+    thin boxes near 0 and wide ones near the circle both occur."""
+    def size():
+        return rng.randint(0, 10 ** rng.randint(0, len(str(unit)) - 1))
+    if kind == "complex":
+        ul, uh, _, _ = _rand_u_box(rng, unit, rng.choice(U_KINDS[:4]))
+        vl, vh, _, _ = _rand_u_box(rng, unit, rng.choice(U_KINDS[:3]))
+        return ul, uh, vl, vh or 1
+    if kind == "degenerate":
+        x = size() * rng.choice((-1, 1))
+        return x, x, 0, 0
+    if kind == "straddles":
+        return -1 - size(), 1 + size(), 0, 0
+    lo = min(size(), unit - 1)
+    hi = min(unit, lo + 1 + size())
+    return (lo, hi, 0, 0) if kind == ">=0" else (-hi, -lo, 0, 0)
+
+
+def _horner_mismatches(ev: fb.PointEvaluator, horner, count: int, seed: str,
+                       seen: set | None = None) -> int:
+    """Random argument boxes, as many of each kind in U_KINDS, at which
+    ``horner`` differs from the per-step oracle on the evaluator's
+    coefficients or on its derivative's."""
+    rng = random.Random(seed)
+    unit = 10 ** ev.arg_scale
+    misses = 0
+    for i in range(count):
+        u = _rand_u_box(rng, unit, U_KINDS[i % len(U_KINDS)])
+        for coeffs in (ev.coeffs, ev.dcoeffs):
+            misses += horner(coeffs, u) != per_step_horner(coeffs, u, unit, seen=seen)
+    return misses
+
+
+def _horner_evaluator(desk, ball: str) -> fb.PointEvaluator:
+    """The desk parameter ball G, or an inflated random ball of degree 20
+    with interval coefficients, held for pointwise evaluation."""
+    if ball == "desk_G":
+        return fb.point_evaluator(desk.ctx, desk.param)
+    f = _rand_ball(random.Random("horner"), 20, "real")
+    return fb.point_evaluator(ctx, fb.inflate(ctx, f, "1e-6"))
+
+
+@pytest.mark.parametrize("ball", ["desk_G", "inflated_random"])
+def test_box_horner_matches_per_step_oracle(desk, ball):
+    """The inlined box Horner returns the per-step oracle's integers on 10**4
+    random boxes, for the coefficients and the derivative's.  Every kind of
+    argument meets accumulators >= 0 and <= 0, and some straddle 0."""
+    ev = _horner_evaluator(desk, ball)
+    seen = set()
+    assert _horner_mismatches(ev, ev._horner, 10 ** 4, ball, seen) == 0
+    for kind in U_KINDS:
+        assert (kind, ">=0") in seen and (kind, "<=0") in seen, kind
+    assert "straddles" in {acc for _, acc in seen}
+
+
+def test_box_horner_negative_control(desk):
+    """A Horner that floors the upper end of each product fails the
+    comparison with the per-step oracle."""
+    ev = _horner_evaluator(desk, "desk_G")
+    unit = 10 ** ev.arg_scale
+
+    def floor_upper(lo, hi, unit):
+        return lo // unit, hi // unit
+
+    def faulty(coeffs, u):
+        return per_step_horner(coeffs, u, unit, outward=floor_upper)
+    assert _horner_mismatches(ev, faulty, 100, "negative") > 0
 
 
 def _rand_argument(rng, n: int, kind: str) -> fb.FunctionBall:

@@ -5,13 +5,14 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import REF_A, domain_points, eval_member, sample_member
+from helpers import REF_A, domain_points, eval_member, recorded_reads, sample_member
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert.errors import (
     CompositionContractFailure,
+    ConfigError,
     ContainmentFailure,
     DepthExceeded,
     NormalizationSingular,
@@ -316,7 +317,7 @@ def _theta_reach(rctx, ball):
     reach = [Decimal(0), Decimal(0)]
     for z in _circle_points():
         w1 = rctx.rmul(a2, z)
-        w2 = rctx.rsqr(g.value(rctx, w1))
+        w2 = rctx.rsqr(g.value(rctx, g.read(rctx, w1)))
         for i, w in enumerate((w1, w2)):
             reach[i] = max(reach[i], rctx.rabs(rctx.rsub(w, centre)).hi)
     thetas = (shared.theta_affine, shared.theta_squared)
@@ -400,3 +401,31 @@ def test_extend_recursive_eigenfunctions(desk):
         out = op.extend_recursive(ctx, target, rectangle("4.5"), 2,
                                   G=desk.G0, V=desk.V0, W=desk.W0)
         assert out.re.hi.is_finite()
+
+
+def test_extension_needs_one_reading_frame(desk):
+    """Points are read once by G's evaluator for V and W too, so a V whose
+    N + 1 has another digit count, and thus another point scale, is refused."""
+    wide = fb.ball_from_decimals(DOM, desk.v0, 99)
+    with pytest.raises(ConfigError):
+        op.RecursiveExtension.build(ctx, desk.G0, V=wide)
+
+
+def test_domain_extension_reads_each_argument_once(desk, monkeypatch):
+    """One read of the point 1 for a, then w1 = a**2 z and w2 = Q(G(w1)) once
+    each per boundary rectangle."""
+    reads = recorded_reads(monkeypatch)
+    res = op.check_domain_extension(ctx, desk.param, 64)
+    assert len(reads) == 1 + 2 * 64
+    assert reads[1::2] == list(res.gamma1) and reads[2::2] == list(res.gamma2)
+
+
+def test_extension_beyond_disc_reads_no_argument_twice(desk, monkeypatch):
+    """V at a point beyond the disc, one level of the eigenproblem relation:
+    the point, a**2 z and Q(G(a**2 z)) are read once each, though the
+    relation takes values and derivatives at both pulled-back arguments."""
+    ext = op.RecursiveExtension.build(ctx, desk.G0, V=desk.V0)
+    reads = recorded_reads(monkeypatch)
+    out = ext.evaluate(ctx, "V", rectangle("4.5"), 2)
+    assert out.re.hi.is_finite()
+    assert len(reads) == len(set(reads)) == 3

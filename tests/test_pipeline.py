@@ -23,6 +23,7 @@ from helpers import (
     oracle_evaluate_derivative,
     poly_eval,
     rand_interval,
+    recorded_reads,
     sample_point,
 )
 from renormcert import approx as ax
@@ -432,22 +433,27 @@ def test_plot_covering_hoisted_constants_bit_identical(desk, figure):
 
 
 class _OracleEvaluator:
-    """A point evaluator whose values come from the Decimal Horner oracles;
-    its disc test is the integer evaluator's."""
+    """A point evaluator whose values come from the Decimal Horner oracles,
+    at the point each read carries; its read, disc test and reading frame
+    are the integer evaluator's."""
 
     point_evaluator = staticmethod(fb.point_evaluator)
 
     def __init__(self, ctx, ball):
         self.ball, self.exact = ball, self.point_evaluator(ctx, ball)
+        self.domain, self.point_scale = self.exact.domain, self.exact.point_scale
 
-    def in_disc(self, ctx, z, strict=False):
-        return self.exact.in_disc(ctx, z, strict)
+    def read(self, ctx, z):
+        return self.exact.read(ctx, z)
 
-    def value(self, ctx, z):
-        return oracle_evaluate(ctx, self.ball, z)
+    def in_disc(self, p, strict=False):
+        return self.exact.in_disc(p, strict)
 
-    def derivative(self, ctx, z):
-        return oracle_evaluate_derivative(ctx, self.ball, z)
+    def value(self, ctx, p):
+        return oracle_evaluate(ctx, self.ball, p.z)
+
+    def derivative(self, ctx, p):
+        return oracle_evaluate_derivative(ctx, self.ball, p.z)
 
 
 @pytest.mark.parametrize("figure", ["fig2c", "fig3c", "fig4a"])
@@ -468,6 +474,16 @@ def test_recursive_covering_matches_decimal_oracle(desk, monkeypatch, figure):
         slack = Decimal(10) ** (6 - desk.ctx.precision) * max(1, abs(ref_lo), abs(ref_hi))
         assert ref_lo - slack <= (lo + hi) / 2 <= ref_hi + slack, (new, ref)
         assert hi - lo <= ref_hi - ref_lo + slack, (new, ref)
+
+
+@pytest.mark.parametrize("figure", ["fig2a", "fig2b"])
+def test_graph_covering_reads_each_point_once(desk, monkeypatch, figure):
+    """A depth-0 graph covering reads the point 1 once, for a, lambda and
+    gamma alike, then each grid point once: its disc test and its value
+    share the read."""
+    reads = recorded_reads(monkeypatch)
+    rows = pl.emit_plot_covering(desk.ctx, figure, 40, _certified_desk_balls(desk))
+    assert len(rows) == 40 and len(reads) == 41
 
 
 @pytest.mark.parametrize("figure, subdivisions", [("fig2a", 0), ("fig2a", -3), ("fig1", 10),
