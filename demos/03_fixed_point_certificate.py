@@ -16,7 +16,7 @@ from decimal import Decimal
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import operators as op
-from renormcert.contraction import FixedPointProblem, certify
+from renormcert.contraction import Problem, certify
 from renormcert.pipeline import certified_digits
 from renormcert.rounding import RoundingContext
 
@@ -38,7 +38,7 @@ res = op.check_domain_extension(ctx, ball, 64)
 print(f"  64 boundary rectangles verified: both composed images stay inside")
 
 print("\n== contraction certificate ==")
-cert = certify(ctx, FixedPointProblem(), G0, lam, RHO)
+cert = certify(ctx, Problem(0), G0, lam, RHO)
 print(f"  epsilon = {cert.epsilon}")
 print(f"  kappa   = {cert.kappa}")
 print(f"  epsilon < rho (1 - kappa): {cert.passed}")

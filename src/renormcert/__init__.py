@@ -26,9 +26,6 @@ from .balls import (
 )
 from .contraction import (
     Certificate,
-    DeltaProblem,
-    FixedPointProblem,
-    GammaProblem,
     LinearMap,
     Problem,
     apply_lambda,
@@ -65,8 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate", "CertificationFailed", "CompositionContractFailure",
-    "ConfigError", "ContainmentFailure", "DeltaProblem", "Disc",
-    "FixedPointProblem", "FunctionBall", "GammaProblem", "Interval",
+    "ConfigError", "ContainmentFailure", "Disc", "FunctionBall", "Interval",
     "LinearMap", "OperatorTables", "Problem", "Rectangle", "RenormcertError",
     "RoundingContext", "RunConfig", "STANDARD_DISC", "SharedEvaluations",
     "affine_arg", "apply_lambda",

@@ -43,6 +43,7 @@ import decimal
 from decimal import Decimal
 
 from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots
+from .contraction import KINDS, LinearMap
 from .errors import (
     ConfigError,
     EigenSelectionAmbiguous,
@@ -80,13 +81,6 @@ _EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
 #: one below the baby steps of a composition, so the column images of the
 #: head read the baby powers of a power table.
 HEAD_DEGREE = BABY_STEPS - 1
-
-#: problem kind -> power p of the eigenvalue lambda = phi(x) = x[0] in the
-#: residual M_p x - lambda**p x, whose Jacobian is M_q - lambda**p I -
-#: p lambda**(p-1) x e_0^T with q = max(p, 1): 0 for the fixed point, whose
-#: Jacobian is M_1 - I; M_1 is DT and M_2 is L.
-_PHI_POWER = {"fixed_point": 0, "delta_eigen": 1, "gamma_eigen": 2}
-
 
 def _context(digits: int) -> decimal.Context:
     return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
@@ -484,7 +478,7 @@ def _refine_eigenpair(shared, m_head, kind: str, x, digits: int):
     B the block map on the head Jacobian at x, formed from the head
     ``m_head`` of M_p, with tail -1/x[0]**p, until the residual passes the
     test of :func:`_inverse_iteration`, for at most ``digits`` steps."""
-    power = _PHI_POWER[kind]
+    power = KINDS.index(kind)
     block = _block_map(jacobian_head(m_head, power, x), -_D1 / x[0] ** power)
     tol = Decimal(10) ** -(digits - 6)
     for _ in range(digits):
@@ -513,7 +507,7 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     """
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
-    phi_power = _PHI_POWER[kind + "_eigen"]
+    phi_power = KINDS.index(kind + "_eigen")
     width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0)
@@ -538,11 +532,11 @@ def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     :func:`jacobian_head`; its entries are those of the full (N+1) x (N+1)
     matrix.
     """
-    if kind not in _PHI_POWER:
+    if kind not in KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    if kind != "fixed_point" and x0 is None:
+    power = KINDS.index(kind)
+    if power and x0 is None:
         raise ConfigError("eigen jacobians need the approximate eigenfunction")
-    power = _PHI_POWER[kind]
     width = min(len(g0), HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0, width)
@@ -561,11 +555,9 @@ def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = Non
     Jacobian is near minus identity there), -1/lambda0 for the
     parameter-scaling problem and -1/lambda0**2 for the noise problem.
     """
-    from .contraction import LinearMap
-
-    if kind not in _PHI_POWER:
+    if kind not in KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    phi_power = _PHI_POWER[kind]
+    phi_power = KINDS.index(kind)
     if phi_power and lambda0 is None:
         raise ConfigError("eigen kinds need lambda0 for the tail scalar")
     with decimal.localcontext(_context(digits)):

@@ -24,6 +24,16 @@ dynamics", Notices AMS 62, 2015).  No separate invertibility proof is
 needed.  The certified constants follow from the coordinate functional
 phi(x) = x(c), the constant basis coefficient.
 
+The three problems follow one rule F_p, p = 0, 1, 2 (:class:`Problem`):
+F_0(G) = T(G) - G for the fixed point, and F_p(x) = M_p(G) x - phi(x)**p x
+for delta (p = 1, M_1 = DT) and gamma (p = 2, M_2 = L), with G over a
+ball proven to contain the fixed point.  Their derivative is
+
+    DF_p = M_q - phi**p I - p phi**(p-1) x e_0^T,   q = max(p, 1),
+
+so (q, p) = (1, 0), (1, 1), (2, 2): the eigenproblems in the modified
+nonlinear form of the paper.
+
 The operator-norm bound for DPhi uses the maximum column-sum norm: columns
 0..K are bounded one basis vector at a time, in index order, and all
 basis directions above K at once through a single ball of functions of
@@ -60,10 +70,8 @@ __all__ = [
     "lambda_norm_upper",
     "apply_lambda",
     "verify_lambda_invertible",
+    "KINDS",
     "Problem",
-    "FixedPointProblem",
-    "DeltaProblem",
-    "GammaProblem",
     "Certificate",
     "bound_epsilon",
     "bound_kappa_columns",
@@ -201,33 +209,8 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
 
 # -- problems ---------------------------------------------------------------------
 
-class Problem:
-    """A residual map F with the derivative bounds a certificate needs.
-
-    Subclasses provide the residual, the per-basis-column derivative images
-    DF(x) e_k valid over a whole ball (``column_kernel``: an object whose
-    ``image(ctx, k)`` is that image as a :class:`balls.IntBall`), and the
-    ingredients of the high-order tail bound: DF(x) f_H = A f_H + q f_H
-    with the compositions inside A controlled by theta factors.
-    """
-
-    kind: str = "abstract"
-
-    def residual(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
-        raise NotImplementedError
-
-    def column_kernel(self, ctx: RoundingContext, x_ball: FunctionBall):
-        raise NotImplementedError
-
-    def tail_phi_factor(self, ctx: RoundingContext, x_ball: FunctionBall) -> Interval:
-        raise NotImplementedError
-
-    def tail_channels(self, ctx: RoundingContext, x_ball: FunctionBall):
-        raise NotImplementedError
-
-    def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal) -> dict:
-        """Certified constants for a solution within ``radius`` of x0."""
-        return {}
+#: problem kind of each power p: the payload's certificate kind
+KINDS = ("fixed_point", "delta_eigen", "gamma_eigen")
 
 
 def _phi(ctx: RoundingContext, x: FunctionBall) -> Interval:
@@ -239,99 +222,72 @@ def _widened(ctx: RoundingContext, center: Interval, radius: Decimal) -> Interva
     return Interval(ctx.sub_dn(center.lo, radius), ctx.add_up(center.hi, radius))
 
 
-def _tail_channels(ctx: RoundingContext, tables: OperatorTables, q: int):
-    """The two composition channels of M_q: a**-q through Q(G(a**2 X)) and
-    factor16**q through a**2 X, with their theta factors."""
-    s = tables.shared
-    scalar, factor = s.coefficients(q)
-    return ((scalar.mag, s.theta_squared),
-            (fb.norm_upper(ctx, factor), s.theta_affine))
+class Problem:
+    """The residual map F_p of the module docstring with the derivative
+    bounds a certificate needs: the columns DF_p(x) e_k over a ball
+    (``column_kernel``, whose ``image(ctx, k)`` is a :class:`balls.IntBall`)
+    and the tail DF_p(x) f_H = A f_H - phi**p f_H, A's compositions
+    controlled by theta factors.  ``tables`` hold M_p over the parameter
+    ball for p >= 1; for p = 0 they are built over the ball the bounds
+    receive."""
 
-
-class FixedPointProblem(Problem):
-    """F(G) = T(G) - G."""
-
-    kind = "fixed_point"
-
-    def __init__(self):
-        self._cache = None   # (ball, tables)
+    def __init__(self, power: int, tables: OperatorTables | None = None):
+        if power not in range(len(KINDS)):
+            raise ConfigError(f"problem power must be 0, 1 or 2, got {power!r}")
+        if power and tables is None:
+            raise ConfigError(f"Problem({power}) needs the tables of M_{power} "
+                              "over the parameter ball")
+        if not power and tables is not None:
+            raise ConfigError("Problem(0) builds its tables over the ball it is bounded on")
+        self.power, self.kind, self.tables = power, KINDS[power], tables
+        self._ball = None   # for p = 0, the ball the tables were built over
 
     def _tables(self, ctx: RoundingContext, ball: FunctionBall) -> OperatorTables:
-        if self._cache is not None and self._cache[0] is ball:
-            return self._cache[1]
-        tables = OperatorTables.build(ctx, precompute_shared(ctx, ball))
-        self._cache = (ball, tables)
-        return tables
+        if not self.power and self._ball is not ball:
+            self.tables = OperatorTables.build(ctx, precompute_shared(ctx, ball))
+            self._ball = ball
+        return self.tables
 
-    def residual(self, ctx, x):
-        shared = precompute_shared(ctx, x, with_derivatives=False)
-        t_of_x = fb.scale(ctx, shared.a_inv, shared.outer_comp)
-        return fb.sub(ctx, t_of_x, x)
+    def _phi_power(self, ctx: RoundingContext, phi_x: Interval) -> Interval:
+        return phi_x if self.power == 1 else ctx.isqr(phi_x)
 
-    def column_kernel(self, ctx, x_ball):
-        return self._tables(ctx, x_ball).columns(ctx, 1, diagonal=IONE)
-
-    def tail_phi_factor(self, ctx, x_ball):
-        return interval(-1)
-
-    def tail_channels(self, ctx, x_ball):
-        return _tail_channels(ctx, self._tables(ctx, x_ball), 1)
-
-    def enclosures(self, ctx, x0, radius):
-        a_enc = _widened(ctx, _phi(ctx, x0), radius)
-        return {"a": a_enc, "alpha": ctx.idiv(IONE, a_enc)}
-
-
-class _EigenProblem(Problem):
-    """The two nonlinear eigenproblems F(x) = M_p(G) x - phi(x)**p x with
-    p = ``phi_power``, in which the eigenvalue phi(x)**p is encoded through
-    the coordinate functional of the eigenfunction and G ranges over a ball
-    proven to contain the fixed point; ``tables`` hold M_p over that ball."""
-
-    phi_power = 1
-
-    def __init__(self, tables: OperatorTables):
-        self.tables = tables
-
-    def _phi_pow(self, ctx, phi_x) -> Interval:
-        return phi_x if self.phi_power == 1 else ctx.isqr(phi_x)
-
-    def residual(self, ctx, x):
+    def residual(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
+        if not self.power:
+            shared = precompute_shared(ctx, x, with_derivatives=False)
+            return fb.sub(ctx, fb.scale(ctx, shared.a_inv, shared.outer_comp), x)
         # M_p through its named entry points, which perfbench traces by name
-        operator = self.tables.dt_apply if self.phi_power == 1 else self.tables.l_apply
-        mult = self._phi_pow(ctx, _phi(ctx, x))
+        operator = self.tables.dt_apply if self.power == 1 else self.tables.l_apply
+        mult = self._phi_power(ctx, _phi(ctx, x))
         return fb.sub(ctx, operator(ctx, x), fb.scale(ctx, mult, x))
 
-    def column_kernel(self, ctx, x_ball):
-        """Columns of M_p - phi**p I - p phi**(p-1) x e_0^T over the ball."""
-        p, phi_x = self.phi_power, _phi(ctx, x_ball)
-        scaled = x_ball if p == 1 else fb.scale(ctx, ctx.iscale(phi_x, Decimal(p)), x_ball)
-        return self.tables.columns(ctx, p, column0=fb.negate(ctx, scaled),
-                                   diagonal=self._phi_pow(ctx, phi_x))
+    def column_kernel(self, ctx: RoundingContext, x_ball: FunctionBall):
+        """Columns of DF_p = M_q - phi**p I - p phi**(p-1) x e_0^T over the ball."""
+        p, column0, diagonal = self.power, None, IONE
+        if p:
+            phi_x = _phi(ctx, x_ball)
+            scaled = x_ball if p == 1 else fb.scale(ctx, ctx.iscale(phi_x, Decimal(p)), x_ball)
+            column0, diagonal = fb.negate(ctx, scaled), self._phi_power(ctx, phi_x)
+        return self._tables(ctx, x_ball).columns(ctx, max(p, 1), column0, diagonal=diagonal)
 
-    def tail_phi_factor(self, ctx, x_ball):
-        return ctx.ineg(self._phi_pow(ctx, _phi(ctx, x_ball)))
+    def tail_phi_factor(self, ctx: RoundingContext, x_ball: FunctionBall) -> Interval:
+        if not self.power:
+            return interval(-1)
+        return ctx.ineg(self._phi_power(ctx, _phi(ctx, x_ball)))
 
-    def tail_channels(self, ctx, x_ball):
-        return _tail_channels(ctx, self.tables, self.phi_power)
+    def tail_channels(self, ctx: RoundingContext, x_ball: FunctionBall):
+        """The two composition channels of M_q: a**-q through Q(G(a**2 X))
+        and factor16**q through a**2 X, with their theta factors."""
+        s = self._tables(ctx, x_ball).shared
+        scalar, factor = s.coefficients(max(self.power, 1))
+        return ((scalar.mag, s.theta_squared),
+                (fb.norm_upper(ctx, factor), s.theta_affine))
 
-    def enclosures(self, ctx, x0, radius):
-        name = "delta" if self.phi_power == 1 else "gamma"
-        return {name: _widened(ctx, _phi(ctx, x0), radius)}
-
-
-class DeltaProblem(_EigenProblem):
-    """F(V) = DT(G) V - phi(V) V with G over the parameter ball."""
-
-    kind = "delta_eigen"
-    phi_power = 1
-
-
-class GammaProblem(_EigenProblem):
-    """F(W) = L(G) W - phi(W)**2 W with G over the parameter ball."""
-
-    kind = "gamma_eigen"
-    phi_power = 2
+    def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal) -> dict:
+        """Certified constants for a solution within ``radius`` of x0."""
+        enclosure = _widened(ctx, _phi(ctx, x0), radius)
+        if self.power:
+            return {("delta", "gamma")[self.power - 1]: enclosure}
+        return {"a": enclosure, "alpha": ctx.idiv(IONE, enclosure)}
 
 
 # -- bounds -----------------------------------------------------------------------

@@ -28,12 +28,7 @@ from pathlib import Path
 from . import approx as ax
 from . import balls as fb
 from . import operators as op
-from .contraction import (
-    DeltaProblem,
-    FixedPointProblem,
-    GammaProblem,
-    certify as _certify,
-)
+from .contraction import KINDS, Problem, certify as _certify
 from .balls import STANDARD_DISC
 from .errors import (
     ConfigError,
@@ -58,9 +53,12 @@ __all__ = [
     "FIGURES",
 ]
 
-_TARGETS = ("fixed_point", "delta", "gamma")
-#: target -> name of its approximate zero in checksums and checkpoint files
-_CENTRES = {"fixed_point": "g0", "delta": "delta0", "gamma": "gamma0"}
+#: target, in the order of its problem's power p -> (name of its approximate
+#: zero in checksums and checkpoint files, key of that zero in
+#: PipelineResult.balls, whose first letter keys its certified ball)
+_CENTRES = {"fixed_point": ("g0", "G0"), "delta": ("delta0", "V0"),
+            "gamma": ("gamma0", "W0")}
+_TARGETS = tuple(_CENTRES)
 REPORT_SCHEMA = "renormcert-report/1"
 
 
@@ -161,7 +159,7 @@ def _write_checkpoint(cfg: RunConfig, target: str, ball: fb.FunctionBall) -> fb.
 def _checkpoint_path(cfg: RunConfig, target: str) -> Path | None:
     if not cfg.checkpoint_dir:
         return None
-    return Path(cfg.checkpoint_dir) / f"{_CENTRES[target]}_n{cfg.degree}_p{cfg.precision}.txt"
+    return Path(cfg.checkpoint_dir) / f"{_CENTRES[target][0]}_n{cfg.degree}_p{cfg.precision}.txt"
 
 
 # -- digit extraction ----------------------------------------------------------
@@ -292,17 +290,14 @@ def _centre(ball: fb.FunctionBall) -> list[Decimal]:
     return [c.re.lo for c in ball.coeffs]
 
 
-def _frozen_map(cfg: RunConfig, target: str, g0_ball: fb.FunctionBall,
-                x0_ball: fb.FunctionBall | None = None):
-    """The target's frozen map Λ, built from the approximate zeros: the
-    contraction proves what it needs of it, so it is never checkpointed."""
-    p, g0 = cfg.precision, _centre(g0_ball)
-    if target == "fixed_point":
-        return ax.build_lambda(
-            "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=p), p)
-    kind, x0 = target + "_eigen", _centre(x0_ball)
-    return ax.build_lambda(kind, ax.approx_jacobian(kind, g0, x0, digits=p), p,
-                           lambda0=x0[0])
+def _frozen_map(cfg: RunConfig, power: int, g0_ball: fb.FunctionBall,
+                x0_ball: fb.FunctionBall):
+    """The frozen map Λ of the problem F_p, built from the approximate
+    zeros (x0 = g0 for p = 0): the contraction proves what it needs of it,
+    so it is never checkpointed."""
+    digits, kind, x0 = cfg.precision, KINDS[power], _centre(x0_ball)
+    jacobian = ax.approx_jacobian(kind, _centre(g0_ball), x0, digits=digits)
+    return ax.build_lambda(kind, jacobian, digits, lambda0=x0[0])
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -321,9 +316,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         with _stage(report, timings, "approx"):
             centres = bootstrap(cfg)
             for target, ball in centres.items():
-                report["checksums"][_CENTRES[target]] = fb.ball_checksum(ball)
-            g0_ball = centres.pop("fixed_point")
-            result.balls["G0"] = g0_ball
+                report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
+            g0_ball = centres["fixed_point"]
 
         with _stage(report, timings, "domain_extension"):
             rho_fixed = cfg.rho_for("fixed_point")
@@ -332,37 +326,27 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             report["domain_extension"] = {
                 "rectangles": cfg.boundary_rects, "passed": True}
 
-        with _stage(report, timings, "fixed_point"):
-            lam = _frozen_map(cfg, "fixed_point", g0_ball)
-            cert = _certify(ctx, FixedPointProblem(), g0_ball, lam, rho_fixed,
-                            config=_cert_config(cfg, "fixed_point",
-                                                report["checksums"]))
-            result.certificates["fixed_point"] = cert
-            report["certificates"]["fixed_point"] = cert.to_payload()
-            _record_digits(report, "a", cert.enclosures["a"])
-            _record_digits(report, "alpha", cert.enclosures["alpha"])
-
-        if centres:
-            with _stage(report, timings, "parameter_ball"):
-                param = fb.inflate(ctx, g0_ball,
-                                   result.certificates["fixed_point"].proven_radius)
-                tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
-                result.balls["parameter"] = param
-
-        for target, problem_cls in (("delta", DeltaProblem), ("gamma", GammaProblem)):
+        tables = None
+        for power, target in enumerate(_TARGETS):
             if target not in centres:
                 continue
+            if power and tables is None:
+                with _stage(report, timings, "parameter_ball"):
+                    param = fb.inflate(ctx, g0_ball,
+                                       result.certificates["fixed_point"].proven_radius)
+                    tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
+                    result.balls["parameter"] = param
             with _stage(report, timings, target):
                 x0_ball = centres[target]
-                lam = _frozen_map(cfg, target, g0_ball, x0_ball)
-                problem = problem_cls(tables)
-                cert = _certify(ctx, problem, x0_ball, lam, cfg.rho_for(target),
-                                config=_cert_config(cfg, target,
-                                                    report["checksums"]))
+                result.balls[_CENTRES[target][1]] = x0_ball
+                lam = _frozen_map(cfg, power, g0_ball, x0_ball)
+                cert = _certify(ctx, Problem(power, tables), x0_ball, lam,
+                                cfg.rho_for(target),
+                                config=_cert_config(cfg, target, report["checksums"]))
                 result.certificates[target] = cert
-                result.balls["V0" if target == "delta" else "W0"] = x0_ball
                 report["certificates"][target] = cert.to_payload()
-                _record_digits(report, target, cert.enclosures[target])
+                for name, enclosure in cert.enclosures.items():
+                    _record_digits(report, name, enclosure)
     except RenormcertError as exc:
         report["timings"] = timings
         _write_outputs(cfg, result, partial=True)
@@ -436,11 +420,10 @@ def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
     eigenfunctions: each centre inflated by its certificate's proven radius.
     G is the pipeline's parameter ball when the eigen stages built one."""
     balls = {"G": result.balls["parameter"]} if "parameter" in result.balls else {}
-    for key, centre, target in (("G", "G0", "fixed_point"), ("V", "V0", "delta"),
-                                ("W", "W0", "gamma")):
+    for target, (_, centre) in _CENTRES.items():
         cert = result.certificates.get(target)
-        if cert is not None and key not in balls:
-            balls[key] = fb.inflate(ctx, result.balls[centre], cert.proven_radius)
+        if cert is not None and centre[0] not in balls:
+            balls[centre[0]] = fb.inflate(ctx, result.balls[centre], cert.proven_radius)
     return balls
 
 

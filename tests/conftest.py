@@ -24,7 +24,7 @@ def desk():
     G0 = fb.ball_from_decimals(dom, g0, n)
     lam_fixed = ax.build_lambda(
         "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=30), 30)
-    cert_fixed = ct.certify(ctx, ct.FixedPointProblem(), G0, lam_fixed, "1e-8")
+    cert_fixed = ct.certify(ctx, ct.Problem(0), G0, lam_fixed, "1e-8")
     param = fb.inflate(ctx, G0, cert_fixed.posterior_radius)
     tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
 
@@ -33,7 +33,7 @@ def desk():
     lam_delta = ax.build_lambda(
         "delta_eigen", ax.approx_jacobian("delta_eigen", g0, v0, digits=30),
         30, lambda0=lam0)
-    cert_delta = ct.certify(ctx, ct.DeltaProblem(tables), V0,
+    cert_delta = ct.certify(ctx, ct.Problem(1, tables), V0,
                             lam_delta, "1e-7")
 
     w0, gam0 = ax.approx_eigenpair("gamma", g0, 30)
@@ -41,7 +41,7 @@ def desk():
     lam_gamma = ax.build_lambda(
         "gamma_eigen", ax.approx_jacobian("gamma_eigen", g0, w0, digits=30),
         30, lambda0=gam0)
-    cert_gamma = ct.certify(ctx, ct.GammaProblem(tables), W0,
+    cert_gamma = ct.certify(ctx, ct.Problem(2, tables), W0,
                             lam_gamma, "1e-7")
 
     return SimpleNamespace(
@@ -79,9 +79,9 @@ def n40():
                 kind = target + "_eigen"
                 maps[head][target] = ax.build_lambda(
                     kind, ax.approx_jacobian(kind, g0, x0, digits=40), 40, lambda0=x0[0])
-    problems = {"fixed_point": (ct.FixedPointProblem(), "G0"),
-                "delta": (ct.DeltaProblem(tables), "V0"),
-                "gamma": (ct.GammaProblem(tables), "W0")}
+    problems = {"fixed_point": (ct.Problem(0), "G0"),
+                "delta": (ct.Problem(1, tables), "V0"),
+                "gamma": (ct.Problem(2, tables), "W0")}
 
     def setup(target, head):
         problem, centre = problems[target]

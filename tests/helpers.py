@@ -10,6 +10,7 @@ import numpy as np
 
 from renormcert import approx as ax
 from renormcert import balls as fb
+from renormcert import contraction as ct
 from renormcert.errors import PointOutsideDomain
 from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
 
@@ -103,7 +104,7 @@ def jacobian_probe(shared, kind: str, x=None):
     probes the unit vectors)."""
     if kind == "fixed_point":
         return lambda v: ax.p_sub(shared.apply(1, v), v)
-    power = ax._PHI_POWER[kind]
+    power = ct.KINDS.index(kind)
     lam_p = x[0] ** power
     dlam = Decimal(power) * x[0] ** (power - 1)
 
@@ -251,7 +252,7 @@ def oracle_fixed_point(n: int, digits: int) -> list[Decimal]:
 def oracle_eigenpair(kind: str, g0, digits: int) -> list[Decimal]:
     """Eigenvector by shifted inverse iteration on the whole (N+1) x (N+1)
     M_p(g0) (reference for ``approx_eigenpair``)."""
-    power = ax._PHI_POWER[kind + "_eigen"]
+    power = ct.KINDS.index(kind + "_eigen")
     with decimal.localcontext(ax._context(digits)):
         shared = ax._MidShared(g0)
         full = matrix(lambda v: shared.apply(power, v), len(g0))

@@ -217,7 +217,7 @@ def test_criterion_7_negative_controls(desk_run):
     lam = ax.build_lambda("fixed_point",
                           ax.approx_jacobian("fixed_point", g0, digits=30), 30)
     with pytest.raises(CertificationFailed) as info:
-        ct.certify(ctx, ct.FixedPointProblem(), G0, lam, "1e-13")
+        ct.certify(ctx, ct.Problem(0), G0, lam, "1e-13")
     assert info.value.certificate is not None
     assert not info.value.certificate.passed
     with pytest.raises(ContainmentFailure) as info2:

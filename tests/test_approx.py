@@ -426,10 +426,9 @@ def test_column_kernels_contain_midpoint_jacobians(desk, kind):
     _, _, tables, ball = _cross_engine(desk)
     x0 = {"fixed_point": None, "delta_eigen": desk.v0, "gamma_eigen": desk.w0}[kind]
     if x0 is None:
-        problem, x_ball = ct.FixedPointProblem(), ball(desk.g0)
+        problem, x_ball = ct.Problem(0), ball(desk.g0)
     else:
-        cls = ct.DeltaProblem if kind == "delta_eigen" else ct.GammaProblem
-        problem, x_ball = cls(tables), ball(x0)
+        problem, x_ball = ct.Problem(ct.KINDS.index(kind), tables), ball(x0)
     kernel = problem.column_kernel(ctx, x_ball)
     jac = ax.approx_jacobian(kind, desk.g0, x0, digits=digits)
     for k in range(len(jac)):
@@ -511,7 +510,7 @@ def test_perturbed_lambda_still_certifies(desk):
         for j in range(len(rows)):
             rows[i][j] = rows[i][j] + Decimal(rng.randint(-1000, 1000)) / Decimal(10) ** 6
     bumped = ct.LinearMap(rows, desk.lam_fixed.tail_scalar)
-    cert = ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, bumped, "1e-4")
+    cert = ct.certify(desk.ctx, ct.Problem(0), desk.G0, bumped, "1e-4")
     assert cert.passed
     assert cert.kappa < 1
 

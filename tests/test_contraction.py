@@ -30,8 +30,9 @@ class _ToyKernel:
                                                             self.x_ball.truncation, k)))
 
 
-class ToyProblem(ct.Problem):
-    """F(x) = K - x for a constant target: DF = -I everywhere."""
+class ToyProblem:
+    """F(x) = K - x for a constant target: DF = -I everywhere.  It has the
+    methods of :class:`ct.Problem` that the bounds and certify call."""
 
     kind = "toy"
 
@@ -49,6 +50,9 @@ class ToyProblem(ct.Problem):
 
     def tail_channels(self, c, x_ball):
         return ()
+
+    def enclosures(self, c, x0, radius):
+        return {}
 
 
 def test_apply_lambda_identity():
@@ -145,15 +149,30 @@ def test_toy_certificate_passes():
     assert cert.epsilon <= Decimal("0.0001")
 
 
+@pytest.mark.parametrize("power, with_tables", [(1, False), (2, False), (0, True),
+                                               (3, True), (-1, False)])
+def test_problem_refuses_misuse(desk, power, with_tables):
+    """An eigen problem needs the parameter-ball tables, the fixed-point
+    problem builds its own, and p lies in 0..2: otherwise a ConfigError,
+    not an AttributeError inside a bound."""
+    with pytest.raises(ConfigError):
+        ct.Problem(power, desk.tables if with_tables else None)
+
+
+def test_problem_kinds(desk):
+    assert [ct.Problem(p, desk.tables if p else None).kind for p in range(3)] == \
+        list(ct.KINDS) == ["fixed_point", "delta_eigen", "gamma_eigen"]
+
+
 def test_epsilon_requires_exact_center(desk):
     with pytest.raises(ConfigError):
-        ct.bound_epsilon(desk.ctx, ct.FixedPointProblem(),
+        ct.bound_epsilon(desk.ctx, ct.Problem(0),
                          fb.inflate(desk.ctx, desk.G0, "1e-9"), desk.lam_fixed)
 
 
 def test_certification_failure_small_rho(desk):
     with pytest.raises(CertificationFailed) as info:
-        ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, desk.lam_fixed, "1e-13")
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, desk.lam_fixed, "1e-13")
     cert = info.value.certificate
     assert cert is not None and not cert.passed
     assert cert.epsilon > 0 and cert.kappa > 0 and cert.rho == Decimal("1e-13")
@@ -196,7 +215,7 @@ def test_worker_determinism(desk):
     """The kappa column bounds computed in pool workers, one or two, are
     those of this process: they read nothing of the ambient decimal context."""
     ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
-    args = (desk.ctx, ct.FixedPointProblem(), ball, desk.lam_fixed)
+    args = (desk.ctx, ct.Problem(0), ball, desk.lam_fixed)
     here = ct.bound_kappa_columns(*args)
     for workers in (1, 2):
         with _worker_pool(workers) as pool:
@@ -247,7 +266,7 @@ def test_certificate_deterministic_across_workers(desk):
     """A certificate computed in a pool worker has the payload of the one
     computed in this process."""
     with _worker_pool(1) as pool:
-        cert = pool.submit(ct.certify, desk.ctx, ct.FixedPointProblem(), desk.G0,
+        cert = pool.submit(ct.certify, desk.ctx, ct.Problem(0), desk.G0,
                            desk.lam_fixed, "1e-8").result()
     assert cert.passed
     assert cert.to_payload() == desk.cert_fixed.to_payload()
@@ -258,7 +277,7 @@ def test_precision_antitone(desk):
     lo, hi = RoundingContext(30), RoundingContext(60)
     certs = {}
     for c in (lo, hi):
-        certs[c.precision] = ct.certify(c, ct.FixedPointProblem(), desk.G0,
+        certs[c.precision] = ct.certify(c, ct.Problem(0), desk.G0,
                                         desk.lam_fixed, "1e-8")
     assert certs[60].epsilon <= certs[30].epsilon
     assert certs[60].kappa <= certs[30].kappa
@@ -344,10 +363,10 @@ def test_certify_needs_no_approx_numerics(desk, monkeypatch):
             monkeypatch.setattr(ax, name, refuse)
     monkeypatch.setattr(ct, "verify_lambda_invertible", refuse)
     for problem, x0, lam, rho, fixture_cert in (
-            (ct.FixedPointProblem(), desk.G0, desk.lam_fixed, "1e-8", desk.cert_fixed),
-            (ct.DeltaProblem(desk.tables), desk.V0, desk.lam_delta,
+            (ct.Problem(0), desk.G0, desk.lam_fixed, "1e-8", desk.cert_fixed),
+            (ct.Problem(1, desk.tables), desk.V0, desk.lam_delta,
              "1e-7", desk.cert_delta),
-            (ct.GammaProblem(desk.tables), desk.W0, desk.lam_gamma,
+            (ct.Problem(2, desk.tables), desk.W0, desk.lam_gamma,
              "1e-7", desk.cert_gamma)):
         cert = ct.certify(desk.ctx, problem, x0, lam, rho)
         assert cert.passed
@@ -380,7 +399,7 @@ def test_singular_map_fails_with_kappa_at_least_one(desk, change, part):
     would make it onto, so the kappa bound of a singular map is at least 1."""
     lam = _modified_map(desk.lam_fixed, change)
     with pytest.raises(CertificationFailed) as info:
-        ct.certify(desk.ctx, ct.FixedPointProblem(), desk.G0, lam, "1e-8")
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, lam, "1e-8")
     cert = info.value.certificate
     assert not cert.passed and cert.posterior_radius is None
     assert cert.kappa >= 1 and getattr(cert, part) >= 1

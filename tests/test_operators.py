@@ -63,17 +63,17 @@ def test_shared_a_is_constant_coefficient_with_high_tail(desk):
 def test_apply_T_smoke_toy():
     # a tame affine input for which both composition contracts hold
     toy = fb.ball_from_decimals(DOM, ["0.6", "-1"], 8)   # 1 - 0.4 X
-    out = ct.FixedPointProblem().residual(ctx, toy)      # T(toy) - toy
+    out = ct.Problem(0).residual(ctx, toy)      # T(toy) - toy
     assert fb.norm_upper(ctx, out).is_finite()
     # the steep classical seed makes the outer composition leave the disc;
     # that is reported as a contract failure, not silently accepted
     from renormcert.errors import CompositionContractFailure
     with pytest.raises(CompositionContractFailure):
-        ct.FixedPointProblem().residual(ctx, fb.ball_from_decimals(DOM, ["-0.5", "-3.8"], 8))
+        ct.Problem(0).residual(ctx, fb.ball_from_decimals(DOM, ["-0.5", "-3.8"], 8))
 
 
 def test_apply_T_residual_small(desk):
-    r = ct.FixedPointProblem().residual(ctx, desk.G0)
+    r = ct.Problem(0).residual(ctx, desk.G0)
     assert fb.norm_upper(ctx, r) < Decimal("1e-10")
 
 
@@ -82,7 +82,7 @@ def test_apply_T_pointwise_oracle(desk):
     polynomials lies inside the pointwise enclosure of the residual T(G) - G."""
     rng = random.Random(21)
     ball = fb.inflate(ctx, desk.G0, "1e-6")
-    image = ct.FixedPointProblem().residual(ctx, ball)
+    image = ct.Problem(0).residual(ctx, ball)
     for _ in range(5):
         m = sample_member(rng, ball)
         with decimal.localcontext(decimal.Context(prec=120)):

@@ -251,7 +251,7 @@ def test_dense_map_certifies_same_digits(n40):
         jac = matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
     lam = ax.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
-    cert = ct.certify(n40.ctx, ct.FixedPointProblem(), n40.result.balls["G0"], lam,
+    cert = ct.certify(n40.ctx, ct.Problem(0), n40.result.balls["G0"], lam,
                       n40.cfg.rho_for("fixed_point"))
     for name in ("a", "alpha"):
         text, count = pl.certified_digits(cert.enclosures[name])
@@ -645,6 +645,35 @@ def test_old_map_file_is_never_read(desk, tmp_path):
     (tmp_path / "lambda_fixed_n20_p30.txt").write_text("renormcert-lambda v1\ndim x\n")
     cfg = replace(cfg, checkpoint_dir=str(tmp_path))
     assert pl.run_pipeline(cfg).certificates["fixed_point"].to_payload() == fresh
+
+
+@pytest.fixture(scope="module")
+def desk_all_targets():
+    return pl.run_pipeline(pl.RunConfig(degree=20, precision=30, rho="1e-8"))
+
+
+@pytest.mark.parametrize("target, centre, missing", [("delta", "delta0", "gamma"),
+                                                     ("gamma", "gamma0", "delta")])
+def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
+    """An eigen target run without the other certifies the payload of the
+    all-target run, whose input checksums name the run's own centres, and
+    the run holds nothing of the missing target."""
+    cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", targets=("fixed_point", target))
+    result = pl.run_pipeline(cfg)
+    report = result.report
+    expected = json.loads(json.dumps(desk_all_targets.report["certificates"][target]))
+    checksums = expected["config"]["input_checksums"]
+    expected["config"]["input_checksums"] = {k: checksums[k] for k in ("g0", centre)}
+    assert report["certificates"][target] == expected
+    assert list(report["certificates"]) == ["fixed_point", target]
+    assert sorted(report["timings"]) == sorted(
+        ["approx", "domain_extension", "fixed_point", "parameter_ball", target])
+    assert sorted(report["digits"]) == sorted(["a", "alpha", target])
+    assert missing not in report["digits"] and missing + "0" not in report["checksums"]
+    own = {"delta": "V0", "gamma": "W0"}
+    assert sorted(result.balls) == sorted(["G0", "parameter", own[target]])
+    assert sorted(pl.certified_balls(RoundingContext(30), result)) == \
+        sorted(["G", own[target][0]])
 
 
 def test_cli_plot(tmp_path, capsys):
