@@ -409,7 +409,7 @@ def _newton_correction(shared, width: int, residual, tol, max_steps: int):
         f"{tol / 100} in {max_steps} steps")
 
 
-def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
+def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
     """Polynomial approximation to the fixed point, residual below 10**-(digits-6).
 
     Bootstraps deterministically: Newton from the classical quadratic-map
@@ -423,14 +423,12 @@ def approx_fixed_point(n: int, digits: int, seed=None) -> list[Decimal]:
     if digits < 10:
         raise ConfigError("need at least 10 digits")
     with decimal.localcontext(_context(digits)):
-        g = list(seed) if seed is not None else default_seed()
+        g = default_seed()
         tol = Decimal(10) ** -(digits - 6)
         max_iter = 50
         for stage_n in _stage_ladder(n):
             g = _pad(g, stage_n + 1)
             width = min(stage_n, HEAD_DEGREE) + 1
-            if abs(g[0]) < Decimal("0.05"):
-                raise NewtonDivergence("seed normalisation G(1) too close to zero")
             for _ in range(max_iter):
                 shared = _MidShared(g)
                 residual = p_sub(shared.t(), g)

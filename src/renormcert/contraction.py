@@ -253,8 +253,7 @@ class Problem:
 
     def residual(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
         if not self.power:
-            shared = precompute_shared(ctx, x, with_derivatives=False)
-            return fb.sub(ctx, fb.scale(ctx, shared.a_inv, shared.outer_comp), x)
+            return fb.sub(ctx, precompute_shared(ctx, x).t(ctx), x)
         # M_p through its named entry points, which perfbench traces by name
         operator = self.tables.dt_apply if self.power == 1 else self.tables.l_apply
         mult = self._phi_power(ctx, _phi(ctx, x))
@@ -277,10 +276,7 @@ class Problem:
     def tail_channels(self, ctx: RoundingContext, x_ball: FunctionBall):
         """The two composition channels of M_q: a**-q through Q(G(a**2 X))
         and factor16**q through a**2 X, with their theta factors."""
-        s = self._tables(ctx, x_ball).shared
-        scalar, factor = s.coefficients(max(self.power, 1))
-        return ((scalar.mag, s.theta_squared),
-                (fb.norm_upper(ctx, factor), s.theta_affine))
+        return self._tables(ctx, x_ball).channels[max(self.power, 1) - 1]
 
     def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal) -> dict:
         """Certified constants for a solution within ``radius`` of x0."""

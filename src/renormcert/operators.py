@@ -1,34 +1,28 @@
 """Rigorous renormalisation operators on function balls.
 
-Implements the doubling operator for even maps written through X = x**2,
+The doubling operator for even maps written through X = x**2,
 
     T(G)(X) = a**-1 G(Q(G(Q(a) X))),   a = G(1),  Q(w) = w**2,
 
-its Frechet derivative DT and the noise-scaling operator L, which are one
-operator M_q for q = 1 and q = 2:
+is read from :class:`SharedEvaluations`.  Its Frechet derivative DT and the
+noise-scaling operator L are one operator M_q, q = 1 and 2, stated once in
+:meth:`OperatorTables.image`:
 
-    M_q(G) V(X) = a**-q V(Q(G(a**2 X))) + factor16**q V(a**2 X),
+    M_q(G) V(X) = a**-q V(Q(G(a**2 X))) + factor16**q V(a**2 X)
+                  + [q = 1] V(1) (factor17 - a**-2 G(Q(G(a**2 X)))),
     factor16 = a**-1 G'(Q(G(a**2 X))) 2 G(a**2 X),
+    factor17 = factor16 G'(a**2 X) 2 a X,
 
-where M_1 also carries the two terms of the variation of the
-normalisation a through V(1), so DT(G) = M_1(G) and L(G) = M_2(G); the
-boundary-covering verification that the inner compositions map the
-closed domain disc strictly inside itself (which makes the operator
-well-defined, differentiable, and its derivative compact on the ball), and
-recursive evaluation of the certified functions outside the disc for
-plotting.
+the last term being the variation of the normalisation a.  Also here: the
+boundary-covering check that the inner compositions map the closed disc
+strictly inside itself, and recursive evaluation of the certified
+functions outside the disc for plotting.
 
-Every composition goes through a power table (see balls.PowerTable): the
-baby powers u**0..u**m, m = balls.BABY_STEPS, of the normalized affine
-argument a**2 X and of the squared argument Q(G(a**2 X)), held in exact
-integer midpoint-radius form; a composition reads them block by block and
-runs Horner in u**m.  The tables and the shared subexpressions read off
-them (a, G(a**2 X), its square, the composed derivative factors) are
-computed once per input ball and reused by T, by M_q applied to a ball,
-and by the per-basis-column images of the contraction bounds, which stay
-in integers from the tabulated powers on: the head's columns 0..K,
-K = approx.HEAD_DEGREE = m - 1, are baby powers, so a column needs no
-further power product.
+Every composition reads the power tables (balls.PowerTable) of the affine
+argument a**2 X and of the squared argument Q(G(a**2 X)), built once per
+input ball.  M_q's kernel takes a ball V composed through them and the
+basis columns of the contraction bounds alike: the head's columns 0..K,
+K = approx.HEAD_DEGREE, are the tables' baby powers.
 """
 
 from __future__ import annotations
@@ -44,6 +38,7 @@ from .errors import (
     ContainmentFailure,
     DepthExceeded,
     DivisionByZeroInterval,
+    DomainMismatch,
     NormalizationSingular,
 )
 from .rounding import IONE, IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
@@ -70,31 +65,22 @@ _TWO_POINT = rectangle(2)
 
 @dataclass(frozen=True)
 class SharedEvaluations:
-    """Subexpression enclosures valid for every G in the input ball, with the
+    """The subexpressions of T valid for every G in the input ball, with the
     power tables of the two composition arguments they were derived from."""
 
     source: FunctionBall
     a: Interval
     a2: Interval
     a_inv: Interval
-    a_inv2: Interval
     inner: FunctionBall           # G(a**2 X)
     squared: FunctionBall         # Q(G(a**2 X))
     outer_comp: FunctionBall      # G(Q(G(a**2 X)))
     table_affine: PowerTable
     table_squared: PowerTable
-    factor16: FunctionBall | None = None      # a**-1 G'(Q(G(a**2 X))) 2 G(a**2 X)
-    factor16_sq: FunctionBall | None = None
-    factor17: FunctionBall | None = None      # factor16 * G'(a**2 X) * 2 a X
 
     @property
     def domain(self) -> Disc:
         return self.source.domain
-
-    def coefficients(self, q: int) -> tuple[Interval, FunctionBall]:
-        """(a**-q, factor16**q) for q = 1 or 2: the coefficients of M_q on
-        V(Q(G(a**2 X))) and on V(a**2 X)."""
-        return (self.a_inv, self.factor16) if q == 1 else (self.a_inv2, self.factor16_sq)
 
     @property
     def theta_affine(self) -> Decimal:
@@ -103,6 +89,10 @@ class SharedEvaluations:
     @property
     def theta_squared(self) -> Decimal:
         return self.table_squared.theta_bound
+
+    def t(self, ctx: RoundingContext) -> FunctionBall:
+        """T(G) = a**-1 G(Q(G(a**2 X)))."""
+        return fb.scale(ctx, self.a_inv, self.outer_comp)
 
 
 def _composed(subexpression: str, compose, ctx: RoundingContext, G: FunctionBall):
@@ -114,17 +104,12 @@ def _composed(subexpression: str, compose, ctx: RoundingContext, G: FunctionBall
             f"{subexpression}: {exc}", subexpression=subexpression) from exc
 
 
-def precompute_shared(ctx: RoundingContext, G: FunctionBall,
-                      with_derivatives: bool = True) -> SharedEvaluations:
-    """Evaluate every shared subexpression once for the whole ball.
-
-    The power tables of the affine argument a**2 X and of the squared
-    argument Q(G(a**2 X)) are built first; every composition is read off
-    them.  The domain must be centred at 1, where a = G(1) is the constant
-    coefficient: e_k(1) = 0 for k >= 1 and the high tail vanishes at 1.
-    """
-    n = G.truncation
-    domain = G.domain
+def precompute_shared(ctx: RoundingContext, G: FunctionBall) -> SharedEvaluations:
+    """Evaluate every subexpression of T once for the whole ball, each
+    composition read off the power tables of a**2 X and Q(G(a**2 X)).  The
+    domain must be centred at 1, where a = G(1) is the constant coefficient:
+    e_k(1) = 0 for k >= 1 and the high tail vanishes at 1."""
+    n, domain = G.truncation, G.domain
     if domain.center != 1:
         raise ConfigError("shared evaluations assume domain center 1")
     a = fb.coefficient(ctx, G, 0).re
@@ -133,72 +118,50 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall,
     except DivisionByZeroInterval as exc:
         raise NormalizationSingular(f"a = G(1) = {a} may contain zero") from exc
     a2 = ctx.isqr(a)
-    a_inv2 = ctx.isqr(a_inv)
     table_affine = fb.power_table(ctx, fb.affine_arg(ctx, domain, n, a2))
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
     squared = fb.mul(ctx, inner, inner)
     table_squared = fb.power_table(ctx, squared)
     outer_comp = _composed("G(Q(G(a2 X)))", table_squared.compose, ctx, G)
-    kwargs = {}
-    if with_derivatives:
-        deriv_outer = _composed("G'(Q(G(a2 X)))", table_squared.compose_derivative, ctx, G)
-        deriv_inner = _composed("G'(a2 X)", table_affine.compose_derivative, ctx, G)
-        factor16 = fb.scale(ctx, a_inv,
-                            fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, inner)))
-        two_a_x = fb.affine_arg(ctx, domain, n, ctx.iscale(a, _D2))
-        kwargs = dict(
-            factor16=factor16,
-            factor16_sq=fb.mul(ctx, factor16, factor16),
-            factor17=fb.mul(ctx, fb.mul(ctx, factor16, deriv_inner), two_a_x),
-        )
     return SharedEvaluations(
-        source=G, a=a, a2=a2, a_inv=a_inv, a_inv2=a_inv2,
-        inner=inner, squared=squared, outer_comp=outer_comp,
-        table_affine=table_affine, table_squared=table_squared, **kwargs)
+        source=G, a=a, a2=a2, a_inv=a_inv, inner=inner, squared=squared,
+        outer_comp=outer_comp, table_affine=table_affine, table_squared=table_squared)
 
 
-def _delta_a_terms(ctx: RoundingContext, shared: SharedEvaluations,
-                   da: Interval) -> FunctionBall:
-    s = ctx.ineg(ctx.imul(shared.a_inv2, da))
-    out = fb.scale(ctx, s, shared.outer_comp)
-    return fb.add(ctx, out, fb.scale(ctx, da, shared.factor17))
+def _index(q: int) -> int:
+    """Position of M_q, DT = M_1 and L = M_2, in the tables' per-q fields."""
+    if q not in (1, 2):
+        raise ConfigError(f"M_q is defined for q = 1 (DT) and q = 2 (L), got {q!r}")
+    return q - 1
 
 
 @dataclass(frozen=True)
 class ColumnImages:
-    """Basis-column images of one operator over a ball, in exact integer form:
+    """image_k = M_q e_k + [k = 0] column0 - diagonal e_k over a ball, M_q e_k
+    from the tabulated powers u2**k and u1**k: formed exactly in integers,
+    then rounded outward once (balls.int_outward)."""
 
-        image_k = scalar u2**k + factor u1**k + [k = 0] column0 - diagonal e_k
-
-    with u1, u2 the normalized affine and squared arguments, whose powers
-    are read from the power tables (baby powers up to the head degree;
-    above it, a dense map's column k is formed on demand).  Each image is
-    formed exactly and then rounded outward once, in integers
-    (balls.int_outward).  Only integers and tail bounds are held.
-    """
-
-    table_squared: PowerTable
-    table_affine: PowerTable
-    scalar: fb.IntBall
-    factor: fb.IntBall
+    tables: OperatorTables
+    q: int
     column0: fb.IntBall
     diagonal: fb.IntBall      # -diagonal as a constant ball
 
     def image(self, ctx: RoundingContext, k: int) -> fb.IntBall:
-        n = self.table_squared.truncation
-        out = fb.int_add(ctx, fb.int_mul(ctx, self.scalar, self.table_squared.power(ctx, k), n),
-                         fb.int_mul(ctx, self.factor, self.table_affine.power(ctx, k), n))
+        s = self.tables.shared
+        v0 = fb.IntBall([1], [], 0, _D0, _D0) if k == 0 else None   # e_k(1)
+        out = self.tables.image(ctx, self.q, s.table_squared.power(ctx, k),
+                                s.table_affine.power(ctx, k), v0)
         if k == 0:
             out = fb.int_add(ctx, out, self.column0)
         d = self.diagonal
         shifted = fb.IntBall(*([0] * k + part if part else [] for part in (d.mid, d.rad)),
                              d.scale, d.v_high, d.v_err)
-        return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), n)
+        return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), s.source.truncation)
 
     def image_ball(self, ctx: RoundingContext, k: int) -> FunctionBall:
         """image_k as a working-precision ball."""
-        table = self.table_squared
-        return fb.from_int_ball(ctx, table.domain, table.truncation, self.image(ctx, k))
+        s = self.tables.shared
+        return fb.from_int_ball(ctx, s.domain, s.source.truncation, self.image(ctx, k))
 
 
 @dataclass(frozen=True)
@@ -206,50 +169,70 @@ class OperatorTables:
     """M_q over a ball, so the derivative DT = M_1 and the noise operator
     L = M_2, applied through the power tables of its shared evaluations.
 
-    e_k composed with an argument is its k-th power, so each basis-column
-    image of the head is one integer product with a tabulated baby power.
-    The domain is centred at 1 (see :func:`precompute_shared`), where
-    e_k(1) = 0 for k >= 1 and the normalisation variation acts on column 0
-    only.
+    In exact integer form, ``terms[q - 1]`` holds (a**-q, factor16**q) and
+    ``variation`` factor17 - a**-2 G(Q(G(a**2 X))); ``channels[q - 1]``
+    holds the tail bound's (|a**-q|, theta of Q(G(a**2 X))) and
+    (||factor16**q||, theta of a**2 X).  As e_k(1) = 0 for k >= 1 on the
+    disc centred at 1, the variation acts on column 0 only.
     """
 
     shared: SharedEvaluations
+    terms: tuple
+    variation: fb.IntBall
+    channels: tuple
 
     @classmethod
     def build(cls, ctx: RoundingContext, shared: SharedEvaluations) -> "OperatorTables":
-        if shared.factor16 is None:
-            raise ConfigError("shared evaluations lack derivative factors")
-        return cls(shared=shared)
+        s, G = shared, shared.source
+        n = G.truncation
+        deriv_outer = _composed("G'(Q(G(a2 X)))", s.table_squared.compose_derivative, ctx, G)
+        deriv_inner = _composed("G'(a2 X)", s.table_affine.compose_derivative, ctx, G)
+        factor16 = fb.scale(ctx, s.a_inv, fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, s.inner)))
+        two_a_x = fb.affine_arg(ctx, s.domain, n, ctx.iscale(s.a, _D2))
+        factor17 = fb.mul(ctx, fb.mul(ctx, factor16, deriv_inner), two_a_x)
+        scalars = (s.a_inv, ctx.isqr(s.a_inv))
+        factors = (factor16, fb.mul(ctx, factor16, factor16))
+        variation = fb.add(ctx, fb.scale(ctx, ctx.ineg(scalars[1]), s.outer_comp), factor17)
+        pairs = list(zip(scalars, factors))
+        return cls(shared, tuple((fb.to_int_ball(ctx, fb.const_ball(s.domain, n, x)),
+                                  fb.to_int_ball(ctx, f)) for x, f in pairs),
+                   fb.to_int_ball(ctx, variation),
+                   tuple(((x.mag, s.theta_squared), (fb.norm_upper(ctx, f), s.theta_affine))
+                         for x, f in pairs))
+
+    def image(self, ctx: RoundingContext, q: int, c2: fb.IntBall, c1: fb.IntBall,
+              v0: fb.IntBall | None) -> fb.IntBall:
+        """M_q v, exactly, from c2 = v(Q(G(a**2 X))), c1 = v(a**2 X) and
+        v0 = v(1) (None for 0) in integer form."""
+        scalar, factor = self.terms[_index(q)]
+        n = self.shared.source.truncation
+        out = fb.int_add(ctx, fb.int_mul(ctx, scalar, c2, n), fb.int_mul(ctx, factor, c1, n))
+        if q == 1 and v0 is not None:
+            out = fb.int_add(ctx, out, fb.int_mul(ctx, v0, self.variation, n))
+        return out
 
     def columns(self, ctx: RoundingContext, q: int, column0: FunctionBall | None = None,
                 diagonal: Interval = IZERO) -> ColumnImages:
         """Column images of M_q(G) e_k + [k = 0] column0 - diagonal e_k."""
+        _index(q)
         s = self.shared
         n = s.source.truncation
-        scalar, factor = s.coefficients(q)
-        if q == 1:
-            extra = _delta_a_terms(ctx, s, IONE)
-            column0 = extra if column0 is None else fb.add(ctx, extra, column0)
-        elif column0 is None:
+        if column0 is None:
             column0 = fb.zero_ball(s.domain, n)
-        return ColumnImages(
-            s.table_squared, s.table_affine,
-            fb.to_int_ball(ctx, fb.const_ball(s.domain, n, scalar)),
-            fb.to_int_ball(ctx, factor),
-            fb.to_int_ball(ctx, column0),
-            fb.to_int_ball(ctx, fb.const_ball(s.domain, n, ctx.ineg(diagonal))))
+        if (column0.domain, column0.truncation) != (s.domain, n):
+            raise DomainMismatch("column 0 and the tables differ in disc or degree")
+        return ColumnImages(self, q, fb.to_int_ball(ctx, column0), fb.to_int_ball(
+            ctx, fb.const_ball(s.domain, n, ctx.ineg(diagonal))))
 
     def apply(self, ctx: RoundingContext, q: int, v: FunctionBall) -> FunctionBall:
         """M_q(G) v, enclosing the action for every G in the ball."""
-        s = self.shared
-        scalar, factor = s.coefficients(q)
-        out = fb.add(ctx, fb.scale(ctx, scalar, s.table_squared.compose(ctx, v)),
-                     fb.mul(ctx, factor, s.table_affine.compose(ctx, v)))
-        if q == 1:
-            da = fb.coefficient(ctx, v, 0).re   # v(1)
-            if da.mag != 0:
-                out = fb.add(ctx, out, _delta_a_terms(ctx, s, da))
-        return out
+        _index(q)
+        s, n = self.shared, self.shared.source.truncation
+        c2, c1 = (fb.to_int_ball(ctx, table.compose(ctx, v))
+                  for table in (s.table_squared, s.table_affine))
+        v0 = fb.const_ball(s.domain, n, fb.coefficient(ctx, v, 0).re)   # v(1)
+        out = self.image(ctx, q, c2, c1, fb.to_int_ball(ctx, v0))
+        return fb.from_int_ball(ctx, s.domain, n, out)
 
     def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
         return self.apply(ctx, 1, dG)

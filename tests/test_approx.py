@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 from decimal import Decimal
 
@@ -31,7 +32,7 @@ from renormcert.errors import (
     NewtonDivergence,
     SingularJacobian,
 )
-from renormcert.rounding import RoundingContext
+from renormcert.rounding import RoundingContext, interval
 
 
 def test_fixed_point_value(desk):
@@ -45,14 +46,8 @@ def test_fixed_point_residual(desk):
 
 
 def test_seed_converges():
-    g = ax.approx_fixed_point(20, 30, seed=ax.default_seed())
+    g = ax.approx_fixed_point(20, 30)
     assert digit_match_count(str(g[0]), REF_A) >= 12
-
-
-def test_seed_normalisation_guard():
-    # seed value at 1 is its constant basis coefficient; 0.01 is below the guard
-    with pytest.raises(NewtonDivergence):
-        ax.approx_fixed_point(8, 20, seed=[Decimal("0.01"), Decimal("-0.5")])
 
 
 def test_degree_continuation_consistency(desk):
@@ -445,6 +440,24 @@ def test_gamma_column0_without_power_factor_leaves_midpoint_jacobian(desk):
     wrong = tables.columns(ctx, 2, column0=fb.negate(ctx, fb.scale(ctx, phi, w_ball)),
                            diagonal=ctx.isqr(phi))
     jac = ax.approx_jacobian("gamma_eigen", desk.g0, desk.w0, digits=digits)
+    assert _misses(wrong.image_ball(ctx, 0), [row[0] for row in jac], digits)
+
+
+@pytest.mark.parametrize("kind", ["fixed_point", "delta_eigen"])
+def test_column0_without_variation_of_a_leaves_midpoint_jacobian(desk, kind):
+    """Negative control for the kernel check: a q = 1 column 0 whose kernel
+    drops the variation of a misses the midpoint Jacobian's column 0."""
+    ctx, digits = desk.ctx, desk.ctx.precision
+    _, _, tables, ball = _cross_engine(desk)
+    zero = fb.IntBall([], [], 0, Decimal(0), Decimal(0))
+    dropped = dataclasses.replace(tables, variation=zero)
+    if kind == "fixed_point":
+        x0, wrong = None, dropped.columns(ctx, 1, diagonal=interval(1))
+    else:
+        x0, v_ball = desk.v0, ball(desk.v0)
+        wrong = dropped.columns(ctx, 1, column0=fb.negate(ctx, v_ball),
+                                diagonal=fb.coefficient(ctx, v_ball, 0).re)
+    jac = ax.approx_jacobian(kind, desk.g0, x0, digits=digits)
     assert _misses(wrong.image_ball(ctx, 0), [row[0] for row in jac], digits)
 
 

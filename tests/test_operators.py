@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import random
@@ -15,6 +16,7 @@ from renormcert.errors import (
     ConfigError,
     ContainmentFailure,
     DepthExceeded,
+    DomainMismatch,
     NormalizationSingular,
 )
 from renormcert.rounding import Interval, Rectangle, RoundingContext, interval, rectangle
@@ -25,16 +27,15 @@ DOM = fb.STANDARD_DISC
 
 def test_shared_constant_one():
     one = fb.one_ball(DOM, 8)
-    s = op.precompute_shared(ctx, one, with_derivatives=False)
+    s = op.precompute_shared(ctx, one)
     assert s.a.contains(1)
     assert s.inner.coeffs[0].re.contains(1)
     assert fb.norm_upper(ctx, fb.sub(ctx, s.squared, one)) == 0
 
 
 def test_shared_inflation_widens(desk):
-    s0 = op.precompute_shared(ctx, desk.G0, with_derivatives=False)
-    s1 = op.precompute_shared(ctx, fb.inflate(ctx, desk.G0, "1e-10"),
-                              with_derivatives=False)
+    s0 = op.precompute_shared(ctx, desk.G0)
+    s1 = op.precompute_shared(ctx, fb.inflate(ctx, desk.G0, "1e-10"))
     assert s1.a.contains_interval(s0.a)
     for k in range(desk.n + 1):
         assert s1.squared.coeffs[k].re.contains_interval(s0.squared.coeffs[k].re)
@@ -42,7 +43,7 @@ def test_shared_inflation_widens(desk):
 
 
 def test_shared_a_matches_reference(desk):
-    s = op.precompute_shared(ctx, desk.G0, with_derivatives=False)
+    s = op.precompute_shared(ctx, desk.G0)
     ref = Decimal(REF_A[:16])
     assert abs(ctx.imid(s.a) - ref) < Decimal("1e-13")
 
@@ -52,7 +53,7 @@ def test_shared_a_is_constant_coefficient_with_high_tail(desk):
     vanishing at 1: on a ball with v_high > 0 it is narrower than the
     evaluated G(1) and holds G(1) of sampled members."""
     ball = fb.FunctionBall(DOM, desk.G0.coeffs, Decimal("1e-6"), Decimal("1e-8"))
-    a = op.precompute_shared(ctx, ball, with_derivatives=False).a
+    a = op.precompute_shared(ctx, ball).a
     evaluated = fb.evaluate(ctx, ball, rectangle(1)).re
     assert evaluated.contains_interval(a) and a.hi - a.lo < evaluated.hi - evaluated.lo
     rng = random.Random(41)
@@ -96,7 +97,8 @@ def test_apply_T_pointwise_oracle(desk):
 
 
 def test_squared_table_products_stay_sub_linear(monkeypatch):
-    """Structural guard: over precompute_shared at N = 80, the squared
+    """Structural guard: over precompute_shared and OperatorTables.build at
+    N = 80, the squared
     argument's table and its two compositions take at most
     m + 2 ceil((N+1)/m) full-length products (the baby steps u**2..u**m
     and ceil((N+1)/m) - 1 giant steps per composition), not the N - 1 of a
@@ -125,23 +127,24 @@ def test_squared_table_products_stay_sub_linear(monkeypatch):
 
     monkeypatch.setattr(fb, "int_mul", counted_int_mul)
     monkeypatch.setattr(fb, "mul", uncounted_mul)
-    op.precompute_shared(wide, G)
+    op.OperatorTables.build(wide, op.precompute_shared(wide, G))
     assert (m - 1) + 2 * 3 == len(products) <= m + 2 * -(-(n + 1) // m) < n - 1
 
 
-def test_apply_DT_delta_a_terms_vanish(desk):
+def test_apply_DT_variation_of_a_acts_on_column0_only(desk):
     """The variation of a = G(1) acts on column 0 only: a column image is
     a**-1 u2**k + factor16 u1**k alone exactly when k >= 1."""
     tables = desk.tables
     s = tables.shared
+    a_inv, factor16 = (fb.from_int_ball(ctx, DOM, desk.n, term) for term in tables.terms[0])
 
     def power(table, k):
         return fb.from_int_ball(ctx, DOM, desk.n, table.power(ctx, k))
 
     for k in (0, 1, 2, 5):
         image = tables.dt_basis_image(ctx, k)
-        simple = fb.add(ctx, fb.scale(ctx, s.a_inv, power(s.table_squared, k)),
-                        fb.mul(ctx, s.factor16, power(s.table_affine, k)))
+        simple = fb.add(ctx, fb.mul(ctx, a_inv, power(s.table_squared, k)),
+                        fb.mul(ctx, factor16, power(s.table_affine, k)))
         agree = all(image.coeffs[i].re.contains(ctx.imid(simple.coeffs[i].re))
                     for i in range(desk.n + 1))
         assert agree == (k != 0), k
@@ -162,16 +165,37 @@ def test_column_images_contain_apply(desk, q, basis_image):
         assert _contains_midpoints(image, applied, desk.n), k
 
 
-def test_l_column_images_with_dt_coefficients_miss_apply(desk, monkeypatch):
+def test_l_column_images_with_dt_coefficients_miss_apply(desk):
     """Negative control: q = 2 column images built with the q = 1
     coefficients (a**-1 and factor16) miss L e_k."""
     tables = desk.tables
     applied = [tables.l_apply(ctx, fb.basis_ball(DOM, desk.n, k)) for k in (0, 1, 2, 5)]
-    coefficients = op.SharedEvaluations.coefficients
-    monkeypatch.setattr(op.SharedEvaluations, "coefficients",
-                        lambda shared, q: coefficients(shared, 1))
+    wrong = dataclasses.replace(tables, terms=(tables.terms[0],) * 2)
     for k, l_e_k in zip((0, 1, 2, 5), applied):
-        assert not _contains_midpoints(tables.l_basis_image(ctx, k), l_e_k, desk.n), k
+        assert not _contains_midpoints(wrong.l_basis_image(ctx, k), l_e_k, desk.n), k
+
+
+@pytest.mark.parametrize("misuse, error", [
+    (lambda t: t.apply(ctx, 0, fb.one_ball(DOM, 20)), ConfigError),
+    (lambda t: t.apply(ctx, 3, fb.one_ball(DOM, 20)), ConfigError),
+    (lambda t: t.columns(ctx, 0), ConfigError),
+    (lambda t: t.columns(ctx, 3), ConfigError),
+    (lambda t: t.image(ctx, 0, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
+    (lambda t: t.image(ctx, 3, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
+    (lambda t: t.columns(ctx, 1, fb.one_ball(fb.Disc(Decimal(1), Decimal(5)), 25)),
+     DomainMismatch),
+    (lambda t: t.columns(ctx, 2, fb.one_ball(fb.Disc(Decimal(1), Decimal(5)), 25)),
+     DomainMismatch),
+    (lambda t: t.columns(ctx, 2, fb.one_ball(fb.Disc(Decimal(1), Decimal(5)), 20)),
+     DomainMismatch),
+    (lambda t: t.columns(ctx, 2, fb.one_ball(DOM, 25)), DomainMismatch),
+], ids=["apply-q0", "apply-q3", "columns-q0", "columns-q3", "image-q0", "image-q3",
+        "column0-q1", "column0-q2", "column0-disc", "column0-degree"])
+def test_operator_tables_refuse_misuse(desk, misuse, error):
+    """M_q exists for q = 1 and 2 only, and column 0 must share the tables'
+    disc and degree, for either q."""
+    with pytest.raises(error):
+        misuse(desk.tables)
 
 
 def test_apply_DT_linearity(desk):
@@ -186,10 +210,14 @@ def test_apply_DT_linearity(desk):
             <= summed.coeffs[k].re.hi + Decimal("1e-20")
 
 
-def test_apply_DT_pointwise_oracle(desk):
+def _dt_oracle(desk, tables):
+    """(z, value, enclosure) at 25 domain points: DT v at a member G of the
+    parameter ball by direct evaluation, and the ball enclosure of
+    tables.dt_apply over the ball, for v = 0.3 - 0.2 e_1 + 0.1 e_2."""
     rng = random.Random(22)
     dG = fb.ball_from_decimals(DOM, ["0.3", "-0.2", "0.1"], desk.n)
-    image = desk.tables.dt_apply(ctx, dG)
+    image = tables.dt_apply(ctx, dG)
+    out = []
     m = {k: c.re.lo for k, c in enumerate(desk.param.coeffs)}
     dm = {0: Decimal("0.3"), 1: Decimal("-0.2"), 2: Decimal("0.1")}
     with decimal.localcontext(decimal.Context(prec=120)):
@@ -206,9 +234,21 @@ def test_apply_DT_pointwise_oracle(desk):
             t15 = eval_member(dm, u2, DOM, 120) / a
             t16 = gp_u2 * 2 * g_in * eval_member(dm, a2z, DOM, 120) / a
             t17 = gp_u2 * 2 * g_in * gp_in * 2 * z * a * da / a
-            value = t14 + t15 + t16 + t17
-            out = fb.evaluate(ctx, image, rectangle(z))
-            assert out.re.contains(value), (z, value, out)
+            out.append((z, t14 + t15 + t16 + t17, fb.evaluate(ctx, image, rectangle(z))))
+    return out
+
+
+def test_apply_DT_pointwise_oracle(desk):
+    for z, value, out in _dt_oracle(desk, desk.tables):
+        assert out.re.contains(value), (z, value, out)
+
+
+def test_apply_DT_without_variation_of_a_misses_pointwise_oracle(desk):
+    """Negative control: a DT apply whose kernel drops the variation of a
+    misses the direct evaluations of the pointwise oracle."""
+    zero = fb.IntBall([], [], 0, Decimal(0), Decimal(0))
+    dropped = dataclasses.replace(desk.tables, variation=zero)
+    assert not all(out.re.contains(value) for _, value, out in _dt_oracle(desk, dropped))
 
 
 def test_apply_L_basics(desk):
@@ -310,7 +350,7 @@ def _theta_reach(rctx, ball):
     """[(reach, theta r)] for the two composition arguments: the largest
     |a**2 z - c| and |Q(G(a**2 z)) - c| over the circle points, upper
     bounds, and theta r of the argument's power table, a lower bound."""
-    shared = op.precompute_shared(rctx, ball, with_derivatives=False)
+    shared = op.precompute_shared(rctx, ball)
     g = fb.point_evaluator(rctx, ball)
     a2 = Rectangle(shared.a2, interval(0))
     centre = rectangle(DOM.center)
@@ -344,7 +384,7 @@ def test_theta_below_one_proves_domain_extension(request, scale):
     if scale == "desk":
         wide = fb.inflate(run.ctx, run.G0, 1)
         with pytest.raises((CompositionContractFailure, NormalizationSingular)):
-            op.precompute_shared(run.ctx, wide, with_derivatives=False)
+            op.precompute_shared(run.ctx, wide)
         with pytest.raises(ContainmentFailure):
             op.check_domain_extension(run.ctx, wide, 64)
 
