@@ -14,7 +14,10 @@ preconditions both iterations, with the operators applied matrix-free:
 
 * fixed point: Newton's correction delta solves (DT - I) delta = -F by
   delta <- delta - B((DT - I) delta + F) (inexact Newton; Dembo,
-  Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982);
+  Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982), on a ladder of
+  doubling degrees 20, 40, ..., N from a tabulated degree-20 fixed point;
+  each rung m below N stops at its truncation level, a residual below
+  |g_m|/100, and only the top rung goes on to 10**-(P-6);
 * eigenpairs: shifted inverse iteration on the head of M_p finds the
   eigenvalue nearest a literature hint s (4.669 for delta, 6.619**2 for
   gamma**2), at the rate |lambda - s|/|lambda' - s| per step, lambda'
@@ -29,8 +32,10 @@ the scale 10**-(P+6), P the working precision, products are exact
 composition argument has a power table of the shape of
 ``balls.PowerTable``, midpoints only: baby powers u**0..u**20 and the
 giant step u**21, composing by exact block dot products and Horner in the
-giant step (Paterson-Stockmeyer).  T(g) and M_q(g) v come back to Decimal
-exactly; the iterations and factorizations run in Decimal.
+giant step (Paterson-Stockmeyer).  A build forms what T(g) reads; the
+derivative terms of M_q are formed on first use, so a residual check that
+passes makes no derivative product.  T(g) and M_q(g) v come back to
+Decimal exactly; the iterations and factorizations run in Decimal.
 
 Polynomials are plain lists of Decimal coefficients in the scaled-monomial
 basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
+from functools import cached_property
 
 from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots
 from .contraction import KINDS, LinearMap
@@ -53,7 +59,6 @@ from .errors import (
 
 __all__ = [
     "HEAD_DEGREE",
-    "default_seed",
     "approx_fixed_point",
     "approx_jacobian",
     "approx_eigenpair",
@@ -68,8 +73,34 @@ _C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
 #: unbounded precision: scaleb by it only moves the decimal point
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
-#: classical starting guess g(x) ~ 1 - 1.5276 x**2, written for G(X).
-_SEED_QUADRATIC = Decimal("-1.5276")
+#: the degree-20 fixed point to 30 digits, G(X) on the standard disc: the
+#: seed of the fixed-point bootstrap, read in the working context (so
+#: rounded to P digits) and truncated below degree 20.  Newton from the
+#: classical g(x) ~ 1 - 1.5276 x**2 regenerates it (tests/helpers.py,
+#: ``oracle_fixed_point(20, 30)``).
+_SEED_G20 = (
+    "-0.399535280523134489832089852826",
+    "-3.12863484386986602760214179445",
+    "1.03067273093287408586726393407",
+    "0.216018100984437012849690527830",
+    "-0.110662021504520631336476467893",
+    "0.0173426230041387442505194276065",
+    "0.00168067057675178815370075999288",
+    "-0.00148004157887373636682158077123",
+    "0.000165323960077417140976374436366",
+    "0.0000562501188316091488779947959304",
+    "-0.0000176592866143379962628048061376",
+    "-8.65575219647902204323921939114E-8",
+    "0.00000105406087850415777248218632928",
+    "-2.32355499259027574505989076461E-7",
+    "-7.56754362196329097532190579216E-9",
+    "1.50923352416011022288183679578E-8",
+    "-3.09419580965327002118238386049E-9",
+    "-1.04213418934726870506268351400E-10",
+    "1.86348976887171423267223577328E-10",
+    "-3.53501949054178709122485646352E-11",
+    "-2.10776870377192232038980413586E-12",
+)
 
 #: literature values of delta and gamma: the bootstrap takes the eigenvalue
 #: nearest hint**p (p = 1 for delta, 2 for gamma); rigor comes from the
@@ -84,11 +115,6 @@ HEAD_DEGREE = BABY_STEPS - 1
 
 def _context(digits: int) -> decimal.Context:
     return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
-
-
-def default_seed() -> list[Decimal]:
-    """Affine seed for the fixed-point Newton iteration: G(X) = 1 + q(X - ...)."""
-    return [_D1 + _SEED_QUADRATIC * _C, _SEED_QUADRATIC * _R]
 
 
 # -- dense polynomial helpers (assume a decimal context is active) -----------
@@ -187,7 +213,10 @@ class _MidShared:
     integers at that scale; products and compositions are exact integer
     arithmetic rounded to nearest once per product, per block and per
     giant step.  :meth:`t` and :meth:`apply` convert to Decimal, exactly,
-    only at their boundary.
+    only at their boundary.  The terms only M_q reads (factor16,
+    factor16_sq, factor17 and the compositions of G' in them) are formed
+    on first use and kept; being integer arithmetic at the build's scale,
+    they do not depend on when that is.
 
     With ``width`` = K + 1 below N + 1, every polynomial is cut to its
     coefficients 0..K (the compositions still read all N + 1 coefficients
@@ -222,12 +251,23 @@ class _MidShared:
         inner = self.table_affine.compose(g_int)
         self.table_squared = table(self._mul(inner, inner))
         self.outer_comp = self.table_squared.compose(g_int)
-        deriv_outer = self.table_squared.compose(gd)
-        deriv_inner = self.table_affine.compose(gd)
-        self.factor16 = self._mul(deriv_outer, self._scaled(2 * self.a_inv, inner))
-        self.factor16_sq = self._mul(self.factor16, self.factor16)
-        self.factor17 = self._mul(self._mul(self.factor16, deriv_inner),
-                                  self._scaled(2 * a, [c, r]))
+        self._gd, self._inner, self._x_line = gd, inner, self._scaled(2 * a, [c, r])
+
+    @cached_property
+    def factor16(self) -> list[int]:
+        """2 a**-1 G'(Q(G(a**2 X))) G(a**2 X)."""
+        return self._mul(self.table_squared.compose(self._gd),
+                         self._scaled(2 * self.a_inv, self._inner))
+
+    @cached_property
+    def factor16_sq(self) -> list[int]:
+        return self._mul(self.factor16, self.factor16)
+
+    @cached_property
+    def factor17(self) -> list[int]:
+        """factor16 G'(a**2 X) 2 a X."""
+        return self._mul(self._mul(self.factor16, self.table_affine.compose(self._gd)),
+                         self._x_line)
 
     def _int(self, x: Decimal) -> int:
         return round(x.scaleb(self.scale, _EXACT))
@@ -409,21 +449,35 @@ def _newton_correction(shared, width: int, residual, tol, max_steps: int):
         f"{tol / 100} in {max_steps} steps")
 
 
+def _rung_tolerance(tg, tol, top: bool):
+    """Residual below which a rung of degree m = len(tg) - 1 stops, from
+    tg = T(g): ``tol`` on the top rung; below it max(tol, |g_m|/100),
+    since truncation at degree m leaves an error of about the size of the
+    last coefficient.  g_m is read off T(g): on a rung's first iterate g
+    is zero-padded, g_m = 0, while T(g) already carries the coefficient,
+    so that the first correction's inner steps also stop at the
+    truncation level."""
+    return tol if top else max(tol, abs(tg[-1]) / 100)
+
+
 def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
     """Polynomial approximation to the fixed point, residual below 10**-(digits-6).
 
-    Bootstraps deterministically: Newton from the classical quadratic-map
-    seed at degree min(n, 20), then continuation through doubling degrees.
-    Each Newton correction is solved through the block map on the head of
-    the Jacobian (:func:`_newton_correction`), which at the seed degree is
-    the whole Jacobian.
+    Bootstraps deterministically: Newton from the tabulated degree-20 fixed
+    point (``_SEED_G20``, rounded to ``digits`` and truncated to degree n
+    when n < 20), then continuation through doubling degrees.  Each rung
+    below n stops at its truncation level (:func:`_rung_tolerance`); the
+    top rung reaches 10**-(digits-6).  Each Newton correction is solved
+    through the block map on the head of the Jacobian
+    (:func:`_newton_correction`), which at degree 20 and below is the whole
+    Jacobian.
     """
     if n < 2:
         raise ConfigError("need truncation degree >= 2")
     if digits < 10:
         raise ConfigError("need at least 10 digits")
     with decimal.localcontext(_context(digits)):
-        g = default_seed()
+        g = [+Decimal(x) for x in _SEED_G20[:n + 1]]
         tol = Decimal(10) ** -(digits - 6)
         max_iter = 50
         for stage_n in _stage_ladder(n):
@@ -431,13 +485,15 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
             width = min(stage_n, HEAD_DEGREE) + 1
             for _ in range(max_iter):
                 shared = _MidShared(g)
-                residual = p_sub(shared.t(), g)
-                if _sup_norm(residual) < tol:
+                tg = shared.t()
+                residual = p_sub(tg, g)
+                rung_tol = _rung_tolerance(tg, tol, stage_n == n)
+                if _sup_norm(residual) < rung_tol:
                     break
-                g = p_add(g, _newton_correction(shared, width, residual, tol, digits))
+                g = p_add(g, _newton_correction(shared, width, residual, rung_tol, digits))
             else:
                 raise NewtonDivergence(
-                    f"no convergence below {tol} in {max_iter} iterations")
+                    f"no convergence below {rung_tol} in {max_iter} iterations")
         return g
 
 

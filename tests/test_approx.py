@@ -50,6 +50,67 @@ def test_seed_converges():
     assert digit_match_count(str(g[0]), REF_A) >= 12
 
 
+def test_tabulated_seed_regenerates_from_quadratic_seed():
+    """Dense Newton from g(x) ~ 1 - 1.5276 x**2 reproduces the tabulated
+    degree-20 seed, and at N=20, P=30 the bootstrap returns the seed digit
+    for digit."""
+    seed = [Decimal(x) for x in ax._SEED_G20]
+    assert _sup_diff(oracle_fixed_point(20, 30), seed) < Decimal("1e-28")
+    assert [str(x) for x in ax.approx_fixed_point(20, 30)] == list(ax._SEED_G20)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_truncated_seed_matches_dense_newton(n):
+    """Below degree 20 the seed is truncated to degree n, and Newton from it
+    reaches the zero that dense Newton from the quadratic seed reaches."""
+    assert _sup_diff(ax.approx_fixed_point(n, 30), oracle_fixed_point(n, 30)) < Decimal("1e-24")
+
+
+def _residual(g, digits: int) -> Decimal:
+    """sup |T(g) - g| by the Decimal engine at twice the precision."""
+    with decimal.localcontext(ax._context(2 * digits)):
+        return _sup_diff(DecimalShared(g).t(), g)
+
+
+def test_seed_rounded_to_working_precision():
+    """Below its 30 digits the seed is read at the working precision, so
+    every coefficient of the result has at most P significant digits."""
+    g = ax.approx_fixed_point(20, 20)
+    assert all(len(x.as_tuple().digits) <= 20 for x in g)
+    assert _residual(g, 20) < Decimal("1e-14")
+
+
+def test_lower_rungs_stop_at_truncation_level(monkeypatch):
+    """At N=80, P=60 the seed passes rung 20 as it stands, rung 40 stops
+    after one correction, at about |g_40|/100, and only the top rung
+    reaches 10**-(P-6): one, two and two builds of the shared evaluations."""
+    degrees = []
+    shared_cls = ax._MidShared
+
+    class CountingShared(shared_cls):
+        def __init__(self, g):
+            degrees.append(len(g) - 1)
+            super().__init__(g)
+
+    monkeypatch.setattr(ax, "_MidShared", CountingShared)
+    g = ax.approx_fixed_point(80, 60)
+    monkeypatch.undo()
+    assert degrees == [20, 40, 40, 80, 80]
+    assert _residual(g, 60) < Decimal("1e-54")
+
+
+def test_top_rung_stopped_at_truncation_level_is_caught(monkeypatch):
+    """Negative control for the rung stop: applied to the top rung too, it
+    returns the 30-digit seed at N=20, P=60, whose residual is above
+    10**-(P-6); the full bootstrap's is below."""
+    tol = Decimal(10) ** -54
+    assert _residual(ax.approx_fixed_point(20, 60), 60) < tol
+    rung_tolerance = ax._rung_tolerance
+    monkeypatch.setattr(ax, "_rung_tolerance",
+                        lambda tg, tol, top: rung_tolerance(tg, tol, False))
+    assert _residual(ax.approx_fixed_point(20, 60), 60) > tol
+
+
 def test_degree_continuation_consistency(desk):
     g40 = ax.approx_fixed_point(40, 30)
     for k in range(10):
@@ -137,7 +198,8 @@ def test_jacobian_column_delta_a_only_in_first(desk):
 def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
     """Each fixed-point Newton iterate builds the midpoint shared evaluations
     once and reads both T(g) and the Jacobian from them; the Jacobian it
-    factors is approx_jacobian("fixed_point", g) entry for entry."""
+    factors is approx_jacobian("fixed_point", g) entry for entry.  At N=20,
+    P=60 the 30-digit seed still takes a Newton correction."""
     iterates, factored = [], []
     shared_cls, lu_factor = ax._MidShared, ax.lu_factor
 
@@ -152,13 +214,13 @@ def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
 
     monkeypatch.setattr(ax, "_MidShared", CountingShared)
     monkeypatch.setattr(ax, "lu_factor", recording_lu_factor)
-    g = ax.approx_fixed_point(20, 30)
+    g = ax.approx_fixed_point(20, 60)
     monkeypatch.undo()
-    assert len(iterates) == 7
+    assert len(iterates) == 2
     assert len(factored) == len(iterates) - 1
     assert iterates[-1] == g
     for g_k, jac in zip(iterates, factored):
-        ref = ax.approx_jacobian("fixed_point", g_k, digits=30)
+        ref = ax.approx_jacobian("fixed_point", g_k, digits=60)
         assert [list(map(str, row)) for row in jac] == [list(map(str, row)) for row in ref]
 
 
@@ -270,23 +332,39 @@ def bootstrap80():
     return g0, ax.approx_eigenpair("delta", g0, 60)[0]
 
 
+class _EagerShared(ax._MidShared):
+    """The integer engine with every derivative term formed at construction."""
+
+    def __init__(self, g, width=None):
+        super().__init__(g, width)
+        self.factor16, self.factor16_sq, self.factor17
+
+
 def _engine_and_oracle(g0, v, digits: int):
     """t(), apply(1, v), apply(2, v) and the heads of M_1 and M_2 of the
-    integer engine (the heads from its head-only build) and of the Decimal
-    oracle at twice the precision, as (name, engine, oracle, size) with the
-    sup norm ``size`` of the input: 1 for T and for the unit vectors the
-    heads are images of, max(1, |v|) for the applies, which are linear."""
+    integer engine built lazily and eagerly (the heads from head-only
+    builds) and of the Decimal oracle at twice the precision, as (name,
+    lazy, eager, oracle, size) with the sup norm ``size`` of the input: 1
+    for T and for the unit vectors the heads are images of, max(1, |v|)
+    for the applies, which are linear.  Lazily, each output is read off a
+    build of its own, which forms on first use only the derivative terms
+    that output reads; eagerly, off one build that formed them all."""
     width = min(len(g0), ax.HEAD_DEGREE + 1)
-    out = []
-    for prec, cls in ((digits, ax._MidShared), (2 * digits, DecimalShared)):
-        with decimal.localcontext(ax._context(prec)):
-            full = cls(g0)
-            heads = ax._MidShared(g0, width) if cls is ax._MidShared else full
-            out.append([full.t(), full.apply(1, v), full.apply(2, v)]
-                       + [[x for row in heads.head(q, width) for x in row] for q in (1, 2)])
+
+    def outputs(full, heads):
+        return ([full().t(), full().apply(1, v), full().apply(2, v)]
+                + [[x for row in heads().head(q, width) for x in row] for q in (1, 2)])
+
+    with decimal.localcontext(ax._context(digits)):
+        lazy = outputs(lambda: ax._MidShared(g0), lambda: ax._MidShared(g0, width))
+        full, heads = _EagerShared(g0), _EagerShared(g0, width)
+        eager = outputs(lambda: full, lambda: heads)
+    with decimal.localcontext(ax._context(2 * digits)):
+        oracle_build = DecimalShared(g0)
+        oracle = outputs(lambda: oracle_build, lambda: oracle_build)
     one = Decimal(1)
     size = max(one, ax._sup_norm(v))
-    return list(zip(["T", "DT v", "L v", "head M_1", "head M_2"], *out,
+    return list(zip(["T", "DT v", "L v", "head M_1", "head M_2"], lazy, eager, oracle,
                     [one, size, size, one, one]))
 
 
@@ -296,7 +374,8 @@ def test_integer_engine_matches_decimal_oracle(request, scale):
     one at twice the precision: T(g0), DT(g0) v and L(g0) v for the dense
     delta eigenvector v (|v| = delta), and the K+1 heads of M_1 and M_2
     from the head-only build, each within N 10**-(P+5) times the size of
-    its input.  At N=80 every composition runs giant steps; at desk
+    its input.  Every output of the lazily built engine equals that of the
+    eagerly built one.  At N=80 every composition runs giant steps; at desk
     (N+1 = 21 baby powers) none does."""
     if scale == "desk":
         run = request.getfixturevalue("desk")
@@ -307,17 +386,20 @@ def test_integer_engine_matches_decimal_oracle(request, scale):
     bound = n * Decimal(10) ** -(digits + 5)
     with decimal.localcontext(ax._context(digits)):
         assert (ax._MidShared(g0).table_squared.giant is None) == (n + 1 <= fb.BABY_STEPS)
-    for name, engine, oracle, size in _engine_and_oracle(g0, v, digits):
-        assert _sup_diff(engine, oracle) < bound * size, name
+    for name, lazy, eager, oracle, size in _engine_and_oracle(g0, v, digits):
+        assert lazy == eager, name
+        assert _sup_diff(lazy, oracle) < bound * size, name
 
 
 def test_midpoint_build_product_count(monkeypatch, bootstrap80):
-    """Structural guard: one full build at N=80, P=60 makes
-    2(m-1) + 4(ceil((N+1)/m) - 1) + 5 = 57 exact products (m = 21): m - 1
-    per power table (u**2..u**20 and the giant step u**21), ceil(81/21) - 1
-    = 3 giant steps in each of the four compositions, and the products
-    inner**2, factor16, factor16**2 and the two of factor17.  A table of
-    every power makes 158."""
+    """Structural guard: a build at N=80, P=60 makes
+    2(m-1) + 2(ceil((N+1)/m) - 1) + 1 = 47 exact products (m = 21), all
+    that T(g) reads: m - 1 per power table (u**2..u**20 and the giant step
+    u**21), ceil(81/21) - 1 = 3 giant steps in each of the two
+    compositions of g, and inner**2.  The derivative terms take 10 more on
+    first use, and none after: 3 giant steps in each of the two compositions of G', and
+    the products factor16, factor16**2 and the two of factor17, 57 in all.
+    A table of every power makes 158."""
     calls = []
     conv = ax._conv
 
@@ -327,9 +409,15 @@ def test_midpoint_build_product_count(monkeypatch, bootstrap80):
 
     monkeypatch.setattr(ax, "_conv", counting_conv)
     with decimal.localcontext(ax._context(60)):
-        ax._MidShared(bootstrap80[0])
+        shared = ax._MidShared(bootstrap80[0])
+        shared.t()
+        t_products = len(calls)
+        for _ in range(2):
+            shared.factor16, shared.factor16_sq, shared.factor17
     m, n = fb.BABY_STEPS, 80
-    assert len(calls) == 2 * (m - 1) + 4 * (-(-(n + 1) // m) - 1) + 5 == 57
+    giant_steps = -(-(n + 1) // m) - 1
+    assert t_products == 2 * (m - 1) + 2 * giant_steps + 1 == 47
+    assert len(calls) - t_products == 2 * giant_steps + 4 == 10
 
 
 def test_finite_difference_oracle(desk):
