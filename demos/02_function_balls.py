@@ -3,15 +3,17 @@
 Functions analytic on the disc D(1, 2.5) are stored as a polynomial part
 with interval coefficients in the scaled basis ((z-1)/2.5)**k, plus an l1
 bound on everything above the truncation degree, plus an l1 bound on a
-general error part.  Arithmetic on balls encloses the pointwise arithmetic
-of every member function: this is what lets a finite computation control an
+general error part.  The coefficients are held as exact integers, midpoint
+plus or minus radius times 10**-scale, and read as decimals through the
+``coeffs`` view.  Arithmetic on balls encloses the pointwise arithmetic of
+every member function: this is what lets a finite computation control an
 infinite-dimensional operator.
 """
 
 import random
 from decimal import Decimal
 
-from renormcert import RoundingContext, STANDARD_DISC, rectangle
+from renormcert import RoundingContext, STANDARD_DISC, interval, rectangle
 from renormcert import balls as fb
 
 ctx = RoundingContext(30)
@@ -21,7 +23,14 @@ print("== a ball and its norm ==")
 f = fb.ball_from_decimals(STANDARD_DISC, ["1", "-2"], N)
 f = fb.inflate(ctx, f, "0.5")
 print(f"  coefficients (1, -2), error budget 0.5")
+print(f"  held as mid {f.mid}, rad {f.rad} (empty: all 0) at scale 10^-{f.scale}")
 print(f"  norm upper bound: {fb.norm_upper(ctx, f)}")
+
+
+print("\n== a kernel rounds its exact integer result outward once ==")
+third = fb.scale(ctx, ctx.idiv(interval(1), interval(3)), f)   # f / 3
+print(f"  f/3 holds mid {third.mid[:2]}, rad {third.rad[:2]} at scale 10^-{third.scale}")
+print(f"  coefficient 0 read as decimals: {third.coeffs[0].re}")
 
 print("\n== multiplication spills high-degree mass into the tail bound ==")
 g = fb.ball_from_decimals(STANDARD_DISC, ["0.3", "0.1", "0", "0", "0", "0.2"], N)

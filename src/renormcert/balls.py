@@ -12,9 +12,7 @@ where f_P is a polynomial of degree <= N whose basis coefficients lie in
 the stored intervals, f_H is any real-coefficient function supported
 strictly above degree N with ||f_H|| <= v_high, and f_E is any
 real-coefficient function with ||f_E|| <= v_err.  Every operation returns
-a ball enclosing the exact image of every member.  Coefficients are held
-as rectangles whose imaginary part is exactly zero; a ball with any other
-coefficient is refused when it is built.
+a ball enclosing the exact image of every member.
 
 Why real coefficients suffice.  The doubling operator T, its derivative
 DT, the noise operator L and both eigen residuals map real-coefficient
@@ -28,23 +26,32 @@ gives a zero that is unique among the real-coefficient functions in the
 ball.  The domain-extension check is unchanged: it is a statement about
 every member at complex points.
 
-Coefficient kernels run on :class:`IntBall`, the exact integer
-midpoint-radius form of a ball's coefficients.  Products convolve it
-exactly; composition goes through a :class:`PowerTable`, which holds the
-first BABY_STEPS + 1 powers of the normalized argument in that form only,
-so composing is one exact integer matrix-vector product per block of
+A ball holds its coefficients in exact integer midpoint-radius form, the
+representation of Arb (Johansson, IEEE Trans. Comput. 66, 2017; van der
+Hoeven, "Ball arithmetic", 2010): coefficient k lies in mid[k] +- rad[k]
+times 10**-scale, the fields of an :class:`IntBall`.  Kernels combine
+these integers exactly and round their result outward once
+(:func:`int_outward`), keeping precision + digits(N+1) digits on its
+largest coefficient; sums, negations and shifts are exact.  Products
+convolve exactly; composition goes through a :class:`PowerTable`, which
+holds the first BABY_STEPS + 1 powers of the normalized argument, so
+composing is one exact integer matrix-vector product per block of
 coefficients and Horner in the last power (Paterson-Stockmeyer), rounded
-outward once per giant step and once at the end.  Complex
-arithmetic is kept for pointwise work only: a :class:`PointEvaluator`
-holds a ball's coefficient endpoints as integers for interval Horner on
-integer boxes.  A member's value at a real point is real; at a non-real
-point its tails may move both parts of the value.
+outward once per giant step and once at the end.  Decimal numbers appear
+only at the edges: balls built from decimals (:func:`ball_from_decimals`,
+:func:`deserialize_ball`) are exact, and the read-only
+:attr:`FunctionBall.coeffs` view gives the coefficient intervals as exact
+decimals for serialization, checksums and plots.  Complex arithmetic is
+kept for pointwise work only: a :class:`PointEvaluator` holds a ball's
+coefficient endpoints as integers for interval Horner on integer boxes.
+A member's value at a real point is real; at a non-real point its tails
+may move both parts of the value.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from math import isqrt
 from operator import add as _iadd
@@ -58,6 +65,7 @@ from .errors import (
     PointOutsideDomain,
 )
 from .rounding import (
+    IONE,
     IZERO,
     Interval,
     Rectangle,
@@ -98,8 +106,6 @@ __all__ = [
     "PowerTable",
     "power_table",
     "IntBall",
-    "to_int_ball",
-    "from_int_ball",
     "int_mul",
     "int_add",
     "int_outward",
@@ -132,33 +138,102 @@ STANDARD_DISC = Disc(Decimal(1), Decimal("2.5"))
 
 
 @dataclass(frozen=True, slots=True)
+class IntBall:
+    """A function ball in exact integer midpoint-radius form.
+
+    Coefficient k lies in mid[k] +- rad[k], times 10**-scale.  A list may
+    stop early: missing entries are zero.  v_high and v_err are the tail
+    bounds of :class:`FunctionBall`.  Kernels combine these exactly and
+    round outward only where they say so.
+    """
+
+    mid: list[int]
+    rad: list[int]
+    scale: int
+    v_high: Decimal
+    v_err: Decimal
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class FunctionBall:
+    """A ball of degree N = ``truncation`` on ``domain``: the fields of an
+    :class:`IntBall` (which every integer kernel reads), with the lists at
+    most N + 1 long.  Two balls are equal when they hold the same
+    intervals and tails on the same disc and degree, at any scale."""
+
     domain: Disc
-    coeffs: tuple[Rectangle, ...]
+    truncation: int
+    mid: list[int]
+    rad: list[int]
+    scale: int
     v_high: Decimal
     v_err: Decimal
 
     def __post_init__(self):
-        if not self.coeffs:
+        if self.truncation < 0:
             raise ConfigError("function ball needs at least the constant coefficient")
+        if max(len(self.mid), len(self.rad)) > self.truncation + 1:
+            raise ConfigError("more coefficients than truncation allows")
         if self.v_high < 0 or self.v_err < 0:
             raise ConfigError("tail bounds must be nonnegative")
-        for k, c in enumerate(self.coeffs):
-            if not c.is_real():
-                raise ConfigError(f"coefficient {k} is not real: {c}")
+
+    @classmethod
+    def wrap(cls, domain: Disc, n: int, b: IntBall) -> "FunctionBall":
+        """The degree-n ball on the disc with the integer form b, as it is."""
+        return cls(domain, n, b.mid, b.rad, b.scale, b.v_high, b.v_err)
 
     @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Rectangle, ...]:
+        """The coefficient intervals as exact decimals, imaginary parts 0:
+        a read-only view for serialization, checksums, digits and plots."""
+        n, s = self.truncation, self.scale
+        return tuple(Rectangle(Interval(_decimal(m - r, s), _decimal(m + r, s)), IZERO)
+                     for m, r in zip(_padded(self.mid, n), _padded(self.rad, n)))
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionBall):
+            return NotImplemented
+        return ((self.domain, self.truncation, self.v_high, self.v_err, self.coeffs)
+                == (other.domain, other.truncation, other.v_high, other.v_err, other.coeffs))
 
     def __repr__(self):
         return (f"FunctionBall(N={self.truncation}, domain={self.domain}, "
                 f"v_high={self.v_high}, v_err={self.v_err})")
 
 
-def _real_ball(domain: Disc, coeffs, v_high: Decimal, v_err: Decimal) -> FunctionBall:
-    """The ball with the given interval coefficients."""
-    return FunctionBall(domain, tuple(Rectangle(x, IZERO) for x in coeffs), v_high, v_err)
+def _padded(xs: list[int], n: int) -> list[int]:
+    """xs cut or padded with zeros to n + 1 entries."""
+    return list(xs[:n + 1]) + [0] * (n + 1 - len(xs))
+
+
+def _decimal(v: int, s: int) -> Decimal:
+    """v * 10**-s exactly, written without trailing zeros after the point."""
+    if not v:
+        return _D0
+    while s > 0 and not v % 10:
+        v, s = v // 10, s - 1
+    return Decimal(f"{v}E{-s}")
+
+
+def _int_at(x: Decimal, s: int) -> int:
+    """x * 10**s for a decimal x with at most s digits after the point."""
+    num, den = x.as_integer_ratio()
+    return num * 10 ** s // den
+
+
+def _exact(domain: Disc, n: int, xs: list[Interval], v_high: Decimal = _D0,
+           v_err: Decimal = _D0) -> FunctionBall:
+    """The degree-n ball with exactly the coefficient intervals xs: their
+    endpoints as integers at the finest scale the digits need, one digit
+    finer where a midpoint needs it."""
+    s = max([0] + [-x.as_tuple().exponent for iv in xs for x in (iv.lo, iv.hi) if x])
+    los, his = [_int_at(iv.lo, s) for iv in xs], [_int_at(iv.hi, s) for iv in xs]
+    if any((lo + hi) & 1 for lo, hi in zip(los, his)):
+        s, los, his = s + 1, [10 * x for x in los], [10 * x for x in his]
+    mid = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
+    rad = [hi - m for hi, m in zip(his, mid)]
+    return FunctionBall(domain, n, mid if any(mid) else [], rad if any(rad) else [], s,
+                        v_high, v_err)
 
 
 def _real_scalar(s) -> Interval:
@@ -180,14 +255,19 @@ def _check_same_space(f: FunctionBall, g: FunctionBall):
         raise DomainMismatch(f"truncation degrees differ: {f.truncation} vs {g.truncation}")
 
 
+def _rounded(ctx: RoundingContext, f: FunctionBall, b: IntBall) -> FunctionBall:
+    """b, a result of a kernel on f, rounded outward once as a ball of f's space."""
+    return FunctionBall.wrap(f.domain, f.truncation, int_outward(ctx, b, f.truncation))
+
+
 # -- constructors -----------------------------------------------------------
 
 def zero_ball(domain: Disc, n: int) -> FunctionBall:
-    return _real_ball(domain, (IZERO,) * (n + 1), _D0, _D0)
+    return FunctionBall(domain, n, [], [], 0, _D0, _D0)
 
 
 def const_ball(domain: Disc, n: int, value) -> FunctionBall:
-    return _real_ball(domain, (_real_scalar(value),) + (IZERO,) * n, _D0, _D0)
+    return _exact(domain, n, [_real_scalar(value)])
 
 
 def one_ball(domain: Disc, n: int) -> FunctionBall:
@@ -198,110 +278,63 @@ def basis_ball(domain: Disc, n: int, k: int) -> FunctionBall:
     """The basis element e_k as an exact ball (k <= n)."""
     if not 0 <= k <= n:
         raise IndexBeyondTruncation(f"basis index {k} not in 0..{n}")
-    coeffs = [IZERO] * (n + 1)
-    coeffs[k] = interval(1)
-    return _real_ball(domain, coeffs, _D0, _D0)
+    return FunctionBall(domain, n, [0] * k + [1], [], 0, _D0, _D0)
 
 
 def ball_from_decimals(domain: Disc, values, n: int | None = None) -> FunctionBall:
     """Exact polynomial ball from a sequence of representable coefficients."""
     coeffs = [interval(as_decimal(v)) for v in values]
-    if n is not None:
-        if len(coeffs) > n + 1:
-            raise ConfigError("more coefficients than truncation allows")
-        coeffs += [IZERO] * (n + 1 - len(coeffs))
-    return _real_ball(domain, coeffs, _D0, _D0)
+    return _exact(domain, len(coeffs) - 1 if n is None else n, coeffs)
 
 
 def affine_arg(ctx: RoundingContext, domain: Disc, n: int, s) -> FunctionBall:
     """The map X -> s*X as a ball: coefficients (s*c, s*r, 0, ...), s real."""
     if n < 1:
         raise ConfigError("affine argument needs truncation degree >= 1")
-    s = _real_scalar(s)
-    coeffs = [ctx.iscale(s, domain.center), ctx.iscale(s, domain.radius)] + [IZERO] * (n - 1)
-    return _real_ball(domain, coeffs, _D0, _D0)
+    return scale(ctx, s, ball_from_decimals(domain, (domain.center, domain.radius), n))
 
 
 # -- norm and linear structure ----------------------------------------------
 
 def norm_upper(ctx: RoundingContext, f: FunctionBall) -> Decimal:
     """Upper bound of ||g|| over every member g of the ball."""
-    total = _D0
-    for ck in f.coeffs:
-        total = ctx.add_up(total, ck.re.mag)
-    total = ctx.add_up(total, f.v_high)
-    return ctx.add_up(total, f.v_err)
+    total = ctx.scaled_up(sum(_magnitudes(f.mid, f.rad)), f.scale)
+    return ctx.add_up(ctx.add_up(total, f.v_high), f.v_err)
 
 
 def add(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     _check_same_space(f, g)
-    return _real_ball(f.domain, (ctx.iadd(a.re, b.re) for a, b in zip(f.coeffs, g.coeffs)),
-                      ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    return FunctionBall.wrap(f.domain, f.truncation, int_add(ctx, f, g))
 
 
 def sub(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
-    _check_same_space(f, g)
-    return _real_ball(f.domain, (ctx.isub(a.re, b.re) for a, b in zip(f.coeffs, g.coeffs)),
-                      ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    return add(ctx, f, negate(ctx, g))
 
 
 def negate(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
-    return _real_ball(f.domain, (ctx.ineg(c.re) for c in f.coeffs), f.v_high, f.v_err)
+    return FunctionBall(f.domain, f.truncation, [-m for m in f.mid], f.rad, f.scale,
+                        f.v_high, f.v_err)
 
 
 def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
-    """Multiply the ball by a real scalar (Interval, real Rectangle, or exact value)."""
-    s = _real_scalar(s)
-    m = s.mag
-    return _real_ball(f.domain, (ctx.imul(s, c.re) for c in f.coeffs),
-                      ctx.mul_up(f.v_high, m), ctx.mul_up(f.v_err, m))
+    """Multiply the ball by a real scalar (Interval, real Rectangle, or exact
+    value).  Each coefficient is the exact interval product, held one digit
+    finer so that its midpoint is an integer (a midpoint-radius product
+    would add rad(s) rad(f_k) to its radius), and rounded outward once."""
+    b = const_ball(f.domain, f.truncation, s)
+    sm, sr = (b.mid or [0])[0], (b.rad or [0])[0]
+    mid, rad, size = [], [], max(len(f.mid), len(f.rad))
+    for m, r in zip(_padded(f.mid, size - 1), _padded(f.rad, size - 1)):
+        ends = ((sm - sr) * (m - r), (sm - sr) * (m + r), (sm + sr) * (m - r), (sm + sr) * (m + r))
+        lo, hi = min(ends), max(ends)
+        mid.append(5 * (lo + hi))
+        rad.append(5 * (hi - lo))
+    mag = ctx.scaled_up(abs(sm) + sr, b.scale)
+    return _rounded(ctx, f, IntBall(mid, rad if any(rad) else [], b.scale + f.scale + 1,
+                                    ctx.mul_up(f.v_high, mag), ctx.mul_up(f.v_err, mag)))
 
 
-# -- exact integer form ------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class IntBall:
-    """A function ball in exact integer midpoint-radius form.
-
-    Coefficient k lies in mid[k] +- rad[k], times 10**-scale.  A list may
-    stop early: missing entries are zero.  v_high and v_err are the tail
-    bounds of :class:`FunctionBall`.  Kernels combine these exactly and
-    round outward only where they say so.
-    """
-
-    mid: list[int]
-    rad: list[int]
-    scale: int
-    v_high: Decimal
-    v_err: Decimal
-
-
-def _int_parts(ctx: RoundingContext, coeffs: list[Interval], n: int):
-    """Integer form (mid, rad, S) at scale 10**-S of the intervals up to the
-    last nonzero one, with an all-zero list stored as the empty list."""
-    size = len(coeffs)
-    while size and coeffs[size - 1].lo == coeffs[size - 1].hi == 0:
-        size -= 1
-    s = ctx.ball_scale(n, coeffs[:size])
-    return tuple(v if any(v) else [] for v in ctx.to_midrad(coeffs[:size], s)) + (s,)
-
-
-def to_int_ball(ctx: RoundingContext, f: FunctionBall) -> IntBall:
-    """f in integer form at the scale ctx.ball_scale gives it, rounded outward."""
-    return IntBall(*_int_parts(ctx, [c.re for c in f.coeffs], f.truncation),
-                   f.v_high, f.v_err)
-
-
-def _padded(xs: list[int], n: int) -> list[int]:
-    """xs cut or padded with zeros to n + 1 entries."""
-    return list(xs[:n + 1]) + [0] * (n + 1 - len(xs))
-
-
-def from_int_ball(ctx: RoundingContext, domain: Disc, n: int, b: IntBall) -> FunctionBall:
-    """Degree-n working-precision ball enclosing b, each coefficient rounded outward."""
-    return _real_ball(domain, ctx.from_midrad(_padded(b.mid, n), _padded(b.rad, n), b.scale),
-                      b.v_high, b.v_err)
-
+# -- exact integer kernels ---------------------------------------------------
 
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
     """Exact Cauchy product of two integer sequences, truncated to degree n."""
@@ -377,15 +410,21 @@ def int_add(ctx: RoundingContext, f: IntBall, g: IntBall) -> IntBall:
     return IntBall(*parts, s, ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
 
 
-def int_outward(ctx: RoundingContext, b: IntBall, n: int) -> IntBall:
-    """b rounded outward to the scale ctx.ball_scale gives a degree-n ball
-    with the same largest coefficient, so that it keeps precision +
-    digits(n+1) digits: each midpoint is floored and each radius grows by
-    the remainder, then rounds up."""
+def _cut(ctx: RoundingContext, b: IntBall, n: int) -> int:
+    """Digits b drops when rounded as a degree-n ball: it keeps precision +
+    digits(n+1) digits on its largest coefficient, the digits of n+1
+    keeping a kernel's sum of n+1 roundings below one unit in the last
+    working digit (a zero ball counts as 1).  0 or less: b keeps every
+    digit."""
     top = max(_magnitudes(b.mid, b.rad), default=0)
-    if not top:
-        return IntBall([], [], 0, b.v_high, b.v_err)
-    cut = b.scale - (ctx.precision + len(str(n + 1)) - (len(str(top)) - 1 - b.scale))
+    exponent = len(str(top)) - 1 - b.scale if top else 0
+    return b.scale - (ctx.precision + len(str(n + 1)) - exponent)
+
+
+def int_outward(ctx: RoundingContext, b: IntBall, n: int) -> IntBall:
+    """b rounded outward to the scale :func:`_cut` gives it: each midpoint
+    is floored and each radius grows by the remainder, then rounds up."""
+    cut = _cut(ctx, b, n)
     if cut <= 0:
         return b
     unit = 10 ** cut
@@ -399,41 +438,37 @@ def int_outward(ctx: RoundingContext, b: IntBall, n: int) -> IntBall:
 def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     """Product ball: Cauchy product to degree N, l1 spill above N into v_high.
 
-    The coefficient product runs exactly on the integer midpoint-radius form
-    of each factor (see ctx.ball_scale and :func:`int_mul`), so the only
-    roundings are the outward conversions in and out.
+    The coefficient product runs exactly on the integer midpoint-radius
+    form (:func:`int_mul`) and is rounded outward once.
     """
     _check_same_space(f, g)
-    n = f.truncation
-    product = int_mul(ctx, to_int_ball(ctx, f), to_int_ball(ctx, g), n)
-    return from_int_ball(ctx, f.domain, n, product)
+    return _rounded(ctx, f, int_mul(ctx, f, g, f.truncation))
 
 
 # -- composition --------------------------------------------------------------
 
+def _centred(ctx: RoundingContext, h: FunctionBall) -> FunctionBall:
+    """h - c, exactly."""
+    return sub(ctx, h, const_ball(h.domain, h.truncation, h.domain.center))
+
+
 def normalized_argument(ctx: RoundingContext, h: FunctionBall) -> FunctionBall:
     """The ball (h - c)/r used as composition argument."""
-    inv = ctx.idiv(interval(1), interval(h.domain.radius))
-    shifted = [ctx.isub(h.coeffs[0].re, interval(h.domain.center))] + [c.re for c in h.coeffs[1:]]
-    return _real_ball(h.domain, (ctx.imul(x, inv) for x in shifted),
-                      ctx.mul_up(h.v_high, inv.hi), ctx.mul_up(h.v_err, inv.hi))
+    return scale(ctx, ctx.idiv(IONE, interval(h.domain.radius)), _centred(ctx, h))
 
 
 def theta(ctx: RoundingContext, h: FunctionBall) -> Decimal:
     """Upper bound of ||(h - c)/r||, the composition contraction factor."""
-    total = ctx.isub(h.coeffs[0].re, interval(h.domain.center)).mag
-    for ck in h.coeffs[1:]:
-        total = ctx.add_up(total, ck.re.mag)
-    total = ctx.add_up(total, ctx.add_up(h.v_high, h.v_err))
-    return ctx.div_up(total, h.domain.radius)
+    return ctx.div_up(norm_upper(ctx, _centred(ctx, h)), h.domain.radius)
 
 
-def _derivative_coeffs(ctx: RoundingContext, f: FunctionBall) -> list[Interval]:
-    """Coefficients of f_P' in the same basis: d/dz e_k = (k/r) e_{k-1}."""
-    r = interval(f.domain.radius)
-    out = [ctx.imul(f.coeffs[k].re, ctx.idiv(interval(k), r))
-           for k in range(1, f.truncation + 1)]
-    return out or [IZERO]
+def _derivative(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
+    """f_P' in the same basis, d/dz e_k = (k/r) e_{k-1}: coefficient k - 1
+    is k f_k / r, the k f_k exact and the division rounded outward once."""
+    ks = IntBall([k * m for k, m in enumerate(f.mid)][1:], [k * r for k, r in enumerate(f.rad)][1:],
+                 f.scale, _D0, _D0)
+    return scale(ctx, ctx.idiv(IONE, interval(f.domain.radius)),
+                 FunctionBall.wrap(f.domain, f.truncation, ks))
 
 
 def _sup_k_theta(ctx: RoundingContext, th: Decimal, n: int) -> Decimal:
@@ -445,12 +480,6 @@ def _sup_k_theta(ctx: RoundingContext, th: Decimal, n: int) -> Decimal:
     one_minus = ctx.sub_dn(_D1, th)
     denom = ctx.mul_dn(one_minus, one_minus)
     return ctx.div_up(head, denom)
-
-
-def _with_error(ctx: RoundingContext, f: FunctionBall, extra: Decimal) -> FunctionBall:
-    if extra == 0:
-        return f
-    return FunctionBall(f.domain, f.coeffs, f.v_high, ctx.add_up(f.v_err, extra))
 
 
 def _dots(vec: list[int], rows) -> list[int]:
@@ -555,10 +584,13 @@ class PowerTable:
                 v_err = ctx.add_up(v_err, ctx.mul_up(mk, self.v_err[k]))
         return v_high, v_err
 
-    def _polynomial(self, ctx: RoundingContext, coeffs: list[Interval]) -> FunctionBall:
-        """Enclosure of sum_k coeffs[k] u**k over every member of the argument."""
+    def _polynomial(self, ctx: RoundingContext, p: FunctionBall) -> FunctionBall:
+        """Enclosure of sum_k p_k u**k over every member of the argument, for
+        the coefficients p_k of p (its tails are not read), rounded outward
+        to the scale int_outward gives a degree-N ball first."""
         n = self.truncation
-        fm, fr, sf = _int_parts(ctx, coeffs, n)
+        p = int_outward(ctx, p, n)
+        fm, fr, sf = p.mid, p.rad, p.scale
         m, scale = len(self.scales), sf + max(self.scales)
         mags = [list(map(_iadd, map(abs, a), r)) for a, r in zip(self.mid, self.rad)]
         upper = None     # sum_{i >= 1} B_i U**(i-1), Horner in U from the top block
@@ -575,7 +607,7 @@ class PowerTable:
             v_high = ctx.add_up(v_high, low.v_high)
         v_high, v_err = self._tails(ctx, fm[:m], fr[:m], sf, v_high, low.v_err)
         out = IntBall(low.mid[:n + 1], low.rad[:n + 1], low.scale, v_high, v_err)
-        return from_int_ball(ctx, self.domain, n, out)
+        return FunctionBall.wrap(self.domain, n, int_outward(ctx, out, n))
 
     def compose(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
         """Enclosure of f o h.
@@ -587,12 +619,12 @@ class PowerTable:
         if f.domain != self.domain or f.truncation != self.truncation:
             raise DomainMismatch("composed ball and power table differ in space")
         self._require(strict=f.v_high > 0 or f.v_err > 0)
-        out = self._polynomial(ctx, [c.re for c in f.coeffs])
+        out = self._polynomial(ctx, f)
         tail = f.v_err
         if f.v_high > 0:
             th = self.theta_bound
             tail = ctx.add_up(tail, ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1)))
-        return _with_error(ctx, out, tail)
+        return inflate(ctx, out, tail)
 
     def compose_derivative(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
         """Enclosure of f' o h; requires theta(h) < 1 strictly.
@@ -605,7 +637,7 @@ class PowerTable:
         if f.domain != self.domain or f.truncation != self.truncation:
             raise DomainMismatch("composed ball and power table differ in space")
         self._require(strict=True)
-        out = self._polynomial(ctx, _derivative_coeffs(ctx, f))
+        out = self._polynomial(ctx, _derivative(ctx, f))
         th = self.theta_bound
         tail = _D0
         if f.v_high > 0:
@@ -616,7 +648,7 @@ class PowerTable:
             tail = ctx.add_up(tail, ctx.mul_up(f.v_err, geo))
         if tail > 0:
             tail = ctx.div_up(tail, f.domain.radius)
-        return _with_error(ctx, out, tail)
+        return inflate(ctx, out, tail)
 
 
 def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
@@ -630,7 +662,7 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     n = h.truncation
     d = n + _GUARD_DEGREES
     last = min(n, BABY_STEPS)
-    u = to_int_ball(ctx, normalized_argument(ctx, h))
+    u = normalized_argument(ctx, h)
     powers = [IntBall([1], [], 0, _D0, _D0), u][:last + 1]
     for _ in range(2, last + 1):
         powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, d), d))
@@ -662,10 +694,10 @@ def _outward(lo: int, hi: int, unit: int) -> tuple[int, int]:
     return lo // unit, -(-hi // unit)
 
 
-def _exact_int(ctx: RoundingContext, x: Decimal, scale: int) -> tuple[int, int]:
+def _exact_int(x: Decimal, scale: int) -> tuple[int, int]:
     """(m, s) with x = m * 10**-s exactly and s >= scale."""
     s = max(scale, -x.as_tuple().exponent)
-    return ctx.to_int_ends(Interval(x, x), s)[1], s
+    return _int_at(x, s), s
 
 
 class PointRead:
@@ -834,32 +866,34 @@ class PointEvaluator:
         one_minus = ctx.sub_dn(_D1, au)
         geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
         pad = ctx.div_up(ctx.mul_up(self.tail_mass, geo), self.domain.radius)
-        return self._rectangle(ctx, acc, *_exact_int(ctx, pad, self.scale), real)
+        return self._rectangle(ctx, acc, *_exact_int(pad, self.scale), real)
 
 
 def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
     """Integer form of f for evaluating it and its derivative at many points.
 
-    Coefficient endpoints are rounded outward to the scale ctx.ball_scale
-    gives them; the derivative coefficients (k+1) f_{k+1} / r are formed
-    from those integers and rounded outward once.  Arguments carry
-    precision + digits(N+1) digits after the point, as |u| <= 1.
+    Coefficient endpoints are rounded outward to the scale at which they
+    keep precision + digits(N+1) digits on the largest one (the scale
+    int_outward rounds to); the derivative coefficients (k+1) f_{k+1} / r
+    are formed from those integers and rounded outward once.  Arguments
+    carry precision + digits(N+1) digits after the point, as |u| <= 1.
     """
     n = f.truncation
     c, r = f.domain.center, f.domain.radius
-    parts = [x.re for x in f.coeffs]
-    s = ctx.ball_scale(n, parts)
-    coeffs = tuple(zip(*ctx.to_ends(parts, s)))
+    s = f.scale - _cut(ctx, f, n)
+    lift, unit = 10 ** max(s - f.scale, 0), 10 ** max(f.scale - s, 0)
+    coeffs = tuple(_outward((m - q) * lift, (m + q) * lift, unit)
+                   for m, q in zip(_padded(f.mid, n), _padded(f.rad, n)))
     arg_scale = ctx.precision + len(str(n + 1))
     point_scale = max(2 * arg_scale, -c.as_tuple().exponent, -r.as_tuple().exponent)
-    (center, radius), _ = ctx.to_ends([Interval(c, c), Interval(r, r)], point_scale)
+    center, radius = _int_at(c, point_scale), _int_at(r, point_scale)
     # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
     dcoeffs = tuple(_outward(lo * k * 10 ** point_scale, hi * k * 10 ** point_scale, radius)
                     for k, (lo, hi) in enumerate(coeffs[1:], 1))
     tail_mass = ctx.add_up(f.v_high, f.v_err)
     return PointEvaluator(f.domain, s, coeffs, dcoeffs or ((0, 0),),
                           arg_scale, point_scale,
-                          center, radius, tail_mass, *_exact_int(ctx, tail_mass, s))
+                          center, radius, tail_mass, *_exact_int(tail_mass, s))
 
 
 def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
@@ -883,10 +917,11 @@ def coefficient(ctx: RoundingContext, f: FunctionBall, k: int) -> Rectangle:
     included); its imaginary part is 0, as every member's is."""
     if k > f.truncation or k < 0:
         raise IndexBeyondTruncation(f"coefficient {k} beyond truncation {f.truncation}")
-    c = f.coeffs[k]
-    if f.v_err == 0:
-        return c
-    return Rectangle(ctx.iadd(c.re, Interval(f.v_err.copy_negate(), f.v_err)), IZERO)
+    m, r = _padded(f.mid, k)[k], _padded(f.rad, k)[k]
+    e, s = _exact_int(f.v_err, f.scale)
+    lift = 10 ** (s - f.scale)
+    return Rectangle(Interval(ctx.scaled_dn((m - r) * lift - e, s),
+                              ctx.scaled_up((m + r) * lift + e, s)), IZERO)
 
 
 def inflate(ctx: RoundingContext, f: FunctionBall, rho) -> FunctionBall:
@@ -894,7 +929,7 @@ def inflate(ctx: RoundingContext, f: FunctionBall, rho) -> FunctionBall:
     rho = as_decimal(rho)
     if rho < 0:
         raise ConfigError("inflation radius must be nonnegative")
-    return FunctionBall(f.domain, f.coeffs, f.v_high, ctx.add_up(f.v_err, rho))
+    return replace(f, v_err=ctx.add_up(f.v_err, rho))
 
 
 # -- serialization --------------------------------------------------------------
@@ -903,7 +938,8 @@ _BALL_HEADER = "renormcert-ball v1"
 
 
 def serialize_ball(f: FunctionBall) -> str:
-    """Text form with exact decimal endpoint strings; round-trips bit-exactly."""
+    """Text form with exact decimal endpoint strings (imaginary columns 0);
+    round-trips bit-exactly."""
     lines = [
         _BALL_HEADER,
         f"center {f.domain.center}",
@@ -912,8 +948,7 @@ def serialize_ball(f: FunctionBall) -> str:
         f"v_high {f.v_high}",
         f"v_err {f.v_err}",
     ]
-    for ck in f.coeffs:
-        lines.append(f"coeff {ck.re.lo} {ck.re.hi} {ck.im.lo} {ck.im.hi}")
+    lines += [f"coeff {c.re.lo} {c.re.hi} 0 0" for c in f.coeffs]
     return "\n".join(lines) + "\n"
 
 
@@ -934,7 +969,9 @@ def deserialize_ball(text: str) -> FunctionBall:
             if len(ends) != 4:
                 raise ConfigError(f"coeff line needs 4 endpoints: {ln!r}")
             a, b, c, d = (finite_decimal(x, "coeff endpoint") for x in ends)
-            coeffs.append(Rectangle(Interval(a, b), Interval(c, d)))
+            if c or d:
+                raise ConfigError(f"coefficient {len(coeffs)} is not real: {ln!r}")
+            coeffs.append(Interval(a, b))
         else:
             fields[key] = rest
     missing = [k for k in ("center", "radius", "truncation", "v_high", "v_err")
@@ -945,8 +982,8 @@ def deserialize_ball(text: str) -> FunctionBall:
     n = finite_decimal(fields["truncation"], "truncation")
     if len(coeffs) != n + 1:
         raise ConfigError("coefficient count does not match truncation")
-    return FunctionBall(Disc(value["center"], value["radius"]), tuple(coeffs),
-                        value["v_high"], value["v_err"])
+    return _exact(Disc(value["center"], value["radius"]), int(n), coeffs,
+                  value["v_high"], value["v_err"])
 
 
 def ball_checksum(f: FunctionBall) -> str:

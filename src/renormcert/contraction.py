@@ -167,11 +167,10 @@ def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> Funct
     coefficients; the image is rounded outward once."""
     n = f.truncation
     _head_degree(lam, n)
-    b = fb.to_int_ball(ctx, f)
-    moved = fb.IntBall(*_apply_block(lam.rows, lam.tail, b.mid, b.rad), b.scale + lam.scale,
+    moved = fb.IntBall(*_apply_block(lam.rows, lam.tail, f.mid, f.rad), f.scale + lam.scale,
                        ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
                        ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
-    return fb.from_int_ball(ctx, f.domain, n, moved)
+    return FunctionBall.wrap(f.domain, n, fb.int_outward(ctx, moved, n))
 
 
 def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:

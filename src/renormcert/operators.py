@@ -143,8 +143,8 @@ class ColumnImages:
 
     tables: OperatorTables
     q: int
-    column0: fb.IntBall
-    diagonal: fb.IntBall      # -diagonal as a constant ball
+    column0: FunctionBall
+    diagonal: FunctionBall    # -diagonal as a constant ball
 
     def image(self, ctx: RoundingContext, k: int) -> fb.IntBall:
         s = self.tables.shared
@@ -159,9 +159,9 @@ class ColumnImages:
         return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), s.source.truncation)
 
     def image_ball(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        """image_k as a working-precision ball."""
+        """image_k as a ball of the tables' space."""
         s = self.tables.shared
-        return fb.from_int_ball(ctx, s.domain, s.source.truncation, self.image(ctx, k))
+        return FunctionBall.wrap(s.domain, s.source.truncation, self.image(ctx, k))
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class OperatorTables:
     """M_q over a ball, so the derivative DT = M_1 and the noise operator
     L = M_2, applied through the power tables of its shared evaluations.
 
-    In exact integer form, ``terms[q - 1]`` holds (a**-q, factor16**q) and
+    As balls, ``terms[q - 1]`` holds (a**-q, factor16**q) and
     ``variation`` factor17 - a**-2 G(Q(G(a**2 X))); ``channels[q - 1]``
     holds the tail bound's (|a**-q|, theta of Q(G(a**2 X))) and
     (||factor16**q||, theta of a**2 X).  As e_k(1) = 0 for k >= 1 on the
@@ -178,7 +178,7 @@ class OperatorTables:
 
     shared: SharedEvaluations
     terms: tuple
-    variation: fb.IntBall
+    variation: FunctionBall
     channels: tuple
 
     @classmethod
@@ -194,9 +194,8 @@ class OperatorTables:
         factors = (factor16, fb.mul(ctx, factor16, factor16))
         variation = fb.add(ctx, fb.scale(ctx, ctx.ineg(scalars[1]), s.outer_comp), factor17)
         pairs = list(zip(scalars, factors))
-        return cls(shared, tuple((fb.to_int_ball(ctx, fb.const_ball(s.domain, n, x)),
-                                  fb.to_int_ball(ctx, f)) for x, f in pairs),
-                   fb.to_int_ball(ctx, variation),
+        return cls(shared, tuple((fb.const_ball(s.domain, n, x), f) for x, f in pairs),
+                   variation,
                    tuple(((x.mag, s.theta_squared), (fb.norm_upper(ctx, f), s.theta_affine))
                          for x, f in pairs))
 
@@ -221,18 +220,17 @@ class OperatorTables:
             column0 = fb.zero_ball(s.domain, n)
         if (column0.domain, column0.truncation) != (s.domain, n):
             raise DomainMismatch("column 0 and the tables differ in disc or degree")
-        return ColumnImages(self, q, fb.to_int_ball(ctx, column0), fb.to_int_ball(
-            ctx, fb.const_ball(s.domain, n, ctx.ineg(diagonal))))
+        return ColumnImages(self, q, column0, fb.const_ball(s.domain, n, ctx.ineg(diagonal)))
 
     def apply(self, ctx: RoundingContext, q: int, v: FunctionBall) -> FunctionBall:
-        """M_q(G) v, enclosing the action for every G in the ball."""
+        """M_q(G) v, enclosing the action for every G in the ball, rounded
+        outward once.  v(1) is v_0 plus the error part's value there, at
+        most v_err in size: a constant with v's error tail."""
         _index(q)
         s, n = self.shared, self.shared.source.truncation
-        c2, c1 = (fb.to_int_ball(ctx, table.compose(ctx, v))
-                  for table in (s.table_squared, s.table_affine))
-        v0 = fb.const_ball(s.domain, n, fb.coefficient(ctx, v, 0).re)   # v(1)
-        out = self.image(ctx, q, c2, c1, fb.to_int_ball(ctx, v0))
-        return fb.from_int_ball(ctx, s.domain, n, out)
+        c2, c1 = (table.compose(ctx, v) for table in (s.table_squared, s.table_affine))
+        v0 = fb.IntBall(v.mid[:1], v.rad[:1], v.scale, _D0, v.v_err)
+        return FunctionBall.wrap(s.domain, n, fb.int_outward(ctx, self.image(ctx, q, c2, c1, v0), n))
 
     def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
         return self.apply(ctx, 1, dG)

@@ -8,12 +8,12 @@ exact-then-rounded, so each computed endpoint is a faithful directed
 rounding of the exact result and every result interval encloses the exact
 mathematical one.
 
-Coefficient kernels (ball products, the frozen linear map) run on exact
-Python integers instead: :meth:`RoundingContext.to_midrad` maps intervals
-to integer midpoints and radii at one scale 10**-S per operand (set by
-:meth:`RoundingContext.ball_scale`), rounding outward; the kernel computes
-exactly; :meth:`RoundingContext.from_midrad` rounds the integer balls back
-outward to working-precision intervals.
+Function balls do not use these intervals: they hold their coefficients
+as exact Python integers (see ``balls``).  This module gives them the
+scalar side: :meth:`RoundingContext.scaled_dn` and
+:meth:`RoundingContext.scaled_up` round an integer times 10**-S to a
+working-precision bound, and :meth:`RoundingContext.to_int_ends` reads a
+point's interval as integers, outward, for pointwise evaluation.
 
 Rounding state lives entirely inside context instances: nothing here reads
 or writes the thread-local decimal context, so contexts can be confined to
@@ -25,8 +25,6 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import repeat
-from operator import sub
 
 from .errors import ConfigError, DivisionByZeroInterval, DivisionByZeroRectangle
 
@@ -252,51 +250,15 @@ class RoundingContext:
                 b = self._up.multiply(b, b)
         return result
 
-    # -- integer midpoint-radius form --------------------------------------
-
-    def ball_scale(self, degree: int, xs) -> int:
-        """Decimal scale S of the integer form of the intervals ``xs`` in a
-        degree-``degree`` kernel.
-
-        S puts precision + d digits on the largest endpoint, d being the digit
-        count of degree+1: a kernel sums up to degree+1 terms, each carrying
-        an input rounding of at most one unit of 10**-S, and the d extra
-        digits keep that sum below one unit in the last working digit.
-        """
-        ends = [x.lo for x in xs] + [x.hi for x in xs]
-        top = max(map(Decimal.adjusted, filter(None, ends)), default=0)
-        return self.precision + len(str(degree + 1)) - top
-
-    def to_ends(self, xs: list[Interval], scale: int) -> tuple[list[int], list[int]]:
-        """Integer endpoints, at scale 10**-``scale``, enclosing ``xs``: each
-        lower endpoint rounds down and each upper one up, so both are exact
-        when the endpoint has no digit below 10**-``scale``."""
-        fl, ce, at = self._floor, self._ceil, repeat(scale)
-        los = list(map(int, map(fl.to_integral_value, map(fl.scaleb, [x.lo for x in xs], at))))
-        his = list(map(int, map(ce.to_integral_value, map(ce.scaleb, [x.hi for x in xs], at))))
-        return los, his
+    # -- integer forms ------------------------------------------------------
 
     def to_int_ends(self, x: Interval, scale: int) -> tuple[int, int]:
-        """:meth:`to_ends` of the one interval ``x``."""
+        """Integer endpoints, at scale 10**-``scale``, enclosing ``x``: the
+        lower endpoint rounds down and the upper one up, so both are exact
+        when the endpoint has no digit below 10**-``scale``."""
         fl, ce = self._floor, self._ceil
         return (int(fl.to_integral_value(fl.scaleb(x.lo, scale))),
                 int(ce.to_integral_value(ce.scaleb(x.hi, scale))))
-
-    def to_midrad(self, xs: list[Interval], scale: int) -> tuple[list[int], list[int]]:
-        """Integer midpoints and radii, at scale 10**-``scale``, enclosing ``xs``.
-
-        The endpoints round outward to integers lo <= hi (:meth:`to_ends`);
-        then mid = (lo + hi) >> 1 and rad = hi - mid, so [mid - rad, mid + rad]
-        contains [lo, hi].
-        """
-        los, his = self.to_ends(xs, scale)
-        mids = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
-        return mids, list(map(sub, his, mids))
-
-    def from_midrad(self, mids, rads, scale: int) -> list[Interval]:
-        """Working-precision intervals enclosing [mid - rad, mid + rad] * 10**-scale."""
-        return [Interval(self.scaled_dn(m - r, scale), self.scaled_up(m + r, scale))
-                if m or r else IZERO for m, r in zip(mids, rads)]
 
     def scaled_dn(self, value: int, scale: int) -> Decimal:
         """Lower bound of value * 10**-scale at working precision."""

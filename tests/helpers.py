@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import random
 from decimal import Decimal
@@ -302,6 +303,19 @@ def contains_with_slack(outer: Interval, value: Decimal, slack: str = "0") -> bo
 # -- function-ball member sampling ------------------------------------------------
 
 
+def interval_ball(domain, coeffs, v_high=Decimal(0), v_err=Decimal(0),
+                  n: int | None = None) -> fb.FunctionBall:
+    """The ball of degree n (len(coeffs) - 1 by default) whose coefficient
+    intervals are exactly ``coeffs``, with the given tails."""
+    return fb._exact(domain, len(coeffs) - 1 if n is None else n, list(coeffs),
+                     Decimal(v_high), Decimal(v_err))
+
+
+def with_tails(f: fb.FunctionBall, v_high, v_err) -> fb.FunctionBall:
+    """f with its tail bounds replaced."""
+    return dataclasses.replace(f, v_high=Decimal(v_high), v_err=Decimal(v_err))
+
+
 def rand_poly_ball(rng: random.Random, domain, n: int, degree: int,
                    coeff_scale: float = 1.0) -> fb.FunctionBall:
     """Random exact polynomial ball of the given degree (<= n)."""
@@ -378,26 +392,82 @@ def domain_points(rng: random.Random, domain, count: int) -> list[Decimal]:
 # -- Decimal interval reference kernels -----------------------------------------
 #
 # The coefficient loops the integer kernels replaced, kept as differential
-# oracles: every product and sum is an outward-rounded Decimal interval op.
-# They take real balls, as every ball is, and read the real parts.
+# oracles: every product and sum is an outward-rounded Decimal interval op
+# on the exact coefficient intervals of the ``coeffs`` view, and every
+# result is built back exactly (``interval_ball``).
+
+
+def _reals(f: fb.FunctionBall) -> list[Interval]:
+    return [c.re for c in f.coeffs]
+
+
+def oracle_add(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
+    """Sum ball by interval sums (reference for ``balls.add``)."""
+    return interval_ball(f.domain, [ctx.iadd(a, b) for a, b in zip(_reals(f), _reals(g))],
+                         ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+
+
+def oracle_sub(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
+    """Difference ball by interval differences (reference for ``balls.sub``)."""
+    return interval_ball(f.domain, [ctx.isub(a, b) for a, b in zip(_reals(f), _reals(g))],
+                         ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+
+
+def oracle_negate(ctx: RoundingContext, f: fb.FunctionBall) -> fb.FunctionBall:
+    """Negated ball (reference for ``balls.negate``)."""
+    return interval_ball(f.domain, [ctx.ineg(c) for c in _reals(f)], f.v_high, f.v_err)
+
+
+def oracle_scale(ctx: RoundingContext, s: Interval, f: fb.FunctionBall) -> fb.FunctionBall:
+    """f times the real interval s by interval products (reference for
+    ``balls.scale``)."""
+    m = s.mag
+    return interval_ball(f.domain, [ctx.imul(s, c) for c in _reals(f)],
+                         ctx.mul_up(f.v_high, m), ctx.mul_up(f.v_err, m))
+
+
+def oracle_normalized_argument(ctx: RoundingContext, h: fb.FunctionBall) -> fb.FunctionBall:
+    """(h - c)/r by interval operations (reference for ``balls.normalized_argument``)."""
+    inv = ctx.idiv(interval(1), interval(h.domain.radius))
+    coeffs = _reals(h)
+    shifted = [ctx.isub(coeffs[0], interval(h.domain.center))] + coeffs[1:]
+    return interval_ball(h.domain, [ctx.imul(x, inv) for x in shifted],
+                         ctx.mul_up(h.v_high, inv.hi), ctx.mul_up(h.v_err, inv.hi))
+
+
+def oracle_derivative_coeffs(ctx: RoundingContext, f: fb.FunctionBall) -> list[Interval]:
+    """Coefficients of f_P' in the same basis, d/dz e_k = (k/r) e_{k-1}, by
+    interval operations (reference for the coefficients ``balls._derivative``
+    forms)."""
+    r, coeffs = interval(f.domain.radius), _reals(f)
+    out = [ctx.imul(coeffs[k], ctx.idiv(interval(k), r)) for k in range(1, f.truncation + 1)]
+    return out or [IZERO]
 
 
 def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Product ball by interval Cauchy product (reference for ``balls.mul``)."""
-    n = f.truncation
+    out, v_high, v_err = _oracle_product(ctx, (_reals(f), f.v_high, f.v_err),
+                                         (_reals(g), g.v_high, g.v_err), f.truncation)
+    return interval_ball(f.domain, out, v_high, v_err)
+
+
+def _oracle_product(ctx: RoundingContext, f, g, n: int):
+    """The product of two balls given as (coefficient intervals, v_high,
+    v_err), in that form, to degree n."""
+    (fc, fh, fe), (gc, gh, ge) = f, g
     out = [IZERO] * (n + 1)
-    mf = [c.re.mag for c in f.coeffs]
-    mg = [c.re.mag for c in g.coeffs]
+    mf = [c.mag for c in fc]
+    mg = [c.mag for c in gc]
     spill = Decimal(0)
-    for i, fi in enumerate(f.coeffs):
+    for i, fi in enumerate(fc):
         if mf[i] == 0:
             continue
-        for j, gj in enumerate(g.coeffs):
+        for j, gj in enumerate(gc):
             if mg[j] == 0:
                 continue
             k = i + j
             if k <= n:
-                out[k] = ctx.iadd(out[k], ctx.imul(fi.re, gj.re))
+                out[k] = ctx.iadd(out[k], ctx.imul(fi, gj))
             else:
                 spill = ctx.add_up(spill, ctx.mul_up(mf[i], mg[j]))
     pf = Decimal(0)
@@ -407,16 +477,12 @@ def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> 
     for m in mg:
         pg = ctx.add_up(pg, m)
     v_high = spill
-    v_high = ctx.add_up(v_high, ctx.mul_up(pf, g.v_high))
-    v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, pg))
-    v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
-    v_err = ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err))
-    v_err = ctx.add_up(v_err, ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high)))
-    return _real_ball(f.domain, out, v_high, v_err)
-
-
-def _real_ball(domain, coeffs, v_high, v_err) -> fb.FunctionBall:
-    return fb.FunctionBall(domain, tuple(Rectangle(x, IZERO) for x in coeffs), v_high, v_err)
+    v_high = ctx.add_up(v_high, ctx.mul_up(pf, gh))
+    v_high = ctx.add_up(v_high, ctx.mul_up(fh, pg))
+    v_high = ctx.add_up(v_high, ctx.mul_up(fh, gh))
+    v_err = ctx.mul_up(fe, ctx.add_up(ctx.add_up(pg, gh), ge))
+    v_err = ctx.add_up(v_err, ctx.mul_up(ge, ctx.add_up(pf, fh)))
+    return out, v_high, v_err
 
 
 def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.FunctionBall:
@@ -425,19 +491,19 @@ def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.Fun
     the tail scalar on every coefficient above K."""
     from renormcert.contraction import lambda_norm_upper
 
-    n, dim = f.truncation, lam.dim
+    n, dim, fc = f.truncation, lam.dim, _reals(f)
     coeffs = []
     for i in range(dim):
         row = lam.matrix[i]
         acc = IZERO
         for k in range(dim):
-            if row[k] and f.coeffs[k].re.mag != 0:
-                acc = ctx.iadd(acc, ctx.iscale(f.coeffs[k].re, row[k]))
+            if row[k] and fc[k].mag != 0:
+                acc = ctx.iadd(acc, ctx.iscale(fc[k], row[k]))
         coeffs.append(acc)
-    coeffs += [ctx.iscale(f.coeffs[i].re, lam.tail_scalar) for i in range(dim, n + 1)]
+    coeffs += [ctx.iscale(fc[i], lam.tail_scalar) for i in range(dim, n + 1)]
     v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
     v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
-    return _real_ball(f.domain, coeffs, v_high, v_err)
+    return interval_ball(f.domain, coeffs, v_high, v_err)
 
 
 def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
@@ -463,13 +529,13 @@ def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
 
 def _oracle_horner(ctx: RoundingContext, coeffs, u: fb.FunctionBall) -> fb.FunctionBall:
     """Evaluate a polynomial with interval coefficients at the ball u."""
-    n = u.truncation
-    acc = fb.const_ball(u.domain, n, coeffs[-1])
+    n, arg = u.truncation, (_reals(u), u.v_high, u.v_err)
+    acc = ([coeffs[-1]] + [IZERO] * n, Decimal(0), Decimal(0))
     for k in range(len(coeffs) - 2, -1, -1):
-        acc = oracle_mul(ctx, acc, u)
-        bumped = [ctx.iadd(acc.coeffs[0].re, coeffs[k])] + [c.re for c in acc.coeffs[1:]]
-        acc = _real_ball(acc.domain, bumped, acc.v_high, acc.v_err)
-    return acc
+        out, v_high, v_err = _oracle_product(ctx, acc, arg, n)
+        out[0] = ctx.iadd(out[0], coeffs[k])
+        acc = (out, v_high, v_err)
+    return interval_ball(u.domain, *acc)
 
 
 def _oracle_argument(ctx: RoundingContext, f: fb.FunctionBall, h: fb.FunctionBall,
@@ -480,12 +546,12 @@ def _oracle_argument(ctx: RoundingContext, f: fb.FunctionBall, h: fb.FunctionBal
     if th > 1 or (strict and th >= 1):
         raise CompositionContractFailure(
             f"composition argument has theta = {th} (strict={strict})")
-    return th, fb.normalized_argument(ctx, h)
+    return th, oracle_normalized_argument(ctx, h)
 
 
 def _oracle_with_error(ctx, out: fb.FunctionBall, tail: Decimal) -> fb.FunctionBall:
     if tail > 0:
-        out = fb.FunctionBall(out.domain, out.coeffs, out.v_high, ctx.add_up(out.v_err, tail))
+        out = with_tails(out, out.v_high, ctx.add_up(out.v_err, tail))
     return out
 
 
@@ -494,7 +560,7 @@ def oracle_compose(ctx: RoundingContext, f: fb.FunctionBall,
     """f o h by Horner evaluation in Decimal ball arithmetic (reference for
     ``balls.compose``): same contract and the same tail rule."""
     th, u = _oracle_argument(ctx, f, h, strict=f.v_high > 0 or f.v_err > 0)
-    out = _oracle_horner(ctx, [c.re for c in f.coeffs], u)
+    out = _oracle_horner(ctx, _reals(f), u)
     tail = f.v_err
     if f.v_high > 0:
         tail = ctx.add_up(tail, ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1)))
@@ -506,7 +572,7 @@ def oracle_compose_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     """f' o h by Horner evaluation in Decimal ball arithmetic (reference for
     ``balls.compose_derivative``): same contract and the same tail rule."""
     th, u = _oracle_argument(ctx, f, h, strict=True)
-    out = _oracle_horner(ctx, fb._derivative_coeffs(ctx, f), u)
+    out = _oracle_horner(ctx, oracle_derivative_coeffs(ctx, f), u)
     tail = Decimal(0)
     if f.v_high > 0:
         tail = ctx.mul_up(f.v_high, fb._sup_k_theta(ctx, th, f.truncation))
@@ -551,7 +617,7 @@ def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> R
     ``balls.evaluate``): the same disc test, up to its square roots, and
     the same v_high + v_err pad."""
     u = _oracle_eval_argument(ctx, f, z)
-    acc = _oracle_rect_horner(ctx, [c.re for c in f.coeffs], u)
+    acc = _oracle_rect_horner(ctx, _reals(f), u)
     return _oracle_pad(ctx, acc, ctx.add_up(f.v_high, f.v_err), z)
 
 
@@ -560,7 +626,7 @@ def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     """f'(z) by Horner in Decimal rectangle arithmetic (reference for
     ``balls.evaluate_derivative``): the same tail rule."""
     u = _oracle_eval_argument(ctx, f, z)
-    acc = _oracle_rect_horner(ctx, fb._derivative_coeffs(ctx, f), u)
+    acc = _oracle_rect_horner(ctx, oracle_derivative_coeffs(ctx, f), u)
     tail_mass = ctx.add_up(f.v_high, f.v_err)
     if tail_mass == 0:
         return acc

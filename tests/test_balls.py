@@ -9,12 +9,14 @@ from helpers import (
     domain_points,
     eval_member,
     eval_member_derivative,
+    interval_ball,
     member_product,
     oracle_compose,
     rand_decimal,
     rand_interval,
     rand_poly_ball,
     sample_member,
+    with_tails,
 )
 from renormcert import balls as fb
 from renormcert.errors import (
@@ -24,7 +26,7 @@ from renormcert.errors import (
     IndexBeyondTruncation,
     PointOutsideDomain,
 )
-from renormcert.rounding import IZERO, Rectangle, RoundingContext, interval, rectangle
+from renormcert.rounding import IZERO, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -34,7 +36,7 @@ WIDE = decimal.Context(prec=60)
 
 def test_norm_examples():
     f = fb.ball_from_decimals(DOM, ["1", "-2"], N)
-    f = fb.FunctionBall(f.domain, f.coeffs, Decimal("0.5"), Decimal(0))
+    f = with_tails(f, "0.5", 0)
     assert fb.norm_upper(ctx, f) == Decimal("3.5")
     assert fb.norm_upper(ctx, fb.zero_ball(DOM, N)) == 0
     for k in range(N + 1):
@@ -91,9 +93,7 @@ def test_mul_spill_goes_high():
 
 def _interval_ball(rng, degree: int) -> fb.FunctionBall:
     """Exact-free polynomial ball: random real interval coefficients."""
-    coeffs = [Rectangle(rand_interval(rng, 1.0), interval(0)) for _ in range(degree + 1)]
-    coeffs += [rectangle(0)] * (N - degree)
-    return fb.FunctionBall(DOM, tuple(coeffs), Decimal(0), Decimal(0))
+    return interval_ball(DOM, [rand_interval(rng, 1.0) for _ in range(degree + 1)], n=N)
 
 
 def _mul_sampling_misses(seed: int) -> int:
@@ -188,9 +188,8 @@ def _interval_argument(rng, degree: int) -> fb.FunctionBall:
     for k in range(degree + 1):
         mid = (Decimal(1) if k == 0 else Decimal(0)) + rand_decimal(rng, 0.3 / 2 ** k)
         rad = Decimal(rng.randint(1, 9)).scaleb(-4)
-        coeffs.append(Rectangle(interval(mid - rad, mid + rad), interval(0)))
-    coeffs += [rectangle(0)] * (N - degree)
-    return fb.FunctionBall(DOM, tuple(coeffs), Decimal(0), Decimal(0))
+        coeffs.append(interval(mid - rad, mid + rad))
+    return interval_ball(DOM, coeffs, n=N)
 
 
 def _compose_sampling_misses(seed: int, derivative: bool = False) -> int:
@@ -204,16 +203,16 @@ def _compose_sampling_misses(seed: int, derivative: bool = False) -> int:
                      else (fb.compose, eval_member))
     misses = 0
     for i in range(12):
-        coeffs = rand_poly_ball(rng, DOM, N, 4).coeffs
+        coeffs = [c.re for c in rand_poly_ball(rng, DOM, N, 4).coeffs]
         if i % 2:
             # no linear term: the argument's radius reaches the result only
             # through the powers u**k, k >= 2, that the table computes
-            coeffs = (coeffs[0], rectangle(0)) + coeffs[2:]
+            coeffs[1] = IZERO
             h = _interval_argument(rng, 2)
         else:
             s = Decimal(rng.randint(100, 350)) / Decimal(1000)
             h = fb.affine_arg(ctx, DOM, N, s)
-        f = fb.FunctionBall(DOM, coeffs, Decimal("1e-6"), Decimal("1e-6"))
+        f = interval_ball(DOM, coeffs, "1e-6", "1e-6")
         comp = kernel(ctx, f, h)
         fm, hm = sample_member(rng, f), sample_member(rng, h)
         for z in domain_points(rng, DOM, 10):
@@ -279,7 +278,8 @@ def _eval_sampling_misses(seed: int, derivative: bool = False) -> int:
         else:
             f = rand_poly_ball(rng, DOM, N, 6)
             low = 2 if i % 4 else 1
-            f = fb.FunctionBall(DOM, (rectangle(0),) * low + f.coeffs[low:], f.v_high, f.v_err)
+            f = interval_ball(DOM, [IZERO] * low + [c.re for c in f.coeffs[low:]],
+                              f.v_high, f.v_err)
         if i % 3 == 2:
             f = fb.inflate(ctx, f, "1e-6")
         fm = sample_member(rng, f)
@@ -408,7 +408,7 @@ def test_power_above_baby_steps_matches_oracle():
     h = fb.inflate(ctx, rand_poly_ball(rng, DOM, n, 3, coeff_scale=0.3), "1e-6")
     table = fb.power_table(ctx, h)
     assert len(table.scales) == fb.BABY_STEPS < k
-    power = fb.from_int_ball(ctx, DOM, n, table.power(ctx, k))
+    power = fb.FunctionBall.wrap(DOM, n, table.power(ctx, k))
     oracle = oracle_compose(ctx, fb.basis_ball(DOM, n, k), h)
     for a, b in zip(power.coeffs, oracle.coeffs):
         # both enclose the coefficient of u**30: they must meet
@@ -427,9 +427,7 @@ def test_power_above_baby_steps_matches_oracle():
 
 def test_non_real_coefficient_is_refused():
     """Balls are real: a coefficient with a non-zero imaginary endpoint is
-    refused when a ball is built or read, and so is a non-real scalar."""
-    with pytest.raises(ConfigError):
-        fb.FunctionBall(DOM, (rectangle(1), rectangle(0, "1e-30")), Decimal(0), Decimal(0))
+    refused when a ball is read, and so is a non-real scalar."""
     text = fb.serialize_ball(fb.basis_ball(DOM, 2, 1))
     assert "coeff 1 1 0 0\n" in text
     with pytest.raises(ConfigError):

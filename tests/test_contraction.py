@@ -5,9 +5,10 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import domain_points, eval_member, sample_member
+from helpers import domain_points, eval_member, sample_member, with_tails
 from renormcert import balls as fb
 from renormcert import contraction as ct
+from renormcert import operators as op
 from renormcert.errors import (
     CertificationFailed,
     ConfigError,
@@ -26,8 +27,7 @@ class _ToyKernel:
         self.x_ball = x_ball
 
     def image(self, c, k):
-        return fb.to_int_ball(c, fb.negate(c, fb.basis_ball(self.x_ball.domain,
-                                                            self.x_ball.truncation, k)))
+        return fb.negate(c, fb.basis_ball(self.x_ball.domain, self.x_ball.truncation, k))
 
 
 class ToyProblem:
@@ -65,7 +65,7 @@ def test_apply_lambda_identity():
 
 def test_apply_lambda_scaling():
     lam = ct.identity_map(N, diagonal=2, tail_scalar=2)
-    f = fb.FunctionBall(DOM, fb.one_ball(DOM, N).coeffs, Decimal("0.5"), Decimal("0.25"))
+    f = with_tails(fb.one_ball(DOM, N), "0.5", "0.25")
     out = ct.apply_lambda(ctx, lam, f)
     assert out.coeffs[0].re == interval(2)
     assert out.v_high == Decimal("1.0")
@@ -168,6 +168,25 @@ def test_epsilon_requires_exact_center(desk):
     with pytest.raises(ConfigError):
         ct.bound_epsilon(desk.ctx, ct.Problem(0),
                          fb.inflate(desk.ctx, desk.G0, "1e-9"), desk.lam_fixed)
+
+
+def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
+    """The certificate stages run on the integer form alone: certifying the
+    three desk problems, with the parameter ball's tables built in between,
+    builds the Decimal ``coeffs`` view of no ball (serializing one does)."""
+    built = []
+    view = fb.FunctionBall.coeffs
+    monkeypatch.setattr(fb.FunctionBall, "coeffs",
+                        property(lambda f: built.append(f) or view.fget(f)))
+    c = desk.ctx
+    fixed = ct.certify(c, ct.Problem(0), desk.G0, desk.lam_fixed, "1e-8")
+    param = fb.inflate(c, desk.G0, fixed.proven_radius)
+    tables = op.OperatorTables.build(c, op.precompute_shared(c, param))
+    for power, x0, lam in ((1, desk.V0, desk.lam_delta), (2, desk.W0, desk.lam_gamma)):
+        assert ct.certify(c, ct.Problem(power, tables), x0, lam, "1e-7").passed
+    assert built == []
+    fb.serialize_ball(desk.G0)
+    assert built == [desk.G0]
 
 
 def test_certification_failure_small_rho(desk):

@@ -37,14 +37,22 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    interval_ball,
+    oracle_add,
     oracle_apply_lambda,
     oracle_compose,
     oracle_compose_derivative,
+    oracle_derivative_coeffs,
     oracle_evaluate,
     oracle_evaluate_derivative,
     oracle_lambda_residual,
     oracle_mul,
+    oracle_negate,
+    oracle_normalized_argument,
+    oracle_scale,
+    oracle_sub,
     per_step_horner,
+    with_tails,
 )
 from renormcert import approx as ax
 from renormcert import balls as fb
@@ -71,10 +79,6 @@ def _centred_interval(rng) -> Interval:
     return Interval(w.copy_negate(), w)
 
 
-def _real_ball(coeffs, v_high=Decimal(0), v_err=Decimal(0)) -> fb.FunctionBall:
-    return fb.FunctionBall(DOM, tuple(Rectangle(x, IZERO) for x in coeffs), v_high, v_err)
-
-
 def _rand_ball(rng, n: int, kind: str) -> fb.FunctionBall:
     """Random real ball with short-decimal coefficients: general intervals
     ("real"), intervals centred at 0 ("centred") or points ("point")."""
@@ -83,7 +87,7 @@ def _rand_ball(rng, n: int, kind: str) -> fb.FunctionBall:
     if kind == "point":
         coeffs = [Interval(x.hi, x.hi) for x in coeffs]
     tails = [Decimal(rng.randint(0, 9)).scaleb(-rng.randint(3, 9)) for _ in range(2)]
-    return _real_ball(coeffs, *tails)
+    return interval_ball(DOM, coeffs, *tails)
 
 
 def _width(x: Interval) -> Decimal:
@@ -100,8 +104,8 @@ def _rad(x: Interval) -> Decimal:
 
 
 def _unit(f: fb.FunctionBall) -> Decimal:
-    """One unit of the integer scale the kernels use for f."""
-    return Decimal(1).scaleb(-ctx.ball_scale(f.truncation, [c.re for c in f.coeffs]))
+    """One unit of the integer scale f is held at."""
+    return Decimal(1).scaleb(-f.scale)
 
 
 def _check_part(new: Interval, ref: Interval, slack: Decimal):
@@ -123,11 +127,11 @@ def test_mul_matches_decimal_oracle(n, kinds):
         norm_f = sum((c.re.mag for c in f.coeffs), Decimal(0))
         norm_g = sum((c.re.mag for c in g.coeffs), Decimal(0))
         inputs = 4 * (_unit(f) * norm_g + _unit(g) * norm_f)
+        fc, gc, nc, rc = (tuple(c.re for c in b.coeffs) for b in (f, g, new, ref))
         for k in range(n + 1):
-            quad = sum((_rad(f.coeffs[i].re) * _rad(g.coeffs[k - i].re) for i in range(k + 1)),
-                       Decimal(0))
-            a, b = new.coeffs[k].re, ref.coeffs[k].re
-            _check_part(a, b, 2 * quad + inputs + 2 * _ulp(a))
+            quad = sum((_rad(fc[i]) * _rad(gc[k - i]) for i in range(k + 1)), Decimal(0))
+            a, b = nc[k], rc[k]
+            _check_part(a, b, 2 * quad + inputs + 4 * _unit(new) + 2 * _ulp(a))
         for tail in ("v_high", "v_err"):
             a, b = getattr(new, tail), getattr(ref, tail)
             slack = inputs * (1 + norm_f + norm_g) + 4 * _ulp(Interval(b, b))
@@ -176,7 +180,7 @@ def _eval_slack(ball: fb.FunctionBall, coeffs, z: Rectangle) -> Decimal:
         re = max(abs(z.re.lo - DOM.center), abs(z.re.hi - DOM.center))
         im = max(abs(z.im.lo), abs(z.im.hi))
         m = max(Decimal(1), (re + im) / DOM.radius + Decimal(10) ** -P)
-        s = ctx.ball_scale(n, [c.re for c in ball.coeffs])
+        s = fb.point_evaluator(ctx, ball).scale
         t = P + len(str(n + 1))
         mags = [c.mag for c in coeffs]
         steps = (2 * n + 2) * Decimal(10) ** -s * m ** n
@@ -196,9 +200,9 @@ def test_evaluate_matches_decimal_oracle(n, kind, derivative):
                       else (fb.evaluate, oracle_evaluate))
     for i in range(2 if n == 40 else 4):
         f = _rand_ball(rng, n, ("real", "centred")[i % 2])
-        f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-6),
-                            Decimal(rng.randint(1, 9)).scaleb(-8))
-        coeffs = fb._derivative_coeffs(ctx, f) if derivative else [c.re for c in f.coeffs]
+        f = with_tails(f, Decimal(rng.randint(1, 9)).scaleb(-6),
+                       Decimal(rng.randint(1, 9)).scaleb(-8))
+        coeffs = oracle_derivative_coeffs(ctx, f) if derivative else [c.re for c in f.coeffs]
         for z in _rand_point_args(rng, kind):
             if derivative and z in CIRCLE:
                 # the tails' derivative bound needs |z - c| < r strictly
@@ -318,7 +322,7 @@ def _rand_argument(rng, n: int, kind: str) -> fb.FunctionBall:
         if k == 0:
             x = Interval(EXACT.add(x.lo, 1), EXACT.add(x.hi, 1))
         coeffs.append(x)
-    return _real_ball(coeffs)
+    return interval_ball(DOM, coeffs)
 
 
 def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
@@ -359,13 +363,13 @@ def test_compose_matches_decimal_oracle(n, kind, derivative):
     for _ in range(1 if n >= 40 else 4):
         h = _rand_argument(rng, n, kind)
         f = _rand_ball(rng, n, "real" if kind == "point" else kind)
-        f = fb.FunctionBall(DOM, f.coeffs, Decimal(rng.randint(1, 9)).scaleb(-5),
-                            Decimal(rng.randint(1, 9)).scaleb(-7))
+        f = with_tails(f, Decimal(rng.randint(1, 9)).scaleb(-5),
+                       Decimal(rng.randint(1, 9)).scaleb(-7))
         new, ref = kernel(ctx, f, h), oracle(ctx, f, h)
-        coeffs = fb._derivative_coeffs(ctx, f) if derivative else [c.re for c in f.coeffs]
+        coeffs = oracle_derivative_coeffs(ctx, f) if derivative else [c.re for c in f.coeffs]
         argument, rounding = _compose_slack(h, coeffs)
-        for k in range(n + 1):
-            a, b = new.coeffs[k].re, ref.coeffs[k].re
+        for k, (a, b) in enumerate(zip(new.coeffs, ref.coeffs)):
+            a, b = a.re, b.re
             mid = EXACT.divide(EXACT.add(b.lo, b.hi), 2)
             assert a.lo <= mid <= a.hi, (k, a, b)
             slack = EXACT.add(EXACT.add(2 * argument, rounding), 2 * _ulp(a))
@@ -423,13 +427,131 @@ def test_compose_contains_endpoint_members(n, kind):
         for _ in range(6):
             h = _rand_argument(rng, n, kind)
             f = _rand_ball(rng, n, "real" if kind == "point" else kind)
-            f = fb.FunctionBall(DOM, f.coeffs, Decimal(0), Decimal(0))
+            f = with_tails(f, 0, 0)
             comp, dcomp = fb.compose(ctx, f, h), fb.compose_derivative(ctx, f, h)
             for _ in range(4):
                 fm, hm = _endpoint_member(rng, f), _endpoint_member(rng, h)
                 dfm = [k * x / DOM.radius for k, x in enumerate(fm)][1:] or [Decimal(0)]
                 assert _membership_excess(comp, _exact_compose(fm, hm)) <= 0
                 assert _membership_excess(dcomp, _exact_compose(dfm, hm)) <= 0
+
+
+def _long_interval(rng, kind: str) -> Interval:
+    """A working-precision interval: a midpoint of 45 to 48 digits, more
+    than P, so kernels must round, with a general radius ("real"), none
+    ("point"), or all radius ("centred")."""
+    mid = Decimal(rng.randint(-10 ** 45, 10 ** 45)).scaleb(-45 - rng.randint(0, 3), EXACT)
+    rad = Decimal(rng.randint(1, 10 ** 6)).scaleb(-rng.randint(40, 50), EXACT)
+    if kind == "point":
+        return Interval(mid, mid)
+    if kind == "centred":
+        return Interval(rad.copy_negate(), rad)
+    return Interval(EXACT.subtract(mid, rad), EXACT.add(mid, rad))
+
+
+def _long_ball(rng, n: int, kind: str, tails: bool) -> fb.FunctionBall:
+    bounds = [Decimal(rng.randint(0, 9)).scaleb(-rng.randint(3, 9)) if tails else 0
+              for _ in range(2)]
+    return interval_ball(DOM, [_long_interval(rng, kind) for _ in range(n + 1)], *bounds)
+
+
+#: the kernels that stand for the Decimal interval loops of oracle_add,
+#: oracle_sub, oracle_negate, oracle_scale, oracle_normalized_argument and
+#: oracle_derivative_coeffs; the first three are exact, the others round
+#: outward once
+LINEAR = ("add", "sub", "negate", "scale", "normalized_argument", "derivative")
+EXACT_LINEAR = ("add", "sub", "negate")
+
+
+def _linear_case(rng, name: str, n: int, kind: str, tails: bool = True):
+    """The kernel's ball, the oracle's ball, and the exact images of four
+    polynomial members of the inputs taken at interval endpoints (the
+    scalar of "scale" at an endpoint too)."""
+    f, g = _long_ball(rng, n, kind, tails), _long_ball(rng, n, kind, tails)
+    s = _long_interval(rng, kind)
+    c, r = DOM.center, DOM.radius
+    new, ref, image = {
+        "add": (lambda: fb.add(ctx, f, g), lambda: oracle_add(ctx, f, g),
+                lambda fm, gm, x: [a + b for a, b in zip(fm, gm)]),
+        "sub": (lambda: fb.sub(ctx, f, g), lambda: oracle_sub(ctx, f, g),
+                lambda fm, gm, x: [a - b for a, b in zip(fm, gm)]),
+        "negate": (lambda: fb.negate(ctx, f), lambda: oracle_negate(ctx, f),
+                   lambda fm, gm, x: [-a for a in fm]),
+        "scale": (lambda: fb.scale(ctx, s, f), lambda: oracle_scale(ctx, s, f),
+                  lambda fm, gm, x: [x * a for a in fm]),
+        "normalized_argument": (
+            lambda: fb.normalized_argument(ctx, f), lambda: oracle_normalized_argument(ctx, f),
+            lambda fm, gm, x: [(fm[0] - c) / r] + [a / r for a in fm[1:]]),
+        "derivative": (
+            lambda: fb._derivative(ctx, f),
+            lambda: interval_ball(DOM, oracle_derivative_coeffs(ctx, f), n=n),
+            lambda fm, gm, x: [k * a / r for k, a in enumerate(fm)][1:]),
+    }[name]
+    with decimal.localcontext(EXACT):
+        images = [image(_endpoint_member(rng, f), _endpoint_member(rng, g), rng.choice((s.lo, s.hi)))
+                  for _ in range(4)]
+    return new(), ref(), images
+
+
+def _linear_misses(name: str) -> int:
+    """Sampled members of tail-free point balls whose images the kernel misses."""
+    rng = random.Random(f"linear-misses-{name}")
+    misses = 0
+    for _ in range(3):
+        for n in (0, 1, 8):
+            new, _, images = _linear_case(rng, name, n, "point", tails=False)
+            with decimal.localcontext(EXACT):
+                misses += sum(_membership_excess(new, p) > 0 for p in images)
+    return misses
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 40])
+@pytest.mark.parametrize("kind", ["real", "centred", "point"])
+@pytest.mark.parametrize("name", LINEAR)
+def test_linear_kernel_matches_decimal_oracle(name, kind, n):
+    """Each integer kernel contains the exact images of sampled members.
+    Against its Decimal interval oracle: an exact kernel lies inside the
+    oracle's intervals with the same tails; a rounding one meets them, is
+    wider by at most its one outward rounding (4 units of its scale), and
+    has the oracle's tails up to their upward roundings."""
+    rng = random.Random(f"linear-{name}-{kind}-{n}")
+    for _ in range(2 if n == 40 else 4):
+        new, ref, images = _linear_case(rng, name, n, kind)
+        with decimal.localcontext(EXACT):
+            assert all(_membership_excess(new, p) <= 0 for p in images)
+        assert (new.domain, new.truncation) == (ref.domain, ref.truncation)
+        for a, b in zip(new.coeffs, ref.coeffs):
+            a, b = a.re, b.re
+            if name in EXACT_LINEAR:
+                assert b.contains_interval(a), (a, b)
+                continue
+            assert a.lo <= b.hi and b.lo <= a.hi, (a, b)
+            assert _width(a) <= EXACT.add(_width(b), 4 * _unit(new)), (a, b)
+        for tail in ("v_high", "v_err"):
+            a, b = getattr(new, tail), getattr(ref, tail)
+            slack = 0 if name in EXACT_LINEAR else 4 * _ulp(Interval(b, b))
+            assert EXACT.subtract(b, slack) <= a <= EXACT.add(b, slack), tail
+
+
+def _nearest(c, b, n):
+    """int_outward with each midpoint rounded to nearest and the remainder
+    left out of the radius: an inward rounding."""
+    cut = fb._cut(c, b, n)
+    if cut <= 0:
+        return b
+    unit = 10 ** cut
+    return fb.IntBall([(m + unit // 2) // unit for m in b.mid], [-(-r // unit) for r in b.rad],
+                      b.scale - cut, b.v_high, b.v_err)
+
+
+def test_linear_kernels_negative_control(monkeypatch):
+    """Midpoints rounded to nearest instead of outward make each rounding
+    kernel miss a sampled member; with the outward rounding none misses."""
+    rounding = [name for name in LINEAR if name not in EXACT_LINEAR]
+    assert all(_linear_misses(name) == 0 for name in rounding)
+    monkeypatch.setattr(fb, "int_outward", _nearest)
+    for name in rounding:
+        assert _linear_misses(name) > 0, name
 
 
 def _positive_quadratic(n: int) -> fb.FunctionBall:
@@ -441,7 +563,7 @@ def _positive_quadratic(n: int) -> fb.FunctionBall:
     with decimal.localcontext(EXACT):
         coeffs = [Interval(DOM.center + DOM.radius * u.lo, DOM.center + DOM.radius * u.hi)]
         coeffs += [Interval(DOM.radius * u.lo, DOM.radius * u.hi)] * 2
-    return _real_ball(coeffs + [IZERO] * (n - 2))
+    return interval_ball(DOM, coeffs + [IZERO] * (n - 2))
 
 
 def _no_spill(int_mul):
@@ -459,7 +581,7 @@ def test_giant_steps_negative_control(monkeypatch):
     it."""
     n = 80
     h = _positive_quadratic(n)
-    f = _real_ball([Interval(Decimal(1), Decimal(1))] * (n + 1))
+    f = interval_ball(DOM, [Interval(Decimal(1), Decimal(1))] * (n + 1))
     table = fb.power_table(ctx, h)
     assert -(-(n + 1) // len(table.scales)) - 1 == 3
     with decimal.localcontext(EXACT):
@@ -501,11 +623,11 @@ def _rand_map(rng, n: int) -> ct.LinearMap:
 
 def _check_apply_lambda(lam, f):
     new, ref = ct.apply_lambda(ctx, lam, f), oracle_apply_lambda(ctx, lam, f)
-    for i in range(f.truncation + 1):
+    for i, (a, b) in enumerate(zip(new.coeffs, ref.coeffs)):
         row = lam.matrix[i] if i < lam.dim else (lam.tail_scalar,)
         row_norm = sum((abs(x) for x in row), Decimal(0))
-        a, b = new.coeffs[i].re, ref.coeffs[i].re
-        _check_part(a, b, 4 * row_norm * _unit(f) + 2 * _ulp(a))
+        a, b = a.re, b.re
+        _check_part(a, b, 4 * row_norm * _unit(f) + 4 * _unit(new) + 2 * _ulp(a))
     assert (new.v_high, new.v_err) == (ref.v_high, ref.v_err)
 
 

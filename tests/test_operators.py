@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import REF_A, domain_points, eval_member, recorded_reads, sample_member
+from helpers import REF_A, domain_points, eval_member, recorded_reads, sample_member, with_tails
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
@@ -52,7 +52,7 @@ def test_shared_a_is_constant_coefficient_with_high_tail(desk):
     """a = G(1) is read as coefficient 0 plus or minus v_err, the high tail
     vanishing at 1: on a ball with v_high > 0 it is narrower than the
     evaluated G(1) and holds G(1) of sampled members."""
-    ball = fb.FunctionBall(DOM, desk.G0.coeffs, Decimal("1e-6"), Decimal("1e-8"))
+    ball = with_tails(desk.G0, "1e-6", "1e-8")
     a = op.precompute_shared(ctx, ball).a
     evaluated = fb.evaluate(ctx, ball, rectangle(1)).re
     assert evaluated.contains_interval(a) and a.hi - a.lo < evaluated.hi - evaluated.lo
@@ -136,10 +136,10 @@ def test_apply_DT_variation_of_a_acts_on_column0_only(desk):
     a**-1 u2**k + factor16 u1**k alone exactly when k >= 1."""
     tables = desk.tables
     s = tables.shared
-    a_inv, factor16 = (fb.from_int_ball(ctx, DOM, desk.n, term) for term in tables.terms[0])
+    a_inv, factor16 = tables.terms[0]
 
     def power(table, k):
-        return fb.from_int_ball(ctx, DOM, desk.n, table.power(ctx, k))
+        return fb.FunctionBall.wrap(DOM, desk.n, table.power(ctx, k))
 
     for k in (0, 1, 2, 5):
         image = tables.dt_basis_image(ctx, k)

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -191,8 +192,7 @@ def _degree_12(desk, text):
 
 def _other_disc(desk, text):
     g = desk.G0
-    return fb.serialize_ball(fb.FunctionBall(fb.Disc(Decimal(0), Decimal("2.5")), g.coeffs,
-                                             g.v_high, g.v_err))
+    return fb.serialize_ball(replace(g, domain=fb.Disc(Decimal(0), Decimal("2.5"))))
 
 
 #: corruption of the g0 checkpoint: (desk, file text) -> new file text
@@ -650,6 +650,41 @@ def test_old_map_file_is_never_read(desk, tmp_path):
 @pytest.fixture(scope="module")
 def desk_all_targets():
     return pl.run_pipeline(pl.RunConfig(degree=20, precision=30, rho="1e-8"))
+
+
+#: the three desk centres (N=20, P=30) in renormcert-ball v1 form, as the
+#: version that held Decimal coefficients wrote them: some endpoints end in
+#: zeros, which the integer form does not keep
+V1_CENTRES = Path(__file__).parent / "data" / "desk_centres_v1"
+
+
+def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monkeypatch):
+    """Centres written by that version still load: certifying from a copy
+    of them reads every centre, recomputes none and rewrites none, and
+    gives the fresh run's certificates, input checksums included, and
+    digits.  Each file loads to the fresh centre and round-trips; its text
+    differs from the one written now only in the digit layout."""
+    ck = tmp_path / "ck"
+    shutil.copytree(V1_CENTRES, ck)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("approximate zero recomputed instead of read")
+
+    monkeypatch.setattr(ax, "approx_fixed_point", refuse)
+    monkeypatch.setattr(ax, "approx_eigenpair", refuse)
+    result = pl.run_pipeline(pl.RunConfig(degree=20, precision=30, rho="1e-8",
+                                          checkpoint_dir=str(ck)))
+    fresh = desk_all_targets
+    assert result.report["certificates"] == fresh.report["certificates"]
+    assert result.report["digits"] == fresh.report["digits"]
+    rewritten = 0
+    for name, key in pl._CENTRES.values():
+        text = (V1_CENTRES / f"{name}_n20_p30.txt").read_text()
+        assert (ck / f"{name}_n20_p30.txt").read_text() == text
+        ball = fb.deserialize_ball(text)
+        assert ball == fresh.balls[key] and fb.deserialize_ball(fb.serialize_ball(ball)) == ball
+        rewritten += fb.serialize_ball(ball) != text
+    assert rewritten
 
 
 @pytest.mark.parametrize("target, centre, missing", [("delta", "delta0", "gamma"),
