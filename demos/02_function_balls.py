@@ -60,5 +60,5 @@ assert out.re.contains(exact)
 
 print("\n== serialization round-trips bit-exactly ==")
 text = fb.serialize_ball(f)
-assert fb.deserialize_ball(text) == f
+assert fb.serialize_ball(fb.deserialize_ball(text)) == text
 print(f"  {len(text.splitlines())} lines, sha256 {fb.ball_checksum(f)[:16]}...")

@@ -29,7 +29,8 @@ every member at complex points.
 A ball holds its coefficients in exact integer midpoint-radius form, the
 representation of Arb (Johansson, IEEE Trans. Comput. 66, 2017; van der
 Hoeven, "Ball arithmetic", 2010): coefficient k lies in mid[k] +- rad[k]
-times 10**-scale, the fields of an :class:`IntBall`.  Kernels combine
+times 10**-scale; a :class:`FunctionBall` is an :class:`IntBall` with a
+disc and a degree, so kernels read it directly.  Kernels combine
 these integers exactly and round their result outward once
 (:func:`int_outward`), keeping precision + digits(N+1) digits on its
 largest coefficient; sums, negations and shifts are exact.  Products
@@ -154,20 +155,13 @@ class IntBall:
     v_err: Decimal
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class FunctionBall:
-    """A ball of degree N = ``truncation`` on ``domain``: the fields of an
-    :class:`IntBall` (which every integer kernel reads), with the lists at
-    most N + 1 long.  Two balls are equal when they hold the same
-    intervals and tails on the same disc and degree, at any scale."""
+@dataclass(frozen=True, slots=True)
+class FunctionBall(IntBall):
+    """A ball of degree N = ``truncation`` on ``domain``: an :class:`IntBall`,
+    which every integer kernel reads, with its lists at most N + 1 long."""
 
     domain: Disc
     truncation: int
-    mid: list[int]
-    rad: list[int]
-    scale: int
-    v_high: Decimal
-    v_err: Decimal
 
     def __post_init__(self):
         if self.truncation < 0:
@@ -180,7 +174,7 @@ class FunctionBall:
     @classmethod
     def wrap(cls, domain: Disc, n: int, b: IntBall) -> "FunctionBall":
         """The degree-n ball on the disc with the integer form b, as it is."""
-        return cls(domain, n, b.mid, b.rad, b.scale, b.v_high, b.v_err)
+        return cls(b.mid, b.rad, b.scale, b.v_high, b.v_err, domain, n)
 
     @property
     def coeffs(self) -> tuple[Rectangle, ...]:
@@ -189,12 +183,6 @@ class FunctionBall:
         n, s = self.truncation, self.scale
         return tuple(Rectangle(Interval(_decimal(m - r, s), _decimal(m + r, s)), IZERO)
                      for m, r in zip(_padded(self.mid, n), _padded(self.rad, n)))
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctionBall):
-            return NotImplemented
-        return ((self.domain, self.truncation, self.v_high, self.v_err, self.coeffs)
-                == (other.domain, other.truncation, other.v_high, other.v_err, other.coeffs))
 
     def __repr__(self):
         return (f"FunctionBall(N={self.truncation}, domain={self.domain}, "
@@ -232,8 +220,8 @@ def _exact(domain: Disc, n: int, xs: list[Interval], v_high: Decimal = _D0,
         s, los, his = s + 1, [10 * x for x in los], [10 * x for x in his]
     mid = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
     rad = [hi - m for hi, m in zip(his, mid)]
-    return FunctionBall(domain, n, mid if any(mid) else [], rad if any(rad) else [], s,
-                        v_high, v_err)
+    return FunctionBall(mid if any(mid) else [], rad if any(rad) else [], s, v_high, v_err,
+                        domain, n)
 
 
 def _real_scalar(s) -> Interval:
@@ -263,7 +251,7 @@ def _rounded(ctx: RoundingContext, f: FunctionBall, b: IntBall) -> FunctionBall:
 # -- constructors -----------------------------------------------------------
 
 def zero_ball(domain: Disc, n: int) -> FunctionBall:
-    return FunctionBall(domain, n, [], [], 0, _D0, _D0)
+    return FunctionBall([], [], 0, _D0, _D0, domain, n)
 
 
 def const_ball(domain: Disc, n: int, value) -> FunctionBall:
@@ -278,7 +266,7 @@ def basis_ball(domain: Disc, n: int, k: int) -> FunctionBall:
     """The basis element e_k as an exact ball (k <= n)."""
     if not 0 <= k <= n:
         raise IndexBeyondTruncation(f"basis index {k} not in 0..{n}")
-    return FunctionBall(domain, n, [0] * k + [1], [], 0, _D0, _D0)
+    return FunctionBall([0] * k + [1], [], 0, _D0, _D0, domain, n)
 
 
 def ball_from_decimals(domain: Disc, values, n: int | None = None) -> FunctionBall:
@@ -312,8 +300,7 @@ def sub(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
 
 
 def negate(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
-    return FunctionBall(f.domain, f.truncation, [-m for m in f.mid], f.rad, f.scale,
-                        f.v_high, f.v_err)
+    return replace(f, mid=[-m for m in f.mid])
 
 
 def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
@@ -936,6 +923,12 @@ def inflate(ctx: RoundingContext, f: FunctionBall, rho) -> FunctionBall:
 
 _BALL_HEADER = "renormcert-ball v1"
 
+#: the most digits a coefficient endpoint read from a file may have before
+#: or after the point.  A ball is held at the scale of its finest endpoint,
+#: so one endpoint of 10**-k makes every coefficient a k-digit integer.
+#: The bound is far above the precision of any run (P = 106 at N = 160).
+MAX_ENDPOINT_DIGITS = 10_000
+
 
 def serialize_ball(f: FunctionBall) -> str:
     """Text form with exact decimal endpoint strings (imaginary columns 0);
@@ -955,8 +948,9 @@ def serialize_ball(f: FunctionBall) -> str:
 def deserialize_ball(text: str) -> FunctionBall:
     """The ball written by :func:`serialize_ball`.  Text read from outside
     is checked: a missing field, a malformed line or number, a non-finite
-    or misordered endpoint, a coefficient count that does not match the
-    truncation and a non-real coefficient each raise ConfigError."""
+    or misordered endpoint, an endpoint beyond MAX_ENDPOINT_DIGITS digits,
+    a coefficient count that does not match the truncation and a non-real
+    coefficient each raise ConfigError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _BALL_HEADER:
         raise ConfigError("not a serialized function ball")
@@ -969,6 +963,10 @@ def deserialize_ball(text: str) -> FunctionBall:
             if len(ends) != 4:
                 raise ConfigError(f"coeff line needs 4 endpoints: {ln!r}")
             a, b, c, d = (finite_decimal(x, "coeff endpoint") for x in ends)
+            for x in (a, b):
+                if x and max(x.adjusted(), -x.as_tuple().exponent) > MAX_ENDPOINT_DIGITS:
+                    raise ConfigError(f"coeff endpoint {x} has more than "
+                                      f"{MAX_ENDPOINT_DIGITS} digits")
             if c or d:
                 raise ConfigError(f"coefficient {len(coeffs)} is not real: {ln!r}")
             coeffs.append(Interval(a, b))

@@ -202,6 +202,8 @@ BALL_CHECKPOINT_CASES = {
     "nan_v_high": _set_line("v_high", "NaN"),
     "bad_number": _set_line("center", "one"),
     "non_real_coeff": _first_coeff("0.1 0.2 0 1e-30"),
+    "tiny_endpoint": _first_coeff("0 1E-1000000000 0 0"),
+    "huge_endpoint": _first_coeff("-1E+1000000000 0 0 0"),
     "degree_12_in_n20_run": _degree_12,
     "other_disc": _other_disc,
     "tail_mass": _set_line("v_err", "1E-30"),
@@ -681,9 +683,10 @@ def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monke
     for name, key in pl._CENTRES.values():
         text = (V1_CENTRES / f"{name}_n20_p30.txt").read_text()
         assert (ck / f"{name}_n20_p30.txt").read_text() == text
-        ball = fb.deserialize_ball(text)
-        assert ball == fresh.balls[key] and fb.deserialize_ball(fb.serialize_ball(ball)) == ball
-        rewritten += fb.serialize_ball(ball) != text
+        again = fb.serialize_ball(fb.deserialize_ball(text))
+        assert again == fb.serialize_ball(fresh.balls[key])
+        assert fb.serialize_ball(fb.deserialize_ball(again)) == again
+        rewritten += again != text
     assert rewritten
 
 
