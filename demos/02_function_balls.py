@@ -39,7 +39,7 @@ print(f"  (degree-5)^2 at truncation {N}: v_high = {p.v_high}")
 
 print("\n== composition is controlled by the contraction factor theta ==")
 a2 = Decimal("0.1596284404")
-h = fb.affine_arg(ctx, STANDARD_DISC, N, a2)
+h = fb.affine_arg(ctx, N, a2)
 print(f"  X -> {a2} X has theta = {fb.theta(ctx, h)}")
 comp = fb.compose(ctx, f, h)
 print(f"  f(a^2 X): error bound {comp.v_err}")

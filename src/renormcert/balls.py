@@ -1,10 +1,13 @@
-"""Enclosures of real-analytic functions on a disc, with guaranteed-enclosure arithmetic.
+"""Enclosures of real-analytic functions on one disc, with guaranteed-enclosure arithmetic.
 
-A :class:`FunctionBall` represents a set of functions analytic on the open
-disc D(c, r), continuous on its closure, written in the scaled-monomial
-basis e_k : z -> ((z - c)/r)**k with the l1 coefficient norm and real
-coefficients.  The center c and radius r are real, so every member
-satisfies f(conj z) = conj f(z) and is real on the real axis.  The set is
+Every function lives on :data:`STANDARD_DISC` = D(c, r), c = 1, r = 2.5,
+the one disc the paper proves its bounds on: a constant of this module,
+not a field of a ball.  A :class:`FunctionBall` represents a set of
+functions analytic on the open disc, continuous on its closure, written in
+the scaled-monomial basis e_k : z -> ((z - c)/r)**k with the l1 coefficient
+norm and real coefficients.  c and r are real, so every member satisfies
+f(conj z) = conj f(z) and is real on the real axis; c = 1, so a = G(1) is
+the constant coefficient and e_k(1) = 0 for k >= 1.  The set is
 
     f = f_P + f_H + f_E
 
@@ -30,7 +33,7 @@ A ball holds its coefficients in exact integer midpoint-radius form, the
 representation of Arb (Johansson, IEEE Trans. Comput. 66, 2017; van der
 Hoeven, "Ball arithmetic", 2010): coefficient k lies in mid[k] +- rad[k]
 times 10**-scale; a :class:`FunctionBall` is an :class:`IntBall` with a
-disc and a degree, so kernels read it directly.  Kernels combine
+degree, so kernels read it directly.  Kernels combine
 these integers exactly and round their result outward once
 (:func:`int_outward`), keeping precision + digits(N+1) digits on its
 largest coefficient; sums, negations and shifts are exact.  Products
@@ -40,7 +43,8 @@ composing is one exact integer matrix-vector product per block of
 coefficients and Horner in the last power (Paterson-Stockmeyer), rounded
 outward once per giant step and once at the end.  Decimal numbers appear
 only at the edges: balls built from decimals (:func:`ball_from_decimals`,
-:func:`deserialize_ball`) are exact, and the read-only
+:func:`deserialize_ball`) are exact, and those two check that their
+outside values name the standard disc; the read-only
 :attr:`FunctionBall.coeffs` view gives the coefficient intervals as exact
 decimals for serialization, checksums and plots.  Complex arithmetic is
 kept for pointwise work only: a :class:`PointEvaluator` holds a ball's
@@ -126,16 +130,13 @@ class Disc:
     center: Decimal
     radius: Decimal
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigError("disc radius must be positive")
-
     def __repr__(self):
         return f"D({self.center}, {self.radius})"
 
 
-#: Domain used throughout the certification pipeline.
+#: The disc every function ball lives on.
 STANDARD_DISC = Disc(Decimal(1), Decimal("2.5"))
+_C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,10 +158,9 @@ class IntBall:
 
 @dataclass(frozen=True, slots=True)
 class FunctionBall(IntBall):
-    """A ball of degree N = ``truncation`` on ``domain``: an :class:`IntBall`,
-    which every integer kernel reads, with its lists at most N + 1 long."""
+    """A ball of degree N = ``truncation``: an :class:`IntBall`, which every
+    integer kernel reads, with its lists at most N + 1 long."""
 
-    domain: Disc
     truncation: int
 
     def __post_init__(self):
@@ -172,9 +172,9 @@ class FunctionBall(IntBall):
             raise ConfigError("tail bounds must be nonnegative")
 
     @classmethod
-    def wrap(cls, domain: Disc, n: int, b: IntBall) -> "FunctionBall":
-        """The degree-n ball on the disc with the integer form b, as it is."""
-        return cls(b.mid, b.rad, b.scale, b.v_high, b.v_err, domain, n)
+    def wrap(cls, n: int, b: IntBall) -> "FunctionBall":
+        """The degree-n ball with the integer form b, as it is."""
+        return cls(b.mid, b.rad, b.scale, b.v_high, b.v_err, n)
 
     @property
     def coeffs(self) -> tuple[Rectangle, ...]:
@@ -185,8 +185,7 @@ class FunctionBall(IntBall):
                      for m, r in zip(_padded(self.mid, n), _padded(self.rad, n)))
 
     def __repr__(self):
-        return (f"FunctionBall(N={self.truncation}, domain={self.domain}, "
-                f"v_high={self.v_high}, v_err={self.v_err})")
+        return f"FunctionBall(N={self.truncation}, v_high={self.v_high}, v_err={self.v_err})"
 
 
 def _padded(xs: list[int], n: int) -> list[int]:
@@ -209,7 +208,7 @@ def _int_at(x: Decimal, s: int) -> int:
     return num * 10 ** s // den
 
 
-def _exact(domain: Disc, n: int, xs: list[Interval], v_high: Decimal = _D0,
+def _exact(n: int, xs: list[Interval], v_high: Decimal = _D0,
            v_err: Decimal = _D0) -> FunctionBall:
     """The degree-n ball with exactly the coefficient intervals xs: their
     endpoints as integers at the finest scale the digits need, one digit
@@ -220,8 +219,7 @@ def _exact(domain: Disc, n: int, xs: list[Interval], v_high: Decimal = _D0,
         s, los, his = s + 1, [10 * x for x in los], [10 * x for x in his]
     mid = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
     rad = [hi - m for hi, m in zip(his, mid)]
-    return FunctionBall(mid if any(mid) else [], rad if any(rad) else [], s, v_high, v_err,
-                        domain, n)
+    return FunctionBall(mid if any(mid) else [], rad if any(rad) else [], s, v_high, v_err, n)
 
 
 def _real_scalar(s) -> Interval:
@@ -236,50 +234,51 @@ def _real_scalar(s) -> Interval:
     return interval(as_decimal(s))
 
 
-def _check_same_space(f: FunctionBall, g: FunctionBall):
-    if f.domain != g.domain:
-        raise DomainMismatch(f"domains differ: {f.domain} vs {g.domain}")
+def _check_same_degree(f: FunctionBall, g: FunctionBall):
     if f.truncation != g.truncation:
         raise DomainMismatch(f"truncation degrees differ: {f.truncation} vs {g.truncation}")
 
 
 def _rounded(ctx: RoundingContext, f: FunctionBall, b: IntBall) -> FunctionBall:
-    """b, a result of a kernel on f, rounded outward once as a ball of f's space."""
-    return FunctionBall.wrap(f.domain, f.truncation, int_outward(ctx, b, f.truncation))
+    """b, a result of a kernel on f, rounded outward once as a ball of f's degree."""
+    return FunctionBall.wrap(f.truncation, int_outward(ctx, b, f.truncation))
 
 
 # -- constructors -----------------------------------------------------------
 
-def zero_ball(domain: Disc, n: int) -> FunctionBall:
-    return FunctionBall([], [], 0, _D0, _D0, domain, n)
+def zero_ball(n: int) -> FunctionBall:
+    return FunctionBall([], [], 0, _D0, _D0, n)
 
 
-def const_ball(domain: Disc, n: int, value) -> FunctionBall:
-    return _exact(domain, n, [_real_scalar(value)])
+def const_ball(n: int, value) -> FunctionBall:
+    return _exact(n, [_real_scalar(value)])
 
 
-def one_ball(domain: Disc, n: int) -> FunctionBall:
-    return const_ball(domain, n, 1)
+def one_ball(n: int) -> FunctionBall:
+    return const_ball(n, 1)
 
 
-def basis_ball(domain: Disc, n: int, k: int) -> FunctionBall:
+def basis_ball(n: int, k: int) -> FunctionBall:
     """The basis element e_k as an exact ball (k <= n)."""
     if not 0 <= k <= n:
         raise IndexBeyondTruncation(f"basis index {k} not in 0..{n}")
-    return FunctionBall([0] * k + [1], [], 0, _D0, _D0, domain, n)
+    return FunctionBall([0] * k + [1], [], 0, _D0, _D0, n)
 
 
 def ball_from_decimals(domain: Disc, values, n: int | None = None) -> FunctionBall:
-    """Exact polynomial ball from a sequence of representable coefficients."""
+    """Exact polynomial ball from a sequence of representable coefficients;
+    domain must be :data:`STANDARD_DISC`, the only disc a ball lives on."""
+    if domain != STANDARD_DISC:
+        raise ConfigError(f"ball on {domain}, every ball lives on {STANDARD_DISC}")
     coeffs = [interval(as_decimal(v)) for v in values]
-    return _exact(domain, len(coeffs) - 1 if n is None else n, coeffs)
+    return _exact(len(coeffs) - 1 if n is None else n, coeffs)
 
 
-def affine_arg(ctx: RoundingContext, domain: Disc, n: int, s) -> FunctionBall:
+def affine_arg(ctx: RoundingContext, n: int, s) -> FunctionBall:
     """The map X -> s*X as a ball: coefficients (s*c, s*r, 0, ...), s real."""
     if n < 1:
         raise ConfigError("affine argument needs truncation degree >= 1")
-    return scale(ctx, s, ball_from_decimals(domain, (domain.center, domain.radius), n))
+    return scale(ctx, s, _exact(n, [interval(_C), interval(_R)]))
 
 
 # -- norm and linear structure ----------------------------------------------
@@ -291,8 +290,8 @@ def norm_upper(ctx: RoundingContext, f: FunctionBall) -> Decimal:
 
 
 def add(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
-    _check_same_space(f, g)
-    return FunctionBall.wrap(f.domain, f.truncation, int_add(ctx, f, g))
+    _check_same_degree(f, g)
+    return FunctionBall.wrap(f.truncation, int_add(ctx, f, g))
 
 
 def sub(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
@@ -308,7 +307,7 @@ def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
     value).  Each coefficient is the exact interval product, held one digit
     finer so that its midpoint is an integer (a midpoint-radius product
     would add rad(s) rad(f_k) to its radius), and rounded outward once."""
-    b = const_ball(f.domain, f.truncation, s)
+    b = const_ball(f.truncation, s)
     sm, sr = (b.mid or [0])[0], (b.rad or [0])[0]
     mid, rad, size = [], [], max(len(f.mid), len(f.rad))
     for m, r in zip(_padded(f.mid, size - 1), _padded(f.rad, size - 1)):
@@ -428,7 +427,7 @@ def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     The coefficient product runs exactly on the integer midpoint-radius
     form (:func:`int_mul`) and is rounded outward once.
     """
-    _check_same_space(f, g)
+    _check_same_degree(f, g)
     return _rounded(ctx, f, int_mul(ctx, f, g, f.truncation))
 
 
@@ -436,17 +435,17 @@ def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
 
 def _centred(ctx: RoundingContext, h: FunctionBall) -> FunctionBall:
     """h - c, exactly."""
-    return sub(ctx, h, const_ball(h.domain, h.truncation, h.domain.center))
+    return sub(ctx, h, const_ball(h.truncation, _C))
 
 
 def normalized_argument(ctx: RoundingContext, h: FunctionBall) -> FunctionBall:
     """The ball (h - c)/r used as composition argument."""
-    return scale(ctx, ctx.idiv(IONE, interval(h.domain.radius)), _centred(ctx, h))
+    return scale(ctx, ctx.idiv(IONE, interval(_R)), _centred(ctx, h))
 
 
 def theta(ctx: RoundingContext, h: FunctionBall) -> Decimal:
     """Upper bound of ||(h - c)/r||, the composition contraction factor."""
-    return ctx.div_up(norm_upper(ctx, _centred(ctx, h)), h.domain.radius)
+    return ctx.div_up(norm_upper(ctx, _centred(ctx, h)), _R)
 
 
 def _derivative(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
@@ -454,8 +453,7 @@ def _derivative(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
     is k f_k / r, the k f_k exact and the division rounded outward once."""
     ks = IntBall([k * m for k, m in enumerate(f.mid)][1:], [k * r for k, r in enumerate(f.rad)][1:],
                  f.scale, _D0, _D0)
-    return scale(ctx, ctx.idiv(IONE, interval(f.domain.radius)),
-                 FunctionBall.wrap(f.domain, f.truncation, ks))
+    return scale(ctx, ctx.idiv(IONE, interval(_R)), FunctionBall.wrap(f.truncation, ks))
 
 
 def _sup_k_theta(ctx: RoundingContext, th: Decimal, n: int) -> Decimal:
@@ -506,7 +504,6 @@ class PowerTable:
     cut at degree N, is the image of e_k (:meth:`power`).
     """
 
-    domain: Disc
     theta_bound: Decimal
     scales: tuple
     mid: tuple
@@ -594,7 +591,7 @@ class PowerTable:
             v_high = ctx.add_up(v_high, low.v_high)
         v_high, v_err = self._tails(ctx, fm[:m], fr[:m], sf, v_high, low.v_err)
         out = IntBall(low.mid[:n + 1], low.rad[:n + 1], low.scale, v_high, v_err)
-        return FunctionBall.wrap(self.domain, n, int_outward(ctx, out, n))
+        return FunctionBall.wrap(n, int_outward(ctx, out, n))
 
     def compose(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
         """Enclosure of f o h.
@@ -603,8 +600,8 @@ class PowerTable:
         The high tail of f contributes v_high * theta**(N+1) and the error
         tail of f contributes v_err, both into the result's error bound.
         """
-        if f.domain != self.domain or f.truncation != self.truncation:
-            raise DomainMismatch("composed ball and power table differ in space")
+        if f.truncation != self.truncation:
+            raise DomainMismatch("composed ball and power table differ in degree")
         self._require(strict=f.v_high > 0 or f.v_err > 0)
         out = self._polynomial(ctx, f)
         tail = f.v_err
@@ -621,8 +618,8 @@ class PowerTable:
         sum_{k>=1} k theta**(k-1) = (1-theta)**-2 for the error part,
         each divided by r.
         """
-        if f.domain != self.domain or f.truncation != self.truncation:
-            raise DomainMismatch("composed ball and power table differ in space")
+        if f.truncation != self.truncation:
+            raise DomainMismatch("composed ball and power table differ in degree")
         self._require(strict=True)
         out = self._polynomial(ctx, _derivative(ctx, f))
         th = self.theta_bound
@@ -634,7 +631,7 @@ class PowerTable:
             geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
             tail = ctx.add_up(tail, ctx.mul_up(f.v_err, geo))
         if tail > 0:
-            tail = ctx.div_up(tail, f.domain.radius)
+            tail = ctx.div_up(tail, _R)
         return inflate(ctx, out, tail)
 
 
@@ -654,7 +651,7 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     for _ in range(2, last + 1):
         powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, d), d))
     baby = powers[:BABY_STEPS]
-    return PowerTable(h.domain, theta(ctx, h), tuple(p.scale for p in baby),
+    return PowerTable(theta(ctx, h), tuple(p.scale for p in baby),
                       tuple(zip(*(_padded(p.mid, d) for p in baby))),
                       tuple(zip(*(_padded(p.rad, d) for p in baby))),
                       tuple(p.v_high for p in baby), tuple(p.v_err for p in baby),
@@ -663,14 +660,14 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
 
 def compose(ctx: RoundingContext, f: FunctionBall, h: FunctionBall) -> FunctionBall:
     """Enclosure of f o h through the power table of h (see :meth:`PowerTable.compose`)."""
-    _check_same_space(f, h)
+    _check_same_degree(f, h)
     return power_table(ctx, h).compose(ctx, f)
 
 
 def compose_derivative(ctx: RoundingContext, f: FunctionBall, h: FunctionBall) -> FunctionBall:
     """Enclosure of f' o h through the power table of h
     (see :meth:`PowerTable.compose_derivative`)."""
-    _check_same_space(f, h)
+    _check_same_degree(f, h)
     return power_table(ctx, h).compose_derivative(ctx, f)
 
 
@@ -711,7 +708,7 @@ class PointEvaluator:
     every working-precision endpoint above 10**-arg_scale in magnitude, and
     a real point (im z exactly 0) converts its real part only.
     :meth:`in_disc`, :meth:`value` and :meth:`derivative` share that read,
-    as does every evaluator with the same disc and point_scale.  The
+    as does every evaluator with the same point_scale.  The
     normalized argument u = (z - c)/r is rounded outward to scale
     10**-arg_scale, and interval Horner runs on boxes with exact products
     and one floor/ceil per step back to 10**-scale.  The tail pad
@@ -721,7 +718,6 @@ class PointEvaluator:
     may move both parts, and both are padded.
     """
 
-    domain: Disc
     scale: int
     coeffs: tuple
     dcoeffs: tuple
@@ -756,8 +752,7 @@ class PointEvaluator:
         """u = (z - c)/r at scale 10**-arg_scale, rounded outward, for z read
         as p in the closed disc."""
         if p.d2 > self.radius * self.radius:
-            raise PointOutsideDomain(f"|z - {self.domain.center}| may exceed "
-                                     f"{self.domain.radius} at {p.z}")
+            raise PointOutsideDomain(f"|z - {_C}| may exceed {_R} at {p.z}")
         unit, r = 10 ** self.arg_scale, self.radius
         return (*_outward(p.re_lo * unit, p.re_hi * unit, r),
                 *_outward(p.im_lo * unit, p.im_hi * unit, r))
@@ -852,7 +847,7 @@ class PointEvaluator:
             raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
         one_minus = ctx.sub_dn(_D1, au)
         geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
-        pad = ctx.div_up(ctx.mul_up(self.tail_mass, geo), self.domain.radius)
+        pad = ctx.div_up(ctx.mul_up(self.tail_mass, geo), _R)
         return self._rectangle(ctx, acc, *_exact_int(pad, self.scale), real)
 
 
@@ -866,19 +861,18 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
     carry precision + digits(N+1) digits after the point, as |u| <= 1.
     """
     n = f.truncation
-    c, r = f.domain.center, f.domain.radius
     s = f.scale - _cut(ctx, f, n)
     lift, unit = 10 ** max(s - f.scale, 0), 10 ** max(f.scale - s, 0)
     coeffs = tuple(_outward((m - q) * lift, (m + q) * lift, unit)
                    for m, q in zip(_padded(f.mid, n), _padded(f.rad, n)))
     arg_scale = ctx.precision + len(str(n + 1))
-    point_scale = max(2 * arg_scale, -c.as_tuple().exponent, -r.as_tuple().exponent)
-    center, radius = _int_at(c, point_scale), _int_at(r, point_scale)
+    point_scale = max(2 * arg_scale, -_C.as_tuple().exponent, -_R.as_tuple().exponent)
+    center, radius = _int_at(_C, point_scale), _int_at(_R, point_scale)
     # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
     dcoeffs = tuple(_outward(lo * k * 10 ** point_scale, hi * k * 10 ** point_scale, radius)
                     for k, (lo, hi) in enumerate(coeffs[1:], 1))
     tail_mass = ctx.add_up(f.v_high, f.v_err)
-    return PointEvaluator(f.domain, s, coeffs, dcoeffs or ((0, 0),),
+    return PointEvaluator(s, coeffs, dcoeffs or ((0, 0),),
                           arg_scale, point_scale,
                           center, radius, tail_mass, *_exact_int(tail_mass, s))
 
@@ -935,8 +929,8 @@ def serialize_ball(f: FunctionBall) -> str:
     round-trips bit-exactly."""
     lines = [
         _BALL_HEADER,
-        f"center {f.domain.center}",
-        f"radius {f.domain.radius}",
+        f"center {_C}",
+        f"radius {_R}",
         f"truncation {f.truncation}",
         f"v_high {f.v_high}",
         f"v_err {f.v_err}",
@@ -949,8 +943,9 @@ def deserialize_ball(text: str) -> FunctionBall:
     """The ball written by :func:`serialize_ball`.  Text read from outside
     is checked: a missing field, a malformed line or number, a non-finite
     or misordered endpoint, an endpoint beyond MAX_ENDPOINT_DIGITS digits,
-    a coefficient count that does not match the truncation and a non-real
-    coefficient each raise ConfigError."""
+    a coefficient count that does not match the truncation, a non-real
+    coefficient and a center or radius other than the standard disc's
+    each raise ConfigError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _BALL_HEADER:
         raise ConfigError("not a serialized function ball")
@@ -977,11 +972,13 @@ def deserialize_ball(text: str) -> FunctionBall:
     if missing:
         raise ConfigError(f"missing field(s): {', '.join(missing)}")
     value = {k: finite_decimal(fields[k], k) for k in ("center", "radius", "v_high", "v_err")}
+    if (value["center"], value["radius"]) != (_C, _R):
+        raise ConfigError(f"ball on D({value['center']}, {value['radius']}), "
+                          f"every ball lives on {STANDARD_DISC}")
     n = finite_decimal(fields["truncation"], "truncation")
     if len(coeffs) != n + 1:
         raise ConfigError("coefficient count does not match truncation")
-    return _exact(Disc(value["center"], value["radius"]), int(n), coeffs,
-                  value["v_high"], value["v_err"])
+    return _exact(int(n), coeffs, value["v_high"], value["v_err"])
 
 
 def ball_checksum(f: FunctionBall) -> str:

@@ -170,7 +170,7 @@ def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> Funct
     moved = fb.IntBall(*_apply_block(lam.rows, lam.tail, f.mid, f.rad), f.scale + lam.scale,
                        ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
                        ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
-    return FunctionBall.wrap(f.domain, n, fb.int_outward(ctx, moved, n))
+    return FunctionBall.wrap(n, fb.int_outward(ctx, moved, n))
 
 
 def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
@@ -321,15 +321,13 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
     """Bound of ||DPhi(x) f_H|| over all f_H of degree above K (the head
     degree of the frozen map) with ||f_H|| <= 1.
 
-    With the domain centered at 1 and K >= 0, f_H(1) = 0 and phi(f_H) = 0,
+    The disc is centred at 1, so with K >= 0, f_H(1) = 0 and phi(f_H) = 0,
     so the derivative acts as DF f_H = A f_H + q f_H where the compositions
     inside A are bounded by theta**(K+1) without expanding f_H.  The frozen
     map sends content of degree above K to tail_scalar times itself, leaving
 
         ||DPhi f_H|| <= |1 - q t| + ||Lam|| ||A f_H||.
     """
-    if x_ball.domain.center != 1:
-        raise ConfigError("tail bound assumes domain center 1")
     k = _head_degree(lam, x_ball.truncation)
     q = problem.tail_phi_factor(ctx, x_ball)
     head = ctx.isub(IONE, ctx.iscale(q, lam.tail_scalar)).mag

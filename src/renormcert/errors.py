@@ -18,7 +18,7 @@ class DivisionByZeroRectangle(RenormcertError, ZeroDivisionError):
 
 
 class DomainMismatch(RenormcertError):
-    """Binary function-ball operation on balls with different disc or degree."""
+    """Binary function-ball operation on balls of different degree."""
 
 
 class CompositionContractFailure(RenormcertError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from . import balls as fb
-from .balls import Disc, FunctionBall, PointEvaluator, PowerTable
+from .balls import STANDARD_DISC, FunctionBall, PointEvaluator, PowerTable
 from .errors import (
     CompositionContractFailure,
     ConfigError,
@@ -79,10 +79,6 @@ class SharedEvaluations:
     table_squared: PowerTable
 
     @property
-    def domain(self) -> Disc:
-        return self.source.domain
-
-    @property
     def theta_affine(self) -> Decimal:
         return self.table_affine.theta_bound
 
@@ -107,18 +103,16 @@ def _composed(subexpression: str, compose, ctx: RoundingContext, G: FunctionBall
 def precompute_shared(ctx: RoundingContext, G: FunctionBall) -> SharedEvaluations:
     """Evaluate every subexpression of T once for the whole ball, each
     composition read off the power tables of a**2 X and Q(G(a**2 X)).  The
-    domain must be centred at 1, where a = G(1) is the constant coefficient:
+    disc is centred at 1, so a = G(1) is the constant coefficient:
     e_k(1) = 0 for k >= 1 and the high tail vanishes at 1."""
-    n, domain = G.truncation, G.domain
-    if domain.center != 1:
-        raise ConfigError("shared evaluations assume domain center 1")
+    n = G.truncation
     a = fb.coefficient(ctx, G, 0).re
     try:
         a_inv = ctx.idiv(IONE, a)
     except DivisionByZeroInterval as exc:
         raise NormalizationSingular(f"a = G(1) = {a} may contain zero") from exc
     a2 = ctx.isqr(a)
-    table_affine = fb.power_table(ctx, fb.affine_arg(ctx, domain, n, a2))
+    table_affine = fb.power_table(ctx, fb.affine_arg(ctx, n, a2))
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
     squared = fb.mul(ctx, inner, inner)
     table_squared = fb.power_table(ctx, squared)
@@ -159,9 +153,9 @@ class ColumnImages:
         return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), s.source.truncation)
 
     def image_ball(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        """image_k as a ball of the tables' space."""
+        """image_k as a ball of the tables' degree."""
         s = self.tables.shared
-        return FunctionBall.wrap(s.domain, s.source.truncation, self.image(ctx, k))
+        return FunctionBall.wrap(s.source.truncation, self.image(ctx, k))
 
 
 @dataclass(frozen=True)
@@ -188,13 +182,13 @@ class OperatorTables:
         deriv_outer = _composed("G'(Q(G(a2 X)))", s.table_squared.compose_derivative, ctx, G)
         deriv_inner = _composed("G'(a2 X)", s.table_affine.compose_derivative, ctx, G)
         factor16 = fb.scale(ctx, s.a_inv, fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, s.inner)))
-        two_a_x = fb.affine_arg(ctx, s.domain, n, ctx.iscale(s.a, _D2))
+        two_a_x = fb.affine_arg(ctx, n, ctx.iscale(s.a, _D2))
         factor17 = fb.mul(ctx, fb.mul(ctx, factor16, deriv_inner), two_a_x)
         scalars = (s.a_inv, ctx.isqr(s.a_inv))
         factors = (factor16, fb.mul(ctx, factor16, factor16))
         variation = fb.add(ctx, fb.scale(ctx, ctx.ineg(scalars[1]), s.outer_comp), factor17)
         pairs = list(zip(scalars, factors))
-        return cls(shared, tuple((fb.const_ball(s.domain, n, x), f) for x, f in pairs),
+        return cls(shared, tuple((fb.const_ball(n, x), f) for x, f in pairs),
                    variation,
                    tuple(((x.mag, s.theta_squared), (fb.norm_upper(ctx, f), s.theta_affine))
                          for x, f in pairs))
@@ -217,10 +211,10 @@ class OperatorTables:
         s = self.shared
         n = s.source.truncation
         if column0 is None:
-            column0 = fb.zero_ball(s.domain, n)
-        if (column0.domain, column0.truncation) != (s.domain, n):
-            raise DomainMismatch("column 0 and the tables differ in disc or degree")
-        return ColumnImages(self, q, column0, fb.const_ball(s.domain, n, ctx.ineg(diagonal)))
+            column0 = fb.zero_ball(n)
+        if column0.truncation != n:
+            raise DomainMismatch("column 0 and the tables differ in degree")
+        return ColumnImages(self, q, column0, fb.const_ball(n, ctx.ineg(diagonal)))
 
     def apply(self, ctx: RoundingContext, q: int, v: FunctionBall) -> FunctionBall:
         """M_q(G) v, enclosing the action for every G in the ball, rounded
@@ -230,7 +224,7 @@ class OperatorTables:
         s, n = self.shared, self.shared.source.truncation
         c2, c1 = (table.compose(ctx, v) for table in (s.table_squared, s.table_affine))
         v0 = fb.IntBall(v.mid[:1], v.rad[:1], v.scale, _D0, v.v_err)
-        return FunctionBall.wrap(s.domain, n, fb.int_outward(ctx, self.image(ctx, q, c2, c1, v0), n))
+        return FunctionBall.wrap(n, fb.int_outward(ctx, self.image(ctx, q, c2, c1, v0), n))
 
     def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
         return self.apply(ctx, 1, dG)
@@ -265,8 +259,8 @@ def grid_points(ctx: RoundingContext, lo: Decimal, hi: Decimal, n: int) -> list[
     return pts
 
 
-def boundary_cover(ctx: RoundingContext, domain: Disc, m: int) -> list[Rectangle]:
-    """Cover of the boundary circle by m axis-aligned rectangles.
+def boundary_cover(ctx: RoundingContext, m: int) -> list[Rectangle]:
+    """Cover of the boundary circle of the disc by m axis-aligned rectangles.
 
     Quarter-arcs are parametrised by the shallow coordinate: the top and
     bottom arcs by x, the left and right arcs by y, with the companion
@@ -276,7 +270,7 @@ def boundary_cover(ctx: RoundingContext, domain: Disc, m: int) -> list[Rectangle
     if m < 4 or m % 4 != 0:
         raise ConfigError("boundary covering needs m >= 4 divisible by 4")
     q = m // 4
-    c, r = domain.center, domain.radius
+    c, r = STANDARD_DISC.center, STANDARD_DISC.radius
     pts = grid_points(ctx, _ARC_SPLIT.copy_negate(), _ARC_SPLIT, q)
     rects = []
 
@@ -336,7 +330,7 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     g = fb.point_evaluator(ctx, G)
     # only a**2 is needed here, so a wide ball can still reach the checks
     a2 = ctx.rsqr(g.value(ctx, g.read(ctx, _ONE_POINT)))
-    boundary = boundary_cover(ctx, G.domain, m)
+    boundary = boundary_cover(ctx, m)
     gamma1, gamma2 = [], []
     for idx, z in enumerate(boundary):
         w1 = g.read(ctx, ctx.rmul(a2, z))
@@ -377,7 +371,7 @@ class RecursiveExtension:
     Each argument is read once (:meth:`balls.PointEvaluator.read`) by G's
     evaluator, and that read serves G's disc test and every value and
     derivative taken there, of G, V or W alike; so V and W must share G's
-    disc and point scale.  A graph point at depth 0 is one read, and on
+    point scale.  A graph point at depth 0 is one read, and on
     the real axis Horner runs on real boxes only."""
 
     G: PointEvaluator
@@ -401,8 +395,8 @@ class RecursiveExtension:
         for kind, q, ball in (("V", 1, V), ("W", 2, W)):
             if ball is not None:
                 ev = evaluators[kind] = fb.point_evaluator(ctx, ball)
-                if (ev.domain, ev.point_scale) != (g.domain, g.point_scale):
-                    raise ConfigError(f"{kind} must share G's disc and point scale "
+                if ev.point_scale != g.point_scale:
+                    raise ConfigError(f"{kind} must share G's point scale "
                                       "(the digit count of N + 1)")
                 phi[kind] = ev.value(ctx, one)
                 phi_q = phi[kind] if q == 1 else ctx.rsqr(phi[kind])

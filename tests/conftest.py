@@ -18,10 +18,9 @@ from renormcert.rounding import RoundingContext
 def desk():
     """Desk-scale artifacts shared across the suite: degree 20, 30 digits."""
     ctx = RoundingContext(30)
-    dom = fb.STANDARD_DISC
     n = 20
     g0 = ax.approx_fixed_point(n, 30)
-    G0 = fb.ball_from_decimals(dom, g0, n)
+    G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, n)
     lam_fixed = ax.build_lambda(
         "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=30), 30)
     cert_fixed = ct.certify(ctx, ct.Problem(0), G0, lam_fixed, "1e-8")
@@ -29,7 +28,7 @@ def desk():
     tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
 
     v0, lam0 = ax.approx_eigenpair("delta", g0, 30)
-    V0 = fb.ball_from_decimals(dom, v0, n)
+    V0 = fb.ball_from_decimals(fb.STANDARD_DISC, v0, n)
     lam_delta = ax.build_lambda(
         "delta_eigen", ax.approx_jacobian("delta_eigen", g0, v0, digits=30),
         30, lambda0=lam0)
@@ -37,7 +36,7 @@ def desk():
                             lam_delta, "1e-7")
 
     w0, gam0 = ax.approx_eigenpair("gamma", g0, 30)
-    W0 = fb.ball_from_decimals(dom, w0, n)
+    W0 = fb.ball_from_decimals(fb.STANDARD_DISC, w0, n)
     lam_gamma = ax.build_lambda(
         "gamma_eigen", ax.approx_jacobian("gamma_eigen", g0, w0, digits=30),
         30, lambda0=gam0)
@@ -45,7 +44,7 @@ def desk():
                             lam_gamma, "1e-7")
 
     return SimpleNamespace(
-        ctx=ctx, domain=dom, n=n,
+        ctx=ctx, n=n,
         g0=g0, G0=G0, lam_fixed=lam_fixed, cert_fixed=cert_fixed,
         param=param, tables=tables,
         v0=v0, lam0=lam0, V0=V0, lam_delta=lam_delta, cert_delta=cert_delta,

@@ -17,6 +17,8 @@ from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext, int
 
 # Published high-precision reference values for the universal constants
 # (first 60 fractional/significant digits; used as prefix oracles).
+_C, _R = fb.STANDARD_DISC.center, fb.STANDARD_DISC.radius
+
 REF_A = "-0.399535280523134489857580468633693719433544280466952727517073"
 REF_ALPHA = "-2.50290787509589282228390287321821578638127137672714997733619"
 REF_DELTA = "4.66920160910299067185320382046620161725818557747576863274565"
@@ -303,11 +305,11 @@ def contains_with_slack(outer: Interval, value: Decimal, slack: str = "0") -> bo
 # -- function-ball member sampling ------------------------------------------------
 
 
-def interval_ball(domain, coeffs, v_high=Decimal(0), v_err=Decimal(0),
+def interval_ball(coeffs, v_high=Decimal(0), v_err=Decimal(0),
                   n: int | None = None) -> fb.FunctionBall:
     """The ball of degree n (len(coeffs) - 1 by default) whose coefficient
     intervals are exactly ``coeffs``, with the given tails."""
-    return fb._exact(domain, len(coeffs) - 1 if n is None else n, list(coeffs),
+    return fb._exact(len(coeffs) - 1 if n is None else n, list(coeffs),
                      Decimal(v_high), Decimal(v_err))
 
 
@@ -316,11 +318,11 @@ def with_tails(f: fb.FunctionBall, v_high, v_err) -> fb.FunctionBall:
     return dataclasses.replace(f, v_high=Decimal(v_high), v_err=Decimal(v_err))
 
 
-def rand_poly_ball(rng: random.Random, domain, n: int, degree: int,
+def rand_poly_ball(rng: random.Random, n: int, degree: int,
                    coeff_scale: float = 1.0) -> fb.FunctionBall:
     """Random exact polynomial ball of the given degree (<= n)."""
     coeffs = [rand_decimal(rng, coeff_scale) for _ in range(degree + 1)]
-    return fb.ball_from_decimals(domain, coeffs, n)
+    return fb.ball_from_decimals(fb.STANDARD_DISC, coeffs, n)
 
 
 def sample_member(rng: random.Random, ball: fb.FunctionBall,
@@ -347,10 +349,10 @@ def sample_member(rng: random.Random, ball: fb.FunctionBall,
     return member
 
 
-def eval_member(member: dict[int, Decimal], z: Decimal, domain, digits: int) -> Decimal:
+def eval_member(member: dict[int, Decimal], z: Decimal, digits: int) -> Decimal:
     """Evaluate a member at a real point in round-to-nearest arithmetic."""
     with decimal.localcontext(decimal.Context(prec=digits)):
-        u = (z - domain.center) / domain.radius
+        u = (z - _C) / _R
         top = max(member)
         acc = Decimal(0)
         for k in range(top, -1, -1):
@@ -358,13 +360,12 @@ def eval_member(member: dict[int, Decimal], z: Decimal, domain, digits: int) -> 
         return acc
 
 
-def eval_member_derivative(member: dict[int, Decimal], z: Decimal, domain,
-                           digits: int) -> Decimal:
+def eval_member_derivative(member: dict[int, Decimal], z: Decimal, digits: int) -> Decimal:
     with decimal.localcontext(decimal.Context(prec=digits)):
-        deriv = {k - 1: Decimal(k) * c / domain.radius for k, c in member.items() if k > 0}
+        deriv = {k - 1: Decimal(k) * c / _R for k, c in member.items() if k > 0}
         if not deriv:
             return Decimal(0)
-        u = (z - domain.center) / domain.radius
+        u = (z - _C) / _R
         top = max(deriv)
         acc = Decimal(0)
         for k in range(top, -1, -1):
@@ -382,11 +383,9 @@ def member_product(a: dict[int, Decimal], b: dict[int, Decimal],
         return out
 
 
-def domain_points(rng: random.Random, domain, count: int) -> list[Decimal]:
+def domain_points(rng: random.Random, count: int) -> list[Decimal]:
     """Random real points of the closed domain interval."""
-    lo = domain.center - domain.radius
-    hi = domain.center + domain.radius
-    return [sample_point(rng, Interval(lo, hi)) for _ in range(count)]
+    return [sample_point(rng, Interval(_C - _R, _C + _R)) for _ in range(count)]
 
 
 # -- Decimal interval reference kernels -----------------------------------------
@@ -403,35 +402,35 @@ def _reals(f: fb.FunctionBall) -> list[Interval]:
 
 def oracle_add(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Sum ball by interval sums (reference for ``balls.add``)."""
-    return interval_ball(f.domain, [ctx.iadd(a, b) for a, b in zip(_reals(f), _reals(g))],
+    return interval_ball([ctx.iadd(a, b) for a, b in zip(_reals(f), _reals(g))],
                          ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
 
 
 def oracle_sub(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Difference ball by interval differences (reference for ``balls.sub``)."""
-    return interval_ball(f.domain, [ctx.isub(a, b) for a, b in zip(_reals(f), _reals(g))],
+    return interval_ball([ctx.isub(a, b) for a, b in zip(_reals(f), _reals(g))],
                          ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
 
 
 def oracle_negate(ctx: RoundingContext, f: fb.FunctionBall) -> fb.FunctionBall:
     """Negated ball (reference for ``balls.negate``)."""
-    return interval_ball(f.domain, [ctx.ineg(c) for c in _reals(f)], f.v_high, f.v_err)
+    return interval_ball([ctx.ineg(c) for c in _reals(f)], f.v_high, f.v_err)
 
 
 def oracle_scale(ctx: RoundingContext, s: Interval, f: fb.FunctionBall) -> fb.FunctionBall:
     """f times the real interval s by interval products (reference for
     ``balls.scale``)."""
     m = s.mag
-    return interval_ball(f.domain, [ctx.imul(s, c) for c in _reals(f)],
+    return interval_ball([ctx.imul(s, c) for c in _reals(f)],
                          ctx.mul_up(f.v_high, m), ctx.mul_up(f.v_err, m))
 
 
 def oracle_normalized_argument(ctx: RoundingContext, h: fb.FunctionBall) -> fb.FunctionBall:
     """(h - c)/r by interval operations (reference for ``balls.normalized_argument``)."""
-    inv = ctx.idiv(interval(1), interval(h.domain.radius))
+    inv = ctx.idiv(interval(1), interval(_R))
     coeffs = _reals(h)
-    shifted = [ctx.isub(coeffs[0], interval(h.domain.center))] + coeffs[1:]
-    return interval_ball(h.domain, [ctx.imul(x, inv) for x in shifted],
+    shifted = [ctx.isub(coeffs[0], interval(_C))] + coeffs[1:]
+    return interval_ball([ctx.imul(x, inv) for x in shifted],
                          ctx.mul_up(h.v_high, inv.hi), ctx.mul_up(h.v_err, inv.hi))
 
 
@@ -439,7 +438,7 @@ def oracle_derivative_coeffs(ctx: RoundingContext, f: fb.FunctionBall) -> list[I
     """Coefficients of f_P' in the same basis, d/dz e_k = (k/r) e_{k-1}, by
     interval operations (reference for the coefficients ``balls._derivative``
     forms)."""
-    r, coeffs = interval(f.domain.radius), _reals(f)
+    r, coeffs = interval(_R), _reals(f)
     out = [ctx.imul(coeffs[k], ctx.idiv(interval(k), r)) for k in range(1, f.truncation + 1)]
     return out or [IZERO]
 
@@ -448,7 +447,7 @@ def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> 
     """Product ball by interval Cauchy product (reference for ``balls.mul``)."""
     out, v_high, v_err = _oracle_product(ctx, (_reals(f), f.v_high, f.v_err),
                                          (_reals(g), g.v_high, g.v_err), f.truncation)
-    return interval_ball(f.domain, out, v_high, v_err)
+    return interval_ball(out, v_high, v_err)
 
 
 def _oracle_product(ctx: RoundingContext, f, g, n: int):
@@ -503,7 +502,7 @@ def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.Fun
     coeffs += [ctx.iscale(fc[i], lam.tail_scalar) for i in range(dim, n + 1)]
     v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
     v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
-    return interval_ball(f.domain, coeffs, v_high, v_err)
+    return interval_ball(coeffs, v_high, v_err)
 
 
 def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
@@ -535,7 +534,7 @@ def _oracle_horner(ctx: RoundingContext, coeffs, u: fb.FunctionBall) -> fb.Funct
         out, v_high, v_err = _oracle_product(ctx, acc, arg, n)
         out[0] = ctx.iadd(out[0], coeffs[k])
         acc = (out, v_high, v_err)
-    return interval_ball(u.domain, *acc)
+    return interval_ball(*acc)
 
 
 def _oracle_argument(ctx: RoundingContext, f: fb.FunctionBall, h: fb.FunctionBall,
@@ -581,12 +580,12 @@ def oracle_compose_derivative(ctx: RoundingContext, f: fb.FunctionBall,
         geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
         tail = ctx.add_up(tail, ctx.mul_up(f.v_err, geo))
     if tail > 0:
-        tail = ctx.div_up(tail, f.domain.radius)
+        tail = ctx.div_up(tail, _R)
     return _oracle_with_error(ctx, out, tail)
 
 
 def _oracle_eval_argument(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
-    c, r = f.domain.center, f.domain.radius
+    c, r = _C, _R
     dist = ctx.rabs(ctx.rsub(z, rectangle(c)))
     if dist.hi > r:
         raise PointOutsideDomain(f"|z - {c}| may exceed {r} (bound {dist.hi})")
@@ -635,7 +634,7 @@ def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
         raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
     one_minus = ctx.sub_dn(Decimal(1), au)
     geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
-    pad = ctx.div_up(ctx.mul_up(tail_mass, geo), f.domain.radius)
+    pad = ctx.div_up(ctx.mul_up(tail_mass, geo), _R)
     return _oracle_pad(ctx, acc, pad, z)
 
 

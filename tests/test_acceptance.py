@@ -138,29 +138,29 @@ def test_criterion_6b_function_ball_oracles():
     rng = random.Random(2024)
     counts = {"mul": 0, "compose": 0, "compose_derivative": 0, "eval": 0}
     for _ in range(12):
-        f = fb.inflate(ctx, rand_poly_ball(rng, dom, n, 5), "0.001")
-        g = rand_poly_ball(rng, dom, n, 5)
+        f = fb.inflate(ctx, rand_poly_ball(rng, n, 5), "0.001")
+        g = rand_poly_ball(rng, n, 5)
         s = Decimal(rng.randint(100, 350)) / Decimal(1000)
-        h = fb.affine_arg(ctx, dom, n, s)
+        h = fb.affine_arg(ctx, n, s)
         hm = {0: s * dom.center, 1: s * dom.radius}
         product = fb.mul(ctx, f, g)
         comp = fb.compose(ctx, f, h)
         dcomp = fb.compose_derivative(ctx, f, h)
         fm, gm = sample_member(rng, f), sample_member(rng, g)
         pm = member_product(fm, gm, 120)
-        for z in domain_points(rng, dom, 25):
-            val = eval_member(pm, z, dom, 120)
+        for z in domain_points(rng, 25):
+            val = eval_member(pm, z, 120)
             assert fb.evaluate(ctx, product, rectangle(z)).re.contains(val)
             counts["mul"] += 1
-            inner = eval_member(hm, z, dom, 120)
+            inner = eval_member(hm, z, 120)
             assert fb.evaluate(ctx, comp, rectangle(z)).re.contains(
-                eval_member(fm, inner, dom, 120))
+                eval_member(fm, inner, 120))
             counts["compose"] += 1
             assert fb.evaluate(ctx, dcomp, rectangle(z)).re.contains(
-                eval_member_derivative(fm, inner, dom, 120))
+                eval_member_derivative(fm, inner, 120))
             counts["compose_derivative"] += 1
             assert fb.evaluate(ctx, f, rectangle(z)).re.contains(
-                eval_member(fm, z, dom, 120))
+                eval_member(fm, z, 120))
             counts["eval"] += 1
     total = sum(counts.values())
     assert total >= 1000

@@ -38,16 +38,16 @@ def test_norm_examples():
     f = fb.ball_from_decimals(DOM, ["1", "-2"], N)
     f = with_tails(f, "0.5", 0)
     assert fb.norm_upper(ctx, f) == Decimal("3.5")
-    assert fb.norm_upper(ctx, fb.zero_ball(DOM, N)) == 0
+    assert fb.norm_upper(ctx, fb.zero_ball(N)) == 0
     for k in range(N + 1):
-        assert fb.norm_upper(ctx, fb.basis_ball(DOM, N, k)) == 1
+        assert fb.norm_upper(ctx, fb.basis_ball(N, k)) == 1
 
 
 def test_linear_ops():
-    f = rand_poly_ball(random.Random(0), DOM, N, 5)
-    z = fb.add(ctx, f, fb.zero_ball(DOM, N))
+    f = rand_poly_ball(random.Random(0), N, 5)
+    z = fb.add(ctx, f, fb.zero_ball(N))
     assert all(z.coeffs[k].re == f.coeffs[k].re for k in range(N + 1))
-    e2 = fb.basis_ball(DOM, N, 2)
+    e2 = fb.basis_ball(N, 2)
     d = fb.sub(ctx, e2, e2)
     assert fb.norm_upper(ctx, d) == 0
     # f + (-1)*f contains zero with doubled tail budgets
@@ -58,22 +58,19 @@ def test_linear_ops():
 
 
 def test_domain_mismatch():
-    f = fb.one_ball(DOM, N)
-    g = fb.one_ball(DOM, N + 1)
+    f = fb.one_ball(N)
+    g = fb.one_ball(N + 1)
     with pytest.raises(DomainMismatch):
         fb.add(ctx, f, g)
-    h = fb.one_ball(fb.Disc(Decimal(0), Decimal(1)), N)
-    with pytest.raises(DomainMismatch):
-        fb.mul(ctx, f, h)
 
 
 def test_mul_basis():
-    e1 = fb.basis_ball(DOM, N, 1)
+    e1 = fb.basis_ball(N, 1)
     p = fb.mul(ctx, e1, e1)
     assert p.coeffs[2].re == interval(1)
     assert p.v_high == 0 and p.v_err == 0
-    one = fb.one_ball(DOM, N)
-    f = rand_poly_ball(random.Random(1), DOM, N, 6)
+    one = fb.one_ball(N)
+    f = rand_poly_ball(random.Random(1), N, 6)
     q = fb.mul(ctx, f, one)
     assert all(q.coeffs[k].re.contains_interval(f.coeffs[k].re) for k in range(N + 1))
 
@@ -81,19 +78,19 @@ def test_mul_basis():
 def test_mul_spill_goes_high():
     # degree-5 times degree-5 at N=8: degrees 9, 10 spill into v_high only
     rng = random.Random(2)
-    f = rand_poly_ball(rng, DOM, N, 5)
-    g = rand_poly_ball(rng, DOM, N, 5)
+    f = rand_poly_ball(rng, N, 5)
+    g = rand_poly_ball(rng, N, 5)
     p = fb.mul(ctx, f, g)
     assert p.v_high > 0
     assert p.v_err == 0
     # within-truncation product stays exact: degree 2 * degree 3 at N=8
-    p2 = fb.mul(ctx, rand_poly_ball(rng, DOM, N, 2), rand_poly_ball(rng, DOM, N, 3))
+    p2 = fb.mul(ctx, rand_poly_ball(rng, N, 2), rand_poly_ball(rng, N, 3))
     assert p2.v_high == 0 and p2.v_err == 0
 
 
 def _interval_ball(rng, degree: int) -> fb.FunctionBall:
     """Exact-free polynomial ball: random real interval coefficients."""
-    return interval_ball(DOM, [rand_interval(rng, 1.0) for _ in range(degree + 1)], n=N)
+    return interval_ball([rand_interval(rng, 1.0) for _ in range(degree + 1)], n=N)
 
 
 def _mul_sampling_misses(seed: int) -> int:
@@ -103,13 +100,13 @@ def _mul_sampling_misses(seed: int) -> int:
     rng = random.Random(seed)
     misses = 0
     for _ in range(12):
-        for f, g in ((rand_poly_ball(rng, DOM, N, 5), rand_poly_ball(rng, DOM, N, 5)),
+        for f, g in ((rand_poly_ball(rng, N, 5), rand_poly_ball(rng, N, 5)),
                      (_interval_ball(rng, 4), _interval_ball(rng, 4))):
             p = fb.mul(ctx, f, g)
             fm, gm = sample_member(rng, f), sample_member(rng, g)
             hm = member_product(fm, gm, 120)
-            for z in domain_points(rng, DOM, 10):
-                val = eval_member(hm, z, DOM, 120)
+            for z in domain_points(rng, 10):
+                val = eval_member(hm, z, 120)
                 misses += not fb.evaluate(ctx, p, rectangle(z)).re.contains(val)
     return misses
 
@@ -127,58 +124,58 @@ def test_mul_sampling_oracle_negative_control(monkeypatch):
 def test_norm_submultiplicative():
     rng = random.Random(4)
     for _ in range(50):
-        f = fb.inflate(ctx, rand_poly_ball(rng, DOM, N, 4), "0.01")
-        g = fb.inflate(ctx, rand_poly_ball(rng, DOM, N, 4), "0.02")
+        f = fb.inflate(ctx, rand_poly_ball(rng, N, 4), "0.01")
+        g = fb.inflate(ctx, rand_poly_ball(rng, N, 4), "0.02")
         lhs = fb.norm_upper(ctx, fb.mul(ctx, f, g))
         rhs = ctx.mul_up(fb.norm_upper(ctx, f), fb.norm_upper(ctx, g))
         assert lhs <= rhs * Decimal("1.000000000000000001")
 
 
 def test_theta_values():
-    ident = fb.affine_arg(ctx, DOM, N, 1)
+    ident = fb.affine_arg(ctx, N, 1)
     assert fb.theta(ctx, ident) == 1
-    assert fb.theta(ctx, fb.const_ball(DOM, N, 1)) == 0
+    assert fb.theta(ctx, fb.const_ball(N, 1)) == 0
     # affine argument with the published scaling constant squared
     a = Decimal(REF_A[:22])
     a2 = ctx.mul_up(a, a)
-    th = fb.theta(ctx, fb.affine_arg(ctx, DOM, N, a2))
+    th = fb.theta(ctx, fb.affine_arg(ctx, N, a2))
     assert Decimal("0.4957") < th < Decimal("0.4959")
 
 
 def test_affine_arg_coeffs():
-    ident = fb.affine_arg(ctx, DOM, N, 1)
+    ident = fb.affine_arg(ctx, N, 1)
     assert ident.coeffs[0].re == interval(1)
     assert ident.coeffs[1].re == interval("2.5")
-    zero = fb.affine_arg(ctx, DOM, N, 0)
+    zero = fb.affine_arg(ctx, N, 0)
     assert fb.norm_upper(ctx, zero) == 0
     a = Decimal(REF_A[:22])
     a2 = ctx.mul_up(a, a)
-    aff = fb.affine_arg(ctx, DOM, N, a2)
+    aff = fb.affine_arg(ctx, N, a2)
     assert str(aff.coeffs[0].re.lo)[:9] == "0.1596284"
     assert str(aff.coeffs[1].re.lo)[:9] == "0.3990711"
 
 
 def test_compose_basics():
     rng = random.Random(5)
-    h = rand_poly_ball(rng, DOM, N, 3, coeff_scale=0.4)
-    e1 = fb.basis_ball(DOM, N, 1)
+    h = rand_poly_ball(rng, N, 3, coeff_scale=0.4)
+    e1 = fb.basis_ball(N, 1)
     c = fb.compose(ctx, e1, h)
     u = fb.normalized_argument(ctx, h)
     assert all(c.coeffs[k].re == u.coeffs[k].re for k in range(N + 1))
-    ident = fb.affine_arg(ctx, DOM, N, 1)
-    f = rand_poly_ball(rng, DOM, N, 4)
+    ident = fb.affine_arg(ctx, N, 1)
+    f = rand_poly_ball(rng, N, 4)
     cf = fb.compose(ctx, f, ident)
     for k in range(N + 1):
         assert cf.coeffs[k].re.contains_interval(f.coeffs[k].re)
 
 
 def test_compose_contract_failure():
-    f = fb.inflate(ctx, fb.basis_ball(DOM, N, 2), "0.1")
-    ident = fb.affine_arg(ctx, DOM, N, 1)  # theta == 1
+    f = fb.inflate(ctx, fb.basis_ball(N, 2), "0.1")
+    ident = fb.affine_arg(ctx, N, 1)  # theta == 1
     with pytest.raises(CompositionContractFailure):
         fb.compose(ctx, f, ident)
     # pure polynomial composition tolerates theta == 1
-    fb.compose(ctx, fb.basis_ball(DOM, N, 2), ident)
+    fb.compose(ctx, fb.basis_ball(N, 2), ident)
 
 
 def _interval_argument(rng, degree: int) -> fb.FunctionBall:
@@ -189,7 +186,7 @@ def _interval_argument(rng, degree: int) -> fb.FunctionBall:
         mid = (Decimal(1) if k == 0 else Decimal(0)) + rand_decimal(rng, 0.3 / 2 ** k)
         rad = Decimal(rng.randint(1, 9)).scaleb(-4)
         coeffs.append(interval(mid - rad, mid + rad))
-    return interval_ball(DOM, coeffs, n=N)
+    return interval_ball(coeffs, n=N)
 
 
 def _compose_sampling_misses(seed: int, derivative: bool = False) -> int:
@@ -203,7 +200,7 @@ def _compose_sampling_misses(seed: int, derivative: bool = False) -> int:
                      else (fb.compose, eval_member))
     misses = 0
     for i in range(12):
-        coeffs = [c.re for c in rand_poly_ball(rng, DOM, N, 4).coeffs]
+        coeffs = [c.re for c in rand_poly_ball(rng, N, 4).coeffs]
         if i % 2:
             # no linear term: the argument's radius reaches the result only
             # through the powers u**k, k >= 2, that the table computes
@@ -211,12 +208,12 @@ def _compose_sampling_misses(seed: int, derivative: bool = False) -> int:
             h = _interval_argument(rng, 2)
         else:
             s = Decimal(rng.randint(100, 350)) / Decimal(1000)
-            h = fb.affine_arg(ctx, DOM, N, s)
-        f = interval_ball(DOM, coeffs, "1e-6", "1e-6")
+            h = fb.affine_arg(ctx, N, s)
+        f = interval_ball(coeffs, "1e-6", "1e-6")
         comp = kernel(ctx, f, h)
         fm, hm = sample_member(rng, f), sample_member(rng, h)
-        for z in domain_points(rng, DOM, 10):
-            val = value(fm, eval_member(hm, z, DOM, 120), DOM, 120)
+        for z in domain_points(rng, 10):
+            val = value(fm, eval_member(hm, z, 120), 120)
             misses += not fb.evaluate(ctx, comp, rectangle(z)).re.contains(val)
     return misses
 
@@ -235,10 +232,10 @@ def test_compose_sampling_oracle_negative_control(monkeypatch):
 
 
 def test_compose_derivative_basics():
-    e2 = fb.basis_ball(DOM, N, 2)
-    d = fb.compose_derivative(ctx, e2, fb.const_ball(DOM, N, 1))
+    e2 = fb.basis_ball(N, 2)
+    d = fb.compose_derivative(ctx, e2, fb.const_ball(N, 1))
     assert fb.norm_upper(ctx, d) == 0
-    ident = fb.affine_arg(ctx, DOM, N, 1)
+    ident = fb.affine_arg(ctx, N, 1)
     h = fb.scale(ctx, Decimal("0.3"), ident)
     d2 = fb.compose_derivative(ctx, ident, h)
     assert d2.coeffs[0].re.contains(1)
@@ -251,9 +248,9 @@ def test_compose_derivative_sampling_oracle():
 
 def test_eval_basics():
     for k in range(1, N + 1):
-        out = fb.evaluate(ctx, fb.basis_ball(DOM, N, k), rectangle(1))
+        out = fb.evaluate(ctx, fb.basis_ball(N, k), rectangle(1))
         assert out.re.contains(0) and out.re.mag == 0
-    one = fb.one_ball(DOM, N)
+    one = fb.one_ball(N)
     out = fb.evaluate(ctx, one, rectangle("3.2"))
     assert out.re.contains(1)
     with pytest.raises(PointOutsideDomain):
@@ -276,9 +273,9 @@ def _eval_sampling_misses(seed: int, derivative: bool = False) -> int:
         if i % 2:
             f = _interval_ball(rng, 6)
         else:
-            f = rand_poly_ball(rng, DOM, N, 6)
+            f = rand_poly_ball(rng, N, 6)
             low = 2 if i % 4 else 1
-            f = interval_ball(DOM, [IZERO] * low + [c.re for c in f.coeffs[low:]],
+            f = interval_ball([IZERO] * low + [c.re for c in f.coeffs[low:]],
                               f.v_high, f.v_err)
         if i % 3 == 2:
             f = fb.inflate(ctx, f, "1e-6")
@@ -286,8 +283,8 @@ def _eval_sampling_misses(seed: int, derivative: bool = False) -> int:
         # 32 digits after the point: u = (z - c)/r needs rounding
         near = [WIDE.add(DOM.center, Decimal(rng.randint(-10 ** 28, 10 ** 28)).scaleb(-32))
                 for _ in range(5)]
-        for z in near + domain_points(rng, DOM, 5):
-            val = value(fm, z, DOM, 120)
+        for z in near + domain_points(rng, 5):
+            val = value(fm, z, 120)
             misses += not kernel(ctx, f, rectangle(z)).re.contains(val)
     return misses
 
@@ -312,7 +309,7 @@ def test_eval_disc_boundary():
     accepted by evaluate, and by evaluate_derivative for a polynomial, but
     not for a ball with tails, whose derivative bound needs |z - c| < r; a
     point or box just outside is rejected by both."""
-    f = rand_poly_ball(random.Random(9), DOM, N, 5)
+    f = rand_poly_ball(random.Random(9), N, 5)
     tailed = fb.inflate(ctx, f, "1e-6")
     ev = fb.point_evaluator(ctx, tailed)
     on = [rectangle("3.5"), rectangle("-1.5"), rectangle("2.5", "2"), rectangle(1, "-2.5"),
@@ -339,7 +336,7 @@ def test_eval_disc_boundary():
 
 def test_eval_isotonic_in_argument():
     rng = random.Random(8)
-    f = fb.inflate(ctx, rand_poly_ball(rng, DOM, N, 5), "0.001")
+    f = fb.inflate(ctx, rand_poly_ball(rng, N, 5), "0.001")
     big = rectangle(interval("0.5", "1.5"))
     small = rectangle(interval("0.7", "1.2"))
     out_b = fb.evaluate(ctx, f, big)
@@ -348,7 +345,7 @@ def test_eval_isotonic_in_argument():
 
 
 def test_coefficient():
-    e3 = fb.basis_ball(DOM, N, 3)
+    e3 = fb.basis_ball(N, 3)
     assert fb.coefficient(ctx, e3, 3).re == interval(1)
     assert fb.coefficient(ctx, e3, 0).re == interval(0)
     with pytest.raises(IndexBeyondTruncation):
@@ -359,17 +356,42 @@ def test_coefficient():
 
 
 def test_inflate():
-    f = rand_poly_ball(random.Random(9), DOM, N, 3)
+    f = rand_poly_ball(random.Random(9), N, 3)
     assert fb.inflate(ctx, f, 0) == f
-    u = fb.inflate(ctx, fb.zero_ball(DOM, N), 1)
+    u = fb.inflate(ctx, fb.zero_ball(N), 1)
     assert fb.norm_upper(ctx, u) == 1
 
 
 def test_serialization_roundtrip():
     rng = random.Random(10)
-    f = fb.inflate(ctx, rand_poly_ball(rng, DOM, N, 6), "1e-9")
+    f = fb.inflate(ctx, rand_poly_ball(rng, N, 6), "1e-9")
     text = fb.serialize_ball(f)
     assert fb.serialize_ball(fb.deserialize_ball(text)) == text
+
+
+@pytest.mark.parametrize("line", ["center 0", "radius 1"])
+def test_deserialize_refuses_other_disc(line):
+    """A ball read from outside must name the standard disc."""
+    text = fb.serialize_ball(rand_poly_ball(random.Random(15), N, 4))
+    key = line.split()[0]
+    assert f"{key} {getattr(DOM, key)}\n" in text
+    with pytest.raises(ConfigError, match="lives on"):
+        fb.deserialize_ball(text.replace(f"{key} {getattr(DOM, key)}\n", line + "\n"))
+
+
+def test_deserialize_reads_the_standard_disc_in_any_spelling():
+    """radius 2.50 is the standard disc: the same ball, written back in the
+    standard spelling, so its checksum is unchanged."""
+    f = fb.inflate(ctx, rand_poly_ball(random.Random(16), N, 4), "1e-9")
+    text = fb.serialize_ball(f)
+    g = fb.deserialize_ball(text.replace("radius 2.5\n", "radius 2.50\n"))
+    assert g == fb.deserialize_ball(text)
+    assert fb.ball_checksum(g) == fb.ball_checksum(f)
+
+
+def test_ball_from_decimals_refuses_other_disc():
+    with pytest.raises(ConfigError):
+        fb.ball_from_decimals(fb.Disc(Decimal(0), Decimal(1)), ["1", "2"], N)
 
 
 def test_power_table_matches_compose():
@@ -377,12 +399,12 @@ def test_power_table_matches_compose():
     # enclose the same composition; they must agree on every sampled member
     # value even though their widths differ slightly
     rng = random.Random(12)
-    h = rand_poly_ball(rng, DOM, N, 3, coeff_scale=0.3)
+    h = rand_poly_ball(rng, N, 3, coeff_scale=0.3)
     table = fb.power_table(ctx, h)
-    f = fb.inflate(ctx, rand_poly_ball(rng, DOM, N, 5), "0.001")
+    f = fb.inflate(ctx, rand_poly_ball(rng, N, 5), "0.001")
     via_table = table.compose(ctx, f)
     oracle = oracle_compose(ctx, f, h)
-    for z in domain_points(rng, DOM, 20):
+    for z in domain_points(rng, 20):
         a = fb.evaluate(ctx, via_table, rectangle(z))
         b = fb.evaluate(ctx, oracle, rectangle(z))
         mid = ctx.imid(b.re)
@@ -390,9 +412,9 @@ def test_power_table_matches_compose():
     for _ in range(10):
         fm = sample_member(rng, f)
         hm = sample_member(rng, h)
-        for z in domain_points(rng, DOM, 5):
-            inner = eval_member(hm, z, DOM, 120)
-            val = eval_member(fm, inner, DOM, 120)
+        for z in domain_points(rng, 5):
+            inner = eval_member(hm, z, 120)
+            val = eval_member(fm, inner, 120)
             assert fb.evaluate(ctx, via_table, rectangle(z)).re.contains(val)
 
 
@@ -403,18 +425,18 @@ def test_power_above_baby_steps_matches_oracle():
     it at sampled members."""
     rng = random.Random(13)
     n, k = 40, 30
-    h = fb.inflate(ctx, rand_poly_ball(rng, DOM, n, 3, coeff_scale=0.3), "1e-6")
+    h = fb.inflate(ctx, rand_poly_ball(rng, n, 3, coeff_scale=0.3), "1e-6")
     table = fb.power_table(ctx, h)
     assert len(table.scales) == fb.BABY_STEPS < k
-    power = fb.FunctionBall.wrap(DOM, n, table.power(ctx, k))
-    oracle = oracle_compose(ctx, fb.basis_ball(DOM, n, k), h)
+    power = fb.FunctionBall.wrap(n, table.power(ctx, k))
+    oracle = oracle_compose(ctx, fb.basis_ball(n, k), h)
     for a, b in zip(power.coeffs, oracle.coeffs):
         # both enclose the coefficient of u**30: they must meet
         assert a.re.lo <= b.re.hi and b.re.lo <= a.re.hi, (a, b)
     for _ in range(10):
         hm = sample_member(rng, h)
-        for z in domain_points(rng, DOM, 5):
-            value = eval_member({k: Decimal(1)}, eval_member(hm, z, DOM, 120), DOM, 120)
+        for z in domain_points(rng, 5):
+            value = eval_member({k: Decimal(1)}, eval_member(hm, z, 120), 120)
             assert fb.evaluate(ctx, power, rectangle(z)).re.contains(value)
     with pytest.raises(IndexBeyondTruncation):
         table.power(ctx, n + 1)
@@ -426,13 +448,13 @@ def test_power_above_baby_steps_matches_oracle():
 def test_non_real_coefficient_is_refused():
     """Balls are real: a coefficient with a non-zero imaginary endpoint is
     refused when a ball is read, and so is a non-real scalar."""
-    text = fb.serialize_ball(fb.basis_ball(DOM, 2, 1))
+    text = fb.serialize_ball(fb.basis_ball(2, 1))
     assert "coeff 1 1 0 0\n" in text
     with pytest.raises(ConfigError):
         fb.deserialize_ball(text.replace("coeff 1 1 0 0\n", "coeff 1 1 -1e-30 0\n"))
-    one = fb.one_ball(DOM, N)
-    for build in (lambda s: fb.scale(ctx, s, one), lambda s: fb.const_ball(DOM, N, s),
-                  lambda s: fb.affine_arg(ctx, DOM, N, s)):
+    one = fb.one_ball(N)
+    for build in (lambda s: fb.scale(ctx, s, one), lambda s: fb.const_ball(N, s),
+                  lambda s: fb.affine_arg(ctx, N, s)):
         build(rectangle("0.5"))
         with pytest.raises(ConfigError):
             build(rectangle("0.5", "1e-30"))
@@ -441,7 +463,7 @@ def test_non_real_coefficient_is_refused():
 def test_value_at_real_point_is_real():
     """Every member is real on the real axis: at a real point the value and
     the derivative of an inflated ball have imaginary part exactly 0."""
-    f = fb.inflate(ctx, rand_poly_ball(random.Random(13), DOM, N, 6), "1e-6")
+    f = fb.inflate(ctx, rand_poly_ball(random.Random(13), N, 6), "1e-6")
     ev = fb.point_evaluator(ctx, f)
     for z in (rectangle(1), rectangle("-1.2"), rectangle(interval("0.5", "2")),
               rectangle("3.4")):
@@ -460,7 +482,7 @@ def _shifted_member_misses() -> int:
     """Evaluates the ball f0 inflated by RHO at z = 1 + 2.5 i t, where u = i t;
     counts the points at which the enclosure misses the exact complex
     value of the member f0 + RHO e_1, sum_k f0_k (i t)**k + RHO i t."""
-    f0 = rand_poly_ball(random.Random(14), DOM, N, 6)
+    f0 = rand_poly_ball(random.Random(14), N, 6)
     ev = fb.point_evaluator(ctx, fb.inflate(ctx, f0, RHO))
     misses = 0
     with decimal.localcontext(WIDE):

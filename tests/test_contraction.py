@@ -27,7 +27,7 @@ class _ToyKernel:
         self.x_ball = x_ball
 
     def image(self, c, k):
-        return fb.negate(c, fb.basis_ball(self.x_ball.domain, self.x_ball.truncation, k))
+        return fb.negate(c, fb.basis_ball(self.x_ball.truncation, k))
 
 
 class ToyProblem:
@@ -65,7 +65,7 @@ def test_apply_lambda_identity():
 
 def test_apply_lambda_scaling():
     lam = ct.identity_map(N, diagonal=2, tail_scalar=2)
-    f = with_tails(fb.one_ball(DOM, N), "0.5", "0.25")
+    f = with_tails(fb.one_ball(N), "0.5", "0.25")
     out = ct.apply_lambda(ctx, lam, f)
     assert out.coeffs[0].re == interval(2)
     assert out.v_high == Decimal("1.0")
@@ -77,7 +77,7 @@ def test_apply_lambda_columns():
     rows = [[Decimal(rng.randint(-3, 3)) for _ in range(N + 1)] for _ in range(N + 1)]
     lam = ct.LinearMap(rows, -1)
     for k in (0, 3, N):
-        out = ct.apply_lambda(ctx, lam, fb.basis_ball(DOM, N, k))
+        out = ct.apply_lambda(ctx, lam, fb.basis_ball(N, k))
         for i in range(N + 1):
             assert out.coeffs[i].re.contains(rows[i][k])
 
@@ -86,8 +86,8 @@ def test_apply_lambda_dimension_mismatch():
     """A head wider than the ball does not fit it; a narrower one does."""
     lam = ct.identity_map(N + 2)
     with pytest.raises(DimensionMismatch):
-        ct.apply_lambda(ctx, lam, fb.one_ball(DOM, N))
-    ct.apply_lambda(ctx, ct.identity_map(N), fb.one_ball(DOM, N + 2))
+        ct.apply_lambda(ctx, lam, fb.one_ball(N))
+    ct.apply_lambda(ctx, ct.identity_map(N), fb.one_ball(N + 2))
 
 
 def test_lambda_norm():
@@ -359,10 +359,10 @@ def test_certificate_soundness_pointwise(desk):
     for _ in range(30):
         m = sample_member(rng, ball)
         with _dec.localcontext(_dec.Context(prec=120)):
-            a_m = eval_member(m, Decimal(1), DOM, 120)
-            for z in domain_points(rng, DOM, 20):
-                inner = eval_member(m, a_m * a_m * z, DOM, 120)
-                tm = eval_member(m, inner * inner, DOM, 120) / a_m
+            a_m = eval_member(m, Decimal(1), 120)
+            for z in domain_points(rng, 20):
+                inner = eval_member(m, a_m * a_m * z, 120)
+                tm = eval_member(m, inner * inner, 120) / a_m
                 out = fb.evaluate(desk.ctx, envelope, rectangle(z))
                 assert out.re.lo - Decimal("1e-12") <= tm <= out.re.hi + Decimal("1e-12")
 

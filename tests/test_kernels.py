@@ -87,7 +87,7 @@ def _rand_ball(rng, n: int, kind: str) -> fb.FunctionBall:
     if kind == "point":
         coeffs = [Interval(x.hi, x.hi) for x in coeffs]
     tails = [Decimal(rng.randint(0, 9)).scaleb(-rng.randint(3, 9)) for _ in range(2)]
-    return interval_ball(DOM, coeffs, *tails)
+    return interval_ball(coeffs, *tails)
 
 
 def _width(x: Interval) -> Decimal:
@@ -320,7 +320,7 @@ def _rand_argument(rng, n: int, kind: str) -> fb.FunctionBall:
         if k == 0:
             x = Interval(EXACT.add(x.lo, 1), EXACT.add(x.hi, 1))
         coeffs.append(x)
-    return interval_ball(DOM, coeffs)
+    return interval_ball(coeffs)
 
 
 def _compose_slack(h: fb.FunctionBall, coeffs) -> tuple[Decimal, Decimal]:
@@ -450,7 +450,7 @@ def _long_interval(rng, kind: str) -> Interval:
 def _long_ball(rng, n: int, kind: str, tails: bool) -> fb.FunctionBall:
     bounds = [Decimal(rng.randint(0, 9)).scaleb(-rng.randint(3, 9)) if tails else 0
               for _ in range(2)]
-    return interval_ball(DOM, [_long_interval(rng, kind) for _ in range(n + 1)], *bounds)
+    return interval_ball([_long_interval(rng, kind) for _ in range(n + 1)], *bounds)
 
 
 #: the kernels that stand for the Decimal interval loops of oracle_add,
@@ -482,7 +482,7 @@ def _linear_case(rng, name: str, n: int, kind: str, tails: bool = True):
             lambda fm, gm, x: [(fm[0] - c) / r] + [a / r for a in fm[1:]]),
         "derivative": (
             lambda: fb._derivative(ctx, f),
-            lambda: interval_ball(DOM, oracle_derivative_coeffs(ctx, f), n=n),
+            lambda: interval_ball(oracle_derivative_coeffs(ctx, f), n=n),
             lambda fm, gm, x: [k * a / r for k, a in enumerate(fm)][1:]),
     }[name]
     with decimal.localcontext(EXACT):
@@ -517,7 +517,7 @@ def test_linear_kernel_matches_decimal_oracle(name, kind, n):
         new, ref, images = _linear_case(rng, name, n, kind)
         with decimal.localcontext(EXACT):
             assert all(_membership_excess(new, p) <= 0 for p in images)
-        assert (new.domain, new.truncation) == (ref.domain, ref.truncation)
+        assert new.truncation == ref.truncation
         for a, b in zip(new.coeffs, ref.coeffs):
             a, b = a.re, b.re
             if name in EXACT_LINEAR:
@@ -561,7 +561,7 @@ def _positive_quadratic(n: int) -> fb.FunctionBall:
     with decimal.localcontext(EXACT):
         coeffs = [Interval(DOM.center + DOM.radius * u.lo, DOM.center + DOM.radius * u.hi)]
         coeffs += [Interval(DOM.radius * u.lo, DOM.radius * u.hi)] * 2
-    return interval_ball(DOM, coeffs + [IZERO] * (n - 2))
+    return interval_ball(coeffs + [IZERO] * (n - 2))
 
 
 def _no_spill(int_mul):
@@ -579,7 +579,7 @@ def test_giant_steps_negative_control(monkeypatch):
     it."""
     n = 80
     h = _positive_quadratic(n)
-    f = interval_ball(DOM, [Interval(Decimal(1), Decimal(1))] * (n + 1))
+    f = interval_ball([Interval(Decimal(1), Decimal(1))] * (n + 1))
     table = fb.power_table(ctx, h)
     assert -(-(n + 1) // len(table.scales)) - 1 == 3
     with decimal.localcontext(EXACT):
@@ -595,9 +595,9 @@ def test_giant_steps_negative_control(monkeypatch):
 
 def test_compose_contract_matches_oracle():
     n = 8
-    ident = fb.affine_arg(ctx, DOM, n, 1)                  # theta == 1
-    wide = fb.affine_arg(ctx, DOM, n, 2)                   # theta > 1
-    poly = fb.basis_ball(DOM, n, 2)
+    ident = fb.affine_arg(ctx, n, 1)                  # theta == 1
+    wide = fb.affine_arg(ctx, n, 2)                   # theta > 1
+    poly = fb.basis_ball(n, 2)
     tailed = fb.inflate(ctx, poly, "0.1")
     for kernel, oracle in ((fb.compose, oracle_compose),
                            (fb.compose_derivative, oracle_compose_derivative)):

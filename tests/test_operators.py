@@ -26,7 +26,7 @@ DOM = fb.STANDARD_DISC
 
 
 def test_shared_constant_one():
-    one = fb.one_ball(DOM, 8)
+    one = fb.one_ball(8)
     s = op.precompute_shared(ctx, one)
     assert s.a.contains(1)
     assert s.inner.coeffs[0].re.contains(1)
@@ -58,7 +58,7 @@ def test_shared_a_is_constant_coefficient_with_high_tail(desk):
     assert evaluated.contains_interval(a) and a.hi - a.lo < evaluated.hi - evaluated.lo
     rng = random.Random(41)
     for _ in range(50):
-        assert a.contains(eval_member(sample_member(rng, ball), Decimal(1), DOM, 40))
+        assert a.contains(eval_member(sample_member(rng, ball), Decimal(1), 40))
 
 
 def test_apply_T_smoke_toy():
@@ -87,11 +87,11 @@ def test_apply_T_pointwise_oracle(desk):
     for _ in range(5):
         m = sample_member(rng, ball)
         with decimal.localcontext(decimal.Context(prec=120)):
-            a_m = eval_member(m, Decimal(1), DOM, 120)
-            for z in domain_points(rng, DOM, 10):
-                inner = eval_member(m, a_m * a_m * z, DOM, 120)
-                value = eval_member(m, inner * inner, DOM, 120) / a_m \
-                    - eval_member(m, z, DOM, 120)
+            a_m = eval_member(m, Decimal(1), 120)
+            for z in domain_points(rng, 10):
+                inner = eval_member(m, a_m * a_m * z, 120)
+                value = eval_member(m, inner * inner, 120) / a_m \
+                    - eval_member(m, z, 120)
                 out = fb.evaluate(ctx, image, rectangle(z))
                 assert out.re.contains(value), (z, value, out)
 
@@ -139,7 +139,7 @@ def test_apply_DT_variation_of_a_acts_on_column0_only(desk):
     a_inv, factor16 = tables.terms[0]
 
     def power(table, k):
-        return fb.FunctionBall.wrap(DOM, desk.n, table.power(ctx, k))
+        return fb.FunctionBall.wrap(desk.n, table.power(ctx, k))
 
     for k in (0, 1, 2, 5):
         image = tables.dt_basis_image(ctx, k)
@@ -161,7 +161,7 @@ def test_column_images_contain_apply(desk, q, basis_image):
     tables = desk.tables
     for k in (0, 1, 2, 5):
         image = getattr(tables, basis_image)(ctx, k)
-        applied = tables.apply(ctx, q, fb.basis_ball(DOM, desk.n, k))
+        applied = tables.apply(ctx, q, fb.basis_ball(desk.n, k))
         assert _contains_midpoints(image, applied, desk.n), k
 
 
@@ -169,39 +169,34 @@ def test_l_column_images_with_dt_coefficients_miss_apply(desk):
     """Negative control: q = 2 column images built with the q = 1
     coefficients (a**-1 and factor16) miss L e_k."""
     tables = desk.tables
-    applied = [tables.l_apply(ctx, fb.basis_ball(DOM, desk.n, k)) for k in (0, 1, 2, 5)]
+    applied = [tables.l_apply(ctx, fb.basis_ball(desk.n, k)) for k in (0, 1, 2, 5)]
     wrong = dataclasses.replace(tables, terms=(tables.terms[0],) * 2)
     for k, l_e_k in zip((0, 1, 2, 5), applied):
         assert not _contains_midpoints(wrong.l_basis_image(ctx, k), l_e_k, desk.n), k
 
 
 @pytest.mark.parametrize("misuse, error", [
-    (lambda t: t.apply(ctx, 0, fb.one_ball(DOM, 20)), ConfigError),
-    (lambda t: t.apply(ctx, 3, fb.one_ball(DOM, 20)), ConfigError),
+    (lambda t: t.apply(ctx, 0, fb.one_ball(20)), ConfigError),
+    (lambda t: t.apply(ctx, 3, fb.one_ball(20)), ConfigError),
     (lambda t: t.columns(ctx, 0), ConfigError),
     (lambda t: t.columns(ctx, 3), ConfigError),
     (lambda t: t.image(ctx, 0, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
     (lambda t: t.image(ctx, 3, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
-    (lambda t: t.columns(ctx, 1, fb.one_ball(fb.Disc(Decimal(1), Decimal(5)), 25)),
-     DomainMismatch),
-    (lambda t: t.columns(ctx, 2, fb.one_ball(fb.Disc(Decimal(1), Decimal(5)), 25)),
-     DomainMismatch),
-    (lambda t: t.columns(ctx, 2, fb.one_ball(fb.Disc(Decimal(1), Decimal(5)), 20)),
-     DomainMismatch),
-    (lambda t: t.columns(ctx, 2, fb.one_ball(DOM, 25)), DomainMismatch),
+    (lambda t: t.columns(ctx, 1, fb.one_ball(25)), DomainMismatch),
+    (lambda t: t.columns(ctx, 2, fb.one_ball(25)), DomainMismatch),
 ], ids=["apply-q0", "apply-q3", "columns-q0", "columns-q3", "image-q0", "image-q3",
-        "column0-q1", "column0-q2", "column0-disc", "column0-degree"])
+        "column0-q1", "column0-degree"])
 def test_operator_tables_refuse_misuse(desk, misuse, error):
     """M_q exists for q = 1 and 2 only, and column 0 must share the tables'
-    disc and degree, for either q."""
+    degree, for either q."""
     with pytest.raises(error):
         misuse(desk.tables)
 
 
 def test_apply_DT_linearity(desk):
     tables = desk.tables
-    e1 = fb.basis_ball(DOM, desk.n, 1)
-    e3 = fb.basis_ball(DOM, desk.n, 3)
+    e1 = fb.basis_ball(desk.n, 1)
+    e3 = fb.basis_ball(desk.n, 3)
     both = tables.dt_apply(ctx, fb.add(ctx, e1, e3))
     summed = fb.add(ctx, tables.dt_apply(ctx, e1), tables.dt_apply(ctx, e3))
     for k in range(desk.n + 1):
@@ -221,18 +216,18 @@ def _dt_oracle(desk, tables):
     m = {k: c.re.lo for k, c in enumerate(desk.param.coeffs)}
     dm = {0: Decimal("0.3"), 1: Decimal("-0.2"), 2: Decimal("0.1")}
     with decimal.localcontext(decimal.Context(prec=120)):
-        a = eval_member(m, Decimal(1), DOM, 120)
-        da = eval_member(dm, Decimal(1), DOM, 120)
+        a = eval_member(m, Decimal(1), 120)
+        da = eval_member(dm, Decimal(1), 120)
         from helpers import eval_member_derivative
-        for z in domain_points(rng, DOM, 25):
+        for z in domain_points(rng, 25):
             a2z = a * a * z
-            g_in = eval_member(m, a2z, DOM, 120)
+            g_in = eval_member(m, a2z, 120)
             u2 = g_in * g_in
-            gp_u2 = eval_member_derivative(m, u2, DOM, 120)
-            gp_in = eval_member_derivative(m, a2z, DOM, 120)
-            t14 = -da * eval_member(m, u2, DOM, 120) / (a * a)
-            t15 = eval_member(dm, u2, DOM, 120) / a
-            t16 = gp_u2 * 2 * g_in * eval_member(dm, a2z, DOM, 120) / a
+            gp_u2 = eval_member_derivative(m, u2, 120)
+            gp_in = eval_member_derivative(m, a2z, 120)
+            t14 = -da * eval_member(m, u2, 120) / (a * a)
+            t15 = eval_member(dm, u2, 120) / a
+            t16 = gp_u2 * 2 * g_in * eval_member(dm, a2z, 120) / a
             t17 = gp_u2 * 2 * g_in * gp_in * 2 * z * a * da / a
             out.append((z, t14 + t15 + t16 + t17, fb.evaluate(ctx, image, rectangle(z))))
     return out
@@ -253,7 +248,7 @@ def test_apply_DT_without_variation_of_a_misses_pointwise_oracle(desk):
 
 def test_apply_L_basics(desk):
     tables = desk.tables
-    zero = fb.zero_ball(DOM, desk.n)
+    zero = fb.zero_ball(desk.n)
     assert fb.norm_upper(ctx, tables.l_apply(ctx, zero)) == 0
     w = fb.ball_from_decimals(DOM, ["1", "0.5"], desk.n)
     one_w = tables.l_apply(ctx, w)
@@ -272,15 +267,15 @@ def test_apply_L_pointwise_oracle(desk):
     wm = {0: Decimal("1"), 1: Decimal("-0.4"), 2: Decimal("0.2")}
     from helpers import eval_member_derivative
     with decimal.localcontext(decimal.Context(prec=120)):
-        a = eval_member(m, Decimal(1), DOM, 120)
-        for z in domain_points(rng, DOM, 25):
+        a = eval_member(m, Decimal(1), 120)
+        for z in domain_points(rng, 25):
             a2z = a * a * z
-            g_in = eval_member(m, a2z, DOM, 120)
+            g_in = eval_member(m, a2z, 120)
             u2 = g_in * g_in
-            gp_u2 = eval_member_derivative(m, u2, DOM, 120)
+            gp_u2 = eval_member_derivative(m, u2, 120)
             chain = gp_u2 * 2 * g_in
-            value = (chain * chain * eval_member(wm, a2z, DOM, 120)
-                     + eval_member(wm, u2, DOM, 120)) / (a * a)
+            value = (chain * chain * eval_member(wm, a2z, 120)
+                     + eval_member(wm, u2, 120)) / (a * a)
             out = fb.evaluate(ctx, image, rectangle(z))
             assert out.re.contains(value), (z, value, out)
 
@@ -298,7 +293,7 @@ def test_apply_L_eigen_ratio(desk):
 def test_boundary_cover_covers_circle():
     rng = random.Random(23)
     for m in (8, 64, 256):
-        rects = op.boundary_cover(ctx, DOM, m)
+        rects = op.boundary_cover(ctx, m)
         assert len(rects) == m
         for _ in range(500):
             phi = rng.random() * 2 * math.pi

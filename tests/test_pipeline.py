@@ -190,11 +190,6 @@ def _degree_12(desk, text):
     return fb.serialize_ball(fb.ball_from_decimals(fb.STANDARD_DISC, desk.g0[:13], 12))
 
 
-def _other_disc(desk, text):
-    g = desk.G0
-    return fb.serialize_ball(replace(g, domain=fb.Disc(Decimal(0), Decimal("2.5"))))
-
-
 #: corruption of the g0 checkpoint: (desk, file text) -> new file text
 BALL_CHECKPOINT_CASES = {
     "missing_field": _drop_line("v_err"),
@@ -205,7 +200,7 @@ BALL_CHECKPOINT_CASES = {
     "tiny_endpoint": _first_coeff("0 1E-1000000000 0 0"),
     "huge_endpoint": _first_coeff("-1E+1000000000 0 0 0"),
     "degree_12_in_n20_run": _degree_12,
-    "other_disc": _other_disc,
+    "other_disc": _set_line("center", "0"),
     "tail_mass": _set_line("v_err", "1E-30"),
 }
 
@@ -443,7 +438,7 @@ class _OracleEvaluator:
 
     def __init__(self, ctx, ball):
         self.ball, self.exact = ball, self.point_evaluator(ctx, ball)
-        self.domain, self.point_scale = self.exact.domain, self.exact.point_scale
+        self.point_scale = self.exact.point_scale
 
     def read(self, ctx, z):
         return self.exact.read(ctx, z)
@@ -758,12 +753,12 @@ def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, k
             member = {j: c.re.lo for j, c in enumerate(center.coeffs)}
             member[k] = exact.add(member[k], radius if sign > 0 else radius.copy_negate())
             for x in points:
-                val = eval_member(member, x, fb.STANDARD_DISC, 60)
+                val = eval_member(member, x, 60)
                 assert fb.evaluate(seen["ctx"], seen[key], rectangle(x)).re.contains(val)
             for row in rows:
                 _, x_lo, x_hi, y_lo, y_hi = row.split(",")
                 for x in (Decimal(x_lo), Decimal(x_hi)):
-                    val = eval_member(member, x, fb.STANDARD_DISC, 60)
+                    val = eval_member(member, x, 60)
                     assert Decimal(y_lo) <= val <= Decimal(y_hi)
 
 
