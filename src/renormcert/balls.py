@@ -48,9 +48,12 @@ outside values name the standard disc; the read-only
 :attr:`FunctionBall.coeffs` view gives the coefficient intervals as exact
 decimals for serialization, checksums and plots.  Complex arithmetic is
 kept for pointwise work only: a :class:`PointEvaluator` holds a ball's
-coefficient endpoints as integers for interval Horner on integer boxes.
-A member's value at a real point is real; at a non-real point its tails
-may move both parts of the value.
+coefficient endpoints as integers and evaluates on integer boxes at one
+decimal point scale, from a point's box to the box of its value, with
+the normalized argument on a binary scale so that each Horner step
+rounds by shifts; Decimal appears only where a caller reads a Rectangle
+in or writes one out.  A member's value at a real point is real; at a
+non-real point its tails may move both parts of the value.
 """
 
 from __future__ import annotations
@@ -684,16 +687,22 @@ def _exact_int(x: Decimal, scale: int) -> tuple[int, int]:
     return _int_at(x, s), s
 
 
+def _ceil_at(x: Decimal, scale: int) -> int:
+    """x * 10**scale rounded up to an integer."""
+    m, s = _exact_int(x, scale)
+    return -(-m // 10 ** (s - scale))
+
+
 class PointRead:
-    """z as read by :meth:`PointEvaluator.read`: the box z - c, re in
-    [re_lo, re_hi] and im in [im_lo, im_hi] (both 0 when z is real), and
-    d2 = sup |z - c|**2 over it."""
+    """z as read by :meth:`PointEvaluator.read`: its box at scale
+    10**-point_scale, d2 = sup |z - c|**2 over it, and the normalized
+    argument u, formed on first use and shared by every evaluator with the
+    same point scale."""
 
-    __slots__ = ("z", "re_lo", "re_hi", "im_lo", "im_hi", "d2")
+    __slots__ = ("box", "d2", "u")
 
-    def __init__(self, z, re_lo, re_hi, im_lo, im_hi, d2):
-        self.z, self.re_lo, self.re_hi, self.im_lo, self.im_hi, self.d2 = (
-            z, re_lo, re_hi, im_lo, im_hi, d2)
+    def __init__(self, box, d2):
+        self.box, self.d2, self.u = box, d2, None
 
 
 @dataclass(frozen=True)
@@ -702,45 +711,43 @@ class PointEvaluator:
 
     coeffs[k] is the interval (lo, hi) of coefficient k and dcoeffs[k] that
     of (k+1) f_{k+1} / r, the coefficients of f_P', both at scale
-    10**-scale and rounded outward.  A point z is read once (:meth:`read`)
-    into the box z - c at scale 10**-point_scale, where the disc's center
-    and radius are exact integers; reading rounds outward and is exact for
-    every working-precision endpoint above 10**-arg_scale in magnitude, and
-    a real point (im z exactly 0) converts its real part only.
-    :meth:`in_disc`, :meth:`value` and :meth:`derivative` share that read,
-    as does every evaluator with the same point_scale.  The
-    normalized argument u = (z - c)/r is rounded outward to scale
-    10**-arg_scale, and interval Horner runs on boxes with exact products
-    and one floor/ceil per step back to 10**-scale.  The tail pad
-    v_high + v_err is held exactly, at scale 10**-pad_scale.  Every member
-    is real on the real axis: at a real point Horner runs on real boxes
-    and the pad widens the real part only; at a non-real point the tails
-    may move both parts, and both are padded.
+    10**-scale and rounded outward.  Points, values and derivatives are
+    integer boxes (re_lo, re_hi, im_lo, im_hi) at scale 10**-point_scale,
+    where the disc's center and radius are exact integers; a decimal
+    Rectangle becomes one through :meth:`RoundingContext.to_box`, which is
+    exact for every working-precision endpoint above 10**-arg_scale in
+    magnitude, arg_scale = precision + digits(N+1), and goes back through
+    :meth:`RoundingContext.box_rectangle`.  A box is read once
+    (:meth:`read`); :meth:`in_disc`, :meth:`value` and :meth:`derivative`
+    share that read, as does every evaluator with the same point_scale.
+    The normalized argument u = (z - c)/r is rounded outward to
+    2**-arg_bits, 2**arg_bits >= 10**arg_scale, so interval Horner runs on
+    boxes with exact products and one shift per end and step back to
+    10**-scale, scale <= point_scale; its result is multiplied exactly by
+    ``lift`` = 10**(point_scale - scale).  The tail pad ``tail`` is
+    tail_mass = v_high + v_err rounded up to the point scale.  Every member is real on the real axis:
+    at a real point Horner runs on real boxes and the pad widens the real
+    part only; at a non-real point the tails may move both parts, and both
+    are padded.
     """
 
     scale: int
     coeffs: tuple
     dcoeffs: tuple
-    arg_scale: int
+    arg_bits: int
     point_scale: int
     center: int
     radius: int
+    lift: int
     tail_mass: Decimal
-    pad: int
-    pad_scale: int
+    tail: int
 
-    def read(self, ctx: RoundingContext, z: Rectangle) -> PointRead:
-        """The box z - c at scale 10**-point_scale, rounded outward, and
-        sup |z - c|**2 over it: its farthest corner."""
-        s = self.point_scale
-        rl, rh = ctx.to_int_ends(z.re, s)
-        rl, rh = rl - self.center, rh - self.center
-        re = max(-rl, rh)
-        if not (z.im.lo or z.im.hi):
-            return PointRead(z, rl, rh, 0, 0, re * re)
-        il, ih = ctx.to_int_ends(z.im, s)
-        im = max(-il, ih)
-        return PointRead(z, rl, rh, il, ih, re * re + im * im)
+    def read(self, box) -> PointRead:
+        """The box z at scale 10**-point_scale with sup |z - c|**2 over it:
+        its farthest corner."""
+        rl, rh, il, ih = box
+        re, im = max(self.center - rl, rh - self.center), max(-il, ih)
+        return PointRead(box, re * re + im * im)
 
     def in_disc(self, p: PointRead, strict: bool = False) -> bool:
         """Whether the box read as p lies in the closed disc (the open one if
@@ -748,24 +755,28 @@ class PointEvaluator:
         r2 = self.radius * self.radius
         return p.d2 < r2 if strict else p.d2 <= r2
 
-    def _argument(self, p: PointRead) -> tuple[int, int, int, int]:
-        """u = (z - c)/r at scale 10**-arg_scale, rounded outward, for z read
+    def _argument(self, ctx: RoundingContext, p: PointRead) -> tuple[int, int, int, int]:
+        """u = (z - c)/r at scale 2**-arg_bits, rounded outward, for z read
         as p in the closed disc."""
-        if p.d2 > self.radius * self.radius:
-            raise PointOutsideDomain(f"|z - {_C}| may exceed {_R} at {p.z}")
-        unit, r = 10 ** self.arg_scale, self.radius
-        return (*_outward(p.re_lo * unit, p.re_hi * unit, r),
-                *_outward(p.im_lo * unit, p.im_hi * unit, r))
+        if p.u is None:
+            if p.d2 > self.radius * self.radius:
+                z = ctx.box_rectangle(p.box, self.point_scale)
+                raise PointOutsideDomain(f"|z - {_C}| may exceed {_R} at {z}")
+            rl, rh, il, ih = p.box
+            bits, c, r = self.arg_bits, self.center, self.radius
+            p.u = (*_outward((rl - c) << bits, (rh - c) << bits, r),
+                   *_outward(il << bits, ih << bits, r))
+        return p.u
 
     def _horner(self, coeffs, u) -> tuple[int, int, int, int]:
         """Box Horner: acc <- acc u + c_k, each product exact, its lower end
-        floored and its upper end ceiled back to 10**-scale.  A product
-        [a, b] [c, d] picks its ends by sign: for c >= 0, a*c or a*d and b*d
-        or b*c; mirrored for d <= 0; min/max pairs when c < 0 < d.  The
-        coefficients are real, so at a real u the imaginary part stays 0 and
-        Horner runs on the real axis, one loop per sign of u."""
+        floored and its upper end ceiled back to 10**-scale by a shift.  A
+        product [a, b] [c, d] picks its ends by sign: for c >= 0, a*c or a*d
+        and b*d or b*c; mirrored for d <= 0; min/max pairs when c < 0 < d.
+        The coefficients are real, so at a real u the imaginary part stays
+        0 and Horner runs on the real axis, one loop per sign of u."""
         ul, uh, vl, vh = u
-        unit = 10 ** self.arg_scale
+        bits = self.arg_bits
         rl, rh = coeffs[-1]
         rest = coeffs[-2::-1]
         if vl or vh:
@@ -790,65 +801,57 @@ class PointEvaluator:
                 else:
                     ql, qh = min(rl * vh, rh * vl), max(rl * vl, rh * vh)
                     sl, sh = min(il * vh, ih * vl), max(il * vl, ih * vh)
-                rl, rh = (pl - sh) // unit + cl, -((sl - ph) // unit) + ch
-                il, ih = (ql + tl) // unit, -(-(qh + th) // unit)
+                rl, rh = ((pl - sh) >> bits) + cl, -((sl - ph) >> bits) + ch
+                il, ih = (ql + tl) >> bits, -(-(qh + th) >> bits)
             return rl, rh, il, ih
         if ul >= 0:
             for cl, ch in rest:
-                rl, rh = (rl * (ul if rl >= 0 else uh) // unit + cl,
-                          -(-rh * (uh if rh >= 0 else ul) // unit) + ch)
+                rl, rh = ((rl * (ul if rl >= 0 else uh) >> bits) + cl,
+                          -(-rh * (uh if rh >= 0 else ul) >> bits) + ch)
         elif uh <= 0:
             for cl, ch in rest:
-                rl, rh = (rh * (ul if rh >= 0 else uh) // unit + cl,
-                          -(-rl * (uh if rl >= 0 else ul) // unit) + ch)
+                rl, rh = ((rh * (ul if rh >= 0 else uh) >> bits) + cl,
+                          -(-rl * (uh if rl >= 0 else ul) >> bits) + ch)
         else:
             for cl, ch in rest:
-                rl, rh = (min(rl * uh, rh * ul) // unit + cl,
-                          -(-max(rl * ul, rh * uh) // unit) + ch)
+                rl, rh = ((min(rl * uh, rh * ul) >> bits) + cl,
+                          -(-max(rl * ul, rh * uh) >> bits) + ch)
         return rl, rh, 0, 0
 
-    def _rectangle(self, ctx: RoundingContext, acc, pad: int, pad_scale: int,
-                   real: bool) -> Rectangle:
-        """acc widened by +-pad, in the real part only at a real point, and
-        converted once, outward; a part exactly 0 is not converted."""
-        lift = 10 ** (pad_scale - self.scale)
+    def _widen(self, acc, pad: int, real: bool) -> tuple[int, int, int, int]:
+        """acc lifted exactly to the point scale and widened by +-pad, in the
+        real part only at a real point."""
+        lift = self.lift
         rl, rh, il, ih = acc
-        lo, hi = rl * lift - pad, rh * lift + pad
-        re = (Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
-              if lo or hi else IZERO)
         ipad = 0 if real else pad
-        lo, hi = il * lift - ipad, ih * lift + ipad
-        im = (Interval(ctx.scaled_dn(lo, pad_scale), ctx.scaled_up(hi, pad_scale))
-              if lo or hi else IZERO)
-        return Rectangle(re, im)
+        return rl * lift - pad, rh * lift + pad, il * lift - ipad, ih * lift + ipad
 
-    def value(self, ctx: RoundingContext, p: PointRead) -> Rectangle:
-        """Enclosure of f(z) over every member of f, for the read p of a point
-        z in the closed disc."""
-        return self._rectangle(ctx, self._horner(self.coeffs, self._argument(p)), self.pad,
-                               self.pad_scale, not (p.im_lo or p.im_hi))
+    def value(self, ctx: RoundingContext, p: PointRead) -> tuple[int, int, int, int]:
+        """Box enclosing f(z) over every member of f, for the read p of a
+        point z in the closed disc."""
+        return self._widen(self._horner(self.coeffs, self._argument(ctx, p)), self.tail,
+                           not (p.box[2] or p.box[3]))
 
-    def derivative(self, ctx: RoundingContext, p: PointRead) -> Rectangle:
-        """Enclosure of f'(z) for the read p of z; needs |z - c| strictly below
-        r when f has tails, whose derivative is bounded by
+    def derivative(self, ctx: RoundingContext, p: PointRead) -> tuple[int, int, int, int]:
+        """Box enclosing f'(z) for the read p of z; needs |z - c| strictly
+        below r when f has tails, whose derivative is bounded by
         (v_high + v_err) (1 - |u|)**-2 / r."""
-        acc = self._horner(self.dcoeffs, self._argument(p))
-        real = not (p.im_lo or p.im_hi)
-        if self.tail_mass == 0:
-            return self._rectangle(ctx, acc, 0, self.scale, real)
-        d2 = p.d2
-        if d2 >= self.radius * self.radius:
-            raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
-        # |u| <= ceil(sqrt(d2)) / r, rounded up to 10**-arg_scale
-        root = isqrt(d2)
-        root += root * root < d2
-        au = ctx.scaled_up(-(-root * 10 ** self.arg_scale // self.radius), self.arg_scale)
+        acc = self._horner(self.dcoeffs, self._argument(ctx, p))
+        real = not (p.box[2] or p.box[3])
+        if not self.tail:
+            return self._widen(acc, 0, real)
+        # |u| <= ceil(sqrt(d2)) / r; the scalar tail bound is rounded upward
+        # at working precision
+        s = self.point_scale
+        root = isqrt(p.d2)
+        root += root * root < p.d2
+        au = ctx.scaled_up(-(-root * 10 ** s // self.radius), s)
         if au >= 1:
             raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
         one_minus = ctx.sub_dn(_D1, au)
         geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
-        pad = ctx.div_up(ctx.mul_up(self.tail_mass, geo), _R)
-        return self._rectangle(ctx, acc, *_exact_int(pad, self.scale), real)
+        return self._widen(acc, _ceil_at(ctx.div_up(ctx.mul_up(self.tail_mass, geo), _R), s),
+                           real)
 
 
 def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
@@ -856,39 +859,42 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
 
     Coefficient endpoints are rounded outward to the scale at which they
     keep precision + digits(N+1) digits on the largest one (the scale
-    int_outward rounds to); the derivative coefficients (k+1) f_{k+1} / r
-    are formed from those integers and rounded outward once.  Arguments
-    carry precision + digits(N+1) digits after the point, as |u| <= 1.
+    int_outward rounds to, or the point scale if that is coarser); the
+    derivative coefficients (k+1) f_{k+1} / r are formed from those
+    integers and rounded outward once.  Arguments carry arg_bits >=
+    (precision + digits(N+1)) log2(10) bits after the point, as |u| <= 1.
     """
     n = f.truncation
-    s = f.scale - _cut(ctx, f, n)
+    arg_scale = ctx.precision + len(str(n + 1))
+    point_scale = max(2 * arg_scale, -_C.as_tuple().exponent, -_R.as_tuple().exponent)
+    s = min(f.scale - _cut(ctx, f, n), point_scale)
     lift, unit = 10 ** max(s - f.scale, 0), 10 ** max(f.scale - s, 0)
     coeffs = tuple(_outward((m - q) * lift, (m + q) * lift, unit)
                    for m, q in zip(_padded(f.mid, n), _padded(f.rad, n)))
-    arg_scale = ctx.precision + len(str(n + 1))
-    point_scale = max(2 * arg_scale, -_C.as_tuple().exponent, -_R.as_tuple().exponent)
     center, radius = _int_at(_C, point_scale), _int_at(_R, point_scale)
     # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
     dcoeffs = tuple(_outward(lo * k * 10 ** point_scale, hi * k * 10 ** point_scale, radius)
                     for k, (lo, hi) in enumerate(coeffs[1:], 1))
     tail_mass = ctx.add_up(f.v_high, f.v_err)
-    return PointEvaluator(s, coeffs, dcoeffs or ((0, 0),),
-                          arg_scale, point_scale,
-                          center, radius, tail_mass, *_exact_int(tail_mass, s))
+    return PointEvaluator(s, coeffs, dcoeffs or ((0, 0),), (10 ** arg_scale).bit_length(),
+                          point_scale, center, radius, 10 ** (point_scale - s), tail_mass,
+                          _ceil_at(tail_mass, point_scale))
 
 
 def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
     """Enclosure of f(z) over every member of f, for z in the closed disc
     (see :meth:`PointEvaluator.value`)."""
     ev = point_evaluator(ctx, f)
-    return ev.value(ctx, ev.read(ctx, z))
+    s = ev.point_scale
+    return ctx.box_rectangle(ev.value(ctx, ev.read(ctx.to_box(z, s))), s)
 
 
 def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
     """Enclosure of f'(z); needs |z - c| strictly below r when f has tails
     (see :meth:`PointEvaluator.derivative`)."""
     ev = point_evaluator(ctx, f)
-    return ev.derivative(ctx, ev.read(ctx, z))
+    s = ev.point_scale
+    return ctx.box_rectangle(ev.derivative(ctx, ev.read(ctx.to_box(z, s))), s)
 
 
 # -- coefficients ---------------------------------------------------------------

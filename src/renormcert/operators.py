@@ -16,7 +16,10 @@ noise-scaling operator L are one operator M_q, q = 1 and 2, stated once in
 the last term being the variation of the normalisation a.  Also here: the
 boundary-covering check that the inner compositions map the closed disc
 strictly inside itself, and recursive evaluation of the certified
-functions outside the disc for plotting.
+functions outside the disc for plotting.  Both run on the integer boxes
+of :class:`balls.PointEvaluator` (box arithmetic from ``rounding``) from
+the read of a boundary rectangle or grid point to the box of the result;
+only those inputs and the Rectangles returned are Decimal.
 
 Every composition reads the power tables (balls.PowerTable) of the affine
 argument a**2 X and of the squared argument Q(G(a**2 X)), built once per
@@ -41,7 +44,20 @@ from .errors import (
     DomainMismatch,
     NormalizationSingular,
 )
-from .rounding import IONE, IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
+from .rounding import (
+    IONE,
+    IZERO,
+    Interval,
+    Rectangle,
+    RoundingContext,
+    box_add,
+    box_inv,
+    box_mul,
+    box_sqr,
+    box_sub,
+    interval,
+    rectangle,
+)
 
 __all__ = [
     "SharedEvaluations",
@@ -60,7 +76,6 @@ _D0 = Decimal(0)
 _D1 = Decimal(1)
 _D2 = Decimal(2)
 _ONE_POINT = rectangle(1)
-_TWO_POINT = rectangle(2)
 
 
 @dataclass(frozen=True)
@@ -304,10 +319,15 @@ def boundary_cover(ctx: RoundingContext, m: int) -> list[Rectangle]:
 
 @dataclass(frozen=True)
 class DomainExtensionResult:
+    """The boundary cover and its two images: gamma1 holds the boxes of
+    a**2 z and gamma2 those of Q(G(a**2 z)), at scale 10**-point_scale
+    (:meth:`RoundingContext.box_rectangle` writes one as a Rectangle)."""
+
     passed: bool
     boundary: tuple[Rectangle, ...]
-    gamma1: tuple[Rectangle, ...]
-    gamma2: tuple[Rectangle, ...]
+    gamma1: tuple
+    gamma2: tuple
+    point_scale: int
 
 
 def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
@@ -318,34 +338,38 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     checks |a**2 z - c| < r and |Q(G(a**2 z)) - c| < r by the exact disc
     test of :meth:`balls.PointEvaluator.in_disc`; a maximum-modulus
     argument then extends the boundary containment to the whole closed
-    disc.  Each argument is read once (:meth:`balls.PointEvaluator.read`):
-    the point 1 for a, then per rectangle w1 = a**2 z, whose read serves
-    its disc test and G(w1), and w2 = Q(G(w1)).  Returns the coverings for
-    plotting, or raises ContainmentFailure naming the first offending
-    rectangle and which of the two checks failed.
+    disc.  Everything between reading z and the disc tests is integer box
+    arithmetic at G's point scale.  Each argument is read once
+    (:meth:`balls.PointEvaluator.read`): the point 1 for a, then per
+    rectangle w1 = a**2 z, whose read serves its disc test and G(w1), and
+    w2 = Q(G(w1)).  Returns the coverings as boxes, or raises
+    ContainmentFailure naming the first offending argument as a Rectangle
+    that encloses it and which of the two checks failed.
     On a ball with v_err > 0, :func:`precompute_shared` already implies the
     claim: both arguments have theta < 1, so |h(z) - c| <= theta r on the
     closed disc.
     """
     g = fb.point_evaluator(ctx, G)
+    s = g.point_scale
+    unit = 10 ** s
     # only a**2 is needed here, so a wide ball can still reach the checks
-    a2 = ctx.rsqr(g.value(ctx, g.read(ctx, _ONE_POINT)))
+    a2 = box_sqr(g.value(ctx, g.read(ctx.to_box(_ONE_POINT, s))), unit)
     boundary = boundary_cover(ctx, m)
     gamma1, gamma2 = [], []
     for idx, z in enumerate(boundary):
-        w1 = g.read(ctx, ctx.rmul(a2, z))
+        w1 = g.read(box_mul(a2, ctx.to_box(z, s), unit))
         if not g.in_disc(w1, strict=True):
             raise ContainmentFailure(
                 f"boundary rectangle {idx}: a**2 z not strictly inside the disc",
-                index=idx, equation=1, rectangle=w1.z)
-        gamma1.append(w1.z)
-        w2 = g.read(ctx, ctx.rsqr(g.value(ctx, w1)))
+                index=idx, equation=1, rectangle=ctx.box_rectangle(w1.box, s))
+        gamma1.append(w1.box)
+        w2 = g.read(box_sqr(g.value(ctx, w1), unit))
         if not g.in_disc(w2, strict=True):
             raise ContainmentFailure(
                 f"boundary rectangle {idx}: Q(G(a**2 z)) not strictly inside the disc",
-                index=idx, equation=2, rectangle=w2.z)
-        gamma2.append(w2.z)
-    return DomainExtensionResult(True, tuple(boundary), tuple(gamma1), tuple(gamma2))
+                index=idx, equation=2, rectangle=ctx.box_rectangle(w2.box, s))
+        gamma2.append(w2.box)
+    return DomainExtensionResult(True, tuple(boundary), tuple(gamma1), tuple(gamma2), s)
 
 
 # -- recursive extension beyond the disc ------------------------------------------
@@ -362,35 +386,41 @@ def _as_rectangle(x) -> Rectangle:
 class RecursiveExtension:
     """The certified balls held for pointwise evaluation, inside the disc and
     beyond it through the functional equations, with the constants of those
-    equations: a = G(1), a**-1, a**2, a**-2, lambda = V(1) with V, and
-    ``phi_inv`` mapping "V" and "W" to phi**-q for the eigenvalue phi**q of
-    M_q (q = 1 for V, so lambda**-1; q = 2 for W, so gamma**-2 with
-    gamma = W(1)).  Build it once for many points (a plot covering) and call
-    :meth:`evaluate` per point.
+    equations as real boxes at G's point scale 10**-point_scale (``unit`` =
+    10**point_scale): a = G(1), a**-1, a**2, a**-2, lambda = V(1) with V,
+    and ``phi_inv`` mapping "V" and "W" to phi**-q for the eigenvalue
+    phi**q of M_q (q = 1 for V, so lambda**-1; q = 2 for W, so gamma**-2
+    with gamma = W(1)).  Build it once for many points (a plot covering)
+    and call :meth:`evaluate` per point.
 
-    Each argument is read once (:meth:`balls.PointEvaluator.read`) by G's
-    evaluator, and that read serves G's disc test and every value and
-    derivative taken there, of G, V or W alike; so V and W must share G's
-    point scale.  A graph point at depth 0 is one read, and on
-    the real axis Horner runs on real boxes only."""
+    A point is read into a box once, at the edge; the functional equations
+    then run in integer box arithmetic, each product and square rounded
+    outward once per part, and only the result is written back as a
+    Rectangle.  Each argument is read once (:meth:`balls.PointEvaluator.read`)
+    by G's evaluator, and that read serves G's disc test and every value
+    and derivative taken there, of G, V or W alike; so V and W must share
+    G's point scale.  A graph point at depth 0 is one read, and on the real
+    axis every box stays real."""
 
     G: PointEvaluator
     V: PointEvaluator | None
     W: PointEvaluator | None
-    a: Rectangle
-    a_inv: Rectangle
-    a2: Rectangle
-    a_inv2: Rectangle
-    lam: Rectangle | None
+    unit: int
+    a: tuple
+    a_inv: tuple
+    a2: tuple
+    a_inv2: tuple
+    lam: tuple | None
     phi_inv: dict
 
     @classmethod
     def build(cls, ctx: RoundingContext, G: FunctionBall, V: FunctionBall | None = None,
               W: FunctionBall | None = None) -> "RecursiveExtension":
         g = fb.point_evaluator(ctx, G)
-        one = g.read(ctx, _ONE_POINT)
+        unit = 10 ** g.point_scale
+        one = g.read(ctx.to_box(_ONE_POINT, g.point_scale))
         a = g.value(ctx, one)
-        a_inv = ctx.rdiv(rectangle(1), a)
+        a_inv = box_inv(a, unit)
         evaluators, phi, phi_inv = {}, {}, {}
         for kind, q, ball in (("V", 1, V), ("W", 2, W)):
             if ball is not None:
@@ -399,59 +429,58 @@ class RecursiveExtension:
                     raise ConfigError(f"{kind} must share G's point scale "
                                       "(the digit count of N + 1)")
                 phi[kind] = ev.value(ctx, one)
-                phi_q = phi[kind] if q == 1 else ctx.rsqr(phi[kind])
-                phi_inv[kind] = ctx.rdiv(rectangle(1), phi_q)
-        return cls(g, evaluators.get("V"), evaluators.get("W"), a, a_inv,
-                   ctx.rsqr(a), ctx.rsqr(a_inv), phi.get("V"), phi_inv)
+                phi_q = phi[kind] if q == 1 else box_sqr(phi[kind], unit)
+                phi_inv[kind] = box_inv(phi_q, unit)
+        return cls(g, evaluators.get("V"), evaluators.get("W"), unit, a, a_inv,
+                   box_sqr(a, unit), box_sqr(a_inv, unit), phi.get("V"), phi_inv)
 
     def evaluate(self, ctx: RoundingContext, target: str, x, depth: int) -> Rectangle:
         """The named function at x, unwinding up to ``depth`` levels of the
         functional equations (see :func:`extend_recursive`)."""
-        z = _as_rectangle(x)
+        s = self.G.point_scale
+        z = ctx.to_box(_as_rectangle(x), s)
         if target in ("g", "v", "w"):
-            target, z = target.upper(), ctx.rsqr(z)
+            target, z = target.upper(), box_sqr(z, self.unit)
         if target not in ("G", "V", "W"):
             raise ConfigError(f"unknown extension target {target!r}")
         if getattr(self, target) is None:
             raise ConfigError(f"target {target} needs its ball")
-        return self._go(ctx, target, self.G.read(ctx, z), depth)
+        return ctx.box_rectangle(self._go(ctx, target, self.G.read(z), depth), s)
 
-    def _go(self, ctx: RoundingContext, kind: str, p: fb.PointRead, d: int) -> Rectangle:
-        """The named function at the point read as p, which every branch
-        below shares; each pulled-back argument is read once here."""
-        g = self.G
+    def _go(self, ctx: RoundingContext, kind: str, p: fb.PointRead, d: int) -> tuple:
+        """The box of the named function at the point read as p, which every
+        branch below shares; each pulled-back argument is read once here."""
+        g, unit = self.G, self.unit
         if g.in_disc(p):
             return getattr(self, kind).value(ctx, p)
-        zz = p.z
+        z = p.box
         if d <= 0:
-            raise DepthExceeded(f"{kind} at {zz}: recursion depth exhausted")
-        arg1 = g.read(ctx, ctx.rmul(self.a2, zz))
+            raise DepthExceeded(f"{kind} at {ctx.box_rectangle(z, g.point_scale)}: "
+                                "recursion depth exhausted")
+        arg1 = g.read(box_mul(self.a2, z, unit))
         y = self._go(ctx, "G", arg1, d - 1)
-        u2 = g.read(ctx, ctx.rsqr(y))
+        u2 = g.read(box_sqr(y, unit))
         if kind == "G":
-            return ctx.rmul(self.a_inv, self._go(ctx, "G", u2, d - 1))
+            return box_mul(self.a_inv, self._go(ctx, "G", u2, d - 1), unit)
         # derivative values are needed at the pulled-back arguments
         if not g.in_disc(u2):
-            raise DepthExceeded(f"{kind} at {zz}: composed argument left the disc")
-        gp_u2 = g.derivative(ctx, u2)
-        factor16 = ctx.rmul(ctx.rmul(self.a_inv, gp_u2), ctx.rmul(_TWO_POINT, y))
+            raise DepthExceeded(f"{kind} at {ctx.box_rectangle(z, g.point_scale)}: "
+                                "composed argument left the disc")
+        factor16 = box_mul(box_mul(self.a_inv, g.derivative(ctx, u2), unit),
+                           box_add(y, y), unit)
         # kind = phi**-q M_q kind: q = 1 (DT) for V, q = 2 (L) for W
         scalar, factor = ((self.a_inv, factor16) if kind == "V"
-                          else (self.a_inv2, ctx.rsqr(factor16)))
-        t15 = ctx.rmul(scalar, self._go(ctx, kind, u2, d - 1))
-        t16 = ctx.rmul(factor, self._go(ctx, kind, arg1, d - 1))
+                          else (self.a_inv2, box_sqr(factor16, unit)))
+        total = box_add(box_mul(scalar, self._go(ctx, kind, u2, d - 1), unit),
+                        box_mul(factor, self._go(ctx, kind, arg1, d - 1), unit))
         if kind == "V":
             # the variation of a, with da = V(1) = lambda
             lam = self.lam
-            t14 = ctx.rneg(ctx.rmul(ctx.rmul(self.a_inv2, lam),
-                                    self._go(ctx, "G", u2, d - 1)))
-            gp_a1 = g.derivative(ctx, arg1)
-            t17 = ctx.rmul(ctx.rmul(factor16, gp_a1),
-                           ctx.rmul(ctx.rmul(_TWO_POINT, zz), ctx.rmul(self.a, lam)))
-            total = ctx.radd(ctx.radd(t14, t15), ctx.radd(t16, t17))
-        else:
-            total = ctx.radd(t15, t16)
-        return ctx.rmul(self.phi_inv[kind], total)
+            t14 = box_mul(box_mul(self.a_inv2, lam, unit), self._go(ctx, "G", u2, d - 1), unit)
+            t17 = box_mul(box_mul(factor16, g.derivative(ctx, arg1), unit),
+                          box_mul(box_add(z, z), box_mul(self.a, lam, unit), unit), unit)
+            total = box_sub(box_add(total, t17), t14)
+        return box_mul(self.phi_inv[kind], total, unit)
 
 
 def extend_recursive(ctx: RoundingContext, target: str, x, depth: int, *,

@@ -454,9 +454,11 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
         raise MissingCertificate("plot coverings need the certified fixed-point ball")
     if figure == "fig1":
         res = op.check_domain_extension(ctx, G, subdivisions)
+        s = res.point_scale
         rows = []
-        for label, rects in (("boundary", res.boundary), ("gamma1", res.gamma1),
-                             ("gamma2", res.gamma2)):
+        for label, rects in (("boundary", res.boundary),
+                             ("gamma1", (ctx.box_rectangle(box, s) for box in res.gamma1)),
+                             ("gamma2", (ctx.box_rectangle(box, s) for box in res.gamma2))):
             for rect in rects:
                 rows.append((label, str(rect.re.lo), str(rect.re.hi),
                              str(rect.im.lo), str(rect.im.hi)))

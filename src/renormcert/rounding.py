@@ -13,7 +13,12 @@ as exact Python integers (see ``balls``).  This module gives them the
 scalar side: :meth:`RoundingContext.scaled_dn` and
 :meth:`RoundingContext.scaled_up` round an integer times 10**-S to a
 working-precision bound, and :meth:`RoundingContext.to_int_ends` reads a
-point's interval as integers, outward, for pointwise evaluation.
+point's interval as integers, outward.  Pointwise evaluation works on
+integer boxes (re_lo, re_hi, im_lo, im_hi) at one scale 10**-S:
+:meth:`RoundingContext.to_box` reads a :class:`Rectangle` into one and
+:meth:`RoundingContext.box_rectangle` writes one back, both outward;
+:func:`box_add` and :func:`box_sub` are exact, and :func:`box_mul`,
+:func:`box_sqr` and :func:`box_inv` round outward once per part.
 
 Rounding state lives entirely inside context instances: nothing here reads
 or writes the thread-local decimal context, so contexts can be confined to
@@ -38,6 +43,11 @@ __all__ = [
     "rectangle",
     "IZERO",
     "IONE",
+    "box_add",
+    "box_sub",
+    "box_mul",
+    "box_sqr",
+    "box_inv",
 ]
 
 _D0 = Decimal(0)
@@ -276,6 +286,20 @@ class RoundingContext:
             return _D0
         return self.scaled_dn(-value, scale).copy_negate()
 
+    def to_box(self, z: Rectangle, scale: int) -> tuple[int, int, int, int]:
+        """The integer box at scale 10**-``scale`` enclosing z (see
+        :meth:`to_int_ends`); an imaginary part exactly 0 stays 0."""
+        im = self.to_int_ends(z.im, scale) if z.im.lo or z.im.hi else (0, 0)
+        return (*self.to_int_ends(z.re, scale), *im)
+
+    def box_rectangle(self, box, scale: int) -> Rectangle:
+        """The box at scale 10**-``scale`` as a rectangle at working
+        precision, outward; a part exactly 0 is not converted."""
+        rl, rh, il, ih = box
+        re = Interval(self.scaled_dn(rl, scale), self.scaled_up(rh, scale)) if rl or rh else IZERO
+        im = Interval(self.scaled_dn(il, scale), self.scaled_up(ih, scale)) if il or ih else IZERO
+        return Rectangle(re, im)
+
     # -- interval arithmetic ----------------------------------------------
 
     def iadd(self, x: Interval, y: Interval) -> Interval:
@@ -395,3 +419,92 @@ class RoundingContext:
         hi2 = self._up.add(self._up.multiply(x.re.mag, x.re.mag),
                            self._up.multiply(x.im.mag, x.im.mag))
         return Interval(self.sqrt_dn(lo2), self.sqrt_up(hi2))
+
+
+# -- integer boxes ------------------------------------------------------------
+#
+# A box (re_lo, re_hi, im_lo, im_hi) holds integer ends at a scale 1/unit
+# that the caller keeps.  Products are formed exactly, and each part is
+# floored at its lower end and ceiled at its upper end once, back to 1/unit.
+
+def _imul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Exact ends of the interval product [a, b] [c, d]."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def _isqr(a: int, b: int) -> tuple[int, int]:
+    """Exact ends of {x**2 : x in [a, b]}."""
+    if a >= 0:
+        return a * a, b * b
+    if b <= 0:
+        return b * b, a * a
+    return 0, max(a * a, b * b)
+
+
+def box_add(x, y):
+    """x + y, exact."""
+    return x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
+
+
+def box_sub(x, y):
+    """x - y, exact."""
+    return x[0] - y[1], x[1] - y[0], x[2] - y[3], x[3] - y[2]
+
+
+def box_mul(x, y, unit: int):
+    """x y by the four-products formula; real operands skip the imaginary
+    work, so a real product stays real."""
+    xrl, xrh, xil, xih = x
+    yrl, yrh, yil, yih = y
+    pl, ph = _imul(xrl, xrh, yrl, yrh)
+    if xil or xih:
+        tl, th = _imul(xil, xih, yrl, yrh)
+        if yil or yih:
+            sl, sh = _imul(xil, xih, yil, yih)
+            ql, qh = _imul(xrl, xrh, yil, yih)
+            pl, ph, tl, th = pl - sh, ph - sl, tl + ql, th + qh
+    elif yil or yih:
+        tl, th = _imul(xrl, xrh, yil, yih)
+    else:
+        return pl // unit, -(-ph // unit), 0, 0
+    return pl // unit, -(-ph // unit), tl // unit, -(-th // unit)
+
+
+def box_sqr(x, unit: int):
+    """x**2 as re**2 - im**2 + 2 re im i, each square a true interval
+    square: the product x x would let an imaginary part straddling 0 widen
+    the real part by im_lo im_hi."""
+    rl, rh, il, ih = x
+    sl, sh = _isqr(rl, rh)
+    if not (il or ih):
+        return sl // unit, -(-sh // unit), 0, 0
+    tl, th = _isqr(il, ih)
+    pl, ph = _imul(rl, rh, il, ih)
+    return (sl - th) // unit, -((tl - sh) // unit), 2 * pl // unit, -(-2 * ph // unit)
+
+
+def box_inv(x, unit: int):
+    """1/x for a real box x whose interval excludes 0."""
+    lo, hi, il, ih = x
+    if il or ih:
+        raise ConfigError(f"box_inv takes a real box, got {x}")
+    if lo <= 0 <= hi:
+        raise DivisionByZeroInterval(f"denominator box {x} contains zero")
+    one = unit * unit
+    return one // hi, -(-one // lo), 0, 0

@@ -674,7 +674,7 @@ def per_step_horner(coeffs, u, unit: int, outward=outward_ends, seen: set | None
     """Integer box Horner one product at a time (reference for
     ``balls.PointEvaluator._horner``): every interval product through
     imul_ends and every product rounded by ``outward`` back to the
-    coefficients' scale, unit being 10**arg_scale.  ``seen`` collects the
+    coefficients' scale, unit being 2**arg_bits.  ``seen`` collects the
     sign classes (of re u, or "complex", and of the accumulator's real part)
     met at each step."""
     ul, uh, vl, vh = u
@@ -697,11 +697,11 @@ def per_step_horner(coeffs, u, unit: int, outward=outward_ends, seen: set | None
 
 
 def recorded_reads(monkeypatch) -> list:
-    """The points ``balls.PointEvaluator.read`` converts from now on, in order."""
+    """The boxes ``balls.PointEvaluator.read`` reads from now on, in order."""
     reads, read = [], fb.PointEvaluator.read
 
-    def recorded(self, ctx, z):
-        reads.append(z)
-        return read(self, ctx, z)
+    def recorded(self, box):
+        reads.append(box)
+        return read(self, box)
     monkeypatch.setattr(fb.PointEvaluator, "read", recorded)
     return reads

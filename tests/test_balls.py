@@ -315,7 +315,7 @@ def test_eval_disc_boundary():
     on = [rectangle("3.5"), rectangle("-1.5"), rectangle("2.5", "2"), rectangle(1, "-2.5"),
           rectangle(interval("-1.5", "3.5"))]
     for z in on:
-        p = ev.read(ctx, z)
+        p = ev.read(ctx.to_box(z, ev.point_scale))
         assert ev.in_disc(p) and not ev.in_disc(p, strict=True)
         for ball in (f, tailed):
             assert fb.evaluate(ctx, ball, z).re.hi.is_finite()
@@ -327,7 +327,7 @@ def test_eval_disc_boundary():
                rectangle("2.5", "2.00000000000000000000000000001"),
                rectangle(interval("0", "3.5"), interval("0", "1e-30"))]
     for z in outside:
-        assert not ev.in_disc(ev.read(ctx, z))
+        assert not ev.in_disc(ev.read(ctx.to_box(z, ev.point_scale)))
         for fn in (fb.evaluate, fb.evaluate_derivative):
             for ball in (f, tailed):
                 with pytest.raises(PointOutsideDomain):
@@ -467,10 +467,10 @@ def test_value_at_real_point_is_real():
     ev = fb.point_evaluator(ctx, f)
     for z in (rectangle(1), rectangle("-1.2"), rectangle(interval("0.5", "2")),
               rectangle("3.4")):
-        p = ev.read(ctx, z)
+        p = ev.read(ctx.to_box(z, ev.point_scale))
         value, slope = ev.value(ctx, p), ev.derivative(ctx, p)
-        assert value.im == IZERO and slope.im == IZERO
-        assert value.re.lo < value.re.hi
+        assert value[2:] == slope[2:] == (0, 0)
+        assert value[0] < value[1]
 
 
 #: radius of the inflation and the points z = 1 + 2.5 i t of the member checks
@@ -493,7 +493,8 @@ def _shifted_member_misses() -> int:
                       for k, c in enumerate(f0.coeffs) if k % 2 == 0), Decimal(0))
             im = sum((c.re.lo * (-1) ** (k // 2) * t ** k
                       for k, c in enumerate(f0.coeffs) if k % 2), RHO * t)
-            value = ev.value(ctx, ev.read(ctx, z))
+            s = ev.point_scale
+            value = ctx.box_rectangle(ev.value(ctx, ev.read(ctx.to_box(z, s))), s)
             misses += not (value.re.contains(re) and value.im.contains(im))
     return misses
 
@@ -505,7 +506,7 @@ def test_inflated_ball_contains_member_at_non_real_point():
 def test_inflated_ball_member_negative_control(monkeypatch):
     """An evaluator that pads only the real part at non-real points misses
     the imaginary part RHO t that the member's tail adds there."""
-    pad = fb.PointEvaluator._rectangle
-    monkeypatch.setattr(fb.PointEvaluator, "_rectangle",
-                        lambda self, ctx, acc, p, scale, real: pad(self, ctx, acc, p, scale, True))
+    widen = fb.PointEvaluator._widen
+    monkeypatch.setattr(fb.PointEvaluator, "_widen",
+                        lambda self, acc, pad, real: widen(self, acc, pad, True))
     assert _shifted_member_misses() == len(IMAGINARY_T)

@@ -262,7 +262,7 @@ def _horner_mismatches(ev: fb.PointEvaluator, horner, count: int, seed: str,
     ``horner`` differs from the per-step oracle on the evaluator's
     coefficients or on its derivative's."""
     rng = random.Random(seed)
-    unit = 10 ** ev.arg_scale
+    unit = 2 ** ev.arg_bits
     misses = 0
     for i in range(count):
         u = _rand_u_box(rng, unit, U_KINDS[i % len(U_KINDS)])
@@ -297,7 +297,7 @@ def test_box_horner_negative_control(desk):
     """A Horner that floors the upper end of each product fails the
     comparison with the per-step oracle."""
     ev = _horner_evaluator(desk, "desk_G")
-    unit = 10 ** ev.arg_scale
+    unit = 2 ** ev.arg_bits
 
     def floor_upper(lo, hi, unit):
         return lo // unit, hi // unit

@@ -347,12 +347,13 @@ def _theta_reach(rctx, ball):
     bounds, and theta r of the argument's power table, a lower bound."""
     shared = op.precompute_shared(rctx, ball)
     g = fb.point_evaluator(rctx, ball)
+    s = g.point_scale
     a2 = Rectangle(shared.a2, interval(0))
     centre = rectangle(DOM.center)
     reach = [Decimal(0), Decimal(0)]
     for z in _circle_points():
         w1 = rctx.rmul(a2, z)
-        w2 = rctx.rsqr(g.value(rctx, g.read(rctx, w1)))
+        w2 = rctx.rsqr(rctx.box_rectangle(g.value(rctx, g.read(rctx.to_box(w1, s))), s))
         for i, w in enumerate((w1, w2)):
             reach[i] = max(reach[i], rctx.rabs(rctx.rsub(w, centre)).hi)
     thetas = (shared.theta_affine, shared.theta_squared)
@@ -388,7 +389,8 @@ def test_domain_extension_images_inside(desk):
     ball = fb.inflate(ctx, desk.G0, "1e-8")
     res = op.check_domain_extension(ctx, ball, 64)
     c = rectangle(DOM.center)
-    for w in list(res.gamma1) + list(res.gamma2):
+    for box in list(res.gamma1) + list(res.gamma2):
+        w = ctx.box_rectangle(box, res.point_scale)
         assert ctx.rabs(ctx.rsub(w, c)).hi < DOM.radius
 
 

@@ -431,8 +431,9 @@ def test_plot_covering_hoisted_constants_bit_identical(desk, figure):
 
 class _OracleEvaluator:
     """A point evaluator whose values come from the Decimal Horner oracles,
-    at the point each read carries; its read, disc test and reading frame
-    are the integer evaluator's."""
+    at the box each read carries written as a Rectangle, and are read back
+    as boxes; its read, disc test and reading frame are the integer
+    evaluator's."""
 
     point_evaluator = staticmethod(fb.point_evaluator)
 
@@ -440,17 +441,21 @@ class _OracleEvaluator:
         self.ball, self.exact = ball, self.point_evaluator(ctx, ball)
         self.point_scale = self.exact.point_scale
 
-    def read(self, ctx, z):
-        return self.exact.read(ctx, z)
+    def read(self, box):
+        return self.exact.read(box)
 
     def in_disc(self, p, strict=False):
         return self.exact.in_disc(p, strict)
 
+    def _oracle(self, ctx, oracle, p):
+        s = self.point_scale
+        return ctx.to_box(oracle(ctx, self.ball, ctx.box_rectangle(p.box, s)), s)
+
     def value(self, ctx, p):
-        return oracle_evaluate(ctx, self.ball, p.z)
+        return self._oracle(ctx, oracle_evaluate, p)
 
     def derivative(self, ctx, p):
-        return oracle_evaluate_derivative(ctx, self.ball, p.z)
+        return self._oracle(ctx, oracle_evaluate_derivative, p)
 
 
 @pytest.mark.parametrize("figure", ["fig2c", "fig3c", "fig4a"])

@@ -12,6 +12,11 @@ from renormcert.rounding import (
     Interval,
     Rectangle,
     RoundingContext,
+    box_add,
+    box_inv,
+    box_mul,
+    box_sqr,
+    box_sub,
     interval,
     rectangle,
 )
@@ -177,3 +182,123 @@ def test_context_pickles():
     c2 = pickle.loads(pickle.dumps(ctx))
     assert c2.precision == ctx.precision
     assert c2.iadd(interval(1), interval(2)) == interval(3)
+
+
+# -- integer boxes --------------------------------------------------------------
+
+#: scale of the random boxes, and the finer grid their sampled members lie on
+BOX_UNIT = 10 ** 12
+MEMBER_GRID = 1000
+#: kinds of random boxes: real with no sign condition, real with the real
+#: part straddling 0, and complex with each part of any sign class
+BOX_KINDS = ("real", "straddles", "complex")
+
+
+def _rand_ends(rng, straddle: bool | None = None) -> tuple[int, int]:
+    """Integer ends at scale 1/BOX_UNIT, at most about 10 in size; widths
+    and distances from 0 are log-uniform, so thin intervals near 0 and
+    wide ones both occur.  straddle=None draws any sign class."""
+    def size():
+        return rng.randint(0, 10 ** rng.randint(0, 13))
+    if straddle is None:
+        straddle = rng.random() < 0.3
+    if straddle:
+        return -1 - size(), 1 + size()
+    lo = size() * rng.choice((-1, 1))
+    return (lo, lo + size()) if rng.random() < 0.9 else (lo, lo)
+
+
+def _rand_box(rng, kind: str) -> tuple[int, int, int, int]:
+    re = _rand_ends(rng, straddle=True if kind == "straddles" else None)
+    if kind != "complex":
+        return (*re, 0, 0)
+    return (*re, *_rand_ends(rng))
+
+
+def _members(rng, box, count: int = 3):
+    """Members of the box on the grid 1/(BOX_UNIT MEMBER_GRID): its corners,
+    the points nearest 0 in each part, and ``count`` random points."""
+    rl, rh, il, ih = (e * MEMBER_GRID for e in box)
+    res = {rl, rh, min(max(0, rl), rh)} | {rng.randint(rl, rh) for _ in range(count)}
+    ims = {il, ih, min(max(0, il), ih)} | {rng.randint(il, ih) for _ in range(count)}
+    return [(a, b) for a in res for b in ims]
+
+
+def _contains(box, scale: int, re: int, im: int) -> bool:
+    """Whether the box, at scale 1/BOX_UNIT, holds re + i im at scale 1/scale."""
+    lift = scale // BOX_UNIT
+    return box[0] * lift <= re <= box[1] * lift and box[2] * lift <= im <= box[3] * lift
+
+
+def _box_misses(mul, cases: int, seed: str) -> tuple[int, int, int]:
+    """Sampled members whose exact product, square or sum the box result of
+    ``mul``, box_sqr or box_add misses, over random box pairs of every kind
+    in BOX_KINDS."""
+    rng = random.Random(seed)
+    fine = BOX_UNIT * MEMBER_GRID
+    product = square = total = 0
+    for i in range(cases):
+        x = _rand_box(rng, BOX_KINDS[i % 3])
+        y = _rand_box(rng, BOX_KINDS[(i // 3) % 3])
+        xy, xx, s = mul(x, y, BOX_UNIT), box_sqr(x, BOX_UNIT), box_add(x, y)
+        for (a, b), (c, d) in zip(_members(rng, x), _members(rng, y)):
+            product += not _contains(xy, fine * fine, a * c - b * d, a * d + b * c)
+            square += not _contains(xx, fine * fine, a * a - b * b, 2 * a * b)
+            total += not _contains(s, fine, a + c, b + d)
+    return product, square, total
+
+
+def test_box_arithmetic_contains_sampled_members():
+    """On 10**4 random pairs of real, zero-straddling and complex boxes, the
+    product, the square and the sum contain the exact result of every
+    sampled member, corners and points nearest 0 included."""
+    assert _box_misses(box_mul, 10 ** 4, "boxes") == (0, 0, 0)
+
+
+def test_box_arithmetic_negative_control():
+    """A product whose ends are rounded to nearest, not outward, misses the
+    product of some sampled member."""
+    def nearest(x, y, unit):
+        return tuple((e + unit // 2) // unit for e in box_mul(x, y, 1))
+    assert _box_misses(nearest, 300, "nearest")[0] > 0
+
+
+def _width(box) -> tuple[int, int]:
+    return box[1] - box[0], box[3] - box[2]
+
+
+def test_box_sqr_never_wider_than_product():
+    """box_sqr(y) is never wider than box_mul(y, y) in either part; exactly
+    (at unit 1, no rounding) its real part is strictly narrower whenever
+    the imaginary part straddles 0, where y y adds -im_lo im_hi > 0."""
+    rng = random.Random("sqr")
+    straddled = 0
+    for i in range(10 ** 4):
+        y = _rand_box(rng, BOX_KINDS[i % 3])
+        sqr, mul = _width(box_sqr(y, BOX_UNIT)), _width(box_mul(y, y, BOX_UNIT))
+        assert sqr[0] <= mul[0] and sqr[1] <= mul[1], y
+        if y[2] < 0 < y[3]:
+            straddled += 1
+            assert _width(box_sqr(y, 1))[0] < _width(box_mul(y, y, 1))[0], y
+    assert straddled > 1000
+
+
+def test_box_inv_and_sub():
+    """1/[2, 4] is [1/4, 1/2] exactly and 1/[-3, -1] is [-1, -1/3] with
+    -1/3 rounded up; a box with 0 in it is refused; x - y is exact."""
+    u = BOX_UNIT
+    assert box_inv((2 * u, 4 * u, 0, 0), u) == (u // 4, u // 2, 0, 0)
+    assert box_inv((-3 * u, -u, 0, 0), u) == (-u, -(u // 3), 0, 0)
+    with pytest.raises(DivisionByZeroInterval):
+        box_inv((-1, 1, 0, 0), BOX_UNIT)
+    assert box_sub((1, 2, 3, 4), (5, 7, -1, 1)) == (-6, -3, 2, 5)
+
+
+def test_box_conversions_enclose():
+    """A rectangle read into a box and written back encloses the original."""
+    z = rectangle(interval("-1.23456789012345678901234567890123", "2.5"),
+                  interval("1e-40", "3.000000000000000000000000000000001"))
+    back = ctx.box_rectangle(ctx.to_box(z, 20), 20)
+    assert back.re.contains_interval(z.re) and back.im.contains_interval(z.im)
+    assert ctx.to_box(rectangle("0.5"), 3) == (500, 500, 0, 0)
+    assert ctx.box_rectangle((500, 500, 0, 0), 3) == Rectangle(interval("0.5"), interval(0))
