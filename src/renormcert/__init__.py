@@ -6,8 +6,11 @@ state-space scaling (the reciprocal of the fixed-point value at 1), the
 parameter-scaling eigenvalue of the linearised operator, and the
 noise-amplitude scaling eigenvalue.  Bounds come from contraction-mapping
 certificates for Newton-like operators over balls in a Banach algebra of
-analytic functions, computed in multi-precision decimal interval arithmetic
-with directed rounding.
+analytic functions.  Function balls hold exact integers in midpoint-radius
+form and points are integer boxes, both rounded outward; Decimal appears
+only at the edges, where numbers are read in or written out, and in the
+scalar bounds, which use multi-precision decimal arithmetic with directed
+rounding.
 """
 
 from .balls import (

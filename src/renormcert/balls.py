@@ -79,6 +79,8 @@ from .rounding import (
     Rectangle,
     RoundingContext,
     as_decimal,
+    box_text,
+    exact_decimal,
     finite_decimal,
     interval,
 )
@@ -136,6 +138,10 @@ class Disc:
     def __repr__(self):
         return f"D({self.center}, {self.radius})"
 
+    def at(self, scale: int) -> tuple[int, int]:
+        """center and radius times 10**scale (exact for scale >= their digits)."""
+        return _int_at(self.center, scale), _int_at(self.radius, scale)
+
 
 #: The disc every function ball lives on.
 STANDARD_DISC = Disc(Decimal(1), Decimal("2.5"))
@@ -184,8 +190,8 @@ class FunctionBall(IntBall):
         """The coefficient intervals as exact decimals, imaginary parts 0:
         a read-only view for serialization, checksums, digits and plots."""
         n, s = self.truncation, self.scale
-        return tuple(Rectangle(Interval(_decimal(m - r, s), _decimal(m + r, s)), IZERO)
-                     for m, r in zip(_padded(self.mid, n), _padded(self.rad, n)))
+        return tuple(Rectangle(Interval(exact_decimal(m - r, s), exact_decimal(m + r, s)),
+                               IZERO) for m, r in zip(_padded(self.mid, n), _padded(self.rad, n)))
 
     def __repr__(self):
         return f"FunctionBall(N={self.truncation}, v_high={self.v_high}, v_err={self.v_err})"
@@ -194,15 +200,6 @@ class FunctionBall(IntBall):
 def _padded(xs: list[int], n: int) -> list[int]:
     """xs cut or padded with zeros to n + 1 entries."""
     return list(xs[:n + 1]) + [0] * (n + 1 - len(xs))
-
-
-def _decimal(v: int, s: int) -> Decimal:
-    """v * 10**-s exactly, written without trailing zeros after the point."""
-    if not v:
-        return _D0
-    while s > 0 and not v % 10:
-        v, s = v // 10, s - 1
-    return Decimal(f"{v}E{-s}")
 
 
 def _int_at(x: Decimal, s: int) -> int:
@@ -503,8 +500,9 @@ class PowerTable:
     acc <- int_outward(acc U) + B_i, runs to degree D; the rows above N of
     the result go to v_high and the rest is rounded outward once.  That is
     m - 1 products to build the table and ceil((N+1)/m) - 1 per
-    composition, instead of the N - 1 of a table of every power.  Power k,
-    cut at degree N, is the image of e_k (:meth:`power`).
+    composition, instead of the N - 1 of a table of every power.  Baby
+    power k, cut at degree N, is the image of e_k (:meth:`power`), so a
+    frozen map's head columns 0..K need K < BABY_STEPS.
     """
 
     theta_bound: Decimal
@@ -524,26 +522,17 @@ class PowerTable:
         d = len(self.mid) - 1
         return int_outward(ctx, int_mul(ctx, b, self.giant, d), d)
 
-    def _full_power(self, ctx: RoundingContext, k: int) -> IntBall:
-        """u**k to degree D: a baby power, U, or u**(k-m) U formed on demand."""
-        m = len(self.scales)
-        if k < m:
-            mid, rad = ([row[k] for row in rows] for rows in (self.mid, self.rad))
-            return IntBall(mid, rad, self.scales[k], self.v_spill[k], self.v_err[k])
-        if k == m:
-            return self.giant
-        return self._giant_step(ctx, self._full_power(ctx, k - m))
-
     def power(self, ctx: RoundingContext, k: int) -> IntBall:
-        """u**k in integer form to degree N, its mass above N in v_high."""
-        n = self.truncation
-        if not 0 <= k <= n:
-            raise IndexBeyondTruncation(f"power {k} not in 0..{n}")
-        b = self._full_power(ctx, k)
-        guard = sum(_magnitudes(b.mid[n + 1:], b.rad[n + 1:]))
-        mid, rad = b.mid[:n + 1], b.rad[:n + 1]
-        return IntBall(mid if any(mid) else [], rad if any(rad) else [], b.scale,
-                       ctx.add_up(b.v_high, ctx.scaled_up(guard, b.scale)), b.v_err)
+        """Baby power u**k, k < min(N + 1, BABY_STEPS), in integer form to
+        degree N, its mass above N in v_high: the image of e_k."""
+        m, n = len(self.scales), self.truncation
+        if not 0 <= k < m:
+            raise IndexBeyondTruncation(f"power {k} not in the baby powers 0..{m - 1}")
+        mid, rad = ([row[k] for row in rows] for rows in (self.mid, self.rad))
+        guard = sum(_magnitudes(mid[n + 1:], rad[n + 1:]))
+        mid, rad, s = mid[:n + 1], rad[:n + 1], self.scales[k]
+        return IntBall(mid if any(mid) else [], rad if any(rad) else [], s,
+                       ctx.add_up(self.v_spill[k], ctx.scaled_up(guard, s)), self.v_err[k])
 
     def _require(self, strict: bool):
         th = self.theta_bound
@@ -689,8 +678,8 @@ def _exact_int(x: Decimal, scale: int) -> tuple[int, int]:
 
 def _ceil_at(x: Decimal, scale: int) -> int:
     """x * 10**scale rounded up to an integer."""
-    m, s = _exact_int(x, scale)
-    return -(-m // 10 ** (s - scale))
+    num, den = x.as_integer_ratio()
+    return -(-num * 10 ** scale // den)
 
 
 class PointRead:
@@ -724,11 +713,11 @@ class PointEvaluator:
     2**-arg_bits, 2**arg_bits >= 10**arg_scale, so interval Horner runs on
     boxes with exact products and one shift per end and step back to
     10**-scale, scale <= point_scale; its result is multiplied exactly by
-    ``lift`` = 10**(point_scale - scale).  The tail pad ``tail`` is
-    tail_mass = v_high + v_err rounded up to the point scale.  Every member is real on the real axis:
-    at a real point Horner runs on real boxes and the pad widens the real
-    part only; at a non-real point the tails may move both parts, and both
-    are padded.
+    ``lift`` = 10**(point_scale - scale).  The tail pad ``tail`` bounds
+    v_high + v_err at the point scale: each rounded up there, exactly.  Every member is real on
+    the real axis: at a real point Horner runs on real boxes and the pad
+    widens the real part only; at a non-real point the tails may move both
+    parts, and both are padded.
     """
 
     scale: int
@@ -739,7 +728,6 @@ class PointEvaluator:
     center: int
     radius: int
     lift: int
-    tail_mass: Decimal
     tail: int
 
     def read(self, box) -> PointRead:
@@ -755,13 +743,13 @@ class PointEvaluator:
         r2 = self.radius * self.radius
         return p.d2 < r2 if strict else p.d2 <= r2
 
-    def _argument(self, ctx: RoundingContext, p: PointRead) -> tuple[int, int, int, int]:
+    def _argument(self, p: PointRead) -> tuple[int, int, int, int]:
         """u = (z - c)/r at scale 2**-arg_bits, rounded outward, for z read
         as p in the closed disc."""
         if p.u is None:
             if p.d2 > self.radius * self.radius:
-                z = ctx.box_rectangle(p.box, self.point_scale)
-                raise PointOutsideDomain(f"|z - {_C}| may exceed {_R} at {z}")
+                raise PointOutsideDomain(f"|z - {_C}| may exceed {_R} at "
+                                         f"{box_text(p.box, self.point_scale)}")
             rl, rh, il, ih = p.box
             bits, c, r = self.arg_bits, self.center, self.radius
             p.u = (*_outward((rl - c) << bits, (rh - c) << bits, r),
@@ -826,32 +814,28 @@ class PointEvaluator:
         ipad = 0 if real else pad
         return rl * lift - pad, rh * lift + pad, il * lift - ipad, ih * lift + ipad
 
-    def value(self, ctx: RoundingContext, p: PointRead) -> tuple[int, int, int, int]:
+    def value(self, p: PointRead) -> tuple[int, int, int, int]:
         """Box enclosing f(z) over every member of f, for the read p of a
         point z in the closed disc."""
-        return self._widen(self._horner(self.coeffs, self._argument(ctx, p)), self.tail,
+        return self._widen(self._horner(self.coeffs, self._argument(p)), self.tail,
                            not (p.box[2] or p.box[3]))
 
-    def derivative(self, ctx: RoundingContext, p: PointRead) -> tuple[int, int, int, int]:
+    def derivative(self, p: PointRead) -> tuple[int, int, int, int]:
         """Box enclosing f'(z) for the read p of z; needs |z - c| strictly
-        below r when f has tails, whose derivative is bounded by
-        (v_high + v_err) (1 - |u|)**-2 / r."""
-        acc = self._horner(self.dcoeffs, self._argument(ctx, p))
-        real = not (p.box[2] or p.box[3])
-        if not self.tail:
-            return self._widen(acc, 0, real)
-        # |u| <= ceil(sqrt(d2)) / r; the scalar tail bound is rounded upward
-        # at working precision
-        s = self.point_scale
-        root = isqrt(p.d2)
-        root += root * root < p.d2
-        au = ctx.scaled_up(-(-root * 10 ** s // self.radius), s)
-        if au >= 1:
-            raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
-        one_minus = ctx.sub_dn(_D1, au)
-        geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
-        return self._widen(acc, _ceil_at(ctx.div_up(ctx.mul_up(self.tail_mass, geo), _R), s),
-                           real)
+        below r when f has tails, whose derivative is at most
+        (v_high + v_err) (1 - |u|)**-2 / r.  With |u| <= root / R, root =
+        ceil(sqrt(d2)) and R the radius at the point scale S, that is the
+        pad ceil(tail R 10**S / (R - root)**2) at the point scale, exactly."""
+        acc = self._horner(self.dcoeffs, self._argument(p))
+        pad = 0
+        if self.tail:
+            root = isqrt(p.d2)
+            root += root * root < p.d2
+            gap = self.radius - root
+            if gap <= 0:
+                raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
+            pad = -(-self.tail * self.radius * 10 ** self.point_scale // (gap * gap))
+        return self._widen(acc, pad, not (p.box[2] or p.box[3]))
 
 
 def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
@@ -871,14 +855,13 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
     lift, unit = 10 ** max(s - f.scale, 0), 10 ** max(f.scale - s, 0)
     coeffs = tuple(_outward((m - q) * lift, (m + q) * lift, unit)
                    for m, q in zip(_padded(f.mid, n), _padded(f.rad, n)))
-    center, radius = _int_at(_C, point_scale), _int_at(_R, point_scale)
+    center, radius = STANDARD_DISC.at(point_scale)
     # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
     dcoeffs = tuple(_outward(lo * k * 10 ** point_scale, hi * k * 10 ** point_scale, radius)
                     for k, (lo, hi) in enumerate(coeffs[1:], 1))
-    tail_mass = ctx.add_up(f.v_high, f.v_err)
     return PointEvaluator(s, coeffs, dcoeffs or ((0, 0),), (10 ** arg_scale).bit_length(),
-                          point_scale, center, radius, 10 ** (point_scale - s), tail_mass,
-                          _ceil_at(tail_mass, point_scale))
+                          point_scale, center, radius, 10 ** (point_scale - s),
+                          _ceil_at(f.v_high, point_scale) + _ceil_at(f.v_err, point_scale))
 
 
 def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
@@ -886,7 +869,7 @@ def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
     (see :meth:`PointEvaluator.value`)."""
     ev = point_evaluator(ctx, f)
     s = ev.point_scale
-    return ctx.box_rectangle(ev.value(ctx, ev.read(ctx.to_box(z, s))), s)
+    return ctx.box_rectangle(ev.value(ev.read(ctx.to_box(z, s))), s)
 
 
 def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
@@ -894,7 +877,7 @@ def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> 
     (see :meth:`PointEvaluator.derivative`)."""
     ev = point_evaluator(ctx, f)
     s = ev.point_scale
-    return ctx.box_rectangle(ev.derivative(ctx, ev.read(ctx.to_box(z, s))), s)
+    return ctx.box_rectangle(ev.derivative(ev.read(ctx.to_box(z, s))), s)
 
 
 # -- coefficients ---------------------------------------------------------------

@@ -40,8 +40,9 @@ basis directions above K at once through a single ball of functions of
 degree > K, whose compositions are controlled by powers theta**(K+1) of the
 contraction factors theta of the inner arguments.  K is independent of N
 (approx.HEAD_DEGREE): only K+1 columns are bounded one by one, and
-applying the map costs O(K**2 + N) instead of O(N**2); K = N is the
-dense map.
+applying the map costs O(K**2 + N) instead of O(N**2).  The head's
+columns are the baby powers of the power tables (balls.PowerTable.power),
+so operator problems need K < balls.BABY_STEPS.
 """
 
 from __future__ import annotations

@@ -50,17 +50,17 @@ class NormalizationSingular(RenormcertError):
 
 
 class ContainmentFailure(RenormcertError):
-    """A boundary rectangle mapped outside the open domain disc.
+    """A boundary box mapped outside the open domain disc.
 
-    ``index`` is the offending boundary rectangle, ``equation`` is 1 for
-    the linear image check and 2 for the composed image check.
+    ``index`` is the offending boundary box, ``equation`` is 1 for the
+    linear image check and 2 for the composed image check; the message
+    names the offending image box.
     """
 
-    def __init__(self, message, index=None, equation=None, rectangle=None):
+    def __init__(self, message, index=None, equation=None):
         super().__init__(message)
         self.index = index
         self.equation = equation
-        self.rectangle = rectangle
 
 
 class DepthExceeded(RenormcertError):

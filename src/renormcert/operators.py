@@ -17,9 +17,9 @@ the last term being the variation of the normalisation a.  Also here: the
 boundary-covering check that the inner compositions map the closed disc
 strictly inside itself, and recursive evaluation of the certified
 functions outside the disc for plotting.  Both run on the integer boxes
-of :class:`balls.PointEvaluator` (box arithmetic from ``rounding``) from
-the read of a boundary rectangle or grid point to the box of the result;
-only those inputs and the Rectangles returned are Decimal.
+of :class:`balls.PointEvaluator` (box arithmetic from ``rounding``), from
+the boundary cover's or plot grid's exact integer boxes to their results;
+only Rectangles that public functions take or return are Decimal.
 
 Every composition reads the power tables (balls.PowerTable) of the affine
 argument a**2 X and of the squared argument Q(G(a**2 X)), built once per
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from math import isqrt
 
 from . import balls as fb
 from .balls import STANDARD_DISC, FunctionBall, PointEvaluator, PowerTable
@@ -55,6 +56,7 @@ from .rounding import (
     box_mul,
     box_sqr,
     box_sub,
+    box_text,
     interval,
     rectangle,
 )
@@ -73,9 +75,7 @@ __all__ = [
 ]
 
 _D0 = Decimal(0)
-_D1 = Decimal(1)
 _D2 = Decimal(2)
-_ONE_POINT = rectangle(1)
 
 
 @dataclass(frozen=True)
@@ -256,75 +256,59 @@ class OperatorTables:
 
 # -- domain extension -----------------------------------------------------------
 
-#: parametrisation switch between shallow and steep quarter-arcs; any value
-#: in [sqrt(1/2), 1) keeps every slice's aspect ratio below ~1.14
-_ARC_SPLIT = Decimal("0.75")
+def grid_points(lo: int, hi: int, n: int) -> list[int]:
+    """n+1 integer grid points lo + (hi - lo) j // n from lo to hi: exact,
+    so adjacent cells share their endpoints and cover the whole range."""
+    return [lo + (hi - lo) * j // n for j in range(n + 1)]
 
 
-def grid_points(ctx: RoundingContext, lo: Decimal, hi: Decimal, n: int) -> list[Decimal]:
-    """n+1 grid points from lo to hi (exact endpoints).
-
-    Only self-consistency matters: adjacent slices share the same computed
-    point, so the union covers the full range whatever the rounding."""
-    step = ctx.round_nearest(ctx.div_up(ctx.sub_up(hi, lo), Decimal(n)))
-    pts = [lo]
-    for j in range(1, n):
-        pts.append(ctx.round_nearest(ctx.add_up(lo, ctx.mul_up(step, Decimal(j)))))
-    pts.append(hi)
-    return pts
+def _companion(lo: int, hi: int, unit: int) -> tuple[int, int]:
+    """sqrt(1 - t**2) over t in [lo, hi] / unit, |t| <= 1, at scale 1/unit:
+    the lower end floored, the upper end ceiled."""
+    big, small = max(lo * lo, hi * hi), 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+    top = unit * unit - small
+    root = isqrt(top)
+    return isqrt(unit * unit - big), root + (root * root < top)
 
 
-def boundary_cover(ctx: RoundingContext, m: int) -> list[Rectangle]:
-    """Cover of the boundary circle of the disc by m axis-aligned rectangles.
+def boundary_cover(m: int, scale: int) -> list[tuple[int, int, int, int]]:
+    """Cover of the boundary circle of the disc by m integer boxes at scale
+    10**-``scale``, scale >= 1.
 
-    Quarter-arcs are parametrised by the shallow coordinate: the top and
-    bottom arcs by x, the left and right arcs by y, with the companion
-    coordinate bounded through rigorous square roots.  No trigonometric
-    primitive is needed and the union provably contains the circle.
+    Quarter-arcs are parametrised by the shallow coordinate t on an exact
+    grid of [-3/4, 3/4]: the top and bottom arcs by x = c + r t, the right
+    and left ones by y = r t, with sqrt(1 - t**2) bounded by integer square
+    roots (:func:`_companion`); lower ends are floored and upper ends
+    ceiled.  No trigonometric primitive is needed and the union provably
+    contains the circle, as every point has |cos| or |sin| <= sqrt(1/2);
+    the split 3/4 keeps every box's aspect ratio below ~1.14.
     """
     if m < 4 or m % 4 != 0:
         raise ConfigError("boundary covering needs m >= 4 divisible by 4")
-    q = m // 4
-    c, r = STANDARD_DISC.center, STANDARD_DISC.radius
-    pts = grid_points(ctx, _ARC_SPLIT.copy_negate(), _ARC_SPLIT, q)
-    rects = []
-
-    def companion_bounds(lo: Decimal, hi: Decimal) -> tuple[Decimal, Decimal]:
-        seg = Interval(lo, hi)
-        big = ctx.mul_up(seg.mag, seg.mag)
-        small = ctx.mul_dn(seg.mig, seg.mig)
-        low2 = ctx.sub_dn(_D1, big)
-        if low2 < 0:
-            low2 = _D0
-        return ctx.sqrt_dn(low2), ctx.sqrt_up(ctx.sub_up(_D1, small))
-
-    for j in range(q):
-        xlo, xhi = pts[j], pts[j + 1]
-        ylo, yhi = companion_bounds(xlo, xhi)
-        re = Interval(ctx.add_dn(c, ctx.mul_dn(r, xlo)), ctx.add_up(c, ctx.mul_up(r, xhi)))
-        im_top = Interval(ctx.mul_dn(r, ylo), ctx.mul_up(r, yhi))
-        rects.append(Rectangle(re, im_top))
-        rects.append(Rectangle(re, Interval(im_top.hi.copy_negate(),
-                                            im_top.lo.copy_negate())))
-    for j in range(q):
-        ylo, yhi = pts[j], pts[j + 1]
-        xlo, xhi = companion_bounds(ylo, yhi)
-        im = Interval(ctx.mul_dn(r, ylo), ctx.mul_up(r, yhi))
-        re_right = Interval(ctx.add_dn(c, ctx.mul_dn(r, xlo)), ctx.add_up(c, ctx.mul_up(r, xhi)))
-        rects.append(Rectangle(re_right, im))
-        re_left = Interval(ctx.sub_dn(c, ctx.mul_up(r, xhi)), ctx.sub_up(c, ctx.mul_dn(r, xlo)))
-        rects.append(Rectangle(re_left, im))
-    return rects
+    unit = 10 ** scale
+    c, r = STANDARD_DISC.at(scale)
+    split = -(-3 * unit // 4)     # 3/4 rounded up, in [sqrt(1/2), 1) at every scale
+    pts = grid_points(-split, split, m // 4)
+    boxes = []
+    for lo, hi in zip(pts, pts[1:]):
+        # r t and r sqrt(1 - t**2) over the step, outward
+        tl, th = r * lo // unit, -(-r * hi // unit)
+        slo, shi = _companion(lo, hi, unit)
+        sl, sh = r * slo // unit, -(-r * shi // unit)
+        boxes += [(c + tl, c + th, sl, sh), (c + tl, c + th, -sh, -sl),
+                  (c + sl, c + sh, tl, th), (c - sh, c - sl, tl, th)]
+    return boxes
 
 
 @dataclass(frozen=True)
 class DomainExtensionResult:
-    """The boundary cover and its two images: gamma1 holds the boxes of
-    a**2 z and gamma2 those of Q(G(a**2 z)), at scale 10**-point_scale
-    (:meth:`RoundingContext.box_rectangle` writes one as a Rectangle)."""
+    """The boundary cover and its two images as integer boxes at scale
+    10**-point_scale (:meth:`RoundingContext.box_rectangle` writes one as a
+    Rectangle): gamma1 holds those of a**2 z and gamma2 those of
+    Q(G(a**2 z))."""
 
     passed: bool
-    boundary: tuple[Rectangle, ...]
+    boundary: tuple
     gamma1: tuple
     gamma2: tuple
     point_scale: int
@@ -334,17 +318,17 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
                            m: int) -> DomainExtensionResult:
     """Verify that both inner composition images stay strictly inside the disc.
 
-    For every rectangle z of the boundary cover and every G in the ball,
-    checks |a**2 z - c| < r and |Q(G(a**2 z)) - c| < r by the exact disc
-    test of :meth:`balls.PointEvaluator.in_disc`; a maximum-modulus
-    argument then extends the boundary containment to the whole closed
-    disc.  Everything between reading z and the disc tests is integer box
-    arithmetic at G's point scale.  Each argument is read once
-    (:meth:`balls.PointEvaluator.read`): the point 1 for a, then per
-    rectangle w1 = a**2 z, whose read serves its disc test and G(w1), and
+    For every box z of the boundary cover and every G in the ball, checks
+    |a**2 z - c| < r and |Q(G(a**2 z)) - c| < r by the exact disc test of
+    :meth:`balls.PointEvaluator.in_disc`; a maximum-modulus argument then
+    extends the boundary containment to the whole closed disc.  Everything
+    from the cover to the disc tests is integer box arithmetic at G's
+    point scale.  Each argument is read once
+    (:meth:`balls.PointEvaluator.read`): the point 1 for a, then per box
+    w1 = a**2 z, whose read serves its disc test and G(w1), and
     w2 = Q(G(w1)).  Returns the coverings as boxes, or raises
-    ContainmentFailure naming the first offending argument as a Rectangle
-    that encloses it and which of the two checks failed.
+    ContainmentFailure naming the first offending argument's box, exactly,
+    and which of the two checks failed.
     On a ball with v_err > 0, :func:`precompute_shared` already implies the
     claim: both arguments have theta < 1, so |h(z) - c| <= theta r on the
     closed disc.
@@ -353,21 +337,21 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     s = g.point_scale
     unit = 10 ** s
     # only a**2 is needed here, so a wide ball can still reach the checks
-    a2 = box_sqr(g.value(ctx, g.read(ctx.to_box(_ONE_POINT, s))), unit)
-    boundary = boundary_cover(ctx, m)
+    a2 = box_sqr(g.value(g.read((g.center, g.center, 0, 0))), unit)
+    boundary = boundary_cover(m, s)
     gamma1, gamma2 = [], []
     for idx, z in enumerate(boundary):
-        w1 = g.read(box_mul(a2, ctx.to_box(z, s), unit))
+        w1 = g.read(box_mul(a2, z, unit))
         if not g.in_disc(w1, strict=True):
             raise ContainmentFailure(
-                f"boundary rectangle {idx}: a**2 z not strictly inside the disc",
-                index=idx, equation=1, rectangle=ctx.box_rectangle(w1.box, s))
+                f"boundary box {idx}: a**2 z = {box_text(w1.box, s)} not strictly "
+                "inside the disc", index=idx, equation=1)
         gamma1.append(w1.box)
-        w2 = g.read(box_sqr(g.value(ctx, w1), unit))
+        w2 = g.read(box_sqr(g.value(w1), unit))
         if not g.in_disc(w2, strict=True):
             raise ContainmentFailure(
-                f"boundary rectangle {idx}: Q(G(a**2 z)) not strictly inside the disc",
-                index=idx, equation=2, rectangle=ctx.box_rectangle(w2.box, s))
+                f"boundary box {idx}: Q(G(a**2 z)) = {box_text(w2.box, s)} not strictly "
+                "inside the disc", index=idx, equation=2)
         gamma2.append(w2.box)
     return DomainExtensionResult(True, tuple(boundary), tuple(gamma1), tuple(gamma2), s)
 
@@ -391,16 +375,17 @@ class RecursiveExtension:
     and ``phi_inv`` mapping "V" and "W" to phi**-q for the eigenvalue
     phi**q of M_q (q = 1 for V, so lambda**-1; q = 2 for W, so gamma**-2
     with gamma = W(1)).  Build it once for many points (a plot covering)
-    and call :meth:`evaluate` per point.
+    and call :meth:`evaluate_box` per box, or :meth:`evaluate` per
+    Rectangle.
 
-    A point is read into a box once, at the edge; the functional equations
-    then run in integer box arithmetic, each product and square rounded
-    outward once per part, and only the result is written back as a
-    Rectangle.  Each argument is read once (:meth:`balls.PointEvaluator.read`)
-    by G's evaluator, and that read serves G's disc test and every value
-    and derivative taken there, of G, V or W alike; so V and W must share
-    G's point scale.  A graph point at depth 0 is one read, and on the real
-    axis every box stays real."""
+    The functional equations run in integer box arithmetic, each product
+    and square rounded outward once per part; only :meth:`evaluate` reads a
+    Rectangle into a box and writes the result back.  Each argument is
+    read once (:meth:`balls.PointEvaluator.read`) by G's evaluator, and
+    that read serves G's disc test and every value and derivative taken
+    there, of G, V or W alike; so V and W must share G's point scale.  A
+    graph point at depth 0 is one read, and on the real axis every box
+    stays real."""
 
     G: PointEvaluator
     V: PointEvaluator | None
@@ -418,8 +403,8 @@ class RecursiveExtension:
               W: FunctionBall | None = None) -> "RecursiveExtension":
         g = fb.point_evaluator(ctx, G)
         unit = 10 ** g.point_scale
-        one = g.read(ctx.to_box(_ONE_POINT, g.point_scale))
-        a = g.value(ctx, one)
+        one = g.read((g.center, g.center, 0, 0))
+        a = g.value(one)
         a_inv = box_inv(a, unit)
         evaluators, phi, phi_inv = {}, {}, {}
         for kind, q, ball in (("V", 1, V), ("W", 2, W)):
@@ -428,7 +413,7 @@ class RecursiveExtension:
                 if ev.point_scale != g.point_scale:
                     raise ConfigError(f"{kind} must share G's point scale "
                                       "(the digit count of N + 1)")
-                phi[kind] = ev.value(ctx, one)
+                phi[kind] = ev.value(one)
                 phi_q = phi[kind] if q == 1 else box_sqr(phi[kind], unit)
                 phi_inv[kind] = box_inv(phi_q, unit)
         return cls(g, evaluators.get("V"), evaluators.get("W"), unit, a, a_inv,
@@ -438,46 +423,51 @@ class RecursiveExtension:
         """The named function at x, unwinding up to ``depth`` levels of the
         functional equations (see :func:`extend_recursive`)."""
         s = self.G.point_scale
-        z = ctx.to_box(_as_rectangle(x), s)
+        box = self.evaluate_box(target, ctx.to_box(_as_rectangle(x), s), depth)
+        return ctx.box_rectangle(box, s)
+
+    def evaluate_box(self, target: str, z, depth: int) -> tuple:
+        """The box of the named function over the box z at G's point scale
+        (see :meth:`evaluate`)."""
         if target in ("g", "v", "w"):
             target, z = target.upper(), box_sqr(z, self.unit)
         if target not in ("G", "V", "W"):
             raise ConfigError(f"unknown extension target {target!r}")
         if getattr(self, target) is None:
             raise ConfigError(f"target {target} needs its ball")
-        return ctx.box_rectangle(self._go(ctx, target, self.G.read(z), depth), s)
+        return self._go(target, self.G.read(z), depth)
 
-    def _go(self, ctx: RoundingContext, kind: str, p: fb.PointRead, d: int) -> tuple:
+    def _go(self, kind: str, p: fb.PointRead, d: int) -> tuple:
         """The box of the named function at the point read as p, which every
         branch below shares; each pulled-back argument is read once here."""
         g, unit = self.G, self.unit
         if g.in_disc(p):
-            return getattr(self, kind).value(ctx, p)
+            return getattr(self, kind).value(p)
         z = p.box
         if d <= 0:
-            raise DepthExceeded(f"{kind} at {ctx.box_rectangle(z, g.point_scale)}: "
+            raise DepthExceeded(f"{kind} at {box_text(z, g.point_scale)}: "
                                 "recursion depth exhausted")
         arg1 = g.read(box_mul(self.a2, z, unit))
-        y = self._go(ctx, "G", arg1, d - 1)
+        y = self._go("G", arg1, d - 1)
         u2 = g.read(box_sqr(y, unit))
         if kind == "G":
-            return box_mul(self.a_inv, self._go(ctx, "G", u2, d - 1), unit)
+            return box_mul(self.a_inv, self._go("G", u2, d - 1), unit)
         # derivative values are needed at the pulled-back arguments
         if not g.in_disc(u2):
-            raise DepthExceeded(f"{kind} at {ctx.box_rectangle(z, g.point_scale)}: "
+            raise DepthExceeded(f"{kind} at {box_text(z, g.point_scale)}: "
                                 "composed argument left the disc")
-        factor16 = box_mul(box_mul(self.a_inv, g.derivative(ctx, u2), unit),
+        factor16 = box_mul(box_mul(self.a_inv, g.derivative(u2), unit),
                            box_add(y, y), unit)
         # kind = phi**-q M_q kind: q = 1 (DT) for V, q = 2 (L) for W
         scalar, factor = ((self.a_inv, factor16) if kind == "V"
                           else (self.a_inv2, box_sqr(factor16, unit)))
-        total = box_add(box_mul(scalar, self._go(ctx, kind, u2, d - 1), unit),
-                        box_mul(factor, self._go(ctx, kind, arg1, d - 1), unit))
+        total = box_add(box_mul(scalar, self._go(kind, u2, d - 1), unit),
+                        box_mul(factor, self._go(kind, arg1, d - 1), unit))
         if kind == "V":
             # the variation of a, with da = V(1) = lambda
             lam = self.lam
-            t14 = box_mul(box_mul(self.a_inv2, lam, unit), self._go(ctx, "G", u2, d - 1), unit)
-            t17 = box_mul(box_mul(factor16, g.derivative(ctx, arg1), unit),
+            t14 = box_mul(box_mul(self.a_inv2, lam, unit), self._go("G", u2, d - 1), unit)
+            t17 = box_mul(box_mul(factor16, g.derivative(arg1), unit),
                           box_mul(box_add(z, z), box_mul(self.a, lam, unit), unit), unit)
             total = box_sub(box_add(total, t17), t14)
         return box_mul(self.phi_inv[kind], total, unit)

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import repeat
+from math import isqrt
 from pathlib import Path
 
 from . import approx as ax
@@ -37,7 +38,7 @@ from .errors import (
     RenormcertError,
     StageFailure,
 )
-from .rounding import Interval, Rectangle, RoundingContext, finite_decimal, interval
+from .rounding import Interval, RoundingContext, exact_decimal, finite_decimal, interval
 
 __all__ = [
     "RunConfig",
@@ -82,6 +83,8 @@ class RunConfig:
             raise ConfigError("boundary_rects must be >= 4 and divisible by 4")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not isinstance(self.rho, str):
+            raise ConfigError(f"rho: radius {self.rho!r} must be given as a string")
         if finite_decimal(self.rho, "rho") <= 0:
             raise ConfigError(f"rho: radius {self.rho!r} must be a positive number")
         unknown = set(self.targets) - set(_TARGETS)
@@ -405,12 +408,13 @@ FIGURES = {
 }
 
 
-def _default_range(ctx: RoundingContext, target: str) -> tuple[Decimal, Decimal]:
-    c, r = STANDARD_DISC.center, STANDARD_DISC.radius
+def _default_range(target: str, g: fb.PointEvaluator) -> tuple[int, int]:
+    """[c - r, c + r], or +-floor(sqrt(c + r)) for a lowercase target, at g's point scale."""
+    c, r = g.center, g.radius
     if target.isupper():
-        return ctx.sub_dn(c, r), ctx.add_up(c, r)
-    edge = ctx.sqrt_dn(ctx.add_dn(c, r))
-    return edge.copy_negate(), edge
+        return c - r, c + r
+    edge = isqrt((c + r) * 10 ** g.point_scale)
+    return -edge, edge
 
 
 def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
@@ -443,7 +447,9 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
     ``balls`` maps "G"/"V"/"W" to certified balls; fig1 uses the boundary
     coverings of the domain-extension check instead of a graph.  Each ball
     and the constants of the functional equations are prepared once for
-    the whole covering (see :class:`operators.RecursiveExtension`).
+    the whole covering (see :class:`operators.RecursiveExtension`).  A
+    graph row writes its cell of the exact grid (:func:`operators.grid_points`)
+    exactly and the value's box outward.
     """
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; known: {sorted(FIGURES)}")
@@ -454,30 +460,30 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
         raise MissingCertificate("plot coverings need the certified fixed-point ball")
     if figure == "fig1":
         res = op.check_domain_extension(ctx, G, subdivisions)
-        s = res.point_scale
         rows = []
-        for label, rects in (("boundary", res.boundary),
-                             ("gamma1", (ctx.box_rectangle(box, s) for box in res.gamma1)),
-                             ("gamma2", (ctx.box_rectangle(box, s) for box in res.gamma2))):
-            for rect in rects:
+        for label, boxes in (("boundary", res.boundary), ("gamma1", res.gamma1),
+                             ("gamma2", res.gamma2)):
+            for box in boxes:
+                rect = ctx.box_rectangle(box, res.point_scale)
                 rows.append((label, str(rect.re.lo), str(rect.re.hi),
                              str(rect.im.lo), str(rect.im.hi)))
         return rows
     key = target.upper()
     if balls.get(key) is None:
         raise MissingCertificate(f"figure {figure} needs the certified {key} ball")
-    if x_range is None:
-        lo, hi = _default_range(ctx, target)
-    else:
-        lo, hi = Decimal(x_range[0]), Decimal(x_range[1])
-    pts = op.grid_points(ctx, lo, hi, subdivisions)
     extension = op.RecursiveExtension.build(ctx, G, balls.get("V"), balls.get("W"))
+    s = extension.G.point_scale
+    if x_range is None:
+        lo, hi = _default_range(target, extension.G)
+    else:
+        lo, hi = ctx.to_int_ends(interval(*x_range), s)
+    pts = op.grid_points(lo, hi, subdivisions)
+    xs = [str(exact_decimal(x, s)) for x in pts]
     rows = []
     for j in range(subdivisions):
-        x = Rectangle(Interval(pts[j], pts[j + 1]), interval(0))
-        val = extension.evaluate(ctx, target, x, depth)
-        rows.append((target, str(pts[j]), str(pts[j + 1]),
-                     str(val.re.lo), str(val.re.hi)))
+        y = ctx.box_rectangle(extension.evaluate_box(target, (pts[j], pts[j + 1], 0, 0), depth),
+                              s).re
+        rows.append((target, xs[j], xs[j + 1], str(y.lo), str(y.hi)))
     return rows
 
 

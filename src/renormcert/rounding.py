@@ -1,24 +1,20 @@
-"""Multi-precision interval and complex-rectangle arithmetic with directed rounding.
+"""Integer boxes, and directed-rounding Decimal arithmetic for the edges.
 
-Endpoints are ``decimal.Decimal`` values.  Every operation is performed
-through a :class:`RoundingContext`, which owns one decimal context rounding
-toward minus infinity (for lower endpoints) and one rounding toward plus
-infinity (for upper endpoints).  Decimal add/subtract/multiply/divide are
-exact-then-rounded, so each computed endpoint is a faithful directed
-rounding of the exact result and every result interval encloses the exact
-mathematical one.
-
-Function balls do not use these intervals: they hold their coefficients
-as exact Python integers (see ``balls``).  This module gives them the
-scalar side: :meth:`RoundingContext.scaled_dn` and
-:meth:`RoundingContext.scaled_up` round an integer times 10**-S to a
-working-precision bound, and :meth:`RoundingContext.to_int_ends` reads a
-point's interval as integers, outward.  Pointwise evaluation works on
-integer boxes (re_lo, re_hi, im_lo, im_hi) at one scale 10**-S:
-:meth:`RoundingContext.to_box` reads a :class:`Rectangle` into one and
-:meth:`RoundingContext.box_rectangle` writes one back, both outward;
-:func:`box_add` and :func:`box_sub` are exact, and :func:`box_mul`,
+Balls hold exact integers in midpoint-radius form (see ``balls``), and
+points are integer boxes (re_lo, re_hi, im_lo, im_hi) at one scale
+10**-S: :func:`box_add` and :func:`box_sub` are exact, :func:`box_mul`,
 :func:`box_sqr` and :func:`box_inv` round outward once per part.
+Decimal serves the edges, where numbers come in or go out, and the
+scalar bounds (norms, theta, epsilon, kappa), through a
+:class:`RoundingContext` with one decimal context rounding toward minus
+infinity (lower endpoints) and one toward plus infinity (upper ones);
+each operation is exact-then-rounded, so every :class:`Interval`
+encloses the exact result.  The edges: :meth:`RoundingContext.scaled_dn`
+and :meth:`RoundingContext.scaled_up` bound an integer times 10**-S,
+:meth:`RoundingContext.to_int_ends` and :meth:`RoundingContext.to_box`
+read decimals into integers and :meth:`RoundingContext.box_rectangle`
+writes a box back, all outward; :func:`exact_decimal` and
+:func:`box_text` write exactly.
 
 Rounding state lives entirely inside context instances: nothing here reads
 or writes the thread-local decimal context, so contexts can be confined to
@@ -48,6 +44,8 @@ __all__ = [
     "box_mul",
     "box_sqr",
     "box_inv",
+    "box_text",
+    "exact_decimal",
 ]
 
 _D0 = Decimal(0)
@@ -220,9 +218,6 @@ class RoundingContext:
 
     def div_up(self, a, b):
         return self._up.divide(a, b)
-
-    def round_nearest(self, a):
-        return self._near.plus(a)
 
     def sqrt_up(self, x: Decimal) -> Decimal:
         """Smallest representable s with s >= sqrt(x) (x >= 0)."""
@@ -508,3 +503,18 @@ def box_inv(x, unit: int):
         raise DivisionByZeroInterval(f"denominator box {x} contains zero")
     one = unit * unit
     return one // hi, -(-one // lo), 0, 0
+
+
+def exact_decimal(v: int, scale: int) -> Decimal:
+    """v * 10**-scale exactly, written without trailing zeros after the point."""
+    if not v:
+        return _D0
+    digits = str(v)
+    zeros = min(len(digits) - len(digits.rstrip("0")), max(scale, 0))
+    return Decimal(f"{digits[:len(digits) - zeros]}E{zeros - scale}")
+
+
+def box_text(box, scale: int) -> str:
+    """The box at scale 10**-``scale`` written exactly, as a rectangle."""
+    rl, rh, il, ih = (exact_decimal(v, scale) for v in box)
+    return f"([{rl}, {rh}] + [{il}, {ih}]i)"

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import decimal
+import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -623,19 +625,29 @@ def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> R
 def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
                                z: Rectangle) -> Rectangle:
     """f'(z) by Horner in Decimal rectangle arithmetic (reference for
-    ``balls.evaluate_derivative``): the same tail rule."""
+    ``balls.evaluate_derivative``): the same tail rule, the tails'
+    derivative (v_high + v_err) (1 - |u|)**-2 / r bounded at the
+    evaluator's point scale 10**-S by ceil(tail R 10**S / (R - root)**2),
+    with tail = v_high + v_err rounded up and R = r at that scale, root the
+    ceiling of sup |z - c| there; formed in fractions from z's corners."""
     u = _oracle_eval_argument(ctx, f, z)
     acc = _oracle_rect_horner(ctx, oracle_derivative_coeffs(ctx, f), u)
     tail_mass = ctx.add_up(f.v_high, f.v_err)
     if tail_mass == 0:
         return acc
-    au = ctx.rabs(u).hi
-    if au >= 1:
+    s = fb.point_evaluator(ctx, f).point_scale
+    unit = 10 ** s
+    far_re = max(abs(Fraction(x) - Fraction(_C)) for x in (z.re.lo, z.re.hi))
+    far_im = max(abs(Fraction(x)) for x in (z.im.lo, z.im.hi))
+    d2 = math.ceil((far_re ** 2 + far_im ** 2) * unit ** 2)
+    root = math.isqrt(d2)
+    root += root * root < d2
+    radius = int(Fraction(_R) * unit)
+    if root >= radius:
         raise PointOutsideDomain("derivative tail bound needs |z - c| < r strictly")
-    one_minus = ctx.sub_dn(Decimal(1), au)
-    geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
-    pad = ctx.div_up(ctx.mul_up(tail_mass, geo), _R)
-    return _oracle_pad(ctx, acc, pad, z)
+    tail = math.ceil(Fraction(tail_mass) * unit)
+    pad = math.ceil(Fraction(tail * radius * unit, (radius - root) ** 2))
+    return _oracle_pad(ctx, acc, Decimal(f"{pad}E-{s}"), z)
 
 
 # -- integer box Horner ------------------------------------------------------------
@@ -705,3 +717,17 @@ def recorded_reads(monkeypatch) -> list:
         return read(self, box)
     monkeypatch.setattr(fb.PointEvaluator, "read", recorded)
     return reads
+
+
+def powers_above_baby_steps(monkeypatch) -> None:
+    """Let ``balls.PowerTable.power`` serve every k <= N, for the dense-map
+    oracles (K = N) that bound the columns above the baby steps one by one;
+    the certificates' heads need k < BABY_STEPS only.  u**k for
+    k >= BABY_STEPS is e_k composed through the table."""
+    power = fb.PowerTable.power
+
+    def any_power(self, ctx, k):
+        if k < len(self.scales):
+            return power(self, ctx, k)
+        return self.compose(ctx, fb.basis_ball(self.truncation, k))
+    monkeypatch.setattr(fb.PowerTable, "power", any_power)

@@ -5,7 +5,13 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import domain_points, eval_member, sample_member, with_tails
+from helpers import (
+    domain_points,
+    eval_member,
+    powers_above_baby_steps,
+    sample_member,
+    with_tails,
+)
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
@@ -254,11 +260,12 @@ def _dense_form(lam: ct.LinearMap, n: int) -> ct.LinearMap:
 
 @pytest.mark.parametrize("head", [10, 20])
 @pytest.mark.parametrize("target", ["fixed_point", "delta", "gamma"])
-def test_tail_bound_covers_columns_above_head(n40, target, head):
+def test_tail_bound_covers_columns_above_head(n40, monkeypatch, target, head):
     """Oracle for the tail argument at N = 40: the theta**(K+1) bound of
     bound_kappa_tail bounds every column k > K, computed one by one through
     the dense form of the same map, whose columns 0..K and epsilon are
     those of the block map."""
+    powers_above_baby_steps(monkeypatch)
     problem, x0, ball, lam = n40.setup(target, head)
     assert lam.dim == head + 1
     dense = _dense_form(lam, 40)
@@ -271,10 +278,11 @@ def test_tail_bound_covers_columns_above_head(n40, target, head):
 
 @pytest.mark.parametrize("head, target", [(10, "fixed_point"), (10, "delta"),
                                           (10, "gamma"), (20, "fixed_point")])
-def test_tail_bound_at_full_degree_misses_columns_above_head(n40, head, target):
+def test_tail_bound_at_full_degree_misses_columns_above_head(n40, monkeypatch, head, target):
     """Negative control: the tail formula with theta**(N+1) in place of
     theta**(K+1) (what the dense form of the map gets) lies below a column
     above K, so the factor must follow the head degree."""
+    powers_above_baby_steps(monkeypatch)
     problem, _, ball, lam = n40.setup(target, head)
     dense = _dense_form(lam, 40)
     columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)

@@ -3,6 +3,7 @@ import decimal
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -290,17 +291,49 @@ def test_apply_L_eigen_ratio(desk):
     assert ratio.lo <= gamma_sq.hi and gamma_sq.lo <= ratio.hi
 
 
+def _exact_circle_points(rng, count: int, scale: int) -> list:
+    """Exact points c + r ((1 - t**2) + 2t i) / (1 + t**2) of the domain's
+    boundary circle for random rational t, and c - r, each part x at scale
+    10**-scale as (floor, ceil): an integer box end b has b <= x exactly
+    when b <= floor and x <= b when ceil <= b."""
+    c, r, unit = Fraction(DOM.center), Fraction(DOM.radius), 10 ** scale
+    ts = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+          for _ in range(count)]
+    points = [(c - r, Fraction(0))] + [(c + r * (1 - t * t) / (1 + t * t),
+                                        r * 2 * t / (1 + t * t)) for t in ts]
+    return [tuple((math.floor(v * unit), math.ceil(v * unit)) for v in p) for p in points]
+
+
+def _uncovered(boxes, points) -> int:
+    return sum(not any(rl <= xf and xc <= rh and il <= yf and yc <= ih
+                       for rl, rh, il, ih in boxes)
+               for (xf, xc), (yf, yc) in points)
+
+
 def test_boundary_cover_covers_circle():
+    """Every exact point of the circle lies in a box of the cover, at the
+    point scale of a desk ball and at coarse scales, where each box end is
+    rounded by up to 10**-scale."""
     rng = random.Random(23)
-    for m in (8, 64, 256):
-        rects = op.boundary_cover(ctx, m)
-        assert len(rects) == m
-        for _ in range(500):
-            phi = rng.random() * 2 * math.pi
-            x = Decimal(str(1 + 2.5 * math.cos(phi)))
-            y = Decimal(str(2.5 * math.sin(phi)))
-            assert any(r.re.lo <= x <= r.re.hi and r.im.lo <= y <= r.im.hi
-                       for r in rects), (m, x, y)
+    s = fb.point_evaluator(ctx, fb.one_ball(20)).point_scale
+    for scale, sizes in ((s, (8, 64, 256)), (1, (16, 64)), (2, (16, 64))):
+        points = _exact_circle_points(rng, 400, scale)
+        for m in sizes:
+            boxes = op.boundary_cover(m, scale)
+            assert len(boxes) == m
+            assert _uncovered(boxes, points) == 0, (scale, m)
+
+
+def test_boundary_cover_negative_control(monkeypatch):
+    """A cover whose companion upper end sqrt(1 - t**2) is floored instead
+    of ceiled misses exact circle points near the ends of its arcs."""
+    def floored(lo, hi, unit):
+        small = 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+        return companion(lo, hi, unit)[0], math.isqrt(unit * unit - small)
+    companion = op._companion
+    monkeypatch.setattr(op, "_companion", floored)
+    points = _exact_circle_points(random.Random(24), 400, 2)
+    assert _uncovered(op.boundary_cover(64, 2), points) > 0
 
 
 def test_domain_extension_analytic_spot_check():
@@ -353,7 +386,7 @@ def _theta_reach(rctx, ball):
     reach = [Decimal(0), Decimal(0)]
     for z in _circle_points():
         w1 = rctx.rmul(a2, z)
-        w2 = rctx.rsqr(rctx.box_rectangle(g.value(rctx, g.read(rctx.to_box(w1, s))), s))
+        w2 = rctx.rsqr(rctx.box_rectangle(g.value(g.read(rctx.to_box(w1, s))), s))
         for i, w in enumerate((w1, w2)):
             reach[i] = max(reach[i], rctx.rabs(rctx.rsub(w, centre)).hi)
     thetas = (shared.theta_affine, shared.theta_squared)

@@ -23,6 +23,7 @@ from helpers import (
     oracle_evaluate,
     oracle_evaluate_derivative,
     poly_eval,
+    powers_above_baby_steps,
     rand_interval,
     recorded_reads,
     sample_point,
@@ -66,6 +67,15 @@ def test_config_rejects_junk_radius(field, text):
     raise ConfigError naming the field, never a decimal exception."""
     with pytest.raises(ConfigError, match=field):
         pl.RunConfig(**{field: text})
+
+
+@pytest.mark.parametrize("rho", [1e-8, Decimal("1e-8"), 1])
+def test_config_refuses_a_radius_not_given_as_text(rho):
+    """The radius is read from its decimal text only: the float 1e-8 would
+    certify, and be written into every payload, at its binary expansion
+    1.0000000000000000209...E-8."""
+    with pytest.raises(ConfigError, match="rho"):
+        pl.RunConfig(rho=rho)
 
 
 @pytest.mark.parametrize("flag", ["--rho"])
@@ -240,9 +250,10 @@ def test_n40_certified_digit_counts(n40):
     assert_min_digits(n40.result.report, 40)
 
 
-def test_dense_map_certifies_same_digits(n40):
+def test_dense_map_certifies_same_digits(n40, monkeypatch):
     """A dense map (K = N), inverted from the full midpoint Jacobian,
     certifies the digits the K = 20 block map does at N = 40."""
+    powers_above_baby_steps(monkeypatch)
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
         jac = matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
@@ -432,14 +443,14 @@ def test_plot_covering_hoisted_constants_bit_identical(desk, figure):
 class _OracleEvaluator:
     """A point evaluator whose values come from the Decimal Horner oracles,
     at the box each read carries written as a Rectangle, and are read back
-    as boxes; its read, disc test and reading frame are the integer
-    evaluator's."""
+    as boxes; its read, disc test, reading frame and centre are the
+    integer evaluator's."""
 
     point_evaluator = staticmethod(fb.point_evaluator)
 
     def __init__(self, ctx, ball):
-        self.ball, self.exact = ball, self.point_evaluator(ctx, ball)
-        self.point_scale = self.exact.point_scale
+        self.ctx, self.ball, self.exact = ctx, ball, self.point_evaluator(ctx, ball)
+        self.point_scale, self.center = self.exact.point_scale, self.exact.center
 
     def read(self, box):
         return self.exact.read(box)
@@ -447,15 +458,15 @@ class _OracleEvaluator:
     def in_disc(self, p, strict=False):
         return self.exact.in_disc(p, strict)
 
-    def _oracle(self, ctx, oracle, p):
-        s = self.point_scale
+    def _oracle(self, oracle, p):
+        ctx, s = self.ctx, self.point_scale
         return ctx.to_box(oracle(ctx, self.ball, ctx.box_rectangle(p.box, s)), s)
 
-    def value(self, ctx, p):
-        return self._oracle(ctx, oracle_evaluate, p)
+    def value(self, p):
+        return self._oracle(oracle_evaluate, p)
 
-    def derivative(self, ctx, p):
-        return self._oracle(ctx, oracle_evaluate_derivative, p)
+    def derivative(self, p):
+        return self._oracle(oracle_evaluate_derivative, p)
 
 
 @pytest.mark.parametrize("figure", ["fig2c", "fig3c", "fig4a"])
