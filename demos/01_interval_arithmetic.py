@@ -1,24 +1,26 @@
-"""Directed-rounding interval and rectangle arithmetic.
+"""Directed-rounding intervals at the edges, integer boxes for points.
 
-Every quantity in the certification pipeline is an interval (or a complex
-rectangle) whose endpoints are decimal floats: lower endpoints round toward
+The scalar bounds of a certificate (norms, theta, epsilon, kappa) are
+intervals whose endpoints are decimal floats: lower endpoints round toward
 -infinity, upper endpoints toward +infinity, so the true value can never
-escape.  This script walks through the basic guarantees.
+escape.  Complex points are integer boxes at one scale, combined exactly
+and rounded outward once per part.  This script walks through the basic
+guarantees.
 """
 
-from decimal import Decimal
+import decimal
 
 from renormcert import RoundingContext, interval, rectangle
+from renormcert.rounding import box_mul, box_sqr, box_text
 
 ctx = RoundingContext(precision=30)
 
 print("== enclosure of 1/3 at 30 digits ==")
 third = ctx.idiv(interval(1), interval(3))
 print(f"  1/3 in {third}")
-print(f"  width: {ctx.iwidth(third)}   (one unit in the last place)")
+print(f"  width: {third.hi - third.lo}   (one unit in the last place)")
 
 print("\n== the same computation never depends on ambient state ==")
-import decimal
 decimal.getcontext().prec = 5   # sabotage the thread context
 assert ctx.idiv(interval(1), interval(3)) == third
 decimal.getcontext().prec = 28
@@ -28,21 +30,20 @@ print("\n== interval multiplication covers every sign case ==")
 x, y = interval(-1, 2), interval(3, 4)
 print(f"  {x} * {y} = {ctx.imul(x, y)}")
 
-print("\n== complex rectangles ==")
-i = rectangle(0, 1)
-print(f"  i * i = {ctx.rmul(i, i)}")
-z = rectangle(3, 4)
-print(f"  |3+4i| in {ctx.rabs(z)}")
-
 print("\n== precision is a dial: more digits, tighter enclosures ==")
 for p in (15, 30, 60):
-    c = RoundingContext(p)
-    t = c.idiv(interval(1), interval(3))
-    print(f"  {p:3d} digits: width {c.iwidth(t)}")
+    t = RoundingContext(p).idiv(interval(1), interval(3))
+    print(f"  {p:3d} digits: width {t.hi - t.lo}")
 
-print("\n== rigorous square roots via exact-square correction ==")
-two = Decimal(2)
-lo, hi = ctx.sqrt_dn(two), ctx.sqrt_up(two)
-print(f"  sqrt(2) in [{lo},\n              {hi}]")
-assert ctx._exact.multiply(lo, lo) <= two <= ctx._exact.multiply(hi, hi)
-print("  endpoint squares verified to straddle 2 exactly")
+print("\n== complex points as integer boxes at scale 10**-6 ==")
+S = 6
+unit = 10 ** S
+i = ctx.to_box(rectangle(0, 1), S)
+print(f"  i * i = {box_text(box_mul(i, i, unit), S)}")
+z = ctx.to_box(rectangle(interval(1, 2), interval(-1, 1)), S)
+print(f"  z      = {box_text(z, S)}")
+print(f"  z * z  = {box_text(box_mul(z, z, unit), S)}")
+print(f"  z ** 2 = {box_text(box_sqr(z, unit), S)}   (true squares: a narrower real part)")
+third_box = ctx.to_box(rectangle(third), S)
+print(f"  1/3 read outward into a box: {box_text(third_box, S)}")
+print(f"  and written back at 30 digits: {ctx.box_rectangle(third_box, S)}")

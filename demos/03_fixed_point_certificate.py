@@ -13,7 +13,6 @@ X = x**2, is T(G)(X) = a**-1 G(Q(G(Q(a) X))) with a = G(1).  The script
 """
 
 import time
-from decimal import Decimal
 
 from renormcert import approx as ax
 from renormcert import balls as fb

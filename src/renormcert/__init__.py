@@ -19,11 +19,9 @@ from .balls import (
     STANDARD_DISC,
     affine_arg,
     ball_from_decimals,
-    basis_ball,
     const_ball,
     deserialize_ball,
     inflate,
-    one_ball,
     serialize_ball,
     zero_ball,
 )
@@ -69,10 +67,10 @@ __all__ = [
     "LinearMap", "OperatorTables", "Problem", "Rectangle", "RenormcertError",
     "RoundingContext", "RunConfig", "STANDARD_DISC", "SharedEvaluations",
     "affine_arg", "apply_lambda",
-    "ball_from_decimals", "basis_ball", "bound_epsilon", "bound_kappa_columns",
+    "ball_from_decimals", "bound_epsilon", "bound_kappa_columns",
     "bound_kappa_tail", "certified_digits", "certify", "check_domain_extension",
     "const_ball", "deserialize_ball", "emit_plot_covering", "extend_recursive",
-    "format_digit_block", "inflate", "interval", "one_ball",
+    "format_digit_block", "inflate", "interval",
     "precompute_shared", "rectangle", "run_pipeline", "serialize_ball",
     "verify_lambda_invertible", "zero_ball",
 ]

@@ -90,9 +90,7 @@ __all__ = [
     "FunctionBall",
     "STANDARD_DISC",
     "zero_ball",
-    "one_ball",
     "const_ball",
-    "basis_ball",
     "ball_from_decimals",
     "affine_arg",
     "norm_upper",
@@ -105,7 +103,6 @@ __all__ = [
     "compose",
     "compose_derivative",
     "evaluate",
-    "evaluate_derivative",
     "PointEvaluator",
     "PointRead",
     "point_evaluator",
@@ -252,17 +249,6 @@ def zero_ball(n: int) -> FunctionBall:
 
 def const_ball(n: int, value) -> FunctionBall:
     return _exact(n, [_real_scalar(value)])
-
-
-def one_ball(n: int) -> FunctionBall:
-    return const_ball(n, 1)
-
-
-def basis_ball(n: int, k: int) -> FunctionBall:
-    """The basis element e_k as an exact ball (k <= n)."""
-    if not 0 <= k <= n:
-        raise IndexBeyondTruncation(f"basis index {k} not in 0..{n}")
-    return FunctionBall([0] * k + [1], [], 0, _D0, _D0, n)
 
 
 def ball_from_decimals(domain: Disc, values, n: int | None = None) -> FunctionBall:
@@ -870,14 +856,6 @@ def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
     ev = point_evaluator(ctx, f)
     s = ev.point_scale
     return ctx.box_rectangle(ev.value(ev.read(ctx.to_box(z, s))), s)
-
-
-def evaluate_derivative(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
-    """Enclosure of f'(z); needs |z - c| strictly below r when f has tails
-    (see :meth:`PointEvaluator.derivative`)."""
-    ev = point_evaluator(ctx, f)
-    s = ev.point_scale
-    return ctx.box_rectangle(ev.derivative(ev.read(ctx.to_box(z, s))), s)
 
 
 # -- coefficients ---------------------------------------------------------------

@@ -67,7 +67,6 @@ from .rounding import IONE, Interval, RoundingContext, as_decimal, interval
 
 __all__ = [
     "LinearMap",
-    "identity_map",
     "lambda_norm_upper",
     "apply_lambda",
     "verify_lambda_invertible",
@@ -127,12 +126,6 @@ def _int_matrix(matrix) -> tuple[list[list[int]], int]:
         num, den = x.as_integer_ratio()
         return num * ten // den
     return [[exact(x) if x else 0 for x in row] for row in matrix], e
-
-
-def identity_map(n: int, diagonal=_D1, tail_scalar=Decimal(-1)) -> LinearMap:
-    d = as_decimal(diagonal)
-    matrix = tuple(tuple(d if i == j else _D0 for j in range(n + 1)) for i in range(n + 1))
-    return LinearMap(matrix, tail_scalar)
 
 
 def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
@@ -387,11 +380,6 @@ class Certificate:
             "certificate": self.to_payload(),
             "execution": {"wall_time_s": self.wall_time},
         }
-
-    @staticmethod
-    def enclosure_from_payload(payload: dict, name: str) -> Interval:
-        lo, hi = payload["enclosures"][name]
-        return Interval(Decimal(lo), Decimal(hi))
 
 
 def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: LinearMap,

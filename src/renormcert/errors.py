@@ -13,10 +13,6 @@ class DivisionByZeroInterval(RenormcertError, ZeroDivisionError):
     """Interval division where the denominator contains zero."""
 
 
-class DivisionByZeroRectangle(RenormcertError, ZeroDivisionError):
-    """Rectangle division where the denominator may contain zero."""
-
-
 class DomainMismatch(RenormcertError):
     """Binary function-ball operation on balls of different degree."""
 

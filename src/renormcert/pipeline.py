@@ -17,6 +17,7 @@ its ball radius and its certificate's a-posteriori radius.
 
 from __future__ import annotations
 
+import decimal
 import json
 import resource
 import time
@@ -60,6 +61,8 @@ __all__ = [
 _CENTRES = {"fixed_point": ("g0", "G0"), "delta": ("delta0", "V0"),
             "gamma": ("gamma0", "W0")}
 _TARGETS = tuple(_CENTRES)
+#: unbounded precision: a product is exact, whatever the thread's context
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 REPORT_SCHEMA = "renormcert-report/1"
 
 
@@ -75,6 +78,12 @@ class RunConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("degree", "precision", "boundary_rects", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name}: {value!r} must be an int")
+        if isinstance(self.targets, str):
+            raise ConfigError(f"targets: {self.targets!r} must be a sequence of names, not a string")
         if self.degree < 4:
             raise ConfigError("degree must be >= 4")
         if self.precision < 15:
@@ -100,7 +109,7 @@ class RunConfig:
     def rho_for(self, target: str) -> Decimal:
         if target == "fixed_point":
             return Decimal(self.rho)
-        return Decimal(self.rho) * 10
+        return _EXACT.multiply(Decimal(self.rho), 10)
 
     def describe(self) -> dict:
         return {

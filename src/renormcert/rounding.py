@@ -14,7 +14,10 @@ and :meth:`RoundingContext.scaled_up` bound an integer times 10**-S,
 :meth:`RoundingContext.to_int_ends` and :meth:`RoundingContext.to_box`
 read decimals into integers and :meth:`RoundingContext.box_rectangle`
 writes a box back, all outward; :func:`exact_decimal` and
-:func:`box_text` write exactly.
+:func:`box_text` write exactly.  A complex point comes in, and a value
+goes out, as a :class:`Rectangle`, a pair of intervals; no arithmetic
+runs on rectangles but :meth:`RoundingContext.rmul`, which the benchmark
+times (``perfbench/run.py``).
 
 Rounding state lives entirely inside context instances: nothing here reads
 or writes the thread-local decimal context, so contexts can be confined to
@@ -27,7 +30,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import ConfigError, DivisionByZeroInterval, DivisionByZeroRectangle
+from .errors import ConfigError, DivisionByZeroInterval
 
 __all__ = [
     "Interval",
@@ -50,7 +53,6 @@ __all__ = [
 
 _D0 = Decimal(0)
 _D1 = Decimal(1)
-_D2 = Decimal(2)
 
 
 def as_decimal(x) -> Decimal:
@@ -104,25 +106,12 @@ class Interval:
         """Exact upper bound of |x| over the interval."""
         return max(self.lo.copy_abs(), self.hi.copy_abs())
 
-    @property
-    def mig(self) -> Decimal:
-        """Exact lower bound of |x| over the interval."""
-        if self.lo <= 0 <= self.hi:
-            return _D0
-        return min(self.lo.copy_abs(), self.hi.copy_abs())
-
     def contains(self, point) -> bool:
         p = as_decimal(point)
         return self.lo <= p <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
 def interval(lo, hi=None) -> Interval:
@@ -148,9 +137,6 @@ class Rectangle:
     def is_real(self) -> bool:
         return self.im.lo == 0 and self.im.hi == 0
 
-    def contains(self, re_part, im_part=0) -> bool:
-        return self.im.contains(im_part) and self.re.contains(re_part)
-
 
 def rectangle(re, im=None) -> Rectangle:
     """Build a rectangle from exact value(s); ``re``/``im`` may be Interval."""
@@ -165,13 +151,12 @@ def rectangle(re, im=None) -> Rectangle:
 class RoundingContext:
     """Directed-rounding arithmetic at a fixed decimal significand precision.
 
-    The precision is immutable.  ``_dn`` rounds every result toward -inf,
-    ``_up`` toward +inf; ``_exact`` has enough digits that the product of
-    two working-precision operands is exact (used for square-root endpoint
-    correction), and ``_near`` rounds to nearest for midpoints only.
+    The precision is immutable.  ``_dn`` rounds every result toward -inf
+    and ``_up`` toward +inf; ``_floor`` and ``_ceil`` have unbounded
+    precision, for the exact reads of decimals into integers.
     """
 
-    __slots__ = ("precision", "_dn", "_up", "_near", "_exact", "_floor", "_ceil")
+    __slots__ = ("precision", "_dn", "_up", "_floor", "_ceil")
 
     def __init__(self, precision: int):
         if not isinstance(precision, int) or precision < 2:
@@ -179,8 +164,6 @@ class RoundingContext:
         self.precision = precision
         self._dn = decimal.Context(prec=precision, rounding=decimal.ROUND_FLOOR)
         self._up = decimal.Context(prec=precision, rounding=decimal.ROUND_CEILING)
-        self._near = decimal.Context(prec=precision, rounding=decimal.ROUND_HALF_EVEN)
-        self._exact = decimal.Context(prec=2 * precision + 8, rounding=decimal.ROUND_HALF_EVEN)
         # unbounded precision: scaleb is exact and to_integral_value rounds
         # once, down or up, to an integer
         unbounded = dict(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
@@ -195,17 +178,11 @@ class RoundingContext:
 
     # -- directed scalar helpers ------------------------------------------
 
-    def add_dn(self, a, b):
-        return self._dn.add(a, b)
-
     def add_up(self, a, b):
         return self._up.add(a, b)
 
     def sub_dn(self, a, b):
         return self._dn.subtract(a, b)
-
-    def sub_up(self, a, b):
-        return self._up.subtract(a, b)
 
     def mul_dn(self, a, b):
         return self._dn.multiply(a, b)
@@ -213,33 +190,8 @@ class RoundingContext:
     def mul_up(self, a, b):
         return self._up.multiply(a, b)
 
-    def div_dn(self, a, b):
-        return self._dn.divide(a, b)
-
     def div_up(self, a, b):
         return self._up.divide(a, b)
-
-    def sqrt_up(self, x: Decimal) -> Decimal:
-        """Smallest representable s with s >= sqrt(x) (x >= 0)."""
-        if x < 0:
-            raise ConfigError("sqrt of negative value")
-        s = self._up.sqrt(x)
-        # decimal sqrt is correctly rounded to nearest regardless of the
-        # context rounding; nudge until the exact square clears x.
-        while self._exact.multiply(s, s) < x:
-            s = self._up.next_plus(s)
-        return s
-
-    def sqrt_dn(self, x: Decimal) -> Decimal:
-        """Largest representable s with 0 <= s <= sqrt(x) (x >= 0)."""
-        if x < 0:
-            raise ConfigError("sqrt of negative value")
-        s = self._dn.sqrt(x)
-        while self._exact.multiply(s, s) > x:
-            s = self._dn.next_minus(s)
-        if s < 0:
-            s = _D0
-        return s
 
     def pow_up(self, base: Decimal, n: int) -> Decimal:
         """Upper bound of base**n for base >= 0, n >= 0 (binary exponentiation)."""
@@ -361,22 +313,7 @@ class RoundingContext:
             return Interval(self._dn.multiply(x.lo, s), self._up.multiply(x.hi, s))
         return Interval(self._dn.multiply(x.hi, s), self._up.multiply(x.lo, s))
 
-    def imid(self, x: Interval) -> Decimal:
-        return self._near.divide(self._near.add(x.lo, x.hi), _D2)
-
-    def iwidth(self, x: Interval) -> Decimal:
-        return self._up.subtract(x.hi, x.lo)
-
-    # -- rectangle arithmetic ---------------------------------------------
-
-    def radd(self, x: Rectangle, y: Rectangle) -> Rectangle:
-        return Rectangle(self.iadd(x.re, y.re), self.iadd(x.im, y.im))
-
-    def rsub(self, x: Rectangle, y: Rectangle) -> Rectangle:
-        return Rectangle(self.isub(x.re, y.re), self.isub(x.im, y.im))
-
-    def rneg(self, x: Rectangle) -> Rectangle:
-        return Rectangle(self.ineg(x.re), self.ineg(x.im))
+    # -- rectangle product -------------------------------------------------
 
     def rmul(self, x: Rectangle, y: Rectangle) -> Rectangle:
         # four-products formula; real operands skip the imaginary work
@@ -390,30 +327,6 @@ class RoundingContext:
         im = self.iadd(self.imul(x.re, y.im), self.imul(x.im, y.re))
         return Rectangle(re, im)
 
-    def rsqr(self, x: Rectangle) -> Rectangle:
-        if x.is_real():
-            return Rectangle(self.isqr(x.re), IZERO)
-        re = self.isub(self.isqr(x.re), self.isqr(x.im))
-        im = self.iscale(self.imul(x.re, x.im), _D2)
-        return Rectangle(re, im)
-
-    def rdiv(self, x: Rectangle, y: Rectangle) -> Rectangle:
-        denom = self.iadd(self.isqr(y.re), self.isqr(y.im))
-        if denom.lo <= 0:
-            raise DivisionByZeroRectangle(f"denominator {y} may contain zero")
-        if x.is_real() and y.is_real():
-            return Rectangle(self.idiv(x.re, y.re), IZERO)
-        num_re = self.iadd(self.imul(x.re, y.re), self.imul(x.im, y.im))
-        num_im = self.isub(self.imul(x.im, y.re), self.imul(x.re, y.im))
-        return Rectangle(self.idiv(num_re, denom), self.idiv(num_im, denom))
-
-    def rabs(self, x: Rectangle) -> Interval:
-        """Interval bounding |z| over the rectangle (upper bound rigorous)."""
-        lo2 = self._dn.add(self._dn.multiply(x.re.mig, x.re.mig),
-                           self._dn.multiply(x.im.mig, x.im.mig))
-        hi2 = self._up.add(self._up.multiply(x.re.mag, x.re.mag),
-                           self._up.multiply(x.im.mag, x.im.mag))
-        return Interval(self.sqrt_dn(lo2), self.sqrt_up(hi2))
 
 
 # -- integer boxes ------------------------------------------------------------

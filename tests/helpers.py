@@ -299,9 +299,29 @@ def sample_point(rng: random.Random, x: Interval) -> Decimal:
     return x.lo + w * Decimal(str(round(rng.random(), 8)))
 
 
-def contains_with_slack(outer: Interval, value: Decimal, slack: str = "0") -> bool:
-    s = Decimal(slack)
-    return outer.lo - s <= value <= outer.hi + s
+_NEAR = decimal.Context(prec=120)
+
+
+def midpoint(x: Interval) -> Decimal:
+    """The midpoint of x, rounded to nearest at 120 digits."""
+    return _NEAR.divide(_NEAR.add(x.lo, x.hi), 2)
+
+
+# -- Decimal rectangle arithmetic, for the references --------------------------
+
+def rsub(ctx: RoundingContext, x: Rectangle, y: Rectangle) -> Rectangle:
+    return Rectangle(ctx.isub(x.re, y.re), ctx.isub(x.im, y.im))
+
+
+def rsqr(ctx: RoundingContext, x: Rectangle) -> Rectangle:
+    """x**2 as re**2 - im**2 + 2 re im i, each square a true interval square."""
+    re = ctx.isub(ctx.isqr(x.re), ctx.isqr(x.im))
+    return Rectangle(re, ctx.iscale(ctx.imul(x.re, x.im), Decimal(2)))
+
+
+def abs2_upper(ctx: RoundingContext, x: Rectangle) -> Decimal:
+    """Upper bound of |z|**2 over the rectangle."""
+    return ctx.add_up(ctx.mul_up(x.re.mag, x.re.mag), ctx.mul_up(x.im.mag, x.im.mag))
 
 
 # -- function-ball member sampling ------------------------------------------------
@@ -318,6 +338,25 @@ def interval_ball(coeffs, v_high=Decimal(0), v_err=Decimal(0),
 def with_tails(f: fb.FunctionBall, v_high, v_err) -> fb.FunctionBall:
     """f with its tail bounds replaced."""
     return dataclasses.replace(f, v_high=Decimal(v_high), v_err=Decimal(v_err))
+
+
+def basis_ball(n: int, k: int) -> fb.FunctionBall:
+    """The basis element e_k as an exact ball of degree n >= k."""
+    return fb.FunctionBall([0] * k + [1], [], 0, Decimal(0), Decimal(0), n)
+
+
+def identity_map(n: int, diagonal=1, tail_scalar=-1) -> ct.LinearMap:
+    """diagonal times the identity on the head 0..n, tail_scalar above it."""
+    return ct.LinearMap([[diagonal if i == j else 0 for j in range(n + 1)]
+                         for i in range(n + 1)], tail_scalar)
+
+
+def evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
+    """Enclosure of f'(z) by ``balls.PointEvaluator.derivative``, in the
+    Rectangle form of ``balls.evaluate``."""
+    ev = fb.point_evaluator(ctx, f)
+    s = ev.point_scale
+    return ctx.box_rectangle(ev.derivative(ev.read(ctx.to_box(z, s))), s)
 
 
 def rand_poly_ball(rng: random.Random, n: int, degree: int,
@@ -588,18 +627,19 @@ def oracle_compose_derivative(ctx: RoundingContext, f: fb.FunctionBall,
 
 def _oracle_eval_argument(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
     c, r = _C, _R
-    dist = ctx.rabs(ctx.rsub(z, rectangle(c)))
-    if dist.hi > r:
-        raise PointOutsideDomain(f"|z - {c}| may exceed {r} (bound {dist.hi})")
+    w = rsub(ctx, z, rectangle(c))
+    dist2 = abs2_upper(ctx, w)
+    if dist2 > r * r:
+        raise PointOutsideDomain(f"|z - {c}|**2 may exceed {r}**2 (bound {dist2})")
     inv = ctx.idiv(interval(1), interval(r))
-    w = ctx.rsub(z, rectangle(c))
     return Rectangle(ctx.imul(w.re, inv), ctx.imul(w.im, inv))
 
 
 def _oracle_rect_horner(ctx: RoundingContext, coeffs, u: Rectangle) -> Rectangle:
     acc = Rectangle(coeffs[-1], IZERO)
     for k in range(len(coeffs) - 2, -1, -1):
-        acc = ctx.radd(ctx.rmul(acc, u), Rectangle(coeffs[k], IZERO))
+        p = ctx.rmul(acc, u)
+        acc = Rectangle(ctx.iadd(p.re, coeffs[k]), p.im)
     return acc
 
 
@@ -615,8 +655,8 @@ def _oracle_pad(ctx: RoundingContext, value: Rectangle, pad: Decimal, z: Rectang
 
 def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
     """f(z) by Horner in Decimal rectangle arithmetic (reference for
-    ``balls.evaluate``): the same disc test, up to its square roots, and
-    the same v_high + v_err pad."""
+    ``balls.evaluate``): the same disc test and the same v_high + v_err
+    pad."""
     u = _oracle_eval_argument(ctx, f, z)
     acc = _oracle_rect_horner(ctx, _reals(f), u)
     return _oracle_pad(ctx, acc, ctx.add_up(f.v_high, f.v_err), z)
@@ -625,7 +665,7 @@ def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> R
 def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
                                z: Rectangle) -> Rectangle:
     """f'(z) by Horner in Decimal rectangle arithmetic (reference for
-    ``balls.evaluate_derivative``): the same tail rule, the tails'
+    ``evaluate_derivative``): the same tail rule, the tails'
     derivative (v_high + v_err) (1 - |u|)**-2 / r bounded at the
     evaluator's point scale 10**-S by ceil(tail R 10**S / (R - root)**2),
     with tail = v_high + v_err rounded up and R = r at that scale, root the
@@ -729,5 +769,5 @@ def powers_above_baby_steps(monkeypatch) -> None:
     def any_power(self, ctx, k):
         if k < len(self.scales):
             return power(self, ctx, k)
-        return self.compose(ctx, fb.basis_ball(self.truncation, k))
+        return self.compose(ctx, basis_ball(self.truncation, k))
     monkeypatch.setattr(fb.PowerTable, "power", any_power)

@@ -32,7 +32,7 @@ from renormcert.errors import (
     NewtonDivergence,
     SingularJacobian,
 )
-from renormcert.rounding import RoundingContext, interval
+from renormcert.rounding import interval
 
 
 def test_fixed_point_value(desk):

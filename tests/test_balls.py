@@ -6,11 +6,14 @@ import pytest
 
 from helpers import (
     REF_A,
+    basis_ball,
     domain_points,
     eval_member,
     eval_member_derivative,
+    evaluate_derivative,
     interval_ball,
     member_product,
+    midpoint,
     oracle_compose,
     rand_decimal,
     rand_interval,
@@ -40,14 +43,14 @@ def test_norm_examples():
     assert fb.norm_upper(ctx, f) == Decimal("3.5")
     assert fb.norm_upper(ctx, fb.zero_ball(N)) == 0
     for k in range(N + 1):
-        assert fb.norm_upper(ctx, fb.basis_ball(N, k)) == 1
+        assert fb.norm_upper(ctx, basis_ball(N, k)) == 1
 
 
 def test_linear_ops():
     f = rand_poly_ball(random.Random(0), N, 5)
     z = fb.add(ctx, f, fb.zero_ball(N))
     assert all(z.coeffs[k].re == f.coeffs[k].re for k in range(N + 1))
-    e2 = fb.basis_ball(N, 2)
+    e2 = basis_ball(N, 2)
     d = fb.sub(ctx, e2, e2)
     assert fb.norm_upper(ctx, d) == 0
     # f + (-1)*f contains zero with doubled tail budgets
@@ -58,18 +61,18 @@ def test_linear_ops():
 
 
 def test_domain_mismatch():
-    f = fb.one_ball(N)
-    g = fb.one_ball(N + 1)
+    f = fb.const_ball(N, 1)
+    g = fb.const_ball(N + 1, 1)
     with pytest.raises(DomainMismatch):
         fb.add(ctx, f, g)
 
 
 def test_mul_basis():
-    e1 = fb.basis_ball(N, 1)
+    e1 = basis_ball(N, 1)
     p = fb.mul(ctx, e1, e1)
     assert p.coeffs[2].re == interval(1)
     assert p.v_high == 0 and p.v_err == 0
-    one = fb.one_ball(N)
+    one = fb.const_ball(N, 1)
     f = rand_poly_ball(random.Random(1), N, 6)
     q = fb.mul(ctx, f, one)
     assert all(q.coeffs[k].re.contains_interval(f.coeffs[k].re) for k in range(N + 1))
@@ -158,7 +161,7 @@ def test_affine_arg_coeffs():
 def test_compose_basics():
     rng = random.Random(5)
     h = rand_poly_ball(rng, N, 3, coeff_scale=0.4)
-    e1 = fb.basis_ball(N, 1)
+    e1 = basis_ball(N, 1)
     c = fb.compose(ctx, e1, h)
     u = fb.normalized_argument(ctx, h)
     assert all(c.coeffs[k].re == u.coeffs[k].re for k in range(N + 1))
@@ -170,12 +173,12 @@ def test_compose_basics():
 
 
 def test_compose_contract_failure():
-    f = fb.inflate(ctx, fb.basis_ball(N, 2), "0.1")
+    f = fb.inflate(ctx, basis_ball(N, 2), "0.1")
     ident = fb.affine_arg(ctx, N, 1)  # theta == 1
     with pytest.raises(CompositionContractFailure):
         fb.compose(ctx, f, ident)
     # pure polynomial composition tolerates theta == 1
-    fb.compose(ctx, fb.basis_ball(N, 2), ident)
+    fb.compose(ctx, basis_ball(N, 2), ident)
 
 
 def _interval_argument(rng, degree: int) -> fb.FunctionBall:
@@ -232,7 +235,7 @@ def test_compose_sampling_oracle_negative_control(monkeypatch):
 
 
 def test_compose_derivative_basics():
-    e2 = fb.basis_ball(N, 2)
+    e2 = basis_ball(N, 2)
     d = fb.compose_derivative(ctx, e2, fb.const_ball(N, 1))
     assert fb.norm_upper(ctx, d) == 0
     ident = fb.affine_arg(ctx, N, 1)
@@ -248,9 +251,9 @@ def test_compose_derivative_sampling_oracle():
 
 def test_eval_basics():
     for k in range(1, N + 1):
-        out = fb.evaluate(ctx, fb.basis_ball(N, k), rectangle(1))
+        out = fb.evaluate(ctx, basis_ball(N, k), rectangle(1))
         assert out.re.contains(0) and out.re.mag == 0
-    one = fb.one_ball(N)
+    one = fb.const_ball(N, 1)
     out = fb.evaluate(ctx, one, rectangle("3.2"))
     assert out.re.contains(1)
     with pytest.raises(PointOutsideDomain):
@@ -266,7 +269,7 @@ def _eval_sampling_misses(seed: int, derivative: bool = False) -> int:
     are small against the coefficients and the output rounding to working
     precision cannot hide a step, or an argument, rounded inward."""
     rng = random.Random(seed)
-    kernel, value = ((fb.evaluate_derivative, eval_member_derivative) if derivative
+    kernel, value = ((evaluate_derivative, eval_member_derivative) if derivative
                      else (fb.evaluate, eval_member))
     misses = 0
     for i in range(12):
@@ -319,16 +322,16 @@ def test_eval_disc_boundary():
         assert ev.in_disc(p) and not ev.in_disc(p, strict=True)
         for ball in (f, tailed):
             assert fb.evaluate(ctx, ball, z).re.hi.is_finite()
-        assert fb.evaluate_derivative(ctx, f, z).re.hi.is_finite()
+        assert evaluate_derivative(ctx, f, z).re.hi.is_finite()
         with pytest.raises(PointOutsideDomain):
-            fb.evaluate_derivative(ctx, tailed, z)
+            evaluate_derivative(ctx, tailed, z)
     outside = [rectangle("3.50000000000000000000000000001"),
                rectangle("-1.50000000000000000000000000001"),
                rectangle("2.5", "2.00000000000000000000000000001"),
                rectangle(interval("0", "3.5"), interval("0", "1e-30"))]
     for z in outside:
         assert not ev.in_disc(ev.read(ctx.to_box(z, ev.point_scale)))
-        for fn in (fb.evaluate, fb.evaluate_derivative):
+        for fn in (fb.evaluate, evaluate_derivative):
             for ball in (f, tailed):
                 with pytest.raises(PointOutsideDomain):
                     fn(ctx, ball, z)
@@ -345,7 +348,7 @@ def test_eval_isotonic_in_argument():
 
 
 def test_coefficient():
-    e3 = fb.basis_ball(N, 3)
+    e3 = basis_ball(N, 3)
     assert fb.coefficient(ctx, e3, 3).re == interval(1)
     assert fb.coefficient(ctx, e3, 0).re == interval(0)
     with pytest.raises(IndexBeyondTruncation):
@@ -407,7 +410,7 @@ def test_power_table_matches_compose():
     for z in domain_points(rng, 20):
         a = fb.evaluate(ctx, via_table, rectangle(z))
         b = fb.evaluate(ctx, oracle, rectangle(z))
-        mid = ctx.imid(b.re)
+        mid = midpoint(b.re)
         assert a.re.lo <= mid <= a.re.hi
     for _ in range(10):
         fm = sample_member(rng, f)
@@ -440,11 +443,11 @@ def test_power_above_baby_steps_is_refused():
 def test_non_real_coefficient_is_refused():
     """Balls are real: a coefficient with a non-zero imaginary endpoint is
     refused when a ball is read, and so is a non-real scalar."""
-    text = fb.serialize_ball(fb.basis_ball(2, 1))
+    text = fb.serialize_ball(basis_ball(2, 1))
     assert "coeff 1 1 0 0\n" in text
     with pytest.raises(ConfigError):
         fb.deserialize_ball(text.replace("coeff 1 1 0 0\n", "coeff 1 1 -1e-30 0\n"))
-    one = fb.one_ball(N)
+    one = fb.const_ball(N, 1)
     for build in (lambda s: fb.scale(ctx, s, one), lambda s: fb.const_ball(N, s),
                   lambda s: fb.affine_arg(ctx, N, s)):
         build(rectangle("0.5"))

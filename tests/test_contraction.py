@@ -1,4 +1,5 @@
 import decimal
+import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
@@ -6,13 +7,16 @@ from decimal import Decimal
 import pytest
 
 from helpers import (
+    basis_ball,
     domain_points,
     eval_member,
+    identity_map,
     powers_above_baby_steps,
     sample_member,
     with_tails,
 )
 from renormcert import balls as fb
+from renormcert import cli
 from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert.errors import (
@@ -33,7 +37,7 @@ class _ToyKernel:
         self.x_ball = x_ball
 
     def image(self, c, k):
-        return fb.negate(c, fb.basis_ball(self.x_ball.truncation, k))
+        return fb.negate(c, basis_ball(self.x_ball.truncation, k))
 
 
 class ToyProblem:
@@ -62,7 +66,7 @@ class ToyProblem:
 
 
 def test_apply_lambda_identity():
-    lam = ct.identity_map(N)
+    lam = identity_map(N)
     f = fb.inflate(ctx, fb.ball_from_decimals(DOM, ["1", "2", "-0.5"], N), "0.25")
     out = ct.apply_lambda(ctx, lam, f)
     assert all(out.coeffs[k].re == f.coeffs[k].re for k in range(N + 1))
@@ -70,8 +74,8 @@ def test_apply_lambda_identity():
 
 
 def test_apply_lambda_scaling():
-    lam = ct.identity_map(N, diagonal=2, tail_scalar=2)
-    f = with_tails(fb.one_ball(N), "0.5", "0.25")
+    lam = identity_map(N, diagonal=2, tail_scalar=2)
+    f = with_tails(fb.const_ball(N, 1), "0.5", "0.25")
     out = ct.apply_lambda(ctx, lam, f)
     assert out.coeffs[0].re == interval(2)
     assert out.v_high == Decimal("1.0")
@@ -83,17 +87,17 @@ def test_apply_lambda_columns():
     rows = [[Decimal(rng.randint(-3, 3)) for _ in range(N + 1)] for _ in range(N + 1)]
     lam = ct.LinearMap(rows, -1)
     for k in (0, 3, N):
-        out = ct.apply_lambda(ctx, lam, fb.basis_ball(N, k))
+        out = ct.apply_lambda(ctx, lam, basis_ball(N, k))
         for i in range(N + 1):
             assert out.coeffs[i].re.contains(rows[i][k])
 
 
 def test_apply_lambda_dimension_mismatch():
     """A head wider than the ball does not fit it; a narrower one does."""
-    lam = ct.identity_map(N + 2)
+    lam = identity_map(N + 2)
     with pytest.raises(DimensionMismatch):
-        ct.apply_lambda(ctx, lam, fb.one_ball(N))
-    ct.apply_lambda(ctx, ct.identity_map(N), fb.one_ball(N + 2))
+        ct.apply_lambda(ctx, lam, fb.const_ball(N, 1))
+    ct.apply_lambda(ctx, identity_map(N), fb.const_ball(N + 2, 1))
 
 
 def test_lambda_norm():
@@ -111,7 +115,7 @@ def test_linear_map_refuses_malformed_matrix(matrix, tail):
 
 
 def test_verify_invertible_identity():
-    assert ct.verify_lambda_invertible(ctx, ct.identity_map(N)) == 0
+    assert ct.verify_lambda_invertible(ctx, identity_map(N)) == 0
 
 
 def test_verify_invertible_singular():
@@ -119,7 +123,7 @@ def test_verify_invertible_singular():
     with pytest.raises(InversionUncertified):
         ct.verify_lambda_invertible(ctx, ct.LinearMap(rows, -1))
     with pytest.raises(InversionUncertified):
-        ct.verify_lambda_invertible(ctx, ct.identity_map(N, tail_scalar=0))
+        ct.verify_lambda_invertible(ctx, identity_map(N, tail_scalar=0))
 
 
 def test_verify_invertible_desk_lambda(desk):
@@ -130,7 +134,7 @@ def test_verify_invertible_desk_lambda(desk):
 def test_toy_epsilon_zero():
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
-    lam = ct.identity_map(N, diagonal=-1, tail_scalar=-1)
+    lam = identity_map(N, diagonal=-1, tail_scalar=-1)
     eps = ct.bound_epsilon(ctx, problem, target, lam)
     assert eps == 0
 
@@ -138,7 +142,7 @@ def test_toy_epsilon_zero():
 def test_toy_columns_and_tail_zero():
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
-    lam = ct.identity_map(N, diagonal=-1, tail_scalar=-1)
+    lam = identity_map(N, diagonal=-1, tail_scalar=-1)
     ball = fb.inflate(ctx, target, "0.125")
     cols = ct.bound_kappa_columns(ctx, problem, ball, lam)
     assert max(cols) == 0
@@ -148,7 +152,7 @@ def test_toy_columns_and_tail_zero():
 def test_toy_certificate_passes():
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
-    lam = ct.identity_map(N, diagonal=-1, tail_scalar=-1)
+    lam = identity_map(N, diagonal=-1, tail_scalar=-1)
     x0 = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.4999"], N)
     cert = ct.certify(ctx, problem, x0, lam, "0.001")
     assert cert.passed
@@ -216,14 +220,15 @@ def test_desk_fixed_point_certificate(desk):
     assert alpha.contains(Decimal("-2.5029078750958928"))
 
 
-def test_certificate_payload_roundtrips(desk):
+def test_certificate_payload_roundtrips(desk, tmp_path):
     payload = desk.cert_fixed.to_payload()
     assert sorted(payload) == sorted([
         "kind", "rho", "epsilon", "kappa", "kappa_columns_max", "kappa_tail",
         "head_degree", "passed", "posterior_radius", "enclosures", "config"])
     assert payload["head_degree"] == 20
-    enc = ct.Certificate.enclosure_from_payload(payload, "a")
-    assert enc == desk.cert_fixed.enclosures["a"]
+    path = tmp_path / "certificate_fixed_point.json"
+    path.write_text(json.dumps(desk.cert_fixed.to_json_dict()))
+    assert cli._read_enclosures(str(path)) == desk.cert_fixed.enclosures
     assert payload["passed"] is True
     assert Decimal(payload["epsilon"]) == desk.cert_fixed.epsilon
 

@@ -37,6 +37,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    basis_ball,
+    evaluate_derivative,
     interval_ball,
     oracle_add,
     oracle_apply_lambda,
@@ -194,7 +196,7 @@ def _eval_slack(ball: fb.FunctionBall, coeffs, z: Rectangle) -> Decimal:
 @pytest.mark.parametrize("derivative", [False, True])
 def test_evaluate_matches_decimal_oracle(n, kind, derivative):
     rng = random.Random(f"eval-{n}-{kind}-{derivative}")
-    kernel, oracle = ((fb.evaluate_derivative, oracle_evaluate_derivative) if derivative
+    kernel, oracle = ((evaluate_derivative, oracle_evaluate_derivative) if derivative
                       else (fb.evaluate, oracle_evaluate))
     for i in range(2 if n == 40 else 4):
         f = _rand_ball(rng, n, ("real", "centred")[i % 2])
@@ -597,7 +599,7 @@ def test_compose_contract_matches_oracle():
     n = 8
     ident = fb.affine_arg(ctx, n, 1)                  # theta == 1
     wide = fb.affine_arg(ctx, n, 2)                   # theta > 1
-    poly = fb.basis_ball(n, 2)
+    poly = basis_ball(n, 2)
     tailed = fb.inflate(ctx, poly, "0.1")
     for kernel, oracle in ((fb.compose, oracle_compose),
                            (fb.compose_derivative, oracle_compose_derivative)):

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import REF_A, domain_points, eval_member, recorded_reads, sample_member, with_tails
+from helpers import (REF_A, abs2_upper, basis_ball, domain_points, eval_member, midpoint,
+                     recorded_reads, rsqr, rsub, sample_member, with_tails)
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
@@ -20,14 +21,14 @@ from renormcert.errors import (
     DomainMismatch,
     NormalizationSingular,
 )
-from renormcert.rounding import Interval, Rectangle, RoundingContext, interval, rectangle
+from renormcert.rounding import Rectangle, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
 
 
 def test_shared_constant_one():
-    one = fb.one_ball(8)
+    one = fb.const_ball(8, 1)
     s = op.precompute_shared(ctx, one)
     assert s.a.contains(1)
     assert s.inner.coeffs[0].re.contains(1)
@@ -46,7 +47,7 @@ def test_shared_inflation_widens(desk):
 def test_shared_a_matches_reference(desk):
     s = op.precompute_shared(ctx, desk.G0)
     ref = Decimal(REF_A[:16])
-    assert abs(ctx.imid(s.a) - ref) < Decimal("1e-13")
+    assert abs(midpoint(s.a) - ref) < Decimal("1e-13")
 
 
 def test_shared_a_is_constant_coefficient_with_high_tail(desk):
@@ -146,13 +147,13 @@ def test_apply_DT_variation_of_a_acts_on_column0_only(desk):
         image = tables.dt_basis_image(ctx, k)
         simple = fb.add(ctx, fb.mul(ctx, a_inv, power(s.table_squared, k)),
                         fb.mul(ctx, factor16, power(s.table_affine, k)))
-        agree = all(image.coeffs[i].re.contains(ctx.imid(simple.coeffs[i].re))
+        agree = all(image.coeffs[i].re.contains(midpoint(simple.coeffs[i].re))
                     for i in range(desk.n + 1))
         assert agree == (k != 0), k
 
 
 def _contains_midpoints(image, ball, n):
-    return all(image.coeffs[i].re.contains(ctx.imid(ball.coeffs[i].re)) for i in range(n + 1))
+    return all(image.coeffs[i].re.contains(midpoint(ball.coeffs[i].re)) for i in range(n + 1))
 
 
 @pytest.mark.parametrize("q, basis_image", [(1, "dt_basis_image"), (2, "l_basis_image")])
@@ -162,7 +163,7 @@ def test_column_images_contain_apply(desk, q, basis_image):
     tables = desk.tables
     for k in (0, 1, 2, 5):
         image = getattr(tables, basis_image)(ctx, k)
-        applied = tables.apply(ctx, q, fb.basis_ball(desk.n, k))
+        applied = tables.apply(ctx, q, basis_ball(desk.n, k))
         assert _contains_midpoints(image, applied, desk.n), k
 
 
@@ -170,21 +171,21 @@ def test_l_column_images_with_dt_coefficients_miss_apply(desk):
     """Negative control: q = 2 column images built with the q = 1
     coefficients (a**-1 and factor16) miss L e_k."""
     tables = desk.tables
-    applied = [tables.l_apply(ctx, fb.basis_ball(desk.n, k)) for k in (0, 1, 2, 5)]
+    applied = [tables.l_apply(ctx, basis_ball(desk.n, k)) for k in (0, 1, 2, 5)]
     wrong = dataclasses.replace(tables, terms=(tables.terms[0],) * 2)
     for k, l_e_k in zip((0, 1, 2, 5), applied):
         assert not _contains_midpoints(wrong.l_basis_image(ctx, k), l_e_k, desk.n), k
 
 
 @pytest.mark.parametrize("misuse, error", [
-    (lambda t: t.apply(ctx, 0, fb.one_ball(20)), ConfigError),
-    (lambda t: t.apply(ctx, 3, fb.one_ball(20)), ConfigError),
+    (lambda t: t.apply(ctx, 0, fb.const_ball(20, 1)), ConfigError),
+    (lambda t: t.apply(ctx, 3, fb.const_ball(20, 1)), ConfigError),
     (lambda t: t.columns(ctx, 0), ConfigError),
     (lambda t: t.columns(ctx, 3), ConfigError),
     (lambda t: t.image(ctx, 0, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
     (lambda t: t.image(ctx, 3, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
-    (lambda t: t.columns(ctx, 1, fb.one_ball(25)), DomainMismatch),
-    (lambda t: t.columns(ctx, 2, fb.one_ball(25)), DomainMismatch),
+    (lambda t: t.columns(ctx, 1, fb.const_ball(25, 1)), DomainMismatch),
+    (lambda t: t.columns(ctx, 2, fb.const_ball(25, 1)), DomainMismatch),
 ], ids=["apply-q0", "apply-q3", "columns-q0", "columns-q3", "image-q0", "image-q3",
         "column0-q1", "column0-degree"])
 def test_operator_tables_refuse_misuse(desk, misuse, error):
@@ -196,12 +197,12 @@ def test_operator_tables_refuse_misuse(desk, misuse, error):
 
 def test_apply_DT_linearity(desk):
     tables = desk.tables
-    e1 = fb.basis_ball(desk.n, 1)
-    e3 = fb.basis_ball(desk.n, 3)
+    e1 = basis_ball(desk.n, 1)
+    e3 = basis_ball(desk.n, 3)
     both = tables.dt_apply(ctx, fb.add(ctx, e1, e3))
     summed = fb.add(ctx, tables.dt_apply(ctx, e1), tables.dt_apply(ctx, e3))
     for k in range(desk.n + 1):
-        mid = ctx.imid(both.coeffs[k].re)
+        mid = midpoint(both.coeffs[k].re)
         assert summed.coeffs[k].re.lo - Decimal("1e-20") <= mid \
             <= summed.coeffs[k].re.hi + Decimal("1e-20")
 
@@ -255,7 +256,7 @@ def test_apply_L_basics(desk):
     one_w = tables.l_apply(ctx, w)
     two_w = tables.l_apply(ctx, fb.scale(ctx, Decimal(2), w))
     for k in range(desk.n + 1):
-        mid = ctx.imid(one_w.coeffs[k].re)
+        mid = midpoint(one_w.coeffs[k].re)
         assert two_w.coeffs[k].re.lo - Decimal("1e-18") <= 2 * mid \
             <= two_w.coeffs[k].re.hi + Decimal("1e-18")
 
@@ -315,7 +316,7 @@ def test_boundary_cover_covers_circle():
     point scale of a desk ball and at coarse scales, where each box end is
     rounded by up to 10**-scale."""
     rng = random.Random(23)
-    s = fb.point_evaluator(ctx, fb.one_ball(20)).point_scale
+    s = fb.point_evaluator(ctx, fb.const_ball(20, 1)).point_scale
     for scale, sizes in ((s, (8, 64, 256)), (1, (16, 64)), (2, (16, 64))):
         points = _exact_circle_points(rng, 400, scale)
         for m in sizes:
@@ -375,9 +376,10 @@ def _circle_points():
 
 
 def _theta_reach(rctx, ball):
-    """[(reach, theta r)] for the two composition arguments: the largest
-    |a**2 z - c| and |Q(G(a**2 z)) - c| over the circle points, upper
-    bounds, and theta r of the argument's power table, a lower bound."""
+    """[(reach**2, (theta r)**2)] for the two composition arguments: the
+    largest |a**2 z - c| and |Q(G(a**2 z)) - c| over the circle points,
+    upper bounds, and theta r of the argument's power table, a lower
+    bound."""
     shared = op.precompute_shared(rctx, ball)
     g = fb.point_evaluator(rctx, ball)
     s = g.point_scale
@@ -386,11 +388,11 @@ def _theta_reach(rctx, ball):
     reach = [Decimal(0), Decimal(0)]
     for z in _circle_points():
         w1 = rctx.rmul(a2, z)
-        w2 = rctx.rsqr(rctx.box_rectangle(g.value(g.read(rctx.to_box(w1, s))), s))
+        w2 = rsqr(rctx, rctx.box_rectangle(g.value(g.read(rctx.to_box(w1, s))), s))
         for i, w in enumerate((w1, w2)):
-            reach[i] = max(reach[i], rctx.rabs(rctx.rsub(w, centre)).hi)
-    thetas = (shared.theta_affine, shared.theta_squared)
-    return [(r, rctx.mul_dn(theta, DOM.radius)) for r, theta in zip(reach, thetas)]
+            reach[i] = max(reach[i], abs2_upper(rctx, rsub(rctx, w, centre)))
+    bounds = (rctx.mul_dn(theta, DOM.radius) for theta in (shared.theta_affine, shared.theta_squared))
+    return [(r, rctx.mul_dn(b, b)) for r, b in zip(reach, bounds)]
 
 
 @pytest.mark.parametrize("scale", ["desk", "n40"])
@@ -424,7 +426,7 @@ def test_domain_extension_images_inside(desk):
     c = rectangle(DOM.center)
     for box in list(res.gamma1) + list(res.gamma2):
         w = ctx.box_rectangle(box, res.point_scale)
-        assert ctx.rabs(ctx.rsub(w, c)).hi < DOM.radius
+        assert abs2_upper(ctx, rsub(ctx, w, c)) < DOM.radius ** 2
 
 
 def test_extend_recursive_depth0(desk):
@@ -446,12 +448,11 @@ def test_extend_recursive_outside_matches_identity(desk):
     X = rectangle("5")
     rec = op.extend_recursive(ctx, "G", X, 2, G=desk.G0)
     a = fb.evaluate(ctx, desk.G0, rectangle(1))
-    a2 = ctx.rsqr(a)
+    a2 = rsqr(ctx, a)
     y = fb.evaluate(ctx, desk.G0, ctx.rmul(a2, X))
-    manual = ctx.rdiv(fb.evaluate(ctx, desk.G0, ctx.rsqr(y)), a)
-    hull = rec.re.hull(manual.re)
-    assert rec.re.contains(ctx.imid(manual.re))
-    assert hull.hi - hull.lo < Decimal("1e-8")
+    manual = ctx.idiv(fb.evaluate(ctx, desk.G0, rsqr(ctx, y)).re, a.re)
+    assert rec.re.contains(midpoint(manual))
+    assert max(rec.re.hi, manual.hi) - min(rec.re.lo, manual.lo) < Decimal("1e-8")
 
 
 def test_extend_recursive_depth_exceeded(desk):

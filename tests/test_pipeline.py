@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_min_digits,
-    digit_match_count,
     jacobian_probe,
     matrix,
     oracle_evaluate,
@@ -76,6 +76,30 @@ def test_config_refuses_a_radius_not_given_as_text(rho):
     1.0000000000000000209...E-8."""
     with pytest.raises(ConfigError, match="rho"):
         pl.RunConfig(rho=rho)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", 20.0), ("precision", 30.0), ("boundary_rects", 64.0), ("workers", 1.0),
+    ("degree", "20"), ("workers", True), ("targets", "fixed_point")])
+def test_config_refuses_counts_that_are_not_ints(field, value):
+    """Counts are ints and targets a sequence of names: 20.0 or 64.0 used to
+    pass and then fail the run with a TypeError inside a stage, and the
+    string "fixed_point" was read as its letters."""
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: {value!r}")):
+        pl.RunConfig(**{field: value})
+
+
+def test_eigen_radius_is_exact_under_any_ambient_context():
+    """10 rho is formed exactly, whatever the thread's decimal context: 31
+    significant digits keep all 31, and a 3-digit context changes
+    nothing."""
+    rho = "1.23456789012345678901234567891e-8"
+    expected = Decimal("1.23456789012345678901234567891e-7")
+    assert pl.RunConfig(rho=rho).rho_for("delta") == expected
+    with decimal.localcontext(decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR)):
+        cfg = pl.RunConfig(rho=rho)
+        assert cfg.rho_for("delta") == cfg.rho_for("gamma") == expected
+        assert pl.RunConfig(rho="1e-8").describe()["rho_delta"] == "1.0E-7"
 
 
 @pytest.mark.parametrize("flag", ["--rho"])
