@@ -56,6 +56,7 @@ from .errors import (
     NewtonDivergence,
     SingularJacobian,
 )
+from .rounding import EXACT
 
 __all__ = [
     "HEAD_DEGREE",
@@ -70,8 +71,6 @@ _D0 = Decimal(0)
 _D1 = Decimal(1)
 _D2 = Decimal(2)
 _C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
-#: unbounded precision: scaleb by it only moves the decimal point
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 #: the degree-20 fixed point to 30 digits, G(X) on the standard disc: the
 #: seed of the fixed-point bootstrap, read in the working context (so
@@ -270,7 +269,7 @@ class _MidShared:
                          self._x_line)
 
     def _int(self, x: Decimal) -> int:
-        return round(x.scaleb(self.scale, _EXACT))
+        return round(x.scaleb(self.scale, EXACT))
 
     def _mul(self, f: list[int], h: list[int], width: int | None = None) -> list[int]:
         """f h to degree width - 1, rounded."""
@@ -282,7 +281,7 @@ class _MidShared:
 
     def _decimals(self, f: list[int], width: int) -> list[Decimal]:
         """f cut or padded to ``width`` coefficients, exactly in Decimal."""
-        out = [Decimal(x).scaleb(-self.scale, _EXACT) for x in f[:width]]
+        out = [Decimal(x).scaleb(-self.scale, EXACT) for x in f[:width]]
         return out + [_D0] * (width - len(out))
 
     def _image(self, q: int, c2: list[int], c1: list[int], v0: int, width: int):

@@ -37,14 +37,16 @@ degree, so kernels read it directly.  Kernels combine
 these integers exactly and round their result outward once
 (:func:`int_outward`), keeping precision + digits(N+1) digits on its
 largest coefficient; sums, negations and shifts are exact.  Products
-convolve exactly; composition goes through a :class:`PowerTable`, which
-holds the first BABY_STEPS + 1 powers of the normalized argument, so
-composing is one exact integer matrix-vector product per block of
-coefficients and Horner in the last power (Paterson-Stockmeyer), rounded
-outward once per giant step and once at the end.  Decimal numbers appear
-only at the edges: balls built from decimals (:func:`ball_from_decimals`,
-:func:`deserialize_ball`) are exact, and those two check that their
-outside values name the standard disc; the read-only
+convolve exactly (:func:`int_mul`), and a scalar times a ball is the
+product with the scalar's constant ball; composition goes through a
+:class:`PowerTable`, which holds the baby powers of the normalized
+argument at one scale and its giant step, so composing is one exact
+integer matrix-vector product per block of coefficients and Horner in
+the giant step (Paterson-Stockmeyer), rounded outward once per giant step
+and once at the end.  Decimal numbers appear only at the edges: balls
+built from decimals (:func:`ball_from_decimals`, :func:`deserialize_ball`)
+are exact, read into integers by :func:`rounding.floor_at`, and those two
+check that their outside values name the standard disc; the read-only
 :attr:`FunctionBall.coeffs` view gives the coefficient intervals as exact
 decimals for serialization, checksums and plots.  Complex arithmetic is
 kept for pointwise work only: a :class:`PointEvaluator` holds a ball's
@@ -80,8 +82,10 @@ from .rounding import (
     RoundingContext,
     as_decimal,
     box_text,
+    ceil_at,
     exact_decimal,
     finite_decimal,
+    floor_at,
     interval,
 )
 
@@ -137,7 +141,7 @@ class Disc:
 
     def at(self, scale: int) -> tuple[int, int]:
         """center and radius times 10**scale (exact for scale >= their digits)."""
-        return _int_at(self.center, scale), _int_at(self.radius, scale)
+        return floor_at(self.center, scale), floor_at(self.radius, scale)
 
 
 #: The disc every function ball lives on.
@@ -199,19 +203,13 @@ def _padded(xs: list[int], n: int) -> list[int]:
     return list(xs[:n + 1]) + [0] * (n + 1 - len(xs))
 
 
-def _int_at(x: Decimal, s: int) -> int:
-    """x * 10**s for a decimal x with at most s digits after the point."""
-    num, den = x.as_integer_ratio()
-    return num * 10 ** s // den
-
-
 def _exact(n: int, xs: list[Interval], v_high: Decimal = _D0,
            v_err: Decimal = _D0) -> FunctionBall:
     """The degree-n ball with exactly the coefficient intervals xs: their
     endpoints as integers at the finest scale the digits need, one digit
     finer where a midpoint needs it."""
     s = max([0] + [-x.as_tuple().exponent for iv in xs for x in (iv.lo, iv.hi) if x])
-    los, his = [_int_at(iv.lo, s) for iv in xs], [_int_at(iv.hi, s) for iv in xs]
+    los, his = [floor_at(iv.lo, s) for iv in xs], [floor_at(iv.hi, s) for iv in xs]
     if any((lo + hi) & 1 for lo, hi in zip(los, his)):
         s, los, his = s + 1, [10 * x for x in los], [10 * x for x in his]
     mid = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
@@ -234,11 +232,6 @@ def _real_scalar(s) -> Interval:
 def _check_same_degree(f: FunctionBall, g: FunctionBall):
     if f.truncation != g.truncation:
         raise DomainMismatch(f"truncation degrees differ: {f.truncation} vs {g.truncation}")
-
-
-def _rounded(ctx: RoundingContext, f: FunctionBall, b: IntBall) -> FunctionBall:
-    """b, a result of a kernel on f, rounded outward once as a ball of f's degree."""
-    return FunctionBall.wrap(f.truncation, int_outward(ctx, b, f.truncation))
 
 
 # -- constructors -----------------------------------------------------------
@@ -290,20 +283,8 @@ def negate(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
 
 def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
     """Multiply the ball by a real scalar (Interval, real Rectangle, or exact
-    value).  Each coefficient is the exact interval product, held one digit
-    finer so that its midpoint is an integer (a midpoint-radius product
-    would add rad(s) rad(f_k) to its radius), and rounded outward once."""
-    b = const_ball(f.truncation, s)
-    sm, sr = (b.mid or [0])[0], (b.rad or [0])[0]
-    mid, rad, size = [], [], max(len(f.mid), len(f.rad))
-    for m, r in zip(_padded(f.mid, size - 1), _padded(f.rad, size - 1)):
-        ends = ((sm - sr) * (m - r), (sm - sr) * (m + r), (sm + sr) * (m - r), (sm + sr) * (m + r))
-        lo, hi = min(ends), max(ends)
-        mid.append(5 * (lo + hi))
-        rad.append(5 * (hi - lo))
-    mag = ctx.scaled_up(abs(sm) + sr, b.scale)
-    return _rounded(ctx, f, IntBall(mid, rad if any(rad) else [], b.scale + f.scale + 1,
-                                    ctx.mul_up(f.v_high, mag), ctx.mul_up(f.v_err, mag)))
+    value): the product (:func:`mul`) with the scalar's constant ball."""
+    return mul(ctx, const_ball(f.truncation, s), f)
 
 
 # -- exact integer kernels ---------------------------------------------------
@@ -389,7 +370,8 @@ def _cut(ctx: RoundingContext, b: IntBall, n: int) -> int:
     working digit (a zero ball counts as 1).  0 or less: b keeps every
     digit."""
     top = max(_magnitudes(b.mid, b.rad), default=0)
-    exponent = len(str(top)) - 1 - b.scale if top else 0
+    # Decimal, not str(): str() of an int stops at sys.get_int_max_str_digits()
+    exponent = Decimal(top).adjusted() - b.scale if top else 0
     return b.scale - (ctx.precision + len(str(n + 1)) - exponent)
 
 
@@ -414,7 +396,8 @@ def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     form (:func:`int_mul`) and is rounded outward once.
     """
     _check_same_degree(f, g)
-    return _rounded(ctx, f, int_mul(ctx, f, g, f.truncation))
+    n = f.truncation
+    return FunctionBall.wrap(n, int_outward(ctx, int_mul(ctx, f, g, n), n))
 
 
 # -- composition --------------------------------------------------------------
@@ -478,8 +461,8 @@ class PowerTable:
     to degree D = N + _GUARD_DEGREES, with theta(h).
 
     Row j of each matrix holds coefficient j of every baby power, for
-    j = 0..D; power k is at scale 10**-scales[k], v_spill[k] bounds its
-    mass above D and v_err[k] is its error tail.  Composing f with h is
+    j = 0..D, all at one scale 10**-scale; v_spill[k] bounds the mass of
+    power k above D and v_err[k] is its error tail.  Composing f with h is
     Paterson-Stockmeyer evaluation (Paterson and Stockmeyer, SIAM J.
     Comput. 2, 1973): f splits into blocks B_i = sum_{j<m} f_{im+j} u**j,
     each one exact integer matrix-vector product, and Horner in U,
@@ -492,7 +475,7 @@ class PowerTable:
     """
 
     theta_bound: Decimal
-    scales: tuple
+    scale: int
     mid: tuple
     rad: tuple
     v_spill: tuple
@@ -510,13 +493,14 @@ class PowerTable:
 
     def power(self, ctx: RoundingContext, k: int) -> IntBall:
         """Baby power u**k, k < min(N + 1, BABY_STEPS), in integer form to
-        degree N, its mass above N in v_high: the image of e_k."""
-        m, n = len(self.scales), self.truncation
+        degree N at the table's scale, its mass above N in v_high: the
+        image of e_k."""
+        m, n = len(self.mid[0]), self.truncation
         if not 0 <= k < m:
             raise IndexBeyondTruncation(f"power {k} not in the baby powers 0..{m - 1}")
         mid, rad = ([row[k] for row in rows] for rows in (self.mid, self.rad))
         guard = sum(_magnitudes(mid[n + 1:], rad[n + 1:]))
-        mid, rad, s = mid[:n + 1], rad[:n + 1], self.scales[k]
+        mid, rad, s = mid[:n + 1], rad[:n + 1], self.scale
         return IntBall(mid if any(mid) else [], rad if any(rad) else [], s,
                        ctx.add_up(self.v_spill[k], ctx.scaled_up(guard, s)), self.v_err[k])
 
@@ -528,12 +512,9 @@ class PowerTable:
 
     def _block(self, fm: list[int], fr: list[int], mags) -> tuple[list[int], list[int]]:
         """sum_j (fm[j] +- fr[j]) u**j over the baby powers to degree D,
-        exactly, at scale 10**-(S + max(scales)) for fm, fr at 10**-S."""
-        top = max(self.scales)
-        units = [10 ** (top - s) for s in self.scales]
-        am, ar = list(map(_imul, fm, units)), list(map(_imul, fr, units))
-        return (_dots(am, self.mid),
-                _add_lists(_dots(list(map(abs, am)), self.rad), _dots(ar, mags)))
+        exactly, at scale 10**-(S + scale) for fm, fr at 10**-S."""
+        return (_dots(fm, self.mid),
+                _add_lists(_dots(list(map(abs, fm)), self.rad), _dots(fr, mags)))
 
     def _tails(self, ctx: RoundingContext, fm: list[int], fr: list[int], sf: int,
                v_high: Decimal, v_err: Decimal) -> tuple[Decimal, Decimal]:
@@ -553,7 +534,7 @@ class PowerTable:
         n = self.truncation
         p = int_outward(ctx, p, n)
         fm, fr, sf = p.mid, p.rad, p.scale
-        m, scale = len(self.scales), sf + max(self.scales)
+        m, scale = len(self.mid[0]), sf + self.scale
         mags = [list(map(_iadd, map(abs, a), r)) for a, r in zip(self.mid, self.rad)]
         upper = None     # sum_{i >= 1} B_i U**(i-1), Horner in U from the top block
         for i in reversed(range(m, max(len(fm), len(fr)), m)):
@@ -619,7 +600,8 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     u**k, for k = 2..min(N, BABY_STEPS), is the exact integer product of
     u**(k-1) and u to degree N + _GUARD_DEGREES, rounded outward once
     (:func:`int_outward`) to keep precision + digits(N+1) digits on its
-    largest coefficient.
+    largest coefficient.  The baby powers are then lifted exactly to the
+    finest of their scales, which the table holds.
     """
     n = h.truncation
     d = n + _GUARD_DEGREES
@@ -629,9 +611,14 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     for _ in range(2, last + 1):
         powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, d), d))
     baby = powers[:BABY_STEPS]
-    return PowerTable(theta(ctx, h), tuple(p.scale for p in baby),
-                      tuple(zip(*(_padded(p.mid, d) for p in baby))),
-                      tuple(zip(*(_padded(p.rad, d) for p in baby))),
+    top = max(p.scale for p in baby)
+
+    def lifted(xs: list[int], s: int) -> list[int]:
+        unit = 10 ** (top - s)
+        return [x * unit for x in _padded(xs, d)]
+    return PowerTable(theta(ctx, h), top,
+                      tuple(zip(*(lifted(p.mid, p.scale) for p in baby))),
+                      tuple(zip(*(lifted(p.rad, p.scale) for p in baby))),
                       tuple(p.v_high for p in baby), tuple(p.v_err for p in baby),
                       powers[BABY_STEPS] if last == BABY_STEPS else None)
 
@@ -654,18 +641,6 @@ def compose_derivative(ctx: RoundingContext, f: FunctionBall, h: FunctionBall) -
 def _outward(lo: int, hi: int, unit: int) -> tuple[int, int]:
     """[lo, hi] / unit rounded outward to integers: lo floors, hi ceils."""
     return lo // unit, -(-hi // unit)
-
-
-def _exact_int(x: Decimal, scale: int) -> tuple[int, int]:
-    """(m, s) with x = m * 10**-s exactly and s >= scale."""
-    s = max(scale, -x.as_tuple().exponent)
-    return _int_at(x, s), s
-
-
-def _ceil_at(x: Decimal, scale: int) -> int:
-    """x * 10**scale rounded up to an integer."""
-    num, den = x.as_integer_ratio()
-    return -(-num * 10 ** scale // den)
 
 
 class PointRead:
@@ -847,7 +822,7 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
                     for k, (lo, hi) in enumerate(coeffs[1:], 1))
     return PointEvaluator(s, coeffs, dcoeffs or ((0, 0),), (10 ** arg_scale).bit_length(),
                           point_scale, center, radius, 10 ** (point_scale - s),
-                          _ceil_at(f.v_high, point_scale) + _ceil_at(f.v_err, point_scale))
+                          ceil_at(f.v_high, point_scale) + ceil_at(f.v_err, point_scale))
 
 
 def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
@@ -866,7 +841,8 @@ def coefficient(ctx: RoundingContext, f: FunctionBall, k: int) -> Rectangle:
     if k > f.truncation or k < 0:
         raise IndexBeyondTruncation(f"coefficient {k} beyond truncation {f.truncation}")
     m, r = _padded(f.mid, k)[k], _padded(f.rad, k)[k]
-    e, s = _exact_int(f.v_err, f.scale)
+    s = max(f.scale, -f.v_err.as_tuple().exponent)
+    e = floor_at(f.v_err, s)     # exact at this scale
     lift = 10 ** (s - f.scale)
     return Rectangle(Interval(ctx.scaled_dn((m - r) * lift - e, s),
                               ctx.scaled_up((m + r) * lift + e, s)), IZERO)

@@ -63,7 +63,7 @@ from .errors import (
     TailContractFailure,
 )
 from .operators import OperatorTables, precompute_shared
-from .rounding import IONE, Interval, RoundingContext, as_decimal, interval
+from .rounding import IONE, Interval, RoundingContext, as_decimal, floor_at
 
 __all__ = [
     "LinearMap",
@@ -120,12 +120,7 @@ class LinearMap:
 def _int_matrix(matrix) -> tuple[list[list[int]], int]:
     """Rows of exact decimals as integers at one scale 10**-e: (rows, e)."""
     e = max([0] + [-x.as_tuple().exponent for row in matrix for x in row if x])
-    ten = 10 ** e
-
-    def exact(x):
-        num, den = x.as_integer_ratio()
-        return num * ten // den
-    return [[exact(x) if x else 0 for x in row] for row in matrix], e
+    return [[floor_at(x, e) for x in row] for row in matrix], e
 
 
 def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
@@ -140,31 +135,31 @@ def _head_degree(lam: LinearMap, n: int) -> int:
     return lam.dim - 1
 
 
-def _apply_block(rows, tail: int, mids: list[int],
-                 rads: list[int]) -> tuple[list[int], list[int]]:
-    """Exact image of integer midpoints and radii under a block map given by
-    its integer head rows and tail scalar: the rows act on entries 0..K
-    (radii by their absolute values) and the tail on every entry above K."""
+def _lambda_image(ctx: RoundingContext, lam: LinearMap, b: fb.IntBall) -> fb.IntBall:
+    """Exact image of an integer ball under the frozen map, at scale
+    b.scale + lam.scale: the head rows act on coefficients 0..K (radii
+    through their absolute values) and the tail scalar on every coefficient
+    above K; |tail| bounds the image of the high-order content and the
+    full operator norm that of the error content, which may sit at any
+    degree.  The head entries 0..K are always present."""
+    rows, tail = lam.rows, lam.tail
     k1 = len(rows)
-    return ([sum(map(_imul, row, mids)) for row in rows] + [tail * m for m in mids[k1:]],
-            [sum(map(_imul, map(abs, row), rads)) for row in rows]
-            + [abs(tail) * r for r in rads[k1:]])
+    mid = [sum(map(_imul, row, b.mid)) for row in rows] + [tail * m for m in b.mid[k1:]]
+    rad = ([sum(map(_imul, map(abs, row), b.rad)) for row in rows]
+           + [abs(tail) * r for r in b.rad[k1:]])
+    return fb.IntBall(mid, rad, b.scale + lam.scale,
+                      ctx.mul_up(b.v_high, lam.tail_scalar.copy_abs()),
+                      ctx.mul_up(b.v_err, lambda_norm_upper(ctx, lam)))
 
 
 def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> FunctionBall:
-    """Apply the frozen map to a ball: head matrix on coefficients 0..K,
-    tail scalar on coefficients K+1..N, |tail| on the high-order bound,
-    full operator norm on the error bound (error content may sit at any
-    degree).
-
-    The map acts exactly on the integer midpoint-radius form of the
-    coefficients; the image is rounded outward once."""
+    """Apply the frozen map to a ball (:func:`_lambda_image`): head matrix
+    on coefficients 0..K, tail scalar on coefficients K+1..N, |tail| on the
+    high-order bound, full operator norm on the error bound.  The image is
+    rounded outward once."""
     n = f.truncation
     _head_degree(lam, n)
-    moved = fb.IntBall(*_apply_block(lam.rows, lam.tail, f.mid, f.rad), f.scale + lam.scale,
-                       ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs()),
-                       ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam)))
-    return FunctionBall.wrap(n, fb.int_outward(ctx, moved, n))
+    return FunctionBall.wrap(n, fb.int_outward(ctx, _lambda_image(ctx, lam, f), n))
 
 
 def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
@@ -242,6 +237,9 @@ class Problem:
         return self.tables
 
     def _phi_power(self, ctx: RoundingContext, phi_x: Interval) -> Interval:
+        """phi**p, with phi**0 = 1."""
+        if not self.power:
+            return IONE
         return phi_x if self.power == 1 else ctx.isqr(phi_x)
 
     def residual(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
@@ -262,8 +260,7 @@ class Problem:
         return self._tables(ctx, x_ball).columns(ctx, max(p, 1), column0, diagonal=diagonal)
 
     def tail_phi_factor(self, ctx: RoundingContext, x_ball: FunctionBall) -> Interval:
-        if not self.power:
-            return interval(-1)
+        """-phi**p over the ball."""
         return ctx.ineg(self._phi_power(ctx, _phi(ctx, x_ball)))
 
     def tail_channels(self, ctx: RoundingContext, x_ball: FunctionBall):
@@ -297,16 +294,11 @@ def bound_kappa_columns(ctx: RoundingContext, problem: Problem, x_ball: Function
     acts exactly on each integer image and its norm is rounded up once.
     """
     kernel = problem.column_kernel(ctx, x_ball)
-    tail_abs, lam_norm = lam.tail_scalar.copy_abs(), lambda_norm_upper(ctx, lam)
     bounds = []
     for k in range(_head_degree(lam, x_ball.truncation) + 1):
-        image = kernel.image(ctx, k)
-        scale = image.scale + lam.scale
-        mid, rad = _apply_block(lam.rows, lam.tail, image.mid, image.rad)
-        mid[k] -= 10 ** scale
-        bound = ctx.add_up(ctx.scaled_up(sum(map(abs, mid)) + sum(rad), scale),
-                           ctx.mul_up(image.v_high, tail_abs))
-        bounds.append(ctx.add_up(bound, ctx.mul_up(image.v_err, lam_norm)))
+        image = _lambda_image(ctx, lam, kernel.image(ctx, k))
+        image.mid[k] -= 10 ** image.scale
+        bounds.append(fb.norm_upper(ctx, image))
     return bounds
 
 

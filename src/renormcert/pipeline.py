@@ -17,7 +17,6 @@ its ball radius and its certificate's a-posteriori radius.
 
 from __future__ import annotations
 
-import decimal
 import json
 import resource
 import time
@@ -39,7 +38,7 @@ from .errors import (
     RenormcertError,
     StageFailure,
 )
-from .rounding import Interval, RoundingContext, exact_decimal, finite_decimal, interval
+from .rounding import EXACT, Interval, RoundingContext, exact_decimal, finite_decimal, interval
 
 __all__ = [
     "RunConfig",
@@ -61,8 +60,6 @@ __all__ = [
 _CENTRES = {"fixed_point": ("g0", "G0"), "delta": ("delta0", "V0"),
             "gamma": ("gamma0", "W0")}
 _TARGETS = tuple(_CENTRES)
-#: unbounded precision: a product is exact, whatever the thread's context
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 REPORT_SCHEMA = "renormcert-report/1"
 
 
@@ -94,8 +91,13 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not isinstance(self.rho, str):
             raise ConfigError(f"rho: radius {self.rho!r} must be given as a string")
-        if finite_decimal(self.rho, "rho") <= 0:
+        rho = finite_decimal(self.rho, "rho")
+        if rho <= 0:
             raise ConfigError(f"rho: radius {self.rho!r} must be a positive number")
+        if rho >= 1:
+            # a = G(1) is about -0.3995, so a ball of radius 0.4 or more
+            # holds a function with a = 0 and no rho >= 1 can certify
+            raise ConfigError(f"rho: radius {self.rho!r} must be below 1")
         unknown = set(self.targets) - set(_TARGETS)
         if unknown:
             raise ConfigError(f"unknown targets: {sorted(unknown)}")
@@ -109,7 +111,7 @@ class RunConfig:
     def rho_for(self, target: str) -> Decimal:
         if target == "fixed_point":
             return Decimal(self.rho)
-        return _EXACT.multiply(Decimal(self.rho), 10)
+        return EXACT.multiply(Decimal(self.rho), 10)
 
     def describe(self) -> dict:
         return {

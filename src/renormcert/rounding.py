@@ -11,13 +11,15 @@ infinity (lower endpoints) and one toward plus infinity (upper ones);
 each operation is exact-then-rounded, so every :class:`Interval`
 encloses the exact result.  The edges: :meth:`RoundingContext.scaled_dn`
 and :meth:`RoundingContext.scaled_up` bound an integer times 10**-S,
-:meth:`RoundingContext.to_int_ends` and :meth:`RoundingContext.to_box`
-read decimals into integers and :meth:`RoundingContext.box_rectangle`
-writes a box back, all outward; :func:`exact_decimal` and
-:func:`box_text` write exactly.  A complex point comes in, and a value
-goes out, as a :class:`Rectangle`, a pair of intervals; no arithmetic
-runs on rectangles but :meth:`RoundingContext.rmul`, which the benchmark
-times (``perfbench/run.py``).
+:func:`floor_at` and :func:`ceil_at` read a decimal into an integer at a
+scale, exactly and in integers only, :meth:`RoundingContext.to_int_ends`
+and :meth:`RoundingContext.to_box` read intervals and rectangles through
+them and :meth:`RoundingContext.box_rectangle` writes a box back, all
+outward; :func:`exact_decimal` and :func:`box_text` write exactly.  A
+complex point comes in, and a value goes out, as a :class:`Rectangle`, a
+pair of intervals; no arithmetic runs on rectangles but
+:meth:`RoundingContext.rmul`, which the benchmark times
+(``perfbench/run.py``).
 
 Rounding state lives entirely inside context instances: nothing here reads
 or writes the thread-local decimal context, so contexts can be confined to
@@ -49,10 +51,17 @@ __all__ = [
     "box_inv",
     "box_text",
     "exact_decimal",
+    "floor_at",
+    "ceil_at",
+    "EXACT",
 ]
 
 _D0 = Decimal(0)
 _D1 = Decimal(1)
+
+#: unbounded precision: a product or a scaleb in it is exact, whatever the
+#: thread's context
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def as_decimal(x) -> Decimal:
@@ -71,6 +80,21 @@ def as_decimal(x) -> Decimal:
     if isinstance(x, float):
         raise TypeError("floats are not exactly representable here; pass str(x)")
     raise TypeError(f"cannot convert {type(x).__name__} to Decimal")
+
+
+def floor_at(x: Decimal, scale: int) -> int:
+    """x * 10**scale rounded down to an integer, for a finite decimal x;
+    exact, in integers only."""
+    num, den = x.as_integer_ratio()
+    if scale >= 0:
+        return num * 10 ** scale // den
+    return num // (den * 10 ** -scale)
+
+
+def ceil_at(x: Decimal, scale: int) -> int:
+    """x * 10**scale rounded up to an integer, for a finite decimal x."""
+    # copy_negate: the unary minus would round x through the thread's context
+    return -floor_at(x.copy_negate(), scale)
 
 
 def finite_decimal(text: str, what: str) -> Decimal:
@@ -152,11 +176,11 @@ class RoundingContext:
     """Directed-rounding arithmetic at a fixed decimal significand precision.
 
     The precision is immutable.  ``_dn`` rounds every result toward -inf
-    and ``_up`` toward +inf; ``_floor`` and ``_ceil`` have unbounded
-    precision, for the exact reads of decimals into integers.
+    and ``_up`` toward +inf; decimals are read into integers in integers
+    (:func:`floor_at`, :func:`ceil_at`), with no context.
     """
 
-    __slots__ = ("precision", "_dn", "_up", "_floor", "_ceil")
+    __slots__ = ("precision", "_dn", "_up")
 
     def __init__(self, precision: int):
         if not isinstance(precision, int) or precision < 2:
@@ -164,11 +188,6 @@ class RoundingContext:
         self.precision = precision
         self._dn = decimal.Context(prec=precision, rounding=decimal.ROUND_FLOOR)
         self._up = decimal.Context(prec=precision, rounding=decimal.ROUND_CEILING)
-        # unbounded precision: scaleb is exact and to_integral_value rounds
-        # once, down or up, to an integer
-        unbounded = dict(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        self._floor = decimal.Context(rounding=decimal.ROUND_FLOOR, **unbounded)
-        self._ceil = decimal.Context(rounding=decimal.ROUND_CEILING, **unbounded)
 
     def __repr__(self):
         return f"RoundingContext(precision={self.precision})"
@@ -213,9 +232,7 @@ class RoundingContext:
         """Integer endpoints, at scale 10**-``scale``, enclosing ``x``: the
         lower endpoint rounds down and the upper one up, so both are exact
         when the endpoint has no digit below 10**-``scale``."""
-        fl, ce = self._floor, self._ceil
-        return (int(fl.to_integral_value(fl.scaleb(x.lo, scale))),
-                int(ce.to_integral_value(ce.scaleb(x.hi, scale))))
+        return floor_at(x.lo, scale), ceil_at(x.hi, scale)
 
     def scaled_dn(self, value: int, scale: int) -> Decimal:
         """Lower bound of value * 10**-scale at working precision."""
@@ -422,7 +439,8 @@ def exact_decimal(v: int, scale: int) -> Decimal:
     """v * 10**-scale exactly, written without trailing zeros after the point."""
     if not v:
         return _D0
-    digits = str(v)
+    # through Decimal: str() of an int stops at sys.get_int_max_str_digits()
+    digits = str(Decimal(v))
     zeros = min(len(digits) - len(digits.rstrip("0")), max(scale, 0))
     return Decimal(f"{digits[:len(digits) - zeros]}E{zeros - scale}")
 

@@ -15,7 +15,8 @@ from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert.errors import PointOutsideDomain
-from renormcert.rounding import IZERO, Interval, Rectangle, RoundingContext, interval, rectangle
+from renormcert.rounding import (EXACT, IZERO, Interval, Rectangle, RoundingContext, interval,
+                                 rectangle)
 
 # Published high-precision reference values for the universal constants
 # (first 60 fractional/significant digits; used as prefix oracles).
@@ -66,7 +67,7 @@ def float_matrix(m) -> np.ndarray:
 def decimals(ints, scale: int, width: int | None = None) -> list[Decimal]:
     """Integers at the scale 10**-scale as exact Decimals, zero-padded to
     ``width`` entries."""
-    out = [Decimal(x).scaleb(-scale, ax._EXACT) for x in ints]
+    out = [Decimal(x).scaleb(-scale, EXACT) for x in ints]
     return out + [Decimal(0)] * ((width or 0) - len(out))
 
 
@@ -767,7 +768,7 @@ def powers_above_baby_steps(monkeypatch) -> None:
     power = fb.PowerTable.power
 
     def any_power(self, ctx, k):
-        if k < len(self.scales):
+        if k < len(self.mid[0]):
             return power(self, ctx, k)
         return self.compose(ctx, basis_ball(self.truncation, k))
     monkeypatch.setattr(fb.PowerTable, "power", any_power)

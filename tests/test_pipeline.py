@@ -61,10 +61,14 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["rho"])
-@pytest.mark.parametrize("text", ["abc", "1e-x", "", "nan", "inf", "-1e-8"])
+@pytest.mark.parametrize("text", ["abc", "1e-x", "", "nan", "inf", "-1e-8",
+                                  "1", "1e+500", "1e+1000000"])
 def test_config_rejects_junk_radius(field, text):
     """The radius is outside input: junk, non-finite and non-positive values
-    raise ConfigError naming the field, never a decimal exception."""
+    raise ConfigError naming the field, never a decimal exception.  So does
+    a radius of 1 or more, which cannot certify (a = G(1) is about -0.4, so
+    the ball holds a function with a = 0): 1e+1000000 used to overflow in
+    balls.inflate and 1e+500 to fail writing a ContainmentFailure message."""
     with pytest.raises(ConfigError, match=field):
         pl.RunConfig(**{field: text})
 
@@ -102,13 +106,14 @@ def test_eigen_radius_is_exact_under_any_ambient_context():
         assert pl.RunConfig(rho="1e-8").describe()["rho_delta"] == "1.0E-7"
 
 
-@pytest.mark.parametrize("flag", ["--rho"])
-def test_cli_junk_radius_is_an_error(capsys, flag):
+@pytest.mark.parametrize("flag, text", [("--rho", "1e-x"), ("--rho", "1e+1000000")],
+                         ids=["--rho", "--rho-above-1"])
+def test_cli_junk_radius_is_an_error(capsys, flag, text):
     from renormcert import cli
 
-    assert cli.main(["certify", flag, "1e-x"]) == 2
+    assert cli.main(["certify", flag, text]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "1e-x" in err and "Traceback" not in err
+    assert err.startswith("error: ") and text in err and "Traceback" not in err
 
 
 def test_pipeline_ordering_enforced():
@@ -259,6 +264,29 @@ def test_bad_ball_checkpoint_is_refused(desk, tmp_path, case):
     path = tmp_path / "g0_n20_p30.txt"
     path.write_text(BALL_CHECKPOINT_CASES[case](desk, fb.serialize_ball(desk.G0)))
     _approx_failure(tmp_path, path)
+
+
+def test_checkpoint_past_the_int_string_limit_runs(desk, tmp_path):
+    """A g0 checkpoint whose last coefficient has a 5000-digit endpoint, more
+    than str() of an int writes, is held as 5000-digit integers: the run
+    checksums it and certifies, or fails as a StageFailure, never with a
+    raw ValueError from writing an integer out."""
+    lines = fb.serialize_ball(desk.G0).splitlines()
+    last = lines[-1].split()[1]
+    mantissa, _, exponent = last.partition("E")
+    long = mantissa + "7" * (5000 - len(mantissa.lstrip("-").replace(".", ""))) \
+        + (f"E{exponent}" if exponent else "")
+    assert len(long.lstrip("-").split("E")[0].replace(".", "")) == 5000
+    lines[-1] = f"coeff {long} {long} 0 0"
+    (tmp_path / "g0_n20_p30.txt").write_text("\n".join(lines) + "\n")
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",),
+                       checkpoint_dir=str(tmp_path))
+    try:
+        report = pl.run_pipeline(cfg).report
+    except StageFailure:
+        return
+    assert report["certificates"]["fixed_point"]["passed"]
+    assert report["checksums"]["g0"] != fb.ball_checksum(desk.G0)
 
 
 def test_smaller_head_certifies(monkeypatch):

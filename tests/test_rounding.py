@@ -1,6 +1,8 @@
 import decimal
+import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,9 @@ from renormcert.rounding import (
     box_mul,
     box_sqr,
     box_sub,
+    ceil_at,
+    exact_decimal,
+    floor_at,
     interval,
     rectangle,
 )
@@ -314,3 +319,37 @@ def test_box_conversions_enclose():
     assert back.re.contains_interval(z.re) and back.im.contains_interval(z.im)
     assert ctx.to_box(rectangle("0.5"), 3) == (500, 500, 0, 0)
     assert ctx.box_rectangle((500, 500, 0, 0), 3) == Rectangle(interval("0.5"), interval(0))
+
+
+def _random_decimal(rng: random.Random) -> Decimal:
+    """A decimal of 1 to 60 digits, either sign, its exponent on either side
+    of the point; signed zeros included."""
+    digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
+    return Decimal(f"{rng.choice('+-')}{digits}E{rng.randint(-80, 40)}")
+
+
+def test_floor_and_ceil_at_match_fractions():
+    """floor_at and ceil_at are floor and ceil of x * 10**s, for x of up to
+    60 digits and s of either sign.  They run under a 3-digit thread
+    context: a unary minus on x would round it there and miss."""
+    rng = random.Random(27)
+    cases = [(Decimal(z), s) for z in ("0", "-0", "0E-50", "-0E+7") for s in (-3, 0, 5)]
+    cases += [(_random_decimal(rng), rng.randint(-50, 100)) for _ in range(3000)]
+    with decimal.localcontext(decimal.Context(prec=3)):
+        for x, s in cases:
+            exact = Fraction(x) * Fraction(10) ** s
+            assert floor_at(x, s) == math.floor(exact), (x, s)
+            assert ceil_at(x, s) == math.ceil(exact), (x, s)
+    x = Decimal("-1.2345")
+    assert (floor_at(x, 2), ceil_at(x, 2)) == (-124, -123)
+    assert (floor_at(x, 4), ceil_at(x, 4)) == (-12345, -12345)
+
+
+def test_exact_decimal_round_trips_past_the_int_string_limit():
+    """An integer of 5000 digits, more than str() of an int writes, is
+    written exactly and reads back to the same integer."""
+    v = -(7 * 10 ** 4999 + 123456789)
+    assert Decimal(v).adjusted() == 4999
+    for scale in (0, 17, 6000, -3):
+        assert floor_at(exact_decimal(v, scale), scale) == v
+    assert str(exact_decimal(12300, 2)) == "123"
