@@ -34,11 +34,15 @@ representation of Arb (Johansson, IEEE Trans. Comput. 66, 2017; van der
 Hoeven, "Ball arithmetic", 2010): coefficient k lies in mid[k] +- rad[k]
 times 10**-scale; a :class:`FunctionBall` is an :class:`IntBall` with a
 degree, so kernels read it directly.  Kernels combine
-these integers exactly and round their result outward once
+midpoints exactly and round their result outward once
 (:func:`int_outward`), keeping precision + digits(N+1) digits on its
 largest coefficient; sums, negations and shifts are exact.  Products
-convolve exactly (:func:`int_mul`), and a scalar times a ball is the
-product with the scalar's constant ball; composition goes through a
+convolve midpoints exactly (:func:`int_mul`); a radius needs only a few
+digits, so their radii are integer upper bounds at the same scale,
+formed from 64-bit mantissas in one packed multiply per convolution, as
+Arb keeps radii as low-precision magnitudes (:func:`_radius_conv`).  A
+scalar times a ball is the product with the scalar's constant ball;
+composition goes through a
 :class:`PowerTable`, which holds the baby powers of the normalized
 argument at one scale and its giant step, so composing is one exact
 integer matrix-vector product per block of coefficients and Horner in
@@ -63,6 +67,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from itertools import repeat
 from math import isqrt
 from operator import add as _iadd
 from operator import mul as _imul
@@ -289,21 +294,35 @@ def scale(ctx: RoundingContext, s, f: FunctionBall) -> FunctionBall:
 
 # -- exact integer kernels ---------------------------------------------------
 
+def _nonzero_length(a: list[int], n: int) -> int:
+    """Length of a cut to degree n with its trailing zeros dropped."""
+    k = min(len(a), n + 1)
+    while k and not a[k - 1]:
+        k -= 1
+    return k
+
+
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
-    """Exact Cauchy product of two integer sequences, truncated to degree n."""
-    la, lb = len(a), len(b)
+    """Exact Cauchy product of two integer sequences, truncated to degree n.
+
+    Trailing zeros of either input are dropped before the loop (a baby
+    power u**k of an affine u has k + 1 nonzero coefficients of its N + 1);
+    the result keeps the length of the full truncated product."""
+    if not (a and b):
+        return []
+    size = min(n, len(a) + len(b) - 2) + 1
+    la, lb = _nonzero_length(a, n), _nonzero_length(b, n)
     if la < lb:
         a, b, la, lb = b, a, lb, la
     if not lb:
-        return []
-    size = min(n, la + lb - 2) + 1
-    rb = b[::-1]
+        return [0] * size
+    rb = b[lb - 1::-1]
     out = []
-    for k in range(size):
+    for k in range(min(size, la + lb - 1)):
         lo = k - lb + 1 if k >= lb else 0
         hi = k + 1 if k < la else la
         out.append(sum(map(_imul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
-    return out
+    return out + [0] * (size - len(out))
 
 
 def _add_lists(a: list[int], b: list[int]) -> list[int]:
@@ -318,20 +337,72 @@ def _magnitudes(mid: list[int], rad: list[int]) -> list[int]:
     return _add_lists(list(map(abs, mid)), rad)
 
 
+#: bits of the short mantissas a radius convolution is formed from
+_RADIUS_BITS = 64
+
+
+def _mantissas(xs: list[int], shift: int) -> list[int]:
+    """ceil(x / 2**shift) for every x >= 0 of xs."""
+    return [-(-x >> shift) for x in xs] if shift else xs
+
+
+def _slot_bytes(top: int) -> int:
+    """Bytes of a slot that holds every integer from 0 to top."""
+    return (top.bit_length() + 7) >> 3
+
+
+def _pack(xs: list[int], width: int) -> int:
+    """The integer whose width-byte slot k holds xs[k] >= 0."""
+    return int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("little"))),
+                          "little")
+
+
+def _radius_conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """Upper bound of the Cauchy product of two nonnegative integer
+    sequences, truncated to degree n, at their scale.
+
+    Each sequence, its trailing zeros dropped, is rounded up to
+    _RADIUS_BITS-bit mantissas at one binary shift s set by its largest
+    entry, x -> ceil(x / 2**s), and packed into one integer, one slot per
+    coefficient (Kronecker substitution: Harvey, J. Symb. Comput. 44,
+    2009).  A slot holds the largest coefficient sum, so no carry crosses
+    it, and one multiply forms the product.  Its slots 0..n, shifted back
+    by both shifts, exceed the exact coefficients by at most one unit of a
+    mantissa, 2**s, times the other factor, per term.
+    """
+    la, lb = _nonzero_length(a, n), _nonzero_length(b, n)
+    if not (la and lb):
+        return []
+    a, b = a[:la], b[:lb]
+    top_a, top_b = max(a), max(b)
+    sa = max(top_a.bit_length() - _RADIUS_BITS, 0)
+    sb = max(top_b.bit_length() - _RADIUS_BITS, 0)
+    a, b = _mantissas(a, sa), _mantissas(b, sb)
+    width = _slot_bytes(-(-top_a >> sa) * -(-top_b >> sb) * min(la, lb))
+    raw = (_pack(a, width) * _pack(b, width)).to_bytes((la + lb - 1) * width, "little")
+    shift, read = sa + sb, int.from_bytes
+    return [read(raw[i:i + width], "little") << shift
+            for i in range(0, min(n + 1, la + lb - 1) * width, width)]
+
+
 def _product_radii(fm: list[int], fr: list[int], gm: list[int], gr: list[int],
                    n: int) -> list[int]:
-    """Radii of the product of two integer balls, from their midpoints and
-    radii: a product of intervals (m, r)(m', r') has radius
-    |m| r' + r (|m'| + r')."""
-    return _add_lists(_conv(list(map(abs, fm)), gr, n), _conv(fr, _magnitudes(gm, gr), n))
+    """Upper bounds of the radii of the product of two integer balls, from
+    their midpoints and radii: a product of intervals (m, r)(m', r') has
+    radius |m| r' + r (|m'| + r'), and both convolutions are bounded from
+    short mantissas (:func:`_radius_conv`)."""
+    return _add_lists(_radius_conv(list(map(abs, fm)), gr, n),
+                      _radius_conv(fr, _magnitudes(gm, gr), n))
 
 
 def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
-    """Exact product of two integer balls to degree n, at scale f.scale + g.scale.
+    """Product of two integer balls to degree n, at scale f.scale + g.scale.
 
-    Polynomial-by-polynomial mass of degree > N is provably high-order and
-    goes to v_high, as do polynomial-by-high products; anything touching an
-    error part lands in v_err.  Only those tail bounds are rounded (upward).
+    Midpoints are the exact product; radii bound the exact ones from above
+    through short mantissas (:func:`_product_radii`).  Polynomial-by-
+    polynomial mass of degree > N is provably high-order and goes to
+    v_high, as do polynomial-by-high products; anything touching an error
+    part lands in v_err.  Those tail bounds are rounded upward.
     """
     mid = _conv(f.mid, g.mid, n)
     rad = _product_radii(f.mid, f.rad, g.mid, g.rad, n)
@@ -461,8 +532,10 @@ class PowerTable:
     to degree D = N + _GUARD_DEGREES, with theta(h).
 
     Row j of each matrix holds coefficient j of every baby power, for
-    j = 0..D, all at one scale 10**-scale; v_spill[k] bounds the mass of
-    power k above D and v_err[k] is its error tail.  Composing f with h is
+    j = 0..D, all at one scale 10**-scale: its midpoints, radii and
+    magnitudes |mid| + rad, formed once when the table is built;
+    v_spill[k] bounds the mass of power k above D and v_err[k] is its
+    error tail.  Composing f with h is
     Paterson-Stockmeyer evaluation (Paterson and Stockmeyer, SIAM J.
     Comput. 2, 1973): f splits into blocks B_i = sum_{j<m} f_{im+j} u**j,
     each one exact integer matrix-vector product, and Horner in U,
@@ -478,6 +551,7 @@ class PowerTable:
     scale: int
     mid: tuple
     rad: tuple
+    mags: tuple
     v_spill: tuple
     v_err: tuple
     giant: IntBall | None
@@ -510,11 +584,11 @@ class PowerTable:
             raise CompositionContractFailure(
                 f"composition argument has theta = {th} (strict={strict})")
 
-    def _block(self, fm: list[int], fr: list[int], mags) -> tuple[list[int], list[int]]:
+    def _block(self, fm: list[int], fr: list[int]) -> tuple[list[int], list[int]]:
         """sum_j (fm[j] +- fr[j]) u**j over the baby powers to degree D,
         exactly, at scale 10**-(S + scale) for fm, fr at 10**-S."""
         return (_dots(fm, self.mid),
-                _add_lists(_dots(list(map(abs, fm)), self.rad), _dots(fr, mags)))
+                _add_lists(_dots(list(map(abs, fm)), self.rad), _dots(fr, self.mags)))
 
     def _tails(self, ctx: RoundingContext, fm: list[int], fr: list[int], sf: int,
                v_high: Decimal, v_err: Decimal) -> tuple[Decimal, Decimal]:
@@ -535,14 +609,13 @@ class PowerTable:
         p = int_outward(ctx, p, n)
         fm, fr, sf = p.mid, p.rad, p.scale
         m, scale = len(self.mid[0]), sf + self.scale
-        mags = [list(map(_iadd, map(abs, a), r)) for a, r in zip(self.mid, self.rad)]
         upper = None     # sum_{i >= 1} B_i U**(i-1), Horner in U from the top block
         for i in reversed(range(m, max(len(fm), len(fr)), m)):
             bm, br = fm[i:i + m], fr[i:i + m]
-            block = IntBall(*self._block(bm, br, mags), scale,
+            block = IntBall(*self._block(bm, br), scale,
                             *self._tails(ctx, bm, br, sf, _D0, _D0))
             upper = block if upper is None else int_add(ctx, self._giant_step(ctx, upper), block)
-        low = IntBall(*self._block(fm[:m], fr[:m], mags), scale, _D0, _D0)
+        low = IntBall(*self._block(fm[:m], fr[:m]), scale, _D0, _D0)
         if upper is not None:
             low = int_add(ctx, self._giant_step(ctx, upper), low)
         v_high = ctx.scaled_up(sum(_magnitudes(low.mid[n + 1:], low.rad[n + 1:])), low.scale)
@@ -616,9 +689,10 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     def lifted(xs: list[int], s: int) -> list[int]:
         unit = 10 ** (top - s)
         return [x * unit for x in _padded(xs, d)]
-    return PowerTable(theta(ctx, h), top,
-                      tuple(zip(*(lifted(p.mid, p.scale) for p in baby))),
-                      tuple(zip(*(lifted(p.rad, p.scale) for p in baby))),
+    mid = tuple(zip(*(lifted(p.mid, p.scale) for p in baby)))
+    rad = tuple(zip(*(lifted(p.rad, p.scale) for p in baby)))
+    return PowerTable(theta(ctx, h), top, mid, rad,
+                      tuple(tuple(_magnitudes(a, r)) for a, r in zip(mid, rad)),
                       tuple(p.v_high for p in baby), tuple(p.v_err for p in baby),
                       powers[BABY_STEPS] if last == BABY_STEPS else None)
 

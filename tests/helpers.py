@@ -526,6 +526,31 @@ def _oracle_product(ctx: RoundingContext, f, g, n: int):
     return out, v_high, v_err
 
 
+def oracle_radius_conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """Exact Cauchy product of two nonnegative integer sequences to degree n
+    by the schoolbook double loop (reference for ``balls._radius_conv``)."""
+    out = [0] * min(n + 1, max(len(a) + len(b) - 1, 0))
+    for i, x in enumerate(a[:n + 1]):
+        for j, y in enumerate(b[:n + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def radius_rounding_excess(a: list[int], b: list[int], n: int, bits: int) -> list[int]:
+    """Bound of what rounding a and b up to ``bits``-bit mantissas adds to
+    each coefficient of their product to degree n: per term a_i b_j, one
+    unit 2**s_a of a's mantissa times b_j rounded up, plus a_i times one
+    unit 2**s_b, s being the shift that the largest entry of the sequence
+    cut to degree n needs."""
+    ua, ub = (1 << max(max(x[:n + 1], default=0).bit_length() - bits, 0) for x in (a, b))
+    out = [0] * min(n + 1, max(len(a) + len(b) - 1, 0))
+    for i, x in enumerate(a[:n + 1]):
+        for j, y in enumerate(b[:n + 1 - i]):
+            if x and y:
+                out[i + j] += ua * (y + ub) + x * ub
+    return out
+
+
 def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.FunctionBall:
     """Frozen block map applied by interval dot products (reference for
     ``apply_lambda``): the head rows on coefficients 0..K = lam.dim - 1 and

@@ -51,9 +51,11 @@ from helpers import (
     oracle_mul,
     oracle_negate,
     oracle_normalized_argument,
+    oracle_radius_conv,
     oracle_scale,
     oracle_sub,
     per_step_horner,
+    radius_rounding_excess,
     with_tails,
 )
 from renormcert import approx as ax
@@ -136,6 +138,74 @@ def test_mul_matches_decimal_oracle(n, kinds):
             a, b = getattr(new, tail), getattr(ref, tail)
             slack = 4 * _ulp(Interval(b, b))
             assert b - slack <= a <= b + slack, (tail, a, b)
+
+
+def _radius_conv_violations(a, b, n) -> list:
+    """Degrees where the packed radius kernel is below the exact product or
+    above it by more than the rounding excess of its short mantissas."""
+    width = n + 1
+    out = fb._radius_conv(a, b, n)
+    if len(out) > width:
+        return ["length"]
+    out, exact, excess = (xs + [0] * (width - len(xs)) for xs in (
+        out, oracle_radius_conv(a, b, n), radius_rounding_excess(a, b, n, fb._RADIUS_BITS)))
+    return [k for k in range(width) if not exact[k] <= out[k] <= exact[k] + excess[k]]
+
+
+#: entries at the shift boundary of a 64-bit mantissa: no shift, shift 1
+#: (2**64, 2**64 + 1), a mantissa that rounds up to 2**64 (2**65 - 1)
+_SHIFT_EDGES = [2**64 - 1, 2**64, 2**64 + 1, 2**65 - 1, 2**65]
+
+
+def _radius_conv_cases():
+    rng = random.Random("radius-conv")
+    cases = [([], [3], 4), ([3], [], 4), ([0, 0, 0], [5, 7], 4), ([3], [5], 0),
+             ([9], [2**200, 7], 3), ([1, 2, 0, 0], [3, 0, 4, 0, 0], 6),
+             ([5, 0, 0, 0], [0, 0, 0, 6], 2), ([2**300, 1, 0], [1, 2**150], 5)]
+    cases += [([x, y, x], [y, x], 5) for x in _SHIFT_EDGES for y in _SHIFT_EDGES]
+
+    def sequence(length, bits):
+        return [rng.getrandbits(bits) >> rng.randint(0, bits) if rng.random() < 0.8 else 0
+                for _ in range(length)] + [0] * rng.randint(0, 3)
+    for _ in range(300):
+        bits = rng.choice([1, 8, 63, 64, 65, 130, 300])
+        cases.append((sequence(rng.randint(0, 30), bits), sequence(rng.randint(0, 30), bits),
+                      rng.randint(0, 40)))
+    return cases
+
+
+def test_radius_conv_bounds_exact_product():
+    """balls._radius_conv against the schoolbook oracle: elementwise at
+    least the exact product, and above it by at most one unit of a short
+    mantissa per term; exact when no entry needs a shift."""
+    shifted = exact_cases = 0
+    for a, b, n in _radius_conv_cases():
+        assert not _radius_conv_violations(a, b, n), (a, b, n)
+        if max(a + b, default=0).bit_length() > fb._RADIUS_BITS:
+            shifted += 1
+        elif any(a) and any(b):
+            exact_cases += 1
+            out = fb._radius_conv(a, b, n)
+            assert out == oracle_radius_conv(a, b, n)[:len(out)]
+            assert not any(oracle_radius_conv(a, b, n)[len(out):])
+    assert shifted > 100 and exact_cases > 50
+
+
+def test_radius_conv_negative_controls(monkeypatch):
+    """Mantissas floored instead of ceiled undershoot an exact radius, and
+    a slot one byte short lets a carry cross into the next slot: the
+    checks above catch both."""
+    floored = ([2**64 + 1], [1], 0)
+    carried = ([2**64 - 1] * 2, [2**64 - 1] * 2, 3)
+    assert not _radius_conv_violations(*floored)
+    assert not _radius_conv_violations(*carried)
+    with monkeypatch.context() as m:
+        m.setattr(fb, "_mantissas", lambda xs, shift: [x >> shift for x in xs])
+        assert _radius_conv_violations(*floored)
+    slot_bytes = fb._slot_bytes
+    with monkeypatch.context() as m:
+        m.setattr(fb, "_slot_bytes", lambda top: slot_bytes(top) - 1)
+        assert _radius_conv_violations(*carried)
 
 
 #: points on the circle |z - 1| = 2.5, where every square root is exact
