@@ -7,7 +7,7 @@ Verbs:
     digits   print certified digit strings from a certificate file
     plot     export rectangle-covering CSV data for one figure
 
-Flags map one-to-one onto RunConfig fields.  Only the worker count and the
+Each flag sets one RunConfig field.  Only the worker count and the
 scratch directory may come from the environment (RENORMCERT_WORKERS,
 RENORMCERT_SCRATCH).
 """
@@ -63,8 +63,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--rho", default="1e-8",
                    help="fixed-point ball radius as a decimal string "
                    "(the eigen ball radii are 10*rho)")
-    p.add_argument("--boundary-rects", "-M", type=int, default=64,
-                   help="boundary covering rectangle count (default 64)")
     # a string default is converted by the type only when the flag is
     # absent, so a bad RENORMCERT_WORKERS is a usage error of the verbs
     # that take --workers and is ignored by the others
@@ -84,7 +82,6 @@ def _config_from_args(args) -> pl.RunConfig:
         degree=args.degree,
         precision=args.precision,
         rho=args.rho,
-        boundary_rects=args.boundary_rects,
         workers=args.workers,
         targets=tuple(t.strip() for t in args.targets.split(",") if t.strip()),
         output_dir=args.output,

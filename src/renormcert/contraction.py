@@ -389,11 +389,11 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
     parameter ball of the eigen problems' tables), which has v_err > 0, so
     both composition arguments must have theta < 1
     (operators.precompute_shared); theta < 1 maps the closed disc into the
-    disc of radius theta r, the claim the pipeline's boundary check proves
-    a second time.  On success returns the
-    certificate with the certified enclosures; on a failed contraction
-    inequality raises CertificationFailed carrying the diagnostic
-    certificate.  No retuning or retry happens here: rho and the precision
+    disc of radius theta r.  This is the one proof of the domain extension;
+    a ball too wide for it raises CompositionContractFailure or
+    NormalizationSingular.  On success returns the certificate with the
+    certified enclosures; on a failed contraction inequality raises
+    CertificationFailed carrying the diagnostic certificate.  No retuning or retry happens here: rho and the precision
     are caller-chosen and failures are reported as data.
     """
     rho = as_decimal(rho)

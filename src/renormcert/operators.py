@@ -15,10 +15,11 @@ noise-scaling operator L are one operator M_q, q = 1 and 2, stated once in
 
 the last term being the variation of the normalisation a.  Also here: the
 boundary-covering check that the inner compositions map the closed disc
-strictly inside itself, and recursive evaluation of the certified
-functions outside the disc for plotting.  Both run on the integer boxes
-of :class:`balls.PointEvaluator` (box arithmetic from ``rounding``), from
-the boundary cover's or plot grid's exact integer boxes to their results;
+strictly inside itself (for fig1; the certificates prove it by theta < 1),
+and recursive evaluation of the certified functions outside the disc for
+plotting.  Both run on the integer boxes of :class:`balls.PointEvaluator`
+(box arithmetic from ``rounding``), from the boundary cover's or plot
+grid's exact integer boxes to their results;
 only Rectangles that public functions take or return are Decimal.
 
 Every composition reads the power tables (balls.PowerTable) of the affine
@@ -307,7 +308,6 @@ class DomainExtensionResult:
     Rectangle): gamma1 holds those of a**2 z and gamma2 those of
     Q(G(a**2 z))."""
 
-    passed: bool
     boundary: tuple
     gamma1: tuple
     gamma2: tuple
@@ -329,9 +329,10 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     w2 = Q(G(w1)).  Returns the coverings as boxes, or raises
     ContainmentFailure naming the first offending argument's box, exactly,
     and which of the two checks failed.
-    On a ball with v_err > 0, :func:`precompute_shared` already implies the
-    claim: both arguments have theta < 1, so |h(z) - c| <= theta r on the
-    closed disc.
+    The certificates prove the claim without it: on a ball with v_err > 0,
+    :func:`precompute_shared` requires theta < 1 of both arguments, so
+    |h(z) - c| <= theta r on the closed disc.  This check gives the fig1
+    coverings.
     """
     g = fb.point_evaluator(ctx, G)
     s = g.point_scale
@@ -353,7 +354,7 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
                 f"boundary box {idx}: Q(G(a**2 z)) = {box_text(w2.box, s)} not strictly "
                 "inside the disc", index=idx, equation=2)
         gamma2.append(w2.box)
-    return DomainExtensionResult(True, tuple(boundary), tuple(gamma1), tuple(gamma2), s)
+    return DomainExtensionResult(tuple(boundary), tuple(gamma1), tuple(gamma2), s)
 
 
 # -- recursive extension beyond the disc ------------------------------------------

@@ -68,6 +68,7 @@ class RunConfig:
     degree: int = 20
     precision: int = 30
     rho: str = "1e-8"
+    # no proof reads it; kept until the benchmark's workloads stop passing it (ROADMAP item 1)
     boundary_rects: int = 64
     workers: int = 1
     targets: tuple[str, ...] = _TARGETS
@@ -120,7 +121,6 @@ class RunConfig:
             "rho": str(self.rho_for("fixed_point")),
             "rho_delta": str(self.rho_for("delta")),
             "rho_gamma": str(self.rho_for("gamma")),
-            "boundary_rects": self.boundary_rects,
             "targets": list(self.targets),
         }
 
@@ -313,11 +313,15 @@ def _frozen_map(cfg: RunConfig, power: int, g0_ball: fb.FunctionBall,
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Bootstrap, verify domain extension, certify every requested target.
+    """Bootstrap, then certify every requested target.
 
-    On any stage failure a partial report (with the failed stage named) is
-    written to the output directory before the error propagates wrapped in
-    StageFailure.
+    The certificates also prove that the operators are well defined on
+    their balls: each builds its power tables over an inflated ball, which
+    requires theta < 1 of both composition arguments
+    (:func:`contraction.certify`).  A radius too wide for that fails its
+    certificate stage.  On any stage failure a partial report (with the
+    failed stage named) is written to the output directory before the
+    error propagates wrapped in StageFailure.
     """
     ctx = RoundingContext(cfg.precision)
     report: dict = {"schema": REPORT_SCHEMA, "config": cfg.describe(),
@@ -330,13 +334,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             for target, ball in centres.items():
                 report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
             g0_ball = centres["fixed_point"]
-
-        with _stage(report, timings, "domain_extension"):
-            rho_fixed = cfg.rho_for("fixed_point")
-            g_ball = fb.inflate(ctx, g0_ball, rho_fixed)
-            op.check_domain_extension(ctx, g_ball, cfg.boundary_rects)
-            report["domain_extension"] = {
-                "rectangles": cfg.boundary_rects, "passed": True}
 
         tables = None
         for power, target in enumerate(_TARGETS):
@@ -371,8 +368,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 def _cert_config(cfg: RunConfig, target: str, checksums: dict) -> dict:
     return {"degree": cfg.degree, "precision": cfg.precision,
-            "rho": str(cfg.rho_for(target)), "boundary_rects": cfg.boundary_rects,
-            "input_checksums": dict(checksums)}
+            "rho": str(cfg.rho_for(target)), "input_checksums": dict(checksums)}
 
 
 def _record_digits(report: dict, name: str, enclosure: Interval):
@@ -430,14 +426,11 @@ def _default_range(target: str, g: fb.PointEvaluator) -> tuple[int, int]:
 
 def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
     """The balls "G", "V", "W" proven to contain the fixed point and the two
-    eigenfunctions: each centre inflated by its certificate's proven radius.
-    G is the pipeline's parameter ball when the eigen stages built one."""
-    balls = {"G": result.balls["parameter"]} if "parameter" in result.balls else {}
-    for target, (_, centre) in _CENTRES.items():
-        cert = result.certificates.get(target)
-        if cert is not None and centre[0] not in balls:
-            balls[centre[0]] = fb.inflate(ctx, result.balls[centre], cert.proven_radius)
-    return balls
+    eigenfunctions: each centre inflated by its certificate's proven radius
+    (for G, the eigen stages' parameter ball)."""
+    certs = result.certificates
+    return {centre[0]: fb.inflate(ctx, result.balls[centre], certs[target].proven_radius)
+            for target, (_, centre) in _CENTRES.items() if target in certs}
 
 
 def check_subdivisions(figure: str | None, subdivisions: int) -> None:

@@ -1,6 +1,7 @@
 """The names perfbench/ reaches for exist: its tracer resolves every traced
 name, run.op_timings times RoundingContext.imul and rmul, and
-workloads.bootstrap runs the approx stage through the approx API."""
+workloads.bootstrap runs the approx stage through the approx API, and every
+workload's configuration is a valid RunConfig."""
 
 import sys
 from pathlib import Path
@@ -25,3 +26,10 @@ def test_tracer_products_and_bootstrap_resolve():
     assert tracer.calls["approx.approx_fixed_point"] == 1
     assert set(sums) == {"g0", "delta0", "gamma0"}
     assert RoundingContext.__dict__["rmul"] is rmul
+
+
+def test_every_workload_config_builds_a_run_config():
+    """Each workload's config, boundary_rects included, is a RunConfig."""
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = pl.RunConfig(**workload.config)
+        assert {key: getattr(cfg, key) for key in workload.config} == workload.config, name

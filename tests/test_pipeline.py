@@ -34,9 +34,11 @@ from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert import pipeline as pl
 from renormcert.errors import (
+    CompositionContractFailure,
     ConfigError,
     EigenSelectionAmbiguous,
     MissingCertificate,
+    NormalizationSingular,
     PipelineOrderError,
     StageFailure,
 )
@@ -114,6 +116,26 @@ def test_cli_junk_radius_is_an_error(capsys, flag, text):
     assert cli.main(["certify", flag, text]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["approx", "certify", "report", "plot"])
+def test_cli_has_no_boundary_rects_flag(capsys, verb):
+    """The certificates' theta < 1 proves the domain extension, so no verb
+    takes a boundary rectangle count: its help lists none and -M is a usage
+    error (exit 2), not a traceback."""
+    from renormcert import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main([verb, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    assert "--boundary-rects" not in text and "-M" not in text
+    argv = [verb, "-M", "64"] + ["--figure", "fig1"] * (verb == "plot")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "-M" in err and "Traceback" not in err
 
 
 def test_pipeline_ordering_enforced():
@@ -336,6 +358,10 @@ def test_run_pipeline_desk(tmp_path):
     assert not data["partial"]
     assert set(data["checksums"]) == {"g0", "delta0", "gamma0"}
     assert data["execution"]["peak_rss_mb"] > 0
+    assert sorted(data["timings"]) == ["approx", "delta", "fixed_point", "gamma",
+                                       "parameter_ball"]
+    assert "domain_extension" not in data and "boundary_rects" not in data["config"]
+    assert all("boundary_rects" not in c["config"] for c in data["certificates"].values())
     # checkpoints reload on the second run
     res2 = pl.run_pipeline(cfg)
     assert res2.report["certificates"] == report["certificates"]
@@ -437,6 +463,25 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
     assert outcomes[0][:3] == ("approx", EigenSelectionAmbiguous,
                                "delta: two eigenvalues near the target")
     assert outcomes[0][3]["partial"] is True
+
+
+@pytest.mark.parametrize("rho", ["0.05", "0.2"])
+def test_radius_too_wide_for_theta_fails_at_fixed_point(tmp_path, rho):
+    """A radius whose ball has theta >= 1 for a composition argument fails
+    cleanly in the fixed-point stage, where the certificate's power tables
+    refuse it, with a partial report: theta < 1 is the one proof that the
+    operators are well defined on the ball."""
+    cfg = pl.RunConfig(rho=rho, output_dir=str(tmp_path))
+    with pytest.raises(StageFailure) as info:
+        pl.run_pipeline(cfg)
+    assert info.value.stage == "fixed_point"
+    cause = info.value.__cause__
+    assert isinstance(cause, (CompositionContractFailure, NormalizationSingular))
+    if isinstance(cause, CompositionContractFailure):
+        assert cause.subexpression
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["partial"] is True and data["failed_stage"] == "fixed_point"
+    assert sorted(data["timings"]) == ["approx", "fixed_point"]
 
 
 def test_partial_report_on_failure(tmp_path):
@@ -605,7 +650,7 @@ def test_cli_report_and_digits(tmp_path, capsys):
 
     out = tmp_path / "out"
     assert cli.build_parser().parse_args(["report"]).verb == "certify"
-    rc = cli.main(["report", "-N", "20", "-P", "30", "--rho", "1e-8", "-M", "64",
+    rc = cli.main(["report", "-N", "20", "-P", "30", "--rho", "1e-8",
                    "-o", str(out), "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 0
     text = capsys.readouterr().out
@@ -753,6 +798,16 @@ def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monke
     assert rewritten
 
 
+def test_certified_fixed_point_ball_is_the_parameter_ball(desk_all_targets):
+    """The certified G of an all-target run is the ball the eigen stages
+    built their tables on: the centre inflated by the fixed point's proven
+    radius, formed by the same rule as V and W."""
+    result = desk_all_targets
+    balls = pl.certified_balls(RoundingContext(30), result)
+    assert sorted(balls) == ["G", "V", "W"]
+    assert balls["G"] == result.balls["parameter"]
+
+
 @pytest.mark.parametrize("target, centre, missing", [("delta", "delta0", "gamma"),
                                                      ("gamma", "gamma0", "delta")])
 def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
@@ -768,7 +823,7 @@ def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
     assert report["certificates"][target] == expected
     assert list(report["certificates"]) == ["fixed_point", target]
     assert sorted(report["timings"]) == sorted(
-        ["approx", "domain_extension", "fixed_point", "parameter_ball", target])
+        ["approx", "fixed_point", "parameter_ball", target])
     assert sorted(report["digits"]) == sorted(["a", "alpha", target])
     assert missing not in report["digits"] and missing + "0" not in report["checksums"]
     own = {"delta": "V0", "gamma": "W0"}
