@@ -9,13 +9,15 @@ phi(f) = f(1) (the constant basis coefficient):
 
 with G ranging over a ball proven to contain the fixed point.  A ball
 radius rho around the approximate eigenfunction then bounds the eigenvalue
-directly: it lies within rho of the constant coefficient.
+directly: it lies within rho of the constant coefficient.  Each certificate
+forms its own frozen map from the Jacobian columns it bounds, so it needs
+only the approximate zero and the radius.
 """
 
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import operators as op
-from renormcert.contraction import KINDS, Problem, certify
+from renormcert.contraction import Problem, certify
 from renormcert.pipeline import certified_digits
 from renormcert.rounding import RoundingContext
 
@@ -24,9 +26,7 @@ ctx = RoundingContext(DIGITS)
 
 g0 = ax.approx_fixed_point(N, DIGITS)
 G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, N)
-lam_g = ax.build_lambda("fixed_point",
-                        ax.approx_jacobian("fixed_point", g0, digits=DIGITS), DIGITS)
-fixed = certify(ctx, Problem(0), G0, lam_g, "1e-8")
+fixed = certify(ctx, Problem(0), G0, "1e-8")
 print(f"fixed point certified; parameter ball radius {fixed.posterior_radius}")
 
 param = fb.inflate(ctx, G0, fixed.posterior_radius)
@@ -35,12 +35,9 @@ tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
 # both eigenproblems are the problem F_p = M_p(G) x - phi(x)**p x, p = 1, 2
 for power, name, title in ((1, "delta", "parameter"), (2, "gamma", "noise")):
     print(f"\n== {title}-scaling eigenvalue ==")
-    x0, lam0 = ax.approx_eigenpair(name, g0, DIGITS)
+    x0, _ = ax.approx_eigenpair(name, g0, DIGITS)
     X0 = fb.ball_from_decimals(fb.STANDARD_DISC, x0, N)
-    lam = ax.build_lambda(KINDS[power],
-                          ax.approx_jacobian(KINDS[power], g0, x0, digits=DIGITS),
-                          DIGITS, lambda0=lam0)
-    cert = certify(ctx, Problem(power, tables), X0, lam, "1e-7")
+    cert = certify(ctx, Problem(power, tables), X0, "1e-7")
     text, count = certified_digits(cert.enclosures[name])
     print(f"  {name} = {text}   ({count} digits proven; "
           f"epsilon {cert.epsilon:.2E}, kappa {cert.kappa:.2E})")

@@ -1,12 +1,10 @@
 """Non-rigorous multi-precision numerics that bootstrap the certifier.
 
-Produces the approximate fixed point G0, the approximate eigenpairs for the
-parameter-scaling and noise-scaling problems, and the frozen linear maps
-used by the Newton-like certification operators: each the inverse of its
-Jacobian's head on degrees 0..K, K = min(N, HEAD_DEGREE), with a tail
-scalar above K.  Everything here runs in round-to-nearest decimal
-arithmetic inside a local context; no rounding state is shared with the
-directed-rounding side.
+Produces the approximate fixed point G0 and the approximate eigenpairs for
+the parameter-scaling and noise-scaling problems: the centres the
+certificates start from (each certificate forms its own frozen map).
+Everything here runs in round-to-nearest decimal arithmetic inside a local
+context; no rounding state is shared with the directed-rounding side.
 
 Above degree K no matrix larger than the head is built or factored.  The
 same block map B (the LU of a Jacobian's head, a tail scalar above K)
@@ -48,18 +46,18 @@ import decimal
 from decimal import Decimal
 from functools import cached_property
 
+from . import contraction
 from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots
-from .contraction import KINDS, LinearMap
+from .contraction import (KINDS, _context, _lu_solve_factored, _rows, build_lambda, lu_factor,
+                          mat_inv)
 from .errors import (
     ConfigError,
     EigenSelectionAmbiguous,
     NewtonDivergence,
-    SingularJacobian,
 )
 from .rounding import EXACT
 
 __all__ = [
-    "HEAD_DEGREE",
     "approx_fixed_point",
     "approx_jacobian",
     "approx_eigenpair",
@@ -106,16 +104,6 @@ _SEED_G20 = (
 #: certificate.
 _EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
 
-#: degree K of the frozen map's dense head: the map is a matrix on degrees
-#: 0..min(N, K) and the tail scalar above; kappa < 1 needs no more.  It is
-#: one below the baby steps of a composition, so the column images of the
-#: head read the baby powers of a power table.
-HEAD_DEGREE = BABY_STEPS - 1
-
-def _context(digits: int) -> decimal.Context:
-    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
-
-
 # -- dense polynomial helpers (assume a decimal context is active) -----------
 
 def _pad(f: list[Decimal], length: int) -> list[Decimal]:
@@ -133,10 +121,6 @@ def p_sub(f, g):
 
 def p_scale(s, f):
     return [s * a for a in f]
-
-
-def _rows(cols):
-    return [list(row) for row in zip(*cols)]
 
 
 # -- integer midpoint engine ------------------------------------------------------
@@ -217,12 +201,10 @@ class _MidShared:
     on first use and kept; being integer arithmetic at the build's scale,
     they do not depend on when that is.
 
-    With ``width`` = K + 1 below N + 1, every polynomial is cut to its
-    coefficients 0..K (the compositions still read all N + 1 coefficients
-    of g, through the giant step), and :meth:`head` gives the K+1 x K+1
-    head of the full matrix of M_q.  Truncated products, blocks and giant
-    steps are causal and rounded coefficient by coefficient, so the head
-    entries are those of the full matrix digit for digit.
+    With ``width`` = K + 1 below N + 1 (:func:`approx_jacobian`), every
+    polynomial is cut to its coefficients 0..K, and :meth:`head` gives the
+    head of the full matrix of M_q digit for digit: truncated products,
+    blocks and giant steps are causal and rounded coefficient by coefficient.
     """
 
     def __init__(self, g, width: int | None = None):
@@ -339,62 +321,6 @@ def jacobian_head(m_head, power: int, x=None):
 
 # -- dense linear algebra ------------------------------------------------------
 
-def lu_factor(a):
-    """In-place LU with partial pivoting; returns (lu, perm)."""
-    n = len(a)
-    lu = [row[:] for row in a]
-    perm = list(range(n))
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda i: abs(lu[i][col]))
-        if not lu[pivot][col]:
-            raise SingularJacobian(f"zero pivot in column {col}")
-        if pivot != col:
-            lu[pivot], lu[col] = lu[col], lu[pivot]
-            perm[pivot], perm[col] = perm[col], perm[pivot]
-        inv = _D1 / lu[col][col]
-        for i in range(col + 1, n):
-            factor = lu[i][col] * inv
-            lu[i][col] = factor
-            if factor:
-                row_i, row_c = lu[i], lu[col]
-                for j in range(col + 1, n):
-                    if row_c[j]:
-                        row_i[j] -= factor * row_c[j]
-    return lu, perm
-
-
-def _lu_solve_factored(lu, perm, b):
-    n = len(lu)
-    x = [b[perm[i]] for i in range(n)]
-    for i in range(n):
-        row = lu[i]
-        s = x[i]
-        for j in range(i):
-            if row[j] and x[j]:
-                s -= row[j] * x[j]
-        x[i] = s
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        s = x[i]
-        for j in range(i + 1, n):
-            if row[j] and x[j]:
-                s -= row[j] * x[j]
-        x[i] = s / row[i]
-    return x
-
-
-def mat_inv(a, digits: int = 30):
-    with decimal.localcontext(_context(digits)):
-        n = len(a)
-        lu, perm = lu_factor(a)
-        cols = []
-        for k in range(n):
-            e = [_D0] * n
-            e[k] = _D1
-            cols.append(_lu_solve_factored(lu, perm, e))
-        return _rows(cols)
-
-
 def _block_map(head, tail):
     """v -> B v for the block map B: the inverse of the square matrix
     ``head`` (by its LU) on coefficients 0..len(head)-1, ``tail`` times the
@@ -481,7 +407,7 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
         max_iter = 50
         for stage_n in _stage_ladder(n):
             g = _pad(g, stage_n + 1)
-            width = min(stage_n, HEAD_DEGREE) + 1
+            width = min(stage_n, contraction.HEAD_DEGREE) + 1
             for _ in range(max_iter):
                 shared = _MidShared(g)
                 tg = shared.t()
@@ -561,7 +487,7 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = KINDS.index(kind + "_eigen")
-    width = min(len(g0), HEAD_DEGREE + 1)
+    width = min(len(g0), contraction.HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0)
         m_head = shared.head(phi_power, width)
@@ -571,50 +497,22 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
         return vec, vec[0]
 
 
-# -- jacobians and the frozen linear map -------------------------------------------
+# -- jacobian heads ----------------------------------------------------------------
 
 def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
-    """Head block of the truncated Jacobian of the residual map for the
-    given problem kind: rows and columns 0..K, K = min(N, HEAD_DEGREE).
-
-    fixed_point: derivative of T minus identity, at g0.
-    delta_eigen/gamma_eigen: operator matrix minus the eigenvalue terms,
-    including the rank-one normalisation coupling, at x0.
-    The head of M_q is read off the baby powers of shared evaluations cut
-    to degree K, at O(N K + K**3) cost, and turned into the block by
-    :func:`jacobian_head`; its entries are those of the full (N+1) x (N+1)
-    matrix.
+    """Head block of the truncated Jacobian of the residual map of ``kind``
+    at g0 (and x0 for the eigen kinds), rows and columns 0..K, K = min(N,
+    contraction.HEAD_DEGREE): :func:`jacobian_head` of the head of M_q, read
+    off the baby powers of shared evaluations cut to degree K.  Only the
+    benchmark's set-up and tests call it.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     power = KINDS.index(kind)
     if power and x0 is None:
         raise ConfigError("eigen jacobians need the approximate eigenfunction")
-    width = min(len(g0), HEAD_DEGREE + 1)
+    width = min(len(g0), contraction.HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
         shared = _MidShared(g0, width)
         x = None if x0 is None else _pad(list(x0), width)
         return jacobian_head(shared.head(max(power, 1), width), power, x)
-
-
-def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):
-    """Frozen linear map approximating the inverse Jacobian.
-
-    Matrix block: rounded midpoint inverse of ``jac``, the Jacobian's head
-    on degrees 0..K (any K up to N; :func:`approx_jacobian` gives
-    K = min(N, HEAD_DEGREE)).  Tail scalar, acting on every degree above
-    K: -1/lambda0**p with the kind's eigenvalue power p, so -1 for the
-    fixed point (the derivative of T decays on high degrees, so the
-    Jacobian is near minus identity there), -1/lambda0 for the
-    parameter-scaling problem and -1/lambda0**2 for the noise problem.
-    """
-    if kind not in KINDS:
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    phi_power = KINDS.index(kind)
-    if phi_power and lambda0 is None:
-        raise ConfigError("eigen kinds need lambda0 for the tail scalar")
-    with decimal.localcontext(_context(digits)):
-        inv = mat_inv(jac, digits)
-        tail = -_D1 / lambda0 ** phi_power if phi_power else -_D1
-        matrix = tuple(tuple(+x for x in row) for row in inv)
-        return LinearMap(matrix=matrix, tail_scalar=tail)

@@ -519,7 +519,7 @@ def _dots(vec: list[int], rows) -> list[int]:
 _GUARD_DEGREES = 8
 
 #: baby steps m of a composition: a power table holds u**0..u**m and runs
-#: Horner in u**m.  approx.HEAD_DEGREE is m - 1, so the baby powers are
+#: Horner in u**m.  contraction.HEAD_DEGREE is m - 1, so the baby powers are
 #: also the column images of the frozen map's head.
 BABY_STEPS = 21
 

@@ -56,23 +56,24 @@ def _default_scratch() -> str | None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--degree", "-N", type=int, default=20,
-                   help="polynomial truncation degree (default 20)")
-    p.add_argument("--precision", "-P", type=int, default=30,
-                   help="decimal digits in the significand (default 30)")
-    p.add_argument("--rho", default="1e-8",
+    defaults = pl.RunConfig()
+    p.add_argument("--degree", "-N", type=int, default=defaults.degree,
+                   help=f"polynomial truncation degree (default {defaults.degree})")
+    p.add_argument("--precision", "-P", type=int, default=defaults.precision,
+                   help=f"decimal digits in the significand (default {defaults.precision})")
+    p.add_argument("--rho", default=defaults.rho,
                    help="fixed-point ball radius as a decimal string "
                    "(the eigen ball radii are 10*rho)")
     # a string default is converted by the type only when the flag is
     # absent, so a bad RENORMCERT_WORKERS is a usage error of the verbs
     # that take --workers and is ignored by the others
     p.add_argument("--workers", type=_worker_count,
-                   default=os.environ.get("RENORMCERT_WORKERS", "1"),
+                   default=os.environ.get("RENORMCERT_WORKERS", str(defaults.workers)),
                    help="worker processes for independent stages: the delta and "
-                   "gamma bootstraps (default 1)")
-    p.add_argument("--targets", default="fixed_point,delta,gamma",
-                   help="comma-separated subset of fixed_point,delta,gamma")
-    p.add_argument("--output", "-o", default=None, help="output directory")
+                   f"gamma bootstraps (default {defaults.workers})")
+    p.add_argument("--targets", default=",".join(defaults.targets),
+                   help="comma-separated subset of " + ",".join(defaults.targets))
+    p.add_argument("--output", "-o", default=defaults.output_dir, help="output directory")
     p.add_argument("--checkpoint-dir", default=_default_scratch(),
                    help="directory for bootstrap checkpoints")
 

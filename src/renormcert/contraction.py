@@ -13,6 +13,10 @@ A certificate over the ball B(x0, rho) consists of
 with the contraction inequality epsilon < rho (1 - kappa) checked in
 directed rounding; on success the ball contains a unique fixed point of Phi.
 
+Lam need only approximate the inverse, so :func:`certify` forms it
+(:func:`frozen_map`) from the column images DF_p(x) e_k, k = 0..K, that
+its kappa bound reads: a certificate depends on x0, rho and the precision.
+
 The same kappa < 1 proves that the fixed points of Phi are the zeros of F.
 At x = x0 it reads ||I - Lam DF(x0)|| < 1, so Lam DF(x0) is invertible by
 the Neumann series and Lam is onto.  Lam is a square matrix on degrees
@@ -39,7 +43,7 @@ The operator-norm bound for DPhi uses the maximum column-sum norm: columns
 basis directions above K at once through a single ball of functions of
 degree > K, whose compositions are controlled by powers theta**(K+1) of the
 contraction factors theta of the inner arguments.  K is independent of N
-(approx.HEAD_DEGREE): only K+1 columns are bounded one by one, and
+(HEAD_DEGREE): only K+1 columns are bounded one by one, and
 applying the map costs O(K**2 + N) instead of O(N**2).  The head's
 columns are the baby powers of the power tables (balls.PowerTable.power),
 so operator problems need K < balls.BABY_STEPS.
@@ -47,29 +51,35 @@ so operator problems need K < balls.BABY_STEPS.
 
 from __future__ import annotations
 
+import decimal
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from operator import mul as _imul
 
 from . import balls as fb
-from .balls import FunctionBall
+from .balls import BABY_STEPS, FunctionBall
 from .errors import (
     CertificationFailed,
     ConfigError,
     DimensionMismatch,
+    DomainMismatch,
     InversionUncertified,
     SingularJacobian,
     TailContractFailure,
 )
 from .operators import OperatorTables, precompute_shared
-from .rounding import IONE, Interval, RoundingContext, as_decimal, floor_at
+from .rounding import IONE, Interval, RoundingContext, as_decimal, exact_decimal, floor_at
 
 __all__ = [
+    "HEAD_DEGREE",
     "LinearMap",
     "lambda_norm_upper",
     "apply_lambda",
     "verify_lambda_invertible",
+    "mat_inv",
+    "build_lambda",
+    "frozen_map",
     "KINDS",
     "Problem",
     "Certificate",
@@ -172,8 +182,6 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     :func:`certify` does not call this: its kappa < 1 already proves the
     map invertible (see the module docstring).  It re-inverts the head M,
     an O(K**3) Decimal LU, and is kept as a standalone check."""
-    from .approx import mat_inv
-
     if lam.tail_scalar == 0:
         raise InversionUncertified("tail scalar is zero")
     n = lam.dim
@@ -195,6 +203,105 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     return bound
 
 
+# -- the frozen map -----------------------------------------------------------------
+
+#: degree K of the frozen map's dense head (read at call time): a matrix on
+#: degrees 0..min(N, K), the tail scalar above; kappa < 1 needs no more.  One
+#: below the baby steps, so the head's column images read baby powers.
+HEAD_DEGREE = BABY_STEPS - 1
+
+
+def _context(digits: int) -> decimal.Context:
+    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
+
+
+def _rows(cols):
+    return [list(row) for row in zip(*cols)]
+
+
+def lu_factor(a):
+    """In-place LU with partial pivoting; returns (lu, perm)."""
+    n = len(a)
+    lu = [row[:] for row in a]
+    perm = list(range(n))
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(lu[i][col]))
+        if not lu[pivot][col]:
+            raise SingularJacobian(f"zero pivot in column {col}")
+        if pivot != col:
+            lu[pivot], lu[col] = lu[col], lu[pivot]
+            perm[pivot], perm[col] = perm[col], perm[pivot]
+        inv = _D1 / lu[col][col]
+        for i in range(col + 1, n):
+            factor = lu[i][col] * inv
+            lu[i][col] = factor
+            if factor:
+                row_i, row_c = lu[i], lu[col]
+                for j in range(col + 1, n):
+                    if row_c[j]:
+                        row_i[j] -= factor * row_c[j]
+    return lu, perm
+
+
+def _lu_solve_factored(lu, perm, b):
+    n = len(lu)
+    x = [b[perm[i]] for i in range(n)]
+    for i in range(n):
+        row = lu[i]
+        s = x[i]
+        for j in range(i):
+            if row[j] and x[j]:
+                s -= row[j] * x[j]
+        x[i] = s
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        s = x[i]
+        for j in range(i + 1, n):
+            if row[j] and x[j]:
+                s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
+
+
+def mat_inv(a, digits: int = 30):
+    """Inverse of the square matrix a from its LU, rounded to ``digits``."""
+    with decimal.localcontext(_context(digits)):
+        lu, perm = lu_factor(a)
+        units = [[_D1 if i == k else _D0 for i in range(len(a))] for k in range(len(a))]
+        return _rows([_lu_solve_factored(lu, perm, e) for e in units])
+
+
+def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):
+    """Frozen linear map approximating the inverse Jacobian.
+
+    Matrix block: rounded midpoint inverse of ``jac``, the Jacobian's head
+    on degrees 0..K (any K up to N; :func:`frozen_map` gives
+    K = min(N, HEAD_DEGREE)).  Tail scalar, acting on every degree above
+    K: -1/lambda0**p with the kind's eigenvalue power p, so -1 for the
+    fixed point (the derivative of T decays on high degrees, so the
+    Jacobian is near minus identity there), -1/lambda0 for the
+    parameter-scaling problem and -1/lambda0**2 for the noise problem.
+    """
+    if kind not in KINDS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    phi_power = KINDS.index(kind)
+    if phi_power and not lambda0:
+        raise ConfigError("eigen kinds need a nonzero lambda0 for the tail scalar")
+    with decimal.localcontext(_context(digits)):
+        tail = -_D1 / lambda0 ** phi_power if phi_power else -_D1
+    return LinearMap(mat_inv(jac, digits), tail)
+
+
+def frozen_map(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
+               images: list[FunctionBall]) -> LinearMap:
+    """Lam of :func:`certify`: the inverse of the midpoint rows 0..K of the
+    column images k = 0..K at the context's precision, tail -1/phi(x0)**p."""
+    k1 = len(images)
+    cols = [[exact_decimal(m, b.scale) for m in (b.mid + [0] * k1)[:k1]] for b in images]
+    lambda0 = exact_decimal(x0.mid[0] if x0.mid else 0, x0.scale)
+    return build_lambda(problem.kind, _rows(cols), ctx.precision, lambda0=lambda0)
+
+
 # -- problems ---------------------------------------------------------------------
 
 #: problem kind of each power p: the payload's certificate kind
@@ -213,11 +320,10 @@ def _widened(ctx: RoundingContext, center: Interval, radius: Decimal) -> Interva
 class Problem:
     """The residual map F_p of the module docstring with the derivative
     bounds a certificate needs: the columns DF_p(x) e_k over a ball
-    (``column_kernel``, whose ``image(ctx, k)`` is a :class:`balls.IntBall`)
-    and the tail DF_p(x) f_H = A f_H - phi**p f_H, A's compositions
-    controlled by theta factors.  ``tables`` hold M_p over the parameter
-    ball for p >= 1; for p = 0 they are built over the ball the bounds
-    receive."""
+    (:meth:`column_images`) and the tail DF_p(x) f_H = A f_H - phi**p f_H,
+    A's compositions controlled by theta factors.  ``tables`` hold M_p over
+    the parameter ball for p >= 1; for p = 0 they are built over the ball
+    the bounds receive."""
 
     def __init__(self, power: int, tables: OperatorTables | None = None):
         if power not in range(len(KINDS)):
@@ -250,14 +356,31 @@ class Problem:
         mult = self._phi_power(ctx, _phi(ctx, x))
         return fb.sub(ctx, operator(ctx, x), fb.scale(ctx, mult, x))
 
-    def column_kernel(self, ctx: RoundingContext, x_ball: FunctionBall):
-        """Columns of DF_p = M_q - phi**p I - p phi**(p-1) x e_0^T over the ball."""
-        p, column0, diagonal = self.power, None, IONE
+    def column_images(self, ctx: RoundingContext, x_ball: FunctionBall,
+                      head_degree: int) -> list[FunctionBall]:
+        """Columns DF_p(x) e_k over the ball, k = 0..head_degree (the ball
+        twin of approx.jacobian_head): M_q e_k, plus -p phi**(p-1) x at
+        k = 0, minus phi**p e_k, formed exactly and rounded outward once."""
+        p, n = self.power, x_ball.truncation
+        tables = self._tables(ctx, x_ball)
+        if tables.shared.source.truncation != n:
+            raise DomainMismatch("the tables and the ball differ in degree")
+        column0, diagonal = fb.zero_ball(n), IONE
         if p:
             phi_x = _phi(ctx, x_ball)
             scaled = x_ball if p == 1 else fb.scale(ctx, ctx.iscale(phi_x, Decimal(p)), x_ball)
             column0, diagonal = fb.negate(ctx, scaled), self._phi_power(ctx, phi_x)
-        return self._tables(ctx, x_ball).columns(ctx, max(p, 1), column0, diagonal=diagonal)
+        d = fb.const_ball(n, ctx.ineg(diagonal))
+        images = []
+        for k in range(head_degree + 1):
+            out = tables.basis_image(ctx, max(p, 1), k)
+            if k == 0:
+                out = fb.int_add(ctx, out, column0)
+            shifted = fb.IntBall(*([0] * k + part if part else [] for part in (d.mid, d.rad)),
+                                 d.scale, d.v_high, d.v_err)
+            image = fb.int_outward(ctx, fb.int_add(ctx, out, shifted), n)
+            images.append(FunctionBall.wrap(n, image))
+        return images
 
     def tail_phi_factor(self, ctx: RoundingContext, x_ball: FunctionBall) -> Interval:
         """-phi**p over the ball."""
@@ -286,17 +409,19 @@ def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
     return fb.norm_upper(ctx, apply_lambda(ctx, lam, problem.residual(ctx, x0)))
 
 
-def bound_kappa_columns(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
+def bound_kappa_columns(ctx: RoundingContext, images: list[FunctionBall],
                         lam: LinearMap) -> list[Decimal]:
     """Bounds of ||DPhi(x) e_k|| = ||e_k - Lam image_k|| for k = 0..K, the
-    head of the frozen map, valid over the whole ball, in index order;
+    head of the frozen map, from the column images DF_p(x) e_k over a ball
+    (:meth:`Problem.column_images`), valid over it, in index order;
     :func:`bound_kappa_tail` covers every degree above K.  The frozen map
     acts exactly on each integer image and its norm is rounded up once.
     """
-    kernel = problem.column_kernel(ctx, x_ball)
+    if len(images) != lam.dim:
+        raise DimensionMismatch(f"{len(images)} column images for a head of {lam.dim}")
     bounds = []
-    for k in range(_head_degree(lam, x_ball.truncation) + 1):
-        image = _lambda_image(ctx, lam, kernel.image(ctx, k))
+    for k, column in enumerate(images):
+        image = _lambda_image(ctx, lam, column)
         image.mid[k] -= 10 ** image.scale
         bounds.append(fb.norm_upper(ctx, image))
     return bounds
@@ -374,16 +499,16 @@ class Certificate:
         }
 
 
-def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: LinearMap,
-            rho, config: dict | None = None) -> Certificate:
-    """Run the full contraction certificate for one problem: epsilon, the
-    kappa columns 0..K of the frozen map's head and the tail bound above K.
+def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
+            config: dict | None = None) -> Certificate:
+    """Run the full contraction certificate for one problem: the column
+    images k = 0..K, K = min(N, HEAD_DEGREE), the frozen map formed from
+    them, epsilon, the kappa columns 0..K and the tail bound above K.
 
     No separate invertibility proof of the frozen map runs: a passing
     kappa < 1 bounds ||I - Lam DF(x0)|| below 1, which makes Lam a
     bijection (module docstring), so the fixed points of the Newton-like
-    operator are the zeros of the residual map.  A singular matrix or a
-    zero tail scalar leaves kappa >= 1 and fails here.  The operator is
+    operator are the zeros of the residual map.  The operator is
     well-defined and differentiable on the ball because its compositions
     are built over an inflated ball (this one for the fixed point, the
     parameter ball of the eigen problems' tables), which has v_err > 0, so
@@ -393,16 +518,18 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, lam: Linea
     a ball too wide for it raises CompositionContractFailure or
     NormalizationSingular.  On success returns the certificate with the
     certified enclosures; on a failed contraction inequality raises
-    CertificationFailed carrying the diagnostic certificate.  No retuning or retry happens here: rho and the precision
-    are caller-chosen and failures are reported as data.
+    CertificationFailed carrying the diagnostic certificate.  No retuning or
+    retry: rho and the precision are caller-chosen, failures are data.
     """
     rho = as_decimal(rho)
     if rho <= 0:
         raise ConfigError("rho must be positive")
     started = time.perf_counter()
     ball = fb.inflate(ctx, x0, rho)
+    images = problem.column_images(ctx, ball, min(x0.truncation, HEAD_DEGREE))
+    lam = frozen_map(ctx, problem, x0, images)
     epsilon = bound_epsilon(ctx, problem, x0, lam)
-    columns = bound_kappa_columns(ctx, problem, ball, lam)
+    columns = bound_kappa_columns(ctx, images, lam)
     col_max = max(columns)
     tail = bound_kappa_tail(ctx, problem, ball, lam)
     kappa = max(col_max, tail)

@@ -25,8 +25,8 @@ only Rectangles that public functions take or return are Decimal.
 Every composition reads the power tables (balls.PowerTable) of the affine
 argument a**2 X and of the squared argument Q(G(a**2 X)), built once per
 input ball.  M_q's kernel takes a ball V composed through them and the
-basis columns of the contraction bounds alike: the head's columns 0..K,
-K = approx.HEAD_DEGREE, are the tables' baby powers.
+basis vectors alike: M_q e_k (:meth:`OperatorTables.basis_image`) reads the
+baby powers, for contraction.Problem.column_images (the DF_p column rule).
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ from .errors import (
     ContainmentFailure,
     DepthExceeded,
     DivisionByZeroInterval,
-    DomainMismatch,
     NormalizationSingular,
 )
 from .rounding import (
     IONE,
-    IZERO,
     Interval,
     Rectangle,
     RoundingContext,
@@ -65,7 +63,6 @@ from .rounding import (
 __all__ = [
     "SharedEvaluations",
     "precompute_shared",
-    "ColumnImages",
     "OperatorTables",
     "boundary_cover",
     "check_domain_extension",
@@ -146,35 +143,6 @@ def _index(q: int) -> int:
 
 
 @dataclass(frozen=True)
-class ColumnImages:
-    """image_k = M_q e_k + [k = 0] column0 - diagonal e_k over a ball, M_q e_k
-    from the tabulated powers u2**k and u1**k: formed exactly in integers,
-    then rounded outward once (balls.int_outward)."""
-
-    tables: OperatorTables
-    q: int
-    column0: FunctionBall
-    diagonal: FunctionBall    # -diagonal as a constant ball
-
-    def image(self, ctx: RoundingContext, k: int) -> fb.IntBall:
-        s = self.tables.shared
-        v0 = fb.IntBall([1], [], 0, _D0, _D0) if k == 0 else None   # e_k(1)
-        out = self.tables.image(ctx, self.q, s.table_squared.power(ctx, k),
-                                s.table_affine.power(ctx, k), v0)
-        if k == 0:
-            out = fb.int_add(ctx, out, self.column0)
-        d = self.diagonal
-        shifted = fb.IntBall(*([0] * k + part if part else [] for part in (d.mid, d.rad)),
-                             d.scale, d.v_high, d.v_err)
-        return fb.int_outward(ctx, fb.int_add(ctx, out, shifted), s.source.truncation)
-
-    def image_ball(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        """image_k as a ball of the tables' degree."""
-        s = self.tables.shared
-        return FunctionBall.wrap(s.source.truncation, self.image(ctx, k))
-
-
-@dataclass(frozen=True)
 class OperatorTables:
     """M_q over a ball, so the derivative DT = M_1 and the noise operator
     L = M_2, applied through the power tables of its shared evaluations.
@@ -220,27 +188,27 @@ class OperatorTables:
             out = fb.int_add(ctx, out, fb.int_mul(ctx, v0, self.variation, n))
         return out
 
-    def columns(self, ctx: RoundingContext, q: int, column0: FunctionBall | None = None,
-                diagonal: Interval = IZERO) -> ColumnImages:
-        """Column images of M_q(G) e_k + [k = 0] column0 - diagonal e_k."""
-        _index(q)
+    def basis_image(self, ctx: RoundingContext, q: int, k: int) -> fb.IntBall:
+        """M_q e_k, exactly, from the baby powers u2**k and u1**k of the
+        tables; e_k(1) is 1 for k = 0 and 0 above."""
         s = self.shared
-        n = s.source.truncation
-        if column0 is None:
-            column0 = fb.zero_ball(n)
-        if column0.truncation != n:
-            raise DomainMismatch("column 0 and the tables differ in degree")
-        return ColumnImages(self, q, column0, fb.const_ball(n, ctx.ineg(diagonal)))
+        v0 = fb.IntBall([1], [], 0, _D0, _D0) if k == 0 else None   # e_k(1)
+        return self.image(ctx, q, s.table_squared.power(ctx, k), s.table_affine.power(ctx, k), v0)
+
+    def _ball(self, ctx: RoundingContext, b: fb.IntBall) -> FunctionBall:
+        """b rounded outward once, as a ball of the tables' degree."""
+        n = self.shared.source.truncation
+        return FunctionBall.wrap(n, fb.int_outward(ctx, b, n))
 
     def apply(self, ctx: RoundingContext, q: int, v: FunctionBall) -> FunctionBall:
         """M_q(G) v, enclosing the action for every G in the ball, rounded
         outward once.  v(1) is v_0 plus the error part's value there, at
         most v_err in size: a constant with v's error tail."""
         _index(q)
-        s, n = self.shared, self.shared.source.truncation
+        s = self.shared
         c2, c1 = (table.compose(ctx, v) for table in (s.table_squared, s.table_affine))
         v0 = fb.IntBall(v.mid[:1], v.rad[:1], v.scale, _D0, v.v_err)
-        return FunctionBall.wrap(n, fb.int_outward(ctx, self.image(ctx, q, c2, c1, v0), n))
+        return self._ball(ctx, self.image(ctx, q, c2, c1, v0))
 
     def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:
         return self.apply(ctx, 1, dG)
@@ -249,10 +217,10 @@ class OperatorTables:
         return self.apply(ctx, 2, W)
 
     def dt_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        return self.columns(ctx, 1).image_ball(ctx, k)
+        return self._ball(ctx, self.basis_image(ctx, 1, k))
 
     def l_basis_image(self, ctx: RoundingContext, k: int) -> FunctionBall:
-        return self.columns(ctx, 2).image_ball(ctx, k)
+        return self._ball(ctx, self.basis_image(ctx, 2, k))
 
 
 # -- domain extension -----------------------------------------------------------

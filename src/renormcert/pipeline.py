@@ -4,7 +4,8 @@ The pipeline order is fixed by the mathematics: the eigen problems take the
 underlying map from a ball proven to contain the fixed point, so the
 fixed-point certificate always runs first and its a-posteriori radius
 epsilon/(1-kappa) (the tightest proven enclosure of the fixed point) is
-used as the parameter-ball radius for both eigen certificates.
+used as the parameter-ball radius for both eigen certificates.  No
+certificate stage runs approx numerics: certify forms its own frozen map.
 
 A single configured rho names the fixed-point ball radius; the eigen ball
 radii are one decade above it.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import repeat
@@ -29,7 +31,7 @@ from pathlib import Path
 from . import approx as ax
 from . import balls as fb
 from . import operators as op
-from .contraction import KINDS, Problem, certify as _certify
+from .contraction import Problem, certify as _certify
 from .balls import STANDARD_DISC
 from .errors import (
     ConfigError,
@@ -104,6 +106,11 @@ class RunConfig:
             raise ConfigError(f"unknown targets: {sorted(unknown)}")
         if not self.targets:
             raise ConfigError("at least one target required")
+        if len(set(self.targets)) != len(self.targets):
+            raise ConfigError(f"targets: {list(self.targets)} names a target twice")
+        for path in (self.output_dir, self.checkpoint_dir):
+            if path and Path(path).exists() and not Path(path).is_dir():
+                raise ConfigError(f"{path} exists and is not a directory")
         if ("delta" in self.targets or "gamma" in self.targets) \
                 and "fixed_point" not in self.targets:
             raise PipelineOrderError(
@@ -163,9 +170,19 @@ def _write_checkpoint(cfg: RunConfig, target: str, ball: fb.FunctionBall) -> fb.
     """Write the target's centre to the checkpoint directory, if there is one."""
     path = _checkpoint_path(cfg, target)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(fb.serialize_ball(ball))
+        with _writing(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(fb.serialize_ball(ball))
     return ball
+
+
+@contextmanager
+def _writing(path: Path):
+    """An OSError while writing ``path`` as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _checkpoint_path(cfg: RunConfig, target: str) -> Path | None:
@@ -260,8 +277,7 @@ def bootstrap(cfg: RunConfig) -> dict:
     A zero is read from the checkpoint directory when present there, and
     otherwise computed and, with a checkpoint directory, written there.
     The eigen zeros need only the fixed point's, so the pending ones are
-    computed side by side (:func:`_eigen_centres`).  No frozen map is
-    built here: each certificate stage builds its own (:func:`_frozen_map`).
+    computed side by side (:func:`_eigen_centres`).
     """
     n, p = cfg.degree, cfg.precision
     out = {target: _read_checkpoint(cfg, target) for target in _TARGETS
@@ -302,16 +318,6 @@ def _centre(ball: fb.FunctionBall) -> list[Decimal]:
     return [c.re.lo for c in ball.coeffs]
 
 
-def _frozen_map(cfg: RunConfig, power: int, g0_ball: fb.FunctionBall,
-                x0_ball: fb.FunctionBall):
-    """The frozen map Λ of the problem F_p, built from the approximate
-    zeros (x0 = g0 for p = 0): the contraction proves what it needs of it,
-    so it is never checkpointed."""
-    digits, kind, x0 = cfg.precision, KINDS[power], _centre(x0_ball)
-    jacobian = ax.approx_jacobian(kind, _centre(g0_ball), x0, digits=digits)
-    return ax.build_lambda(kind, jacobian, digits, lambda0=x0[0])
-
-
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Bootstrap, then certify every requested target.
 
@@ -348,9 +354,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             with _stage(report, timings, target):
                 x0_ball = centres[target]
                 result.balls[_CENTRES[target][1]] = x0_ball
-                lam = _frozen_map(cfg, power, g0_ball, x0_ball)
-                cert = _certify(ctx, Problem(power, tables), x0_ball, lam,
-                                cfg.rho_for(target),
+                cert = _certify(ctx, Problem(power, tables), x0_ball, cfg.rho_for(target),
                                 config=_cert_config(cfg, target, report["checksums"]))
                 result.certificates[target] = cert
                 report["certificates"][target] = cert.to_payload()
@@ -380,20 +384,21 @@ def _write_outputs(cfg: RunConfig, result: PipelineResult, partial: bool):
     if not cfg.output_dir:
         return
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = dict(result.report)
     report["partial"] = partial
     # peak resident set of this process plus its largest reaped child, in MB
     peak_kb = sum(resource.getrusage(who).ru_maxrss
                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     report["execution"] = {"workers": cfg.workers, "peak_rss_mb": round(peak_kb / 1024, 1)}
-    (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
-    for name, cert in result.certificates.items():
-        (out / f"certificate_{name}.json").write_text(
-            json.dumps(cert.to_json_dict(), indent=2))
-    for name, info in report.get("digits", {}).items():
-        if info["count"]:
-            (out / f"digits_{name}.txt").write_text(format_digit_block(info["digits"]))
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
+        for name, cert in result.certificates.items():
+            (out / f"certificate_{name}.json").write_text(
+                json.dumps(cert.to_json_dict(), indent=2))
+        for name, info in report.get("digits", {}).items():
+            if info["count"]:
+                (out / f"digits_{name}.txt").write_text(format_digit_block(info["digits"]))
 
 
 # -- plot coverings ---------------------------------------------------------------

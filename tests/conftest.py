@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from helpers import certificate_map
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
@@ -16,32 +17,26 @@ from renormcert.rounding import RoundingContext
 
 @pytest.fixture(scope="session")
 def desk():
-    """Desk-scale artifacts shared across the suite: degree 20, 30 digits."""
+    """Desk-scale artifacts shared across the suite: degree 20, 30 digits,
+    with the frozen map each certificate forms (``lam_*``)."""
     ctx = RoundingContext(30)
     n = 20
     g0 = ax.approx_fixed_point(n, 30)
     G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, n)
-    lam_fixed = ax.build_lambda(
-        "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=30), 30)
-    cert_fixed = ct.certify(ctx, ct.Problem(0), G0, lam_fixed, "1e-8")
+    cert_fixed = ct.certify(ctx, ct.Problem(0), G0, "1e-8")
+    lam_fixed = certificate_map(ctx, ct.Problem(0), G0, "1e-8")[2]
     param = fb.inflate(ctx, G0, cert_fixed.posterior_radius)
     tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
 
     v0, lam0 = ax.approx_eigenpair("delta", g0, 30)
     V0 = fb.ball_from_decimals(fb.STANDARD_DISC, v0, n)
-    lam_delta = ax.build_lambda(
-        "delta_eigen", ax.approx_jacobian("delta_eigen", g0, v0, digits=30),
-        30, lambda0=lam0)
-    cert_delta = ct.certify(ctx, ct.Problem(1, tables), V0,
-                            lam_delta, "1e-7")
+    cert_delta = ct.certify(ctx, ct.Problem(1, tables), V0, "1e-7")
+    lam_delta = certificate_map(ctx, ct.Problem(1, tables), V0, "1e-7")[2]
 
     w0, gam0 = ax.approx_eigenpair("gamma", g0, 30)
     W0 = fb.ball_from_decimals(fb.STANDARD_DISC, w0, n)
-    lam_gamma = ax.build_lambda(
-        "gamma_eigen", ax.approx_jacobian("gamma_eigen", g0, w0, digits=30),
-        30, lambda0=gam0)
-    cert_gamma = ct.certify(ctx, ct.Problem(2, tables), W0,
-                            lam_gamma, "1e-7")
+    cert_gamma = ct.certify(ctx, ct.Problem(2, tables), W0, "1e-7")
+    lam_gamma = certificate_map(ctx, ct.Problem(2, tables), W0, "1e-7")[2]
 
     return SimpleNamespace(
         ctx=ctx, n=n,
@@ -55,10 +50,11 @@ def desk():
 @pytest.fixture(scope="session")
 def n40():
     """Degree-40 run (40 digits, rho 1e-20, all targets) and the frozen maps
-    of its three problems at head degrees 10 and 20, built from its centres
-    through the approx API.  ``setup(target, head)`` gives (problem, x0,
-    ball, map): the problem, its approximate zero, the ball its certificate
-    bounds kappa over, and the map with that head."""
+    of its three problems at head degrees 10 and 20, formed as ``certify``
+    forms its own from the column images over each certificate's ball.
+    ``setup(target, head)`` gives (problem, x0, ball, map): the problem, its
+    approximate zero, the ball its certificate bounds kappa over, and the
+    map with that head."""
     cfg = pl.RunConfig(degree=40, precision=40, rho="1e-20")
     result = pl.run_pipeline(cfg)
     ctx = RoundingContext(40)
@@ -68,24 +64,21 @@ def n40():
         return [c.re.lo for c in result.balls[name].coeffs]
 
     g0, v0, w0 = decimals("G0"), decimals("V0"), decimals("W0")
-    maps = {}
-    for head in (10, 20):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ax, "HEAD_DEGREE", head)
-            maps[head] = {"fixed_point": ax.build_lambda(
-                "fixed_point", ax.approx_jacobian("fixed_point", g0, digits=40), 40)}
-            for target, x0 in (("delta", v0), ("gamma", w0)):
-                kind = target + "_eigen"
-                maps[head][target] = ax.build_lambda(
-                    kind, ax.approx_jacobian(kind, g0, x0, digits=40), 40, lambda0=x0[0])
     problems = {"fixed_point": (ct.Problem(0), "G0"),
                 "delta": (ct.Problem(1, tables), "V0"),
                 "gamma": (ct.Problem(2, tables), "W0")}
+    runs = {}
+    for target, (problem, centre) in problems.items():
+        x0 = result.balls[centre]
+        ball = fb.inflate(ctx, x0, cfg.rho_for(target))
+        images = problem.column_images(ctx, ball, 20)
+        runs[target] = (problem, x0, ball, {head: ct.frozen_map(ctx, problem, x0,
+                                                                images[:head + 1])
+                                            for head in (10, 20)})
 
     def setup(target, head):
-        problem, centre = problems[target]
-        x0 = result.balls[centre]
-        return problem, x0, fb.inflate(ctx, x0, cfg.rho_for(target)), maps[head][target]
+        problem, x0, ball, maps = runs[target]
+        return problem, x0, ball, maps[head]
 
     return SimpleNamespace(ctx=ctx, cfg=cfg, result=result, setup=setup,
                            g0=g0, v0=v0, w0=w0)

@@ -352,6 +352,28 @@ def identity_map(n: int, diagonal=1, tail_scalar=-1) -> ct.LinearMap:
                          for i in range(n + 1)], tail_scalar)
 
 
+def certificate_map(ctx: RoundingContext, problem: ct.Problem, x0: fb.FunctionBall, rho,
+                    head: int | None = None):
+    """(ball, images, map) of a certificate over B(x0, rho): the ball, the
+    column images 0..K over it and the frozen map ``certify`` forms from
+    them, K = min(N, HEAD_DEGREE) unless ``head`` is given."""
+    ball = fb.inflate(ctx, x0, rho)
+    k = min(x0.truncation, ct.HEAD_DEGREE) if head is None else head
+    images = problem.column_images(ctx, ball, k)
+    return ball, images, ct.frozen_map(ctx, problem, x0, images)
+
+
+def bounds_with_map(ctx: RoundingContext, problem: ct.Problem, x0: fb.FunctionBall, rho,
+                    lam: ct.LinearMap):
+    """(epsilon, kappa columns, kappa tail) of a certificate over B(x0, rho)
+    with the frozen map ``lam`` in place of the one ``certify`` forms: the
+    bound functions ``certify`` calls, on the column images of lam's head."""
+    ball = fb.inflate(ctx, x0, rho)
+    images = problem.column_images(ctx, ball, lam.dim - 1)
+    return (ct.bound_epsilon(ctx, problem, x0, lam), ct.bound_kappa_columns(ctx, images, lam),
+            ct.bound_kappa_tail(ctx, problem, ball, lam))
+
+
 def evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
     """Enclosure of f'(z) by ``balls.PointEvaluator.derivative``, in the
     Rectangle form of ``balls.evaluate``."""

@@ -10,6 +10,7 @@ from helpers import (
     REF_DELTA,
     REF_GAMMA,
     DecimalShared,
+    bounds_with_map,
     decimals,
     digit_match_count,
     dt_matrix,
@@ -290,7 +291,7 @@ def test_no_lu_or_matrix_above_head_size(monkeypatch):
     g0 = ax.approx_fixed_point(80, 60)
     for kind in ("delta", "gamma"):
         ax.approx_eigenpair(kind, g0, 60)
-    assert sizes and max(sizes) == ax.HEAD_DEGREE + 1
+    assert sizes and max(sizes) == ct.HEAD_DEGREE + 1
 
 
 def _baby_and_giant(table, width: int) -> list[list[int]]:
@@ -349,7 +350,7 @@ def _engine_and_oracle(g0, v, digits: int):
     for the applies, which are linear.  Lazily, each output is read off a
     build of its own, which forms on first use only the derivative terms
     that output reads; eagerly, off one build that formed them all."""
-    width = min(len(g0), ax.HEAD_DEGREE + 1)
+    width = min(len(g0), ct.HEAD_DEGREE + 1)
 
     def outputs(full, heads):
         return ([full().t(), full().apply(1, v), full().apply(2, v)]
@@ -503,8 +504,9 @@ def test_midpoint_dt_without_factor17_leaves_enclosure(request, scale):
 @pytest.mark.parametrize("kind", ["fixed_point", "delta_eigen", "gamma_eigen"])
 def test_column_kernels_contain_midpoint_jacobians(desk, kind):
     """Cross-engine check of the derivative: with the problem built on the
-    point balls g0 and x0, column kernel image k contains column k of the
-    midpoint Jacobian approx_jacobian(kind, g0, x0), for every k <= K."""
+    point balls g0 and x0, column image k (Problem.column_images) contains
+    column k of the midpoint Jacobian approx_jacobian(kind, g0, x0), for
+    every k <= K."""
     ctx, digits = desk.ctx, desk.ctx.precision
     _, _, tables, ball = _cross_engine(desk)
     x0 = {"fixed_point": None, "delta_eigen": desk.v0, "gamma_eigen": desk.w0}[kind]
@@ -512,41 +514,52 @@ def test_column_kernels_contain_midpoint_jacobians(desk, kind):
         problem, x_ball = ct.Problem(0), ball(desk.g0)
     else:
         problem, x_ball = ct.Problem(ct.KINDS.index(kind), tables), ball(x0)
-    kernel = problem.column_kernel(ctx, x_ball)
     jac = ax.approx_jacobian(kind, desk.g0, x0, digits=digits)
-    for k in range(len(jac)):
-        assert _misses(kernel.image_ball(ctx, k), [row[k] for row in jac], digits) == [], k
+    images = problem.column_images(ctx, x_ball, len(jac) - 1)
+    for k, image in enumerate(images):
+        assert _misses(image, [row[k] for row in jac], digits) == [], k
+
+
+def _column0(ctx, tables, q: int, column0, diagonal):
+    """M_q e_0 + column0 - diagonal e_0 over the tables' ball, rounded once:
+    column 0 of the column rule, for a rule with a deliberate mistake."""
+    n = tables.shared.source.truncation
+    out = fb.int_add(ctx, tables.basis_image(ctx, q, 0), column0)
+    out = fb.int_add(ctx, out, fb.const_ball(n, ctx.ineg(diagonal)))
+    return fb.FunctionBall.wrap(n, fb.int_outward(ctx, out, n))
 
 
 def test_gamma_column0_without_power_factor_leaves_midpoint_jacobian(desk):
-    """Negative control for the kernel check: a gamma column 0 built with
-    -phi x in place of -2 phi x misses the midpoint Jacobian's column 0."""
+    """Negative control for the column rule: a gamma column 0 built from
+    M_2 e_0 with -phi x in place of -2 phi x misses the midpoint
+    Jacobian's column 0."""
     ctx, digits = desk.ctx, desk.ctx.precision
     _, _, tables, ball = _cross_engine(desk)
     w_ball = ball(desk.w0)
     phi = fb.coefficient(ctx, w_ball, 0).re
-    wrong = tables.columns(ctx, 2, column0=fb.negate(ctx, fb.scale(ctx, phi, w_ball)),
-                           diagonal=ctx.isqr(phi))
+    wrong = _column0(ctx, tables, 2, fb.negate(ctx, fb.scale(ctx, phi, w_ball)),
+                     ctx.isqr(phi))
     jac = ax.approx_jacobian("gamma_eigen", desk.g0, desk.w0, digits=digits)
-    assert _misses(wrong.image_ball(ctx, 0), [row[0] for row in jac], digits)
+    assert _misses(wrong, [row[0] for row in jac], digits)
 
 
 @pytest.mark.parametrize("kind", ["fixed_point", "delta_eigen"])
 def test_column0_without_variation_of_a_leaves_midpoint_jacobian(desk, kind):
-    """Negative control for the kernel check: a q = 1 column 0 whose kernel
-    drops the variation of a misses the midpoint Jacobian's column 0."""
+    """Negative control for the column rule: a q = 1 column 0 built from an
+    M_1 e_0 that drops the variation of a misses the midpoint Jacobian's
+    column 0."""
     ctx, digits = desk.ctx, desk.ctx.precision
     _, _, tables, ball = _cross_engine(desk)
     zero = fb.IntBall([], [], 0, Decimal(0), Decimal(0))
     dropped = dataclasses.replace(tables, variation=zero)
     if kind == "fixed_point":
-        x0, wrong = None, dropped.columns(ctx, 1, diagonal=interval(1))
+        x0, wrong = None, _column0(ctx, dropped, 1, fb.zero_ball(desk.n), interval(1))
     else:
         x0, v_ball = desk.v0, ball(desk.v0)
-        wrong = dropped.columns(ctx, 1, column0=fb.negate(ctx, v_ball),
-                                diagonal=fb.coefficient(ctx, v_ball, 0).re)
+        wrong = _column0(ctx, dropped, 1, fb.negate(ctx, v_ball),
+                         fb.coefficient(ctx, v_ball, 0).re)
     jac = ax.approx_jacobian(kind, desk.g0, x0, digits=digits)
-    assert _misses(wrong.image_ball(ctx, 0), [row[0] for row in jac], digits)
+    assert _misses(wrong, [row[0] for row in jac], digits)
 
 
 def test_jacobian_kinds(desk):
@@ -565,7 +578,7 @@ def test_jacobian_kinds(desk):
 def test_jacobian_head_is_head_of_full_matrix(n40):
     """approx_jacobian gives the rows and columns 0..HEAD_DEGREE of the full
     Jacobian, digit for digit, for every problem kind."""
-    k1 = ax.HEAD_DEGREE + 1
+    k1 = ct.HEAD_DEGREE + 1
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
         refs = {kind: (x0, matrix(jacobian_probe(full, kind, x0), len(n40.g0)))
@@ -589,10 +602,15 @@ def test_build_lambda_toy():
 
 
 def test_build_lambda_singular():
+    """A singular head is a SingularJacobian; an eigen kind whose
+    eigenvalue is 0 has no tail scalar -1/lambda0**p, a ConfigError."""
     n = 3
     jac = [[Decimal(0)] * (n + 1) for _ in range(n + 1)]
     with pytest.raises(SingularJacobian):
         ax.build_lambda("fixed_point", jac, 30)
+    identity = [[Decimal(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    with pytest.raises(ConfigError, match="nonzero lambda0"):
+        ax.build_lambda("delta_eigen", identity, 30, lambda0=Decimal(0))
 
 
 def test_lambda_tail_scalars(desk):
@@ -603,7 +621,9 @@ def test_lambda_tail_scalars(desk):
 
 
 def test_perturbed_lambda_still_certifies(desk):
-    """The Newton-like scheme tolerates a mildly wrong frozen map."""
+    """The Newton-like scheme tolerates a mildly wrong frozen map: with every
+    head entry of the certificate's map moved by up to 1e-3, the bounds
+    still pass the contraction inequality at rho = 1e-4."""
     import random
     rng = random.Random(77)
     rows = [list(r) for r in desk.lam_fixed.matrix]
@@ -611,9 +631,11 @@ def test_perturbed_lambda_still_certifies(desk):
         for j in range(len(rows)):
             rows[i][j] = rows[i][j] + Decimal(rng.randint(-1000, 1000)) / Decimal(10) ** 6
     bumped = ct.LinearMap(rows, desk.lam_fixed.tail_scalar)
-    cert = ct.certify(desk.ctx, ct.Problem(0), desk.G0, bumped, "1e-4")
-    assert cert.passed
-    assert cert.kappa < 1
+    c, rho = desk.ctx, Decimal("1e-4")
+    epsilon, columns, tail = bounds_with_map(c, ct.Problem(0), desk.G0, rho, bumped)
+    kappa = max(max(columns), tail)
+    assert kappa < 1
+    assert epsilon < c.mul_dn(rho, c.sub_dn(Decimal(1), kappa))
 
 
 def test_mat_inv_identity():

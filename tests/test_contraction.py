@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     basis_ball,
+    bounds_with_map,
     domain_points,
     eval_member,
     identity_map,
@@ -32,19 +33,12 @@ DOM = fb.STANDARD_DISC
 N = 8
 
 
-class _ToyKernel:
-    def __init__(self, x_ball):
-        self.x_ball = x_ball
-
-    def image(self, c, k):
-        return fb.negate(c, basis_ball(self.x_ball.truncation, k))
-
-
 class ToyProblem:
     """F(x) = K - x for a constant target: DF = -I everywhere.  It has the
-    methods of :class:`ct.Problem` that the bounds and certify call."""
+    methods of :class:`ct.Problem` that the bounds and certify call, and
+    the fixed point's kind, whose frozen map has the tail scalar -1."""
 
-    kind = "toy"
+    kind = "fixed_point"
 
     def __init__(self, target: fb.FunctionBall):
         self.target = target
@@ -52,8 +46,8 @@ class ToyProblem:
     def residual(self, c, x):
         return fb.sub(c, self.target, x)
 
-    def column_kernel(self, c, x_ball):
-        return _ToyKernel(x_ball)
+    def column_images(self, c, x_ball, head_degree):
+        return [fb.negate(c, basis_ball(x_ball.truncation, k)) for k in range(head_degree + 1)]
 
     def tail_phi_factor(self, c, x_ball):
         return interval(-1)
@@ -144,18 +138,20 @@ def test_toy_columns_and_tail_zero():
     problem = ToyProblem(target)
     lam = identity_map(N, diagonal=-1, tail_scalar=-1)
     ball = fb.inflate(ctx, target, "0.125")
-    cols = ct.bound_kappa_columns(ctx, problem, ball, lam)
-    assert max(cols) == 0
+    images = problem.column_images(ctx, ball, N)
+    assert max(ct.bound_kappa_columns(ctx, images, lam)) == 0
     assert ct.bound_kappa_tail(ctx, problem, ball, lam) == 0
+    with pytest.raises(DimensionMismatch):   # a head column without its image
+        ct.bound_kappa_columns(ctx, images[:N], lam)
 
 
 def test_toy_certificate_passes():
+    """certify inverts the toy's columns -e_k to the map -I it needs."""
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
-    lam = identity_map(N, diagonal=-1, tail_scalar=-1)
     x0 = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.4999"], N)
-    cert = ct.certify(ctx, problem, x0, lam, "0.001")
-    assert cert.passed
+    cert = ct.certify(ctx, problem, x0, "0.001")
+    assert cert.passed and cert.kappa == 0 and cert.head_degree == N
     assert cert.epsilon <= Decimal("0.0001")
 
 
@@ -189,11 +185,11 @@ def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
     monkeypatch.setattr(fb.FunctionBall, "coeffs",
                         property(lambda f: built.append(f) or view.fget(f)))
     c = desk.ctx
-    fixed = ct.certify(c, ct.Problem(0), desk.G0, desk.lam_fixed, "1e-8")
+    fixed = ct.certify(c, ct.Problem(0), desk.G0, "1e-8")
     param = fb.inflate(c, desk.G0, fixed.proven_radius)
     tables = op.OperatorTables.build(c, op.precompute_shared(c, param))
-    for power, x0, lam in ((1, desk.V0, desk.lam_delta), (2, desk.W0, desk.lam_gamma)):
-        assert ct.certify(c, ct.Problem(power, tables), x0, lam, "1e-7").passed
+    for power, x0 in ((1, desk.V0), (2, desk.W0)):
+        assert ct.certify(c, ct.Problem(power, tables), x0, "1e-7").passed
     assert built == []
     fb.serialize_ball(desk.G0)
     assert built == [desk.G0]
@@ -201,7 +197,7 @@ def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
 
 def test_certification_failure_small_rho(desk):
     with pytest.raises(CertificationFailed) as info:
-        ct.certify(desk.ctx, ct.Problem(0), desk.G0, desk.lam_fixed, "1e-13")
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, "1e-13")
     cert = info.value.certificate
     assert cert is not None and not cert.passed
     assert cert.epsilon > 0 and cert.kappa > 0 and cert.rho == Decimal("1e-13")
@@ -245,7 +241,7 @@ def test_worker_determinism(desk):
     """The kappa column bounds computed in pool workers, one or two, are
     those of this process: they read nothing of the ambient decimal context."""
     ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
-    args = (desk.ctx, ct.Problem(0), ball, desk.lam_fixed)
+    args = (desk.ctx, ct.Problem(0).column_images(desk.ctx, ball, 20), desk.lam_fixed)
     here = ct.bound_kappa_columns(*args)
     for workers in (1, 2):
         with _worker_pool(workers) as pool:
@@ -274,8 +270,9 @@ def test_tail_bound_covers_columns_above_head(n40, monkeypatch, target, head):
     problem, x0, ball, lam = n40.setup(target, head)
     assert lam.dim == head + 1
     dense = _dense_form(lam, 40)
-    columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)
-    assert columns[:head + 1] == ct.bound_kappa_columns(n40.ctx, problem, ball, lam)
+    images = problem.column_images(n40.ctx, ball, 40)
+    columns = ct.bound_kappa_columns(n40.ctx, images, dense)
+    assert columns[:head + 1] == ct.bound_kappa_columns(n40.ctx, images[:head + 1], lam)
     assert max(columns[head + 1:]) <= ct.bound_kappa_tail(n40.ctx, problem, ball, lam)
     assert (ct.bound_epsilon(n40.ctx, problem, x0, dense)
             == ct.bound_epsilon(n40.ctx, problem, x0, lam))
@@ -290,7 +287,7 @@ def test_tail_bound_at_full_degree_misses_columns_above_head(n40, monkeypatch, h
     powers_above_baby_steps(monkeypatch)
     problem, _, ball, lam = n40.setup(target, head)
     dense = _dense_form(lam, 40)
-    columns = ct.bound_kappa_columns(n40.ctx, problem, ball, dense)
+    columns = ct.bound_kappa_columns(n40.ctx, problem.column_images(n40.ctx, ball, 40), dense)
     assert ct.bound_kappa_tail(n40.ctx, problem, ball, dense) < max(columns[head + 1:])
 
 
@@ -298,8 +295,7 @@ def test_certificate_deterministic_across_workers(desk):
     """A certificate computed in a pool worker has the payload of the one
     computed in this process."""
     with _worker_pool(1) as pool:
-        cert = pool.submit(ct.certify, desk.ctx, ct.Problem(0), desk.G0,
-                           desk.lam_fixed, "1e-8").result()
+        cert = pool.submit(ct.certify, desk.ctx, ct.Problem(0), desk.G0, "1e-8").result()
     assert cert.passed
     assert cert.to_payload() == desk.cert_fixed.to_payload()
 
@@ -309,8 +305,7 @@ def test_precision_antitone(desk):
     lo, hi = RoundingContext(30), RoundingContext(60)
     certs = {}
     for c in (lo, hi):
-        certs[c.precision] = ct.certify(c, ct.Problem(0), desk.G0,
-                                        desk.lam_fixed, "1e-8")
+        certs[c.precision] = ct.certify(c, ct.Problem(0), desk.G0, "1e-8")
     assert certs[60].epsilon <= certs[30].epsilon
     assert certs[60].kappa <= certs[30].kappa
 
@@ -394,13 +389,11 @@ def test_certify_needs_no_approx_numerics(desk, monkeypatch):
         if inspect.isfunction(obj) and obj.__module__ == ax.__name__:
             monkeypatch.setattr(ax, name, refuse)
     monkeypatch.setattr(ct, "verify_lambda_invertible", refuse)
-    for problem, x0, lam, rho, fixture_cert in (
-            (ct.Problem(0), desk.G0, desk.lam_fixed, "1e-8", desk.cert_fixed),
-            (ct.Problem(1, desk.tables), desk.V0, desk.lam_delta,
-             "1e-7", desk.cert_delta),
-            (ct.Problem(2, desk.tables), desk.W0, desk.lam_gamma,
-             "1e-7", desk.cert_gamma)):
-        cert = ct.certify(desk.ctx, problem, x0, lam, rho)
+    for problem, x0, rho, fixture_cert in (
+            (ct.Problem(0), desk.G0, "1e-8", desk.cert_fixed),
+            (ct.Problem(1, desk.tables), desk.V0, "1e-7", desk.cert_delta),
+            (ct.Problem(2, desk.tables), desk.W0, "1e-7", desk.cert_gamma)):
+        cert = ct.certify(desk.ctx, problem, x0, rho)
         assert cert.passed
         assert cert.to_payload() == fixture_cert.to_payload()
 
@@ -428,10 +421,8 @@ def _modified_map(lam, change):
 ])
 def test_singular_map_fails_with_kappa_at_least_one(desk, change, part):
     """A frozen map that is not invertible cannot pass: ||I - Lam DF(x0)|| < 1
-    would make it onto, so the kappa bound of a singular map is at least 1."""
+    would make it onto, so the kappa bound of a singular map is at least 1,
+    in its columns or in its tail."""
     lam = _modified_map(desk.lam_fixed, change)
-    with pytest.raises(CertificationFailed) as info:
-        ct.certify(desk.ctx, ct.Problem(0), desk.G0, lam, "1e-8")
-    cert = info.value.certificate
-    assert not cert.passed and cert.posterior_radius is None
-    assert cert.kappa >= 1 and getattr(cert, part) >= 1
+    _, columns, tail = bounds_with_map(desk.ctx, ct.Problem(0), desk.G0, "1e-8", lam)
+    assert {"kappa_columns_max": max(columns), "kappa_tail": tail}[part] >= 1

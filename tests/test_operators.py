@@ -180,17 +180,17 @@ def test_l_column_images_with_dt_coefficients_miss_apply(desk):
 @pytest.mark.parametrize("misuse, error", [
     (lambda t: t.apply(ctx, 0, fb.const_ball(20, 1)), ConfigError),
     (lambda t: t.apply(ctx, 3, fb.const_ball(20, 1)), ConfigError),
-    (lambda t: t.columns(ctx, 0), ConfigError),
-    (lambda t: t.columns(ctx, 3), ConfigError),
+    (lambda t: t.basis_image(ctx, 0, 0), ConfigError),
+    (lambda t: t.basis_image(ctx, 3, 0), ConfigError),
     (lambda t: t.image(ctx, 0, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
     (lambda t: t.image(ctx, 3, *[t.shared.table_affine.power(ctx, 1)] * 2, None), ConfigError),
-    (lambda t: t.columns(ctx, 1, fb.const_ball(25, 1)), DomainMismatch),
-    (lambda t: t.columns(ctx, 2, fb.const_ball(25, 1)), DomainMismatch),
+    (lambda t: ct.Problem(1, t).column_images(ctx, fb.const_ball(25, 1), 20), DomainMismatch),
+    (lambda t: ct.Problem(2, t).column_images(ctx, fb.const_ball(25, 1), 20), DomainMismatch),
 ], ids=["apply-q0", "apply-q3", "columns-q0", "columns-q3", "image-q0", "image-q3",
         "column0-q1", "column0-degree"])
 def test_operator_tables_refuse_misuse(desk, misuse, error):
-    """M_q exists for q = 1 and 2 only, and column 0 must share the tables'
-    degree, for either q."""
+    """M_q exists for q = 1 and 2 only, and the column images of an eigen
+    problem need a ball of the tables' degree, for either q."""
     with pytest.raises(error):
         misuse(desk.tables)
 

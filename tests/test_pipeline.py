@@ -1,5 +1,6 @@
 import concurrent.futures
 import decimal
+import inspect
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_min_digits,
+    bounds_with_map,
     jacobian_probe,
     matrix,
     oracle_evaluate,
@@ -58,6 +60,8 @@ def test_config_validation():
         pl.RunConfig(rho="0")
     with pytest.raises(ConfigError):
         pl.RunConfig(targets=("delta", "unknown"))
+    with pytest.raises(ConfigError, match="twice"):
+        pl.RunConfig(targets=("fixed_point", "fixed_point"))
     with pytest.raises(ConfigError):
         pl.RunConfig(workers=0)
 
@@ -136,6 +140,75 @@ def test_cli_has_no_boundary_rects_flag(capsys, verb):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "-M" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["output_dir", "checkpoint_dir"])
+def test_config_refuses_a_file_as_a_directory(tmp_path, field):
+    """An output or checkpoint path that is an existing file is refused when
+    the run is configured, before any work, by a ConfigError naming it."""
+    path = tmp_path / "file"
+    path.write_text("x")
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        pl.RunConfig(**{field: str(path)})
+
+
+#: stands for an existing file in the argv of a test
+_FILE = object()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "-o", _FILE], ["certify", "--checkpoint-dir", _FILE],
+    ["approx", "--checkpoint-dir", _FILE], ["plot", "--figure", "fig2a", "-o", _FILE],
+    ["certify", "--targets", "fixed_point,fixed_point"]],
+    ids=["certify-output", "certify-checkpoint", "approx-checkpoint", "plot-output",
+         "repeated-target"])
+def test_cli_refuses_bad_paths_and_targets_before_any_work(tmp_path, monkeypatch, capsys,
+                                                           argv):
+    """A file given as a directory, or a target named twice, is an error
+    (exit 2) with no traceback, and no work runs: the fixed-point
+    bootstrap is refused."""
+    from renormcert import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the configuration was checked")
+
+    monkeypatch.setattr(ax, "approx_fixed_point", refuse)
+    monkeypatch.delenv("RENORMCERT_SCRATCH", raising=False)
+    path = tmp_path / "file"
+    path.write_text("x")
+    named = str(path) if _FILE in argv else "twice"
+    assert cli.main([str(path) if arg is _FILE else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_unwritable_paths_are_config_errors(tmp_path):
+    """A path below a file passes the configuration check, as it does not
+    exist, but cannot be written: the OSError becomes a ConfigError naming
+    it, in the approx stage for a checkpoint and after the run for the
+    outputs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    path = blocker / "sub"
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",),
+                       checkpoint_dir=str(path))
+    with pytest.raises(StageFailure) as info:
+        pl.run_pipeline(cfg)
+    assert info.value.stage == "approx"
+    assert isinstance(info.value.__cause__, ConfigError) and str(path) in str(info.value.__cause__)
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        pl.run_pipeline(replace(cfg, checkpoint_dir=None, output_dir=str(path)))
+
+
+@pytest.mark.parametrize("verb", ["approx", "certify"])
+def test_cli_defaults_are_the_run_config_defaults(monkeypatch, verb):
+    """Parsing no flag gives the fields of RunConfig(): the CLI reads its
+    defaults from there."""
+    from renormcert import cli
+
+    monkeypatch.delenv("RENORMCERT_WORKERS", raising=False)
+    monkeypatch.delenv("RENORMCERT_SCRATCH", raising=False)
+    assert cli._config_from_args(cli.build_parser().parse_args([verb])) == pl.RunConfig()
 
 
 def test_pipeline_ordering_enforced():
@@ -313,8 +386,9 @@ def test_checkpoint_past_the_int_string_limit_runs(desk, tmp_path):
 
 def test_smaller_head_certifies(monkeypatch):
     """A frozen map whose head is smaller than the run's degree certifies:
-    with K = 12 in an N = 20 run the fixed-point certificate passes."""
-    monkeypatch.setattr(ax, "HEAD_DEGREE", 12)
+    with K = 12 in an N = 20 run the fixed-point certificate passes.  The
+    one HEAD_DEGREE is read when certify runs."""
+    monkeypatch.setattr(ct, "HEAD_DEGREE", 12)
     cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point",))
     cert = pl.run_pipeline(cfg).report["certificates"]["fixed_point"]
     assert cert["head_degree"] == 12 and cert["passed"]
@@ -325,18 +399,22 @@ def test_n40_certified_digit_counts(n40):
 
 
 def test_dense_map_certifies_same_digits(n40, monkeypatch):
-    """A dense map (K = N), inverted from the full midpoint Jacobian,
-    certifies the digits the K = 20 block map does at N = 40."""
+    """A dense map (K = N), inverted from the full midpoint Jacobian, passes
+    the bounds with the digits certify's K = 20 block map gives at N = 40."""
     powers_above_baby_steps(monkeypatch)
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
         jac = matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
-    lam = ax.build_lambda("fixed_point", jac, 40)
+    lam = ct.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
-    cert = ct.certify(n40.ctx, ct.Problem(0), n40.result.balls["G0"], lam,
-                      n40.cfg.rho_for("fixed_point"))
+    c, problem, x0 = n40.ctx, ct.Problem(0), n40.result.balls["G0"]
+    rho = n40.cfg.rho_for("fixed_point")
+    epsilon, columns, tail = bounds_with_map(c, problem, x0, rho, lam)
+    one_minus = c.sub_dn(Decimal(1), max(max(columns), tail))
+    assert epsilon < c.mul_dn(rho, one_minus)
+    enclosures = problem.enclosures(c, x0, min(rho, c.div_up(epsilon, one_minus)))
     for name in ("a", "alpha"):
-        text, count = pl.certified_digits(cert.enclosures[name])
+        text, count = pl.certified_digits(enclosures[name])
         assert {"digits": text, "count": count} == n40.result.report["digits"][name]
         assert count == 24
 
@@ -733,13 +811,16 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
 
 def test_cli_approx_builds_no_frozen_map(tmp_path, monkeypatch):
     """The approx verb writes the three checkpoints without building a
-    frozen map: the maps belong to the certificate stages."""
+    frozen map: the maps belong to the certificates.  The one build_lambda
+    is refused under each name it is bound to."""
     from renormcert import cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("the approx verb built a frozen map")
 
-    monkeypatch.setattr(ax, "build_lambda", refuse)
+    assert ax.build_lambda is ct.build_lambda
+    for module in (ax, ct):
+        monkeypatch.setattr(module, "build_lambda", refuse)
     ck = tmp_path / "ck"
     assert cli.main(["approx", "-N", "20", "-P", "30", "--checkpoint-dir", str(ck)]) == 0
     assert sorted(p.name for p in ck.iterdir()) == \
@@ -772,16 +853,20 @@ def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monke
     """Centres written by that version still load: certifying from a copy
     of them reads every centre, recomputes none and rewrites none, and
     gives the fresh run's certificates, input checksums included, and
-    digits.  Each file loads to the fresh centre and round-trips; its text
-    differs from the one written now only in the digit layout."""
+    digits.  Every function defined in approx and its midpoint engine are
+    refused, so the certificate stages run no approx numerics.  Each file
+    loads to the fresh centre and round-trips; its text differs from the
+    one written now only in the digit layout."""
     ck = tmp_path / "ck"
     shutil.copytree(V1_CENTRES, ck)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("approximate zero recomputed instead of read")
+        raise AssertionError("a certificate run called into the approx numerics")
 
-    monkeypatch.setattr(ax, "approx_fixed_point", refuse)
-    monkeypatch.setattr(ax, "approx_eigenpair", refuse)
+    for name, obj in vars(ax).items():
+        if inspect.isfunction(obj) and obj.__module__ == ax.__name__:
+            monkeypatch.setattr(ax, name, refuse)
+    monkeypatch.setattr(ax, "_MidShared", refuse)
     result = pl.run_pipeline(pl.RunConfig(degree=20, precision=30, rho="1e-8",
                                           checkpoint_dir=str(ck)))
     fresh = desk_all_targets
