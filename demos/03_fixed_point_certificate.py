@@ -5,8 +5,9 @@ X = x**2, is T(G)(X) = a**-1 G(Q(G(Q(a) X))) with a = G(1).  The script
   1. finds a polynomial approximation G0 by Newton iteration from the
      tabulated degree-20 fixed point (at N=20, P=30 that seed already
      passes the residual test; larger N climb doubling degrees from it),
-  2. verifies the domain-extension property (the operator is well-defined
-     and its derivative compact on a ball around G0),
+  2. maps fig1's boundary cover through both composition arguments and
+     checks every image inside the disc (the certificate proves the
+     domain extension by theta < 1 alone; this check draws fig1),
   3. proves the Newton-like operator Phi = id - Lam(T - id) is a
      contraction on that ball, so a true fixed point lives inside; the
      certificate forms Lam itself, inverting the midpoints of the

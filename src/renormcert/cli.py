@@ -181,6 +181,9 @@ def _cmd_digits(args) -> int:
 
 def _cmd_plot(args) -> int:
     cfg = _config_from_args(args)
+    out = Path(cfg.output_dir or ".") / f"{args.figure}.csv"
+    if out.exists() and not out.is_file():
+        raise ConfigError(f"{out} exists and is not a file")
     try:
         result = pl.run_pipeline(cfg)
     except StageFailure as exc:
@@ -189,8 +192,6 @@ def _cmd_plot(args) -> int:
     ctx = RoundingContext(cfg.precision)
     rows = pl.emit_plot_covering(ctx, args.figure, args.subdivisions,
                                  pl.certified_balls(ctx, result))
-    out = Path(cfg.output_dir or ".") / f"{args.figure}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     pl.write_covering_csv(out, rows)
     print(f"{len(rows)} rectangles -> {out}")
     return 0

@@ -51,6 +51,7 @@ from .rounding import (
     Rectangle,
     RoundingContext,
     box_add,
+    box_conj,
     box_inv,
     box_mul,
     box_sqr,
@@ -294,7 +295,9 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     point scale.  Each argument is read once
     (:meth:`balls.PointEvaluator.read`): the point 1 for a, then per box
     w1 = a**2 z, whose read serves its disc test and G(w1), and
-    w2 = Q(G(w1)).  Returns the coverings as boxes, or raises
+    w2 = Q(G(w1)).  A box whose conjugate came earlier in the cover takes
+    the conjugates of that twin's images: G is real and the disc symmetric
+    about the real axis.  Returns the coverings as boxes, or raises
     ContainmentFailure naming the first offending argument's box, exactly,
     and which of the two checks failed.
     The certificates prove the claim without it: on a ball with v_err > 0,
@@ -309,7 +312,14 @@ def check_domain_extension(ctx: RoundingContext, G: FunctionBall,
     a2 = box_sqr(g.value(g.read((g.center, g.center, 0, 0))), unit)
     boundary = boundary_cover(m, s)
     gamma1, gamma2 = [], []
+    seen = {}       # box -> its index, for the conjugates still to come
     for idx, z in enumerate(boundary):
+        twin = seen.get((z[0], z[1], -z[3], -z[2]))
+        if twin is not None:
+            gamma1.append(box_conj(gamma1[twin]))
+            gamma2.append(box_conj(gamma2[twin]))
+            continue
+        seen[z] = idx
         w1 = g.read(box_mul(a2, z, unit))
         if not g.in_disc(w1, strict=True):
             raise ContainmentFailure(

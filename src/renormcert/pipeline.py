@@ -40,7 +40,8 @@ from .errors import (
     RenormcertError,
     StageFailure,
 )
-from .rounding import EXACT, Interval, RoundingContext, exact_decimal, finite_decimal, interval
+from .rounding import (EXACT, Interval, RoundingContext, box_sqr, exact_decimal,
+                       finite_decimal, interval)
 
 __all__ = [
     "RunConfig",
@@ -458,7 +459,10 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
     and the constants of the functional equations are prepared once for
     the whole covering (see :class:`operators.RecursiveExtension`).  A
     graph row writes its cell of the exact grid (:func:`operators.grid_points`)
-    exactly and the value's box outward.
+    exactly and the value's box outward
+    (:meth:`RoundingContext.box_strings`).  A lowercase target is evaluated
+    once per distinct squared cell: on a symmetric range, cells j and
+    n-1-j share one.
     """
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; known: {sorted(FIGURES)}")
@@ -469,14 +473,10 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
         raise MissingCertificate("plot coverings need the certified fixed-point ball")
     if figure == "fig1":
         res = op.check_domain_extension(ctx, G, subdivisions)
-        rows = []
-        for label, boxes in (("boundary", res.boundary), ("gamma1", res.gamma1),
-                             ("gamma2", res.gamma2)):
-            for box in boxes:
-                rect = ctx.box_rectangle(box, res.point_scale)
-                rows.append((label, str(rect.re.lo), str(rect.re.hi),
-                             str(rect.im.lo), str(rect.im.hi)))
-        return rows
+        return [(label, *ctx.box_strings(box, res.point_scale))
+                for label, boxes in (("boundary", res.boundary), ("gamma1", res.gamma1),
+                                     ("gamma2", res.gamma2))
+                for box in boxes]
     key = target.upper()
     if balls.get(key) is None:
         raise MissingCertificate(f"figure {figure} needs the certified {key} ball")
@@ -488,15 +488,24 @@ def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
         lo, hi = ctx.to_int_ends(interval(*x_range), s)
     pts = op.grid_points(lo, hi, subdivisions)
     xs = [str(exact_decimal(x, s)) for x in pts]
+    ys = {}         # argument box -> the value's row ends
     rows = []
     for j in range(subdivisions):
-        y = ctx.box_rectangle(extension.evaluate_box(target, (pts[j], pts[j + 1], 0, 0), depth),
-                              s).re
-        rows.append((target, xs[j], xs[j + 1], str(y.lo), str(y.hi)))
+        z = (pts[j], pts[j + 1], 0, 0)
+        if target.islower():
+            z = box_sqr(z, extension.unit)
+        if z not in ys:
+            ys[z] = ctx.box_strings(extension.evaluate_box(key, z, depth), s)[:2]
+        rows.append((target, xs[j], xs[j + 1], *ys[z]))
     return rows
 
 
 def write_covering_csv(path, rows) -> None:
+    """Write the rows as CSV, making the parent directory if needed; an
+    OSError becomes a ConfigError naming the path."""
     lines = ["label,x_lo,x_hi,y_lo,y_hi"]
     lines += [",".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")

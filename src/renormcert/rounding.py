@@ -2,8 +2,9 @@
 
 Balls hold exact integers in midpoint-radius form (see ``balls``), and
 points are integer boxes (re_lo, re_hi, im_lo, im_hi) at one scale
-10**-S: :func:`box_add` and :func:`box_sub` are exact, :func:`box_mul`,
-:func:`box_sqr` and :func:`box_inv` round outward once per part.
+10**-S: :func:`box_add`, :func:`box_sub` and :func:`box_conj` are exact,
+:func:`box_mul`, :func:`box_sqr` and :func:`box_inv` round outward once
+per part.
 Decimal serves the edges, where numbers come in or go out, and the
 scalar bounds (norms, theta, epsilon, kappa), through a
 :class:`RoundingContext` with one decimal context rounding toward minus
@@ -15,7 +16,8 @@ and :meth:`RoundingContext.scaled_up` bound an integer times 10**-S,
 scale, exactly and in integers only, :meth:`RoundingContext.to_int_ends`
 and :meth:`RoundingContext.to_box` read intervals and rectangles through
 them and :meth:`RoundingContext.box_rectangle` writes a box back, all
-outward; :func:`exact_decimal` and :func:`box_text` write exactly.  A
+outward (:meth:`RoundingContext.box_strings` as the text of its ends);
+:func:`exact_decimal` and :func:`box_text` write exactly.  A
 complex point comes in, and a value goes out, as a :class:`Rectangle`, a
 pair of intervals; no arithmetic runs on rectangles but
 :meth:`RoundingContext.rmul`, which the benchmark times
@@ -46,6 +48,7 @@ __all__ = [
     "IONE",
     "box_add",
     "box_sub",
+    "box_conj",
     "box_mul",
     "box_sqr",
     "box_inv",
@@ -264,6 +267,15 @@ class RoundingContext:
         im = Interval(self.scaled_dn(il, scale), self.scaled_up(ih, scale)) if il or ih else IZERO
         return Rectangle(re, im)
 
+    def box_strings(self, box, scale: int) -> tuple[str, str, str, str]:
+        """str() of the four ends of :meth:`box_rectangle`, with no Interval
+        or Rectangle built: a covering row."""
+        rl, rh, il, ih = box
+        dn, up = self.scaled_dn, self.scaled_up
+        re = (str(dn(rl, scale)), str(up(rh, scale))) if rl or rh else ("0", "0")
+        im = (str(dn(il, scale)), str(up(ih, scale))) if il or ih else ("0", "0")
+        return (*re, *im)
+
     # -- interval arithmetic ----------------------------------------------
 
     def iadd(self, x: Interval, y: Interval) -> Interval:
@@ -390,6 +402,11 @@ def box_add(x, y):
 def box_sub(x, y):
     """x - y, exact."""
     return x[0] - y[1], x[1] - y[0], x[2] - y[3], x[3] - y[2]
+
+
+def box_conj(x):
+    """The complex conjugate of x, exact."""
+    return x[0], x[1], -x[3], -x[2]
 
 
 def box_mul(x, y, unit: int):

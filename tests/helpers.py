@@ -14,9 +14,11 @@ import numpy as np
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
-from renormcert.errors import PointOutsideDomain
-from renormcert.rounding import (EXACT, IZERO, Interval, Rectangle, RoundingContext, interval,
-                                 rectangle)
+from renormcert import operators as op
+from renormcert import pipeline as pl
+from renormcert.errors import ContainmentFailure, PointOutsideDomain
+from renormcert.rounding import (EXACT, IZERO, Interval, Rectangle, RoundingContext, box_mul,
+                                 box_sqr, exact_decimal, interval, rectangle)
 
 # Published high-precision reference values for the universal constants
 # (first 60 fractional/significant digits; used as prefix oracles).
@@ -819,3 +821,57 @@ def powers_above_baby_steps(monkeypatch) -> None:
             return power(self, ctx, k)
         return self.compose(ctx, basis_ball(self.truncation, k))
     monkeypatch.setattr(fb.PowerTable, "power", any_power)
+
+
+def oracle_domain_extension(ctx: RoundingContext, G: fb.FunctionBall, m: int):
+    """The boundary check with every boundary box read and evaluated, no
+    box taking its conjugate twin's images: (boundary, gamma1, gamma2,
+    point_scale), or ContainmentFailure at the first offending box."""
+    g = fb.point_evaluator(ctx, G)
+    s = g.point_scale
+    unit = 10 ** s
+    a2 = box_sqr(g.value(g.read((g.center, g.center, 0, 0))), unit)
+    boundary = op.boundary_cover(m, s)
+    gamma1, gamma2 = [], []
+    for idx, z in enumerate(boundary):
+        w1 = g.read(box_mul(a2, z, unit))
+        if not g.in_disc(w1, strict=True):
+            raise ContainmentFailure("a**2 z", index=idx, equation=1)
+        gamma1.append(w1.box)
+        w2 = g.read(box_sqr(g.value(w1), unit))
+        if not g.in_disc(w2, strict=True):
+            raise ContainmentFailure("Q(G(a**2 z))", index=idx, equation=2)
+        gamma2.append(w2.box)
+    return boundary, gamma1, gamma2, s
+
+
+def oracle_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,
+                         balls: dict) -> list[tuple]:
+    """The rows of ``pipeline.emit_plot_covering`` with every graph cell
+    evaluated (a lowercase target squares each cell itself), every boundary
+    box read (:func:`oracle_domain_extension`) and every row written
+    through ``RoundingContext.box_rectangle``."""
+    target, x_range, depth = pl.FIGURES[figure]
+    if figure == "fig1":
+        boundary, gamma1, gamma2, s = oracle_domain_extension(ctx, balls["G"], subdivisions)
+        rows = []
+        for label, boxes in (("boundary", boundary), ("gamma1", gamma1), ("gamma2", gamma2)):
+            for box in boxes:
+                rect = ctx.box_rectangle(box, s)
+                rows.append((label, str(rect.re.lo), str(rect.re.hi),
+                             str(rect.im.lo), str(rect.im.hi)))
+        return rows
+    extension = op.RecursiveExtension.build(ctx, balls["G"], balls.get("V"), balls.get("W"))
+    s = extension.G.point_scale
+    if x_range is None:
+        lo, hi = pl._default_range(target, extension.G)
+    else:
+        lo, hi = ctx.to_int_ends(interval(*x_range), s)
+    pts = op.grid_points(lo, hi, subdivisions)
+    xs = [str(exact_decimal(x, s)) for x in pts]
+    rows = []
+    for j in range(subdivisions):
+        y = ctx.box_rectangle(extension.evaluate_box(target, (pts[j], pts[j + 1], 0, 0), depth),
+                              s).re
+        rows.append((target, xs[j], xs[j + 1], str(y.lo), str(y.hi)))
+    return rows

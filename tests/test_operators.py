@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (REF_A, abs2_upper, basis_ball, domain_points, eval_member, midpoint,
-                     recorded_reads, rsqr, rsub, sample_member, with_tails)
+                     oracle_domain_extension, recorded_reads, rsqr, rsub, sample_member,
+                     with_tails)
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
@@ -21,7 +22,7 @@ from renormcert.errors import (
     DomainMismatch,
     NormalizationSingular,
 )
-from renormcert.rounding import Rectangle, RoundingContext, interval, rectangle
+from renormcert.rounding import Rectangle, RoundingContext, box_conj, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -483,11 +484,29 @@ def test_extension_needs_one_reading_frame(desk):
 
 def test_domain_extension_reads_each_argument_once(desk, monkeypatch):
     """One read of the point 1 for a, then w1 = a**2 z and w2 = Q(G(w1)) once
-    each per boundary rectangle."""
+    each per boundary rectangle whose conjugate is not earlier in the cover:
+    at 64 rectangles, half of them, as the cover is symmetric about the
+    real axis."""
     reads = recorded_reads(monkeypatch)
     res = op.check_domain_extension(ctx, desk.param, 64)
-    assert len(reads) == 1 + 2 * 64
-    assert reads[1::2] == list(res.gamma1) and reads[2::2] == list(res.gamma2)
+    assert len(reads) == 1 + 2 * 32
+    read = [i for i, z in enumerate(res.boundary) if box_conj(z) not in res.boundary[:i]]
+    assert reads[1::2] == [res.gamma1[i] for i in read]
+    assert reads[2::2] == [res.gamma2[i] for i in read]
+
+
+@pytest.mark.parametrize("radius, index", [("1", 0), ("0.0875", 364), ("0.085", 432)])
+def test_domain_extension_fails_where_every_box_oracle_fails(desk, radius, index):
+    """A box that takes its conjugate twin's images cannot move the first
+    failure: the check raises at the index and equation of the loop that
+    reads every box."""
+    ball = fb.inflate(ctx, desk.G0, radius)
+    failures = []
+    for check in (oracle_domain_extension, op.check_domain_extension):
+        with pytest.raises(ContainmentFailure) as info:
+            check(ctx, ball, 1000)
+        failures.append((info.value.index, info.value.equation))
+    assert failures[0] == failures[1] and failures[0][0] == index
 
 
 def test_extension_beyond_disc_reads_no_argument_twice(desk, monkeypatch):

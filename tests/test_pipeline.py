@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from helpers import (
     matrix,
     oracle_evaluate,
     oracle_evaluate_derivative,
+    oracle_plot_covering,
     poly_eval,
     powers_above_baby_steps,
     rand_interval,
@@ -615,6 +617,57 @@ def test_plot_covering_hoisted_constants_bit_identical(desk, figure):
         assert (y_lo, y_hi) == (str(val.re.lo), str(val.re.hi))
 
 
+def _desk_ball_sets(desk) -> dict:
+    """The desk balls as the benchmark draws them, V and W inflated by
+    their certificates' rho, and as ``renormcert plot`` does, through
+    certified_balls."""
+    ctx = desk.ctx
+    result = SimpleNamespace(
+        balls={"G0": desk.G0, "V0": desk.V0, "W0": desk.W0},
+        certificates={"fixed_point": desk.cert_fixed, "delta": desk.cert_delta,
+                      "gamma": desk.cert_gamma})
+    return {"rho": {"G": desk.param, "V": fb.inflate(ctx, desk.V0, desk.cert_delta.rho),
+                    "W": fb.inflate(ctx, desk.W0, desk.cert_gamma.rho)},
+            "certified": pl.certified_balls(ctx, result)}
+
+
+@pytest.mark.parametrize("figure, subdivisions",
+                         [(figure, n) for figure in sorted(pl.FIGURES) if figure != "fig1"
+                          for n in (40, 37, 8)]
+                         + [("fig1", m) for m in (4, 8, 40, 64, 1000)])
+def test_covering_rows_match_every_box_oracle(desk, figure, subdivisions):
+    """Rows are byte-identical to those of the loop that evaluates every
+    cell, reads every boundary box and writes through box_rectangle, though
+    mirror cells share one evaluation, conjugate boundary boxes share one
+    and rows are written by box_strings."""
+    for balls in _desk_ball_sets(desk).values():
+        rows = pl.emit_plot_covering(desk.ctx, figure, subdivisions, balls)
+        assert rows == oracle_plot_covering(desk.ctx, figure, subdivisions, balls)
+
+
+def test_fig1_mirror_that_keeps_the_imaginary_ends_fails_the_oracle(desk, monkeypatch):
+    """Negative control: a twin's images copied without negating and
+    swapping their imaginary ends give rows the every-box oracle refuses."""
+    monkeypatch.setattr(op, "box_conj", lambda box: box)
+    balls = _desk_ball_sets(desk)["rho"]
+    assert pl.emit_plot_covering(desk.ctx, "fig1", 64, balls) != \
+        oracle_plot_covering(desk.ctx, "fig1", 64, balls)
+
+
+def test_symmetric_graph_evaluates_each_squared_cell_once(desk, monkeypatch):
+    """fig2d spans the exact range +-3.1, so at 40 subdivisions cells j and
+    39-j square to one box: 20 evaluations, each of a distinct box."""
+    boxes, evaluate_box = [], op.RecursiveExtension.evaluate_box
+
+    def counted(self, target, z, depth):
+        boxes.append(z)
+        return evaluate_box(self, target, z, depth)
+    monkeypatch.setattr(op.RecursiveExtension, "evaluate_box", counted)
+    rows = pl.emit_plot_covering(desk.ctx, "fig2d", 40, _certified_desk_balls(desk))
+    assert len(rows) == 40 and len(boxes) == len(set(boxes)) == 20
+    assert all(rows[j][3:] == rows[39 - j][3:] for j in range(20))
+
+
 class _OracleEvaluator:
     """A point evaluator whose values come from the Decimal Horner oracles,
     at the box each read carries written as a Rectangle, and are read back
@@ -699,6 +752,33 @@ def test_cli_plot_rejects_bad_subdivisions(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert "--subdivisions" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_plot_refuses_a_directory_as_its_csv(tmp_path, monkeypatch, capsys):
+    """A covering path that is a directory is a usage error (exit 2) naming
+    the path, before the pipeline runs and with nothing written."""
+    from renormcert import cli
+
+    def no_pipeline(cfg):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(pl, "run_pipeline", no_pipeline)
+    (tmp_path / "fig2a.csv").mkdir()
+    assert cli.main(["plot", "--figure", "fig2a", "--subdivisions", "10",
+                     "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "fig2a.csv") in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["fig2a.csv"]
+    assert not list((tmp_path / "fig2a.csv").iterdir())
+
+
+def test_covering_csv_write_error_names_the_path(tmp_path):
+    """An OSError while writing a covering CSV is a ConfigError naming the
+    path: here its parent is a file."""
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "fig2a.csv"
+    with pytest.raises(ConfigError, match=str(path)):
+        pl.write_covering_csv(path, [("G", "0", "1", "0", "1")])
 
 
 def test_plot_covering_contains_midpoints(desk):
