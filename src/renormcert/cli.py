@@ -7,9 +7,8 @@ Verbs:
     digits   print certified digit strings from a certificate file
     plot     export rectangle-covering CSV data for one figure
 
-Each flag sets one RunConfig field.  Only the worker count and the
-scratch directory may come from the environment (RENORMCERT_WORKERS,
-RENORMCERT_SCRATCH).
+Each flag sets one RunConfig field.  Only the scratch directory may come
+from the environment (RENORMCERT_SCRATCH).
 """
 
 from __future__ import annotations
@@ -27,30 +26,6 @@ from .rounding import Interval, RoundingContext, finite_decimal
 __all__ = ["main", "build_parser"]
 
 
-def _worker_count(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"worker count {text!r} (from --workers or RENORMCERT_WORKERS) "
-            "is not an integer") from None
-
-
-def _subdivision_count(text: str) -> int:
-    """--subdivisions as a count that suits some figure (main checks the
-    figure's own rule once --figure is parsed too)."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"subdivision count {text!r} is not an integer") from None
-    try:
-        pl.check_subdivisions(None, count)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return count
-
-
 def _default_scratch() -> str | None:
     return os.environ.get("RENORMCERT_SCRATCH")
 
@@ -64,13 +39,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--rho", default=defaults.rho,
                    help="fixed-point ball radius as a decimal string "
                    "(the eigen ball radii are 10*rho)")
-    # a string default is converted by the type only when the flag is
-    # absent, so a bad RENORMCERT_WORKERS is a usage error of the verbs
-    # that take --workers and is ignored by the others
-    p.add_argument("--workers", type=_worker_count,
-                   default=os.environ.get("RENORMCERT_WORKERS", str(defaults.workers)),
-                   help="worker processes for independent stages: the delta and "
-                   f"gamma bootstraps (default {defaults.workers})")
     p.add_argument("--targets", default=",".join(defaults.targets),
                    help="comma-separated subset of " + ",".join(defaults.targets))
     p.add_argument("--output", "-o", default=defaults.output_dir, help="output directory")
@@ -83,7 +51,6 @@ def _config_from_args(args) -> pl.RunConfig:
         degree=args.degree,
         precision=args.precision,
         rho=args.rho,
-        workers=args.workers,
         targets=tuple(t.strip() for t in args.targets.split(",") if t.strip()),
         output_dir=args.output,
         checkpoint_dir=args.checkpoint_dir,
@@ -113,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--figure", required=True, choices=sorted(pl.FIGURES),
                    help="figure identifier")
-    p.add_argument("--subdivisions", type=_subdivision_count, default=100,
+    p.add_argument("--subdivisions", type=int, default=100,
                    help="graph subinterval count (fig1: boundary rectangles)")
 
     return parser
@@ -125,7 +92,8 @@ def _cmd_approx(args) -> int:
     cfg = _config_from_args(args)
     if cfg.checkpoint_dir is None:
         cfg = dataclasses.replace(cfg, checkpoint_dir=cfg.output_dir or ".")
-    for target, ball in pl.bootstrap(cfg).items():
+    centres, _ = pl.bootstrap(cfg)
+    for target, ball in centres.items():
         if target == "fixed_point":
             print(f"g0: degree {cfg.degree}, precision {cfg.precision}, "
                   f"G0(1) = {ball.coeffs[0].re.lo}")

@@ -19,6 +19,7 @@ its ball radius and its certificate's a-posteriori radius.
 from __future__ import annotations
 
 import json
+import os
 import resource
 import time
 from contextlib import contextmanager
@@ -64,6 +65,9 @@ _CENTRES = {"fixed_point": ("g0", "G0"), "delta": ("delta0", "V0"),
             "gamma": ("gamma0", "W0")}
 _TARGETS = tuple(_CENTRES)
 REPORT_SCHEMA = "renormcert-report/1"
+#: smallest degree at which the eigen bootstraps run in a pool: below it the
+#: pool's start-up costs more than running them side by side saves (README)
+POOL_MIN_DEGREE = 140
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ class RunConfig:
     degree: int = 20
     precision: int = 30
     rho: str = "1e-8"
-    # no proof reads it; kept until the benchmark's workloads stop passing it (ROADMAP item 1)
+    # no run reads these two; kept until the benchmark's workloads stop
+    # passing them (ROADMAP item 1)
     boundary_rects: int = 64
     workers: int = 1
     targets: tuple[str, ...] = _TARGETS
@@ -272,13 +277,15 @@ def _stage(report, timings, name):
     return _StageTimer()
 
 
-def bootstrap(cfg: RunConfig) -> dict:
-    """The approx stage: target -> approximate zero as a ball.
+def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
+    """The approx stage: target -> approximate zero as a ball, and the
+    number of processes that computed them.
 
     A zero is read from the checkpoint directory when present there, and
     otherwise computed and, with a checkpoint directory, written there.
-    The eigen zeros need only the fixed point's, so the pending ones are
-    computed side by side (:func:`_eigen_centres`).
+    The eigen zeros need only the fixed point's, so from degree
+    POOL_MIN_DEGREE on the pending ones run in a pool, one process per
+    target up to the usable cores (:func:`_eigen_centres`).
     """
     n, p = cfg.degree, cfg.precision
     out = {target: _read_checkpoint(cfg, target) for target in _TARGETS
@@ -287,24 +294,32 @@ def bootstrap(cfg: RunConfig) -> dict:
         out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", fb.ball_from_decimals(
             STANDARD_DISC, ax.approx_fixed_point(n, p), n))
     pending = [target for target, ball in out.items() if ball is None]
-    for target, x0 in zip(pending, _eigen_centres(cfg, pending, _centre(out["fixed_point"]))):
+    processes = min(len(pending), _usable_cores()) if pending and n >= POOL_MIN_DEGREE else 1
+    centres = _eigen_centres(processes, pending, _centre(out["fixed_point"]), p)
+    for target, x0 in zip(pending, centres):
         ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
         out[target] = _write_checkpoint(cfg, target, ball)
-    return out
+    return out, processes
 
 
-def _eigen_centres(cfg: RunConfig, targets: list[str], g0: list[Decimal]):
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _eigen_centres(processes: int, targets: list[str], g0: list[Decimal], precision: int):
     """Approximate eigenfunctions of ``targets`` at the fixed-point centre
-    g0, yielded in target order.  They are independent, so with two
-    workers or more and two targets or more they run in a pool of
-    min(workers, targets) processes, which receive and return exact
-    Decimal lists only: the results do not depend on the worker count."""
-    args = (targets, repeat(g0), repeat(cfg.precision))
-    processes = min(cfg.workers, len(targets))
+    g0, yielded in target order, by a pool of ``processes`` when that is
+    two or more.  The pool receives and returns exact Decimal lists only:
+    the results do not depend on the process count."""
+    args = (targets, repeat(g0), repeat(precision))
     if processes < 2:
         yield from map(_eigen_centre, *args)
     else:
-        # default start method (fork on Linux): a spawned worker imports the
+        # looked up at call time, as the benchmark's tracer and the tests patch
+        # it; default start method (fork on Linux): a spawned worker imports the
         # package afresh, 0.4 s on a 2-core Xeon VM, one eigen bootstrap at N=160
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
@@ -337,7 +352,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     result = PipelineResult(config=cfg, report=report)
     try:
         with _stage(report, timings, "approx"):
-            centres = bootstrap(cfg)
+            centres, processes = bootstrap(cfg)
+            report["execution"] = {"workers": processes}
             for target, ball in centres.items():
                 report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
             g0_ball = centres["fixed_point"]
@@ -372,8 +388,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 
 def _cert_config(cfg: RunConfig, target: str, checksums: dict) -> dict:
+    """The run settings of a certificate, with the checksums of its own
+    inputs: g0, and an eigen target's own centre."""
+    inputs = {name: checksums[name] for name in ("g0", _CENTRES[target][0])}
     return {"degree": cfg.degree, "precision": cfg.precision,
-            "rho": str(cfg.rho_for(target)), "input_checksums": dict(checksums)}
+            "rho": str(cfg.rho_for(target)), "input_checksums": inputs}
 
 
 def _record_digits(report: dict, name: str, enclosure: Interval):
@@ -390,7 +409,7 @@ def _write_outputs(cfg: RunConfig, result: PipelineResult, partial: bool):
     # peak resident set of this process plus its largest reaped child, in MB
     peak_kb = sum(resource.getrusage(who).ru_maxrss
                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    report["execution"] = {"workers": cfg.workers, "peak_rss_mb": round(peak_kb / 1024, 1)}
+    report["execution"] = {**report.get("execution", {}), "peak_rss_mb": round(peak_kb / 1024, 1)}
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(report, indent=2, default=str))

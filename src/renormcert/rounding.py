@@ -239,6 +239,8 @@ class RoundingContext:
 
     def scaled_dn(self, value: int, scale: int) -> Decimal:
         """Lower bound of value * 10**-scale at working precision."""
+        if not value:
+            return _D0
         # floor away the surplus digits in integers first, so the Decimal
         # built from them carries no more digits than it keeps
         cut = (value.bit_length() * 1233 >> 12) - self.precision

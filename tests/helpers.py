@@ -809,6 +809,13 @@ def recorded_reads(monkeypatch) -> list:
     return reads
 
 
+def set_pool_rule(monkeypatch, cores: int, min_degree: int = 0) -> None:
+    """Make the eigen bootstrap pool start from ``min_degree`` (any degree by
+    default) with ``cores`` usable cores, whatever the machine has."""
+    monkeypatch.setattr(pl, "POOL_MIN_DEGREE", min_degree)
+    monkeypatch.setattr(pl, "_usable_cores", lambda: cores)
+
+
 def powers_above_baby_steps(monkeypatch) -> None:
     """Let ``balls.PowerTable.power`` serve every k <= N, for the dense-map
     oracles (K = N) that bound the columns above the baby steps one by one;

@@ -25,6 +25,7 @@ from helpers import (
     member_product,
     rand_poly_ball,
     sample_member,
+    set_pool_rule,
     t_apply,
 )
 from renormcert import approx as ax
@@ -197,16 +198,19 @@ def test_criterion_6c_finite_difference():
           f"differences, relative error at step 1e-6 <= {worst_final:.2E}")
 
 
-def test_criterion_6d_worker_determinism(desk_run):
-    """Desk runs with 2 and 4 workers, which bootstrap delta and gamma in a
-    process pool, report what the one-worker run reports."""
+def test_criterion_6d_worker_determinism(desk_run, monkeypatch):
+    """Desk runs with the pool rule forced on and 2 or 4 usable cores, which
+    bootstrap delta and gamma in a process pool, report what the
+    one-process run reports."""
     result, _ = desk_run
     keys = ("certificates", "digits", "checksums")
-    for workers in (2, 4):
-        report = pl.run_pipeline(pl.RunConfig(**DESK, workers=workers)).report
+    for cores in (2, 4):
+        set_pool_rule(monkeypatch, cores)
+        report = pl.run_pipeline(pl.RunConfig(**DESK)).report
+        assert report["execution"]["workers"] == 2
         assert [report[k] for k in keys] == [result.report[k] for k in keys]
     print("\nACCEPTANCE 6d PASS: certificates, digits and checksums bitwise "
-          "identical for worker counts 1, 2, 4")
+          "identical in one process and in a pool of two")
 
 
 def test_criterion_7_negative_controls(desk_run):

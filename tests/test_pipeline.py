@@ -31,6 +31,7 @@ from helpers import (
     rand_interval,
     recorded_reads,
     sample_point,
+    set_pool_rule,
 )
 from renormcert import approx as ax
 from renormcert import balls as fb
@@ -208,7 +209,6 @@ def test_cli_defaults_are_the_run_config_defaults(monkeypatch, verb):
     defaults from there."""
     from renormcert import cli
 
-    monkeypatch.delenv("RENORMCERT_WORKERS", raising=False)
     monkeypatch.delenv("RENORMCERT_SCRATCH", raising=False)
     assert cli._config_from_args(cli.build_parser().parse_args([verb])) == pl.RunConfig()
 
@@ -438,6 +438,7 @@ def test_run_pipeline_desk(tmp_path):
     assert not data["partial"]
     assert set(data["checksums"]) == {"g0", "delta0", "gamma0"}
     assert data["execution"]["peak_rss_mb"] > 0
+    assert data["execution"]["workers"] == 1
     assert sorted(data["timings"]) == ["approx", "delta", "fixed_point", "gamma",
                                        "parameter_ball"]
     assert "domain_extension" not in data and "boundary_rects" not in data["config"]
@@ -447,15 +448,18 @@ def test_run_pipeline_desk(tmp_path):
     assert res2.report["certificates"] == report["certificates"]
 
 
-def test_report_reproducible_across_workers(tmp_path):
-    """All three targets with 1, 2 and 4 workers: equal certificates,
-    digits, checksums and checkpoint files (written by the parent)."""
+def test_report_reproducible_across_workers(tmp_path, monkeypatch):
+    """All three targets in one process and with the eigen bootstraps in a
+    real fork pool (2 and 4 usable cores, so 2 processes): equal
+    certificates, digits, checksums and checkpoint files (written by the
+    parent), and each report counts the processes it used."""
     runs = []
-    for workers in (1, 2, 4):
-        ckpt = tmp_path / f"ckpt{workers}"
-        cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", boundary_rects=64,
-                           workers=workers, checkpoint_dir=str(ckpt))
+    for cores in (1, 2, 4):
+        set_pool_rule(monkeypatch, cores)
+        ckpt = tmp_path / f"ckpt{cores}"
+        cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", checkpoint_dir=str(ckpt))
         report = pl.run_pipeline(cfg).report
+        assert report["execution"]["workers"] == min(cores, 2)
         files = {f.name: f.read_text() for f in ckpt.iterdir()}
         runs.append((report["certificates"], report["digits"], report["checksums"], files))
     assert len(runs[0][3]) == 3
@@ -486,14 +490,39 @@ def _record_pool_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_eigen_pool_starts_one_process_per_pending_target(monkeypatch):
-    """Workers beyond the two pending eigen targets start no extra process,
-    and the centres are those of one worker."""
+def test_pool_starts_by_degree_and_usable_cores(monkeypatch):
+    """The rule itself, with the bootstraps stubbed out: no pool at desk,
+    N=40 or N=80 however many cores are usable; from POOL_MIN_DEGREE on, a
+    pool of min(2, cores) for both eigen targets, and none with one usable
+    core or one pending target."""
     sizes = _record_pool_sizes(monkeypatch)
-    serial = pl.bootstrap(pl.RunConfig())
+    monkeypatch.setattr(ax, "approx_fixed_point", lambda n, p: [Decimal(0)] * (n + 1))
+    monkeypatch.setattr(ax, "approx_eigenpair",
+                        lambda target, g0, p: ([Decimal(1)] * len(g0), Decimal(1)))
+    top = pl.POOL_MIN_DEGREE
+    assert top > 80
+    both, delta = pl._TARGETS, ("fixed_point", "delta")
+    for degree, cores, targets, size in [
+            *((n, c, both, 1) for n in (20, 40, 80) for c in (1, 2, 4, 64)),
+            *((n, c, both, min(2, c)) for n in (top, top + 20) for c in (1, 2, 3, 64)),
+            (top, 4, delta, 1), (top - 1, 4, both, 1)]:
+        monkeypatch.setattr(pl, "_usable_cores", lambda: cores)
+        sizes.clear()
+        centres, processes = pl.bootstrap(pl.RunConfig(degree=degree, targets=targets))
+        assert (processes, sizes) == (size, [size] if size > 1 else []), (degree, cores)
+        assert list(centres) == list(targets)
+
+
+def test_eigen_pool_starts_one_process_per_pending_target(monkeypatch):
+    """Usable cores beyond the two pending eigen targets start no extra
+    process, and the centres are those of one process."""
+    sizes = _record_pool_sizes(monkeypatch)
+    serial, _ = pl.bootstrap(pl.RunConfig())
     assert sizes == []
-    for workers in (2, 3, 5000):
-        centres = pl.bootstrap(pl.RunConfig(workers=workers))
+    for cores in (2, 3, 5000):
+        set_pool_rule(monkeypatch, cores)
+        centres, processes = pl.bootstrap(pl.RunConfig())
+        assert processes == 2
         assert {t: fb.ball_checksum(b) for t, b in centres.items()} \
             == {t: fb.ball_checksum(b) for t, b in serial.items()}
     assert sizes == [2, 2, 2]
@@ -504,8 +533,9 @@ def test_one_pending_target_starts_no_pool(desk, tmp_path, monkeypatch):
     bootstrapped in this process and its checkpoint written."""
     (tmp_path / "delta0_n20_p30.txt").write_text(fb.serialize_ball(desk.V0))
     sizes = _record_pool_sizes(monkeypatch)
-    centres = pl.bootstrap(pl.RunConfig(workers=2, checkpoint_dir=str(tmp_path)))
-    assert sizes == []
+    set_pool_rule(monkeypatch, 2)
+    centres, processes = pl.bootstrap(pl.RunConfig(checkpoint_dir=str(tmp_path)))
+    assert (sizes, processes) == ([], 1)
     assert fb.ball_checksum(centres["delta"]) == fb.ball_checksum(desk.V0)
     assert (tmp_path / "gamma0_n20_p30.txt").exists()
 
@@ -530,10 +560,11 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(ax, "approx_eigenpair", ambiguous)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     outcomes = []
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
+    for cores in (1, 2):
+        set_pool_rule(monkeypatch, cores)
+        out = tmp_path / f"w{cores}"
         with pytest.raises(StageFailure) as info:
-            pl.run_pipeline(pl.RunConfig(workers=workers, output_dir=str(out)))
+            pl.run_pipeline(pl.RunConfig(output_dir=str(out)))
         cause = info.value.__cause__
         data = json.loads((out / "report.json").read_text())
         del data["timings"], data["execution"]
@@ -601,6 +632,16 @@ def _certified_desk_balls(desk) -> dict:
     return {"G": desk.param,
             "V": fb.inflate(ctx, desk.V0, desk.cert_delta.proven_radius),
             "W": fb.inflate(ctx, desk.W0, desk.cert_gamma.proven_radius)}
+
+
+@pytest.mark.parametrize("figure, subdivisions",
+                         [(f, 40) for f in sorted(pl.FIGURES)] + [("fig1", 64)])
+def test_plot_covering_writes_zero_ends_as_0(desk, figure, subdivisions):
+    """An end that is exactly 0 is written "0", lower and upper alike: fig1
+    at 64 boxes used to write four lower ends as 0E-64."""
+    rows = pl.emit_plot_covering(desk.ctx, figure, subdivisions, _certified_desk_balls(desk))
+    assert not [row for row in rows
+                if any(Decimal(end) == 0 and end != "0" for end in row[1:])]
 
 
 @pytest.mark.parametrize("figure", ["fig2b", "fig2c", "fig2d", "fig3c", "fig3d", "fig4a",
@@ -977,14 +1018,13 @@ def test_certified_fixed_point_ball_is_the_parameter_ball(desk_all_targets):
                                                      ("gamma", "gamma0", "delta")])
 def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
     """An eigen target run without the other certifies the payload of the
-    all-target run, whose input checksums name the run's own centres, and
+    all-target run, whose input checksums name its own inputs only, and
     the run holds nothing of the missing target."""
     cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", targets=("fixed_point", target))
     result = pl.run_pipeline(cfg)
     report = result.report
-    expected = json.loads(json.dumps(desk_all_targets.report["certificates"][target]))
-    checksums = expected["config"]["input_checksums"]
-    expected["config"]["input_checksums"] = {k: checksums[k] for k in ("g0", centre)}
+    expected = desk_all_targets.report["certificates"][target]
+    assert sorted(expected["config"]["input_checksums"]) == sorted(["g0", centre])
     assert report["certificates"][target] == expected
     assert list(report["certificates"]) == ["fixed_point", target]
     assert sorted(report["timings"]) == sorted(
@@ -995,6 +1035,16 @@ def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
     assert sorted(result.balls) == sorted(["G0", "parameter", own[target]])
     assert sorted(pl.certified_balls(RoundingContext(30), result)) == \
         sorted(["G", own[target][0]])
+
+
+def test_fixed_point_payload_does_not_depend_on_the_target_set(desk_all_targets):
+    """The fixed-point certificate of a run without eigen targets is the one
+    of the all-target run, byte for byte: its input checksums name g0 only."""
+    alone = pl.run_pipeline(pl.RunConfig(targets=("fixed_point",))).report
+    payload = alone["certificates"]["fixed_point"]
+    assert list(payload["config"]["input_checksums"]) == ["g0"]
+    assert json.dumps(payload) == json.dumps(
+        desk_all_targets.report["certificates"]["fixed_point"])
 
 
 def test_cli_plot(tmp_path, capsys):
@@ -1050,23 +1100,22 @@ def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, k
                     assert Decimal(y_lo) <= val <= Decimal(y_hi)
 
 
-def test_cli_bad_worker_environment(tmp_path, monkeypatch, capsys):
-    """A non-integer RENORMCERT_WORKERS is a usage error (exit 2) of the verbs
-    that take --workers, not a traceback, and other verbs ignore it."""
+@pytest.mark.parametrize("verb", ["approx", "certify", "plot"])
+def test_cli_has_no_workers_flag(capsys, monkeypatch, verb):
+    """The process count is worked out, not asked for: --workers is a usage
+    error (exit 2), not a traceback, and RENORMCERT_WORKERS is not read."""
     from renormcert import cli
 
     monkeypatch.setenv("RENORMCERT_WORKERS", "two")
-    cert = tmp_path / "certificate_a.json"
-    cert.write_text(json.dumps({"certificate": {"enclosures": {"a": ["-0.39954", "-0.39953"]}}}))
-    assert cli.main(["digits", "--plain", str(cert)]) == 0
-    assert "3995" in capsys.readouterr().out
-    assert cli.build_parser().parse_args(["certify", "--workers", "2"]).workers == 2
-    for verb in ("certify", "approx", "plot"):
-        with pytest.raises(SystemExit) as info:
-            cli.main([verb, "--figure", "fig1"] if verb == "plot" else [verb])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "RENORMCERT_WORKERS" in err and "Traceback" not in err
+    monkeypatch.setattr(pl, "run_pipeline", lambda cfg: pytest.fail("the pipeline ran"))
+    monkeypatch.setattr(pl, "bootstrap", lambda cfg: pytest.fail("the bootstrap ran"))
+    argv = [verb] + ["--figure", "fig1"] * (verb == "plot")
+    assert cli._config_from_args(cli.build_parser().parse_args(argv)).workers == 1
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--workers", "2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
 
 
 def test_cli_failure_exit_code(tmp_path, capsys):
