@@ -21,10 +21,10 @@ from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import operators as op
 from renormcert.contraction import Problem, certify
-from renormcert.pipeline import certified_digits
+from renormcert.pipeline import RHO, certified_digits
 from renormcert.rounding import RoundingContext
 
-N, DIGITS, RHO = 20, 30, "1e-8"
+N, DIGITS = 20, 30
 ctx = RoundingContext(DIGITS)
 
 print(f"== bootstrap: Newton at degree {N} from the tabulated seed, {DIGITS} digits ==")

@@ -7,18 +7,19 @@ phi(f) = f(1) (the constant basis coefficient):
     derivative problem:  DT(G) V - phi(V) V = 0      eigenvalue phi(V)
     noise problem:       L(G) W - phi(W)**2 W = 0    eigenvalue phi(W)**2
 
-with G ranging over a ball proven to contain the fixed point.  A ball
-radius rho around the approximate eigenfunction then bounds the eigenvalue
-directly: it lies within rho of the constant coefficient.  Each certificate
-forms its own frozen map from the Jacobian columns it bounds, so it needs
-only the approximate zero and the radius.
+with G ranging over a ball proven to contain the fixed point.  Every
+certificate runs on a ball of the one radius RHO = 1e-7 about its
+approximate zero, and the eigenvalue lies within the certificate's proven
+radius of the constant coefficient.  Each certificate forms its own frozen
+map from the Jacobian columns it bounds, so it needs only the approximate
+zero and the radius.
 """
 
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import operators as op
 from renormcert.contraction import Problem, certify
-from renormcert.pipeline import certified_digits
+from renormcert.pipeline import RHO, certified_digits
 from renormcert.rounding import RoundingContext
 
 N, DIGITS = 20, 30
@@ -26,7 +27,7 @@ ctx = RoundingContext(DIGITS)
 
 g0 = ax.approx_fixed_point(N, DIGITS)
 G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, N)
-fixed = certify(ctx, Problem(0), G0, "1e-8")
+fixed = certify(ctx, Problem(0), G0, RHO)
 print(f"fixed point certified; parameter ball radius {fixed.posterior_radius}")
 
 param = fb.inflate(ctx, G0, fixed.posterior_radius)
@@ -37,12 +38,12 @@ for power, name, title in ((1, "delta", "parameter"), (2, "gamma", "noise")):
     print(f"\n== {title}-scaling eigenvalue ==")
     x0, _ = ax.approx_eigenpair(name, g0, DIGITS)
     X0 = fb.ball_from_decimals(fb.STANDARD_DISC, x0, N)
-    cert = certify(ctx, Problem(power, tables), X0, "1e-7")
+    cert = certify(ctx, Problem(power, tables), X0, RHO)
     text, count = certified_digits(cert.enclosures[name])
     print(f"  {name} = {text}   ({count} digits proven; "
           f"epsilon {cert.epsilon:.2E}, kappa {cert.kappa:.2E})")
     print(f"  proven radius min(rho, epsilon/(1-kappa)) = {cert.proven_radius:.3E}")
 
-print("\nhigher degree and precision tighten everything: try degree 80 at 60")
-print("digits with rho 1e-40 for 45+ certified digits (about 1.3 s for the")
-print("whole pipeline: renormcert certify -N 80 -P 60 --rho 1e-40).")
+print("\nhigher degree and precision tighten everything, on the same radius:")
+print("degree 80 at 60 digits certifies 45+ digits (about 0.5 s for the whole")
+print("pipeline: renormcert certify -N 80 -P 60).")

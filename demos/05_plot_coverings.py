@@ -20,7 +20,7 @@ from renormcert.pipeline import certified_balls, emit_plot_covering, write_cover
 from renormcert.rounding import RoundingContext
 
 out = Path("covering_out")
-result = run_pipeline(RunConfig(degree=20, precision=30, rho="1e-8"))
+result = run_pipeline(RunConfig(degree=20, precision=30))
 ctx = RoundingContext(30)
 # each approximate centre inflated by its certificate's proven radius
 balls = certified_balls(ctx, result)

@@ -36,9 +36,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    help=f"polynomial truncation degree (default {defaults.degree})")
     p.add_argument("--precision", "-P", type=int, default=defaults.precision,
                    help=f"decimal digits in the significand (default {defaults.precision})")
-    p.add_argument("--rho", default=defaults.rho,
-                   help="fixed-point ball radius as a decimal string "
-                   "(the eigen ball radii are 10*rho)")
     p.add_argument("--targets", default=",".join(defaults.targets),
                    help="comma-separated subset of " + ",".join(defaults.targets))
     p.add_argument("--output", "-o", default=defaults.output_dir, help="output directory")
@@ -50,7 +47,6 @@ def _config_from_args(args) -> pl.RunConfig:
     return pl.RunConfig(
         degree=args.degree,
         precision=args.precision,
-        rho=args.rho,
         targets=tuple(t.strip() for t in args.targets.split(",") if t.strip()),
         output_dir=args.output,
         checkpoint_dir=args.checkpoint_dir,
@@ -182,10 +178,17 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             parser.error(f"argument --subdivisions: {exc}")
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
     except RenormcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit writes nothing and raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

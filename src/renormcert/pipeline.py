@@ -7,13 +7,10 @@ epsilon/(1-kappa) (the tightest proven enclosure of the fixed point) is
 used as the parameter-ball radius for both eigen certificates.  No
 certificate stage runs approx numerics: certify forms its own frozen map.
 
-A single configured rho names the fixed-point ball radius; the eigen ball
-radii are one decade above it.
-The movement bound of an eigen problem scales with the parameter-ball
-radius times a problem constant of order 10**3..10**4, so eigen radii sit
-above the fixed-point posterior radius by those factors.  Every certified
-constant, and every ball handed to the plot coverings, uses the tighter of
-its ball radius and its certificate's a-posteriori radius.
+Every certificate runs on the ball B(x0, RHO), one radius for all three
+problems at every scale.  Every certified constant, and every ball handed
+to the plot coverings, uses the tighter of RHO and its certificate's
+a-posteriori radius, so RHO only has to be admissible.
 """
 
 from __future__ import annotations
@@ -41,10 +38,11 @@ from .errors import (
     RenormcertError,
     StageFailure,
 )
-from .rounding import (EXACT, Interval, RoundingContext, box_sqr, exact_decimal,
+from .rounding import (Interval, RoundingContext, box_sqr, exact_decimal,
                        finite_decimal, interval)
 
 __all__ = [
+    "RHO",
     "RunConfig",
     "PipelineResult",
     "run_pipeline",
@@ -68,15 +66,22 @@ REPORT_SCHEMA = "renormcert-report/1"
 #: smallest degree at which the eigen bootstraps run in a pool: below it the
 #: pool's start-up costs more than running them side by side saves (README)
 POOL_MIN_DEGREE = 140
+#: the radius of every certificate's ball.  Digits come from the
+#: a-posteriori radius epsilon/(1-kappa), so RHO need only pass: 1e-7 is the
+#: smallest decade the desk delta certificate passes (its epsilon is
+#: 1.53e-8), and at desk, N=40, 80, 160, 320 and 640 it certifies the digit
+#: strings of the per-scale radii it replaced.  It adds about 5e-8 to the
+#: fixed point's kappa (ROADMAP items 3, 15 and 16).
+RHO = Decimal("1e-7")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     degree: int = 20
     precision: int = 30
-    rho: str = "1e-8"
-    # no run reads these two; kept until the benchmark's workloads stop
-    # passing them (ROADMAP item 1)
+    # no run reads these three (every ball has radius RHO); kept until the
+    # benchmark's workloads stop passing them (ROADMAP item 1)
+    rho: str = "1e-7"
     boundary_rects: int = 64
     workers: int = 1
     targets: tuple[str, ...] = _TARGETS
@@ -122,20 +127,9 @@ class RunConfig:
             raise PipelineOrderError(
                 "delta/gamma certification needs the fixed-point certificate")
 
-    def rho_for(self, target: str) -> Decimal:
-        if target == "fixed_point":
-            return Decimal(self.rho)
-        return EXACT.multiply(Decimal(self.rho), 10)
-
     def describe(self) -> dict:
-        return {
-            "degree": self.degree,
-            "precision": self.precision,
-            "rho": str(self.rho_for("fixed_point")),
-            "rho_delta": str(self.rho_for("delta")),
-            "rho_gamma": str(self.rho_for("gamma")),
-            "targets": list(self.targets),
-        }
+        return {"degree": self.degree, "precision": self.precision,
+                "targets": list(self.targets)}
 
 
 @dataclass
@@ -371,7 +365,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             with _stage(report, timings, target):
                 x0_ball = centres[target]
                 result.balls[_CENTRES[target][1]] = x0_ball
-                cert = _certify(ctx, Problem(power, tables), x0_ball, cfg.rho_for(target),
+                cert = _certify(ctx, Problem(power, tables), x0_ball, RHO,
                                 config=_cert_config(cfg, target, report["checksums"]))
                 result.certificates[target] = cert
                 report["certificates"][target] = cert.to_payload()
@@ -392,7 +386,7 @@ def _cert_config(cfg: RunConfig, target: str, checksums: dict) -> dict:
     inputs: g0, and an eigen target's own centre."""
     inputs = {name: checksums[name] for name in ("g0", _CENTRES[target][0])}
     return {"degree": cfg.degree, "precision": cfg.precision,
-            "rho": str(cfg.rho_for(target)), "input_checksums": inputs}
+            "rho": str(RHO), "input_checksums": inputs}
 
 
 def _record_digits(report: dict, name: str, enclosure: Interval):

@@ -23,20 +23,20 @@ def desk():
     n = 20
     g0 = ax.approx_fixed_point(n, 30)
     G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, n)
-    cert_fixed = ct.certify(ctx, ct.Problem(0), G0, "1e-8")
-    lam_fixed = certificate_map(ctx, ct.Problem(0), G0, "1e-8")[2]
+    cert_fixed = ct.certify(ctx, ct.Problem(0), G0, pl.RHO)
+    lam_fixed = certificate_map(ctx, ct.Problem(0), G0, pl.RHO)[2]
     param = fb.inflate(ctx, G0, cert_fixed.posterior_radius)
     tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
 
     v0, lam0 = ax.approx_eigenpair("delta", g0, 30)
     V0 = fb.ball_from_decimals(fb.STANDARD_DISC, v0, n)
-    cert_delta = ct.certify(ctx, ct.Problem(1, tables), V0, "1e-7")
-    lam_delta = certificate_map(ctx, ct.Problem(1, tables), V0, "1e-7")[2]
+    cert_delta = ct.certify(ctx, ct.Problem(1, tables), V0, pl.RHO)
+    lam_delta = certificate_map(ctx, ct.Problem(1, tables), V0, pl.RHO)[2]
 
     w0, gam0 = ax.approx_eigenpair("gamma", g0, 30)
     W0 = fb.ball_from_decimals(fb.STANDARD_DISC, w0, n)
-    cert_gamma = ct.certify(ctx, ct.Problem(2, tables), W0, "1e-7")
-    lam_gamma = certificate_map(ctx, ct.Problem(2, tables), W0, "1e-7")[2]
+    cert_gamma = ct.certify(ctx, ct.Problem(2, tables), W0, pl.RHO)
+    lam_gamma = certificate_map(ctx, ct.Problem(2, tables), W0, pl.RHO)[2]
 
     return SimpleNamespace(
         ctx=ctx, n=n,
@@ -49,13 +49,13 @@ def desk():
 
 @pytest.fixture(scope="session")
 def n40():
-    """Degree-40 run (40 digits, rho 1e-20, all targets) and the frozen maps
+    """Degree-40 run (40 digits, all targets) and the frozen maps
     of its three problems at head degrees 10 and 20, formed as ``certify``
     forms its own from the column images over each certificate's ball.
     ``setup(target, head)`` gives (problem, x0, ball, map): the problem, its
     approximate zero, the ball its certificate bounds kappa over, and the
     map with that head."""
-    cfg = pl.RunConfig(degree=40, precision=40, rho="1e-20")
+    cfg = pl.RunConfig(degree=40, precision=40)
     result = pl.run_pipeline(cfg)
     ctx = RoundingContext(40)
     tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, result.balls["parameter"]))
@@ -70,7 +70,7 @@ def n40():
     runs = {}
     for target, (problem, centre) in problems.items():
         x0 = result.balls[centre]
-        ball = fb.inflate(ctx, x0, cfg.rho_for(target))
+        ball = fb.inflate(ctx, x0, pl.RHO)
         images = problem.column_images(ctx, ball, 20)
         runs[target] = (problem, x0, ball, {head: ct.frozen_map(ctx, problem, x0,
                                                                 images[:head + 1])

@@ -30,7 +30,7 @@ REF_DELTA = "4.66920160910299067185320382046620161725818557747576863274565"
 REF_GAMMA = "6.61903651081792804532380890514746660143644298809101198088905"
 
 #: degree -> certified digit counts the pipeline reaches at desk (N=20,
-#: P=30, rho 1e-8), N=40 (P=40, rho 1e-20) and N=80 (P=60, rho 1e-40),
+#: P=30), N=40 (P=40) and N=80 (P=60),
 #: pinned as lower bounds so that no change can cost a digit unnoticed
 MIN_DIGITS = {
     20: {"a": 11, "alpha": 10, "delta": 7, "gamma": 8},

@@ -37,7 +37,7 @@ from renormcert.errors import CertificationFailed, ContainmentFailure
 from renormcert.rounding import RoundingContext, rectangle
 from test_rounding import _check_isotonicity_and_containment
 
-DESK = dict(degree=20, precision=30, rho="1e-8", boundary_rects=64)
+DESK = dict(degree=20, precision=30, boundary_rects=64)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,7 @@ def test_criterion_2_desk_digits(desk_run):
 
 def test_criterion_3_medium_scale():
     start = time.perf_counter()
-    result = pl.run_pipeline(pl.RunConfig(degree=80, precision=60, rho="1e-40",
-                                          boundary_rects=64))
+    result = pl.run_pipeline(pl.RunConfig(degree=80, precision=60, boundary_rects=64))
     elapsed = time.perf_counter() - start
     digits = result.report["digits"]
     matched = {}
@@ -97,7 +96,7 @@ def test_criterion_3_medium_scale():
 def test_criterion_4_domain_extension(desk_run):
     result, _ = desk_run
     ctx = RoundingContext(30)
-    ball = fb.inflate(ctx, result.balls["G0"], Decimal(DESK["rho"]))
+    ball = fb.inflate(ctx, result.balls["G0"], pl.RHO)
     res = op.check_domain_extension(ctx, ball, 256)
     assert len(res.boundary) == len(res.gamma1) == len(res.gamma2) == 256
     # analytic spot check with the reference constant

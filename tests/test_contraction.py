@@ -20,6 +20,7 @@ from renormcert import balls as fb
 from renormcert import cli
 from renormcert import contraction as ct
 from renormcert import operators as op
+from renormcert import pipeline as pl
 from renormcert.errors import (
     CertificationFailed,
     ConfigError,
@@ -185,11 +186,11 @@ def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
     monkeypatch.setattr(fb.FunctionBall, "coeffs",
                         property(lambda f: built.append(f) or view.fget(f)))
     c = desk.ctx
-    fixed = ct.certify(c, ct.Problem(0), desk.G0, "1e-8")
+    fixed = ct.certify(c, ct.Problem(0), desk.G0, pl.RHO)
     param = fb.inflate(c, desk.G0, fixed.proven_radius)
     tables = op.OperatorTables.build(c, op.precompute_shared(c, param))
     for power, x0 in ((1, desk.V0), (2, desk.W0)):
-        assert ct.certify(c, ct.Problem(power, tables), x0, "1e-7").passed
+        assert ct.certify(c, ct.Problem(power, tables), x0, pl.RHO).passed
     assert built == []
     fb.serialize_ball(desk.G0)
     assert built == [desk.G0]
@@ -203,13 +204,32 @@ def test_certification_failure_small_rho(desk):
     assert cert.epsilon > 0 and cert.kappa > 0 and cert.rho == Decimal("1e-13")
 
 
+def test_radius_changes_no_fixed_point_digit(desk):
+    """The digits come from the a-posteriori radius, not from rho: the desk
+    fixed point certified at rho = 1e-7 and at 1e-11, the smallest decade
+    above its epsilon (2.7e-12), gives the same digit strings for a and
+    alpha.  Negative control: the next decade down, 1e-12, lies below
+    epsilon, so no contraction is proven there."""
+    from renormcert.pipeline import certified_digits
+
+    wide = ct.certify(desk.ctx, ct.Problem(0), desk.G0, "1e-7")
+    narrow = ct.certify(desk.ctx, ct.Problem(0), desk.G0, "1e-11")
+    for name in ("a", "alpha"):
+        digits = certified_digits(wide.enclosures[name])
+        assert digits == certified_digits(narrow.enclosures[name])
+        assert digits[1] == {"a": 11, "alpha": 10}[name]
+    assert Decimal("2.7e-12") < wide.epsilon < Decimal("2.71e-12")
+    with pytest.raises(CertificationFailed):
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, "1e-12")
+
+
 def test_desk_fixed_point_certificate(desk):
     cert = desk.cert_fixed
     assert cert.passed
     assert cert.kappa < 1
     assert cert.kappa_columns_max < 1
     assert cert.kappa_tail < 1
-    assert cert.epsilon < Decimal("1e-8") * (1 - cert.kappa)
+    assert cert.epsilon < cert.rho * (1 - cert.kappa)
     a = cert.enclosures["a"]
     assert a.contains(Decimal("-0.3995352805231344"))
     alpha = cert.enclosures["alpha"]
@@ -240,7 +260,7 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 def test_worker_determinism(desk):
     """The kappa column bounds computed in pool workers, one or two, are
     those of this process: they read nothing of the ambient decimal context."""
-    ball = fb.inflate(desk.ctx, desk.G0, "1e-8")
+    ball = fb.inflate(desk.ctx, desk.G0, pl.RHO)
     args = (desk.ctx, ct.Problem(0).column_images(desk.ctx, ball, 20), desk.lam_fixed)
     here = ct.bound_kappa_columns(*args)
     for workers in (1, 2):
@@ -295,7 +315,7 @@ def test_certificate_deterministic_across_workers(desk):
     """A certificate computed in a pool worker has the payload of the one
     computed in this process."""
     with _worker_pool(1) as pool:
-        cert = pool.submit(ct.certify, desk.ctx, ct.Problem(0), desk.G0, "1e-8").result()
+        cert = pool.submit(ct.certify, desk.ctx, ct.Problem(0), desk.G0, pl.RHO).result()
     assert cert.passed
     assert cert.to_payload() == desk.cert_fixed.to_payload()
 
@@ -305,7 +325,7 @@ def test_precision_antitone(desk):
     lo, hi = RoundingContext(30), RoundingContext(60)
     certs = {}
     for c in (lo, hi):
-        certs[c.precision] = ct.certify(c, ct.Problem(0), desk.G0, "1e-8")
+        certs[c.precision] = ct.certify(c, ct.Problem(0), desk.G0, pl.RHO)
     assert certs[60].epsilon <= certs[30].epsilon
     assert certs[60].kappa <= certs[30].kappa
 
@@ -390,9 +410,9 @@ def test_certify_needs_no_approx_numerics(desk, monkeypatch):
             monkeypatch.setattr(ax, name, refuse)
     monkeypatch.setattr(ct, "verify_lambda_invertible", refuse)
     for problem, x0, rho, fixture_cert in (
-            (ct.Problem(0), desk.G0, "1e-8", desk.cert_fixed),
-            (ct.Problem(1, desk.tables), desk.V0, "1e-7", desk.cert_delta),
-            (ct.Problem(2, desk.tables), desk.W0, "1e-7", desk.cert_gamma)):
+            (ct.Problem(0), desk.G0, pl.RHO, desk.cert_fixed),
+            (ct.Problem(1, desk.tables), desk.V0, pl.RHO, desk.cert_delta),
+            (ct.Problem(2, desk.tables), desk.W0, pl.RHO, desk.cert_gamma)):
         cert = ct.certify(desk.ctx, problem, x0, rho)
         assert cert.passed
         assert cert.to_payload() == fixture_cert.to_payload()
@@ -424,5 +444,5 @@ def test_singular_map_fails_with_kappa_at_least_one(desk, change, part):
     would make it onto, so the kappa bound of a singular map is at least 1,
     in its columns or in its tail."""
     lam = _modified_map(desk.lam_fixed, change)
-    _, columns, tail = bounds_with_map(desk.ctx, ct.Problem(0), desk.G0, "1e-8", lam)
+    _, columns, tail = bounds_with_map(desk.ctx, ct.Problem(0), desk.G0, pl.RHO, lam)
     assert {"kappa_columns_max": max(columns), "kappa_tail": tail}[part] >= 1

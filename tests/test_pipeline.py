@@ -39,6 +39,7 @@ from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert import pipeline as pl
 from renormcert.errors import (
+    CertificationFailed,
     CompositionContractFailure,
     ConfigError,
     EigenSelectionAmbiguous,
@@ -102,27 +103,18 @@ def test_config_refuses_counts_that_are_not_ints(field, value):
         pl.RunConfig(**{field: value})
 
 
-def test_eigen_radius_is_exact_under_any_ambient_context():
-    """10 rho is formed exactly, whatever the thread's decimal context: 31
-    significant digits keep all 31, and a 3-digit context changes
-    nothing."""
-    rho = "1.23456789012345678901234567891e-8"
-    expected = Decimal("1.23456789012345678901234567891e-7")
-    assert pl.RunConfig(rho=rho).rho_for("delta") == expected
-    with decimal.localcontext(decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR)):
-        cfg = pl.RunConfig(rho=rho)
-        assert cfg.rho_for("delta") == cfg.rho_for("gamma") == expected
-        assert pl.RunConfig(rho="1e-8").describe()["rho_delta"] == "1.0E-7"
-
-
-@pytest.mark.parametrize("flag, text", [("--rho", "1e-x"), ("--rho", "1e+1000000")],
-                         ids=["--rho", "--rho-above-1"])
-def test_cli_junk_radius_is_an_error(capsys, flag, text):
-    from renormcert import cli
-
-    assert cli.main(["certify", flag, text]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and text in err and "Traceback" not in err
+def test_radius_changes_no_payload(desk_all_targets):
+    """No run reads RunConfig.rho: every ball has radius pl.RHO, so two
+    valid radii give byte-identical payloads, and the report's config names
+    no radius."""
+    report = pl.run_pipeline(pl.RunConfig(rho="1e-3")).report
+    assert json.dumps(report["certificates"]) == json.dumps(
+        desk_all_targets.report["certificates"])
+    assert report["digits"] == desk_all_targets.report["digits"]
+    assert report["config"] == desk_all_targets.report["config"] == {
+        "degree": 20, "precision": 30, "targets": ["fixed_point", "delta", "gamma"]}
+    assert all(c["rho"] == c["config"]["rho"] == str(pl.RHO)
+               for c in report["certificates"].values())
 
 
 @pytest.mark.parametrize("verb", ["approx", "certify", "report", "plot"])
@@ -219,14 +211,6 @@ def test_pipeline_ordering_enforced():
     with pytest.raises(PipelineOrderError):
         pl.RunConfig(targets=("gamma",))
     pl.RunConfig(targets=("fixed_point",))  # alone is fine
-
-
-def test_rho_defaults():
-    cfg = pl.RunConfig(rho="1e-8")
-    assert cfg.rho_for("fixed_point") == Decimal("1e-8")
-    assert cfg.rho_for("delta") == Decimal("1e-7")
-    described = cfg.describe()
-    assert (described["rho_delta"], described["rho_gamma"]) == ("1.0E-7", "1.0E-7")
 
 
 def test_certified_digits_examples():
@@ -410,7 +394,7 @@ def test_dense_map_certifies_same_digits(n40, monkeypatch):
     lam = ct.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
     c, problem, x0 = n40.ctx, ct.Problem(0), n40.result.balls["G0"]
-    rho = n40.cfg.rho_for("fixed_point")
+    rho = pl.RHO
     epsilon, columns, tail = bounds_with_map(c, problem, x0, rho, lam)
     one_minus = c.sub_dn(Decimal(1), max(max(columns), tail))
     assert epsilon < c.mul_dn(rho, one_minus)
@@ -422,7 +406,7 @@ def test_dense_map_certifies_same_digits(n40, monkeypatch):
 
 
 def test_run_pipeline_desk(tmp_path):
-    cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", boundary_rects=64,
+    cfg = pl.RunConfig(degree=20, precision=30, boundary_rects=64,
                        output_dir=str(tmp_path / "out"),
                        checkpoint_dir=str(tmp_path / "ckpt"))
     res = pl.run_pipeline(cfg)
@@ -457,7 +441,7 @@ def test_report_reproducible_across_workers(tmp_path, monkeypatch):
     for cores in (1, 2, 4):
         set_pool_rule(monkeypatch, cores)
         ckpt = tmp_path / f"ckpt{cores}"
-        cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", checkpoint_dir=str(ckpt))
+        cfg = pl.RunConfig(degree=20, precision=30, checkpoint_dir=str(ckpt))
         report = pl.run_pipeline(cfg).report
         assert report["execution"]["workers"] == min(cores, 2)
         files = {f.name: f.read_text() for f in ckpt.iterdir()}
@@ -577,37 +561,29 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("rho", ["0.05", "0.2"])
-def test_radius_too_wide_for_theta_fails_at_fixed_point(tmp_path, rho):
-    """A radius whose ball has theta >= 1 for a composition argument fails
-    cleanly in the fixed-point stage, where the certificate's power tables
-    refuse it, with a partial report: theta < 1 is the one proof that the
-    operators are well defined on the ball."""
-    cfg = pl.RunConfig(rho=rho, output_dir=str(tmp_path))
-    with pytest.raises(StageFailure) as info:
-        pl.run_pipeline(cfg)
-    assert info.value.stage == "fixed_point"
-    cause = info.value.__cause__
-    assert isinstance(cause, (CompositionContractFailure, NormalizationSingular))
-    if isinstance(cause, CompositionContractFailure):
-        assert cause.subexpression
-    data = json.loads((tmp_path / "report.json").read_text())
-    assert data["partial"] is True and data["failed_stage"] == "fixed_point"
-    assert sorted(data["timings"]) == ["approx", "fixed_point"]
+def test_radius_too_wide_for_theta_fails_at_fixed_point(desk, rho):
+    """A fixed-point ball with theta >= 1 for a composition argument fails
+    cleanly, where the certificate's power tables refuse it: theta < 1 is
+    the one proof that the operators are well defined on the ball."""
+    with pytest.raises((CompositionContractFailure, NormalizationSingular)) as info:
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, rho)
+    if isinstance(info.value, CompositionContractFailure):
+        assert info.value.subexpression
 
 
 def test_partial_report_on_failure(tmp_path):
-    from renormcert.errors import StageFailure
-
-    cfg = pl.RunConfig(degree=20, precision=30, rho="1e-13",
-                       boundary_rects=64, targets=("fixed_point",),
-                       output_dir=str(tmp_path))
+    """At degree 4 the fixed-point certificate fails (kappa is 1.40): the
+    run stops there and writes a partial report naming the stage."""
+    cfg = pl.RunConfig(degree=4, precision=30, output_dir=str(tmp_path))
     with pytest.raises(StageFailure) as info:
         pl.run_pipeline(cfg)
     assert info.value.stage == "fixed_point"
+    assert isinstance(info.value.__cause__, CertificationFailed)
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["partial"] is True
     assert data["failed_stage"] == "fixed_point"
     assert "failure" in data
+    assert sorted(data["timings"]) == ["approx", "fixed_point"]
 
 
 def test_plot_coverings(desk):
@@ -849,7 +825,7 @@ def test_cli_report_and_digits(tmp_path, capsys):
 
     out = tmp_path / "out"
     assert cli.build_parser().parse_args(["report"]).verb == "certify"
-    rc = cli.main(["report", "-N", "20", "-P", "30", "--rho", "1e-8",
+    rc = cli.main(["report", "-N", "20", "-P", "30",
                    "-o", str(out), "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 0
     text = capsys.readouterr().out
@@ -961,7 +937,7 @@ def test_old_map_file_is_never_read(desk, tmp_path):
 
 @pytest.fixture(scope="module")
 def desk_all_targets():
-    return pl.run_pipeline(pl.RunConfig(degree=20, precision=30, rho="1e-8"))
+    return pl.run_pipeline(pl.RunConfig(degree=20, precision=30))
 
 
 #: the three desk centres (N=20, P=30) in renormcert-ball v1 form, as the
@@ -988,8 +964,7 @@ def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monke
         if inspect.isfunction(obj) and obj.__module__ == ax.__name__:
             monkeypatch.setattr(ax, name, refuse)
     monkeypatch.setattr(ax, "_MidShared", refuse)
-    result = pl.run_pipeline(pl.RunConfig(degree=20, precision=30, rho="1e-8",
-                                          checkpoint_dir=str(ck)))
+    result = pl.run_pipeline(pl.RunConfig(degree=20, precision=30, checkpoint_dir=str(ck)))
     fresh = desk_all_targets
     assert result.report["certificates"] == fresh.report["certificates"]
     assert result.report["digits"] == fresh.report["digits"]
@@ -1020,7 +995,7 @@ def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
     """An eigen target run without the other certifies the payload of the
     all-target run, whose input checksums name its own inputs only, and
     the run holds nothing of the missing target."""
-    cfg = pl.RunConfig(degree=20, precision=30, rho="1e-8", targets=("fixed_point", target))
+    cfg = pl.RunConfig(degree=20, precision=30, targets=("fixed_point", target))
     result = pl.run_pipeline(cfg)
     report = result.report
     expected = desk_all_targets.report["certificates"][target]
@@ -1118,10 +1093,50 @@ def test_cli_has_no_workers_flag(capsys, monkeypatch, verb):
     assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
 
 
-def test_cli_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["approx", "certify", "plot"])
+def test_cli_has_no_rho_flag(capsys, monkeypatch, verb):
+    """Every ball has radius pl.RHO, so no verb asks for one: --rho is a
+    usage error (exit 2), not a traceback, and no work runs."""
     from renormcert import cli
 
-    rc = cli.main(["certify", "-N", "20", "-P", "30", "--rho", "1e-13",
-                   "--targets", "fixed_point", "-o", str(tmp_path)])
+    monkeypatch.setattr(pl, "run_pipeline", lambda cfg: pytest.fail("the pipeline ran"))
+    monkeypatch.setattr(pl, "bootstrap", lambda cfg: pytest.fail("the bootstrap ran"))
+    argv = [verb] + ["--figure", "fig1"] * (verb == "plot")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--rho", "1e-8"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --rho 1e-8" in err and "Traceback" not in err
+
+
+def test_cli_failure_exit_code(tmp_path, capsys):
+    """At degree 15 the delta certificate fails (epsilon is 2e-5): exit 2,
+    the stage named on stderr, and a partial report."""
+    from renormcert import cli
+
+    rc = cli.main(["certify", "-N", "15", "-P", "30", "-o", str(tmp_path),
+                   "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 2
-    assert "FAILED at stage fixed_point" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAILED at stage delta" in err and "Traceback" not in err
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["partial"] is True and data["failed_stage"] == "delta"
+    assert list(data["certificates"]) == ["fixed_point"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_cli_closed_pipe_is_silent(tmp_path, flags):
+    """A reader that closes the pipe before the verb prints: nothing on
+    stderr, no traceback, exit 1, whether the write that fails is a print
+    (unbuffered) or the flush of the buffered output."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("RENORMCERT_SCRATCH", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(pl.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "renormcert.cli", "certify",
+                             "--targets", "fixed_point"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            cwd=tmp_path)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
