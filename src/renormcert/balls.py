@@ -127,6 +127,7 @@ __all__ = [
     "int_outward",
     "serialize_ball",
     "deserialize_ball",
+    "endpoint_decimal",
     "ball_checksum",
 ]
 
@@ -941,6 +942,16 @@ _BALL_HEADER = "renormcert-ball v1"
 MAX_ENDPOINT_DIGITS = 10_000
 
 
+def endpoint_decimal(text: str, what: str) -> Decimal:
+    """The endpoint written in ``text``, read from outside input: a finite
+    number with at most MAX_ENDPOINT_DIGITS digits before and after the
+    point, or ConfigError naming ``what``."""
+    x = finite_decimal(text, what)
+    if x and max(x.adjusted(), -x.as_tuple().exponent) > MAX_ENDPOINT_DIGITS:
+        raise ConfigError(f"{what} {x} has more than {MAX_ENDPOINT_DIGITS} digits")
+    return x
+
+
 def serialize_ball(f: FunctionBall) -> str:
     """Text form with exact decimal endpoint strings (imaginary columns 0);
     round-trips bit-exactly."""
@@ -974,11 +985,8 @@ def deserialize_ball(text: str) -> FunctionBall:
             ends = rest.split()
             if len(ends) != 4:
                 raise ConfigError(f"coeff line needs 4 endpoints: {ln!r}")
-            a, b, c, d = (finite_decimal(x, "coeff endpoint") for x in ends)
-            for x in (a, b):
-                if x and max(x.adjusted(), -x.as_tuple().exponent) > MAX_ENDPOINT_DIGITS:
-                    raise ConfigError(f"coeff endpoint {x} has more than "
-                                      f"{MAX_ENDPOINT_DIGITS} digits")
+            a, b = (endpoint_decimal(x, "coeff endpoint") for x in ends[:2])
+            c, d = (finite_decimal(x, "coeff endpoint") for x in ends[2:])
             if c or d:
                 raise ConfigError(f"coefficient {len(coeffs)} is not real: {ln!r}")
             coeffs.append(Interval(a, b))

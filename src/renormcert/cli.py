@@ -7,8 +7,7 @@ Verbs:
     digits   print certified digit strings from a certificate file
     plot     export rectangle-covering CSV data for one figure
 
-Each flag sets one RunConfig field.  Only the scratch directory may come
-from the environment (RENORMCERT_SCRATCH).
+Each flag sets one RunConfig field; nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -20,14 +19,11 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pl
+from .balls import endpoint_decimal
 from .errors import ConfigError, RenormcertError, StageFailure
-from .rounding import Interval, RoundingContext, finite_decimal
+from .rounding import Interval, RoundingContext
 
 __all__ = ["main", "build_parser"]
-
-
-def _default_scratch() -> str | None:
-    return os.environ.get("RENORMCERT_SCRATCH")
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -39,7 +35,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--targets", default=",".join(defaults.targets),
                    help="comma-separated subset of " + ",".join(defaults.targets))
     p.add_argument("--output", "-o", default=defaults.output_dir, help="output directory")
-    p.add_argument("--checkpoint-dir", default=_default_scratch(),
+    p.add_argument("--checkpoint-dir", default=defaults.checkpoint_dir,
                    help="directory for bootstrap checkpoints")
 
 
@@ -117,11 +113,12 @@ def _cmd_certify(args) -> int:
 
 def _read_enclosures(path: str) -> dict:
     """The enclosures of a certificate file, name -> Interval.  A file that
-    cannot be read or is not a certificate raises ConfigError naming it."""
+    cannot be read or is not a certificate, or an endpoint too long to
+    write out (balls.endpoint_decimal), raises ConfigError naming it."""
     try:
         data = json.loads(Path(path).read_text())
         payload = data.get("certificate", data)
-        return {name: Interval(finite_decimal(lo, name), finite_decimal(hi, name))
+        return {name: Interval(endpoint_decimal(lo, name), endpoint_decimal(hi, name))
                 for name, (lo, hi) in payload.get("enclosures", {}).items()}
     except OSError as exc:
         raise ConfigError(f"certificate {path}: {exc.strerror}") from None

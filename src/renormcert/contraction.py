@@ -52,7 +52,6 @@ so operator problems need K < balls.BABY_STEPS.
 from __future__ import annotations
 
 import decimal
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from operator import mul as _imul
@@ -174,30 +173,21 @@ def apply_lambda(ctx: RoundingContext, lam: LinearMap, f: FunctionBall) -> Funct
 
 def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     """Certify invertibility: residual bound ||I - B M|| < 1 for a midpoint
-    approximate inverse B, plus a nonzero tail scalar.  Returns the bound.
-
-    B and M are exact decimals, so I - B M is formed exactly in integers;
-    only the final column-sum bound is rounded (upward).
+    approximate inverse B of the head M, plus a nonzero tail scalar.
+    Returns the bound: :func:`bound_kappa_columns` of B against the columns
+    of M, exact integer balls, so only each column sum is rounded (upward).
 
     :func:`certify` does not call this: its kappa < 1 already proves the
     map invertible (see the module docstring).  It re-inverts the head M,
     an O(K**3) Decimal LU, and is kept as a standalone check."""
     if lam.tail_scalar == 0:
         raise InversionUncertified("tail scalar is zero")
-    n = lam.dim
     try:
-        approx_inv = mat_inv([list(row) for row in lam.matrix], ctx.precision)
+        approx_inv = LinearMap(mat_inv([list(row) for row in lam.matrix], ctx.precision), 1)
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
-    b_rows, b_scale = _int_matrix(approx_inv)
-    m_cols = list(zip(*lam.rows))
-    one = 10 ** (b_scale + lam.scale)
-    col_sums = [0] * n
-    for i, b_row in enumerate(b_rows):
-        for j, m_col in enumerate(m_cols):
-            r = sum(map(_imul, b_row, m_col))
-            col_sums[j] += abs(one - r if i == j else r)
-    bound = ctx.scaled_up(max(col_sums), b_scale + lam.scale)
+    columns = [fb.IntBall(list(col), [], lam.scale, _D0, _D0) for col in zip(*lam.rows)]
+    bound = max(bound_kappa_columns(ctx, columns, approx_inv))
     if bound >= 1:
         raise InversionUncertified(f"residual column bound {bound} >= 1")
     return bound
@@ -465,7 +455,6 @@ class Certificate:
     posterior_radius: Decimal | None
     enclosures: dict
     config: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     @property
     def proven_radius(self) -> Decimal:
@@ -490,12 +479,6 @@ class Certificate:
             "posterior_radius": None if self.posterior_radius is None else str(self.posterior_radius),
             "enclosures": enc(self.enclosures),
             "config": self.config,
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            "certificate": self.to_payload(),
-            "execution": {"wall_time_s": self.wall_time},
         }
 
 
@@ -524,7 +507,6 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
     rho = as_decimal(rho)
     if rho <= 0:
         raise ConfigError("rho must be positive")
-    started = time.perf_counter()
     ball = fb.inflate(ctx, x0, rho)
     images = problem.column_images(ctx, ball, min(x0.truncation, HEAD_DEGREE))
     lam = frozen_map(ctx, problem, x0, images)
@@ -548,7 +530,6 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
         posterior_radius=posterior,
         enclosures={},
         config=dict(config or {}),
-        wall_time=time.perf_counter() - started,
     )
     if not passed:
         raise CertificationFailed(

@@ -92,14 +92,6 @@ class SharedEvaluations:
     table_affine: PowerTable
     table_squared: PowerTable
 
-    @property
-    def theta_affine(self) -> Decimal:
-        return self.table_affine.theta_bound
-
-    @property
-    def theta_squared(self) -> Decimal:
-        return self.table_squared.theta_bound
-
     def t(self, ctx: RoundingContext) -> FunctionBall:
         """T(G) = a**-1 G(Q(G(a**2 X)))."""
         return fb.scale(ctx, self.a_inv, self.outer_comp)
@@ -175,7 +167,8 @@ class OperatorTables:
         pairs = list(zip(scalars, factors))
         return cls(shared, tuple((fb.const_ball(n, x), f) for x, f in pairs),
                    variation,
-                   tuple(((x.mag, s.theta_squared), (fb.norm_upper(ctx, f), s.theta_affine))
+                   tuple(((x.mag, s.table_squared.theta_bound),
+                          (fb.norm_upper(ctx, f), s.table_affine.theta_bound))
                          for x, f in pairs))
 
     def image(self, ctx: RoundingContext, q: int, c2: fb.IntBall, c1: fb.IntBall,
@@ -354,12 +347,11 @@ class RecursiveExtension:
     and ``phi_inv`` mapping "V" and "W" to phi**-q for the eigenvalue
     phi**q of M_q (q = 1 for V, so lambda**-1; q = 2 for W, so gamma**-2
     with gamma = W(1)).  Build it once for many points (a plot covering)
-    and call :meth:`evaluate_box` per box, or :meth:`evaluate` per
-    Rectangle.
+    and call :meth:`evaluate_box` per box.
 
     The functional equations run in integer box arithmetic, each product
-    and square rounded outward once per part; only :meth:`evaluate` reads a
-    Rectangle into a box and writes the result back.  Each argument is
+    and square rounded outward once per part; only :func:`extend_recursive`
+    reads a Rectangle into a box and writes the result back.  Each argument is
     read once (:meth:`balls.PointEvaluator.read`) by G's evaluator, and
     that read serves G's disc test and every value and derivative taken
     there, of G, V or W alike; so V and W must share G's point scale.  A
@@ -398,16 +390,10 @@ class RecursiveExtension:
         return cls(g, evaluators.get("V"), evaluators.get("W"), unit, a, a_inv,
                    box_sqr(a, unit), box_sqr(a_inv, unit), phi.get("V"), phi_inv)
 
-    def evaluate(self, ctx: RoundingContext, target: str, x, depth: int) -> Rectangle:
-        """The named function at x, unwinding up to ``depth`` levels of the
-        functional equations (see :func:`extend_recursive`)."""
-        s = self.G.point_scale
-        box = self.evaluate_box(target, ctx.to_box(_as_rectangle(x), s), depth)
-        return ctx.box_rectangle(box, s)
-
     def evaluate_box(self, target: str, z, depth: int) -> tuple:
-        """The box of the named function over the box z at G's point scale
-        (see :meth:`evaluate`)."""
+        """The box of the named function over the box z at G's point scale,
+        unwinding up to ``depth`` levels of the functional equations (see
+        :func:`extend_recursive`)."""
         if target in ("g", "v", "w"):
             target, z = target.upper(), box_sqr(z, self.unit)
         if target not in ("G", "V", "W"):
@@ -468,4 +454,7 @@ def extend_recursive(ctx: RoundingContext, target: str, x, depth: int, *,
     are only available where the composed arguments land inside the disc.
     For many points, build a :class:`RecursiveExtension` once instead.
     """
-    return RecursiveExtension.build(ctx, G, V, W).evaluate(ctx, target, x, depth)
+    extension = RecursiveExtension.build(ctx, G, V, W)
+    s = extension.G.point_scale
+    box = extension.evaluate_box(target, ctx.to_box(_as_rectangle(x), s), depth)
+    return ctx.box_rectangle(box, s)

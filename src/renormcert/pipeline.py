@@ -153,13 +153,16 @@ def _check_ball(cfg: RunConfig, ball: fb.FunctionBall):
 
 def _read_checkpoint(cfg: RunConfig, target: str) -> fb.FunctionBall | None:
     """The target's checkpointed centre, or None without a checkpoint
-    directory or file.  A checkpoint is outside input: one that does not
-    parse, or does not fit the run, raises ConfigError naming the file."""
+    directory or file.  A checkpoint is outside input: one that cannot be
+    read, does not parse, or does not fit the run, raises ConfigError naming
+    the file."""
     path = _checkpoint_path(cfg, target)
     if path is None or not path.exists():
         return None
+    with _reading(path):
+        text = path.read_text()
     try:
-        ball = fb.deserialize_ball(path.read_text())
+        ball = fb.deserialize_ball(text)
         _check_ball(cfg, ball)
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
@@ -183,6 +186,16 @@ def _writing(path: Path):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _reading(path: Path):
+    """An OSError or undecodable text while reading ``path`` as a
+    ConfigError naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _checkpoint_path(cfg: RunConfig, target: str) -> Path | None:
@@ -256,19 +269,18 @@ def format_digit_block(digit_string: str, per_group: int = 10,
 
 # -- pipeline -----------------------------------------------------------------
 
+@contextmanager
 def _stage(report, timings, name):
-    class _StageTimer:
-        def __enter__(self):
-            self.start = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            timings[name] = round(time.perf_counter() - self.start, 6)
-            if exc is not None:
-                report["failed_stage"] = name
-                report["failure"] = f"{type(exc).__name__}: {exc}"
-            return False
-    return _StageTimer()
+    """Time the stage into ``timings``; on any exception name it in the report."""
+    start = time.perf_counter()
+    try:
+        yield
+    except BaseException as exc:
+        report["failed_stage"] = name
+        report["failure"] = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        timings[name] = round(time.perf_counter() - start, 6)
 
 
 def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
@@ -385,8 +397,7 @@ def _cert_config(cfg: RunConfig, target: str, checksums: dict) -> dict:
     """The run settings of a certificate, with the checksums of its own
     inputs: g0, and an eigen target's own centre."""
     inputs = {name: checksums[name] for name in ("g0", _CENTRES[target][0])}
-    return {"degree": cfg.degree, "precision": cfg.precision,
-            "rho": str(RHO), "input_checksums": inputs}
+    return {"degree": cfg.degree, "precision": cfg.precision, "input_checksums": inputs}
 
 
 def _record_digits(report: dict, name: str, enclosure: Interval):
@@ -407,9 +418,10 @@ def _write_outputs(cfg: RunConfig, result: PipelineResult, partial: bool):
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
-        for name, cert in result.certificates.items():
-            (out / f"certificate_{name}.json").write_text(
-                json.dumps(cert.to_json_dict(), indent=2))
+        for name, payload in report["certificates"].items():
+            (out / f"certificate_{name}.json").write_text(json.dumps(
+                {"certificate": payload, "execution": {"wall_time_s": report["timings"][name]}},
+                indent=2))
         for name, info in report.get("digits", {}).items():
             if info["count"]:
                 (out / f"digits_{name}.txt").write_text(format_digit_block(info["digits"]))

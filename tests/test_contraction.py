@@ -243,7 +243,7 @@ def test_certificate_payload_roundtrips(desk, tmp_path):
         "head_degree", "passed", "posterior_radius", "enclosures", "config"])
     assert payload["head_degree"] == 20
     path = tmp_path / "certificate_fixed_point.json"
-    path.write_text(json.dumps(desk.cert_fixed.to_json_dict()))
+    path.write_text(json.dumps({"certificate": payload}))
     assert cli._read_enclosures(str(path)) == desk.cert_fixed.enclosures
     assert payload["passed"] is True
     assert Decimal(payload["epsilon"]) == desk.cert_fixed.epsilon

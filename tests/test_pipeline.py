@@ -113,8 +113,7 @@ def test_radius_changes_no_payload(desk_all_targets):
     assert report["digits"] == desk_all_targets.report["digits"]
     assert report["config"] == desk_all_targets.report["config"] == {
         "degree": 20, "precision": 30, "targets": ["fixed_point", "delta", "gamma"]}
-    assert all(c["rho"] == c["config"]["rho"] == str(pl.RHO)
-               for c in report["certificates"].values())
+    assert all(c["rho"] == str(pl.RHO) for c in report["certificates"].values())
 
 
 @pytest.mark.parametrize("verb", ["approx", "certify", "report", "plot"])
@@ -168,7 +167,6 @@ def test_cli_refuses_bad_paths_and_targets_before_any_work(tmp_path, monkeypatch
         raise AssertionError("work ran before the configuration was checked")
 
     monkeypatch.setattr(ax, "approx_fixed_point", refuse)
-    monkeypatch.delenv("RENORMCERT_SCRATCH", raising=False)
     path = tmp_path / "file"
     path.write_text("x")
     named = str(path) if _FILE in argv else "twice"
@@ -196,12 +194,11 @@ def test_unwritable_paths_are_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("verb", ["approx", "certify"])
-def test_cli_defaults_are_the_run_config_defaults(monkeypatch, verb):
+def test_cli_defaults_are_the_run_config_defaults(verb):
     """Parsing no flag gives the fields of RunConfig(): the CLI reads its
     defaults from there."""
     from renormcert import cli
 
-    monkeypatch.delenv("RENORMCERT_SCRATCH", raising=False)
     assert cli._config_from_args(cli.build_parser().parse_args([verb])) == pl.RunConfig()
 
 
@@ -347,6 +344,41 @@ def test_bad_ball_checkpoint_is_refused(desk, tmp_path, case):
     _approx_failure(tmp_path, path)
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_checkpoint_fails_cleanly(tmp_path, capsys, case):
+    """A g0 checkpoint path that is a directory, or a file that is not UTF-8
+    text, fails the approx stage with a ConfigError naming the path: the
+    CLI exits 2 with a partial report, not with a traceback."""
+    from renormcert import cli
+
+    path = tmp_path / "ck" / "g0_n20_p30.txt"
+    if case == "directory":
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir()
+        path.write_bytes(b"\xff\xfe" + fb.serialize_ball(fb.zero_ball(20)).encode())
+    out = tmp_path / "out"
+    assert cli.main(["certify", "-N", "20", "-P", "30", "--checkpoint-dir",
+                     str(path.parent), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED at stage approx: ") and str(path) in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["partial"] is True and report["failed_stage"] == "approx"
+
+
+def test_environment_sets_no_checkpoint_directory(tmp_path, monkeypatch, capsys):
+    """Only --checkpoint-dir names the checkpoint directory: with
+    RENORMCERT_SCRATCH naming a directory that holds a corrupt g0
+    checkpoint, a desk certify run bootstraps afresh and passes."""
+    from renormcert import cli
+
+    (tmp_path / "g0_n20_p30.txt").write_text("not a ball\n")
+    monkeypatch.setenv("RENORMCERT_SCRATCH", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["certify", "-N", "20", "-P", "30"]) == 0
+    assert "a: 11 certified digits" in capsys.readouterr().out
+
+
 def test_checkpoint_past_the_int_string_limit_runs(desk, tmp_path):
     """A g0 checkpoint whose last coefficient has a 5000-digit endpoint, more
     than str() of an int writes, is held as 5000-digit integers: the run
@@ -426,7 +458,12 @@ def test_run_pipeline_desk(tmp_path):
     assert sorted(data["timings"]) == ["approx", "delta", "fixed_point", "gamma",
                                        "parameter_ball"]
     assert "domain_extension" not in data and "boundary_rects" not in data["config"]
-    assert all("boundary_rects" not in c["config"] for c in data["certificates"].values())
+    assert all(sorted(c["config"]) == ["degree", "input_checksums", "precision"]
+               for c in data["certificates"].values())
+    for target, payload in data["certificates"].items():
+        written = json.loads((tmp_path / "out" / f"certificate_{target}.json").read_text())
+        assert written == {"certificate": payload,
+                           "execution": {"wall_time_s": data["timings"][target]}}
     # checkpoints reload on the second run
     res2 = pl.run_pipeline(cfg)
     assert res2.report["certificates"] == report["certificates"]
@@ -853,6 +890,25 @@ def test_cli_digits_bad_file(tmp_path, capsys, content):
     assert err.startswith("error: certificate ") and str(path) in err
 
 
+@pytest.mark.parametrize("endpoint, code", [("1E-20000000", 2), ("-1E+20000000", 2),
+                                            ("1E-10000", 0)])
+def test_cli_digits_refuses_an_endpoint_too_long_to_write(tmp_path, capsys, endpoint, code):
+    """An enclosure endpoint with more than MAX_ENDPOINT_DIGITS digits
+    before or after the point is refused before any digit string is built:
+    exit 2, the file named, nothing printed.  One at the bound prints."""
+    from renormcert import cli
+
+    path = tmp_path / "certificate_fixed_point.json"
+    path.write_text(json.dumps({"certificate": {"enclosures": {"a": [endpoint, endpoint]}}}))
+    assert cli.main(["digits", str(path), "--plain"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and str(path) in captured.err
+        assert f"more than {fb.MAX_ENDPOINT_DIGITS} digits" in captured.err
+    else:
+        assert captured.out == "a: 1 certified digits\n0." + "0" * 9999 + "1\n"
+
+
 @pytest.mark.parametrize("plain", [False, True])
 def test_cli_digits_without_certified_digit(tmp_path, capsys, plain):
     """An enclosure with no certified digit prints its count and no digit
@@ -871,7 +927,7 @@ def test_cli_certify_runs_without_numpy(tmp_path):
     code = ("import sys; sys.modules['numpy'] = None\n"
             "from renormcert import cli\n"
             "sys.exit(cli.main(['certify', '-N', '20', '-P', '30']))")
-    env = {k: v for k, v in os.environ.items() if k != "RENORMCERT_SCRATCH"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(pl.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, cwd=tmp_path)
@@ -1129,8 +1185,7 @@ def test_cli_closed_pipe_is_silent(tmp_path, flags):
     """A reader that closes the pipe before the verb prints: nothing on
     stderr, no traceback, exit 1, whether the write that fails is a print
     (unbuffered) or the flush of the buffered output."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("RENORMCERT_SCRATCH", "PYTHONUNBUFFERED")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(pl.__file__).parents[1])
     proc = subprocess.Popen([sys.executable, *flags, "-m", "renormcert.cli", "certify",
                              "--targets", "fixed_point"],
