@@ -30,8 +30,9 @@ G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, N)
 fixed = certify(ctx, Problem(0), G0, RHO)
 print(f"fixed point certified; parameter ball radius {fixed.posterior_radius}")
 
+# M_1 and M_2 over the parameter ball, built from the ball in one call
 param = fb.inflate(ctx, G0, fixed.posterior_radius)
-tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
+tables = op.OperatorTables.build(ctx, param)
 
 # both eigenproblems are the problem F_p = M_p(G) x - phi(x)**p x, p = 1, 2
 for power, name, title in ((1, "delta", "parameter"), (2, "gamma", "noise")):

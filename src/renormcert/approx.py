@@ -148,15 +148,13 @@ class _MidTable:
     Every entry is an integer at the scale 1/``unit``; row i of ``rows``
     holds coefficient i of every baby power.  Each power from u**2 on is
     the exact product (``balls._conv``) of the previous one and u, rounded
-    to nearest.  u is read with its trailing zeros dropped, so an affine u
+    to nearest; ``_conv`` drops the trailing zeros of u, so an affine u
     costs O(width) per power.
     """
 
     def __init__(self, u: list[int], count: int, width: int, unit: int):
         self.unit = unit
         last = min(count - 1, BABY_STEPS)
-        while u and not u[-1]:
-            u = u[:-1]
         powers = [[unit], u[:width]][:last + 1]
         for _ in range(2, last + 1):
             powers.append(_rounded(_conv(powers[-1], u, width - 1), unit))
@@ -344,8 +342,6 @@ def _sup_norm(v):
 # -- fixed point ----------------------------------------------------------------
 
 def _stage_ladder(n: int) -> list[int]:
-    if n <= 20:
-        return [n]
     stages, m = [], 20
     while m < n:
         stages.append(m)

@@ -540,8 +540,9 @@ class PowerTable:
     Paterson-Stockmeyer evaluation (Paterson and Stockmeyer, SIAM J.
     Comput. 2, 1973): f splits into blocks B_i = sum_{j<m} f_{im+j} u**j,
     each one exact integer matrix-vector product, and Horner in U,
-    acc <- int_outward(acc U) + B_i, runs to degree D; the rows above N of
-    the result go to v_high and the rest is rounded outward once.  That is
+    acc <- int_outward(acc U) + B_i, runs from the top block down to B_0
+    to degree D, each B_i carrying its baby powers' tails; the rows above N
+    of the result go to v_high and the rest is rounded outward once.  That is
     m - 1 products to build the table and ceil((N+1)/m) - 1 per
     composition, instead of the N - 1 of a table of every power.  Baby
     power k, cut at degree N, is the image of e_k (:meth:`power`), so a
@@ -585,22 +586,19 @@ class PowerTable:
             raise CompositionContractFailure(
                 f"composition argument has theta = {th} (strict={strict})")
 
-    def _block(self, fm: list[int], fr: list[int]) -> tuple[list[int], list[int]]:
+    def _block(self, ctx: RoundingContext, fm: list[int], fr: list[int], sf: int) -> IntBall:
         """sum_j (fm[j] +- fr[j]) u**j over the baby powers to degree D,
-        exactly, at scale 10**-(S + scale) for fm, fr at 10**-S."""
-        return (_dots(fm, self.mid),
-                _add_lists(_dots(list(map(abs, fm)), self.rad), _dots(fr, self.mags)))
-
-    def _tails(self, ctx: RoundingContext, fm: list[int], fr: list[int], sf: int,
-               v_high: Decimal, v_err: Decimal) -> tuple[Decimal, Decimal]:
-        """v_high and v_err raised by the baby powers' tails, weighted by
-        |fm[j]| + fr[j] at scale 10**-sf."""
+        exactly, at scale 10**-(sf + scale) for fm, fr at 10**-sf, with the
+        baby powers' tails weighted by |fm[j]| + fr[j]."""
+        v_high = v_err = _D0
         for k, m in enumerate(_magnitudes(fm, fr)):
             if m and (self.v_spill[k] or self.v_err[k]):
                 mk = ctx.scaled_up(m, sf)
                 v_high = ctx.add_up(v_high, ctx.mul_up(mk, self.v_spill[k]))
                 v_err = ctx.add_up(v_err, ctx.mul_up(mk, self.v_err[k]))
-        return v_high, v_err
+        return IntBall(_dots(fm, self.mid),
+                       _add_lists(_dots(list(map(abs, fm)), self.rad), _dots(fr, self.mags)),
+                       sf + self.scale, v_high, v_err)
 
     def _polynomial(self, ctx: RoundingContext, p: FunctionBall) -> FunctionBall:
         """Enclosure of sum_k p_k u**k over every member of the argument, for
@@ -608,22 +606,14 @@ class PowerTable:
         to the scale int_outward gives a degree-N ball first."""
         n = self.truncation
         p = int_outward(ctx, p, n)
-        fm, fr, sf = p.mid, p.rad, p.scale
-        m, scale = len(self.mid[0]), sf + self.scale
-        upper = None     # sum_{i >= 1} B_i U**(i-1), Horner in U from the top block
-        for i in reversed(range(m, max(len(fm), len(fr)), m)):
-            bm, br = fm[i:i + m], fr[i:i + m]
-            block = IntBall(*self._block(bm, br), scale,
-                            *self._tails(ctx, bm, br, sf, _D0, _D0))
-            upper = block if upper is None else int_add(ctx, self._giant_step(ctx, upper), block)
-        low = IntBall(*self._block(fm[:m], fr[:m]), scale, _D0, _D0)
-        if upper is not None:
-            low = int_add(ctx, self._giant_step(ctx, upper), low)
-        v_high = ctx.scaled_up(sum(_magnitudes(low.mid[n + 1:], low.rad[n + 1:])), low.scale)
-        if low.v_high:
-            v_high = ctx.add_up(v_high, low.v_high)
-        v_high, v_err = self._tails(ctx, fm[:m], fr[:m], sf, v_high, low.v_err)
-        out = IntBall(low.mid[:n + 1], low.rad[:n + 1], low.scale, v_high, v_err)
+        fm, fr, sf, m = p.mid, p.rad, p.scale, len(self.mid[0])
+        acc = None
+        for i in reversed(range(0, max(len(fm), len(fr), 1), m)):
+            block = self._block(ctx, fm[i:i + m], fr[i:i + m], sf)
+            acc = block if acc is None else int_add(ctx, self._giant_step(ctx, acc), block)
+        guard = ctx.scaled_up(sum(_magnitudes(acc.mid[n + 1:], acc.rad[n + 1:])), acc.scale)
+        out = IntBall(acc.mid[:n + 1], acc.rad[:n + 1], acc.scale,
+                      ctx.add_up(guard, acc.v_high), acc.v_err)
         return FunctionBall.wrap(n, int_outward(ctx, out, n))
 
     def compose(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:

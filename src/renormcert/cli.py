@@ -113,13 +113,17 @@ def _cmd_certify(args) -> int:
 
 def _read_enclosures(path: str) -> dict:
     """The enclosures of a certificate file, name -> Interval.  A file that
-    cannot be read or is not a certificate, or an endpoint too long to
-    write out (balls.endpoint_decimal), raises ConfigError naming it."""
+    cannot be read or is not a certificate, an enclosure that is not a list
+    of two strings (as ``to_payload`` writes them), or an endpoint too long
+    to write out (balls.endpoint_decimal), raises ConfigError naming it."""
     try:
         data = json.loads(Path(path).read_text())
-        payload = data.get("certificate", data)
+        enclosures = data.get("certificate", data).get("enclosures", {})
+        for name, ends in enclosures.items():
+            if not (type(ends) is list and len(ends) == 2 and all(type(e) is str for e in ends)):
+                raise ValueError(f"enclosure {name} is not a list of two strings")
         return {name: Interval(endpoint_decimal(lo, name), endpoint_decimal(hi, name))
-                for name, (lo, hi) in payload.get("enclosures", {}).items()}
+                for name, (lo, hi) in enclosures.items()}
     except OSError as exc:
         raise ConfigError(f"certificate {path}: {exc.strerror}") from None
     except (ValueError, AttributeError, TypeError) as exc:  # ConfigError is a ValueError

@@ -324,12 +324,10 @@ class Problem:
         if not power and tables is not None:
             raise ConfigError("Problem(0) builds its tables over the ball it is bounded on")
         self.power, self.kind, self.tables = power, KINDS[power], tables
-        self._ball = None   # for p = 0, the ball the tables were built over
 
     def _tables(self, ctx: RoundingContext, ball: FunctionBall) -> OperatorTables:
-        if not self.power and self._ball is not ball:
-            self.tables = OperatorTables.build(ctx, precompute_shared(ctx, ball))
-            self._ball = ball
+        if not self.power and (self.tables is None or self.tables.shared.source is not ball):
+            self.tables = OperatorTables.build(ctx, ball)
         return self.tables
 
     def _phi_power(self, ctx: RoundingContext, phi_x: Interval) -> Interval:

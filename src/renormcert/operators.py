@@ -84,10 +84,8 @@ class SharedEvaluations:
 
     source: FunctionBall
     a: Interval
-    a2: Interval
     a_inv: Interval
     inner: FunctionBall           # G(a**2 X)
-    squared: FunctionBall         # Q(G(a**2 X))
     outer_comp: FunctionBall      # G(Q(G(a**2 X)))
     table_affine: PowerTable
     table_squared: PowerTable
@@ -117,15 +115,13 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall) -> SharedEvaluation
         a_inv = ctx.idiv(IONE, a)
     except DivisionByZeroInterval as exc:
         raise NormalizationSingular(f"a = G(1) = {a} may contain zero") from exc
-    a2 = ctx.isqr(a)
-    table_affine = fb.power_table(ctx, fb.affine_arg(ctx, n, a2))
+    table_affine = fb.power_table(ctx, fb.affine_arg(ctx, n, ctx.isqr(a)))
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
-    squared = fb.mul(ctx, inner, inner)
-    table_squared = fb.power_table(ctx, squared)
+    table_squared = fb.power_table(ctx, fb.mul(ctx, inner, inner))
     outer_comp = _composed("G(Q(G(a2 X)))", table_squared.compose, ctx, G)
     return SharedEvaluations(
-        source=G, a=a, a2=a2, a_inv=a_inv, inner=inner, squared=squared,
-        outer_comp=outer_comp, table_affine=table_affine, table_squared=table_squared)
+        source=G, a=a, a_inv=a_inv, inner=inner, outer_comp=outer_comp,
+        table_affine=table_affine, table_squared=table_squared)
 
 
 def _index(q: int) -> int:
@@ -138,7 +134,8 @@ def _index(q: int) -> int:
 @dataclass(frozen=True)
 class OperatorTables:
     """M_q over a ball, so the derivative DT = M_1 and the noise operator
-    L = M_2, applied through the power tables of its shared evaluations.
+    L = M_2, applied through the power tables of its shared evaluations,
+    which :meth:`build` forms from the ball (:func:`precompute_shared`).
 
     As balls, ``terms[q - 1]`` holds (a**-q, factor16**q) and
     ``variation`` factor17 - a**-2 G(Q(G(a**2 X))); ``channels[q - 1]``
@@ -153,8 +150,8 @@ class OperatorTables:
     channels: tuple
 
     @classmethod
-    def build(cls, ctx: RoundingContext, shared: SharedEvaluations) -> "OperatorTables":
-        s, G = shared, shared.source
+    def build(cls, ctx: RoundingContext, G: FunctionBall) -> "OperatorTables":
+        s = precompute_shared(ctx, G)
         n = G.truncation
         deriv_outer = _composed("G'(Q(G(a2 X)))", s.table_squared.compose_derivative, ctx, G)
         deriv_inner = _composed("G'(a2 X)", s.table_affine.compose_derivative, ctx, G)
@@ -165,7 +162,7 @@ class OperatorTables:
         factors = (factor16, fb.mul(ctx, factor16, factor16))
         variation = fb.add(ctx, fb.scale(ctx, ctx.ineg(scalars[1]), s.outer_comp), factor17)
         pairs = list(zip(scalars, factors))
-        return cls(shared, tuple((fb.const_ball(n, x), f) for x, f in pairs),
+        return cls(s, tuple((fb.const_ball(n, x), f) for x, f in pairs),
                    variation,
                    tuple(((x.mag, s.table_squared.theta_bound),
                           (fb.norm_upper(ctx, f), s.table_affine.theta_bound))

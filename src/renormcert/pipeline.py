@@ -252,8 +252,11 @@ def certified_digits(enclosure: Interval) -> tuple[str, int]:
     return text, count
 
 
-def format_digit_block(digit_string: str, per_group: int = 10,
-                       groups_per_line: int = 5) -> str:
+#: digits per group and groups per row of :func:`format_digit_block`
+_PER_GROUP, _GROUPS_PER_LINE = 10, 5
+
+
+def format_digit_block(digit_string: str) -> str:
     """Grouped layout: sign and integer part, then rows of digit groups."""
     body = digit_string
     sign = ""
@@ -261,9 +264,9 @@ def format_digit_block(digit_string: str, per_group: int = 10,
         sign, body = body[0], body[1:]
     head, _, frac = body.partition(".")
     lines = [f"{sign or '+'}{head}."]
-    groups = [frac[i:i + per_group] for i in range(0, len(frac), per_group)]
-    for i in range(0, len(groups), groups_per_line):
-        lines.append(" ".join(groups[i:i + groups_per_line]))
+    groups = [frac[i:i + _PER_GROUP] for i in range(0, len(frac), _PER_GROUP)]
+    for i in range(0, len(groups), _GROUPS_PER_LINE):
+        lines.append(" ".join(groups[i:i + _GROUPS_PER_LINE]))
     return "\n".join(lines) + "\n"
 
 
@@ -372,7 +375,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 with _stage(report, timings, "parameter_ball"):
                     param = fb.inflate(ctx, g0_ball,
                                        result.certificates["fixed_point"].proven_radius)
-                    tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
+                    tables = op.OperatorTables.build(ctx, param)
                     result.balls["parameter"] = param
             with _stage(report, timings, target):
                 x0_ball = centres[target]

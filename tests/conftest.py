@@ -26,7 +26,7 @@ def desk():
     cert_fixed = ct.certify(ctx, ct.Problem(0), G0, pl.RHO)
     lam_fixed = certificate_map(ctx, ct.Problem(0), G0, pl.RHO)[2]
     param = fb.inflate(ctx, G0, cert_fixed.posterior_radius)
-    tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, param))
+    tables = op.OperatorTables.build(ctx, param)
 
     v0, lam0 = ax.approx_eigenpair("delta", g0, 30)
     V0 = fb.ball_from_decimals(fb.STANDARD_DISC, v0, n)
@@ -58,7 +58,7 @@ def n40():
     cfg = pl.RunConfig(degree=40, precision=40)
     result = pl.run_pipeline(cfg)
     ctx = RoundingContext(40)
-    tables = op.OperatorTables.build(ctx, op.precompute_shared(ctx, result.balls["parameter"]))
+    tables = op.OperatorTables.build(ctx, result.balls["parameter"])
 
     def decimals(name):
         return [c.re.lo for c in result.balls[name].coeffs]

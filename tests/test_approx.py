@@ -465,10 +465,10 @@ def _cross_engine(run):
     def ball(coeffs):
         return fb.ball_from_decimals(fb.STANDARD_DISC, coeffs, n)
 
-    shared = op.precompute_shared(ctx, ball(run.g0))
+    tables = op.OperatorTables.build(ctx, ball(run.g0))
     with decimal.localcontext(ax._context(ctx.precision)):
         mid = ax._MidShared(run.g0)
-    return mid, shared, op.OperatorTables.build(ctx, shared), ball
+    return mid, tables.shared, tables, ball
 
 
 @pytest.mark.parametrize("scale", ["desk", "n40"])

@@ -188,7 +188,7 @@ def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
     c = desk.ctx
     fixed = ct.certify(c, ct.Problem(0), desk.G0, pl.RHO)
     param = fb.inflate(c, desk.G0, fixed.proven_radius)
-    tables = op.OperatorTables.build(c, op.precompute_shared(c, param))
+    tables = op.OperatorTables.build(c, param)
     for power, x0 in ((1, desk.V0), (2, desk.W0)):
         assert ct.certify(c, ct.Problem(power, tables), x0, pl.RHO).passed
     assert built == []

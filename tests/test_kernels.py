@@ -665,6 +665,43 @@ def test_giant_steps_negative_control(monkeypatch):
         assert _membership_excess(table.compose(ctx, f), upper) > 0
 
 
+def test_block_tails_negative_control(monkeypatch):
+    """Every block of a composition carries its baby powers' tails, block 0
+    included.  An argument with an error tail v_err = 1e-6 has the member
+    h + v_err e_0, whose image under the all-ones f lies in the composed ball
+    at N = 20 (block 0 alone) and N = 80 (four blocks); blocks that drop
+    their v_spill and v_err miss it."""
+    dropped = fb.PowerTable._block
+
+    def tailless(self, c, fm, fr, sf):
+        return dataclasses.replace(dropped(self, c, fm, fr, sf), v_high=Decimal(0),
+                                   v_err=Decimal(0))
+    for n in (20, 80):
+        h = with_tails(_positive_quadratic(n), 0, "1e-6")
+        f = interval_ball([Interval(Decimal(1), Decimal(1))] * (n + 1))
+        table = fb.power_table(ctx, h)
+        with decimal.localcontext(EXACT):
+            upper = [c.re.hi for c in h.coeffs[:3]]
+            member = _exact_compose([Decimal(1)] * (n + 1),
+                                    [upper[0] + h.v_err] + upper[1:])
+            assert _membership_excess(table.compose(ctx, f), member) <= 0
+            with monkeypatch.context() as patch:
+                patch.setattr(fb.PowerTable, "_block", tailless)
+                assert _membership_excess(table.compose(ctx, f), member) > 0, n
+
+
+@pytest.mark.parametrize("n", [20, 80])
+def test_zero_ball_composes_to_zero(n):
+    """The zero ball, with no coefficients, is one empty block: through a
+    table whose argument has tails it composes to the zero ball, with zero
+    tails, and so does its derivative."""
+    table = fb.power_table(ctx, with_tails(_positive_quadratic(n), "1e-6", "1e-6"))
+    for out in (table.compose(ctx, fb.zero_ball(n)),
+                table.compose_derivative(ctx, fb.zero_ball(n))):
+        assert not any(out.mid) and not any(out.rad)
+        assert out.v_high == out.v_err == 0 and out.truncation == n
+
+
 def test_compose_contract_matches_oracle():
     n = 8
     ident = fb.affine_arg(ctx, n, 1)                  # theta == 1

@@ -14,6 +14,7 @@ from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
+from renormcert import pipeline as pl
 from renormcert.errors import (
     CompositionContractFailure,
     ConfigError,
@@ -33,15 +34,16 @@ def test_shared_constant_one():
     s = op.precompute_shared(ctx, one)
     assert s.a.contains(1)
     assert s.inner.coeffs[0].re.contains(1)
-    assert fb.norm_upper(ctx, fb.sub(ctx, s.squared, one)) == 0
+    assert fb.norm_upper(ctx, fb.sub(ctx, fb.mul(ctx, s.inner, s.inner), one)) == 0
 
 
 def test_shared_inflation_widens(desk):
     s0 = op.precompute_shared(ctx, desk.G0)
     s1 = op.precompute_shared(ctx, fb.inflate(ctx, desk.G0, "1e-10"))
     assert s1.a.contains_interval(s0.a)
+    sq0, sq1 = (fb.mul(ctx, s.inner, s.inner) for s in (s0, s1))
     for k in range(desk.n + 1):
-        assert s1.squared.coeffs[k].re.contains_interval(s0.squared.coeffs[k].re)
+        assert sq1.coeffs[k].re.contains_interval(sq0.coeffs[k].re)
     assert s1.table_squared.theta_bound >= s0.table_squared.theta_bound
 
 
@@ -130,8 +132,36 @@ def test_squared_table_products_stay_sub_linear(monkeypatch):
 
     monkeypatch.setattr(fb, "int_mul", counted_int_mul)
     monkeypatch.setattr(fb, "mul", uncounted_mul)
-    op.OperatorTables.build(wide, op.precompute_shared(wide, G))
+    op.OperatorTables.build(wide, G)
     assert (m - 1) + 2 * 3 == len(products) <= m + 2 * -(-(n + 1) // m) < n - 1
+
+
+def test_operator_tables_hold_their_ball(desk):
+    """M_q's tables are built from their ball in one call, and their shared
+    evaluations are the one record of it."""
+    tables = op.OperatorTables.build(ctx, desk.param)
+    assert tables.shared.source is desk.param
+    assert tables.shared.a == op.precompute_shared(ctx, desk.param).a
+
+
+def test_problem_builds_tables_once_per_ball(desk, monkeypatch):
+    """One certify of Problem(0) builds M_1's tables once, over the ball its
+    bounds receive; the same problem on a second ball builds again.
+    Problem(1, tables) only reads the tables it is given."""
+    built, build = [], op.OperatorTables.build.__func__
+
+    def counted(cls, c, G):
+        built.append(G)
+        return build(cls, c, G)
+    monkeypatch.setattr(op.OperatorTables, "build", classmethod(counted))
+    problem = ct.Problem(0)
+    ct.certify(desk.ctx, problem, desk.G0, pl.RHO)
+    assert len(built) == 1 and problem.tables.shared.source is built[0]
+    again = fb.ball_from_decimals(DOM, desk.g0, desk.n)
+    ct.certify(desk.ctx, problem, again, pl.RHO)
+    assert len(built) == 2 and built[1] is not built[0]
+    ct.certify(desk.ctx, ct.Problem(1, desk.tables), desk.V0, pl.RHO)
+    assert len(built) == 2
 
 
 def test_apply_DT_variation_of_a_acts_on_column0_only(desk):
@@ -383,7 +413,7 @@ def _theta_reach(rctx, ball):
     shared = op.precompute_shared(rctx, ball)
     g = fb.point_evaluator(rctx, ball)
     s = g.point_scale
-    a2 = Rectangle(shared.a2, interval(0))
+    a2 = Rectangle(rctx.isqr(shared.a), interval(0))
     centre = rectangle(DOM.center)
     reach = [Decimal(0), Decimal(0)]
     for z in _circle_points():

@@ -876,10 +876,15 @@ def test_cli_report_and_digits(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [None, "{", "[1]", '{"enclosures": {"a": ["x", "1"]}}',
-                                     '{"enclosures": {"a": ["1"]}}'])
+                                     '{"enclosures": {"a": ["1"]}}',
+                                     '{"certificate": {"enclosures": {"a": "55"}}}',
+                                     '{"enclosures": {"a": {"1": 0, "2": 0}}}',
+                                     '{"enclosures": {"a": [0.1, 0.1]}}'])
 def test_cli_digits_bad_file(tmp_path, capsys, content):
     """A missing or malformed certificate file is an error naming the file
-    (exit 2), not a traceback."""
+    (exit 2), not a traceback.  An enclosure is a list of exactly two
+    strings: a two-character string, a dict's two keys and two JSON
+    numbers (read as binary floats) are refused, not read as endpoints."""
     from renormcert import cli
 
     path = tmp_path / "certificate_fixed_point.json"
