@@ -112,13 +112,18 @@ def _cmd_certify(args) -> int:
 
 
 def _read_enclosures(path: str) -> dict:
-    """The enclosures of a certificate file, name -> Interval.  A file that
-    cannot be read or is not a certificate, an enclosure that is not a list
-    of two strings (as ``to_payload`` writes them), or an endpoint too long
-    to write out (balls.endpoint_decimal), raises ConfigError naming it."""
+    """The enclosures of a certificate file, name -> Interval: empty for the
+    certificate of a failed run.  A file that cannot be read or is not a
+    certificate (no ``enclosures`` key, in the file's ``certificate`` object
+    or at its top), an enclosure that is not a list of two strings (as
+    ``to_payload`` writes them), or an endpoint too long to write out
+    (balls.endpoint_decimal), raises ConfigError naming it."""
     try:
         data = json.loads(Path(path).read_text())
-        enclosures = data.get("certificate", data).get("enclosures", {})
+        certificate = data.get("certificate", data)
+        if "enclosures" not in certificate:
+            raise ValueError("no enclosures key")
+        enclosures = certificate["enclosures"]
         for name, ends in enclosures.items():
             if not (type(ends) is list and len(ends) == 2 and all(type(e) is str for e in ends)):
                 raise ValueError(f"enclosure {name} is not a list of two strings")

@@ -28,6 +28,17 @@ dynamics", Notices AMS 62, 2015).  No separate invertibility proof is
 needed.  The certified constants follow from the coordinate functional
 phi(x) = x(c), the constant basis coefficient.
 
+The certificate also takes one Newton-Kantorovich step for free (van den
+Berg and Lessard, section 4).  The solution x* and x0 lie in the convex
+ball B(x0, rho), where kappa bounds DPhi, and x* = Phi(x*), so with the
+proven radius r >= ||x* - x0||
+
+    ||x* - Phi(x0)|| <= kappa r,   |phi(x*) - phi(Phi(x0))| <= kappa_phi r,
+
+where kappa_phi bounds row 0 of DPhi over the ball.  Phi(x0) is the ball
+epsilon is read from, and kappa_phi is read from the column images and the
+tail sum kappa is bounded from, so the step costs no further product.
+
 The three problems follow one rule F_p, p = 0, 1, 2 (:class:`Problem`):
 F_0(G) = T(G) - G for the fixed point, and F_p(x) = M_p(G) x - phi(x)**p x
 for delta (p = 1, M_1 = DT) and gamma (p = 2, M_2 = L), with G over a
@@ -187,7 +198,7 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
     columns = [fb.IntBall(list(col), [], lam.scale, _D0, _D0) for col in zip(*lam.rows)]
-    bound = max(bound_kappa_columns(ctx, columns, approx_inv))
+    bound = max(bound_kappa_columns(ctx, columns, approx_inv)[0])
     if bound >= 1:
         raise InversionUncertified(f"residual column bound {bound} >= 1")
     return bound
@@ -379,9 +390,14 @@ class Problem:
         and factor16**q through a**2 X, with their theta factors."""
         return self._tables(ctx, x_ball).channels[max(self.power, 1) - 1]
 
-    def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal) -> dict:
-        """Certified constants for a solution within ``radius`` of x0."""
-        enclosure = _widened(ctx, _phi(ctx, x0), radius)
+    def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal,
+                   newton: FunctionBall, newton_radius: Decimal) -> dict:
+        """Certified constants for a solution within ``radius`` of x0 whose
+        phi lies within ``newton_radius`` of phi(newton): the intersection
+        of the two enclosures of phi."""
+        old = _widened(ctx, _phi(ctx, x0), radius)
+        new = _widened(ctx, _phi(ctx, newton), newton_radius)
+        enclosure = Interval(max(old.lo, new.lo), min(old.hi, new.hi))
         if self.power:
             return {("delta", "gamma")[self.power - 1]: enclosure}
         return {"a": enclosure, "alpha": ctx.idiv(IONE, enclosure)}
@@ -390,35 +406,50 @@ class Problem:
 # -- bounds -----------------------------------------------------------------------
 
 def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
-                  lam: LinearMap) -> Decimal:
-    """Upper bound of ||Lam F(x0)|| = ||Phi(x0) - x0||."""
+                  lam: LinearMap) -> tuple[Decimal, FunctionBall]:
+    """Upper bound of ||Lam F(x0)|| = ||Phi(x0) - x0||, and the ball
+    Phi(x0) = x0 - Lam F(x0), the Newton step, rounded outward once."""
     if x0.v_err != 0 or x0.v_high != 0:
         raise ConfigError("epsilon bound needs an exact center (no tail mass)")
-    return fb.norm_upper(ctx, apply_lambda(ctx, lam, problem.residual(ctx, x0)))
+    step = apply_lambda(ctx, lam, problem.residual(ctx, x0))
+    n = x0.truncation
+    newton = fb.int_outward(ctx, fb.int_add(ctx, x0, fb.negate(ctx, step)), n)
+    return fb.norm_upper(ctx, step), FunctionBall.wrap(n, newton)
+
+
+def _coefficient0_upper(ctx: RoundingContext, b: fb.IntBall) -> Decimal:
+    """Upper bound of |coefficient 0| over the ball: its interval and the
+    error part, which may sit at degree 0; the high part lies above N."""
+    top = (abs(b.mid[0]) if b.mid else 0) + (b.rad[0] if b.rad else 0)
+    return ctx.add_up(ctx.scaled_up(top, b.scale), b.v_err)
 
 
 def bound_kappa_columns(ctx: RoundingContext, images: list[FunctionBall],
-                        lam: LinearMap) -> list[Decimal]:
+                        lam: LinearMap) -> tuple[list[Decimal], Decimal]:
     """Bounds of ||DPhi(x) e_k|| = ||e_k - Lam image_k|| for k = 0..K, the
     head of the frozen map, from the column images DF_p(x) e_k over a ball
     (:meth:`Problem.column_images`), valid over it, in index order;
     :func:`bound_kappa_tail` covers every degree above K.  The frozen map
     acts exactly on each integer image and its norm is rounded up once.
+    Also returns the bound of |coefficient 0| of every e_k - Lam image_k,
+    the columns' part of kappa_phi (module docstring).
     """
     if len(images) != lam.dim:
         raise DimensionMismatch(f"{len(images)} column images for a head of {lam.dim}")
-    bounds = []
+    bounds, row0 = [], _D0
     for k, column in enumerate(images):
         image = _lambda_image(ctx, lam, column)
         image.mid[k] -= 10 ** image.scale
         bounds.append(fb.norm_upper(ctx, image))
-    return bounds
+        row0 = max(row0, _coefficient0_upper(ctx, image))
+    return bounds, row0
 
 
 def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBall,
-                     lam: LinearMap) -> Decimal:
+                     lam: LinearMap) -> tuple[Decimal, Decimal]:
     """Bound of ||DPhi(x) f_H|| over all f_H of degree above K (the head
-    degree of the frozen map) with ||f_H|| <= 1.
+    degree of the frozen map) with ||f_H|| <= 1, and of |coefficient 0|
+    of DPhi(x) f_H, the tail's part of kappa_phi.
 
     The disc is centred at 1, so with K >= 0, f_H(1) = 0 and phi(f_H) = 0,
     so the derivative acts as DF f_H = A f_H + q f_H where the compositions
@@ -426,6 +457,10 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
     map sends content of degree above K to tail_scalar times itself, leaving
 
         ||DPhi f_H|| <= |1 - q t| + ||Lam|| ||A f_H||.
+
+    Coefficient 0 of f_H and of Lam (q f_H) is 0, and that of Lam A f_H is
+    row 0 of the head matrix applied to A f_H, so its bound is
+    max_j |Lam_0j| ||A f_H||.
     """
     k = _head_degree(lam, x_ball.truncation)
     q = problem.tail_phi_factor(ctx, x_ball)
@@ -435,23 +470,33 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
         if theta >= 1:
             raise TailContractFailure(f"tail channel has theta = {theta} >= 1")
         total = ctx.add_up(total, ctx.mul_up(coeff_norm, ctx.pow_up(theta, k + 1)))
-    return ctx.add_up(head, ctx.mul_up(lambda_norm_upper(ctx, lam), total))
+    row0 = ctx.scaled_up(max(map(abs, lam.rows[0])), lam.scale)
+    return (ctx.add_up(head, ctx.mul_up(lambda_norm_upper(ctx, lam), total)),
+            ctx.mul_up(row0, total))
 
 
 # -- certificates ------------------------------------------------------------------
 
 @dataclass
 class Certificate:
+    """A certificate's bounds and verdict.  ``newton`` is the ball Phi(x0);
+    on success ``step_radius`` = kappa r bounds ||x* - Phi(x0)|| for the
+    proven radius r, and the enclosures read phi within kappa_phi r of
+    phi(Phi(x0)) (module docstring)."""
+
     kind: str
     rho: Decimal
     epsilon: Decimal
     kappa: Decimal
     kappa_columns_max: Decimal
     kappa_tail: Decimal
+    kappa_phi: Decimal
     head_degree: int
     passed: bool
     posterior_radius: Decimal | None
+    step_radius: Decimal | None
     enclosures: dict
+    newton: FunctionBall
     config: dict = field(default_factory=dict)
 
     @property
@@ -460,6 +505,12 @@ class Certificate:
         if self.posterior_radius is None:
             return self.rho
         return min(self.rho, self.posterior_radius)
+
+    def solution_ball(self, ctx: RoundingContext) -> FunctionBall:
+        """Phi(x0) + B(0, kappa r), proven to hold the solution."""
+        if self.step_radius is None:
+            raise ConfigError(f"{self.kind} certificate did not pass: no solution ball")
+        return fb.inflate(ctx, self.newton, self.step_radius)
 
     def to_payload(self) -> dict:
         """Deterministic certificate content (no timing)."""
@@ -472,9 +523,11 @@ class Certificate:
             "kappa": str(self.kappa),
             "kappa_columns_max": str(self.kappa_columns_max),
             "kappa_tail": str(self.kappa_tail),
+            "kappa_phi": str(self.kappa_phi),
             "head_degree": self.head_degree,
             "passed": self.passed,
             "posterior_radius": None if self.posterior_radius is None else str(self.posterior_radius),
+            "step_radius": None if self.step_radius is None else str(self.step_radius),
             "enclosures": enc(self.enclosures),
             "config": self.config,
         }
@@ -484,7 +537,8 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
             config: dict | None = None) -> Certificate:
     """Run the full contraction certificate for one problem: the column
     images k = 0..K, K = min(N, HEAD_DEGREE), the frozen map formed from
-    them, epsilon, the kappa columns 0..K and the tail bound above K.
+    them, epsilon, the kappa columns 0..K and the tail bound above K, and
+    from the same images and tail sum kappa_phi for the Newton step.
 
     No separate invertibility proof of the frozen map runs: a passing
     kappa < 1 bounds ||I - Lam DF(x0)|| below 1, which makes Lam a
@@ -498,7 +552,8 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
     disc of radius theta r.  This is the one proof of the domain extension;
     a ball too wide for it raises CompositionContractFailure or
     NormalizationSingular.  On success returns the certificate with the
-    certified enclosures; on a failed contraction inequality raises
+    certified enclosures, each the old phi(x0) +- r cut by the Newton
+    step's phi(Phi(x0)) +- kappa_phi r; on a failed contraction inequality raises
     CertificationFailed carrying the diagnostic certificate.  No retuning or
     retry: rho and the precision are caller-chosen, failures are data.
     """
@@ -508,10 +563,10 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
     ball = fb.inflate(ctx, x0, rho)
     images = problem.column_images(ctx, ball, min(x0.truncation, HEAD_DEGREE))
     lam = frozen_map(ctx, problem, x0, images)
-    epsilon = bound_epsilon(ctx, problem, x0, lam)
-    columns = bound_kappa_columns(ctx, images, lam)
+    epsilon, newton = bound_epsilon(ctx, problem, x0, lam)
+    columns, columns_phi = bound_kappa_columns(ctx, images, lam)
     col_max = max(columns)
-    tail = bound_kappa_tail(ctx, problem, ball, lam)
+    tail, tail_phi = bound_kappa_tail(ctx, problem, ball, lam)
     kappa = max(col_max, tail)
     one_minus = ctx.sub_dn(_D1, kappa)
     passed = bool(kappa < 1 and epsilon < ctx.mul_dn(rho, one_minus))
@@ -523,15 +578,20 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
         kappa=kappa,
         kappa_columns_max=col_max,
         kappa_tail=tail,
+        kappa_phi=max(columns_phi, tail_phi),
         head_degree=lam.dim - 1,
         passed=passed,
         posterior_radius=posterior,
+        step_radius=None,
         enclosures={},
+        newton=newton,
         config=dict(config or {}),
     )
     if not passed:
         raise CertificationFailed(
             f"{problem.kind}: epsilon={epsilon} not below rho(1-kappa) "
             f"with rho={rho}, kappa={kappa}", certificate=cert)
-    cert.enclosures = problem.enclosures(ctx, x0, cert.proven_radius)
+    r = cert.proven_radius
+    cert.step_radius = ctx.mul_up(kappa, r)
+    cert.enclosures = problem.enclosures(ctx, x0, r, newton, ctx.mul_up(cert.kappa_phi, r))
     return cert

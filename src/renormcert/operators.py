@@ -217,9 +217,13 @@ class OperatorTables:
 # -- domain extension -----------------------------------------------------------
 
 def grid_points(lo: int, hi: int, n: int) -> list[int]:
-    """n+1 integer grid points lo + (hi - lo) j // n from lo to hi: exact,
-    so adjacent cells share their endpoints and cover the whole range."""
-    return [lo + (hi - lo) * j // n for j in range(n + 1)]
+    """n+1 integer grid points from lo to hi: exact, so adjacent cells share
+    their endpoints and cover the whole range.  Point j is lo + (hi - lo) j / n
+    rounded toward the nearer end, so the grid is its own mirror image,
+    point n - j = lo + hi - point j; on a symmetric range cells j and
+    n-1-j are exact negatives of each other."""
+    d = hi - lo
+    return [lo + (d * j // n if 2 * j <= n else -(-d * j // n)) for j in range(n + 1)]
 
 
 def _companion(lo: int, hi: int, unit: int) -> tuple[int, int]:

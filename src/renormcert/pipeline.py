@@ -2,15 +2,16 @@
 
 The pipeline order is fixed by the mathematics: the eigen problems take the
 underlying map from a ball proven to contain the fixed point, so the
-fixed-point certificate always runs first and its a-posteriori radius
-epsilon/(1-kappa) (the tightest proven enclosure of the fixed point) is
-used as the parameter-ball radius for both eigen certificates.  No
+fixed-point certificate always runs first and its Newton step
+Phi(g0) + B(0, kappa r) (contraction.Certificate.solution_ball, r the
+proven radius) is the parameter ball of both eigen certificates.  No
 certificate stage runs approx numerics: certify forms its own frozen map.
 
 Every certificate runs on the ball B(x0, RHO), one radius for all three
 problems at every scale.  Every certified constant, and every ball handed
-to the plot coverings, uses the tighter of RHO and its certificate's
-a-posteriori radius, so RHO only has to be admissible.
+to the plot coverings, is read through its certificate's Newton step from
+the tighter of RHO and its a-posteriori radius, so RHO only has to be
+admissible.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ REPORT_SCHEMA = "renormcert-report/1"
 #: pool's start-up costs more than running them side by side saves (README)
 POOL_MIN_DEGREE = 140
 #: the radius of every certificate's ball.  Digits come from the
-#: a-posteriori radius epsilon/(1-kappa), so RHO need only pass: 1e-7 is the
-#: smallest decade the desk delta certificate passes (its epsilon is
-#: 1.53e-8), and at desk, N=40, 80, 160, 320 and 640 it certifies the digit
-#: strings of the per-scale radii it replaced.  It adds about 5e-8 to the
-#: fixed point's kappa (ROADMAP items 3, 15 and 16).
+#: a-posteriori radius epsilon/(1-kappa), so RHO need only pass: 1e-7 was the
+#: smallest decade the desk delta certificate passed over the parameter ball
+#: g0 + B(0, r) (its epsilon was 1.53e-8; over the Newton step's ball it is
+#: 4.7e-10, and gamma's 3.7e-9 would allow 1e-8), and at desk, N=40, 80, 160,
+#: 320 and 640 it certified the digit strings of the per-scale radii it
+#: replaced.  It adds about 5e-8 to the fixed point's kappa (ROADMAP items 3
+#: and 16).
 RHO = Decimal("1e-7")
 
 
@@ -365,7 +368,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             report["execution"] = {"workers": processes}
             for target, ball in centres.items():
                 report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
-            g0_ball = centres["fixed_point"]
 
         tables = None
         for power, target in enumerate(_TARGETS):
@@ -373,8 +375,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 continue
             if power and tables is None:
                 with _stage(report, timings, "parameter_ball"):
-                    param = fb.inflate(ctx, g0_ball,
-                                       result.certificates["fixed_point"].proven_radius)
+                    param = result.certificates["fixed_point"].solution_ball(ctx)
                     tables = op.OperatorTables.build(ctx, param)
                     result.balls["parameter"] = param
             with _stage(report, timings, target):
@@ -460,11 +461,10 @@ def _default_range(target: str, g: fb.PointEvaluator) -> tuple[int, int]:
 
 def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
     """The balls "G", "V", "W" proven to contain the fixed point and the two
-    eigenfunctions: each centre inflated by its certificate's proven radius
+    eigenfunctions: each certificate's Newton step Phi(x0) + B(0, kappa r)
     (for G, the eigen stages' parameter ball)."""
-    certs = result.certificates
-    return {centre[0]: fb.inflate(ctx, result.balls[centre], certs[target].proven_radius)
-            for target, (_, centre) in _CENTRES.items() if target in certs}
+    return {_CENTRES[target][1][0]: cert.solution_ball(ctx)
+            for target, cert in result.certificates.items()}
 
 
 def check_subdivisions(figure: str | None, subdivisions: int) -> None:

@@ -25,7 +25,7 @@ def desk():
     G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, n)
     cert_fixed = ct.certify(ctx, ct.Problem(0), G0, pl.RHO)
     lam_fixed = certificate_map(ctx, ct.Problem(0), G0, pl.RHO)[2]
-    param = fb.inflate(ctx, G0, cert_fixed.posterior_radius)
+    param = cert_fixed.solution_ball(ctx)
     tables = op.OperatorTables.build(ctx, param)
 
     v0, lam0 = ax.approx_eigenpair("delta", g0, 30)

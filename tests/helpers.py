@@ -372,8 +372,92 @@ def bounds_with_map(ctx: RoundingContext, problem: ct.Problem, x0: fb.FunctionBa
     bound functions ``certify`` calls, on the column images of lam's head."""
     ball = fb.inflate(ctx, x0, rho)
     images = problem.column_images(ctx, ball, lam.dim - 1)
-    return (ct.bound_epsilon(ctx, problem, x0, lam), ct.bound_kappa_columns(ctx, images, lam),
-            ct.bound_kappa_tail(ctx, problem, ball, lam))
+    return (ct.bound_epsilon(ctx, problem, x0, lam)[0],
+            ct.bound_kappa_columns(ctx, images, lam)[0],
+            ct.bound_kappa_tail(ctx, problem, ball, lam)[0])
+
+
+def _exact_norm(lam: ct.LinearMap) -> Decimal:
+    """||Lam||: the larger of |tail scalar| and the largest column sum of
+    |head|, exactly."""
+    k1 = lam.dim
+    with decimal.localcontext(EXACT):
+        return max([abs(lam.tail_scalar)] + [sum(abs(lam.matrix[i][j]) for i in range(k1))
+                                             for j in range(k1)])
+
+
+def oracle_kappa_tail(ctx: RoundingContext, problem: ct.Problem, x_ball: fb.FunctionBall,
+                      lam: ct.LinearMap) -> tuple[Decimal, Decimal]:
+    """``bound_kappa_tail`` restated in exact Decimal arithmetic from the
+    certificate's own map and the problem's tail factor -phi**p = q and
+    channel norms and thetas, with K = lam.dim - 1 and t the tail scalar:
+
+        (max over q of |1 - q t| + ||Lam|| S,  max_j |Lam_0j| S),
+        S = sum over the channels of ||coeff|| theta**(K+1),
+
+    ||Lam|| exact (:func:`_exact_norm`).  No step rounds, so the kernel's
+    upward roundings may only raise it."""
+    k1, t = lam.dim, lam.tail_scalar
+    q = problem.tail_phi_factor(ctx, x_ball)
+    norm = _exact_norm(lam)
+    with decimal.localcontext(EXACT):
+        head = max(abs(1 - end * t) for end in (q.lo, q.hi))
+        tail_sum = sum(coeff * theta ** k1 for coeff, theta in problem.tail_channels(ctx, x_ball))
+        return head + norm * tail_sum, max(abs(x) for x in lam.matrix[0]) * tail_sum
+
+
+def oracle_kappa_columns(lam: ct.LinearMap,
+                         images: list[fb.FunctionBall]) -> tuple[list[Decimal], Decimal]:
+    """``bound_kappa_columns`` restated in exact Decimal arithmetic: for
+    each column image b_k, the ball e_k - Lam b_k with the head rows acting
+    on the midpoints and (through |Lam|) the radii of degrees 0..K and the
+    tail scalar t on the degrees above, high part |t| v_high and error
+    part ||Lam|| v_err; its norm, and the largest of its |coefficient 0|
+    plus error part over k.  No step rounds."""
+    k1, t = lam.dim, lam.tail_scalar
+    norm = _exact_norm(lam)
+    with decimal.localcontext(EXACT):
+        bounds, row0 = [], Decimal(0)
+        for k, b in enumerate(images):
+            n = b.truncation
+            mid, rad = ([Decimal(x).scaleb(-b.scale) for x in xs] + [Decimal(0)] * (n + 1 - len(xs))
+                        for xs in (b.mid, b.rad))
+            out_mid = [sum(row[j] * mid[j] for j in range(k1)) for row in lam.matrix]
+            out_rad = [sum(abs(row[j]) * rad[j] for j in range(k1)) for row in lam.matrix]
+            out_mid += [t * m for m in mid[k1:]]
+            out_rad += [abs(t) * r for r in rad[k1:]]
+            out_mid[k] -= 1
+            mags = [abs(m) + r for m, r in zip(out_mid, out_rad)]
+            v_err = norm * b.v_err
+            bounds.append(sum(mags) + abs(t) * b.v_high + v_err)
+            row0 = max(row0, mags[0] + v_err)
+        return bounds, row0
+
+
+def oracle_powers(u: list[Decimal], count: int, degree: int) -> list[list[Decimal]]:
+    """u**0..u**(count-1) of a polynomial u, each exact to ``degree``
+    (coefficients above it dropped)."""
+    with decimal.localcontext(EXACT):
+        powers = [[Decimal(1)] + [Decimal(0)] * degree]
+        padded = (list(u) + [Decimal(0)] * degree)[:degree + 1]
+        for _ in range(1, count):
+            powers.append(p_mul(powers[-1], padded))
+        return powers
+
+
+def holds_polynomial(ball: fb.IntBall, coeffs: list[Decimal], n: int) -> bool:
+    """Whether the exact coefficients, known to some degree at or above n,
+    can be those of a member of the ball: coefficients 0..n in the ball's
+    intervals widened by v_err, and the mass above n within v_high plus
+    what v_err has left."""
+    with decimal.localcontext(EXACT):
+        spent = Decimal(0)
+        for k in range(n + 1):
+            m = Decimal(ball.mid[k]).scaleb(-ball.scale) if k < len(ball.mid) else Decimal(0)
+            r = Decimal(ball.rad[k]).scaleb(-ball.scale) if k < len(ball.rad) else Decimal(0)
+            spent += max(abs(coeffs[k] - m) - r, Decimal(0))
+        high = sum(abs(c) for c in coeffs[n + 1:])
+        return spent <= ball.v_err and high <= ball.v_high + (ball.v_err - spent)
 
 
 def evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:

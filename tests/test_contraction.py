@@ -7,12 +7,22 @@ from decimal import Decimal
 import pytest
 
 from helpers import (
+    REF_A,
+    REF_ALPHA,
+    REF_DELTA,
+    REF_GAMMA,
     basis_ball,
     bounds_with_map,
+    certificate_map,
     domain_points,
     eval_member,
+    holds_polynomial,
     identity_map,
+    oracle_kappa_columns,
+    oracle_kappa_tail,
     powers_above_baby_steps,
+    rand_decimal,
+    rand_poly_ball,
     sample_member,
     with_tails,
 )
@@ -27,7 +37,7 @@ from renormcert.errors import (
     DimensionMismatch,
     InversionUncertified,
 )
-from renormcert.rounding import Interval, RoundingContext, interval, rectangle
+from renormcert.rounding import EXACT, Interval, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -56,7 +66,7 @@ class ToyProblem:
     def tail_channels(self, c, x_ball):
         return ()
 
-    def enclosures(self, c, x0, radius):
+    def enclosures(self, c, x0, radius, newton, newton_radius):
         return {}
 
 
@@ -130,8 +140,8 @@ def test_toy_epsilon_zero():
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
     lam = identity_map(N, diagonal=-1, tail_scalar=-1)
-    eps = ct.bound_epsilon(ctx, problem, target, lam)
-    assert eps == 0
+    eps, newton = ct.bound_epsilon(ctx, problem, target, lam)
+    assert eps == 0 and newton.coeffs == target.coeffs
 
 
 def test_toy_columns_and_tail_zero():
@@ -140,8 +150,8 @@ def test_toy_columns_and_tail_zero():
     lam = identity_map(N, diagonal=-1, tail_scalar=-1)
     ball = fb.inflate(ctx, target, "0.125")
     images = problem.column_images(ctx, ball, N)
-    assert max(ct.bound_kappa_columns(ctx, images, lam)) == 0
-    assert ct.bound_kappa_tail(ctx, problem, ball, lam) == 0
+    assert ct.bound_kappa_columns(ctx, images, lam) == ([0] * (N + 1), 0)
+    assert ct.bound_kappa_tail(ctx, problem, ball, lam) == (0, 0)
     with pytest.raises(DimensionMismatch):   # a head column without its image
         ct.bound_kappa_columns(ctx, images[:N], lam)
 
@@ -154,6 +164,29 @@ def test_toy_certificate_passes():
     cert = ct.certify(ctx, problem, x0, "0.001")
     assert cert.passed and cert.kappa == 0 and cert.head_degree == N
     assert cert.epsilon <= Decimal("0.0001")
+    assert cert.kappa_phi == cert.step_radius == 0
+    assert cert.solution_ball(ctx).coeffs == target.coeffs
+
+
+class _BlurredToy(ToyProblem):
+    """The toy with an error part of 0.001 on every column image, so the
+    columns' part of kappa_phi is the only one (the toy has no tail
+    channel)."""
+
+    def column_images(self, c, x_ball, head_degree):
+        return [fb.inflate(c, image, "0.001")
+                for image in super().column_images(c, x_ball, head_degree)]
+
+
+def test_kappa_phi_takes_the_columns_part():
+    """kappa_phi is the larger of its two parts: for the blurred toy, whose
+    map is -I, it is the columns' part ||Lam|| 0.001 = 0.001, which is also
+    kappa, and the step radius is kappa r."""
+    target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
+    x0 = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.4999"], N)
+    cert = ct.certify(ctx, _BlurredToy(target), x0, "0.001")
+    assert cert.kappa_phi == cert.kappa == Decimal("0.001") and cert.kappa_tail == 0
+    assert cert.step_radius == ctx.mul_up(cert.kappa, cert.proven_radius)
 
 
 @pytest.mark.parametrize("power, with_tables", [(1, False), (2, False), (0, True),
@@ -217,7 +250,7 @@ def test_radius_changes_no_fixed_point_digit(desk):
     for name in ("a", "alpha"):
         digits = certified_digits(wide.enclosures[name])
         assert digits == certified_digits(narrow.enclosures[name])
-        assert digits[1] == {"a": 11, "alpha": 10}[name]
+        assert digits[1] == {"a": 15, "alpha": 15}[name]
     assert Decimal("2.7e-12") < wide.epsilon < Decimal("2.71e-12")
     with pytest.raises(CertificationFailed):
         ct.certify(desk.ctx, ct.Problem(0), desk.G0, "1e-12")
@@ -239,8 +272,8 @@ def test_desk_fixed_point_certificate(desk):
 def test_certificate_payload_roundtrips(desk, tmp_path):
     payload = desk.cert_fixed.to_payload()
     assert sorted(payload) == sorted([
-        "kind", "rho", "epsilon", "kappa", "kappa_columns_max", "kappa_tail",
-        "head_degree", "passed", "posterior_radius", "enclosures", "config"])
+        "kind", "rho", "epsilon", "kappa", "kappa_columns_max", "kappa_tail", "kappa_phi",
+        "head_degree", "passed", "posterior_radius", "step_radius", "enclosures", "config"])
     assert payload["head_degree"] == 20
     path = tmp_path / "certificate_fixed_point.json"
     path.write_text(json.dumps({"certificate": payload}))
@@ -291,9 +324,13 @@ def test_tail_bound_covers_columns_above_head(n40, monkeypatch, target, head):
     assert lam.dim == head + 1
     dense = _dense_form(lam, 40)
     images = problem.column_images(n40.ctx, ball, 40)
-    columns = ct.bound_kappa_columns(n40.ctx, images, dense)
-    assert columns[:head + 1] == ct.bound_kappa_columns(n40.ctx, images[:head + 1], lam)
-    assert max(columns[head + 1:]) <= ct.bound_kappa_tail(n40.ctx, problem, ball, lam)
+    columns, dense_phi = ct.bound_kappa_columns(n40.ctx, images, dense)
+    head_columns, head_phi = ct.bound_kappa_columns(n40.ctx, images[:head + 1], lam)
+    tail, tail_phi = ct.bound_kappa_tail(n40.ctx, problem, ball, lam)
+    assert columns[:head + 1] == head_columns
+    assert max(columns[head + 1:]) <= tail
+    # kappa_phi bounds coefficient 0 of every column, those above K too
+    assert dense_phi <= max(head_phi, tail_phi)
     assert (ct.bound_epsilon(n40.ctx, problem, x0, dense)
             == ct.bound_epsilon(n40.ctx, problem, x0, lam))
 
@@ -307,8 +344,8 @@ def test_tail_bound_at_full_degree_misses_columns_above_head(n40, monkeypatch, h
     powers_above_baby_steps(monkeypatch)
     problem, _, ball, lam = n40.setup(target, head)
     dense = _dense_form(lam, 40)
-    columns = ct.bound_kappa_columns(n40.ctx, problem.column_images(n40.ctx, ball, 40), dense)
-    assert ct.bound_kappa_tail(n40.ctx, problem, ball, dense) < max(columns[head + 1:])
+    columns = ct.bound_kappa_columns(n40.ctx, problem.column_images(n40.ctx, ball, 40), dense)[0]
+    assert ct.bound_kappa_tail(n40.ctx, problem, ball, dense)[0] < max(columns[head + 1:])
 
 
 def test_certificate_deterministic_across_workers(desk):
@@ -346,7 +383,8 @@ def test_gamma_certificate(desk):
 
 def test_eigen_digits_use_tightest_radius(desk):
     """Eigenvalue enclosures come from the tighter of rho and the a-posteriori
-    radius, so their certified digit counts never fall below the rho-based ones."""
+    radius r, cut by the Newton step's phi(Phi(x0)) +- kappa_phi r, so their
+    certified digit counts never fall below the rho-based or r-based ones."""
     from renormcert.pipeline import certified_digits
 
     c = desk.ctx
@@ -357,9 +395,14 @@ def test_eigen_digits_use_tightest_radius(desk):
         enc = cert.enclosures[name]
         assert cert.proven_radius == min(cert.rho, cert.posterior_radius)
         r = cert.proven_radius
-        assert enc == Interval(c.sub_dn(phi.lo, r), c.add_up(phi.hi, r))
-        assert by_rho.contains_interval(enc)
-        assert certified_digits(enc)[1] >= certified_digits(by_rho)[1]
+        by_r = Interval(c.sub_dn(phi.lo, r), c.add_up(phi.hi, r))
+        step = c.mul_up(cert.kappa_phi, r)
+        newton = fb.coefficient(c, cert.newton, 0).re
+        by_step = Interval(c.sub_dn(newton.lo, step), c.add_up(newton.hi, step))
+        assert enc == Interval(max(by_r.lo, by_step.lo), min(by_r.hi, by_step.hi))
+        assert by_rho.contains_interval(by_r) and by_r.contains_interval(enc)
+        assert certified_digits(enc)[1] > certified_digits(by_r)[1] >= \
+            certified_digits(by_rho)[1]
 
 
 def test_delta_interval_consistent_with_rayleigh(desk):
@@ -446,3 +489,140 @@ def test_singular_map_fails_with_kappa_at_least_one(desk, change, part):
     lam = _modified_map(desk.lam_fixed, change)
     _, columns, tail = bounds_with_map(desk.ctx, ct.Problem(0), desk.G0, pl.RHO, lam)
     assert {"kappa_columns_max": max(columns), "kappa_tail": tail}[part] >= 1
+
+
+@pytest.mark.parametrize("target", ["fixed_point", "delta", "gamma"])
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_tail_bound_is_at_least_its_decimal_statement(desk, n40, scale, target):
+    """bound_kappa_tail, both its kappa part and its kappa_phi part, is at
+    least the same bound stated in exact Decimal from the certificate's
+    own map, thetas and channel norms (helpers.oracle_kappa_tail), for all
+    three problems at desk and at N = 40.  It fails on theta**(K+2) for
+    theta**(K+1), and on a tail without the factor ||Lam|| (the fixed
+    point's and delta's ||Lam|| exceed 1)."""
+    c, problem, ball, _, lam, cert = _certificate_setup(desk, n40, scale, target)
+    kappa_tail, tail_phi = ct.bound_kappa_tail(c, problem, ball, lam)
+    exact_tail, exact_phi = oracle_kappa_tail(c, problem, ball, lam)
+    assert exact_tail <= kappa_tail <= exact_tail * Decimal("1.000001")
+    assert exact_phi <= tail_phi <= exact_phi * Decimal("1.000001")
+    assert cert.kappa_tail == kappa_tail and cert.kappa_phi >= tail_phi
+
+
+def _certificate_setup(desk, n40, scale: str, target: str):
+    """(context, problem, ball, column images, map, certificate) of a
+    certificate at desk or N = 40, as ``certify`` forms them."""
+    if scale == "desk":
+        problem, x0, cert = {"fixed_point": (ct.Problem(0), desk.G0, desk.cert_fixed),
+                             "delta": (ct.Problem(1, desk.tables), desk.V0, desk.cert_delta),
+                             "gamma": (ct.Problem(2, desk.tables), desk.W0, desk.cert_gamma)}[target]
+        return (desk.ctx, problem, *certificate_map(desk.ctx, problem, x0, pl.RHO), cert)
+    problem, _, ball, lam = n40.setup(target, 20)
+    return (n40.ctx, problem, ball, problem.column_images(n40.ctx, ball, 20), lam,
+            n40.result.certificates[target])
+
+
+@pytest.mark.parametrize("target", ["fixed_point", "delta", "gamma"])
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_column_bounds_are_their_decimal_statement_rounded_up(desk, n40, scale, target):
+    """Each kappa column bound, and the columns' part of kappa_phi, is the
+    same bound stated in exact Decimal (helpers.oracle_kappa_columns),
+    rounded up: at least it, and within a few units of the last place of
+    it.  A diagonal entry moved by its radius, either way, misses.  The
+    certificate's kappa_phi is at least the columns' part."""
+    c, _, _, images, lam, cert = _certificate_setup(desk, n40, scale, target)
+    columns, row0 = ct.bound_kappa_columns(c, images, lam)
+    exact_columns, exact_row0 = oracle_kappa_columns(lam, images)
+    for bound, exact in [*zip(columns, exact_columns), (row0, exact_row0)]:
+        ulp = Decimal(1).scaleb(bound.adjusted() - c.precision + 1)
+        assert exact <= bound <= EXACT.add(exact, 4 * ulp)
+    assert cert.kappa_phi >= row0 and cert.kappa_columns_max == max(columns)
+
+
+def _member_image(lam: ct.LinearMap, member: dict) -> dict:
+    """The frozen map applied exactly to a member: head rows on degrees
+    0..K, the tail scalar on every degree above K."""
+    k1 = lam.dim
+    with decimal.localcontext(EXACT):
+        out = {i: sum((row[k] * member.get(k, Decimal(0)) for k in range(k1)), Decimal(0))
+               for i, row in enumerate(lam.matrix)}
+        out.update({d: lam.tail_scalar * c for d, c in member.items() if d >= k1})
+    return out
+
+
+def _holds_member(ball: fb.FunctionBall, member: dict) -> bool:
+    n = ball.truncation
+    top = max(max(member), n)
+    return holds_polynomial(ball, [member.get(d, Decimal(0)) for d in range(top + 1)], n)
+
+
+def _high_content_misses(seed: int, at_degree_n: bool) -> int:
+    """Sampled members with content above N (within v_high) of balls
+    without an error part, through apply_lambda and sub, the kernels of
+    the Newton step x0 - Lam F(x0); counts the exact images the image balls
+    do not hold.  With ``at_degree_n`` each member's high content is moved
+    down to degree N, which v_high may not hold."""
+    rng = random.Random(seed)
+    n, k = 6, 3
+    misses = 0
+    for _ in range(10):
+        f = with_tails(rand_poly_ball(rng, n, n), Decimal("0.01"), Decimal(0))
+        g = with_tails(rand_poly_ball(rng, n, n), Decimal("0.02"), Decimal(0))
+        lam = ct.LinearMap([[rand_decimal(rng) for _ in range(k + 1)] for _ in range(k + 1)],
+                           rand_decimal(rng))
+        fm, gm = sample_member(rng, f), sample_member(rng, g)
+        if at_degree_n:
+            for m in (fm, gm):
+                m[n] += sum(m.pop(d) for d in sorted(m) if d > n)
+        with decimal.localcontext(EXACT):
+            diff = {d: fm.get(d, Decimal(0)) - gm.get(d, Decimal(0)) for d in set(fm) | set(gm)}
+        misses += not _holds_member(ct.apply_lambda(ctx, lam, f), _member_image(lam, fm))
+        misses += not _holds_member(fb.sub(ctx, f, g), diff)
+    return misses
+
+
+def test_high_content_stays_above_degree_n_through_lambda_and_sub():
+    """v_high bounds content of degree above N only, through apply_lambda
+    and sub, the kernels that form the Newton step: a member's content
+    above N (within v_high) maps to content above N (within the image's
+    v_high), and its coefficients 0..N into the image's intervals, which
+    v_high does not widen.  The Newton step's enclosure reads coefficient
+    0 without v_high and rests on this.  Negative control: the same
+    content moved down to degree N leaves the image's intervals."""
+    assert _high_content_misses(5, at_degree_n=False) == 0
+    assert _high_content_misses(5, at_degree_n=True) > 0
+
+
+_REFERENCES = {"a": REF_A, "alpha": REF_ALPHA, "delta": REF_DELTA, "gamma": REF_GAMMA}
+
+
+def test_newton_step_enclosures_hold_the_references(desk, n40):
+    """At desk and N = 40 every enclosure lies inside phi(x0) +- r, the
+    enclosure before the Newton step, holds the reference, and certifies
+    15/15/10/11 digits at desk and 27/27/24/24 at N = 40 (11/10/7/8 and
+    24/24/21/20 without the step and its parameter ball)."""
+    desk_certs = {"fixed_point": (desk.cert_fixed, desk.G0), "delta": (desk.cert_delta, desk.V0),
+                  "gamma": (desk.cert_gamma, desk.W0)}
+    n40_certs = {t: (n40.result.certificates[t], n40.result.balls[b])
+                 for t, b in (("fixed_point", "G0"), ("delta", "V0"), ("gamma", "W0"))}
+    expected = {"desk": {"a": 15, "alpha": 15, "delta": 10, "gamma": 11},
+                "n40": {"a": 27, "alpha": 27, "delta": 24, "gamma": 24}}
+    for scale, certs, c in (("desk", desk_certs, desk.ctx), ("n40", n40_certs, n40.ctx)):
+        for cert, x0 in certs.values():
+            phi = ct._widened(c, ct._phi(c, x0), cert.proven_radius)
+            before = ({"a": phi, "alpha": c.idiv(interval(1), phi)}
+                      if cert.kind == "fixed_point" else dict.fromkeys(cert.enclosures, phi))
+            for name, enclosure in cert.enclosures.items():
+                assert before[name].contains_interval(enclosure)
+                assert enclosure.contains(Decimal(_REFERENCES[name]))
+                assert pl.certified_digits(enclosure)[1] == expected[scale][name]
+
+
+def test_newton_step_without_kappa_phi_misses_the_reference(desk):
+    """Negative control for the kappa_phi r term: at desk, coefficient 0 of
+    the Newton step Phi(g0) alone excludes the reference a, so the term is
+    needed.  (For delta and gamma it does not miss at desk: there the
+    width of Phi(x0)'s coefficient 0, its error part from the parameter
+    ball, exceeds kappa_phi r.)"""
+    bare = fb.coefficient(desk.ctx, desk.cert_fixed.newton, 0).re
+    assert not bare.contains(Decimal(REF_A))
+    assert desk.cert_fixed.enclosures["a"].contains(Decimal(REF_A))

@@ -297,10 +297,19 @@ def test_evaluate_matches_decimal_oracle(n, kind, derivative):
 
 def test_evaluate_at_one_matches_oracle_exactly(desk):
     """At the point 1 Horner reduces to f_0 plus the tail pad, which the
-    integer path adds exactly: a = G(1) is the oracle's, bit for bit."""
-    for ball in (desk.param, desk.G0, fb.inflate(ctx, desk.V0, "1e-7")):
-        one = Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)
+    integer path adds exactly: on balls with P-digit coefficients a = G(1)
+    is the oracle's, bit for bit.  The parameter ball, the Newton step
+    Phi(g0), keeps P + digits(N+1) digits, which the oracle rounds to P
+    before it adds the pad: there the integer value lies inside the
+    oracle's, at most one unit of the last place from each end."""
+    one = Rectangle(Interval(Decimal(1), Decimal(1)), IZERO)
+    for ball in (fb.inflate(ctx, desk.G0, desk.cert_fixed.proven_radius), desk.G0,
+                 fb.inflate(ctx, desk.V0, "1e-7")):
         assert fb.evaluate(desk.ctx, ball, one) == oracle_evaluate(desk.ctx, ball, one)
+    new, ref = (f(desk.ctx, desk.param, one).re for f in (fb.evaluate, oracle_evaluate))
+    unit = Decimal(1).scaleb(new.lo.adjusted() - desk.ctx.precision + 1)
+    assert ref.contains_interval(new)
+    assert new.lo - ref.lo <= unit and ref.hi - new.hi <= unit
 
 
 #: kinds of the argument box u in the box Horner differential test: the

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (REF_A, abs2_upper, basis_ball, domain_points, eval_member, midpoint,
-                     oracle_domain_extension, recorded_reads, rsqr, rsub, sample_member,
-                     with_tails)
+from helpers import (REF_A, DecimalShared, abs2_upper, basis_ball, domain_points, eval_member,
+                     holds_polynomial, midpoint, oracle_domain_extension, oracle_powers,
+                     recorded_reads, rsqr, rsub, sample_member, with_tails)
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
@@ -23,7 +23,8 @@ from renormcert.errors import (
     DomainMismatch,
     NormalizationSingular,
 )
-from renormcert.rounding import Rectangle, RoundingContext, box_conj, interval, rectangle
+from renormcert.rounding import (EXACT, Rectangle, RoundingContext, box_conj, interval,
+                                 rectangle)
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -549,3 +550,46 @@ def test_extension_beyond_disc_reads_no_argument_twice(desk, monkeypatch):
     out = ext.evaluate_box("V", ctx.to_box(rectangle("4.5"), ext.G.point_scale), 2)
     assert out[0] <= out[1] and out[2] == out[3] == 0
     assert len(reads) == len(set(reads)) == 3
+
+
+def _point_argument(tables: op.OperatorTables) -> fb.FunctionBall:
+    """An exact degree-N polynomial near the squared composition argument
+    Q(G(a**2 X)) of the tables: the lower ends of its coefficients."""
+    s = tables.shared
+    square = fb.mul(ctx, s.inner, s.inner)
+    return fb.ball_from_decimals(DOM, [c.re.lo for c in square.coeffs], square.truncation)
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_baby_powers_hold_the_exact_powers_to_degree_3n(desk, n40, scale):
+    """Each baby power u**k of a power table, the image of e_k, holds the
+    exact u**k of its argument formed to degree 3N by the Decimal oracle:
+    its coefficients 0..N in the power's intervals and its mass above N in
+    v_high, which must carry the guard rows (degrees N+1..N+8) of the
+    table as well as the spill above them."""
+    G = desk.param if scale == "desk" else n40.result.balls["parameter"]
+    c = ctx if scale == "desk" else n40.ctx
+    h = _point_argument(op.OperatorTables.build(c, G))
+    n = h.truncation
+    table = fb.power_table(c, h)
+    with decimal.localcontext(EXACT):
+        u = [(x.re.lo - DOM.center) / DOM.radius if k == 0 else x.re.lo / DOM.radius
+             for k, x in enumerate(h.coeffs)]
+    for k, exact in enumerate(oracle_powers(u, fb.BABY_STEPS, 3 * n)):
+        assert holds_polynomial(table.power(c, k), exact, n), k
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_operator_basis_images_hold_the_decimal_images_to_degree_3n(desk, q):
+    """M_q e_k over the exact desk centre G0, k = 0..K, holds the Decimal
+    engine's M_q e_k at G0 formed to degree 3N: its coefficients 0..N within
+    the image's intervals widened by v_err, and its mass above N within
+    v_high and what v_err has left.  Fails when a baby power drops its
+    guard rows' mass from v_high."""
+    n = desk.n
+    tables = op.OperatorTables.build(ctx, desk.G0)
+    with decimal.localcontext(ax._context(100)):
+        oracle = DecimalShared(desk.g0 + [Decimal(0)] * (2 * n))
+        for k in range(ct.HEAD_DEGREE + 1):
+            image = oracle.apply(q, [Decimal(int(j == k)) for j in range(3 * n + 1)])
+            assert holds_polynomial(tables.basis_image(ctx, q, k), image, n), k

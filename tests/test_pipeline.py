@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_min_digits,
-    bounds_with_map,
     jacobian_probe,
     matrix,
     oracle_evaluate,
@@ -418,23 +417,23 @@ def test_n40_certified_digit_counts(n40):
 
 def test_dense_map_certifies_same_digits(n40, monkeypatch):
     """A dense map (K = N), inverted from the full midpoint Jacobian, passes
-    the bounds with the digits certify's K = 20 block map gives at N = 40."""
+    the bounds with the digits certify's K = 20 block map gives at N = 40,
+    or more: the block map's kappa_phi is its tail part, which a dense map
+    does not have (ROADMAP item 16)."""
     powers_above_baby_steps(monkeypatch)
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
         jac = matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
     lam = ct.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
-    c, problem, x0 = n40.ctx, ct.Problem(0), n40.result.balls["G0"]
-    rho = pl.RHO
-    epsilon, columns, tail = bounds_with_map(c, problem, x0, rho, lam)
-    one_minus = c.sub_dn(Decimal(1), max(max(columns), tail))
-    assert epsilon < c.mul_dn(rho, one_minus)
-    enclosures = problem.enclosures(c, x0, min(rho, c.div_up(epsilon, one_minus)))
+    monkeypatch.setattr(ct, "HEAD_DEGREE", 40)
+    monkeypatch.setattr(ct, "frozen_map", lambda *args: lam)
+    cert = ct.certify(n40.ctx, ct.Problem(0), n40.result.balls["G0"], pl.RHO)
+    assert cert.passed and cert.head_degree == 40
     for name in ("a", "alpha"):
-        text, count = pl.certified_digits(enclosures[name])
-        assert {"digits": text, "count": count} == n40.result.report["digits"][name]
-        assert count == 24
+        text, count = pl.certified_digits(cert.enclosures[name])
+        block = n40.result.report["digits"][name]
+        assert text.startswith(block["digits"]) and count >= block["count"] == 27
 
 
 def test_run_pipeline_desk(tmp_path):
@@ -709,17 +708,24 @@ def test_fig1_mirror_that_keeps_the_imaginary_ends_fails_the_oracle(desk, monkey
 
 
 def test_symmetric_graph_evaluates_each_squared_cell_once(desk, monkeypatch):
-    """fig2d spans the exact range +-3.1, so at 40 subdivisions cells j and
-    39-j square to one box: 20 evaluations, each of a distinct box."""
+    """On a symmetric range cells j and n-1-j square to one box, so n
+    subdivisions evaluate n/2 distinct boxes: fig2d over +-3.1 at 40, and
+    fig2b and fig3b over their default ranges +-edge at 1000, where
+    (hi - lo) j // n alone would square the two cells of a pair to
+    different boxes whenever n does not divide 2 edge."""
     boxes, evaluate_box = [], op.RecursiveExtension.evaluate_box
 
     def counted(self, target, z, depth):
         boxes.append(z)
         return evaluate_box(self, target, z, depth)
     monkeypatch.setattr(op.RecursiveExtension, "evaluate_box", counted)
-    rows = pl.emit_plot_covering(desk.ctx, "fig2d", 40, _certified_desk_balls(desk))
-    assert len(rows) == 40 and len(boxes) == len(set(boxes)) == 20
-    assert all(rows[j][3:] == rows[39 - j][3:] for j in range(20))
+    for figure, n in (("fig2d", 40), ("fig2b", 1000), ("fig3b", 1000)):
+        boxes.clear()
+        rows = pl.emit_plot_covering(desk.ctx, figure, n, _certified_desk_balls(desk))
+        assert len(rows) == n and len(boxes) == len(set(boxes)) == n // 2, figure
+        assert all(rows[j][3:] == rows[n - 1 - j][3:] for j in range(n // 2))
+        assert all(Decimal(rows[j][1]) == Decimal(rows[n - 1 - j][2]).copy_negate()
+                   for j in range(n))
 
 
 class _OracleEvaluator:
@@ -774,11 +780,12 @@ def test_recursive_covering_matches_decimal_oracle(desk, monkeypatch, figure):
 @pytest.mark.parametrize("figure", ["fig2a", "fig2b"])
 def test_graph_covering_reads_each_point_once(desk, monkeypatch, figure):
     """A depth-0 graph covering reads the point 1 once, for a, lambda and
-    gamma alike, then each grid point once: its disc test and its value
-    share the read."""
+    gamma alike, then each distinct argument box once: its disc test and
+    its value share the read.  fig2a has 40 of them, fig2b's 40 cells
+    square to 20 (its range is symmetric)."""
     reads = recorded_reads(monkeypatch)
     rows = pl.emit_plot_covering(desk.ctx, figure, 40, _certified_desk_balls(desk))
-    assert len(rows) == 40 and len(reads) == 41
+    assert len(rows) == 40 and len(reads) == 1 + {"fig2a": 40, "fig2b": 20}[figure]
 
 
 @pytest.mark.parametrize("figure, subdivisions", [("fig2a", 0), ("fig2a", -3), ("fig1", 10),
@@ -879,12 +886,17 @@ def test_cli_report_and_digits(tmp_path, capsys):
                                      '{"enclosures": {"a": ["1"]}}',
                                      '{"certificate": {"enclosures": {"a": "55"}}}',
                                      '{"enclosures": {"a": {"1": 0, "2": 0}}}',
-                                     '{"enclosures": {"a": [0.1, 0.1]}}'])
+                                     '{"enclosures": {"a": [0.1, 0.1]}}',
+                                     '{"a": ["0.1", "0.1"]}',
+                                     '{"certificate": {"a": ["0.1", "0.1"]}}',
+                                     '{"certificate": []}'])
 def test_cli_digits_bad_file(tmp_path, capsys, content):
     """A missing or malformed certificate file is an error naming the file
     (exit 2), not a traceback.  An enclosure is a list of exactly two
     strings: a two-character string, a dict's two keys and two JSON
-    numbers (read as binary floats) are refused, not read as endpoints."""
+    numbers (read as binary floats) are refused, not read as endpoints.
+    An object without an ``enclosures`` key is no certificate, not the
+    certificate of a failed run."""
     from renormcert import cli
 
     path = tmp_path / "certificate_fixed_point.json"
@@ -893,6 +905,19 @@ def test_cli_digits_bad_file(tmp_path, capsys, content):
     assert cli.main(["digits", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: certificate ") and str(path) in err
+
+
+def test_cli_digits_of_a_failed_run(desk, tmp_path, capsys):
+    """The certificate of a failed run, whose enclosures are empty, is read:
+    exit 2 with the failed-run message, not a not-a-certificate error."""
+    from renormcert import cli
+
+    with pytest.raises(CertificationFailed) as info:
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, "1e-13")
+    path = tmp_path / "certificate_fixed_point.json"
+    path.write_text(json.dumps({"certificate": info.value.certificate.to_payload()}))
+    assert cli.main(["digits", str(path)]) == 2
+    assert capsys.readouterr().err == "certificate has no enclosures (failed run?)\n"
 
 
 @pytest.mark.parametrize("endpoint, code", [("1E-20000000", 2), ("-1E+20000000", 2),
@@ -939,7 +964,7 @@ def test_cli_certify_runs_without_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
     counts = {line.split(":")[0]: line.split()[1] for line in out.stdout.splitlines()
               if "certified digits" in line}
-    assert counts == {"a": "11", "alpha": "10", "delta": "7", "gamma": "8"}
+    assert counts == {"a": "15", "alpha": "15", "delta": "10", "gamma": "11"}
 
 
 def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
@@ -1100,7 +1125,10 @@ def test_cli_plot(tmp_path, capsys):
 def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, key, centre,
                                        target):
     """The plot covers members at the boundary of the certified ball, the
-    centre moved by the proven radius along e_0 and e_N, not only the centre."""
+    Newton step Phi(x0) + B(0, kappa r): a member of its coefficient
+    intervals moved by its error bound along e_0 and e_N and by its
+    high-order bound along e_(N+1), not only the centre.  That ball's
+    coefficient 0 lies within the proven radius r of the centre x0's."""
     from helpers import eval_member
     from renormcert import cli
 
@@ -1118,17 +1146,23 @@ def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, k
     payload = json.loads((out / f"certificate_{target}.json").read_text())["certificate"]
     radius = min(Decimal(payload["rho"]), Decimal(payload["posterior_radius"]))
     center = fb.deserialize_ball((ck / f"{centre}_n20_p30.txt").read_text())
+    ball = seen[key]
+    assert Decimal(payload["step_radius"]) <= ball.v_err
+    exact = decimal.Context(prec=200)
+    c0 = center.coeffs[0].re
+    assert Interval(exact.subtract(c0.lo, radius),
+                    exact.add(c0.hi, radius)).contains_interval(ball.coeffs[0].re)
     rows = (out / f"{figure}.csv").read_text().splitlines()[1:]
     points = sorted({Decimal(v) for row in rows for v in row.split(",")[1:3]})
     n = center.truncation
-    exact = decimal.Context(prec=200)
     for k in (0, n):
         for sign in (1, -1):
-            member = {j: c.re.lo for j, c in enumerate(center.coeffs)}
-            member[k] = exact.add(member[k], radius if sign > 0 else radius.copy_negate())
+            member = {j: c.re.lo for j, c in enumerate(ball.coeffs)}
+            member[k] = exact.add(member[k], exact.multiply(sign, ball.v_err))
+            member[n + 1] = exact.multiply(sign, ball.v_high)
             for x in points:
                 val = eval_member(member, x, 60)
-                assert fb.evaluate(seen["ctx"], seen[key], rectangle(x)).re.contains(val)
+                assert fb.evaluate(seen["ctx"], ball, rectangle(x)).re.contains(val)
             for row in rows:
                 _, x_lo, x_hi, y_lo, y_hi = row.split(",")
                 for x in (Decimal(x_lo), Decimal(x_hi)):
