@@ -22,7 +22,8 @@ from renormcert.rounding import RoundingContext
 out = Path("covering_out")
 result = run_pipeline(RunConfig(degree=20, precision=30))
 ctx = RoundingContext(30)
-# each approximate centre inflated by its certificate's proven radius
+# each certificate's Newton-step solution ball Phi(x0) + B(0, kappa r)
+# (Certificate.solution_ball)
 balls = certified_balls(ctx, result)
 
 out.mkdir(exist_ok=True)

@@ -79,7 +79,8 @@ from .errors import (
     TailContractFailure,
 )
 from .operators import OperatorTables, precompute_shared
-from .rounding import IONE, Interval, RoundingContext, as_decimal, exact_decimal, floor_at
+from .rounding import (EXACT, IONE, Interval, RoundingContext, as_decimal, exact_decimal,
+                       floor_at)
 
 __all__ = [
     "HEAD_DEGREE",
@@ -480,9 +481,8 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
 @dataclass
 class Certificate:
     """A certificate's bounds and verdict.  ``newton`` is the ball Phi(x0);
-    on success ``step_radius`` = kappa r bounds ||x* - Phi(x0)|| for the
-    proven radius r, and the enclosures read phi within kappa_phi r of
-    phi(Phi(x0)) (module docstring)."""
+    on success the enclosures read phi within kappa_phi r of phi(Phi(x0))
+    for the proven radius r (module docstring)."""
 
     kind: str
     rho: Decimal
@@ -494,7 +494,6 @@ class Certificate:
     head_degree: int
     passed: bool
     posterior_radius: Decimal | None
-    step_radius: Decimal | None
     enclosures: dict
     newton: FunctionBall
     config: dict = field(default_factory=dict)
@@ -505,6 +504,14 @@ class Certificate:
         if self.posterior_radius is None:
             return self.rho
         return min(self.rho, self.posterior_radius)
+
+    @property
+    def step_radius(self) -> Decimal | None:
+        """kappa r, exact, which bounds ||x* - Phi(x0)|| for the proven
+        radius r; None for a failed certificate."""
+        if not self.passed:
+            return None
+        return EXACT.multiply(self.kappa, self.proven_radius)
 
     def solution_ball(self, ctx: RoundingContext) -> FunctionBall:
         """Phi(x0) + B(0, kappa r), proven to hold the solution."""
@@ -582,7 +589,6 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
         head_degree=lam.dim - 1,
         passed=passed,
         posterior_radius=posterior,
-        step_radius=None,
         enclosures={},
         newton=newton,
         config=dict(config or {}),
@@ -592,6 +598,5 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
             f"{problem.kind}: epsilon={epsilon} not below rho(1-kappa) "
             f"with rho={rho}, kappa={kappa}", certificate=cert)
     r = cert.proven_radius
-    cert.step_radius = ctx.mul_up(kappa, r)
     cert.enclosures = problem.enclosures(ctx, x0, r, newton, ctx.mul_up(cert.kappa_phi, r))
     return cert

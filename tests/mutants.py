@@ -2,23 +2,23 @@
 
 Each mutant replaces one piece of source text by a wrong one: a bound, a
 radius or a tail that comes out too small, or a rounding that goes the
-wrong way.  The script applies each mutant to a fresh copy of ``src/`` and
-``tests/`` in a scratch directory and runs a tier-1 subset there; the
-subset must fail, which kills the mutant.  A mutant whose text no longer
-occurs in the source is reported as stale, so the list follows the code.
+wrong way.  The script first runs a tier-1 subset on an unmutated copy of
+``src/`` and ``tests/`` in a temporary directory, which must pass; then it
+applies each mutant to a fresh copy and runs the subset there.  A mutant is
+killed only when a test fails (pytest exit status 1): a copy that does not
+import, collect or run kills nothing.  A mutant whose text no longer occurs
+in the source once is reported as stale, so the list follows the code.
 
-    python tests/mutants.py                 # every mutant, in a temporary directory
-    python tests/mutants.py --list          # names and what each breaks
-    python tests/mutants.py --only tail_theta_power guard_rows --work /tmp/mut
+    python tests/mutants.py
 
-Exit status 0 when every mutant is killed, 1 when one survives or is
-stale.  One mutant costs one subset run: under a second when the first
-test kills it, about 30 s on a 2-core VM when it survives to the end.
+Exit status 0 when the unmutated subset passes and every mutant is killed,
+1 otherwise.  To rerun one mutant, cut MUTANTS down to it.  One mutant
+costs one subset run: under a second when the first test kills it, about
+30 s on a 2-core VM when it survives to the end.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -116,50 +116,43 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def run(mutant: Mutant, work: Path) -> str:
-    """'killed', 'survived' or 'stale' (the text to replace occurs other
-    than once)."""
-    dest = work / mutant.name
-    shutil.rmtree(dest, ignore_errors=True)
-    _copy(dest)
-    path = dest / mutant.path
-    text = path.read_text()
-    if text.count(mutant.old) != 1:
-        return "stale"
-    path.write_text(text.replace(mutant.old, mutant.new))
+def _subset(dest: Path) -> int:
+    """pytest's exit status for the subset run in the copy at ``dest``."""
     env = {**os.environ, "PYTHONPATH": str(dest / "src")}
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                            *SUBSET], cwd=dest, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=1800)
-    shutil.rmtree(dest, ignore_errors=True)
-    return "survived" if proc.returncode == 0 else "killed"
+                          stderr=subprocess.DEVNULL, timeout=1800).returncode
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
-    parser.add_argument("--work", help="scratch directory for the copies (default: a new "
-                                       "temporary directory, removed at the end)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    if args.list:
-        for m in chosen:
-            print(f"{m.name:22s} {m.path:32s} {m.breaks}")
-        return 0
-    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="renormcert-mutants-"))
-    work.mkdir(parents=True, exist_ok=True)
-    try:
+def run(mutant: Mutant | None, work: Path) -> str:
+    """'killed' (a test failed), 'survived' (the subset passed), 'broken'
+    (pytest stopped for another reason) or 'stale' (the text to replace
+    occurs other than once).  ``None`` runs the unmutated copy."""
+    dest = work / (mutant.name if mutant else "unmutated")
+    _copy(dest)
+    if mutant:
+        path = dest / mutant.path
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            shutil.rmtree(dest)
+            return "stale"
+        path.write_text(text.replace(mutant.old, mutant.new))
+    status = _subset(dest)
+    shutil.rmtree(dest)
+    return {0: "survived", 1: "killed"}.get(status, "broken")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="renormcert-mutants-") as tmp:
+        work = Path(tmp)
+        baseline = run(None, work)
+        if baseline != "survived":
+            print(f"the unmutated subset does not pass ({baseline}): no mutant can be judged")
+            return 1
         verdicts = {}
-        for m in chosen:
+        for m in MUTANTS:
             verdicts[m.name] = run(m, work)
             print(f"{verdicts[m.name]:8s} {m.name}: {m.breaks}", flush=True)
-    finally:
-        if not args.work:
-            shutil.rmtree(work, ignore_errors=True)
     bad = [name for name, verdict in verdicts.items() if verdict != "killed"]
     print(f"{len(verdicts) - len(bad)} of {len(verdicts)} mutants killed"
           + (f"; not killed: {', '.join(bad)}" if bad else ""))

@@ -186,7 +186,7 @@ def test_kappa_phi_takes_the_columns_part():
     x0 = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.4999"], N)
     cert = ct.certify(ctx, _BlurredToy(target), x0, "0.001")
     assert cert.kappa_phi == cert.kappa == Decimal("0.001") and cert.kappa_tail == 0
-    assert cert.step_radius == ctx.mul_up(cert.kappa, cert.proven_radius)
+    assert cert.step_radius == EXACT.multiply(cert.kappa, cert.proven_radius)
 
 
 @pytest.mark.parametrize("power, with_tables", [(1, False), (2, False), (0, True),

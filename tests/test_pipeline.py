@@ -417,9 +417,9 @@ def test_n40_certified_digit_counts(n40):
 
 def test_dense_map_certifies_same_digits(n40, monkeypatch):
     """A dense map (K = N), inverted from the full midpoint Jacobian, passes
-    the bounds with the digits certify's K = 20 block map gives at N = 40,
-    or more: the block map's kappa_phi is its tail part, which a dense map
-    does not have (ROADMAP item 16)."""
+    the bounds with the digits certify's K = 20 block map gives at N = 40
+    (a 27), and one more for alpha (28): the block map's kappa_phi is its
+    tail part, which a dense map does not have (ROADMAP item 16)."""
     powers_above_baby_steps(monkeypatch)
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
@@ -430,10 +430,11 @@ def test_dense_map_certifies_same_digits(n40, monkeypatch):
     monkeypatch.setattr(ct, "frozen_map", lambda *args: lam)
     cert = ct.certify(n40.ctx, ct.Problem(0), n40.result.balls["G0"], pl.RHO)
     assert cert.passed and cert.head_degree == 40
-    for name in ("a", "alpha"):
+    for name, dense_count in (("a", 27), ("alpha", 28)):
         text, count = pl.certified_digits(cert.enclosures[name])
         block = n40.result.report["digits"][name]
-        assert text.startswith(block["digits"]) and count >= block["count"] == 27
+        assert text.startswith(block["digits"]) and block["count"] == 27
+        assert count == dense_count
 
 
 def test_run_pipeline_desk(tmp_path):
