@@ -49,6 +49,6 @@ for power, name, title in ((1, "delta", "parameter"), (2, "gamma", "noise")):
           f"the Newton step reads {name} to kappa_phi r = "
           f"{cert.kappa_phi * cert.proven_radius:.3E}")
 
-print("\nhigher degree and precision tighten everything, on the same radius:")
-print("degree 80 at 60 digits certifies 48+ digits (about 0.5 s for the whole")
-print("pipeline: renormcert certify -N 80 -P 60).")
+print("\na higher degree, at the precision it needs, tightens everything on the same")
+print("radius: degree 80 (60 digits) certifies 48+ digits (about 0.5 s for the whole")
+print("pipeline: renormcert certify -N 80).")

@@ -20,8 +20,9 @@ from renormcert.pipeline import certified_balls, emit_plot_covering, write_cover
 from renormcert.rounding import RoundingContext
 
 out = Path("covering_out")
-result = run_pipeline(RunConfig(degree=20, precision=30))
-ctx = RoundingContext(30)
+cfg = RunConfig(degree=20)     # its precision follows the degree: 20 digits
+result = run_pipeline(cfg)
+ctx = RoundingContext(cfg.precision)
 # each certificate's Newton-step solution ball Phi(x0) + B(0, kappa r)
 # (Certificate.solution_ball)
 balls = certified_balls(ctx, result)

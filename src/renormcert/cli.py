@@ -29,9 +29,8 @@ __all__ = ["main", "build_parser"]
 def _add_config_flags(p: argparse.ArgumentParser):
     defaults = pl.RunConfig()
     p.add_argument("--degree", "-N", type=int, default=defaults.degree,
-                   help=f"polynomial truncation degree (default {defaults.degree})")
-    p.add_argument("--precision", "-P", type=int, default=defaults.precision,
-                   help=f"decimal digits in the significand (default {defaults.precision})")
+                   help=f"polynomial truncation degree (default {defaults.degree}); "
+                   "the precision follows it")
     p.add_argument("--targets", default=",".join(defaults.targets),
                    help="comma-separated subset of " + ",".join(defaults.targets))
     p.add_argument("--output", "-o", default=defaults.output_dir, help="output directory")
@@ -42,7 +41,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
 def _config_from_args(args) -> pl.RunConfig:
     return pl.RunConfig(
         degree=args.degree,
-        precision=args.precision,
         targets=tuple(t.strip() for t in args.targets.split(",") if t.strip()),
         output_dir=args.output,
         checkpoint_dir=args.checkpoint_dir,
@@ -151,6 +149,7 @@ def _cmd_digits(args) -> int:
 
 def _cmd_plot(args) -> int:
     cfg = _config_from_args(args)
+    pl.check_figure_targets(args.figure, cfg.targets)
     out = Path(cfg.output_dir or ".") / f"{args.figure}.csv"
     if out.exists() and not out.is_file():
         raise ConfigError(f"{out} exists and is not a file")

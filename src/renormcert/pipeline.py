@@ -45,6 +45,7 @@ from .rounding import (Interval, RoundingContext, box_sqr, exact_decimal,
 __all__ = [
     "RHO",
     "RunConfig",
+    "precision_for",
     "PipelineResult",
     "run_pipeline",
     "bootstrap",
@@ -52,6 +53,7 @@ __all__ = [
     "format_digit_block",
     "emit_plot_covering",
     "check_subdivisions",
+    "check_figure_targets",
     "certified_balls",
     "write_covering_csv",
     "FIGURES",
@@ -78,10 +80,21 @@ POOL_MIN_DEGREE = 140
 RHO = Decimal("1e-7")
 
 
+# P(N) is fit to the smallest P whose four digit strings equal those of
+# every higher P measured, and leaves 2 to 11 digits above it:
+#     N             20  30  40  80  160  320
+#     smallest P    17  24  29  55  107  209
+#     P(N)          20  26  33  60  113  220
+def precision_for(degree: int) -> int:
+    """The working precision of a degree-N run: ceil(2N/3) + 6 digits, at least 15."""
+    return max(15, -(-2 * degree // 3) + 6)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     degree: int = 20
-    precision: int = 30
+    #: None is precision_for(degree); only the benchmark and the tests pin one
+    precision: int | None = None
     # no run reads these three (every ball has radius RHO); kept until the
     # benchmark's workloads stop passing them (ROADMAP item 1)
     rho: str = "1e-7"
@@ -92,6 +105,8 @@ class RunConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
+        if self.precision is None and isinstance(self.degree, int):
+            object.__setattr__(self, "precision", precision_for(self.degree))
         for name in ("degree", "precision", "boundary_rects", "workers"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -260,16 +275,20 @@ _PER_GROUP, _GROUPS_PER_LINE = 10, 5
 
 
 def format_digit_block(digit_string: str) -> str:
-    """Grouped layout: sign and integer part, then rows of digit groups."""
+    """Grouped layout: sign and integer part, then rows of digit groups,
+    then the exponent, if any, on a line of its own."""
     body = digit_string
     sign = ""
     if body.startswith(("-", "+")):
         sign, body = body[0], body[1:]
+    body, e, exponent = body.partition("e")
     head, _, frac = body.partition(".")
     lines = [f"{sign or '+'}{head}."]
     groups = [frac[i:i + _PER_GROUP] for i in range(0, len(frac), _PER_GROUP)]
     for i in range(0, len(groups), _GROUPS_PER_LINE):
         lines.append(" ".join(groups[i:i + _GROUPS_PER_LINE]))
+    if e:
+        lines.append(e + exponent)
     return "\n".join(lines) + "\n"
 
 
@@ -476,6 +495,14 @@ def check_subdivisions(figure: str | None, subdivisions: int) -> None:
     if figure == "fig1" and subdivisions % 4:
         raise ConfigError("fig1 subdivisions count boundary rectangles and must be "
                           f"a multiple of 4, got {subdivisions}")
+
+
+def check_figure_targets(figure: str, targets) -> None:
+    """Raise MissingCertificate if the figure draws an eigen ball (V or W)
+    that none of ``targets`` certifies."""
+    key = FIGURES[figure][0].upper()
+    if key in ("V", "W") and key not in {_CENTRES[t][1][0] for t in targets}:
+        raise MissingCertificate(f"figure {figure} needs the certified {key} ball")
 
 
 def emit_plot_covering(ctx: RoundingContext, figure: str, subdivisions: int,

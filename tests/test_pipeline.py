@@ -106,7 +106,7 @@ def test_radius_changes_no_payload(desk_all_targets):
     """No run reads RunConfig.rho: every ball has radius pl.RHO, so two
     valid radii give byte-identical payloads, and the report's config names
     no radius."""
-    report = pl.run_pipeline(pl.RunConfig(rho="1e-3")).report
+    report = pl.run_pipeline(pl.RunConfig(precision=30, rho="1e-3")).report
     assert json.dumps(report["certificates"]) == json.dumps(
         desk_all_targets.report["certificates"])
     assert report["digits"] == desk_all_targets.report["digits"]
@@ -145,33 +145,42 @@ def test_config_refuses_a_file_as_a_directory(tmp_path, field):
         pl.RunConfig(**{field: str(path)})
 
 
-#: stands for an existing file in the argv of a test
-_FILE = object()
+#: stand for an existing file and for a directory not yet made in the argv of a test
+_FILE, _NEW = object(), object()
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "-o", _FILE], ["certify", "--checkpoint-dir", _FILE],
-    ["approx", "--checkpoint-dir", _FILE], ["plot", "--figure", "fig2a", "-o", _FILE],
-    ["certify", "--targets", "fixed_point,fixed_point"]],
+@pytest.mark.parametrize("argv, named", [
+    (["certify", "-o", _FILE], _FILE), (["certify", "--checkpoint-dir", _FILE], _FILE),
+    (["approx", "--checkpoint-dir", _FILE], _FILE),
+    (["plot", "--figure", "fig2a", "-o", _FILE], _FILE),
+    (["certify", "--targets", "fixed_point,fixed_point"], "twice"),
+    (["plot", "--figure", "fig4a", "--targets", "fixed_point,delta", "-N", "80", "-o", _NEW],
+     "figure fig4a needs the certified W ball"),
+    (["plot", "--figure", "fig3c", "--targets", "fixed_point", "-o", _NEW],
+     "figure fig3c needs the certified V ball")],
     ids=["certify-output", "certify-checkpoint", "approx-checkpoint", "plot-output",
-         "repeated-target"])
+         "repeated-target", "plot-without-gamma", "plot-without-delta"])
 def test_cli_refuses_bad_paths_and_targets_before_any_work(tmp_path, monkeypatch, capsys,
-                                                           argv):
-    """A file given as a directory, or a target named twice, is an error
-    (exit 2) with no traceback, and no work runs: the fixed-point
-    bootstrap is refused."""
+                                                           argv, named):
+    """A file given as a directory, a target named twice, or a figure whose
+    ball the targets do not certify, is an error (exit 2) with no
+    traceback, and no work runs: the pipeline and the fixed-point bootstrap
+    are refused, and nothing is written."""
     from renormcert import cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("work ran before the configuration was checked")
 
     monkeypatch.setattr(ax, "approx_fixed_point", refuse)
+    monkeypatch.setattr(pl, "run_pipeline", refuse)
     path = tmp_path / "file"
     path.write_text("x")
-    named = str(path) if _FILE in argv else "twice"
-    assert cli.main([str(path) if arg is _FILE else arg for arg in argv]) == 2
+    paths = {_FILE: str(path), _NEW: str(tmp_path / "out")}
+    named = paths.get(named, named)
+    assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_unwritable_paths_are_config_errors(tmp_path):
@@ -190,6 +199,42 @@ def test_unwritable_paths_are_config_errors(tmp_path):
     assert isinstance(info.value.__cause__, ConfigError) and str(path) in str(info.value.__cause__)
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         pl.run_pipeline(replace(cfg, checkpoint_dir=None, output_dir=str(path)))
+
+
+@pytest.mark.parametrize("degree, precision", [(4, 15), (15, 16), (20, 20), (30, 26), (40, 33),
+                                               (80, 60), (160, 113), (320, 220), (640, 433)])
+def test_precision_follows_the_degree(degree, precision):
+    """The working precision is ceil(2N/3) + 6 digits, at least 15: the
+    default of RunConfig and the precision of every CLI run."""
+    from renormcert import cli
+
+    assert pl.precision_for(degree) == precision
+    assert pl.RunConfig(degree=degree).precision == precision
+    assert pl.RunConfig().precision == pl.precision_for(20)
+    args = cli.build_parser().parse_args(["certify", "-N", str(degree)])
+    assert cli._config_from_args(args).precision == precision
+
+
+def _digits(degree: int, precision: int) -> dict:
+    return pl.run_pipeline(pl.RunConfig(degree=degree, precision=precision)).report["digits"]
+
+
+@pytest.mark.parametrize("degree", [20, 40])
+def test_rule_precision_certifies_the_digits_of_a_higher_one(degree):
+    """At P(N) the four digit strings are those of P(N) + 10: more
+    precision certifies no more digits."""
+    p = pl.precision_for(degree)
+    assert _digits(degree, p) == _digits(degree, p + 10)
+
+
+def test_precision_below_the_rule_loses_digits():
+    """The rule's P is not slack: at N = 80, P(80) - 6 = 54 certifies a
+    shorter a and alpha (52/50/49/48 against 53/53/49/48)."""
+    p = pl.precision_for(80)
+    rule, low = _digits(80, p), _digits(80, p - 6)
+    counts = {name: (low[name]["count"], rule[name]["count"]) for name in rule}
+    assert all(short <= full for short, full in counts.values())
+    assert counts["a"][0] < counts["a"][1] and counts["alpha"][0] < counts["alpha"][1]
 
 
 @pytest.mark.parametrize("verb", ["approx", "certify"])
@@ -350,14 +395,14 @@ def test_unreadable_checkpoint_fails_cleanly(tmp_path, capsys, case):
     CLI exits 2 with a partial report, not with a traceback."""
     from renormcert import cli
 
-    path = tmp_path / "ck" / "g0_n20_p30.txt"
+    path = tmp_path / "ck" / f"g0_n20_p{pl.precision_for(20)}.txt"
     if case == "directory":
         path.mkdir(parents=True)
     else:
         path.parent.mkdir()
         path.write_bytes(b"\xff\xfe" + fb.serialize_ball(fb.zero_ball(20)).encode())
     out = tmp_path / "out"
-    assert cli.main(["certify", "-N", "20", "-P", "30", "--checkpoint-dir",
+    assert cli.main(["certify", "-N", "20", "--checkpoint-dir",
                      str(path.parent), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("FAILED at stage approx: ") and str(path) in err
@@ -371,11 +416,11 @@ def test_environment_sets_no_checkpoint_directory(tmp_path, monkeypatch, capsys)
     checkpoint, a desk certify run bootstraps afresh and passes."""
     from renormcert import cli
 
-    (tmp_path / "g0_n20_p30.txt").write_text("not a ball\n")
+    (tmp_path / f"g0_n20_p{pl.precision_for(20)}.txt").write_text("not a ball\n")
     monkeypatch.setenv("RENORMCERT_SCRATCH", str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["certify", "-N", "20", "-P", "30"]) == 0
-    assert "a: 11 certified digits" in capsys.readouterr().out
+    assert cli.main(["certify", "-N", "20"]) == 0
+    assert "\na: 15 certified digits" in capsys.readouterr().out
 
 
 def test_checkpoint_past_the_int_string_limit_runs(desk, tmp_path):
@@ -555,7 +600,7 @@ def test_one_pending_target_starts_no_pool(desk, tmp_path, monkeypatch):
     (tmp_path / "delta0_n20_p30.txt").write_text(fb.serialize_ball(desk.V0))
     sizes = _record_pool_sizes(monkeypatch)
     set_pool_rule(monkeypatch, 2)
-    centres, processes = pl.bootstrap(pl.RunConfig(checkpoint_dir=str(tmp_path)))
+    centres, processes = pl.bootstrap(pl.RunConfig(precision=30, checkpoint_dir=str(tmp_path)))
     assert (sizes, processes) == ([], 1)
     assert fb.ball_checksum(centres["delta"]) == fb.ball_checksum(desk.V0)
     assert (tmp_path / "gamma0_n20_p30.txt").exists()
@@ -870,17 +915,34 @@ def test_cli_report_and_digits(tmp_path, capsys):
 
     out = tmp_path / "out"
     assert cli.build_parser().parse_args(["report"]).verb == "certify"
-    rc = cli.main(["report", "-N", "20", "-P", "30",
+    rc = cli.main(["report", "-N", "20",
                    "-o", str(out), "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 0
     text = capsys.readouterr().out
     assert "fixed_point: PASS" in text
     assert "delta: PASS" in text
+    p = pl.precision_for(20)
+    assert json.loads((out / "report.json").read_text())["config"]["precision"] == p
+    payload = json.loads((out / "certificate_gamma.json").read_text())["certificate"]
+    assert payload["config"]["precision"] == p
     rc = cli.main(["digits", str(out / "certificate_gamma.json")])
     assert rc == 0
     text = capsys.readouterr().out
     assert "gamma" in text and "669036" not in text  # gamma digits, not delta
     assert "619036" in text.replace(" ", "").replace("\n", "")
+
+
+def test_cli_digits_block_writes_the_exponent_apart(tmp_path, capsys):
+    """A digit string in exponent form keeps its exponent out of the digit
+    groups: the block puts it on a line of its own."""
+    from renormcert import cli
+
+    path = tmp_path / "certificate_x.json"
+    path.write_text('{"certificate": {"enclosures": {"x": ["12345", "12399"]}}}')
+    assert cli.main(["digits", str(path)]) == 0
+    assert capsys.readouterr().out == "x: 3 certified digits\n+1.\n23\ne+4\n\n"
+    assert cli.main(["digits", str(path), "--plain"]) == 0
+    assert capsys.readouterr().out == "x: 3 certified digits\n1.23e+4\n"
 
 
 @pytest.mark.parametrize("content", [None, "{", "[1]", '{"enclosures": {"a": ["x", "1"]}}',
@@ -957,7 +1019,7 @@ def test_cli_certify_runs_without_numpy(tmp_path):
     bootstraps and passes all three targets with their desk digit counts."""
     code = ("import sys; sys.modules['numpy'] = None\n"
             "from renormcert import cli\n"
-            "sys.exit(cli.main(['certify', '-N', '20', '-P', '30']))")
+            "sys.exit(cli.main(['certify', '-N', '20']))")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(pl.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -974,11 +1036,12 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
     recomputing them, with the certificates of a fresh run."""
     from renormcert import cli
 
-    fresh = pl.run_pipeline(pl.RunConfig(degree=20, precision=30))
+    fresh = pl.run_pipeline(pl.RunConfig(degree=20))
     ck = tmp_path / "ck"
-    assert cli.main(["approx", "-N", "20", "-P", "30", "--checkpoint-dir", str(ck)]) == 0
+    assert cli.main(["approx", "-N", "20", "--checkpoint-dir", str(ck)]) == 0
     names = ("g0", "delta0", "gamma0")
-    assert sorted(p.name for p in ck.iterdir()) == sorted(f"{x}_n20_p30.txt" for x in names)
+    assert sorted(p.name for p in ck.iterdir()) == \
+        sorted(f"{x}_n20_p{fresh.config.precision}.txt" for x in names)
 
     def refuse(*args, **kwargs):
         raise AssertionError("approximate zero recomputed instead of read")
@@ -986,7 +1049,7 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ax, "approx_fixed_point", refuse)
     monkeypatch.setattr(ax, "approx_eigenpair", refuse)
     out = tmp_path / "out"
-    assert cli.main(["certify", "-N", "20", "-P", "30", "-o", str(out),
+    assert cli.main(["certify", "-N", "20", "-o", str(out),
                      "--checkpoint-dir", str(ck)]) == 0
     for name, cert in fresh.certificates.items():
         data = json.loads((out / f"certificate_{name}.json").read_text())
@@ -1006,9 +1069,9 @@ def test_cli_approx_builds_no_frozen_map(tmp_path, monkeypatch):
     for module in (ax, ct):
         monkeypatch.setattr(module, "build_lambda", refuse)
     ck = tmp_path / "ck"
-    assert cli.main(["approx", "-N", "20", "-P", "30", "--checkpoint-dir", str(ck)]) == 0
+    assert cli.main(["approx", "-N", "20", "--checkpoint-dir", str(ck)]) == 0
     assert sorted(p.name for p in ck.iterdir()) == \
-        sorted(f"{x}_n20_p30.txt" for x in ("g0", "delta0", "gamma0"))
+        sorted(f"{x}_n20_p{pl.precision_for(20)}.txt" for x in ("g0", "delta0", "gamma0"))
 
 
 def test_old_map_file_is_never_read(desk, tmp_path):
@@ -1102,7 +1165,7 @@ def test_one_eigen_target_alone(desk_all_targets, target, centre, missing):
 def test_fixed_point_payload_does_not_depend_on_the_target_set(desk_all_targets):
     """The fixed-point certificate of a run without eigen targets is the one
     of the all-target run, byte for byte: its input checksums name g0 only."""
-    alone = pl.run_pipeline(pl.RunConfig(targets=("fixed_point",))).report
+    alone = pl.run_pipeline(pl.RunConfig(precision=30, targets=("fixed_point",))).report
     payload = alone["certificates"]["fixed_point"]
     assert list(payload["config"]["input_checksums"]) == ["g0"]
     assert json.dumps(payload) == json.dumps(
@@ -1113,7 +1176,7 @@ def test_cli_plot(tmp_path, capsys):
     from renormcert import cli
 
     rc = cli.main(["plot", "--figure", "fig2a", "--subdivisions", "12",
-                   "-N", "20", "-P", "30", "-o", str(tmp_path),
+                   "-N", "20", "-o", str(tmp_path),
                    "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 0
     assert (tmp_path / "fig2a.csv").exists()
@@ -1143,10 +1206,10 @@ def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, k
     monkeypatch.setattr(pl, "emit_plot_covering", spy)
     out, ck = tmp_path / "out", tmp_path / "ck"
     assert cli.main(["plot", "--figure", figure, "--subdivisions", "16", "--targets", targets,
-                     "-N", "20", "-P", "30", "-o", str(out), "--checkpoint-dir", str(ck)]) == 0
+                     "-N", "20", "-o", str(out), "--checkpoint-dir", str(ck)]) == 0
     payload = json.loads((out / f"certificate_{target}.json").read_text())["certificate"]
     radius = min(Decimal(payload["rho"]), Decimal(payload["posterior_radius"]))
-    center = fb.deserialize_ball((ck / f"{centre}_n20_p30.txt").read_text())
+    center = fb.deserialize_ball((ck / f"{centre}_n20_p{pl.precision_for(20)}.txt").read_text())
     ball = seen[key]
     assert Decimal(payload["step_radius"]) <= ball.v_err
     exact = decimal.Context(prec=200)
@@ -1205,12 +1268,30 @@ def test_cli_has_no_rho_flag(capsys, monkeypatch, verb):
     assert "unrecognized arguments: --rho 1e-8" in err and "Traceback" not in err
 
 
-def test_cli_failure_exit_code(tmp_path, capsys):
-    """At degree 15 the delta certificate fails (epsilon is 2e-5): exit 2,
-    the stage named on stderr, and a partial report."""
+@pytest.mark.parametrize("flag", ["-P", "--precision"])
+@pytest.mark.parametrize("verb", ["approx", "certify", "report", "digits", "plot"])
+def test_cli_has_no_precision_flag(capsys, monkeypatch, verb, flag):
+    """The precision follows the degree (pl.precision_for), so no verb asks
+    for one: -P and --precision are usage errors (exit 2), not tracebacks,
+    and no work runs."""
     from renormcert import cli
 
-    rc = cli.main(["certify", "-N", "15", "-P", "30", "-o", str(tmp_path),
+    monkeypatch.setattr(pl, "run_pipeline", lambda cfg: pytest.fail("the pipeline ran"))
+    monkeypatch.setattr(pl, "bootstrap", lambda cfg: pytest.fail("the bootstrap ran"))
+    argv = [verb] + {"plot": ["--figure", "fig1"], "digits": ["cert.json"]}.get(verb, [])
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [flag, "30"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 30" in err and "Traceback" not in err
+
+
+def test_cli_failure_exit_code(tmp_path, capsys):
+    """At degree 15 the delta certificate fails (epsilon is 7.5e-7 at
+    P(15) = 16): exit 2, the stage named on stderr, and a partial report."""
+    from renormcert import cli
+
+    rc = cli.main(["certify", "-N", "15", "-o", str(tmp_path),
                    "--checkpoint-dir", str(tmp_path / "ck")])
     assert rc == 2
     err = capsys.readouterr().err
