@@ -3,8 +3,9 @@
 Produces the approximate fixed point G0 and the approximate eigenpairs for
 the parameter-scaling and noise-scaling problems: the centres the
 certificates start from (each certificate forms its own frozen map).
-Everything here runs in round-to-nearest decimal arithmetic inside a local
-context; no rounding state is shared with the directed-rounding side.
+Everything here runs in round-to-nearest arithmetic, decimal inside a
+local context or binary64 (below); no rounding state is shared with the
+directed-rounding side.
 
 Above degree K no matrix larger than the head is built or factored.  The
 same block map B (the LU of a Jacobian's head, a tail scalar above K)
@@ -33,7 +34,18 @@ giant step u**21, composing by exact block dot products and Horner in the
 giant step (Paterson-Stockmeyer).  A build forms what T(g) reads; the
 derivative terms of M_q are formed on first use, so a residual check that
 passes makes no derivative product.  T(g) and M_q(g) v come back to
-Decimal exactly; the iterations and factorizations run in Decimal.
+Decimal exactly, and the iterations form their residuals in Decimal.
+The fixed-point bootstrap hands back the build its last residual check
+made, at g0, and both eigen bootstraps read it
+(:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).
+
+The block map B is factored and applied in binary64 (IEEE double), and
+so is the head inverse iteration when the refinement follows it (K < N):
+both only precondition or seed iterations whose stopping tests read
+Decimal residuals, so binary64 sets how fast they converge, not the
+tolerance they meet.  At N <= K the head eigenvector is the result, and its
+inverse iteration runs in Decimal.  Nothing here is part of a proof: the
+certificates bound whatever centre they are given.
 
 Polynomials are plain lists of Decimal coefficients in the scaled-monomial
 basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
@@ -43,6 +55,8 @@ truncation degree is the length of the list minus one.
 from __future__ import annotations
 
 import decimal
+import math
+import sys
 from decimal import Decimal
 from functools import cached_property
 
@@ -59,8 +73,11 @@ from .rounding import EXACT
 
 __all__ = [
     "approx_fixed_point",
+    "fixed_point_with_build",
+    "midpoint_build",
     "approx_jacobian",
     "approx_eigenpair",
+    "eigenpair_from_build",
     "build_lambda",
     "mat_inv",
 ]
@@ -321,18 +338,34 @@ def jacobian_head(m_head, power: int, x=None):
 
 def _block_map(head, tail):
     """v -> B v for the block map B: the inverse of the square matrix
-    ``head`` (by its LU) on coefficients 0..len(head)-1, ``tail`` times the
-    identity above."""
-    lu, perm = lu_factor(head)
+    ``head`` on coefficients 0..len(head)-1, ``tail`` times the identity
+    above.  The head is factored and solved in binary64: B only
+    preconditions iterations whose residuals are formed in Decimal, so its
+    accuracy sets their rate, not their result.  A head solve reads v
+    scaled by a power of ten, exactly, so that binary64's exponent range
+    never meets the size of a residual."""
+    lu, perm = lu_factor([[float(m) for m in row] for row in head])
     width = len(head)
 
     def apply(v):
-        return _lu_solve_factored(lu, perm, v[:width]) + [tail * x for x in v[width:]]
+        head_part = v[:width]
+        shift = max((x.adjusted() for x in head_part if x), default=0)
+        y = _lu_solve_factored(lu, perm, [float(x.scaleb(-shift, EXACT)) for x in head_part])
+        return [Decimal(x).scaleb(shift, EXACT) for x in y] + [tail * x for x in v[width:]]
     return apply
 
 
 def _mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), _D0) for row in a]
+    """a v, each sum formed left to right in the arithmetic of the entries
+    (``sum`` of floats rounds differently across Python versions)."""
+    out = []
+    for row in a:
+        s = 0
+        for m, x in zip(row, v):
+            if x:
+                s += m * x
+        out.append(s)
+    return out
 
 
 def _sup_norm(v):
@@ -355,11 +388,10 @@ def _newton_correction(shared, width: int, residual, tol, max_steps: int):
     evaluations.  delta <- delta - B((DT - I) delta + residual) from
     delta = 0, B the block map on the width x width head of DT - I with
     tail -1, until a step is below tol/100, for at most ``max_steps``
-    steps; one step when the head is the whole Jacobian."""
+    steps.  B's head is solved in binary64, so even a head that is the
+    whole Jacobian (degree 20 and below) takes more than one step."""
     block = _block_map(jacobian_head(shared.head(1, width), 0), -_D1)
     delta = block([-r for r in residual])
-    if width == len(residual):
-        return delta
     for _ in range(max_steps):
         step = block(p_add(p_sub(shared.apply(1, delta), delta), residual))
         delta = p_sub(delta, step)
@@ -390,9 +422,15 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
     below n stops at its truncation level (:func:`_rung_tolerance`); the
     top rung reaches 10**-(digits-6).  Each Newton correction is solved
     through the block map on the head of the Jacobian
-    (:func:`_newton_correction`), which at degree 20 and below is the whole
-    Jacobian.
+    (:func:`_newton_correction`).
     """
+    return fixed_point_with_build(n, digits)[0]
+
+
+def fixed_point_with_build(n: int, digits: int):
+    """:func:`approx_fixed_point` g0 and the midpoint build of g0 that
+    its last residual check made, which :func:`eigenpair_from_build`
+    reads as :func:`midpoint_build` would make it."""
     if n < 2:
         raise ConfigError("need truncation degree >= 2")
     if digits < 10:
@@ -415,24 +453,51 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
             else:
                 raise NewtonDivergence(
                     f"no convergence below {rung_tol} in {max_iter} iterations")
-        return g
+        return g, shared
+
+
+def midpoint_build(g0, digits: int):
+    """The midpoint evaluations at g0 (:class:`_MidShared`) at ``digits``
+    digits, which :func:`eigenpair_from_build` reads."""
+    with decimal.localcontext(_context(digits)):
+        return _MidShared(g0)
 
 
 # -- eigenpairs -------------------------------------------------------------------
 
+#: the binary64 head iteration stops at a residual below this many units
+#: of binary64's precision times ||M|| max(1, |x|): the rounding of M x
+#: sits near one such unit (about 1.3 for the gamma head, whose ||M|| is 56)
+_BINARY64_ULPS = 64
+
+
+def _power(x, p: int):
+    """x**p, p = 1 or 2; binary64 by a product, as ``**`` of floats is the
+    platform's pow."""
+    if isinstance(x, float):
+        return x if p == 1 else x * x
+    return x ** p
+
+
 def _inverse_iteration(a, shift, phi_power: int, digits: int):
     """Eigenvector x of the matrix ``a`` for its eigenvalue lambda nearest ``shift``,
-    scaled so that x[0]**phi_power = lambda (phi_power 1 or 2).
+    scaled so that x[0]**phi_power = lambda (phi_power 1 or 2), in the
+    arithmetic of the entries: Decimal in the active context, or binary64.
 
     From x = e_0, with M - shift I factored once: y = (M - shift I)**-1 x,
     lambda = shift + x[0]/y[0], x = y lambda**(1/phi_power) / y[0], until
-    |M x - x[0]**phi_power x| < 10**-(digits-6) max(1, |x|), for at most
-    ``digits`` steps.  Runs in the active decimal context.
+    |M x - x[0]**phi_power x| < tol max(1, |x|), for at most ``digits``
+    steps: tol is 10**-(digits-6) in Decimal, and in binary64
+    _BINARY64_ULPS units of its precision times ||M||, the sup-norm.
     """
     lu, perm = lu_factor([[m - shift if i == j else m for j, m in enumerate(row)]
                           for i, row in enumerate(a)])
-    tol = Decimal(10) ** -(digits - 6)
-    x = _pad([_D1], len(a))
+    if isinstance(shift, float):
+        norm = max(math.fsum(map(abs, row)) for row in a)
+        tol = _BINARY64_ULPS * sys.float_info.epsilon * norm
+    else:
+        tol = Decimal(10) ** -(digits - 6)
+    x = [1] + [0] * (len(a) - 1)
     for _ in range(digits):
         y = _lu_solve_factored(lu, perm, x)
         if not y[0]:
@@ -440,9 +505,11 @@ def _inverse_iteration(a, shift, phi_power: int, digits: int):
         lam = shift + x[0] / y[0]
         if phi_power == 2 and lam <= 0:
             raise EigenSelectionAmbiguous(f"eigenvalue nearest the shift {shift} not positive")
-        x = p_scale((lam if phi_power == 1 else lam.sqrt()) / y[0], y)
-        residual = p_sub(_mat_vec(a, x), p_scale(x[0] ** phi_power, x))
-        if _sup_norm(residual) < tol * max(_D1, _sup_norm(x)):
+        if phi_power == 2:
+            lam = math.sqrt(lam) if isinstance(lam, float) else lam.sqrt()
+        x = p_scale(lam / y[0], y)
+        residual = p_sub(_mat_vec(a, x), p_scale(_power(x[0], phi_power), x))
+        if _sup_norm(residual) < tol * max(1, _sup_norm(x)):
             return x
     raise EigenSelectionAmbiguous(
         f"inverse iteration at the shift {shift} did not converge in {digits} steps")
@@ -452,7 +519,8 @@ def _refine_eigenpair(shared, m_head, kind: str, x, digits: int):
     """x <- x - B(M_p x - x[0]**p x) from the padded head eigenvector x,
     B the block map on the head Jacobian at x, formed from the head
     ``m_head`` of M_p, with tail -1/x[0]**p, until the residual passes the
-    test of :func:`_inverse_iteration`, for at most ``digits`` steps."""
+    Decimal test of :func:`_inverse_iteration`, for at most ``digits``
+    steps."""
     power = KINDS.index(kind)
     block = _block_map(jacobian_head(m_head, power, x), -_D1 / x[0] ** power)
     tol = Decimal(10) ** -(digits - 6)
@@ -477,19 +545,33 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     of the operator, degrees 0..K, K = min(N, HEAD_DEGREE), which converges
     at the rate |lambda - s|/|lambda' - s| per step, lambda' being the
     eigenvalue next nearest s.  Below N the zero-padded head eigenvector is
-    refined matrix-free (:func:`_refine_eigenpair`).  EigenSelectionAmbiguous
-    is raised when either iteration does not converge in ``digits`` steps.
+    refined matrix-free (:func:`_refine_eigenpair`), and the head
+    iteration, which need only seed it, runs in binary64; at N <= K it is
+    the result and runs in Decimal.  EigenSelectionAmbiguous is raised
+    when either iteration does not converge in ``digits`` steps.
     """
+    return eigenpair_from_build(kind, midpoint_build(g0, digits), digits)
+
+
+def eigenpair_from_build(kind: str, shared, digits: int) -> tuple[list[Decimal], Decimal]:
+    """:func:`approx_eigenpair` at the g0 of a midpoint build (from
+    :func:`midpoint_build` or :func:`fixed_point_with_build` at the same
+    ``digits``), so one build serves both kinds."""
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = KINDS.index(kind + "_eigen")
-    width = min(len(g0), contraction.HEAD_DEGREE + 1)
+    n1 = shared.width
+    width = min(n1, contraction.HEAD_DEGREE + 1)
     with decimal.localcontext(_context(digits)):
-        shared = _MidShared(g0)
         m_head = shared.head(phi_power, width)
-        vec = _inverse_iteration(m_head, _EIGEN_HINT[kind] ** phi_power, phi_power, digits)
-        if width < len(g0):
-            vec = _refine_eigenpair(shared, m_head, kind + "_eigen", _pad(vec, len(g0)), digits)
+        shift = _EIGEN_HINT[kind] ** phi_power
+        if width == n1:
+            vec = _inverse_iteration(m_head, shift, phi_power, digits)
+        else:
+            head = [[float(m) for m in row] for row in m_head]
+            vec = _inverse_iteration(head, float(shift), phi_power, digits)
+            vec = _refine_eigenpair(shared, m_head, kind + "_eigen",
+                                    _pad([Decimal(x) for x in vec], n1), digits)
         return vec, vec[0]
 
 

@@ -14,8 +14,11 @@ with the contraction inequality epsilon < rho (1 - kappa) checked in
 directed rounding; on success the ball contains a unique fixed point of Phi.
 
 Lam need only approximate the inverse, so :func:`certify` forms it
-(:func:`frozen_map`) from the column images DF_p(x) e_k, k = 0..K, that
-its kappa bound reads: a certificate depends on x0, rho and the precision.
+(:func:`frozen_map`) in binary64 from the midpoints of the column images
+DF_p(x) e_k, k = 0..K, that its kappa bound reads, and writes it as exact
+decimals: a certificate depends on x0, rho and the precision.  The
+arithmetic Lam is formed in is no part of the proof, since kappa bounds
+||I - Lam DF|| for the Lam written, whatever it is.
 
 The same kappa < 1 proves that the fixed points of Phi are the zeros of F.
 At x = x0 it reads ||I - Lam DF(x0)|| < 1, so Lam DF(x0) is invertible by
@@ -63,6 +66,7 @@ so operator problems need K < balls.BABY_STEPS.
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from operator import mul as _imul
@@ -221,8 +225,17 @@ def _rows(cols):
     return [list(row) for row in zip(*cols)]
 
 
+def _finite(values) -> bool:
+    """Whether every value is finite.  Binary64 rounds an overflow to inf,
+    and inf - inf to nan, where Decimal signals; x - x is 0 exactly for
+    every finite x of either arithmetic."""
+    return all(x - x == 0 for x in values)
+
+
 def lu_factor(a):
-    """In-place LU with partial pivoting; returns (lu, perm)."""
+    """LU with partial pivoting, in the arithmetic of the entries (Decimal
+    in the active context, or binary64); returns (lu, perm).  A zero pivot,
+    or a factor that is not finite, is a SingularJacobian."""
     n = len(a)
     lu = [row[:] for row in a]
     perm = list(range(n))
@@ -233,7 +246,7 @@ def lu_factor(a):
         if pivot != col:
             lu[pivot], lu[col] = lu[col], lu[pivot]
             perm[pivot], perm[col] = perm[col], perm[pivot]
-        inv = _D1 / lu[col][col]
+        inv = 1 / lu[col][col]
         for i in range(col + 1, n):
             factor = lu[i][col] * inv
             lu[i][col] = factor
@@ -242,10 +255,14 @@ def lu_factor(a):
                 for j in range(col + 1, n):
                     if row_c[j]:
                         row_i[j] -= factor * row_c[j]
+    if not all(map(_finite, lu)):
+        raise SingularJacobian("LU factor not finite")
     return lu, perm
 
 
 def _lu_solve_factored(lu, perm, b):
+    """x with (L U) x = b permuted, in the arithmetic of the factors; a
+    solution that is not finite is a SingularJacobian."""
     n = len(lu)
     x = [b[perm[i]] for i in range(n)]
     for i in range(n):
@@ -262,26 +279,63 @@ def _lu_solve_factored(lu, perm, b):
             if row[j] and x[j]:
                 s -= row[j] * x[j]
         x[i] = s / row[i]
+    if not _finite(x):
+        raise SingularJacobian("solution not finite")
     return x
 
 
 def mat_inv(a, digits: int = 30):
-    """Inverse of the square matrix a from its LU, rounded to ``digits``."""
+    """Inverse of the square matrix a from its LU, in the arithmetic of its
+    entries: Decimals rounded to ``digits``, binary64 as it rounds."""
+    n = len(a)
     with decimal.localcontext(_context(digits)):
         lu, perm = lu_factor(a)
-        units = [[_D1 if i == k else _D0 for i in range(len(a))] for k in range(len(a))]
-        return _rows([_lu_solve_factored(lu, perm, e) for e in units])
+        return _rows([_lu_solve_factored(lu, perm, [int(i == k) for i in range(n)])
+                      for k in range(n)])
+
+
+#: significant digits the largest entry of a binary64 head keeps when the
+#: head is written in decimal: one more than binary64 carries
+_BINARY64_DIGITS = 17
+
+
+def _binary64(m: int, scale: int) -> float:
+    """m 10**-scale rounded to the nearest binary64 (int / int rounds once);
+    inf beyond its range, which the LU refuses."""
+    try:
+        return m / 10 ** scale if scale >= 0 else float(m * 10 ** -scale)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
+def _decimal_head(rows) -> list[list[Decimal]]:
+    """Binary64 rows as exact decimals on one grid 10**-s on which the
+    largest entry carries _BINARY64_DIGITS digits: each entry's exact
+    binary fraction num/den rounded to the grid (ties up) by integer
+    arithmetic, so no decimal context is read."""
+    top = max(abs(x) for row in rows for x in row)
+    num, den = top.as_integer_ratio()
+    decade = len(str(num // den)) if num >= den else 1 - len(str(den // num))
+    scale = max(0, _BINARY64_DIGITS - decade)
+    unit = 10 ** scale
+
+    def on_grid(x: float) -> Decimal:
+        num, den = x.as_integer_ratio()
+        return Decimal((2 * num * unit + den) // (2 * den)).scaleb(-scale, EXACT)
+    return [[on_grid(x) for x in row] for row in rows]
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):
     """Frozen linear map approximating the inverse Jacobian.
 
-    Matrix block: rounded midpoint inverse of ``jac``, the Jacobian's head
-    on degrees 0..K (any K up to N; :func:`frozen_map` gives
-    K = min(N, HEAD_DEGREE)).  Tail scalar, acting on every degree above
-    K: -1/lambda0**p with the kind's eigenvalue power p, so -1 for the
-    fixed point (the derivative of T decays on high degrees, so the
-    Jacobian is near minus identity there), -1/lambda0 for the
+    Matrix block: the inverse of ``jac``, the Jacobian's head on degrees
+    0..K (any K up to N; :func:`frozen_map` gives K = min(N, HEAD_DEGREE)),
+    by :func:`mat_inv` in the arithmetic of its entries: a Decimal head is
+    inverted at ``digits`` digits, a binary64 head in binary64 and written
+    as exact decimals (:func:`_decimal_head`).  Tail scalar, acting on
+    every degree above K: -1/lambda0**p with the kind's eigenvalue power p,
+    so -1 for the fixed point (the derivative of T decays on high degrees,
+    so the Jacobian is near minus identity there), -1/lambda0 for the
     parameter-scaling problem and -1/lambda0**2 for the noise problem.
     """
     if kind not in KINDS:
@@ -291,15 +345,20 @@ def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = Non
         raise ConfigError("eigen kinds need a nonzero lambda0 for the tail scalar")
     with decimal.localcontext(_context(digits)):
         tail = -_D1 / lambda0 ** phi_power if phi_power else -_D1
-    return LinearMap(mat_inv(jac, digits), tail)
+    head = mat_inv(jac, digits)
+    if isinstance(head[0][0], float):
+        head = _decimal_head(head)
+    return LinearMap(head, tail)
 
 
 def frozen_map(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
                images: list[FunctionBall]) -> LinearMap:
     """Lam of :func:`certify`: the inverse of the midpoint rows 0..K of the
-    column images k = 0..K at the context's precision, tail -1/phi(x0)**p."""
+    column images k = 0..K, in binary64, tail -1/phi(x0)**p at the
+    context's precision.  Lam need only approximate the inverse: kappa < 1
+    proves the bounds and the bijection whatever Lam is (module docstring)."""
     k1 = len(images)
-    cols = [[exact_decimal(m, b.scale) for m in (b.mid + [0] * k1)[:k1]] for b in images]
+    cols = [[_binary64(m, b.scale) for m in (b.mid + [0] * k1)[:k1]] for b in images]
     lambda0 = exact_decimal(x0.mid[0] if x0.mid else 0, x0.scale)
     return build_lambda(problem.kind, _rows(cols), ctx.precision, lambda0=lambda0)
 

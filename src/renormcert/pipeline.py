@@ -321,12 +321,14 @@ def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
     n, p = cfg.degree, cfg.precision
     out = {target: _read_checkpoint(cfg, target) for target in _TARGETS
            if target in cfg.targets}
+    build = None
     if out["fixed_point"] is None:
+        g0, build = ax.fixed_point_with_build(n, p)
         out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", fb.ball_from_decimals(
-            STANDARD_DISC, ax.approx_fixed_point(n, p), n))
+            STANDARD_DISC, g0, n))
     pending = [target for target, ball in out.items() if ball is None]
     processes = min(len(pending), _usable_cores()) if pending and n >= POOL_MIN_DEGREE else 1
-    centres = _eigen_centres(processes, pending, _centre(out["fixed_point"]), p)
+    centres = _eigen_centres(processes, pending, _centre(out["fixed_point"]), p, build)
     for target, x0 in zip(pending, centres):
         ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
         out[target] = _write_checkpoint(cfg, target, ball)
@@ -340,21 +342,29 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _eigen_centres(processes: int, targets: list[str], g0: list[Decimal], precision: int):
+def _eigen_centres(processes: int, targets: list[str], g0: list[Decimal], precision: int,
+                   build=None):
     """Approximate eigenfunctions of ``targets`` at the fixed-point centre
     g0, yielded in target order, by a pool of ``processes`` when that is
-    two or more.  The pool receives and returns exact Decimal lists only:
-    the results do not depend on the process count."""
-    args = (targets, repeat(g0), repeat(precision))
+    two or more.  In one process every target reads one midpoint build of
+    g0: ``build`` when the fixed point's bootstrap made it, else one made
+    here.  The pool receives and returns exact Decimal lists only, and
+    each worker makes its own build: the results do not depend on the
+    process count."""
+    if not targets:
+        return
     if processes < 2:
-        yield from map(_eigen_centre, *args)
+        if build is None:
+            build = ax.midpoint_build(g0, precision)
+        for target in targets:
+            yield ax.eigenpair_from_build(target, build, precision)[0]
     else:
         # looked up at call time, as the benchmark's tracer and the tests patch
         # it; default start method (fork on Linux): a spawned worker imports the
         # package afresh, 0.4 s on a 2-core Xeon VM, one eigen bootstrap at N=160
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            yield from pool.map(_eigen_centre, *args)
+            yield from pool.map(_eigen_centre, targets, repeat(g0), repeat(precision))
 
 
 def _eigen_centre(target: str, g0: list[Decimal], precision: int) -> list[Decimal]:

@@ -199,8 +199,9 @@ def test_jacobian_column_delta_a_only_in_first(desk):
 def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
     """Each fixed-point Newton iterate builds the midpoint shared evaluations
     once and reads both T(g) and the Jacobian from them; the Jacobian it
-    factors is approx_jacobian("fixed_point", g) entry for entry.  At N=20,
-    P=60 the 30-digit seed still takes a Newton correction."""
+    factors is approx_jacobian("fixed_point", g) entry for entry, each
+    rounded to binary64, the arithmetic of the block map.  At N=20, P=60
+    the 30-digit seed still takes a Newton correction."""
     iterates, factored = [], []
     shared_cls, lu_factor = ax._MidShared, ax.lu_factor
 
@@ -222,7 +223,7 @@ def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
     assert iterates[-1] == g
     for g_k, jac in zip(iterates, factored):
         ref = ax.approx_jacobian("fixed_point", g_k, digits=60)
-        assert [list(map(str, row)) for row in jac] == [list(map(str, row)) for row in ref]
+        assert jac == [[float(m) for m in row] for row in ref]
 
 
 def _sup_diff(x, y) -> Decimal:
@@ -270,6 +271,25 @@ def test_block_map_with_wrong_tail_sign_fails_by_name(monkeypatch, bootstrap40, 
             ax.approx_fixed_point(40, 40)
         else:
             ax.approx_eigenpair(target, bootstrap40[0], 40)
+
+
+@pytest.mark.parametrize("entry, match", [("1E-400", "zero pivot in column 0"),
+                                          ("1E+400", "factor not finite")])
+def test_block_map_head_beyond_binary64_is_singular(entry, match):
+    """Negative control for the binary64 block map: a Decimal head entry
+    that binary64 rounds to 0.0 or to inf is a SingularJacobian by name,
+    not a ZeroDivisionError or a NaN Decimal."""
+    head = [[Decimal(entry), Decimal(0)], [Decimal(0), Decimal(1)]]
+    with pytest.raises(SingularJacobian, match=match):
+        ax._block_map(head, Decimal(-1))
+
+
+def test_block_map_solves_beyond_binary64_range():
+    """The block map reads its head part scaled by a power of ten, so a
+    residual far below binary64's range is solved, not flushed to zero."""
+    block = ax._block_map([[Decimal(2), Decimal(0)], [Decimal(0), Decimal(4)]], Decimal(-1))
+    assert block([Decimal("1E-500"), Decimal("2E-500"), Decimal("3E-500")]) == \
+        [Decimal("5E-501"), Decimal("5E-501"), Decimal("-3E-500")]
 
 
 def test_no_lu_or_matrix_above_head_size(monkeypatch):

@@ -36,8 +36,11 @@ from renormcert.errors import (
     ConfigError,
     DimensionMismatch,
     InversionUncertified,
+    SingularJacobian,
+    StageFailure,
 )
-from renormcert.rounding import EXACT, Interval, RoundingContext, interval, rectangle
+from renormcert.rounding import (EXACT, Interval, RoundingContext, exact_decimal, interval,
+                                 rectangle)
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -626,3 +629,141 @@ def test_newton_step_without_kappa_phi_misses_the_reference(desk):
     bare = fb.coefficient(desk.ctx, desk.cert_fixed.newton, 0).re
     assert not bare.contains(Decimal(REF_A))
     assert desk.cert_fixed.enclosures["a"].contains(Decimal(REF_A))
+
+
+# -- the binary64 frozen map ---------------------------------------------------------
+
+def _decimal_frozen_map(c, problem, x0, images):
+    """The frozen map from the Decimal head: build_lambda (mat_inv at the
+    context's precision) of the exact midpoints of the column images, with
+    frozen_map's tail scalar."""
+    k1 = len(images)
+    cols = [[exact_decimal(m, b.scale) for m in (b.mid + [0] * k1)[:k1]] for b in images]
+    lambda0 = exact_decimal(x0.mid[0], x0.scale)
+    return ct.build_lambda(problem.kind, [list(row) for row in zip(*cols)], c.precision,
+                           lambda0=lambda0)
+
+
+def _certificates(c, centres):
+    """The three certificates of a run from its centres (G0, V0, W0), the
+    eigen tables over the fixed point's solution ball; a failed one is
+    returned as the diagnostic certificate it carries."""
+    def run(problem, x0):
+        try:
+            return ct.certify(c, problem, x0, pl.RHO)
+        except CertificationFailed as exc:
+            return exc.certificate
+
+    fixed = run(ct.Problem(0), centres["G0"])
+    tables = op.OperatorTables.build(c, fixed.solution_ball(c))
+    return {"fixed_point": fixed, "delta": run(ct.Problem(1, tables), centres["V0"]),
+            "gamma": run(ct.Problem(2, tables), centres["W0"])}
+
+
+def _agree(x: Decimal, y: Decimal) -> bool:
+    """x and y agree to at least 10 significant digits."""
+    return abs(x - y) <= abs(x) * Decimal("1e-10")
+
+
+@pytest.fixture(params=["desk", "n40"])
+def run_centres(request):
+    """(context, centres) of the desk run (P=30) and of the N=40 run (P=40)."""
+    if request.param == "desk":
+        desk = request.getfixturevalue("desk")
+        return desk.ctx, {"G0": desk.G0, "V0": desk.V0, "W0": desk.W0}
+    n40 = request.getfixturevalue("n40")
+    return n40.ctx, n40.result.balls
+
+
+def test_binary64_lambda_matches_the_decimal_inverse(run_centres, monkeypatch):
+    """The frozen map inverted in binary64 against mat_inv of the Decimal
+    head, on the same column images, for all three targets at desk and
+    N=40: head entries within 1e-12 of the largest entry, the same tail
+    scalar, epsilon, kappa and kappa_phi equal to 10 significant digits and
+    every certified digit string the same."""
+    c, centres = run_centres
+    pairs, binary64 = [], ct.frozen_map
+
+    def both(c, problem, x0, images):
+        lam = binary64(c, problem, x0, images)
+        pairs.append((lam, _decimal_frozen_map(c, problem, x0, images)))
+        return lam
+
+    monkeypatch.setattr(ct, "frozen_map", both)
+    new = _certificates(c, centres)
+    monkeypatch.setattr(ct, "frozen_map", _decimal_frozen_map)
+    old = _certificates(c, centres)
+    assert len(pairs) == 3
+    for lam, ref in pairs:
+        top = max(abs(x) for row in ref.matrix for x in row)
+        assert max(abs(x - y) for row, ref_row in zip(lam.matrix, ref.matrix)
+                   for x, y in zip(row, ref_row)) <= top * Decimal("1e-12")
+        assert lam.tail_scalar == ref.tail_scalar
+    for target, cert in new.items():
+        assert cert.passed and old[target].passed
+        for name in ("epsilon", "kappa", "kappa_phi"):
+            assert _agree(getattr(cert, name), getattr(old[target], name)), (target, name)
+        assert {k: pl.certified_digits(v) for k, v in cert.enclosures.items()} \
+            == {k: pl.certified_digits(v) for k, v in old[target].enclosures.items()}
+
+
+def test_lambda_head_to_two_digits_misses_the_kappa_agreement(desk, monkeypatch):
+    """Negative control for the agreement test: the binary64 map with its
+    head rounded to 2 significant digits moves kappa in its leading digits."""
+    binary64, two_digits = ct.frozen_map, decimal.Context(prec=2)
+
+    def rounded(c, problem, x0, images):
+        lam = binary64(c, problem, x0, images)
+        return ct.LinearMap([[two_digits.plus(x) for x in row] for row in lam.matrix],
+                            lam.tail_scalar)
+
+    monkeypatch.setattr(ct, "frozen_map", rounded)
+    coarse = ct.certify(desk.ctx, ct.Problem(0), desk.G0, pl.RHO)
+    assert not _agree(coarse.kappa, desk.cert_fixed.kappa)
+
+
+def _tiny_pivot_images(n: int, k1: int) -> list[fb.FunctionBall]:
+    """Column images e_0..e_(k1-1) of the identity with column 0 scaled by
+    1E-400, which binary64 rounds to 0."""
+    return [fb.FunctionBall([1], [], 400, Decimal(0), Decimal(0), n)] + \
+        [basis_ball(n, k) for k in range(1, k1)]
+
+
+def test_head_beyond_binary64_is_singular(desk):
+    """Negative controls for the binary64 inverses: a pivot 1E-400 rounds
+    to 0.0, a subnormal pivot inverts to inf and an entry 1E+400 rounds to
+    inf; each is a SingularJacobian by name, never a ZeroDivisionError, an
+    OverflowError or a NaN entry of the map."""
+    with pytest.raises(SingularJacobian, match="zero pivot in column 0"):
+        ct.frozen_map(desk.ctx, ct.Problem(0), desk.G0, _tiny_pivot_images(desk.n, 3))
+    for head, match in (([[float(Decimal("1E-400")), 0.0], [0.0, 1.0]], "zero pivot"),
+                        ([[5e-324]], "solution not finite"),
+                        ([[1.0, 0.0], [0.0, float(Decimal("1E+400"))]], "factor not finite")):
+        with pytest.raises(SingularJacobian, match=match):
+            ct.build_lambda("fixed_point", head)
+    huge = [fb.FunctionBall([10 ** 400], [], 0, Decimal(0), Decimal(0), desk.n)] + \
+        [basis_ball(desk.n, k) for k in (1, 2)]
+    with pytest.raises(SingularJacobian, match="not finite"):
+        ct.frozen_map(desk.ctx, ct.Problem(0), desk.G0, huge)
+
+
+def test_singular_binary64_head_fails_its_stage(tmp_path, monkeypatch, capsys):
+    """A fixed-point head whose pivot binary64 cannot hold fails the
+    certificate stage as data: StageFailure at stage fixed_point caused by
+    SingularJacobian, and from the CLI exit 2 with the stage named and no
+    traceback."""
+    column_images = ct.Problem.column_images
+
+    def tiny_pivot(self, c, x_ball, head_degree):
+        images = column_images(self, c, x_ball, head_degree)
+        return _tiny_pivot_images(x_ball.truncation, 1) + images[1:]
+
+    monkeypatch.setattr(ct.Problem, "column_images", tiny_pivot)
+    with pytest.raises(StageFailure) as info:
+        pl.run_pipeline(pl.RunConfig(targets=("fixed_point",), output_dir=str(tmp_path / "run")))
+    assert info.value.stage == "fixed_point"
+    assert isinstance(info.value.__cause__, SingularJacobian)
+    assert cli.main(["certify", "--targets", "fixed_point", "-o", str(tmp_path / "cli")]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED at stage fixed_point: zero pivot in column 0" in err
+    assert "Traceback" not in err

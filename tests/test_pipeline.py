@@ -171,7 +171,7 @@ def test_cli_refuses_bad_paths_and_targets_before_any_work(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("work ran before the configuration was checked")
 
-    monkeypatch.setattr(ax, "approx_fixed_point", refuse)
+    monkeypatch.setattr(ax, "fixed_point_with_build", refuse)
     monkeypatch.setattr(pl, "run_pipeline", refuse)
     path = tmp_path / "file"
     path.write_text("x")
@@ -562,8 +562,10 @@ def test_pool_starts_by_degree_and_usable_cores(monkeypatch):
     pool of min(2, cores) for both eigen targets, and none with one usable
     core or one pending target."""
     sizes = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(ax, "approx_fixed_point", lambda n, p: [Decimal(0)] * (n + 1))
-    monkeypatch.setattr(ax, "approx_eigenpair",
+    monkeypatch.setattr(ax, "fixed_point_with_build",
+                        lambda n, p: ([Decimal(0)] * (n + 1), [Decimal(0)] * (n + 1)))
+    monkeypatch.setattr(ax, "midpoint_build", lambda g0, p: g0)
+    monkeypatch.setattr(ax, "eigenpair_from_build",
                         lambda target, g0, p: ([Decimal(1)] * len(g0), Decimal(1)))
     top = pl.POOL_MIN_DEGREE
     assert top > 80
@@ -594,6 +596,43 @@ def test_eigen_pool_starts_one_process_per_pending_target(monkeypatch):
     assert sizes == [2, 2, 2]
 
 
+@pytest.mark.parametrize("precision", [33, 40], ids=["rule", "benchmark"])
+def test_n40_centres_agree_across_bootstrap_paths(monkeypatch, precision):
+    """At N=40, where the eigen bootstraps refine a binary64 head vector,
+    three paths give byte-identical centres: the serial bootstrap, whose
+    eigen targets both read the fixed point's last midpoint build of g0;
+    the pool, each worker making its own build; and the API calls the
+    benchmark's set-up makes, approx_fixed_point and then approx_eigenpair
+    per target on the ball's centre, one build each.  The serial path
+    makes two degree-40 builds fewer than the API calls."""
+    degrees, shared_cls = [], ax._MidShared
+
+    class CountingShared(shared_cls):
+        def __init__(self, g, width=None):
+            degrees.append(len(g) - 1)
+            super().__init__(g, width)
+
+    monkeypatch.setattr(ax, "_MidShared", CountingShared)
+    cfg = pl.RunConfig(degree=40, precision=precision)
+    serial, processes = pl.bootstrap(cfg)
+    serial_builds = degrees.count(40)
+    assert processes == 1
+    degrees.clear()
+    g0 = fb.ball_from_decimals(fb.STANDARD_DISC, ax.approx_fixed_point(40, precision), 40)
+    centre = [c.re.lo for c in g0.coeffs]
+    api = {"fixed_point": g0}
+    for target in ("delta", "gamma"):
+        x0 = ax.approx_eigenpair(target, centre, precision)[0]
+        api[target] = fb.ball_from_decimals(fb.STANDARD_DISC, x0, 40)
+    assert degrees.count(40) == serial_builds + 2
+    set_pool_rule(monkeypatch, 2)
+    pooled, processes = pl.bootstrap(cfg)
+    assert processes == 2
+    texts = [{t: fb.serialize_ball(b) for t, b in run.items()} for run in (serial, pooled, api)]
+    assert list(texts[0]) == list(pl._TARGETS)
+    assert texts[0] == texts[1] == texts[2]
+
+
 def test_one_pending_target_starts_no_pool(desk, tmp_path, monkeypatch):
     """With the delta checkpoint present only gamma is pending: it is
     bootstrapped in this process and its checkpoint written."""
@@ -613,7 +652,7 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
     serial run's failure: StageFailure at stage "approx" with the same cause
     type and message, and the same partial report."""
 
-    def ambiguous(target, g0, digits):
+    def ambiguous(target, build, digits):
         raise EigenSelectionAmbiguous(f"{target}: two eigenvalues near the target")
 
     pools = []
@@ -623,7 +662,7 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(ax, "approx_eigenpair", ambiguous)
+    monkeypatch.setattr(ax, "eigenpair_from_build", ambiguous)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     outcomes = []
     for cores in (1, 2):
@@ -1046,8 +1085,8 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("approximate zero recomputed instead of read")
 
-    monkeypatch.setattr(ax, "approx_fixed_point", refuse)
-    monkeypatch.setattr(ax, "approx_eigenpair", refuse)
+    monkeypatch.setattr(ax, "fixed_point_with_build", refuse)
+    monkeypatch.setattr(ax, "eigenpair_from_build", refuse)
     out = tmp_path / "out"
     assert cli.main(["certify", "-N", "20", "-o", str(out),
                      "--checkpoint-dir", str(ck)]) == 0
