@@ -36,7 +36,7 @@ derivative terms of M_q are formed on first use, so a residual check that
 passes makes no derivative product.  T(g) and M_q(g) v come back to
 Decimal exactly, and the iterations form their residuals in Decimal.
 The fixed-point bootstrap hands back the build its last residual check
-made, at g0, and both eigen bootstraps read it
+made, at g0: the one build both eigen bootstraps read, in any process
 (:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).
 
 The block map B is factored and applied in binary64 (IEEE double), and
@@ -548,7 +548,9 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     refined matrix-free (:func:`_refine_eigenpair`), and the head
     iteration, which need only seed it, runs in binary64; at N <= K it is
     the result and runs in Decimal.  EigenSelectionAmbiguous is raised
-    when either iteration does not converge in ``digits`` steps.
+    when either iteration does not converge in ``digits`` steps.  It makes
+    its own build, so the pipeline never calls it: it serves the benchmark's
+    set-up, the tests and demo 04.
     """
     return eigenpair_from_build(kind, midpoint_build(g0, digits), digits)
 
@@ -556,7 +558,7 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
 def eigenpair_from_build(kind: str, shared, digits: int) -> tuple[list[Decimal], Decimal]:
     """:func:`approx_eigenpair` at the g0 of a midpoint build (from
     :func:`midpoint_build` or :func:`fixed_point_with_build` at the same
-    ``digits``), so one build serves both kinds."""
+    ``digits``): the pipeline's one build serves both kinds, in any process."""
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = KINDS.index(kind + "_eigen")

@@ -314,9 +314,9 @@ def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
 
     A zero is read from the checkpoint directory when present there, and
     otherwise computed and, with a checkpoint directory, written there.
-    The eigen zeros need only the fixed point's, so from degree
-    POOL_MIN_DEGREE on the pending ones run in a pool, one process per
-    target up to the usable cores (:func:`_eigen_centres`).
+    The eigen zeros read one midpoint build of g0, the fixed point's last or
+    one of a checkpointed g0; from degree POOL_MIN_DEGREE on the pending ones
+    run in a pool, one process per target up to the usable cores.
     """
     n, p = cfg.degree, cfg.precision
     out = {target: _read_checkpoint(cfg, target) for target in _TARGETS
@@ -327,9 +327,10 @@ def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
         out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", fb.ball_from_decimals(
             STANDARD_DISC, g0, n))
     pending = [target for target, ball in out.items() if ball is None]
+    if pending and build is None:
+        build = ax.midpoint_build(_centre(out["fixed_point"]), p)
     processes = min(len(pending), _usable_cores()) if pending and n >= POOL_MIN_DEGREE else 1
-    centres = _eigen_centres(processes, pending, _centre(out["fixed_point"]), p, build)
-    for target, x0 in zip(pending, centres):
+    for target, x0 in zip(pending, _eigen_centres(processes, pending, build, p)):
         ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
         out[target] = _write_checkpoint(cfg, target, ball)
     return out, processes
@@ -342,33 +343,26 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _eigen_centres(processes: int, targets: list[str], g0: list[Decimal], precision: int,
-                   build=None):
-    """Approximate eigenfunctions of ``targets`` at the fixed-point centre
-    g0, yielded in target order, by a pool of ``processes`` when that is
-    two or more.  In one process every target reads one midpoint build of
-    g0: ``build`` when the fixed point's bootstrap made it, else one made
-    here.  The pool receives and returns exact Decimal lists only, and
-    each worker makes its own build: the results do not depend on the
-    process count."""
-    if not targets:
-        return
+def _eigen_centres(processes: int, targets: list[str], build, precision: int):
+    """Approximate eigenfunctions of ``targets``, in target order, each read
+    from the one midpoint ``build`` of g0, by a pool of ``processes`` when
+    that is two or more: a pool receives the build and returns exact Decimal
+    lists, so no result depends on the process count."""
+    work = (_eigen_centre, targets, repeat(build), repeat(precision))
     if processes < 2:
-        if build is None:
-            build = ax.midpoint_build(g0, precision)
-        for target in targets:
-            yield ax.eigenpair_from_build(target, build, precision)[0]
-    else:
-        # looked up at call time, as the benchmark's tracer and the tests patch
-        # it; default start method (fork on Linux): a spawned worker imports the
-        # package afresh, 0.4 s on a 2-core Xeon VM, one eigen bootstrap at N=160
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            yield from pool.map(_eigen_centre, targets, repeat(g0), repeat(precision))
+        yield from map(*work)
+        return
+    # looked up at call time, as the benchmark's tracer and the tests patch
+    # it; default start method (fork on Linux): a spawned worker imports the
+    # package afresh, 0.4 s on a 2-core Xeon VM, one eigen bootstrap at N=160
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        yield from pool.map(*work)
 
 
-def _eigen_centre(target: str, g0: list[Decimal], precision: int) -> list[Decimal]:
-    return ax.approx_eigenpair(target, g0, precision)[0]
+def _eigen_centre(target: str, build, precision: int) -> list[Decimal]:
+    """One eigen centre; at module level, so that a pool pickles it by name."""
+    return ax.eigenpair_from_build(target, build, precision)[0]
 
 
 def _centre(ball: fb.FunctionBall) -> list[Decimal]:

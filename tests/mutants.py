@@ -106,6 +106,18 @@ MUTANTS = (
     Mutant("isqr_straddle", "src/renormcert/rounding.py",
            "return 0, max(a * a, b * b)", "return min(a * a, b * b), max(a * a, b * b)",
            "the square of an interval about 0 loses 0"),
+    Mutant("lambda_norm_down", "src/renormcert/contraction.py",
+           "return ctx.scaled_up(lam.norm, lam.scale)", "return ctx.scaled_dn(lam.norm, lam.scale)",
+           "lambda_norm_upper rounds ||Lam|| down"),
+    Mutant("ceil_at_floors", "src/renormcert/rounding.py",
+           "return -floor_at(x.copy_negate(), scale)", "return floor_at(x, scale)",
+           "ceil_at rounds down"),
+    Mutant("box_inv_upper", "src/renormcert/rounding.py",
+           "return one // hi, -(-one // lo), 0, 0", "return one // hi, one // lo, 0, 0",
+           "box_inv floors its upper end"),
+    Mutant("companion_upper", "src/renormcert/operators.py",
+           "root + (root * root < top)", "root",
+           "_companion floors the upper end of the boundary cover's sqrt(1 - t**2)"),
 )
 
 

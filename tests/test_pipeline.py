@@ -599,20 +599,21 @@ def test_eigen_pool_starts_one_process_per_pending_target(monkeypatch):
 @pytest.mark.parametrize("precision", [33, 40], ids=["rule", "benchmark"])
 def test_n40_centres_agree_across_bootstrap_paths(monkeypatch, precision):
     """At N=40, where the eigen bootstraps refine a binary64 head vector,
-    three paths give byte-identical centres: the serial bootstrap, whose
-    eigen targets both read the fixed point's last midpoint build of g0;
-    the pool, each worker making its own build; and the API calls the
-    benchmark's set-up makes, approx_fixed_point and then approx_eigenpair
-    per target on the ball's centre, one build each.  The serial path
-    makes two degree-40 builds fewer than the API calls."""
-    degrees, shared_cls = [], ax._MidShared
+    three paths give byte-identical centres: the bootstrap in one process
+    and in a pool, whose eigen targets both read the fixed point's last
+    midpoint build of g0 (a pool worker receives it and builds none), and
+    the API calls the benchmark's set-up makes, approx_fixed_point and then
+    approx_eigenpair per target on the ball's centre, one build each.
+    Either bootstrap makes two degree-40 builds fewer than the API calls."""
+    degrees, init, parent = [], ax._MidShared.__init__, os.getpid()
 
-    class CountingShared(shared_cls):
-        def __init__(self, g, width=None):
-            degrees.append(len(g) - 1)
-            super().__init__(g, width)
+    def counting_init(self, g, width=None):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker made a midpoint build")
+        degrees.append(len(g) - 1)
+        init(self, g, width)
 
-    monkeypatch.setattr(ax, "_MidShared", CountingShared)
+    monkeypatch.setattr(ax._MidShared, "__init__", counting_init)
     cfg = pl.RunConfig(degree=40, precision=precision)
     serial, processes = pl.bootstrap(cfg)
     serial_builds = degrees.count(40)
@@ -625,9 +626,11 @@ def test_n40_centres_agree_across_bootstrap_paths(monkeypatch, precision):
         x0 = ax.approx_eigenpair(target, centre, precision)[0]
         api[target] = fb.ball_from_decimals(fb.STANDARD_DISC, x0, 40)
     assert degrees.count(40) == serial_builds + 2
+    degrees.clear()
     set_pool_rule(monkeypatch, 2)
     pooled, processes = pl.bootstrap(cfg)
     assert processes == 2
+    assert degrees.count(40) == serial_builds
     texts = [{t: fb.serialize_ball(b) for t, b in run.items()} for run in (serial, pooled, api)]
     assert list(texts[0]) == list(pl._TARGETS)
     assert texts[0] == texts[1] == texts[2]
