@@ -41,11 +41,19 @@ proven radius r >= ||x* - x0||
 where kappa_phi bounds row 0 of DPhi over the ball.  Phi(x0) is the ball
 epsilon is read from, and kappa_phi is read from the column images and the
 tail sum kappa is bounded from, so the step costs no further product.
+Content above the head degree K never reaches row 0, so an error part
+of norm at most v adds at most max_j |Lam_0j| v to coefficient 0 of its
+image under Lam, not ||Lam|| v: kappa_phi's column part and phi(Phi(x0))
+read F's error parts that way.
 
 The three problems follow one rule F_p, p = 0, 1, 2 (:class:`Problem`):
 F_0(G) = T(G) - G for the fixed point, and F_p(x) = M_p(G) x - phi(x)**p x
 for delta (p = 1, M_1 = DT) and gamma (p = 2, M_2 = L), with G over a
-ball proven to contain the fixed point.  Their derivative is
+ball proven to contain the fixed point.  Each reads its residual and its
+columns from one build of the operator tables: the eigen problems from
+the parameter ball's, the fixed point from those over B(x0, rho), whose
+midpoints and radii are those over x0 (operators module docstring).
+Their derivative is
 
     DF_p = M_q - phi**p I - p phi**(p-1) x e_0^T,   q = max(p, 1),
 
@@ -67,7 +75,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from operator import mul as _imul
 
@@ -384,7 +392,8 @@ class Problem:
     (:meth:`column_images`) and the tail DF_p(x) f_H = A f_H - phi**p f_H,
     A's compositions controlled by theta factors.  ``tables`` hold M_p over
     the parameter ball for p >= 1; for p = 0 they are built over the ball
-    the bounds receive."""
+    the bounds receive, and the residual at its exact centre x0 reads T(x0)
+    from them (:meth:`residual`), so one certificate builds them once."""
 
     def __init__(self, power: int, tables: OperatorTables | None = None):
         if power not in range(len(KINDS)):
@@ -407,9 +416,21 @@ class Problem:
             return IONE
         return phi_x if self.power == 1 else ctx.isqr(phi_x)
 
+    def _t(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
+        """T(x).  For an exact x (no tails) at the centre of the ball the
+        tables were built over, equal in mid, rad, scale and v_high, it is
+        that ball's T without its error part: no error part reaches a
+        midpoint or radius of the tables (operators.precompute_shared), and
+        over x itself every error part is 0.  Otherwise from the shared
+        evaluations over x."""
+        s = self.tables.shared if self.tables is not None else None
+        if s is None or x.v_err or x.v_high or replace(s.source, v_err=_D0) != x:
+            return precompute_shared(ctx, x).t(ctx)
+        return replace(s.t(ctx), v_err=_D0)
+
     def residual(self, ctx: RoundingContext, x: FunctionBall) -> FunctionBall:
         if not self.power:
-            return fb.sub(ctx, precompute_shared(ctx, x).t(ctx), x)
+            return fb.sub(ctx, self._t(ctx, x), x)
         # M_p through its named entry points, which perfbench traces by name
         operator = self.tables.dt_apply if self.power == 1 else self.tables.l_apply
         mult = self._phi_power(ctx, _phi(ctx, x))
@@ -451,12 +472,13 @@ class Problem:
         return self._tables(ctx, x_ball).channels[max(self.power, 1) - 1]
 
     def enclosures(self, ctx: RoundingContext, x0: FunctionBall, radius: Decimal,
-                   newton: FunctionBall, newton_radius: Decimal) -> dict:
+                   newton_phi: Interval, newton_radius: Decimal) -> dict:
         """Certified constants for a solution within ``radius`` of x0 whose
-        phi lies within ``newton_radius`` of phi(newton): the intersection
-        of the two enclosures of phi."""
+        phi lies within ``newton_radius`` of the enclosure ``newton_phi`` of
+        phi(Phi(x0)) (:func:`bound_epsilon`): the intersection of the two
+        enclosures of phi."""
         old = _widened(ctx, _phi(ctx, x0), radius)
-        new = _widened(ctx, _phi(ctx, newton), newton_radius)
+        new = _widened(ctx, newton_phi, newton_radius)
         enclosure = Interval(max(old.lo, new.lo), min(old.hi, new.hi))
         if self.power:
             return {("delta", "gamma")[self.power - 1]: enclosure}
@@ -465,23 +487,29 @@ class Problem:
 
 # -- bounds -----------------------------------------------------------------------
 
+def _row0_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
+    """max_j |Lam_0j|, rounded up: coefficient 0 of Lam h for ||h|| <= v is
+    at most this times v, as content above the head never reaches row 0."""
+    return ctx.scaled_up(max(map(abs, lam.rows[0])), lam.scale)
+
+
 def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
-                  lam: LinearMap) -> tuple[Decimal, FunctionBall]:
-    """Upper bound of ||Lam F(x0)|| = ||Phi(x0) - x0||, and the ball
-    Phi(x0) = x0 - Lam F(x0), the Newton step, rounded outward once."""
+                  lam: LinearMap) -> tuple[Decimal, FunctionBall, Interval]:
+    """Upper bound of ||Lam F(x0)|| = ||Phi(x0) - x0||, the ball
+    Phi(x0) = x0 - Lam F(x0), the Newton step, rounded outward once, and
+    the enclosure of phi(Phi(x0)): the interval of Phi(x0)'s coefficient 0
+    widened by the row-0 readout (:func:`_row0_upper`) of F(x0)'s error
+    part, not by Phi(x0)'s own error part, which carries ||Lam||."""
     if x0.v_err != 0 or x0.v_high != 0:
         raise ConfigError("epsilon bound needs an exact center (no tail mass)")
-    step = apply_lambda(ctx, lam, problem.residual(ctx, x0))
+    residual = problem.residual(ctx, x0)
+    step = apply_lambda(ctx, lam, residual)
     n = x0.truncation
-    newton = fb.int_outward(ctx, fb.int_add(ctx, x0, fb.negate(ctx, step)), n)
-    return fb.norm_upper(ctx, step), FunctionBall.wrap(n, newton)
-
-
-def _coefficient0_upper(ctx: RoundingContext, b: fb.IntBall) -> Decimal:
-    """Upper bound of |coefficient 0| over the ball: its interval and the
-    error part, which may sit at degree 0; the high part lies above N."""
-    top = (abs(b.mid[0]) if b.mid else 0) + (b.rad[0] if b.rad else 0)
-    return ctx.add_up(ctx.scaled_up(top, b.scale), b.v_err)
+    newton = FunctionBall.wrap(
+        n, fb.int_outward(ctx, fb.int_add(ctx, x0, fb.negate(ctx, step)), n))
+    phi = _widened(ctx, _phi(ctx, replace(newton, v_err=_D0)),
+                   ctx.mul_up(_row0_upper(ctx, lam), residual.v_err))
+    return fb.norm_upper(ctx, step), newton, phi
 
 
 def bound_kappa_columns(ctx: RoundingContext, images: list[FunctionBall],
@@ -492,16 +520,19 @@ def bound_kappa_columns(ctx: RoundingContext, images: list[FunctionBall],
     :func:`bound_kappa_tail` covers every degree above K.  The frozen map
     acts exactly on each integer image and its norm is rounded up once.
     Also returns the bound of |coefficient 0| of every e_k - Lam image_k,
-    the columns' part of kappa_phi (module docstring).
+    the columns' part of kappa_phi (module docstring): its interval plus
+    max_j |Lam_0j| times image_k's error part (:func:`_row0_upper`); the
+    high part lies above N.
     """
     if len(images) != lam.dim:
         raise DimensionMismatch(f"{len(images)} column images for a head of {lam.dim}")
-    bounds, row0 = [], _D0
+    bounds, row0, lam_row0 = [], _D0, _row0_upper(ctx, lam)
     for k, column in enumerate(images):
         image = _lambda_image(ctx, lam, column)
         image.mid[k] -= 10 ** image.scale
         bounds.append(fb.norm_upper(ctx, image))
-        row0 = max(row0, _coefficient0_upper(ctx, image))
+        top = ctx.scaled_up(abs(image.mid[0]) + image.rad[0], image.scale)
+        row0 = max(row0, ctx.add_up(top, ctx.mul_up(lam_row0, column.v_err)))
     return bounds, row0
 
 
@@ -530,9 +561,8 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
         if theta >= 1:
             raise TailContractFailure(f"tail channel has theta = {theta} >= 1")
         total = ctx.add_up(total, ctx.mul_up(coeff_norm, ctx.pow_up(theta, k + 1)))
-    row0 = ctx.scaled_up(max(map(abs, lam.rows[0])), lam.scale)
     return (ctx.add_up(head, ctx.mul_up(lambda_norm_upper(ctx, lam), total)),
-            ctx.mul_up(row0, total))
+            ctx.mul_up(_row0_upper(ctx, lam), total))
 
 
 # -- certificates ------------------------------------------------------------------
@@ -541,7 +571,10 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
 class Certificate:
     """A certificate's bounds and verdict.  ``newton`` is the ball Phi(x0);
     on success the enclosures read phi within kappa_phi r of phi(Phi(x0))
-    for the proven radius r (module docstring)."""
+    for the proven radius r (module docstring).  kappa_phi is the larger of
+    its column part (:func:`bound_kappa_columns`) and its tail part
+    (:func:`bound_kappa_tail`), as kappa is of kappa_columns_max and
+    kappa_tail."""
 
     kind: str
     rho: Decimal
@@ -550,6 +583,8 @@ class Certificate:
     kappa_columns_max: Decimal
     kappa_tail: Decimal
     kappa_phi: Decimal
+    kappa_phi_columns: Decimal
+    kappa_phi_tail: Decimal
     head_degree: int
     passed: bool
     posterior_radius: Decimal | None
@@ -590,6 +625,8 @@ class Certificate:
             "kappa_columns_max": str(self.kappa_columns_max),
             "kappa_tail": str(self.kappa_tail),
             "kappa_phi": str(self.kappa_phi),
+            "kappa_phi_columns": str(self.kappa_phi_columns),
+            "kappa_phi_tail": str(self.kappa_phi_tail),
             "head_degree": self.head_degree,
             "passed": self.passed,
             "posterior_radius": None if self.posterior_radius is None else str(self.posterior_radius),
@@ -604,7 +641,8 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
     """Run the full contraction certificate for one problem: the column
     images k = 0..K, K = min(N, HEAD_DEGREE), the frozen map formed from
     them, epsilon, the kappa columns 0..K and the tail bound above K, and
-    from the same images and tail sum kappa_phi for the Newton step.
+    from the same images and tail sum kappa_phi for the Newton step.  The
+    residual and the columns read one build of the operator tables.
 
     No separate invertibility proof of the frozen map runs: a passing
     kappa < 1 bounds ||I - Lam DF(x0)|| below 1, which makes Lam a
@@ -629,7 +667,7 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
     ball = fb.inflate(ctx, x0, rho)
     images = problem.column_images(ctx, ball, min(x0.truncation, HEAD_DEGREE))
     lam = frozen_map(ctx, problem, x0, images)
-    epsilon, newton = bound_epsilon(ctx, problem, x0, lam)
+    epsilon, newton, newton_phi = bound_epsilon(ctx, problem, x0, lam)
     columns, columns_phi = bound_kappa_columns(ctx, images, lam)
     col_max = max(columns)
     tail, tail_phi = bound_kappa_tail(ctx, problem, ball, lam)
@@ -645,6 +683,8 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
         kappa_columns_max=col_max,
         kappa_tail=tail,
         kappa_phi=max(columns_phi, tail_phi),
+        kappa_phi_columns=columns_phi,
+        kappa_phi_tail=tail_phi,
         head_degree=lam.dim - 1,
         passed=passed,
         posterior_radius=posterior,
@@ -657,5 +697,5 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
             f"{problem.kind}: epsilon={epsilon} not below rho(1-kappa) "
             f"with rho={rho}, kappa={kappa}", certificate=cert)
     r = cert.proven_radius
-    cert.enclosures = problem.enclosures(ctx, x0, r, newton, ctx.mul_up(cert.kappa_phi, r))
+    cert.enclosures = problem.enclosures(ctx, x0, r, newton_phi, ctx.mul_up(cert.kappa_phi, r))
     return cert

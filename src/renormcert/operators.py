@@ -27,11 +27,20 @@ argument a**2 X and of the squared argument Q(G(a**2 X)), built once per
 input ball.  M_q's kernel takes a ball V composed through them and the
 basis vectors alike: M_q e_k (:meth:`OperatorTables.basis_image`) reads the
 baby powers, for contraction.Problem.column_images (the DF_p column rule).
+
+The tables keep an input ball's error part out of every midpoint and
+radius (van der Hoeven, "Ball arithmetic", 2010): a is read as the centre
+interval A of G's coefficient 0, and a, a**-1, a**2, 2a and a**-2 enter as
+constant balls over A whose error parts bound how far the scalars of the
+members move, for |a - A| <= G.v_err.  So the tables over x0 + B(0, rho)
+hold those over x0 in mid, rad, scale and v_high, and differ only in v_err
+and theta: contraction.Problem(0) reads T(x0) from the tables it bounds
+the ball with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from math import isqrt
 
@@ -80,11 +89,18 @@ _D2 = Decimal(2)
 @dataclass(frozen=True)
 class SharedEvaluations:
     """The subexpressions of T valid for every G in the input ball, with the
-    power tables of the two composition arguments they were derived from."""
+    power tables of the two composition arguments they were derived from.
+
+    ``a`` is the centre interval A = mid_0 +- rad_0 of G's coefficient 0
+    and ``a_inv`` = 1/A: a = G(1) of every member lies within ``a_err`` =
+    G.v_err of A, and 1/a within ``a_inv_err`` of 1/A (:func:`_inverse_err`).
+    """
 
     source: FunctionBall
     a: Interval
+    a_err: Decimal
     a_inv: Interval
+    a_inv_err: Decimal
     inner: FunctionBall           # G(a**2 X)
     outer_comp: FunctionBall      # G(Q(G(a**2 X)))
     table_affine: PowerTable
@@ -92,7 +108,8 @@ class SharedEvaluations:
 
     def t(self, ctx: RoundingContext) -> FunctionBall:
         """T(G) = a**-1 G(Q(G(a**2 X)))."""
-        return fb.scale(ctx, self.a_inv, self.outer_comp)
+        n = self.source.truncation
+        return fb.mul(ctx, _scalar(n, self.a_inv, self.a_inv_err), self.outer_comp)
 
 
 def _composed(subexpression: str, compose, ctx: RoundingContext, G: FunctionBall):
@@ -104,24 +121,63 @@ def _composed(subexpression: str, compose, ctx: RoundingContext, G: FunctionBall
             f"{subexpression}: {exc}", subexpression=subexpression) from exc
 
 
+def _centre(ctx: RoundingContext, G: FunctionBall) -> Interval:
+    """A = mid_0 +- rad_0: G's coefficient 0 without its error part."""
+    return fb.coefficient(ctx, replace(G, v_err=_D0), 0).re
+
+
+def _scalar(n: int, x: Interval, err: Decimal) -> FunctionBall:
+    """The constant ball over x with the error part err: every value within
+    err of a point of x."""
+    return replace(fb.const_ball(n, x), v_err=err)
+
+
+def _affine(ctx: RoundingContext, n: int, s: FunctionBall) -> FunctionBall:
+    """The map X -> s X for a constant ball s."""
+    return fb.mul(ctx, s, fb.affine_arg(ctx, n, 1))
+
+
+def _inverse_err(ctx: RoundingContext, x: Interval, e: Decimal) -> Decimal:
+    """Bound of |1/y - 1/x'| for x' in x, x clear of 0, and |y - x'| <= e:
+    e / (m (m - e)) with m = min |x| > e, rounded up."""
+    m = min(x.lo.copy_abs(), x.hi.copy_abs())
+    gap = ctx.sub_dn(m, e)
+    if gap <= 0:
+        raise NormalizationSingular(f"a = G(1) within {e} of {x} may be zero")
+    return ctx.div_up(e, ctx.mul_dn(m, gap))
+
+
+def _square_err(ctx: RoundingContext, x: Interval, e: Decimal) -> Decimal:
+    """Bound of |y**2 - x'**2| for x' in x and |y - x'| <= e:
+    e (2 max |x| + e), rounded up."""
+    return ctx.mul_up(e, ctx.add_up(ctx.mul_up(_D2, x.mag), e))
+
+
 def precompute_shared(ctx: RoundingContext, G: FunctionBall) -> SharedEvaluations:
     """Evaluate every subexpression of T once for the whole ball, each
     composition read off the power tables of a**2 X and Q(G(a**2 X)).  The
     disc is centred at 1, so a = G(1) is the constant coefficient:
-    e_k(1) = 0 for k >= 1 and the high tail vanishes at 1."""
+    e_k(1) = 0 for k >= 1 and the high tail vanishes at 1.  It is read as
+    the centre interval A (:func:`_centre`) and G's error part e = G.v_err
+    as the error part of the constant balls a**2 and a**-1, whose centres
+    are A**2 and 1/A (:func:`_square_err`, :func:`_inverse_err`); so e
+    reaches no midpoint or radius of the tables, and T over x0 + B(0, rho)
+    is T over x0 in everything but v_err."""
     n = G.truncation
-    a = fb.coefficient(ctx, G, 0).re
+    a, e = _centre(ctx, G), G.v_err
     try:
         a_inv = ctx.idiv(IONE, a)
     except DivisionByZeroInterval as exc:
         raise NormalizationSingular(f"a = G(1) = {a} may contain zero") from exc
-    table_affine = fb.power_table(ctx, fb.affine_arg(ctx, n, ctx.isqr(a)))
+    a_inv_err = _inverse_err(ctx, a, e)
+    a2 = _scalar(n, ctx.isqr(a), _square_err(ctx, a, e))
+    table_affine = fb.power_table(ctx, _affine(ctx, n, a2))
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
     table_squared = fb.power_table(ctx, fb.mul(ctx, inner, inner))
     outer_comp = _composed("G(Q(G(a2 X)))", table_squared.compose, ctx, G)
     return SharedEvaluations(
-        source=G, a=a, a_inv=a_inv, inner=inner, outer_comp=outer_comp,
-        table_affine=table_affine, table_squared=table_squared)
+        source=G, a=a, a_err=e, a_inv=a_inv, a_inv_err=a_inv_err, inner=inner,
+        outer_comp=outer_comp, table_affine=table_affine, table_squared=table_squared)
 
 
 def _index(q: int) -> int:
@@ -139,9 +195,14 @@ class OperatorTables:
 
     As balls, ``terms[q - 1]`` holds (a**-q, factor16**q) and
     ``variation`` factor17 - a**-2 G(Q(G(a**2 X))); ``channels[q - 1]``
-    holds the tail bound's (|a**-q|, theta of Q(G(a**2 X))) and
-    (||factor16**q||, theta of a**2 X).  As e_k(1) = 0 for k >= 1 on the
-    disc centred at 1, the variation acts on column 0 only.
+    holds the tail bound's (||a**-q||, theta of Q(G(a**2 X))) and
+    (||factor16**q||, theta of a**2 X).  a**-1, a**-2 and the 2a of
+    factor17 are constant balls over 1/A, 1/A**2 and 2A, A the centre
+    interval of G's coefficient 0, with error parts bounding their
+    variation for |a - A| <= G.v_err (:func:`precompute_shared`); a**-2's
+    is e (2 max |1/A| + e) for the error part e of a**-1.  As e_k(1) = 0
+    for k >= 1 on the disc centred at 1, the variation acts on column 0
+    only.
     """
 
     shared: SharedEvaluations
@@ -155,16 +216,16 @@ class OperatorTables:
         n = G.truncation
         deriv_outer = _composed("G'(Q(G(a2 X)))", s.table_squared.compose_derivative, ctx, G)
         deriv_inner = _composed("G'(a2 X)", s.table_affine.compose_derivative, ctx, G)
-        factor16 = fb.scale(ctx, s.a_inv, fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, s.inner)))
-        two_a_x = fb.affine_arg(ctx, n, ctx.iscale(s.a, _D2))
+        a_inv = _scalar(n, s.a_inv, s.a_inv_err)
+        factor16 = fb.mul(ctx, a_inv, fb.mul(ctx, deriv_outer, fb.scale(ctx, _D2, s.inner)))
+        two_a_x = _affine(ctx, n, _scalar(n, ctx.iscale(s.a, _D2), ctx.mul_up(_D2, s.a_err)))
         factor17 = fb.mul(ctx, fb.mul(ctx, factor16, deriv_inner), two_a_x)
-        scalars = (s.a_inv, ctx.isqr(s.a_inv))
+        scalars = (a_inv, _scalar(n, ctx.isqr(s.a_inv), _square_err(ctx, s.a_inv, s.a_inv_err)))
         factors = (factor16, fb.mul(ctx, factor16, factor16))
-        variation = fb.add(ctx, fb.scale(ctx, ctx.ineg(scalars[1]), s.outer_comp), factor17)
-        pairs = list(zip(scalars, factors))
-        return cls(s, tuple((fb.const_ball(n, x), f) for x, f in pairs),
-                   variation,
-                   tuple(((x.mag, s.table_squared.theta_bound),
+        variation = fb.add(ctx, fb.mul(ctx, fb.negate(ctx, scalars[1]), s.outer_comp), factor17)
+        pairs = tuple(zip(scalars, factors))
+        return cls(s, pairs, variation,
+                   tuple(((fb.norm_upper(ctx, x), s.table_squared.theta_bound),
                           (fb.norm_upper(ctx, f), s.table_affine.theta_bound))
                          for x, f in pairs))
 

@@ -412,11 +412,13 @@ def oracle_kappa_columns(lam: ct.LinearMap,
     each column image b_k, the ball e_k - Lam b_k with the head rows acting
     on the midpoints and (through |Lam|) the radii of degrees 0..K and the
     tail scalar t on the degrees above, high part |t| v_high and error
-    part ||Lam|| v_err; its norm, and the largest of its |coefficient 0|
-    plus error part over k.  No step rounds."""
+    part ||Lam|| v_err; its norm, and the largest over k of its
+    |coefficient 0| plus max_j |Lam_0j| v_err, the part of the error that
+    row 0 of the map reaches.  No step rounds."""
     k1, t = lam.dim, lam.tail_scalar
     norm = _exact_norm(lam)
     with decimal.localcontext(EXACT):
+        lam_row0 = max(abs(x) for x in lam.matrix[0])
         bounds, row0 = [], Decimal(0)
         for k, b in enumerate(images):
             n = b.truncation
@@ -430,7 +432,7 @@ def oracle_kappa_columns(lam: ct.LinearMap,
             mags = [abs(m) + r for m, r in zip(out_mid, out_rad)]
             v_err = norm * b.v_err
             bounds.append(sum(mags) + abs(t) * b.v_high + v_err)
-            row0 = max(row0, mags[0] + v_err)
+            row0 = max(row0, mags[0] + lam_row0 * b.v_err)
         return bounds, row0
 
 

@@ -58,15 +58,32 @@ MUTANTS = (
            "image.mid[k] -= 10 ** image.scale", "image.mid[k] -= 10 ** image.scale + image.rad[k]",
            "a kappa column's diagonal midpoint moved by its radius"),
     Mutant("kappa_phi_tail", "src/renormcert/contraction.py",
-           "ctx.mul_up(row0, total))", "_D0)",
+           "ctx.mul_up(_row0_upper(ctx, lam), total))", "_D0)",
            "kappa_phi without its part above the head"),
     Mutant("kappa_phi_columns", "src/renormcert/contraction.py",
            "kappa_phi=max(columns_phi, tail_phi)", "kappa_phi=tail_phi",
            "kappa_phi without the columns' part"),
     Mutant("kappa_phi_error_part", "src/renormcert/contraction.py",
-           "return ctx.add_up(ctx.scaled_up(top, b.scale), b.v_err)",
-           "return ctx.scaled_up(top, b.scale)",
+           "row0 = max(row0, ctx.add_up(top, ctx.mul_up(lam_row0, column.v_err)))",
+           "row0 = max(row0, top)",
            "coefficient 0 of a kappa column without its error part"),
+    Mutant("row0_down", "src/renormcert/contraction.py",
+           "return ctx.scaled_up(max(map(abs, lam.rows[0])), lam.scale)",
+           "return ctx.scaled_dn(max(map(abs, lam.rows[0])), lam.scale)",
+           "max_j |Lam_0j| rounded down"),
+    Mutant("newton_phi_error", "src/renormcert/contraction.py",
+           "ctx.mul_up(_row0_upper(ctx, lam), residual.v_err))", "_D0)",
+           "phi(Phi(x0)) without the row-0 readout of F(x0)'s error part"),
+    Mutant("inverse_error", "src/renormcert/operators.py",
+           "a_inv_err = _inverse_err(ctx, a, e)", "a_inv_err = _D0",
+           "a**-1 of the tables without its error part"),
+    Mutant("square_error", "src/renormcert/operators.py",
+           "a2 = _scalar(n, ctx.isqr(a), _square_err(ctx, a, e))",
+           "a2 = _scalar(n, ctx.isqr(a), _D0)",
+           "a**2 of the affine argument without its error part"),
+    Mutant("twice_a_error", "src/renormcert/operators.py",
+           "ctx.mul_up(_D2, s.a_err)", "_D0",
+           "2a of factor17 without its error part"),
     Mutant("coefficient_error_part", "src/renormcert/balls.py",
            "Interval(ctx.scaled_dn((m - r) * lift - e, s),\n"
            "                              ctx.scaled_up((m + r) * lift + e, s))",

@@ -143,8 +143,9 @@ def test_toy_epsilon_zero():
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
     lam = identity_map(N, diagonal=-1, tail_scalar=-1)
-    eps, newton = ct.bound_epsilon(ctx, problem, target, lam)
+    eps, newton, newton_phi = ct.bound_epsilon(ctx, problem, target, lam)
     assert eps == 0 and newton.coeffs == target.coeffs
+    assert newton_phi == interval("0.25")
 
 
 def test_toy_columns_and_tail_zero():
@@ -181,6 +182,23 @@ class _BlurredToy(ToyProblem):
                 for image in super().column_images(c, x_ball, head_degree)]
 
 
+def test_row0_readouts_round_the_map_row_up():
+    """max_j |Lam_0j| is rounded up where the precision cuts it: at 5 digits
+    a map whose row 0 has 1.00009 reads an error part of 1 in a column
+    image, and one in the residual, as at least 1.00009 in coefficient 0,
+    in kappa_phi's column part and in phi(Phi(x0)) alike."""
+    c = RoundingContext(5)
+    lam = ct.LinearMap([["1.00009", "0"], ["0", "1"]], -1)
+    blurred = with_tails(fb.zero_ball(1), 0, 1)
+    assert ct.bound_kappa_columns(c, [blurred, blurred], lam)[1] >= Decimal("1.00009")
+
+    class Blurred:
+        def residual(self, c, x):
+            return blurred
+    phi = ct.bound_epsilon(c, Blurred(), fb.zero_ball(1), lam)[2]
+    assert phi.lo <= Decimal("-1.00009") and phi.hi >= Decimal("1.00009")
+
+
 def test_kappa_phi_takes_the_columns_part():
     """kappa_phi is the larger of its two parts: for the blurred toy, whose
     map is -I, it is the columns' part ||Lam|| 0.001 = 0.001, which is also
@@ -189,6 +207,7 @@ def test_kappa_phi_takes_the_columns_part():
     x0 = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.4999"], N)
     cert = ct.certify(ctx, _BlurredToy(target), x0, "0.001")
     assert cert.kappa_phi == cert.kappa == Decimal("0.001") and cert.kappa_tail == 0
+    assert (cert.kappa_phi_columns, cert.kappa_phi_tail) == (cert.kappa_phi, 0)
     assert cert.step_radius == EXACT.multiply(cert.kappa, cert.proven_radius)
 
 
@@ -276,13 +295,31 @@ def test_certificate_payload_roundtrips(desk, tmp_path):
     payload = desk.cert_fixed.to_payload()
     assert sorted(payload) == sorted([
         "kind", "rho", "epsilon", "kappa", "kappa_columns_max", "kappa_tail", "kappa_phi",
-        "head_degree", "passed", "posterior_radius", "step_radius", "enclosures", "config"])
+        "kappa_phi_columns", "kappa_phi_tail", "head_degree", "passed", "posterior_radius",
+        "step_radius", "enclosures", "config"])
     assert payload["head_degree"] == 20
     path = tmp_path / "certificate_fixed_point.json"
     path.write_text(json.dumps({"certificate": payload}))
     assert cli._read_enclosures(str(path)) == desk.cert_fixed.enclosures
     assert payload["passed"] is True
     assert Decimal(payload["epsilon"]) == desk.cert_fixed.epsilon
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_kappa_phi_is_the_larger_of_its_parts(desk, n40, scale):
+    """Every payload carries kappa_phi's column part and tail part, and
+    kappa_phi is their larger, as kappa is the larger of kappa_columns_max
+    and kappa_tail.  At desk and N = 40 the row-0 column part stays below
+    the tail part in all three certificates, so the tail part is kappa_phi."""
+    certs = ((desk.cert_fixed, desk.cert_delta, desk.cert_gamma) if scale == "desk"
+             else tuple(n40.result.certificates.values()))
+    assert len(certs) == 3
+    for cert in certs:
+        payload = cert.to_payload()
+        columns, tail = (Decimal(payload[k]) for k in ("kappa_phi_columns", "kappa_phi_tail"))
+        assert Decimal(payload["kappa_phi"]) == max(columns, tail) == tail > columns > 0
+        assert Decimal(payload["kappa"]) == max(Decimal(payload["kappa_columns_max"]),
+                                                Decimal(payload["kappa_tail"]))
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -387,12 +424,23 @@ def test_gamma_certificate(desk):
 def test_eigen_digits_use_tightest_radius(desk):
     """Eigenvalue enclosures come from the tighter of rho and the a-posteriori
     radius r, cut by the Newton step's phi(Phi(x0)) +- kappa_phi r, so their
-    certified digit counts never fall below the rho-based or r-based ones."""
+    certified digit counts never fall below the rho-based or r-based ones.
+    phi(Phi(x0)) is the interval of Phi(x0)'s coefficient 0 widened by
+    max_j |Lam_0j| times the residual's error part, the part of Lam F(x0)'s
+    error that reaches row 0, which is narrower than Phi(x0)'s own error
+    part ||Lam|| v_err."""
     from renormcert.pipeline import certified_digits
 
     c = desk.ctx
-    for cert, centre, name in ((desk.cert_delta, desk.V0, "delta"),
-                               (desk.cert_gamma, desk.W0, "gamma")):
+    for cert, centre, name, lam, power in (
+            (desk.cert_delta, desk.V0, "delta", desk.lam_delta, 1),
+            (desk.cert_gamma, desk.W0, "gamma", desk.lam_gamma, 2)):
+        residual = ct.Problem(power, desk.tables).residual(c, centre)
+        row0 = c.scaled_up(max(abs(x) for x in lam.rows[0]), lam.scale)
+        error = c.mul_up(row0, residual.v_err)
+        assert 0 < error < cert.newton.v_err
+        bare = fb.coefficient(c, with_tails(cert.newton, 0, 0), 0).re
+        newton = Interval(c.sub_dn(bare.lo, error), c.add_up(bare.hi, error))
         phi = centre.coeffs[0].re
         by_rho = Interval(c.sub_dn(phi.lo, cert.rho), c.add_up(phi.hi, cert.rho))
         enc = cert.enclosures[name]
@@ -400,7 +448,6 @@ def test_eigen_digits_use_tightest_radius(desk):
         r = cert.proven_radius
         by_r = Interval(c.sub_dn(phi.lo, r), c.add_up(phi.hi, r))
         step = c.mul_up(cert.kappa_phi, r)
-        newton = fb.coefficient(c, cert.newton, 0).re
         by_step = Interval(c.sub_dn(newton.lo, step), c.add_up(newton.hi, step))
         assert enc == Interval(max(by_r.lo, by_step.lo), min(by_r.hi, by_step.hi))
         assert by_rho.contains_interval(by_r) and by_r.contains_interval(enc)
@@ -624,8 +671,8 @@ def test_newton_step_without_kappa_phi_misses_the_reference(desk):
     """Negative control for the kappa_phi r term: at desk, coefficient 0 of
     the Newton step Phi(g0) alone excludes the reference a, so the term is
     needed.  (For delta and gamma it does not miss at desk: there the
-    width of Phi(x0)'s coefficient 0, its error part from the parameter
-    ball, exceeds kappa_phi r.)"""
+    error part the residual takes from the parameter ball, read through
+    row 0 of the map, widens phi(Phi(x0)) beyond kappa_phi r.)"""
     bare = fb.coefficient(desk.ctx, desk.cert_fixed.newton, 0).re
     assert not bare.contains(Decimal(REF_A))
     assert desk.cert_fixed.enclosures["a"].contains(Decimal(REF_A))

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (REF_A, DecimalShared, abs2_upper, basis_ball, domain_points, eval_member,
-                     holds_polynomial, midpoint, oracle_domain_extension, oracle_powers,
-                     recorded_reads, rsqr, rsub, sample_member, with_tails)
+                     eval_member_derivative, holds_polynomial, midpoint, oracle_domain_extension,
+                     oracle_powers, recorded_reads, rsqr, rsub, sample_member, with_tails)
 from renormcert import approx as ax
 from renormcert import balls as fb
 from renormcert import contraction as ct
@@ -23,8 +23,8 @@ from renormcert.errors import (
     DomainMismatch,
     NormalizationSingular,
 )
-from renormcert.rounding import (EXACT, Rectangle, RoundingContext, box_conj, interval,
-                                 rectangle)
+from renormcert.rounding import (EXACT, Interval, Rectangle, RoundingContext, box_conj,
+                                 interval, rectangle)
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -54,12 +54,22 @@ def test_shared_a_matches_reference(desk):
     assert abs(midpoint(s.a) - ref) < Decimal("1e-13")
 
 
+def _a_over_ball(c: RoundingContext, shared: op.SharedEvaluations) -> Interval:
+    """a = G(1) over the ball of the shared evaluations: the centre
+    interval A widened by the error part a_err."""
+    return Interval(c.sub_dn(shared.a.lo, shared.a_err), c.add_up(shared.a.hi, shared.a_err))
+
+
 def test_shared_a_is_constant_coefficient_with_high_tail(desk):
-    """a = G(1) is read as coefficient 0 plus or minus v_err, the high tail
-    vanishing at 1: on a ball with v_high > 0 it is narrower than the
-    evaluated G(1) and holds G(1) of sampled members."""
+    """a = G(1) is read as the centre interval A of coefficient 0, the
+    coefficient's interval without the error part, plus or minus
+    a_err = v_err, the high tail vanishing at 1: on a ball with v_high > 0
+    A +- a_err is narrower than the evaluated G(1) and holds G(1) of
+    sampled members."""
     ball = with_tails(desk.G0, "1e-6", "1e-8")
-    a = op.precompute_shared(ctx, ball).a
+    shared = op.precompute_shared(ctx, ball)
+    assert shared.a == fb.coefficient(ctx, desk.G0, 0).re and shared.a_err == ball.v_err
+    a = _a_over_ball(ctx, shared)
     evaluated = fb.evaluate(ctx, ball, rectangle(1)).re
     assert evaluated.contains_interval(a) and a.hi - a.lo < evaluated.hi - evaluated.lo
     rng = random.Random(41)
@@ -68,10 +78,15 @@ def test_shared_a_is_constant_coefficient_with_high_tail(desk):
 
 
 def test_apply_T_smoke_toy():
-    # a tame affine input for which both composition contracts hold
+    # a tame affine input for which both composition contracts hold: its
+    # residual T(toy) - toy is finite, built over the toy by a problem
+    # without tables and read from the tables over a ball centred there
     toy = fb.ball_from_decimals(DOM, ["0.6", "-1"], 8)   # 1 - 0.4 X
-    out = ct.Problem(0).residual(ctx, toy)      # T(toy) - toy
+    problem = ct.Problem(0)
+    out = problem.residual(ctx, toy)
     assert fb.norm_upper(ctx, out).is_finite()
+    problem.column_images(ctx, fb.inflate(ctx, toy, "1e-9"), 8)
+    assert problem.residual(ctx, toy) == out
     # the steep classical seed makes the outer composition leave the disc;
     # that is reported as a contract failure, not silently accepted
     from renormcert.errors import CompositionContractFailure
@@ -80,18 +95,33 @@ def test_apply_T_smoke_toy():
 
 
 def test_apply_T_residual_small(desk):
-    r = ct.Problem(0).residual(ctx, desk.G0)
-    assert fb.norm_upper(ctx, r) < Decimal("1e-10")
+    """The residual at the desk centre is small, read from the tables over
+    B(G0, rho) that certify bounds as from those over G0 alone; a residual
+    over the ball itself carries the ball's error part."""
+    problem = ct.Problem(0)
+    ball = fb.inflate(ctx, desk.G0, pl.RHO)
+    problem.column_images(ctx, ball, ct.HEAD_DEGREE)
+    r = problem.residual(ctx, desk.G0)
+    assert fb.norm_upper(ctx, r) < Decimal("1e-10") and r.v_err == 0
+    assert r == ct.Problem(0).residual(ctx, desk.G0)
+    assert problem.residual(ctx, ball).v_err >= pl.RHO
 
 
 def test_apply_T_pointwise_oracle(desk):
     """Direct high-precision evaluation of the defining expression at member
-    polynomials lies inside the pointwise enclosure of the residual T(G) - G."""
+    polynomials lies inside the pointwise enclosure of the residual T(G) - G
+    over the ball, for members sampled anywhere in it and for members whose
+    a = G(1) is an end of A +- e, the whole error part at degree 0; the
+    residual is the same read from a problem whose tables hold this ball."""
     rng = random.Random(21)
     ball = fb.inflate(ctx, desk.G0, "1e-6")
+    problem = ct.Problem(0)
+    problem.column_images(ctx, ball, ct.HEAD_DEGREE)
     image = ct.Problem(0).residual(ctx, ball)
-    for _ in range(5):
-        m = sample_member(rng, ball)
+    assert problem.residual(ctx, ball) == image
+    members = [sample_member(rng, ball) for _ in range(5)]
+    members += [_member_at_end(rng, ball, end) for end in (-1, 1)]
+    for m in members:
         with decimal.localcontext(decimal.Context(prec=120)):
             a_m = eval_member(m, Decimal(1), 120)
             for z in domain_points(rng, 10):
@@ -137,6 +167,169 @@ def test_squared_table_products_stay_sub_linear(monkeypatch):
     assert (m - 1) + 2 * 3 == len(products) <= m + 2 * -(-(n + 1) // m) < n - 1
 
 
+def _member_at_end(rng: random.Random, ball: fb.FunctionBall, end: int) -> dict:
+    """A member of the ball whose a = G(1) is the lower (end -1) or upper
+    (end 1) end of A +- v_err: coefficient 0 that end of its interval moved
+    by the whole error part, the others sampled in their intervals, exactly
+    (the ball's coefficients may carry more digits than a default context)."""
+    a = ball.coeffs[0].re
+    with decimal.localcontext(EXACT):
+        member = sample_member(rng, dataclasses.replace(ball, v_high=Decimal(0),
+                                                        v_err=Decimal(0)))
+        member[0] = a.lo - ball.v_err if end < 0 else a.hi + ball.v_err
+    return member
+
+
+def _integer_parts(b: fb.IntBall) -> tuple:
+    return b.mid, b.rad, b.scale, b.v_high
+
+
+def _table_parts(table: fb.PowerTable) -> tuple:
+    """The baby powers and giant step of a power table in integer form,
+    with their high tails."""
+    return (table.mid, table.rad, table.scale, table.v_spill,
+            table.giant and _integer_parts(table.giant))
+
+
+def _shared_parts(c: RoundingContext, shared: op.SharedEvaluations) -> list:
+    return ([_integer_parts(b) for b in (shared.inner, shared.outer_comp, shared.t(c))]
+            + [_table_parts(t) for t in (shared.table_affine, shared.table_squared)])
+
+
+def _centre_and_ball(desk, n40, scale: str):
+    """(context, exact centre G0, its ball B(G0, rho)) at desk or N = 40."""
+    c, x0 = (ctx, desk.G0) if scale == "desk" else (n40.ctx, n40.result.balls["G0"])
+    return c, x0, fb.inflate(c, x0, pl.RHO)
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_tables_over_the_ball_hold_those_over_its_centre(desk, n40, scale):
+    """The error part of a ball reaches no midpoint or radius of its shared
+    evaluations: over B(G0, rho) and over G0, inner, outer_comp, T and every
+    baby power and giant step of both power tables agree in mid, rad,
+    scale and v_high.  Only v_err and theta differ."""
+    c, x0, ball = _centre_and_ball(desk, n40, scale)
+    point, over_ball = (op.precompute_shared(c, x) for x in (x0, ball))
+    assert _shared_parts(c, point) == _shared_parts(c, over_ball)
+    assert point.t(c).v_err == 0 < over_ball.t(c).v_err
+    assert point.table_squared.theta_bound < over_ball.table_squared.theta_bound
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_tables_with_a_folded_error_part_miss_those_over_the_centre(desk, n40, scale,
+                                                                   monkeypatch):
+    """Negative control: with a read as the whole coefficient interval,
+    v_err folded in (balls.coefficient), the shared evaluations over
+    B(G0, rho) and over G0 differ in their midpoints, inner's among them."""
+    c, x0, ball = _centre_and_ball(desk, n40, scale)
+    monkeypatch.setattr(op, "_centre", lambda c, G: fb.coefficient(c, G, 0).re)
+    point, over_ball = (op.precompute_shared(c, x) for x in (x0, ball))
+    assert point.inner.mid != over_ball.inner.mid
+    assert _shared_parts(c, point) != _shared_parts(c, over_ball)
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_residual_reads_T_from_the_tables_over_its_ball(desk, n40, scale, monkeypatch):
+    """Problem(0).residual at the exact centre, taken after column_images
+    built the tables over B(G0, rho), evaluates no shared subexpression and
+    is the residual built over G0 alone: the same integers, the same v_high
+    byte for byte, and an error part 0 in both (the built one a zero
+    Decimal of another exponent)."""
+    c, x0, ball = _centre_and_ball(desk, n40, scale)
+    problem = ct.Problem(0)
+    problem.column_images(c, ball, ct.HEAD_DEGREE)
+    assert problem.tables.shared.source is ball
+    built = ct.Problem(0).residual(c, x0)
+
+    def refused(c, G):
+        raise AssertionError("T(x0) evaluated again")
+    with monkeypatch.context() as patch:
+        patch.setattr(ct, "precompute_shared", refused)
+        patch.setattr(op, "precompute_shared", refused)
+        read = problem.residual(c, x0)
+    assert _integer_parts(read) == _integer_parts(built)
+    assert str(read.v_high) == str(built.v_high) and read.v_err == built.v_err == 0
+    zeroed = dataclasses.replace(built, v_err=Decimal(0))
+    assert fb.serialize_ball(read) == fb.serialize_ball(zeroed)
+
+
+def test_table_scalars_hold_every_members_scalars(desk, monkeypatch):
+    """The constant balls the tables are built from, a**2 and 2a of the
+    affine arguments and the terms a**-1 and a**-2, hold the scalar of
+    every member: exactly, for a = G(1) at both ends of A +- e over
+    B(G0, rho) and over the parameter ball.  Each needs its error part:
+    without it the ball misses an end."""
+    affine, build = [], op._affine
+    monkeypatch.setattr(op, "_affine", lambda c, n, s: affine.append(s) or build(c, n, s))
+
+    def holds(b: fb.FunctionBall, value: Fraction, err) -> bool:
+        mid = Fraction(b.mid[0] if b.mid else 0, 10 ** b.scale)
+        rad = Fraction(b.rad[0] if b.rad else 0, 10 ** b.scale)
+        return abs(value - mid) <= rad + Fraction(err)
+
+    for ball in (fb.inflate(ctx, desk.G0, pl.RHO), desk.param):
+        affine.clear()
+        tables = op.OperatorTables.build(ctx, ball)
+        a, e = tables.shared.a, Fraction(ball.v_err)
+        low, high = Fraction(a.lo) - e, Fraction(a.hi) + e
+        scalars = (affine[0], affine[1], tables.terms[0][0], tables.terms[1][0])
+        assert len(affine) == 2 and all(s.v_err > 0 for s in scalars)
+        for y in (low, high):
+            values = (y * y, 2 * y, 1 / y, 1 / (y * y))
+            assert all(holds(s, v, s.v_err) for s, v in zip(scalars, values))
+        for s, value in zip(scalars, (low * low, 2 * high, 1 / low, 1 / (low * low))):
+            assert not holds(s, value, 0)
+
+
+def _m1_basis_value(m: dict, k: int, z: Decimal, digits: int) -> Decimal:
+    """M_1(G) e_k at z for the member G = m, by direct evaluation:
+    e_k(u2)/a + factor16 e_k(a**2 z), plus for k = 0 the variation of a,
+    factor16 G'(a**2 z) 2 a z - G(u2)/a**2, with u2 = G(a**2 z)**2 and
+    factor16 = G'(u2) 2 G(a**2 z) / a."""
+    a = eval_member(m, Decimal(1), digits)
+    a2z = a * a * z
+    g_in = eval_member(m, a2z, digits)
+    u2 = g_in * g_in
+    factor16 = eval_member_derivative(m, u2, digits) * 2 * g_in / a
+
+    def e_k(w):
+        return ((w - DOM.center) / DOM.radius) ** k
+    value = e_k(u2) / a + factor16 * e_k(a2z)
+    if k == 0:
+        gp_in = eval_member_derivative(m, a2z, digits)
+        value += factor16 * gp_in * 2 * a * z - eval_member(m, u2, digits) / (a * a)
+    return value
+
+
+@pytest.mark.parametrize("scale", ["desk", "n40"])
+def test_tables_hold_members_with_a_at_the_ends(desk, n40, scale):
+    """Sampling oracle for the centred scalars: members G of B(G0, rho) and
+    of the parameter ball whose a = G(1) is an end of A +- e, evaluated in
+    Decimal at domain points, lie inside the tables' T, inner = G(a**2 X)
+    and M_1 e_k, k = 0, 1, 5."""
+    if scale == "desk":
+        c, balls = ctx, (fb.inflate(ctx, desk.G0, pl.RHO), desk.param)
+    else:
+        c = n40.ctx
+        balls = (fb.inflate(c, n40.result.balls["G0"], pl.RHO), n40.result.balls["parameter"])
+    rng = random.Random(43)
+    for ball in balls:
+        tables = op.OperatorTables.build(c, ball)
+        s = tables.shared
+        images = {k: tables.dt_basis_image(c, k) for k in (0, 1, 5)}
+        t = s.t(c)
+        for end in (-1, 1):
+            m = _member_at_end(rng, ball, end)
+            with decimal.localcontext(decimal.Context(prec=120)):
+                a = eval_member(m, Decimal(1), 120)
+                for z in domain_points(rng, 6):
+                    g_in = eval_member(m, a * a * z, 120)
+                    values = [(s.inner, g_in), (t, eval_member(m, g_in * g_in, 120) / a)]
+                    values += [(images[k], _m1_basis_value(m, k, z, 120)) for k in images]
+                    for enclosure, value in values:
+                        assert fb.evaluate(c, enclosure, rectangle(z)).re.contains(value)
+
+
 def test_operator_tables_hold_their_ball(desk):
     """M_q's tables are built from their ball in one call, and their shared
     evaluations are the one record of it."""
@@ -147,22 +340,31 @@ def test_operator_tables_hold_their_ball(desk):
 
 def test_problem_builds_tables_once_per_ball(desk, monkeypatch):
     """One certify of Problem(0) builds M_1's tables once, over the ball its
-    bounds receive; the same problem on a second ball builds again.
-    Problem(1, tables) only reads the tables it is given."""
+    bounds receive, and evaluates T's shared subexpressions once: epsilon
+    reads T(x0) from those tables.  The same problem on a second ball
+    builds again.  Problem(1, tables) only reads the tables it is given."""
     built, build = [], op.OperatorTables.build.__func__
+    shared, share = [], op.precompute_shared
 
     def counted(cls, c, G):
         built.append(G)
         return build(cls, c, G)
+
+    def counted_shared(c, G):
+        shared.append(G)
+        return share(c, G)
     monkeypatch.setattr(op.OperatorTables, "build", classmethod(counted))
+    monkeypatch.setattr(op, "precompute_shared", counted_shared)
+    monkeypatch.setattr(ct, "precompute_shared", counted_shared)
     problem = ct.Problem(0)
     ct.certify(desk.ctx, problem, desk.G0, pl.RHO)
     assert len(built) == 1 and problem.tables.shared.source is built[0]
+    assert shared == built
     again = fb.ball_from_decimals(DOM, desk.g0, desk.n)
     ct.certify(desk.ctx, problem, again, pl.RHO)
-    assert len(built) == 2 and built[1] is not built[0]
+    assert len(built) == 2 and built[1] is not built[0] and shared == built
     ct.certify(desk.ctx, ct.Problem(1, desk.tables), desk.V0, pl.RHO)
-    assert len(built) == 2
+    assert len(built) == 2 and shared == built
 
 
 def test_apply_DT_variation_of_a_acts_on_column0_only(desk):
@@ -414,7 +616,7 @@ def _theta_reach(rctx, ball):
     shared = op.precompute_shared(rctx, ball)
     g = fb.point_evaluator(rctx, ball)
     s = g.point_scale
-    a2 = Rectangle(rctx.isqr(shared.a), interval(0))
+    a2 = Rectangle(rctx.isqr(_a_over_ball(rctx, shared)), interval(0))
     centre = rectangle(DOM.center)
     reach = [Decimal(0), Decimal(0)]
     for z in _circle_points():

@@ -463,8 +463,10 @@ def test_n40_certified_digit_counts(n40):
 def test_dense_map_certifies_same_digits(n40, monkeypatch):
     """A dense map (K = N), inverted from the full midpoint Jacobian, passes
     the bounds with the digits certify's K = 20 block map gives at N = 40
-    (a 27), and one more for alpha (28): the block map's kappa_phi is its
-    tail part, which a dense map does not have (ROADMAP item 16)."""
+    (27 for a and alpha), and one more for each (28): the block map's
+    kappa_phi is its tail part, which a dense map does not have, and the
+    dense map's column part reads the columns' error parts through row 0
+    of the map, max_j |Lam_0j|, not ||Lam|| (ROADMAP item 16)."""
     powers_above_baby_steps(monkeypatch)
     with decimal.localcontext(ax._context(40)):
         full = ax._MidShared(n40.g0)
@@ -475,7 +477,7 @@ def test_dense_map_certifies_same_digits(n40, monkeypatch):
     monkeypatch.setattr(ct, "frozen_map", lambda *args: lam)
     cert = ct.certify(n40.ctx, ct.Problem(0), n40.result.balls["G0"], pl.RHO)
     assert cert.passed and cert.head_degree == 40
-    for name, dense_count in (("a", 27), ("alpha", 28)):
+    for name, dense_count in (("a", 28), ("alpha", 28)):
         text, count = pl.certified_digits(cert.enclosures[name])
         block = n40.result.report["digits"][name]
         assert text.startswith(block["digits"]) and block["count"] == 27
