@@ -3,9 +3,9 @@
 Produces the approximate fixed point G0 and the approximate eigenpairs for
 the parameter-scaling and noise-scaling problems: the centres the
 certificates start from (each certificate forms its own frozen map).
-Everything here runs in round-to-nearest arithmetic, decimal inside a
-local context or binary64 (below); no rounding state is shared with the
-directed-rounding side.
+Everything here runs in round-to-nearest arithmetic, on integers at the
+engine's scale 10**-(P+6), P the working precision, or in binary64 (below);
+no rounding state is shared with the directed-rounding side.
 
 Above degree K no matrix larger than the head is built or factored.  The
 same block map B (the LU of a Jacobian's head, a tail scalar above K)
@@ -20,55 +20,48 @@ preconditions both iterations, with the operators applied matrix-free:
 * eigenpairs: shifted inverse iteration on the head of M_p finds the
   eigenvalue nearest a literature hint s (4.669 for delta, 6.619**2 for
   gamma**2), at the rate |lambda - s|/|lambda' - s| per step, lambda'
-  the next nearest eigenvalue; the zero-padded head eigenvector is then
-  refined by x <- x - B(M_p x - x[0]**p x), the certificate's own
-  Newton-like map.
+  the next nearest eigenvalue; at every degree the zero-padded head
+  eigenvector is then refined by x <- x - B(M_p x - x[0]**p x), the
+  certificate's own Newton-like map.
 
-The operators are evaluated by an integer midpoint engine
-(:class:`_MidShared`): every polynomial it holds is a list of integers at
-the scale 10**-(P+6), P the working precision, products are exact
-(``balls._conv``) and rounded to nearest at that scale, and each
-composition argument has a power table of the shape of
-``balls.PowerTable``, midpoints only: baby powers u**0..u**20 and the
-giant step u**21, composing by exact block dot products and Horner in the
-giant step (Paterson-Stockmeyer).  A build forms what T(g) reads; the
-derivative terms of M_q are formed on first use, so a residual check that
-passes makes no derivative product.  T(g) and M_q(g) v come back to
-Decimal exactly, and the iterations form their residuals in Decimal.
+Every iterate (g, its Newton corrections and residuals, the eigenvectors
+and their refinement steps) is a list of integers at the engine's scale,
+and so is every polynomial of the midpoint engine (:class:`_MidShared`)
+that evaluates the operators: products are exact (``balls._conv``) and
+rounded to nearest at that scale, and each composition argument has a
+power table of the shape of ``balls.PowerTable``, midpoints only: baby
+powers u**0..u**20 and the giant step u**21, composing by exact block
+dot products and Horner in the giant step (Paterson-Stockmeyer).  A
+build forms what T(g) reads; the derivative terms of M_q are formed on
+first use, so a residual check that passes makes no derivative product.
 The fixed-point bootstrap hands back the build its last residual check
 made, at g0: the one build both eigen bootstraps read, in any process
-(:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).
+(:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).  Decimal
+appears only at the edges: the seed is read in, the centres and
+:func:`approx_jacobian`'s head go out exactly, and a centre read back
+gives the same integers.
 
-The block map B is factored and applied in binary64 (IEEE double), and
-so is the head inverse iteration when the refinement follows it (K < N):
-both only precondition or seed iterations whose stopping tests read
-Decimal residuals, so binary64 sets how fast they converge, not the
-tolerance they meet.  At N <= K the head eigenvector is the result, and its
-inverse iteration runs in Decimal.  Nothing here is part of a proof: the
-certificates bound whatever centre they are given.
-
-Polynomials are plain lists of Decimal coefficients in the scaled-monomial
-basis e_k(z) = ((z - c)/r)**k of the standard disc (c, r) = (1, 2.5); the
-truncation degree is the length of the list minus one.
+The block map B is factored and applied in binary64 (IEEE double), and so
+is the head inverse iteration: both only precondition or seed iterations
+whose stopping tests read integer residuals, so binary64 sets how fast
+they converge, not the tolerance they meet.  Nothing here is part of a
+proof: the certificates bound whatever centre they are given.  Polynomials
+are coefficient lists in the scaled-monomial basis e_k(z) = ((z - c)/r)**k
+of the standard disc (c, r) = (1, 2.5).
 """
 
 from __future__ import annotations
 
-import decimal
 import math
+import operator
 import sys
 from decimal import Decimal
 from functools import cached_property
 
 from . import contraction
-from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots
-from .contraction import (KINDS, _context, _lu_solve_factored, _rows, build_lambda, lu_factor,
-                          mat_inv)
-from .errors import (
-    ConfigError,
-    EigenSelectionAmbiguous,
-    NewtonDivergence,
-)
+from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots, _padded
+from .contraction import KINDS, _lu_solve_factored, _rows, build_lambda, lu_factor, mat_inv
+from .errors import ConfigError, EigenSelectionAmbiguous, NewtonDivergence, SingularJacobian
 from .rounding import EXACT
 
 __all__ = [
@@ -82,14 +75,15 @@ __all__ = [
     "mat_inv",
 ]
 
-_D0 = Decimal(0)
-_D1 = Decimal(1)
-_D2 = Decimal(2)
-_C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
+#: digits the engine carries below the working precision P: every integer
+#: is at the scale 10**-(P + _GUARD), and an iteration stops below
+#: 10**-(P - _GUARD), _TOL units of that scale
+_GUARD = 6
+_TOL = 10 ** (2 * _GUARD)
 
 #: the degree-20 fixed point to 30 digits, G(X) on the standard disc: the
-#: seed of the fixed-point bootstrap, read in the working context (so
-#: rounded to P digits) and truncated below degree 20.  Newton from the
+#: seed of the fixed-point bootstrap, read at the engine's scale (so
+#: rounded to 10**-(P+6)) and truncated below degree 20.  Newton from the
 #: classical g(x) ~ 1 - 1.5276 x**2 regenerates it (tests/helpers.py,
 #: ``oracle_fixed_point(20, 30)``).
 _SEED_G20 = (
@@ -119,25 +113,18 @@ _SEED_G20 = (
 #: literature values of delta and gamma: the bootstrap takes the eigenvalue
 #: nearest hint**p (p = 1 for delta, 2 for gamma); rigor comes from the
 #: certificate.
-_EIGEN_HINT = {"delta": Decimal("4.669"), "gamma": Decimal("6.619")}
+_EIGEN_HINT = {"delta": 4.669, "gamma": 6.619}
 
-# -- dense polynomial helpers (assume a decimal context is active) -----------
+# -- the edges: Decimal in and out ------------------------------------------
 
-def _pad(f: list[Decimal], length: int) -> list[Decimal]:
-    """f truncated or zero-padded to ``length`` coefficients."""
-    if len(f) > length:
-        return f[:length]
-    return f + [_D0] * (length - len(f))
+def _read(xs, scale: int) -> list[int]:
+    """Decimals (or their strings) as integers at 10**-scale, rounded."""
+    return [round(Decimal(x).scaleb(scale, EXACT)) for x in xs]
 
 
-def p_add(f, g):
-    return [a + b for a, b in zip(f, g)]
-
-def p_sub(f, g):
-    return [a - b for a, b in zip(f, g)]
-
-def p_scale(s, f):
-    return [s * a for a in f]
+def _written(xs: list[int], scale: int) -> list[Decimal]:
+    """Integers at 10**-scale as Decimals, exactly."""
+    return [Decimal(x).scaleb(-scale, EXACT) for x in xs]
 
 
 # -- integer midpoint engine ------------------------------------------------------
@@ -163,19 +150,20 @@ class _MidTable:
     polynomials of up to ``count`` coefficients.
 
     Every entry is an integer at the scale 1/``unit``; row i of ``rows``
-    holds coefficient i of every baby power.  Each power from u**2 on is
-    the exact product (``balls._conv``) of the previous one and u, rounded
-    to nearest; ``_conv`` drops the trailing zeros of u, so an affine u
-    costs O(width) per power.
+    holds coefficient i of every baby power.  From u**2 on, an even power
+    u**(2j) is the exact square of u**j and an odd one the exact product of
+    the previous one and u (``balls._conv``), each rounded to nearest;
+    both drop trailing zeros, so an affine u costs little per power.
     """
 
     def __init__(self, u: list[int], count: int, width: int, unit: int):
         self.unit = unit
         last = min(count - 1, BABY_STEPS)
         powers = [[unit], u[:width]][:last + 1]
-        for _ in range(2, last + 1):
-            powers.append(_rounded(_conv(powers[-1], u, width - 1), unit))
-        self.rows = tuple(zip(*(p + [0] * (width - len(p)) for p in powers[:BABY_STEPS])))
+        for k in range(2, last + 1):
+            f, h = (powers[k // 2],) * 2 if k % 2 == 0 else (powers[-1], u)
+            powers.append(_rounded(_conv(f, h, width - 1), unit))
+        self.rows = tuple(zip(*(_padded(p, width - 1) for p in powers[:BABY_STEPS])))
         self.giant = powers[BABY_STEPS] if last == BABY_STEPS else None
 
     def power(self, k: int, width: int) -> list[int]:
@@ -206,15 +194,14 @@ class _MidShared:
     and field names of ``operators.SharedEvaluations`` and
     ``operators.OperatorTables``.
 
-    Integer-resident: g is read once at the scale 10**-(P+6), P the context
-    precision, and every scalar, polynomial and power table is held as
-    integers at that scale; products and compositions are exact integer
-    arithmetic rounded to nearest once per product, per block and per
-    giant step.  :meth:`t` and :meth:`apply` convert to Decimal, exactly,
-    only at their boundary.  The terms only M_q reads (factor16,
-    factor16_sq, factor17 and the compositions of G' in them) are formed
-    on first use and kept; being integer arithmetic at the build's scale,
-    they do not depend on when that is.
+    Integer-resident: g, every argument and every result is a list of
+    integers at the scale 10**-(P+6), P = ``digits``, and so is every
+    scalar, polynomial and power table; products and compositions are
+    exact integer arithmetic rounded to nearest once per product, per block
+    and per giant step.  The terms only M_q reads (factor16, factor16_sq,
+    factor17 and the compositions of G' in them) are formed on first use
+    and kept; being integer arithmetic at the build's scale, they do not
+    depend on when that is.
 
     With ``width`` = K + 1 below N + 1 (:func:`approx_jacobian`), every
     polynomial is cut to its coefficients 0..K, and :meth:`head` gives the
@@ -222,21 +209,20 @@ class _MidShared:
     blocks and giant steps are causal and rounded coefficient by coefficient.
     """
 
-    def __init__(self, g, width: int | None = None):
+    def __init__(self, g: list[int], digits: int, width: int | None = None):
         n = len(g) - 1
         self.width = width = n + 1 if width is None else width
-        self.scale = decimal.getcontext().prec + 6
+        self.scale = digits + _GUARD
         self.unit = unit = 10 ** self.scale
-        a = self._int(g[0])   # G(1): e_k(1) = 0 for k >= 1
+        a = g[0]   # G(1): e_k(1) = 0 for k >= 1
         if not a:
             raise NewtonDivergence("normalisation a = G(1) vanished")
         a2 = self._scaled(a, [a])[0]
         self.a_inv = _quotient(unit * unit, a)
         self.a_inv2 = self._scaled(self.a_inv, [self.a_inv])[0]
-        c, r = self._int(_C), self._int(_R)
+        c, r = STANDARD_DISC.at(self.scale)
         inv_r = _quotient(unit * unit, r)
-        g_int = [self._int(x) for x in g]
-        gd = _rounded([(k + 1) * x * inv_r for k, x in enumerate(g_int[1:])], unit)
+        gd = _rounded([(k + 1) * x * inv_r for k, x in enumerate(g[1:])], unit)
 
         def table(h):
             """Power table of the normalized argument (h - c)/r."""
@@ -244,9 +230,9 @@ class _MidShared:
             return _MidTable(u, n + 1, width, unit)
 
         self.table_affine = table(self._scaled(a2, [c, r]))
-        inner = self.table_affine.compose(g_int)
+        inner = self.table_affine.compose(g)
         self.table_squared = table(self._mul(inner, inner))
-        self.outer_comp = self.table_squared.compose(g_int)
+        self.outer_comp = self.table_squared.compose(g)
         self._gd, self._inner, self._x_line = gd, inner, self._scaled(2 * a, [c, r])
 
     @cached_property
@@ -265,9 +251,6 @@ class _MidShared:
         return self._mul(self._mul(self.factor16, self.table_affine.compose(self._gd)),
                          self._x_line)
 
-    def _int(self, x: Decimal) -> int:
-        return round(x.scaleb(self.scale, EXACT))
-
     def _mul(self, f: list[int], h: list[int], width: int | None = None) -> list[int]:
         """f h to degree width - 1, rounded."""
         return _rounded(_conv(f, h, (width or self.width) - 1), self.unit)
@@ -276,12 +259,7 @@ class _MidShared:
         """s f, rounded."""
         return _rounded([s * x for x in f], self.unit)
 
-    def _decimals(self, f: list[int], width: int) -> list[Decimal]:
-        """f cut or padded to ``width`` coefficients, exactly in Decimal."""
-        out = [Decimal(x).scaleb(-self.scale, EXACT) for x in f[:width]]
-        return out + [_D0] * (width - len(out))
-
-    def _image(self, q: int, c2: list[int], c1: list[int], v0: int, width: int):
+    def _image(self, q: int, c2: list[int], c1: list[int], v0: int, width: int) -> list[int]:
         """M_q v to ``width`` coefficients from c2 = v(Q(g(a**2 X))),
         c1 = v(a**2 X) and v0 = v(1)."""
         scalar, factor = ((self.a_inv, self.factor16) if q == 1
@@ -291,21 +269,20 @@ class _MidShared:
             da = -self._scaled(self.a_inv2, [v0])[0]   # -a**-2 v(1)
             out = _add_lists(out, self._scaled(da, self.outer_comp[:width]))
             out = _add_lists(out, self._scaled(v0, self.factor17[:width]))
-        return self._decimals(out, width)
+        return _padded(out, width - 1)
 
-    def t(self):
+    def t(self) -> list[int]:
         """T(g)."""
-        return self._decimals(self._scaled(self.a_inv, self.outer_comp), self.width)
+        return _padded(self._scaled(self.a_inv, self.outer_comp), self.width - 1)
 
-    def apply(self, q: int, v):
+    def apply(self, q: int, v: list[int]) -> list[int]:
         """M_q(g) v: a**-q v(Q(g(a**2 X))) + factor16**q v(a**2 X), and for
         q = 1 (DT) the variations of the normalisation a, which act when
         v(1) = v[0] on the standard disc is nonzero; q = 2 is L."""
-        v_int = [self._int(x) for x in v]
-        return self._image(q, self.table_squared.compose(v_int),
-                           self.table_affine.compose(v_int), v_int[0], self.width)
+        return self._image(q, self.table_squared.compose(v), self.table_affine.compose(v),
+                           v[0], self.width)
 
-    def head(self, q: int, width: int):
+    def head(self, q: int, width: int) -> list[list[int]]:
         """Rows of the width x width head of M_q(g), width <= BABY_STEPS:
         column k is the image of e_k, read off the baby powers u2**k and
         u1**k, the compositions of e_k."""
@@ -315,61 +292,66 @@ class _MidShared:
                       for k in range(width)])
 
 
-def jacobian_head(m_head, power: int, x=None):
+def _power(lam: int, p: int, unit: int) -> int:
+    """lambda**p, p = 0, 1 or 2, at the scale 1/``unit``, rounded."""
+    return unit if not p else lam if p == 1 else _quotient(lam * lam, unit)
+
+
+def jacobian_head(m_head, power: int, unit: int, x=None) -> list[list[int]]:
     """Rows of the head of DF = M_q - lambda**p I - p lambda**(p-1) x e_0^T,
     p = ``power`` and lambda = x[0], from the rows ``m_head`` of the head of
-    M_q, q = max(p, 1); the fixed point is p = 0, DF = DT - I.
-
-    Each entry repeats the operations of DF applied to a unit vector e_k:
-    lambda**p e_k is subtracted from every entry of column k, off the
-    diagonal as lambda**p times 0, so the entries carry the decimal
-    exponents of the probed ones."""
-    lam_p = x[0] ** power if power else _D1
+    M_q, q = max(p, 1), all at the scale 1/``unit``; the fixed point is
+    p = 0, DF = DT - I.  lambda**p and p lambda**(p-1) x are rounded to
+    nearest at that scale."""
+    lam_p = _power(x[0] if power else 0, power, unit)
     rows = []
     for i, row in enumerate(m_head):
-        out = [m - lam_p * (_D1 if k == i else _D0) for k, m in enumerate(row)]
+        out = list(row)
+        out[i] -= lam_p
         if power:
-            out[0] -= Decimal(power) * x[0] ** (power - 1) * x[i]
+            out[0] -= x[i] if power == 1 else _quotient(2 * x[0] * x[i], unit)
         rows.append(out)
     return rows
 
 
 # -- dense linear algebra ------------------------------------------------------
 
-def _block_map(head, tail):
+def _binary64(rows, unit: int) -> list[list[float]]:
+    """Integer rows at the scale 1/``unit`` in binary64, rounded to nearest;
+    an entry beyond its range is a SingularJacobian, as an inf factor is."""
+    try:
+        return [[m / unit for m in row] for row in rows]
+    except OverflowError:
+        raise SingularJacobian("factor not finite: a head entry exceeds binary64") from None
+
+
+def _times(z: float, factor: int) -> int:
+    """z factor rounded to nearest, exactly."""
+    num, den = z.as_integer_ratio()
+    return _quotient(num * factor, den)
+
+
+def _block_map(head, tail: int, unit: int):
     """v -> B v for the block map B: the inverse of the square matrix
     ``head`` on coefficients 0..len(head)-1, ``tail`` times the identity
-    above.  The head is factored and solved in binary64: B only
-    preconditions iterations whose residuals are formed in Decimal, so its
-    accuracy sets their rate, not their result.  A head solve reads v
-    scaled by a power of ten, exactly, so that binary64's exponent range
-    never meets the size of a residual."""
-    lu, perm = lu_factor([[float(m) for m in row] for row in head])
+    above, all integers at the scale 1/``unit``.  The head is factored and
+    solved in binary64: B only preconditions iterations whose residuals are
+    formed in integers, so its accuracy sets their rate, not their result.
+    A head solve reads v scaled by a power of two, exactly, so that
+    binary64's exponent range never meets the size of a residual."""
+    lu, perm = lu_factor(_binary64(head, unit))
     width = len(head)
 
     def apply(v):
         head_part = v[:width]
-        shift = max((x.adjusted() for x in head_part if x), default=0)
-        y = _lu_solve_factored(lu, perm, [float(x.scaleb(-shift, EXACT)) for x in head_part])
-        return [Decimal(x).scaleb(shift, EXACT) for x in y] + [tail * x for x in v[width:]]
+        shift = 1 << max((abs(x).bit_length() for x in head_part), default=0)
+        y = _lu_solve_factored(lu, perm, [x / shift for x in head_part])
+        return [_times(z, shift) for z in y] + _rounded([tail * x for x in v[width:]], unit)
     return apply
 
 
-def _mat_vec(a, v):
-    """a v, each sum formed left to right in the arithmetic of the entries
-    (``sum`` of floats rounds differently across Python versions)."""
-    out = []
-    for row in a:
-        s = 0
-        for m, x in zip(row, v):
-            if x:
-                s += m * x
-        out.append(s)
-    return out
-
-
 def _sup_norm(v):
-    return max((abs(x) for x in v), default=_D0)
+    return max((abs(x) for x in v), default=0)
 
 
 # -- fixed point ----------------------------------------------------------------
@@ -383,26 +365,28 @@ def _stage_ladder(n: int) -> list[int]:
     return stages
 
 
-def _newton_correction(shared, width: int, residual, tol, max_steps: int):
+def _newton_correction(shared, width: int, residual, tol: int, max_steps: int):
     """delta with (DT - I) delta = -residual, DT = M_1 of the ``shared``
-    evaluations.  delta <- delta - B((DT - I) delta + residual) from
-    delta = 0, B the block map on the width x width head of DT - I with
-    tail -1, until a step is below tol/100, for at most ``max_steps``
-    steps.  B's head is solved in binary64, so even a head that is the
-    whole Jacobian (degree 20 and below) takes more than one step."""
-    block = _block_map(jacobian_head(shared.head(1, width), 0), -_D1)
+    evaluations, in integers at their scale.  delta <- delta -
+    B((DT - I) delta + residual) from delta = 0, B the block map on the
+    width x width head of DT - I with tail -1, until a step is below
+    tol/100, for at most ``max_steps`` steps.  B's head is solved in
+    binary64, so even a head that is the whole Jacobian (degree 20 and
+    below) takes more than one step."""
+    unit = shared.unit
+    block = _block_map(jacobian_head(shared.head(1, width), 0, unit), -unit, unit)
     delta = block([-r for r in residual])
     for _ in range(max_steps):
-        step = block(p_add(p_sub(shared.apply(1, delta), delta), residual))
-        delta = p_sub(delta, step)
-        if _sup_norm(step) < tol / 100:
+        step = block([m - d + r for m, d, r in zip(shared.apply(1, delta), delta, residual)])
+        delta = [d - s for d, s in zip(delta, step)]
+        if 100 * _sup_norm(step) < tol:
             return delta
     raise NewtonDivergence(
         f"inexact Newton step at degree {len(residual) - 1}: no step below "
-        f"{tol / 100} in {max_steps} steps")
+        f"{Decimal(tol).scaleb(-shared.scale - 2):.2E} in {max_steps} steps")
 
 
-def _rung_tolerance(tg, tol, top: bool):
+def _rung_tolerance(tg, tol: int, top: bool) -> int:
     """Residual below which a rung of degree m = len(tg) - 1 stops, from
     tg = T(g): ``tol`` on the top rung; below it max(tol, |g_m|/100),
     since truncation at degree m leaves an error of about the size of the
@@ -410,19 +394,19 @@ def _rung_tolerance(tg, tol, top: bool):
     is zero-padded, g_m = 0, while T(g) already carries the coefficient,
     so that the first correction's inner steps also stop at the
     truncation level."""
-    return tol if top else max(tol, abs(tg[-1]) / 100)
+    return tol if top else max(tol, abs(tg[-1]) // 100)
 
 
 def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
     """Polynomial approximation to the fixed point, residual below 10**-(digits-6).
 
     Bootstraps deterministically: Newton from the tabulated degree-20 fixed
-    point (``_SEED_G20``, rounded to ``digits`` and truncated to degree n
-    when n < 20), then continuation through doubling degrees.  Each rung
-    below n stops at its truncation level (:func:`_rung_tolerance`); the
-    top rung reaches 10**-(digits-6).  Each Newton correction is solved
-    through the block map on the head of the Jacobian
-    (:func:`_newton_correction`).
+    point (``_SEED_G20``, read at the engine's scale 10**-(digits+6) and
+    truncated to degree n when n < 20), then continuation through doubling
+    degrees.  Each rung below n stops at its truncation level
+    (:func:`_rung_tolerance`); the top rung reaches 10**-(digits-6).  Each
+    Newton correction is solved through the block map on the head of the
+    Jacobian (:func:`_newton_correction`).
     """
     return fixed_point_with_build(n, digits)[0]
 
@@ -435,32 +419,30 @@ def fixed_point_with_build(n: int, digits: int):
         raise ConfigError("need truncation degree >= 2")
     if digits < 10:
         raise ConfigError("need at least 10 digits")
-    with decimal.localcontext(_context(digits)):
-        g = [+Decimal(x) for x in _SEED_G20[:n + 1]]
-        tol = Decimal(10) ** -(digits - 6)
-        max_iter = 50
-        for stage_n in _stage_ladder(n):
-            g = _pad(g, stage_n + 1)
-            width = min(stage_n, contraction.HEAD_DEGREE) + 1
-            for _ in range(max_iter):
-                shared = _MidShared(g)
-                tg = shared.t()
-                residual = p_sub(tg, g)
-                rung_tol = _rung_tolerance(tg, tol, stage_n == n)
-                if _sup_norm(residual) < rung_tol:
-                    break
-                g = p_add(g, _newton_correction(shared, width, residual, rung_tol, digits))
-            else:
-                raise NewtonDivergence(
-                    f"no convergence below {rung_tol} in {max_iter} iterations")
-        return g, shared
+    scale = digits + _GUARD
+    g = _read(_SEED_G20[:n + 1], scale)
+    max_iter = 50
+    for stage_n in _stage_ladder(n):
+        g = _padded(g, stage_n)
+        width = min(stage_n, contraction.HEAD_DEGREE) + 1
+        for _ in range(max_iter):
+            shared = _MidShared(g, digits)
+            tg = shared.t()
+            residual = [t - x for t, x in zip(tg, g)]
+            rung_tol = _rung_tolerance(tg, _TOL, stage_n == n)
+            if _sup_norm(residual) < rung_tol:
+                break
+            g = _add_lists(g, _newton_correction(shared, width, residual, rung_tol, digits))
+        else:
+            raise NewtonDivergence(f"no convergence below {Decimal(rung_tol).scaleb(-scale):.2E} "
+                                   f"in {max_iter} iterations")
+    return _written(g, scale), shared
 
 
 def midpoint_build(g0, digits: int):
     """The midpoint evaluations at g0 (:class:`_MidShared`) at ``digits``
     digits, which :func:`eigenpair_from_build` reads."""
-    with decimal.localcontext(_context(digits)):
-        return _MidShared(g0)
+    return _MidShared(_read(g0, digits + _GUARD), digits)
 
 
 # -- eigenpairs -------------------------------------------------------------------
@@ -471,64 +453,59 @@ def midpoint_build(g0, digits: int):
 _BINARY64_ULPS = 64
 
 
-def _power(x, p: int):
-    """x**p, p = 1 or 2; binary64 by a product, as ``**`` of floats is the
-    platform's pow."""
-    if isinstance(x, float):
-        return x if p == 1 else x * x
-    return x ** p
-
-
-def _inverse_iteration(a, shift, phi_power: int, digits: int):
-    """Eigenvector x of the matrix ``a`` for its eigenvalue lambda nearest ``shift``,
-    scaled so that x[0]**phi_power = lambda (phi_power 1 or 2), in the
-    arithmetic of the entries: Decimal in the active context, or binary64.
+def _inverse_iteration(a, shift: float, phi_power: int, digits: int) -> list[float]:
+    """Eigenvector x of the binary64 matrix ``a`` for its eigenvalue lambda
+    nearest ``shift``, scaled so that x[0]**phi_power = lambda (phi_power
+    1 or 2), in binary64.
 
     From x = e_0, with M - shift I factored once: y = (M - shift I)**-1 x,
     lambda = shift + x[0]/y[0], x = y lambda**(1/phi_power) / y[0], until
     |M x - x[0]**phi_power x| < tol max(1, |x|), for at most ``digits``
-    steps: tol is 10**-(digits-6) in Decimal, and in binary64
-    _BINARY64_ULPS units of its precision times ||M||, the sup-norm.
+    steps, tol being _BINARY64_ULPS units of binary64's precision times
+    ||M||, the sup-norm.
     """
     lu, perm = lu_factor([[m - shift if i == j else m for j, m in enumerate(row)]
                           for i, row in enumerate(a)])
-    if isinstance(shift, float):
-        norm = max(math.fsum(map(abs, row)) for row in a)
-        tol = _BINARY64_ULPS * sys.float_info.epsilon * norm
-    else:
-        tol = Decimal(10) ** -(digits - 6)
+    norm = max(math.fsum(map(abs, row)) for row in a)
+    tol = _BINARY64_ULPS * sys.float_info.epsilon * norm
     x = [1] + [0] * (len(a) - 1)
     for _ in range(digits):
         y = _lu_solve_factored(lu, perm, x)
         if not y[0]:
             raise EigenSelectionAmbiguous("eigenvector has vanishing constant coefficient")
         lam = shift + x[0] / y[0]
-        if phi_power == 2 and lam <= 0:
-            raise EigenSelectionAmbiguous(f"eigenvalue nearest the shift {shift} not positive")
         if phi_power == 2:
-            lam = math.sqrt(lam) if isinstance(lam, float) else lam.sqrt()
-        x = p_scale(lam / y[0], y)
-        residual = p_sub(_mat_vec(a, x), p_scale(_power(x[0], phi_power), x))
+            if lam <= 0:
+                raise EigenSelectionAmbiguous(
+                    f"eigenvalue nearest the shift {shift} not positive")
+            lam = math.sqrt(lam)
+        s = lam / y[0]
+        x = [s * v for v in y]
+        # x[0]**2 by a product, as ``**`` of floats is the platform's pow
+        lam_p = x[0] if phi_power == 1 else x[0] * x[0]
+        # fsum, as ``sum`` of floats rounds differently across Python versions
+        residual = [math.fsum(map(operator.mul, row, x)) - lam_p * v for row, v in zip(a, x)]
         if _sup_norm(residual) < tol * max(1, _sup_norm(x)):
             return x
     raise EigenSelectionAmbiguous(
         f"inverse iteration at the shift {shift} did not converge in {digits} steps")
 
 
-def _refine_eigenpair(shared, m_head, kind: str, x, digits: int):
-    """x <- x - B(M_p x - x[0]**p x) from the padded head eigenvector x,
-    B the block map on the head Jacobian at x, formed from the head
-    ``m_head`` of M_p, with tail -1/x[0]**p, until the residual passes the
-    Decimal test of :func:`_inverse_iteration`, for at most ``digits``
-    steps."""
-    power = KINDS.index(kind)
-    block = _block_map(jacobian_head(m_head, power, x), -_D1 / x[0] ** power)
-    tol = Decimal(10) ** -(digits - 6)
+def _refine_eigenpair(shared, m_head, kind: str, x: list[int], digits: int) -> list[int]:
+    """x <- x - B(M_p x - x[0]**p x) from the padded head eigenvector x, in
+    integers at the scale of the ``shared`` evaluations, B the block map on
+    the head Jacobian at x, formed from the head ``m_head`` of M_p, with
+    tail -1/x[0]**p, until |M_p x - x[0]**p x| < 10**-(digits-6)
+    max(1, |x|), for at most ``digits`` steps."""
+    power, unit = KINDS.index(kind), shared.unit
+    block = _block_map(jacobian_head(m_head, power, unit, x),
+                       _quotient(-unit * unit, _power(x[0], power, unit)), unit)
     for _ in range(digits):
-        residual = p_sub(shared.apply(power, x), p_scale(x[0] ** power, x))
-        if _sup_norm(residual) < tol * max(_D1, _sup_norm(x)):
+        scaled = _rounded([_power(x[0], power, unit) * v for v in x], unit)
+        residual = [m - v for m, v in zip(shared.apply(power, x), scaled)]
+        if unit * _sup_norm(residual) < _TOL * max(unit, _sup_norm(x)):
             return x
-        x = p_sub(x, block(residual))
+        x = [v - s for v, s in zip(x, block(residual))]
     raise EigenSelectionAmbiguous(
         f"{kind} refinement above degree {len(m_head) - 1} did not converge "
         f"in {digits} steps")
@@ -542,15 +519,14 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     kind 'gamma': the eigenvalue of the noise operator nearest 6.619**2;
     the returned scalar is its square root.
     Both come from shifted inverse iteration with that shift s on the head
-    of the operator, degrees 0..K, K = min(N, HEAD_DEGREE), which converges
-    at the rate |lambda - s|/|lambda' - s| per step, lambda' being the
-    eigenvalue next nearest s.  Below N the zero-padded head eigenvector is
-    refined matrix-free (:func:`_refine_eigenpair`), and the head
-    iteration, which need only seed it, runs in binary64; at N <= K it is
-    the result and runs in Decimal.  EigenSelectionAmbiguous is raised
-    when either iteration does not converge in ``digits`` steps.  It makes
-    its own build, so the pipeline never calls it: it serves the benchmark's
-    set-up, the tests and demo 04.
+    of the operator, degrees 0..K, K = min(N, HEAD_DEGREE), in binary64,
+    which converges at the rate |lambda - s|/|lambda' - s| per step,
+    lambda' being the eigenvalue next nearest s.  The zero-padded head
+    eigenvector is then refined matrix-free (:func:`_refine_eigenpair`) to
+    the working precision, at every degree.  EigenSelectionAmbiguous is
+    raised when either iteration does not converge in ``digits`` steps.
+    It makes its own build, so the pipeline never calls it: it serves the
+    benchmark's set-up, the tests and demo 04.
     """
     return eigenpair_from_build(kind, midpoint_build(g0, digits), digits)
 
@@ -562,19 +538,15 @@ def eigenpair_from_build(kind: str, shared, digits: int) -> tuple[list[Decimal],
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = KINDS.index(kind + "_eigen")
-    n1 = shared.width
-    width = min(n1, contraction.HEAD_DEGREE + 1)
-    with decimal.localcontext(_context(digits)):
-        m_head = shared.head(phi_power, width)
-        shift = _EIGEN_HINT[kind] ** phi_power
-        if width == n1:
-            vec = _inverse_iteration(m_head, shift, phi_power, digits)
-        else:
-            head = [[float(m) for m in row] for row in m_head]
-            vec = _inverse_iteration(head, float(shift), phi_power, digits)
-            vec = _refine_eigenpair(shared, m_head, kind + "_eigen",
-                                    _pad([Decimal(x) for x in vec], n1), digits)
-        return vec, vec[0]
+    m_head = shared.head(phi_power, min(shared.width, contraction.HEAD_DEGREE + 1))
+    hint = _EIGEN_HINT[kind]
+    vec = _inverse_iteration(_binary64(m_head, shared.unit),
+                             hint if phi_power == 1 else hint * hint, phi_power, digits)
+    x = _refine_eigenpair(shared, m_head, kind + "_eigen",
+                          _padded([_times(v, shared.unit) for v in vec], shared.width - 1),
+                          digits)
+    out = _written(x, shared.scale)
+    return out, out[0]
 
 
 # -- jacobian heads ----------------------------------------------------------------
@@ -582,17 +554,18 @@ def eigenpair_from_build(kind: str, shared, digits: int) -> tuple[list[Decimal],
 def approx_jacobian(kind: str, g0, x0=None, digits: int = 30):
     """Head block of the truncated Jacobian of the residual map of ``kind``
     at g0 (and x0 for the eigen kinds), rows and columns 0..K, K = min(N,
-    contraction.HEAD_DEGREE): :func:`jacobian_head` of the head of M_q, read
-    off the baby powers of shared evaluations cut to degree K.  Only the
-    benchmark's set-up and tests call it.
+    contraction.HEAD_DEGREE), as exact Decimals: :func:`jacobian_head` of
+    the head of M_q, read off the baby powers of shared evaluations cut to
+    degree K.  Only the benchmark's set-up and tests call it.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     power = KINDS.index(kind)
     if power and x0 is None:
         raise ConfigError("eigen jacobians need the approximate eigenfunction")
+    scale = digits + _GUARD
     width = min(len(g0), contraction.HEAD_DEGREE + 1)
-    with decimal.localcontext(_context(digits)):
-        shared = _MidShared(g0, width)
-        x = None if x0 is None else _pad(list(x0), width)
-        return jacobian_head(shared.head(max(power, 1), width), power, x)
+    shared = _MidShared(_read(g0, scale), digits, width)
+    x = None if x0 is None else _padded(_read(x0, scale), width - 1)
+    return [_written(row, scale)
+            for row in jacobian_head(shared.head(max(power, 1), width), power, shared.unit, x)]

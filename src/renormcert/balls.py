@@ -400,10 +400,10 @@ def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
     """Product of two integer balls to degree n, at scale f.scale + g.scale.
 
     Midpoints are the exact product; radii bound the exact ones from above
-    through short mantissas (:func:`_product_radii`).  Polynomial-by-
-    polynomial mass of degree > N is provably high-order and goes to
-    v_high, as do polynomial-by-high products; anything touching an error
-    part lands in v_err.  Those tail bounds are rounded upward.
+    through short mantissas (:func:`_product_radii`).  Polynomial-by-polynomial mass of degree > N
+    is provably high-order and goes to v_high, as do polynomial-by-high
+    products; anything touching an error part lands in v_err, which stays
+    an exact 0 when neither has one.  Those tail bounds are rounded upward.
     """
     mid = _conv(f.mid, g.mid, n)
     rad = _product_radii(f.mid, f.rad, g.mid, g.rad, n)
@@ -419,8 +419,8 @@ def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
     v_high = ctx.add_up(v_high, ctx.mul_up(pf, g.v_high))
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, pg))
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
-    v_err = ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err))
-    v_err = ctx.add_up(v_err, ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high)))
+    v_err = ctx.add_up(ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err)),
+                       ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high))) if f.v_err or g.v_err else _D0
     return IntBall(mid if any(mid) else [], rad if any(rad) else [],
                    f.scale + g.scale, v_high, v_err)
 
@@ -509,7 +509,9 @@ def _sup_k_theta(ctx: RoundingContext, th: Decimal, n: int) -> Decimal:
 
 
 def _dots(vec: list[int], rows) -> list[int]:
-    return [sum(map(_imul, vec, row)) for row in rows] if vec else []
+    """The dot product of vec with every row; 0 for an all-zero row (the
+    rows of an affine argument's table above its baby powers' degrees)."""
+    return [sum(map(_imul, vec, row)) if any(row) else 0 for row in rows] if vec else []
 
 
 #: degrees above the truncation that every power, every block and the
@@ -539,10 +541,12 @@ class PowerTable:
     error tail.  Composing f with h is
     Paterson-Stockmeyer evaluation (Paterson and Stockmeyer, SIAM J.
     Comput. 2, 1973): f splits into blocks B_i = sum_{j<m} f_{im+j} u**j,
-    each one exact integer matrix-vector product, and Horner in U,
-    acc <- int_outward(acc U) + B_i, runs from the top block down to B_0
-    to degree D, each B_i carrying its baby powers' tails; the rows above N
-    of the result go to v_high and the rest is rounded outward once.  That is
+    each one exact integer matrix-vector product rounded outward to
+    degree D, and Horner in U, acc <- int_outward(acc U) + B_i, runs from
+    the top block down to B_0, each B_i carrying its baby powers' tails, so
+    a giant step multiplies operands of precision + digits(D+1) digits; the
+    rows above N of the result go to v_high and the rest is rounded outward
+    once.  That is
     m - 1 products to build the table and ceil((N+1)/m) - 1 per
     composition, instead of the N - 1 of a table of every power.  Baby
     power k, cut at degree N, is the image of e_k (:meth:`power`), so a
@@ -606,10 +610,10 @@ class PowerTable:
         to the scale int_outward gives a degree-N ball first."""
         n = self.truncation
         p = int_outward(ctx, p, n)
-        fm, fr, sf, m = p.mid, p.rad, p.scale, len(self.mid[0])
+        fm, fr, sf, m, d = p.mid, p.rad, p.scale, len(self.mid[0]), len(self.mid) - 1
         acc = None
         for i in reversed(range(0, max(len(fm), len(fr), 1), m)):
-            block = self._block(ctx, fm[i:i + m], fr[i:i + m], sf)
+            block = int_outward(ctx, self._block(ctx, fm[i:i + m], fr[i:i + m], sf), d)
             acc = block if acc is None else int_add(ctx, self._giant_step(ctx, acc), block)
         guard = ctx.scaled_up(sum(_magnitudes(acc.mid[n + 1:], acc.rad[n + 1:])), acc.scale)
         out = IntBall(acc.mid[:n + 1], acc.rad[:n + 1], acc.scale,
@@ -661,8 +665,9 @@ class PowerTable:
 def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     """Power table of the normalized argument of h.
 
-    u**k, for k = 2..min(N, BABY_STEPS), is the exact integer product of
-    u**(k-1) and u to degree N + _GUARD_DEGREES, rounded outward once
+    u**k, for k = 2..min(N, BABY_STEPS), is the exact integer square of
+    u**(k/2) for even k and the product of u**(k-1) and u for odd k, to
+    degree N + _GUARD_DEGREES, rounded outward once
     (:func:`int_outward`) to keep precision + digits(N+1) digits on its
     largest coefficient.  The baby powers are then lifted exactly to the
     finest of their scales, which the table holds.
@@ -672,8 +677,9 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     last = min(n, BABY_STEPS)
     u = normalized_argument(ctx, h)
     powers = [IntBall([1], [], 0, _D0, _D0), u][:last + 1]
-    for _ in range(2, last + 1):
-        powers.append(int_outward(ctx, int_mul(ctx, powers[-1], u, d), d))
+    for k in range(2, last + 1):
+        f, g = (powers[k // 2],) * 2 if k % 2 == 0 else (powers[-1], u)
+        powers.append(int_outward(ctx, int_mul(ctx, f, g, d), d))
     baby = powers[:BABY_STEPS]
     top = max(p.scale for p in baby)
 

@@ -16,7 +16,7 @@ from renormcert import balls as fb
 from renormcert import contraction as ct
 from renormcert import operators as op
 from renormcert import pipeline as pl
-from renormcert.errors import ContainmentFailure, PointOutsideDomain
+from renormcert.errors import ContainmentFailure, EigenSelectionAmbiguous, PointOutsideDomain
 from renormcert.rounding import (EXACT, IZERO, Interval, Rectangle, RoundingContext, box_mul,
                                  box_sqr, exact_decimal, interval, rectangle)
 
@@ -73,6 +73,63 @@ def decimals(ints, scale: int, width: int | None = None) -> list[Decimal]:
     return out + [Decimal(0)] * ((width or 0) - len(out))
 
 
+def engine_ints(values, digits: int) -> list[int]:
+    """Decimals as the integers of the midpoint engine at ``digits``
+    digits, at its scale 10**-(digits+6), rounded to nearest."""
+    return [round(Decimal(x).scaleb(digits + 6, EXACT)) for x in values]
+
+
+class MidDecimal:
+    """The integer midpoint engine ``approx._MidShared`` at g, read and
+    written in Decimal: g, v and every result are exact Decimals of its
+    integers at the scale 10**-(digits+6); its other attributes are the
+    engine's."""
+
+    def __init__(self, g, digits: int, width: int | None = None):
+        self.engine = ax._MidShared(engine_ints(g, digits), digits, width)
+        self.digits = digits
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def t(self):
+        return decimals(self.engine.t(), self.engine.scale)
+
+    def apply(self, q: int, v):
+        return decimals(self.engine.apply(q, engine_ints(v, self.digits)), self.engine.scale)
+
+    def head(self, q: int, width: int):
+        return [decimals(row, self.engine.scale) for row in self.engine.head(q, width)]
+
+
+# -- Decimal polynomial arithmetic in the active context ----------------------
+
+def pad(f, length: int):
+    """f truncated or zero-padded to ``length`` coefficients."""
+    return f[:length] + [Decimal(0)] * (length - len(f))
+
+
+def p_add(f, g):
+    return [a + b for a, b in zip(f, g)]
+
+
+def p_sub(f, g):
+    return [a - b for a, b in zip(f, g)]
+
+
+def p_scale(s, f):
+    return [s * a for a in f]
+
+
+def sup_norm(v):
+    return max((abs(x) for x in v), default=Decimal(0))
+
+
+def mat_vec(a, v):
+    """a v, each sum formed left to right."""
+    return [sum((m * x for m, x in zip(row, v)), Decimal(0)) for row in a]
+
+
 def matrix(apply, width: int):
     """Rows of the width x width head of a linear map: column k is apply(e_k)
     for the unit vector e_k of length ``width``, cut to ``width`` entries."""
@@ -85,23 +142,20 @@ def matrix(apply, width: int):
 
 
 def t_apply(g, digits: int = 30) -> list[Decimal]:
-    """T(G) truncated to the degree of g, in round-to-nearest arithmetic."""
-    with decimal.localcontext(ax._context(digits)):
-        return ax._MidShared(g).t()
+    """T(G) truncated to the degree of g, by the midpoint engine."""
+    return MidDecimal(g, digits).t()
 
 
 def dt_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated derivative of T at g; column k is DT(g) e_k."""
-    with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g)
-        return matrix(lambda v: shared.apply(1, v), len(g))
+    shared = MidDecimal(g, digits)
+    return matrix(lambda v: shared.apply(1, v), len(g))
 
 
 def l_matrix(g, digits: int = 30) -> list[list[Decimal]]:
     """Rows of the truncated noise-scaling operator L(g)."""
-    with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g)
-        return matrix(lambda v: shared.apply(2, v), len(g))
+    shared = MidDecimal(g, digits)
+    return matrix(lambda v: shared.apply(2, v), len(g))
 
 
 def jacobian_probe(shared, kind: str, x=None):
@@ -111,22 +165,22 @@ def jacobian_probe(shared, kind: str, x=None):
     x e_0^T (reference for ``approx.jacobian_head``: ``matrix`` of it
     probes the unit vectors)."""
     if kind == "fixed_point":
-        return lambda v: ax.p_sub(shared.apply(1, v), v)
+        return lambda v: p_sub(shared.apply(1, v), v)
     power = ct.KINDS.index(kind)
     lam_p = x[0] ** power
     dlam = Decimal(power) * x[0] ** (power - 1)
 
     def apply(v):
-        out = ax.p_sub(shared.apply(power, v), ax.p_scale(lam_p, v))
+        out = p_sub(shared.apply(power, v), p_scale(lam_p, v))
         if v[0]:
-            out = ax.p_sub(out, ax.p_scale(dlam * v[0], x))
+            out = p_sub(out, p_scale(dlam * v[0], x))
         return out
     return apply
 
 
 def poly_eval(f, x):
     """Evaluate a Decimal polynomial at a point by Horner in the scaled basis."""
-    u = (x - ax._C) / ax._R
+    u = (x - _C) / _R
     acc = f[-1]
     for k in range(len(f) - 2, -1, -1):
         acc = acc * u + f[k]
@@ -160,7 +214,7 @@ def p_mul(f, g):
 
 def _normalize_arg(h):
     """(h - c)/r on the standard disc."""
-    return [(h[0] - ax._C) / ax._R] + [x / ax._R for x in h[1:]]
+    return [(h[0] - _C) / _R] + [x / _R for x in h[1:]]
 
 
 def _table_compose(f, powers):
@@ -174,8 +228,8 @@ def _table_compose(f, powers):
 def oracle_power_list(u, count: int, digits: int) -> list[list[Decimal]]:
     """u**0..u**(count-1), each truncated to the length of u, by Decimal
     ``p_mul`` at ``digits``."""
-    with decimal.localcontext(ax._context(digits)):
-        powers = [ax._pad([Decimal(1)], len(u)), list(u)]
+    with decimal.localcontext(ct._context(digits)):
+        powers = [pad([Decimal(1)], len(u)), list(u)]
         for _ in range(2, count):
             powers.append(p_mul(powers[-1], u))
         return powers[:count]
@@ -193,34 +247,34 @@ class DecimalShared:
         self.a_inv = 1 / a
         self.a_inv2 = self.a_inv * self.a_inv
         a2 = a * a
-        self.up1 = oracle_power_list(_normalize_arg(ax._pad([a2 * ax._C, a2 * ax._R], n + 1)),
+        self.up1 = oracle_power_list(_normalize_arg(pad([a2 * _C, a2 * _R], n + 1)),
                                      n + 1, prec)
         self.inner = _table_compose(g, self.up1)
         self.up2 = oracle_power_list(_normalize_arg(p_mul(self.inner, self.inner)), n + 1, prec)
         self.outer_comp = _table_compose(g, self.up2)
-        gd = [Decimal(k + 1) * g[k + 1] / ax._R for k in range(n)] + [Decimal(0)]
+        gd = [Decimal(k + 1) * g[k + 1] / _R for k in range(n)] + [Decimal(0)]
         deriv_outer = _table_compose(gd, self.up2)
         deriv_inner = _table_compose(gd, self.up1)
-        self.factor16 = p_mul(deriv_outer, ax.p_scale(d2 * self.a_inv, self.inner))
+        self.factor16 = p_mul(deriv_outer, p_scale(d2 * self.a_inv, self.inner))
         self.factor16_sq = p_mul(self.factor16, self.factor16)
-        x_poly = ax._pad([ax._C, ax._R], n + 1)
-        self.factor17 = p_mul(p_mul(self.factor16, deriv_inner), ax.p_scale(d2 * a, x_poly))
+        x_poly = pad([_C, _R], n + 1)
+        self.factor17 = p_mul(p_mul(self.factor16, deriv_inner), p_scale(d2 * a, x_poly))
 
     def t(self):
-        return ax.p_scale(self.a_inv, self.outer_comp)
+        return p_scale(self.a_inv, self.outer_comp)
 
     def apply(self, q: int, v):
         scalar, factor = ((self.a_inv, self.factor16) if q == 1
                           else (self.a_inv2, self.factor16_sq))
-        out = ax.p_add(ax.p_scale(scalar, _table_compose(v, self.up2)),
+        out = p_add(p_scale(scalar, _table_compose(v, self.up2)),
                        p_mul(factor, _table_compose(v, self.up1)))
         if q == 1 and v[0]:
-            out = ax.p_add(out, ax.p_scale(-self.a_inv2 * v[0], self.outer_comp))
-            out = ax.p_add(out, ax.p_scale(v[0], self.factor17))
+            out = p_add(out, p_scale(-self.a_inv2 * v[0], self.outer_comp))
+            out = p_add(out, p_scale(v[0], self.factor17))
         return out
 
     def head(self, q: int, width: int):
-        return matrix(lambda v: self.apply(q, ax._pad(v, len(self.outer_comp))), width)
+        return matrix(lambda v: self.apply(q, pad(v, len(self.outer_comp))), width)
 
 
 # -- dense bootstrap oracles --------------------------------------------------
@@ -232,12 +286,12 @@ class DecimalShared:
 def dense_newton_step(g, digits: int):
     """(sup |T(g) - g|, g + delta) with delta the exact Newton correction
     for T(g) = g, from the LU of the whole Jacobian DT(g) - I."""
-    with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g)
-        residual = ax.p_sub(shared.t(), g)
-        lu, perm = ax.lu_factor(matrix(jacobian_probe(shared, "fixed_point"), len(g)))
-        delta = ax._lu_solve_factored(lu, perm, [-r for r in residual])
-        return ax._sup_norm(residual), ax.p_add(g, delta)
+    shared = MidDecimal(g, digits)
+    with decimal.localcontext(ct._context(digits)):
+        residual = p_sub(shared.t(), g)
+        lu, perm = ct.lu_factor(matrix(jacobian_probe(shared, "fixed_point"), len(g)))
+        delta = ct._lu_solve_factored(lu, perm, [-r for r in residual])
+        return sup_norm(residual), p_add(g, delta)
 
 
 #: classical starting guess g(x) ~ 1 - 1.5276 x**2, written for G(X).
@@ -250,9 +304,9 @@ def oracle_fixed_point(n: int, digits: int) -> list[Decimal]:
     ``approx_fixed_point``, every rung solved to its top rung's residual
     test (reference for it and for its tabulated seed)."""
     tol = Decimal(10) ** -(digits - 6)
-    g = [1 + _SEED_QUADRATIC * ax._C, _SEED_QUADRATIC * ax._R]
+    g = [1 + _SEED_QUADRATIC * _C, _SEED_QUADRATIC * _R]
     for stage_n in ax._stage_ladder(n):
-        g = ax._pad(g, stage_n + 1)
+        g = pad(g, stage_n + 1)
         for _ in range(50):
             residual, stepped = dense_newton_step(g, digits)
             if residual < tol:
@@ -263,14 +317,41 @@ def oracle_fixed_point(n: int, digits: int) -> list[Decimal]:
     return g
 
 
+def inverse_iteration(a, shift: Decimal, phi_power: int, digits: int) -> list[Decimal]:
+    """Eigenvector x of the Decimal matrix ``a`` for its eigenvalue lambda
+    nearest ``shift``, scaled so that x[0]**phi_power = lambda, in the
+    active context: the iteration of ``approx._inverse_iteration`` in
+    Decimal, stopping at |M x - x[0]**phi_power x| < 10**-(digits-6)
+    max(1, |x|), for at most ``digits`` steps."""
+    lu, perm = ct.lu_factor([[m - shift if i == j else m for j, m in enumerate(row)]
+                             for i, row in enumerate(a)])
+    tol = Decimal(10) ** -(digits - 6)
+    x = [1] + [0] * (len(a) - 1)
+    for _ in range(digits):
+        y = ct._lu_solve_factored(lu, perm, x)
+        if not y[0]:
+            raise EigenSelectionAmbiguous("eigenvector has vanishing constant coefficient")
+        lam = shift + x[0] / y[0]
+        if phi_power == 2:
+            if lam <= 0:
+                raise EigenSelectionAmbiguous(f"eigenvalue nearest {shift} not positive")
+            lam = lam.sqrt()
+        x = p_scale(lam / y[0], y)
+        residual = p_sub(mat_vec(a, x), p_scale(x[0] ** phi_power, x))
+        if sup_norm(residual) < tol * max(1, sup_norm(x)):
+            return x
+    raise EigenSelectionAmbiguous(f"no convergence at the shift {shift} in {digits} steps")
+
+
 def oracle_eigenpair(kind: str, g0, digits: int) -> list[Decimal]:
-    """Eigenvector by shifted inverse iteration on the whole (N+1) x (N+1)
-    M_p(g0) (reference for ``approx_eigenpair``)."""
+    """Eigenvector by Decimal shifted inverse iteration on the whole
+    (N+1) x (N+1) M_p(g0) (reference for ``approx_eigenpair``)."""
     power = ct.KINDS.index(kind + "_eigen")
-    with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(g0)
-        full = matrix(lambda v: shared.apply(power, v), len(g0))
-        return ax._inverse_iteration(full, ax._EIGEN_HINT[kind] ** power, power, digits)
+    shared = MidDecimal(g0, digits)
+    full = matrix(lambda v: shared.apply(power, v), len(g0))
+    with decimal.localcontext(ct._context(digits)):
+        return inverse_iteration(full, Decimal(repr(ax._EIGEN_HINT[kind])) ** power, power,
+                                 digits)
 
 
 def rand_decimal(rng: random.Random, scale: float = 4.0) -> Decimal:
@@ -298,8 +379,10 @@ def rand_subinterval(rng: random.Random, x: Interval) -> Interval:
 
 
 def sample_point(rng: random.Random, x: Interval) -> Decimal:
-    w = x.hi - x.lo
-    return x.lo + w * Decimal(str(round(rng.random(), 8)))
+    """A point of x, formed exactly: x.lo + (x.hi - x.lo) f for a random
+    f in [0, 1] with 8 digits."""
+    w = EXACT.subtract(x.hi, x.lo)
+    return EXACT.add(x.lo, EXACT.multiply(w, Decimal(str(round(rng.random(), 8)))))
 
 
 _NEAR = decimal.Context(prec=120)

@@ -106,6 +106,13 @@ MUTANTS = (
            "[-((-r - rem) // unit) for (_, rem), r in zip(qr, _padded(b.rad, size - 1))]",
            "[r // unit for (_, rem), r in zip(qr, _padded(b.rad, size - 1))]",
            "int_outward floors a radius and drops the midpoint's remainder"),
+    Mutant("block_nearest", "src/renormcert/balls.py",
+           "block = int_outward(ctx, self._block(ctx, fm[i:i + m], fr[i:i + m], sf), d)",
+           "block = self._block(ctx, fm[i:i + m], fr[i:i + m], sf); "
+           "c = max(_cut(ctx, block, d), 0); "
+           "block = IntBall([(x + (10 ** c >> 1)) // 10 ** c for x in block.mid], "
+           "[-(-r // 10 ** c) for r in block.rad], block.scale - c, block.v_high, block.v_err)",
+           "a composition block rounded to nearest, its remainder not in its radius"),
     Mutant("compose_high_tail", "src/renormcert/balls.py",
            "ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1))",
            "ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 2))",

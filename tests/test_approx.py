@@ -10,17 +10,24 @@ from helpers import (
     REF_DELTA,
     REF_GAMMA,
     DecimalShared,
+    MidDecimal,
     bounds_with_map,
     decimals,
     digit_match_count,
     dt_matrix,
+    engine_ints,
     float_matrix,
+    inverse_iteration,
     jacobian_probe,
     l_matrix,
+    mat_vec,
     matrix,
     oracle_eigenpair,
     oracle_fixed_point,
     oracle_power_list,
+    p_scale,
+    p_sub,
+    sup_norm,
     t_apply,
 )
 from renormcert import approx as ax
@@ -33,7 +40,7 @@ from renormcert.errors import (
     NewtonDivergence,
     SingularJacobian,
 )
-from renormcert.rounding import interval
+from renormcert.rounding import EXACT, interval
 
 
 def test_fixed_point_value(desk):
@@ -53,11 +60,11 @@ def test_seed_converges():
 
 def test_tabulated_seed_regenerates_from_quadratic_seed():
     """Dense Newton from g(x) ~ 1 - 1.5276 x**2 reproduces the tabulated
-    degree-20 seed, and at N=20, P=30 the bootstrap returns the seed digit
-    for digit."""
+    degree-20 seed, and at N=20, P=30 the bootstrap returns the seed read
+    at the engine's scale 10**-36, integer for integer."""
     seed = [Decimal(x) for x in ax._SEED_G20]
     assert _sup_diff(oracle_fixed_point(20, 30), seed) < Decimal("1e-28")
-    assert [str(x) for x in ax.approx_fixed_point(20, 30)] == list(ax._SEED_G20)
+    assert engine_ints(ax.approx_fixed_point(20, 30), 30) == engine_ints(seed, 30)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12])
@@ -69,15 +76,17 @@ def test_truncated_seed_matches_dense_newton(n):
 
 def _residual(g, digits: int) -> Decimal:
     """sup |T(g) - g| by the Decimal engine at twice the precision."""
-    with decimal.localcontext(ax._context(2 * digits)):
+    with decimal.localcontext(ct._context(2 * digits)):
         return _sup_diff(DecimalShared(g).t(), g)
 
 
 def test_seed_rounded_to_working_precision():
-    """Below its 30 digits the seed is read at the working precision, so
-    every coefficient of the result has at most P significant digits."""
+    """Below its 30 digits the seed is read at the engine's scale
+    10**-(P+6), and every coefficient of the result is an integer there;
+    a seed read at full length would leave digits below it."""
     g = ax.approx_fixed_point(20, 20)
-    assert all(len(x.as_tuple().digits) <= 20 for x in g)
+    assert all(x == x.quantize(Decimal("1e-26")) for x in g)
+    assert any(Decimal(x) != Decimal(x).quantize(Decimal("1e-26")) for x in ax._SEED_G20)
     assert _residual(g, 20) < Decimal("1e-14")
 
 
@@ -89,9 +98,9 @@ def test_lower_rungs_stop_at_truncation_level(monkeypatch):
     shared_cls = ax._MidShared
 
     class CountingShared(shared_cls):
-        def __init__(self, g):
+        def __init__(self, g, digits, width=None):
             degrees.append(len(g) - 1)
-            super().__init__(g)
+            super().__init__(g, digits, width)
 
     monkeypatch.setattr(ax, "_MidShared", CountingShared)
     g = ax.approx_fixed_point(80, 60)
@@ -131,7 +140,7 @@ def test_eigen_gamma(desk):
 def test_eigen_residual_invariant(desk):
     with decimal.localcontext(decimal.Context(prec=30)):
         m = dt_matrix(desk.g0, digits=30)
-        mv = ax._mat_vec(m, desk.v0)
+        mv = mat_vec(m, desk.v0)
         res = max(abs(mv[i] - desk.lam0 * desk.v0[i]) for i in range(desk.n + 1))
         sup = max(abs(x) for x in desk.v0)
     assert res / sup < Decimal("1e-15")
@@ -152,9 +161,13 @@ _TOY = [[Decimal(2), Decimal(2)], [Decimal(-4), Decimal(8)]]
 
 @pytest.mark.parametrize("shift, vector", [("4.1", ("4", "4")), ("5.9", ("6", "12"))])
 def test_inverse_iteration_takes_eigenvalue_nearest_shift(shift, vector):
-    with decimal.localcontext(ax._context(30)):
-        x = ax._inverse_iteration(_TOY, Decimal(shift), 1, 30)
+    """The Decimal oracle and the binary64 head iteration both take the
+    eigenvalue nearest the shift."""
+    with decimal.localcontext(ct._context(30)):
+        x = inverse_iteration(_TOY, Decimal(shift), 1, 30)
     assert all(abs(a - Decimal(b)) < Decimal("1e-20") for a, b in zip(x, vector))
+    y = ax._inverse_iteration(float_matrix(_TOY).tolist(), float(shift), 1, 30)
+    assert all(abs(a - float(b)) < 1e-12 for a, b in zip(y, vector))
 
 
 @pytest.mark.parametrize("matrix, shift, power", [
@@ -162,8 +175,10 @@ def test_inverse_iteration_takes_eigenvalue_nearest_shift(shift, vector):
     pytest.param([[-m for m in row] for row in _TOY], "-4.1", 2, id="nearest eigenvalue -4 < 0"),
 ])
 def test_inverse_iteration_negative_controls(matrix, shift, power):
-    with decimal.localcontext(ax._context(30)), pytest.raises(EigenSelectionAmbiguous):
-        ax._inverse_iteration(matrix, Decimal(shift), power, 30)
+    with decimal.localcontext(ct._context(30)), pytest.raises(EigenSelectionAmbiguous):
+        inverse_iteration(matrix, Decimal(shift), power, 30)
+    with pytest.raises(EigenSelectionAmbiguous):
+        ax._inverse_iteration(float_matrix(matrix).tolist(), float(shift), power, 30)
 
 
 def test_eigen_selection_matches_float_spectrum(desk):
@@ -182,8 +197,7 @@ def test_jacobian_column_delta_a_only_in_first(desk):
     from the baby powers u2**k, u1**k of the integer power tables, each
     product rounded once at the engine's scale; column 0 differs."""
     jac_dt = dt_matrix(desk.g0, digits=30)
-    with decimal.localcontext(ax._context(30)):
-        s = ax._MidShared(desk.g0)
+    s = ax._MidShared(engine_ints(desk.g0, 30), 30)
     jac_simple = []
     for k in range(desk.n + 1):
         up2, up1 = (table.power(k, desk.n + 1) for table in (s.table_squared, s.table_affine))
@@ -206,9 +220,9 @@ def test_newton_builds_shared_evaluations_once_per_iterate(monkeypatch):
     shared_cls, lu_factor = ax._MidShared, ax.lu_factor
 
     class CountingShared(shared_cls):
-        def __init__(self, g):
-            iterates.append(list(g))
-            super().__init__(g)
+        def __init__(self, g, digits, width=None):
+            iterates.append(decimals(g, digits + 6))
+            super().__init__(g, digits, width)
 
     def recording_lu_factor(a):
         factored.append([row[:] for row in a])
@@ -265,7 +279,7 @@ def test_block_map_with_wrong_tail_sign_fails_by_name(monkeypatch, bootstrap40, 
     sign flipped (+1, +1/x[0]**p) the tail doubles each step, and the solver
     stops at its step cap with its named error."""
     block_map = ax._block_map
-    monkeypatch.setattr(ax, "_block_map", lambda head, tail: block_map(head, -tail))
+    monkeypatch.setattr(ax, "_block_map", lambda head, tail, unit: block_map(head, -tail, unit))
     with pytest.raises(error, match=match):
         if target == "fixed_point":
             ax.approx_fixed_point(40, 40)
@@ -276,20 +290,24 @@ def test_block_map_with_wrong_tail_sign_fails_by_name(monkeypatch, bootstrap40, 
 @pytest.mark.parametrize("entry, match", [("1E-400", "zero pivot in column 0"),
                                           ("1E+400", "factor not finite")])
 def test_block_map_head_beyond_binary64_is_singular(entry, match):
-    """Negative control for the binary64 block map: a Decimal head entry
-    that binary64 rounds to 0.0 or to inf is a SingularJacobian by name,
-    not a ZeroDivisionError or a NaN Decimal."""
-    head = [[Decimal(entry), Decimal(0)], [Decimal(0), Decimal(1)]]
+    """Negative control for the binary64 block map: a head entry that
+    binary64 rounds to 0.0 or beyond its range is a SingularJacobian by
+    name, not a ZeroDivisionError, an OverflowError or a NaN."""
+    unit = 10 ** 36
+    head = [[int(Decimal(entry).scaleb(36)), 0], [0, unit]]
     with pytest.raises(SingularJacobian, match=match):
-        ax._block_map(head, Decimal(-1))
+        ax._block_map(head, -unit, unit)
 
 
 def test_block_map_solves_beyond_binary64_range():
-    """The block map reads its head part scaled by a power of ten, so a
-    residual far below binary64's range is solved, not flushed to zero."""
-    block = ax._block_map([[Decimal(2), Decimal(0)], [Decimal(0), Decimal(4)]], Decimal(-1))
-    assert block([Decimal("1E-500"), Decimal("2E-500"), Decimal("3E-500")]) == \
-        [Decimal("5E-501"), Decimal("5E-501"), Decimal("-3E-500")]
+    """The block map reads its head part scaled by a power of two, so a
+    residual far below binary64's range at the engine's scale, or far above
+    it as an integer, is solved, not flushed to zero or overflowed."""
+    unit = 10 ** 36
+    block = ax._block_map([[2 * unit, 0], [0, 4 * unit]], -unit, unit)
+    assert block([2, 4, 6]) == [1, 1, -6]
+    big = 1 << 1700
+    assert block([2 * big, 4 * big, 6 * big]) == [big, big, -6 * big]
 
 
 def test_no_lu_or_matrix_above_head_size(monkeypatch):
@@ -326,8 +344,7 @@ def test_integer_power_list_matches_decimal_oracle(bootstrap40, argument):
     p_mul powers at twice the precision within N 10**-(P+5); built at a
     scale 10 digits shorter they miss (negative control)."""
     n, digits = 40, 40
-    with decimal.localcontext(ax._context(digits)):
-        shared = ax._MidShared(bootstrap40[0])
+    shared = ax._MidShared(engine_ints(bootstrap40[0], digits), digits)
     table = {"affine": shared.table_affine, "dense": shared.table_squared}[argument]
     scale = shared.scale
     u = decimals(table.power(1, n + 1), scale)
@@ -353,11 +370,11 @@ def bootstrap80():
     return g0, ax.approx_eigenpair("delta", g0, 60)[0]
 
 
-class _EagerShared(ax._MidShared):
+class _EagerShared(MidDecimal):
     """The integer engine with every derivative term formed at construction."""
 
-    def __init__(self, g, width=None):
-        super().__init__(g, width)
+    def __init__(self, g, digits, width=None):
+        super().__init__(g, digits, width)
         self.factor16, self.factor16_sq, self.factor17
 
 
@@ -376,15 +393,14 @@ def _engine_and_oracle(g0, v, digits: int):
         return ([full().t(), full().apply(1, v), full().apply(2, v)]
                 + [[x for row in heads().head(q, width) for x in row] for q in (1, 2)])
 
-    with decimal.localcontext(ax._context(digits)):
-        lazy = outputs(lambda: ax._MidShared(g0), lambda: ax._MidShared(g0, width))
-        full, heads = _EagerShared(g0), _EagerShared(g0, width)
-        eager = outputs(lambda: full, lambda: heads)
-    with decimal.localcontext(ax._context(2 * digits)):
+    lazy = outputs(lambda: MidDecimal(g0, digits), lambda: MidDecimal(g0, digits, width))
+    full, heads = _EagerShared(g0, digits), _EagerShared(g0, digits, width)
+    eager = outputs(lambda: full, lambda: heads)
+    with decimal.localcontext(ct._context(2 * digits)):
         oracle_build = DecimalShared(g0)
         oracle = outputs(lambda: oracle_build, lambda: oracle_build)
     one = Decimal(1)
-    size = max(one, ax._sup_norm(v))
+    size = max(one, sup_norm(v))
     return list(zip(["T", "DT v", "L v", "head M_1", "head M_2"], lazy, eager, oracle,
                     [one, size, size, one, one]))
 
@@ -405,8 +421,7 @@ def test_integer_engine_matches_decimal_oracle(request, scale):
         (g0, v), digits = request.getfixturevalue("bootstrap80"), 60
     n = len(g0) - 1
     bound = n * Decimal(10) ** -(digits + 5)
-    with decimal.localcontext(ax._context(digits)):
-        assert (ax._MidShared(g0).table_squared.giant is None) == (n + 1 <= fb.BABY_STEPS)
+    assert (MidDecimal(g0, digits).table_squared.giant is None) == (n + 1 <= fb.BABY_STEPS)
     for name, lazy, eager, oracle, size in _engine_and_oracle(g0, v, digits):
         assert lazy == eager, name
         assert _sup_diff(lazy, oracle) < bound * size, name
@@ -429,12 +444,11 @@ def test_midpoint_build_product_count(monkeypatch, bootstrap80):
         return conv(a, b, n)
 
     monkeypatch.setattr(ax, "_conv", counting_conv)
-    with decimal.localcontext(ax._context(60)):
-        shared = ax._MidShared(bootstrap80[0])
-        shared.t()
-        t_products = len(calls)
-        for _ in range(2):
-            shared.factor16, shared.factor16_sq, shared.factor17
+    shared = ax._MidShared(engine_ints(bootstrap80[0], 60), 60)
+    shared.t()
+    t_products = len(calls)
+    for _ in range(2):
+        shared.factor16, shared.factor16_sq, shared.factor17
     m, n = fb.BABY_STEPS, 80
     giant_steps = -(-(n + 1) // m) - 1
     assert t_products == 2 * (m - 1) + 2 * giant_steps + 1 == 47
@@ -454,7 +468,7 @@ def test_finite_difference_oracle(desk):
         errs = []
         for exp in (3, 4, 5, 6):
             t = Decimal(10) ** -exp
-            with decimal.localcontext(ax._context(digits)):
+            with decimal.localcontext(ct._context(digits)):
                 bumped = list(g)
                 bumped[k] = bumped[k] + t
                 fd = [(a - b) / t for a, b in
@@ -486,9 +500,7 @@ def _cross_engine(run):
         return fb.ball_from_decimals(fb.STANDARD_DISC, coeffs, n)
 
     tables = op.OperatorTables.build(ctx, ball(run.g0))
-    with decimal.localcontext(ax._context(ctx.precision)):
-        mid = ax._MidShared(run.g0)
-    return mid, tables.shared, tables, ball
+    return MidDecimal(run.g0, ctx.precision), tables.shared, tables, ball
 
 
 @pytest.mark.parametrize("scale", ["desk", "n40"])
@@ -500,8 +512,7 @@ def test_midpoint_operators_lie_in_ball_enclosures(request, scale):
     ctx, digits = run.ctx, run.ctx.precision
     mid, shared, tables, ball = _cross_engine(run)
     names = ["T", "DT v0", "L v0", "DT w0", "L w0"]
-    with decimal.localcontext(ax._context(digits)):
-        midpoints = [mid.t()] + [mid.apply(q, v) for v in (run.v0, run.w0) for q in (1, 2)]
+    midpoints = [mid.t()] + [mid.apply(q, v) for v in (run.v0, run.w0) for q in (1, 2)]
     enclosures = [fb.scale(ctx, shared.a_inv, shared.outer_comp)] + [
         tables.apply(ctx, q, ball(v)) for v in (run.v0, run.w0) for q in (1, 2)]
     for name, values, enclosure in zip(names, midpoints, enclosures):
@@ -515,9 +526,9 @@ def test_midpoint_dt_without_factor17_leaves_enclosure(request, scale):
     run = request.getfixturevalue(scale)
     ctx, digits = run.ctx, run.ctx.precision
     mid, _, tables, ball = _cross_engine(run)
-    with decimal.localcontext(ax._context(digits)):
+    with decimal.localcontext(ct._context(digits)):
         factor17 = decimals(mid.factor17, mid.scale, len(run.v0))
-        dropped = ax.p_sub(mid.apply(1, run.v0), ax.p_scale(run.v0[0], factor17))
+        dropped = p_sub(mid.apply(1, run.v0), p_scale(run.v0[0], factor17))
     assert _misses(tables.dt_apply(ctx, ball(run.v0)), dropped, digits)
 
 
@@ -597,17 +608,24 @@ def test_jacobian_kinds(desk):
 
 def test_jacobian_head_is_head_of_full_matrix(n40):
     """approx_jacobian gives the rows and columns 0..HEAD_DEGREE of the full
-    Jacobian, digit for digit, for every problem kind."""
+    Jacobian, probed column by column in exact arithmetic from the full
+    build, for every problem kind: digit for digit for the fixed point and
+    delta, and within one unit of the engine's scale 10**-(P+6) for gamma,
+    whose lambda**2 and 2 lambda x are rounded there."""
     k1 = ct.HEAD_DEGREE + 1
-    with decimal.localcontext(ax._context(40)):
-        full = ax._MidShared(n40.g0)
+    full = MidDecimal(n40.g0, 40)
+    with decimal.localcontext(EXACT):
         refs = {kind: (x0, matrix(jacobian_probe(full, kind, x0), len(n40.g0)))
                 for kind, x0 in (("fixed_point", None), ("delta_eigen", n40.v0),
                                  ("gamma_eigen", n40.w0))}
     for kind, (x0, ref) in refs.items():
         head = ax.approx_jacobian(kind, n40.g0, x0, digits=40)
-        assert [list(map(str, row)) for row in head] == \
-            [list(map(str, row[:k1])) for row in ref[:k1]], kind
+        ref = [row[:k1] for row in ref[:k1]]
+        if kind == "gamma_eigen":
+            assert max(abs(a - b) for row, r in zip(head, ref) for a, b in zip(row, r)) \
+                <= Decimal(10) ** -46
+        else:
+            assert head == ref, kind
 
 
 def test_build_lambda_toy():
@@ -635,7 +653,7 @@ def test_build_lambda_singular():
 
 def test_lambda_tail_scalars(desk):
     assert desk.lam_fixed.tail_scalar == -1
-    with decimal.localcontext(ax._context(30)):
+    with decimal.localcontext(ct._context(30)):
         assert abs(desk.lam_delta.tail_scalar + 1 / desk.lam0) < Decimal("1e-28")
         assert abs(desk.lam_gamma.tail_scalar + 1 / (desk.gam0 ** 2)) < Decimal("1e-28")
 
@@ -666,7 +684,7 @@ def test_mat_inv_identity():
     for i in range(n):
         a[i][i] += 15
     inv = ax.mat_inv(a, digits=40)
-    with decimal.localcontext(ax._context(40)):
+    with decimal.localcontext(ct._context(40)):
         for i in range(n):
             for j in range(n):
                 s = sum(a[i][k] * inv[k][j] for k in range(n))

@@ -29,7 +29,7 @@ from renormcert.errors import (
     IndexBeyondTruncation,
     PointOutsideDomain,
 )
-from renormcert.rounding import IZERO, RoundingContext, interval, rectangle
+from renormcert.rounding import EXACT, IZERO, Interval, RoundingContext, interval, rectangle
 
 ctx = RoundingContext(30)
 DOM = fb.STANDARD_DISC
@@ -232,6 +232,59 @@ def test_compose_sampling_oracle_negative_control(monkeypatch):
         return fb.IntBall(b.mid, [], b.scale, b.v_high, b.v_err)
     monkeypatch.setattr(fb, "int_outward", midpoints_only)
     assert _compose_sampling_misses(6) > 0
+
+
+def _block_escapes(seed: int) -> int:
+    """Coefficients of sampled members of f o h at N=40, P=40 that leave
+    the composed ball, its error part included.  h = c + s r e_1 for a
+    short s, so u = s e_1 and coefficient k of f o h is f_k s**k exactly;
+    f has coefficients with 40 digits after the point, so every block of
+    the composition has more digits than the 42 a ball keeps, and radii of
+    0 to 3 units there.  Members of f: its lower ends, its upper ends and
+    random points, formed exactly."""
+    wide, n = RoundingContext(40), 40
+    rng = random.Random(seed)
+    unit = Decimal(10) ** -40
+    escapes = 0
+    with decimal.localcontext(EXACT):
+        for s in (Decimal("0.5"), Decimal(rng.randint(100, 900)) / 1000):
+            h = fb.ball_from_decimals(DOM, [DOM.center, s * DOM.radius], n)
+            mids = [rng.randint(-10**40, 10**40) * unit for _ in range(n + 1)]
+            rads = [rng.randint(0, 3) * unit for _ in range(n + 1)]
+            f = interval_ball([Interval(m - r, m + r) for m, r in zip(mids, rads)])
+            comp = fb.compose(wide, f, h)
+            members = [[m - r for m, r in zip(mids, rads)], [m + r for m, r in zip(mids, rads)]]
+            members += [list(sample_member(rng, f).values()) for _ in range(4)]
+            for member in members:
+                for k, c in enumerate(comp.coeffs):
+                    exact = member[k] * s ** k
+                    escapes += not c.re.lo - comp.v_err <= exact <= c.re.hi + comp.v_err
+    return escapes
+
+
+def test_compose_n40_sampling_oracle():
+    """Every sampled member of f o h lies in the composed ball at N=40,
+    where each block of the composition is rounded outward before it
+    joins the Horner accumulator."""
+    assert _block_escapes(40) == 0
+
+
+def test_compose_n40_block_rounded_to_nearest_lets_a_member_escape(monkeypatch):
+    """Negative control: blocks rounded to nearest at the scale
+    int_outward gives them, without their remainders in the radii, let a
+    sampled member escape."""
+    exact_block = fb.PowerTable._block
+
+    def nearest_block(self, ctx, fm, fr, sf):
+        b = exact_block(self, ctx, fm, fr, sf)
+        cut = fb._cut(ctx, b, len(self.mid) - 1)
+        if cut <= 0:
+            return b
+        unit = 10 ** cut
+        return fb.IntBall([(x + unit // 2) // unit for x in b.mid], [-(-r // unit) for r in b.rad],
+                          b.scale - cut, b.v_high, b.v_err)
+    monkeypatch.setattr(fb.PowerTable, "_block", nearest_block)
+    assert _block_escapes(40) > 0
 
 
 def test_compose_derivative_basics():

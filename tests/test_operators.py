@@ -228,13 +228,27 @@ def test_tables_with_a_folded_error_part_miss_those_over_the_centre(desk, n40, s
     assert _shared_parts(c, point) != _shared_parts(c, over_ball)
 
 
+def test_sampled_members_of_the_n40_parameter_ball_lie_in_it(n40):
+    """Members drawn from the N=40, P=40 parameter ball, whose coefficients
+    carry more digits than a default 28-digit context, lie in the ball
+    coefficient by coefficient: sample_member forms each coefficient
+    x.lo + (x.hi - x.lo) f exactly."""
+    rng = random.Random(4040)
+    ball = n40.result.balls["parameter"]
+    polynomial = dataclasses.replace(ball, v_high=Decimal(0), v_err=Decimal(0))
+    for _ in range(20):
+        member = sample_member(rng, polynomial)
+        for k, c in enumerate(ball.coeffs):
+            assert c.re.lo <= member[k] <= c.re.hi, k
+
+
 @pytest.mark.parametrize("scale", ["desk", "n40"])
 def test_residual_reads_T_from_the_tables_over_its_ball(desk, n40, scale, monkeypatch):
     """Problem(0).residual at the exact centre, taken after column_images
     built the tables over B(G0, rho), evaluates no shared subexpression and
-    is the residual built over G0 alone: the same integers, the same v_high
-    byte for byte, and an error part 0 in both (the built one a zero
-    Decimal of another exponent)."""
+    is the residual built over G0 alone, byte for byte in serialized form:
+    the same integers, the same v_high and an exact error part 0 in both
+    (a product of balls without error parts keeps it Decimal(0))."""
     c, x0, ball = _centre_and_ball(desk, n40, scale)
     problem = ct.Problem(0)
     problem.column_images(c, ball, ct.HEAD_DEGREE)
@@ -249,8 +263,7 @@ def test_residual_reads_T_from_the_tables_over_its_ball(desk, n40, scale, monkey
         read = problem.residual(c, x0)
     assert _integer_parts(read) == _integer_parts(built)
     assert str(read.v_high) == str(built.v_high) and read.v_err == built.v_err == 0
-    zeroed = dataclasses.replace(built, v_err=Decimal(0))
-    assert fb.serialize_ball(read) == fb.serialize_ball(zeroed)
+    assert fb.serialize_ball(read) == fb.serialize_ball(built)
 
 
 def test_table_scalars_hold_every_members_scalars(desk, monkeypatch):
@@ -790,7 +803,7 @@ def test_operator_basis_images_hold_the_decimal_images_to_degree_3n(desk, q):
     guard rows' mass from v_high."""
     n = desk.n
     tables = op.OperatorTables.build(ctx, desk.G0)
-    with decimal.localcontext(ax._context(100)):
+    with decimal.localcontext(ct._context(100)):
         oracle = DecimalShared(desk.g0 + [Decimal(0)] * (2 * n))
         for k in range(ct.HEAD_DEGREE + 1):
             image = oracle.apply(q, [Decimal(int(j == k)) for j in range(3 * n + 1)])

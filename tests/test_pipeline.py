@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MidDecimal,
     assert_min_digits,
     jacobian_probe,
     matrix,
@@ -468,8 +469,8 @@ def test_dense_map_certifies_same_digits(n40, monkeypatch):
     dense map's column part reads the columns' error parts through row 0
     of the map, max_j |Lam_0j|, not ||Lam|| (ROADMAP item 16)."""
     powers_above_baby_steps(monkeypatch)
-    with decimal.localcontext(ax._context(40)):
-        full = ax._MidShared(n40.g0)
+    full = MidDecimal(n40.g0, 40)
+    with decimal.localcontext(ct._context(40)):
         jac = matrix(jacobian_probe(full, "fixed_point"), len(n40.g0))
     lam = ct.build_lambda("fixed_point", jac, 40)
     assert lam.dim == 41
@@ -609,11 +610,11 @@ def test_n40_centres_agree_across_bootstrap_paths(monkeypatch, precision):
     Either bootstrap makes two degree-40 builds fewer than the API calls."""
     degrees, init, parent = [], ax._MidShared.__init__, os.getpid()
 
-    def counting_init(self, g, width=None):
+    def counting_init(self, g, digits, width=None):
         if os.getpid() != parent:
             raise AssertionError("a pool worker made a midpoint build")
         degrees.append(len(g) - 1)
-        init(self, g, width)
+        init(self, g, digits, width)
 
     monkeypatch.setattr(ax._MidShared, "__init__", counting_init)
     cfg = pl.RunConfig(degree=40, precision=precision)
@@ -1135,21 +1136,23 @@ def desk_all_targets():
 
 
 #: the three desk centres (N=20, P=30) in renormcert-ball v1 form, as the
-#: version that held Decimal coefficients wrote them: some endpoints end in
-#: zeros, which the integer form does not keep
+#: version whose bootstrap held Decimal coefficients wrote them: P
+#: significant digits, so small coefficients have digits below 10**-36, and
+#: some endpoints end in zeros, which the integer form does not keep
 V1_CENTRES = Path(__file__).parent / "data" / "desk_centres_v1"
+#: the centres this bootstrap makes at N=20, P=30, in the same v1 layout:
+#: Decimal strings at its scale 10**-36, trailing zeros kept
+V1_GRID_CENTRES = Path(__file__).parent / "data" / "desk_centres_v1_grid"
 
 
-def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monkeypatch):
-    """Centres written by that version still load: certifying from a copy
-    of them reads every centre, recomputes none and rewrites none, and
-    gives the fresh run's certificates, input checksums included, and
-    digits.  Every function defined in approx and its midpoint engine are
-    refused, so the certificate stages run no approx numerics.  Each file
-    loads to the fresh centre and round-trips; its text differs from the
-    one written now only in the digit layout."""
+def _certify_from_copy(centres, tmp_path, monkeypatch):
+    """The desk run certified from a copy of the centres in the directory
+    ``centres``, with every function defined in approx and its midpoint
+    engine refused, so the certificate stages run no approx numerics.
+    Checks that each file loads, round-trips and is left as it was, and
+    returns the result and the balls loaded from the files."""
     ck = tmp_path / "ck"
-    shutil.copytree(V1_CENTRES, ck)
+    shutil.copytree(centres, ck)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a certificate run called into the approx numerics")
@@ -1159,18 +1162,46 @@ def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monke
             monkeypatch.setattr(ax, name, refuse)
     monkeypatch.setattr(ax, "_MidShared", refuse)
     result = pl.run_pipeline(pl.RunConfig(degree=20, precision=30, checkpoint_dir=str(ck)))
-    fresh = desk_all_targets
-    assert result.report["certificates"] == fresh.report["certificates"]
-    assert result.report["digits"] == fresh.report["digits"]
-    rewritten = 0
+    loaded, rewritten = {}, 0
     for name, key in pl._CENTRES.values():
-        text = (V1_CENTRES / f"{name}_n20_p30.txt").read_text()
+        text = (centres / f"{name}_n20_p30.txt").read_text()
         assert (ck / f"{name}_n20_p30.txt").read_text() == text
-        again = fb.serialize_ball(fb.deserialize_ball(text))
-        assert again == fb.serialize_ball(fresh.balls[key])
+        loaded[key] = fb.deserialize_ball(text)
+        again = fb.serialize_ball(loaded[key])
         assert fb.serialize_ball(fb.deserialize_ball(again)) == again
         rewritten += again != text
     assert rewritten
+    return result, loaded
+
+
+def test_v1_checkpoints_certify_as_a_fresh_run(desk_all_targets, tmp_path, monkeypatch):
+    """This bootstrap's centres in the v1 layout load to the fresh centres,
+    read every centre, recompute none and rewrite none, and give the fresh
+    run's certificates, input checksums included, and digits; each text
+    differs from the one written now only in the digit layout."""
+    result, loaded = _certify_from_copy(V1_GRID_CENTRES, tmp_path, monkeypatch)
+    fresh = desk_all_targets
+    assert result.report["certificates"] == fresh.report["certificates"]
+    assert result.report["digits"] == fresh.report["digits"]
+    for key, ball in loaded.items():
+        assert fb.serialize_ball(ball) == fb.serialize_ball(fresh.balls[key])
+
+
+def test_v1_checkpoints_of_the_decimal_bootstrap_certify_the_same_digits(
+        desk_all_targets, tmp_path, monkeypatch):
+    """Centres written by the version whose bootstrap held Decimal
+    coefficients, with digits below this bootstrap's scale, still load,
+    round-trip and certify, reading every centre and recomputing none, to
+    the fresh run's digit strings (15/15/10/11); their centres are not the
+    fresh ones, so neither are the certificates' checksums."""
+    result, loaded = _certify_from_copy(V1_CENTRES, tmp_path, monkeypatch)
+    fresh = desk_all_targets
+    assert result.report["digits"] == fresh.report["digits"]
+    assert [d["count"] for d in result.report["digits"].values()] == [15, 15, 10, 11]
+    assert sorted(result.report["certificates"]) == sorted(fresh.report["certificates"])
+    for key, ball in loaded.items():
+        assert fb.serialize_ball(ball) != fb.serialize_ball(fresh.balls[key])
+        assert fb.serialize_ball(result.balls[key]) == fb.serialize_ball(ball)
 
 
 def test_certified_fixed_point_ball_is_the_parameter_ball(desk_all_targets):
