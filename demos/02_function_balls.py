@@ -23,13 +23,13 @@ print("== a ball and its norm ==")
 f = fb.ball_from_decimals(STANDARD_DISC, ["1", "-2"], N)
 f = fb.inflate(ctx, f, "0.5")
 print(f"  coefficients (1, -2), error budget 0.5")
-print(f"  held as mid {f.mid}, rad {f.rad} (empty: all 0) at scale 10^-{f.scale}")
+print(f"  held as mid {f.mid}, rad {f.rad} (one l1 radius) at scale 10^-{f.scale}")
 print(f"  norm upper bound: {fb.norm_upper(ctx, f)}")
 
 
 print("\n== a kernel rounds its exact integer result outward once ==")
 third = fb.scale(ctx, ctx.idiv(interval(1), interval(3)), f)   # f / 3
-print(f"  f/3 holds mid {third.mid[:2]}, rad {third.rad[:2]} at scale 10^-{third.scale}")
+print(f"  f/3 holds mid {third.mid[:2]}, rad {third.rad} at scale 10^-{third.scale}")
 print(f"  coefficient 0 read as decimals: {third.coeffs[0].re}")
 
 print("\n== multiplication spills high-degree mass into the tail bound ==")

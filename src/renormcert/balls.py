@@ -11,11 +11,12 @@ the constant coefficient and e_k(1) = 0 for k >= 1.  The set is
 
     f = f_P + f_H + f_E
 
-where f_P is a polynomial of degree <= N whose basis coefficients lie in
-the stored intervals, f_H is any real-coefficient function supported
-strictly above degree N with ||f_H|| <= v_high, and f_E is any
-real-coefficient function with ||f_E|| <= v_err.  Every operation returns
-a ball enclosing the exact image of every member.
+where f_P is the polynomial of degree <= N with the stored midpoints
+plus a rounding part of l1 norm at most rad at any degree, f_H is any
+real-coefficient function supported strictly above degree N with
+||f_H|| <= v_high, and f_E is any real-coefficient function with
+||f_E|| <= v_err.  Every operation returns a ball enclosing the exact
+image of every member.
 
 Why real coefficients suffice.  The doubling operator T, its derivative
 DT, the noise operator L and both eigen residuals map real-coefficient
@@ -29,32 +30,36 @@ gives a zero that is unique among the real-coefficient functions in the
 ball.  The domain-extension check is unchanged: it is a statement about
 every member at complex points.
 
-A ball holds its coefficients in exact integer midpoint-radius form, the
-representation of Arb (Johansson, IEEE Trans. Comput. 66, 2017; van der
-Hoeven, "Ball arithmetic", 2010): coefficient k lies in mid[k] +- rad[k]
-times 10**-scale; a :class:`FunctionBall` is an :class:`IntBall` with a
-degree, so kernels read it directly.  Kernels combine
-midpoints exactly and round their result outward once
-(:func:`int_outward`), keeping precision + digits(N+1) digits on its
-largest coefficient; sums, negations and shifts are exact.  Products
-convolve midpoints exactly (:func:`int_mul`); a radius needs only a few
-digits, so their radii are integer upper bounds at the same scale,
-formed from 64-bit mantissas in one packed multiply per convolution, as
-Arb keeps radii as low-precision magnitudes (:func:`_radius_conv`).  A
-scalar times a ball is the product with the scalar's constant ball;
-composition goes through a
+A ball holds exact integer midpoints and one integer radius, the ball
+polynomial with a single norm radius (van der Hoeven, "Ball arithmetic",
+2010): f_P = sum_k mid[k] e_k plus a rounding part d, any real function
+with ||d|| <= rad, all times 10**-scale.  d may sit at any degree, so rad
+is an error part of its own; it is kept apart from v_err because
+v_err carries rho and the parameter ball, which the operator tables read
+separately (:mod:`operators`).  A :class:`FunctionBall` is an
+:class:`IntBall` with a degree, so kernels read it directly.  Kernels
+combine midpoints exactly, form rad from exact integer norms, and round
+their result outward once (:func:`int_outward`), keeping precision +
+digits(N+1) digits on its largest coefficient; sums, negations and shifts
+are exact.  A product convolves midpoints exactly (:func:`int_mul`); its
+rad is ||f_P|| rad_g + rad_f (||g_P|| + rad_g).  A scalar times a ball is
+the product with the scalar's constant ball; composition goes through a
 :class:`PowerTable`, which holds the baby powers of the normalized
-argument at one scale and its giant step, so composing is one exact
-integer matrix-vector product per block of coefficients and Horner in
-the giant step (Paterson-Stockmeyer), rounded outward once per giant step
-and once at the end.  Decimal numbers appear only at the edges: balls
-built from decimals (:func:`ball_from_decimals`, :func:`deserialize_ball`)
-are exact, read into integers by :func:`rounding.floor_at`, and those two
-check that their outside values name the standard disc; the read-only
-:attr:`FunctionBall.coeffs` view gives the coefficient intervals as exact
-decimals for serialization, checksums and plots.  Complex arithmetic is
-kept for pointwise work only: a :class:`PointEvaluator` holds a ball's
-coefficient endpoints as integers and evaluates on integer boxes at one
+argument at one scale, each with its rad, and its giant step, so
+composing is one exact integer matrix-vector product per block of
+coefficients and Horner in the giant step (Paterson-Stockmeyer), rounded
+outward once per giant step and once at the end.  Decimal numbers appear
+only at the edges: balls built from decimals (:func:`ball_from_decimals`,
+:func:`deserialize_ball`) hold the coefficient intervals' exact
+midpoints, read into integers by :func:`rounding.floor_at`, with rad the
+sum of their half-widths, and those two check that their outside values
+name the standard disc; :func:`serialize_ball` writes the midpoints and
+adds rad to v_err, so an exact ball writes the text it reads; the
+read-only :attr:`FunctionBall.coeffs` view gives each coefficient's
+interval mid +- rad as exact decimals for digits and plots.  Complex
+arithmetic is kept for pointwise work only: a :class:`PointEvaluator`
+holds a ball's midpoints as integers, its rounding part in the tail
+pad, and evaluates on integer boxes at one
 decimal point scale, from a point's box to the box of its value, with
 the normalized argument on a binary scale so that each Horner step
 rounds by shifts; Decimal appears only where a caller reads a Rectangle
@@ -67,7 +72,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from decimal import Decimal
-from itertools import repeat
 from math import isqrt
 from operator import add as _iadd
 from operator import mul as _imul
@@ -80,6 +84,7 @@ from .errors import (
     PointOutsideDomain,
 )
 from .rounding import (
+    EXACT,
     IONE,
     IZERO,
     Interval,
@@ -159,14 +164,15 @@ _C, _R = STANDARD_DISC.center, STANDARD_DISC.radius
 class IntBall:
     """A function ball in exact integer midpoint-radius form.
 
-    Coefficient k lies in mid[k] +- rad[k], times 10**-scale.  A list may
-    stop early: missing entries are zero.  v_high and v_err are the tail
-    bounds of :class:`FunctionBall`.  Kernels combine these exactly and
-    round outward only where they say so.
+    Its polynomial part is sum_k mid[k] e_k plus a rounding part of l1 norm
+    at most rad, at any degree, times 10**-scale.  The list may stop early:
+    missing entries are zero.  v_high and v_err are the tail bounds of
+    :class:`FunctionBall`.  Kernels combine these exactly and round outward
+    only where they say so.
     """
 
     mid: list[int]
-    rad: list[int]
+    rad: int
     scale: int
     v_high: Decimal
     v_err: Decimal
@@ -175,17 +181,17 @@ class IntBall:
 @dataclass(frozen=True, slots=True)
 class FunctionBall(IntBall):
     """A ball of degree N = ``truncation``: an :class:`IntBall`, which every
-    integer kernel reads, with its lists at most N + 1 long."""
+    integer kernel reads, with its midpoints at most N + 1 long."""
 
     truncation: int
 
     def __post_init__(self):
         if self.truncation < 0:
             raise ConfigError("function ball needs at least the constant coefficient")
-        if max(len(self.mid), len(self.rad)) > self.truncation + 1:
+        if len(self.mid) > self.truncation + 1:
             raise ConfigError("more coefficients than truncation allows")
-        if self.v_high < 0 or self.v_err < 0:
-            raise ConfigError("tail bounds must be nonnegative")
+        if self.v_high < 0 or self.v_err < 0 or self.rad < 0:
+            raise ConfigError("radius and tail bounds must be nonnegative")
 
     @classmethod
     def wrap(cls, n: int, b: IntBall) -> "FunctionBall":
@@ -194,11 +200,12 @@ class FunctionBall(IntBall):
 
     @property
     def coeffs(self) -> tuple[Rectangle, ...]:
-        """The coefficient intervals as exact decimals, imaginary parts 0:
-        a read-only view for serialization, checksums, digits and plots."""
-        n, s = self.truncation, self.scale
-        return tuple(Rectangle(Interval(exact_decimal(m - r, s), exact_decimal(m + r, s)),
-                               IZERO) for m, r in zip(_padded(self.mid, n), _padded(self.rad, n)))
+        """The coefficient intervals mid[k] +- rad as exact decimals,
+        imaginary parts 0, without the tails: a read-only view for digits,
+        plots and tests."""
+        n, s, r = self.truncation, self.scale, self.rad
+        return tuple(Rectangle(Interval(exact_decimal(m - r, s), exact_decimal(m + r, s)), IZERO)
+                     for m in _padded(self.mid, n))
 
     def __repr__(self):
         return f"FunctionBall(N={self.truncation}, v_high={self.v_high}, v_err={self.v_err})"
@@ -211,16 +218,17 @@ def _padded(xs: list[int], n: int) -> list[int]:
 
 def _exact(n: int, xs: list[Interval], v_high: Decimal = _D0,
            v_err: Decimal = _D0) -> FunctionBall:
-    """The degree-n ball with exactly the coefficient intervals xs: their
-    endpoints as integers at the finest scale the digits need, one digit
-    finer where a midpoint needs it."""
+    """The degree-n ball holding every polynomial with coefficients in the
+    intervals xs: their exact midpoints, at the finest scale the digits
+    need (one digit finer where a midpoint needs it), and rad the sum of
+    their half-widths."""
     s = max([0] + [-x.as_tuple().exponent for iv in xs for x in (iv.lo, iv.hi) if x])
     los, his = [floor_at(iv.lo, s) for iv in xs], [floor_at(iv.hi, s) for iv in xs]
     if any((lo + hi) & 1 for lo, hi in zip(los, his)):
         s, los, his = s + 1, [10 * x for x in los], [10 * x for x in his]
     mid = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
-    rad = [hi - m for hi, m in zip(his, mid)]
-    return FunctionBall(mid if any(mid) else [], rad if any(rad) else [], s, v_high, v_err, n)
+    rad = sum(hi - m for hi, m in zip(his, mid))
+    return FunctionBall(mid if any(mid) else [], rad, s, v_high, v_err, n)
 
 
 def _real_scalar(s) -> Interval:
@@ -243,7 +251,7 @@ def _check_same_degree(f: FunctionBall, g: FunctionBall):
 # -- constructors -----------------------------------------------------------
 
 def zero_ball(n: int) -> FunctionBall:
-    return FunctionBall([], [], 0, _D0, _D0, n)
+    return FunctionBall([], 0, 0, _D0, _D0, n)
 
 
 def const_ball(n: int, value) -> FunctionBall:
@@ -270,7 +278,7 @@ def affine_arg(ctx: RoundingContext, n: int, s) -> FunctionBall:
 
 def norm_upper(ctx: RoundingContext, f: FunctionBall) -> Decimal:
     """Upper bound of ||g|| over every member g of the ball."""
-    total = ctx.scaled_up(sum(_magnitudes(f.mid, f.rad)), f.scale)
+    total = ctx.scaled_up(sum(map(abs, f.mid)) + f.rad, f.scale)
     return ctx.add_up(ctx.add_up(total, f.v_high), f.v_err)
 
 
@@ -333,106 +341,45 @@ def _add_lists(a: list[int], b: list[int]) -> list[int]:
     return list(map(_iadd, a, b)) + a[len(b):]
 
 
-def _magnitudes(mid: list[int], rad: list[int]) -> list[int]:
-    """Upper bounds |mid| + rad of the coefficients of an integer ball."""
-    return _add_lists(list(map(abs, mid)), rad)
-
-
-#: bits of the short mantissas a radius convolution is formed from
-_RADIUS_BITS = 64
-
-
-def _mantissas(xs: list[int], shift: int) -> list[int]:
-    """ceil(x / 2**shift) for every x >= 0 of xs."""
-    return [-(-x >> shift) for x in xs] if shift else xs
-
-
-def _slot_bytes(top: int) -> int:
-    """Bytes of a slot that holds every integer from 0 to top."""
-    return (top.bit_length() + 7) >> 3
-
-
-def _pack(xs: list[int], width: int) -> int:
-    """The integer whose width-byte slot k holds xs[k] >= 0."""
-    return int.from_bytes(b"".join(map(int.to_bytes, xs, repeat(width), repeat("little"))),
-                          "little")
-
-
-def _radius_conv(a: list[int], b: list[int], n: int) -> list[int]:
-    """Upper bound of the Cauchy product of two nonnegative integer
-    sequences, truncated to degree n, at their scale.
-
-    Each sequence, its trailing zeros dropped, is rounded up to
-    _RADIUS_BITS-bit mantissas at one binary shift s set by its largest
-    entry, x -> ceil(x / 2**s), and packed into one integer, one slot per
-    coefficient (Kronecker substitution: Harvey, J. Symb. Comput. 44,
-    2009).  A slot holds the largest coefficient sum, so no carry crosses
-    it, and one multiply forms the product.  Its slots 0..n, shifted back
-    by both shifts, exceed the exact coefficients by at most one unit of a
-    mantissa, 2**s, times the other factor, per term.
-    """
-    la, lb = _nonzero_length(a, n), _nonzero_length(b, n)
-    if not (la and lb):
-        return []
-    a, b = a[:la], b[:lb]
-    top_a, top_b = max(a), max(b)
-    sa = max(top_a.bit_length() - _RADIUS_BITS, 0)
-    sb = max(top_b.bit_length() - _RADIUS_BITS, 0)
-    a, b = _mantissas(a, sa), _mantissas(b, sb)
-    width = _slot_bytes(-(-top_a >> sa) * -(-top_b >> sb) * min(la, lb))
-    raw = (_pack(a, width) * _pack(b, width)).to_bytes((la + lb - 1) * width, "little")
-    shift, read = sa + sb, int.from_bytes
-    return [read(raw[i:i + width], "little") << shift
-            for i in range(0, min(n + 1, la + lb - 1) * width, width)]
-
-
-def _product_radii(fm: list[int], fr: list[int], gm: list[int], gr: list[int],
-                   n: int) -> list[int]:
-    """Upper bounds of the radii of the product of two integer balls, from
-    their midpoints and radii: a product of intervals (m, r)(m', r') has
-    radius |m| r' + r (|m'| + r'), and both convolutions are bounded from
-    short mantissas (:func:`_radius_conv`)."""
-    return _add_lists(_radius_conv(list(map(abs, fm)), gr, n),
-                      _radius_conv(fr, _magnitudes(gm, gr), n))
-
-
 def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
     """Product of two integer balls to degree n, at scale f.scale + g.scale.
 
-    Midpoints are the exact product; radii bound the exact ones from above
-    through short mantissas (:func:`_product_radii`).  Polynomial-by-polynomial mass of degree > N
-    is provably high-order and goes to v_high, as do polynomial-by-high
-    products; anything touching an error part lands in v_err, which stays
-    an exact 0 when neither has one.  Those tail bounds are rounded upward.
+    Midpoints are the exact product to degree n and rad the exact bound
+    ||f_P|| rad_g + rad_f (||g_P|| + rad_g) of the rounding parts' terms,
+    at any degree.  Midpoint mass of degree > N is provably high-order and
+    goes to v_high, as do products of a polynomial part (rounding part
+    included) with a high part; anything touching an error part lands in
+    v_err, which stays an exact 0 when neither has one.  Those tail bounds
+    are rounded upward.
     """
     mid = _conv(f.mid, g.mid, n)
-    rad = _product_radii(f.mid, f.rad, g.mid, g.rad, n)
-    mf, mg = _magnitudes(f.mid, f.rad), _magnitudes(g.mid, g.rad)
+    mf, mg = list(map(abs, f.mid)), list(map(abs, g.mid))
+    nf, ng = sum(mf), sum(mg)
+    rad = nf * g.rad + f.rad * (ng + g.rad)
     # spill: sum of mf[i] mg[j] over i + j > N, from suffix sums of mg
     tail, suffix = 0, [0] * (len(mg) + 1)
     for j in range(len(mg) - 1, -1, -1):
         tail += mg[j]
         suffix[j] = tail
     spill = sum(m * suffix[n - i + 1] for i, m in enumerate(mf) if n - i + 1 < len(mg))
-    pf, pg = ctx.scaled_up(sum(mf), f.scale), ctx.scaled_up(sum(mg), g.scale)
+    pf, pg = ctx.scaled_up(nf + f.rad, f.scale), ctx.scaled_up(ng + g.rad, g.scale)
     v_high = ctx.scaled_up(spill, f.scale + g.scale)
     v_high = ctx.add_up(v_high, ctx.mul_up(pf, g.v_high))
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, pg))
     v_high = ctx.add_up(v_high, ctx.mul_up(f.v_high, g.v_high))
     v_err = ctx.add_up(ctx.mul_up(f.v_err, ctx.add_up(ctx.add_up(pg, g.v_high), g.v_err)),
                        ctx.mul_up(g.v_err, ctx.add_up(pf, f.v_high))) if f.v_err or g.v_err else _D0
-    return IntBall(mid if any(mid) else [], rad if any(rad) else [],
-                   f.scale + g.scale, v_high, v_err)
+    return IntBall(mid if any(mid) else [], rad, f.scale + g.scale, v_high, v_err)
 
 
 def int_add(ctx: RoundingContext, f: IntBall, g: IntBall) -> IntBall:
     """Exact sum of two integer balls, at the finer of their scales."""
     s = max(f.scale, g.scale)
     uf, ug = 10 ** (s - f.scale), 10 ** (s - g.scale)
-    parts = [_add_lists(a if uf == 1 else [x * uf for x in a],
-                        b if ug == 1 else [x * ug for x in b])
-             for a, b in ((f.mid, g.mid), (f.rad, g.rad))]
-    return IntBall(*parts, s, ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    mid = _add_lists(f.mid if uf == 1 else [x * uf for x in f.mid],
+                     g.mid if ug == 1 else [x * ug for x in g.mid])
+    return IntBall(mid, f.rad * uf + g.rad * ug, s, ctx.add_up(f.v_high, g.v_high),
+                   ctx.add_up(f.v_err, g.v_err))
 
 
 def _cut(ctx: RoundingContext, b: IntBall, n: int) -> int:
@@ -441,7 +388,7 @@ def _cut(ctx: RoundingContext, b: IntBall, n: int) -> int:
     keeping a kernel's sum of n+1 roundings below one unit in the last
     working digit (a zero ball counts as 1).  0 or less: b keeps every
     digit."""
-    top = max(_magnitudes(b.mid, b.rad), default=0)
+    top = max(max(map(abs, b.mid), default=0), b.rad)
     # Decimal, not str(): str() of an int stops at sys.get_int_max_str_digits()
     exponent = Decimal(top).adjusted() - b.scale if top else 0
     return b.scale - (ctx.precision + len(str(n + 1)) - exponent)
@@ -449,23 +396,22 @@ def _cut(ctx: RoundingContext, b: IntBall, n: int) -> int:
 
 def int_outward(ctx: RoundingContext, b: IntBall, n: int) -> IntBall:
     """b rounded outward to the scale :func:`_cut` gives it: each midpoint
-    is floored and each radius grows by the remainder, then rounds up."""
+    is floored, and rad grows by the sum of their remainders, the l1 norm
+    of what flooring moved, then rounds up."""
     cut = _cut(ctx, b, n)
     if cut <= 0:
         return b
     unit = 10 ** cut
-    size = max(len(b.mid), len(b.rad))
-    qr = [divmod(m, unit) for m in _padded(b.mid, size - 1)]
-    return IntBall([q for q, _ in qr],
-                   [-((-r - rem) // unit) for (_, rem), r in zip(qr, _padded(b.rad, size - 1))],
+    qr = [divmod(m, unit) for m in b.mid]
+    return IntBall([q for q, _ in qr], -(-(b.rad + sum(rem for _, rem in qr)) // unit),
                    b.scale - cut, b.v_high, b.v_err)
 
 
 def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     """Product ball: Cauchy product to degree N, l1 spill above N into v_high.
 
-    The coefficient product runs exactly on the integer midpoint-radius
-    form (:func:`int_mul`) and is rounded outward once.
+    The product runs exactly on the integer midpoint-radius form
+    (:func:`int_mul`) and is rounded outward once.
     """
     _check_same_degree(f, g)
     n = f.truncation
@@ -490,10 +436,11 @@ def theta(ctx: RoundingContext, h: FunctionBall) -> Decimal:
 
 
 def _derivative(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
-    """f_P' in the same basis, d/dz e_k = (k/r) e_{k-1}: coefficient k - 1
-    is k f_k / r, the k f_k exact and the division rounded outward once."""
-    ks = IntBall([k * m for k, m in enumerate(f.mid)][1:], [k * r for k, r in enumerate(f.rad)][1:],
-                 f.scale, _D0, _D0)
+    """The derivative of f's midpoint polynomial in the same basis,
+    d/dz e_k = (k/r) e_{k-1}: coefficient k - 1 is k mid[k] / r, the
+    k mid[k] exact and the division rounded outward once.  f's rounding
+    part is the caller's, as its tails are."""
+    ks = IntBall([k * m for k, m in enumerate(f.mid)][1:], 0, f.scale, _D0, _D0)
     return scale(ctx, ctx.idiv(IONE, interval(_R)), FunctionBall.wrap(f.truncation, ks))
 
 
@@ -534,19 +481,19 @@ class PowerTable:
     U = u**m when N >= m, held only in exact integer midpoint-radius form
     to degree D = N + _GUARD_DEGREES, with theta(h).
 
-    Row j of each matrix holds coefficient j of every baby power, for
-    j = 0..D, all at one scale 10**-scale: its midpoints, radii and
-    magnitudes |mid| + rad, formed once when the table is built;
-    v_spill[k] bounds the mass of power k above D and v_err[k] is its
+    Row j of ``mid`` holds midpoint j of every baby power, for j = 0..D,
+    all at one scale 10**-scale; rad[k] is power k's rounding radius at
+    that scale, v_spill[k] bounds its mass above D and v_err[k] is its
     error tail.  Composing f with h is
     Paterson-Stockmeyer evaluation (Paterson and Stockmeyer, SIAM J.
     Comput. 2, 1973): f splits into blocks B_i = sum_{j<m} f_{im+j} u**j,
     each one exact integer matrix-vector product rounded outward to
     degree D, and Horner in U, acc <- int_outward(acc U) + B_i, runs from
-    the top block down to B_0, each B_i carrying its baby powers' tails, so
-    a giant step multiplies operands of precision + digits(D+1) digits; the
-    rows above N of the result go to v_high and the rest is rounded outward
-    once.  That is
+    the top block down to B_0, each B_i carrying its baby powers' radii
+    and tails weighted by |f_j|, so a giant step multiplies operands of
+    precision + digits(D+1) digits; the rows above N of the result go to
+    v_high, f's own rounding part adds its rad, which composes to at most
+    itself as theta <= 1, and the rest is rounded outward once.  That is
     m - 1 products to build the table and ceil((N+1)/m) - 1 per
     composition, instead of the N - 1 of a table of every power.  Baby
     power k, cut at degree N, is the image of e_k (:meth:`power`), so a
@@ -557,7 +504,6 @@ class PowerTable:
     scale: int
     mid: tuple
     rad: tuple
-    mags: tuple
     v_spill: tuple
     v_err: tuple
     giant: IntBall | None
@@ -575,13 +521,13 @@ class PowerTable:
         """Baby power u**k, k < min(N + 1, BABY_STEPS), in integer form to
         degree N at the table's scale, its mass above N in v_high: the
         image of e_k."""
-        m, n = len(self.mid[0]), self.truncation
+        m, n = len(self.rad), self.truncation
         if not 0 <= k < m:
             raise IndexBeyondTruncation(f"power {k} not in the baby powers 0..{m - 1}")
-        mid, rad = ([row[k] for row in rows] for rows in (self.mid, self.rad))
-        guard = sum(_magnitudes(mid[n + 1:], rad[n + 1:]))
-        mid, rad, s = mid[:n + 1], rad[:n + 1], self.scale
-        return IntBall(mid if any(mid) else [], rad if any(rad) else [], s,
+        mid, s = [row[k] for row in self.mid], self.scale
+        guard = sum(map(abs, mid[n + 1:]))
+        mid = mid[:n + 1]
+        return IntBall(mid if any(mid) else [], self.rad[k], s,
                        ctx.add_up(self.v_spill[k], ctx.scaled_up(guard, s)), self.v_err[k])
 
     def _require(self, strict: bool):
@@ -590,34 +536,36 @@ class PowerTable:
             raise CompositionContractFailure(
                 f"composition argument has theta = {th} (strict={strict})")
 
-    def _block(self, ctx: RoundingContext, fm: list[int], fr: list[int], sf: int) -> IntBall:
-        """sum_j (fm[j] +- fr[j]) u**j over the baby powers to degree D,
-        exactly, at scale 10**-(sf + scale) for fm, fr at 10**-sf, with the
-        baby powers' tails weighted by |fm[j]| + fr[j]."""
+    def _block(self, ctx: RoundingContext, fm: list[int], sf: int) -> IntBall:
+        """sum_j fm[j] u**j over the baby powers to degree D, exactly, at
+        scale 10**-(sf + scale) for fm at 10**-sf, with the baby powers'
+        radii and tails weighted by |fm[j]|."""
         v_high = v_err = _D0
-        for k, m in enumerate(_magnitudes(fm, fr)):
+        mags = list(map(abs, fm))
+        for k, m in enumerate(mags):
             if m and (self.v_spill[k] or self.v_err[k]):
                 mk = ctx.scaled_up(m, sf)
                 v_high = ctx.add_up(v_high, ctx.mul_up(mk, self.v_spill[k]))
                 v_err = ctx.add_up(v_err, ctx.mul_up(mk, self.v_err[k]))
-        return IntBall(_dots(fm, self.mid),
-                       _add_lists(_dots(list(map(abs, fm)), self.rad), _dots(fr, self.mags)),
+        return IntBall(_dots(fm, self.mid), sum(map(_imul, mags, self.rad)),
                        sf + self.scale, v_high, v_err)
 
     def _polynomial(self, ctx: RoundingContext, p: FunctionBall) -> FunctionBall:
-        """Enclosure of sum_k p_k u**k over every member of the argument, for
-        the coefficients p_k of p (its tails are not read), rounded outward
-        to the scale int_outward gives a degree-N ball first."""
+        """Enclosure of p_P o h over every member of the argument, for the
+        polynomial part of p (its tails are not read), rounded outward to
+        the scale int_outward gives a degree-N ball first: the midpoints
+        through the blocks, the rounding part as its rad, since
+        ||d o h|| <= ||d|| for theta(h) <= 1."""
         n = self.truncation
         p = int_outward(ctx, p, n)
-        fm, fr, sf, m, d = p.mid, p.rad, p.scale, len(self.mid[0]), len(self.mid) - 1
+        fm, sf, m, d = p.mid, p.scale, len(self.rad), len(self.mid) - 1
         acc = None
-        for i in reversed(range(0, max(len(fm), len(fr), 1), m)):
-            block = int_outward(ctx, self._block(ctx, fm[i:i + m], fr[i:i + m], sf), d)
+        for i in reversed(range(0, max(len(fm), 1), m)):
+            block = int_outward(ctx, self._block(ctx, fm[i:i + m], sf), d)
             acc = block if acc is None else int_add(ctx, self._giant_step(ctx, acc), block)
-        guard = ctx.scaled_up(sum(_magnitudes(acc.mid[n + 1:], acc.rad[n + 1:])), acc.scale)
-        out = IntBall(acc.mid[:n + 1], acc.rad[:n + 1], acc.scale,
-                      ctx.add_up(guard, acc.v_high), acc.v_err)
+        guard = ctx.scaled_up(sum(map(abs, acc.mid[n + 1:])), acc.scale)
+        out = IntBall(acc.mid[:n + 1], acc.rad, acc.scale, ctx.add_up(guard, acc.v_high), acc.v_err)
+        out = int_add(ctx, out, IntBall([], p.rad, p.scale, _D0, _D0))
         return FunctionBall.wrap(n, int_outward(ctx, out, n))
 
     def compose(self, ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
@@ -625,7 +573,8 @@ class PowerTable:
 
         Requires theta(h) <= 1, strictly below 1 when f carries tail mass.
         The high tail of f contributes v_high * theta**(N+1) and the error
-        tail of f contributes v_err, both into the result's error bound.
+        tail of f contributes v_err, both into the result's error bound;
+        f's rounding part keeps its rad (:meth:`_polynomial`).
         """
         if f.truncation != self.truncation:
             raise DomainMismatch("composed ball and power table differ in degree")
@@ -642,8 +591,9 @@ class PowerTable:
 
         Tail mass of f is differentiated through the majorants
         sup_{k>N} k theta**(k-1) for the high part and
-        sum_{k>=1} k theta**(k-1) = (1-theta)**-2 for the error part,
-        each divided by r.
+        sum_{k>=1} k theta**(k-1) = (1-theta)**-2 for the error part and
+        the rounding part, each divided by r; the rounding part's bound
+        goes to rad, the tails' to v_err.
         """
         if f.truncation != self.truncation:
             raise DomainMismatch("composed ball and power table differ in degree")
@@ -653,10 +603,12 @@ class PowerTable:
         tail = _D0
         if f.v_high > 0:
             tail = ctx.mul_up(f.v_high, _sup_k_theta(ctx, th, f.truncation))
-        if f.v_err > 0:
+        if f.v_err > 0 or f.rad:
             one_minus = ctx.sub_dn(_D1, th)
             geo = ctx.div_up(_D1, ctx.mul_dn(one_minus, one_minus))
             tail = ctx.add_up(tail, ctx.mul_up(f.v_err, geo))
+            rad = ctx.div_up(ctx.mul_up(ctx.scaled_up(f.rad, f.scale), geo), _R)
+            out = replace(out, rad=out.rad + ceil_at(rad, out.scale))
         if tail > 0:
             tail = ctx.div_up(tail, _R)
         return inflate(ctx, out, tail)
@@ -670,26 +622,21 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     degree N + _GUARD_DEGREES, rounded outward once
     (:func:`int_outward`) to keep precision + digits(N+1) digits on its
     largest coefficient.  The baby powers are then lifted exactly to the
-    finest of their scales, which the table holds.
+    finest of their scales, which the table holds, radii with them.
     """
     n = h.truncation
     d = n + _GUARD_DEGREES
     last = min(n, BABY_STEPS)
     u = normalized_argument(ctx, h)
-    powers = [IntBall([1], [], 0, _D0, _D0), u][:last + 1]
+    powers = [IntBall([1], 0, 0, _D0, _D0), u][:last + 1]
     for k in range(2, last + 1):
         f, g = (powers[k // 2],) * 2 if k % 2 == 0 else (powers[-1], u)
         powers.append(int_outward(ctx, int_mul(ctx, f, g, d), d))
     baby = powers[:BABY_STEPS]
     top = max(p.scale for p in baby)
-
-    def lifted(xs: list[int], s: int) -> list[int]:
-        unit = 10 ** (top - s)
-        return [x * unit for x in _padded(xs, d)]
-    mid = tuple(zip(*(lifted(p.mid, p.scale) for p in baby)))
-    rad = tuple(zip(*(lifted(p.rad, p.scale) for p in baby)))
-    return PowerTable(theta(ctx, h), top, mid, rad,
-                      tuple(tuple(_magnitudes(a, r)) for a, r in zip(mid, rad)),
+    units = [10 ** (top - p.scale) for p in baby]
+    mid = tuple(zip(*([x * unit for x in _padded(p.mid, d)] for p, unit in zip(baby, units))))
+    return PowerTable(theta(ctx, h), top, mid, tuple(p.rad * unit for p, unit in zip(baby, units)),
                       tuple(p.v_high for p in baby), tuple(p.v_err for p in baby),
                       powers[BABY_STEPS] if last == BABY_STEPS else None)
 
@@ -746,7 +693,8 @@ class PointEvaluator:
     boxes with exact products and one shift per end and step back to
     10**-scale, scale <= point_scale; its result is multiplied exactly by
     ``lift`` = 10**(point_scale - scale).  The tail pad ``tail`` bounds
-    v_high + v_err at the point scale: each rounded up there, exactly.  Every member is real on
+    v_high + v_err + rad at the point scale: each rounded up there,
+    exactly.  Every member is real on
     the real axis: at a real point Horner runs on real boxes and the pad
     widens the real part only; at a non-real point the tails may move both
     parts, and both are padded.
@@ -873,9 +821,10 @@ class PointEvaluator:
 def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
     """Integer form of f for evaluating it and its derivative at many points.
 
-    Coefficient endpoints are rounded outward to the scale at which they
-    keep precision + digits(N+1) digits on the largest one (the scale
-    int_outward rounds to, or the point scale if that is coarser); the
+    Midpoints are rounded outward to the scale at which they keep
+    precision + digits(N+1) digits on the largest one (the scale
+    int_outward rounds to, or the point scale if that is coarser), and the
+    rounding part joins the tails in the pad; the
     derivative coefficients (k+1) f_{k+1} / r are formed from those
     integers and rounded outward once.  Arguments carry arg_bits >=
     (precision + digits(N+1)) log2(10) bits after the point, as |u| <= 1.
@@ -885,15 +834,15 @@ def point_evaluator(ctx: RoundingContext, f: FunctionBall) -> PointEvaluator:
     point_scale = max(2 * arg_scale, -_C.as_tuple().exponent, -_R.as_tuple().exponent)
     s = min(f.scale - _cut(ctx, f, n), point_scale)
     lift, unit = 10 ** max(s - f.scale, 0), 10 ** max(f.scale - s, 0)
-    coeffs = tuple(_outward((m - q) * lift, (m + q) * lift, unit)
-                   for m, q in zip(_padded(f.mid, n), _padded(f.rad, n)))
+    coeffs = tuple(_outward(m * lift, m * lift, unit) for m in _padded(f.mid, n))
     center, radius = STANDARD_DISC.at(point_scale)
     # k f_k / r at scale 10**-s is k f_k 10**point_scale / radius there
     dcoeffs = tuple(_outward(lo * k * 10 ** point_scale, hi * k * 10 ** point_scale, radius)
                     for k, (lo, hi) in enumerate(coeffs[1:], 1))
     return PointEvaluator(s, coeffs, dcoeffs or ((0, 0),), (10 ** arg_scale).bit_length(),
                           point_scale, center, radius, 10 ** (point_scale - s),
-                          ceil_at(f.v_high, point_scale) + ceil_at(f.v_err, point_scale))
+                          ceil_at(f.v_high, point_scale) + ceil_at(f.v_err, point_scale)
+                          + -(-f.rad * 10 ** point_scale // 10 ** f.scale))
 
 
 def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
@@ -907,11 +856,11 @@ def evaluate(ctx: RoundingContext, f: FunctionBall, z: Rectangle) -> Rectangle:
 # -- coefficients ---------------------------------------------------------------
 
 def coefficient(ctx: RoundingContext, f: FunctionBall, k: int) -> Rectangle:
-    """Rectangle containing coefficient k of every member (error part
-    included); its imaginary part is 0, as every member's is."""
+    """Rectangle containing coefficient k of every member (rounding and
+    error parts included); its imaginary part is 0, as every member's is."""
     if k > f.truncation or k < 0:
         raise IndexBeyondTruncation(f"coefficient {k} beyond truncation {f.truncation}")
-    m, r = _padded(f.mid, k)[k], _padded(f.rad, k)[k]
+    m, r = _padded(f.mid, k)[k], f.rad
     s = max(f.scale, -f.v_err.as_tuple().exponent)
     e = floor_at(f.v_err, s)     # exact at this scale
     lift = 10 ** (s - f.scale)
@@ -920,8 +869,9 @@ def coefficient(ctx: RoundingContext, f: FunctionBall, k: int) -> Rectangle:
 
 
 def inflate(ctx: RoundingContext, f: FunctionBall, rho) -> FunctionBall:
-    """Widen the ball by rho in the error bound (closed l1 ball of radius rho)."""
-    rho = as_decimal(rho)
+    """Widen the ball by rho in the error bound (closed l1 ball of radius
+    rho); rho must be a finite number."""
+    rho = finite_decimal(rho, "inflation radius")
     if rho < 0:
         raise ConfigError("inflation radius must be nonnegative")
     return replace(f, v_err=ctx.add_up(f.v_err, rho))
@@ -949,22 +899,26 @@ def endpoint_decimal(text: str, what: str) -> Decimal:
 
 
 def serialize_ball(f: FunctionBall) -> str:
-    """Text form with exact decimal endpoint strings (imaginary columns 0);
-    round-trips bit-exactly."""
+    """Text form with exact decimal endpoint strings (imaginary columns 0):
+    each coefficient the point interval of its midpoint, and rad, if any,
+    added exactly to v_err.  A ball with rad = 0 round-trips bit-exactly."""
     lines = [
         _BALL_HEADER,
         f"center {_C}",
         f"radius {_R}",
         f"truncation {f.truncation}",
         f"v_high {f.v_high}",
-        f"v_err {f.v_err}",
+        f"v_err {EXACT.add(f.v_err, exact_decimal(f.rad, f.scale)) if f.rad else f.v_err}",
     ]
-    lines += [f"coeff {c.re.lo} {c.re.hi} 0 0" for c in f.coeffs]
+    lines += [f"coeff {c} {c} 0 0" for c in (exact_decimal(m, f.scale)
+                                             for m in _padded(f.mid, f.truncation))]
     return "\n".join(lines) + "\n"
 
 
 def deserialize_ball(text: str) -> FunctionBall:
-    """The ball written by :func:`serialize_ball`.  Text read from outside
+    """The ball written by :func:`serialize_ball`, coefficient intervals
+    read as their midpoints with rad the sum of their half-widths
+    (:func:`_exact`).  Text read from outside
     is checked: a missing field, a malformed line or number, a non-finite
     or misordered endpoint, an endpoint beyond MAX_ENDPOINT_DIGITS digits,
     a coefficient count that does not match the truncation, a non-real

@@ -92,7 +92,7 @@ from .errors import (
 )
 from .operators import OperatorTables, precompute_shared
 from .rounding import (EXACT, IONE, Interval, RoundingContext, as_decimal, exact_decimal,
-                       floor_at)
+                       finite_decimal, floor_at)
 
 __all__ = [
     "HEAD_DEGREE",
@@ -170,17 +170,15 @@ def _head_degree(lam: LinearMap, n: int) -> int:
 
 def _lambda_image(ctx: RoundingContext, lam: LinearMap, b: fb.IntBall) -> fb.IntBall:
     """Exact image of an integer ball under the frozen map, at scale
-    b.scale + lam.scale: the head rows act on coefficients 0..K (radii
-    through their absolute values) and the tail scalar on every coefficient
-    above K; |tail| bounds the image of the high-order content and the
-    full operator norm that of the error content, which may sit at any
-    degree.  The head entries 0..K are always present."""
+    b.scale + lam.scale: the head rows act on midpoints 0..K and the tail
+    scalar on every midpoint above K; |tail| bounds the image of the
+    high-order content and the full operator norm that of the rounding
+    and error parts, which may sit at any degree.  The head entries 0..K
+    are always present."""
     rows, tail = lam.rows, lam.tail
     k1 = len(rows)
     mid = [sum(map(_imul, row, b.mid)) for row in rows] + [tail * m for m in b.mid[k1:]]
-    rad = ([sum(map(_imul, map(abs, row), b.rad)) for row in rows]
-           + [abs(tail) * r for r in b.rad[k1:]])
-    return fb.IntBall(mid, rad, b.scale + lam.scale,
+    return fb.IntBall(mid, lam.norm * b.rad, b.scale + lam.scale,
                       ctx.mul_up(b.v_high, lam.tail_scalar.copy_abs()),
                       ctx.mul_up(b.v_err, lambda_norm_upper(ctx, lam)))
 
@@ -210,7 +208,7 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
         approx_inv = LinearMap(mat_inv([list(row) for row in lam.matrix], ctx.precision), 1)
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
-    columns = [fb.IntBall(list(col), [], lam.scale, _D0, _D0) for col in zip(*lam.rows)]
+    columns = [fb.IntBall(list(col), 0, lam.scale, _D0, _D0) for col in zip(*lam.rows)]
     bound = max(bound_kappa_columns(ctx, columns, approx_inv)[0])
     if bound >= 1:
         raise InversionUncertified(f"residual column bound {bound} >= 1")
@@ -456,8 +454,8 @@ class Problem:
             out = tables.basis_image(ctx, max(p, 1), k)
             if k == 0:
                 out = fb.int_add(ctx, out, column0)
-            shifted = fb.IntBall(*([0] * k + part if part else [] for part in (d.mid, d.rad)),
-                                 d.scale, d.v_high, d.v_err)
+            shifted = fb.IntBall([0] * k + d.mid if d.mid else [], d.rad, d.scale,
+                                 d.v_high, d.v_err)
             image = fb.int_outward(ctx, fb.int_add(ctx, out, shifted), n)
             images.append(FunctionBall.wrap(n, image))
         return images
@@ -487,19 +485,26 @@ class Problem:
 
 # -- bounds -----------------------------------------------------------------------
 
+def _row0(lam: LinearMap) -> int:
+    """max_j |Lam_0j| at the map's scale: coefficient 0 of Lam h for
+    ||h|| <= v is at most this times v, as content above the head never
+    reaches row 0."""
+    return max(map(abs, lam.rows[0]))
+
+
 def _row0_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
-    """max_j |Lam_0j|, rounded up: coefficient 0 of Lam h for ||h|| <= v is
-    at most this times v, as content above the head never reaches row 0."""
-    return ctx.scaled_up(max(map(abs, lam.rows[0])), lam.scale)
+    """max_j |Lam_0j| (:func:`_row0`), rounded up."""
+    return ctx.scaled_up(_row0(lam), lam.scale)
 
 
 def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
                   lam: LinearMap) -> tuple[Decimal, FunctionBall, Interval]:
     """Upper bound of ||Lam F(x0)|| = ||Phi(x0) - x0||, the ball
     Phi(x0) = x0 - Lam F(x0), the Newton step, rounded outward once, and
-    the enclosure of phi(Phi(x0)): the interval of Phi(x0)'s coefficient 0
-    widened by the row-0 readout (:func:`_row0_upper`) of F(x0)'s error
-    part, not by Phi(x0)'s own error part, which carries ||Lam||."""
+    the enclosure of phi(Phi(x0)): x0's coefficient 0 minus row 0 of the
+    head on F(x0)'s midpoints, exactly, widened by the row-0 readout
+    (:func:`_row0`) of F(x0)'s rounding and error parts, not by the ||Lam||
+    that Phi(x0)'s own radius and error part carry."""
     if x0.v_err != 0 or x0.v_high != 0:
         raise ConfigError("epsilon bound needs an exact center (no tail mass)")
     residual = problem.residual(ctx, x0)
@@ -507,8 +512,10 @@ def bound_epsilon(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
     n = x0.truncation
     newton = FunctionBall.wrap(
         n, fb.int_outward(ctx, fb.int_add(ctx, x0, fb.negate(ctx, step)), n))
-    phi = _widened(ctx, _phi(ctx, replace(newton, v_err=_D0)),
-                   ctx.mul_up(_row0_upper(ctx, lam), residual.v_err))
+    row0 = fb.IntBall([-sum(map(_imul, lam.rows[0], residual.mid))], _row0(lam) * residual.rad,
+                      residual.scale + lam.scale, _D0,
+                      ctx.mul_up(_row0_upper(ctx, lam), residual.v_err))
+    phi = _phi(ctx, FunctionBall.wrap(n, fb.int_add(ctx, x0, row0)))
     return fb.norm_upper(ctx, step), newton, phi
 
 
@@ -520,9 +527,9 @@ def bound_kappa_columns(ctx: RoundingContext, images: list[FunctionBall],
     :func:`bound_kappa_tail` covers every degree above K.  The frozen map
     acts exactly on each integer image and its norm is rounded up once.
     Also returns the bound of |coefficient 0| of every e_k - Lam image_k,
-    the columns' part of kappa_phi (module docstring): its interval plus
-    max_j |Lam_0j| times image_k's error part (:func:`_row0_upper`); the
-    high part lies above N.
+    the columns' part of kappa_phi (module docstring): its midpoint plus
+    max_j |Lam_0j| times image_k's rounding and error parts
+    (:func:`_row0`); the high part lies above N.
     """
     if len(images) != lam.dim:
         raise DimensionMismatch(f"{len(images)} column images for a head of {lam.dim}")
@@ -531,7 +538,7 @@ def bound_kappa_columns(ctx: RoundingContext, images: list[FunctionBall],
         image = _lambda_image(ctx, lam, column)
         image.mid[k] -= 10 ** image.scale
         bounds.append(fb.norm_upper(ctx, image))
-        top = ctx.scaled_up(abs(image.mid[0]) + image.rad[0], image.scale)
+        top = ctx.scaled_up(abs(image.mid[0]) + _row0(lam) * column.rad, image.scale)
         row0 = max(row0, ctx.add_up(top, ctx.mul_up(lam_row0, column.v_err)))
     return bounds, row0
 
@@ -661,7 +668,7 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
     CertificationFailed carrying the diagnostic certificate.  No retuning or
     retry: rho and the precision are caller-chosen, failures are data.
     """
-    rho = as_decimal(rho)
+    rho = finite_decimal(rho, "rho")
     if rho <= 0:
         raise ConfigError("rho must be positive")
     ball = fb.inflate(ctx, x0, rho)

@@ -244,7 +244,7 @@ class OperatorTables:
         """M_q e_k, exactly, from the baby powers u2**k and u1**k of the
         tables; e_k(1) is 1 for k = 0 and 0 above."""
         s = self.shared
-        v0 = fb.IntBall([1], [], 0, _D0, _D0) if k == 0 else None   # e_k(1)
+        v0 = fb.IntBall([1], 0, 0, _D0, _D0) if k == 0 else None   # e_k(1)
         return self.image(ctx, q, s.table_squared.power(ctx, k), s.table_affine.power(ctx, k), v0)
 
     def _ball(self, ctx: RoundingContext, b: fb.IntBall) -> FunctionBall:
@@ -254,12 +254,13 @@ class OperatorTables:
 
     def apply(self, ctx: RoundingContext, q: int, v: FunctionBall) -> FunctionBall:
         """M_q(G) v, enclosing the action for every G in the ball, rounded
-        outward once.  v(1) is v_0 plus the error part's value there, at
-        most v_err in size: a constant with v's error tail."""
+        outward once.  v(1) is v_0 plus the rounding and error parts'
+        values there, at most rad and v_err in size: a constant with v's
+        rad and error tail."""
         _index(q)
         s = self.shared
         c2, c1 = (table.compose(ctx, v) for table in (s.table_squared, s.table_affine))
-        v0 = fb.IntBall(v.mid[:1], v.rad[:1], v.scale, _D0, v.v_err)
+        v0 = fb.IntBall(v.mid[:1], v.rad, v.scale, _D0, v.v_err)
         return self._ball(ctx, self.image(ctx, q, c2, c1, v0))
 
     def dt_apply(self, ctx: RoundingContext, dG: FunctionBall) -> FunctionBall:

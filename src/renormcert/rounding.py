@@ -100,11 +100,12 @@ def ceil_at(x: Decimal, scale: int) -> int:
     return -floor_at(x.copy_negate(), scale)
 
 
-def finite_decimal(text: str, what: str) -> Decimal:
-    """The finite number written in ``text``, read from outside input;
-    ConfigError naming ``what`` for anything else (NaN, infinity, junk)."""
+def finite_decimal(text, what: str) -> Decimal:
+    """The finite number ``text``, read from outside input: a string, or a
+    Decimal or int as :func:`as_decimal` takes them; ConfigError naming
+    ``what`` for anything else (NaN, infinity, junk)."""
     try:
-        x = Decimal(text)
+        x = as_decimal(text)
     except decimal.InvalidOperation:
         raise ConfigError(f"{what}: {text!r} is not a number") from None
     if not x.is_finite():

@@ -428,7 +428,7 @@ def with_tails(f: fb.FunctionBall, v_high, v_err) -> fb.FunctionBall:
 
 def basis_ball(n: int, k: int) -> fb.FunctionBall:
     """The basis element e_k as an exact ball of degree n >= k."""
-    return fb.FunctionBall([0] * k + [1], [], 0, Decimal(0), Decimal(0), n)
+    return fb.FunctionBall([0] * k + [1], 0, 0, Decimal(0), Decimal(0), n)
 
 
 def identity_map(n: int, diagonal=1, tail_scalar=-1) -> ct.LinearMap:
@@ -493,11 +493,12 @@ def oracle_kappa_columns(lam: ct.LinearMap,
                          images: list[fb.FunctionBall]) -> tuple[list[Decimal], Decimal]:
     """``bound_kappa_columns`` restated in exact Decimal arithmetic: for
     each column image b_k, the ball e_k - Lam b_k with the head rows acting
-    on the midpoints and (through |Lam|) the radii of degrees 0..K and the
-    tail scalar t on the degrees above, high part |t| v_high and error
-    part ||Lam|| v_err; its norm, and the largest over k of its
-    |coefficient 0| plus max_j |Lam_0j| v_err, the part of the error that
-    row 0 of the map reaches.  No step rounds."""
+    on the midpoints of degrees 0..K and the tail scalar t on the degrees
+    above, high part |t| v_high and rounding and error parts ||Lam|| rad
+    and ||Lam|| v_err; its norm, and the largest over k of its
+    |coefficient 0| plus max_j |Lam_0j| (rad + v_err), the part of the
+    rounding and error parts that row 0 of the map reaches.  No step
+    rounds."""
     k1, t = lam.dim, lam.tail_scalar
     norm = _exact_norm(lam)
     with decimal.localcontext(EXACT):
@@ -505,17 +506,13 @@ def oracle_kappa_columns(lam: ct.LinearMap,
         bounds, row0 = [], Decimal(0)
         for k, b in enumerate(images):
             n = b.truncation
-            mid, rad = ([Decimal(x).scaleb(-b.scale) for x in xs] + [Decimal(0)] * (n + 1 - len(xs))
-                        for xs in (b.mid, b.rad))
+            mid = [Decimal(x).scaleb(-b.scale) for x in b.mid] + [Decimal(0)] * (n + 1 - len(b.mid))
+            rad = Decimal(b.rad).scaleb(-b.scale)
             out_mid = [sum(row[j] * mid[j] for j in range(k1)) for row in lam.matrix]
-            out_rad = [sum(abs(row[j]) * rad[j] for j in range(k1)) for row in lam.matrix]
             out_mid += [t * m for m in mid[k1:]]
-            out_rad += [abs(t) * r for r in rad[k1:]]
             out_mid[k] -= 1
-            mags = [abs(m) + r for m, r in zip(out_mid, out_rad)]
-            v_err = norm * b.v_err
-            bounds.append(sum(mags) + abs(t) * b.v_high + v_err)
-            row0 = max(row0, mags[0] + lam_row0 * b.v_err)
+            bounds.append(sum(abs(m) for m in out_mid) + norm * (rad + b.v_err) + abs(t) * b.v_high)
+            row0 = max(row0, abs(out_mid[0]) + lam_row0 * (rad + b.v_err))
         return bounds, row0
 
 
@@ -532,17 +529,16 @@ def oracle_powers(u: list[Decimal], count: int, degree: int) -> list[list[Decima
 
 def holds_polynomial(ball: fb.IntBall, coeffs: list[Decimal], n: int) -> bool:
     """Whether the exact coefficients, known to some degree at or above n,
-    can be those of a member of the ball: coefficients 0..n in the ball's
-    intervals widened by v_err, and the mass above n within v_high plus
-    what v_err has left."""
+    can be those of a member of the ball: their distance from the
+    midpoints at degrees 0..n, plus the mass above n that v_high does not
+    take, within rad + v_err."""
     with decimal.localcontext(EXACT):
-        spent = Decimal(0)
-        for k in range(n + 1):
-            m = Decimal(ball.mid[k]).scaleb(-ball.scale) if k < len(ball.mid) else Decimal(0)
-            r = Decimal(ball.rad[k]).scaleb(-ball.scale) if k < len(ball.rad) else Decimal(0)
-            spent += max(abs(coeffs[k] - m) - r, Decimal(0))
+        mid = [Decimal(m).scaleb(-ball.scale) for m in ball.mid]
+        mid += [Decimal(0)] * (n + 1 - len(mid))
+        low = sum(abs(c - m) for c, m in zip(coeffs, mid))
         high = sum(abs(c) for c in coeffs[n + 1:])
-        return spent <= ball.v_err and high <= ball.v_high + (ball.v_err - spent)
+        free = Decimal(ball.rad).scaleb(-ball.scale) + ball.v_err
+        return low + max(high - ball.v_high, Decimal(0)) <= free
 
 
 def evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
@@ -560,15 +556,31 @@ def rand_poly_ball(rng: random.Random, n: int, degree: int,
     return fb.ball_from_decimals(fb.STANDARD_DISC, coeffs, n)
 
 
+def rounding_part(rng: random.Random, rad: int, scale: int, degrees) -> dict[int, Decimal]:
+    """A random rounding part d with ||d|| <= rad 10**-scale, on a random
+    nonempty subset of ``degrees``: half the time all of the budget, else a
+    random share, split by random integer weights and formed exactly."""
+    picked = rng.sample(list(degrees), rng.randint(1, len(degrees)))
+    budget = rad if rng.random() < 0.5 else rng.randint(0, rad)
+    weights = [rng.randint(1, 1000) for _ in picked]
+    total = sum(weights)
+    return {d: Decimal(rng.choice((-1, 1)) * (budget * w // total)).scaleb(-scale, EXACT)
+            for d, w in zip(picked, weights)}
+
+
 def sample_member(rng: random.Random, ball: fb.FunctionBall,
                   tail_degrees: int = 4) -> dict[int, Decimal]:
-    """A concrete member function: polynomial coefficients inside the
-    rectangles plus random tail mass below the v_high / v_err budgets.
-    Returned as a degree -> coefficient map (real functions only)."""
-    member: dict[int, Decimal] = {}
-    for k, ck in enumerate(ball.coeffs):
-        member[k] = sample_point(rng, ck.re)
+    """A concrete member function: the midpoints plus a rounding part of
+    norm at most rad spread over degrees 0..N+3, so that some of it may lie
+    above N (:func:`rounding_part`, exact), plus random tail mass below the
+    v_high / v_err budgets.  Returned as a degree -> coefficient map (real
+    functions only)."""
     n = ball.truncation
+    member = {k: Decimal(m).scaleb(-ball.scale, EXACT) for k, m in enumerate(ball.mid)}
+    member.update({k: Decimal(0) for k in range(len(ball.mid), n + 1)})
+    if ball.rad:
+        for d, c in rounding_part(rng, ball.rad, ball.scale, range(n + 4)).items():
+            member[d] = EXACT.add(member.get(d, Decimal(0)), c)
     if ball.v_high > 0:
         budget = ball.v_high * Decimal(str(round(rng.random(), 6)))
         degrees = rng.sample(range(n + 1, n + 1 + tail_degrees + 3), tail_degrees)
@@ -627,61 +639,70 @@ def domain_points(rng: random.Random, count: int) -> list[Decimal]:
 #
 # The coefficient loops the integer kernels replaced, kept as differential
 # oracles: every product and sum is an outward-rounded Decimal interval op
-# on the exact coefficient intervals of the ``coeffs`` view, and every
+# on the point intervals of a ball's midpoints (:func:`mid_intervals`),
+# whose rounding part joins the error part (:func:`_err`), and every
 # result is built back exactly (``interval_ball``).
 
 
-def _reals(f: fb.FunctionBall) -> list[Interval]:
-    return [c.re for c in f.coeffs]
+def mid_intervals(f: fb.FunctionBall) -> list[Interval]:
+    """The midpoints of f as point intervals, exact."""
+    return [interval(Decimal(m).scaleb(-f.scale, EXACT))
+            for m in f.mid + [0] * (f.truncation + 1 - len(f.mid))]
+
+
+def _err(f: fb.FunctionBall) -> Decimal:
+    """f's error part with its rounding part, exactly: both are any real
+    function of bounded l1 norm."""
+    return EXACT.add(f.v_err, Decimal(f.rad).scaleb(-f.scale))
 
 
 def oracle_add(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Sum ball by interval sums (reference for ``balls.add``)."""
-    return interval_ball([ctx.iadd(a, b) for a, b in zip(_reals(f), _reals(g))],
-                         ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    return interval_ball([ctx.iadd(a, b) for a, b in zip(mid_intervals(f), mid_intervals(g))],
+                         ctx.add_up(f.v_high, g.v_high), ctx.add_up(_err(f), _err(g)))
 
 
 def oracle_sub(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Difference ball by interval differences (reference for ``balls.sub``)."""
-    return interval_ball([ctx.isub(a, b) for a, b in zip(_reals(f), _reals(g))],
-                         ctx.add_up(f.v_high, g.v_high), ctx.add_up(f.v_err, g.v_err))
+    return interval_ball([ctx.isub(a, b) for a, b in zip(mid_intervals(f), mid_intervals(g))],
+                         ctx.add_up(f.v_high, g.v_high), ctx.add_up(_err(f), _err(g)))
 
 
 def oracle_negate(ctx: RoundingContext, f: fb.FunctionBall) -> fb.FunctionBall:
     """Negated ball (reference for ``balls.negate``)."""
-    return interval_ball([ctx.ineg(c) for c in _reals(f)], f.v_high, f.v_err)
+    return interval_ball([ctx.ineg(c) for c in mid_intervals(f)], f.v_high, _err(f))
 
 
 def oracle_scale(ctx: RoundingContext, s: Interval, f: fb.FunctionBall) -> fb.FunctionBall:
     """f times the real interval s by interval products (reference for
     ``balls.scale``)."""
     m = s.mag
-    return interval_ball([ctx.imul(s, c) for c in _reals(f)],
-                         ctx.mul_up(f.v_high, m), ctx.mul_up(f.v_err, m))
+    return interval_ball([ctx.imul(s, c) for c in mid_intervals(f)],
+                         ctx.mul_up(f.v_high, m), ctx.mul_up(_err(f), m))
 
 
 def oracle_normalized_argument(ctx: RoundingContext, h: fb.FunctionBall) -> fb.FunctionBall:
     """(h - c)/r by interval operations (reference for ``balls.normalized_argument``)."""
     inv = ctx.idiv(interval(1), interval(_R))
-    coeffs = _reals(h)
+    coeffs = mid_intervals(h)
     shifted = [ctx.isub(coeffs[0], interval(_C))] + coeffs[1:]
     return interval_ball([ctx.imul(x, inv) for x in shifted],
-                         ctx.mul_up(h.v_high, inv.hi), ctx.mul_up(h.v_err, inv.hi))
+                         ctx.mul_up(h.v_high, inv.hi), ctx.mul_up(_err(h), inv.hi))
 
 
 def oracle_derivative_coeffs(ctx: RoundingContext, f: fb.FunctionBall) -> list[Interval]:
-    """Coefficients of f_P' in the same basis, d/dz e_k = (k/r) e_{k-1}, by
-    interval operations (reference for the coefficients ``balls._derivative``
-    forms)."""
-    r, coeffs = interval(_R), _reals(f)
+    """Coefficients of the derivative of f's midpoint polynomial in the same
+    basis, d/dz e_k = (k/r) e_{k-1}, by interval operations (reference for
+    the coefficients ``balls._derivative`` forms)."""
+    r, coeffs = interval(_R), mid_intervals(f)
     out = [ctx.imul(coeffs[k], ctx.idiv(interval(k), r)) for k in range(1, f.truncation + 1)]
     return out or [IZERO]
 
 
 def oracle_mul(ctx: RoundingContext, f: fb.FunctionBall, g: fb.FunctionBall) -> fb.FunctionBall:
     """Product ball by interval Cauchy product (reference for ``balls.mul``)."""
-    out, v_high, v_err = _oracle_product(ctx, (_reals(f), f.v_high, f.v_err),
-                                         (_reals(g), g.v_high, g.v_err), f.truncation)
+    out, v_high, v_err = _oracle_product(ctx, (mid_intervals(f), f.v_high, _err(f)),
+                                         (mid_intervals(g), g.v_high, _err(g)), f.truncation)
     return interval_ball(out, v_high, v_err)
 
 
@@ -719,38 +740,13 @@ def _oracle_product(ctx: RoundingContext, f, g, n: int):
     return out, v_high, v_err
 
 
-def oracle_radius_conv(a: list[int], b: list[int], n: int) -> list[int]:
-    """Exact Cauchy product of two nonnegative integer sequences to degree n
-    by the schoolbook double loop (reference for ``balls._radius_conv``)."""
-    out = [0] * min(n + 1, max(len(a) + len(b) - 1, 0))
-    for i, x in enumerate(a[:n + 1]):
-        for j, y in enumerate(b[:n + 1 - i]):
-            out[i + j] += x * y
-    return out
-
-
-def radius_rounding_excess(a: list[int], b: list[int], n: int, bits: int) -> list[int]:
-    """Bound of what rounding a and b up to ``bits``-bit mantissas adds to
-    each coefficient of their product to degree n: per term a_i b_j, one
-    unit 2**s_a of a's mantissa times b_j rounded up, plus a_i times one
-    unit 2**s_b, s being the shift that the largest entry of the sequence
-    cut to degree n needs."""
-    ua, ub = (1 << max(max(x[:n + 1], default=0).bit_length() - bits, 0) for x in (a, b))
-    out = [0] * min(n + 1, max(len(a) + len(b) - 1, 0))
-    for i, x in enumerate(a[:n + 1]):
-        for j, y in enumerate(b[:n + 1 - i]):
-            if x and y:
-                out[i + j] += ua * (y + ub) + x * ub
-    return out
-
-
 def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.FunctionBall:
     """Frozen block map applied by interval dot products (reference for
     ``apply_lambda``): the head rows on coefficients 0..K = lam.dim - 1 and
     the tail scalar on every coefficient above K."""
     from renormcert.contraction import lambda_norm_upper
 
-    n, dim, fc = f.truncation, lam.dim, _reals(f)
+    n, dim, fc = f.truncation, lam.dim, mid_intervals(f)
     coeffs = []
     for i in range(dim):
         row = lam.matrix[i]
@@ -761,7 +757,7 @@ def oracle_apply_lambda(ctx: RoundingContext, lam, f: fb.FunctionBall) -> fb.Fun
         coeffs.append(acc)
     coeffs += [ctx.iscale(fc[i], lam.tail_scalar) for i in range(dim, n + 1)]
     v_high = ctx.mul_up(f.v_high, lam.tail_scalar.copy_abs())
-    v_err = ctx.mul_up(f.v_err, lambda_norm_upper(ctx, lam))
+    v_err = ctx.mul_up(_err(f), lambda_norm_upper(ctx, lam))
     return interval_ball(coeffs, v_high, v_err)
 
 
@@ -788,7 +784,7 @@ def oracle_lambda_residual(ctx: RoundingContext, lam) -> Decimal:
 
 def _oracle_horner(ctx: RoundingContext, coeffs, u: fb.FunctionBall) -> fb.FunctionBall:
     """Evaluate a polynomial with interval coefficients at the ball u."""
-    n, arg = u.truncation, (_reals(u), u.v_high, u.v_err)
+    n, arg = u.truncation, (mid_intervals(u), u.v_high, _err(u))
     acc = ([coeffs[-1]] + [IZERO] * n, Decimal(0), Decimal(0))
     for k in range(len(coeffs) - 2, -1, -1):
         out, v_high, v_err = _oracle_product(ctx, acc, arg, n)
@@ -819,8 +815,8 @@ def oracle_compose(ctx: RoundingContext, f: fb.FunctionBall,
     """f o h by Horner evaluation in Decimal ball arithmetic (reference for
     ``balls.compose``): same contract and the same tail rule."""
     th, u = _oracle_argument(ctx, f, h, strict=f.v_high > 0 or f.v_err > 0)
-    out = _oracle_horner(ctx, _reals(f), u)
-    tail = f.v_err
+    out = _oracle_horner(ctx, mid_intervals(f), u)
+    tail = _err(f)
     if f.v_high > 0:
         tail = ctx.add_up(tail, ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1)))
     return _oracle_with_error(ctx, out, tail)
@@ -835,10 +831,10 @@ def oracle_compose_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     tail = Decimal(0)
     if f.v_high > 0:
         tail = ctx.mul_up(f.v_high, fb._sup_k_theta(ctx, th, f.truncation))
-    if f.v_err > 0:
+    if _err(f) > 0:
         one_minus = ctx.sub_dn(Decimal(1), th)
         geo = ctx.div_up(Decimal(1), ctx.mul_dn(one_minus, one_minus))
-        tail = ctx.add_up(tail, ctx.mul_up(f.v_err, geo))
+        tail = ctx.add_up(tail, ctx.mul_up(_err(f), geo))
     if tail > 0:
         tail = ctx.div_up(tail, _R)
     return _oracle_with_error(ctx, out, tail)
@@ -874,11 +870,11 @@ def _oracle_pad(ctx: RoundingContext, value: Rectangle, pad: Decimal, z: Rectang
 
 def oracle_evaluate(ctx: RoundingContext, f: fb.FunctionBall, z: Rectangle) -> Rectangle:
     """f(z) by Horner in Decimal rectangle arithmetic (reference for
-    ``balls.evaluate``): the same disc test and the same v_high + v_err
+    ``balls.evaluate``): the same disc test and the same v_high + v_err + rad
     pad."""
     u = _oracle_eval_argument(ctx, f, z)
-    acc = _oracle_rect_horner(ctx, _reals(f), u)
-    return _oracle_pad(ctx, acc, ctx.add_up(f.v_high, f.v_err), z)
+    acc = _oracle_rect_horner(ctx, mid_intervals(f), u)
+    return _oracle_pad(ctx, acc, ctx.add_up(f.v_high, _err(f)), z)
 
 
 def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
@@ -887,11 +883,11 @@ def oracle_evaluate_derivative(ctx: RoundingContext, f: fb.FunctionBall,
     ``evaluate_derivative``): the same tail rule, the tails'
     derivative (v_high + v_err) (1 - |u|)**-2 / r bounded at the
     evaluator's point scale 10**-S by ceil(tail R 10**S / (R - root)**2),
-    with tail = v_high + v_err rounded up and R = r at that scale, root the
+    with tail = v_high + v_err + rad rounded up and R = r at that scale, root the
     ceiling of sup |z - c| there; formed in fractions from z's corners."""
     u = _oracle_eval_argument(ctx, f, z)
     acc = _oracle_rect_horner(ctx, oracle_derivative_coeffs(ctx, f), u)
-    tail_mass = ctx.add_up(f.v_high, f.v_err)
+    tail_mass = ctx.add_up(f.v_high, _err(f))
     if tail_mass == 0:
         return acc
     s = fb.point_evaluator(ctx, f).point_scale

@@ -55,7 +55,7 @@ MUTANTS = (
            "ctx.add_up(self.v_spill[k], ctx.scaled_up(guard, s))", "self.v_spill[k]",
            "a baby power drops its guard rows' mass from v_high"),
     Mutant("column_diagonal", "src/renormcert/contraction.py",
-           "image.mid[k] -= 10 ** image.scale", "image.mid[k] -= 10 ** image.scale + image.rad[k]",
+           "image.mid[k] -= 10 ** image.scale", "image.mid[k] -= 10 ** image.scale + image.rad",
            "a kappa column's diagonal midpoint moved by its radius"),
     Mutant("kappa_phi_tail", "src/renormcert/contraction.py",
            "ctx.mul_up(_row0_upper(ctx, lam), total))", "_D0)",
@@ -68,8 +68,8 @@ MUTANTS = (
            "row0 = max(row0, top)",
            "coefficient 0 of a kappa column without its error part"),
     Mutant("row0_down", "src/renormcert/contraction.py",
-           "return ctx.scaled_up(max(map(abs, lam.rows[0])), lam.scale)",
-           "return ctx.scaled_dn(max(map(abs, lam.rows[0])), lam.scale)",
+           "return ctx.scaled_up(_row0(lam), lam.scale)",
+           "return ctx.scaled_dn(_row0(lam), lam.scale)",
            "max_j |Lam_0j| rounded down"),
     Mutant("newton_phi_error", "src/renormcert/contraction.py",
            "ctx.mul_up(_row0_upper(ctx, lam), residual.v_err))", "_D0)",
@@ -96,6 +96,12 @@ MUTANTS = (
     Mutant("solution_ball_radius", "src/renormcert/contraction.py",
            "return fb.inflate(ctx, self.newton, self.step_radius)", "return self.newton",
            "the solution ball Phi(x0) without kappa r"),
+    Mutant("lambda_radius_norm", "src/renormcert/contraction.py",
+           "fb.IntBall(mid, lam.norm * b.rad,", "fb.IntBall(mid, b.rad,",
+           "Lam applied to a radius without ||Lam||"),
+    Mutant("kappa_phi_column_radius", "src/renormcert/contraction.py",
+           "abs(image.mid[0]) + _row0(lam) * column.rad", "abs(image.mid[0])",
+           "coefficient 0 of a kappa column without the row-0 readout of its radius"),
     Mutant("lambda_error_norm", "src/renormcert/contraction.py",
            "ctx.mul_up(b.v_err, lambda_norm_upper(ctx, lam))", "b.v_err",
            "Lam applied to an error part without ||Lam||"),
@@ -103,16 +109,25 @@ MUTANTS = (
            "v_high = ctx.scaled_up(spill, f.scale + g.scale)", "v_high = _D0",
            "a product drops its mass above N"),
     Mutant("outward_radius", "src/renormcert/balls.py",
-           "[-((-r - rem) // unit) for (_, rem), r in zip(qr, _padded(b.rad, size - 1))]",
-           "[r // unit for (_, rem), r in zip(qr, _padded(b.rad, size - 1))]",
-           "int_outward floors a radius and drops the midpoint's remainder"),
+           "-(-(b.rad + sum(rem for _, rem in qr)) // unit)", "b.rad // unit",
+           "int_outward floors the radius and drops the midpoints' remainders"),
     Mutant("block_nearest", "src/renormcert/balls.py",
-           "block = int_outward(ctx, self._block(ctx, fm[i:i + m], fr[i:i + m], sf), d)",
-           "block = self._block(ctx, fm[i:i + m], fr[i:i + m], sf); "
+           "block = int_outward(ctx, self._block(ctx, fm[i:i + m], sf), d)",
+           "block = self._block(ctx, fm[i:i + m], sf); "
            "c = max(_cut(ctx, block, d), 0); "
            "block = IntBall([(x + (10 ** c >> 1)) // 10 ** c for x in block.mid], "
-           "[-(-r // 10 ** c) for r in block.rad], block.scale - c, block.v_high, block.v_err)",
+           "-(-block.rad // 10 ** c), block.scale - c, block.v_high, block.v_err)",
            "a composition block rounded to nearest, its remainder not in its radius"),
+    Mutant("mul_radius_norm", "src/renormcert/balls.py",
+           "rad = nf * g.rad + f.rad * (ng + g.rad)", "rad = nf * g.rad + f.rad * g.rad",
+           "int_mul's radius without rad_f ||g_P||"),
+    Mutant("compose_radius", "src/renormcert/balls.py",
+           "int_add(ctx, out, IntBall([], p.rad, p.scale, _D0, _D0))",
+           "int_add(ctx, out, IntBall([], 0, p.scale, _D0, _D0))",
+           "a composition drops the composed ball's own radius"),
+    Mutant("point_pad_radius", "src/renormcert/balls.py",
+           "\n                          + -(-f.rad * 10 ** point_scale // 10 ** f.scale))", ")",
+           "the PointEvaluator's tail pad without the ball's radius"),
     Mutant("compose_high_tail", "src/renormcert/balls.py",
            "ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 1))",
            "ctx.mul_up(f.v_high, ctx.pow_up(th, f.truncation + 2))",

@@ -581,7 +581,7 @@ def test_column0_without_variation_of_a_leaves_midpoint_jacobian(desk, kind):
     column 0."""
     ctx, digits = desk.ctx, desk.ctx.precision
     _, _, tables, ball = _cross_engine(desk)
-    zero = fb.IntBall([], [], 0, Decimal(0), Decimal(0))
+    zero = fb.IntBall([], 0, 0, Decimal(0), Decimal(0))
     dropped = dataclasses.replace(tables, variation=zero)
     if kind == "fixed_point":
         x0, wrong = None, _column0(ctx, dropped, 1, fb.zero_ball(desk.n), interval(1))

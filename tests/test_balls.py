@@ -1,6 +1,8 @@
 import decimal
 import random
+from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +13,7 @@ from helpers import (
     eval_member,
     eval_member_derivative,
     evaluate_derivative,
+    holds_polynomial,
     interval_ball,
     member_product,
     midpoint,
@@ -18,7 +21,9 @@ from helpers import (
     rand_decimal,
     rand_interval,
     rand_poly_ball,
+    rounding_part,
     sample_member,
+    sample_point,
     with_tails,
 )
 from renormcert import balls as fb
@@ -119,8 +124,9 @@ def test_mul_sampling_oracle():
 
 
 def test_mul_sampling_oracle_negative_control(monkeypatch):
-    """A product kernel that drops the coefficient radii fails the oracle."""
-    monkeypatch.setattr(fb, "_product_radii", lambda fm, fr, gm, gr, n: [])
+    """A product kernel that drops the factors' radii fails the oracle."""
+    int_mul = fb.int_mul
+    monkeypatch.setattr(fb, "int_mul", lambda c, f, g, n: replace(int_mul(c, f, g, n), rad=0))
     assert _mul_sampling_misses(3) > 0
 
 
@@ -229,19 +235,20 @@ def test_compose_sampling_oracle_negative_control(monkeypatch):
     """A power table whose steps drop the radius each power carries (the
     outward bump of the rounding included) fails the oracle."""
     def midpoints_only(c, b, n):
-        return fb.IntBall(b.mid, [], b.scale, b.v_high, b.v_err)
+        return fb.IntBall(b.mid, 0, b.scale, b.v_high, b.v_err)
     monkeypatch.setattr(fb, "int_outward", midpoints_only)
     assert _compose_sampling_misses(6) > 0
 
 
 def _block_escapes(seed: int) -> int:
-    """Coefficients of sampled members of f o h at N=40, P=40 that leave
-    the composed ball, its error part included.  h = c + s r e_1 for a
-    short s, so u = s e_1 and coefficient k of f o h is f_k s**k exactly;
-    f has coefficients with 40 digits after the point, so every block of
-    the composition has more digits than the 42 a ball keeps, and radii of
-    0 to 3 units there.  Members of f: its lower ends, its upper ends and
-    random points, formed exactly."""
+    """Sampled members of f o h at N=40, P=40 whose exact images are not
+    members of the composed ball (helpers.holds_polynomial).  h = c + s r e_1
+    for a short s, so u = s e_1 and coefficient k of f o h is f_k s**k
+    exactly; f has coefficients with 40 digits after the point, so every
+    block of the composition has more digits than the 42 a ball keeps.
+    f is exact, or has coefficient radii of 0 to 3 units there.  Members
+    of f: its lower ends, its upper ends and sampled members, formed
+    exactly."""
     wide, n = RoundingContext(40), 40
     rng = random.Random(seed)
     unit = Decimal(10) ** -40
@@ -250,15 +257,15 @@ def _block_escapes(seed: int) -> int:
         for s in (Decimal("0.5"), Decimal(rng.randint(100, 900)) / 1000):
             h = fb.ball_from_decimals(DOM, [DOM.center, s * DOM.radius], n)
             mids = [rng.randint(-10**40, 10**40) * unit for _ in range(n + 1)]
-            rads = [rng.randint(0, 3) * unit for _ in range(n + 1)]
-            f = interval_ball([Interval(m - r, m + r) for m, r in zip(mids, rads)])
-            comp = fb.compose(wide, f, h)
-            members = [[m - r for m, r in zip(mids, rads)], [m + r for m, r in zip(mids, rads)]]
-            members += [list(sample_member(rng, f).values()) for _ in range(4)]
-            for member in members:
-                for k, c in enumerate(comp.coeffs):
-                    exact = member[k] * s ** k
-                    escapes += not c.re.lo - comp.v_err <= exact <= c.re.hi + comp.v_err
+            for rads in ([0] * (n + 1), [rng.randint(0, 3) * unit for _ in range(n + 1)]):
+                f = interval_ball([Interval(m - r, m + r) for m, r in zip(mids, rads)])
+                comp = fb.compose(wide, f, h)
+                members = [dict(enumerate(m - r for m, r in zip(mids, rads))),
+                           dict(enumerate(m + r for m, r in zip(mids, rads)))]
+                members += [sample_member(rng, f) for _ in range(4)]
+                for member in members:
+                    image = [member.get(k, 0) * s ** k for k in range(max(member) + 1)]
+                    escapes += not holds_polynomial(comp, image, n)
     return escapes
 
 
@@ -275,13 +282,13 @@ def test_compose_n40_block_rounded_to_nearest_lets_a_member_escape(monkeypatch):
     sampled member escape."""
     exact_block = fb.PowerTable._block
 
-    def nearest_block(self, ctx, fm, fr, sf):
-        b = exact_block(self, ctx, fm, fr, sf)
+    def nearest_block(self, ctx, fm, sf):
+        b = exact_block(self, ctx, fm, sf)
         cut = fb._cut(ctx, b, len(self.mid) - 1)
         if cut <= 0:
             return b
         unit = 10 ** cut
-        return fb.IntBall([(x + unit // 2) // unit for x in b.mid], [-(-r // unit) for r in b.rad],
+        return fb.IntBall([(x + unit // 2) // unit for x in b.mid], -(-b.rad // unit),
                           b.scale - cut, b.v_high, b.v_err)
     monkeypatch.setattr(fb.PowerTable, "_block", nearest_block)
     assert _block_escapes(40) > 0
@@ -416,6 +423,135 @@ def test_inflate():
     assert fb.inflate(ctx, f, 0) == f
     u = fb.inflate(ctx, fb.zero_ball(N), 1)
     assert fb.norm_upper(ctx, u) == 1
+
+
+@pytest.mark.parametrize("radius", ["abc", "nan", "inf"])
+def test_inflate_refuses_a_radius_that_is_not_a_finite_number(radius):
+    with pytest.raises(ConfigError, match="inflation radius"):
+        fb.inflate(ctx, fb.zero_ball(N), radius)
+
+
+def _fraction_ball(b: fb.IntBall) -> tuple[list[Fraction], Fraction]:
+    """b's midpoints and rad as exact fractions."""
+    unit = Fraction(1, 10 ** b.scale)
+    return [m * unit for m in b.mid], b.rad * unit
+
+
+def _l1(a: list[Fraction], b: list[Fraction]) -> Fraction:
+    """||a - b|| over every degree."""
+    size = max(len(a), len(b))
+    return sum(abs(x - y) for x, y in zip(a + [0] * (size - len(a)), b + [0] * (size - len(b))))
+
+
+def _fraction_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _rounding(rng, b: fb.IntBall, n: int) -> list[Fraction]:
+    """A rounding part of b, ||d|| <= rad at degrees 0..n + 3, exact."""
+    d = [Fraction(0)] * (n + 4)
+    if b.rad:
+        for k, c in rounding_part(rng, b.rad, b.scale, range(n + 4)).items():
+            d[k] = Fraction(c)
+    return d
+
+
+def test_int_mul_and_int_outward_radius_bound_exact_fractions():
+    """In exact fractions: the product of members f_P + d_f and g_P + d_g
+    is int_mul's midpoints (degrees 0..N, exactly), its spill above N
+    (within v_high) and a rest within rad of them at any degree; rounding
+    it outward moves its midpoints by at most the new rad minus the old.
+    The product's bound is met with equality by nonnegative midpoints and
+    rounding parts at degree 0, so rad is no wider than it needs to be;
+    the outward rounding (at 6 digits, so that it cuts) adds less than one
+    unit of its scale beyond the midpoints' move."""
+    rng = random.Random(43)
+    narrow, rounded = RoundingContext(6), 0
+    for i in range(40):
+        n = rng.choice([0, 1, 4, 12, 40])
+        f = interval_ball([rand_interval(rng, 4.0) for _ in range(rng.randint(1, n + 1))], n=n)
+        g = interval_ball([rand_interval(rng, 4.0) for _ in range(rng.randint(1, n + 1))], n=n)
+        if i % 4 == 0:
+            f, g = (interval_ball([Interval(abs(c.re.lo), abs(c.re.lo) + abs(c.re.hi))
+                                   for c in b.coeffs[:len(b.mid) or 1]], n=n) for b in (f, g))
+        prod = fb.int_mul(ctx, f, g, n)
+        (fm, fr), (gm, gr), (pm, pr) = map(_fraction_ball, (f, g, prod))
+        exact = _fraction_product(fm, gm)
+        assert pm + [0] * (n + 1 - len(pm)) == (exact + [0] * (n + 1))[:n + 1]
+        assert sum(map(abs, exact[n + 1:])) <= Fraction(prod.v_high)
+        worst = Fraction(0)
+        for _ in range(6):
+            df, dg = _rounding(rng, f, n), _rounding(rng, g, n)
+            member = _fraction_product([a + b for a, b in zip(fm + [0] * (n + 4), df)],
+                                       [a + b for a, b in zip(gm + [0] * (n + 4), dg)])
+            worst = max(worst, _l1(member, exact))
+            assert worst <= pr
+        if i % 4 == 0:
+            # nonnegative midpoints, both rounding parts in full at degree 0
+            df, dg = [fr] + [0] * (n + 3), [gr] + [0] * (n + 3)
+            member = _fraction_product([a + b for a, b in zip(fm + [0] * (n + 4), df)],
+                                       [a + b for a, b in zip(gm + [0] * (n + 4), dg)])
+            assert _l1(member, exact) == pr
+        out = fb.int_outward(narrow, prod, n)
+        om, orad = _fraction_ball(out)
+        rounded += out.scale < prod.scale
+        assert _l1(pm, om) + pr <= orad
+        assert orad - pr - _l1(pm, om) < Fraction(1, 10 ** out.scale)
+    assert rounded > 30
+
+
+def test_centres_serialize_as_with_coefficient_radii(desk, n40):
+    """An exact centre writes the text it wrote when a ball held one radius
+    per coefficient: the sha256 of the desk (N=20, P=30) and N=40 (P=40)
+    centres, pinned from that layout."""
+    assert {name: fb.ball_checksum(b) for name, b in
+            (("g0", desk.G0), ("delta0", desk.V0), ("gamma0", desk.W0))} == {
+        "g0": "aefd45103c30a87a2809239622cd1954709e7bd27da224010eb434aad9393208",
+        "delta0": "3b1b63a8c67896bc30bfb57a5bd11fcb913090d6f9984230f5e2d949d29366d7",
+        "gamma0": "35484989c688d96a75781cb9e792cf83710a7f0cb819649a90d46b754d3942b0"}
+    assert n40.result.report["checksums"] == {
+        "g0": "aed7c094c2a10aa74d2611f2a385be09cedb2660b199c542f8866abd032cf6c8",
+        "delta0": "b15ec17fb99c1e52d5de0243a760150e20f3566f705c8cf460d6667e0a8ce487",
+        "gamma0": "7a200260b5bc283accc5f4be20382787382c6aa71d55906b7273b92984c3d03d"}
+
+
+def test_ball_with_radius_reloads_with_its_members():
+    """A ball with rad > 0 writes its midpoints and rad + v_err as the error
+    part; read back, it holds every sampled member of the ball it was."""
+    rng = random.Random(44)
+    for _ in range(6):
+        f = fb.mul(ctx, _interval_ball(rng, 6), fb.inflate(ctx, _interval_ball(rng, 3), "1e-7"))
+        assert f.rad > 0
+        back = fb.deserialize_ball(fb.serialize_ball(f))
+        assert back.rad == 0 and back.v_high == f.v_high
+        assert back.v_err == f.v_err + Decimal(f.rad).scaleb(-f.scale, EXACT)
+        for _ in range(20):
+            member = sample_member(rng, f)
+            coeffs = [member.get(k, Decimal(0)) for k in range(max(member) + 1)]
+            assert holds_polynomial(back, coeffs, N)
+
+
+def test_v1_file_with_coefficient_intervals_reads_as_a_ball_holding_them():
+    """A v1 file whose coefficients are intervals lo < hi reads as their
+    midpoints with rad the sum of their half-widths: every polynomial with
+    coefficients in the boxes, at their corners too, is a member."""
+    rng = random.Random(45)
+    for _ in range(10):
+        boxes = [rand_interval(rng, 2.0) for _ in range(N + 1)]
+        lines = ["renormcert-ball v1", "center 1", "radius 2.5", f"truncation {N}",
+                 "v_high 0", "v_err 0"] + [f"coeff {b.lo} {b.hi} 0 0" for b in boxes]
+        f = fb.deserialize_ball("\n".join(lines) + "\n")
+        with decimal.localcontext(EXACT):
+            assert Decimal(f.rad).scaleb(-f.scale) == sum((b.hi - b.lo for b in boxes),
+                                                          Decimal(0)) / 2
+            for _ in range(10):
+                corner = [rng.choice((b.lo, b.hi)) for b in boxes]
+                inside = [sample_point(rng, b) for b in boxes]
+                assert holds_polynomial(f, corner, N) and holds_polynomial(f, inside, N)
 
 
 def test_serialization_roundtrip():

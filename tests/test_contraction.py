@@ -3,6 +3,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -235,7 +236,8 @@ def test_epsilon_requires_exact_center(desk):
 def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
     """The certificate stages run on the integer form alone: certifying the
     three desk problems, with the parameter ball's tables built in between,
-    builds the Decimal ``coeffs`` view of no ball (serializing one does)."""
+    builds the Decimal ``coeffs`` view of no ball (reading a centre's
+    decimals does)."""
     built = []
     view = fb.FunctionBall.coeffs
     monkeypatch.setattr(fb.FunctionBall, "coeffs",
@@ -247,8 +249,16 @@ def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
     for power, x0 in ((1, desk.V0), (2, desk.W0)):
         assert ct.certify(c, ct.Problem(power, tables), x0, pl.RHO).passed
     assert built == []
-    fb.serialize_ball(desk.G0)
+    pl._centre(desk.G0)
     assert built == [desk.G0]
+
+
+@pytest.mark.parametrize("rho", ["abc", "nan", "inf"])
+def test_certify_refuses_a_radius_that_is_not_a_finite_number(desk, rho):
+    """As RunConfig refuses such a rho: a ConfigError, not a raw
+    decimal.InvalidOperation, nor a run on an infinite ball."""
+    with pytest.raises(ConfigError, match="rho"):
+        ct.certify(desk.ctx, ct.Problem(0), desk.G0, rho)
 
 
 def test_certification_failure_small_rho(desk):
@@ -425,22 +435,33 @@ def test_eigen_digits_use_tightest_radius(desk):
     """Eigenvalue enclosures come from the tighter of rho and the a-posteriori
     radius r, cut by the Newton step's phi(Phi(x0)) +- kappa_phi r, so their
     certified digit counts never fall below the rho-based or r-based ones.
-    phi(Phi(x0)) is the interval of Phi(x0)'s coefficient 0 widened by
-    max_j |Lam_0j| times the residual's error part, the part of Lam F(x0)'s
-    error that reaches row 0, which is narrower than Phi(x0)'s own error
-    part ||Lam|| v_err."""
+    phi(Phi(x0)) is x0's coefficient 0 minus row 0 of Lam on F(x0)'s
+    midpoints, exactly, widened by max_j |Lam_0j| times the residual's
+    rad and error part, the part of them that reaches row 0: within a
+    rounding of that and narrower than coefficient 0 of the ball Phi(x0),
+    whose rad and error part carry ||Lam||."""
     from renormcert.pipeline import certified_digits
 
     c = desk.ctx
     for cert, centre, name, lam, power in (
             (desk.cert_delta, desk.V0, "delta", desk.lam_delta, 1),
             (desk.cert_gamma, desk.W0, "gamma", desk.lam_gamma, 2)):
-        residual = ct.Problem(power, desk.tables).residual(c, centre)
-        row0 = c.scaled_up(max(abs(x) for x in lam.rows[0]), lam.scale)
-        error = c.mul_up(row0, residual.v_err)
+        problem = ct.Problem(power, desk.tables)
+        residual = problem.residual(c, centre)
+        row0 = max(abs(x) for x in lam.rows[0])
+        error = c.mul_up(c.scaled_up(row0, lam.scale), residual.v_err)
         assert 0 < error < cert.newton.v_err
-        bare = fb.coefficient(c, with_tails(cert.newton, 0, 0), 0).re
-        newton = Interval(c.sub_dn(bare.lo, error), c.add_up(bare.hi, error))
+        newton = ct.bound_epsilon(c, problem, centre, lam)[2]
+        s = residual.scale + lam.scale
+        exact = Fraction(centre.mid[0], 10 ** centre.scale) - \
+            Fraction(sum(a * b for a, b in zip(lam.rows[0], residual.mid)), 10 ** s)
+        half = Fraction(row0 * residual.rad, 10 ** s) + Fraction(error)
+        assert residual.rad > 0 and centre.rad == 0
+        ulp = Fraction(1, 10 ** (c.precision - 1))
+        assert Fraction(newton.lo) <= exact - half and exact + half <= Fraction(newton.hi)
+        assert Fraction(newton.hi) - Fraction(newton.lo) <= 2 * half + 2 * ulp * abs(exact)
+        ball = fb.coefficient(c, cert.newton, 0).re
+        assert newton.hi - newton.lo < ball.hi - ball.lo
         phi = centre.coeffs[0].re
         by_rho = Interval(c.sub_dn(phi.lo, cert.rho), c.add_up(phi.hi, cert.rho))
         enc = cert.enclosures[name]
@@ -772,7 +793,7 @@ def test_lambda_head_to_two_digits_misses_the_kappa_agreement(desk, monkeypatch)
 def _tiny_pivot_images(n: int, k1: int) -> list[fb.FunctionBall]:
     """Column images e_0..e_(k1-1) of the identity with column 0 scaled by
     1E-400, which binary64 rounds to 0."""
-    return [fb.FunctionBall([1], [], 400, Decimal(0), Decimal(0), n)] + \
+    return [fb.FunctionBall([1], 0, 400, Decimal(0), Decimal(0), n)] + \
         [basis_ball(n, k) for k in range(1, k1)]
 
 
@@ -788,7 +809,7 @@ def test_head_beyond_binary64_is_singular(desk):
                         ([[1.0, 0.0], [0.0, float(Decimal("1E+400"))]], "factor not finite")):
         with pytest.raises(SingularJacobian, match=match):
             ct.build_lambda("fixed_point", head)
-    huge = [fb.FunctionBall([10 ** 400], [], 0, Decimal(0), Decimal(0), desk.n)] + \
+    huge = [fb.FunctionBall([10 ** 400], 0, 0, Decimal(0), Decimal(0), desk.n)] + \
         [basis_ball(desk.n, k) for k in (1, 2)]
     with pytest.raises(SingularJacobian, match="not finite"):
         ct.frozen_map(desk.ctx, ct.Problem(0), desk.G0, huge)

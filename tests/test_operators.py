@@ -111,25 +111,28 @@ def test_apply_T_pointwise_oracle(desk):
     """Direct high-precision evaluation of the defining expression at member
     polynomials lies inside the pointwise enclosure of the residual T(G) - G
     over the ball, for members sampled anywhere in it and for members whose
-    a = G(1) is an end of A +- e, the whole error part at degree 0; the
-    residual is the same read from a problem whose tables hold this ball."""
+    a = G(1) is an end of A +- e, the whole rounding and error parts at
+    degree 0; the residual is the same read from a problem whose tables
+    hold this ball.  The balls: B(G0, 1e-6), exact centre, and the
+    parameter ball, whose rounding part spreads over any degree."""
     rng = random.Random(21)
-    ball = fb.inflate(ctx, desk.G0, "1e-6")
-    problem = ct.Problem(0)
-    problem.column_images(ctx, ball, ct.HEAD_DEGREE)
-    image = ct.Problem(0).residual(ctx, ball)
-    assert problem.residual(ctx, ball) == image
-    members = [sample_member(rng, ball) for _ in range(5)]
-    members += [_member_at_end(rng, ball, end) for end in (-1, 1)]
-    for m in members:
-        with decimal.localcontext(decimal.Context(prec=120)):
-            a_m = eval_member(m, Decimal(1), 120)
-            for z in domain_points(rng, 10):
-                inner = eval_member(m, a_m * a_m * z, 120)
-                value = eval_member(m, inner * inner, 120) / a_m \
-                    - eval_member(m, z, 120)
-                out = fb.evaluate(ctx, image, rectangle(z))
-                assert out.re.contains(value), (z, value, out)
+    assert desk.param.rad > 0
+    for ball in (fb.inflate(ctx, desk.G0, "1e-6"), desk.param):
+        problem = ct.Problem(0)
+        problem.column_images(ctx, ball, ct.HEAD_DEGREE)
+        image = ct.Problem(0).residual(ctx, ball)
+        assert problem.residual(ctx, ball) == image
+        members = [sample_member(rng, ball) for _ in range(5)]
+        members += [_member_at_end(ball, end) for end in (-1, 1)]
+        for m in members:
+            with decimal.localcontext(decimal.Context(prec=120)):
+                a_m = eval_member(m, Decimal(1), 120)
+                for z in domain_points(rng, 10):
+                    inner = eval_member(m, a_m * a_m * z, 120)
+                    value = eval_member(m, inner * inner, 120) / a_m \
+                        - eval_member(m, z, 120)
+                    out = fb.evaluate(ctx, image, rectangle(z))
+                    assert out.re.contains(value), (z, value, out)
 
 
 def test_squared_table_products_stay_sub_linear(monkeypatch):
@@ -167,15 +170,15 @@ def test_squared_table_products_stay_sub_linear(monkeypatch):
     assert (m - 1) + 2 * 3 == len(products) <= m + 2 * -(-(n + 1) // m) < n - 1
 
 
-def _member_at_end(rng: random.Random, ball: fb.FunctionBall, end: int) -> dict:
+def _member_at_end(ball: fb.FunctionBall, end: int) -> dict:
     """A member of the ball whose a = G(1) is the lower (end -1) or upper
-    (end 1) end of A +- v_err: coefficient 0 that end of its interval moved
-    by the whole error part, the others sampled in their intervals, exactly
-    (the ball's coefficients may carry more digits than a default context)."""
+    (end 1) end of A +- v_err: coefficient 0 that end of its interval A,
+    mid_0 +- rad, moved by the whole error part, the others at their
+    midpoints, exactly (the ball's coefficients may carry more digits than
+    a default context)."""
     a = ball.coeffs[0].re
     with decimal.localcontext(EXACT):
-        member = sample_member(rng, dataclasses.replace(ball, v_high=Decimal(0),
-                                                        v_err=Decimal(0)))
+        member = {k: Decimal(m).scaleb(-ball.scale) for k, m in enumerate(ball.mid)}
         member[0] = a.lo - ball.v_err if end < 0 else a.hi + ball.v_err
     return member
 
@@ -230,16 +233,17 @@ def test_tables_with_a_folded_error_part_miss_those_over_the_centre(desk, n40, s
 
 def test_sampled_members_of_the_n40_parameter_ball_lie_in_it(n40):
     """Members drawn from the N=40, P=40 parameter ball, whose coefficients
-    carry more digits than a default 28-digit context, lie in the ball
-    coefficient by coefficient: sample_member forms each coefficient
-    x.lo + (x.hi - x.lo) f exactly."""
+    carry more digits than a default 28-digit context, lie in the ball in
+    its l1 norm: sample_member forms the midpoints and the rounding part
+    exactly."""
     rng = random.Random(4040)
     ball = n40.result.balls["parameter"]
     polynomial = dataclasses.replace(ball, v_high=Decimal(0), v_err=Decimal(0))
+    assert ball.rad > 0
     for _ in range(20):
         member = sample_member(rng, polynomial)
-        for k, c in enumerate(ball.coeffs):
-            assert c.re.lo <= member[k] <= c.re.hi, k
+        coeffs = [member.get(k, Decimal(0)) for k in range(max(member) + 1)]
+        assert holds_polynomial(polynomial, coeffs, ball.truncation)
 
 
 @pytest.mark.parametrize("scale", ["desk", "n40"])
@@ -277,7 +281,7 @@ def test_table_scalars_hold_every_members_scalars(desk, monkeypatch):
 
     def holds(b: fb.FunctionBall, value: Fraction, err) -> bool:
         mid = Fraction(b.mid[0] if b.mid else 0, 10 ** b.scale)
-        rad = Fraction(b.rad[0] if b.rad else 0, 10 ** b.scale)
+        rad = Fraction(b.rad, 10 ** b.scale)
         return abs(value - mid) <= rad + Fraction(err)
 
     for ball in (fb.inflate(ctx, desk.G0, pl.RHO), desk.param):
@@ -332,7 +336,7 @@ def test_tables_hold_members_with_a_at_the_ends(desk, n40, scale):
         images = {k: tables.dt_basis_image(c, k) for k in (0, 1, 5)}
         t = s.t(c)
         for end in (-1, 1):
-            m = _member_at_end(rng, ball, end)
+            m = _member_at_end(ball, end)
             with decimal.localcontext(decimal.Context(prec=120)):
                 a = eval_member(m, Decimal(1), 120)
                 for z in domain_points(rng, 6):
@@ -490,7 +494,7 @@ def test_apply_DT_pointwise_oracle(desk):
 def test_apply_DT_without_variation_of_a_misses_pointwise_oracle(desk):
     """Negative control: a DT apply whose kernel drops the variation of a
     misses the direct evaluations of the pointwise oracle."""
-    zero = fb.IntBall([], [], 0, Decimal(0), Decimal(0))
+    zero = fb.IntBall([], 0, 0, Decimal(0), Decimal(0))
     dropped = dataclasses.replace(desk.tables, variation=zero)
     assert not all(out.re.contains(value) for _, value, out in _dt_oracle(desk, dropped))
 

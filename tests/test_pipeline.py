@@ -1264,9 +1264,9 @@ def test_cli_plot(tmp_path, capsys):
 def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, key, centre,
                                        target):
     """The plot covers members at the boundary of the certified ball, the
-    Newton step Phi(x0) + B(0, kappa r): a member of its coefficient
-    intervals moved by its error bound along e_0 and e_N and by its
-    high-order bound along e_(N+1), not only the centre.  That ball's
+    Newton step Phi(x0) + B(0, kappa r): its midpoints moved by its
+    radius and error bound along e_0 and e_N and by its high-order bound
+    along e_(N+1), not only the centre.  That ball's
     coefficient 0 lies within the proven radius r of the centre x0's."""
     from helpers import eval_member
     from renormcert import cli
@@ -1296,8 +1296,9 @@ def test_cli_plot_covers_ball_boundary(tmp_path, monkeypatch, figure, targets, k
     n = center.truncation
     for k in (0, n):
         for sign in (1, -1):
-            member = {j: c.re.lo for j, c in enumerate(ball.coeffs)}
-            member[k] = exact.add(member[k], exact.multiply(sign, ball.v_err))
+            member = {j: Decimal(m).scaleb(-ball.scale, exact) for j, m in enumerate(ball.mid)}
+            edge = exact.add(ball.v_err, Decimal(ball.rad).scaleb(-ball.scale, exact))
+            member[k] = exact.add(member.get(k, 0), exact.multiply(sign, edge))
             member[n + 1] = exact.multiply(sign, ball.v_high)
             for x in points:
                 val = eval_member(member, x, 60)
