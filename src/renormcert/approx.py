@@ -16,7 +16,9 @@ preconditions both iterations, with the operators applied matrix-free:
   Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982), on a ladder of
   doubling degrees 20, 40, ..., N from a tabulated degree-20 fixed point;
   each rung m below N stops at its truncation level, a residual below
-  |g_m|/100, and only the top rung goes on to 10**-(P-6);
+  |g_m|/100, and only the top rung goes on to 10**-(P-6); a rung below N
+  checks its residual on a build at the next rung's width, which is the
+  next rung's first build when the check passes;
 * eigenpairs: shifted inverse iteration on the head of M_p finds the
   eigenvalue nearest a literature hint s (4.669 for delta, 6.619**2 for
   gamma**2), at the rate |lambda - s|/|lambda' - s| per step, lambda'
@@ -27,7 +29,8 @@ preconditions both iterations, with the operators applied matrix-free:
 Every iterate (g, its Newton corrections and residuals, the eigenvectors
 and their refinement steps) is a list of integers at the engine's scale,
 and so is every polynomial of the midpoint engine (:class:`_MidShared`)
-that evaluates the operators: products are exact (``balls._conv``) and
+that evaluates the operators: products are exact (``balls._conv``, and
+``balls._sqr`` for a square) and
 rounded to nearest at that scale, and each composition argument has a
 power table of the shape of ``balls.PowerTable``, midpoints only: baby
 powers u**0..u**20 and the giant step u**21, composing by exact block
@@ -59,7 +62,7 @@ from decimal import Decimal
 from functools import cached_property
 
 from . import contraction
-from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots, _padded
+from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots, _padded, _sqr
 from .contraction import KINDS, _lu_solve_factored, _rows, build_lambda, lu_factor, mat_inv
 from .errors import ConfigError, EigenSelectionAmbiguous, NewtonDivergence, SingularJacobian
 from .rounding import EXACT
@@ -151,9 +154,10 @@ class _MidTable:
 
     Every entry is an integer at the scale 1/``unit``; row i of ``rows``
     holds coefficient i of every baby power.  From u**2 on, an even power
-    u**(2j) is the exact square of u**j and an odd one the exact product of
-    the previous one and u (``balls._conv``), each rounded to nearest;
-    both drop trailing zeros, so an affine u costs little per power.
+    u**(2j) is the exact square of u**j (``balls._sqr``) and an odd one the
+    exact product of the previous one and u (``balls._conv``), each rounded
+    to nearest; both drop trailing zeros, so an affine u costs little per
+    power.
     """
 
     def __init__(self, u: list[int], count: int, width: int, unit: int):
@@ -161,8 +165,9 @@ class _MidTable:
         last = min(count - 1, BABY_STEPS)
         powers = [[unit], u[:width]][:last + 1]
         for k in range(2, last + 1):
-            f, h = (powers[k // 2],) * 2 if k % 2 == 0 else (powers[-1], u)
-            powers.append(_rounded(_conv(f, h, width - 1), unit))
+            p = (_sqr(powers[k // 2], width - 1) if k % 2 == 0
+                 else _conv(powers[-1], u, width - 1))
+            powers.append(_rounded(p, unit))
         self.rows = tuple(zip(*(_padded(p, width - 1) for p in powers[:BABY_STEPS])))
         self.giant = powers[BABY_STEPS] if last == BABY_STEPS else None
 
@@ -231,7 +236,7 @@ class _MidShared:
 
         self.table_affine = table(self._scaled(a2, [c, r]))
         inner = self.table_affine.compose(g)
-        self.table_squared = table(self._mul(inner, inner))
+        self.table_squared = table(self._sqr(inner))
         self.outer_comp = self.table_squared.compose(g)
         self._gd, self._inner, self._x_line = gd, inner, self._scaled(2 * a, [c, r])
 
@@ -243,7 +248,7 @@ class _MidShared:
 
     @cached_property
     def factor16_sq(self) -> list[int]:
-        return self._mul(self.factor16, self.factor16)
+        return self._sqr(self.factor16)
 
     @cached_property
     def factor17(self) -> list[int]:
@@ -254,6 +259,10 @@ class _MidShared:
     def _mul(self, f: list[int], h: list[int], width: int | None = None) -> list[int]:
         """f h to degree width - 1, rounded."""
         return _rounded(_conv(f, h, (width or self.width) - 1), self.unit)
+
+    def _sqr(self, f: list[int]) -> list[int]:
+        """f**2 to degree width - 1, rounded."""
+        return _rounded(_sqr(f, self.width - 1), self.unit)
 
     def _scaled(self, s: int, f: list[int]) -> list[int]:
         """s f, rounded."""
@@ -372,7 +381,9 @@ def _newton_correction(shared, width: int, residual, tol: int, max_steps: int):
     width x width head of DT - I with tail -1, until a step is below
     tol/100, for at most ``max_steps`` steps.  B's head is solved in
     binary64, so even a head that is the whole Jacobian (degree 20 and
-    below) takes more than one step."""
+    below) takes more than one step.  The evaluations may be a build
+    wider than the residual, whose images are read to its length: exact,
+    as every product, block and giant step is causal."""
     unit = shared.unit
     block = _block_map(jacobian_head(shared.head(1, width), 0, unit), -unit, unit)
     delta = block([-r for r in residual])
@@ -414,7 +425,17 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
 def fixed_point_with_build(n: int, digits: int):
     """:func:`approx_fixed_point` g0 and the midpoint build of g0 that
     its last residual check made, which :func:`eigenpair_from_build`
-    reads as :func:`midpoint_build` would make it."""
+    reads as :func:`midpoint_build` would make it.
+
+    A rung m below n checks its residual on a build at the next rung's
+    width, over g zero-padded to that degree: its coefficients 0..m are
+    those of a build at rung m's width, integer for integer, as truncated
+    products, blocks and giant steps are causal and rounded coefficient by
+    coefficient.  When the check passes, that build is the next rung's
+    first build; when it fails, the correction reads it to rung m's width
+    (:func:`_newton_correction`).  So the seed's check at rung 20 and each
+    check after a rung's correction cost no build of their own: at
+    N = 40, 80 and 160, 2, 3 and 4 builds in all."""
     if n < 2:
         raise ConfigError("need truncation degree >= 2")
     if digits < 10:
@@ -422,17 +443,21 @@ def fixed_point_with_build(n: int, digits: int):
     scale = digits + _GUARD
     g = _read(_SEED_G20[:n + 1], scale)
     max_iter = 50
-    for stage_n in _stage_ladder(n):
+    stages = _stage_ladder(n)
+    shared = None
+    for stage_n, build_n in zip(stages, stages[1:] + [n]):
         g = _padded(g, stage_n)
         width = min(stage_n, contraction.HEAD_DEGREE) + 1
         for _ in range(max_iter):
-            shared = _MidShared(g, digits)
-            tg = shared.t()
+            if shared is None:
+                shared = _MidShared(_padded(g, build_n), digits)
+            tg = shared.t()[:stage_n + 1]
             residual = [t - x for t, x in zip(tg, g)]
             rung_tol = _rung_tolerance(tg, _TOL, stage_n == n)
             if _sup_norm(residual) < rung_tol:
                 break
             g = _add_lists(g, _newton_correction(shared, width, residual, rung_tol, digits))
+            shared = None
         else:
             raise NewtonDivergence(f"no convergence below {Decimal(rung_tol).scaleb(-scale):.2E} "
                                    f"in {max_iter} iterations")

@@ -42,7 +42,8 @@ combine midpoints exactly, form rad from exact integer norms, and round
 their result outward once (:func:`int_outward`), keeping precision +
 digits(N+1) digits on its largest coefficient; sums, negations and shifts
 are exact.  A product convolves midpoints exactly (:func:`int_mul`); its
-rad is ||f_P|| rad_g + rad_f (||g_P|| + rad_g).  A scalar times a ball is
+rad is ||f_P|| rad_g + rad_f (||g_P|| + rad_g); a square (:func:`sqr`)
+forms each cross pair once.  A scalar times a ball is
 the product with the scalar's constant ball; composition goes through a
 :class:`PowerTable`, which holds the baby powers of the normalized
 argument at one scale, each with its rad, and its giant step, so
@@ -113,6 +114,7 @@ __all__ = [
     "negate",
     "scale",
     "mul",
+    "sqr",
     "theta",
     "compose",
     "compose_derivative",
@@ -128,6 +130,7 @@ __all__ = [
     "power_table",
     "IntBall",
     "int_mul",
+    "int_sqr",
     "int_add",
     "int_outward",
     "serialize_ball",
@@ -316,7 +319,8 @@ def _conv(a: list[int], b: list[int], n: int) -> list[int]:
 
     Trailing zeros of either input are dropped before the loop (a baby
     power u**k of an affine u has k + 1 nonzero coefficients of its N + 1);
-    the result keeps the length of the full truncated product."""
+    the result keeps the length of the full truncated product.  A
+    one-coefficient operand (a constant ball's) scales the other one."""
     if not (a and b):
         return []
     size = min(n, len(a) + len(b) - 2) + 1
@@ -325,12 +329,33 @@ def _conv(a: list[int], b: list[int], n: int) -> list[int]:
         a, b, la, lb = b, a, lb, la
     if not lb:
         return [0] * size
+    if lb == 1:
+        b0 = b[0]
+        out = [b0 * x for x in a[:min(size, la)]]
+        return out + [0] * (size - len(out))
     rb = b[lb - 1::-1]
     out = []
     for k in range(min(size, la + lb - 1)):
         lo = k - lb + 1 if k >= lb else 0
         hi = k + 1 if k < la else la
         out.append(sum(map(_imul, a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi])))
+    return out + [0] * (size - len(out))
+
+
+def _sqr(a: list[int], n: int) -> list[int]:
+    """_conv(a, a, n) at about half its cost: each cross pair a_i a_j,
+    i < j, is formed once and doubled, then the diagonal a_(k/2)**2 added."""
+    if not a:
+        return []
+    size = min(n, 2 * len(a) - 2) + 1
+    la = _nonzero_length(a, n)
+    ra = a[la - 1::-1] if la else []
+    out = []
+    for k in range(min(size, 2 * la - 1)):
+        lo = k - la + 1 if k >= la else 0
+        hi = (k + 1) >> 1
+        s = 2 * sum(map(_imul, a[lo:hi], ra[la - 1 - k + lo:la - 1 - k + hi]))
+        out.append(s if k & 1 else s + a[k >> 1] * a[k >> 1])
     return out + [0] * (size - len(out))
 
 
@@ -352,7 +377,18 @@ def int_mul(ctx: RoundingContext, f: IntBall, g: IntBall, n: int) -> IntBall:
     v_err, which stays an exact 0 when neither has one.  Those tail bounds
     are rounded upward.
     """
-    mid = _conv(f.mid, g.mid, n)
+    return _int_product(ctx, f, g, n, _conv(f.mid, g.mid, n))
+
+
+def int_sqr(ctx: RoundingContext, f: IntBall, n: int) -> IntBall:
+    """int_mul(ctx, f, f, n), its midpoints squared by :func:`_sqr`."""
+    return _int_product(ctx, f, f, n, _sqr(f.mid, n))
+
+
+def _int_product(ctx: RoundingContext, f: IntBall, g: IntBall, n: int,
+                 mid: list[int]) -> IntBall:
+    """The ball of :func:`int_mul` from the exact product ``mid`` of f's
+    and g's midpoints to degree n: its rad, spill and tails."""
     mf, mg = list(map(abs, f.mid)), list(map(abs, g.mid))
     nf, ng = sum(mf), sum(mg)
     rad = nf * g.rad + f.rad * (ng + g.rad)
@@ -416,6 +452,12 @@ def mul(ctx: RoundingContext, f: FunctionBall, g: FunctionBall) -> FunctionBall:
     _check_same_degree(f, g)
     n = f.truncation
     return FunctionBall.wrap(n, int_outward(ctx, int_mul(ctx, f, g, n), n))
+
+
+def sqr(ctx: RoundingContext, f: FunctionBall) -> FunctionBall:
+    """mul(ctx, f, f) through :func:`int_sqr`."""
+    n = f.truncation
+    return FunctionBall.wrap(n, int_outward(ctx, int_sqr(ctx, f, n), n))
 
 
 # -- composition --------------------------------------------------------------
@@ -494,8 +536,9 @@ class PowerTable:
     precision + digits(D+1) digits; the rows above N of the result go to
     v_high, f's own rounding part adds its rad, which composes to at most
     itself as theta <= 1, and the rest is rounded outward once.  That is
-    m - 1 products to build the table and ceil((N+1)/m) - 1 per
-    composition, instead of the N - 1 of a table of every power.  Baby
+    m - 1 products to build the table (the even powers squares,
+    :func:`int_sqr`) and ceil((N+1)/m) - 1 per composition, instead of
+    the N - 1 of a table of every power.  Baby
     power k, cut at degree N, is the image of e_k (:meth:`power`), so a
     frozen map's head columns 0..K need K < BABY_STEPS.
     """
@@ -618,8 +661,8 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     """Power table of the normalized argument of h.
 
     u**k, for k = 2..min(N, BABY_STEPS), is the exact integer square of
-    u**(k/2) for even k and the product of u**(k-1) and u for odd k, to
-    degree N + _GUARD_DEGREES, rounded outward once
+    u**(k/2) for even k (:func:`int_sqr`) and the product of u**(k-1) and
+    u for odd k, to degree N + _GUARD_DEGREES, rounded outward once
     (:func:`int_outward`) to keep precision + digits(N+1) digits on its
     largest coefficient.  The baby powers are then lifted exactly to the
     finest of their scales, which the table holds, radii with them.
@@ -630,8 +673,8 @@ def power_table(ctx: RoundingContext, h: FunctionBall) -> PowerTable:
     u = normalized_argument(ctx, h)
     powers = [IntBall([1], 0, 0, _D0, _D0), u][:last + 1]
     for k in range(2, last + 1):
-        f, g = (powers[k // 2],) * 2 if k % 2 == 0 else (powers[-1], u)
-        powers.append(int_outward(ctx, int_mul(ctx, f, g, d), d))
+        p = int_sqr(ctx, powers[k // 2], d) if k % 2 == 0 else int_mul(ctx, powers[-1], u, d)
+        powers.append(int_outward(ctx, p, d))
     baby = powers[:BABY_STEPS]
     top = max(p.scale for p in baby)
     units = [10 ** (top - p.scale) for p in baby]

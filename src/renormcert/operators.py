@@ -173,7 +173,7 @@ def precompute_shared(ctx: RoundingContext, G: FunctionBall) -> SharedEvaluation
     a2 = _scalar(n, ctx.isqr(a), _square_err(ctx, a, e))
     table_affine = fb.power_table(ctx, _affine(ctx, n, a2))
     inner = _composed("G(a2 X)", table_affine.compose, ctx, G)
-    table_squared = fb.power_table(ctx, fb.mul(ctx, inner, inner))
+    table_squared = fb.power_table(ctx, fb.sqr(ctx, inner))
     outer_comp = _composed("G(Q(G(a2 X)))", table_squared.compose, ctx, G)
     return SharedEvaluations(
         source=G, a=a, a_err=e, a_inv=a_inv, a_inv_err=a_inv_err, inner=inner,
@@ -221,7 +221,7 @@ class OperatorTables:
         two_a_x = _affine(ctx, n, _scalar(n, ctx.iscale(s.a, _D2), ctx.mul_up(_D2, s.a_err)))
         factor17 = fb.mul(ctx, fb.mul(ctx, factor16, deriv_inner), two_a_x)
         scalars = (a_inv, _scalar(n, ctx.isqr(s.a_inv), _square_err(ctx, s.a_inv, s.a_inv_err)))
-        factors = (factor16, fb.mul(ctx, factor16, factor16))
+        factors = (factor16, fb.sqr(ctx, factor16))
         variation = fb.add(ctx, fb.mul(ctx, fb.negate(ctx, scalars[1]), s.outer_comp), factor17)
         pairs = tuple(zip(scalars, factors))
         return cls(s, pairs, variation,

@@ -212,6 +212,19 @@ def p_mul(f, g):
     return out
 
 
+def schoolbook_product(a: list[int], b: list[int], n: int) -> list[int]:
+    """The Cauchy product of two integer sequences by its definition,
+    entry k the sum of a_i b_j over i + j = k, kept for k <= min(n,
+    len(a) + len(b) - 2): the oracle of ``balls._conv`` and ``balls._sqr``,
+    which return that shape ([] for an empty operand)."""
+    out = [0] * (min(n, len(a) + len(b) - 2) + 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < len(out):
+                out[i + j] += x * y
+    return out
+
+
 def _normalize_arg(h):
     """(h - c)/r on the standard disc."""
     return [(h[0] - _C) / _R] + [x / _R for x in h[1:]]

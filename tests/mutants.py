@@ -121,6 +121,19 @@ MUTANTS = (
     Mutant("mul_radius_norm", "src/renormcert/balls.py",
            "rad = nf * g.rad + f.rad * (ng + g.rad)", "rad = nf * g.rad + f.rad * g.rad",
            "int_mul's radius without rad_f ||g_P||"),
+    Mutant("sqr_cross_pairs", "src/renormcert/balls.py",
+           "s = 2 * sum(map(_imul, a[lo:hi]", "s = sum(map(_imul, a[lo:hi]",
+           "the exact square counts each cross pair a_i a_j once, not twice"),
+    Mutant("sqr_diagonal", "src/renormcert/balls.py",
+           "out.append(s if k & 1 else s + a[k >> 1] * a[k >> 1])", "out.append(s)",
+           "the exact square without its diagonal terms a_(k/2)**2"),
+    Mutant("conv_constant_last", "src/renormcert/balls.py",
+           "out = [b0 * x for x in a[:min(size, la)]]",
+           "out = [b0 * x for x in a[:min(size, la) - 1]]",
+           "a constant times a sequence drops its last coefficient"),
+    Mutant("sqr_radius_square", "src/renormcert/balls.py",
+           "f.rad * (ng + g.rad)", "f.rad * ng",
+           "a product's radius without rad_f rad_g, so a ball square's without rad_f**2"),
     Mutant("compose_radius", "src/renormcert/balls.py",
            "int_add(ctx, out, IntBall([], p.rad, p.scale, _D0, _D0))",
            "int_add(ctx, out, IntBall([], 0, p.scale, _D0, _D0))",

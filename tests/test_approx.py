@@ -90,10 +90,8 @@ def test_seed_rounded_to_working_precision():
     assert _residual(g, 20) < Decimal("1e-14")
 
 
-def test_lower_rungs_stop_at_truncation_level(monkeypatch):
-    """At N=80, P=60 the seed passes rung 20 as it stands, rung 40 stops
-    after one correction, at about |g_40|/100, and only the top rung
-    reaches 10**-(P-6): one, two and two builds of the shared evaluations."""
+def _counting_builds(monkeypatch) -> list[int]:
+    """The degrees of the midpoint builds made from now on, in order."""
     degrees = []
     shared_cls = ax._MidShared
 
@@ -103,9 +101,48 @@ def test_lower_rungs_stop_at_truncation_level(monkeypatch):
             super().__init__(g, digits, width)
 
     monkeypatch.setattr(ax, "_MidShared", CountingShared)
+    return degrees
+
+
+def test_lower_rungs_stop_at_truncation_level(monkeypatch):
+    """At N=80, P=60 the seed passes rung 20 as it stands, rung 40 stops
+    after one correction, at about |g_40|/100, and only the top rung
+    reaches 10**-(P-6).  A lower rung's check reads a build at the next
+    rung's width, which is then that rung's first build: builds at
+    degrees 40 (rung 20's check, rung 40's first), 80 (rung 40's check
+    after its correction, rung 80's first) and 80."""
+    degrees = _counting_builds(monkeypatch)
     g = ax.approx_fixed_point(80, 60)
     monkeypatch.undo()
-    assert degrees == [20, 40, 40, 80, 80]
+    assert degrees == [40, 80, 80]
+    assert _residual(g, 60) < Decimal("1e-54")
+
+
+@pytest.mark.parametrize("m", [20, 40])
+def test_builds_are_causal(bootstrap80, m):
+    """A build over g zero-padded to degree 2m gives T(g) and DT(g) v
+    to degree m integer for integer as the build at g's own degree m:
+    the ground on which a lower rung's check reads the next rung's build."""
+    g = engine_ints(bootstrap80[0][:m + 1], 60)
+    v = engine_ints(bootstrap80[1][:m + 1], 60)
+    wide, own = ax._MidShared(fb._padded(g, 2 * m), 60), ax._MidShared(g, 60)
+    assert wide.t()[:m + 1] == own.t()
+    assert wide.apply(1, v)[:m + 1] == own.apply(1, v)
+
+
+def test_failing_lower_rung_check_still_converges(monkeypatch):
+    """Negative control for the look-ahead build: with the top rung's
+    tolerance on every rung, the seed's check at rung 20 fails, so rung
+    20's correction reads the degree-40 build it was checked on to degree
+    20, and a second degree-40 build checks the corrected g; the bootstrap
+    still reaches 10**-(P-6) at N=80, P=60."""
+    rung_tolerance = ax._rung_tolerance
+    monkeypatch.setattr(ax, "_rung_tolerance",
+                        lambda tg, tol, top: rung_tolerance(tg, tol, True))
+    degrees = _counting_builds(monkeypatch)
+    g = ax.approx_fixed_point(80, 60)
+    monkeypatch.undo()
+    assert degrees == [40, 40, 80, 80, 80]
     assert _residual(g, 60) < Decimal("1e-54")
 
 
@@ -432,27 +469,37 @@ def test_midpoint_build_product_count(monkeypatch, bootstrap80):
     2(m-1) + 2(ceil((N+1)/m) - 1) + 1 = 47 exact products (m = 21), all
     that T(g) reads: m - 1 per power table (u**2..u**20 and the giant step
     u**21), ceil(81/21) - 1 = 3 giant steps in each of the two
-    compositions of g, and inner**2.  The derivative terms take 10 more on
-    first use, and none after: 3 giant steps in each of the two compositions of G', and
-    the products factor16, factor16**2 and the two of factor17, 57 in all.
-    A table of every power makes 158."""
+    compositions of g, and inner**2.  21 of them are squares (_sqr): the
+    10 even powers of each table and inner**2; 26 general products
+    (_conv).  The derivative terms take 10 more on first use, and none
+    after: 3 giant steps in each of the two compositions of G', and the
+    products factor16, factor16**2 (a square) and the two of factor17, 57
+    in all, 22 of them squares.  A table of every power makes 158."""
     calls = []
-    conv = ax._conv
+    conv, sqr = ax._conv, ax._sqr
 
     def counting_conv(a, b, n):
-        calls.append(n)
+        calls.append("conv")
         return conv(a, b, n)
 
+    def counting_sqr(a, n):
+        calls.append("sqr")
+        return sqr(a, n)
+
     monkeypatch.setattr(ax, "_conv", counting_conv)
+    monkeypatch.setattr(ax, "_sqr", counting_sqr)
     shared = ax._MidShared(engine_ints(bootstrap80[0], 60), 60)
     shared.t()
-    t_products = len(calls)
+    t_calls = list(calls)
     for _ in range(2):
         shared.factor16, shared.factor16_sq, shared.factor17
     m, n = fb.BABY_STEPS, 80
     giant_steps = -(-(n + 1) // m) - 1
-    assert t_products == 2 * (m - 1) + 2 * giant_steps + 1 == 47
-    assert len(calls) - t_products == 2 * giant_steps + 4 == 10
+    squares = 2 * ((m - 1) // 2) + 1
+    assert len(t_calls) == 2 * (m - 1) + 2 * giant_steps + 1 == 47
+    assert t_calls.count("sqr") == squares == 21 and t_calls.count("conv") == 26
+    assert len(calls) - len(t_calls) == 2 * giant_steps + 4 == 10
+    assert calls.count("sqr") == squares + 1 == 22 and calls.count("conv") == 35
 
 
 def test_finite_difference_oracle(desk):

@@ -27,6 +27,7 @@ from helpers import (
     with_tails,
 )
 from renormcert import balls as fb
+from renormcert import pipeline as pl
 from renormcert.errors import (
     CompositionContractFailure,
     ConfigError,
@@ -504,10 +505,40 @@ def test_int_mul_and_int_outward_radius_bound_exact_fractions():
     assert rounded > 30
 
 
+def test_int_sqr_radius_bound_exact_fractions():
+    """In exact fractions: the square of a member f_P + d is int_sqr's
+    midpoints (degrees 0..N, exactly), its spill above N (within v_high)
+    and a rest within rad = 2 ||f_P|| rad_f + rad_f**2 of them at any
+    degree, which nonnegative midpoints with d in full at degree 0 meet
+    with equality."""
+    rng = random.Random(44)
+    for i in range(24):
+        n = rng.choice([0, 1, 4, 12, 40])
+        f = interval_ball([rand_interval(rng, 4.0) for _ in range(rng.randint(1, n + 1))], n=n)
+        if i % 3 == 0:
+            f = interval_ball([Interval(abs(c.re.lo), abs(c.re.lo) + abs(c.re.hi))
+                               for c in f.coeffs[:len(f.mid) or 1]], n=n)
+        sq = fb.int_sqr(ctx, f, n)
+        (fm, fr), (pm, pr) = _fraction_ball(f), _fraction_ball(sq)
+        exact = _fraction_product(fm, fm)
+        assert pm + [0] * (n + 1 - len(pm)) == (exact + [0] * (n + 1))[:n + 1]
+        assert sum(map(abs, exact[n + 1:])) <= Fraction(sq.v_high)
+        parts = [_rounding(rng, f, n) for _ in range(4)]
+        if i % 3 == 0:
+            parts.append([fr] + [0] * (n + 3))
+        for d in parts:
+            member = [a + b for a, b in zip(fm + [0] * (n + 4), d)]
+            assert _l1(_fraction_product(member, member), exact) <= pr
+        if i % 3 == 0:
+            assert _l1(_fraction_product(member, member), exact) == pr
+
+
 def test_centres_serialize_as_with_coefficient_radii(desk, n40):
     """An exact centre writes the text it wrote when a ball held one radius
     per coefficient: the sha256 of the desk (N=20, P=30) and N=40 (P=40)
-    centres, pinned from that layout."""
+    centres, pinned from that layout; and the bootstrap makes the N=80
+    (P=60) centres it made when each lower rung's check had a build of its
+    own, pinned from that bootstrap."""
     assert {name: fb.ball_checksum(b) for name, b in
             (("g0", desk.G0), ("delta0", desk.V0), ("gamma0", desk.W0))} == {
         "g0": "aefd45103c30a87a2809239622cd1954709e7bd27da224010eb434aad9393208",
@@ -517,6 +548,12 @@ def test_centres_serialize_as_with_coefficient_radii(desk, n40):
         "g0": "aed7c094c2a10aa74d2611f2a385be09cedb2660b199c542f8866abd032cf6c8",
         "delta0": "b15ec17fb99c1e52d5de0243a760150e20f3566f705c8cf460d6667e0a8ce487",
         "gamma0": "7a200260b5bc283accc5f4be20382787382c6aa71d55906b7273b92984c3d03d"}
+    centres, _ = pl.bootstrap(pl.RunConfig(degree=80))
+    assert {name: fb.ball_checksum(centres[target]) for name, target in
+            (("g0", "fixed_point"), ("delta0", "delta"), ("gamma0", "gamma"))} == {
+        "g0": "9eb08091401f592ee41ae4ab2782f5fe74028523612d8a5eb0fec87b011553e4",
+        "delta0": "eb136a8adef4f5cf05ce3e97f1c18dadd6252b844387a14f852150bb7852490d",
+        "gamma0": "9904fe7a6f16d2eae60871e65dab9a2430213b09e77c70ee1130f8b6a4e334f7"}
 
 
 def test_ball_with_radius_reloads_with_its_members():

@@ -57,6 +57,7 @@ from helpers import (
     oracle_sub,
     per_step_horner,
     rounding_part,
+    schoolbook_product,
     with_tails,
 )
 from renormcert import approx as ax
@@ -160,6 +161,59 @@ def test_mul_matches_decimal_oracle(n, kinds):
         unit, ulp = _unit(new), 8 * _ulp(Interval(_mass(ref), _mass(ref)))
         _check_l1(new, ref, (n + 1) * unit, (n + 1) * unit + ulp)
         assert new.v_high >= ref.v_high - ulp and new.v_err <= ref.v_err + ulp
+
+
+#: operand lengths of the exact-product tests: empty, a constant, affine,
+#: the degree-40 and degree-80 sizes with guard rows (N + 1 and N + 9)
+_LENGTHS = (0, 1, 2, 41, 89)
+
+
+def _signed(rng, length: int) -> list[int]:
+    """Random signed integers of up to 40 digits, about one in five zero;
+    half the draws end in a run of zeros, the shape of a baby power padded
+    to its table's rows."""
+    out = [rng.randint(-10 ** rng.randint(0, 40), 10 ** rng.randint(0, 40))
+           if rng.random() < 0.8 else 0 for _ in range(length)]
+    if length and rng.random() < 0.5:
+        cut = rng.randint(1, length)
+        out[-cut:] = [0] * cut
+    return out
+
+
+def _degrees(full: int) -> set[int]:
+    """Truncation degrees below, at and above the full degree of a product."""
+    return {d for d in (0, full // 2, full - 1, full, full + 3) if d >= 0}
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+def test_exact_products_match_schoolbook_oracle(length):
+    """_conv and _sqr give the schoolbook product integer for integer, its
+    length included: on random signed operands with zeros and trailing
+    zeros, against every operand length, one-coefficient operands (the
+    constant branch) with and without trailing zeros, and all-zero ones,
+    at degrees below, at and above the full one."""
+    rng = random.Random(f"products-{length}")
+    for _ in range(3):
+        a = _signed(rng, length)
+        c = rng.choice([-1, 1]) * rng.randint(1, 10 ** 40)
+        others = [_signed(rng, m) for m in _LENGTHS] + [[c], [c, 0, 0], [0], [0] * 5]
+        for b in others:
+            for n in _degrees(len(a) + len(b) - 2):
+                assert fb._conv(a, b, n) == fb._conv(b, a, n) == schoolbook_product(a, b, n)
+        for n in _degrees(2 * len(a) - 2):
+            assert fb._sqr(a, n) == schoolbook_product(a, a, n), n
+    assert schoolbook_product([2, 3], [5, 7], 9) == [10, 29, 21]
+
+
+@pytest.mark.parametrize("n", [0, 8, 40])
+def test_ball_square_is_the_product_with_itself(n):
+    """sqr and int_sqr are mul and int_mul of a ball with itself, field for
+    field: the same midpoints, rad, spill and tails."""
+    rng = random.Random(f"sqr-{n}")
+    for kind in ("real", "centred", "point"):
+        f = _rand_ball(rng, n, kind)
+        assert fb.sqr(ctx, f) == fb.mul(ctx, f, f)
+        assert fb.int_sqr(ctx, f, n + 8) == fb.int_mul(ctx, f, f, n + 8)
 
 
 #: points on the circle |z - 1| = 2.5, where every square root is exact

@@ -144,28 +144,34 @@ def test_squared_table_products_stay_sub_linear(monkeypatch):
     table of every power, which the bound must stay below.  A product is
     full-length when both factors have
     more than m + 1 coefficients, which leaves out the affine argument's
-    table; the ball products of the shared subexpressions (balls.mul) are
+    table; a square (int_sqr) counts as a product, but the ball products
+    and squares of the shared subexpressions (balls.mul, balls.sqr) are
     not counted."""
     n, m = 80, fb.BABY_STEPS
     wide = RoundingContext(60)
     G = fb.ball_from_decimals(DOM, ax.approx_fixed_point(n, 60), n)
     products, inside_mul = [], []
-    int_mul, mul = fb.int_mul, fb.mul
 
-    def counted_int_mul(c, f, g, degree):
-        if not inside_mul and min(len(f.mid), len(g.mid)) > m + 1:
-            products.append(degree)
-        return int_mul(c, f, g, degree)
+    def counted(product):
+        def wrapped(c, *args):
+            balls, degree = args[:-1], args[-1]
+            if not inside_mul and min(len(b.mid) for b in balls) > m + 1:
+                products.append(degree)
+            return product(c, *args)
+        return wrapped
 
-    def uncounted_mul(c, f, g):
-        inside_mul.append(True)
-        try:
-            return mul(c, f, g)
-        finally:
-            inside_mul.pop()
+    def uncounted(product):
+        def wrapped(*args):
+            inside_mul.append(True)
+            try:
+                return product(*args)
+            finally:
+                inside_mul.pop()
+        return wrapped
 
-    monkeypatch.setattr(fb, "int_mul", counted_int_mul)
-    monkeypatch.setattr(fb, "mul", uncounted_mul)
+    for name, wrap in (("int_mul", counted), ("int_sqr", counted),
+                       ("mul", uncounted), ("sqr", uncounted)):
+        monkeypatch.setattr(fb, name, wrap(getattr(fb, name)))
     op.OperatorTables.build(wide, G)
     assert (m - 1) + 2 * 3 == len(products) <= m + 2 * -(-(n + 1) // m) < n - 1
 
