@@ -30,10 +30,11 @@ g0 = ax.approx_fixed_point(N, DIGITS)
 G0 = fb.ball_from_decimals(fb.STANDARD_DISC, g0, N)
 fixed = certify(ctx, Problem(0), G0, RHO)
 print(f"fixed point certified within {fixed.posterior_radius:.3E} of G0")
-print(f"parameter ball: the Newton step Phi(G0), radius kappa r = {fixed.step_radius:.3E}")
+# the parameter ball: centred on G0, it holds the Newton step Phi(G0) + B(0, kappa r)
+param = fixed.solution_ball(ctx)
+print(f"parameter ball: G0 with error part {param.v_err:.3E} (kappa r = {fixed.step_radius:.3E})")
 
 # M_1 and M_2 over the parameter ball, built from the ball in one call
-param = fixed.solution_ball(ctx)
 tables = op.OperatorTables.build(ctx, param)
 
 # both eigenproblems are the problem F_p = M_p(G) x - phi(x)**p x, p = 1, 2

@@ -23,8 +23,8 @@ out = Path("covering_out")
 cfg = RunConfig(degree=20)     # its precision follows the degree: 20 digits
 result = run_pipeline(cfg)
 ctx = RoundingContext(cfg.precision)
-# each certificate's Newton-step solution ball Phi(x0) + B(0, kappa r)
-# (Certificate.solution_ball)
+# each certificate's solution ball: centred on its x0, it holds the Newton
+# step Phi(x0) + B(0, kappa r) (Certificate.solution_ball)
 balls = certified_balls(ctx, result)
 
 out.mkdir(exist_ok=True)

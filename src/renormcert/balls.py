@@ -43,9 +43,10 @@ their result outward once (:func:`int_outward`), keeping precision +
 digits(N+1) digits on its largest coefficient; sums, negations and shifts
 are exact.  A product convolves midpoints exactly (:func:`int_mul`); its
 rad is ||f_P|| rad_g + rad_f (||g_P|| + rad_g); a square (:func:`sqr`)
-forms each cross pair once.  A scalar times a ball is
-the product with the scalar's constant ball; composition goes through a
-:class:`PowerTable`, which holds the baby powers of the normalized
+forms each cross pair once; within :func:`product_memo` an exact product
+of operands seen before is read back, not formed again.  A scalar times a
+ball is the product with the scalar's constant ball; composition goes
+through a :class:`PowerTable`, which holds the baby powers of the normalized
 argument at one scale, each with its rad, and its giant step, so
 composing is one exact integer matrix-vector product per block of
 coefficients and Horner in the giant step (Paterson-Stockmeyer), rounded
@@ -71,6 +72,7 @@ non-real point its tails may move both parts of the value.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from math import isqrt
@@ -133,6 +135,8 @@ __all__ = [
     "int_sqr",
     "int_add",
     "int_outward",
+    "product_memo",
+    "product_counts",
     "serialize_ball",
     "deserialize_ball",
     "endpoint_decimal",
@@ -314,7 +318,64 @@ def _nonzero_length(a: list[int], n: int) -> int:
     return k
 
 
+#: exact products of :func:`_conv` and :func:`_sqr` since import: how many
+#: were computed and how many were read from the open memo
+_PRODUCTS = {"computed": 0, "reused": 0}
+#: operands -> product while a :func:`product_memo` is open, else None
+_memo: dict | None = None
+
+
+def product_counts() -> dict:
+    """A copy of the counts of exact products computed and reused so far."""
+    return dict(_PRODUCTS)
+
+
+@contextmanager
+def product_memo():
+    """Within it, :func:`_conv` and :func:`_sqr` keep every product and
+    return a copy of a kept one for the same operands: keyed by their
+    content, never their identity, as callers mutate the lists they hold.
+    Products are exact, so a reused one is the product it stands for.  A
+    memo opened inside another leaves the outer one in place."""
+    global _memo
+    outer, _memo = _memo, {} if _memo is None else _memo
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _kept(key, product, *operands) -> list[int]:
+    """A copy of the product the open memo keeps under key, formed by
+    ``product(*operands)`` and kept first if it is not there yet."""
+    out = _memo.get(key)
+    if out is None:
+        _PRODUCTS["computed"] += 1
+        out = _memo[key] = product(*operands)
+    else:
+        _PRODUCTS["reused"] += 1
+    return list(out)
+
+
 def _conv(a: list[int], b: list[int], n: int) -> list[int]:
+    """Exact Cauchy product of two integer sequences, truncated to degree n
+    (:func:`_convolve`), read from the open memo when it keeps it."""
+    if _memo is None:
+        _PRODUCTS["computed"] += 1
+        return _convolve(a, b, n)
+    return _kept((n, tuple(a), tuple(b)), _convolve, a, b, n)
+
+
+def _sqr(a: list[int], n: int) -> list[int]:
+    """_conv(a, a, n) (:func:`_square`), read from the open memo when it
+    keeps it."""
+    if _memo is None:
+        _PRODUCTS["computed"] += 1
+        return _square(a, n)
+    return _kept((n, tuple(a)), _square, a, n)
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
     """Exact Cauchy product of two integer sequences, truncated to degree n.
 
     Trailing zeros of either input are dropped before the loop (a baby
@@ -342,8 +403,8 @@ def _conv(a: list[int], b: list[int], n: int) -> list[int]:
     return out + [0] * (size - len(out))
 
 
-def _sqr(a: list[int], n: int) -> list[int]:
-    """_conv(a, a, n) at about half its cost: each cross pair a_i a_j,
+def _square(a: list[int], n: int) -> list[int]:
+    """_convolve(a, a, n) at about half its cost: each cross pair a_i a_j,
     i < j, is formed once and doubled, then the diagonal a_(k/2)**2 added."""
     if not a:
         return []

@@ -15,8 +15,9 @@ directed rounding; on success the ball contains a unique fixed point of Phi.
 
 Lam need only approximate the inverse, so :func:`certify` forms it
 (:func:`frozen_map`) in binary64 from the midpoints of the column images
-DF_p(x) e_k, k = 0..K, that its kappa bound reads, and writes it as exact
-decimals: a certificate depends on x0, rho and the precision.  The
+DF_p(x) e_k, k = 0..K, that its kappa bound reads, and writes it as
+integers on a decimal grid: a certificate depends on x0, rho and the
+precision.  The
 arithmetic Lam is formed in is no part of the proof, since kappa bounds
 ||I - Lam DF|| for the Lam written, whatever it is.
 
@@ -52,7 +53,9 @@ for delta (p = 1, M_1 = DT) and gamma (p = 2, M_2 = L), with G over a
 ball proven to contain the fixed point.  Each reads its residual and its
 columns from one build of the operator tables: the eigen problems from
 the parameter ball's, the fixed point from those over B(x0, rho), whose
-midpoints and radii are those over x0 (operators module docstring).
+midpoints and radii are those over x0 (operators module docstring).  The
+parameter ball is the fixed point's solution ball, centred on its x0
+(:meth:`Certificate.solution_ball`), so its tables hold those integers too.
 Their derivative is
 
     DF_p = M_q - phi**p I - p phi**(p-1) x e_0^T,   q = max(p, 1),
@@ -77,6 +80,7 @@ import decimal
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from itertools import zip_longest
 from operator import mul as _imul
 
 from . import balls as fb
@@ -124,36 +128,56 @@ class LinearMap:
     dense map.
 
     Entries are exactly representable numbers, not intervals; rigour comes
-    from applying them exactly to integer midpoint-radius coefficients.  At
-    construction the map is converted once to integers at one scale
-    10**-scale: the head ``rows``, the ``tail`` and ``norm``, its exact l1
-    operator norm max(largest column sum of |rows|, |tail|).
+    from applying them exactly to integer midpoint-radius coefficients.  The
+    map is held as integers at one scale 10**-scale: the head ``rows``, the
+    ``tail`` and ``norm``, its exact l1 operator norm max(largest column
+    sum of |rows|, |tail|), with ``tail_scalar`` the tail as an exact
+    decimal.  The head as exact decimals, ``matrix``, is formed on first
+    use; :meth:`from_decimals` reads a map written in decimals.
     """
 
-    __slots__ = ("matrix", "tail_scalar", "rows", "tail", "scale", "norm")
+    __slots__ = ("rows", "tail", "scale", "tail_scalar", "norm", "_matrix")
 
-    def __init__(self, matrix, tail_scalar):
-        self.matrix = tuple(tuple(as_decimal(x) for x in row) for row in matrix)
-        n = len(self.matrix)
-        if not n or any(len(row) != n for row in self.matrix):
+    def __init__(self, rows, scale: int, tail_scalar):
+        """The head as integer ``rows`` at 10**-scale, and an exactly
+        representable tail scalar: both lifted to the finer of their scales."""
+        n = len(rows)
+        if not n or any(len(row) != n for row in rows):
             raise ConfigError("linear map matrix must be square with at least one row")
         self.tail_scalar = as_decimal(tail_scalar)
-        if not self.tail_scalar.is_finite() or not all(
-                x.is_finite() for row in self.matrix for x in row):
+        if not self.tail_scalar.is_finite():
             raise ConfigError("linear map entries must be finite")
-        rows, self.scale = _int_matrix(self.matrix + ((self.tail_scalar,),))
-        self.rows, self.tail = rows[:-1], rows[-1][0]
+        exponent = self.tail_scalar.as_tuple().exponent if self.tail_scalar else 0
+        self.scale = max(scale, -exponent)
+        lift = 10 ** (self.scale - scale)
+        self.rows = [[x * lift for x in row] for row in rows]
+        self.tail = floor_at(self.tail_scalar, self.scale)
         self.norm = max(abs(self.tail), *(sum(map(abs, col)) for col in zip(*self.rows)))
+        self._matrix = None
+
+    @classmethod
+    def from_decimals(cls, matrix, tail_scalar) -> "LinearMap":
+        """The map with the exactly representable head ``matrix`` (rows of
+        Decimals, ints or strings) and tail scalar, on the finest scale its
+        entries need."""
+        matrix = [[as_decimal(x) for x in row] for row in matrix]
+        if not all(x.is_finite() for row in matrix for x in row):
+            raise ConfigError("linear map entries must be finite")
+        scale = max([0] + [-x.as_tuple().exponent for row in matrix for x in row if x])
+        return cls([[floor_at(x, scale) for x in row] for row in matrix], scale, tail_scalar)
+
+    @property
+    def matrix(self) -> tuple:
+        """The head as exact decimals at the map's scale."""
+        if self._matrix is None:
+            s = self.scale
+            self._matrix = tuple(tuple(Decimal(x).scaleb(-s, EXACT) for x in row)
+                                 for row in self.rows)
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
-
-
-def _int_matrix(matrix) -> tuple[list[list[int]], int]:
-    """Rows of exact decimals as integers at one scale 10**-e: (rows, e)."""
-    e = max([0] + [-x.as_tuple().exponent for row in matrix for x in row if x])
-    return [[floor_at(x, e) for x in row] for row in matrix], e
+        return len(self.rows)
 
 
 def lambda_norm_upper(ctx: RoundingContext, lam: LinearMap) -> Decimal:
@@ -205,7 +229,8 @@ def verify_lambda_invertible(ctx: RoundingContext, lam: LinearMap) -> Decimal:
     if lam.tail_scalar == 0:
         raise InversionUncertified("tail scalar is zero")
     try:
-        approx_inv = LinearMap(mat_inv([list(row) for row in lam.matrix], ctx.precision), 1)
+        approx_inv = LinearMap.from_decimals(mat_inv([list(row) for row in lam.matrix],
+                                                 ctx.precision), 1)
     except SingularJacobian as exc:
         raise InversionUncertified(f"approximate inversion failed: {exc}") from exc
     columns = [fb.IntBall(list(col), 0, lam.scale, _D0, _D0) for col in zip(*lam.rows)]
@@ -314,21 +339,21 @@ def _binary64(m: int, scale: int) -> float:
         return math.inf if m > 0 else -math.inf
 
 
-def _decimal_head(rows) -> list[list[Decimal]]:
-    """Binary64 rows as exact decimals on one grid 10**-s on which the
-    largest entry carries _BINARY64_DIGITS digits: each entry's exact
-    binary fraction num/den rounded to the grid (ties up) by integer
-    arithmetic, so no decimal context is read."""
+def _grid_head(rows) -> tuple[list[list[int]], int]:
+    """Binary64 rows as integers on one grid 10**-s on which the largest
+    entry carries _BINARY64_DIGITS digits, and s: each entry's exact binary
+    fraction num/den rounded to the grid (ties up) by integer arithmetic,
+    so no decimal context is read."""
     top = max(abs(x) for row in rows for x in row)
     num, den = top.as_integer_ratio()
     decade = len(str(num // den)) if num >= den else 1 - len(str(den // num))
     scale = max(0, _BINARY64_DIGITS - decade)
     unit = 10 ** scale
 
-    def on_grid(x: float) -> Decimal:
+    def on_grid(x: float) -> int:
         num, den = x.as_integer_ratio()
-        return Decimal((2 * num * unit + den) // (2 * den)).scaleb(-scale, EXACT)
-    return [[on_grid(x) for x in row] for row in rows]
+        return (2 * num * unit + den) // (2 * den)
+    return [[on_grid(x) for x in row] for row in rows], scale
 
 
 def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = None):
@@ -338,8 +363,9 @@ def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = Non
     0..K (any K up to N; :func:`frozen_map` gives K = min(N, HEAD_DEGREE)),
     by :func:`mat_inv` in the arithmetic of its entries: a Decimal head is
     inverted at ``digits`` digits, a binary64 head in binary64 and written
-    as exact decimals (:func:`_decimal_head`).  Tail scalar, acting on
-    every degree above K: -1/lambda0**p with the kind's eigenvalue power p,
+    as integers on a decimal grid (:func:`_grid_head`).  Tail scalar,
+    acting on every degree above K: -1/lambda0**p with the kind's
+    eigenvalue power p,
     so -1 for the fixed point (the derivative of T decays on high degrees,
     so the Jacobian is near minus identity there), -1/lambda0 for the
     parameter-scaling problem and -1/lambda0**2 for the noise problem.
@@ -353,8 +379,8 @@ def build_lambda(kind: str, jac, digits: int = 30, lambda0: Decimal | None = Non
         tail = -_D1 / lambda0 ** phi_power if phi_power else -_D1
     head = mat_inv(jac, digits)
     if isinstance(head[0][0], float):
-        head = _decimal_head(head)
-    return LinearMap(head, tail)
+        return LinearMap(*_grid_head(head), tail)
+    return LinearMap.from_decimals(head, tail)
 
 
 def frozen_map(ctx: RoundingContext, problem: Problem, x0: FunctionBall,
@@ -576,9 +602,10 @@ def bound_kappa_tail(ctx: RoundingContext, problem: Problem, x_ball: FunctionBal
 
 @dataclass
 class Certificate:
-    """A certificate's bounds and verdict.  ``newton`` is the ball Phi(x0);
-    on success the enclosures read phi within kappa_phi r of phi(Phi(x0))
-    for the proven radius r (module docstring).  kappa_phi is the larger of
+    """A certificate's bounds and verdict.  ``x0`` is the approximate zero
+    and ``newton`` the ball Phi(x0); on success the enclosures read phi
+    within kappa_phi r of phi(Phi(x0)) for the proven radius r (module
+    docstring).  kappa_phi is the larger of
     its column part (:func:`bound_kappa_columns`) and its tail part
     (:func:`bound_kappa_tail`), as kappa is of kappa_columns_max and
     kappa_tail."""
@@ -596,6 +623,7 @@ class Certificate:
     passed: bool
     posterior_radius: Decimal | None
     enclosures: dict
+    x0: FunctionBall
     newton: FunctionBall
     config: dict = field(default_factory=dict)
 
@@ -615,10 +643,25 @@ class Certificate:
         return EXACT.multiply(self.kappa, self.proven_radius)
 
     def solution_ball(self, ctx: RoundingContext) -> FunctionBall:
-        """Phi(x0) + B(0, kappa r), proven to hold the solution."""
+        """A ball centred on x0 that holds Phi(x0) + B(0, kappa r), and so
+        the solution: x0's midpoints, rad and scale, Phi(x0)'s high part,
+        and as error part the sum of Phi(x0)'s, kappa r, and the exact l1
+        distance of Phi(x0)'s midpoints plus its rad from x0's, formed at
+        one scale and rounded up once.  A member Phi(x0)_P + d + h + e + b
+        of the Newton ball (rounding part d, high part h, error part e and
+        ||b|| <= kappa r) is x0_P + h plus (Phi(x0)_P - x0_P) + d + e + b.
+        The operator tables keep an input's error parts out of every
+        midpoint and radius (operators module docstring), so the tables over
+        this ball hold the integers of those over B(x0, rho)."""
         if self.step_radius is None:
             raise ConfigError(f"{self.kind} certificate did not pass: no solution ball")
-        return fb.inflate(ctx, self.newton, self.step_radius)
+        x0, newton, step = self.x0, self.newton, self.step_radius
+        parts = (newton.v_err, step)
+        s = max(x0.scale, newton.scale, *(-p.as_tuple().exponent for p in parts if p))
+        ux, un = 10 ** (s - x0.scale), 10 ** (s - newton.scale)
+        shift = sum(abs(m * un - c * ux) for m, c in zip_longest(newton.mid, x0.mid, fillvalue=0))
+        total = shift + newton.rad * un + sum(floor_at(p, s) for p in parts)
+        return replace(x0, v_high=newton.v_high, v_err=ctx.scaled_up(total, s))
 
     def to_payload(self) -> dict:
         """Deterministic certificate content (no timing)."""
@@ -696,6 +739,7 @@ def certify(ctx: RoundingContext, problem: Problem, x0: FunctionBall, rho,
         passed=passed,
         posterior_radius=posterior,
         enclosures={},
+        x0=x0,
         newton=newton,
         config=dict(config or {}),
     )

@@ -2,10 +2,18 @@
 
 The pipeline order is fixed by the mathematics: the eigen problems take the
 underlying map from a ball proven to contain the fixed point, so the
-fixed-point certificate always runs first and its Newton step
-Phi(g0) + B(0, kappa r) (contraction.Certificate.solution_ball, r the
-proven radius) is the parameter ball of both eigen certificates.  No
-certificate stage runs approx numerics: certify forms its own frozen map.
+fixed-point certificate always runs first, and the ball centred on g0 that
+holds its Newton step Phi(g0) + B(0, kappa r)
+(contraction.Certificate.solution_ball, r the proven radius) is the
+parameter ball of both eigen certificates.  No certificate stage runs
+approx numerics: certify forms its own frozen map.
+
+Centred on g0, the parameter ball's tables hold the integers of those the
+fixed-point certificate built over B(g0, RHO), so a run with an eigen
+target keeps that certificate's exact products in balls.product_memo
+until delta's certificate, the last stage that repeats them; the report's
+``execution.products`` counts, per certificate stage, the products
+computed and reused.
 
 Every certificate runs on the ball B(x0, RHO), one radius for all three
 problems at every scale.  Every certified constant, and every ball handed
@@ -20,7 +28,7 @@ import json
 import os
 import resource
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import repeat
@@ -295,9 +303,11 @@ def format_digit_block(digit_string: str) -> str:
 # -- pipeline -----------------------------------------------------------------
 
 @contextmanager
-def _stage(report, timings, name):
-    """Time the stage into ``timings``; on any exception name it in the report."""
-    start = time.perf_counter()
+def _stage(report, timings, name, products: dict | None = None):
+    """Time the stage into ``timings``; on any exception name it in the
+    report.  With ``products``, also count there the exact products the
+    stage computed and reused (balls.product_counts)."""
+    start, before = time.perf_counter(), fb.product_counts()
     try:
         yield
     except BaseException as exc:
@@ -306,6 +316,9 @@ def _stage(report, timings, name):
         raise
     finally:
         timings[name] = round(time.perf_counter() - start, 6)
+        if products is not None:
+            after = fb.product_counts()
+            products[name] = {key: after[key] - before[key] for key in after}
 
 
 def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
@@ -393,23 +406,32 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
 
         tables = None
-        for power, target in enumerate(_TARGETS):
-            if target not in centres:
-                continue
-            if power and tables is None:
-                with _stage(report, timings, "parameter_ball"):
-                    param = result.certificates["fixed_point"].solution_ball(ctx)
-                    tables = op.OperatorTables.build(ctx, param)
-                    result.balls["parameter"] = param
-            with _stage(report, timings, target):
-                x0_ball = centres[target]
-                result.balls[_CENTRES[target][1]] = x0_ball
-                cert = _certify(ctx, Problem(power, tables), x0_ball, RHO,
-                                config=_cert_config(cfg, target, report["checksums"]))
-                result.certificates[target] = cert
-                report["certificates"][target] = cert.to_payload()
-                for name, enclosure in cert.enclosures.items():
-                    _record_digits(report, name, enclosure)
+        products = report["execution"]["products"] = {}
+        with ExitStack() as memo:
+            if len(centres) > 1:
+                # the parameter ball's tables and delta's M_1 columns repeat
+                # the fixed-point certificate's products (solution_ball)
+                memo.enter_context(fb.product_memo())
+            for power, target in enumerate(_TARGETS):
+                if target not in centres:
+                    continue
+                if power and tables is None:
+                    with _stage(report, timings, "parameter_ball", products):
+                        param = result.certificates["fixed_point"].solution_ball(ctx)
+                        tables = op.OperatorTables.build(ctx, param)
+                        result.balls["parameter"] = param
+                with _stage(report, timings, target, products):
+                    x0_ball = centres[target]
+                    result.balls[_CENTRES[target][1]] = x0_ball
+                    cert = _certify(ctx, Problem(power, tables), x0_ball, RHO,
+                                    config=_cert_config(cfg, target, report["checksums"]))
+                    result.certificates[target] = cert
+                    report["certificates"][target] = cert.to_payload()
+                    for name, enclosure in cert.enclosures.items():
+                        _record_digits(report, name, enclosure)
+                if power:
+                    # gamma's M_2 repeats no product of an earlier stage
+                    memo.close()
     except RenormcertError as exc:
         report["timings"] = timings
         _write_outputs(cfg, result, partial=True)
@@ -484,8 +506,9 @@ def _default_range(target: str, g: fb.PointEvaluator) -> tuple[int, int]:
 
 def certified_balls(ctx: RoundingContext, result: PipelineResult) -> dict:
     """The balls "G", "V", "W" proven to contain the fixed point and the two
-    eigenfunctions: each certificate's Newton step Phi(x0) + B(0, kappa r)
-    (for G, the eigen stages' parameter ball)."""
+    eigenfunctions: each certificate's solution ball, centred on its x0 and
+    holding its Newton step Phi(x0) + B(0, kappa r) (for G, the eigen
+    stages' parameter ball)."""
     return {_CENTRES[target][1][0]: cert.solution_ball(ctx)
             for target, cert in result.certificates.items()}
 

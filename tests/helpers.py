@@ -446,8 +446,8 @@ def basis_ball(n: int, k: int) -> fb.FunctionBall:
 
 def identity_map(n: int, diagonal=1, tail_scalar=-1) -> ct.LinearMap:
     """diagonal times the identity on the head 0..n, tail_scalar above it."""
-    return ct.LinearMap([[diagonal if i == j else 0 for j in range(n + 1)]
-                         for i in range(n + 1)], tail_scalar)
+    return ct.LinearMap.from_decimals([[diagonal if i == j else 0 for j in range(n + 1)]
+                                       for i in range(n + 1)], tail_scalar)
 
 
 def certificate_map(ctx: RoundingContext, problem: ct.Problem, x0: fb.FunctionBall, rho,

@@ -94,8 +94,11 @@ MUTANTS = (
            "ctx.mul_up(cert.kappa_phi, r))", "_D0)",
            "an enclosure read at Phi(x0) without kappa_phi r"),
     Mutant("solution_ball_radius", "src/renormcert/contraction.py",
-           "return fb.inflate(ctx, self.newton, self.step_radius)", "return self.newton",
-           "the solution ball Phi(x0) without kappa r"),
+           "parts = (newton.v_err, step)", "parts = (newton.v_err,)",
+           "the solution ball's error part without kappa r"),
+    Mutant("solution_ball_shift", "src/renormcert/contraction.py",
+           "total = shift + newton.rad * un", "total = newton.rad * un",
+           "the solution ball's error part without the distance of Phi(x0) from x0"),
     Mutant("lambda_radius_norm", "src/renormcert/contraction.py",
            "fb.IntBall(mid, lam.norm * b.rad,", "fb.IntBall(mid, b.rad,",
            "Lam applied to a radius without ||Lam||"),

@@ -715,7 +715,7 @@ def test_perturbed_lambda_still_certifies(desk):
     for i in range(len(rows)):
         for j in range(len(rows)):
             rows[i][j] = rows[i][j] + Decimal(rng.randint(-1000, 1000)) / Decimal(10) ** 6
-    bumped = ct.LinearMap(rows, desk.lam_fixed.tail_scalar)
+    bumped = ct.LinearMap.from_decimals(rows, desk.lam_fixed.tail_scalar)
     c, rho = desk.ctx, Decimal("1e-4")
     epsilon, columns, tail = bounds_with_map(c, ct.Problem(0), desk.G0, rho, bumped)
     kappa = max(max(columns), tail)

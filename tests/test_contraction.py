@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
@@ -94,7 +96,7 @@ def test_apply_lambda_scaling():
 def test_apply_lambda_columns():
     rng = random.Random(1)
     rows = [[Decimal(rng.randint(-3, 3)) for _ in range(N + 1)] for _ in range(N + 1)]
-    lam = ct.LinearMap(rows, -1)
+    lam = ct.LinearMap.from_decimals(rows, -1)
     for k in (0, 3, N):
         out = ct.apply_lambda(ctx, lam, basis_ball(N, k))
         for i in range(N + 1):
@@ -110,7 +112,7 @@ def test_apply_lambda_dimension_mismatch():
 
 
 def test_lambda_norm():
-    lam = ct.LinearMap([[1, -2], [3, 4]], tail_scalar="-0.5")
+    lam = ct.LinearMap.from_decimals([[1, -2], [3, 4]], tail_scalar="-0.5")
     assert ct.lambda_norm_upper(ctx, lam) == 6  # column 1: |\-2| + |4|
 
 
@@ -120,7 +122,7 @@ def test_lambda_norm():
 def test_linear_map_refuses_malformed_matrix(matrix, tail):
     """An empty or non-square head, or a non-finite entry, is a ConfigError."""
     with pytest.raises(ConfigError):
-        ct.LinearMap(matrix, tail)
+        ct.LinearMap.from_decimals(matrix, tail)
 
 
 def test_verify_invertible_identity():
@@ -130,7 +132,7 @@ def test_verify_invertible_identity():
 def test_verify_invertible_singular():
     rows = [[Decimal(0)] * (N + 1) for _ in range(N + 1)]
     with pytest.raises(InversionUncertified):
-        ct.verify_lambda_invertible(ctx, ct.LinearMap(rows, -1))
+        ct.verify_lambda_invertible(ctx, ct.LinearMap.from_decimals(rows, -1))
     with pytest.raises(InversionUncertified):
         ct.verify_lambda_invertible(ctx, identity_map(N, tail_scalar=0))
 
@@ -162,7 +164,10 @@ def test_toy_columns_and_tail_zero():
 
 
 def test_toy_certificate_passes():
-    """certify inverts the toy's columns -e_k to the map -I it needs."""
+    """certify inverts the toy's columns -e_k to the map -I it needs, so
+    its Newton step lands on the target; the solution ball is centred on
+    x0, and its error part is the exact distance 0.0001 of the step from x0,
+    as kappa r = 0."""
     target = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.5"], N)
     problem = ToyProblem(target)
     x0 = fb.ball_from_decimals(DOM, ["0.25", "-1", "0.4999"], N)
@@ -170,7 +175,10 @@ def test_toy_certificate_passes():
     assert cert.passed and cert.kappa == 0 and cert.head_degree == N
     assert cert.epsilon <= Decimal("0.0001")
     assert cert.kappa_phi == cert.step_radius == 0
-    assert cert.solution_ball(ctx).coeffs == target.coeffs
+    assert cert.newton.coeffs == target.coeffs
+    ball = cert.solution_ball(ctx)
+    assert ball.coeffs == x0.coeffs and ball.v_high == 0 and ball.v_err == Decimal("0.0001")
+    assert holds_polynomial(ball, [Decimal(x) for x in ("0.25", "-1", "0.5")], N)
 
 
 class _BlurredToy(ToyProblem):
@@ -189,7 +197,7 @@ def test_row0_readouts_round_the_map_row_up():
     image, and one in the residual, as at least 1.00009 in coefficient 0,
     in kappa_phi's column part and in phi(Phi(x0)) alike."""
     c = RoundingContext(5)
-    lam = ct.LinearMap([["1.00009", "0"], ["0", "1"]], -1)
+    lam = ct.LinearMap.from_decimals([["1.00009", "0"], ["0", "1"]], -1)
     blurred = with_tails(fb.zero_ball(1), 0, 1)
     assert ct.bound_kappa_columns(c, [blurred, blurred], lam)[1] >= Decimal("1.00009")
 
@@ -359,7 +367,7 @@ def _dense_form(lam: ct.LinearMap, n: int) -> ct.LinearMap:
     rows = [list(row) + [Decimal(0)] * (n + 1 - k1) for row in lam.matrix]
     rows += [[lam.tail_scalar if i == j else Decimal(0) for j in range(n + 1)]
              for i in range(k1, n + 1)]
-    return ct.LinearMap(rows, lam.tail_scalar)
+    return ct.LinearMap.from_decimals(rows, lam.tail_scalar)
 
 
 @pytest.mark.parametrize("head", [10, 20])
@@ -544,7 +552,7 @@ def _modified_map(lam, change):
             row[7] = row[2]
     else:
         tail = Decimal(0)
-    return ct.LinearMap(rows, tail)
+    return ct.LinearMap.from_decimals(rows, tail)
 
 
 @pytest.mark.parametrize("change, part", [
@@ -638,8 +646,8 @@ def _high_content_misses(seed: int, at_degree_n: bool) -> int:
     for _ in range(10):
         f = with_tails(rand_poly_ball(rng, n, n), Decimal("0.01"), Decimal(0))
         g = with_tails(rand_poly_ball(rng, n, n), Decimal("0.02"), Decimal(0))
-        lam = ct.LinearMap([[rand_decimal(rng) for _ in range(k + 1)] for _ in range(k + 1)],
-                           rand_decimal(rng))
+        lam = ct.LinearMap.from_decimals(
+            [[rand_decimal(rng) for _ in range(k + 1)] for _ in range(k + 1)], rand_decimal(rng))
         fm, gm = sample_member(rng, f), sample_member(rng, g)
         if at_degree_n:
             for m in (fm, gm):
@@ -699,6 +707,78 @@ def test_newton_step_without_kappa_phi_misses_the_reference(desk):
     assert desk.cert_fixed.enclosures["a"].contains(Decimal(REF_A))
 
 
+# -- the solution ball ----------------------------------------------------------------
+
+def _perturbed_fixed_point(desk, shift: int = 9):
+    """The desk fixed-point certificate at G0 with coefficient 3 moved by
+    10**-shift: its Newton step lands about that far from its x0, far
+    more than kappa r."""
+    x0 = desk.G0
+    mid = list(x0.mid)
+    mid[3] += 10 ** (x0.scale - shift)
+    return ct.certify(desk.ctx, ct.Problem(0), dataclasses.replace(x0, mid=mid), pl.RHO)
+
+
+def _as_decimals(b: fb.IntBall, n: int) -> list[Decimal]:
+    return [exact_decimal(m, b.scale) for m in b.mid] + [Decimal(0)] * (n + 1 - len(b.mid))
+
+
+def _newton_members(rng, cert) -> list[list[Decimal]]:
+    """Members of the Newton ball Phi(x0) + B(0, kappa r), as coefficient
+    lists to degree N + 7: five sampled ones (sample_member), and for five
+    degrees k the one that puts all of Phi(x0)'s rounding and error parts
+    and kappa r at degree k, away from x0, so its distance from x0 is the
+    largest any member's is."""
+    newton, n = cert.newton, cert.newton.truncation
+    ball = fb.inflate(ctx, newton, cert.step_radius)
+    members = []
+    for _ in range(5):
+        member = sample_member(rng, ball)
+        members.append([member.get(k, Decimal(0)) for k in range(n + 8)])
+    centre, x0 = _as_decimals(newton, n), _as_decimals(cert.x0, n)
+    with decimal.localcontext(EXACT):
+        free = Decimal(newton.rad).scaleb(-newton.scale) + newton.v_err + cert.step_radius
+        for k in rng.sample(range(n + 1), 5):
+            member = centre + [Decimal(0)] * 7
+            member[k] += free if centre[k] >= x0[k] else -free
+            members.append(member)
+    return members
+
+
+@pytest.mark.parametrize("which", ["fixed_point", "delta", "gamma", "perturbed"])
+def test_solution_ball_holds_the_newton_ball(desk, which):
+    """The solution ball keeps x0's midpoints, rad and scale and Phi(x0)'s
+    high part, and holds Phi(x0) + B(0, kappa r): sampled members and the
+    members farthest from x0 lie in it, at the desk certificates and at a
+    fixed point whose x0 is 1e-9 off G0, where the Newton step moves far
+    more than kappa r."""
+    certs = {"fixed_point": desk.cert_fixed, "delta": desk.cert_delta,
+             "gamma": desk.cert_gamma}
+    cert = _perturbed_fixed_point(desk) if which == "perturbed" else certs[which]
+    ball = cert.solution_ball(desk.ctx)
+    x0 = cert.x0
+    assert (ball.mid, ball.rad, ball.scale, ball.truncation) == \
+        (x0.mid, x0.rad, x0.scale, x0.truncation)
+    assert ball.v_high == cert.newton.v_high
+    rng = random.Random(sum(map(ord, which)))
+    for member in _newton_members(rng, cert):
+        assert holds_polynomial(ball, member, ball.truncation)
+
+
+def test_solution_ball_without_the_shift_misses_the_newton_step(desk):
+    """Negative control: at the perturbed x0, a ball centred on x0 whose
+    error part drops the distance of Phi(x0)'s midpoints from x0's misses
+    Phi(x0)'s own midpoint polynomial, which the solution ball holds."""
+    cert = _perturbed_fixed_point(desk)
+    c, newton, n = desk.ctx, cert.newton, cert.newton.truncation
+    ball = cert.solution_ball(c)
+    rest = c.add_up(c.add_up(newton.v_err, cert.step_radius),
+                    c.scaled_up(newton.rad, newton.scale))
+    centre = _as_decimals(newton, n)
+    assert holds_polynomial(ball, centre, n)
+    assert not holds_polynomial(dataclasses.replace(ball, v_err=rest), centre, n)
+
+
 # -- the binary64 frozen map ---------------------------------------------------------
 
 def _decimal_frozen_map(c, problem, x0, images):
@@ -710,6 +790,53 @@ def _decimal_frozen_map(c, problem, x0, images):
     lambda0 = exact_decimal(x0.mid[0], x0.scale)
     return ct.build_lambda(problem.kind, [list(row) for row in zip(*cols)], c.precision,
                            lambda0=lambda0)
+
+
+def _decimal_grid_map(c, problem, x0, images):
+    """The frozen map by way of decimals: the binary64 inverse of the
+    column images' midpoint head, each entry's exact binary fraction
+    rounded to the nearest point of the grid 10**-s (ties up) on which the
+    largest entry has 17 digits, written as a Decimal and read with the
+    tail -1/phi(x0)**p at the context's precision by
+    LinearMap.from_decimals."""
+    k1 = len(images)
+    cols = [[ct._binary64(m, b.scale) for m in (b.mid + [0] * k1)[:k1]] for b in images]
+    head = ct.mat_inv([list(row) for row in zip(*cols)])
+    top = max(abs(Fraction(x)) for row in head for x in row)
+    decade = 0
+    while top >= Fraction(10) ** decade:
+        decade += 1
+    while top < Fraction(10) ** (decade - 1):
+        decade -= 1
+    s = max(0, 17 - decade)
+    entries = [[Decimal(math.floor(Fraction(x) * 10 ** s + Fraction(1, 2))).scaleb(-s, EXACT)
+                for x in row] for row in head]
+    power = ct.KINDS.index(problem.kind)
+    with decimal.localcontext(decimal.Context(prec=c.precision)):
+        tail = -1 / exact_decimal(x0.mid[0], x0.scale) ** power if power else Decimal(-1)
+    return ct.LinearMap.from_decimals(entries, tail)
+
+
+def test_frozen_map_rows_are_those_of_the_decimal_grid(run_centres, monkeypatch):
+    """frozen_map writes the binary64 inverse straight onto its integer
+    grid: for all three targets at desk and N=40 its rows, tail and scale
+    are those of the map read from the same grid written in decimals, and
+    its tail scalar and decimal head equal that map's."""
+    c, centres = run_centres
+    pairs, integer = [], ct.frozen_map
+
+    def both(c, problem, x0, images):
+        lam = integer(c, problem, x0, images)
+        pairs.append((lam, _decimal_grid_map(c, problem, x0, images)))
+        return lam
+
+    monkeypatch.setattr(ct, "frozen_map", both)
+    _certificates(c, centres)
+    assert len(pairs) == 3
+    for lam, ref in pairs:
+        assert (lam.rows, lam.tail, lam.scale) == (ref.rows, ref.tail, ref.scale)
+        assert str(lam.tail_scalar) == str(ref.tail_scalar)
+        assert lam.matrix == ref.matrix and lam.norm == ref.norm
 
 
 def _certificates(c, centres):
@@ -782,8 +909,8 @@ def test_lambda_head_to_two_digits_misses_the_kappa_agreement(desk, monkeypatch)
 
     def rounded(c, problem, x0, images):
         lam = binary64(c, problem, x0, images)
-        return ct.LinearMap([[two_digits.plus(x) for x in row] for row in lam.matrix],
-                            lam.tail_scalar)
+        return ct.LinearMap.from_decimals(
+            [[two_digits.plus(x) for x in row] for row in lam.matrix], lam.tail_scalar)
 
     monkeypatch.setattr(ct, "frozen_map", rounded)
     coarse = ct.certify(desk.ctx, ct.Problem(0), desk.G0, pl.RHO)

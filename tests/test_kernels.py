@@ -205,6 +205,61 @@ def test_exact_products_match_schoolbook_oracle(length):
     assert schoolbook_product([2, 3], [5, 7], 9) == [10, 29, 21]
 
 
+def test_memo_hits_match_schoolbook_oracle():
+    """Inside product_memo a second _conv or _sqr of equal operands, passed
+    as new lists, is read from the memo, not computed, and is still the
+    schoolbook product; a different degree or operand is computed."""
+    rng = random.Random("memo-hits")
+    pairs = [(_signed(rng, m), _signed(rng, k)) for m, k in ((5, 9), (21, 21), (40, 3))]
+    with fb.product_memo():
+        for a, b in pairs:
+            n = len(a) + len(b) - 2
+            fb._conv(a, b, n), fb._sqr(a, n)
+        before = fb.product_counts()
+        for a, b in pairs:
+            n = len(a) + len(b) - 2
+            assert fb._conv(list(a), list(b), n) == schoolbook_product(a, b, n)
+            assert fb._sqr(list(a), n) == schoolbook_product(a, a, n)
+        hits = fb.product_counts()
+        assert (hits["computed"], hits["reused"]) == (before["computed"], before["reused"] + 6)
+        a, b = pairs[0]
+        assert fb._conv(a, b, 3) == schoolbook_product(a, b, 3)
+        assert fb._conv(a, [x + 1 for x in b], 3) == schoolbook_product(a, [x + 1 for x in b], 3)
+        assert fb.product_counts()["computed"] == hits["computed"] + 2
+
+
+def test_memo_returns_copies():
+    """A caller may mutate the list a product returns: later hits for the
+    same operands, and the products of lists that mutated operands now
+    equal, are still the exact products."""
+    a, b = [3, -1, 4, 1], [5, 9, -2]
+    with fb.product_memo():
+        first = fb._conv(a, b, 5)
+        first[0] += 1
+        first.append(7)
+        assert fb._conv(a, b, 5) == schoolbook_product(a, b, 5)
+        square = fb._sqr(a, 6)
+        square[2] = 0
+        assert fb._sqr(a, 6) == schoolbook_product(a, a, 6)
+        a[0] = 2
+        assert fb._conv(a, b, 5) == schoolbook_product(a, b, 5)
+
+
+def test_memo_is_closed_outside_its_block():
+    """Outside product_memo, and after it, every product is computed."""
+    a, b = [1, 2, 3], [4, 5]
+    with fb.product_memo():
+        with fb.product_memo():
+            fb._conv(a, b, 3)
+        before = fb.product_counts()
+        fb._conv(a, b, 3)
+        assert fb.product_counts()["reused"] == before["reused"] + 1
+    before = fb.product_counts()
+    assert fb._conv(a, b, 3) == schoolbook_product(a, b, 3)
+    assert fb.product_counts() == {"computed": before["computed"] + 1,
+                                   "reused": before["reused"]}
+
+
 @pytest.mark.parametrize("n", [0, 8, 40])
 def test_ball_square_is_the_product_with_itself(n):
     """sqr and int_sqr are mul and int_mul of a ball with itself, field for
@@ -766,7 +821,7 @@ def test_compose_contract_matches_oracle():
 def _rand_map(rng, n: int) -> ct.LinearMap:
     rows = [[Decimal(rng.randint(-999, 999)).scaleb(-rng.randint(0, 4)) if rng.random() < 0.8
              else Decimal(0) for _ in range(n + 1)] for _ in range(n + 1)]
-    return ct.LinearMap(rows, Decimal(rng.choice([-7, -3, 2, 9])).scaleb(-1))
+    return ct.LinearMap.from_decimals(rows, Decimal(rng.choice([-7, -3, 2, 9])).scaleb(-1))
 
 
 def _check_apply_lambda(lam, f):
@@ -794,7 +849,7 @@ def test_block_apply_lambda_matches_decimal_oracle(n, head):
     rng = random.Random(f"block-{n}-{head}")
     for _ in range(3 if n == 40 else 8):
         lam = _rand_map(rng, head)
-        lam = ct.LinearMap(lam.matrix, Decimal(rng.randint(-999, 999)).scaleb(-6))
+        lam = ct.LinearMap.from_decimals(lam.matrix, Decimal(rng.randint(-999, 999)).scaleb(-6))
         _check_apply_lambda(lam, _rand_ball(rng, n, rng.choice(["real", "centred"])))
 
 
@@ -811,7 +866,7 @@ def test_lambda_norm_is_exact_norm_rounded_up_once(n):
             # 39-digit entries at scattered scales: column sums need more than P digits
             rows = [[Decimal(rng.randint(-10 ** 39, 10 ** 39)).scaleb(-rng.randint(30, 60))
                      for _ in row] for row in lam.matrix]
-            lam = ct.LinearMap(rows, lam.tail_scalar)
+            lam = ct.LinearMap.from_decimals(rows, lam.tail_scalar)
         unit = Fraction(1, 10 ** lam.scale)
         assert [[x * unit for x in row] for row in lam.rows] == \
             [[Fraction(x) for x in row] for row in lam.matrix]

@@ -113,11 +113,15 @@ def test_apply_T_pointwise_oracle(desk):
     over the ball, for members sampled anywhere in it and for members whose
     a = G(1) is an end of A +- e, the whole rounding and error parts at
     degree 0; the residual is the same read from a problem whose tables
-    hold this ball.  The balls: B(G0, 1e-6), exact centre, and the
-    parameter ball, whose rounding part spreads over any degree."""
+    hold this ball.  The balls: B(G0, 1e-6), exact centre; the parameter
+    ball, centred on G0 with a high part; and the Newton ball
+    Phi(G0) + B(0, kappa r) it holds, whose rounding part spreads over any
+    degree."""
     rng = random.Random(21)
-    assert desk.param.rad > 0
-    for ball in (fb.inflate(ctx, desk.G0, "1e-6"), desk.param):
+    cert = desk.cert_fixed
+    newton = fb.inflate(ctx, cert.newton, cert.step_radius)
+    assert newton.rad > 0 and desk.param.v_high > 0
+    for ball in (fb.inflate(ctx, desk.G0, "1e-6"), desk.param, newton):
         problem = ct.Problem(0)
         problem.column_images(ctx, ball, ct.HEAD_DEGREE)
         image = ct.Problem(0).residual(ctx, ball)
@@ -237,13 +241,14 @@ def test_tables_with_a_folded_error_part_miss_those_over_the_centre(desk, n40, s
     assert _shared_parts(c, point) != _shared_parts(c, over_ball)
 
 
-def test_sampled_members_of_the_n40_parameter_ball_lie_in_it(n40):
-    """Members drawn from the N=40, P=40 parameter ball, whose coefficients
-    carry more digits than a default 28-digit context, lie in the ball in
-    its l1 norm: sample_member forms the midpoints and the rounding part
-    exactly."""
+def test_sampled_members_of_the_n40_newton_ball_lie_in_it(n40):
+    """Members drawn from the N=40, P=40 Newton ball Phi(G0) + B(0, kappa r),
+    whose coefficients carry more digits than a default 28-digit context,
+    lie in the ball in its l1 norm: sample_member forms the midpoints and
+    the rounding part exactly."""
     rng = random.Random(4040)
-    ball = n40.result.balls["parameter"]
+    cert = n40.result.certificates["fixed_point"]
+    ball = fb.inflate(n40.ctx, cert.newton, cert.step_radius)
     polynomial = dataclasses.replace(ball, v_high=Decimal(0), v_err=Decimal(0))
     assert ball.rad > 0
     for _ in range(20):

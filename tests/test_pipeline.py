@@ -512,9 +512,50 @@ def test_run_pipeline_desk(tmp_path):
         written = json.loads((tmp_path / "out" / f"certificate_{target}.json").read_text())
         assert written == {"certificate": payload,
                            "execution": {"wall_time_s": data["timings"][target]}}
+    products = data["execution"]["products"]
+    assert list(products) == ["fixed_point", "parameter_ball", "delta", "gamma"]
+    assert all(sorted(counts) == ["computed", "reused"] for counts in products.values())
+    assert not any("products" in payload for payload in data["certificates"].values())
     # checkpoints reload on the second run
     res2 = pl.run_pipeline(cfg)
     assert res2.report["certificates"] == report["certificates"]
+    assert res2.report["execution"]["products"] == products
+
+
+@pytest.mark.parametrize("degree", [20, 40])
+def test_eigen_stages_reuse_the_fixed_point_products(degree, monkeypatch):
+    """The parameter ball is centred on G0, so its tables compute no exact
+    product: each repeats one the fixed-point certificate formed over
+    B(G0, rho).  Neither do delta's M_1 head columns, which that
+    certificate's columns formed too.  The memo is dropped after delta:
+    gamma's M_2 repeats nothing, and reuses nothing."""
+    heads = {}
+    column_images = ct.Problem.column_images
+
+    def counted(self, c, x_ball, head_degree):
+        before = fb.product_counts()
+        images = column_images(self, c, x_ball, head_degree)
+        heads[self.kind] = {k: v - before[k] for k, v in fb.product_counts().items()}
+        return images
+
+    monkeypatch.setattr(ct.Problem, "column_images", counted)
+    products = pl.run_pipeline(pl.RunConfig(degree=degree)).report["execution"]["products"]
+    assert products["parameter_ball"]["computed"] == 0 < products["parameter_ball"]["reused"]
+    assert heads["delta_eigen"]["computed"] == 0 < heads["delta_eigen"]["reused"]
+    assert products["gamma"]["reused"] == 0 < products["gamma"]["computed"]
+    assert fb._memo is None
+
+
+def test_fixed_point_run_opens_no_product_memo(monkeypatch):
+    """A run with the fixed-point target alone has no later stage to
+    reuse its products, so it never opens the memo."""
+    def refused():
+        raise AssertionError("product memo opened")
+
+    monkeypatch.setattr(fb, "product_memo", refused)
+    report = pl.run_pipeline(pl.RunConfig(degree=20, targets=("fixed_point",))).report
+    assert list(report["execution"]["products"]) == ["fixed_point"]
+    assert report["execution"]["products"]["fixed_point"]["reused"] == 0
 
 
 def test_report_reproducible_across_workers(tmp_path, monkeypatch):
