@@ -3,9 +3,9 @@
 Produces the approximate fixed point G0 and the approximate eigenpairs for
 the parameter-scaling and noise-scaling problems: the centres the
 certificates start from (each certificate forms its own frozen map).
-Everything here runs in round-to-nearest arithmetic, on integers at the
-engine's scale 10**-(P+6), P the working precision, or in binary64 (below);
-no rounding state is shared with the directed-rounding side.
+Everything here runs in round-to-nearest arithmetic, on integers at a
+scale 10**-(P+6), P the precision of the step at hand, or in binary64
+(below); no rounding state is shared with the directed-rounding side.
 
 Above degree K no matrix larger than the head is built or factored.  The
 same block map B (the LU of a Jacobian's head, a tail scalar above K)
@@ -17,7 +17,8 @@ preconditions both iterations, with the operators applied matrix-free:
   doubling degrees 20, 40, ..., N from a tabulated degree-20 fixed point;
   each rung m below N stops at its truncation level, a residual below
   |g_m|/100, and only the top rung goes on to 10**-(P-6); a rung below N
-  checks its residual on a build at the next rung's width, which is the
+  runs at its own precision, about 0.64 m + 10 digits, and checks its
+  residual on a build at the next rung's width and precision, which is the
   next rung's first build when the check passes;
 * eigenpairs: shifted inverse iteration on the head of M_p finds the
   eigenvalue nearest a literature hint s (4.669 for delta, 6.619**2 for
@@ -27,16 +28,31 @@ preconditions both iterations, with the operators applied matrix-free:
   certificate's own Newton-like map.
 
 Every iterate (g, its Newton corrections and residuals, the eigenvectors
-and their refinement steps) is a list of integers at the engine's scale,
-and so is every polynomial of the midpoint engine (:class:`_MidShared`)
-that evaluates the operators: products are exact (``balls._conv``, and
-``balls._sqr`` for a square) and
-rounded to nearest at that scale, and each composition argument has a
-power table of the shape of ``balls.PowerTable``, midpoints only: baby
-powers u**0..u**20 and the giant step u**21, composing by exact block
-dot products and Horner in the giant step (Paterson-Stockmeyer).  A
-build forms what T(g) reads; the derivative terms of M_q are formed on
-first use, so a residual check that passes makes no derivative product.
+and their refinement steps) is a list of integers at a scale 10**-(P+6):
+the working precision's on the top rung and in the eigen refinements, a
+lower rung's own below it.  So is every polynomial of a midpoint build
+(:class:`_MidShared`) that evaluates the operators: products are exact
+(``balls._conv``, and ``balls._sqr`` for a square) and rounded to nearest
+at that scale, and each composition argument has a power table of the
+shape of ``balls.PowerTable``, midpoints only: baby powers u**0..u**20
+and the giant step u**21, composing by exact block dot products and
+Horner in the giant step (Paterson-Stockmeyer).  A build forms what T(g)
+reads; the derivative terms of M_q are formed on first use, so a residual
+check that passes makes no derivative product.  Work is sized to each
+step (mixed-precision iterative refinement: Carson and Higham, SIAM J.
+Sci. Comput. 40, 2018):
+
+* a Newton correction runs on a coarse view of its build
+  (:meth:`_MidShared.view`), rounded to the digits between the residual's
+  size and the tolerance plus guard digits, on which it also forms its
+  head and derivative terms, while the correction itself stays at the
+  build's scale;
+* the Newton inner loop and the eigen refinements keep the image M_q z of
+  their iterate and update it by the image of each step alone, its
+  trailing coefficients at or below the tolerance over 10**4 dropped
+  first (:func:`_take_step`).
+
+Builds, views and applies are counted (:func:`work_counts`).
 The fixed-point bootstrap hands back the build its last residual check
 made, at g0: the one build both eigen bootstraps read, in any process
 (:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).  Decimal
@@ -74,6 +90,7 @@ __all__ = [
     "approx_jacobian",
     "approx_eigenpair",
     "eigenpair_from_build",
+    "work_counts",
     "build_lambda",
     "mat_inv",
 ]
@@ -83,6 +100,20 @@ __all__ = [
 #: 10**-(P - _GUARD), _TOL units of that scale
 _GUARD = 6
 _TOL = 10 ** (2 * _GUARD)
+
+#: a step applied to a kept image M z first drops its trailing
+#: coefficients at or below the iteration's tolerance over _TRIM
+_TRIM = 10 ** 4
+
+#: midpoint builds, coarse views and applies of M_q made so far in this
+#: process (:func:`work_counts`)
+_WORK = {"builds": 0, "views": 0, "applies": 0}
+
+
+def work_counts() -> dict:
+    """A copy of the counts of midpoint builds, views and applies so far."""
+    return dict(_WORK)
+
 
 #: the degree-20 fixed point to 30 digits, G(X) on the standard disc: the
 #: seed of the fixed-point bootstrap, read at the engine's scale (so
@@ -171,6 +202,15 @@ class _MidTable:
         self.rows = tuple(zip(*(_padded(p, width - 1) for p in powers[:BABY_STEPS])))
         self.giant = powers[BABY_STEPS] if last == BABY_STEPS else None
 
+    def view(self, width: int, shift: int) -> "_MidTable":
+        """This table cut to ``width`` coefficients, every entry divided by
+        ``shift`` (a power of 10) and rounded: the table at a coarser scale."""
+        view = object.__new__(_MidTable)
+        view.unit, half = self.unit // shift, shift >> 1
+        view.rows = tuple(tuple((x + half) // shift for x in row) for row in self.rows[:width])
+        view.giant = None if self.giant is None else _rounded(self.giant[:width], shift)
+        return view
+
     def power(self, k: int, width: int) -> list[int]:
         """Baby power u**k cut to ``width`` coefficients."""
         return [row[k] for row in self.rows[:width]]
@@ -239,6 +279,29 @@ class _MidShared:
         self.table_squared = table(self._sqr(inner))
         self.outer_comp = self.table_squared.compose(g)
         self._gd, self._inner, self._x_line = gd, inner, self._scaled(2 * a, [c, r])
+        _WORK["builds"] += 1
+
+    def view(self, width: int, scale: int) -> "_MidShared":
+        """This build cut to ``width`` coefficients and rounded once to the
+        scale 10**-``scale`` (never finer than its own): its scalars, its
+        tables and the polynomials the derivative terms are formed from,
+        of which G', being composed, keeps all its coefficients.
+        The derivative terms and the head a view reads are formed on the
+        view, so they cost what its scale costs.  A view applies M_q to a
+        vector at any scale and gives the image at that scale, to the
+        view's relative accuracy: products with its integers are rounded
+        by its unit."""
+        _WORK["views"] += 1
+        shift = 10 ** max(self.scale - scale, 0)
+        view = object.__new__(type(self))
+        view.width, view.scale, view.unit = width, min(scale, self.scale), self.unit // shift
+        view.a_inv, view.a_inv2 = _rounded([self.a_inv, self.a_inv2], shift)
+        view.table_affine = self.table_affine.view(width, shift)
+        view.table_squared = self.table_squared.view(width, shift)
+        view.outer_comp, view._inner, view._x_line = (
+            _rounded(f[:width], shift) for f in (self.outer_comp, self._inner, self._x_line))
+        view._gd = _rounded(self._gd, shift)
+        return view
 
     @cached_property
     def factor16(self) -> list[int]:
@@ -288,6 +351,7 @@ class _MidShared:
         """M_q(g) v: a**-q v(Q(g(a**2 X))) + factor16**q v(a**2 X), and for
         q = 1 (DT) the variations of the normalisation a, which act when
         v(1) = v[0] on the standard disc is nonzero; q = 2 is L."""
+        _WORK["applies"] += 1
         return self._image(q, self.table_squared.compose(v), self.table_affine.compose(v),
                            v[0], self.width)
 
@@ -363,6 +427,29 @@ def _sup_norm(v):
     return max((abs(x) for x in v), default=0)
 
 
+# -- kept images ----------------------------------------------------------------
+
+def _trimmed(step: list[int], cut: int) -> list[int]:
+    """step without its trailing coefficients at or below ``cut`` in size."""
+    end = len(step)
+    while end and abs(step[end - 1]) <= cut:
+        end -= 1
+    return step[:end]
+
+
+def _take_step(shared, q: int, z: list[int], image: list[int], step: list[int],
+               cut: int) -> tuple[list[int], list[int]]:
+    """z - step and its image M_q (z - step), from the kept image = M_q z:
+    image - M_q step, step's trailing coefficients at or below ``cut``
+    dropped first, so an apply reads only the coefficients a small step
+    still carries."""
+    z = [x - s for x, s in zip(z, step)]
+    step = _trimmed(step, cut)
+    if step:
+        image = [m - s for m, s in zip(image, shared.apply(q, step))]
+    return z, image
+
+
 # -- fixed point ----------------------------------------------------------------
 
 def _stage_ladder(n: int) -> list[int]:
@@ -374,27 +461,47 @@ def _stage_ladder(n: int) -> list[int]:
     return stages
 
 
-def _newton_correction(shared, width: int, residual, tol: int, max_steps: int):
-    """delta with (DT - I) delta = -residual, DT = M_1 of the ``shared``
-    evaluations, in integers at their scale.  delta <- delta -
+def _newton_correction(build, width: int, residual, tol: int, max_steps: int):
+    """delta with (DT - I) delta = -residual, DT = M_1 of the midpoint
+    ``build``, in integers at its scale.  delta <- delta -
     B((DT - I) delta + residual) from delta = 0, B the block map on the
     width x width head of DT - I with tail -1, until a step is below
     tol/100, for at most ``max_steps`` steps.  B's head is solved in
     binary64, so even a head that is the whole Jacobian (degree 20 and
-    below) takes more than one step.  The evaluations may be a build
-    wider than the residual, whose images are read to its length: exact,
-    as every product, block and giant step is causal."""
+    below) takes more than one step.
+
+    DT runs on a view of the build (:meth:`_MidShared.view`) cut to the
+    residual's length, which the build may exceed (exact, as every
+    product, block and giant step is causal), and rounded to the digits
+    the correction resolves: those from |residual| down to tol, plus 2
+    _GUARD, since delta is about as large as the residual and needs only
+    its digits above tol.  DT delta is kept, and each step updates it by
+    the image of the step alone (:func:`_take_step`, cut at
+    tol/_TRIM)."""
+    shared = build.view(len(residual), len(str(_sup_norm(residual))) - len(str(tol)) + 2 * _GUARD)
     unit = shared.unit
     block = _block_map(jacobian_head(shared.head(1, width), 0, unit), -unit, unit)
     delta = block([-r for r in residual])
+    image = shared.apply(1, delta)
     for _ in range(max_steps):
-        step = block([m - d + r for m, d, r in zip(shared.apply(1, delta), delta, residual)])
-        delta = [d - s for d, s in zip(delta, step)]
+        step = block([m - d + r for m, d, r in zip(image, delta, residual)])
         if 100 * _sup_norm(step) < tol:
-            return delta
+            return [d - s for d, s in zip(delta, step)]
+        delta, image = _take_step(shared, 1, delta, image, step, tol // _TRIM)
     raise NewtonDivergence(
         f"inexact Newton step at degree {len(residual) - 1}: no step below "
-        f"{Decimal(tol).scaleb(-shared.scale - 2):.2E} in {max_steps} steps")
+        f"{Decimal(tol).scaleb(-build.scale - 2):.2E} in {max_steps} steps")
+
+
+def _rung_digits(m: int, n: int, digits: int) -> int:
+    """The working precision of rung m on the ladder to degree n: ``digits``
+    on the top rung; below it ceil(16 m/25) + 10, at most ``digits``.  A
+    rung m < n resolves its residual down to about |g_m|/100, and the fixed
+    point's coefficients fall by 0.61-0.64 decades per degree, so 0.64 m +
+    10 digits leave its stopping level 3 to 4 digits above 10**-(P_m - 6)
+    (Newton with precision doubling: Brent and Zimmermann, Modern
+    Computer Arithmetic, 4.2)."""
+    return digits if m == n else min(digits, -(-16 * m // 25) + 10)
 
 
 def _rung_tolerance(tg, tol: int, top: bool) -> int:
@@ -412,12 +519,14 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
     """Polynomial approximation to the fixed point, residual below 10**-(digits-6).
 
     Bootstraps deterministically: Newton from the tabulated degree-20 fixed
-    point (``_SEED_G20``, read at the engine's scale 10**-(digits+6) and
+    point (``_SEED_G20``, read at the scale of the first build and
     truncated to degree n when n < 20), then continuation through doubling
-    degrees.  Each rung below n stops at its truncation level
-    (:func:`_rung_tolerance`); the top rung reaches 10**-(digits-6).  Each
-    Newton correction is solved through the block map on the head of the
-    Jacobian (:func:`_newton_correction`).
+    degrees.  Each rung below n runs at its own precision
+    (:func:`_rung_digits`) and stops at its truncation level
+    (:func:`_rung_tolerance`); the top rung reaches 10**-(digits-6) at
+    ``digits`` digits.  Each Newton correction is solved through the block
+    map on the head of the Jacobian, on a coarse view of its build
+    (:func:`_newton_correction`).
     """
     return fixed_point_with_build(n, digits)[0]
 
@@ -428,9 +537,10 @@ def fixed_point_with_build(n: int, digits: int):
     reads as :func:`midpoint_build` would make it.
 
     A rung m below n checks its residual on a build at the next rung's
-    width, over g zero-padded to that degree: its coefficients 0..m are
-    those of a build at rung m's width, integer for integer, as truncated
-    products, blocks and giant steps are causal and rounded coefficient by
+    width and precision, over g zero-padded to that degree and rescaled
+    exactly (times a power of 10): its coefficients 0..m are those of a
+    build at rung m's width, integer for integer, as truncated products,
+    blocks and giant steps are causal and rounded coefficient by
     coefficient.  When the check passes, that build is the next rung's
     first build; when it fails, the correction reads it to rung m's width
     (:func:`_newton_correction`).  So the seed's check at rung 20 and each
@@ -440,17 +550,21 @@ def fixed_point_with_build(n: int, digits: int):
         raise ConfigError("need truncation degree >= 2")
     if digits < 10:
         raise ConfigError("need at least 10 digits")
-    scale = digits + _GUARD
-    g = _read(_SEED_G20[:n + 1], scale)
     max_iter = 50
     stages = _stage_ladder(n)
+    # a rung's check build is the next rung's first: its width and precision
+    checks = [(m, _rung_digits(m, n, digits)) for m in stages[1:] + [n]]
+    scale = checks[0][1] + _GUARD
+    g = _read(_SEED_G20[:n + 1], scale)
     shared = None
-    for stage_n, build_n in zip(stages, stages[1:] + [n]):
+    for stage_n, (build_n, build_digits) in zip(stages, checks):
         g = _padded(g, stage_n)
         width = min(stage_n, contraction.HEAD_DEGREE) + 1
         for _ in range(max_iter):
             if shared is None:
-                shared = _MidShared(_padded(g, build_n), digits)
+                g = [x * 10 ** (build_digits + _GUARD - scale) for x in g]
+                scale = build_digits + _GUARD
+                shared = _MidShared(_padded(g, build_n), build_digits)
             tg = shared.t()[:stage_n + 1]
             residual = [t - x for t, x in zip(tg, g)]
             rung_tol = _rung_tolerance(tg, _TOL, stage_n == n)
@@ -521,16 +635,20 @@ def _refine_eigenpair(shared, m_head, kind: str, x: list[int], digits: int) -> l
     integers at the scale of the ``shared`` evaluations, B the block map on
     the head Jacobian at x, formed from the head ``m_head`` of M_p, with
     tail -1/x[0]**p, until |M_p x - x[0]**p x| < 10**-(digits-6)
-    max(1, |x|), for at most ``digits`` steps."""
+    max(1, |x|), for at most ``digits`` steps.  M_p x is applied once and
+    then kept, each step updating it by the image of the step alone
+    (:func:`_take_step`, cut at that tolerance over _TRIM)."""
     power, unit = KINDS.index(kind), shared.unit
     block = _block_map(jacobian_head(m_head, power, unit, x),
                        _quotient(-unit * unit, _power(x[0], power, unit)), unit)
+    image = shared.apply(power, x)
     for _ in range(digits):
         scaled = _rounded([_power(x[0], power, unit) * v for v in x], unit)
-        residual = [m - v for m, v in zip(shared.apply(power, x), scaled)]
-        if unit * _sup_norm(residual) < _TOL * max(unit, _sup_norm(x)):
+        residual = [m - v for m, v in zip(image, scaled)]
+        bound = _TOL * max(unit, _sup_norm(x))
+        if unit * _sup_norm(residual) < bound:
             return x
-        x = [v - s for v, s in zip(x, block(residual))]
+        x, image = _take_step(shared, power, x, image, block(residual), bound // (unit * _TRIM))
     raise EigenSelectionAmbiguous(
         f"{kind} refinement above degree {len(m_head) - 1} did not converge "
         f"in {digits} steps")

@@ -13,7 +13,8 @@ fixed-point certificate built over B(g0, RHO), so a run with an eigen
 target keeps that certificate's exact products in balls.product_memo
 until delta's certificate, the last stage that repeats them; the report's
 ``execution.products`` counts, per certificate stage, the products
-computed and reused.
+computed and reused, and ``execution.bootstrap``, per target bootstrapped,
+the midpoint builds, views and applies of the approx stage.
 
 Every certificate runs on the ball B(x0, RHO), one radius for all three
 problems at every scale.  Every certified constant, and every ball handed
@@ -321,7 +322,7 @@ def _stage(report, timings, name, products: dict | None = None):
             products[name] = {key: after[key] - before[key] for key in after}
 
 
-def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
+def bootstrap(cfg: RunConfig, work: dict | None = None) -> tuple[dict, int]:
     """The approx stage: target -> approximate zero as a ball, and the
     number of processes that computed them.
 
@@ -330,11 +331,19 @@ def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
     The eigen zeros read one midpoint build of g0, the fixed point's last or
     one of a checkpointed g0; from degree POOL_MIN_DEGREE on the pending ones
     run in a pool, one process per target up to the usable cores.
+
+    With ``work``, record there, per target computed, the midpoint builds,
+    views and applies its bootstrap made (approx.work_counts), in whichever
+    process made them; a checkpointed g0's one build counts as the fixed
+    point's.
     """
     n, p = cfg.degree, cfg.precision
+    work = {} if work is None else work
     out = {target: _read_checkpoint(cfg, target) for target in _TARGETS
            if target in cfg.targets}
-    build = None
+    if None not in out.values():
+        return out, 1
+    build, start = None, ax.work_counts()
     if out["fixed_point"] is None:
         g0, build = ax.fixed_point_with_build(n, p)
         out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", fb.ball_from_decimals(
@@ -342,11 +351,19 @@ def bootstrap(cfg: RunConfig) -> tuple[dict, int]:
     pending = [target for target, ball in out.items() if ball is None]
     if pending and build is None:
         build = ax.midpoint_build(_centre(out["fixed_point"]), p)
+    work["fixed_point"] = _work_since(start)
     processes = min(len(pending), _usable_cores()) if pending and n >= POOL_MIN_DEGREE else 1
-    for target, x0 in zip(pending, _eigen_centres(processes, pending, build, p)):
+    for target, (x0, spent) in zip(pending, _eigen_centres(processes, pending, build, p)):
+        work[target] = spent
         ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
         out[target] = _write_checkpoint(cfg, target, ball)
     return out, processes
+
+
+def _work_since(start: dict) -> dict:
+    """The approx work counts made since ``start`` (approx.work_counts)."""
+    now = ax.work_counts()
+    return {key: now[key] - start[key] for key in now}
 
 
 def _usable_cores() -> int:
@@ -358,9 +375,10 @@ def _usable_cores() -> int:
 
 def _eigen_centres(processes: int, targets: list[str], build, precision: int):
     """Approximate eigenfunctions of ``targets``, in target order, each read
-    from the one midpoint ``build`` of g0, by a pool of ``processes`` when
-    that is two or more: a pool receives the build and returns exact Decimal
-    lists, so no result depends on the process count."""
+    from the one midpoint ``build`` of g0 and paired with its work counts,
+    by a pool of ``processes`` when that is two or more: a pool receives the
+    build and returns exact Decimal lists, so no result depends on the
+    process count."""
     work = (_eigen_centre, targets, repeat(build), repeat(precision))
     if processes < 2:
         yield from map(*work)
@@ -373,9 +391,11 @@ def _eigen_centres(processes: int, targets: list[str], build, precision: int):
         yield from pool.map(*work)
 
 
-def _eigen_centre(target: str, build, precision: int) -> list[Decimal]:
-    """One eigen centre; at module level, so that a pool pickles it by name."""
-    return ax.eigenpair_from_build(target, build, precision)[0]
+def _eigen_centre(target: str, build, precision: int) -> tuple[list[Decimal], dict]:
+    """One eigen centre and the approx work counts it took; at module
+    level, so that a pool pickles it by name."""
+    start = ax.work_counts()
+    return ax.eigenpair_from_build(target, build, precision)[0], _work_since(start)
 
 
 def _centre(ball: fb.FunctionBall) -> list[Decimal]:
@@ -400,8 +420,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     result = PipelineResult(config=cfg, report=report)
     try:
         with _stage(report, timings, "approx"):
-            centres, processes = bootstrap(cfg)
-            report["execution"] = {"workers": processes}
+            work = {}
+            centres, processes = bootstrap(cfg, work)
+            report["execution"] = {"workers": processes, "bootstrap": work}
             for target, ball in centres.items():
                 report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
 

@@ -90,32 +90,53 @@ def test_seed_rounded_to_working_precision():
     assert _residual(g, 20) < Decimal("1e-14")
 
 
-def _counting_builds(monkeypatch) -> list[int]:
-    """The degrees of the midpoint builds made from now on, in order."""
-    degrees = []
+def _counting_builds(monkeypatch) -> list[tuple[int, int]]:
+    """The degree and digits of each midpoint build made from now on, in
+    order."""
+    builds = []
     shared_cls = ax._MidShared
 
     class CountingShared(shared_cls):
         def __init__(self, g, digits, width=None):
-            degrees.append(len(g) - 1)
+            builds.append((len(g) - 1, digits))
             super().__init__(g, digits, width)
 
     monkeypatch.setattr(ax, "_MidShared", CountingShared)
-    return degrees
+    return builds
 
 
 def test_lower_rungs_stop_at_truncation_level(monkeypatch):
     """At N=80, P=60 the seed passes rung 20 as it stands, rung 40 stops
     after one correction, at about |g_40|/100, and only the top rung
     reaches 10**-(P-6).  A lower rung's check reads a build at the next
-    rung's width, which is then that rung's first build: builds at
-    degrees 40 (rung 20's check, rung 40's first), 80 (rung 40's check
-    after its correction, rung 80's first) and 80."""
-    degrees = _counting_builds(monkeypatch)
+    rung's width and precision, which is then that rung's first build:
+    builds at degree 40 and rung 40's 36 digits (rung 20's check, rung
+    40's first), then at degree 80 and P (rung 40's check after its
+    correction, rung 80's first, and rung 80's check)."""
+    builds = _counting_builds(monkeypatch)
     g = ax.approx_fixed_point(80, 60)
     monkeypatch.undo()
-    assert degrees == [40, 80, 80]
+    assert builds == [(40, 36), (80, 60), (80, 60)]
     assert _residual(g, 60) < Decimal("1e-54")
+
+
+def test_rungs_run_at_their_own_precision(monkeypatch):
+    """At N=160, P=113 rung m < N runs at ceil(16 m/25) + 10 digits (36
+    and 62 for rungs 40 and 80), the top rung at P: four builds, each at
+    the precision of the rung it opens or checks.  Rung m's stopping level
+    |g_m|/100 stays above its own 10**-(P_m - 6) by at least 3 digits, so a
+    lower rung stops at its truncation level, not at its rounding; the
+    result is within 10**-(P+4) of the bootstrap at P on every rung."""
+    assert [ax._rung_digits(m, 160, 113) for m in (20, 40, 80, 160)] == [23, 36, 62, 113]
+    builds = _counting_builds(monkeypatch)
+    g = ax.approx_fixed_point(160, 113)
+    monkeypatch.undo()
+    assert builds == [(40, 36), (80, 62), (160, 113), (160, 113)]
+    for m in (40, 80):
+        level = abs(g[m]) / 100
+        assert level > Decimal(10) ** (3 - (ax._rung_digits(m, 160, 113) - 6)), m
+    monkeypatch.setattr(ax, "_rung_digits", lambda m, n, digits: digits)
+    assert _sup_diff(ax.approx_fixed_point(160, 113), g) < Decimal("1e-117")
 
 
 @pytest.mark.parametrize("m", [20, 40])
@@ -132,17 +153,18 @@ def test_builds_are_causal(bootstrap80, m):
 
 def test_failing_lower_rung_check_still_converges(monkeypatch):
     """Negative control for the look-ahead build: with the top rung's
-    tolerance on every rung, the seed's check at rung 20 fails, so rung
-    20's correction reads the degree-40 build it was checked on to degree
-    20, and a second degree-40 build checks the corrected g; the bootstrap
-    still reaches 10**-(P-6) at N=80, P=60."""
+    tolerance on every rung, 10**-(P_40 - 6) = 10**-30 at the 36 digits of
+    rung 40 that rung 20's check runs at, the 30-digit seed's check fails,
+    so rung 20's correction reads the degree-40 build it was checked on to
+    degree 20, and a second degree-40 build checks the corrected g; the
+    bootstrap still reaches 10**-(P-6) at N=80, P=60."""
     rung_tolerance = ax._rung_tolerance
     monkeypatch.setattr(ax, "_rung_tolerance",
                         lambda tg, tol, top: rung_tolerance(tg, tol, True))
-    degrees = _counting_builds(monkeypatch)
+    builds = _counting_builds(monkeypatch)
     g = ax.approx_fixed_point(80, 60)
     monkeypatch.undo()
-    assert degrees == [40, 40, 80, 80, 80]
+    assert builds == [(40, 36), (40, 36), (80, 60), (80, 60), (80, 60)]
     assert _residual(g, 60) < Decimal("1e-54")
 
 
@@ -304,7 +326,8 @@ def test_eigenpair_matches_full_inverse_iteration(bootstrap40, kind):
 
 
 @pytest.mark.parametrize("target, error, match", [
-    pytest.param("fixed_point", NewtonDivergence, "Newton step at degree 40", id="fixed_point"),
+    pytest.param("fixed_point", NewtonDivergence,
+                 "Newton step at degree 40: no step below 1.00E-36 in 40 steps", id="fixed_point"),
     pytest.param("delta", EigenSelectionAmbiguous, "delta_eigen refinement above degree 20",
                  id="delta"),
     pytest.param("gamma", EigenSelectionAmbiguous, "gamma_eigen refinement above degree 20",
@@ -314,7 +337,8 @@ def test_block_map_with_wrong_tail_sign_fails_by_name(monkeypatch, bootstrap40, 
                                                       error, match):
     """Negative control for the block-map iterations: with the tail scalar's
     sign flipped (+1, +1/x[0]**p) the tail doubles each step, and the solver
-    stops at its step cap with its named error."""
+    stops at its step cap with its named error; the Newton correction's
+    names its absolute tolerance, 10**-(P-6)/100, not its view's scale."""
     block_map = ax._block_map
     monkeypatch.setattr(ax, "_block_map", lambda head, tail, unit: block_map(head, -tail, unit))
     with pytest.raises(error, match=match):
@@ -322,6 +346,90 @@ def test_block_map_with_wrong_tail_sign_fails_by_name(monkeypatch, bootstrap40, 
             ax.approx_fixed_point(40, 40)
         else:
             ax.approx_eigenpair(target, bootstrap40[0], 40)
+
+
+def _recording_steps(monkeypatch) -> list:
+    """(shared, q, z, kept image, applies behind the image) after every
+    step of a kept-image iteration from now on (approx._take_step)."""
+    steps, take_step = [], ax._take_step
+
+    def recording(shared, q, z, image, step, cut):
+        z, image = take_step(shared, q, z, image, step, cut)
+        applies = steps[-1][4] if steps and steps[-1][0] is shared else 1
+        steps.append((shared, q, z, image, applies + bool(ax._trimmed(step, cut))))
+        return z, image
+
+    monkeypatch.setattr(ax, "_take_step", recording)
+    return steps
+
+
+def test_kept_images_match_fresh_applies(monkeypatch):
+    """The image M_q z that the Newton correction (M_1, on its coarse view)
+    and the eigen refinements (M_1 for delta, M_2 for gamma) keep, updated
+    by the images of trimmed steps, equals a fresh apply of the final
+    iterate z to within the rounding of the applies behind it: each apply
+    rounds every coefficient a few times, well below ``width`` units, at
+    N=40, P=40, where the correction's image is behind 4 applies and each
+    refinement's behind 5."""
+    steps = _recording_steps(monkeypatch)
+    g0 = ax.approx_fixed_point(40, 40)
+    for kind in ("delta", "gamma"):
+        ax.approx_eigenpair(kind, g0, 40)
+    monkeypatch.undo()
+    last = {}
+    for shared, q, z, image, applies in steps:
+        last[id(shared)] = shared, q, z, image, applies
+    assert sorted((q, applies) for _, q, _, _, applies in last.values()) == [(1, 4), (1, 5),
+                                                                            (2, 5)]
+    for shared, q, z, image, applies in last.values():
+        fresh = shared.apply(q, z)
+        assert len(image) == len(fresh) == 41
+        assert 0 < _sup_diff(image, fresh) <= applies * shared.width, (q, shared.scale)
+
+
+def test_coarse_view_agrees_with_its_build(bootstrap40):
+    """A view of the N=40, P=40 build rounded to 26 of its 46 digits gives
+    T(g) within a few units of that scale of the full build's, rounded
+    there, and M_1 v within a few such units per unit of |v|_1 (v the delta
+    eigenvector read at the view's scale, |v|_1 = 29.6: 93 units); cut to
+    21 coefficients, it gives theirs to degree 20 integer for integer, so
+    a correction reads a wider build as a build at its own width."""
+    g0, vectors = bootstrap40
+    build = ax._MidShared(engine_ints(g0, 40), 40)
+    view, shift = build.view(41, 26), 10 ** 20
+    assert (view.scale, view.unit, build.scale) == (26, 10 ** 26, 46)
+    v = [round(x.scaleb(26)) for x in vectors["delta"]]
+    full_t, full_mv = (ax._rounded(f, shift) for f in (build.t(), build.apply(1, [x * shift
+                                                                                for x in v])))
+    assert max(abs(a - b) for a, b in zip(view.t(), full_t, strict=True)) <= 4
+    norm = -(-sum(map(abs, v)) // view.unit)
+    assert norm == 30
+    assert max(abs(a - b) for a, b in zip(view.apply(1, v), full_mv, strict=True)) <= 8 * norm
+    narrow = build.view(21, 26)
+    assert narrow.t() == view.t()[:21]
+    assert narrow.apply(1, v[:21]) == view.apply(1, v[:21])[:21]
+    assert narrow.head(1, 21) == view.head(1, 21)
+
+
+def test_trim_above_tolerance_is_caught(monkeypatch, bootstrap40):
+    """Negative control for the trimmed step applies: dropping a step's
+    trailing coefficients up to 10**4 times the tolerance, not tol/10**4,
+    leaves the kept images so far off that at N=40, P=40 the fixed point's
+    Newton correction and delta's refinement stop at their step caps, and
+    gamma's refinement stops on a kept residual with its eigenvector
+    outside 10**-32 of oracle_eigenpair.  (A trim at tol itself, or at 100
+    tol, changes no result here: coefficient k of a step reaches the image
+    through u**k, |u| < 1.)"""
+    g0, vectors = bootstrap40
+    oracle = oracle_eigenpair("gamma", g0, 40)
+    trimmed = ax._trimmed
+    monkeypatch.setattr(ax, "_trimmed", lambda step, cut: trimmed(step, cut * 10 ** 8))
+    with pytest.raises(NewtonDivergence, match="Newton step at degree 40"):
+        ax.approx_fixed_point(40, 40)
+    with pytest.raises(EigenSelectionAmbiguous, match="delta_eigen refinement"):
+        ax.approx_eigenpair("delta", g0, 40)
+    gamma = ax.approx_eigenpair("gamma", g0, 40)[0]
+    assert _sup_diff(gamma, oracle) > Decimal("1e-32") > _sup_diff(vectors["gamma"], oracle)
 
 
 @pytest.mark.parametrize("entry, match", [("1E-400", "zero pivot in column 0"),

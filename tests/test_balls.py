@@ -535,25 +535,27 @@ def test_int_sqr_radius_bound_exact_fractions():
 
 def test_centres_serialize_as_with_coefficient_radii(desk, n40):
     """An exact centre writes the text it wrote when a ball held one radius
-    per coefficient: the sha256 of the desk (N=20, P=30) and N=40 (P=40)
-    centres, pinned from that layout; and the bootstrap makes the N=80
-    (P=60) centres it made when each lower rung's check had a build of its
-    own, pinned from that bootstrap."""
+    per coefficient: the sha256 of the desk (N=20, P=30) centres, pinned
+    from that layout.  The N=40 (P=40) and N=80 (P=60) centres are pinned
+    from the bootstrap whose lower rungs run at their own precision and
+    whose corrections run on coarse views; they moved by at most 8.4e-45
+    and 2.2e-64, below 10**-(P+4), from the centres the full-precision
+    bootstrap made."""
     assert {name: fb.ball_checksum(b) for name, b in
             (("g0", desk.G0), ("delta0", desk.V0), ("gamma0", desk.W0))} == {
         "g0": "aefd45103c30a87a2809239622cd1954709e7bd27da224010eb434aad9393208",
         "delta0": "3b1b63a8c67896bc30bfb57a5bd11fcb913090d6f9984230f5e2d949d29366d7",
         "gamma0": "35484989c688d96a75781cb9e792cf83710a7f0cb819649a90d46b754d3942b0"}
     assert n40.result.report["checksums"] == {
-        "g0": "aed7c094c2a10aa74d2611f2a385be09cedb2660b199c542f8866abd032cf6c8",
-        "delta0": "b15ec17fb99c1e52d5de0243a760150e20f3566f705c8cf460d6667e0a8ce487",
-        "gamma0": "7a200260b5bc283accc5f4be20382787382c6aa71d55906b7273b92984c3d03d"}
+        "g0": "be740e5641456516a231ee867db6290bed627bf6500694b52264453b948d4711",
+        "delta0": "0c3086520c7cd32e1eecd5d1eb78cdf8a50a0730651e9281aebfbaf00f5d6e7e",
+        "gamma0": "b8afbc37018b39b7e84f52084a4ecdc8081ea1f59ed8fec7e14cb0620fb669fa"}
     centres, _ = pl.bootstrap(pl.RunConfig(degree=80))
     assert {name: fb.ball_checksum(centres[target]) for name, target in
             (("g0", "fixed_point"), ("delta0", "delta"), ("gamma0", "gamma"))} == {
-        "g0": "9eb08091401f592ee41ae4ab2782f5fe74028523612d8a5eb0fec87b011553e4",
-        "delta0": "eb136a8adef4f5cf05ce3e97f1c18dadd6252b844387a14f852150bb7852490d",
-        "gamma0": "9904fe7a6f16d2eae60871e65dab9a2430213b09e77c70ee1130f8b6a4e334f7"}
+        "g0": "bcd3f967a04aa30dbdd9824950218ab7f14768acc6e3c95cea267b49ae17e2ab",
+        "delta0": "9c887b03a42b102e80cb107bcba4a8d5fcd33ec088f9e040a46f1a59e9ac6afc",
+        "gamma0": "e7f67f65ff8e3434117cff1ac3d349c6288f073a55ba6f5f3fbc186434b9c16a"}
 
 
 def test_ball_with_radius_reloads_with_its_members():

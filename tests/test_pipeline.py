@@ -516,10 +516,13 @@ def test_run_pipeline_desk(tmp_path):
     assert list(products) == ["fixed_point", "parameter_ball", "delta", "gamma"]
     assert all(sorted(counts) == ["computed", "reused"] for counts in products.values())
     assert not any("products" in payload for payload in data["certificates"].values())
-    # checkpoints reload on the second run
+    assert list(data["execution"]["bootstrap"]) == ["fixed_point", "delta", "gamma"]
+    assert not any("bootstrap" in payload for payload in data["certificates"].values())
+    # checkpoints reload on the second run, which bootstraps nothing
     res2 = pl.run_pipeline(cfg)
     assert res2.report["certificates"] == report["certificates"]
     assert res2.report["execution"]["products"] == products
+    assert res2.report["execution"]["bootstrap"] == {}
 
 
 @pytest.mark.parametrize("degree", [20, 40])
@@ -544,6 +547,40 @@ def test_eigen_stages_reuse_the_fixed_point_products(degree, monkeypatch):
     assert heads["delta_eigen"]["computed"] == 0 < heads["delta_eigen"]["reused"]
     assert products["gamma"]["reused"] == 0 < products["gamma"]["computed"]
     assert fb._memo is None
+
+
+def _work(builds: int, views: int, applies: int) -> dict:
+    return {"builds": builds, "views": views, "applies": applies}
+
+
+@pytest.mark.parametrize("degree, precision, work", [
+    (40, 33, {"fixed_point": _work(2, 1, 3), "delta": _work(0, 0, 4), "gamma": _work(0, 0, 4)}),
+    (40, 40, {"fixed_point": _work(2, 1, 4), "delta": _work(0, 0, 5), "gamma": _work(0, 0, 5)}),
+    (80, 60, {"fixed_point": _work(3, 2, 7), "delta": _work(0, 0, 8), "gamma": _work(0, 0, 8)}),
+])
+def test_bootstrap_counts_its_work(n40, degree, precision, work):
+    """The approx stage records per target the midpoint builds, coarse
+    views and applies of M_q its bootstrap made, in report.json's
+    execution.bootstrap: deterministic counts.  The fixed point makes 2
+    builds at N=40 and 3 at N=80 (one per rung, the last also checking g0)
+    and one view per Newton correction; the eigen targets read its last
+    build and make none of their own."""
+    if (degree, precision) == (40, 40):
+        assert n40.result.report["execution"]["bootstrap"] == work
+    counted = {}
+    pl.bootstrap(pl.RunConfig(degree=degree, precision=precision), counted)
+    assert counted == work
+
+
+def test_checkpointed_fixed_point_counts_one_build(tmp_path):
+    """With g0 checkpointed, the eigen targets read one build of it, which
+    counts as the fixed point's work."""
+    cfg = pl.RunConfig(degree=20, checkpoint_dir=str(tmp_path))
+    pl.bootstrap(replace(cfg, targets=("fixed_point",)))
+    counted = {}
+    pl.bootstrap(cfg, counted)
+    assert counted == {"fixed_point": _work(1, 0, 0), "delta": _work(0, 0, 1),
+                       "gamma": _work(0, 0, 2)}
 
 
 def test_fixed_point_run_opens_no_product_memo(monkeypatch):
