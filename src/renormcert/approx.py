@@ -52,10 +52,16 @@ Sci. Comput. 40, 2018):
   trailing coefficients at or below the tolerance over 10**4 dropped
   first (:func:`_take_step`).
 
-Builds, views and applies are counted (:func:`work_counts`).
-The fixed-point bootstrap hands back the build its last residual check
-made, at g0: the one build both eigen bootstraps read, in any process
-(:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).  Decimal
+Builds, views, applies and the coefficients the applies read are counted
+(:func:`work_counts`).  Which build confirms the top rung's last Newton
+correction depends on the run: with an eigen target pending, the
+fixed-point bootstrap makes one more build, at g0, and hands it back: the
+one build both eigen bootstraps read, in any process
+(:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).  Without
+one, :func:`fixed_point_ladder` returns g0 unconfirmed, and the caller
+checks its residual elsewhere (the pipeline reads it from the fixed-point
+certificate's operator tables), falling back on the ladder's own
+confirm-and-correct loop (:func:`confirm_fixed_point`) on a miss.  Decimal
 appears only at the edges: the seed is read in, the centres and
 :func:`approx_jacobian`'s head go out exactly, and a centre read back
 gives the same integers.
@@ -86,6 +92,9 @@ from .rounding import EXACT
 __all__ = [
     "approx_fixed_point",
     "fixed_point_with_build",
+    "fixed_point_ladder",
+    "confirm_fixed_point",
+    "below_tolerance",
     "midpoint_build",
     "approx_jacobian",
     "approx_eigenpair",
@@ -106,12 +115,14 @@ _TOL = 10 ** (2 * _GUARD)
 _TRIM = 10 ** 4
 
 #: midpoint builds, coarse views and applies of M_q made so far in this
-#: process (:func:`work_counts`)
-_WORK = {"builds": 0, "views": 0, "applies": 0}
+#: process, and the summed length of the vectors those applies read
+#: (:func:`work_counts`)
+_WORK = {"builds": 0, "views": 0, "applies": 0, "coefficients": 0}
 
 
 def work_counts() -> dict:
-    """A copy of the counts of midpoint builds, views and applies so far."""
+    """A copy of the counts of midpoint builds, views, applies and applied
+    coefficients so far."""
     return dict(_WORK)
 
 
@@ -352,6 +363,7 @@ class _MidShared:
         q = 1 (DT) the variations of the normalisation a, which act when
         v(1) = v[0] on the standard disc is nonzero; q = 2 is L."""
         _WORK["applies"] += 1
+        _WORK["coefficients"] += len(v)
         return self._image(q, self.table_squared.compose(v), self.table_affine.compose(v),
                            v[0], self.width)
 
@@ -534,7 +546,21 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
 def fixed_point_with_build(n: int, digits: int):
     """:func:`approx_fixed_point` g0 and the midpoint build of g0 that
     its last residual check made, which :func:`eigenpair_from_build`
-    reads as :func:`midpoint_build` would make it.
+    reads as :func:`midpoint_build` would make it: :func:`fixed_point_ladder`,
+    then, when its top rung ended on a Newton correction, one more build at
+    g0 confirms it (:func:`confirm_fixed_point`).  At N = 40, 80 and 160,
+    2, 3 and 4 builds in all."""
+    g0, build = fixed_point_ladder(n, digits)
+    return (g0, build) if build is not None else confirm_fixed_point(g0, digits)
+
+
+def fixed_point_ladder(n: int, digits: int):
+    """The ladder of :func:`approx_fixed_point` up to its top rung's last
+    Newton correction: g0, and the build of g0 whose residual check passed,
+    or None when the top rung ended on a correction, whose g0 no build has
+    checked yet.  The caller confirms it, by :func:`confirm_fixed_point` or
+    by a check of its own that reads a residual below 10**-(digits-6)
+    (:func:`below_tolerance`).
 
     A rung m below n checks its residual on a build at the next rung's
     width and precision, over g zero-padded to that degree and rescaled
@@ -544,38 +570,74 @@ def fixed_point_with_build(n: int, digits: int):
     coefficient.  When the check passes, that build is the next rung's
     first build; when it fails, the correction reads it to rung m's width
     (:func:`_newton_correction`).  So the seed's check at rung 20 and each
-    check after a rung's correction cost no build of their own: at
-    N = 40, 80 and 160, 2, 3 and 4 builds in all."""
+    check after a lower rung's correction cost no build of their own: at
+    N = 40, 80 and 160, 1, 2 and 3 builds in all."""
     if n < 2:
         raise ConfigError("need truncation degree >= 2")
     if digits < 10:
         raise ConfigError("need at least 10 digits")
-    max_iter = 50
     stages = _stage_ladder(n)
     # a rung's check build is the next rung's first: its width and precision
     checks = [(m, _rung_digits(m, n, digits)) for m in stages[1:] + [n]]
     scale = checks[0][1] + _GUARD
-    g = _read(_SEED_G20[:n + 1], scale)
-    shared = None
-    for stage_n, (build_n, build_digits) in zip(stages, checks):
-        g = _padded(g, stage_n)
-        width = min(stage_n, contraction.HEAD_DEGREE) + 1
-        for _ in range(max_iter):
-            if shared is None:
-                g = [x * 10 ** (build_digits + _GUARD - scale) for x in g]
-                scale = build_digits + _GUARD
-                shared = _MidShared(_padded(g, build_n), build_digits)
-            tg = shared.t()[:stage_n + 1]
-            residual = [t - x for t, x in zip(tg, g)]
-            rung_tol = _rung_tolerance(tg, _TOL, stage_n == n)
-            if _sup_norm(residual) < rung_tol:
-                break
-            g = _add_lists(g, _newton_correction(shared, width, residual, rung_tol, digits))
-            shared = None
-        else:
-            raise NewtonDivergence(f"no convergence below {Decimal(rung_tol).scaleb(-scale):.2E} "
-                                   f"in {max_iter} iterations")
+    g, shared = _read(_SEED_G20[:n + 1], scale), None
+    for stage_n, check in zip(stages, checks):
+        top = stage_n == n
+        g, scale, shared = _newton_rung(_padded(g, stage_n), scale, shared, stage_n, check,
+                                        top, digits, confirm=not top)
     return _written(g, scale), shared
+
+
+def confirm_fixed_point(g0, digits: int):
+    """The top rung's confirm-and-correct loop from g0, at ``digits``
+    digits: a build at g0 checks its residual, and Newton corrections
+    follow until one passes.  Returns the confirmed g0 and that build."""
+    scale = digits + _GUARD
+    n = len(g0) - 1
+    g, scale, shared = _newton_rung(_read(g0, scale), scale, None, n, (n, digits), True, digits,
+                                    confirm=True)
+    return _written(g, scale), shared
+
+
+def below_tolerance(residual: list[int], rad: int, scale: int, digits: int) -> bool:
+    """Whether a fixed-point residual, integers at 10**-``scale`` plus an
+    l1 radius ``rad`` at that scale, is below the top rung's tolerance
+    10**-(digits-6) in the sup norm: max|residual| + rad, exactly."""
+    return (_sup_norm(residual) + rad) * 10 ** (digits + _GUARD) < _TOL * 10 ** scale
+
+
+#: the most Newton corrections one rung of the fixed-point ladder may take
+_MAX_ITER = 50
+
+
+def _newton_rung(g: list[int], scale: int, shared, rung: int, check: tuple[int, int],
+                 top: bool, digits: int, confirm: bool):
+    """Newton on rung ``rung`` from g, integers at 10**-``scale``, of the
+    ladder to ``digits`` digits: each iterate's residual is checked on
+    ``shared``, a build of degree and precision ``check`` (made, g
+    rescaled exactly to its scale, when None), until it is below the
+    rung's tolerance (:func:`_rung_tolerance`, the top rung's when
+    ``top``).  Returns g, its scale and the build whose check passed;
+    unless ``confirm``, a rung whose first check fails returns after one
+    correction, with None for the build."""
+    build_n, build_digits = check
+    width = min(rung, contraction.HEAD_DEGREE) + 1
+    for _ in range(_MAX_ITER):
+        if shared is None:
+            g = [x * 10 ** (build_digits + _GUARD - scale) for x in g]
+            scale = build_digits + _GUARD
+            shared = _MidShared(_padded(g, build_n), build_digits)
+        tg = shared.t()[:rung + 1]
+        residual = [t - x for t, x in zip(tg, g)]
+        rung_tol = _rung_tolerance(tg, _TOL, top)
+        if _sup_norm(residual) < rung_tol:
+            return g, scale, shared
+        g = _add_lists(g, _newton_correction(shared, width, residual, rung_tol, digits))
+        shared = None
+        if not confirm:
+            return g, scale, None
+    raise NewtonDivergence(f"no convergence below {Decimal(rung_tol).scaleb(-scale):.2E} "
+                           f"in {_MAX_ITER} iterations")
 
 
 def midpoint_build(g0, digits: int):

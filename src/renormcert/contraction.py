@@ -416,8 +416,10 @@ class Problem:
     (:meth:`column_images`) and the tail DF_p(x) f_H = A f_H - phi**p f_H,
     A's compositions controlled by theta factors.  ``tables`` hold M_p over
     the parameter ball for p >= 1; for p = 0 they are built over the ball
-    the bounds receive, and the residual at its exact centre x0 reads T(x0)
-    from them (:meth:`residual`), so one certificate builds them once."""
+    the bounds receive, and kept for any ball equal to it in content, and
+    the residual at its exact centre x0 reads T(x0) from them
+    (:meth:`residual`), so one certificate builds them once, and none when
+    the same problem built them over B(x0, rho) before it runs."""
 
     def __init__(self, power: int, tables: OperatorTables | None = None):
         if power not in range(len(KINDS)):
@@ -430,7 +432,9 @@ class Problem:
         self.power, self.kind, self.tables = power, KINDS[power], tables
 
     def _tables(self, ctx: RoundingContext, ball: FunctionBall) -> OperatorTables:
-        if not self.power and (self.tables is None or self.tables.shared.source is not ball):
+        """The tables the bounds over ``ball`` read: for p = 0 those built
+        over it, kept while the balls asked for are equal in content."""
+        if not self.power and (self.tables is None or self.tables.shared.source != ball):
             self.tables = OperatorTables.build(ctx, ball)
         return self.tables
 

@@ -14,7 +14,13 @@ target keeps that certificate's exact products in balls.product_memo
 until delta's certificate, the last stage that repeats them; the report's
 ``execution.products`` counts, per certificate stage, the products
 computed and reused, and ``execution.bootstrap``, per target bootstrapped,
-the midpoint builds, views and applies of the approx stage.
+the midpoint builds, views and applies of the approx stage and the
+coefficients those applies read.
+
+A run with no eigen target to bootstrap confirms g0's last Newton
+correction on the fixed-point certificate's own tables (bootstrap), which
+Problem(0) builds over B(g0, RHO) in the approx stage and keeps for its
+certificate, instead of on one more midpoint build of g0.
 
 Every certificate runs on the ball B(x0, RHO), one radius for all three
 problems at every scale.  Every certified constant, and every ball handed
@@ -42,8 +48,10 @@ from . import operators as op
 from .contraction import Problem, certify as _certify
 from .balls import STANDARD_DISC
 from .errors import (
+    CompositionContractFailure,
     ConfigError,
     MissingCertificate,
+    NormalizationSingular,
     PipelineOrderError,
     RenormcertError,
     StageFailure,
@@ -322,20 +330,26 @@ def _stage(report, timings, name, products: dict | None = None):
             products[name] = {key: after[key] - before[key] for key in after}
 
 
-def bootstrap(cfg: RunConfig, work: dict | None = None) -> tuple[dict, int]:
+def bootstrap(cfg: RunConfig, work: dict | None = None,
+              fixed: Problem | None = None) -> tuple[dict, int]:
     """The approx stage: target -> approximate zero as a ball, and the
     number of processes that computed them.
 
     A zero is read from the checkpoint directory when present there, and
-    otherwise computed and, with a checkpoint directory, written there.
-    The eigen zeros read one midpoint build of g0, the fixed point's last or
-    one of a checkpointed g0; from degree POOL_MIN_DEGREE on the pending ones
-    run in a pool, one process per target up to the usable cores.
+    otherwise computed and, with a checkpoint directory, written there
+    once it is confirmed.  With an eigen target pending, a midpoint build
+    of g0 confirms it, which both eigen zeros then read (the fixed point's
+    last, or one of a checkpointed g0); from degree POOL_MIN_DEGREE on the
+    pending ones run in a pool, one process per target up to the usable
+    cores.  With none pending, g0 is confirmed on the fixed-point
+    certificate's own tables, which ``fixed`` (the Problem(0) the
+    fixed_point stage certifies with; a fresh one when None) builds over
+    B(g0, RHO) and keeps (:func:`_confirmed_on_tables`).
 
     With ``work``, record there, per target computed, the midpoint builds,
-    views and applies its bootstrap made (approx.work_counts), in whichever
-    process made them; a checkpointed g0's one build counts as the fixed
-    point's.
+    views and applies its bootstrap made and the coefficients those
+    applies read (approx.work_counts), in whichever process made them; a
+    checkpointed g0's one build counts as the fixed point's.
     """
     n, p = cfg.degree, cfg.precision
     work = {} if work is None else work
@@ -343,12 +357,15 @@ def bootstrap(cfg: RunConfig, work: dict | None = None) -> tuple[dict, int]:
            if target in cfg.targets}
     if None not in out.values():
         return out, 1
+    pending = [target for target, ball in out.items() if ball is None and target != "fixed_point"]
     build, start = None, ax.work_counts()
     if out["fixed_point"] is None:
-        g0, build = ax.fixed_point_with_build(n, p)
-        out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", fb.ball_from_decimals(
-            STANDARD_DISC, g0, n))
-    pending = [target for target, ball in out.items() if ball is None]
+        if pending:
+            g0, build = ax.fixed_point_with_build(n, p)
+            g0_ball = fb.ball_from_decimals(STANDARD_DISC, g0, n)
+        else:
+            g0_ball = _confirmed_on_tables(cfg, Problem(0) if fixed is None else fixed)
+        out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", g0_ball)
     if pending and build is None:
         build = ax.midpoint_build(_centre(out["fixed_point"]), p)
     work["fixed_point"] = _work_since(start)
@@ -358,6 +375,31 @@ def bootstrap(cfg: RunConfig, work: dict | None = None) -> tuple[dict, int]:
         ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
         out[target] = _write_checkpoint(cfg, target, ball)
     return out, processes
+
+
+def _confirmed_on_tables(cfg: RunConfig, fixed: Problem) -> fb.FunctionBall:
+    """g0 as a ball, with no midpoint build to confirm the top rung's last
+    Newton correction: ``fixed`` builds the certificate's operator tables
+    over B(g0, RHO), and the polynomial part of T(g0) - g0 read from them
+    must be below 10**-(P-6) (approx.below_tolerance).  A miss, or tables
+    that cannot be built, runs the ladder's confirm-and-correct loop from
+    g0 (approx.confirm_fixed_point); the certificate then builds the tables
+    over the g0 it confirms, and a failure to build them is its own."""
+    n, p = cfg.degree, cfg.precision
+    g0, build = ax.fixed_point_ladder(n, p)
+    ball = fb.ball_from_decimals(STANDARD_DISC, g0, n)
+    if build is not None:
+        return ball
+    ctx = RoundingContext(p)
+    try:
+        fixed._tables(ctx, fb.inflate(ctx, ball, RHO))
+    except (CompositionContractFailure, NormalizationSingular):
+        pass
+    else:
+        residual = fixed.residual(ctx, ball)
+        if ax.below_tolerance(residual.mid, residual.rad, residual.scale, p):
+            return ball
+    return fb.ball_from_decimals(STANDARD_DISC, ax.confirm_fixed_point(g0, p)[0], n)
 
 
 def _work_since(start: dict) -> dict:
@@ -418,10 +460,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                     "checksums": {}, "certificates": {}, "digits": {}}
     timings: dict = {}
     result = PipelineResult(config=cfg, report=report)
+    # the fixed-point problem, whose tables may confirm g0 in the approx stage
+    fixed = Problem(0)
     try:
         with _stage(report, timings, "approx"):
             work = {}
-            centres, processes = bootstrap(cfg, work)
+            centres, processes = bootstrap(cfg, work, fixed)
             report["execution"] = {"workers": processes, "bootstrap": work}
             for target, ball in centres.items():
                 report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
@@ -444,7 +488,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                 with _stage(report, timings, target, products):
                     x0_ball = centres[target]
                     result.balls[_CENTRES[target][1]] = x0_ball
-                    cert = _certify(ctx, Problem(power, tables), x0_ball, RHO,
+                    problem = Problem(power, tables) if power else fixed
+                    cert = _certify(ctx, problem, x0_ball, RHO,
                                     config=_cert_config(cfg, target, report["checksums"]))
                     result.certificates[target] = cert
                     report["certificates"][target] = cert.to_payload()

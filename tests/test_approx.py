@@ -139,6 +139,31 @@ def test_rungs_run_at_their_own_precision(monkeypatch):
     assert _sup_diff(ax.approx_fixed_point(160, 113), g) < Decimal("1e-117")
 
 
+def test_ladder_leaves_the_top_correction_unconfirmed(monkeypatch):
+    """At N=80, P=60 the ladder ends on the top rung's correction and
+    returns g0 with no build of it; the confirm loop's one build at g0
+    passes as it stands, so the two together are approx_fixed_point, build
+    for build."""
+    builds = _counting_builds(monkeypatch)
+    g, build = ax.fixed_point_ladder(80, 60)
+    assert build is None and builds == [(40, 36), (80, 60)]
+    g0, build = ax.confirm_fixed_point(g, 60)
+    assert g0 == g and build is not None and builds == [(40, 36), (80, 60), (80, 60)]
+    monkeypatch.undo()
+    assert g0 == ax.approx_fixed_point(80, 60)
+
+
+def test_below_tolerance_is_strict_and_counts_the_radius():
+    """10**-(P-6) itself is not below the tolerance, and the radius counts
+    beside the largest coefficient, at any scale."""
+    p = 30
+    for scale, unit in ((p + 6, 1), (p + 9, 1000)):
+        top = 10 ** 12 * unit
+        assert ax.below_tolerance([0, -(top - 1)], 0, scale, p)
+        assert not ax.below_tolerance([0, -top], 0, scale, p)
+        assert not ax.below_tolerance([top - 1], 1, scale, p)
+
+
 @pytest.mark.parametrize("m", [20, 40])
 def test_builds_are_causal(bootstrap80, m):
     """A build over g zero-padded to degree 2m gives T(g) and DT(g) v

@@ -369,8 +369,9 @@ def test_operator_tables_hold_their_ball(desk):
 def test_problem_builds_tables_once_per_ball(desk, monkeypatch):
     """One certify of Problem(0) builds M_1's tables once, over the ball its
     bounds receive, and evaluates T's shared subexpressions once: epsilon
-    reads T(x0) from those tables.  The same problem on a second ball
-    builds again.  Problem(1, tables) only reads the tables it is given."""
+    reads T(x0) from those tables.  The same problem on a ball equal in
+    content, though another object, keeps them; on a second ball it builds
+    again.  Problem(1, tables) only reads the tables it is given."""
     built, build = [], op.OperatorTables.build.__func__
     shared, share = [], op.precompute_shared
 
@@ -389,7 +390,11 @@ def test_problem_builds_tables_once_per_ball(desk, monkeypatch):
     assert len(built) == 1 and problem.tables.shared.source is built[0]
     assert shared == built
     again = fb.ball_from_decimals(DOM, desk.g0, desk.n)
+    assert again is not desk.G0
     ct.certify(desk.ctx, problem, again, pl.RHO)
+    assert len(built) == 1
+    other = fb.ball_from_decimals(DOM, desk.g0[:-1] + [desk.g0[-1] * 2], desk.n)
+    ct.certify(desk.ctx, problem, other, pl.RHO)
     assert len(built) == 2 and built[1] is not built[0] and shared == built
     ct.certify(desk.ctx, ct.Problem(1, desk.tables), desk.V0, pl.RHO)
     assert len(built) == 2 and shared == built

@@ -173,6 +173,7 @@ def test_cli_refuses_bad_paths_and_targets_before_any_work(tmp_path, monkeypatch
         raise AssertionError("work ran before the configuration was checked")
 
     monkeypatch.setattr(ax, "fixed_point_with_build", refuse)
+    monkeypatch.setattr(ax, "fixed_point_ladder", refuse)
     monkeypatch.setattr(pl, "run_pipeline", refuse)
     path = tmp_path / "file"
     path.write_text("x")
@@ -549,22 +550,27 @@ def test_eigen_stages_reuse_the_fixed_point_products(degree, monkeypatch):
     assert fb._memo is None
 
 
-def _work(builds: int, views: int, applies: int) -> dict:
-    return {"builds": builds, "views": views, "applies": applies}
+def _work(builds: int, views: int, applies: int, coefficients: int) -> dict:
+    return {"builds": builds, "views": views, "applies": applies,
+            "coefficients": coefficients}
 
 
 @pytest.mark.parametrize("degree, precision, work", [
-    (40, 33, {"fixed_point": _work(2, 1, 3), "delta": _work(0, 0, 4), "gamma": _work(0, 0, 4)}),
-    (40, 40, {"fixed_point": _work(2, 1, 4), "delta": _work(0, 0, 5), "gamma": _work(0, 0, 5)}),
-    (80, 60, {"fixed_point": _work(3, 2, 7), "delta": _work(0, 0, 8), "gamma": _work(0, 0, 8)}),
+    (40, 33, {"fixed_point": _work(2, 1, 3, 123), "delta": _work(0, 0, 4, 164),
+              "gamma": _work(0, 0, 4, 164)}),
+    (40, 40, {"fixed_point": _work(2, 1, 4, 164), "delta": _work(0, 0, 5, 204),
+              "gamma": _work(0, 0, 5, 204)}),
+    (80, 60, {"fixed_point": _work(3, 2, 7, 408), "delta": _work(0, 0, 8, 578),
+              "gamma": _work(0, 0, 8, 566)}),
 ])
 def test_bootstrap_counts_its_work(n40, degree, precision, work):
     """The approx stage records per target the midpoint builds, coarse
-    views and applies of M_q its bootstrap made, in report.json's
-    execution.bootstrap: deterministic counts.  The fixed point makes 2
-    builds at N=40 and 3 at N=80 (one per rung, the last also checking g0)
-    and one view per Newton correction; the eigen targets read its last
-    build and make none of their own."""
+    views and applies of M_q its bootstrap made, and the summed length of
+    the vectors those applies read, in report.json's execution.bootstrap:
+    deterministic counts.  With the eigen targets pending, the fixed point
+    makes 2 builds at N=40 and 3 at N=80 (one per rung, the last also
+    checking g0) and one view per Newton correction; the eigen targets
+    read its last build and make none of their own."""
     if (degree, precision) == (40, 40):
         assert n40.result.report["execution"]["bootstrap"] == work
     counted = {}
@@ -579,8 +585,8 @@ def test_checkpointed_fixed_point_counts_one_build(tmp_path):
     pl.bootstrap(replace(cfg, targets=("fixed_point",)))
     counted = {}
     pl.bootstrap(cfg, counted)
-    assert counted == {"fixed_point": _work(1, 0, 0), "delta": _work(0, 0, 1),
-                       "gamma": _work(0, 0, 2)}
+    assert counted == {"fixed_point": _work(1, 0, 0, 0), "delta": _work(0, 0, 1, 21),
+                       "gamma": _work(0, 0, 2, 32)}
 
 
 def test_fixed_point_run_opens_no_product_memo(monkeypatch):
@@ -593,6 +599,104 @@ def test_fixed_point_run_opens_no_product_memo(monkeypatch):
     report = pl.run_pipeline(pl.RunConfig(degree=20, targets=("fixed_point",))).report
     assert list(report["execution"]["products"]) == ["fixed_point"]
     assert report["execution"]["products"]["fixed_point"]["reused"] == 0
+
+
+def _counting_tables(monkeypatch) -> list[int]:
+    """The degree of each OperatorTables.build made from now on, in order."""
+    built, build = [], op.OperatorTables.build.__func__
+
+    def counted(cls, c, G):
+        built.append(G.truncation)
+        return build(cls, c, G)
+    monkeypatch.setattr(op.OperatorTables, "build", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("degree", [20, 40, 80])
+def test_fixed_point_run_confirms_g0_on_its_certificate_tables(monkeypatch, degree):
+    """With no eigen target pending, the top rung's last Newton correction
+    is confirmed on the fixed-point certificate's own tables over
+    B(g0, RHO), which the certificate then reads: one OperatorTables.build
+    in the run.  g0 and the fixed-point payload are those of the run with
+    every target, whose confirming build is a midpoint one, byte for byte."""
+    full = pl.run_pipeline(pl.RunConfig(degree=degree)).report
+    built = _counting_tables(monkeypatch)
+    alone = pl.run_pipeline(pl.RunConfig(degree=degree, targets=("fixed_point",))).report
+    assert built == [degree]
+    assert alone["checksums"]["g0"] == full["checksums"]["g0"]
+    assert json.dumps(alone["certificates"]["fixed_point"]) \
+        == json.dumps(full["certificates"]["fixed_point"])
+
+
+@pytest.mark.parametrize("degree, builds", [(40, 1), (80, 2), (160, 3)])
+def test_fixed_point_run_makes_no_confirming_build(degree, builds):
+    """A fixed-point-only bootstrap makes one midpoint build fewer than the
+    ladder that confirms on a build of g0 (approx.fixed_point_with_build,
+    the path of a run with an eigen target): 1, 2 and 3 builds at N = 40,
+    80 and 160, and the same views, applies and coefficients."""
+    cfg = pl.RunConfig(degree=degree, targets=("fixed_point",))
+    start = ax.work_counts()
+    ax.fixed_point_with_build(degree, cfg.precision)
+    confirmed = pl._work_since(start)
+    work = {}
+    pl.bootstrap(cfg, work)
+    assert work == {"fixed_point": {**confirmed, "builds": builds}}
+    assert confirmed["builds"] == builds + 1
+
+
+def test_missed_table_confirmation_corrects_on_the_ladder(monkeypatch):
+    """At N=40, P=43 (the rule's P + 10) the top rung's one correction
+    leaves the residual above 10**-(P-6): the check on the tables misses,
+    the ladder's midpoint loop corrects g0 again, and the certificate
+    builds its tables over that g0.  The run certifies the strings of the
+    run with every target, from the same g0, with the same midpoint builds."""
+    cfg = pl.RunConfig(degree=40, precision=43)
+    full = pl.run_pipeline(cfg).report
+    built = _counting_tables(monkeypatch)
+    alone = pl.run_pipeline(replace(cfg, targets=("fixed_point",))).report
+    assert built == [40, 40]
+    assert alone["checksums"]["g0"] == full["checksums"]["g0"]
+    assert alone["digits"] == {name: full["digits"][name] for name in ("a", "alpha")}
+    assert alone["execution"]["bootstrap"]["fixed_point"]["builds"] \
+        == full["execution"]["bootstrap"]["fixed_point"]["builds"] == 3
+
+
+def test_confirmation_that_always_accepts_is_caught(monkeypatch):
+    """Negative control for the check on the tables: one that accepts every
+    residual leaves the N=40, P=43 g0 after a single top-rung correction,
+    more than 10**-(P-6) from approx_fixed_point(40, 43)."""
+    monkeypatch.setattr(ax, "below_tolerance", lambda *args: True)
+    centres, _ = pl.bootstrap(pl.RunConfig(degree=40, precision=43, targets=("fixed_point",)))
+    monkeypatch.undo()
+    g0 = pl._centre(centres["fixed_point"])
+    assert max(abs(a - b) for a, b in zip(g0, ax.approx_fixed_point(40, 43))) > Decimal("1e-37")
+
+
+def test_tables_that_cannot_be_built_fail_the_fixed_point_stage(monkeypatch):
+    """Tables that cannot be built over B(g0, RHO) are a miss: g0 is
+    confirmed on the midpoint ladder instead, and the failure is the
+    fixed_point stage's, as in a run with an eigen target."""
+    def fail(cls, c, G):
+        raise CompositionContractFailure("theta >= 1", subexpression="G(a2 X)")
+
+    monkeypatch.setattr(op.OperatorTables, "build", classmethod(fail))
+    with pytest.raises(StageFailure) as info:
+        pl.run_pipeline(pl.RunConfig(degree=40, targets=("fixed_point",)))
+    assert info.value.stage == "fixed_point"
+    assert isinstance(info.value.__cause__, CompositionContractFailure)
+
+
+def test_fixed_point_checkpoint_round_trip(tmp_path):
+    """A fixed-point-only approx stage at N=40 writes g0 once confirmed; a
+    run from that checkpoint bootstraps nothing and writes the fixed-point
+    payload of a fresh run."""
+    cfg = pl.RunConfig(degree=40, targets=("fixed_point",), checkpoint_dir=str(tmp_path))
+    pl.bootstrap(cfg)
+    assert [p.name for p in tmp_path.iterdir()] == [f"g0_n40_p{cfg.precision}.txt"]
+    from_checkpoint = pl.run_pipeline(cfg).report
+    fresh = pl.run_pipeline(replace(cfg, checkpoint_dir=None)).report
+    assert from_checkpoint["execution"]["bootstrap"] == {}
+    assert from_checkpoint["certificates"] == fresh["certificates"]
 
 
 def test_report_reproducible_across_workers(tmp_path, monkeypatch):
@@ -1170,6 +1274,7 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
         raise AssertionError("approximate zero recomputed instead of read")
 
     monkeypatch.setattr(ax, "fixed_point_with_build", refuse)
+    monkeypatch.setattr(ax, "fixed_point_ladder", refuse)
     monkeypatch.setattr(ax, "eigenpair_from_build", refuse)
     out = tmp_path / "out"
     assert cli.main(["certify", "-N", "20", "-o", str(out),
