@@ -5,7 +5,8 @@ the parameter-scaling and noise-scaling problems: the centres the
 certificates start from (each certificate forms its own frozen map).
 Everything here runs in round-to-nearest arithmetic, on integers at a
 scale 10**-(P+6), P the precision of the step at hand, or in binary64
-(below); no rounding state is shared with the directed-rounding side.
+(below); no rounding state is shared with the directed-rounding side,
+whose tables the eigen bootstraps only read.
 
 Above degree K no matrix larger than the head is built or factored.  The
 same block map B (the LU of a Jacobian's head, a tail scalar above K)
@@ -53,18 +54,18 @@ Sci. Comput. 40, 2018):
   first (:func:`_take_step`).
 
 Builds, views, applies and the coefficients the applies read are counted
-(:func:`work_counts`).  Which build confirms the top rung's last Newton
-correction depends on the run: with an eigen target pending, the
-fixed-point bootstrap makes one more build, at g0, and hands it back: the
-one build both eigen bootstraps read, in any process
-(:func:`fixed_point_with_build`, :func:`eigenpair_from_build`).  Without
-one, :func:`fixed_point_ladder` returns g0 unconfirmed, and the caller
-checks its residual elsewhere (the pipeline reads it from the fixed-point
-certificate's operator tables), falling back on the ladder's own
-confirm-and-correct loop (:func:`confirm_fixed_point`) on a miss.  Decimal
-appears only at the edges: the seed is read in, the centres and
-:func:`approx_jacobian`'s head go out exactly, and a centre read back
-gives the same integers.
+(:func:`work_counts`).  :func:`fixed_point_ladder` returns g0 unconfirmed
+when its top rung ends on a Newton correction, and the caller checks its
+residual: :func:`approx_fixed_point` on one more build at g0, the
+pipeline on the fixed-point certificate's operator tables, falling back
+on the ladder's own confirm-and-correct loop (:func:`confirm_fixed_point`)
+on a miss.  The eigen bootstraps make no build: they read the midpoints
+of those tables, which hold M_q at g0 to P digits
+(:meth:`_MidShared.from_tables`), and :func:`approx_eigenpair` builds the
+same tables over g0 itself; one view serves both kinds, in any process
+(:func:`eigenpair_from_view`).  Decimal appears only at the edges: the
+seed is read in, the centres and :func:`approx_jacobian`'s head go out
+exactly, and a centre read back gives the same integers.
 
 The block map B is factored and applied in binary64 (IEEE double), and so
 is the head inverse iteration: both only precondition or seed iterations
@@ -84,21 +85,21 @@ from decimal import Decimal
 from functools import cached_property
 
 from . import contraction
-from .balls import BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots, _padded, _sqr
+from .balls import (BABY_STEPS, STANDARD_DISC, _add_lists, _conv, _dots, _padded, _sqr,
+                    ball_from_decimals)
 from .contraction import KINDS, _lu_solve_factored, _rows, build_lambda, lu_factor, mat_inv
 from .errors import ConfigError, EigenSelectionAmbiguous, NewtonDivergence, SingularJacobian
-from .rounding import EXACT
+from .operators import OperatorTables
+from .rounding import EXACT, RoundingContext
 
 __all__ = [
     "approx_fixed_point",
-    "fixed_point_with_build",
     "fixed_point_ladder",
     "confirm_fixed_point",
     "below_tolerance",
-    "midpoint_build",
     "approx_jacobian",
     "approx_eigenpair",
-    "eigenpair_from_build",
+    "eigenpair_from_view",
     "work_counts",
     "build_lambda",
     "mat_inv",
@@ -187,6 +188,14 @@ def _quotient(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _rescaled(xs, scale: int, to: int) -> list[int]:
+    """Integers at 10**-scale at 10**-``to``: exact when ``to`` is the
+    finer, else rounded to nearest."""
+    if to >= scale:
+        return [x * 10 ** (to - scale) for x in xs]
+    return _rounded(xs, 10 ** (scale - to))
+
+
 class _MidTable:
     """Midpoint power table of a composition argument u, the shape of
     ``balls.PowerTable`` without radii: the baby powers u**0..u**(b-1),
@@ -212,6 +221,19 @@ class _MidTable:
             powers.append(_rounded(p, unit))
         self.rows = tuple(zip(*(_padded(p, width - 1) for p in powers[:BABY_STEPS])))
         self.giant = powers[BABY_STEPS] if last == BABY_STEPS else None
+
+    @classmethod
+    def from_power_table(cls, table, width: int, scale: int) -> "_MidTable":
+        """The midpoints of a ball power table (``balls.PowerTable``) cut to
+        ``width`` coefficients and read at the scale 10**-``scale``
+        (:func:`_rescaled`): its baby powers and giant step, radii and
+        tails dropped."""
+        mid = object.__new__(cls)
+        mid.unit = 10 ** scale
+        mid.rows = tuple(tuple(_rescaled(row, table.scale, scale)) for row in table.mid[:width])
+        mid.giant = (None if table.giant is None
+                     else _rescaled(table.giant.mid[:width], table.giant.scale, scale))
+        return mid
 
     def view(self, width: int, shift: int) -> "_MidTable":
         """This table cut to ``width`` coefficients, every entry divided by
@@ -291,6 +313,44 @@ class _MidShared:
         self.outer_comp = self.table_squared.compose(g)
         self._gd, self._inner, self._x_line = gd, inner, self._scaled(2 * a, [c, r])
         _WORK["builds"] += 1
+
+    @classmethod
+    def from_tables(cls, tables: OperatorTables, digits: int) -> "_MidShared":
+        """The midpoints of the ball tables of M_q over a ball centred on g
+        (``operators.OperatorTables``), read as the evaluations at g at
+        ``digits`` digits, with no build: every integer rescaled to
+        10**-(digits + _GUARD) and rounded to nearest (:func:`_rescaled`).
+        The power tables give the baby powers and giant steps; the tables'
+        terms a**-q and factor16**q give the scalars and factors of M_q,
+        and the outer composition is read off too.  M_1's variation of a,
+        factor17 - a**-2 G(Q(G(a**2 X))) in the tables, enters as the
+        factor17 that :meth:`_image` pairs with a**-2 G(Q(G(a**2 X))).
+
+        A ball's midpoints are its point kernels' (van der Hoeven, "Ball
+        arithmetic", 2010), so this is M_q at g to the tables' precision,
+        about digits + 2 on the outer terms: an eigen refinement, which
+        stops at 10**-(digits-6), reads it as it reads a build.  Its
+        integers do not depend on the ball's error part (operators module
+        docstring).  A view applies M_q and gives T(g) and M_q's head, but
+        has no coarse :meth:`view` of its own."""
+        s = tables.shared
+        view = object.__new__(cls)
+        view.width = width = s.source.truncation + 1
+        view.scale = scale = digits + _GUARD
+        view.unit = 10 ** scale
+
+        def read(ball):
+            return _padded(_rescaled(ball.mid, ball.scale, scale), width - 1)
+
+        (a_inv, factor16), (a_inv2, factor16_sq) = tables.terms
+        view.a_inv, view.a_inv2 = read(a_inv)[0], read(a_inv2)[0]
+        view.table_affine, view.table_squared = (
+            _MidTable.from_power_table(t, width, scale) for t in (s.table_affine, s.table_squared))
+        view.outer_comp = read(s.outer_comp)
+        view.factor16, view.factor16_sq = read(factor16), read(factor16_sq)
+        view.factor17 = _add_lists(read(tables.variation),
+                                   view._scaled(view.a_inv2, view.outer_comp))
+        return view
 
     def view(self, width: int, scale: int) -> "_MidShared":
         """This build cut to ``width`` coefficients and rounded once to the
@@ -538,20 +598,13 @@ def approx_fixed_point(n: int, digits: int) -> list[Decimal]:
     (:func:`_rung_tolerance`); the top rung reaches 10**-(digits-6) at
     ``digits`` digits.  Each Newton correction is solved through the block
     map on the head of the Jacobian, on a coarse view of its build
-    (:func:`_newton_correction`).
+    (:func:`_newton_correction`).  When the ladder's top rung ends on a
+    correction (:func:`fixed_point_ladder`), one more build at g0 confirms
+    it (:func:`confirm_fixed_point`): at N = 40, 80 and 160, 2, 3 and 4
+    builds in all.
     """
-    return fixed_point_with_build(n, digits)[0]
-
-
-def fixed_point_with_build(n: int, digits: int):
-    """:func:`approx_fixed_point` g0 and the midpoint build of g0 that
-    its last residual check made, which :func:`eigenpair_from_build`
-    reads as :func:`midpoint_build` would make it: :func:`fixed_point_ladder`,
-    then, when its top rung ended on a Newton correction, one more build at
-    g0 confirms it (:func:`confirm_fixed_point`).  At N = 40, 80 and 160,
-    2, 3 and 4 builds in all."""
     g0, build = fixed_point_ladder(n, digits)
-    return (g0, build) if build is not None else confirm_fixed_point(g0, digits)
+    return g0 if build is not None else confirm_fixed_point(g0, digits)[0]
 
 
 def fixed_point_ladder(n: int, digits: int):
@@ -640,12 +693,6 @@ def _newton_rung(g: list[int], scale: int, shared, rung: int, check: tuple[int, 
                            f"in {_MAX_ITER} iterations")
 
 
-def midpoint_build(g0, digits: int):
-    """The midpoint evaluations at g0 (:class:`_MidShared`) at ``digits``
-    digits, which :func:`eigenpair_from_build` reads."""
-    return _MidShared(_read(g0, digits + _GUARD), digits)
-
-
 # -- eigenpairs -------------------------------------------------------------------
 
 #: the binary64 head iteration stops at a residual below this many units
@@ -730,16 +777,22 @@ def approx_eigenpair(kind: str, g0, digits: int) -> tuple[list[Decimal], Decimal
     eigenvector is then refined matrix-free (:func:`_refine_eigenpair`) to
     the working precision, at every degree.  EigenSelectionAmbiguous is
     raised when either iteration does not converge in ``digits`` steps.
-    It makes its own build, so the pipeline never calls it: it serves the
+    It builds the ball tables of M_q over g0 at ``digits`` digits and reads
+    them (:meth:`_MidShared.from_tables`), as the pipeline reads the
+    fixed-point certificate's over B(g0, RHO), which hold the same
+    integers: so it gives the pipeline's centres.  It serves the
     benchmark's set-up, the tests and demo 04.
     """
-    return eigenpair_from_build(kind, midpoint_build(g0, digits), digits)
+    tables = OperatorTables.build(RoundingContext(digits),
+                                  ball_from_decimals(STANDARD_DISC, g0, len(g0) - 1))
+    return eigenpair_from_view(kind, _MidShared.from_tables(tables, digits), digits)
 
 
-def eigenpair_from_build(kind: str, shared, digits: int) -> tuple[list[Decimal], Decimal]:
-    """:func:`approx_eigenpair` at the g0 of a midpoint build (from
-    :func:`midpoint_build` or :func:`fixed_point_with_build` at the same
-    ``digits``): the pipeline's one build serves both kinds, in any process."""
+def eigenpair_from_view(kind: str, shared, digits: int) -> tuple[list[Decimal], Decimal]:
+    """:func:`approx_eigenpair` on the midpoint evaluations ``shared`` at
+    g0 at the same ``digits``, a view of tables
+    (:meth:`_MidShared.from_tables`) or a build: the pipeline's one view
+    of the fixed-point tables serves both kinds, in any process."""
     if kind not in _EIGEN_HINT:
         raise ConfigError(f"unknown eigenpair kind {kind!r}")
     phi_power = KINDS.index(kind + "_eigen")

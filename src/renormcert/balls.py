@@ -136,6 +136,7 @@ __all__ = [
     "int_add",
     "int_outward",
     "product_memo",
+    "products_unkept",
     "product_counts",
     "serialize_ball",
     "deserialize_ball",
@@ -339,6 +340,18 @@ def product_memo():
     memo opened inside another leaves the outer one in place."""
     global _memo
     outer, _memo = _memo, {} if _memo is None else _memo
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+@contextmanager
+def products_unkept():
+    """Within it, no product is kept or read back, even inside an open
+    :func:`product_memo`, which keeps what it held for after."""
+    global _memo
+    outer, _memo = _memo, None
     try:
         yield
     finally:

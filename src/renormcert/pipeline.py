@@ -8,19 +8,21 @@ holds its Newton step Phi(g0) + B(0, kappa r)
 parameter ball of both eigen certificates.  No certificate stage runs
 approx numerics: certify forms its own frozen map.
 
-Centred on g0, the parameter ball's tables hold the integers of those the
-fixed-point certificate built over B(g0, RHO), so a run with an eigen
-target keeps that certificate's exact products in balls.product_memo
-until delta's certificate, the last stage that repeats them; the report's
-``execution.products`` counts, per certificate stage, the products
-computed and reused, and ``execution.bootstrap``, per target bootstrapped,
-the midpoint builds, views and applies of the approx stage and the
+Every run confirms g0's last Newton correction on the fixed-point
+certificate's own tables (bootstrap), which Problem(0) builds over
+B(g0, RHO) in the approx stage and keeps for its certificate, instead of
+on one more midpoint build of g0; with an eigen target, both eigen
+bootstraps then read a midpoint view of those tables, whose midpoints
+hold M_q at g0 (approx._MidShared.from_tables), so no midpoint build is
+made to confirm g0 or to feed the eigen bootstraps.  Centred on g0, the
+parameter ball's tables hold the integers of those tables too, so a run
+with an eigen target keeps their exact products in balls.product_memo
+from the approx stage until delta's certificate, the last stage that
+repeats them (the midpoint engine's products are never kept); the
+report's ``execution.products`` counts, per stage, the products computed
+and reused, and ``execution.bootstrap``, per target bootstrapped, the
+midpoint builds, views and applies of the approx stage and the
 coefficients those applies read.
-
-A run with no eigen target to bootstrap confirms g0's last Newton
-correction on the fixed-point certificate's own tables (bootstrap), which
-Problem(0) builds over B(g0, RHO) in the approx stage and keeps for its
-certificate, instead of on one more midpoint build of g0.
 
 Every certificate runs on the ball B(x0, RHO), one radius for all three
 problems at every scale.  Every certified constant, and every ball handed
@@ -314,14 +316,17 @@ def format_digit_block(digit_string: str) -> str:
 @contextmanager
 def _stage(report, timings, name, products: dict | None = None):
     """Time the stage into ``timings``; on any exception name it in the
-    report.  With ``products``, also count there the exact products the
-    stage computed and reused (balls.product_counts)."""
+    report, or the stage a StageFailure names (bootstrap raises one for the
+    fixed-point certificate's tables).  With ``products``, also count
+    there the exact products the stage computed and reused
+    (balls.product_counts)."""
     start, before = time.perf_counter(), fb.product_counts()
     try:
         yield
     except BaseException as exc:
-        report["failed_stage"] = name
-        report["failure"] = f"{type(exc).__name__}: {exc}"
+        stage, cause = (exc.stage, exc.__cause__) if isinstance(exc, StageFailure) else (name, exc)
+        report["failed_stage"] = stage
+        report["failure"] = f"{type(cause).__name__}: {cause}"
         raise
     finally:
         timings[name] = round(time.perf_counter() - start, 6)
@@ -337,19 +342,22 @@ def bootstrap(cfg: RunConfig, work: dict | None = None,
 
     A zero is read from the checkpoint directory when present there, and
     otherwise computed and, with a checkpoint directory, written there
-    once it is confirmed.  With an eigen target pending, a midpoint build
-    of g0 confirms it, which both eigen zeros then read (the fixed point's
-    last, or one of a checkpointed g0); from degree POOL_MIN_DEGREE on the
-    pending ones run in a pool, one process per target up to the usable
-    cores.  With none pending, g0 is confirmed on the fixed-point
+    once it is confirmed.  g0 is confirmed on the fixed-point
     certificate's own tables, which ``fixed`` (the Problem(0) the
     fixed_point stage certifies with; a fresh one when None) builds over
-    B(g0, RHO) and keeps (:func:`_confirmed_on_tables`).
+    B(g0, RHO) and keeps (:func:`_confirmed_on_tables`).  With an eigen
+    target pending, both eigen zeros read one midpoint view of those
+    tables (approx._MidShared.from_tables), over a checkpointed g0 too;
+    from degree POOL_MIN_DEGREE on the pending ones run in a pool, one
+    process per target up to the usable cores, each receiving the view.
+    Tables that cannot be built leave no eigen zero to compute: their
+    failure is the fixed-point certificate's, raised as a StageFailure
+    naming fixed_point.  The midpoint engine's products are never kept in
+    an open product memo (balls.products_unkept).
 
     With ``work``, record there, per target computed, the midpoint builds,
     views and applies its bootstrap made and the coefficients those
-    applies read (approx.work_counts), in whichever process made them; a
-    checkpointed g0's one build counts as the fixed point's.
+    applies read (approx.work_counts), in whichever process made them.
     """
     n, p = cfg.degree, cfg.precision
     work = {} if work is None else work
@@ -357,40 +365,46 @@ def bootstrap(cfg: RunConfig, work: dict | None = None,
            if target in cfg.targets}
     if None not in out.values():
         return out, 1
-    pending = [target for target, ball in out.items() if ball is None and target != "fixed_point"]
-    build, start = None, ax.work_counts()
+    fixed = Problem(0) if fixed is None else fixed
+    ctx = RoundingContext(p)
     if out["fixed_point"] is None:
-        if pending:
-            g0, build = ax.fixed_point_with_build(n, p)
-            g0_ball = fb.ball_from_decimals(STANDARD_DISC, g0, n)
-        else:
-            g0_ball = _confirmed_on_tables(cfg, Problem(0) if fixed is None else fixed)
-        out["fixed_point"] = _write_checkpoint(cfg, "fixed_point", g0_ball)
-    if pending and build is None:
-        build = ax.midpoint_build(_centre(out["fixed_point"]), p)
-    work["fixed_point"] = _work_since(start)
-    processes = min(len(pending), _usable_cores()) if pending and n >= POOL_MIN_DEGREE else 1
-    for target, (x0, spent) in zip(pending, _eigen_centres(processes, pending, build, p)):
-        work[target] = spent
-        ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
-        out[target] = _write_checkpoint(cfg, target, ball)
+        start = ax.work_counts()
+        out["fixed_point"] = _write_checkpoint(cfg, "fixed_point",
+                                               _confirmed_on_tables(ctx, cfg, fixed))
+        work["fixed_point"] = _work_since(start)
+    pending = [target for target, ball in out.items() if ball is None]
+    if not pending:
+        return out, 1
+    try:
+        tables = fixed._tables(ctx, fb.inflate(ctx, out["fixed_point"], RHO))
+    except (CompositionContractFailure, NormalizationSingular) as exc:
+        raise StageFailure("fixed_point", exc) from exc
+    view = ax._MidShared.from_tables(tables, p)
+    processes = min(len(pending), _usable_cores()) if n >= POOL_MIN_DEGREE else 1
+    with fb.products_unkept():
+        for target, (x0, spent) in zip(pending, _eigen_centres(processes, pending, view, p)):
+            work[target] = spent
+            ball = fb.ball_from_decimals(STANDARD_DISC, x0, n)
+            out[target] = _write_checkpoint(cfg, target, ball)
     return out, processes
 
 
-def _confirmed_on_tables(cfg: RunConfig, fixed: Problem) -> fb.FunctionBall:
+def _confirmed_on_tables(ctx: RoundingContext, cfg: RunConfig,
+                         fixed: Problem) -> fb.FunctionBall:
     """g0 as a ball, with no midpoint build to confirm the top rung's last
     Newton correction: ``fixed`` builds the certificate's operator tables
     over B(g0, RHO), and the polynomial part of T(g0) - g0 read from them
     must be below 10**-(P-6) (approx.below_tolerance).  A miss, or tables
     that cannot be built, runs the ladder's confirm-and-correct loop from
-    g0 (approx.confirm_fixed_point); the certificate then builds the tables
-    over the g0 it confirms, and a failure to build them is its own."""
+    g0 (approx.confirm_fixed_point); the tables are then built again over
+    the g0 it confirms, by the eigen bootstraps or the certificate, and a
+    failure to build them is the certificate's."""
     n, p = cfg.degree, cfg.precision
-    g0, build = ax.fixed_point_ladder(n, p)
+    with fb.products_unkept():
+        g0, build = ax.fixed_point_ladder(n, p)
     ball = fb.ball_from_decimals(STANDARD_DISC, g0, n)
     if build is not None:
         return ball
-    ctx = RoundingContext(p)
     try:
         fixed._tables(ctx, fb.inflate(ctx, ball, RHO))
     except (CompositionContractFailure, NormalizationSingular):
@@ -399,7 +413,9 @@ def _confirmed_on_tables(cfg: RunConfig, fixed: Problem) -> fb.FunctionBall:
         residual = fixed.residual(ctx, ball)
         if ax.below_tolerance(residual.mid, residual.rad, residual.scale, p):
             return ball
-    return fb.ball_from_decimals(STANDARD_DISC, ax.confirm_fixed_point(g0, p)[0], n)
+    with fb.products_unkept():
+        g0 = ax.confirm_fixed_point(g0, p)[0]
+    return fb.ball_from_decimals(STANDARD_DISC, g0, n)
 
 
 def _work_since(start: dict) -> dict:
@@ -415,13 +431,13 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _eigen_centres(processes: int, targets: list[str], build, precision: int):
+def _eigen_centres(processes: int, targets: list[str], view, precision: int):
     """Approximate eigenfunctions of ``targets``, in target order, each read
-    from the one midpoint ``build`` of g0 and paired with its work counts,
-    by a pool of ``processes`` when that is two or more: a pool receives the
-    build and returns exact Decimal lists, so no result depends on the
-    process count."""
-    work = (_eigen_centre, targets, repeat(build), repeat(precision))
+    from the one midpoint ``view`` of the fixed-point tables and paired with
+    its work counts, by a pool of ``processes`` when that is two or more: a
+    pool receives the view and returns exact Decimal lists, so no result
+    depends on the process count."""
+    work = (_eigen_centre, targets, repeat(view), repeat(precision))
     if processes < 2:
         yield from map(*work)
         return
@@ -433,15 +449,11 @@ def _eigen_centres(processes: int, targets: list[str], build, precision: int):
         yield from pool.map(*work)
 
 
-def _eigen_centre(target: str, build, precision: int) -> tuple[list[Decimal], dict]:
+def _eigen_centre(target: str, view, precision: int) -> tuple[list[Decimal], dict]:
     """One eigen centre and the approx work counts it took; at module
     level, so that a pool pickles it by name."""
     start = ax.work_counts()
-    return ax.eigenpair_from_build(target, build, precision)[0], _work_since(start)
-
-
-def _centre(ball: fb.FunctionBall) -> list[Decimal]:
-    return [c.re.lo for c in ball.coeffs]
+    return ax.eigenpair_from_view(target, view, precision)[0], _work_since(start)
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
@@ -460,23 +472,23 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                     "checksums": {}, "certificates": {}, "digits": {}}
     timings: dict = {}
     result = PipelineResult(config=cfg, report=report)
-    # the fixed-point problem, whose tables may confirm g0 in the approx stage
+    # the fixed-point problem, whose tables the approx stage builds
     fixed = Problem(0)
+    products: dict = {}
     try:
-        with _stage(report, timings, "approx"):
-            work = {}
-            centres, processes = bootstrap(cfg, work, fixed)
-            report["execution"] = {"workers": processes, "bootstrap": work}
-            for target, ball in centres.items():
-                report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
-
-        tables = None
-        products = report["execution"]["products"] = {}
         with ExitStack() as memo:
-            if len(centres) > 1:
+            if len(cfg.targets) > 1:
                 # the parameter ball's tables and delta's M_1 columns repeat
                 # the fixed-point certificate's products (solution_ball)
                 memo.enter_context(fb.product_memo())
+            with _stage(report, timings, "approx", products):
+                work = {}
+                centres, processes = bootstrap(cfg, work, fixed)
+                report["execution"] = {"workers": processes, "bootstrap": work,
+                                       "products": products}
+                for target, ball in centres.items():
+                    report["checksums"][_CENTRES[target][0]] = fb.ball_checksum(ball)
+            tables = None
             for power, target in enumerate(_TARGETS):
                 if target not in centres:
                     continue
@@ -501,6 +513,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     except RenormcertError as exc:
         report["timings"] = timings
         _write_outputs(cfg, result, partial=True)
+        if isinstance(exc, StageFailure):
+            raise
         raise StageFailure(report.get("failed_stage", "unknown"), exc) from exc
 
     report["timings"] = timings

@@ -40,7 +40,7 @@ from renormcert.errors import (
     NewtonDivergence,
     SingularJacobian,
 )
-from renormcert.rounding import EXACT, interval
+from renormcert.rounding import EXACT, RoundingContext, interval
 
 
 def test_fixed_point_value(desk):
@@ -434,6 +434,71 @@ def test_coarse_view_agrees_with_its_build(bootstrap40):
     assert narrow.t() == view.t()[:21]
     assert narrow.apply(1, v[:21]) == view.apply(1, v[:21])[:21]
     assert narrow.head(1, 21) == view.head(1, 21)
+
+
+def _tables_view(g0, digits: int, **changes):
+    """The midpoint view of the fixed-point certificate's tables over
+    B(g0, RHO), as the pipeline reads it, with ``changes`` made to the
+    tables first."""
+    from renormcert.pipeline import RHO
+    ctx = RoundingContext(digits)
+    ball = fb.ball_from_decimals(fb.STANDARD_DISC, g0, len(g0) - 1)
+    tables = op.OperatorTables.build(ctx, fb.inflate(ctx, ball, RHO))
+    return ax._MidShared.from_tables(dataclasses.replace(tables, **changes), digits)
+
+
+@pytest.fixture(params=[(20, 30), (40, 40)], ids=["desk", "n40"])
+def view_run(request, desk, bootstrap40):
+    """(g0, digits) at desk (N=20, P=30) and at N=40, P=40."""
+    return (desk.g0, 30) if request.param == (20, 30) else (bootstrap40[0], 40)
+
+
+def test_tables_view_agrees_with_a_build(view_run):
+    """The view of the fixed-point tables is M_q at g0 to the tables'
+    precision, P digits: against a midpoint build at g0 (10**-(P+6)),
+    T(g0) agrees within 8 units of 10**-P, every column of the M_1 and M_2
+    heads within 4 such units per unit of its l1 norm, and one apply of
+    each within 16 per unit of |v|_1, v the delta eigenvector (measured
+    4.4, 2.0 and 7.8 at most).  Reading it makes no midpoint build and
+    counts as no view."""
+    g0, digits = view_run
+    start = ax.work_counts()
+    view = _tables_view(g0, digits)
+    assert ax.work_counts() == start
+    build = ax._MidShared(engine_ints(g0, digits), digits)
+    assert (view.width, view.scale, view.unit) == (build.width, build.scale, build.unit)
+    unit = 10 ** 6   # 10**-P at the engine's scale 10**-(P+6)
+    assert max(abs(a - b) for a, b in zip(view.t(), build.t(), strict=True)) <= 8 * unit
+    for q in (1, 2):
+        for got, want in zip(zip(*view.head(q, 21)), zip(*build.head(q, 21))):
+            norm = max(1, sum(map(abs, want)) // build.unit)
+            assert max(abs(a - b) for a, b in zip(got, want, strict=True)) <= 4 * unit * norm
+    v = engine_ints(ax.eigenpair_from_view("delta", view, digits)[0], digits)
+    norm = -(-sum(map(abs, v)) // build.unit)
+    for q in (1, 2):
+        got, want = view.apply(q, v), build.apply(q, v)
+        assert max(abs(a - b) for a, b in zip(got, want, strict=True)) <= 16 * unit * norm
+
+
+def test_tables_view_eigenpairs_match_the_oracle(view_run):
+    """delta0 and gamma0 read off the view lie within 10**-(P-8) of
+    inverse iteration on the whole Decimal operator (oracle_eigenpair), as
+    approx_eigenpair's did when it read a midpoint build."""
+    g0, digits = view_run
+    view = _tables_view(g0, digits)
+    for kind in ("delta", "gamma"):
+        x = ax.eigenpair_from_view(kind, view, digits)[0]
+        assert _sup_diff(x, oracle_eigenpair(kind, g0, digits)) < Decimal(10) ** (8 - digits)
+
+
+def test_tables_view_without_the_variation_of_a_misses_the_oracle(view_run):
+    """Negative control for the view: with M_1's variation of a dropped
+    from the tables, the delta eigenvector read off it lies more than
+    10**-(P-8) from oracle_eigenpair."""
+    g0, digits = view_run
+    view = _tables_view(g0, digits, variation=fb.zero_ball(len(g0) - 1))
+    x = ax.eigenpair_from_view("delta", view, digits)[0]
+    assert _sup_diff(x, oracle_eigenpair("delta", g0, digits)) > Decimal(10) ** (8 - digits)
 
 
 def test_trim_above_tolerance_is_caught(monkeypatch, bootstrap40):

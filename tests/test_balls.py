@@ -535,27 +535,30 @@ def test_int_sqr_radius_bound_exact_fractions():
 
 def test_centres_serialize_as_with_coefficient_radii(desk, n40):
     """An exact centre writes the text it wrote when a ball held one radius
-    per coefficient: the sha256 of the desk (N=20, P=30) centres, pinned
-    from that layout.  The N=40 (P=40) and N=80 (P=60) centres are pinned
-    from the bootstrap whose lower rungs run at their own precision and
-    whose corrections run on coarse views; they moved by at most 8.4e-45
-    and 2.2e-64, below 10**-(P+4), from the centres the full-precision
-    bootstrap made."""
+    per coefficient: the sha256 of the desk (N=20, P=30) g0, pinned from
+    that layout.  The N=40 (P=40) and N=80 (P=60) g0 are pinned from the
+    bootstrap whose lower rungs run at their own precision and whose
+    corrections run on coarse views; they moved by at most 8.4e-45 and
+    2.2e-64, below 10**-(P+4), from the centres the full-precision
+    bootstrap made.  The eigen centres are pinned from the bootstrap that
+    reads the fixed-point certificate's tables; they moved by at most
+    3.6e-29, 3.1e-39 and 1.5e-59 at desk, N=40 and N=80, below
+    10**-(P-2), from those read off a midpoint build of g0."""
     assert {name: fb.ball_checksum(b) for name, b in
             (("g0", desk.G0), ("delta0", desk.V0), ("gamma0", desk.W0))} == {
         "g0": "aefd45103c30a87a2809239622cd1954709e7bd27da224010eb434aad9393208",
-        "delta0": "3b1b63a8c67896bc30bfb57a5bd11fcb913090d6f9984230f5e2d949d29366d7",
-        "gamma0": "35484989c688d96a75781cb9e792cf83710a7f0cb819649a90d46b754d3942b0"}
+        "delta0": "5746064e7b07cfa656e21f47ffd88a7dbfe8766b2da9113c0b530cec79b11790",
+        "gamma0": "67ee83ac4690c1186d960ccac72317ae5426b417afaae85bf3b34f96578855db"}
     assert n40.result.report["checksums"] == {
         "g0": "be740e5641456516a231ee867db6290bed627bf6500694b52264453b948d4711",
-        "delta0": "0c3086520c7cd32e1eecd5d1eb78cdf8a50a0730651e9281aebfbaf00f5d6e7e",
-        "gamma0": "b8afbc37018b39b7e84f52084a4ecdc8081ea1f59ed8fec7e14cb0620fb669fa"}
+        "delta0": "1e028fb1ae41d05a1c67d679f56b5465b680432b7c0b3fc7920a2ea45d135402",
+        "gamma0": "bec05248e4785995cbd27d572d1b581bdb402034fafc1d26263217ed7281e448"}
     centres, _ = pl.bootstrap(pl.RunConfig(degree=80))
     assert {name: fb.ball_checksum(centres[target]) for name, target in
             (("g0", "fixed_point"), ("delta0", "delta"), ("gamma0", "gamma"))} == {
         "g0": "bcd3f967a04aa30dbdd9824950218ab7f14768acc6e3c95cea267b49ae17e2ab",
-        "delta0": "9c887b03a42b102e80cb107bcba4a8d5fcd33ec088f9e040a46f1a59e9ac6afc",
-        "gamma0": "e7f67f65ff8e3434117cff1ac3d349c6288f073a55ba6f5f3fbc186434b9c16a"}
+        "delta0": "cf55bde1ce2570b753a11b6cda8798aa5dae58836d04528c0d149c3a709316f4",
+        "gamma0": "23c314ad96e99df803f38480910d9a19b984140e0d011474a932f4480ff7b7b7"}
 
 
 def test_ball_with_radius_reloads_with_its_members():

@@ -257,7 +257,7 @@ def test_certificates_build_no_decimal_coefficients(desk, monkeypatch):
     for power, x0 in ((1, desk.V0), (2, desk.W0)):
         assert ct.certify(c, ct.Problem(power, tables), x0, pl.RHO).passed
     assert built == []
-    pl._centre(desk.G0)
+    [c.re.lo for c in desk.G0.coeffs]
     assert built == [desk.G0]
 
 

@@ -172,7 +172,7 @@ def test_cli_refuses_bad_paths_and_targets_before_any_work(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("work ran before the configuration was checked")
 
-    monkeypatch.setattr(ax, "fixed_point_with_build", refuse)
+    monkeypatch.setattr(ax, "confirm_fixed_point", refuse)
     monkeypatch.setattr(ax, "fixed_point_ladder", refuse)
     monkeypatch.setattr(pl, "run_pipeline", refuse)
     path = tmp_path / "file"
@@ -514,15 +514,19 @@ def test_run_pipeline_desk(tmp_path):
         assert written == {"certificate": payload,
                            "execution": {"wall_time_s": data["timings"][target]}}
     products = data["execution"]["products"]
-    assert list(products) == ["fixed_point", "parameter_ball", "delta", "gamma"]
+    assert list(products) == ["approx", "fixed_point", "parameter_ball", "delta", "gamma"]
     assert all(sorted(counts) == ["computed", "reused"] for counts in products.values())
     assert not any("products" in payload for payload in data["certificates"].values())
     assert list(data["execution"]["bootstrap"]) == ["fixed_point", "delta", "gamma"]
     assert not any("bootstrap" in payload for payload in data["certificates"].values())
-    # checkpoints reload on the second run, which bootstraps nothing
+    # checkpoints reload on the second run, which bootstraps nothing: its
+    # fixed_point stage builds the tables the approx stage built before
     res2 = pl.run_pipeline(cfg)
     assert res2.report["certificates"] == report["certificates"]
-    assert res2.report["execution"]["products"] == products
+    again = res2.report["execution"]["products"]
+    assert again["approx"] == {"computed": 0, "reused": 0}
+    assert {k: again[k] for k in ("parameter_ball", "delta", "gamma")} \
+        == {k: products[k] for k in ("parameter_ball", "delta", "gamma")}
     assert res2.report["execution"]["bootstrap"] == {}
 
 
@@ -550,27 +554,64 @@ def test_eigen_stages_reuse_the_fixed_point_products(degree, monkeypatch):
     assert fb._memo is None
 
 
+def test_approx_stage_counts_its_products(monkeypatch):
+    """execution.products has an approx entry, in report.json only: the
+    exact products of the midpoint ladder and eigen refinements, and of the
+    fixed-point certificate's tables, which the approx stage builds with
+    the memo open (60 products at N=40, 2 of them repeats), so that the
+    fixed_point stage computes only its residual and columns and the
+    parameter ball's tables repeat all 60.  Pinned at N=40, P=33."""
+    report = pl.run_pipeline(pl.RunConfig(degree=40)).report
+    assert report["execution"]["products"] == {
+        "approx": {"computed": 195, "reused": 2},
+        "fixed_point": {"computed": 43, "reused": 1},
+        "parameter_ball": {"computed": 0, "reused": 60},
+        "delta": {"computed": 6, "reused": 43},
+        "gamma": {"computed": 48, "reused": 0}}
+    assert not any("products" in payload for payload in report["certificates"].values())
+    counted = {}
+    monkeypatch.setattr(op.OperatorTables, "build", _counted_products(counted))
+    with fb.product_memo():
+        pl.bootstrap(pl.RunConfig(degree=40))
+    assert counted == {"computed": 58, "reused": 2}
+
+
+def _counted_products(counted: dict):
+    """OperatorTables.build, adding the products each build computes and
+    reuses to ``counted``."""
+    build = op.OperatorTables.build.__func__
+
+    def counting(cls, c, G):
+        before = fb.product_counts()
+        tables = build(cls, c, G)
+        for key, value in fb.product_counts().items():
+            counted[key] = counted.get(key, 0) + value - before[key]
+        return tables
+    return classmethod(counting)
+
+
 def _work(builds: int, views: int, applies: int, coefficients: int) -> dict:
     return {"builds": builds, "views": views, "applies": applies,
             "coefficients": coefficients}
 
 
 @pytest.mark.parametrize("degree, precision, work", [
-    (40, 33, {"fixed_point": _work(2, 1, 3, 123), "delta": _work(0, 0, 4, 164),
+    (40, 33, {"fixed_point": _work(1, 1, 3, 123), "delta": _work(0, 0, 4, 164),
               "gamma": _work(0, 0, 4, 164)}),
-    (40, 40, {"fixed_point": _work(2, 1, 4, 164), "delta": _work(0, 0, 5, 204),
+    (40, 40, {"fixed_point": _work(1, 1, 4, 164), "delta": _work(0, 0, 5, 204),
               "gamma": _work(0, 0, 5, 204)}),
-    (80, 60, {"fixed_point": _work(3, 2, 7, 408), "delta": _work(0, 0, 8, 578),
+    (80, 60, {"fixed_point": _work(2, 2, 7, 408), "delta": _work(0, 0, 8, 578),
               "gamma": _work(0, 0, 8, 566)}),
 ])
 def test_bootstrap_counts_its_work(n40, degree, precision, work):
     """The approx stage records per target the midpoint builds, coarse
     views and applies of M_q its bootstrap made, and the summed length of
     the vectors those applies read, in report.json's execution.bootstrap:
-    deterministic counts.  With the eigen targets pending, the fixed point
-    makes 2 builds at N=40 and 3 at N=80 (one per rung, the last also
-    checking g0) and one view per Newton correction; the eigen targets
-    read its last build and make none of their own."""
+    deterministic counts.  The fixed point makes 1 build at N=40 and 2 at
+    N=80 (one per rung below the top, whose correction the fixed-point
+    certificate's tables confirm) and one view per Newton correction; the
+    eigen targets read one view of those tables, which counts as neither,
+    and make no build of their own."""
     if (degree, precision) == (40, 40):
         assert n40.result.report["execution"]["bootstrap"] == work
     counted = {}
@@ -578,15 +619,18 @@ def test_bootstrap_counts_its_work(n40, degree, precision, work):
     assert counted == work
 
 
-def test_checkpointed_fixed_point_counts_one_build(tmp_path):
-    """With g0 checkpointed, the eigen targets read one build of it, which
-    counts as the fixed point's work."""
+def test_checkpointed_fixed_point_makes_no_build(tmp_path):
+    """With g0 checkpointed, the eigen targets read a view of the
+    fixed-point tables over it and the fixed point does no work: no
+    midpoint build at all, and the centres of a run with no checkpoint."""
     cfg = pl.RunConfig(degree=20, checkpoint_dir=str(tmp_path))
     pl.bootstrap(replace(cfg, targets=("fixed_point",)))
     counted = {}
-    pl.bootstrap(cfg, counted)
-    assert counted == {"fixed_point": _work(1, 0, 0, 0), "delta": _work(0, 0, 1, 21),
-                       "gamma": _work(0, 0, 2, 32)}
+    centres, _ = pl.bootstrap(cfg, counted)
+    assert counted == {"delta": _work(0, 0, 1, 21), "gamma": _work(0, 0, 2, 32)}
+    fresh, _ = pl.bootstrap(replace(cfg, checkpoint_dir=None))
+    assert {t: fb.ball_checksum(b) for t, b in centres.items()} \
+        == {t: fb.ball_checksum(b) for t, b in fresh.items()}
 
 
 def test_fixed_point_run_opens_no_product_memo(monkeypatch):
@@ -597,8 +641,8 @@ def test_fixed_point_run_opens_no_product_memo(monkeypatch):
 
     monkeypatch.setattr(fb, "product_memo", refused)
     report = pl.run_pipeline(pl.RunConfig(degree=20, targets=("fixed_point",))).report
-    assert list(report["execution"]["products"]) == ["fixed_point"]
-    assert report["execution"]["products"]["fixed_point"]["reused"] == 0
+    assert list(report["execution"]["products"]) == ["approx", "fixed_point"]
+    assert all(counts["reused"] == 0 for counts in report["execution"]["products"].values())
 
 
 def _counting_tables(monkeypatch) -> list[int]:
@@ -630,29 +674,46 @@ def test_fixed_point_run_confirms_g0_on_its_certificate_tables(monkeypatch, degr
 
 @pytest.mark.parametrize("degree, builds", [(40, 1), (80, 2), (160, 3)])
 def test_fixed_point_run_makes_no_confirming_build(degree, builds):
-    """A fixed-point-only bootstrap makes one midpoint build fewer than the
-    ladder that confirms on a build of g0 (approx.fixed_point_with_build,
-    the path of a run with an eigen target): 1, 2 and 3 builds at N = 40,
-    80 and 160, and the same views, applies and coefficients."""
+    """The bootstrap makes one midpoint build fewer than
+    approx.approx_fixed_point, which confirms the top rung's correction on
+    a build of g0: 1, 2 and 3 builds at N = 40, 80 and 160, and the same
+    views, applies and coefficients, with the fixed-point target alone or
+    with every target, whose eigen bootstraps make no build."""
     cfg = pl.RunConfig(degree=degree, targets=("fixed_point",))
     start = ax.work_counts()
-    ax.fixed_point_with_build(degree, cfg.precision)
+    ax.approx_fixed_point(degree, cfg.precision)
     confirmed = pl._work_since(start)
-    work = {}
+    work, every = {}, {}
     pl.bootstrap(cfg, work)
+    pl.bootstrap(replace(cfg, targets=pl._TARGETS), every)
     assert work == {"fixed_point": {**confirmed, "builds": builds}}
+    assert every["fixed_point"] == work["fixed_point"]
+    assert every["delta"]["builds"] == every["gamma"]["builds"] == 0
     assert confirmed["builds"] == builds + 1
 
 
 def test_missed_table_confirmation_corrects_on_the_ladder(monkeypatch):
     """At N=40, P=43 (the rule's P + 10) the top rung's one correction
     leaves the residual above 10**-(P-6): the check on the tables misses,
-    the ladder's midpoint loop corrects g0 again, and the certificate
-    builds its tables over that g0.  The run certifies the strings of the
-    run with every target, from the same g0, with the same midpoint builds."""
+    the ladder's midpoint loop corrects g0 again, and the tables are built
+    again over that g0: in the approx stage for the eigen bootstraps, which
+    read them, or in the fixed_point stage with no eigen target.  Either
+    run certifies from that g0 with the same midpoint builds, 3, and the
+    same a and alpha strings."""
     cfg = pl.RunConfig(degree=40, precision=43)
-    full = pl.run_pipeline(cfg).report
     built = _counting_tables(monkeypatch)
+    read, from_tables = [], ax._MidShared.from_tables.__func__
+
+    def reading(cls, tables, digits):
+        read.append(tables.shared.source)
+        return from_tables(cls, tables, digits)
+
+    monkeypatch.setattr(ax._MidShared, "from_tables", classmethod(reading))
+    full = pl.run_pipeline(cfg).report
+    assert built == [40, 40, 40]   # the missed check, the eigen bootstraps', parameter_ball
+    assert [fb.ball_checksum(replace(source, v_err=Decimal(0))) for source in read] \
+        == [full["checksums"]["g0"]]
+    built.clear()
     alone = pl.run_pipeline(replace(cfg, targets=("fixed_point",))).report
     assert built == [40, 40]
     assert alone["checksums"]["g0"] == full["checksums"]["g0"]
@@ -668,22 +729,38 @@ def test_confirmation_that_always_accepts_is_caught(monkeypatch):
     monkeypatch.setattr(ax, "below_tolerance", lambda *args: True)
     centres, _ = pl.bootstrap(pl.RunConfig(degree=40, precision=43, targets=("fixed_point",)))
     monkeypatch.undo()
-    g0 = pl._centre(centres["fixed_point"])
+    g0 = [c.re.lo for c in centres["fixed_point"].coeffs]
     assert max(abs(a - b) for a, b in zip(g0, ax.approx_fixed_point(40, 43))) > Decimal("1e-37")
 
 
-def test_tables_that_cannot_be_built_fail_the_fixed_point_stage(monkeypatch):
+def test_tables_that_cannot_be_built_fail_the_fixed_point_stage(monkeypatch, tmp_path, capsys):
     """Tables that cannot be built over B(g0, RHO) are a miss: g0 is
     confirmed on the midpoint ladder instead, and the failure is the
-    fixed_point stage's, as in a run with an eigen target."""
+    fixed_point stage's, with or without an eigen target: a StageFailure
+    naming it with the CompositionContractFailure as cause, in the
+    partial report too.  With an eigen target the approx stage, which needs
+    the tables, raises it, after writing the confirmed g0, and the approx
+    verb exits 2 with no traceback."""
+    from renormcert import cli
+
     def fail(cls, c, G):
         raise CompositionContractFailure("theta >= 1", subexpression="G(a2 X)")
 
     monkeypatch.setattr(op.OperatorTables, "build", classmethod(fail))
-    with pytest.raises(StageFailure) as info:
-        pl.run_pipeline(pl.RunConfig(degree=40, targets=("fixed_point",)))
-    assert info.value.stage == "fixed_point"
-    assert isinstance(info.value.__cause__, CompositionContractFailure)
+    for targets in (("fixed_point",), pl._TARGETS):
+        out = tmp_path / str(len(targets))
+        with pytest.raises(StageFailure) as info:
+            pl.run_pipeline(pl.RunConfig(degree=40, targets=targets, output_dir=str(out)))
+        assert info.value.stage == "fixed_point"
+        assert isinstance(info.value.__cause__, CompositionContractFailure)
+        data = json.loads((out / "report.json").read_text())
+        assert (data["partial"], data["failed_stage"]) == (True, "fixed_point")
+        assert data["failure"] == "CompositionContractFailure: theta >= 1"
+    ck = tmp_path / "ck"
+    assert cli.main(["approx", "-N", "40", "--checkpoint-dir", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta >= 1" in err and "Traceback" not in err
+    assert [p.name for p in ck.iterdir()] == ["g0_n40_p33.txt"]
 
 
 def test_fixed_point_checkpoint_round_trip(tmp_path):
@@ -747,11 +824,12 @@ def test_pool_starts_by_degree_and_usable_cores(monkeypatch):
     pool of min(2, cores) for both eigen targets, and none with one usable
     core or one pending target."""
     sizes = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(ax, "fixed_point_with_build",
-                        lambda n, p: ([Decimal(0)] * (n + 1), [Decimal(0)] * (n + 1)))
-    monkeypatch.setattr(ax, "midpoint_build", lambda g0, p: g0)
-    monkeypatch.setattr(ax, "eigenpair_from_build",
-                        lambda target, g0, p: ([Decimal(1)] * len(g0), Decimal(1)))
+    monkeypatch.setattr(pl, "_confirmed_on_tables",
+                        lambda c, cfg, fixed: fb.zero_ball(cfg.degree))
+    monkeypatch.setattr(ct.Problem, "_tables", lambda self, c, ball: None)
+    monkeypatch.setattr(ax._MidShared, "from_tables", staticmethod(lambda tables, p: None))
+    monkeypatch.setattr(ax, "eigenpair_from_view",
+                        lambda target, view, p: ([Decimal(1)], Decimal(1)))
     top = pl.POOL_MIN_DEGREE
     assert top > 80
     both, delta = pl._TARGETS, ("fixed_point", "delta")
@@ -785,11 +863,15 @@ def test_eigen_pool_starts_one_process_per_pending_target(monkeypatch):
 def test_n40_centres_agree_across_bootstrap_paths(monkeypatch, precision):
     """At N=40, where the eigen bootstraps refine a binary64 head vector,
     three paths give byte-identical centres: the bootstrap in one process
-    and in a pool, whose eigen targets both read the fixed point's last
-    midpoint build of g0 (a pool worker receives it and builds none), and
-    the API calls the benchmark's set-up makes, approx_fixed_point and then
-    approx_eigenpair per target on the ball's centre, one build each.
-    Either bootstrap makes two degree-40 builds fewer than the API calls."""
+    and in a pool, whose eigen targets both read one view of the
+    fixed-point certificate's tables over B(g0, RHO) (a pool worker
+    receives it and builds neither tables nor a midpoint build), and the
+    API calls the benchmark's set-up makes, approx_fixed_point and then
+    approx_eigenpair per target on the ball's centre, which builds the
+    tables over g0 itself: their integers are those over B(g0, RHO).
+    Either bootstrap makes one degree-40 midpoint build, one fewer than the
+    API calls (approx_fixed_point's confirming build), and one table
+    build, the fixed-point certificate's, where the API calls make two."""
     degrees, init, parent = [], ax._MidShared.__init__, os.getpid()
 
     def counting_init(self, g, digits, width=None):
@@ -799,23 +881,32 @@ def test_n40_centres_agree_across_bootstrap_paths(monkeypatch, precision):
         init(self, g, digits, width)
 
     monkeypatch.setattr(ax._MidShared, "__init__", counting_init)
+    built, build = [], op.OperatorTables.build.__func__
+
+    def counting_build(cls, c, G):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker built operator tables")
+        built.append(G.truncation)
+        return build(cls, c, G)
+
+    monkeypatch.setattr(op.OperatorTables, "build", classmethod(counting_build))
     cfg = pl.RunConfig(degree=40, precision=precision)
     serial, processes = pl.bootstrap(cfg)
-    serial_builds = degrees.count(40)
     assert processes == 1
-    degrees.clear()
+    assert (degrees.count(40), built) == (1, [40])
+    degrees.clear(), built.clear()
     g0 = fb.ball_from_decimals(fb.STANDARD_DISC, ax.approx_fixed_point(40, precision), 40)
     centre = [c.re.lo for c in g0.coeffs]
     api = {"fixed_point": g0}
     for target in ("delta", "gamma"):
         x0 = ax.approx_eigenpair(target, centre, precision)[0]
         api[target] = fb.ball_from_decimals(fb.STANDARD_DISC, x0, 40)
-    assert degrees.count(40) == serial_builds + 2
-    degrees.clear()
+    assert (degrees.count(40), built) == (2, [40, 40])
+    degrees.clear(), built.clear()
     set_pool_rule(monkeypatch, 2)
     pooled, processes = pl.bootstrap(cfg)
     assert processes == 2
-    assert degrees.count(40) == serial_builds
+    assert (degrees.count(40), built) == (1, [40])
     texts = [{t: fb.serialize_ball(b) for t, b in run.items()} for run in (serial, pooled, api)]
     assert list(texts[0]) == list(pl._TARGETS)
     assert texts[0] == texts[1] == texts[2]
@@ -840,7 +931,7 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
     serial run's failure: StageFailure at stage "approx" with the same cause
     type and message, and the same partial report."""
 
-    def ambiguous(target, build, digits):
+    def ambiguous(target, view, digits):
         raise EigenSelectionAmbiguous(f"{target}: two eigenvalues near the target")
 
     pools = []
@@ -850,7 +941,7 @@ def test_worker_failure_is_a_stage_failure(tmp_path, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(ax, "eigenpair_from_build", ambiguous)
+    monkeypatch.setattr(ax, "eigenpair_from_view", ambiguous)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     outcomes = []
     for cores in (1, 2):
@@ -1273,9 +1364,9 @@ def test_cli_approx_writes_every_checkpoint(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("approximate zero recomputed instead of read")
 
-    monkeypatch.setattr(ax, "fixed_point_with_build", refuse)
+    monkeypatch.setattr(ax, "confirm_fixed_point", refuse)
     monkeypatch.setattr(ax, "fixed_point_ladder", refuse)
-    monkeypatch.setattr(ax, "eigenpair_from_build", refuse)
+    monkeypatch.setattr(ax, "eigenpair_from_view", refuse)
     out = tmp_path / "out"
     assert cli.main(["certify", "-N", "20", "-o", str(out),
                      "--checkpoint-dir", str(ck)]) == 0
